@@ -15,7 +15,6 @@
 //	loadgen -selftest -duration 2s            # in-process smoke run
 //	loadgen -selftest -duration 10s -watch 2s # live §4.3 analytics feed
 //	loadgen -selftest -cluster -fsync -duration 5s  # 3-node cluster behind the router
-//	loadgen -bench -duration 2s -concurrency 32 -bench-out BENCH_platform.json
 //
 // With -selftest the target server runs in-process (optionally
 // persisted with -data-dir, fsynced with -fsync, group-committed with
@@ -37,33 +36,6 @@
 // across nodes by consistent hash until each owns at least one, and
 // every request travels through the router's ownership resolution —
 // the full production scale-out path, driveable from one command.
-//
-// With -bench the generator runs the durability-mode benchmark matrix
-// — in-memory, buffered WAL, per-record fsync, and opportunistic plus
-// windowed group-commit fsync — each against a fresh in-process
-// server, and writes a machine-readable report (throughput plus
-// p50/p99 per endpoint, the events+response "ingest" latency, and the
-// server's own /metrics-reported ingest p99) to -bench-out. A sixth
-// scenario, video-heavy, hammers the content-addressed video read path
-// (conditional, full-body and Range GETs against the in-memory tier)
-// and gates an absolute throughput floor and p99 budget; every
-// scenario excludes a warmup ramp from its recorded stats, and
-// in-memory scenarios fail on pathological p99/p50 skew (see bench.go).
-// -bench-compare gates against a committed baseline report: a gated
-// scenario fails the run when both its absolute and its mem-relative
-// throughput drop more than -bench-tolerance (see compareBaseline in
-// bench.go for the per-scenario policy). Each trial additionally runs
-// two twins back to back: a telemetry-disabled one (every scenario)
-// and a tracing-enabled one (mem at the production 1% sample, the
-// windowed group-commit scenario retaining every request). The run
-// fails when either instrumentation or request tracing costs more
-// than -bench-overhead-tolerance of the disk-free mem scenario's
-// throughput (paired per-trial medians; the disk-backed scenarios'
-// overheads are reported but too device-noisy to gate on) — the
-// checks that keep /metrics and stage tracing effectively free. The
-// durable tracing twin also reads /debug/traces back into a per-stage
-// ingest p99 breakdown, gated so the stage sum accounts for ≥90% of
-// the e2e trace p99 (see runBench in bench.go).
 //
 // -log-format text|json selects the log/slog handler every line goes
 // through, mirroring the server's flag.
@@ -103,9 +75,9 @@ import (
 )
 
 // logger carries every generator line through log/slog, matching the
-// server's structured logging. The default (used by tests that call
-// runBench/runScenario directly) is the text handler; main replaces it
-// per -log-format. logf/fatalf keep the pre-formatted report lines —
+// server's structured logging. The default (used by tests that drive
+// the generator directly) is the text handler; main replaces it per
+// -log-format. logf/fatalf keep the pre-formatted report lines —
 // throughput tables, percentile rows — as the msg field rather than
 // exploding them into attrs: their consumers are humans and greppers,
 // and the JSON handler still wraps them in a parseable envelope.
@@ -136,7 +108,7 @@ func main() {
 		addr        = flag.String("addr", "http://localhost:8080", "target server base URL")
 		selftest    = flag.Bool("selftest", false, "run against an in-process server")
 		clustered   = flag.Bool("cluster", false, "with -selftest: drive an in-process 3-node cluster through the campaign router instead of a single server")
-		dataDir     = flag.String("data-dir", "", "persistence dir for the -selftest server (default in-memory); with -bench, the parent for scenario journals (default OS temp dir — beware tmpfs)")
+		dataDir     = flag.String("data-dir", "", "persistence dir for the -selftest server (default in-memory)")
 		shards      = flag.Int("shards", 0, "shard count for the -selftest server (0 = default)")
 		fsync       = flag.Bool("fsync", false, "fsync the -selftest server's journal before acking mutations")
 		groupCommit = flag.Bool("group-commit", false, "group-commit the -selftest server's journal")
@@ -151,13 +123,6 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "global in-flight request cap for the -selftest server (0 = unlimited)")
 		workerRate  = flag.Float64("worker-rate", 0, "per-session req/s cap for the -selftest server (0 = unlimited)")
 		expectThrot = flag.Bool("expect-throttle", false, "fail unless the run saw admission-control 429s (saturation selftest)")
-		bench       = flag.Bool("bench", false, "run the durability-mode benchmark matrix (in-process servers)")
-		benchHTTP   = flag.Bool("bench-http", false, "drive -bench through real HTTP instead of direct handler dispatch")
-		benchTrials = flag.Int("bench-trials", 3, "trials per -bench scenario; the median-throughput trial is reported")
-		benchOut    = flag.String("bench-out", "BENCH_platform.json", "where -bench writes its report")
-		benchCmp    = flag.String("bench-compare", "", "baseline report for -bench to gate throughput against")
-		benchTol    = flag.Float64("bench-tolerance", 0.20, "fractional throughput regression -bench-compare tolerates")
-		benchOver   = flag.Float64("bench-overhead-tolerance", 0.05, "fractional throughput cost telemetry may have vs an uninstrumented matrix (<0 skips the comparison)")
 		logFormat   = flag.String("log-format", "text", "log output format: text|json")
 	)
 	flag.Parse()
@@ -168,28 +133,6 @@ func main() {
 	logger = l
 
 	payloads := capturePayloads(*seed, *videos)
-
-	if *bench {
-		if !runBench(benchSettings{
-			kind:        *kind,
-			concurrency: *concurrency,
-			duration:    *duration,
-			sessions:    *maxSessions,
-			seed:        *seed,
-			shards:      *shards,
-			payloads:    payloads,
-			http:        *benchHTTP,
-			trials:      *benchTrials,
-			dataDir:     *dataDir,
-			out:         *benchOut,
-			baseline:    *benchCmp,
-			tolerance:   *benchTol,
-			overheadTol: *benchOver,
-		}) {
-			os.Exit(1)
-		}
-		return
-	}
 
 	target := *addr
 	var coverage func() bool
@@ -380,8 +323,7 @@ func newHTTPClient(n int) *http.Client {
 	}}
 }
 
-// loadConfig parameterizes one generation run; bench mode reuses it per
-// scenario.
+// loadConfig parameterizes one generation run.
 type loadConfig struct {
 	client *http.Client
 	target string
@@ -399,11 +341,6 @@ type loadConfig struct {
 	// POST instead of per-interaction JSON posts — the real client's
 	// wire mode.
 	binary bool
-	// warmup is a ramp that runs the full lifecycle without recording
-	// stats: server cold start, first-touch page faults and client-side
-	// decode warmup all land here instead of inside the measured
-	// percentiles. duration then measures steady state.
-	warmup time.Duration
 	// videoIDs/payloads (index-aligned, from seedCampaign) let the run
 	// pre-decode every video before the clock starts; without them the
 	// first session to fetch each video decodes it inline, a hundreds-
@@ -414,8 +351,7 @@ type loadConfig struct {
 }
 
 // runLoad fans the persona lifecycle out over the worker pool and
-// returns the merged stats plus the measured (post-warmup) wall-clock
-// time.
+// returns the merged stats plus the wall-clock time.
 func runLoad(cfg loadConfig) (*aggregate, time.Duration) {
 	g := &generator{
 		client:    cfg.client,
@@ -466,8 +402,7 @@ func runLoad(cfg loadConfig) (*aggregate, time.Duration) {
 	}
 
 	start := time.Now()
-	g.recordFrom = start.Add(cfg.warmup)
-	g.deadline = g.recordFrom.Add(cfg.duration)
+	g.deadline = start.Add(cfg.duration)
 	stats, err := parallel.Map(cfg.concurrency, cfg.concurrency, func(i int) (*workerStats, error) {
 		return g.run(i, pop[i*perWorker:(i+1)*perWorker]), nil
 	})
@@ -476,7 +411,7 @@ func runLoad(cfg loadConfig) (*aggregate, time.Duration) {
 	if err != nil {
 		fatalf("worker pool: %v", err)
 	}
-	return merge(stats), time.Since(g.recordFrom)
+	return merge(stats), time.Since(start)
 }
 
 // capturePayloads builds EYV1 video payloads by capturing a synthetic
@@ -572,11 +507,7 @@ type generator struct {
 	kind      string
 	binary    bool
 	deadline  time.Time
-	// recordFrom is when the warmup ramp ends: sessions and latencies
-	// before it are driven but not recorded (the zero value records
-	// everything). Errors and throttle-contract violations always count.
-	recordFrom time.Time
-	max        int64
+	max       int64
 
 	sessionNo atomic.Int64
 	// decoded caches per-video decoded frames + perceptual curves so
@@ -610,25 +541,18 @@ func (g *generator) run(worker int, personas []*crowd.Participant) *workerStats 
 	st := newWorkerStats()
 	campaign := g.campaigns[worker%len(g.campaigns)]
 	for i := 0; ; i++ {
-		now := time.Now()
-		if now.After(g.deadline) {
+		if time.Now().After(g.deadline) {
 			return st
 		}
 		n := g.sessionNo.Add(1)
 		if g.max > 0 && n > g.max {
 			return st
 		}
-		// Warmup sessions run the identical lifecycle but stay out of the
-		// counters, so sessions/s and completion rates describe steady
-		// state only.
-		record := now.After(g.recordFrom)
-		if record {
-			st.sessions++
-		}
+		st.sessions++
 		p := personas[i%len(personas)]
 		if err := g.session(st, campaign, fmt.Sprintf("lg-w%d-s%d", worker, n), p); err != nil {
 			st.errors++
-		} else if record {
+		} else {
 			st.completed++
 		}
 	}
@@ -745,9 +669,7 @@ func (g *generator) fetchVideo(st *workerStats, id string) (*decodedVideo, error
 		}
 		body, rerr := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if start.After(g.recordFrom) {
-			st.lat["video"] = append(st.lat["video"], time.Since(start))
-		}
+		st.lat["video"] = append(st.lat["video"], time.Since(start))
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -787,9 +709,7 @@ func (g *generator) call(st *workerStats, name, method, url string, body []byte,
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
 		status, hdr, err := doJSON(g.client, method, url, body, out)
-		if start.After(g.recordFrom) {
-			st.lat[name] = append(st.lat[name], time.Since(start))
-		}
+		st.lat[name] = append(st.lat[name], time.Since(start))
 		if err != nil {
 			return err
 		}
@@ -827,9 +747,7 @@ func (g *generator) postWire(st *workerStats, name, url string, payload []byte) 
 		}
 		req.Header.Set("Content-Type", wire.ContentType)
 		resp, err := g.client.Do(req)
-		if start.After(g.recordFrom) {
-			st.lat[name] = append(st.lat[name], time.Since(start))
-		}
+		st.lat[name] = append(st.lat[name], time.Since(start))
 		if err != nil {
 			return err
 		}

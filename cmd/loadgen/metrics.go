@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -150,10 +149,4 @@ func scrapeIngestP99(client *http.Client, target string) (float64, error) {
 		return 0, fmt.Errorf("no ingest samples in exposition")
 	}
 	return h.quantile(0.99) * 1000, nil
-}
-
-// roundMs rounds a float millisecond value to the microsecond, the
-// same rounding the client-side report uses.
-func roundMs(ms float64) float64 {
-	return math.Round(ms*1000) / 1000
 }

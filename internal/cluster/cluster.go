@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"github.com/eyeorg/eyeorg/internal/platform"
 )
@@ -25,10 +24,6 @@ type Config struct {
 	// semantics as platform.Options.
 	Fsync       bool
 	GroupCommit bool
-	// SyncDelay forwards to every node's platform.Options.SyncDelay —
-	// a fixed latency floor per commit fsync, used by the scale-out
-	// benchmarks to price per-node durability like independent disks.
-	SyncDelay time.Duration
 	// SnapshotEvery forwards to platform.Options.SnapshotEvery.
 	SnapshotEvery int
 	// Vnodes is the ring's virtual-node count (0 = DefaultVnodes).
@@ -40,8 +35,6 @@ type Config struct {
 	Adaptive     bool
 	CIHalfWidth  float64
 	AdaptiveSeed int64
-	// DisableTelemetry turns off per-node registries (benchmarks).
-	DisableTelemetry bool
 }
 
 // Cluster is a set of platform nodes partitioned by campaign plus the
@@ -135,18 +128,16 @@ func (c *Cluster) newNode(id string) (*Node, error) {
 	}
 	n.follower = follower
 	srv, err := platform.Open(platform.Options{
-		DataDir:          filepath.Join(c.cfg.Dir, id),
-		Fsync:            c.cfg.Fsync,
-		GroupCommit:      c.cfg.GroupCommit,
-		SyncDelay:        c.cfg.SyncDelay,
-		SnapshotEvery:    c.cfg.SnapshotEvery,
-		IDTag:            id + ".",
-		InlineVideos:     true,
-		Replicate:        n,
-		Adaptive:         c.cfg.Adaptive,
-		CIHalfWidth:      c.cfg.CIHalfWidth,
-		AdaptiveSeed:     c.cfg.AdaptiveSeed,
-		DisableTelemetry: c.cfg.DisableTelemetry,
+		DataDir:       filepath.Join(c.cfg.Dir, id),
+		Fsync:         c.cfg.Fsync,
+		GroupCommit:   c.cfg.GroupCommit,
+		SnapshotEvery: c.cfg.SnapshotEvery,
+		IDTag:         id + ".",
+		InlineVideos:  true,
+		Replicate:     n,
+		Adaptive:      c.cfg.Adaptive,
+		CIHalfWidth:   c.cfg.CIHalfWidth,
+		AdaptiveSeed:  c.cfg.AdaptiveSeed,
 	})
 	if err != nil {
 		follower.Close()

@@ -86,9 +86,10 @@ func TestAdaptiveAnalyticsEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-w%d", kind, workers), func(t *testing.T) {
 				c, s := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9, AdaptiveSeed: 42})
 				campaign, _ := setupCampaign(c, kind, 3)
-				runChaos(t, c.srv.URL, campaign, kind, 7, workers, 6)
-				assertLiveEqualsOffline(t, s, campaign)
-				crossCheckHTTP(t, s, c, campaign)
+				l := newSent()
+				runChaos(t, l, c.srv.URL, campaign, kind, 7, workers, 6)
+				assertLiveEqualsOffline(t, s, l, campaign)
+				crossCheckHTTP(t, s, l, c, campaign)
 				ar := fetchAnalytics(t, c, campaign)
 				if ar.Stopping == nil {
 					t.Fatal("adaptive server rendered no stopping block")
@@ -122,7 +123,8 @@ func TestAdaptiveCrashReplayDeterminism(t *testing.T) {
 			dir := t.TempDir()
 			_, c := openPersisted(t, dir, opt)
 			campaign, _ := setupCampaign(c, "timeline", 3)
-			runChaos(t, c.srv.URL, campaign, "timeline", 13, 8, 4)
+			l := newSent()
+			runChaos(t, l, c.srv.URL, campaign, "timeline", 13, 8, 4)
 			preAnalytics := rawAnalytics(t, c, campaign)
 			preResults := rawResults(t, c, campaign)
 
@@ -140,7 +142,7 @@ func TestAdaptiveCrashReplayDeterminism(t *testing.T) {
 			if got := rawResults(t, c1, campaign); string(got) != string(preResults) {
 				t.Fatalf("results diverged after replay:\n pre:  %s\n post: %s", preResults, got)
 			}
-			assertLiveEqualsOffline(t, s1, campaign)
+			assertLiveEqualsOffline(t, s1, l, campaign)
 
 			jr1, code1 := joinStatus(c1, campaign, "replay-probe")
 			jr2, code2 := joinStatus(c2, campaign, "replay-probe")
@@ -328,7 +330,7 @@ func TestAnalyticsRenderRace(t *testing.T) {
 					resp.Body.Close()
 				}
 			}()
-			runChaos(t, c.srv.URL, campaign, kind, 21, 4, 4)
+			runChaos(t, newSent(), c.srv.URL, campaign, kind, 21, 4, 4)
 			close(stop)
 			wg.Wait()
 		})

@@ -1,9 +1,10 @@
 // The live quality-analytics endpoint: GET /campaigns/{id}/analytics
 // serves the incremental §4.3 state internal/quality maintains on every
-// mutation — per-participant filter verdicts (final for completed
+// mutation — per-participant filter verdicts (frozen for completed
 // sessions, provisional for in-flight ones), kept/dropped counts per
 // rule, and the current wisdom-of-the-crowd percentile band per video —
-// without replaying a single session.
+// without replaying a single session. /results (renderResults) reads
+// the same aggregates.
 package platform
 
 import (
@@ -24,7 +25,7 @@ type AnalyticsResponse struct {
 	Sessions  int `json:"sessions"`
 	Completed int `json:"completed"`
 	// Summary is the per-rule kept/dropped histogram over completed
-	// sessions, live-equal to filtering.Clean on the same records.
+	// sessions, equal to the offline batch's on the same sessions.
 	Summary AnalyticsSummary `json:"summary"`
 	// Participants lists every session's current verdict, sorted by
 	// session ID.
@@ -199,7 +200,10 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 		sess, ok := ssh.Get(sid)
 		var pv ParticipantVerdict
 		if ok {
-			snap := sess.track.Snapshot()
+			snap := sess.final
+			if !sess.completed() {
+				snap = sess.track.Snapshot()
+			}
 			pv = ParticipantVerdict{
 				Session:        sid,
 				Worker:         sess.Worker.ID,

@@ -1,8 +1,9 @@
-// The incremental-equivalence property suite: the live quality
-// analytics must equal filtering.Clean run offline over the same
-// records, for any interleaving of events and responses, any worker
-// count, and across a mid-campaign crash plus journal replay. This is
-// the contract that makes serving verdicts live safe.
+// The incremental-equivalence property suite: the quality fold both
+// /results and /analytics render from must equal filtering.Clean run
+// offline over the same sessions, for any interleaving of events and
+// responses, any worker count, and across a mid-campaign crash plus
+// journal replay. This is the contract that makes serving verdicts from
+// the fold alone safe.
 package platform
 
 import (
@@ -16,21 +17,155 @@ import (
 	"testing"
 
 	"math/rand"
+	"time"
 
+	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/stats"
+	"github.com/eyeorg/eyeorg/internal/survey"
 )
 
+// sent is the oracle's input: what the test drivers sent and the server
+// accepted, per session, recorded on the client side. The offline batch
+// runs over records built from it, so the reference never reads the
+// state whose fold it checks — only the campaign's completion order.
+type sent struct {
+	mu       sync.Mutex
+	sessions map[string]*sentSession
+}
+
+type sentSession struct {
+	worker  string
+	tests   []AssignedTest
+	batches map[string]EventBatch // latest accepted batch per video
+	answers []ResponseBody        // accepted answers, in order
+}
+
+func newSent() *sent { return &sent{sessions: map[string]*sentSession{}} }
+
+func (l *sent) join(jr JoinResponse, worker string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sessions[jr.Session] = &sentSession{worker: worker, tests: jr.Tests, batches: map[string]EventBatch{}}
+}
+
+func (l *sent) events(session string, b EventBatch) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if b.VideoID != "" {
+		l.sessions[session].batches[b.VideoID] = b
+	}
+}
+
+func (l *sent) response(session string, body ResponseBody) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ss := l.sessions[session]
+	ss.answers = append(ss.answers, body)
+}
+
+func msToDuration(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }
+
+// record materializes one session the way the paper's offline pipeline
+// sees it: one trace per assigned test in presentation order, and the
+// answers with their control outcomes.
+func (ss *sentSession) record() *filtering.SessionRecord {
+	rec := &filtering.SessionRecord{
+		Participant: &crowd.Participant{ID: ss.worker},
+		Trace:       &survey.SessionTrace{},
+	}
+	byTest := map[string]AssignedTest{}
+	for _, tt := range ss.tests {
+		byTest[tt.TestID] = tt
+		b := ss.batches[tt.VideoID]
+		rec.Trace.Videos = append(rec.Trace.Videos, survey.VideoTrace{
+			VideoID:         tt.VideoID,
+			LoadTime:        msToDuration(b.LoadMs),
+			TimeOnVideo:     msToDuration(b.TimeOnVideoMs),
+			Plays:           b.Plays,
+			Pauses:          b.Pauses,
+			Seeks:           b.Seeks,
+			WatchedFraction: b.WatchedFraction,
+			OutOfFocus:      msToDuration(b.OutOfFocusMs),
+		})
+	}
+	for _, body := range ss.answers {
+		tt := byTest[body.TestID]
+		if tt.Kind == "ab" {
+			choice := map[string]survey.ABChoice{
+				"left": survey.ChoiceLeft, "right": survey.ChoiceRight, "no difference": survey.ChoiceNoDifference,
+			}[body.Choice]
+			rec.AB = append(rec.AB, &survey.ABResponse{
+				VideoID: tt.VideoID, Choice: choice, AOnLeft: true, Control: tt.Control,
+				ControlPassed: !tt.Control || choice != survey.ChoiceRight,
+			})
+			continue
+		}
+		rec.Timeline = append(rec.Timeline, &survey.TimelineResponse{
+			VideoID: tt.VideoID, Submitted: msToDuration(body.SubmittedMs), Control: tt.Control,
+			ControlPassed: !tt.Control || body.KeptOriginal,
+		})
+	}
+	return rec
+}
+
+// offline runs the batch §4.3 pipeline over the sent sessions, in the
+// campaign's completion order.
+func (l *sent) offline(t *testing.T, c *campaignState) *filtering.Outcome {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	records := make([]*filtering.SessionRecord, 0, len(c.recordSessions))
+	for _, sid := range c.recordSessions {
+		ss, ok := l.sessions[sid]
+		if !ok {
+			t.Fatalf("completed session %s was never driven by this test", sid)
+		}
+		if len(ss.answers) != len(ss.tests) {
+			t.Fatalf("session %s completed with %d of %d answers accepted", sid, len(ss.answers), len(ss.tests))
+		}
+		records = append(records, ss.record())
+	}
+	return filtering.Clean(records, 0)
+}
+
+// offlineResults renders /results the way the batch pipeline defines
+// it: Clean, then the wisdom-of-the-crowd band and its mean (timeline)
+// or the vote tallies (A/B) over the kept records.
+func offlineResults(s *Server, c *campaignState, offline *filtering.Outcome) []byte {
+	res := ResultsResponse{
+		Campaign:     c.ID,
+		Participants: offline.Summary.Total,
+		Kept:         offline.Summary.Kept,
+		Engagement:   offline.Summary.Engagement(),
+		Soft:         offline.Summary.Soft,
+		Control:      offline.Summary.Control,
+		PerVideo:     map[string]VideoAg{},
+	}
+	if c.Kind == "ab" {
+		for id, votes := range filtering.ABByVideo(offline.Kept) {
+			res.PerVideo[id] = VideoAg{Responses: votes.Total(), Agreement: votes.Agreement(), Banned: s.videoBanned(id)}
+		}
+	} else {
+		for id, vals := range filtering.WisdomOfCrowd(filtering.TimelineByVideo(offline.Kept)) {
+			res.PerVideo[id] = VideoAg{Responses: len(vals), MeanUPLT: stats.Sample(vals).Mean(), Banned: s.videoBanned(id)}
+		}
+	}
+	buf, _ := json.Marshal(res)
+	return append(buf, '\n')
+}
+
 // assertLiveEqualsOffline compares a quiesced server's incremental
-// analytics with the offline batch over the campaign's records: the
-// summary histogram, the per-participant verdict map, and the per-video
-// wisdom-of-the-crowd band (timeline) or vote tallies (A/B).
-func assertLiveEqualsOffline(t *testing.T, s *Server, campaignID string) {
+// analytics with the offline batch over the sessions the drivers sent:
+// the summary histogram, the per-participant verdict map, and the
+// per-video wisdom-of-the-crowd band (timeline) or vote tallies (A/B).
+func assertLiveEqualsOffline(t *testing.T, s *Server, l *sent, campaignID string) {
 	t.Helper()
 	c, ok := s.campaigns.Get(campaignID)
 	if !ok {
 		t.Fatalf("campaign %s missing", campaignID)
 	}
-	offline := filtering.Clean(c.records, 0)
+	offline := l.offline(t, c)
 	if got := c.analytics.Summary(); got != offline.Summary {
 		t.Fatalf("summary diverged:\nlive:    %+v\noffline: %+v", got, offline.Summary)
 	}
@@ -76,6 +211,7 @@ func rawAnalytics(t *testing.T, c *client, campaign string) []byte {
 type chaos struct {
 	base   string
 	client *http.Client
+	sent   *sent
 }
 
 func (d *chaos) do(method, path string, body, out any) (int, error) {
@@ -99,6 +235,24 @@ func (d *chaos) do(method, path string, body, out any) (int, error) {
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode, nil
+}
+
+// postEvents and postResponse send one request that must be accepted,
+// and record it as sent.
+func (d *chaos) postEvents(session string, b EventBatch) error {
+	if err := d.expect(http.StatusAccepted, "POST", "/api/v1/sessions/"+session+"/events", b, nil); err != nil {
+		return err
+	}
+	d.sent.events(session, b)
+	return nil
+}
+
+func (d *chaos) postResponse(session string, body ResponseBody) error {
+	if err := d.expect(http.StatusAccepted, "POST", "/api/v1/sessions/"+session+"/responses", body, nil); err != nil {
+		return err
+	}
+	d.sent.response(session, body)
+	return nil
 }
 
 func (d *chaos) expect(want int, method, path string, body, out any) error {
@@ -127,6 +281,7 @@ func (d *chaos) driveSession(r *rand.Rand, campaign, kind, worker string) error 
 	if err != nil {
 		return err
 	}
+	d.sent.join(jr, worker)
 	profile := r.Intn(8)
 	answerUpTo := len(jr.Tests)
 	if profile == 7 { // abandoned mid-session
@@ -138,26 +293,26 @@ func (d *chaos) driveSession(r *rand.Rand, campaign, kind, worker string) error 
 	}
 	events := "/api/v1/sessions/" + jr.Session + "/events"
 	responses := "/api/v1/sessions/" + jr.Session + "/responses"
-	if err := d.expect(http.StatusAccepted, "POST", events, EventBatch{InstructionMs: 10_000 + r.Float64()*30_000}, nil); err != nil {
+	if err := d.postEvents(jr.Session, EventBatch{InstructionMs: 10_000 + r.Float64()*30_000}); err != nil {
 		return err
 	}
 	for i, tt := range jr.Tests {
 		if i != skipIdx {
 			for n := 1 + r.Intn(2); n > 0; n-- { // replacement batches included
-				if err := d.expect(http.StatusAccepted, "POST", events, d.batch(r, profile, tt.VideoID), nil); err != nil {
+				if err := d.postEvents(jr.Session, d.batch(r, profile, tt.VideoID)); err != nil {
 					return err
 				}
 			}
 		}
 		if r.Intn(16) == 0 { // instrumentation for a video never assigned
-			if err := d.expect(http.StatusAccepted, "POST", events, d.batch(r, 0, "ghost-video"), nil); err != nil {
+			if err := d.postEvents(jr.Session, d.batch(r, 0, "ghost-video")); err != nil {
 				return err
 			}
 		}
 		if i >= answerUpTo {
 			continue
 		}
-		if err := d.expect(http.StatusAccepted, "POST", responses, d.response(r, kind, profile, tt), nil); err != nil {
+		if err := d.postResponse(jr.Session, d.response(r, kind, profile, tt)); err != nil {
 			return err
 		}
 		if r.Intn(8) == 0 { // duplicate answer must 409
@@ -168,7 +323,7 @@ func (d *chaos) driveSession(r *rand.Rand, campaign, kind, worker string) error 
 	}
 	if answerUpTo == len(jr.Tests) && r.Intn(4) == 0 {
 		// The session is complete: late instrumentation must 409 and the
-		// materialized record must not change.
+		// folded verdict must not change.
 		if err := d.expect(http.StatusConflict, "POST", events, d.batch(r, 1, jr.Tests[0].VideoID), nil); err != nil {
 			return err
 		}
@@ -225,10 +380,11 @@ func (d *chaos) response(r *rand.Rand, kind string, profile int, tt AssignedTest
 }
 
 // runChaos fans sessions out over workers goroutines, each with its own
-// deterministic RNG, and fails the test on any unexpected status.
-func runChaos(t *testing.T, base, campaign, kind string, seed int64, workers, sessionsPerWorker int) {
+// deterministic RNG, records everything accepted into l, and fails the
+// test on any unexpected status.
+func runChaos(t *testing.T, l *sent, base, campaign, kind string, seed int64, workers, sessionsPerWorker int) {
 	t.Helper()
-	d := &chaos{base: base, client: &http.Client{}}
+	d := &chaos{base: base, client: &http.Client{}, sent: l}
 	errs := make(chan error, workers*sessionsPerWorker)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -251,16 +407,20 @@ func runChaos(t *testing.T, base, campaign, kind string, seed int64, workers, se
 	}
 }
 
-// crossCheckHTTP verifies the rendered /analytics payload against the
-// offline batch: summary, per-session verdict strings, and band counts.
-func crossCheckHTTP(t *testing.T, s *Server, c *client, campaignID string) {
+// crossCheckHTTP verifies both rendered payloads against the offline
+// batch: /results byte for byte, and /analytics' summary, per-session
+// verdict strings and band counts.
+func crossCheckHTTP(t *testing.T, s *Server, l *sent, c *client, campaignID string) {
 	t.Helper()
 	var ar AnalyticsResponse
 	if err := json.Unmarshal(rawAnalytics(t, c, campaignID), &ar); err != nil {
 		t.Fatal(err)
 	}
 	cs, _ := s.campaigns.Get(campaignID)
-	offline := filtering.Clean(cs.records, 0)
+	offline := l.offline(t, cs)
+	if got, want := rawResults(t, c, campaignID), offlineResults(s, cs, offline); !bytes.Equal(got, want) {
+		t.Fatalf("rendered /results diverged from the offline batch:\nlive:    %s\noffline: %s", got, want)
+	}
 	want := AnalyticsSummary{
 		Total:           offline.Summary.Total,
 		Kept:            offline.Summary.Kept,
@@ -329,9 +489,10 @@ func TestPropertyAnalyticsEquivalence(t *testing.T) {
 					srv := NewServer()
 					c := newClientFor(t, srv)
 					campaign, _ := setupCampaign(c, kind, 3)
-					runChaos(t, c.srv.URL, campaign, kind, seed, workers, 6)
-					assertLiveEqualsOffline(t, srv, campaign)
-					crossCheckHTTP(t, srv, c, campaign)
+					l := newSent()
+					runChaos(t, l, c.srv.URL, campaign, kind, seed, workers, 6)
+					assertLiveEqualsOffline(t, srv, l, campaign)
+					crossCheckHTTP(t, srv, l, c, campaign)
 				})
 			}
 		}
@@ -352,19 +513,28 @@ func TestAnalyticsCrashReplayEquivalence(t *testing.T) {
 			dir := t.TempDir()
 			srv, c := openPersisted(t, dir, opts)
 			campaign, _ := setupCampaign(c, "timeline", 3)
-			runChaos(t, c.srv.URL, campaign, "timeline", 42, 4, 4)
+			l := newSent()
+			runChaos(t, l, c.srv.URL, campaign, "timeline", 42, 4, 4)
 			// One known in-flight session to resume after the crash.
 			half := join(c, campaign, "crash-survivor")
+			l.join(half, "crash-survivor")
+			answer := func(c *client, tt AssignedTest) {
+				batch := EventBatch{VideoID: tt.VideoID, LoadMs: 800, TimeOnVideoMs: 9_000, Plays: 1, Seeks: 4, WatchedFraction: 0.8}
+				body := ResponseBody{TestID: tt.TestID, SliderMs: 1_500, SubmittedMs: 1_400, KeptOriginal: true}
+				if code := c.do("POST", "/api/v1/sessions/"+half.Session+"/events", batch, nil); code != http.StatusAccepted {
+					t.Fatalf("survivor events: %d", code)
+				}
+				if code := c.do("POST", "/api/v1/sessions/"+half.Session+"/responses", body, nil); code != http.StatusAccepted {
+					t.Fatalf("survivor response: %d", code)
+				}
+				l.events(half.Session, batch)
+				l.response(half.Session, body)
+			}
 			c.do("POST", "/api/v1/sessions/"+half.Session+"/events", EventBatch{InstructionMs: 20_000}, nil)
 			for _, tt := range half.Tests[:3] {
-				c.do("POST", "/api/v1/sessions/"+half.Session+"/events", EventBatch{
-					VideoID: tt.VideoID, LoadMs: 800, TimeOnVideoMs: 9_000, Plays: 1, Seeks: 4, WatchedFraction: 0.8,
-				}, nil)
-				c.do("POST", "/api/v1/sessions/"+half.Session+"/responses", ResponseBody{
-					TestID: tt.TestID, SliderMs: 1_500, SubmittedMs: 1_400, KeptOriginal: true,
-				}, nil)
+				answer(c, tt)
 			}
-			assertLiveEqualsOffline(t, srv, campaign)
+			assertLiveEqualsOffline(t, srv, l, campaign)
 			before := rawAnalytics(t, c, campaign)
 			// Crash: abandon the server without Close. Every journal
 			// append was flushed, so recovery sees the full history.
@@ -376,23 +546,16 @@ func TestAnalyticsCrashReplayEquivalence(t *testing.T) {
 			if !bytes.Equal(before, after) {
 				t.Fatalf("analytics diverged after replay:\n before: %s\n after:  %s", before, after)
 			}
-			assertLiveEqualsOffline(t, srv2, campaign)
+			assertLiveEqualsOffline(t, srv2, l, campaign)
 
 			// The pre-crash in-flight session completes post-replay and
 			// lands in the analytics like any other.
 			for _, tt := range half.Tests[3:] {
-				c2.do("POST", "/api/v1/sessions/"+half.Session+"/events", EventBatch{
-					VideoID: tt.VideoID, LoadMs: 800, TimeOnVideoMs: 9_000, Plays: 1, Seeks: 4, WatchedFraction: 0.8,
-				}, nil)
-				if code := c2.do("POST", "/api/v1/sessions/"+half.Session+"/responses", ResponseBody{
-					TestID: tt.TestID, SliderMs: 1_500, SubmittedMs: 1_400, KeptOriginal: true,
-				}, nil); code != http.StatusAccepted {
-					t.Fatalf("post-replay response: %d", code)
-				}
+				answer(c2, tt)
 			}
-			runChaos(t, c2.srv.URL, campaign, "timeline", 43, 4, 2)
-			assertLiveEqualsOffline(t, srv2, campaign)
-			crossCheckHTTP(t, srv2, c2, campaign)
+			runChaos(t, l, c2.srv.URL, campaign, "timeline", 43, 4, 2)
+			assertLiveEqualsOffline(t, srv2, l, campaign)
+			crossCheckHTTP(t, srv2, l, c2, campaign)
 			cs, _ := srv2.campaigns.Get(campaign)
 			if r, ok := cs.analytics.Reasons()["crash-survivor"]; !ok || r != filtering.Kept {
 				t.Fatalf("crash-survivor verdict = %v (present %v), want kept", r, ok)

@@ -10,10 +10,9 @@
 // admission charges the worker's token bucket per decoded record, so a
 // 500-event batch costs 500 tokens, not 1.
 //
-// Equivalence with the JSON path is by construction: AppendWireRecords
-// converts an EventBatch to wire records using the exact float→Duration
-// arithmetic applyEvents uses, and applyWireRecord writes the same
-// fields the JSON apply writes. The differential suite
+// Equivalence with the JSON path is by construction: a JSON EventBatch
+// is applied as the records AppendWireRecords converts it to, through
+// the same applyRecords. The differential suite
 // (differential_test.go) holds the two protocols to byte-identical
 // /results and /analytics, including across crash+replay.
 package platform
@@ -24,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/eyeorg/eyeorg/internal/survey"
 	"github.com/eyeorg/eyeorg/internal/trace"
 	"github.com/eyeorg/eyeorg/internal/wire"
 )
@@ -43,9 +41,8 @@ func isWireBatch(r *http.Request) bool {
 // AppendWireRecords converts one JSON-shaped EventBatch into its wire
 // records and appends them to dst: an instruction record when the
 // batch sets InstructionMs, an engagement record when it names a
-// video — the same guards, in the same order, as the JSON apply path.
-// The ms→ns conversion is the exact expression applyEvents evaluates,
-// so a batch ingested over either protocol lands identical durations.
+// video. It is the JSON apply path's own conversion (applyEvents), so a
+// batch ingested over either protocol lands identical durations.
 // Shared with cmd/loadgen's binary client mode and the differential
 // suite.
 func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
@@ -69,28 +66,6 @@ func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
 		})
 	}
 	return dst
-}
-
-// applyWireRecord folds one decoded record into a session. Caller
-// holds the session's shard lock.
-func applyWireRecord(sess *sessionState, r *wire.Record) {
-	switch r.Kind {
-	case wire.KindInstruction:
-		sess.instruction = time.Duration(r.InstructionNs)
-	case wire.KindEngagement:
-		t := survey.VideoTrace{
-			VideoID:         r.VideoID,
-			LoadTime:        time.Duration(r.LoadNs),
-			TimeOnVideo:     time.Duration(r.TimeOnVideoNs),
-			Plays:           r.Plays,
-			Pauses:          r.Pauses,
-			Seeks:           r.Seeks,
-			WatchedFraction: r.WatchedFraction,
-			OutOfFocus:      time.Duration(r.OutOfFocusNs),
-		}
-		sess.traces[r.VideoID] = &t
-		sess.track.Observe(t)
-	}
 }
 
 // handleEventsBinary ingests one EYB1 batch. The pooled decoder reads

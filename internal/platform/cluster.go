@@ -26,6 +26,7 @@ import (
 // snapshot DTOs, plus the blob payloads its videos reference (the
 // receiving node's blob store has never seen them).
 type campaignExport struct {
+	Version  int               `json:"version"`
 	Campaign *snapCampaign     `json:"campaign"`
 	Sessions []*snapSession    `json:"sessions,omitempty"`
 	Videos   []*snapVideo      `json:"videos,omitempty"`
@@ -48,7 +49,7 @@ func (s *Server) ExportCampaign(id string) (state []byte, seq uint64, err error)
 	// A fenced campaign exports too: node replacement fences the
 	// adopted replica FIRST (no outbox exists there to capture a tail),
 	// then exports the quiesced state.
-	ex := campaignExport{Campaign: exportCampaignState(c)}
+	ex := campaignExport{Version: stateVersion, Campaign: exportCampaignState(c)}
 	for _, sid := range c.sessions {
 		sess, ok := s.sessions.Get(sid)
 		if !ok {
@@ -139,6 +140,9 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 	if err := json.Unmarshal(ev.State, &ex); err != nil {
 		return 0, fmt.Errorf("import state: %w", err)
 	}
+	if err := checkStateVersion("import state", ex.Version); err != nil {
+		return 0, err
+	}
 	if ex.Campaign == nil {
 		return 0, fmt.Errorf("import state: missing campaign")
 	}
@@ -161,7 +165,11 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 	// Same rebuild order as loadState: sessions, then videos, then the
 	// campaign whose adaptive/analytics state re-folds over them.
 	for _, sn := range ex.Sessions {
-		s.sessions.Put(sn.ID, s.restoreSession(sn))
+		sess, err := restoreSession(sn)
+		if err != nil {
+			return 0, fmt.Errorf("import session %s: %w", sn.ID, err)
+		}
+		s.sessions.Put(sn.ID, sess)
 		s.joined.Add(1)
 		s.bumpID(sn.ID)
 	}

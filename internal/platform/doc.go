@@ -7,8 +7,7 @@
 //	GET  /api/v1/campaigns/{id}/results   filtered results + Table-1 row
 //	GET  /api/v1/campaigns/{id}/analytics live §4.3 filter verdicts,
 //	                                      per-rule kept/dropped counts and
-//	                                      timeline percentile bands,
-//	                                      maintained incrementally
+//	                                      timeline percentile bands
 //	POST /api/v1/sessions                 join (CAPTCHA-gated, §3.3)
 //	GET  /api/v1/sessions/{id}/tests      the participant's assignment
 //	GET  /api/v1/videos/{id}              the encoded video payload
@@ -16,6 +15,16 @@
 //	POST /api/v1/sessions/{id}/responses  answers (timeline or A/B)
 //	POST /api/v1/videos/{id}/flag         report a broken video (5 distinct
 //	                                      reporters auto-ban it, §3.3)
+//
+// Verdicts have one source: each campaign's quality.Campaign, the
+// incremental §4.3 fold. A session's tracker follows it while in
+// flight; the answer that completes it runs completeSession — the same
+// step journal replay, snapshot load and campaign import run — which
+// freezes the session's standing, releases the tracker and its traces,
+// and folds the answers in. /results and /analytics both render from
+// that fold; internal/filtering, the batch form of the same rules, is
+// only the tests' reference. A completed session keeps its identity,
+// assignment, answers and frozen standing, nothing else.
 //
 // Storage is the internal/store subsystem: campaigns, sessions and
 // videos live in sharded in-memory indexes (per-shard RW locks, FNV-

@@ -10,9 +10,9 @@
 // shard never serialize behind the disk. Recovery replays the journal
 // through the same apply functions, so the rebuilt state is
 // field-for-field the state the journal order produced — including the
-// order records accumulate per campaign, which is what makes /results
-// byte-identical after a restart (float aggregation is
-// order-sensitive).
+// order sessions complete per campaign, which is what makes /results
+// byte-identical after a restart (the analytics fold's float
+// aggregation is order-sensitive).
 //
 // The relaxation this buys is bounded and standard for group commit: a
 // mutation is visible to readers between its in-memory apply and its
@@ -31,8 +31,9 @@ import (
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/adaptive"
+	"github.com/eyeorg/eyeorg/internal/crowd"
+	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/quality"
-	"github.com/eyeorg/eyeorg/internal/store"
 	"github.com/eyeorg/eyeorg/internal/survey"
 	"github.com/eyeorg/eyeorg/internal/trace"
 	"github.com/eyeorg/eyeorg/internal/wire"
@@ -61,16 +62,15 @@ const (
 // Video records carry a content address (Hash + Size) into the blob
 // store, never the payload: the blob file is made durable before the
 // record referencing it is journaled, so replay always finds the bytes.
-// Data remains only so journals written before content addressing still
-// replay — applyVideo re-stores such inline payloads through the blob
-// store, landing on the same hash deterministically.
+// Data additionally carries the payload when Options.InlineVideos is
+// set, for followers whose blob store starts empty.
 type event struct {
 	Op       string         `json:"op"`
 	ID       string         `json:"id,omitempty"`
 	Campaign string         `json:"campaign,omitempty"`
 	Name     string         `json:"name,omitempty"`
 	Kind     string         `json:"kind,omitempty"`
-	Data     []byte         `json:"data,omitempty"` // legacy inline video payload
+	Data     []byte         `json:"data,omitempty"` // InlineVideos payload
 	Hash     string         `json:"hash,omitempty"`
 	Size     int64          `json:"size,omitempty"`
 	Worker   *Worker        `json:"worker,omitempty"`
@@ -207,16 +207,10 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	if c.movedTo != "" {
 		return 0, fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, c.ID, c.movedTo)
 	}
-	// Pre-content-addressing journals carry the payload inline: re-store
-	// it through the blob store. Put is deterministic (same bytes, same
-	// hash), so every replay lands the same reference.
 	if ev.Hash == "" {
-		ref, _, err := s.blobs.PutBytes(ev.Data)
-		if err != nil {
-			return 0, err
-		}
-		ev.Hash, ev.Size = ref.Hash, ref.Size
-	} else if len(ev.Data) > 0 && !s.blobs.Has(ev.Hash) {
+		return 0, fmt.Errorf("video %s: record carries no content hash", ev.ID)
+	}
+	if len(ev.Data) > 0 && !s.blobs.Has(ev.Hash) {
 		// InlineVideos record landing on a follower (or replaying after
 		// blob loss): the payload rides in the record — re-store it.
 		if _, _, err := s.blobs.PutBytes(ev.Data); err != nil {
@@ -264,8 +258,7 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 		Campaign:   ev.Campaign,
 		Worker:     *ev.Worker,
 		Assignment: ev.Tests,
-		traces:     map[string]*survey.VideoTrace{},
-		answered:   map[string]bool{},
+		answers:    make([]answer, 0, len(ev.Tests)),
 		track:      quality.NewTracker(assignedVideos(ev.Tests)),
 	})
 	if c, ok := csh.Get(ev.Campaign); ok {
@@ -293,55 +286,17 @@ func assignedVideos(tests []AssignedTest) []string {
 	return vids
 }
 
+// applyEvents applies one JSON engagement batch as the wire records it
+// is equivalent to, so both ingest protocols reach the tracker through
+// the same code.
 func (s *Server) applyEvents(ev *event) (uint64, error) {
-	ssh := s.sessions.Shard(ev.ID)
-	ssh.Lock()
-	defer ssh.Unlock()
-	ev.tr.Mark(trace.StageLockWait)
-	sess, ok := ssh.Get(ev.ID)
-	if !ok {
-		return 0, errNoSession
-	}
-	// A completed session's record is already materialized; accepting
-	// more instrumentation would silently diverge from it.
-	if sess.completed {
-		return 0, errSessionDone
-	}
-	if err := s.campaignMoved(sess.Campaign); err != nil {
-		return 0, err
-	}
-	seq, err := s.journal(ev)
-	if err != nil {
-		return 0, err
-	}
-	batch := ev.Batch
-	if batch.InstructionMs > 0 {
-		sess.instruction = time.Duration(batch.InstructionMs * float64(time.Millisecond))
-	}
-	if batch.VideoID != "" {
-		trace := survey.VideoTrace{
-			VideoID:         batch.VideoID,
-			LoadTime:        time.Duration(batch.LoadMs * float64(time.Millisecond)),
-			TimeOnVideo:     time.Duration(batch.TimeOnVideoMs * float64(time.Millisecond)),
-			Plays:           batch.Plays,
-			Pauses:          batch.Pauses,
-			Seeks:           batch.Seeks,
-			WatchedFraction: batch.WatchedFraction,
-			OutOfFocus:      time.Duration(batch.OutOfFocusMs * float64(time.Millisecond)),
-		}
-		sess.traces[batch.VideoID] = &trace
-		sess.track.Observe(trace)
-	}
-	s.countMutation(opEvents)
-	return seq, nil
+	var buf [2]wire.Record
+	return s.applyRecords(ev, AppendWireRecords(buf[:0], *ev.Batch))
 }
 
-// applyBatch applies one binary batch: every record lands under a
-// single session-shard lock acquisition (the JSON path takes the lock
-// once per record), and the whole batch is one journal record, so a
-// replayed journal either carries all of a batch or none of it. On the
-// live path ev.records holds the handler's decode; during replay the
-// raw wire bytes are decoded here through the same pooled decoder.
+// applyBatch applies one binary batch. On the live path ev.records
+// holds the handler's decode; during replay the raw wire bytes are
+// decoded here through the same pooled decoder.
 func (s *Server) applyBatch(ev *event) (uint64, error) {
 	recs := ev.records
 	if recs == nil {
@@ -353,6 +308,15 @@ func (s *Server) applyBatch(ev *event) (uint64, error) {
 			return 0, fmt.Errorf("batch payload: %w", err)
 		}
 	}
+	return s.applyRecords(ev, recs)
+}
+
+// applyRecords journals ev and folds its engagement records into the
+// session's tracker (instruction records are journaled, but no §4.3
+// rule reads them). Every record lands under a single session-shard
+// lock acquisition and the whole event is one journal record, so a
+// replayed journal either carries all of a batch or none of it.
+func (s *Server) applyRecords(ev *event, recs []wire.Record) (uint64, error) {
 	ssh := s.sessions.Shard(ev.ID)
 	ssh.Lock()
 	defer ssh.Unlock()
@@ -361,7 +325,9 @@ func (s *Server) applyBatch(ev *event) (uint64, error) {
 	if !ok {
 		return 0, errNoSession
 	}
-	if sess.completed {
+	// A completed session's verdict is already folded and frozen;
+	// accepting more instrumentation would silently diverge from it.
+	if sess.completed() {
 		return 0, errSessionDone
 	}
 	if err := s.campaignMoved(sess.Campaign); err != nil {
@@ -372,9 +338,20 @@ func (s *Server) applyBatch(ev *event) (uint64, error) {
 		return 0, err
 	}
 	for i := range recs {
-		applyWireRecord(sess, &recs[i])
+		if r := &recs[i]; r.Kind == wire.KindEngagement {
+			sess.track.Observe(survey.VideoTrace{
+				VideoID:         r.VideoID,
+				LoadTime:        time.Duration(r.LoadNs),
+				TimeOnVideo:     time.Duration(r.TimeOnVideoNs),
+				Plays:           r.Plays,
+				Pauses:          r.Pauses,
+				Seeks:           r.Seeks,
+				WatchedFraction: r.WatchedFraction,
+				OutOfFocus:      time.Duration(r.OutOfFocusNs),
+			})
+		}
 	}
-	s.countMutation(opBatch)
+	s.countMutation(ev.Op)
 	return seq, nil
 }
 
@@ -386,7 +363,7 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 	if !ok {
 		return 0, false, errNoSession
 	}
-	assigned, choice, err := validateResponse(sess, ev.Body)
+	a, err := parseResponse(sess, ev.Body)
 	if err != nil {
 		return 0, false, err
 	}
@@ -394,46 +371,81 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 		return 0, false, err
 	}
 	// When this answer completes the session, the campaign shard lock
-	// must span journaling and the record append: two sessions
-	// completing on one campaign journal in the same order their
-	// records land, so replay reproduces the record order exactly.
-	willComplete := !sess.completed && len(sess.timeline)+len(sess.ab)+1 >= len(sess.Assignment)
-	var csh *store.Shard[*campaignState]
-	if willComplete {
-		csh = s.campaigns.Shard(sess.Campaign)
+	// must span journaling and the fold: two sessions completing on one
+	// campaign journal in the same order they fold, so replay reproduces
+	// the completion order exactly.
+	var c *campaignState
+	if len(sess.answers)+1 >= len(sess.Assignment) {
+		csh := s.campaigns.Shard(sess.Campaign)
 		csh.Lock()
 		defer csh.Unlock()
+		if c, ok = csh.Get(sess.Campaign); !ok {
+			return 0, false, errNoCampaign
+		}
 	}
 	ev.tr.Mark(trace.StageLockWait)
 	seq, err = s.journal(ev)
 	if err != nil {
 		return 0, false, err
 	}
-	storeResponse(sess, assigned, choice, ev.Body)
-	sess.answered[ev.Body.TestID] = true
-	if assigned.Kind == "ab" {
-		sess.track.AddAB(sess.ab[len(sess.ab)-1])
-	} else {
-		sess.track.AddTimeline(sess.timeline[len(sess.timeline)-1])
-	}
-	done = len(sess.timeline)+len(sess.ab) >= len(sess.Assignment)
-	if done && !sess.completed && csh != nil {
-		sess.completed = true
-		sess.track.SetCompleted()
-		s.completedN.Add(1)
-		if c, ok := csh.Get(sess.Campaign); ok {
-			rec := sess.record()
-			c.records = append(c.records, rec)
-			c.recordSessions = append(c.recordSessions, sess.ID)
-			c.analytics.Complete(rec, sess.track.Verdict(0))
-			if c.adaptive != nil {
-				c.adaptive.Complete(rec, sess.track.Verdict(0))
-			}
-			c.invalidate()
-		}
+	sess.answers = append(sess.answers, a)
+	sess.trackAnswer(a)
+	if c != nil {
+		s.completeSession(c, sess)
 	}
 	s.countMutation(opResponse)
-	return seq, done, nil
+	return seq, c != nil, nil
+}
+
+// completeSession is the one completion step, reached identically by
+// the live response path, journal replay, snapshot load and campaign
+// import. It freezes the session's standing and releases the tracker
+// with its traces (a session restored from a snapshot arrives already
+// frozen), folds the answers into the campaign's analytics and stopper,
+// and appends the session to the completion order. Caller holds both
+// shard locks, or runs before the server accepts requests.
+func (s *Server) completeSession(c *campaignState, sess *sessionState) {
+	if !sess.completed() {
+		sess.track.SetCompleted()
+		sess.final = sess.track.Snapshot()
+		sess.track = nil
+	}
+	rec := sess.record(c.Kind)
+	c.analytics.Complete(rec, sess.final.Final)
+	if c.adaptive != nil {
+		c.adaptive.Complete(rec, sess.final.Final)
+	}
+	c.recordSessions = append(c.recordSessions, sess.ID)
+	c.invalidate()
+	s.completedN.Add(1)
+}
+
+// record views the session's answers as the filtering.SessionRecord the
+// §4.3 folds take, control answers included (the stopper releases their
+// pending assignment entries). The folds read only the participant ID
+// and each answer's video, value and control bit, and keep none of it,
+// so one backing array serves all answers and nothing outlives the call.
+func (sess *sessionState) record(kind string) *filtering.SessionRecord {
+	rec := &filtering.SessionRecord{Participant: &crowd.Participant{ID: sess.Worker.ID}}
+	n := len(sess.answers)
+	if kind == "ab" {
+		resp := make([]survey.ABResponse, n)
+		rec.AB = make([]*survey.ABResponse, n)
+		for i, a := range sess.answers {
+			t := &sess.Assignment[a.Test]
+			resp[i] = survey.ABResponse{VideoID: t.VideoID, Choice: a.Choice, AOnLeft: true, Control: t.Control}
+			rec.AB[i] = &resp[i]
+		}
+		return rec
+	}
+	resp := make([]survey.TimelineResponse, n)
+	rec.Timeline = make([]*survey.TimelineResponse, n)
+	for i, a := range sess.answers {
+		t := &sess.Assignment[a.Test]
+		resp[i] = survey.TimelineResponse{VideoID: t.VideoID, Submitted: a.Submitted, Control: t.Control}
+		rec.Timeline[i] = &resp[i]
+	}
+	return rec
 }
 
 func (s *Server) applyFlag(ev *event) (seq uint64, flags int, banned bool, err error) {
@@ -478,80 +490,83 @@ func (s *Server) applyFlag(ev *event) (seq uint64, flags int, banned bool, err e
 	return seq, flags, banned, nil
 }
 
-// validateResponse resolves the answered test and rejects duplicates
-// and malformed A/B choices before anything is journaled.
-func validateResponse(sess *sessionState, body *ResponseBody) (*AssignedTest, survey.ABChoice, error) {
-	var assigned *AssignedTest
+// parseResponse resolves the answered test and builds the answer to
+// store, rejecting duplicates and malformed A/B choices before anything
+// is journaled.
+func parseResponse(sess *sessionState, body *ResponseBody) (answer, error) {
+	a := answer{Test: -1}
 	for i := range sess.Assignment {
 		if sess.Assignment[i].TestID == body.TestID {
-			assigned = &sess.Assignment[i]
+			a.Test = i
 			break
 		}
 	}
-	if assigned == nil {
-		return nil, 0, errUnknownTest
+	if a.Test < 0 {
+		return a, errUnknownTest
 	}
-	if sess.answered[body.TestID] {
-		return nil, 0, errDuplicateTest
-	}
-	var choice survey.ABChoice
-	if assigned.Kind == "ab" {
-		// Hard rule: one of the three answers must be present (§3.3).
-		switch body.Choice {
-		case "left":
-			choice = survey.ChoiceLeft
-		case "right":
-			choice = survey.ChoiceRight
-		case "no difference":
-			choice = survey.ChoiceNoDifference
-		default:
-			return nil, 0, errBadChoice
+	for _, prev := range sess.answers {
+		if prev.Test == a.Test {
+			return a, errDuplicateTest
 		}
 	}
-	return assigned, choice, nil
+	t := &sess.Assignment[a.Test]
+	if t.Kind != "ab" {
+		a.Submitted = time.Duration(body.SubmittedMs * float64(time.Millisecond))
+		// The control helper frame is deliberately wrong: keeping the
+		// original choice passes (§3.3).
+		a.ControlFailed = t.Control && !body.KeptOriginal
+		return a, nil
+	}
+	// Hard rule: one of the three answers must be present (§3.3).
+	switch body.Choice {
+	case "left":
+		a.Choice = survey.ChoiceLeft
+	case "right":
+		a.Choice = survey.ChoiceRight
+	case "no difference":
+		a.Choice = survey.ChoiceNoDifference
+	default:
+		return a, errBadChoice
+	}
+	// The platform's A/B controls delay the right side.
+	a.ControlFailed = t.Control && a.Choice == survey.ChoiceRight
+	return a, nil
 }
 
-// storeResponse records a validated answer on the session.
-func storeResponse(sess *sessionState, assigned *AssignedTest, choice survey.ABChoice, body *ResponseBody) {
-	trace := survey.VideoTrace{VideoID: assigned.VideoID}
-	if tr, ok := sess.traces[assigned.VideoID]; ok {
-		trace = *tr
-	}
-	switch assigned.Kind {
-	case "ab":
-		sess.ab = append(sess.ab, &survey.ABResponse{
-			VideoID: assigned.VideoID,
-			Choice:  choice,
-			AOnLeft: true,
-			Control: assigned.Control,
-			// The platform's A/B controls delay the right side.
-			ControlPassed: !assigned.Control || choice != survey.ChoiceRight,
-			Trace:         trace,
-		})
-	default: // "timeline"
-		sess.timeline = append(sess.timeline, &survey.TimelineResponse{
-			VideoID:        assigned.VideoID,
-			Slider:         time.Duration(body.SliderMs * float64(time.Millisecond)),
-			Helper:         time.Duration(body.HelperMs * float64(time.Millisecond)),
-			Submitted:      time.Duration(body.SubmittedMs * float64(time.Millisecond)),
-			AcceptedHelper: body.AcceptedHelper,
-			Control:        assigned.Control,
-			// The control helper frame is deliberately wrong: keeping
-			// the original choice passes (§3.3).
-			ControlPassed: !assigned.Control || body.KeptOriginal,
-			Trace:         trace,
-		})
+// trackAnswer feeds one stored answer to the session's tracker.
+func (sess *sessionState) trackAnswer(a answer) {
+	t := &sess.Assignment[a.Test]
+	if t.Kind == "ab" {
+		sess.track.AddAB(&survey.ABResponse{Control: t.Control, ControlPassed: !a.ControlFailed})
+	} else {
+		sess.track.AddTimeline(&survey.TimelineResponse{Control: t.Control, ControlPassed: !a.ControlFailed})
 	}
 }
 
 // --- snapshots ---
 
-// The snapshot is a JSON document of plain DTOs. Session records are
-// NOT serialized: they are a pure function of completed session state,
-// so campaigns store the completion-ordered session IDs and records are
-// rebuilt on load, keeping the snapshot small and the rebuild exact.
+// stateVersion is the schema version of the snapshot and campaign-export
+// documents. Version 2 introduced the answers/final session form; the
+// unversioned layout before it serialized per-session traces that a
+// completed session no longer has, so no reader for it is kept and a
+// document carrying any other version is refused.
+const stateVersion = 2
+
+func checkStateVersion(doc string, got int) error {
+	if got != stateVersion {
+		return fmt.Errorf("%s has schema version %d, this server reads only version %d", doc, got, stateVersion)
+	}
+	return nil
+}
+
+// The snapshot is a JSON document of plain DTOs. The analytics and
+// stopper state are NOT serialized: campaigns store the
+// completion-ordered session IDs, and load re-folds those sessions'
+// answers through completeSession, keeping the snapshot small and the
+// rebuild exact.
 
 type snapState struct {
+	Version   int             `json:"version"`
 	NextID    int64           `json:"next_id"`
 	Joined    int64           `json:"joined"`
 	Campaigns []*snapCampaign `json:"campaigns,omitempty"`
@@ -569,28 +584,26 @@ type snapCampaign struct {
 	Moved    string   `json:"moved,omitempty"`    // node the campaign was handed off to
 }
 
+// snapSession is one session. A completed session carries Final (its
+// frozen standing — the verdict cannot be re-derived once the traces
+// are dropped) and no Traces; an in-flight one carries the tracker's
+// Traces and no Final.
 type snapSession struct {
-	ID            string                        `json:"id"`
-	Campaign      string                        `json:"campaign"`
-	Worker        Worker                        `json:"worker"`
-	Tests         []AssignedTest                `json:"tests"`
-	Traces        map[string]*survey.VideoTrace `json:"traces,omitempty"`
-	InstructionNs int64                         `json:"instruction_ns,omitempty"`
-	Timeline      []*survey.TimelineResponse    `json:"timeline,omitempty"`
-	AB            []*survey.ABResponse          `json:"ab,omitempty"`
-	Answered      []string                      `json:"answered,omitempty"`
-	Completed     bool                          `json:"completed,omitempty"`
+	ID       string                       `json:"id"`
+	Campaign string                       `json:"campaign"`
+	Worker   Worker                       `json:"worker"`
+	Tests    []AssignedTest               `json:"tests"`
+	Answers  []answer                     `json:"answers,omitempty"`
+	Traces   map[string]survey.VideoTrace `json:"traces,omitempty"`
+	Final    *quality.Snapshot            `json:"final,omitempty"`
 }
 
 // snapVideo references its payload by content address; the blob file is
-// durable independently of the snapshot. Data is read (never written)
-// so snapshots from before content addressing still load — their inline
-// payloads are re-stored through the blob store on load.
+// durable independently of the snapshot.
 type snapVideo struct {
 	ID       string   `json:"id"`
 	Campaign string   `json:"campaign"`
-	Data     []byte   `json:"data,omitempty"` // legacy inline payload
-	Hash     string   `json:"hash,omitempty"`
+	Hash     string   `json:"hash"`
 	Size     int64    `json:"size,omitempty"`
 	Flags    []string `json:"flags,omitempty"`
 	Banned   bool     `json:"banned,omitempty"`
@@ -623,18 +636,19 @@ func exportCampaignState(c *campaignState) *snapCampaign {
 }
 
 func exportSessionState(sess *sessionState) *snapSession {
-	return &snapSession{
-		ID:            sess.ID,
-		Campaign:      sess.Campaign,
-		Worker:        sess.Worker,
-		Tests:         sess.Assignment,
-		Traces:        sess.traces,
-		InstructionNs: int64(sess.instruction),
-		Timeline:      sess.timeline,
-		AB:            sess.ab,
-		Answered:      sortedKeys(sess.answered),
-		Completed:     sess.completed,
+	sn := &snapSession{
+		ID:       sess.ID,
+		Campaign: sess.Campaign,
+		Worker:   sess.Worker,
+		Tests:    sess.Assignment,
+		Answers:  sess.answers,
 	}
+	if sess.completed() {
+		sn.Final = &sess.final
+	} else {
+		sn.Traces = sess.track.Traces()
+	}
+	return sn
 }
 
 func exportVideoState(v *videoState) *snapVideo {
@@ -648,7 +662,7 @@ func exportVideoState(v *videoState) *snapVideo {
 // world lock exclusively, so shard-by-shard iteration is a consistent
 // cut.
 func (s *Server) marshalState() ([]byte, error) {
-	st := snapState{NextID: s.nextID.Load(), Joined: s.joined.Load()}
+	st := snapState{Version: stateVersion, NextID: s.nextID.Load(), Joined: s.joined.Load()}
 	s.campaigns.Range(func(_ string, c *campaignState) bool {
 		st.Campaigns = append(st.Campaigns, exportCampaignState(c))
 		return true
@@ -667,65 +681,50 @@ func (s *Server) marshalState() ([]byte, error) {
 	return json.Marshal(&st)
 }
 
-// restoreSession rebuilds one session from its DTO — including the
-// re-fed quality tracker and the completed counter. loadState and
-// applyImport share it so a migrated session is field-for-field the
-// session a local replay would have produced.
-func (s *Server) restoreSession(sn *snapSession) *sessionState {
+// restoreSession rebuilds one session from its DTO: a completed one as
+// the compact form it was saved in, an in-flight one with its tracker
+// re-fed. loadState and applyImport share it so a migrated session is
+// field-for-field the session a local replay would have produced.
+func restoreSession(sn *snapSession) (*sessionState, error) {
 	sess := &sessionState{
-		ID:          sn.ID,
-		Campaign:    sn.Campaign,
-		Worker:      sn.Worker,
-		Assignment:  sn.Tests,
-		traces:      sn.Traces,
-		instruction: time.Duration(sn.InstructionNs),
-		timeline:    sn.Timeline,
-		ab:          sn.AB,
-		answered:    make(map[string]bool, len(sn.Answered)),
-		completed:   sn.Completed,
-		track:       quality.NewTracker(assignedVideos(sn.Tests)),
+		ID:         sn.ID,
+		Campaign:   sn.Campaign,
+		Worker:     sn.Worker,
+		Assignment: sn.Tests,
+		answers:    sn.Answers,
 	}
-	if sess.traces == nil {
-		sess.traces = map[string]*survey.VideoTrace{}
+	if sn.Final != nil {
+		sess.final = *sn.Final
+	} else {
+		// The tracker is a pure function of the latest per-video traces
+		// and the answer list, both order-independent here, so map
+		// iteration order cannot diverge the rebuild.
+		sess.track = quality.NewTracker(assignedVideos(sn.Tests))
+		for _, tr := range sn.Traces {
+			sess.track.Observe(tr)
+		}
 	}
-	for _, id := range sn.Answered {
-		sess.answered[id] = true
+	for _, a := range sess.answers {
+		if a.Test < 0 || a.Test >= len(sess.Assignment) {
+			return nil, fmt.Errorf("snapshot session %s answers test %d of %d", sn.ID, a.Test, len(sess.Assignment))
+		}
+		if sess.track != nil {
+			sess.trackAnswer(a)
+		}
 	}
-	// Re-feed the tracker from the recovered session state. The
-	// tracker is a pure function of the latest per-video traces and
-	// the response list, both order-independent here, so map
-	// iteration order cannot diverge the rebuild.
-	for _, tr := range sess.traces {
-		sess.track.Observe(*tr)
-	}
-	for _, r := range sess.timeline {
-		sess.track.AddTimeline(r)
-	}
-	for _, r := range sess.ab {
-		sess.track.AddAB(r)
-	}
-	if sess.completed {
-		sess.track.SetCompleted()
-		s.completedN.Add(1)
-	}
-	return sess
+	return sess, nil
 }
 
-// restoreVideo rebuilds one video from its DTO, re-storing a legacy
-// inline payload and verifying the blob for a content-addressed one.
+// restoreVideo rebuilds one video from its DTO, verifying that the blob
+// it names is present.
 func (s *Server) restoreVideo(vn *snapVideo) (*videoState, error) {
-	hash, size := vn.Hash, vn.Size
-	if hash == "" {
-		// Legacy snapshot: payload inline; re-store it.
-		ref, _, err := s.blobs.PutBytes(vn.Data)
-		if err != nil {
-			return nil, err
-		}
-		hash, size = ref.Hash, ref.Size
-	} else if !s.blobs.Has(hash) {
-		return nil, fmt.Errorf("snapshot video %s references missing blob %s", vn.ID, hash)
+	if vn.Hash == "" {
+		return nil, fmt.Errorf("snapshot video %s carries no content hash", vn.ID)
 	}
-	v := newVideoState(vn.ID, vn.Campaign, hash, size)
+	if !s.blobs.Has(vn.Hash) {
+		return nil, fmt.Errorf("snapshot video %s references missing blob %s", vn.ID, vn.Hash)
+	}
+	v := newVideoState(vn.ID, vn.Campaign, vn.Hash, vn.Size)
 	v.Banned = vn.Banned
 	for _, worker := range vn.Flags {
 		v.Flags[worker] = true
@@ -739,7 +738,7 @@ func (s *Server) restoreCampaign(cn *snapCampaign) (*campaignState, error) {
 	c := &campaignState{
 		ID: cn.ID, Name: cn.Name, Kind: cn.Kind,
 		Videos:         cn.Videos,
-		recordSessions: cn.Records,
+		recordSessions: make([]string, 0, len(cn.Records)),
 		sessions:       cn.Sessions,
 		analytics:      quality.NewCampaign(cn.Kind),
 		movedTo:        cn.Moved,
@@ -764,20 +763,17 @@ func (s *Server) restoreCampaign(cn *snapCampaign) (*campaignState, error) {
 			c.adaptive.NoteJoin(assignedVideos(sess.Assignment))
 		}
 	}
-	// Completed sessions re-fold into the analytics in recorded
-	// completion order — the order the journal produced them and the
-	// order filtering.Clean would walk them.
+	// Completed sessions re-fold in recorded completion order — the
+	// order the journal produced them.
 	for _, sid := range cn.Records {
 		sess, ok := s.sessions.Get(sid)
 		if !ok {
 			return nil, fmt.Errorf("snapshot campaign %s references unknown session %s", cn.ID, sid)
 		}
-		rec := sess.record()
-		c.records = append(c.records, rec)
-		c.analytics.Complete(rec, sess.track.Verdict(0))
-		if c.adaptive != nil {
-			c.adaptive.Complete(rec, sess.track.Verdict(0))
+		if !sess.completed() {
+			return nil, fmt.Errorf("snapshot campaign %s records session %s, which has no final verdict", cn.ID, sid)
 		}
+		s.completeSession(c, sess)
 	}
 	return c, nil
 }
@@ -789,10 +785,17 @@ func (s *Server) loadState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
+	if err := checkStateVersion("snapshot", st.Version); err != nil {
+		return err
+	}
 	s.nextID.Store(st.NextID)
 	s.joined.Store(st.Joined)
 	for _, sn := range st.Sessions {
-		s.sessions.Put(sn.ID, s.restoreSession(sn))
+		sess, err := restoreSession(sn)
+		if err != nil {
+			return err
+		}
+		s.sessions.Put(sn.ID, sess)
 	}
 	for _, vn := range st.Videos {
 		v, err := s.restoreVideo(vn)

@@ -2,10 +2,13 @@ package platform
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -198,5 +201,218 @@ func TestInMemoryServerHasNoJournal(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("in-memory Close should no-op: %v", err)
+	}
+}
+
+// rawDo issues one request and returns the status and exact body bytes.
+func rawDo(t *testing.T, c *client, method, path string, body any) (int, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if body != nil {
+		if err := json.NewEncoder(&buf).Encode(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req, err := http.NewRequest(method, c.srv.URL+path, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, got
+}
+
+// TestCompactSessionRoundTrip: a completed session is snapshotted as
+// its compact form — answers and the frozen verdict row, no traces —
+// and a server restored from that snapshot alone answers every endpoint
+// that touches the session byte for byte like the one that never
+// restarted, then keeps folding new sessions.
+func TestCompactSessionRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	campaign, _ := seedPersistedCampaign(t, c)
+	done := join(c, campaign, "persist-late")
+	completeSession(c, done, 1_650, false, 12, 0) // fails its control
+
+	type reply struct {
+		status int
+		body   []byte
+	}
+	probe := func(c *client) map[string]reply {
+		out := map[string]reply{}
+		ask := func(name, method, path string, body any) {
+			status, got := rawDo(t, c, method, path, body)
+			out[name] = reply{status, got}
+		}
+		ask("results", "GET", "/api/v1/campaigns/"+campaign+"/results", nil)
+		ask("analytics", "GET", "/api/v1/campaigns/"+campaign+"/analytics", nil)
+		ask("analytics band", "GET", "/api/v1/campaigns/"+campaign+"/analytics?lo=10&hi=90", nil)
+		ask("tests", "GET", "/api/v1/sessions/"+done.Session+"/tests", nil)
+		ask("duplicate answer", "POST", "/api/v1/sessions/"+done.Session+"/responses",
+			ResponseBody{TestID: done.Tests[2].TestID, SubmittedMs: 1, KeptOriginal: true})
+		ask("unknown test", "POST", "/api/v1/sessions/"+done.Session+"/responses",
+			ResponseBody{TestID: "nope", SubmittedMs: 1})
+		ask("late events", "POST", "/api/v1/sessions/"+done.Session+"/events",
+			EventBatch{VideoID: done.Tests[0].VideoID, Plays: 1, Seeks: 900})
+		return out
+	}
+	before := probe(c)
+	for name, want := range map[string]int{
+		"duplicate answer": http.StatusConflict, "unknown test": http.StatusBadRequest, "late events": http.StatusConflict,
+	} {
+		if before[name].status != want {
+			t.Fatalf("%s: status %d, want %d", name, before[name].status, want)
+		}
+	}
+
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv2, c2 := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	defer srv2.Close()
+	if sess, ok := srv2.sessions.Get(done.Session); !ok || !sess.completed() || len(sess.answers) != len(done.Tests) {
+		t.Fatalf("restored session is not in the compact completed form: %+v", sess)
+	}
+	after := probe(c2)
+	for name, want := range before {
+		got := after[name]
+		if got.status != want.status || !bytes.Equal(got.body, want.body) {
+			t.Fatalf("%s diverged after restoring the compact form:\n before: %d %s\n after:  %d %s",
+				name, want.status, want.body, got.status, got.body)
+		}
+	}
+
+	// The restored fold keeps folding.
+	completeSession(c2, join(c2, campaign, "post-restore"), 1_500, true, 12, 0)
+	var res ResultsResponse
+	c2.do("GET", "/api/v1/campaigns/"+campaign+"/results", nil, &res)
+	if res.Participants != 7 || res.Control != 1 {
+		t.Fatalf("after restore + one session: participants=%d control=%d, want 7 and 1", res.Participants, res.Control)
+	}
+}
+
+// TestSnapshotCompletedSessionsCarryNoTraces pins the compact schema:
+// completed sessions serialize answers and a final row, in-flight ones
+// their traces.
+func TestSnapshotCompletedSessionsCarryNoTraces(t *testing.T) {
+	srv := NewServer()
+	c := newClientFor(t, srv)
+	seedPersistedCampaign(t, c)
+	data, err := srv.marshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st snapState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != stateVersion {
+		t.Fatalf("snapshot version %d, want %d", st.Version, stateVersion)
+	}
+	completed, inflight := 0, 0
+	for _, sn := range st.Sessions {
+		switch {
+		case sn.Final != nil && sn.Traces == nil && len(sn.Answers) == len(sn.Tests):
+			completed++
+		case sn.Final == nil && len(sn.Answers) < len(sn.Tests):
+			inflight++
+		default:
+			t.Fatalf("session %s is neither compact-completed nor in flight: %+v", sn.ID, sn)
+		}
+	}
+	if completed != 5 || inflight != 1 {
+		t.Fatalf("completed=%d inflight=%d, want 5 and 1", completed, inflight)
+	}
+}
+
+// TestWrongVersionStateRefused: a snapshot or a campaign export that
+// does not carry the current schema version — the unversioned layout
+// older builds wrote included — fails Open or import with an error
+// naming the version, rather than loading as empty sessions.
+func TestWrongVersionStateRefused(t *testing.T) {
+	current := []byte(fmt.Sprintf(`"version":%d`, stateVersion))
+	for name, replacement := range map[string]string{"older": `"version":1`, "unversioned": `"v":0`} {
+		t.Run("snapshot/"+name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
+			seedPersistedCampaign(t, c)
+			data, err := srv.marshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(data, current) {
+				t.Fatalf("snapshot carries no %s", current)
+			}
+			if err := srv.log.WriteSnapshot(bytes.Replace(data, current, []byte(replacement), 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(Options{DataDir: dir})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", stateVersion)) {
+				t.Fatalf("Open over a %s snapshot: %v, want an error naming version %d", name, err, stateVersion)
+			}
+		})
+		t.Run("import/"+name, func(t *testing.T) {
+			src := NewServer()
+			campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
+			state, _, err := src.ExportCampaign(campaign)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := NewServer()
+			err = dst.ImportCampaign(bytes.Replace(state, current, []byte(replacement), 1), nil)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", stateVersion)) {
+				t.Fatalf("import of a %s export: %v, want an error naming version %d", name, err, stateVersion)
+			}
+			if dst.HasCampaign(campaign) {
+				t.Fatal("refused import still installed the campaign")
+			}
+			if err := dst.ImportCampaign(state, nil); err != nil {
+				t.Fatalf("import of the current version: %v", err)
+			}
+		})
+	}
+}
+
+// TestVideoWithoutHashRefused: every video record and DTO this repo has
+// written carries a content address; one without is an error naming the
+// video, on journal replay and on snapshot load alike.
+func TestVideoWithoutHashRefused(t *testing.T) {
+	srv := NewServer()
+	c := newClientFor(t, srv)
+	campaign, _ := setupCampaign(c, "timeline", 1)
+	err := srv.applyEvent(&event{Op: opVideo, ID: "v77", Campaign: campaign, Data: sampleVideoBytes()})
+	if err == nil || !strings.Contains(err.Error(), "v77") {
+		t.Fatalf("replaying a hashless video record: %v, want an error naming v77", err)
+	}
+	data, err := srv.marshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st snapState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	id := st.Videos[0].ID
+	st.Videos[0].Hash = ""
+	data, err = json.Marshal(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = NewServer().loadState(data)
+	if err == nil || !strings.Contains(err.Error(), id) {
+		t.Fatalf("loading a hashless video DTO: %v, want an error naming %s", err, id)
 	}
 }

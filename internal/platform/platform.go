@@ -19,10 +19,8 @@ import (
 
 	"github.com/eyeorg/eyeorg/internal/adaptive"
 	"github.com/eyeorg/eyeorg/internal/blob"
-	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/quality"
-	"github.com/eyeorg/eyeorg/internal/stats"
 	"github.com/eyeorg/eyeorg/internal/store"
 	"github.com/eyeorg/eyeorg/internal/survey"
 	"github.com/eyeorg/eyeorg/internal/trace"
@@ -67,19 +65,12 @@ type Options struct {
 	// window (0 = store defaults).
 	GroupMaxBatch int
 	GroupMaxDelay time.Duration
-	// SyncDelay adds a fixed latency floor to every commit-path fsync,
-	// modeling a device whose cache flush has real cost (see
-	// store.Options.SyncDelay). The scale-out benchmarks set it so
-	// per-node durability is priced like independent disks rather than
-	// one shared host page cache. 0 = none.
-	SyncDelay time.Duration
 	// SnapshotEvery is how many journal records separate automatic
 	// snapshots (0 = default cadence, negative = never).
 	SnapshotEvery int
 	// DisableTelemetry turns off the /metrics registry and all handler
 	// and store instrumentation. The default (enabled) costs a handful
-	// of atomic adds per request; benchmarks flip this to measure that
-	// cost, and CI gates it at <5% of throughput.
+	// of atomic adds per request.
 	DisableTelemetry bool
 	// MaxInFlight caps concurrently served API requests across all
 	// endpoints; excess requests get 429 with a Retry-After header.
@@ -246,19 +237,18 @@ type campaignState struct {
 	Kind   string // "timeline" | "ab"
 	Videos []string
 
-	// records accumulates completed sessions in completion order;
-	// recordSessions mirrors it with session IDs so snapshots can
-	// rebuild the exact order. cache is the rendered /results body and
-	// cacheTag its ETag, both nil/empty when stale. All guarded by the
-	// campaign's shard lock.
-	records        []*filtering.SessionRecord
+	// recordSessions lists completed sessions in completion order — the
+	// order a snapshot load or import re-folds them into analytics.
+	// cache is the rendered /results body and cacheTag its ETag, both
+	// nil/empty when stale. All guarded by the campaign's shard lock.
 	recordSessions []string
 	cache          []byte
 	cacheTag       string
 
 	// sessions lists every session ever joined to this campaign in join
 	// order, and analytics is the incremental §4.3 state folded in as
-	// sessions complete. Both are guarded by the campaign's shard lock.
+	// sessions complete — the only thing /results and /analytics render
+	// verdicts from. Both are guarded by the campaign's shard lock.
 	sessions  []string
 	analytics *quality.Campaign
 	// movedTo names the cluster node this campaign was handed off to
@@ -305,20 +295,42 @@ func newVideoState(id, campaign, hash string, size int64) *videoState {
 	}
 }
 
+// sessionState is one participant session, guarded by its shard lock.
+// Identity, assignment and answers stay for the session's whole life;
+// track exists only while it is in flight, and final replaces it at
+// completion (see completeSession).
 type sessionState struct {
-	ID          string
-	Campaign    string
-	Worker      Worker
-	Assignment  []AssignedTest
-	traces      map[string]*survey.VideoTrace
-	instruction time.Duration
-	timeline    []*survey.TimelineResponse
-	ab          []*survey.ABResponse
-	answered    map[string]bool
-	completed   bool
-	// track mirrors the session against the per-participant §4.3 rules
-	// incrementally; guarded by the session's shard lock like the rest.
+	ID         string
+	Campaign   string
+	Worker     Worker
+	Assignment []AssignedTest
+	// answers holds one entry per answered test, in answer order. It is
+	// what duplicate detection scans and what a snapshot load re-folds
+	// into the campaign's analytics.
+	answers []answer
+	// track follows the session against the per-participant §4.3 rules
+	// and holds its latest engagement trace per video; nil once the
+	// session completed.
 	track *quality.Tracker
+	// final is the completed session's standing, frozen when track is
+	// released: the traces that produced it are gone, so it cannot be
+	// derived again.
+	final quality.Snapshot
+}
+
+// completed reports whether the session answered its full assignment.
+func (sess *sessionState) completed() bool { return sess.track == nil }
+
+// answer is one stored response, reduced to what the §4.3 fold reads.
+// The answered video and its control bit come from Assignment[Test].
+type answer struct {
+	Test int `json:"test"`
+	// Submitted is a timeline answer's final position on the video
+	// clock; Choice is an A/B answer's side.
+	Submitted time.Duration   `json:"submitted_ns,omitempty"`
+	Choice    survey.ABChoice `json:"choice,omitempty"`
+	// ControlFailed marks a control question answered wrong.
+	ControlFailed bool `json:"control_failed,omitempty"`
 }
 
 // Worker identifies a participant joining a session.
@@ -452,7 +464,6 @@ func Open(opts Options) (*Server, error) {
 		GroupCommit:   opts.GroupCommit,
 		GroupMaxBatch: opts.GroupMaxBatch,
 		GroupMaxDelay: opts.GroupMaxDelay,
-		SyncDelay:     opts.SyncDelay,
 		Metrics:       sink,
 		Trace:         tsink,
 		Replicate:     opts.Replicate,
@@ -1287,32 +1298,31 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	writeConditional(w, r, tag, body)
 }
 
-// renderResults computes the filtered campaign summary and marshals it
-// exactly as writeJSON would. Caller holds the campaign's shard lock;
-// video shard read-locks nest inside campaign locks by convention.
+// renderResults marshals the campaign's §4.3 aggregates exactly as
+// writeJSON would. Caller holds the campaign's shard lock; video shard
+// read-locks nest inside campaign locks by convention.
 func (s *Server) renderResults(c *campaignState) ([]byte, error) {
-	outcome := filtering.Clean(c.records, 0)
+	sum := c.analytics.Summary()
 	res := ResultsResponse{
 		Campaign:     c.ID,
-		Participants: outcome.Summary.Total,
-		Kept:         outcome.Summary.Kept,
-		Engagement:   outcome.Summary.Engagement(),
-		Soft:         outcome.Summary.Soft,
-		Control:      outcome.Summary.Control,
+		Participants: sum.Total,
+		Kept:         sum.Kept,
+		Engagement:   sum.Engagement(),
+		Soft:         sum.Soft,
+		Control:      sum.Control,
 		PerVideo:     map[string]VideoAg{},
 	}
 	switch c.Kind {
 	case "timeline":
-		filtered := filtering.WisdomOfCrowd(filtering.TimelineByVideo(outcome.Kept))
-		for id, vals := range filtered {
+		for id, band := range c.analytics.TimelineBands(filtering.WisdomLo, filtering.WisdomHi) {
 			res.PerVideo[id] = VideoAg{
-				Responses: len(vals),
-				MeanUPLT:  stats.Sample(vals).Mean(),
+				Responses: band.InBand,
+				MeanUPLT:  band.Mean,
 				Banned:    s.videoBanned(id),
 			}
 		}
 	case "ab":
-		for id, votes := range filtering.ABByVideo(outcome.Kept) {
+		for id, votes := range c.analytics.Votes() {
 			res.PerVideo[id] = VideoAg{
 				Responses: votes.Total(),
 				Agreement: votes.Agreement(),
@@ -1325,26 +1335,4 @@ func (s *Server) renderResults(c *campaignState) ([]byte, error) {
 		return nil, err
 	}
 	return append(buf, '\n'), nil
-}
-
-// record converts a completed session into a filtering.SessionRecord.
-func (sess *sessionState) record() *filtering.SessionRecord {
-	rec := &filtering.SessionRecord{
-		Participant: &crowd.Participant{
-			ID:      sess.Worker.ID,
-			Gender:  sess.Worker.Gender,
-			Country: sess.Worker.Country,
-		},
-		Trace:    &survey.SessionTrace{InstructionTime: sess.instruction},
-		Timeline: sess.timeline,
-		AB:       sess.ab,
-	}
-	for _, t := range sess.Assignment {
-		if tr, ok := sess.traces[t.VideoID]; ok {
-			rec.Trace.Videos = append(rec.Trace.Videos, *tr)
-		} else {
-			rec.Trace.Videos = append(rec.Trace.Videos, survey.VideoTrace{VideoID: t.VideoID})
-		}
-	}
-	return rec
 }

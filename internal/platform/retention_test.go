@@ -1,0 +1,167 @@
+// What a completed session costs: retained heap per session, and a
+// /results render that no longer scales its allocations with the
+// number of sessions folded.
+package platform
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"runtime"
+	"testing"
+)
+
+// dispatch runs one request straight through the handler (fuzzEnv.do,
+// with JSON bodies encoded) and decodes a 2xx JSON reply into out.
+func dispatch(tb testing.TB, h http.Handler, method, path string, body, out any) {
+	tb.Helper()
+	raw, ok := body.([]byte)
+	if !ok && body != nil {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	rec := (&fuzzEnv{handler: h}).do(method, path, raw)
+	if rec.Code >= 300 {
+		tb.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body.Bytes())
+	}
+	if out != nil {
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// seedDispatch creates a timeline campaign with n videos.
+func seedDispatch(tb testing.TB, h http.Handler, n int) string {
+	tb.Helper()
+	var created CreateCampaignResponse
+	dispatch(tb, h, "POST", "/api/v1/campaigns", CreateCampaignRequest{Name: "retention", Kind: "timeline"}, &created)
+	for i := 0; i < n; i++ {
+		dispatch(tb, h, "POST", "/api/v1/campaigns/"+created.ID+"/videos", sampleVideoBytes(), nil)
+	}
+	return created.ID
+}
+
+// completeSessions drives n diligent participants, numbered from first,
+// through join, one engagement batch and one answer per test.
+func completeSessions(tb testing.TB, h http.Handler, campaign string, first, n int) {
+	tb.Helper()
+	for i := first; i < first+n; i++ {
+		var jr JoinResponse
+		dispatch(tb, h, "POST", "/api/v1/sessions", JoinRequest{
+			Campaign: campaign,
+			Worker:   Worker{ID: fmt.Sprintf("retained-%d", i), Gender: "f", Country: "ES", Source: "test"},
+			Captcha:  "tok",
+		}, &jr)
+		base := "/api/v1/sessions/" + jr.Session
+		for _, tt := range jr.Tests {
+			dispatch(tb, h, "POST", base+"/events", EventBatch{
+				VideoID: tt.VideoID, LoadMs: 900, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 3 + i%5, WatchedFraction: 0.9,
+			}, nil)
+			sub := 1_000 + float64(i%997)
+			dispatch(tb, h, "POST", base+"/responses", ResponseBody{
+				TestID: tt.TestID, SliderMs: sub + 200, HelperMs: sub, SubmittedMs: sub, KeptOriginal: true,
+			}, nil)
+		}
+	}
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestCompletedSessionRetainedHeap bounds what the server keeps per
+// completed session on an in-memory server: identity, assignment,
+// answers, the frozen verdict row, and its share of the index maps and
+// the campaign's sketches. This same test measured 5,036 B/session at
+// the parent commit (record, tracker, two trace maps, the answered set
+// and a trace copy per answer all retained) and measures 1,221
+// B/session now; the ceiling sits well below half of the former.
+func TestCompletedSessionRetainedHeap(t *testing.T) {
+	const (
+		sessions = 4000
+		ceiling  = 2000 // bytes per completed session
+	)
+	if raceEnabled {
+		t.Skip("heap accounting is measured without the race detector")
+	}
+	srv := NewServer()
+	h := srv.Handler()
+	campaign := seedDispatch(t, h, 4)
+	completeSessions(t, h, campaign, 0, 64) // warm pools, size the first map buckets
+	before := liveHeap()
+	completeSessions(t, h, campaign, 64, sessions)
+	after := liveHeap()
+	per := float64(after-before) / sessions
+	t.Logf("retained heap: %.0f B per completed session", per)
+	if per > ceiling {
+		t.Fatalf("retained %.0f B per completed session, ceiling %d", per, ceiling)
+	}
+	var res ResultsResponse
+	dispatch(t, h, "GET", "/api/v1/campaigns/"+campaign+"/results", nil, &res)
+	if res.Participants != sessions+64 {
+		t.Fatalf("participants = %d, want %d", res.Participants, sessions+64)
+	}
+}
+
+// resultsRenderFixture returns a server whose campaign has folded n
+// completed sessions.
+func resultsRenderFixture(tb testing.TB, n int) (*Server, *campaignState) {
+	tb.Helper()
+	srv := NewServer()
+	h := srv.Handler()
+	campaign := seedDispatch(tb, h, 4)
+	completeSessions(tb, h, campaign, 0, n)
+	c, _ := srv.campaigns.Get(campaign)
+	return srv, c
+}
+
+var renderSink []byte
+
+// BenchmarkResultsRender prices the /results cache-miss render — the
+// work done under the campaign shard's exclusive lock after every
+// completion — at two campaign sizes.
+func BenchmarkResultsRender(b *testing.B) {
+	for _, n := range []int{1000, 8000} {
+		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
+			srv, c := resultsRenderFixture(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				body, err := srv.renderResults(c)
+				if err != nil {
+					b.Fatal(err)
+				}
+				renderSink = body
+			}
+		})
+	}
+}
+
+// TestResultsRenderAllocsFlat: the miss path allocates per video, never
+// per session, so eight times the sessions must cost no more
+// allocations. The slack of two covers encoding/json's buffer pool,
+// which drops entries at random under the race detector.
+func TestResultsRenderAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		srv, c := resultsRenderFixture(t, n)
+		return testing.AllocsPerRun(100, func() {
+			body, err := srv.renderResults(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			renderSink = body
+		})
+	}
+	small, large := allocs(100), allocs(800)
+	t.Logf("render allocations: %.0f at 100 sessions, %.0f at 800", small, large)
+	if large > small+2 {
+		t.Fatalf("render allocations grew with session count: %.0f at 100 sessions, %.0f at 800", small, large)
+	}
+}

@@ -6,8 +6,8 @@
 // cap, the per-worker token bucket on session-scoped endpoints, and
 // status-class/latency recording into internal/telemetry instruments.
 // The hot-path cost with telemetry enabled is a handful of atomic adds
-// and two time.Now() calls; the CI benchmark matrix gates that cost at
-// <5% of uninstrumented throughput (see cmd/loadgen -bench).
+// and two time.Now() calls (bench/ prices it per layer as
+// telemetry.observe_ns).
 //
 // GET /metrics renders the registry in Prometheus text format:
 // per-endpoint request counts, status classes and latency histograms

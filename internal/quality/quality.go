@@ -1,8 +1,10 @@
-// Package quality is the live quality-analytics subsystem: an
-// incremental implementation of Eyeorg's §4.3 response-cleaning strategy
-// that the platform server updates on every engagement batch and answer,
-// instead of replaying all sessions when an operator asks who is
-// trustworthy.
+// Package quality is the platform server's §4.3 response-cleaning
+// implementation: an incremental fold, updated on every engagement batch
+// and answer, that both GET /results and GET /analytics render from. The
+// server never replays sessions through the batch pipeline
+// (internal/filtering) and does not keep what that would need: once a
+// session completes it folds into its Campaign and its Tracker, traces
+// included, is released.
 //
 // # The §4.3 rules, in application order
 //
@@ -30,18 +32,20 @@
 // per-participant verdict map, per-video streaming percentile sketches
 // for the timeline band, and per-video A/B vote tallies.
 //
-// The contract that makes this safe to serve live is equivalence with
-// the offline batch: after any interleaving of events and responses —
-// including a crash and journal replay in between — a Tracker's Verdict
-// on a completed session equals filtering.Classify on the session's
-// materialized record, and a Campaign's aggregates equal filtering.Clean
-// plus filtering.WisdomOfCrowd / filtering.ABByVideo over the same
-// records in the same completion order. The property suites in this
-// package and in internal/platform enforce the contract over randomized
-// schedules, worker counts and crash points; every float is computed by
-// the same code path as the batch (stats.SortedSample shares its
-// interpolation with stats.Sample), so equality is exact, not
-// approximate.
+// The contract that makes this safe as the only source of verdicts is
+// equivalence with the offline batch: after any interleaving of events
+// and responses — including a crash and journal replay in between — a
+// Tracker's Verdict on a completed session equals filtering.Classify on
+// the session's materialized record, and a Campaign's aggregates equal
+// filtering.Clean plus filtering.WisdomOfCrowd / filtering.ABByVideo
+// over the same records in the same completion order. internal/filtering
+// is that reference (and internal/core's offline pipeline), not a second
+// path in the server. The property suites in this package and in
+// internal/platform enforce the contract over randomized schedules,
+// worker counts and crash points, building the reference's records from
+// what the test clients sent; every float is computed by the same code
+// path as the batch (stats.SortedSample shares its interpolation with
+// stats.Sample), so equality is exact, not approximate.
 package quality
 
 import (
@@ -117,6 +121,13 @@ func (t *Tracker) Observe(tr survey.VideoTrace) {
 	t.traces[tr.VideoID] = tr
 }
 
+// Traces returns the latest engagement batch per assigned video. The
+// tracker is the only place an in-flight session keeps them; snapshots
+// serialize this map and re-feed a restored tracker through Observe.
+// The map is the tracker's own: read it under the lock that guards
+// Observe.
+func (t *Tracker) Traces() map[string]survey.VideoTrace { return t.traces }
+
 // AddTimeline ingests one stored timeline answer.
 func (t *Tracker) AddTimeline(r *survey.TimelineResponse) {
 	t.answered++
@@ -178,19 +189,21 @@ func (t *Tracker) Verdict(maxTrustedActions int) filtering.Reason {
 // verdict almost always reads DropSoft (the soft rule holds until every
 // assigned video has been interacted with), so anything that spends
 // budget — the adaptive allocator above all — must consult Final and
-// treat !Completed sessions as pending, never as dropped.
+// treat !Completed sessions as pending, never as dropped. The platform
+// keeps a completed session's Snapshot in place of its Tracker and
+// serializes it in state snapshots, hence the JSON names.
 type Snapshot struct {
 	// Provisional is the first §4.3 rule currently firing; it can still
 	// change while the session is in flight.
-	Provisional filtering.Reason
+	Provisional filtering.Reason `json:"provisional"`
 	// Final is the frozen verdict of a completed session; meaningful
 	// only when Completed is true.
-	Final          filtering.Reason
-	Completed      bool
-	Answered       int
-	Actions        int
-	Controls       int
-	ControlsFailed int
+	Final          filtering.Reason `json:"final"`
+	Completed      bool             `json:"completed"`
+	Answered       int              `json:"answered"`
+	Actions        int              `json:"actions"`
+	Controls       int              `json:"controls"`
+	ControlsFailed int              `json:"controls_failed"`
 }
 
 // Current returns the verdict to display: Final once the session
@@ -257,7 +270,11 @@ func (sk *Sketch) Filtered(lo, hi float64) []float64 {
 	if len(sk.values) == 0 {
 		return nil
 	}
-	lv, hv := sk.Band(lo, hi)
+	return sk.within(sk.Band(lo, hi))
+}
+
+// within returns the submissions in [lv, hv] in insertion order.
+func (sk *Sketch) within(lv, hv float64) []float64 {
 	out := make([]float64, 0, len(sk.values))
 	for _, v := range sk.values {
 		if v >= lv && v <= hv {
@@ -394,7 +411,7 @@ func (c *Campaign) TimelineBands(lo, hi float64) map[string]Band {
 	out := make(map[string]Band, len(c.timeline))
 	for id, sk := range c.timeline {
 		lv, hv := sk.Band(lo, hi)
-		filtered := sk.Filtered(lo, hi)
+		filtered := sk.within(lv, hv)
 		out[id] = Band{
 			Total:  sk.Len(),
 			InBand: len(filtered),

@@ -169,7 +169,7 @@ func (l *Log) flushGroup() {
 	l.syncWG.Add(1)
 	l.mu.Unlock()
 	start := time.Now()
-	err := l.syncForCommit(f)
+	err := f.Sync()
 	l.syncWG.Done()
 	if err != nil {
 		l.mu.Lock()

@@ -82,14 +82,6 @@ type Options struct {
 	// the WAL-shipping transport cluster replication rides on. Nil
 	// disables shipping; see ReplicationSink for the contract.
 	Replicate ReplicationSink
-	// SyncDelay adds a fixed latency floor to every commit-path fsync
-	// (per-record and group-commit windows; snapshots and directory
-	// syncs are unaffected). It models a device whose cache flush has
-	// real cost on hosts whose own write cache would hide it — the
-	// scale-out benchmarks set it so per-node durability pipelines are
-	// priced like independent disks instead of one shared page cache.
-	// Zero (the default) leaves the device's native latency alone.
-	SyncDelay time.Duration
 }
 
 // Log is a durable append-only journal. All methods are safe for
@@ -267,7 +259,7 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 		}
 		if l.opts.Fsync {
 			start := time.Now()
-			if err := l.syncForCommit(l.f); err != nil {
+			if err := l.f.Sync(); err != nil {
 				// The frame may or may not be durable; either way memory and
 				// disk now disagree, so no further appends until reopen.
 				l.failed = true
@@ -290,16 +282,6 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 		}
 	}
 	return l.seq, nil
-}
-
-// syncForCommit establishes durability for a commit-path window:
-// Options.SyncDelay, when set, prices the flush like a device with a
-// real latency floor before the fsync itself runs.
-func (l *Log) syncForCommit(f *os.File) error {
-	if d := l.opts.SyncDelay; d > 0 {
-		time.Sleep(d)
-	}
-	return f.Sync()
 }
 
 // Replay streams every record with a sequence past the loaded snapshot
