@@ -9,7 +9,6 @@ package platform
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"io/fs"
 	"net/http"
 	"os"
@@ -121,7 +120,7 @@ func TestAdaptiveCrashReplayDeterminism(t *testing.T) {
 		opt.AdaptiveSeed = 11
 		t.Run(fmt.Sprintf("snap%d", opt.SnapshotEvery), func(t *testing.T) {
 			dir := t.TempDir()
-			_, c := openPersisted(t, dir, opt)
+			crashed, c := openPersisted(t, dir, opt)
 			campaign, _ := setupCampaign(c, "timeline", 3)
 			l := newSent()
 			runChaos(t, l, c.srv.URL, campaign, "timeline", 13, 8, 4)
@@ -131,6 +130,9 @@ func TestAdaptiveCrashReplayDeterminism(t *testing.T) {
 			// Crash: drop the listener without Server.Close, then clone
 			// the journal so two replicas can replay it independently.
 			c.srv.Close()
+			// A background snapshot still renaming its temp file would
+			// vanish it under the copy: let it land first.
+			crashed.snapWG.Wait()
 			dir2 := t.TempDir()
 			copyTree(t, dir, dir2)
 
@@ -305,7 +307,9 @@ func TestAnalyticsPercentileParamValidation(t *testing.T) {
 // TestAnalyticsRenderRace renders /analytics in a tight loop while
 // chaos sessions join and complete: run under -race this pins the
 // copy-at-the-boundary contract of stats.SortedSample.Values and
-// quality.Campaign.Reasons/Votes.
+// quality.Campaign.Votes, and that frozen rows are filed and copied
+// under the campaign lock only. Whatever the interleaving, a poll lists
+// each session once, in ascending ID order, and as many as it counts.
 func TestAnalyticsRenderRace(t *testing.T) {
 	for _, kind := range []string{"timeline", "ab"} {
 		t.Run(kind, func(t *testing.T) {
@@ -326,8 +330,19 @@ func TestAnalyticsRenderRace(t *testing.T) {
 					if err != nil {
 						return
 					}
-					_, _ = io.Copy(io.Discard, resp.Body)
+					var ar AnalyticsResponse
+					err = json.NewDecoder(resp.Body).Decode(&ar)
 					resp.Body.Close()
+					if err != nil || len(ar.Participants) != ar.Sessions {
+						t.Errorf("poll: decode %v, %d participants listed, %d counted", err, len(ar.Participants), ar.Sessions)
+						return
+					}
+					for i := 1; i < len(ar.Participants); i++ {
+						if ar.Participants[i-1].Session >= ar.Participants[i].Session {
+							t.Errorf("poll lists %s before %s", ar.Participants[i-1].Session, ar.Participants[i].Session)
+							return
+						}
+					}
 				}
 			}()
 			runChaos(t, newSent(), c.srv.URL, campaign, kind, 21, 4, 4)

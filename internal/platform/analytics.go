@@ -3,12 +3,16 @@
 // mutation — per-participant filter verdicts (frozen for completed
 // sessions, provisional for in-flight ones), kept/dropped counts per
 // rule, and the current wisdom-of-the-crowd percentile band per video —
-// without replaying a single session. /results (renderResults) reads
-// the same aggregates.
+// without replaying a session or re-encoding a completed one's row.
+// /results (renderResults) reads the same aggregates.
 package platform
 
 import (
+	"bytes"
+	"encoding/json"
+	"hash/crc64"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -140,97 +144,151 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	csh := s.campaigns.Shard(id)
 	csh.RLock()
 	c, ok := csh.Get(id)
-	var resp AnalyticsResponse
-	var sessionIDs []string
-	if ok {
-		sum := c.analytics.Summary()
-		resp = AnalyticsResponse{
-			Campaign:  c.ID,
-			Kind:      c.Kind,
-			Sessions:  len(c.sessions),
-			Completed: len(c.recordSessions),
-			Summary: AnalyticsSummary{
-				Total:           sum.Total,
-				Kept:            sum.Kept,
-				EngagementSeeks: sum.EngagementSeeks,
-				EngagementFocus: sum.EngagementFocus,
-				Soft:            sum.Soft,
-				Control:         sum.Control,
-			},
-			PerVideo: s.renderVideoAnalytics(c, lo, hi),
-		}
-		if c.adaptive != nil {
-			resolved, total := c.adaptive.Resolved()
-			st := StoppingAnalytics{
-				TargetHalfWidth: c.adaptive.Config().HalfWidth,
-				Closed:          c.adaptive.Closed(),
-				Resolved:        resolved,
-				Total:           total,
-				PerVideo:        map[string]VideoStopping{},
-			}
-			for _, vs := range c.adaptive.Status() {
-				st.PerVideo[vs.Video] = VideoStopping{
-					State:     string(vs.State),
-					Kept:      vs.Kept,
-					Pending:   vs.Pending,
-					Mean:      vs.Mean,
-					HalfWidth: vs.HalfWidth,
-					Method:    vs.Method,
-				}
-			}
-			resp.Stopping = &st
-		}
-		sessionIDs = append(sessionIDs, c.sessions...)
-	}
-	csh.RUnlock()
 	if !ok {
+		csh.RUnlock()
 		writeErr(w, http.StatusNotFound, errNoCampaign.Error())
 		return
 	}
-	// Per-session verdicts are read under each session's shard lock
-	// after the campaign lock is released: campaign locks never nest
-	// over session locks (mutations nest the other way round), and a
-	// sorted render order keeps the payload deterministic for identical
-	// state — the crash-recovery byte-equality contract.
-	sort.Strings(sessionIDs)
-	resp.Participants = make([]ParticipantVerdict, 0, len(sessionIDs))
-	for _, sid := range sessionIDs {
+	liveIDs := slices.Clone(c.inflight)
+	csh.RUnlock()
+	sort.Strings(liveIDs)
+	// In-flight rows are rendered under each session's shard lock, the
+	// campaign lock released: mutations nest them the other way round.
+	live := make([][]byte, len(liveIDs))
+	for i, sid := range liveIDs {
 		ssh := s.sessions.Shard(sid)
 		ssh.RLock()
-		sess, ok := ssh.Get(sid)
-		var pv ParticipantVerdict
-		if ok {
-			snap := sess.final
-			if !sess.completed() {
-				snap = sess.track.Snapshot()
-			}
-			pv = ParticipantVerdict{
-				Session:        sid,
-				Worker:         sess.Worker.ID,
-				Completed:      snap.Completed,
-				Verdict:        snap.Current().String(),
-				Provisional:    !snap.Completed,
-				Answered:       snap.Answered,
-				Actions:        snap.Actions,
-				ControlsFailed: snap.ControlsFailed,
-			}
-		}
+		sess, _ := ssh.Get(sid) // indexed before it was listed, never removed
+		live[i] = sess.verdictRow()
 		ssh.RUnlock()
-		if ok {
-			resp.Participants = append(resp.Participants, pv)
-		}
 	}
-	// The payload is live state with no cache to invalidate, so the
-	// ETag is minted from the rendered bytes each time: a conditional
-	// GET saves the body transfer (the poll-loop case — loadgen -watch
-	// and operator dashboards), not the render.
-	buf, err := encodeJSON(&resp)
+	// The rest is read under the campaign lock, released before anything
+	// is written. A session that completed since its row was rendered is
+	// listed from its frozen row; one that joined since, in the next poll.
+	csh.RLock()
+	rows, size, sum := len(c.rowOrder), len(c.rows), uint64(0)
+	for i, sid := range liveIDs {
+		if _, frozen := c.frozenAt(sid); frozen {
+			live[i] = nil
+			continue
+		}
+		rows++
+		size += len(live[i]) + 1
+		sum = crc64.Update(sum, etagTable, live[i])
+	}
+	resp := s.analyticsShell(c, lo, hi, rows)
+	shell, err := encodeJSON(&resp)
 	if err != nil {
+		csh.RUnlock()
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	defer putBuf(buf)
-	writeConditional(w, r, etagFor(buf.Bytes()), buf.Bytes())
+	defer bufPool.Put(shell)
+	// The validator needs no body: the frozen rows' digest, a hash of what
+	// this request rendered, and the length (the last row has no comma).
+	size += shell.Len() - min(rows, 1)
+	tag := etagOf(c.rowDigest+crc64.Update(sum, etagTable, shell.Bytes()), size)
+	var body []byte
+	if !etagMatches(r.Header.Get("If-None-Match"), tag) {
+		pooled := bodyPool.Get().(*[]byte)
+		defer bodyPool.Put(pooled)
+		*pooled = c.appendAnalytics(slices.Grow((*pooled)[:0], size), shell.Bytes(), liveIDs, live)
+		body = *pooled
+	}
+	csh.RUnlock()
+	writeConditional(w, r, tag, body)
+}
+
+// verdictRow renders the session's ParticipantVerdict as encoding/json
+// would inside a whole payload. Caller holds the session's shard lock.
+func (sess *sessionState) verdictRow() []byte {
+	snap := sess.final
+	if !sess.completed() {
+		snap = sess.track.Snapshot()
+	}
+	row, _ := json.Marshal(&ParticipantVerdict{ // strings, ints, bools: cannot fail
+		Session:        sess.ID,
+		Worker:         sess.Worker.ID,
+		Completed:      snap.Completed,
+		Verdict:        snap.Current().String(),
+		Provisional:    !snap.Completed,
+		Answered:       snap.Answered,
+		Actions:        snap.Actions,
+		ControlsFailed: snap.ControlsFailed,
+	})
+	return row
+}
+
+// frozenAt reports where session id sits, or would sit, among the frozen
+// rows in payload order, and whether its row is there.
+func (c *campaignState) frozenAt(id string) (int, bool) {
+	at := sort.Search(len(c.rowOrder), func(i int) bool { return c.recordSessions[c.rowOrder[i]] >= id })
+	return at, at < len(c.rowOrder) && c.recordSessions[c.rowOrder[at]] == id
+}
+
+// appendAnalytics appends the payload to b: shell, an AnalyticsResponse
+// encoded with no participants, with the frozen rows copied into its
+// empty list, merged in ascending session order with the non-nil rows
+// of live (live[i] is liveIDs[i]'s). Caller holds the campaign's lock.
+func (c *campaignState) appendAnalytics(b, shell []byte, liveIDs []string, live [][]byte) []byte {
+	// encoding/json escapes quotes in strings: the first match is the field.
+	cut := bytes.Index(shell, []byte(`"participants":[]`)) + len(`"participants":[`)
+	b = append(b, shell[:cut]...)
+	next := 0 // frozen rows copied so far, in payload order
+	for i := 0; i <= len(liveIDs); i++ {
+		at := len(c.rowOrder)
+		if i < len(liveIDs) {
+			at, _ = c.frozenAt(liveIDs[i])
+		}
+		for ; next < at; next++ {
+			row, start := c.rowOrder[next], uint32(0)
+			if row > 0 {
+				start = c.rowEnds[row-1]
+			}
+			b = append(b, c.rows[start:c.rowEnds[row]]...)
+		}
+		if i < len(liveIDs) && live[i] != nil {
+			b = append(append(b, live[i]...), ',')
+		}
+	}
+	return append(bytes.TrimSuffix(b, []byte(",")), shell[cut:]...)
+}
+
+// analyticsShell builds the payload's campaign-level fields around an
+// empty list of the sessions it counts. Caller holds the campaign's
+// shard lock.
+func (s *Server) analyticsShell(c *campaignState, lo, hi float64, sessions int) AnalyticsResponse {
+	resp := AnalyticsResponse{
+		Campaign:     c.ID,
+		Kind:         c.Kind,
+		Sessions:     sessions,
+		Completed:    len(c.recordSessions),
+		Summary:      AnalyticsSummary(c.analytics.Summary()), // same fields, this type names them in JSON
+		Participants: []ParticipantVerdict{},
+		PerVideo:     s.renderVideoAnalytics(c, lo, hi),
+	}
+	if c.adaptive != nil {
+		resolved, total := c.adaptive.Resolved()
+		st := StoppingAnalytics{
+			TargetHalfWidth: c.adaptive.Config().HalfWidth,
+			Closed:          c.adaptive.Closed(),
+			Resolved:        resolved,
+			Total:           total,
+			PerVideo:        map[string]VideoStopping{},
+		}
+		for _, vs := range c.adaptive.Status() {
+			st.PerVideo[vs.Video] = VideoStopping{
+				State:     string(vs.State),
+				Kept:      vs.Kept,
+				Pending:   vs.Pending,
+				Mean:      vs.Mean,
+				HalfWidth: vs.HalfWidth,
+				Method:    vs.Method,
+			}
+		}
+		resp.Stopping = &st
+	}
+	return resp
 }
 
 // renderVideoAnalytics builds the per-video section from the campaign's

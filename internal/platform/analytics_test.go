@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -155,6 +156,27 @@ func offlineResults(s *Server, c *campaignState, offline *filtering.Outcome) []b
 	return append(buf, '\n')
 }
 
+// frozenVerdicts decodes the campaign's frozen /analytics rows in
+// completion order into worker -> verdict, a later session of the same
+// worker replacing an earlier one as filtering.Clean's ReasonFor does.
+func frozenVerdicts(t *testing.T, c *campaignState) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	start := uint32(0)
+	for i, end := range c.rowEnds {
+		var pv ParticipantVerdict
+		if err := json.Unmarshal(c.rows[start:end-1], &pv); err != nil { // less its comma
+			t.Fatalf("frozen row %d: %v", i, err)
+		}
+		if pv.Session != c.recordSessions[i] || !pv.Completed || pv.Provisional {
+			t.Fatalf("frozen row %d is %+v, want completed session %s", i, pv, c.recordSessions[i])
+		}
+		out[pv.Worker] = pv.Verdict
+		start = end
+	}
+	return out
+}
+
 // assertLiveEqualsOffline compares a quiesced server's incremental
 // analytics with the offline batch over the sessions the drivers sent:
 // the summary histogram, the per-participant verdict map, and the
@@ -169,8 +191,12 @@ func assertLiveEqualsOffline(t *testing.T, s *Server, l *sent, campaignID string
 	if got := c.analytics.Summary(); got != offline.Summary {
 		t.Fatalf("summary diverged:\nlive:    %+v\noffline: %+v", got, offline.Summary)
 	}
-	if !reflect.DeepEqual(c.analytics.Reasons(), offline.ReasonFor) {
-		t.Fatalf("verdicts diverged:\nlive:    %v\noffline: %v", c.analytics.Reasons(), offline.ReasonFor)
+	want := map[string]string{}
+	for worker, reason := range offline.ReasonFor {
+		want[worker] = reason.String()
+	}
+	if got := frozenVerdicts(t, c); !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts diverged:\nlive:    %v\noffline: %v", got, want)
 	}
 	switch c.Kind {
 	case "timeline":
@@ -203,6 +229,60 @@ func rawAnalytics(t *testing.T, c *client, campaign string) []byte {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// oracleAnalytics renders /analytics from scratch on a quiesced server,
+// the way the endpoint did before rows were frozen at completion: every
+// session the campaign ever joined is looked up in the session map,
+// sorted by ID and encoded as one AnalyticsResponse. The served body,
+// assembled from frozen rows, must equal it byte for byte.
+func oracleAnalytics(t *testing.T, s *Server, campaignID string, lo, hi float64) []byte {
+	t.Helper()
+	c, ok := s.campaigns.Get(campaignID)
+	if !ok {
+		t.Fatalf("campaign %s missing", campaignID)
+	}
+	resp := s.analyticsShell(c, lo, hi, len(c.sessions))
+	ids := append([]string(nil), c.sessions...)
+	sort.Strings(ids)
+	for _, sid := range ids {
+		sess, ok := s.sessions.Get(sid)
+		if !ok {
+			t.Fatalf("campaign %s lists unknown session %s", campaignID, sid)
+		}
+		snap := sess.final
+		if !sess.completed() {
+			snap = sess.track.Snapshot()
+		}
+		resp.Participants = append(resp.Participants, ParticipantVerdict{
+			Session:        sid,
+			Worker:         sess.Worker.ID,
+			Completed:      snap.Completed,
+			Verdict:        snap.Current().String(),
+			Provisional:    !snap.Completed,
+			Answered:       snap.Answered,
+			Actions:        snap.Actions,
+			ControlsFailed: snap.ControlsFailed,
+		})
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// assertAnalyticsEqualsOracle compares the served /analytics body with
+// the from-scratch render, at the default band and at a wider one.
+func assertAnalyticsEqualsOracle(t *testing.T, s *Server, c *client, campaignID string) {
+	t.Helper()
+	if got, want := rawAnalytics(t, c, campaignID), oracleAnalytics(t, s, campaignID, filtering.WisdomLo, filtering.WisdomHi); !bytes.Equal(got, want) {
+		t.Fatalf("served /analytics diverged from the from-scratch render:\nserved: %s\noracle: %s", got, want)
+	}
+	status, got := rawDo(t, c, "GET", "/api/v1/campaigns/"+campaignID+"/analytics?lo=10&hi=90", nil)
+	if want := oracleAnalytics(t, s, campaignID, 10, 90); status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("served /analytics?lo=10&hi=90 (%d) diverged from the from-scratch render:\nserved: %s\noracle: %s", status, got, want)
+	}
 }
 
 // chaos drives randomized participant sessions against a server from
@@ -409,9 +489,11 @@ func runChaos(t *testing.T, l *sent, base, campaign, kind string, seed int64, wo
 
 // crossCheckHTTP verifies both rendered payloads against the offline
 // batch: /results byte for byte, and /analytics' summary, per-session
-// verdict strings and band counts.
+// verdict strings and band counts — and /analytics byte for byte
+// against the from-scratch render.
 func crossCheckHTTP(t *testing.T, s *Server, l *sent, c *client, campaignID string) {
 	t.Helper()
+	assertAnalyticsEqualsOracle(t, s, c, campaignID)
 	var ar AnalyticsResponse
 	if err := json.Unmarshal(rawAnalytics(t, c, campaignID), &ar); err != nil {
 		t.Fatal(err)
@@ -557,8 +639,8 @@ func TestAnalyticsCrashReplayEquivalence(t *testing.T) {
 			assertLiveEqualsOffline(t, srv2, l, campaign)
 			crossCheckHTTP(t, srv2, l, c2, campaign)
 			cs, _ := srv2.campaigns.Get(campaign)
-			if r, ok := cs.analytics.Reasons()["crash-survivor"]; !ok || r != filtering.Kept {
-				t.Fatalf("crash-survivor verdict = %v (present %v), want kept", r, ok)
+			if v := frozenVerdicts(t, cs)["crash-survivor"]; v != filtering.Kept.String() {
+				t.Fatalf("crash-survivor verdict = %q, want kept", v)
 			}
 		})
 	}
@@ -619,5 +701,45 @@ func TestAnalyticsScriptedVerdicts(t *testing.T) {
 	}
 	if code := c.do("GET", "/api/v1/campaigns/ghost/analytics", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("ghost campaign analytics: %d", code)
+	}
+}
+
+// TestAnalyticsAfterExportImport: the frozen rows are never serialized;
+// a campaign exported and imported into another server gets them from
+// completeSession like a snapshot load does, so the importer serves the
+// exporter's exact bytes under the exporter's validator, equal to the
+// from-scratch render, and keeps folding.
+func TestAnalyticsAfterExportImport(t *testing.T) {
+	for _, kind := range []string{"timeline", "ab"} {
+		t.Run(kind, func(t *testing.T) {
+			src := NewServer()
+			c := newClientFor(t, src)
+			campaign, _ := setupCampaign(c, kind, 3)
+			l := newSent()
+			runChaos(t, l, c.srv.URL, campaign, kind, 5, 4, 5)
+			path := "/api/v1/campaigns/" + campaign + "/analytics"
+			_, tag, body := getConditional(c, path, "")
+
+			state, _, err := src.ExportCampaign(campaign)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := NewServer()
+			if err := dst.ImportCampaign(state, nil); err != nil {
+				t.Fatal(err)
+			}
+			c2 := newClientFor(t, dst)
+			status, tag2, body2 := getConditional(c2, path, "")
+			if status != http.StatusOK || !bytes.Equal(body2, body) || tag2 != tag {
+				t.Fatalf("imported campaign serves %d tag %s, exporter tag %s\nimported: %s\nexported: %s", status, tag2, tag, body2, body)
+			}
+			if status, _, got := getConditional(c2, path, tag); status != http.StatusNotModified || len(got) != 0 {
+				t.Fatalf("exporter's validator on the importer: %d with %d body bytes, want 304 and none", status, len(got))
+			}
+			assertAnalyticsEqualsOracle(t, dst, c2, campaign)
+			runChaos(t, l, c2.srv.URL, campaign, kind, 6, 4, 2)
+			assertLiveEqualsOffline(t, dst, l, campaign)
+			crossCheckHTTP(t, dst, l, c2, campaign)
+		})
 	}
 }

@@ -117,5 +117,5 @@ func (s *Server) handleEventsBinary(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"status": "recorded", "records": len(recs)})
+	writeBatchAck(w, len(recs))
 }

@@ -21,10 +21,10 @@
 // flight; the answer that completes it runs completeSession — the same
 // step journal replay, snapshot load and campaign import run — which
 // freezes the session's standing, releases the tracker and its traces,
-// and folds the answers in. /results and /analytics both render from
-// that fold; internal/filtering, the batch form of the same rules, is
-// only the tests' reference. A completed session keeps its identity,
-// assignment, answers and frozen standing, nothing else.
+// folds the answers in and renders the /analytics row polls then copy.
+// Both endpoints render from that fold; internal/filtering, the batch
+// form of the same rules, is only the tests' reference. A completed
+// session keeps its identity, assignment, answers and frozen standing.
 //
 // Storage is the internal/store subsystem: campaigns, sessions and
 // videos live in sharded in-memory indexes (per-shard RW locks, FNV-
@@ -36,8 +36,8 @@
 // one flush (and, with Fsync, one fsync) per window, and each mutation
 // acks after its window is durable rather than fsyncing per record
 // inside its shard lock. /results and /analytics answer conditional
-// GETs with ETag/If-None-Match. The paper's deployment sat a database
-// behind the same shape of API.
+// GETs with ETag/If-None-Match, a 304 rendering no body. The paper's
+// deployment sat a database behind the same shape of API.
 //
 // A server can also run as one member of a campaign-partitioned
 // cluster (internal/cluster): Options.IDTag namespaces the IDs it

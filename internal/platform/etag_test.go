@@ -1,8 +1,10 @@
 package platform
 
 import (
+	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -92,27 +94,102 @@ func TestResultsETagInvalidatedByBan(t *testing.T) {
 }
 
 func TestAnalyticsETagRoundTrip(t *testing.T) {
-	c := newClient(t)
+	dir := t.TempDir()
+	srv, c := openPersisted(t, dir, Options{})
 	id, vids := setupCampaign(c, "timeline", 2)
+	// Enough spread that a wider band admits more submissions.
+	for i, submitted := range []float64{1400, 1500, 1700, 2600, 3100} {
+		completeSession(c, join(c, id, fmt.Sprintf("done-%d", i)), submitted, true, 10, 0)
+	}
 	jr := join(c, id, "w1")
 	path := "/api/v1/campaigns/" + id + "/analytics"
+	// fresh fetches the payload with a validator that must no longer
+	// match, and returns the new one.
+	fresh := func(c *client, what, stale string) string {
+		t.Helper()
+		status, tag, body := getConditional(c, path, stale)
+		if status != http.StatusOK || tag == "" || tag == stale || len(body) == 0 {
+			t.Fatalf("%s: status=%d tag %q -> %q body=%d bytes, want 200 under a new tag", what, status, stale, tag, len(body))
+		}
+		// The tag ends in the body length, which nothing counted by
+		// encoding the body: it must be what was sent.
+		if want := fmt.Sprintf("-%x\"", len(body)); !strings.HasSuffix(tag, want) {
+			t.Fatalf("%s: tag %s does not end in the body length %s", what, tag, want)
+		}
+		return tag
+	}
+	unchanged := func(c *client, what, tag string) {
+		t.Helper()
+		if status, got, body := getConditional(c, path, tag); status != http.StatusNotModified || len(body) != 0 || got != tag {
+			t.Fatalf("%s: status=%d tag=%q body=%d bytes, want 304 under %q with no body", what, status, got, len(body), tag)
+		}
+	}
+	events := func(c *client, vid string) {
+		t.Helper()
+		if code := c.do("POST", "/api/v1/sessions/"+jr.Session+"/events",
+			EventBatch{VideoID: vid, LoadMs: 900, TimeOnVideoMs: 4000, Plays: 1, WatchedFraction: 1}, nil); code != http.StatusAccepted {
+			t.Fatalf("events: %d", code)
+		}
+	}
 
-	status, tag, body := getConditional(c, path, "")
-	if status != http.StatusOK || tag == "" || len(body) == 0 {
-		t.Fatalf("first GET: status=%d tag=%q body=%d bytes", status, tag, len(body))
-	}
-	if status, _, body := getConditional(c, path, tag); status != http.StatusNotModified || len(body) != 0 {
-		t.Fatalf("matching If-None-Match: status=%d body=%d bytes, want 304 empty", status, len(body))
+	tag := fresh(c, "first GET", "")
+	unchanged(c, "matching If-None-Match", tag)
+
+	// An events batch changes an in-flight row's counters; the batch
+	// that covers the last untouched video changes its provisional
+	// verdict (soft -> kept) and nothing else in the row but one count.
+	events(c, vids[0])
+	tag = fresh(c, "after an events batch", tag)
+	events(c, vids[1])
+	tag = fresh(c, "after the provisional verdict changed", tag)
+	unchanged(c, "revalidation with nothing in between", tag)
+
+	// A different band is a different payload under a different tag.
+	if status, other, _ := getConditional(c, path+"?lo=10&hi=90", tag); status != http.StatusOK || other == tag {
+		t.Fatalf("lo=10&hi=90 under the default band's tag: status=%d tag %q", status, other)
 	}
 
-	// An events batch changes the live per-participant counters, so
-	// the same conditional GET must now serve a fresh body.
-	if code := c.do("POST", "/api/v1/sessions/"+jr.Session+"/events",
-		EventBatch{VideoID: vids[0], LoadMs: 900, TimeOnVideoMs: 4000, Plays: 1, WatchedFraction: 1}, nil); code != http.StatusAccepted {
-		t.Fatalf("events: %d", code)
+	// Equal state gives an equal tag across a restart: the digest of the
+	// frozen rows is rebuilt by replay, not read back.
+	c.srv.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
-	status, tag2, _ := getConditional(c, path, tag)
-	if status != http.StatusOK || tag2 == tag {
-		t.Fatalf("events batch did not change analytics tag: status=%d tag %q -> %q", status, tag, tag2)
+	srv2, c2 := openPersisted(t, dir, Options{})
+	defer srv2.Close()
+	unchanged(c2, "after a restart", tag)
+
+	// A completion moves a row from the live part to the frozen digest.
+	for _, tt := range jr.Tests {
+		if code := c2.do("POST", "/api/v1/sessions/"+jr.Session+"/responses",
+			ResponseBody{TestID: tt.TestID, SubmittedMs: 1500, KeptOriginal: true}, nil); code != http.StatusAccepted {
+			t.Fatalf("response: %d", code)
+		}
+	}
+	fresh(c2, "after the session completed", tag)
+}
+
+// TestLargeRepliesAreFramedByLength: a JSON body past net/http's 2 KiB
+// buffer used to leave chunked because nothing set its length.
+func TestLargeRepliesAreFramedByLength(t *testing.T) {
+	c := newClient(t)
+	id, _ := setupCampaign(c, "timeline", 2)
+	for i := 0; i < 40; i++ {
+		join(c, id, fmt.Sprintf("framed-%d", i))
+	}
+	resp, err := http.Get(c.srv.URL + "/api/v1/campaigns/" + id + "/analytics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 2<<10 {
+		t.Fatalf("body of %d bytes does not exercise the case", len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body", resp.ContentLength, resp.TransferEncoding, len(body))
 	}
 }

@@ -27,6 +27,8 @@ package platform
 import (
 	"encoding/json"
 	"fmt"
+	"hash/crc64"
+	"slices"
 	"sort"
 	"time"
 
@@ -263,6 +265,7 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	})
 	if c, ok := csh.Get(ev.Campaign); ok {
 		c.sessions = append(c.sessions, ev.ID)
+		c.inflight = append(c.inflight, ev.ID)
 		// The allocator charges the assignment as bought budget the
 		// moment it is journaled — live and replay go through this same
 		// line, so pending counts replay identically.
@@ -402,8 +405,8 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 // import. It freezes the session's standing and releases the tracker
 // with its traces (a session restored from a snapshot arrives already
 // frozen), folds the answers into the campaign's analytics and stopper,
-// and appends the session to the completion order. Caller holds both
-// shard locks, or runs before the server accepts requests.
+// and files the session and its /analytics row in completion order. Caller
+// holds both shard locks, or runs before the server accepts requests.
 func (s *Server) completeSession(c *campaignState, sess *sessionState) {
 	if !sess.completed() {
 		sess.track.SetCompleted()
@@ -415,7 +418,14 @@ func (s *Server) completeSession(c *campaignState, sess *sessionState) {
 	if c.adaptive != nil {
 		c.adaptive.Complete(rec, sess.final.Final)
 	}
+	c.inflight = slices.DeleteFunc(c.inflight, func(id string) bool { return id == sess.ID })
+	at, _ := c.frozenAt(sess.ID)
+	c.rowOrder = slices.Insert(c.rowOrder, at, uint32(len(c.recordSessions)))
 	c.recordSessions = append(c.recordSessions, sess.ID)
+	row := sess.verdictRow()
+	c.rows = append(append(c.rows, row...), ',')
+	c.rowEnds = append(c.rowEnds, uint32(len(c.rows)))
+	c.rowDigest += crc64.Checksum(row, etagTable)
 	c.invalidate()
 	s.completedN.Add(1)
 }
@@ -755,11 +765,16 @@ func (s *Server) restoreCampaign(cn *snapCampaign) (*campaignState, error) {
 		for _, vid := range cn.Videos {
 			c.adaptive.AddVideo(vid)
 		}
-		for _, sid := range cn.Sessions {
-			sess, ok := s.sessions.Get(sid)
-			if !ok {
-				return nil, fmt.Errorf("snapshot campaign %s references unknown session %s", cn.ID, sid)
-			}
+	}
+	for _, sid := range cn.Sessions {
+		sess, ok := s.sessions.Get(sid)
+		if !ok {
+			return nil, fmt.Errorf("snapshot campaign %s references unknown session %s", cn.ID, sid)
+		}
+		if !sess.completed() {
+			c.inflight = append(c.inflight, sid)
+		}
+		if c.adaptive != nil {
 			c.adaptive.NoteJoin(assignedVideos(sess.Assignment))
 		}
 	}

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc64"
 	"io"
 	"log/slog"
 	"math"
@@ -245,10 +245,23 @@ type campaignState struct {
 	cache          []byte
 	cacheTag       string
 
+	// The completed sessions as /analytics lists them: each one's
+	// ParticipantVerdict and a comma, rendered once by completeSession,
+	// back to back in completion order (row i, ending at rowEnds[i], is
+	// recordSessions[i]'s; 32-bit offsets hold some 40 million). rowOrder
+	// lists row numbers ascending by session ID, the payload's order;
+	// rowDigest sums the rows' checksums, so the /analytics ETag does not
+	// depend on the order they arrived in. inflight lists the sessions
+	// not yet completed. Rebuilt on load, never serialized.
+	rows              []byte
+	rowEnds, rowOrder []uint32
+	rowDigest         uint64
+	inflight          []string
+
 	// sessions lists every session ever joined to this campaign in join
-	// order, and analytics is the incremental §4.3 state folded in as
-	// sessions complete — the only thing /results and /analytics render
-	// verdicts from. Both are guarded by the campaign's shard lock.
+	// order, and analytics is the incremental §4.3 aggregate folded in as
+	// sessions complete — what /results and the /analytics summary and
+	// bands render from. Both are guarded by the campaign's shard lock.
 	sessions  []string
 	analytics *quality.Campaign
 	// movedTo names the cluster node this campaign was handed off to
@@ -682,31 +695,20 @@ func statusFor(err error) int {
 
 // --- helpers ---
 
-// bufPool recycles response-rendering buffers across requests: the
-// ingest hot path answers thousands of small JSON bodies per second,
-// and the analytics payload grows with the campaign.
+// bufPool recycles response-rendering buffers across requests.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledBuf bounds what goes back into bufPool: a multi-megabyte
-// analytics render must not stay pinned to serve 40-byte acks.
-const maxPooledBuf = 64 << 10
+// bodyPool recycles /analytics bodies, which grow with the campaign and
+// so stay out of bufPool; an idle pool is emptied by the collector.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// putBuf returns a rendering buffer to the pool unless it grew past
-// the retention bound.
-func putBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBuf {
-		bufPool.Put(buf)
-	}
-}
-
-// encodeJSON renders v into a pooled buffer. The caller owns the
-// buffer and must hand it back with putBuf once the bytes are written
-// out.
+// encodeJSON renders v into a pooled buffer. The caller owns the buffer
+// and must hand it back to bufPool once the bytes are written out.
 func encodeJSON(v any) (*bytes.Buffer, error) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		putBuf(buf)
+		bufPool.Put(buf)
 		return nil, err
 	}
 	return buf, nil
@@ -718,18 +720,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	defer putBuf(buf)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	defer bufPool.Put(buf)
+	writeBody(w, status, buf.Bytes())
 }
 
-// etagFor derives a strong ETag from the exact response bytes.
-func etagFor(body []byte) string {
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	return fmt.Sprintf("%q", fmt.Sprintf("%016x-%x", h.Sum64(), len(body)))
+// writeBody sends an already-rendered JSON body, framed by its length:
+// net/http would chunk anything past its 2 KiB buffer otherwise.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
+
+// The ingest acknowledgements, byte for byte what encoding/json renders
+// for the maps they replace; ackComplete is indexed by "session done".
+var (
+	ackRecorded = []byte("{\"status\":\"recorded\"}\n")
+	ackComplete = map[bool][]byte{
+		false: []byte("{\"session_complete\":false}\n"),
+		true:  []byte("{\"session_complete\":true}\n"),
+	}
+)
+
+// writeBatchAck acknowledges n records with the bytes encoding/json
+// renders for {"records": n, "status": "recorded"}.
+func writeBatchAck(w http.ResponseWriter, n int) {
+	ack := strconv.AppendInt(append(make([]byte, 0, 48), `{"records":`...), int64(n), 10)
+	writeBody(w, http.StatusAccepted, append(ack, `,"status":"recorded"}`+"\n"...))
+}
+
+// A strong ETag is a digest of the response, built from CRC-64 checksums
+// over etagTable, and its length.
+var etagTable = crc64.MakeTable(crc64.ECMA)
+
+func etagOf(sum uint64, n int) string { return fmt.Sprintf(`"%016x-%x"`, sum, n) }
 
 // etagMatches reports whether an If-None-Match header names tag. The
 // header may carry a comma-separated list or "*"; weak validators
@@ -749,18 +774,16 @@ func etagMatches(header, tag string) bool {
 	return false
 }
 
-// writeConditional answers a GET whose response bytes are already
-// rendered: 304 without the body when If-None-Match names tag, the
-// full JSON body otherwise. The ETag header rides on both.
+// writeConditional answers a GET whose validator is known: 304 without
+// a body when If-None-Match names tag (body is not read then), the full
+// JSON body otherwise. The ETag header rides on both.
 func writeConditional(w http.ResponseWriter, r *http.Request, tag string, body []byte) {
 	w.Header().Set("ETag", tag)
 	if etagMatches(r.Header.Get("If-None-Match"), tag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	writeBody(w, http.StatusOK, body)
 }
 
 func writeErr(w http.ResponseWriter, status int, msg string) {
@@ -1230,7 +1253,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "recorded"})
+	writeBody(w, http.StatusAccepted, ackRecorded)
 }
 
 func (s *Server) handleResponse(w http.ResponseWriter, r *http.Request) {
@@ -1254,7 +1277,7 @@ func (s *Server) handleResponse(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]bool{"session_complete": done})
+	writeBody(w, http.StatusAccepted, ackComplete[done])
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -1287,7 +1310,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			c.cache = rendered
-			c.cacheTag = etagFor(rendered)
+			c.cacheTag = etagOf(crc64.Checksum(rendered, etagTable), len(rendered))
 		}
 		body, tag = c.cache, c.cacheTag
 		csh.Unlock()

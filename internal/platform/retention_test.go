@@ -1,12 +1,13 @@
-// What a completed session costs: retained heap per session, and a
-// /results render that no longer scales its allocations with the
-// number of sessions folded.
+// What a completed session costs: retained heap per session, and
+// /results and /analytics renders whose allocations do not scale with
+// the number of sessions folded.
 package platform
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 )
@@ -78,11 +79,13 @@ func liveHeap() uint64 {
 
 // TestCompletedSessionRetainedHeap bounds what the server keeps per
 // completed session on an in-memory server: identity, assignment,
-// answers, the frozen verdict row, and its share of the index maps and
-// the campaign's sketches. This same test measured 5,036 B/session at
-// the parent commit (record, tracker, two trace maps, the answered set
-// and a trace copy per answer all retained) and measures 1,221
-// B/session now; the ceiling sits well below half of the former.
+// answers, the frozen standing and its rendered /analytics row, and its
+// share of the index maps and the campaign's sketches. This test measured
+// 5,036 B/session while a session kept its record, tracker and traces,
+// 1,221 once it kept only its folded form, and 1,283 now that the
+// rendered row (about 100 B, stored back to back) replaced quality's
+// per-participant verdict map; the ceiling stays well below half of the
+// first.
 func TestCompletedSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000
@@ -163,5 +166,75 @@ func TestResultsRenderAllocsFlat(t *testing.T) {
 	t.Logf("render allocations: %.0f at 100 sessions, %.0f at 800", small, large)
 	if large > small+2 {
 		t.Fatalf("render allocations grew with session count: %.0f at 100 sessions, %.0f at 800", small, large)
+	}
+}
+
+// discardWriter is the cheapest ResponseWriter: it keeps the status and
+// counts the body, so what a render benchmark measures is the handler.
+type discardWriter struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (d *discardWriter) Header() http.Header { return d.header }
+func (d *discardWriter) WriteHeader(c int)   { d.status = c }
+func (d *discardWriter) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return len(p), nil
+}
+
+// analyticsRender returns a function serving one GET /analytics, through
+// the whole handler, on a campaign with n completed sessions and one in
+// flight.
+func analyticsRender(tb testing.TB, n int) func() {
+	tb.Helper()
+	srv, c := resultsRenderFixture(tb, n)
+	h := srv.Handler()
+	dispatch(tb, h, "POST", "/api/v1/sessions", JoinRequest{
+		Campaign: c.ID, Worker: Worker{ID: "in-flight"}, Captcha: "tok",
+	}, nil)
+	req := httptest.NewRequest("GET", "/api/v1/campaigns/"+c.ID+"/analytics", nil)
+	w := &discardWriter{header: http.Header{}}
+	return func() {
+		clear(w.header)
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.n < 90*n {
+			tb.Fatalf("analytics: status %d, %d body bytes for %d sessions", w.status, w.n, n)
+		}
+	}
+}
+
+// BenchmarkAnalyticsRender prices one /analytics poll, handler entry to
+// last byte written, at two campaign sizes: a copy per completed
+// session, and allocations that do not depend on their number.
+func BenchmarkAnalyticsRender(b *testing.B) {
+	for _, n := range []int{1000, 8000} {
+		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
+			render := analyticsRender(b, n)
+			render() // size the pooled body
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				render()
+			}
+		})
+	}
+}
+
+// TestAnalyticsRenderAllocsFlat: completed sessions are copied from
+// their frozen rows, so eight times as many must cost no more
+// allocations (slack as in TestResultsRenderAllocsFlat).
+func TestAnalyticsRenderAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		render := analyticsRender(t, n)
+		render()
+		return testing.AllocsPerRun(100, render)
+	}
+	small, large := allocs(100), allocs(800)
+	t.Logf("analytics allocations: %.0f at 100 sessions, %.0f at 800", small, large)
+	if large > small+2 {
+		t.Fatalf("analytics allocations grew with session count: %.0f at 100 sessions, %.0f at 800", small, large)
 	}
 }

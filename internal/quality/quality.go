@@ -28,9 +28,10 @@
 // assignment entries share the video), a focus-violation count, an
 // interacted-video count for the soft rule, and control outcomes —
 // updated as batches and answers arrive, replacement batches included.
-// A Campaign aggregates completed sessions: the Summary histogram, the
-// per-participant verdict map, per-video streaming percentile sketches
-// for the timeline band, and per-video A/B vote tallies.
+// A Campaign aggregates completed sessions: the Summary histogram,
+// per-video streaming percentile sketches for the timeline band, and
+// per-video A/B vote tallies; a participant's verdict stays with the
+// session, as the frozen Snapshot the platform renders /analytics from.
 //
 // The contract that makes this safe as the only source of verdicts is
 // equivalence with the offline batch: after any interleaving of events
@@ -302,7 +303,6 @@ type Band struct {
 type Campaign struct {
 	kind     string
 	summary  filtering.Summary
-	reasons  map[string]filtering.Reason
 	timeline map[string]*Sketch
 	ab       map[string]*filtering.ABVotes
 }
@@ -312,7 +312,6 @@ type Campaign struct {
 func NewCampaign(kind string) *Campaign {
 	return &Campaign{
 		kind:     kind,
-		reasons:  make(map[string]filtering.Reason),
 		timeline: make(map[string]*Sketch),
 		ab:       make(map[string]*filtering.ABVotes),
 	}
@@ -324,12 +323,10 @@ func (c *Campaign) Kind() string { return c.kind }
 // Complete folds one freshly completed session into the aggregates.
 // Callers pass the materialized record and the verdict the session's
 // tracker reached; calls must arrive in record (completion) order — the
-// same order filtering.Clean walks — so the verdict map's
-// last-writer-wins semantics and the sketches' float accumulation match
-// the batch exactly.
+// same order filtering.Clean walks — so the sketches' float accumulation
+// matches the batch exactly.
 func (c *Campaign) Complete(rec *filtering.SessionRecord, verdict filtering.Reason) {
 	c.summary.Total++
-	c.reasons[rec.Participant.ID] = verdict
 	switch verdict {
 	case filtering.Kept:
 		c.summary.Kept++
@@ -379,19 +376,6 @@ func (c *Campaign) Complete(rec *filtering.SessionRecord, verdict filtering.Reas
 // Summary returns the per-rule kept/dropped histogram over completed
 // sessions — live what filtering.Clean's Summary reports offline.
 func (c *Campaign) Summary() filtering.Summary { return c.summary }
-
-// Reasons returns the per-participant verdict map, matching
-// filtering.Clean's ReasonFor over the same records. The map is a
-// copy: callers typically hold it past the campaign shard lock (the
-// analytics render boundary), where sharing the live map would race
-// with the next Complete.
-func (c *Campaign) Reasons() map[string]filtering.Reason {
-	out := make(map[string]filtering.Reason, len(c.reasons))
-	for id, r := range c.reasons {
-		out[id] = r
-	}
-	return out
-}
 
 // TimelineFiltered returns, per video, the kept sessions' non-control
 // submissions inside the [lo, hi] percentile band in completion order:

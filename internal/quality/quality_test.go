@@ -186,21 +186,26 @@ func TestPropertyCampaignMatchesClean(t *testing.T) {
 		for _, kind := range []string{"timeline", "ab"} {
 			camp := NewCampaign(kind)
 			var records []*filtering.SessionRecord
+			// The campaign keeps no verdict per participant; the verdicts
+			// handed to Complete are what the platform freezes, so they
+			// are what must equal the batch's ReasonFor.
+			verdicts := map[string]filtering.Reason{}
 			n := 3 + r.Intn(30)
 			for i := 0; i < n; i++ {
 				s := newRandSession(r, kind)
 				worker := fmt.Sprintf("w%d", r.Intn(n)) // collisions on purpose
 				rec := s.record(worker)
 				records = append(records, rec)
-				camp.Complete(rec, s.tracker.Verdict(0))
+				verdicts[worker] = s.tracker.Verdict(0)
+				camp.Complete(rec, verdicts[worker])
 			}
 			offline := filtering.Clean(records, 0)
 			if camp.Summary() != offline.Summary {
 				t.Fatalf("seed %d %s: summary %+v != %+v", seed, kind, camp.Summary(), offline.Summary)
 			}
-			if !reflect.DeepEqual(camp.Reasons(), offline.ReasonFor) {
+			if !reflect.DeepEqual(verdicts, offline.ReasonFor) {
 				t.Fatalf("seed %d %s: reasons diverge\nlive:    %v\noffline: %v",
-					seed, kind, camp.Reasons(), offline.ReasonFor)
+					seed, kind, verdicts, offline.ReasonFor)
 			}
 			if kind == "timeline" {
 				want := filtering.WisdomOfCrowd(filtering.TimelineByVideo(offline.Kept))
