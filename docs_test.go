@@ -1,19 +1,25 @@
 // Documentation gates: every relative link in README.md and docs/
 // must resolve to a real file (offline, path-existence only), and
 // every fenced code block tagged `go` must be a complete file that
-// compiles against this module — docs that drift from the code fail
+// compiles against this module, and the metric names the docs quote
+// must be the ones /metrics serves — docs that drift from the code fail
 // CI instead of rotting.
 package eyeorg_test
 
 import (
 	"bufio"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/eyeorg/eyeorg/internal/cluster"
+	"github.com/eyeorg/eyeorg/internal/platform"
 )
 
 // docFiles returns README.md plus every markdown file under docs/.
@@ -161,5 +167,89 @@ func TestDocsGoSnippets(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no go-tagged snippets found in the docs — the extraction is broken")
+	}
+}
+
+// seriesName matches a metric name as the docs quote it; one that ends
+// in "_" is a family prefix ("eyeorg_router_*").
+var seriesName = regexp.MustCompile(`eyeorg_[a-z0-9_]+`)
+
+// registeredSeries scrapes h's /metrics and returns the series names
+// its TYPE lines declare.
+func registeredSeries(t *testing.T, h http.Handler) map[string]bool {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", rec.Code)
+	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			names[f[2]] = true
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("exposition declares no series")
+	}
+	return names
+}
+
+// TestDocsMetricNamesRegistered ties the metrics reference to the
+// registries both ways: every eyeorg_* name README.md or
+// docs/OPERATIONS.md quotes is a series a durable, tracing-on server
+// (or, for the eyeorg_router_/eyeorg_cluster_ families, a cluster's
+// node and router) really serves, and every series they serve is
+// named in full in docs/OPERATIONS.md — an abbreviated name is one no
+// grep, dashboard query or benchmark scrape can match.
+func TestDocsMetricNamesRegistered(t *testing.T) {
+	srv, err := platform.Open(platform.Options{DataDir: t.TempDir(), TraceSample: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	node := registeredSeries(t, srv.Handler())
+
+	cl, err := cluster.New(cluster.Config{Nodes: []string{"a"}, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	clustered := registeredSeries(t, cl.Handler())
+	for name := range registeredSeries(t, cl.Node("a").Server().Handler()) {
+		clustered[name] = true
+	}
+
+	documented := map[string]bool{} // names docs/OPERATIONS.md spells out
+	for _, file := range []string{"README.md", filepath.Join("docs", "OPERATIONS.md")} {
+		body, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range seriesName.FindAllString(string(body), -1) {
+			registered := node
+			if strings.HasPrefix(name, "eyeorg_router_") || strings.HasPrefix(name, "eyeorg_cluster_") {
+				registered = clustered
+			}
+			found := registered[name]
+			if strings.HasSuffix(name, "_") {
+				for reg := range registered {
+					found = found || strings.HasPrefix(reg, name)
+				}
+			} else if file != "README.md" {
+				documented[name] = true
+			}
+			if !found {
+				t.Errorf("%s names %q, which no /metrics serves", file, name)
+			}
+		}
+	}
+	for name := range node {
+		clustered[name] = true
+	}
+	for name := range clustered {
+		if !documented[name] {
+			t.Errorf("series %q is served but docs/OPERATIONS.md never names it in full", name)
+		}
 	}
 }

@@ -28,7 +28,7 @@
 // after a temp-file rename (fsynced when Options.Fsync is set), so a
 // journal record referencing a hash can always be replayed. Telemetry
 // (puts, cache hits/misses/evictions, resident bytes) flows through the
-// dependency-free Sink hooks, mirroring internal/store's pattern.
+// dependency-free Telemetry hooks, as internal/store's observer does.
 package blob
 
 import (
@@ -77,7 +77,7 @@ type Options struct {
 	// directory are fsynced ahead of the rename that publishes it.
 	Fsync bool
 	// Metrics receives the store's telemetry; nil disables it.
-	Metrics Sink
+	Metrics Telemetry
 }
 
 // Ref names a stored blob: its content hash and exact size.
@@ -101,7 +101,7 @@ type Store struct {
 	memServe bool
 	chunk    int
 	fsync    bool
-	sink     Sink
+	sink     Telemetry
 	cache    *cache // nil on memory tiers or when disabled
 
 	mu    sync.RWMutex

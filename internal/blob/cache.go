@@ -18,7 +18,7 @@ const cacheShards = 16
 type cache struct {
 	shards [cacheShards]cacheShard
 	mask   uint32
-	sink   Sink
+	sink   Telemetry
 }
 
 type cacheShard struct {
@@ -46,7 +46,7 @@ type cacheEntry struct {
 	b    []byte
 }
 
-func newCache(capacity, maxEntry int64, sink Sink) *cache {
+func newCache(capacity, maxEntry int64, sink Telemetry) *cache {
 	c := &cache{mask: cacheShards - 1, sink: sink}
 	per := capacity / cacheShards
 	if per < maxEntry {

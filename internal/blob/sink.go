@@ -1,7 +1,7 @@
 package blob
 
-// Sink receives the blob store's delivery telemetry. Like
-// internal/store's journal Sink, the store knows nothing about metric
+// Telemetry receives the blob store's delivery telemetry. Like
+// internal/store's journal, the store knows nothing about metric
 // registries — callers adapt these hooks onto whatever observability
 // system they run (internal/platform wires them into
 // internal/telemetry) — so the storage subsystem stays dependency-free.
@@ -9,7 +9,7 @@ package blob
 // Hooks fire on the ingest and cache paths, some under a cache shard
 // mutex; implementations must be cheap, non-blocking and safe for
 // concurrent use. A nil Options.Metrics disables all of them.
-type Sink interface {
+type Telemetry interface {
 	// BlobPut fires once per newly stored blob with its size in bytes.
 	// Deduplicated uploads (content already stored) do not fire.
 	BlobPut(bytes int64)

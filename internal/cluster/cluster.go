@@ -99,8 +99,8 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// newNode builds one member: the Node shell first (it is the journal's
-// replication sink, so it must exist before Open), then the in-memory
+// newNode builds one member: the Node shell first (it is the primary's
+// replication target, so it must exist before Open), then the in-memory
 // follower, then the durable primary shipping into both.
 func (c *Cluster) newNode(id string) (*Node, error) {
 	n := &Node{
@@ -133,7 +133,6 @@ func (c *Cluster) newNode(id string) (*Node, error) {
 		GroupCommit:   c.cfg.GroupCommit,
 		SnapshotEvery: c.cfg.SnapshotEvery,
 		IDTag:         id + ".",
-		InlineVideos:  true,
 		Replicate:     n,
 		Adaptive:      c.cfg.Adaptive,
 		CIHalfWidth:   c.cfg.CIHalfWidth,

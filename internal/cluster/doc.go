@@ -10,10 +10,11 @@
 // for the client to follow.
 //
 // Each Node pairs a durable platform server with an in-memory follower
-// replica fed by WAL shipping: the store calls Node.ShipWindow once
-// per sealed durability window, after the window is on disk and
-// strictly before the covered mutations acknowledge, and the sink
-// replays each record through the same apply path crash recovery uses.
+// replica fed by WAL shipping: the primary's journal reports every
+// sealed durability window to the Node (store.Window states the
+// contract: after the window is on disk and strictly before the covered
+// mutations acknowledge), and the Node replays each record through the
+// same apply path crash recovery uses.
 // "Acked" therefore always implies "applied on the follower", which is
 // what lets Cluster.Kill promote the replica on a crash without losing
 // a single acknowledged judgment — the kill-a-node chaos test pins

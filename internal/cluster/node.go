@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"github.com/eyeorg/eyeorg/internal/platform"
+	"github.com/eyeorg/eyeorg/internal/store"
 )
 
 // Node is one cluster member: a durable platform server (the primary),
@@ -17,9 +18,10 @@ import (
 // fences handed-off campaigns with 307s before requests reach the
 // platform.
 //
-// Node implements store.ReplicationSink: the primary's journal calls
-// ShipWindow once per sealed durability window, after the window is
-// durable and strictly before the covered mutations ack. The sink
+// Node is its primary's replication target (platform.Options.Replicate):
+// the primary's journal hands it every durability window, payloads
+// included, under the store.Window contract — after the window is
+// durable and strictly before the covered mutations ack. The node
 // applies each record to the follower synchronously, so "acked by the
 // primary" always implies "applied on the follower" — the invariant
 // the kill-a-node chaos test pins.
@@ -44,7 +46,7 @@ type Node struct {
 	// fencing redirects; set by the Cluster (or the server binary).
 	directory func(nodeID string) (string, bool)
 
-	// mu guards the capture buffer and the adopted set; ShipWindow
+	// mu guards the capture buffer and the adopted set; WindowDurable
 	// calls are already serialized by the store, so this lock only
 	// orders them against handoff start/stop and adoption.
 	mu        sync.Mutex
@@ -92,15 +94,15 @@ func (n *Node) ReplicationError() error {
 	return n.repErr
 }
 
-// ShipWindow implements store.ReplicationSink for the primary's
+// WindowDurable implements store.CommitObserver for the primary's
 // journal: capture for any in-flight handoff, then apply to the
-// follower. Runs on the journal's committer goroutine, before the
+// follower. Runs on the path that sealed the window, before the
 // window's mutations ack.
-func (n *Node) ShipWindow(first uint64, recs [][]byte) {
+func (n *Node) WindowDurable(w store.Window) {
 	n.mu.Lock()
 	if n.capturing > 0 {
-		for i, rec := range recs {
-			n.captured = append(n.captured, shippedRec{seq: first + uint64(i), payload: rec})
+		for i, rec := range w.Payloads {
+			n.captured = append(n.captured, shippedRec{seq: w.First + uint64(i), payload: rec})
 		}
 	}
 	f := n.follower
@@ -108,7 +110,7 @@ func (n *Node) ShipWindow(first uint64, recs [][]byte) {
 	if f == nil {
 		return
 	}
-	for _, rec := range recs {
+	for _, rec := range w.Payloads {
 		if err := f.ApplyReplicated(rec); err != nil {
 			n.mu.Lock()
 			if n.repErr == nil {

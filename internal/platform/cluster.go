@@ -216,7 +216,7 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 // shipped stream IS its journal, and applying through the same
 // functions recovery uses keeps the replica byte-identical to what the
 // source would rebuild. Records must arrive in ship order — the
-// store.ReplicationSink contract already serializes them.
+// store.Window contract already serializes them.
 func (s *Server) ApplyReplicated(payload []byte) error {
 	if s.log != nil {
 		return errors.New("platform: ApplyReplicated requires an in-memory follower (no DataDir)")
@@ -310,7 +310,7 @@ func (s *Server) Seq() uint64 {
 }
 
 // Barrier waits until everything journaled before the call is durable —
-// and therefore, per the ReplicationSink contract, shipped. The handoff
+// and therefore, per the store.Window contract, shipped. The handoff
 // protocol runs it after the fence so the catch-up tail is complete.
 func (s *Server) Barrier() error {
 	if s.log == nil {

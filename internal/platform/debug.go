@@ -21,30 +21,31 @@ import (
 	"github.com/eyeorg/eyeorg/internal/trace"
 )
 
-// commitRing retains recent commit-window timings published by the
-// journal's committer (store.TraceSink). A mutation that just returned
-// from WaitDurable looks its sequence up here; the committer publishes
-// a window strictly before waking its waiters, so the lookup only
-// misses when commitRingSize whole windows landed between wake-up and
-// lookup — in which case the trace attributes the wait to ack, never
-// blocks.
+// commitRing retains the timing of recent durability windows,
+// published by journalObserver. A mutation that just returned from
+// WaitDurable looks its sequence up here; the journal reports a window
+// strictly before waking its waiters, so the lookup only misses when
+// commitRingSize whole windows landed between wake-up and lookup — in
+// which case the trace attributes the wait to ack, never blocks.
 type commitRing struct {
 	mu  sync.Mutex
-	buf [commitRingSize]store.WindowTiming
+	buf [commitRingSize]store.Window
 	n   uint64
 }
 
 const commitRingSize = 128
 
-func (c *commitRing) CommitWindow(t store.WindowTiming) {
+func (c *commitRing) publish(w store.Window) {
+	w.Payloads = nil // the ring keeps timings, not records
 	c.mu.Lock()
-	c.buf[c.n%commitRingSize] = t
+	c.buf[c.n%commitRingSize] = w
 	c.n++
 	c.mu.Unlock()
 }
 
-// lookup finds the window that made seq durable.
-func (c *commitRing) lookup(seq uint64) (store.WindowTiming, bool) {
+// lookup finds the window that made seq durable (the zero Window on a
+// miss).
+func (c *commitRing) lookup(seq uint64) store.Window {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	live := c.n
@@ -53,11 +54,11 @@ func (c *commitRing) lookup(seq uint64) (store.WindowTiming, bool) {
 	}
 	for i := uint64(0); i < live; i++ {
 		w := c.buf[(c.n-1-i)%commitRingSize]
-		if w.FirstSeq <= seq && seq <= w.LastSeq {
-			return w, true
+		if w.First <= seq && seq <= w.Last {
+			return w
 		}
 	}
-	return store.WindowTiming{}, false
+	return store.Window{}
 }
 
 // startTrace begins a trace for one request when tracing is enabled,

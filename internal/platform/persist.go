@@ -4,10 +4,12 @@
 // Every mutation is expressed as an event. The live path validates,
 // buffers the event into the journal, and applies it inside one
 // shard-locked critical section — journal sequence order therefore
-// always matches memory order — but the durability wait (the fsync, or
-// the group-commit flush window that amortizes it) happens in mutate
-// AFTER the shard locks are released, so concurrent mutations on one
-// shard never serialize behind the disk. Recovery replays the journal
+// always matches memory order. Under GroupCommit the durability wait
+// (the flush window that amortizes the fsync) happens in mutate AFTER
+// the shard locks are released, so concurrent mutations on one shard
+// never serialize behind the disk; per-record fsync instead runs inside
+// the append, under the log mutex and the caller's shard lock (see the
+// durability table in docs/OPERATIONS.md). Recovery replays the journal
 // through the same apply functions, so the rebuilt state is
 // field-for-field the state the journal order produced — including the
 // order sessions complete per campaign, which is what makes /results
@@ -64,15 +66,15 @@ const (
 // Video records carry a content address (Hash + Size) into the blob
 // store, never the payload: the blob file is made durable before the
 // record referencing it is journaled, so replay always finds the bytes.
-// Data additionally carries the payload when Options.InlineVideos is
-// set, for followers whose blob store starts empty.
+// Data additionally carries the payload when Options.Replicate is set,
+// for followers whose blob store starts empty.
 type event struct {
 	Op       string         `json:"op"`
 	ID       string         `json:"id,omitempty"`
 	Campaign string         `json:"campaign,omitempty"`
 	Name     string         `json:"name,omitempty"`
 	Kind     string         `json:"kind,omitempty"`
-	Data     []byte         `json:"data,omitempty"` // InlineVideos payload
+	Data     []byte         `json:"data,omitempty"` // video payload, under Options.Replicate
 	Hash     string         `json:"hash,omitempty"`
 	Size     int64          `json:"size,omitempty"`
 	Worker   *Worker        `json:"worker,omitempty"`
@@ -107,11 +109,12 @@ type event struct {
 
 // journal buffers ev into the WAL and returns its sequence number.
 // Callers hold the shard lock that orders the mutation, so journal
-// order always matches memory order — but durability is NOT awaited
-// here: mutate calls WaitDurable on the returned sequence after the
-// shard locks are released, so an fsync (or a group-commit flush
-// window) never serializes a shard. Returns 0 in memory mode and
-// during replay.
+// order always matches memory order. Under GroupCommit durability is
+// NOT awaited here: mutate calls WaitDurable on the returned sequence
+// after the shard locks are released, so a flush window never
+// serializes a shard (without GroupCommit the append itself flushes
+// and fsyncs, under this lock). Returns 0 in memory mode and during
+// replay.
 func (s *Server) journal(ev *event) (uint64, error) {
 	if s.log == nil || s.replaying || ev.noJournal {
 		return 0, nil
@@ -213,8 +216,9 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 		return 0, fmt.Errorf("video %s: record carries no content hash", ev.ID)
 	}
 	if len(ev.Data) > 0 && !s.blobs.Has(ev.Hash) {
-		// InlineVideos record landing on a follower (or replaying after
-		// blob loss): the payload rides in the record — re-store it.
+		// A replicating primary's record landing on a follower (or
+		// replaying after blob loss): the payload rides in the record —
+		// re-store it.
 		if _, _, err := s.blobs.PutBytes(ev.Data); err != nil {
 			return 0, err
 		}

@@ -147,16 +147,14 @@ type Options struct {
 	// Tags must be mutually prefix-free (the cluster uses "a.", "b.",
 	// ...); empty keeps the single-node "c1" format.
 	IDTag string
-	// InlineVideos additionally journals each video's payload bytes
-	// inside its opVideo record (normally the record carries only the
-	// content address; the blob file is durable separately). Replication
-	// followers need the bytes in the stream — their blob store starts
-	// empty — so cluster nodes run with this set.
-	InlineVideos bool
 	// Replicate, when set, receives every sealed durability window of
-	// the journal (see store.ReplicationSink): the WAL-shipping hook the
-	// cluster layer feeds follower replicas from. Requires a DataDir.
-	Replicate store.ReplicationSink
+	// the journal with its record payloads (see store.Window for the
+	// delivery contract): the WAL-shipping hook the cluster layer feeds
+	// follower replicas from. Video records then carry their payload
+	// bytes too (normally only the content address; the blob file is
+	// durable separately), because a follower's blob store starts empty.
+	// Requires a DataDir.
+	Replicate store.CommitObserver
 }
 
 // Server implements the Eyeorg HTTP API.
@@ -190,12 +188,13 @@ type Server struct {
 	maxBatch  int
 
 	// tracer records stage-attributed request traces (nil when tracing
-	// is disabled); commits is the ring of journal commit-window
-	// timings traces attribute their durability waits from; logger
-	// carries operational records (slow traces, snapshot failures).
-	tracer  *trace.Tracer
-	commits *commitRing
-	logger  *slog.Logger
+	// is disabled); observer is what the store reports durability
+	// windows to, and holds the commit timings traces attribute their
+	// durability waits from; logger carries operational records (slow
+	// traces, snapshot failures).
+	tracer   *trace.Tracer
+	observer journalObserver
+	logger   *slog.Logger
 
 	// world is held shared by every mutation and exclusively by
 	// Snapshot (and campaign export/import), which gives them a
@@ -203,10 +202,8 @@ type Server struct {
 	// serial lock.
 	world sync.RWMutex
 
-	// idTag namespaces minted IDs (Options.IDTag); inlineVideos makes
-	// opVideo records carry payload bytes for replication followers.
-	idTag        string
-	inlineVideos bool
+	// idTag namespaces minted IDs (Options.IDTag).
+	idTag string
 	// moved maps campaign ID → owning node for campaigns handed off to
 	// another cluster node. Guarded by nothing: sync.Map, written only
 	// by applyHandoff/restore, read on every mutation's fencing check.
@@ -391,7 +388,6 @@ func Open(opts Options) (*Server, error) {
 		maxBody:   opts.MaxBodyBytes,
 	}
 	s.idTag = opts.IDTag
-	s.inlineVideos = opts.InlineVideos
 	if s.maxBody <= 0 {
 		s.maxBody = 1 << 20
 	}
@@ -425,17 +421,14 @@ func Open(opts Options) (*Server, error) {
 			s.adaptiveCfg.HalfWidth = adaptive.DefaultHalfWidth
 		}
 	}
-	var sink store.Sink
-	var bsink blob.Sink
+	var bsink blob.Telemetry
 	if !opts.DisableTelemetry {
 		s.metrics = newServerMetrics()
-		sink = newStoreSink(s.metrics.reg)
+		s.observer.registerMetrics(s.metrics.reg)
 		bsink = newBlobSink(s.metrics.reg)
 	}
-	var tsink store.TraceSink
 	if opts.TraceSample > 0 || opts.TraceSlow > 0 {
-		s.commits = &commitRing{}
-		tsink = s.commits
+		s.observer.commits = &commitRing{}
 		s.tracer = trace.New(trace.Config{
 			SampleRate: opts.TraceSample,
 			Slow:       opts.TraceSlow,
@@ -471,15 +464,19 @@ func Open(opts Options) (*Server, error) {
 	if opts.DataDir == "" {
 		return s, nil
 	}
+	var observer store.CommitObserver = &s.observer
+	if opts.Replicate != nil {
+		// Only a replication target needs the records themselves.
+		s.observer.replicate = opts.Replicate
+		observer = store.WithPayloads(observer)
+	}
 	jl, err := store.Open(opts.DataDir, store.Options{
 		SegmentBytes:  opts.SegmentBytes,
 		Fsync:         opts.Fsync,
 		GroupCommit:   opts.GroupCommit,
 		GroupMaxBatch: opts.GroupMaxBatch,
 		GroupMaxDelay: opts.GroupMaxDelay,
-		Metrics:       sink,
-		Trace:         tsink,
-		Replicate:     opts.Replicate,
+		Observer:      observer,
 	})
 	if err != nil {
 		return nil, err
@@ -541,7 +538,13 @@ func (s *Server) Snapshot() error {
 	if err != nil {
 		return err
 	}
-	return s.log.WriteSnapshot(data)
+	if err := s.log.WriteSnapshot(data); err != nil {
+		return err
+	}
+	if s.observer.snapshots != nil {
+		s.observer.snapshots.Inc()
+	}
+	return nil
 }
 
 // Handler returns the API's http.Handler. Every API route runs behind
@@ -887,12 +890,9 @@ func (s *Server) mutate(tr *trace.Trace, fn func() (uint64, error)) error {
 	tr.Mark(trace.StageApply)
 	if err == nil && seq != 0 {
 		err = s.log.WaitDurable(seq)
-		if tr != nil {
-			var timing store.WindowTiming
-			if s.commits != nil {
-				timing, _ = s.commits.lookup(seq)
-			}
-			tr.MarkDurable(timing.FsyncStart, timing.FsyncEnd)
+		if tr != nil { // tracing is on, so the commit ring exists
+			w := s.observer.commits.lookup(seq)
+			tr.MarkDurable(w.FsyncStart, w.FsyncEnd)
 		}
 	}
 	if err == nil {
@@ -1014,7 +1014,7 @@ func (s *Server) handleAddVideo(w http.ResponseWriter, r *http.Request) {
 	tr.Mark(trace.StageDecode)
 	id := s.newID("v")
 	ev := &event{Op: opVideo, ID: id, Campaign: campaignID, Hash: ref.Hash, Size: ref.Size, tr: tr}
-	if s.inlineVideos {
+	if s.observer.replicate != nil {
 		// Replication followers rebuild their blob store from the
 		// journal stream, so the record carries the payload too.
 		ev.Data = data

@@ -13,7 +13,7 @@
 // per-endpoint request counts, status classes and latency histograms
 // (plus interpolated p50/p99 gauges), store durability internals
 // (journal appends, group-commit window sizes, fsync latency, snapshot
-// rotations) fed through the store.Sink adapter, and live quality
+// rotations) fed by the journal's commit observer, and live quality
 // state (sessions in flight, §4.3 verdict tallies, banned videos)
 // computed at scrape time from the sharded indexes.
 package platform
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/store"
 	"github.com/eyeorg/eyeorg/internal/telemetry"
 	"github.com/eyeorg/eyeorg/internal/trace"
 )
@@ -119,38 +120,52 @@ func (m *serverMetrics) registerStageMetrics() {
 	}
 }
 
-// storeSink adapts the journal's telemetry hooks onto the registry; it
-// is handed to store.Open so the store stays dependency-free.
-type storeSink struct {
-	appends  *telemetry.Counter
-	bytes    *telemetry.Counter
-	windows  *telemetry.Histogram
-	fsync    *telemetry.Histogram
-	rotation *telemetry.Counter
+// journalObserver is the one value the journal reports to
+// (store.Options.Observer): every durability window arrives here once,
+// before it is acked, and feeds the eyeorg_journal_* series, the
+// commit-timing ring mutate attributes durability waits from, and the
+// replication target.
+type journalObserver struct {
+	// The eyeorg_journal_* instruments; nil with telemetry disabled.
+	// snapshots is bumped by Server.Snapshot, not by windows.
+	appends, bytes, snapshots *telemetry.Counter
+	windows, fsync            *telemetry.Histogram
+	commits                   *commitRing          // nil with tracing off
+	replicate                 store.CommitObserver // Options.Replicate
 }
 
-func newStoreSink(reg *telemetry.Registry) *storeSink {
+func (o *journalObserver) registerMetrics(reg *telemetry.Registry) {
 	reg.Help("eyeorg_journal_appends_total", "Records appended to the write-ahead journal.")
 	reg.Help("eyeorg_journal_append_bytes_total", "Framed bytes appended to the write-ahead journal.")
 	reg.Help("eyeorg_journal_window_records", "Records made durable per commit window (1 outside group commit).")
 	reg.Help("eyeorg_journal_fsync_seconds", "Journal fsync latency.")
 	reg.Help("eyeorg_journal_snapshots_total", "Snapshot rotations completed.")
-	return &storeSink{
-		appends:  reg.Counter("eyeorg_journal_appends_total", ""),
-		bytes:    reg.Counter("eyeorg_journal_append_bytes_total", ""),
-		windows:  reg.Histogram("eyeorg_journal_window_records", "", windowBuckets),
-		fsync:    reg.Histogram("eyeorg_journal_fsync_seconds", "", nil),
-		rotation: reg.Counter("eyeorg_journal_snapshots_total", ""),
+	o.appends = reg.Counter("eyeorg_journal_appends_total", "")
+	o.bytes = reg.Counter("eyeorg_journal_append_bytes_total", "")
+	o.windows = reg.Histogram("eyeorg_journal_window_records", "", windowBuckets)
+	o.fsync = reg.Histogram("eyeorg_journal_fsync_seconds", "", nil)
+	o.snapshots = reg.Counter("eyeorg_journal_snapshots_total", "")
+}
+
+func (o *journalObserver) WindowDurable(w store.Window) {
+	if o.appends != nil {
+		o.appends.Add(uint64(w.Records()))
+		o.bytes.Add(uint64(w.Bytes))
+		o.windows.ObserveSeconds(float64(w.Records()))
+		if d := w.FsyncEnd.Sub(w.FsyncStart); d > 0 {
+			o.fsync.Observe(d)
+		}
+	}
+	if o.commits != nil {
+		o.commits.publish(w)
+	}
+	if o.replicate != nil {
+		o.replicate.WindowDurable(w)
 	}
 }
 
-func (s *storeSink) JournalAppend(b int)       { s.appends.Inc(); s.bytes.Add(uint64(b)) }
-func (s *storeSink) GroupWindow(records int)   { s.windows.ObserveSeconds(float64(records)) }
-func (s *storeSink) FsyncDone(d time.Duration) { s.fsync.Observe(d) }
-func (s *storeSink) SnapshotRotate()           { s.rotation.Inc() }
-
 // blobSink adapts the video blob store's telemetry hooks onto the
-// registry, the same shape as storeSink: the blob subsystem stays
+// registry, the same shape as journalObserver: the blob subsystem stays
 // dependency-free and the platform owns the metric names.
 type blobSink struct {
 	puts         *telemetry.Counter

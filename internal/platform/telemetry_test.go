@@ -60,7 +60,7 @@ func metricValue(t *testing.T, body, series string) string {
 // exposition covers every layer the ISSUE names: per-endpoint request
 // counts and latency, store durability internals, and quality tallies.
 func TestMetricsEndpointCoversAPI(t *testing.T) {
-	c, _ := newClientOpts(t, Options{DataDir: t.TempDir(), Fsync: true, GroupCommit: true})
+	c, srv := newClientOpts(t, Options{DataDir: t.TempDir(), Fsync: true, GroupCommit: true})
 	id, _ := setupCampaign(c, "timeline", 2)
 	jr := join(c, id, "w-metrics")
 	completeSession(c, jr, 1500, true, 0, 0)
@@ -82,6 +82,20 @@ func TestMetricsEndpointCoversAPI(t *testing.T) {
 	// + 8 event batches + 7 responses = 19 appends.
 	if got := metricValue(t, body, "eyeorg_journal_appends_total"); got != "19" {
 		t.Errorf("journal appends = %s, want 19", got)
+	}
+	// Every append is covered by exactly one window, each fsynced once.
+	if got := metricValue(t, body, "eyeorg_journal_window_records_sum"); got != "19" {
+		t.Errorf("window records sum = %s, want 19", got)
+	}
+	if w, f := metricValue(t, body, "eyeorg_journal_window_records_count"), metricValue(t, body, "eyeorg_journal_fsync_seconds_count"); w != f {
+		t.Errorf("%s windows but %s fsyncs", w, f)
+	}
+	// A successful snapshot rotation is counted by Server.Snapshot.
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, scrape(t, c), "eyeorg_journal_snapshots_total"); got != "1" {
+		t.Errorf("snapshots = %s after one Snapshot, want 1", got)
 	}
 	// Latency histograms recorded every request.
 	if !regexp.MustCompile(`eyeorg_http_request_seconds_count\{endpoint="response"\} 7`).MatchString(body) {

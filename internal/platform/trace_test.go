@@ -224,3 +224,49 @@ func TestTraceParentAdoptedOverHTTP(t *testing.T) {
 		t.Fatalf("adopted trace on route %q", rec.Route)
 	}
 }
+
+// TestTracingPerRecordFsync: without group commit the fsync runs inside
+// the append, so the window the journal reports closed before the
+// durability wait began. A traced mutation must charge that fsync to
+// the append stage and whatever follows the apply to ack — never to
+// flush or fsync, which describe a wait on the committer.
+func TestTracingPerRecordFsync(t *testing.T) {
+	c, s := newClientOpts(t, Options{
+		DataDir:     t.TempDir(),
+		Fsync:       true,
+		TraceSample: 1,
+		TraceSeed:   42,
+	})
+	campaign, _ := setupCampaign(c, "timeline", 2)
+	jr := join(c, campaign, "w-trace-inline")
+	completeSession(c, jr, 1500, true, 0, 0)
+
+	var responses int
+	for _, rec := range s.Tracer().Snapshot() {
+		if rec.Route != "response" {
+			continue
+		}
+		responses++
+		if rec.Stages[trace.StageAppend] <= 0 {
+			t.Errorf("response trace %s has no append stage: %v", rec.ID, rec.Stages)
+		}
+		if rec.Stages[trace.StageAck] <= 0 {
+			t.Errorf("response trace %s has no ack stage: %v", rec.ID, rec.Stages)
+		}
+		if f, fs := rec.Stages[trace.StageFlush], rec.Stages[trace.StageFsync]; f != 0 || fs != 0 {
+			t.Errorf("response trace %s charged flush=%s fsync=%s to an inline append", rec.ID, f, fs)
+		}
+	}
+	if responses == 0 {
+		t.Fatal("no response traces retained at sample rate 1")
+	}
+	// The journal still reported every append's fsync, as windows of one.
+	body := scrape(t, c)
+	appends := metricValue(t, body, "eyeorg_journal_appends_total")
+	if got := metricValue(t, body, "eyeorg_journal_fsync_seconds_count"); got != appends || appends == "0" {
+		t.Errorf("fsyncs = %s for %s appends, want one per append", got, appends)
+	}
+	if got := metricValue(t, body, "eyeorg_journal_window_records_count"); got != appends {
+		t.Errorf("windows = %s for %s appends, want windows of one", got, appends)
+	}
+}

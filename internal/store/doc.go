@@ -25,10 +25,16 @@
 // older segment is real corruption and fails Open. The full frame,
 // window and snapshot formats are specified in docs/PROTOCOLS.md.
 //
-// Three hook interfaces keep the journal dependency-free while letting
-// the platform observe and extend it: Sink (durability telemetry),
-// TraceSink (per-window commit timing for request tracing), and
-// ReplicationSink (every payload of a sealed durability window, shipped
-// before the covered appends ack — the WAL-shipping transport that
-// internal/cluster rides for follower replication).
+// One hook keeps the journal dependency-free while letting the platform
+// observe and extend it: Options.Observer, a CommitObserver, receives
+// every durability window (Window: sequence range, framed bytes, flush
+// and fsync timestamps, and the payload copies when asked for through
+// WithPayloads) exactly once, after the window is durable and strictly
+// before any append it covers is acked, serialized and in sequence
+// order with no gaps — from every path that seals a window: an inline
+// append as a window of one, the group committer's flush with or
+// without fsync, and Close's tail. Durability telemetry, request-trace
+// timing and the WAL shipping internal/cluster replicates followers
+// over are all derived from that one report; the Window type carries
+// the normative statement.
 package store

@@ -51,19 +51,14 @@ func (l *Log) Durable() uint64 {
 	return l.durable
 }
 
-// markDurable advances the watermark and wakes every waiter it covers,
-// returning how many records the advance covered (0 when the watermark
-// was already past seq) so the committer can report the window size.
-func (l *Log) markDurable(seq uint64) uint64 {
+// markDurable advances the watermark and wakes every waiter it covers.
+func (l *Log) markDurable(seq uint64) {
 	l.ackMu.Lock()
-	var advanced uint64
 	if seq > l.durable {
-		advanced = seq - l.durable
 		l.durable = seq
 		l.ackCond.Broadcast()
 	}
 	l.ackMu.Unlock()
-	return advanced
 }
 
 // failAcks latches the first commit-pipeline error and wakes every
@@ -129,10 +124,10 @@ func (l *Log) awaitBatch(d time.Duration) {
 }
 
 // flushGroup makes everything buffered so far durable with one flush
-// and at most one fsync, then acks the covered sequences. The fsync
-// runs after the log mutex is released so appends for the next window
-// proceed during it; rotate coordinates through syncWG before closing
-// the file out from under it.
+// and at most one fsync, reports the window, then acks the covered
+// sequences. The fsync runs after the log mutex is released so appends
+// for the next window proceed during it; rotate coordinates through
+// syncWG before closing the file out from under it.
 func (l *Log) flushGroup() {
 	l.mu.Lock()
 	if l.f == nil {
@@ -144,32 +139,25 @@ func (l *Log) flushGroup() {
 		l.failAcks(errFailed)
 		return
 	}
-	seq := l.seq
-	pendFirst, pendRecs := l.takePendingLocked()
-	flushStart := time.Now()
+	if l.seq == l.sealed {
+		// A kick that coalesced with the previous flush: nothing is
+		// pending, so there is no window and nothing to fsync.
+		l.mu.Unlock()
+		return
+	}
+	var w Window
+	l.sealLocked(&w)
+	w.FlushStart = time.Now()
 	if err := l.w.Flush(); err != nil {
 		l.failed = true
 		l.mu.Unlock()
 		l.failAcks(err)
 		return
 	}
-	if !l.opts.Fsync {
-		l.mu.Unlock()
-		// No fsync in this configuration: publish an empty fsync
-		// bracket at the flush's completion so waiters still split
-		// their wait into flush vs ack. Replication ships before the
-		// ack, same as the fsync path.
-		l.shipWindow(pendFirst, pendRecs)
-		end := time.Now()
-		l.traceWindow(seq, flushStart, end, end)
-		l.sinkWindow(int(l.markDurable(seq)))
-		return
-	}
 	f := l.f
 	l.syncWG.Add(1)
 	l.mu.Unlock()
-	start := time.Now()
-	err := f.Sync()
+	err := l.syncWindow(&w, f)
 	l.syncWG.Done()
 	if err != nil {
 		l.mu.Lock()
@@ -178,11 +166,8 @@ func (l *Log) flushGroup() {
 		l.failAcks(err)
 		return
 	}
-	end := time.Now()
-	l.sinkFsync(end.Sub(start))
-	// Ship the durable window to followers before any covered waiter
-	// wakes: an acked record has always been shipped.
-	l.shipWindow(pendFirst, pendRecs)
-	l.traceWindow(seq, flushStart, start, end)
-	l.sinkWindow(int(l.markDurable(seq)))
+	// Report before any covered waiter wakes: an acked record has
+	// always been observed (and so, for a replicating observer, shipped).
+	l.report(w)
+	l.markDurable(w.Last)
 }

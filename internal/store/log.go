@@ -67,21 +67,12 @@ type Options struct {
 	// form naturally from whatever accumulates while the previous
 	// flush's fsync runs.
 	GroupMaxDelay time.Duration
-	// Metrics receives the journal's durability telemetry (appends,
-	// flush-window sizes, fsync latency, snapshot rotations). Nil
-	// disables instrumentation; see Sink for the hook contract.
-	Metrics Sink
-	// Trace receives per-window commit timing (flush start, fsync
-	// bracket, covered sequence range) so callers can attribute a
-	// WaitDurable wait to its flush/fsync/ack phases. Nil disables the
-	// hook; see TraceSink for the contract. Only the group-commit
-	// pipeline produces windows.
-	Trace TraceSink
-	// Replicate receives every record payload once its durability
-	// window is established, before the covered waiters are woken —
-	// the WAL-shipping transport cluster replication rides on. Nil
-	// disables shipping; see ReplicationSink for the contract.
-	Replicate ReplicationSink
+	// Observer receives every durability window once it is durable and
+	// before it is acked — the journal's one hook, from which callers
+	// derive metrics, request-trace timing and replication. Nil disables
+	// it; see Window for the contract and WithPayloads for asking for
+	// the record payloads.
+	Observer CommitObserver
 }
 
 // Log is a durable append-only journal. All methods are safe for
@@ -103,11 +94,15 @@ type Log struct {
 	// re-derives the truth from disk.
 	failed bool
 
-	// pendFirst/pendRecs queue appended payload copies between
-	// durability windows for Options.Replicate (see sink.go). Guarded
-	// by mu; shipped by whichever path establishes the window.
-	pendFirst uint64
-	pendRecs  [][]byte
+	// The window being built for Options.Observer (see observer.go):
+	// sealed is the last sequence a reported window covered, pendBytes
+	// the framed bytes appended since, pendRecs their payload copies
+	// when copyPayloads is set. Guarded by mu; sealed by whichever path
+	// makes the window durable.
+	sealed       uint64
+	pendBytes    int64
+	pendRecs     [][]byte
+	copyPayloads bool
 
 	snapSeq    uint64 // newest snapshot's sequence
 	loadedSeq  uint64 // snapshot found at Open time
@@ -150,10 +145,14 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{dir: dir, opts: opts}
+	if p, ok := opts.Observer.(payloadObserver); ok {
+		l.opts.Observer, l.copyPayloads = p.CommitObserver, true
+	}
 	l.loadSnapshot()
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
+	l.sealed = l.seq // windows cover appends, not what recovery found
 	if opts.GroupCommit {
 		l.group = true
 		l.kick = make(chan struct{}, 1)
@@ -252,34 +251,32 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 		l.failed = true
 		return 0, err
 	}
+	var w Window
 	if !l.group {
+		w.FlushStart = time.Now()
 		if err := l.w.Flush(); err != nil {
 			l.failed = true
 			return 0, err
 		}
-		if l.opts.Fsync {
-			start := time.Now()
-			if err := l.f.Sync(); err != nil {
-				// The frame may or may not be durable; either way memory and
-				// disk now disagree, so no further appends until reopen.
-				l.failed = true
-				return 0, err
-			}
-			l.sinkFsync(time.Since(start))
+		if err := l.syncWindow(&w, l.f); err != nil {
+			// The frame may or may not be durable; either way memory and
+			// disk now disagree, so no further appends until reopen.
+			l.failed = true
+			return 0, err
 		}
-		// Inline durability: each record is its own flush window.
-		l.sinkWindow(1)
 	}
-	l.size += int64(recordHeader + len(payload))
+	frame := int64(recordHeader + len(payload))
+	l.size += frame
 	l.seq++
-	l.sinkAppend(recordHeader + len(payload))
-	if l.opts.Replicate != nil {
-		l.notePending(l.seq, payload)
-		if !l.group {
-			// Inline durability was established above; ship before this
-			// append returns (= before the caller's ack).
-			l.shipWindow(l.takePendingLocked())
-		}
+	l.pendBytes += frame
+	if l.copyPayloads {
+		l.pendRecs = append(l.pendRecs, append([]byte(nil), payload...))
+	}
+	if !l.group {
+		// Inline durability: the record is its own window, reported
+		// before this append returns (= before the caller's ack).
+		l.sealLocked(&w)
+		l.report(w)
 	}
 	return l.seq, nil
 }
@@ -357,7 +354,6 @@ func (l *Log) WriteSnapshot(data []byte) error {
 		return err
 	}
 	l.snapSeq = l.seq
-	l.sinkSnapshot()
 	if l.size > 0 {
 		if err := l.rotate(); err != nil {
 			// rotate may have closed the old segment before failing, so
@@ -383,12 +379,25 @@ func (l *Log) Close() error {
 		l.mu.Unlock()
 		return nil
 	}
+	// Appends that raced the committer's shutdown drain form one last
+	// window, sealed here like any other.
+	var w Window
+	tail := l.seq > l.sealed && !l.failed
+	if tail {
+		l.sealLocked(&w)
+	}
+	w.FlushStart = time.Now()
 	err := l.w.Flush()
-	seq := l.seq
-	failed := l.failed
-	pendFirst, pendRecs := l.takePendingLocked()
+	w.FsyncStart = time.Now()
 	if serr := l.f.Sync(); err == nil {
 		err = serr
+	}
+	w.FsyncEnd = time.Now()
+	if !l.opts.Fsync {
+		// A clean shutdown syncs regardless, but the tail was durable per
+		// the options at the flush: its bracket is empty like every other
+		// unsynced window's.
+		w.FsyncEnd = w.FsyncStart
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
@@ -396,14 +405,14 @@ func (l *Log) Close() error {
 	l.f, l.w = nil, nil
 	l.mu.Unlock()
 	if l.group {
-		// Ack appends that raced the shutdown drain, then release any
-		// waiter that would otherwise never hear back. A failed log acks
-		// nothing: an earlier fsync failure means some window may never
-		// have reached disk, and a later Sync succeeding does not bring
-		// those pages back — the reopened journal is the only truth.
-		if err == nil && !failed {
-			l.shipWindow(pendFirst, pendRecs)
-			l.markDurable(seq)
+		// Ack the tail, then release any waiter that would otherwise
+		// never hear back. A failed log acks nothing: an earlier fsync
+		// failure means some window may never have reached disk, and a
+		// later Sync succeeding does not bring those pages back — the
+		// reopened journal is the only truth.
+		if err == nil && tail {
+			l.report(w)
+			l.markDurable(w.Last)
 		}
 		l.ackMu.Lock()
 		l.ackClosed = true

@@ -1,0 +1,88 @@
+package store
+
+import (
+	"os"
+	"time"
+)
+
+// Window is one durability window: the contiguous run of records one
+// flush (and, with Options.Fsync, one fsync) made durable. Without
+// group commit every append is its own window of one; under group
+// commit a window is whatever the committer's flush covered, and Close
+// seals whatever raced the committer's last drain.
+//
+// The contract, the only one the journal's hook has: the observer is
+// called exactly once per window, after the window is durable and
+// strictly before any WaitDurable (or inline Append) it covers returns;
+// calls are serialized and arrive in sequence order with no gaps, so
+// each First is the previous Last+1 — across segment rotations and
+// snapshots too — and no window is empty. A window the journal could
+// not make durable is never reported: the log latches failed instead.
+// A slow observer delays acks, never reorders them.
+type Window struct {
+	// First and Last are the sequence numbers of the window's first and
+	// last record.
+	First, Last uint64
+	// Bytes is the framed size (header + payload) of the window's
+	// records, i.e. what the window added to the segment files.
+	Bytes int64
+	// FlushStart is when the window's buffered write began;
+	// FsyncStart/FsyncEnd bracket its fsync and lie inside the window.
+	// Without Options.Fsync the bracket is empty (FsyncStart ==
+	// FsyncEnd == the flush's completion), so flush/fsync/ack splits
+	// still partition a waiter's durability wait.
+	FlushStart, FsyncStart, FsyncEnd time.Time
+	// Payloads holds a copy of each record's payload, Payloads[i] being
+	// sequence First+i, when the observer was installed through
+	// WithPayloads; nil otherwise. The copies belong to the observer.
+	Payloads [][]byte
+}
+
+// Records is the number of records the window covers.
+func (w Window) Records() int { return int(w.Last - w.First + 1) }
+
+// CommitObserver is the journal's one hook (Options.Observer): metrics,
+// request-trace timing and replication all derive from the windows it
+// receives, and the store stays free of all three. See Window for the
+// delivery contract. WindowDurable runs on the path that sealed the
+// window — under the log mutex for inline appends, on the committer
+// goroutine under group commit — so it must not call back into the Log.
+type CommitObserver interface {
+	WindowDurable(Window)
+}
+
+// WithPayloads marks obs as wanting Window.Payloads. Copying costs one
+// allocation per append, so the log only does it for an observer that
+// ships the records somewhere (WAL shipping to a follower).
+func WithPayloads(obs CommitObserver) CommitObserver { return payloadObserver{obs} }
+
+type payloadObserver struct{ CommitObserver }
+
+// sealLocked closes the window being built — everything appended since
+// the previous window — into w and starts the next one. Caller holds
+// l.mu and has checked that l.seq > l.sealed.
+func (l *Log) sealLocked(w *Window) {
+	w.First, w.Last, w.Bytes, w.Payloads = l.sealed+1, l.seq, l.pendBytes, l.pendRecs
+	l.sealed, l.pendBytes, l.pendRecs = l.seq, 0, nil
+}
+
+// syncWindow stamps w's fsync bracket, fsyncing f in between when
+// Options.Fsync asks for it.
+func (l *Log) syncWindow(w *Window, f *os.File) error {
+	w.FsyncStart = time.Now()
+	w.FsyncEnd = w.FsyncStart
+	if !l.opts.Fsync {
+		return nil
+	}
+	err := f.Sync()
+	w.FsyncEnd = time.Now()
+	return err
+}
+
+// report hands one durable window to the observer, if any. Every path
+// that seals a window calls it once, before acking the window.
+func (l *Log) report(w Window) {
+	if l.opts.Observer != nil {
+		l.opts.Observer.WindowDurable(w)
+	}
+}

@@ -24,7 +24,6 @@
 package trace
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
@@ -169,8 +168,9 @@ func (tr *Trace) Mark(s Stage) {
 // the commit window's fsync timestamps. The three stages partition the
 // wait exactly: flush is the wait before the window's fsync began,
 // fsync the overlap with the fsync itself, and ack the wake-up after
-// it. Zero timestamps (no window: in-memory mode, per-record fsync, or
-// a lookup miss) attribute the whole wait to ack.
+// it. Zero timestamps (a lookup miss) and a bracket that closed before
+// the wait began (per-record fsync: the fsync ran inside the append
+// stage) attribute the whole wait to ack.
 func (tr *Trace) MarkDurable(fsyncStart, fsyncEnd time.Time) {
 	if tr == nil {
 		return
@@ -410,19 +410,4 @@ func (t *Tracer) Get(id string) (Record, bool) {
 		return rec, true
 	}
 	return t.sampled.get(id)
-}
-
-// --- request-context plumbing ---
-
-type ctxKey struct{}
-
-// NewContext returns ctx carrying tr.
-func NewContext(ctx context.Context, tr *Trace) context.Context {
-	return context.WithValue(ctx, ctxKey{}, tr)
-}
-
-// FromContext returns the trace carried by ctx, or nil.
-func FromContext(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(ctxKey{}).(*Trace)
-	return tr
 }
