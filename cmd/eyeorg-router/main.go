@@ -23,7 +23,12 @@
 // 307 for campaigns it has handed off, and in proxy mode the router
 // follows those fences server-side and pins the new owner. The
 // router's own counters — requests per node, fence hops followed,
-// failovers, unroutable requests — are served on GET /metrics.
+// unroutable requests — are served on GET /metrics.
+//
+// The router does not health-check or route around a node: while a
+// node is down its campaigns answer 502 (proxy mode) and every other
+// node's keep serving; the node recovers them from its data directory
+// when it restarts.
 //
 // The router holds no durable state: restarting it loses only warm
 // routing tables, which rebuild from the ring and node responses.

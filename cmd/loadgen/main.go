@@ -31,11 +31,12 @@
 //
 // With -selftest -cluster the in-process target is a 3-node cluster
 // behind the campaign router instead of a single server: every node
-// runs its own journal (honoring -data-dir/-fsync/-group-commit) and
-// ships sealed WAL windows to its follower replica, campaigns spread
-// across nodes by consistent hash until each owns at least one, and
-// every request travels through the router's ownership resolution —
-// the full production scale-out path, driveable from one command.
+// runs its own journal (honoring -data-dir/-fsync/-group-commit),
+// campaigns spread across nodes by consistent hash until each owns at
+// least one, and every request travels through the router's ownership
+// resolution. The same generator drives the deployed topology —
+// eyeorg-router in front of eyeorg-server -node-id processes — with
+// -addr pointed at the router.
 //
 // -log-format text|json selects the log/slog handler every line goes
 // through, mirroring the server's flag.
@@ -449,9 +450,8 @@ func seedCampaign(client *http.Client, target, kind string, payloads [][]byte) (
 	return created.ID, ids, nil
 }
 
-// clusterMembers is the node set -cluster and the bench's cluster
-// scenario bring up: three nodes, the smallest cluster where failover,
-// successor chains and partitioning are all non-trivial.
+// clusterMembers is the node set -cluster brings up: three nodes, so
+// campaigns partition over more than a pair.
 var clusterMembers = []string{"a", "b", "c"}
 
 // clusterSeedCap bounds how many campaigns seedCampaignSet mints while

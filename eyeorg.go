@@ -273,10 +273,12 @@ func NewPlatformHandler() http.Handler {
 // --- cluster ---
 
 // Cluster partitions campaigns across several platform nodes by
-// consistent hashing, replicates each node's journal into an in-memory
-// follower by WAL window shipping (acked ⇒ shipped ⇒ applied on the
-// follower), and fails campaigns over to the follower's host when a
-// node dies. See internal/cluster and docs/ARCHITECTURE.md.
+// consistent hashing, routes every request to the owning node, and
+// moves a campaign between nodes under load with a journaled ownership
+// fence (Cluster.MoveCampaign). It does not replicate: a node's
+// campaigns live in that node's data directory only, and are
+// unavailable while it is down. See internal/cluster and
+// docs/ARCHITECTURE.md.
 type Cluster = cluster.Cluster
 
 // ClusterConfig describes an in-process cluster (node IDs, data
@@ -297,8 +299,8 @@ type ClusterRing = cluster.Ring
 type ClusterNode = cluster.Node
 
 // NewCluster brings up an in-process cluster: one durable platform
-// node per ID under cfg.Dir, WAL shipping into followers, and a router
-// in front. Drive it through Cluster.Handler().
+// node per ID under cfg.Dir and a router in front. Drive it through
+// Cluster.Handler().
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
 // NewClusterRing builds a consistent-hash ring over node IDs

@@ -332,8 +332,8 @@ func syncDir(dir string) error {
 	return err
 }
 
-// PutBytes stores b (used by journal replay of InlineVideos records on
-// replication followers, by campaign import, and by tests).
+// PutBytes stores b (used when a replayed video record carries its
+// payload, by campaign import, and by tests).
 func (s *Store) PutBytes(b []byte) (Ref, bool, error) {
 	return s.Put(bytes.NewReader(b))
 }

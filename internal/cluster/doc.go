@@ -1,29 +1,38 @@
 // Package cluster partitions EYEORG campaigns across platform nodes
-// and keeps every acknowledged judgment survivable.
+// and moves them between nodes without losing an acknowledged
+// judgment.
 //
 // Campaigns are the shard unit — sessions never span campaigns — and a
 // consistent-hash ring (Ring) with virtual nodes maps each campaign ID
 // to its owning node, so membership changes move only ~1/N of the
 // keyspace. The Router in front resolves every API request to the
-// owner (ring for fresh campaigns, learned tables and failover
-// overrides after that) and either proxies in-process or answers a 307
-// for the client to follow.
-//
-// Each Node pairs a durable platform server with an in-memory follower
-// replica fed by WAL shipping: the primary's journal reports every
-// sealed durability window to the Node (store.Window states the
-// contract: after the window is on disk and strictly before the covered
-// mutations acknowledge), and the Node replays each record through the
-// same apply path crash recovery uses.
-// "Acked" therefore always implies "applied on the follower", which is
-// what lets Cluster.Kill promote the replica on a crash without losing
-// a single acknowledged judgment — the kill-a-node chaos test pins
-// byte-identical /results across that failover.
+// owner (ring for fresh campaigns, learned tables and handoff
+// overrides after that) and either proxies or answers a 307 for the
+// client to follow. A Node is a durable platform server behind the
+// ownership middleware that answers 307 for campaigns it has handed
+// off.
 //
 // Campaign migration (Cluster.MoveCampaign) is snapshot-ship plus
 // journal-tail catch-up: export the campaign at a journal cut, fence
 // it with a journaled handoff record (the old owner then answers 307,
 // never double-applies), and import state + tail atomically on the new
-// owner. See docs/ARCHITECTURE.md for the full protocol narrative and
+// owner. The tail is what the source journaled between cut and fence:
+// the node is its server's commit observer (platform.Options.Replicate,
+// under the store.Window contract: every record is reported after it is
+// durable and strictly before its mutation acknowledges) and keeps the
+// records while a handoff is in flight.
+//
+// What the tier does not do: replicate. A node's campaigns live in its
+// own data directory and nowhere else; while the node is down they are
+// unavailable (the router answers 502 and routes nothing around it),
+// every other node's campaigns keep serving, and the node recovers its
+// own byte-identically when it restarts over that directory. A copy
+// that survives the machine needs a network transport on the same
+// commit observer — see ROADMAP.md. The deployed binaries
+// (eyeorg-router over eyeorg-server -node-id) run NewRemoteRouter over
+// NewStandaloneNode: ring, routing and fencing, with MoveCampaign a
+// library call no binary exposes yet.
+//
+// See docs/ARCHITECTURE.md for the protocol narrative and
 // docs/PROTOCOLS.md for the message formats.
 package cluster

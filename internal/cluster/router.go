@@ -34,21 +34,21 @@ const maxRehops = 4
 
 // Router is the cluster's thin entry point. It maps every request to
 // the node owning the targeted campaign — consistent hash for fresh
-// campaigns, learned tables plus failover overrides after that — and
+// campaigns, learned tables plus handoff overrides after that — and
 // either proxies the request (in-process dispatch, following fencing
 // 307s internally) or answers a redirect for the client to follow.
 //
 // The router holds no campaign state of its own: everything it knows
 // it learned from responses (which node answered a create/join) or was
-// told by the Cluster (failover overrides). Restarting it loses only
+// told by the Cluster (handoff overrides). Restarting it loses only
 // warm routing; requests re-resolve through the ring and node fences.
 type Router struct {
 	mode string // "proxy" | "redirect"
 
+	ring    *Ring              // immutable
+	targets map[string]*target // fixed at construction
+
 	mu        sync.RWMutex
-	ring      *Ring // over currently-alive nodes
-	targets   map[string]*target
-	successor map[string]string // dead node → adopting node
 	campaigns map[string]string // campaign → owning node (learned + overrides)
 	sessions  map[string]routeRef
 	videos    map[string]routeRef
@@ -58,16 +58,14 @@ type Router struct {
 	reg        *telemetry.Registry
 	routed     map[string]*telemetry.Counter // per-node proxied/redirected requests
 	rehops     *telemetry.Counter
-	failovers  *telemetry.Counter
 	unroutable *telemetry.Counter
 }
 
 // target is one node as the router sees it.
 type target struct {
-	id    string
-	base  string
-	h     http.Handler
-	alive bool
+	id   string
+	base string
+	h    http.Handler
 }
 
 type routeRef struct{ node, campaign string }
@@ -79,7 +77,7 @@ type routeRef struct{ node, campaign string }
 func NewRouter(mode string, ring *Ring, nodes []*Node) (*Router, error) {
 	targets := make([]*target, 0, len(nodes))
 	for _, n := range nodes {
-		targets = append(targets, &target{id: n.ID, base: n.Base, h: n.Handler(), alive: true})
+		targets = append(targets, &target{id: n.ID, base: n.Base, h: n.Handler()})
 	}
 	return newRouter(mode, ring, targets)
 }
@@ -96,10 +94,9 @@ func NewRemoteRouter(mode string, ring *Ring, members map[string]string) (*Route
 			return nil, fmt.Errorf("cluster: node %s has invalid base URL %q", id, base)
 		}
 		targets = append(targets, &target{
-			id:    id,
-			base:  strings.TrimSuffix(base, "/"),
-			h:     httputil.NewSingleHostReverseProxy(u),
-			alive: true,
+			id:   id,
+			base: strings.TrimSuffix(base, "/"),
+			h:    httputil.NewSingleHostReverseProxy(u),
 		})
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
@@ -114,7 +111,6 @@ func newRouter(mode string, ring *Ring, targets []*target) (*Router, error) {
 		mode:      mode,
 		ring:      ring,
 		targets:   map[string]*target{},
-		successor: map[string]string{},
 		campaigns: map[string]string{},
 		sessions:  map[string]routeRef{},
 		videos:    map[string]routeRef{},
@@ -128,22 +124,8 @@ func newRouter(mode string, ring *Ring, targets []*target) (*Router, error) {
 	}
 	rt.reg.Help("eyeorg_router_rehops_total", "Fencing 307s the router followed while proxying.")
 	rt.rehops = rt.reg.Counter("eyeorg_router_rehops_total", "")
-	rt.reg.Help("eyeorg_router_failovers_total", "Nodes the router has failed over away from.")
-	rt.failovers = rt.reg.Counter("eyeorg_router_failovers_total", "")
-	rt.reg.Help("eyeorg_router_unroutable_total", "Requests the router could not map to a live node.")
+	rt.reg.Help("eyeorg_router_unroutable_total", "Requests the router could not map to a node.")
 	rt.unroutable = rt.reg.Counter("eyeorg_router_unroutable_total", "")
-	rt.reg.Help("eyeorg_router_nodes_alive", "Cluster nodes the router currently routes to.")
-	rt.reg.GaugeFunc("eyeorg_router_nodes_alive", "", func() float64 {
-		rt.mu.RLock()
-		defer rt.mu.RUnlock()
-		alive := 0
-		for _, t := range rt.targets {
-			if t.alive {
-				alive++
-			}
-		}
-		return float64(alive)
-	})
 	return rt, nil
 }
 
@@ -151,25 +133,11 @@ func newRouter(mode string, ring *Ring, targets []*target) (*Router, error) {
 func (rt *Router) Metrics() *telemetry.Registry { return rt.reg }
 
 // Override pins a campaign to a node — the Cluster calls it after a
-// handoff or failover so every subsequent request routes to the new
-// owner without bouncing off the old one's fence.
+// handoff so every subsequent request routes to the new owner without
+// bouncing off the old one's fence.
 func (rt *Router) Override(campaign, nodeID string) {
 	rt.mu.Lock()
 	rt.campaigns[campaign] = nodeID
-	rt.mu.Unlock()
-}
-
-// MarkDead removes a node from routing: the ring drops it (fresh
-// campaigns hash over survivors) and existing references chase the
-// successor chain.
-func (rt *Router) MarkDead(nodeID, successorID string) {
-	rt.mu.Lock()
-	if t, ok := rt.targets[nodeID]; ok && t.alive {
-		t.alive = false
-		rt.ring = rt.ring.Without(nodeID)
-		rt.successor[nodeID] = successorID
-		rt.failovers.Inc()
-	}
 	rt.mu.Unlock()
 }
 
@@ -202,12 +170,10 @@ func (rt *Router) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	if req.ID == "" {
 		req.ID = "c" + RouterIDTag + strconv.FormatInt(rt.nextID.Add(1), 10)
 	}
-	rt.mu.RLock()
 	owner := rt.ring.Owner(req.ID)
-	rt.mu.RUnlock()
 	if owner == "" {
 		rt.unroutable.Inc()
-		http.Error(w, "no live nodes", http.StatusServiceUnavailable)
+		http.Error(w, "no nodes", http.StatusServiceUnavailable)
 		return
 	}
 	rewritten, err := json.Marshal(&req)
@@ -239,7 +205,7 @@ func (rt *Router) handleRouted(w http.ResponseWriter, r *http.Request) {
 	node, campaign, ok := rt.resolve(r, body)
 	if !ok {
 		rt.unroutable.Inc()
-		http.Error(w, "no route: unknown entity or no live owner", http.StatusServiceUnavailable)
+		http.Error(w, "no route: unknown entity or owner", http.StatusServiceUnavailable)
 		return
 	}
 	rt.dispatch(w, r, node, campaign, body, false)
@@ -273,21 +239,21 @@ func (rt *Router) resolve(r *http.Request, body []byte) (node, campaign string, 
 	return node, campaign, node != ""
 }
 
-// campaignNodeLocked resolves a campaign to its live owner: the
+// campaignNodeLocked resolves a campaign to its owner: the
 // learned/override table first, the minting node encoded in the ID
-// tag next, the ring as the fresh-campaign fallback — each chased
-// through the successor chain. Caller holds rt.mu.
+// tag next, the ring as the fresh-campaign fallback. Caller holds
+// rt.mu.
 func (rt *Router) campaignNodeLocked(campaign string) string {
 	if campaign == "" {
 		return ""
 	}
 	if n, ok := rt.campaigns[campaign]; ok {
-		return rt.aliveLocked(n)
+		return n
 	}
 	if n := nodeOfID(campaign); n != "" && rt.targets[n] != nil {
-		return rt.aliveLocked(n)
+		return n
 	}
-	return rt.aliveLocked(rt.ring.Owner(campaign))
+	return rt.ring.Owner(campaign)
 }
 
 // entityNodeLocked resolves a session/video to its node via the
@@ -295,33 +261,17 @@ func (rt *Router) campaignNodeLocked(campaign string) string {
 // holds rt.mu.
 func (rt *Router) entityNodeLocked(table map[string]routeRef, id string) (node, campaign string) {
 	if ref, ok := table[id]; ok {
-		// A dead node's entities follow their campaign's override
-		// (set at failover) rather than the generic successor chain.
+		// A moved campaign's entities follow its override rather than
+		// the node that answered their create.
 		if n, ok := rt.campaigns[ref.campaign]; ok {
-			return rt.aliveLocked(n), ref.campaign
+			return n, ref.campaign
 		}
-		return rt.aliveLocked(ref.node), ref.campaign
+		return ref.node, ref.campaign
 	}
 	if n := nodeOfID(id); n != "" && rt.targets[n] != nil {
-		return rt.aliveLocked(n), ""
+		return n, ""
 	}
 	return "", ""
-}
-
-// aliveLocked chases the successor chain from n to a live node ("" if
-// the chain dead-ends). Caller holds rt.mu.
-func (rt *Router) aliveLocked(n string) string {
-	for hops := 0; n != "" && hops < len(rt.targets)+1; hops++ {
-		t, ok := rt.targets[n]
-		if !ok {
-			return ""
-		}
-		if t.alive {
-			return n
-		}
-		n = rt.successor[n]
-	}
-	return ""
 }
 
 // nodeOfID extracts the minting node from a tagged entity ID:
@@ -347,9 +297,7 @@ func nodeOfID(id string) string {
 // a client-side redirect. forceProxy overrides redirect mode for the
 // routes the router rewrites. Returns the response status.
 func (rt *Router) dispatch(w http.ResponseWriter, r *http.Request, nodeID, campaign string, body []byte, forceProxy bool) int {
-	rt.mu.RLock()
 	t := rt.targets[nodeID]
-	rt.mu.RUnlock()
 	if t == nil {
 		rt.unroutable.Inc()
 		http.Error(w, "unknown node "+nodeID, http.StatusServiceUnavailable)
@@ -396,10 +344,8 @@ func (rt *Router) dispatch(w http.ResponseWriter, r *http.Request, nodeID, campa
 // nodeByBase maps a fence redirect's Location back to a target by its
 // advertised base URL.
 func (rt *Router) nodeByBase(location string) *target {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
 	for _, t := range rt.targets {
-		if t.base != "" && strings.HasPrefix(location, t.base) && t.alive {
+		if t.base != "" && strings.HasPrefix(location, t.base) {
 			return t
 		}
 	}

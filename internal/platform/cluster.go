@@ -1,6 +1,5 @@
-// Cluster support: campaign export/import (handoff between nodes),
-// handoff fencing, and the replication apply path followers feed
-// shipped WAL windows through.
+// Cluster support: campaign export/import (handoff between nodes) and
+// handoff fencing.
 //
 // A campaign moves between nodes as snapshot-ship + journal-tail
 // catch-up: the old owner exports the campaign (its sessions, videos
@@ -17,7 +16,6 @@ package platform
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -46,9 +44,6 @@ func (s *Server) ExportCampaign(id string) (state []byte, seq uint64, err error)
 	if !ok {
 		return nil, 0, errNoCampaign
 	}
-	// A fenced campaign exports too: node replacement fences the
-	// adopted replica FIRST (no outbox exists there to capture a tail),
-	// then exports the quiesced state.
 	ex := campaignExport{Version: stateVersion, Campaign: exportCampaignState(c)}
 	for _, sid := range c.sessions {
 		sess, ok := s.sessions.Get(sid)
@@ -181,10 +176,6 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 		s.videos.Put(vn.ID, v)
 		s.bumpID(vn.ID)
 	}
-	// The import always lands owned-here: a moved marker in the export
-	// (node replacement exports an already-fenced campaign) is the OLD
-	// owner's fence, not the new one's.
-	ex.Campaign.Moved = ""
 	c, err := s.restoreCampaign(ex.Campaign)
 	if err != nil {
 		return 0, fmt.Errorf("import campaign %s: %w", ex.Campaign.ID, err)
@@ -211,29 +202,10 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 	return seq, nil
 }
 
-// ApplyReplicated applies one shipped journal record to a follower
-// replica. The follower must be an in-memory server (no DataDir): the
-// shipped stream IS its journal, and applying through the same
-// functions recovery uses keeps the replica byte-identical to what the
-// source would rebuild. Records must arrive in ship order — the
-// store.Window contract already serializes them.
-func (s *Server) ApplyReplicated(payload []byte) error {
-	if s.log != nil {
-		return errors.New("platform: ApplyReplicated requires an in-memory follower (no DataDir)")
-	}
-	var ev event
-	if err := json.Unmarshal(payload, &ev); err != nil {
-		return fmt.Errorf("replicated record: %w", err)
-	}
-	s.world.RLock()
-	defer s.world.RUnlock()
-	return s.applyEvent(&ev)
-}
-
 // CampaignOfRecord attributes one journal record payload to the
 // campaign it mutates, resolving session- and video-scoped ops through
 // the live indexes. The handoff protocol uses it to filter a node's
-// shipped-record capture down to one campaign's catch-up tail.
+// captured records down to one campaign's catch-up tail.
 func (s *Server) CampaignOfRecord(payload []byte) (string, bool) {
 	var ev event
 	if err := json.Unmarshal(payload, &ev); err != nil {
@@ -253,13 +225,6 @@ func (s *Server) CampaignOfRecord(payload []byte) (string, bool) {
 }
 
 // --- ownership accessors (read paths for the cluster middleware) ---
-
-// HasCampaign reports whether the campaign exists on this node
-// (including fenced, handed-off campaigns).
-func (s *Server) HasCampaign(id string) bool {
-	_, ok := s.campaigns.Get(id)
-	return ok
-}
 
 // CampaignOf resolves a session ID to its campaign.
 func (s *Server) CampaignOf(sessionID string) (string, bool) {
@@ -300,18 +265,10 @@ func (s *Server) MovedTo(campaign string) (string, bool) {
 	return t.(string), true
 }
 
-// Seq returns the journal's last assigned sequence (0 for in-memory
-// servers).
-func (s *Server) Seq() uint64 {
-	if s.log == nil {
-		return 0
-	}
-	return s.log.Seq()
-}
-
 // Barrier waits until everything journaled before the call is durable —
-// and therefore, per the store.Window contract, shipped. The handoff
-// protocol runs it after the fence so the catch-up tail is complete.
+// and therefore, per the store.Window contract, reported to Replicate.
+// The handoff protocol runs it after the fence so the catch-up tail is
+// complete.
 func (s *Server) Barrier() error {
 	if s.log == nil {
 		return nil

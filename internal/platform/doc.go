@@ -42,8 +42,9 @@
 // A server can also run as one member of a campaign-partitioned
 // cluster (internal/cluster): Options.IDTag namespaces the IDs it
 // mints, the ownership middleware answers fencing 307s for campaigns
-// handed off to a peer, and Options.Replicate ships every sealed
-// durability window to a follower that replays it through this same
+// handed off to a peer, and Options.Replicate hands every sealed
+// durability window to the node, which keeps the records journaled
+// during a handoff as the tail the new owner replays through this same
 // recovery path. See docs/ARCHITECTURE.md for the subsystem map and
 // the byte-identical-replay invariant every layer preserves.
 package platform

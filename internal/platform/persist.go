@@ -66,8 +66,9 @@ const (
 // Video records carry a content address (Hash + Size) into the blob
 // store, never the payload: the blob file is made durable before the
 // record referencing it is journaled, so replay always finds the bytes.
-// Data additionally carries the payload when Options.Replicate is set,
-// for followers whose blob store starts empty.
+// Data additionally carries the payload when Options.Replicate is set:
+// a record replayed from a handoff tail lands on a node whose blob
+// store has never seen the video.
 type event struct {
 	Op       string         `json:"op"`
 	ID       string         `json:"id,omitempty"`
@@ -215,12 +216,19 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	if ev.Hash == "" {
 		return 0, fmt.Errorf("video %s: record carries no content hash", ev.ID)
 	}
-	if len(ev.Data) > 0 && !s.blobs.Has(ev.Hash) {
-		// A replicating primary's record landing on a follower (or
-		// replaying after blob loss): the payload rides in the record —
-		// re-store it.
-		if _, _, err := s.blobs.PutBytes(ev.Data); err != nil {
-			return 0, err
+	if !s.blobs.Has(ev.Hash) {
+		if len(ev.Data) > 0 {
+			// A handoff-tail record landing on the new owner (or
+			// replaying after blob loss): the payload rides in the
+			// record — re-store it.
+			if _, _, err := s.blobs.PutBytes(ev.Data); err != nil {
+				return 0, err
+			}
+		}
+		// Same refusal as restoreVideo: a video nothing can serve must
+		// not be assigned to participants.
+		if !s.blobs.Has(ev.Hash) {
+			return 0, fmt.Errorf("video %s references missing blob %s", ev.ID, ev.Hash)
 		}
 	}
 	vsh := s.videos.Shard(ev.ID)

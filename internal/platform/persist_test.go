@@ -376,7 +376,7 @@ func TestWrongVersionStateRefused(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", stateVersion)) {
 				t.Fatalf("import of a %s export: %v, want an error naming version %d", name, err, stateVersion)
 			}
-			if dst.HasCampaign(campaign) {
+			if _, ok := dst.campaigns.Get(campaign); ok {
 				t.Fatal("refused import still installed the campaign")
 			}
 			if err := dst.ImportCampaign(state, nil); err != nil {
@@ -414,5 +414,42 @@ func TestVideoWithoutHashRefused(t *testing.T) {
 	err = NewServer().loadState(data)
 	if err == nil || !strings.Contains(err.Error(), id) {
 		t.Fatalf("loading a hashless video DTO: %v, want an error naming %s", err, id)
+	}
+}
+
+// TestVideoWithoutBlobRefused: a video whose blob file is gone cannot
+// be served, so recovery refuses it by name and hash on both paths —
+// pure journal replay (applyVideo) and snapshot load (restoreVideo) —
+// rather than one of them opening a server that assigns the video to
+// participants and answers 500 for it.
+func TestVideoWithoutBlobRefused(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		t.Run(fmt.Sprintf("snapshot=%v", snapshot), func(t *testing.T) {
+			dir := t.TempDir()
+			srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
+			_, vids := setupCampaign(c, "timeline", 1)
+			v, _ := srv.videos.Get(vids[0])
+			if snapshot {
+				if err := srv.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(filepath.Join(dir, "blobs", v.Hash[:2], v.Hash)); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+			if err == nil {
+				reopened.Close()
+				t.Fatalf("Open over a data dir missing %s's blob succeeded", vids[0])
+			}
+			for _, want := range []string{vids[0], v.Hash, "missing blob"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("Open: %v, want an error containing %q", err, want)
+				}
+			}
+		})
 	}
 }

@@ -149,10 +149,13 @@ type Options struct {
 	IDTag string
 	// Replicate, when set, receives every sealed durability window of
 	// the journal with its record payloads (see store.Window for the
-	// delivery contract): the WAL-shipping hook the cluster layer feeds
-	// follower replicas from. Video records then carry their payload
-	// bytes too (normally only the content address; the blob file is
-	// durable separately), because a follower's blob store starts empty.
+	// delivery contract). Its one consumer today is the in-process
+	// cluster node, which keeps the records journaled while a campaign
+	// handoff is in flight as the importer's catch-up tail. Video
+	// records then carry their payload bytes too (normally only the
+	// content address; the blob file is durable separately), because
+	// the importing node's blob store has never seen them. Nothing is
+	// shipped off the machine: a network transport would attach here.
 	// Requires a DataDir.
 	Replicate store.CommitObserver
 }
@@ -466,7 +469,7 @@ func Open(opts Options) (*Server, error) {
 	}
 	var observer store.CommitObserver = &s.observer
 	if opts.Replicate != nil {
-		// Only a replication target needs the records themselves.
+		// Only a Replicate observer needs the records themselves.
 		s.observer.replicate = opts.Replicate
 		observer = store.WithPayloads(observer)
 	}
@@ -1015,8 +1018,8 @@ func (s *Server) handleAddVideo(w http.ResponseWriter, r *http.Request) {
 	id := s.newID("v")
 	ev := &event{Op: opVideo, ID: id, Campaign: campaignID, Hash: ref.Hash, Size: ref.Size, tr: tr}
 	if s.observer.replicate != nil {
-		// Replication followers rebuild their blob store from the
-		// journal stream, so the record carries the payload too.
+		// A handoff tail replays on a node whose blob store has never
+		// seen this video, so the record carries the payload too.
 		ev.Data = data
 	}
 	if err := s.mutate(tr, func() (uint64, error) { return s.applyVideo(ev) }); err != nil {

@@ -123,8 +123,8 @@ func (m *serverMetrics) registerStageMetrics() {
 // journalObserver is the one value the journal reports to
 // (store.Options.Observer): every durability window arrives here once,
 // before it is acked, and feeds the eyeorg_journal_* series, the
-// commit-timing ring mutate attributes durability waits from, and the
-// replication target.
+// commit-timing ring mutate attributes durability waits from, and
+// Options.Replicate.
 type journalObserver struct {
 	// The eyeorg_journal_* instruments; nil with telemetry disabled.
 	// snapshots is bumped by Server.Snapshot, not by windows.

@@ -34,7 +34,7 @@
 // order with no gaps — from every path that seals a window: an inline
 // append as a window of one, the group committer's flush with or
 // without fsync, and Close's tail. Durability telemetry, request-trace
-// timing and the WAL shipping internal/cluster replicates followers
-// over are all derived from that one report; the Window type carries
-// the normative statement.
+// timing and the handoff-tail capture of internal/cluster are all
+// derived from that one report; the Window type carries the normative
+// statement.
 package store

@@ -167,7 +167,7 @@ func (l *Log) flushGroup() {
 		return
 	}
 	// Report before any covered waiter wakes: an acked record has
-	// always been observed (and so, for a replicating observer, shipped).
+	// always been observed (and so, for a capturing observer, captured).
 	l.report(w)
 	l.markDurable(w.Last)
 }

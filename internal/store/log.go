@@ -69,7 +69,7 @@ type Options struct {
 	GroupMaxDelay time.Duration
 	// Observer receives every durability window once it is durable and
 	// before it is acked — the journal's one hook, from which callers
-	// derive metrics, request-trace timing and replication. Nil disables
+	// derive metrics, request-trace timing and record capture. Nil disables
 	// it; see Window for the contract and WithPayloads for asking for
 	// the record payloads.
 	Observer CommitObserver

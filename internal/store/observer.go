@@ -42,8 +42,9 @@ type Window struct {
 func (w Window) Records() int { return int(w.Last - w.First + 1) }
 
 // CommitObserver is the journal's one hook (Options.Observer): metrics,
-// request-trace timing and replication all derive from the windows it
-// receives, and the store stays free of all three. See Window for the
+// request-trace timing and the cluster's handoff-tail capture all
+// derive from the windows it receives, and the store stays free of all
+// three. See Window for the
 // delivery contract. WindowDurable runs on the path that sealed the
 // window — under the log mutex for inline appends, on the committer
 // goroutine under group commit — so it must not call back into the Log.
@@ -53,7 +54,8 @@ type CommitObserver interface {
 
 // WithPayloads marks obs as wanting Window.Payloads. Copying costs one
 // allocation per append, so the log only does it for an observer that
-// ships the records somewhere (WAL shipping to a follower).
+// keeps the records: today the cluster node capturing a campaign's
+// handoff tail, and the seam a network transport would attach to.
 func WithPayloads(obs CommitObserver) CommitObserver { return payloadObserver{obs} }
 
 type payloadObserver struct{ CommitObserver }
