@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io/fs"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -304,21 +305,32 @@ func TestAnalyticsPercentileParamValidation(t *testing.T) {
 	}
 }
 
-// TestAnalyticsRenderRace renders /analytics in a tight loop while
-// chaos sessions join and complete: run under -race this pins the
-// copy-at-the-boundary contract of stats.SortedSample.Values and
-// quality.Campaign.Votes, and that frozen rows are filed and copied
-// under the campaign lock only. Whatever the interleaving, a poll lists
-// each session once, in ascending ID order, and as many as it counts.
+// TestAnalyticsRenderRace renders /analytics in tight loops while chaos
+// sessions join and complete, and while a batch of sessions joined
+// before the first poll complete one after another: run under -race this
+// pins the copy-at-the-boundary contract of stats.SortedSample.Values
+// and quality.Campaign.Votes, that frozen rows are filed and copied
+// under the campaign lock only, and that a poll copes with a session it
+// listed as in flight having completed — its state gone from the index —
+// before the poll reaches it. Whatever the interleaving, a poll lists
+// each session once, in ascending ID order, as many as it counts, and
+// none of the early sessions is ever missing.
 func TestAnalyticsRenderRace(t *testing.T) {
 	for _, kind := range []string{"timeline", "ab"} {
 		t.Run(kind, func(t *testing.T) {
 			c, _ := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9, AdaptiveSeed: 9})
 			campaign, _ := setupCampaign(c, kind, 2)
+			var early []JoinResponse
+			for i := 0; i < 24; i++ {
+				jr, code := joinStatus(c, campaign, fmt.Sprintf("early-%d", i))
+				if code != http.StatusCreated {
+					t.Fatalf("early join %d: %d", i, code)
+				}
+				early = append(early, jr)
+			}
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
+			poll := func() {
 				defer wg.Done()
 				for {
 					select {
@@ -327,7 +339,8 @@ func TestAnalyticsRenderRace(t *testing.T) {
 					default:
 					}
 					resp, err := http.Get(c.srv.URL + "/api/v1/campaigns/" + campaign + "/analytics")
-					if err != nil {
+					if err != nil { // a handler that panicked hangs up
+						t.Errorf("poll: %v", err)
 						return
 					}
 					var ar AnalyticsResponse
@@ -337,15 +350,39 @@ func TestAnalyticsRenderRace(t *testing.T) {
 						t.Errorf("poll: decode %v, %d participants listed, %d counted", err, len(ar.Participants), ar.Sessions)
 						return
 					}
-					for i := 1; i < len(ar.Participants); i++ {
-						if ar.Participants[i-1].Session >= ar.Participants[i].Session {
-							t.Errorf("poll lists %s before %s", ar.Participants[i-1].Session, ar.Participants[i].Session)
+					listed := map[string]bool{}
+					for i, pv := range ar.Participants {
+						listed[pv.Session] = true
+						if i > 0 && ar.Participants[i-1].Session >= pv.Session {
+							t.Errorf("poll lists %s before %s", ar.Participants[i-1].Session, pv.Session)
+							return
+						}
+					}
+					for _, jr := range early {
+						if !listed[jr.Session] {
+							t.Errorf("poll misses session %s, joined before it", jr.Session)
+							return
+						}
+					}
+				}
+			}
+			wg.Add(3)
+			go poll()
+			go poll()
+			d := &chaos{base: c.srv.URL, client: &http.Client{}, sent: newSent()}
+			go func() {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(18))
+				for _, jr := range early {
+					for _, tt := range jr.Tests {
+						if err := d.expect(http.StatusAccepted, "POST", "/api/v1/sessions/"+jr.Session+"/responses", d.response(r, kind, 0, tt), nil); err != nil {
+							t.Error(err)
 							return
 						}
 					}
 				}
 			}()
-			runChaos(t, newSent(), c.srv.URL, campaign, kind, 21, 4, 4)
+			runChaos(t, d.sent, c.srv.URL, campaign, kind, 21, 4, 4)
 			close(stop)
 			wg.Wait()
 		})

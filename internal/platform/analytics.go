@@ -153,18 +153,22 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	csh.RUnlock()
 	sort.Strings(liveIDs)
 	// In-flight rows are rendered under each session's shard lock, the
-	// campaign lock released: mutations nest them the other way round.
+	// campaign lock released: mutations nest them the other way round. A
+	// session was indexed before it was listed and is never removed, but
+	// it may have completed since, and then has no state to render.
 	live := make([][]byte, len(liveIDs))
 	for i, sid := range liveIDs {
 		ssh := s.sessions.Shard(sid)
 		ssh.RLock()
-		sess, _ := ssh.Get(sid) // indexed before it was listed, never removed
-		live[i] = sess.verdictRow()
+		if e, _ := ssh.Get(sid); e.live != nil {
+			live[i] = e.live.verdictRow()
+		}
 		ssh.RUnlock()
 	}
 	// The rest is read under the campaign lock, released before anything
-	// is written. A session that completed since its row was rendered is
-	// listed from its frozen row; one that joined since, in the next poll.
+	// is written. A session that completed since it was listed — before or
+	// after its row was rendered — is listed from its frozen row; one that
+	// joined since, in the next poll.
 	csh.RLock()
 	rows, size, sum := len(c.rowOrder), len(c.rows), uint64(0)
 	for i, sid := range liveIDs {
@@ -241,11 +245,7 @@ func (c *campaignState) appendAnalytics(b, shell []byte, liveIDs []string, live 
 			at, _ = c.frozenAt(liveIDs[i])
 		}
 		for ; next < at; next++ {
-			row, start := c.rowOrder[next], uint32(0)
-			if row > 0 {
-				start = c.rowEnds[row-1]
-			}
-			b = append(b, c.rows[start:c.rowEnds[row]]...)
+			b = append(b, segment(c.rows, c.rowEnds, c.rowOrder[next])...)
 		}
 		if i < len(liveIDs) && live[i] != nil {
 			b = append(append(b, live[i]...), ',')

@@ -233,9 +233,10 @@ func rawAnalytics(t *testing.T, c *client, campaign string) []byte {
 
 // oracleAnalytics renders /analytics from scratch on a quiesced server,
 // the way the endpoint did before rows were frozen at completion: every
-// session the campaign ever joined is looked up in the session map,
-// sorted by ID and encoded as one AnalyticsResponse. The served body,
-// assembled from frozen rows, must equal it byte for byte.
+// session the campaign ever joined is looked up in the session index — a
+// completed one decoded from its frozen record — sorted by ID and
+// encoded as one AnalyticsResponse. The served body, assembled from
+// frozen rows, must equal it byte for byte.
 func oracleAnalytics(t *testing.T, s *Server, campaignID string, lo, hi float64) []byte {
 	t.Helper()
 	c, ok := s.campaigns.Get(campaignID)
@@ -246,9 +247,12 @@ func oracleAnalytics(t *testing.T, s *Server, campaignID string, lo, hi float64)
 	ids := append([]string(nil), c.sessions...)
 	sort.Strings(ids)
 	for _, sid := range ids {
-		sess, ok := s.sessions.Get(sid)
-		if !ok {
-			t.Fatalf("campaign %s lists unknown session %s", campaignID, sid)
+		ssh := s.sessions.Shard(sid)
+		ssh.RLock()
+		sess, err := s.sessionLocked(ssh, sid)
+		ssh.RUnlock()
+		if err != nil {
+			t.Fatalf("campaign %s lists session %s: %v", campaignID, sid, err)
 		}
 		snap := sess.final
 		if !sess.completed() {
@@ -706,7 +710,7 @@ func TestAnalyticsScriptedVerdicts(t *testing.T) {
 
 // TestAnalyticsAfterExportImport: the frozen rows are never serialized;
 // a campaign exported and imported into another server gets them from
-// completeSession like a snapshot load does, so the importer serves the
+// fileCompleted like a snapshot load does, so the importer serves the
 // exporter's exact bytes under the exporter's validator, equal to the
 // from-scratch render, and keeps folding.
 func TestAnalyticsAfterExportImport(t *testing.T) {

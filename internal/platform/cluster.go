@@ -21,8 +21,9 @@ import (
 )
 
 // campaignExport is the handoff document: one campaign's full state in
-// snapshot DTOs, plus the blob payloads its videos reference (the
-// receiving node's blob store has never seen them).
+// snapshot DTOs — the campaign with its completed sessions' arena, the
+// in-flight sessions, the videos — plus the blob payloads its videos
+// reference (the receiving node's blob store has never seen them).
 type campaignExport struct {
 	Version  int               `json:"version"`
 	Campaign *snapCampaign     `json:"campaign"`
@@ -45,12 +46,9 @@ func (s *Server) ExportCampaign(id string) (state []byte, seq uint64, err error)
 		return nil, 0, errNoCampaign
 	}
 	ex := campaignExport{Version: stateVersion, Campaign: exportCampaignState(c)}
-	for _, sid := range c.sessions {
-		sess, ok := s.sessions.Get(sid)
-		if !ok {
-			return nil, 0, fmt.Errorf("campaign %s references unknown session %s", id, sid)
-		}
-		ex.Sessions = append(ex.Sessions, exportSessionState(sess))
+	for _, sid := range c.inflight {
+		e, _ := s.sessions.Get(sid) // in flight: indexed at join, with its state
+		ex.Sessions = append(ex.Sessions, exportSessionState(e.live))
 	}
 	for _, vid := range c.Videos {
 		v, ok := s.videos.Get(vid)
@@ -164,9 +162,7 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("import session %s: %w", sn.ID, err)
 		}
-		s.sessions.Put(sn.ID, sess)
-		s.joined.Add(1)
-		s.bumpID(sn.ID)
+		s.sessions.Put(sn.ID, sessionEntry{live: sess})
 	}
 	for _, vn := range ex.Videos {
 		v, err := s.restoreVideo(vn)
@@ -182,6 +178,10 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 	}
 	s.campaigns.Put(ex.Campaign.ID, c)
 	s.bumpID(ex.Campaign.ID)
+	s.joined.Add(int64(len(c.sessions)))
+	for _, sid := range c.sessions {
+		s.bumpID(sid)
+	}
 	// Catch-up tail: events the old owner journaled after the export
 	// cut, replayed through the normal apply functions with journaling
 	// suppressed — they are already durable inside this import record.
@@ -228,11 +228,14 @@ func (s *Server) CampaignOfRecord(payload []byte) (string, bool) {
 
 // CampaignOf resolves a session ID to its campaign.
 func (s *Server) CampaignOf(sessionID string) (string, bool) {
-	sess, ok := s.sessions.Get(sessionID)
-	if !ok {
+	e, ok := s.sessions.Get(sessionID)
+	switch {
+	case !ok:
 		return "", false
+	case e.live != nil:
+		return e.live.Campaign, true
 	}
-	return sess.Campaign, true
+	return e.done.ID, true
 }
 
 // CampaignOfVideo resolves a video ID to its campaign.

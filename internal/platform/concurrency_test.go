@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -150,5 +151,87 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 	if res.Kept != participants {
 		t.Fatalf("kept = %d, want %d (diligent traces)", res.Kept, participants)
+	}
+}
+
+// TestLateRequestsRaceCompletions hammers completed sessions with late
+// requests — each answered by reading the session's frozen record in
+// place — while other sessions of the same campaign complete, each
+// appending to the arena those records sit in and, as it grows, moving
+// it. Run under -race; every reply is, byte for byte, what a quiet
+// server answered.
+func TestLateRequestsRaceCompletions(t *testing.T) {
+	const frozen, completing, hammers = 8, 96, 4
+	srv := NewServer()
+	h := srv.Handler()
+	campaign := seedDispatch(t, h, 3)
+	do := func(method, path string, body any) (int, string) {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			panic(err)
+		}
+		rec := (&fuzzEnv{handler: h}).do(method, path, raw)
+		return rec.Code, rec.Body.String()
+	}
+	var done []JoinResponse
+	for i := 0; i < frozen; i++ {
+		var jr JoinResponse
+		dispatch(t, h, "POST", "/api/v1/sessions", JoinRequest{Campaign: campaign, Worker: Worker{ID: fmt.Sprintf("late-%d", i)}, Captcha: "tok"}, &jr)
+		done = append(done, jr)
+	}
+	completeSessions(t, h, campaign, 0, 1) // a record ahead of theirs in the arena
+	for _, jr := range done {
+		for _, tt := range jr.Tests {
+			dispatch(t, h, "POST", "/api/v1/sessions/"+jr.Session+"/responses", ResponseBody{TestID: tt.TestID, SubmittedMs: 1_500, KeptOriginal: true}, nil)
+		}
+	}
+	type late struct {
+		method, path string
+		body         any
+		status       int
+		reply        string
+	}
+	var lates []late
+	for _, jr := range done {
+		base := "/api/v1/sessions/" + jr.Session
+		for _, l := range []late{
+			{method: "GET", path: base + "/tests", status: http.StatusOK},
+			{method: "POST", path: base + "/responses", body: ResponseBody{TestID: jr.Tests[3].TestID, SubmittedMs: 1}, status: http.StatusConflict},
+			{method: "POST", path: base + "/responses", body: ResponseBody{TestID: jr.Session + "-t9"}, status: http.StatusBadRequest},
+			{method: "POST", path: base + "/events", body: EventBatch{VideoID: jr.Tests[0].VideoID, Plays: 1}, status: http.StatusConflict},
+		} {
+			var status int
+			if status, l.reply = do(l.method, l.path, l.body); status != l.status {
+				t.Fatalf("%s %s on a quiet server: %d %s, want %d", l.method, l.path, status, l.reply, l.status)
+			}
+			lates = append(lates, l)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < hammers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				l := lates[i%len(lates)]
+				if status, reply := do(l.method, l.path, l.body); status != l.status || reply != l.reply {
+					t.Errorf("%s %s while others complete: %d %s, want %d %s", l.method, l.path, status, reply, l.status, l.reply)
+					return
+				}
+			}
+		}(w)
+	}
+	completeSessions(t, h, campaign, 1, completing)
+	close(stop)
+	wg.Wait()
+	if live, completed := indexCounts(srv); live != 0 || completed != frozen+1+completing {
+		t.Fatalf("index holds %d session states and %d completed rows, want 0 and %d", live, completed, frozen+1+completing)
 	}
 }

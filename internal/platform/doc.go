@@ -18,13 +18,18 @@
 //
 // Verdicts have one source: each campaign's quality.Campaign, the
 // incremental §4.3 fold. A session's tracker follows it while in
-// flight; the answer that completes it runs completeSession — the same
-// step journal replay, snapshot load and campaign import run — which
-// freezes the session's standing, releases the tracker and its traces,
-// folds the answers in and renders the /analytics row polls then copy.
-// Both endpoints render from that fold; internal/filtering, the batch
-// form of the same rules, is only the tests' reference. A completed
-// session keeps its identity, assignment, answers and frozen standing.
+// flight; the answer that completes it runs completeSession, which
+// freezes the session's standing, releases the tracker and its traces
+// and encodes what is left — worker, assignment, answers, the frozen
+// counters — as one varint record appended to the campaign's arena
+// (frozen.go). Every completed session, fresh or decoded from the arena
+// a snapshot or an imported campaign carried, then goes through
+// fileCompleted, which folds the answers in and renders the /analytics
+// row polls then copy. Both endpoints render from that fold;
+// internal/filtering, the batch form of the same rules, is only the
+// tests' reference. No struct outlives completion: the sessions index
+// keeps (campaign, row) inline for a completed session, and a late
+// request or GET …/tests decodes its record in place.
 //
 // Storage is the internal/store subsystem: campaigns, sessions and
 // videos live in sharded in-memory indexes (per-shard RW locks, FNV-

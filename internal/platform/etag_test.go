@@ -193,3 +193,29 @@ func TestLargeRepliesAreFramedByLength(t *testing.T) {
 		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body", resp.ContentLength, resp.TransferEncoding, len(body))
 	}
 }
+
+// TestETagMatchesAllocFree: every conditional GET — a video 304, a
+// /results or /analytics revalidation — walks its If-None-Match header
+// in place, whatever form the header takes.
+func TestETagMatchesAllocFree(t *testing.T) {
+	const tag = `"00c0ffee00c0ffee-1f4"`
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{tag, true},
+		{`W/"stale", W/` + tag + `, *`, true},
+		{`"stale", "staler" , ` + tag, true},
+		{`"stale",*`, true},
+		{`"stale", "staler",`, false},
+		{`W/"stale"`, false},
+		{"", false},
+	} {
+		if got := etagMatches(tc.header, tag); got != tc.want {
+			t.Fatalf("etagMatches(%q) = %v, want %v", tc.header, got, tc.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { etagMatches(tc.header, tag) }); allocs != 0 {
+			t.Fatalf("etagMatches(%q) allocates %.0f times, want 0", tc.header, allocs)
+		}
+	}
+}

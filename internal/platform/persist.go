@@ -267,14 +267,14 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ssh.Put(ev.ID, &sessionState{
+	ssh.Put(ev.ID, sessionEntry{live: &sessionState{
 		ID:         ev.ID,
 		Campaign:   ev.Campaign,
 		Worker:     *ev.Worker,
 		Assignment: ev.Tests,
 		answers:    make([]answer, 0, len(ev.Tests)),
 		track:      quality.NewTracker(assignedVideos(ev.Tests)),
-	})
+	}})
 	if c, ok := csh.Get(ev.Campaign); ok {
 		c.sessions = append(c.sessions, ev.ID)
 		c.inflight = append(c.inflight, ev.ID)
@@ -336,13 +336,14 @@ func (s *Server) applyRecords(ev *event, recs []wire.Record) (uint64, error) {
 	ssh.Lock()
 	defer ssh.Unlock()
 	ev.tr.Mark(trace.StageLockWait)
-	sess, ok := ssh.Get(ev.ID)
+	e, ok := ssh.Get(ev.ID)
 	if !ok {
 		return 0, errNoSession
 	}
 	// A completed session's verdict is already folded and frozen;
 	// accepting more instrumentation would silently diverge from it.
-	if sess.completed() {
+	sess := e.live
+	if sess == nil {
 		return 0, errSessionDone
 	}
 	if err := s.campaignMoved(sess.Campaign); err != nil {
@@ -374,13 +375,20 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 	ssh := s.sessions.Shard(ev.ID)
 	ssh.Lock()
 	defer ssh.Unlock()
-	sess, ok := ssh.Get(ev.ID)
-	if !ok {
-		return 0, false, errNoSession
+	// A completed session answers from its frozen record. Every test of
+	// a record this server wrote is answered, so parseResponse tells a
+	// duplicate from an unknown test; an imported record that leaves one
+	// open is still a session that is done.
+	sess, err := s.sessionLocked(ssh, ev.ID)
+	if err != nil {
+		return 0, false, err
 	}
 	a, err := parseResponse(sess, ev.Body)
 	if err != nil {
 		return 0, false, err
+	}
+	if sess.completed() {
+		return 0, false, errSessionDone
 	}
 	if err := s.campaignMoved(sess.Campaign); err != nil {
 		return 0, false, err
@@ -394,6 +402,7 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 		csh := s.campaigns.Shard(sess.Campaign)
 		csh.Lock()
 		defer csh.Unlock()
+		var ok bool
 		if c, ok = csh.Get(sess.Campaign); !ok {
 			return 0, false, errNoCampaign
 		}
@@ -406,25 +415,36 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 	sess.answers = append(sess.answers, a)
 	sess.trackAnswer(a)
 	if c != nil {
-		s.completeSession(c, sess)
+		ssh.Put(ev.ID, s.completeSession(c, sess))
 	}
 	s.countMutation(opResponse)
 	return seq, c != nil, nil
 }
 
-// completeSession is the one completion step, reached identically by
-// the live response path, journal replay, snapshot load and campaign
-// import. It freezes the session's standing and releases the tracker
-// with its traces (a session restored from a snapshot arrives already
-// frozen), folds the answers into the campaign's analytics and stopper,
-// and files the session and its /analytics row in completion order. Caller
-// holds both shard locks, or runs before the server accepts requests.
-func (s *Server) completeSession(c *campaignState, sess *sessionState) {
-	if !sess.completed() {
-		sess.track.SetCompleted()
-		sess.final = sess.track.Snapshot()
-		sess.track = nil
-	}
+// completeSession is what the completing answer does, on the live path
+// and on every replay of its journal record alike: it freezes the
+// session's standing, releases the tracker with its traces, appends the
+// session's frozen record to the campaign's arena and files it. The
+// entry returned replaces the session's state in the index, which held
+// the last reference to it. Caller holds both shard locks.
+func (s *Server) completeSession(c *campaignState, sess *sessionState) sessionEntry {
+	sess.track.SetCompleted()
+	sess.final = sess.track.Snapshot()
+	sess.track = nil
+	c.arena = appendFrozen(c.arena, c, sess)
+	c.arenaEnds = append(c.arenaEnds, uint32(len(c.arena)))
+	s.completedN.Add(1)
+	return sessionEntry{done: c, row: c.fileCompleted(sess)}
+}
+
+// fileCompleted is the one step every completed session goes through,
+// fresh from completeSession or decoded from a loaded arena
+// (restoreCampaign): it folds the answers into the campaign's analytics
+// and stopper and files the session and its /analytics row under the
+// next row number, which it returns — the row the session's record sits
+// at in the arena. Caller holds the campaign's shard lock, or the
+// campaign is not reachable yet.
+func (c *campaignState) fileCompleted(sess *sessionState) uint32 {
 	rec := sess.record(c.Kind)
 	c.analytics.Complete(rec, sess.final.Final)
 	if c.adaptive != nil {
@@ -432,14 +452,15 @@ func (s *Server) completeSession(c *campaignState, sess *sessionState) {
 	}
 	c.inflight = slices.DeleteFunc(c.inflight, func(id string) bool { return id == sess.ID })
 	at, _ := c.frozenAt(sess.ID)
-	c.rowOrder = slices.Insert(c.rowOrder, at, uint32(len(c.recordSessions)))
+	n := uint32(len(c.recordSessions))
+	c.rowOrder = slices.Insert(c.rowOrder, at, n)
 	c.recordSessions = append(c.recordSessions, sess.ID)
 	row := sess.verdictRow()
 	c.rows = append(append(c.rows, row...), ',')
 	c.rowEnds = append(c.rowEnds, uint32(len(c.rows)))
 	c.rowDigest += crc64.Checksum(row, etagTable)
 	c.invalidate()
-	s.completedN.Add(1)
+	return n
 }
 
 // record views the session's answers as the filtering.SessionRecord the
@@ -568,11 +589,12 @@ func (sess *sessionState) trackAnswer(a answer) {
 // --- snapshots ---
 
 // stateVersion is the schema version of the snapshot and campaign-export
-// documents. Version 2 introduced the answers/final session form; the
-// unversioned layout before it serialized per-session traces that a
-// completed session no longer has, so no reader for it is kept and a
-// document carrying any other version is refused.
-const stateVersion = 2
+// documents. Version 3 carries a campaign's completed sessions as its
+// arena of frozen records; version 2 listed each one as a session DTO,
+// and the unversioned layout before it serialized per-session traces
+// that a completed session no longer has. No reader for either is kept:
+// a document carrying any other version is refused.
+const stateVersion = 3
 
 func checkStateVersion(doc string, got int) error {
 	if got != stateVersion {
@@ -581,10 +603,11 @@ func checkStateVersion(doc string, got int) error {
 	return nil
 }
 
-// The snapshot is a JSON document of plain DTOs. The analytics and
-// stopper state are NOT serialized: campaigns store the
-// completion-ordered session IDs, and load re-folds those sessions'
-// answers through completeSession, keeping the snapshot small and the
+// The snapshot is a JSON document of plain DTOs. The analytics, stopper
+// state and /analytics rows are NOT serialized: a campaign carries its
+// completed sessions' IDs in completion order and their frozen records
+// as the arena's bytes, and load walks the arena once, re-folding each
+// record through fileCompleted, keeping the snapshot small and the
 // rebuild exact.
 
 type snapState struct {
@@ -596,20 +619,25 @@ type snapState struct {
 	Videos    []*snapVideo    `json:"videos,omitempty"`
 }
 
+// snapCampaign is one campaign. Records names its completed sessions in
+// completion order; Arena is their frozen records back to back (base64
+// in the document) and ArenaEnds where each one ends, so record i is
+// Records[i]'s. Sessions names every session ever joined, in join order.
 type snapCampaign struct {
-	ID       string   `json:"id"`
-	Name     string   `json:"name"`
-	Kind     string   `json:"kind"`
-	Videos   []string `json:"videos,omitempty"`
-	Records  []string `json:"records,omitempty"`  // session IDs, completion order
-	Sessions []string `json:"sessions,omitempty"` // session IDs, join order
-	Moved    string   `json:"moved,omitempty"`    // node the campaign was handed off to
+	ID        string   `json:"id"`
+	Name      string   `json:"name"`
+	Kind      string   `json:"kind"`
+	Videos    []string `json:"videos,omitempty"`
+	Records   []string `json:"records,omitempty"`
+	Arena     []byte   `json:"arena,omitempty"`
+	ArenaEnds []uint32 `json:"arena_ends,omitempty"`
+	Sessions  []string `json:"sessions,omitempty"`
+	Moved     string   `json:"moved,omitempty"` // node the campaign was handed off to
 }
 
-// snapSession is one session. A completed session carries Final (its
-// frozen standing — the verdict cannot be re-derived once the traces
-// are dropped) and no Traces; an in-flight one carries the tracker's
-// Traces and no Final.
+// snapSession is one session in flight: its answers so far and the
+// tracker's latest trace per video. Completed sessions are not listed;
+// their campaign's arena has them.
 type snapSession struct {
 	ID       string                       `json:"id"`
 	Campaign string                       `json:"campaign"`
@@ -617,7 +645,6 @@ type snapSession struct {
 	Tests    []AssignedTest               `json:"tests"`
 	Answers  []answer                     `json:"answers,omitempty"`
 	Traces   map[string]survey.VideoTrace `json:"traces,omitempty"`
-	Final    *quality.Snapshot            `json:"final,omitempty"`
 }
 
 // snapVideo references its payload by content address; the blob file is
@@ -650,27 +677,24 @@ func sortedKeys(m map[string]bool) []string {
 func exportCampaignState(c *campaignState) *snapCampaign {
 	return &snapCampaign{
 		ID: c.ID, Name: c.Name, Kind: c.Kind,
-		Videos:   c.Videos,
-		Records:  c.recordSessions,
-		Sessions: c.sessions,
-		Moved:    c.movedTo,
+		Videos:    c.Videos,
+		Records:   c.recordSessions,
+		Arena:     c.arena,
+		ArenaEnds: c.arenaEnds,
+		Sessions:  c.sessions,
+		Moved:     c.movedTo,
 	}
 }
 
 func exportSessionState(sess *sessionState) *snapSession {
-	sn := &snapSession{
+	return &snapSession{
 		ID:       sess.ID,
 		Campaign: sess.Campaign,
 		Worker:   sess.Worker,
 		Tests:    sess.Assignment,
 		Answers:  sess.answers,
+		Traces:   sess.track.Traces(),
 	}
-	if sess.completed() {
-		sn.Final = &sess.final
-	} else {
-		sn.Traces = sess.track.Traces()
-	}
-	return sn
 }
 
 func exportVideoState(v *videoState) *snapVideo {
@@ -689,8 +713,10 @@ func (s *Server) marshalState() ([]byte, error) {
 		st.Campaigns = append(st.Campaigns, exportCampaignState(c))
 		return true
 	})
-	s.sessions.Range(func(_ string, sess *sessionState) bool {
-		st.Sessions = append(st.Sessions, exportSessionState(sess))
+	s.sessions.Range(func(_ string, e sessionEntry) bool {
+		if e.live != nil {
+			st.Sessions = append(st.Sessions, exportSessionState(e.live))
+		}
 		return true
 	})
 	s.videos.Range(func(_ string, v *videoState) bool {
@@ -703,10 +729,10 @@ func (s *Server) marshalState() ([]byte, error) {
 	return json.Marshal(&st)
 }
 
-// restoreSession rebuilds one session from its DTO: a completed one as
-// the compact form it was saved in, an in-flight one with its tracker
-// re-fed. loadState and applyImport share it so a migrated session is
-// field-for-field the session a local replay would have produced.
+// restoreSession rebuilds one in-flight session from its DTO, its
+// tracker re-fed. loadState and applyImport share it so a migrated
+// session is field-for-field the session a local replay would have
+// produced.
 func restoreSession(sn *snapSession) (*sessionState, error) {
 	sess := &sessionState{
 		ID:         sn.ID,
@@ -714,25 +740,19 @@ func restoreSession(sn *snapSession) (*sessionState, error) {
 		Worker:     sn.Worker,
 		Assignment: sn.Tests,
 		answers:    sn.Answers,
-	}
-	if sn.Final != nil {
-		sess.final = *sn.Final
-	} else {
 		// The tracker is a pure function of the latest per-video traces
 		// and the answer list, both order-independent here, so map
 		// iteration order cannot diverge the rebuild.
-		sess.track = quality.NewTracker(assignedVideos(sn.Tests))
-		for _, tr := range sn.Traces {
-			sess.track.Observe(tr)
-		}
+		track: quality.NewTracker(assignedVideos(sn.Tests)),
+	}
+	for _, tr := range sn.Traces {
+		sess.track.Observe(tr)
 	}
 	for _, a := range sess.answers {
 		if a.Test < 0 || a.Test >= len(sess.Assignment) {
 			return nil, fmt.Errorf("snapshot session %s answers test %d of %d", sn.ID, a.Test, len(sess.Assignment))
 		}
-		if sess.track != nil {
-			sess.trackAnswer(a)
-		}
+		sess.trackAnswer(a)
 	}
 	return sess, nil
 }
@@ -754,53 +774,77 @@ func (s *Server) restoreVideo(vn *snapVideo) (*videoState, error) {
 	return v, nil
 }
 
-// restoreCampaign rebuilds one campaign from its DTO. The referenced
-// sessions must already be present in the sessions index.
+// restoreCampaign rebuilds one campaign from its DTO and, once all of it
+// checked out, indexes its completed sessions. Its in-flight sessions
+// must already be in the sessions index; the campaign itself is not
+// reachable until the caller puts it in its own.
 func (s *Server) restoreCampaign(cn *snapCampaign) (*campaignState, error) {
 	c := &campaignState{
 		ID: cn.ID, Name: cn.Name, Kind: cn.Kind,
 		Videos:         cn.Videos,
 		recordSessions: make([]string, 0, len(cn.Records)),
+		arena:          cn.Arena,
+		arenaEnds:      cn.ArenaEnds,
 		sessions:       cn.Sessions,
 		analytics:      quality.NewCampaign(cn.Kind),
 		movedTo:        cn.Moved,
 	}
-	if cn.Moved != "" {
-		s.moved.Store(cn.ID, cn.Moved)
-	}
 	// Adaptive state is never snapshotted: it is a pure fold over
 	// (videos, joins, completions) under a fixed config, so it is
 	// re-derived here exactly as the live path derived it — the
-	// crash-replay determinism contract.
+	// crash-replay determinism contract. A join only counts its videos as
+	// pending and a completion counts them back, so a completed session's
+	// join may be noted beside its completion, not in join order.
 	if s.adaptive {
 		c.adaptive = adaptive.New(cn.Kind, s.adaptiveCfg)
 		for _, vid := range cn.Videos {
 			c.adaptive.AddVideo(vid)
 		}
 	}
-	for _, sid := range cn.Sessions {
-		sess, ok := s.sessions.Get(sid)
-		if !ok {
-			return nil, fmt.Errorf("snapshot campaign %s references unknown session %s", cn.ID, sid)
+	// The arena is installed as it came; one walk checks every record and
+	// re-folds it in recorded completion order — the order the journal
+	// produced them.
+	if len(cn.ArenaEnds) != len(cn.Records) {
+		return nil, fmt.Errorf("snapshot campaign %s has %d frozen records for %d completed sessions", cn.ID, len(cn.ArenaEnds), len(cn.Records))
+	}
+	start := uint32(0)
+	for row, sid := range cn.Records {
+		end := cn.ArenaEnds[row]
+		if end < start || uint64(end) > uint64(len(cn.Arena)) {
+			return nil, fmt.Errorf("snapshot campaign %s row %d (session %s): record ends at byte %d, not within %d..%d", cn.ID, row, sid, end, start, len(cn.Arena))
 		}
-		if !sess.completed() {
-			c.inflight = append(c.inflight, sid)
+		sess, err := decodeFrozen(c, sid, cn.Arena[start:end])
+		if err != nil {
+			return nil, fmt.Errorf("snapshot campaign %s row %d (session %s): %w", cn.ID, row, sid, err)
 		}
 		if c.adaptive != nil {
 			c.adaptive.NoteJoin(assignedVideos(sess.Assignment))
 		}
+		c.fileCompleted(sess)
+		start = end
 	}
-	// Completed sessions re-fold in recorded completion order — the
-	// order the journal produced them.
-	for _, sid := range cn.Records {
-		sess, ok := s.sessions.Get(sid)
-		if !ok {
+	if int(start) != len(cn.Arena) {
+		return nil, fmt.Errorf("snapshot campaign %s: %d arena bytes follow its last record", cn.ID, len(cn.Arena)-int(start))
+	}
+	for _, sid := range cn.Sessions {
+		if _, frozen := c.frozenAt(sid); frozen {
+			continue
+		}
+		e, ok := s.sessions.Get(sid)
+		if !ok || e.live == nil {
 			return nil, fmt.Errorf("snapshot campaign %s references unknown session %s", cn.ID, sid)
 		}
-		if !sess.completed() {
-			return nil, fmt.Errorf("snapshot campaign %s records session %s, which has no final verdict", cn.ID, sid)
+		c.inflight = append(c.inflight, sid)
+		if c.adaptive != nil {
+			c.adaptive.NoteJoin(assignedVideos(e.live.Assignment))
 		}
-		s.completeSession(c, sess)
+	}
+	for row, sid := range cn.Records {
+		s.sessions.Put(sid, sessionEntry{done: c, row: uint32(row)})
+	}
+	s.completedN.Add(int64(len(cn.Records)))
+	if cn.Moved != "" {
+		s.moved.Store(cn.ID, cn.Moved)
 	}
 	return c, nil
 }
@@ -822,7 +866,7 @@ func (s *Server) loadState(data []byte) error {
 		if err != nil {
 			return err
 		}
-		s.sessions.Put(sn.ID, sess)
+		s.sessions.Put(sn.ID, sessionEntry{live: sess})
 	}
 	for _, vn := range st.Videos {
 		v, err := s.restoreVideo(vn)

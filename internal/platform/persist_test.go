@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -229,17 +230,46 @@ func rawDo(t *testing.T, c *client, method, path string, body any) (int, []byte)
 	return resp.StatusCode, got
 }
 
-// TestCompactSessionRoundTrip: a completed session is snapshotted as
-// its compact form — answers and the frozen verdict row, no traces —
-// and a server restored from that snapshot alone answers every endpoint
-// that touches the session byte for byte like the one that never
-// restarted, then keeps folding new sessions.
+// indexCounts walks the sessions index: how many entries still hold a
+// sessionState, and how many are the inline (campaign, row) of a
+// completed session.
+func indexCounts(s *Server) (live, completed int) {
+	s.sessions.Range(func(_ string, e sessionEntry) bool {
+		if e.live != nil {
+			live++
+		} else {
+			completed++
+		}
+		return true
+	})
+	return live, completed
+}
+
+// TestCompactSessionRoundTrip: a completed session is its frozen record
+// and nothing else, and a server that got the record from a journal
+// replay, from a snapshot's arena or from an imported campaign answers
+// every endpoint that touches the session byte for byte like the one
+// that froze it — including a session whose test IDs do not start with
+// its own ID, which the record stores whole — then keeps folding new
+// sessions.
 func TestCompactSessionRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
-	campaign, _ := seedPersistedCampaign(t, c)
+	campaign, vids := seedPersistedCampaign(t, c)
 	done := join(c, campaign, "persist-late")
 	completeSession(c, done, 1_650, false, 12, 0) // fails its control
+	// No handler mints such an assignment; a journal may still carry one.
+	odd := JoinResponse{Session: "s-odd"}
+	for k := 0; k < TestsPerSession; k++ {
+		odd.Tests = append(odd.Tests, AssignedTest{
+			TestID: fmt.Sprintf("odd-%d", k), VideoID: vids[k%2], Kind: "timeline", Control: k == TestsPerSession-1,
+		})
+	}
+	ev := &event{Op: opSession, ID: odd.Session, Campaign: campaign, Worker: &Worker{ID: "persist-odd", Country: "PT"}, Tests: odd.Tests}
+	if err := srv.mutate(nil, func() (uint64, error) { return srv.applySession(ev) }); err != nil {
+		t.Fatal(err)
+	}
+	completeSession(c, odd, 1_700, true, 12, 0)
 
 	type reply struct {
 		status int
@@ -254,60 +284,89 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 		ask("results", "GET", "/api/v1/campaigns/"+campaign+"/results", nil)
 		ask("analytics", "GET", "/api/v1/campaigns/"+campaign+"/analytics", nil)
 		ask("analytics band", "GET", "/api/v1/campaigns/"+campaign+"/analytics?lo=10&hi=90", nil)
-		ask("tests", "GET", "/api/v1/sessions/"+done.Session+"/tests", nil)
-		ask("duplicate answer", "POST", "/api/v1/sessions/"+done.Session+"/responses",
-			ResponseBody{TestID: done.Tests[2].TestID, SubmittedMs: 1, KeptOriginal: true})
-		ask("unknown test", "POST", "/api/v1/sessions/"+done.Session+"/responses",
-			ResponseBody{TestID: "nope", SubmittedMs: 1})
-		ask("late events", "POST", "/api/v1/sessions/"+done.Session+"/events",
-			EventBatch{VideoID: done.Tests[0].VideoID, Plays: 1, Seeks: 900})
+		for _, jr := range []JoinResponse{done, odd} {
+			base := "/api/v1/sessions/" + jr.Session
+			ask(jr.Session+" tests", "GET", base+"/tests", nil)
+			ask(jr.Session+" duplicate answer", "POST", base+"/responses",
+				ResponseBody{TestID: jr.Tests[2].TestID, SubmittedMs: 1, KeptOriginal: true})
+			ask(jr.Session+" unknown test", "POST", base+"/responses", ResponseBody{TestID: "nope", SubmittedMs: 1})
+			ask(jr.Session+" late events", "POST", base+"/events",
+				EventBatch{VideoID: jr.Tests[0].VideoID, Plays: 1, Seeks: 900})
+		}
 		return out
 	}
 	before := probe(c)
-	for name, want := range map[string]int{
-		"duplicate answer": http.StatusConflict, "unknown test": http.StatusBadRequest, "late events": http.StatusConflict,
-	} {
-		if before[name].status != want {
-			t.Fatalf("%s: status %d, want %d", name, before[name].status, want)
+	for _, jr := range []JoinResponse{done, odd} {
+		for name, want := range map[string]int{
+			" tests": http.StatusOK, " duplicate answer": http.StatusConflict,
+			" unknown test": http.StatusBadRequest, " late events": http.StatusConflict,
+		} {
+			if got := before[jr.Session+name]; got.status != want {
+				t.Fatalf("%s%s: status %d %s, want %d", jr.Session, name, got.status, got.body, want)
+			}
+		}
+		var tests JoinResponse
+		if err := json.Unmarshal(before[jr.Session+" tests"].body, &tests); err != nil || !reflect.DeepEqual(tests, jr) {
+			t.Fatalf("GET tests of completed session %s: %+v (%v), want the assignment it joined with %+v", jr.Session, tests, err, jr)
 		}
 	}
-
-	if err := srv.Snapshot(); err != nil {
-		t.Fatal(err)
+	// Whatever way a server came by the campaign, the index holds state
+	// for the one session still in flight and a row for each of the seven
+	// completed, and the replies are the first server's.
+	check := func(how string, s *Server, c *client) {
+		t.Helper()
+		if live, completed := indexCounts(s); live != 1 || completed != 7 {
+			t.Fatalf("%s: index holds %d session states and %d completed rows, want 1 and 7", how, live, completed)
+		}
+		after := probe(c)
+		for name, want := range before {
+			if got := after[name]; got.status != want.status || !bytes.Equal(got.body, want.body) {
+				t.Fatalf("%s: %s diverged:\n before: %d %s\n after:  %d %s", how, name, want.status, want.body, got.status, got.body)
+			}
+		}
 	}
+	check("live", srv, c)
+
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	srv2, c2 := openPersisted(t, dir, Options{SnapshotEvery: -1})
-	defer srv2.Close()
-	if sess, ok := srv2.sessions.Get(done.Session); !ok || !sess.completed() || len(sess.answers) != len(done.Tests) {
-		t.Fatalf("restored session is not in the compact completed form: %+v", sess)
+	check("journal replay", srv2, c2)
+	if err := srv2.Snapshot(); err != nil {
+		t.Fatal(err)
 	}
-	after := probe(c2)
-	for name, want := range before {
-		got := after[name]
-		if got.status != want.status || !bytes.Equal(got.body, want.body) {
-			t.Fatalf("%s diverged after restoring the compact form:\n before: %d %s\n after:  %d %s",
-				name, want.status, want.body, got.status, got.body)
-		}
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
 	}
+	srv3, c3 := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	defer srv3.Close()
+	check("snapshot load", srv3, c3)
+	state, _, err := srv3.ExportCampaign(campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewServer()
+	if err := dst.ImportCampaign(state, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("import", dst, newClientFor(t, dst))
 
 	// The restored fold keeps folding.
-	completeSession(c2, join(c2, campaign, "post-restore"), 1_500, true, 12, 0)
+	completeSession(c3, join(c3, campaign, "post-restore"), 1_500, true, 12, 0)
 	var res ResultsResponse
-	c2.do("GET", "/api/v1/campaigns/"+campaign+"/results", nil, &res)
-	if res.Participants != 7 || res.Control != 1 {
-		t.Fatalf("after restore + one session: participants=%d control=%d, want 7 and 1", res.Participants, res.Control)
+	c3.do("GET", "/api/v1/campaigns/"+campaign+"/results", nil, &res)
+	if res.Participants != 8 || res.Control != 1 {
+		t.Fatalf("after restore + one session: participants=%d control=%d, want 8 and 1", res.Participants, res.Control)
 	}
 }
 
-// TestSnapshotCompletedSessionsCarryNoTraces pins the compact schema:
-// completed sessions serialize answers and a final row, in-flight ones
-// their traces.
-func TestSnapshotCompletedSessionsCarryNoTraces(t *testing.T) {
+// TestSnapshotCarriesCompletedSessionsAsArena pins the version-3 schema:
+// the sessions list holds only sessions in flight, and a campaign's completed sessions travel as its arena — one record
+// per completed session, the bytes the server holds.
+func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
 	srv := NewServer()
 	c := newClientFor(t, srv)
-	seedPersistedCampaign(t, c)
+	campaign, _ := seedPersistedCampaign(t, c)
 	data, err := srv.marshalState()
 	if err != nil {
 		t.Fatal(err)
@@ -319,29 +378,115 @@ func TestSnapshotCompletedSessionsCarryNoTraces(t *testing.T) {
 	if st.Version != stateVersion {
 		t.Fatalf("snapshot version %d, want %d", st.Version, stateVersion)
 	}
-	completed, inflight := 0, 0
-	for _, sn := range st.Sessions {
-		switch {
-		case sn.Final != nil && sn.Traces == nil && len(sn.Answers) == len(sn.Tests):
-			completed++
-		case sn.Final == nil && len(sn.Answers) < len(sn.Tests):
-			inflight++
-		default:
-			t.Fatalf("session %s is neither compact-completed nor in flight: %+v", sn.ID, sn)
-		}
+	if len(st.Sessions) != 1 || len(st.Sessions[0].Answers) != 1 {
+		t.Fatalf("sessions lists %d, want only the one in flight, with its one answer", len(st.Sessions))
 	}
-	if completed != 5 || inflight != 1 {
-		t.Fatalf("completed=%d inflight=%d, want 5 and 1", completed, inflight)
+	cs, _ := srv.campaigns.Get(campaign)
+	cn := st.Campaigns[0]
+	if len(cn.Records) != 5 || len(cn.ArenaEnds) != 5 || len(cn.Sessions) != 6 {
+		t.Fatalf("campaign lists %d completed, %d record ends, %d joined, want 5, 5 and 6", len(cn.Records), len(cn.ArenaEnds), len(cn.Sessions))
+	}
+	if !bytes.Equal(cn.Arena, cs.arena) || len(cn.Arena) == 0 {
+		t.Fatalf("snapshot arena is %d bytes, the campaign's %d", len(cn.Arena), len(cs.arena))
+	}
+}
+
+// TestCorruptArenaRefused: a state document arrives from outside the
+// process, so a record that is cut short, points outside its campaign's
+// videos or is not where the row ends say fails Open and ImportCampaign
+// with an error naming the campaign and the row — never a panic, and
+// never a half-installed campaign.
+func TestCorruptArenaRefused(t *testing.T) {
+	src := NewServer()
+	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
+	state, _, err := src.ExportCampaign(campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(cn *snapCampaign){
+		"truncated record": func(cn *snapCampaign) {
+			cn.Arena = cn.Arena[:len(cn.Arena)-1]
+			cn.ArenaEnds[4]--
+		},
+		"video out of range":  func(cn *snapCampaign) { cn.Videos = cn.Videos[:1] },
+		"ends past the arena": func(cn *snapCampaign) { cn.ArenaEnds[4] += 40 },
+		"ends out of order":   func(cn *snapCampaign) { cn.ArenaEnds[2] = cn.ArenaEnds[1] - 1 },
+		"missing ends":        func(cn *snapCampaign) { cn.ArenaEnds = cn.ArenaEnds[:4] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var ex campaignExport
+			if err := json.Unmarshal(state, &ex); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(ex.Campaign)
+			bad, err := json.Marshal(&ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := NewServer()
+			err = dst.ImportCampaign(bad, nil)
+			if err == nil || !strings.Contains(err.Error(), "campaign "+campaign) {
+				t.Fatalf("import: %v, want an error naming campaign %s", err, campaign)
+			}
+			if name != "missing ends" && !strings.Contains(err.Error(), "row ") {
+				t.Fatalf("import: %v, want an error naming the row", err)
+			}
+			if _, ok := dst.campaigns.Get(campaign); ok {
+				t.Fatal("refused import still installed the campaign")
+			}
+			if _, completed := indexCounts(dst); completed != 0 {
+				t.Fatalf("refused import left %d completed sessions in the index", completed)
+			}
+
+			// The same campaign inside a snapshot fails Open the same way.
+			dir := t.TempDir()
+			durable, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := durable.ImportCampaign(state, nil); err != nil {
+				t.Fatal(err)
+			}
+			data, err := durable.marshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st snapState
+			if err := json.Unmarshal(data, &st); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(st.Campaigns[0])
+			if data, err = json.Marshal(&st); err != nil {
+				t.Fatal(err)
+			}
+			if err := durable.log.WriteSnapshot(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := durable.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+			if err == nil {
+				reopened.Close()
+				t.Fatal("Open over a snapshot with a corrupt arena succeeded")
+			}
+			if !strings.Contains(err.Error(), "campaign "+campaign) {
+				t.Fatalf("Open: %v, want an error naming campaign %s", err, campaign)
+			}
+		})
 	}
 }
 
 // TestWrongVersionStateRefused: a snapshot or a campaign export that
-// does not carry the current schema version — the unversioned layout
-// older builds wrote included — fails Open or import with an error
-// naming the version, rather than loading as empty sessions.
+// does not carry the current schema version — version 2, which listed
+// completed sessions one DTO each, a version not written yet, and the
+// unversioned layout older builds wrote — fails Open or import with an
+// error naming the version, rather than loading as empty sessions.
 func TestWrongVersionStateRefused(t *testing.T) {
 	current := []byte(fmt.Sprintf(`"version":%d`, stateVersion))
-	for name, replacement := range map[string]string{"older": `"version":1`, "unversioned": `"v":0`} {
+	for name, replacement := range map[string]string{
+		"version 2": `"version":2`, "newer": `"version":4`, "older": `"version":1`, "unversioned": `"v":0`,
+	} {
 		t.Run("snapshot/"+name, func(t *testing.T) {
 			dir := t.TempDir()
 			srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})

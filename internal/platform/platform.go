@@ -163,7 +163,7 @@ type Options struct {
 // Server implements the Eyeorg HTTP API.
 type Server struct {
 	campaigns *store.Map[*campaignState]
-	sessions  *store.Map[*sessionState]
+	sessions  *store.Map[sessionEntry]
 	videos    *store.Map[*videoState]
 	// blobs holds every video payload, content-addressed; the videos
 	// index stores only references into it. Blob writes are durable
@@ -246,17 +246,25 @@ type campaignState struct {
 	cacheTag       string
 
 	// The completed sessions as /analytics lists them: each one's
-	// ParticipantVerdict and a comma, rendered once by completeSession,
+	// ParticipantVerdict and a comma, rendered once by fileCompleted,
 	// back to back in completion order (row i, ending at rowEnds[i], is
 	// recordSessions[i]'s; 32-bit offsets hold some 40 million). rowOrder
 	// lists row numbers ascending by session ID, the payload's order;
 	// rowDigest sums the rows' checksums, so the /analytics ETag does not
 	// depend on the order they arrived in. inflight lists the sessions
-	// not yet completed. Rebuilt on load, never serialized.
+	// not yet completed, in join order. Rebuilt on load, never serialized.
 	rows              []byte
 	rowEnds, rowOrder []uint32
 	rowDigest         uint64
 	inflight          []string
+
+	// arena holds the completed sessions themselves, all that is left of
+	// them: one frozen record each (frozen.go), back to back under the
+	// rows' numbering — record i ends at arenaEnds[i] and is
+	// recordSessions[i]'s. The sessions index points here; state documents
+	// carry both slices as they are. Guarded by the campaign's shard lock.
+	arena     []byte
+	arenaEnds []uint32
 
 	// sessions lists every session ever joined to this campaign in join
 	// order, and analytics is the incremental §4.3 aggregate folded in as
@@ -276,6 +284,18 @@ type campaignState struct {
 	// rebuilds it from the restored campaign. Guarded by the campaign's
 	// shard lock.
 	adaptive *adaptive.Campaign
+}
+
+// segment returns piece i of buf, where ends[i] is the offset piece i
+// ends at and pieces sit back to back: a frozen record of the arena, a
+// rendered row of rows. Caller holds the campaign's shard lock, at least
+// shared, for as long as it reads the bytes.
+func segment(buf []byte, ends []uint32, i uint32) []byte {
+	start := uint32(0)
+	if i > 0 {
+		start = ends[i-1]
+	}
+	return buf[start:ends[i]]
 }
 
 // invalidate drops the rendered /results body and its ETag. Caller
@@ -308,26 +328,37 @@ func newVideoState(id, campaign, hash string, size int64) *videoState {
 	}
 }
 
-// sessionState is one participant session, guarded by its shard lock.
-// Identity, assignment and answers stay for the session's whole life;
-// track exists only while it is in flight, and final replaces it at
-// completion (see completeSession).
+// sessionEntry is what the sessions index holds per session ID, inline in
+// the map: a session in flight is its state; a completed one is the
+// campaign and row its frozen record was filed at, and nothing else of
+// it stays on the heap. One lookup tells in flight, completed (live is
+// nil) and unknown apart. Guarded by the session's shard lock.
+type sessionEntry struct {
+	live *sessionState
+	done *campaignState
+	row  uint32
+}
+
+// sessionState is one participant session in flight, guarded by its
+// shard lock; completion encodes it into its campaign's arena and lets
+// it go (see completeSession). A completed session takes this form again
+// only in passing, decoded from its record (decodeFrozen) to answer a
+// late request or to be folded on load: track is nil then and final,
+// the standing frozen when the tracker was released, is set.
 type sessionState struct {
 	ID         string
 	Campaign   string
 	Worker     Worker
 	Assignment []AssignedTest
 	// answers holds one entry per answered test, in answer order. It is
-	// what duplicate detection scans and what a snapshot load re-folds
-	// into the campaign's analytics.
+	// what duplicate detection scans and what completion folds into the
+	// campaign's analytics.
 	answers []answer
 	// track follows the session against the per-participant §4.3 rules
-	// and holds its latest engagement trace per video; nil once the
-	// session completed.
+	// and holds its latest engagement trace per video.
 	track *quality.Tracker
-	// final is the completed session's standing, frozen when track is
-	// released: the traces that produced it are gone, so it cannot be
-	// derived again.
+	// final is the completed session's standing: the traces that produced
+	// it are gone, so it cannot be derived again.
 	final quality.Snapshot
 }
 
@@ -386,7 +417,7 @@ func Open(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		campaigns: store.NewMap[*campaignState](opts.Shards),
-		sessions:  store.NewMap[*sessionState](opts.Shards),
+		sessions:  store.NewMap[sessionEntry](opts.Shards),
 		videos:    store.NewMap[*videoState](opts.Shards),
 		maxBody:   opts.MaxBodyBytes,
 	}
@@ -767,12 +798,13 @@ func etagOf(sum uint64, n int) string { return fmt.Sprintf(`"%016x-%x"`, sum, n)
 // compare by tag (RFC 9110's weak comparison — byte-identical cached
 // bodies are what the tag certifies here).
 func etagMatches(header, tag string) bool {
-	if header == "" || tag == "" {
+	if tag == "" {
 		return false
 	}
-	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
-		cand = strings.TrimPrefix(cand, "W/")
+	for more := header != ""; more; {
+		var cand string
+		cand, header, more = strings.Cut(header, ",")
+		cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/")
 		if cand == "*" || cand == tag {
 			return true
 		}
@@ -1131,20 +1163,35 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTests(w http.ResponseWriter, r *http.Request) {
-	ssh := s.sessions.Shard(r.PathValue("id"))
+	id := r.PathValue("id")
+	ssh := s.sessions.Shard(id)
 	ssh.RLock()
-	sess, ok := ssh.Get(r.PathValue("id"))
-	var resp JoinResponse
-	if ok {
-		// Assignment is immutable after creation.
-		resp = JoinResponse{Session: sess.ID, Tests: sess.Assignment}
-	}
+	sess, err := s.sessionLocked(ssh, id)
 	ssh.RUnlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, errNoSession.Error())
+	if err != nil {
+		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// Assignment is immutable after creation.
+	writeJSON(w, http.StatusOK, JoinResponse{Session: id, Tests: sess.Assignment})
+}
+
+// sessionLocked returns session id's state: the indexed one while it is
+// in flight, one decoded from its frozen record once completed. It reads
+// the record in place, under the campaign's shard lock taken inside the
+// session's, the order applyResponse takes them in. Caller holds ssh.
+func (s *Server) sessionLocked(ssh *store.Shard[sessionEntry], id string) (*sessionState, error) {
+	e, ok := ssh.Get(id)
+	if !ok {
+		return nil, errNoSession
+	}
+	if e.live != nil {
+		return e.live, nil
+	}
+	csh := s.campaigns.Shard(e.done.ID)
+	csh.RLock()
+	defer csh.RUnlock()
+	return decodeFrozen(e.done, id, segment(e.done.arena, e.done.arenaEnds, e.row))
 }
 
 // videoRef resolves a video ID to its content address under the shard

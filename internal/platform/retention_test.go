@@ -78,18 +78,18 @@ func liveHeap() uint64 {
 }
 
 // TestCompletedSessionRetainedHeap bounds what the server keeps per
-// completed session on an in-memory server: identity, assignment,
-// answers, the frozen standing and its rendered /analytics row, and its
-// share of the index maps and the campaign's sketches. This test measured
-// 5,036 B/session while a session kept its record, tracker and traces,
-// 1,221 once it kept only its folded form, and 1,283 now that the
-// rendered row (about 100 B, stored back to back) replaced quality's
-// per-participant verdict map; the ceiling stays well below half of the
-// first.
+// completed session on an in-memory server: its ID under the index
+// entry's (campaign, row) and in the campaign's two ID lists, its frozen
+// record (about 120 B) and its rendered /analytics row (about 100 B),
+// each stored back to back, and its values in the campaign's sketches.
+// This test measured 5,036 B/session while a session kept its record,
+// tracker and traces, 1,221 once it kept only its folded form, 1,284
+// with the rendered row beside it, and 562 now that no sessionState
+// outlives completion — which it also checks, through the index.
 func TestCompletedSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000
-		ceiling  = 2000 // bytes per completed session
+		ceiling  = 700 // bytes per completed session
 	)
 	if raceEnabled {
 		t.Skip("heap accounting is measured without the race detector")
@@ -110,6 +110,9 @@ func TestCompletedSessionRetainedHeap(t *testing.T) {
 	dispatch(t, h, "GET", "/api/v1/campaigns/"+campaign+"/results", nil, &res)
 	if res.Participants != sessions+64 {
 		t.Fatalf("participants = %d, want %d", res.Participants, sessions+64)
+	}
+	if live, completed := indexCounts(srv); live != 0 || completed != sessions+64 {
+		t.Fatalf("index holds %d session states and %d completed rows, want 0 and %d", live, completed, sessions+64)
 	}
 }
 

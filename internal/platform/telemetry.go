@@ -220,6 +220,15 @@ func (s *Server) registerStateGauges() {
 	reg.GaugeFunc("eyeorg_sessions_inflight", "", func() float64 {
 		return float64(s.joined.Load() - s.completedN.Load())
 	})
+	reg.Help("eyeorg_sessions_completed_bytes", "Bytes held for completed sessions: frozen records and /analytics rows, all campaigns.")
+	reg.GaugeFunc("eyeorg_sessions_completed_bytes", "", func() float64 {
+		var n int
+		s.campaigns.Range(func(_ string, c *campaignState) bool {
+			n += len(c.arena) + len(c.rows)
+			return true
+		})
+		return float64(n)
+	})
 	reg.Help("eyeorg_http_inflight", "API requests currently being served.")
 	reg.GaugeFunc("eyeorg_http_inflight", "", func() float64 {
 		return float64(s.admission.inflight.Load())

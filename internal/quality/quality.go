@@ -191,20 +191,20 @@ func (t *Tracker) Verdict(maxTrustedActions int) filtering.Reason {
 // assigned video has been interacted with), so anything that spends
 // budget — the adaptive allocator above all — must consult Final and
 // treat !Completed sessions as pending, never as dropped. The platform
-// keeps a completed session's Snapshot in place of its Tracker and
-// serializes it in state snapshots, hence the JSON names.
+// takes a session's last Snapshot when it releases the Tracker, and
+// stores its counters in the session's frozen record.
 type Snapshot struct {
 	// Provisional is the first §4.3 rule currently firing; it can still
 	// change while the session is in flight.
-	Provisional filtering.Reason `json:"provisional"`
+	Provisional filtering.Reason
 	// Final is the frozen verdict of a completed session; meaningful
 	// only when Completed is true.
-	Final          filtering.Reason `json:"final"`
-	Completed      bool             `json:"completed"`
-	Answered       int              `json:"answered"`
-	Actions        int              `json:"actions"`
-	Controls       int              `json:"controls"`
-	ControlsFailed int              `json:"controls_failed"`
+	Final          filtering.Reason
+	Completed      bool
+	Answered       int
+	Actions        int
+	Controls       int
+	ControlsFailed int
 }
 
 // Current returns the verdict to display: Final once the session
@@ -271,11 +271,7 @@ func (sk *Sketch) Filtered(lo, hi float64) []float64 {
 	if len(sk.values) == 0 {
 		return nil
 	}
-	return sk.within(sk.Band(lo, hi))
-}
-
-// within returns the submissions in [lv, hv] in insertion order.
-func (sk *Sketch) within(lv, hv float64) []float64 {
+	lv, hv := sk.Band(lo, hi)
 	out := make([]float64, 0, len(sk.values))
 	for _, v := range sk.values {
 		if v >= lv && v <= hv {
@@ -390,19 +386,25 @@ func (c *Campaign) TimelineFiltered(lo, hi float64) map[string][]float64 {
 }
 
 // TimelineBands summarises each video's band: total and in-band counts,
-// the percentile bounds, and the in-band mean.
+// the percentile bounds, and the in-band mean. The mean is
+// stats.Sample.Mean over Filtered — a sum in insertion order, divided
+// once — taken in one pass without building the slice.
 func (c *Campaign) TimelineBands(lo, hi float64) map[string]Band {
 	out := make(map[string]Band, len(c.timeline))
 	for id, sk := range c.timeline {
-		lv, hv := sk.Band(lo, hi)
-		filtered := sk.within(lv, hv)
-		out[id] = Band{
-			Total:  sk.Len(),
-			InBand: len(filtered),
-			Lo:     lv,
-			Hi:     hv,
-			Mean:   stats.Sample(filtered).Mean(),
+		b := Band{Total: sk.Len()}
+		b.Lo, b.Hi = sk.Band(lo, hi)
+		var sum float64
+		for _, v := range sk.values {
+			if v >= b.Lo && v <= b.Hi {
+				b.InBand++
+				sum += v
+			}
 		}
+		if b.InBand > 0 {
+			b.Mean = sum / float64(b.InBand)
+		}
+		out[id] = b
 	}
 	return out
 }

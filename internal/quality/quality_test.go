@@ -2,6 +2,7 @@ package quality
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/stats"
 	"github.com/eyeorg/eyeorg/internal/survey"
 )
 
@@ -255,6 +257,41 @@ func TestSketchFilteredMatchesIQRFilter(t *testing.T) {
 		for j := range got {
 			if got[j] != wantFiltered[j] {
 				t.Fatalf("case %d: filtered[%d] = %v, want %v", i, j, got[j], wantFiltered[j])
+			}
+		}
+	}
+}
+
+// TestTimelineBandsMatchFilteredMean: TimelineBands takes the in-band
+// count and mean in one pass; both must be what stats.Sample.Mean over
+// Filtered gives, to the last bit, for any sample and band — an empty
+// sketch and a single value included.
+func TestTimelineBandsMatchFilteredMean(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	for i := 0; i < 300; i++ {
+		c := NewCampaign("timeline")
+		for v := 0; v < 4; v++ {
+			sk := &Sketch{}
+			c.timeline[fmt.Sprintf("v%d", v)] = sk
+			for n := r.Intn(5) * r.Intn(20); n > 0; n-- { // empty, single and up to 76 values
+				sk.Add(r.ExpFloat64() * 3)
+			}
+			if r.Intn(4) == 0 && sk.Len() > 0 { // ties at the band's edges
+				sk.Add(sk.values[0])
+			}
+		}
+		lo := r.Float64() * 100
+		hi := lo + r.Float64()*(100-lo)
+		if i%3 == 0 {
+			lo, hi = filtering.WisdomLo, filtering.WisdomHi
+		}
+		for id, got := range c.TimelineBands(lo, hi) {
+			sk := c.timeline[id]
+			filtered := sk.Filtered(lo, hi)
+			want := Band{Total: sk.Len(), InBand: len(filtered), Mean: stats.Sample(filtered).Mean()}
+			want.Lo, want.Hi = sk.Band(lo, hi)
+			if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) || got != want {
+				t.Fatalf("case %d video %s band [%v, %v] over %d values: got %+v, want %+v", i, id, lo, hi, sk.Len(), got, want)
 			}
 		}
 	}

@@ -193,16 +193,16 @@ func (e *Encoder) AppendBatch(dst []byte, recs []Record) []byte {
 		b = binary.AppendUvarint(b, uint64(e.kindIdx[r.Kind]))
 		switch r.Kind {
 		case KindInstruction:
-			b = appendZigzag(b, r.InstructionNs)
+			b = AppendZigzag(b, r.InstructionNs)
 		case KindEngagement:
 			b = binary.AppendUvarint(b, uint64(e.vidIdx[r.VideoID]))
-			b = appendZigzag(b, r.LoadNs-prevLoad)
-			b = appendZigzag(b, r.TimeOnVideoNs-prevTov)
-			b = appendZigzag(b, r.OutOfFocusNs-prevOof)
+			b = AppendZigzag(b, r.LoadNs-prevLoad)
+			b = AppendZigzag(b, r.TimeOnVideoNs-prevTov)
+			b = AppendZigzag(b, r.OutOfFocusNs-prevOof)
 			prevLoad, prevTov, prevOof = r.LoadNs, r.TimeOnVideoNs, r.OutOfFocusNs
-			b = appendZigzag(b, int64(r.Plays))
-			b = appendZigzag(b, int64(r.Pauses))
-			b = appendZigzag(b, int64(r.Seeks))
+			b = AppendZigzag(b, int64(r.Plays))
+			b = AppendZigzag(b, int64(r.Pauses))
+			b = AppendZigzag(b, int64(r.Seeks))
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.WatchedFraction))
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(b)))
@@ -217,7 +217,9 @@ func AppendBatch(dst []byte, recs []Record) []byte {
 	return e.AppendBatch(dst, recs)
 }
 
-func appendZigzag(dst []byte, v int64) []byte {
+// AppendZigzag appends v as a zigzag varint, the signed-integer form
+// every EYB1 field uses.
+func AppendZigzag(dst []byte, v int64) []byte {
 	return binary.AppendUvarint(dst, uint64(v)<<1^uint64(v>>63))
 }
 
@@ -301,16 +303,16 @@ func (d *Decoder) Decode(data []byte) ([]Record, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, ErrMagic
 	}
-	p := parser{rest: data[len(magic):]}
+	p := Parser{Rest: data[len(magic):]}
 
-	nKinds := p.uvarint()
-	if p.err == nil && nKinds > maxKinds {
+	nKinds := p.Uvarint()
+	if p.Err == nil && nKinds > maxKinds {
 		return nil, fmt.Errorf("%w: %d record kinds (max %d)", ErrCorrupt, nKinds, maxKinds)
 	}
 	d.kinds = d.kinds[:0]
-	for i := uint64(0); p.err == nil && i < nKinds; i++ {
-		name := p.bytes(maxString)
-		if p.err != nil {
+	for i := uint64(0); p.Err == nil && i < nKinds; i++ {
+		name := p.Bytes(maxString)
+		if p.Err != nil {
 			break
 		}
 		k, ok := kindFromName(name)
@@ -320,21 +322,21 @@ func (d *Decoder) Decode(data []byte) ([]Record, error) {
 		d.kinds = append(d.kinds, k)
 	}
 
-	nVids := p.uvarint()
-	if p.err == nil && nVids > maxVideos {
+	nVids := p.Uvarint()
+	if p.Err == nil && nVids > maxVideos {
 		return nil, fmt.Errorf("%w: %d video IDs (max %d)", ErrCorrupt, nVids, maxVideos)
 	}
 	d.vids = d.vids[:0]
-	for i := uint64(0); p.err == nil && i < nVids; i++ {
-		d.vids = append(d.vids, d.internStr(p.bytes(maxString)))
+	for i := uint64(0); p.Err == nil && i < nVids; i++ {
+		d.vids = append(d.vids, d.internStr(p.Bytes(maxString)))
 	}
 
-	nRecs := p.uvarint()
-	if p.err == nil && (nRecs > maxRecords || nRecs > uint64(len(p.rest))) {
+	nRecs := p.Uvarint()
+	if p.Err == nil && (nRecs > maxRecords || nRecs > uint64(len(p.Rest))) {
 		return nil, fmt.Errorf("%w: record count %d exceeds payload", ErrCorrupt, nRecs)
 	}
-	if p.err != nil {
-		return nil, p.err
+	if p.Err != nil {
+		return nil, p.Err
 	}
 	if cap(d.recs) < int(nRecs) {
 		d.recs = make([]Record, nRecs)
@@ -342,104 +344,109 @@ func (d *Decoder) Decode(data []byte) ([]Record, error) {
 	d.recs = d.recs[:nRecs]
 	var prevLoad, prevTov, prevOof int64
 	for i := range d.recs {
-		body := p.bytes(len(p.rest))
-		if p.err != nil {
-			return nil, p.err
+		body := p.Bytes(len(p.Rest))
+		if p.Err != nil {
+			return nil, p.Err
 		}
-		rp := parser{rest: body}
+		rp := Parser{Rest: body}
 		rec := &d.recs[i]
 		*rec = Record{}
-		kindIdx := rp.uvarint()
-		if rp.err == nil && kindIdx >= uint64(len(d.kinds)) {
+		kindIdx := rp.Uvarint()
+		if rp.Err == nil && kindIdx >= uint64(len(d.kinds)) {
 			return nil, fmt.Errorf("%w: kind index %d out of table", ErrCorrupt, kindIdx)
 		}
-		if rp.err != nil {
-			return nil, rp.err
+		if rp.Err != nil {
+			return nil, rp.Err
 		}
 		rec.Kind = d.kinds[kindIdx]
 		switch rec.Kind {
 		case KindInstruction:
-			rec.InstructionNs = rp.zigzag()
+			rec.InstructionNs = rp.Zigzag()
 		case KindEngagement:
-			vidIdx := rp.uvarint()
-			if rp.err == nil && vidIdx >= uint64(len(d.vids)) {
+			vidIdx := rp.Uvarint()
+			if rp.Err == nil && vidIdx >= uint64(len(d.vids)) {
 				return nil, fmt.Errorf("%w: video index %d out of table", ErrCorrupt, vidIdx)
 			}
-			if rp.err != nil {
-				return nil, rp.err
+			if rp.Err != nil {
+				return nil, rp.Err
 			}
 			rec.VideoID = d.vids[vidIdx]
-			prevLoad += rp.zigzag()
-			prevTov += rp.zigzag()
-			prevOof += rp.zigzag()
+			prevLoad += rp.Zigzag()
+			prevTov += rp.Zigzag()
+			prevOof += rp.Zigzag()
 			rec.LoadNs, rec.TimeOnVideoNs, rec.OutOfFocusNs = prevLoad, prevTov, prevOof
-			rec.Plays = int(rp.zigzag())
-			rec.Pauses = int(rp.zigzag())
-			rec.Seeks = int(rp.zigzag())
+			rec.Plays = int(rp.Zigzag())
+			rec.Pauses = int(rp.Zigzag())
+			rec.Seeks = int(rp.Zigzag())
 			rec.WatchedFraction = math.Float64frombits(rp.fixed64())
 		}
-		if rp.err != nil {
-			return nil, rp.err
+		if rp.Err != nil {
+			return nil, rp.Err
 		}
-		if len(rp.rest) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes in record %d", ErrCorrupt, len(rp.rest), i)
+		if len(rp.Rest) != 0 {
+			return nil, fmt.Errorf("%w: %d trailing bytes in record %d", ErrCorrupt, len(rp.Rest), i)
 		}
 	}
-	if len(p.rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after last record", ErrCorrupt, len(p.rest))
+	if len(p.Rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after last record", ErrCorrupt, len(p.Rest))
 	}
 	return d.recs, nil
 }
 
-// parser walks a byte slice with sticky errors, so decode loops check
-// once per record instead of once per field.
-type parser struct {
-	rest []byte
-	err  error
+// Parser walks a byte slice with a sticky error, so decode loops check
+// once per record instead of once per field: after the first failure
+// every read returns zero and Err stays set. Other packages build their
+// own varint records on it (the platform's frozen session records).
+type Parser struct {
+	Rest []byte
+	Err  error
 }
 
-func (p *parser) uvarint() uint64 {
-	if p.err != nil {
+// Uvarint reads one unsigned varint.
+func (p *Parser) Uvarint() uint64 {
+	if p.Err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(p.rest)
+	v, n := binary.Uvarint(p.Rest)
 	if n <= 0 {
-		p.err = ErrTruncated
+		p.Err = ErrTruncated
 		return 0
 	}
-	p.rest = p.rest[n:]
+	p.Rest = p.Rest[n:]
 	return v
 }
 
-func (p *parser) zigzag() int64 {
-	u := p.uvarint()
+// Zigzag reads one zigzag varint (see AppendZigzag).
+func (p *Parser) Zigzag() int64 {
+	u := p.Uvarint()
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// bytes reads a length-prefixed field of at most limit bytes.
-func (p *parser) bytes(limit int) []byte {
-	n := p.uvarint()
-	if p.err != nil {
+// Bytes reads a length-prefixed field of at most limit bytes. The result
+// aliases the input.
+func (p *Parser) Bytes(limit int) []byte {
+	n := p.Uvarint()
+	if p.Err != nil {
 		return nil
 	}
-	if n > uint64(limit) || n > uint64(len(p.rest)) {
-		p.err = ErrTruncated
+	if n > uint64(limit) || n > uint64(len(p.Rest)) {
+		p.Err = ErrTruncated
 		return nil
 	}
-	b := p.rest[:n]
-	p.rest = p.rest[n:]
+	b := p.Rest[:n]
+	p.Rest = p.Rest[n:]
 	return b
 }
 
-func (p *parser) fixed64() uint64 {
-	if p.err != nil {
+func (p *Parser) fixed64() uint64 {
+	if p.Err != nil {
 		return 0
 	}
-	if len(p.rest) < 8 {
-		p.err = ErrTruncated
+	if len(p.Rest) < 8 {
+		p.Err = ErrTruncated
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(p.rest)
-	p.rest = p.rest[8:]
+	v := binary.LittleEndian.Uint64(p.Rest)
+	p.Rest = p.Rest[8:]
 	return v
 }
