@@ -133,7 +133,7 @@ func percentileParam(r *http.Request, name string, def float64) (float64, bool) 
 	return p, true
 }
 
-func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
 	id := r.PathValue("id")
 	lo, okLo := percentileParam(r, "lo", filtering.WisdomLo)
 	hi, okHi := percentileParam(r, "hi", filtering.WisdomHi)

@@ -74,22 +74,17 @@ func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
 // travels as ONE journal record (the raw wire bytes) and applies under
 // one session-shard lock acquisition, so replay is atomic: a crash
 // mid-request either keeps every record of the batch or none.
-func (s *Server) handleEventsBinary(w http.ResponseWriter, r *http.Request) {
-	tr := requestTrace(w)
+func (s *Server) handleEventsBinary(w *scratch, r *http.Request) {
+	tr := w.tr
 	tr.Mark(trace.StageReceive)
 	id := r.PathValue("id")
 	tr.SetSession(id)
 	defer r.Body.Close()
-	// MaxBytesReader must see net/http's own writer to close the
-	// connection on overflow — unwrap the instrument() recorder, as
-	// readJSON does.
-	bw := w
-	if rec, ok := w.(*statusRecorder); ok {
-		bw = rec.ResponseWriter
-	}
 	dec := wire.GetDecoder()
 	defer wire.PutDecoder(dec)
-	recs, err := dec.DecodeFrom(http.MaxBytesReader(bw, r.Body, s.maxBody))
+	// MaxBytesReader must see net/http's own writer to close the
+	// connection on overflow, not the scratch wrapping it, as in readJSON.
+	recs, err := dec.DecodeFrom(http.MaxBytesReader(w.ResponseWriter, r.Body, s.maxBody))
 	if err != nil {
 		s.writeBodyErr(w, err, err.Error())
 		return
@@ -112,10 +107,12 @@ func (s *Server) handleEventsBinary(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ev := &event{Op: opBatch, ID: id, Wire: dec.Bytes(), records: recs, tr: tr}
+	ev := &w.ev
+	*ev = event{Op: opBatch, ID: id, Wire: dec.Bytes(), records: recs, tr: tr}
 	if err := s.mutate(tr, func() (uint64, error) { return s.applyBatch(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	writeBatchAck(w, len(recs))
+	w.buf = appendBatchAck(w.buf[:0], len(recs))
+	writeBody(w, http.StatusAccepted, w.buf)
 }

@@ -31,6 +31,14 @@
 // keeps (campaign, row) inline for a completed session, and a late
 // request or GET …/tests decodes its record in place.
 //
+// A request leaves almost no garbage of its own: every handler runs on a
+// pooled scratch (telemetry.go) that is its ResponseWriter and holds the
+// body buffer, the decoded body and the journal event; the three
+// participant bodies are decoded in place (inplace.go), with
+// encoding/json behind them for anything outside that decoder's small
+// language; and reply header values are shared, not built. A JSON body is
+// one object and whitespace — anything after it is a 400.
+//
 // Storage is the internal/store subsystem: campaigns, sessions and
 // videos live in sharded in-memory indexes (per-shard RW locks, FNV-
 // hashed IDs), and when Options.DataDir is set every mutation is

@@ -4,8 +4,10 @@
 package platform
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"testing"
 )
@@ -75,6 +77,60 @@ func TestMalformedJSONBodies(t *testing.T) {
 		t.Fatalf("valid response after malformed attempts: %d", code)
 	}
 }
+
+// TestTrailingBytesRejected: a JSON body is one value and whitespace.
+// Anything after the value — junk, or a second object whose judgment
+// would be dropped in silence — is a 400 that mutates nothing, on all five
+// JSON bodies, whether the body declares its length (the in-place
+// decoders' input) or arrives chunked (readJSON's).
+func TestTrailingBytesRejected(t *testing.T) {
+	c := newClient(t)
+	campaign, vids := setupCampaign(c, "timeline", 1)
+	jr := join(c, campaign, "w-trailing")
+	session := "/api/v1/sessions/" + jr.Session
+	post := func(path string, body []byte, chunked bool) int {
+		t.Helper()
+		var rd io.Reader = bytes.NewReader(body)
+		if chunked {
+			rd = unsized(rd)
+		}
+		resp, err := http.Post(c.srv.URL+path, "application/json", rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i, chunked := range []bool{false, true} {
+		for _, ep := range []struct {
+			name, path, body string
+			want             int
+		}{
+			{"campaign", "/api/v1/campaigns", `{"name":"x","kind":"timeline"}`, http.StatusCreated},
+			{"join", "/api/v1/sessions", `{"campaign":"` + campaign + `","worker":{"id":"w"},"captcha":"t"}`, http.StatusCreated},
+			{"events", session + "/events", `{"video_id":"` + vids[0] + `","plays":1}`, http.StatusAccepted},
+			{"response", session + "/responses", `{"test_id":"` + jr.Tests[i].TestID + `","submitted_ms":900,"kept_original":true}`, http.StatusAccepted},
+			{"flag", "/api/v1/videos/" + vids[0] + "/flag", `{"worker":"w` + fmt.Sprint(chunked) + `"}`, http.StatusOK},
+		} {
+			t.Run(fmt.Sprintf("%s/chunked=%t", ep.name, chunked), func(t *testing.T) {
+				for _, tail := range []string{"junk", ep.body, " x", "\n{}", "]"} {
+					if code := post(ep.path, []byte(ep.body+tail), chunked); code != http.StatusBadRequest {
+						t.Errorf("body followed by %q: %d, want 400", tail, code)
+					}
+				}
+				// Whitespace may follow, and nothing above was applied: the
+				// response's test is still open.
+				if code := post(ep.path, []byte(ep.body+" \r\n\t"), chunked); code != ep.want {
+					t.Errorf("body followed by whitespace: %d, want %d", code, ep.want)
+				}
+			})
+		}
+	}
+}
+
+// unsized hides a body's length from net/http's client, which then sends
+// it chunked.
+func unsized(body io.Reader) io.Reader { return struct{ io.Reader }{body} }
 
 // TestUnknownEntityStatuses pins 404s for ghosts across every endpoint
 // that resolves an ID, including the new analytics route.

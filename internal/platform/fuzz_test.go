@@ -66,16 +66,50 @@ func checkSane(t *testing.T, rec *httptest.ResponseRecorder) {
 	}
 }
 
+// The seed corpora of the three participant bodies, around the IDs a
+// seeded server minted. FuzzInPlaceJSONDifferential starts from the same.
+func joinSeeds(campaign string) [][]byte {
+	return [][]byte{
+		[]byte(`{"campaign":"` + campaign + `","worker":{"id":"w1","gender":"f","country":"IT","source":"x"},"captcha":"tok"}`),
+		[]byte(`{"campaign":"ghost","worker":{"id":"w"},"captcha":"t"}`),
+		[]byte(`{"campaign":"` + campaign + `","worker":{"id":""},"captcha":"t"}`),
+		[]byte(`{"captcha":"   "}`),
+		[]byte(`{"unknown":"field"}`),
+		[]byte(`{`),
+		[]byte(`null`),
+		{0xff, 0xfe},
+	}
+}
+
+func eventsSeeds(video string) [][]byte {
+	return [][]byte{
+		[]byte(`{"video_id":"` + video + `","load_ms":900,"time_on_video_ms":4000,"plays":1,"watched_fraction":1}`),
+		[]byte(`{"instruction_ms":12000}`),
+		[]byte(`{"video_id":"ghost","seeks":-3,"out_of_focus_ms":-1e300}`),
+		[]byte(`{"watched_fraction":1e308,"plays":2147483647}`),
+		[]byte(`[]`),
+		[]byte(`{"video_id":123}`),
+		[]byte(``),
+	}
+}
+
+func responseSeeds(session string) [][]byte {
+	return [][]byte{
+		[]byte(`{"test_id":"` + session + `-t0","slider_ms":1400,"submitted_ms":1400,"kept_original":true}`),
+		[]byte(`{"test_id":"` + session + `-control","kept_original":true}`),
+		[]byte(`{"test_id":"nope"}`),
+		[]byte(`{"test_id":"` + session + `-t1","choice":"sideways"}`),
+		[]byte(`{"choice":"left"}`),
+		[]byte(`{"slider_ms":"high"}`),
+		[]byte(`{}`),
+	}
+}
+
 func FuzzJoinBody(f *testing.F) {
 	env := newFuzzEnv(f)
-	f.Add([]byte(`{"campaign":"` + env.campaign + `","worker":{"id":"w1","gender":"f","country":"IT","source":"x"},"captcha":"tok"}`))
-	f.Add([]byte(`{"campaign":"ghost","worker":{"id":"w"},"captcha":"t"}`))
-	f.Add([]byte(`{"campaign":"` + env.campaign + `","worker":{"id":""},"captcha":"t"}`))
-	f.Add([]byte(`{"captcha":"   "}`))
-	f.Add([]byte(`{"unknown":"field"}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`null`))
-	f.Add([]byte{0xff, 0xfe})
+	for _, seed := range joinSeeds(env.campaign) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkSane(t, env.do("POST", "/api/v1/sessions", body))
 	})
@@ -83,13 +117,9 @@ func FuzzJoinBody(f *testing.F) {
 
 func FuzzEventsBody(f *testing.F) {
 	env := newFuzzEnv(f)
-	f.Add([]byte(`{"video_id":"` + env.video + `","load_ms":900,"time_on_video_ms":4000,"plays":1,"watched_fraction":1}`))
-	f.Add([]byte(`{"instruction_ms":12000}`))
-	f.Add([]byte(`{"video_id":"ghost","seeks":-3,"out_of_focus_ms":-1e300}`))
-	f.Add([]byte(`{"watched_fraction":1e308,"plays":2147483647}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`{"video_id":123}`))
-	f.Add([]byte(``))
+	for _, seed := range eventsSeeds(env.video) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkSane(t, env.do("POST", "/api/v1/sessions/"+env.session+"/events", body))
 		// An unknown session must stay a clean 404 for the same bytes.
@@ -99,13 +129,9 @@ func FuzzEventsBody(f *testing.F) {
 
 func FuzzResponseBody(f *testing.F) {
 	env := newFuzzEnv(f)
-	f.Add([]byte(`{"test_id":"` + env.session + `-t0","slider_ms":1400,"submitted_ms":1400,"kept_original":true}`))
-	f.Add([]byte(`{"test_id":"` + env.session + `-control","kept_original":true}`))
-	f.Add([]byte(`{"test_id":"nope"}`))
-	f.Add([]byte(`{"test_id":"` + env.session + `-t1","choice":"sideways"}`))
-	f.Add([]byte(`{"choice":"left"}`))
-	f.Add([]byte(`{"slider_ms":"high"}`))
-	f.Add([]byte(`{}`))
+	for _, seed := range responseSeeds(env.session) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkSane(t, env.do("POST", "/api/v1/sessions/"+env.session+"/responses", body))
 		checkSane(t, env.do("POST", "/api/v1/sessions/ghost/responses", body))

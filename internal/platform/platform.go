@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -310,20 +311,33 @@ func (c *campaignState) invalidate() {
 type videoState struct {
 	ID       string
 	Campaign string
-	Hash     string // content address of the EYV1 payload in the blob store
-	Size     int64
-	// etag is the strong content-hash validator served on /videos/{id},
-	// minted once at creation so the read path never builds strings.
-	etag   string
+	videoHead
 	Flags  map[string]bool
 	Banned bool
 }
 
+// videoHead is what GET /videos/{id} serves of a video besides its bytes:
+// the content address of the EYV1 payload in the blob store, the strong
+// content-hash validator, and the validator and the size as reply header
+// values. All of it is rendered once at creation and never written to, so
+// the read path builds no strings and a copy may outlive the shard lock.
+type videoHead struct {
+	Hash                   string
+	Size                   int64
+	etag                   string
+	etagValue, lengthValue []string
+}
+
 // newVideoState builds a video index entry around its content address.
 func newVideoState(id, campaign, hash string, size int64) *videoState {
+	etag := `"` + hash + `"`
 	return &videoState{
-		ID: id, Campaign: campaign, Hash: hash, Size: size,
-		etag:  `"` + hash + `"`,
+		ID: id, Campaign: campaign,
+		videoHead: videoHead{
+			Hash: hash, Size: size, etag: etag,
+			etagValue:   []string{etag},
+			lengthValue: []string{strconv.FormatInt(size, 10)},
+		},
 		Flags: map[string]bool{},
 	}
 }
@@ -732,8 +746,18 @@ func statusFor(err error) int {
 
 // --- helpers ---
 
-// bufPool recycles response-rendering buffers across requests.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// jsonBuf is a response-rendering buffer with the encoder that writes to
+// it, recycled across requests through bufPool.
+type jsonBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+var bufPool = sync.Pool{New: func() any {
+	buf := new(jsonBuf)
+	buf.enc = json.NewEncoder(&buf.Buffer)
+	return buf
+}}
 
 // bodyPool recycles /analytics bodies, which grow with the campaign and
 // so stay out of bufPool; an idle pool is emptied by the collector.
@@ -741,10 +765,10 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // encodeJSON renders v into a pooled buffer. The caller owns the buffer
 // and must hand it back to bufPool once the bytes are written out.
-func encodeJSON(v any) (*bytes.Buffer, error) {
-	buf := bufPool.Get().(*bytes.Buffer)
+func encodeJSON(v any) (*jsonBuf, error) {
+	buf := bufPool.Get().(*jsonBuf)
 	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := buf.enc.Encode(v); err != nil {
 		bufPool.Put(buf)
 		return nil, err
 	}
@@ -761,11 +785,40 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, buf.Bytes())
 }
 
+// Reply header values the request path sets by plain assignment, under
+// the canonical key and without building a []string per reply. They are
+// shared by every reply and never written to: net/http clones a header
+// map's values before sending them, and each has no spare capacity, so an
+// Add on top of one copies it.
+var (
+	jsonContentType   = []string{"application/json"}
+	videoContentType  = []string{"application/octet-stream"}
+	videoCacheControl = []string{"public, max-age=31536000, immutable"}
+	videoAcceptRanges = []string{"bytes"}
+	// smallLengths[n] is the Content-Length of an n-byte body: every
+	// acknowledgement, error and assignment is shorter than this table.
+	smallLengths = func() (t [1024][]string) {
+		for n := range t {
+			t[n] = []string{strconv.Itoa(n)}
+		}
+		return t
+	}()
+)
+
+// contentLength returns the Content-Length header value of an n-byte body.
+func contentLength(n int) []string {
+	if n < len(smallLengths) {
+		return smallLengths[n]
+	}
+	return []string{strconv.Itoa(n)}
+}
+
 // writeBody sends an already-rendered JSON body, framed by its length:
 // net/http would chunk anything past its 2 KiB buffer otherwise.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = contentLength(len(body))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
@@ -780,11 +833,11 @@ var (
 	}
 )
 
-// writeBatchAck acknowledges n records with the bytes encoding/json
-// renders for {"records": n, "status": "recorded"}.
-func writeBatchAck(w http.ResponseWriter, n int) {
-	ack := strconv.AppendInt(append(make([]byte, 0, 48), `{"records":`...), int64(n), 10)
-	writeBody(w, http.StatusAccepted, append(ack, `,"status":"recorded"}`+"\n"...))
+// appendBatchAck appends the acknowledgement of n records: the bytes
+// encoding/json renders for {"records": n, "status": "recorded"}.
+func appendBatchAck(dst []byte, n int) []byte {
+	dst = strconv.AppendInt(append(dst, `{"records":`...), int64(n), 10)
+	return append(dst, `,"status":"recorded"}`+"\n"...)
 }
 
 // A strong ETag is a digest of the response, built from CRC-64 checksums
@@ -828,21 +881,83 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// errTrailingJSON refuses a body that goes on after its JSON value: a
+// second object would otherwise be dropped without a word.
+var errTrailingJSON = errors.New("invalid JSON: data after the top-level value")
+
+// decodeJSON is the reference decoding of every JSON request body:
+// encoding/json with unknown fields refused, and nothing but whitespace
+// allowed after the value.
+func decodeJSON(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	var syntax *json.SyntaxError
+	switch {
+	case err == io.EOF:
+		return nil
+	case err == nil, errors.As(err, &syntax):
+		return errTrailingJSON
+	}
+	return err // the body cap, or the connection
+}
+
 // readJSON decodes a JSON request body under the configured ingest
 // body cap. The cap goes through http.MaxBytesReader so an oversize
 // body is a typed error (writeBodyErr answers it 413) and the connection
 // is closed instead of draining the remainder. MaxBytesReader signals
 // that close through a private type assertion on the writer, so it
-// must see net/http's own ResponseWriter, not the instrument()
-// wrapper — unwrap it.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) error {
+// must see net/http's own ResponseWriter, not the scratch wrapping it.
+func (s *Server) readJSON(sc *scratch, r *http.Request, v any) error {
 	defer r.Body.Close()
-	if rec, ok := w.(*statusRecorder); ok {
-		w = rec.ResponseWriter
+	return decodeJSON(http.MaxBytesReader(sc.ResponseWriter, r.Body, s.maxBody), v)
+}
+
+// maxInPlaceBody is the longest body readIngest reads whole. The bodies
+// it is for run to some 200 bytes; the bound is what a client can make
+// the server hold by declaring a length and sending nothing.
+const maxInPlaceBody = 16 << 10
+
+// readIngest decodes one of the three bodies a participant sends (join,
+// events, response) into v, which lives in the scratch. A body whose
+// declared length is within the cap (and maxInPlaceBody) is read whole
+// into the scratch's buffer and handed to inPlace, the body's decoder
+// from inplace.go; if that declines, decodeJSON decodes the same bytes. A
+// chunked body or one declared longer takes readJSON's path untouched,
+// 413 and closed connection included. The input selects the path, and the
+// outcome does not depend on it.
+func (s *Server) readIngest(sc *scratch, r *http.Request, v any, inPlace func([]byte) bool) error {
+	n := r.ContentLength
+	if n < 0 || n > min(s.maxBody, maxInPlaceBody) {
+		return s.readJSON(sc, r, v)
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	defer r.Body.Close()
+	sc.buf = slices.Grow(sc.buf[:0], int(n))[:n]
+	if _, err := io.ReadFull(r.Body, sc.buf); err != nil {
+		return err
+	}
+	if inPlace(sc.buf) {
+		return nil
+	}
+	return decodeJSON(bytes.NewReader(sc.buf), v)
+}
+
+// assignmentOf returns session id's assignment while the session is in
+// flight (it is immutable from the join on), nil otherwise: the strings
+// the in-place decoders resolve a body's video and test IDs to, so that
+// what the tracker keeps of a body is the session's own string.
+func (s *Server) assignmentOf(id string) []AssignedTest {
+	ssh := s.sessions.Shard(id)
+	ssh.RLock()
+	e, _ := ssh.Get(id)
+	ssh.RUnlock()
+	if e.live == nil {
+		return nil
+	}
+	return e.live.Assignment
 }
 
 // writeBodyErr answers a readJSON failure. An oversize body is
@@ -860,7 +975,8 @@ func (s *Server) writeBodyErr(w http.ResponseWriter, err error, msg string) {
 }
 
 func (s *Server) newID(prefix string) string {
-	return fmt.Sprintf("%s%s%d", prefix, s.idTag, s.nextID.Add(1))
+	id := append(append(make([]byte, 0, 32), prefix...), s.idTag...)
+	return string(strconv.AppendInt(id, s.nextID.Add(1), 10))
 }
 
 // bumpID advances the ID counter to cover id, so replayed and
@@ -978,8 +1094,8 @@ func (s *Server) videoBanned(id string) bool {
 
 // --- handlers ---
 
-func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
-	tr := requestTrace(w)
+func (s *Server) handleCreateCampaign(w *scratch, r *http.Request) {
+	tr := w.tr
 	tr.Mark(trace.StageReceive)
 	var req CreateCampaignRequest
 	if err := s.readJSON(w, r, &req); err != nil {
@@ -1010,8 +1126,8 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 // maxVideoBytes caps one uploaded video payload.
 const maxVideoBytes = 64 << 20
 
-func (s *Server) handleAddVideo(w http.ResponseWriter, r *http.Request) {
-	tr := requestTrace(w)
+func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
+	tr := w.tr
 	campaignID := r.PathValue("id")
 	tr.SetCampaign(campaignID)
 	defer r.Body.Close()
@@ -1064,11 +1180,11 @@ func (s *Server) handleAddVideo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, AddVideoResponse{ID: id})
 }
 
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	tr := requestTrace(w)
+func (s *Server) handleJoin(w *scratch, r *http.Request) {
+	tr := w.tr
 	tr.Mark(trace.StageReceive)
-	var req JoinRequest
-	if err := s.readJSON(w, r, &req); err != nil {
+	req := &w.join
+	if err := s.readIngest(w, r, req, func(b []byte) bool { return decodeJoinRequest(b, req) }); err != nil {
 		s.writeBodyErr(w, err, err.Error())
 		return
 	}
@@ -1097,6 +1213,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		// the live (unbanned) set and the allocator's pool are computed
 		// under one campaign lock: the pool is a pure function of the
 		// journaled state this lock guards.
+		pool = make([]string, 0, len(c.Videos))
 		for _, vid := range c.Videos {
 			if !s.videoBanned(vid) {
 				pool = append(pool, vid)
@@ -1138,23 +1255,33 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		offset = int(s.assign.Add(1) - 1)
 	}
 	sid := s.newID("s")
-	tests := make([]AssignedTest, 0, TestsPerSession)
-	for k := 0; k < TestsPerSession-1; k++ {
-		vid := pool[(offset*(TestsPerSession-1)+k)%len(pool)]
-		tests = append(tests, AssignedTest{
-			TestID:  fmt.Sprintf("%s-t%d", sid, k),
-			VideoID: vid,
-			Kind:    kind,
-		})
+	// The seven test IDs are cut from one string: they live and die
+	// together, with the session's state. The session ID is its own; the
+	// campaign's lists keep it for good.
+	tests := make([]AssignedTest, TestsPerSession)
+	var ends [TestsPerSession]int
+	ids := make([]byte, 0, 128)
+	for k := range tests {
+		t := &tests[k]
+		t.Kind = kind
+		ids = append(ids, sid...)
+		if t.Control = k == TestsPerSession-1; t.Control {
+			ids = append(ids, "-control"...)
+			t.VideoID = pool[offset%len(pool)]
+		} else {
+			ids = strconv.AppendInt(append(ids, "-t"...), int64(k), 10)
+			t.VideoID = pool[(offset*(TestsPerSession-1)+k)%len(pool)]
+		}
+		ends[k] = len(ids)
 	}
-	tests = append(tests, AssignedTest{
-		TestID:  fmt.Sprintf("%s-control", sid),
-		VideoID: pool[offset%len(pool)],
-		Kind:    kind,
-		Control: true,
-	})
+	all, start := string(ids), 0
+	for k, end := range ends {
+		tests[k].TestID = all[start:end]
+		start = end
+	}
 	tr.SetSession(sid)
-	ev := &event{Op: opSession, ID: sid, Campaign: req.Campaign, Worker: &req.Worker, Tests: tests, tr: tr}
+	ev := &w.ev
+	*ev = event{Op: opSession, ID: sid, Campaign: req.Campaign, Worker: &req.Worker, Tests: tests, tr: tr}
 	if err := s.mutate(tr, func() (uint64, error) { return s.applySession(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
@@ -1162,7 +1289,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, JoinResponse{Session: sid, Tests: tests})
 }
 
-func (s *Server) handleTests(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTests(w *scratch, r *http.Request) {
 	id := r.PathValue("id")
 	ssh := s.sessions.Shard(id)
 	ssh.RLock()
@@ -1194,23 +1321,23 @@ func (s *Server) sessionLocked(ssh *store.Shard[sessionEntry], id string) (*sess
 	return decodeFrozen(e.done, id, segment(e.done.arena, e.done.arenaEnds, e.row))
 }
 
-// videoRef resolves a video ID to its content address under the shard
-// lock. Only scalars cross the lock — no payload bytes are touched, let
-// alone copied, while it is held — and the cache-hit GET path through
-// here plus blobs.Bytes is allocation-free (gated by a test).
-func (s *Server) videoRef(id string) (hash, etag string, size int64, banned, ok bool) {
+// videoRef resolves a video ID to what a GET serves of it, under the
+// shard lock. Only the head and the ban bit cross the lock — no payload
+// bytes are touched, let alone copied, while it is held — and the
+// cache-hit GET path through here plus blobs.Bytes is allocation-free
+// (gated by a test).
+func (s *Server) videoRef(id string) (v videoHead, banned, ok bool) {
 	vsh := s.videos.Shard(id)
 	vsh.RLock()
-	v, ok := vsh.Get(id)
-	if ok {
-		hash, etag, size, banned = v.Hash, v.etag, v.Size, v.Banned
+	if p, found := vsh.Get(id); found {
+		v, banned, ok = p.videoHead, p.Banned, true
 	}
 	vsh.RUnlock()
-	return hash, etag, size, banned, ok
+	return v, banned, ok
 }
 
-func (s *Server) handleGetVideo(w http.ResponseWriter, r *http.Request) {
-	hash, tag, size, banned, ok := s.videoRef(r.PathValue("id"))
+func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
+	v, banned, ok := s.videoRef(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, errNoVideo.Error())
 		return
@@ -1222,25 +1349,25 @@ func (s *Server) handleGetVideo(w http.ResponseWriter, r *http.Request) {
 	// The payload is immutable and content-addressed, so the validator
 	// is the strong content hash and clients may cache forever.
 	h := w.Header()
-	h.Set("ETag", tag)
-	h.Set("Cache-Control", "public, max-age=31536000, immutable")
-	h.Set("Accept-Ranges", "bytes")
-	h.Set("Content-Type", "application/octet-stream")
-	if etagMatches(r.Header.Get("If-None-Match"), tag) {
+	h["Etag"] = v.etagValue
+	h["Cache-Control"] = videoCacheControl
+	h["Accept-Ranges"] = videoAcceptRanges
+	h["Content-Type"] = videoContentType
+	if etagMatches(r.Header.Get("If-None-Match"), v.etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	if r.Header.Get("Range") == "" {
 		// Full-body fast path: resident bytes (memory tier, or a byte-
 		// cache hit on the file tier) go straight out, no seeker.
-		if b, fast := s.blobs.Bytes(hash); fast {
-			h.Set("Content-Length", strconv.FormatInt(size, 10))
+		if b, fast := s.blobs.Bytes(v.Hash); fast {
+			h["Content-Length"] = v.lengthValue
 			w.WriteHeader(http.StatusOK)
 			_, _ = w.Write(b)
 			return
 		}
 	}
-	rc, _, err := s.blobs.Open(hash)
+	rc, _, err := s.blobs.Open(v.Hash)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
@@ -1252,8 +1379,8 @@ func (s *Server) handleGetVideo(w http.ResponseWriter, r *http.Request) {
 	http.ServeContent(w, r, "", time.Time{}, rc)
 }
 
-func (s *Server) handleFlag(w http.ResponseWriter, r *http.Request) {
-	tr := requestTrace(w)
+func (s *Server) handleFlag(w *scratch, r *http.Request) {
+	tr := w.tr
 	tr.Mark(trace.StageReceive)
 	var body struct {
 		Worker string `json:"worker"`
@@ -1282,23 +1409,25 @@ func (s *Server) handleFlag(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"flags": flags, "banned": banned})
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEvents(w *scratch, r *http.Request) {
 	// Content-type negotiation: an EYB1 binary batch takes the pooled
 	// zero-alloc decode path; everything else is the JSON surface.
 	if isWireBatch(r) {
 		s.handleEventsBinary(w, r)
 		return
 	}
-	tr := requestTrace(w)
+	tr := w.tr
 	tr.Mark(trace.StageReceive)
-	tr.SetSession(r.PathValue("id"))
-	var batch EventBatch
-	if err := s.readJSON(w, r, &batch); err != nil {
+	id := r.PathValue("id")
+	tr.SetSession(id)
+	batch, known := &w.batch, s.assignmentOf(id)
+	if err := s.readIngest(w, r, batch, func(b []byte) bool { return decodeEventBatch(b, batch, known) }); err != nil {
 		s.writeBodyErr(w, err, err.Error())
 		return
 	}
 	tr.Mark(trace.StageDecode)
-	ev := &event{Op: opEvents, ID: r.PathValue("id"), Batch: &batch, tr: tr}
+	ev := &w.ev
+	*ev = event{Op: opEvents, ID: id, Batch: batch, tr: tr}
 	if err := s.mutate(tr, func() (uint64, error) { return s.applyEvents(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
@@ -1306,17 +1435,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusAccepted, ackRecorded)
 }
 
-func (s *Server) handleResponse(w http.ResponseWriter, r *http.Request) {
-	tr := requestTrace(w)
+func (s *Server) handleResponse(w *scratch, r *http.Request) {
+	tr := w.tr
 	tr.Mark(trace.StageReceive)
-	tr.SetSession(r.PathValue("id"))
-	var body ResponseBody
-	if err := s.readJSON(w, r, &body); err != nil {
+	id := r.PathValue("id")
+	tr.SetSession(id)
+	body, known := &w.resp, s.assignmentOf(id)
+	if err := s.readIngest(w, r, body, func(b []byte) bool { return decodeResponseBody(b, body, known) }); err != nil {
 		s.writeBodyErr(w, err, err.Error())
 		return
 	}
 	tr.Mark(trace.StageDecode)
-	ev := &event{Op: opResponse, ID: r.PathValue("id"), Body: &body, tr: tr}
+	ev := &w.ev
+	*ev = event{Op: opResponse, ID: id, Body: body, tr: tr}
 	var done bool
 	err := s.mutate(tr, func() (uint64, error) {
 		seq, d, err := s.applyResponse(ev)
@@ -1330,7 +1461,7 @@ func (s *Server) handleResponse(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusAccepted, ackComplete[done])
 }
 
-func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleResults(w *scratch, r *http.Request) {
 	id := r.PathValue("id")
 	csh := s.campaigns.Shard(id)
 	csh.RLock()

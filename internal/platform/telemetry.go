@@ -439,81 +439,92 @@ func (s *Server) reject(w http.ResponseWriter, status int, reason, msg string, r
 	writeErr(w, status, msg)
 }
 
-// statusRecorder captures the status code a handler writes and carries
-// the request's trace to the handler. The trace rides here — a struct
-// tracing allocates anyway — instead of the request context, because
+// scratch is what one request needs only for as long as its handler
+// runs, recycled through scratchPool so a request allocates none of it:
+// the writer that records the status code and carries the trace, the
+// buffer an ingest body is read into, the structs it decodes to and the
+// journal event built from them. instrument() hands it to the handler as
+// its ResponseWriter and takes it back when the handler returns; nothing
+// reachable from the platform's state may point into it after that (the
+// apply functions copy what they keep out of the event).
+//
+// The trace rides here instead of the request context because
 // r.WithContext clones the entire http.Request, and one clone per
-// request costs several percent of a mem-mode ingest request: real
-// money under the bench's tracing overhead gate.
-type statusRecorder struct {
+// request costs several percent of a mem-mode ingest request: real money
+// under the bench's tracing overhead gate.
+type scratch struct {
 	http.ResponseWriter
 	status int
 	tr     *trace.Trace
+
+	buf   []byte // an ingest body as it arrived; a batch's acknowledgement
+	ev    event
+	join  JoinRequest
+	batch EventBatch
+	resp  ResponseBody
 }
 
-// requestTrace recovers the trace instrument() attached to this
-// request's response writer; nil when tracing is off or the writer is
-// unwrapped.
-func requestTrace(w http.ResponseWriter) *trace.Trace {
-	if rec, ok := w.(*statusRecorder); ok {
-		return rec.tr
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release clears everything the request left in the scratch, so the pool
+// pins none of it, and returns it. The buffer stays, emptied: it never
+// grows past maxInPlaceBody.
+func (sc *scratch) release() {
+	*sc = scratch{buf: sc.buf[:0]}
+	scratchPool.Put(sc)
+}
+
+func (sc *scratch) WriteHeader(code int) {
+	sc.status = code
+	sc.ResponseWriter.WriteHeader(code)
+}
+
+func (sc *scratch) Write(b []byte) (int, error) {
+	if sc.status == 0 {
+		sc.status = http.StatusOK
 	}
-	return nil
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
+	return sc.ResponseWriter.Write(b)
 }
 
 // ReadFrom forwards to the wrapped writer's io.ReaderFrom when it has
 // one, so instrumented video responses keep net/http's sendfile path (a
 // plain wrapper would demote io.Copy from ServeContent to a userspace
 // loop).
-func (r *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
+func (sc *scratch) ReadFrom(src io.Reader) (int64, error) {
+	if sc.status == 0 {
+		sc.status = http.StatusOK
 	}
-	if rf, ok := r.ResponseWriter.(io.ReaderFrom); ok {
+	if rf, ok := sc.ResponseWriter.(io.ReaderFrom); ok {
 		return rf.ReadFrom(src)
 	}
 	// The struct wrapper hides ReadFrom so io.Copy cannot recurse here.
-	return io.Copy(struct{ io.Writer }{r.ResponseWriter}, src)
+	return io.Copy(struct{ io.Writer }{sc.ResponseWriter}, src)
 }
 
 // instrument wraps one API handler with admission control and, when
-// telemetry is enabled, status/latency recording. With tracing enabled
-// it also owns the trace lifecycle: a trace starts before the admission
-// gates (so rejected requests show up as admission-heavy traces),
-// travels to the handler on the status recorder (see requestTrace),
-// and finishes with the recorded status after the handler returns.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+// telemetry is enabled, status/latency recording; the handler runs on a
+// pooled scratch, its ResponseWriter. With tracing enabled it also owns
+// the trace lifecycle: a trace starts before the admission gates (so
+// rejected requests show up as admission-heavy traces), travels to the
+// handler on the scratch, and finishes with the recorded status after
+// the handler returns.
+func (s *Server) instrument(name string, h func(*scratch, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		tr := s.startTrace(name, r)
-		var rec *statusRecorder
-		if s.metrics != nil || tr != nil {
-			rec = &statusRecorder{ResponseWriter: w, tr: tr}
-			w = rec
-		}
-		if tr != nil {
+		sc := scratchPool.Get().(*scratch)
+		sc.ResponseWriter = w
+		defer sc.release()
+		if sc.tr = s.startTrace(name, r); sc.tr != nil {
 			defer func() {
 				status := http.StatusOK
-				if rec.status != 0 {
-					status = rec.status
+				if sc.status != 0 {
+					status = sc.status
 				}
-				s.tracer.Finish(tr, status)
+				s.tracer.Finish(sc.tr, status)
 			}()
 		}
 		a := &s.admission
 		if a.draining.Load() && name == "join" {
-			s.reject(w, http.StatusServiceUnavailable, "drain",
+			s.reject(sc, http.StatusServiceUnavailable, "drain",
 				"server is draining; not admitting new sessions", 5*time.Second)
 			return
 		}
@@ -525,7 +536,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		if a.maxInflight > 0 || s.metrics != nil {
 			if n := a.inflight.Add(1); a.maxInflight > 0 && n > a.maxInflight {
 				a.inflight.Add(-1)
-				s.reject(w, http.StatusTooManyRequests, "inflight",
+				s.reject(sc, http.StatusTooManyRequests, "inflight",
 					"server at capacity", time.Second)
 				return
 			}
@@ -533,21 +544,21 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		if a.rate > 0 && sessionScoped[name] {
 			if ok, wait := a.admit(r.PathValue("id")); !ok {
-				s.reject(w, http.StatusTooManyRequests, "worker-rate",
+				s.reject(sc, http.StatusTooManyRequests, "worker-rate",
 					"per-worker rate exceeded", wait)
 				return
 			}
 		}
-		tr.Mark(trace.StageAdmission)
+		sc.tr.Mark(trace.StageAdmission)
 		if s.metrics == nil {
-			h(w, r)
+			h(sc, r)
 			return
 		}
 		em := s.metrics.byName[name]
 		start := time.Now()
-		h(w, r)
+		h(sc, r)
 		em.lat.Observe(time.Since(start))
-		class := rec.status/100 - 1
+		class := sc.status/100 - 1
 		if class < 0 || class >= len(em.codes) {
 			class = 4 // treat unwritten/invalid statuses as 5xx
 		}

@@ -320,25 +320,31 @@ func TestDrainRefusesNewSessions(t *testing.T) {
 	}
 }
 
-// TestMaxBodyRejectsOversizeIngest: an ingest body over the cap
-// answers 413 and counts as an admission rejection.
+// TestMaxBodyRejectsOversizeIngest: an ingest body over the cap answers
+// 413 with Retry-After, counts as an admission rejection and closes the
+// connection instead of draining the rest — whether the body declares its
+// length or arrives chunked.
 func TestMaxBodyRejectsOversizeIngest(t *testing.T) {
 	c, _ := newClientOpts(t, Options{MaxBodyBytes: 128})
 	big := fmt.Sprintf(`{"video_id":%q}`, strings.Repeat("v", 300))
-	resp, err := http.Post(c.srv.URL+"/api/v1/sessions/s1/events", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize events body = %d, want 413", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("413 without Retry-After — body-cap refusals are backpressure")
-	}
-	body := scrape(t, c)
-	if metricValue(t, body, `eyeorg_admission_rejected_total{reason="body"}`) != "1" {
-		t.Fatalf("body rejection not counted")
+	for i, body := range []io.Reader{strings.NewReader(big), unsized(strings.NewReader(big))} {
+		resp, err := http.Post(c.srv.URL+"/api/v1/sessions/s1/events", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversize events body = %d, want 413", resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("413 without Retry-After — body-cap refusals are backpressure")
+		}
+		if !resp.Close {
+			t.Fatalf("413 left the connection open: the rest of the body would be drained")
+		}
+		if got := metricValue(t, scrape(t, c), `eyeorg_admission_rejected_total{reason="body"}`); got != fmt.Sprint(i+1) {
+			t.Fatalf("body rejections counted: %s, want %d", got, i+1)
+		}
 	}
 }
 

@@ -249,11 +249,11 @@ func TestVideoCacheHitPathAllocFree(t *testing.T) {
 	id := vids[0]
 	want := len(sampleVideoBytes())
 	allocs := testing.AllocsPerRun(1000, func() {
-		hash, etag, size, banned, ok := srv.videoRef(id)
-		if !ok || banned || etag == "" || size != int64(want) {
+		v, banned, ok := srv.videoRef(id)
+		if !ok || banned || v.etag == "" || v.Size != int64(want) {
 			t.Fatal("videoRef failed")
 		}
-		b, fast := srv.blobs.Bytes(hash)
+		b, fast := srv.blobs.Bytes(v.Hash)
 		if !fast || len(b) != want {
 			t.Fatal("Bytes fast path failed")
 		}
