@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper, ablation
-// benches for the pipeline's design decisions, micro-benchmarks of the
-// hot substrate paths, and serving benches for the platform store.
+// benches for the pipeline's design decisions, and micro-benchmarks of
+// the hot substrate paths. The platform's serving costs are measured by
+// bench/ (the repo benchmark) and internal/platform's render benches.
 //
 // The figure benches share one lazily-built QuickScale suite: campaign
 // construction (capture + crowd simulation) happens once outside the
@@ -9,15 +10,10 @@
 package eyeorg
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,7 +26,6 @@ import (
 	"github.com/eyeorg/eyeorg/internal/httpsim"
 	"github.com/eyeorg/eyeorg/internal/metrics"
 	"github.com/eyeorg/eyeorg/internal/netem"
-	"github.com/eyeorg/eyeorg/internal/platform"
 	"github.com/eyeorg/eyeorg/internal/recruit"
 	"github.com/eyeorg/eyeorg/internal/rng"
 	"github.com/eyeorg/eyeorg/internal/sitegen"
@@ -381,142 +376,6 @@ func BenchmarkRunCampaign(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := core.RunCampaignWorkers(campaign, recruit.CrowdFlower, 200, 0, w)
 				requireNoErr(b, err)
-			}
-		})
-	}
-}
-
-// --- platform serving benches (serial mutex vs sharded store) ---
-
-// platformDo drives the platform handler directly (no network), so the
-// bench measures the storage subsystem, not loopback TCP.
-func platformDo(b *testing.B, h http.Handler, method, path string, body []byte, out any) int {
-	b.Helper()
-	req := httptest.NewRequest(method, path, bytes.NewReader(body))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if out != nil {
-		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
-			b.Fatalf("%s %s: %v", method, path, err)
-		}
-	}
-	return rec.Code
-}
-
-func platformBenchVideo() []byte {
-	paints := []browsersim.PaintEvent{
-		{T: 300 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH}, Value: 1},
-		{T: 1200 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 2, W: 30, H: 10}, Value: 2},
-	}
-	return video.Encode(video.Capture(paints, 3*time.Second, 10))
-}
-
-// BenchmarkPlatformSessions pushes full participant sessions (join +
-// events + responses) through the platform concurrently. shards=1
-// approximates the old single-mutex server — every entity contends on
-// one lock per index — while shards=64 is the sharded store; the gap
-// is the point of the storage refactor (visible only on multi-core
-// hosts; a 1-core runner serializes both).
-func BenchmarkPlatformSessions(b *testing.B) {
-	for _, shards := range []int{1, 64} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			srv, err := platform.Open(platform.Options{Shards: shards})
-			requireNoErr(b, err)
-			h := srv.Handler()
-			var created platform.CreateCampaignResponse
-			if code := platformDo(b, h, "POST", "/api/v1/campaigns", []byte(`{"name":"bench","kind":"timeline"}`), &created); code != 201 {
-				b.Fatalf("create campaign: %d", code)
-			}
-			payload := platformBenchVideo()
-			for i := 0; i < 4; i++ {
-				if code := platformDo(b, h, "POST", "/api/v1/campaigns/"+created.ID+"/videos", payload, nil); code != 201 {
-					b.Fatalf("add video: %d", code)
-				}
-			}
-			var workerID atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					id := workerID.Add(1)
-					var jr platform.JoinResponse
-					join := fmt.Sprintf(`{"campaign":%q,"worker":{"id":"bench-%d"},"captcha":"tok"}`, created.ID, id)
-					if code := platformDo(b, h, "POST", "/api/v1/sessions", []byte(join), &jr); code != 201 {
-						b.Fatalf("join: %d", code)
-					}
-					platformDo(b, h, "GET", "/api/v1/videos/"+jr.Tests[0].VideoID, nil, nil)
-					for _, tt := range jr.Tests {
-						events, err := json.Marshal(platform.EventBatch{
-							VideoID: tt.VideoID, LoadMs: 800, TimeOnVideoMs: 20_000,
-							Seeks: 12, Plays: 1, WatchedFraction: 0.9,
-						})
-						requireNoErr(b, err)
-						platformDo(b, h, "POST", "/api/v1/sessions/"+jr.Session+"/events", events, nil)
-						resp, err := json.Marshal(platform.ResponseBody{
-							TestID: tt.TestID, SliderMs: 1500, SubmittedMs: 1400, KeptOriginal: true,
-						})
-						requireNoErr(b, err)
-						if code := platformDo(b, h, "POST", "/api/v1/sessions/"+jr.Session+"/responses", resp, nil); code != 202 {
-							b.Fatalf("response: %d", code)
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkAnalyticsServe times the live quality-analytics endpoint,
-// decoding the reply as a client would, at the paper's campaign size
-// (1,000 participants) and eight times it: the §4.3 verdicts are
-// maintained on the write path and each completed session's row was
-// rendered when it completed, so serving copies rows — no session
-// replay, no per-session encode.
-func BenchmarkAnalyticsServe(b *testing.B) {
-	for _, sessions := range []int{1000, 8000} {
-		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			srv, err := platform.Open(platform.Options{})
-			requireNoErr(b, err)
-			h := srv.Handler()
-			var created platform.CreateCampaignResponse
-			if code := platformDo(b, h, "POST", "/api/v1/campaigns", []byte(`{"name":"bench","kind":"timeline"}`), &created); code != 201 {
-				b.Fatalf("create campaign: %d", code)
-			}
-			payload := platformBenchVideo()
-			for i := 0; i < 4; i++ {
-				if code := platformDo(b, h, "POST", "/api/v1/campaigns/"+created.ID+"/videos", payload, nil); code != 201 {
-					b.Fatalf("add video: %d", code)
-				}
-			}
-			for i := 0; i < sessions; i++ {
-				var jr platform.JoinResponse
-				join := fmt.Sprintf(`{"campaign":%q,"worker":{"id":"bench-%d"},"captcha":"tok"}`, created.ID, i)
-				if code := platformDo(b, h, "POST", "/api/v1/sessions", []byte(join), &jr); code != 201 {
-					b.Fatalf("join: %d", code)
-				}
-				for _, tt := range jr.Tests {
-					events, err := json.Marshal(platform.EventBatch{
-						VideoID: tt.VideoID, LoadMs: 800, TimeOnVideoMs: 20_000,
-						Seeks: 12, Plays: 1, WatchedFraction: 0.9,
-					})
-					requireNoErr(b, err)
-					platformDo(b, h, "POST", "/api/v1/sessions/"+jr.Session+"/events", events, nil)
-					resp, err := json.Marshal(platform.ResponseBody{
-						TestID: tt.TestID, SliderMs: 1500, SubmittedMs: 1400, KeptOriginal: true,
-					})
-					requireNoErr(b, err)
-					platformDo(b, h, "POST", "/api/v1/sessions/"+jr.Session+"/responses", resp, nil)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var ar platform.AnalyticsResponse
-				if code := platformDo(b, h, "GET", "/api/v1/campaigns/"+created.ID+"/analytics", nil, &ar); code != 200 {
-					b.Fatalf("analytics: %d", code)
-				}
-				if ar.Completed != sessions {
-					b.Fatalf("completed = %d, want %d", ar.Completed, sessions)
-				}
 			}
 		})
 	}

@@ -52,22 +52,37 @@ import (
 	"github.com/eyeorg/eyeorg"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	mode := flag.String("mode", "proxy", "dispatch mode: proxy (forward server-side, follow fences) or redirect (307 to the owning node)")
-	nodes := flag.String("nodes", "", "cluster members as id=baseURL pairs, comma-separated (required)")
-	vnodes := flag.Int("vnodes", 0, "virtual-node points per member on the hash ring (0 = default)")
-	logFormat := flag.String("log-format", "text", "log record format: text or json")
-	flag.Parse()
+// config is the parsed command line.
+type config struct {
+	addr, mode, nodes, logFormat string
+	vnodes                       int
+}
 
-	logger, err := newLogger(os.Stderr, *logFormat)
+// newFlags declares the command line. docs/OPERATIONS.md tabulates it,
+// and TestDocsFlagsRegistered holds the two together.
+func newFlags() (*flag.FlagSet, *config) {
+	fs := flag.NewFlagSet("eyeorg-router", flag.ExitOnError)
+	c := &config{}
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.mode, "mode", "proxy", "dispatch mode: proxy (forward server-side, follow fences) or redirect (307 to the owning node)")
+	fs.StringVar(&c.nodes, "nodes", "", "cluster members as id=baseURL pairs, comma-separated (required)")
+	fs.IntVar(&c.vnodes, "vnodes", 0, "virtual-node points per member on the hash ring (0 = default)")
+	fs.StringVar(&c.logFormat, "log-format", "text", "log record format: text or json")
+	return fs, c
+}
+
+func main() {
+	fs, c := newFlags()
+	fs.Parse(os.Args[1:]) // ExitOnError: a bad command line never returns
+
+	logger, err := newLogger(os.Stderr, c.logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eyeorg-router: %v\n", err)
 		os.Exit(2)
 	}
 	slog.SetDefault(logger)
 
-	members, err := parseMembers(*nodes)
+	members, err := parseMembers(c.nodes)
 	if err != nil {
 		logger.Error("invalid -nodes", "err", err)
 		os.Exit(2)
@@ -77,15 +92,15 @@ func main() {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	router, err := eyeorg.NewRemoteClusterRouter(*mode, eyeorg.NewClusterRing(ids, *vnodes), members)
+	router, err := eyeorg.NewRemoteClusterRouter(c.mode, eyeorg.NewClusterRing(ids, c.vnodes), members)
 	if err != nil {
 		logger.Error("building router", "err", err)
 		os.Exit(2)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
-		logger.Error("listening failed", "addr", *addr, "err", err)
+		logger.Error("listening failed", "addr", c.addr, "err", err)
 		os.Exit(1)
 	}
 	srv := &http.Server{
@@ -95,7 +110,7 @@ func main() {
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-	logger.Info("routing the Eyeorg API", "addr", ln.Addr().String(), "mode", *mode, "nodes", ids)
+	logger.Info("routing the Eyeorg API", "addr", ln.Addr().String(), "mode", c.mode, "nodes", ids)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

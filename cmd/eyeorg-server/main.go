@@ -41,10 +41,8 @@
 //
 // Video payloads live in a content-addressed blob store (deduplicated
 // by SHA-256, served with strong ETags, 304s and Range requests). With
-// -data-dir they persist as blob files; -video-tier picks how they are
-// served (file: blob files fronted by an LRU byte cache sized by
-// -video-cache; mem: additionally resident in RAM), and -video-chunk
-// sets the ingest chunk size and cache admission bound.
+// -data-dir they persist as blob files fronted by an LRU byte cache
+// sized by -video-cache; without it they are held in memory.
 //
 // Observability: -trace-sample and/or -trace-slow enable end-to-end
 // ingest tracing — every request is stamped through the explicit stage
@@ -91,104 +89,90 @@ import (
 	"github.com/eyeorg/eyeorg"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	dataDir := flag.String("data-dir", "", "journal + snapshot directory (default in-memory)")
-	shards := flag.Int("shards", 0, "index shard count, rounded to a power of two (0 = default)")
-	fsync := flag.Bool("fsync", false, "fsync the journal before acking mutations")
-	groupCommit := flag.Bool("group-commit", false, "coalesce concurrent mutations into one journal flush (and fsync) per window")
-	groupMaxBatch := flag.Int("group-max-batch", 0, "with -group-max-delay: close a held window early at this many pending records (0 = default)")
-	groupMaxDelay := flag.Duration("group-max-delay", 0, "hold a group-commit window open this long for more records (0 = flush immediately)")
-	snapshotEvery := flag.Int("snapshot-every", 0, "journal records between snapshots (0 = default, <0 = never)")
-	maxInflight := flag.Int("max-inflight", 0, "cap on concurrently served API requests; excess gets 429 (0 = unlimited)")
-	workerRate := flag.Float64("worker-rate", 0, "per-session request rate cap in req/s on session endpoints; excess gets 429 (0 = unlimited)")
-	workerBurst := flag.Int("worker-burst", 0, "per-session token-bucket burst (0 = 2x rate)")
-	maxBody := flag.Int64("max-body", 0, "JSON ingest body cap in bytes; oversize gets 413 (0 = 1 MiB)")
-	maxBatchRecords := flag.Int("max-batch-records", 0, "record cap per binary events batch; oversize gets 413 (0 = 4096, <0 = unlimited)")
-	videoTier := flag.String("video-tier", "", "video serving tier with -data-dir: file (blob files + byte cache) or mem (also resident in RAM); default file")
-	videoCache := flag.Int64("video-cache", 0, "file-tier video byte-cache capacity in bytes (0 = 64 MiB, <0 = disabled)")
-	videoChunk := flag.Int("video-chunk", 0, "video blob chunk size and cache admission bound in bytes (0 = 1 MiB)")
-	noTelemetry := flag.Bool("no-telemetry", false, "disable the /metrics registry and handler instrumentation")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of requests retained as stage-attributed traces on /debug/traces (0 = tracing off unless -trace-slow)")
-	traceSlow := flag.Duration("trace-slow", 0, "always retain and log requests at least this slow (0 = off)")
-	traceBuffer := flag.Int("trace-buffer", 0, "trace retention per ring, sampled and slow, in traces (0 = 256)")
-	debugAddr := flag.String("debug-addr", "", "separate listener for /debug/pprof, /debug/vars and /debug/traces (empty = off; must differ from -addr)")
-	logFormat := flag.String("log-format", "text", "log record format: text or json")
-	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long a drain waits for in-flight sessions to complete")
-	adaptive := flag.Bool("adaptive", false, "sequential campaigns: steer assignments by per-video confidence intervals and close campaigns (409 joins) once every video resolves")
-	ciHalfWidth := flag.Float64("ci-halfwidth", 0, "with -adaptive: target 95% CI half-width per video — seconds (timeline) or preference score (ab); 0 = 0.5")
-	adaptiveSeed := flag.Int64("adaptive-seed", 0, "with -adaptive: seed for the deterministic small-sample bootstrap")
-	nodeID := flag.String("node-id", "", "cluster member ID (e.g. a); namespaces minted entity IDs and enables the ownership middleware")
-	nodeBase := flag.String("node-base", "", "with -node-id: this node's advertised base URL, the prefix of fencing-redirect Locations")
-	peers := flag.String("peers", "", "with -node-id: peer nodes as id=baseURL pairs, comma-separated, for resolving handoff redirects")
-	flag.Parse()
+// config is the parsed command line: the platform's options, bound to
+// their flags directly, and what only this binary reads.
+type config struct {
+	platform                                            eyeorg.PlatformOptions
+	addr, debugAddr, logFormat, nodeID, nodeBase, peers string
+	drainTimeout                                        time.Duration
+}
 
-	logger, err := newLogger(os.Stderr, *logFormat)
+// newFlags declares the command line. docs/OPERATIONS.md tabulates it,
+// and TestDocsFlagsRegistered holds the two together.
+func newFlags() (*flag.FlagSet, *config) {
+	fs := flag.NewFlagSet("eyeorg-server", flag.ExitOnError)
+	c := &config{}
+	o := &c.platform
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.DataDir, "data-dir", "", "journal + snapshot directory (default in-memory)")
+	fs.IntVar(&o.Shards, "shards", 0, "index shard count, rounded to a power of two (0 = default)")
+	fs.BoolVar(&o.Fsync, "fsync", false, "fsync the journal before acking mutations")
+	fs.BoolVar(&o.GroupCommit, "group-commit", false, "coalesce concurrent mutations into one journal flush (and fsync) per window")
+	fs.IntVar(&o.SnapshotEvery, "snapshot-every", 0, "journal records between snapshots (0 = default, <0 = never)")
+	fs.IntVar(&o.MaxInFlight, "max-inflight", 0, "cap on concurrently served API requests; excess gets 429 (0 = unlimited)")
+	fs.Float64Var(&o.WorkerRate, "worker-rate", 0, "per-session request rate cap in req/s on session endpoints; excess gets 429 (0 = unlimited)")
+	fs.IntVar(&o.WorkerBurst, "worker-burst", 0, "per-session token-bucket burst (0 = 2x rate)")
+	fs.Int64Var(&o.MaxBodyBytes, "max-body", 0, "JSON ingest body cap in bytes; oversize gets 413 (0 = 1 MiB)")
+	fs.Int64Var(&o.VideoCacheBytes, "video-cache", 0, "video byte-cache capacity in bytes, with -data-dir (0 = 64 MiB, <0 = disabled)")
+	fs.Float64Var(&o.TraceSample, "trace-sample", 0, "fraction of requests retained as stage-attributed traces on /debug/traces (0 = tracing off unless -trace-slow)")
+	fs.DurationVar(&o.TraceSlow, "trace-slow", 0, "always retain and log requests at least this slow (0 = off)")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "separate listener for /debug/pprof, /debug/vars and /debug/traces (empty = off; must differ from -addr)")
+	fs.StringVar(&c.logFormat, "log-format", "text", "log record format: text or json")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 15*time.Second, "how long a drain waits for in-flight sessions to complete")
+	fs.BoolVar(&o.Adaptive, "adaptive", false, "sequential campaigns: steer assignments by per-video confidence intervals and close campaigns (409 joins) once every video resolves")
+	fs.Float64Var(&o.CIHalfWidth, "ci-halfwidth", 0, "with -adaptive: target 95% CI half-width per video — seconds (timeline) or preference score (ab); 0 = 0.5")
+	fs.Int64Var(&o.AdaptiveSeed, "adaptive-seed", 0, "with -adaptive: seed for the deterministic small-sample bootstrap")
+	fs.StringVar(&c.nodeID, "node-id", "", "cluster member ID (e.g. a); namespaces minted entity IDs and enables the ownership middleware")
+	fs.StringVar(&c.nodeBase, "node-base", "", "with -node-id: this node's advertised base URL, the prefix of fencing-redirect Locations")
+	fs.StringVar(&c.peers, "peers", "", "with -node-id: peer nodes as id=baseURL pairs, comma-separated, for resolving handoff redirects")
+	return fs, c
+}
+
+func main() {
+	fs, c := newFlags()
+	fs.Parse(os.Args[1:]) // ExitOnError: a bad command line never returns
+
+	logger, err := newLogger(os.Stderr, c.logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eyeorg-server: %v\n", err)
 		os.Exit(2)
 	}
 	slog.SetDefault(logger)
-	if err := validateAddrs(*addr, *debugAddr); err != nil {
+	if err := validateAddrs(c.addr, c.debugAddr); err != nil {
 		logger.Error("invalid listen configuration", "err", err)
 		os.Exit(2)
 	}
 
-	peerDir, err := parsePeers(*nodeID, *nodeBase, *peers)
+	peerDir, err := parsePeers(c.nodeID, c.nodeBase, c.peers)
 	if err != nil {
 		logger.Error("invalid cluster configuration", "err", err)
 		os.Exit(2)
 	}
 
-	idTag := ""
-	if *nodeID != "" {
-		idTag = *nodeID + "."
+	c.platform.Logger = logger
+	if c.nodeID != "" {
+		c.platform.IDTag = c.nodeID + "."
 	}
-	platform, err := eyeorg.NewPlatformServer(eyeorg.PlatformOptions{
-		IDTag:            idTag,
-		DataDir:          *dataDir,
-		Shards:           *shards,
-		Fsync:            *fsync,
-		GroupCommit:      *groupCommit,
-		GroupMaxBatch:    *groupMaxBatch,
-		GroupMaxDelay:    *groupMaxDelay,
-		SnapshotEvery:    *snapshotEvery,
-		MaxInFlight:      *maxInflight,
-		WorkerRate:       *workerRate,
-		WorkerBurst:      *workerBurst,
-		MaxBodyBytes:     *maxBody,
-		MaxBatchRecords:  *maxBatchRecords,
-		VideoTier:        *videoTier,
-		VideoCacheBytes:  *videoCache,
-		VideoChunkBytes:  *videoChunk,
-		DisableTelemetry: *noTelemetry,
-		TraceSample:      *traceSample,
-		TraceSlow:        *traceSlow,
-		TraceBuffer:      *traceBuffer,
-		Logger:           logger,
-		Adaptive:         *adaptive,
-		CIHalfWidth:      *ciHalfWidth,
-		AdaptiveSeed:     *adaptiveSeed,
-	})
+	platform, err := eyeorg.NewPlatformServer(c.platform)
 	if err != nil {
 		logger.Error("opening platform store", "err", err)
 		os.Exit(1)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		platform.Close()
-		logger.Error("listening failed", "addr", *addr, "err", err)
+		logger.Error("listening failed", "addr", c.addr, "err", err)
 		os.Exit(1)
 	}
-	if *dataDir != "" {
-		logger.Info("persisting", "dir", *dataDir)
+	if c.platform.DataDir != "" {
+		logger.Info("persisting", "dir", c.platform.DataDir)
 	}
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
+	if c.debugAddr != "" {
+		dln, err := net.Listen("tcp", c.debugAddr)
 		if err != nil {
 			platform.Close()
-			logger.Error("debug listener failed", "addr", *debugAddr, "err", err)
+			logger.Error("debug listener failed", "addr", c.debugAddr, "err", err)
 			os.Exit(1)
 		}
 		dsrv := &http.Server{Handler: newDebugHandler(platform), ReadHeaderTimeout: 5 * time.Second}
@@ -202,20 +186,20 @@ func main() {
 	logger.Info("serving the Eyeorg API", "addr", ln.Addr().String())
 
 	handler := platform.Handler()
-	if *nodeID != "" {
+	if c.nodeID != "" {
 		// The ownership middleware fences handed-off campaigns with a
 		// 307 naming the new owner from the peer directory.
-		node := eyeorg.NewStandaloneClusterNode(*nodeID, *nodeBase, platform, func(id string) (string, bool) {
+		node := eyeorg.NewStandaloneClusterNode(c.nodeID, c.nodeBase, platform, func(id string) (string, bool) {
 			base, ok := peerDir[id]
 			return base, ok
 		})
 		handler = node.Handler()
-		logger.Info("cluster member", "node", *nodeID, "base", *nodeBase, "peers", len(peerDir))
+		logger.Info("cluster member", "node", c.nodeID, "base", c.nodeBase, "peers", len(peerDir))
 	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	if err := run(platform, newHTTPServer(handler), ln, sigc, *drainTimeout); err != nil {
+	if err := run(platform, newHTTPServer(handler), ln, sigc, c.drainTimeout); err != nil {
 		logger.Error("server exited", "err", err)
 		os.Exit(1)
 	}
@@ -352,14 +336,9 @@ const drainIdleGrace = 2 * time.Second
 // abandons some sessions mid-assignment and those never complete, so
 // "wait for zero in flight" alone would turn every restart into a full
 // drainTimeout stall; instead the wait also ends once nothing has made
-// progress for drainIdleGrace. Progress is read from the in-flight
-// request counter, which the platform only maintains with telemetry or
-// an admission cap configured (TracksRequests); without it an active
-// participant would look idle and get cut off, so the quiescence
-// shortcut is disabled and the drain waits out sessions or the full
-// timeout.
+// progress for drainIdleGrace: no session completing and no request
+// being served.
 func awaitDrain(platform *eyeorg.PlatformServer, drainTimeout time.Duration) {
-	quiesce := platform.TracksRequests()
 	deadline := time.Now().Add(drainTimeout)
 	idleSince := time.Now()
 	last := platform.SessionsInFlight()
@@ -372,13 +351,11 @@ func awaitDrain(platform *eyeorg.PlatformServer, drainTimeout time.Duration) {
 			slog.Warn("drain timeout", "sessions_in_flight", n)
 			return
 		}
-		if quiesce {
-			if n != last || platform.RequestsInFlight() > 0 {
-				last, idleSince = n, time.Now()
-			} else if time.Since(idleSince) >= drainIdleGrace {
-				slog.Info("drain quiesced with sessions abandoned", "sessions_in_flight", n, "idle_grace", drainIdleGrace)
-				return
-			}
+		if n != last || platform.RequestsInFlight() > 0 {
+			last, idleSince = n, time.Now()
+		} else if time.Since(idleSince) >= drainIdleGrace {
+			slog.Info("drain quiesced with sessions abandoned", "sessions_in_flight", n, "idle_grace", drainIdleGrace)
+			return
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

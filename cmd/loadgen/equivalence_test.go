@@ -131,8 +131,6 @@ func TestDurabilityModeEquivalence(t *testing.T) {
 		{"wal-group", false, platform.Options{GroupCommit: true}},
 		{"fsync-record", false, platform.Options{Fsync: true}},
 		{"fsync-group", false, platform.Options{Fsync: true, GroupCommit: true}},
-		{"fsync-group-window", false, platform.Options{Fsync: true, GroupCommit: true,
-			GroupMaxDelay: 200 * time.Microsecond, GroupMaxBatch: 8}},
 		// The EYB1 wire modes join the same equivalence class: the
 		// protocol may change how events travel and land in the journal
 		// (one batch record), never what the platform computes.

@@ -30,8 +30,9 @@
 // client-observed one.
 //
 // With -selftest -cluster the in-process target is a 3-node cluster
-// behind the campaign router instead of a single server: every node
-// runs its own journal (honoring -data-dir/-fsync/-group-commit),
+// behind the campaign router instead of a single server: every node is
+// opened from the same server flags over its own directory under
+// -data-dir (so -max-inflight and -worker-rate cap each node),
 // campaigns spread across nodes by consistent hash until each owns at
 // least one, and every request travels through the router's ownership
 // resolution. The same generator drives the deployed topology —
@@ -104,44 +105,59 @@ func newLogger(format string) (*slog.Logger, error) {
 	}
 }
 
+// config is the parsed command line. server is what the -selftest
+// target is opened from: the single server as it stands, each cluster
+// node with its own data directory under -data-dir. load is the run,
+// less what seeding fills in.
+type config struct {
+	addr, logFormat                  string
+	selftest, clustered, expectThrot bool
+	videos                           int
+	server                           platform.Options
+	load                             loadConfig
+}
+
+// newFlags declares the command line. README.md tabulates it, and
+// TestDocsFlagsRegistered holds the two together.
+func newFlags() (*flag.FlagSet, *config) {
+	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+	c := &config{}
+	fs.StringVar(&c.addr, "addr", "http://localhost:8080", "target server base URL")
+	fs.BoolVar(&c.selftest, "selftest", false, "run against an in-process server")
+	fs.BoolVar(&c.clustered, "cluster", false, "with -selftest: drive an in-process 3-node cluster through the campaign router instead of a single server")
+	fs.StringVar(&c.server.DataDir, "data-dir", "", "persistence dir for the -selftest server (default in-memory)")
+	fs.BoolVar(&c.server.Fsync, "fsync", false, "fsync the -selftest server's journal before acking mutations")
+	fs.BoolVar(&c.server.GroupCommit, "group-commit", false, "group-commit the -selftest server's journal")
+	fs.StringVar(&c.load.kind, "kind", "timeline", "campaign kind: timeline|ab")
+	fs.IntVar(&c.videos, "videos", 4, "videos to capture and upload")
+	fs.IntVar(&c.load.concurrency, "concurrency", 8, "concurrent workers")
+	fs.DurationVar(&c.load.duration, "duration", 10*time.Second, "how long to generate load")
+	fs.Int64Var(&c.load.maxSessions, "sessions", 0, "stop after this many sessions (0 = duration only)")
+	fs.Int64Var(&c.load.seed, "seed", 1, "persona and site-corpus seed")
+	fs.DurationVar(&c.load.watch, "watch", 0, "poll live quality analytics on this interval (0 = off)")
+	fs.BoolVar(&c.load.binary, "binary", false, "buffer each session's events and flush them as one EYB1 binary batch")
+	fs.IntVar(&c.server.MaxInFlight, "max-inflight", 0, "global in-flight request cap for the -selftest server (0 = unlimited)")
+	fs.Float64Var(&c.server.WorkerRate, "worker-rate", 0, "per-session req/s cap for the -selftest server (0 = unlimited)")
+	fs.BoolVar(&c.expectThrot, "expect-throttle", false, "fail unless the run saw admission-control 429s (saturation selftest)")
+	fs.StringVar(&c.logFormat, "log-format", "text", "log output format: text|json")
+	return fs, c
+}
+
 func main() {
-	var (
-		addr        = flag.String("addr", "http://localhost:8080", "target server base URL")
-		selftest    = flag.Bool("selftest", false, "run against an in-process server")
-		clustered   = flag.Bool("cluster", false, "with -selftest: drive an in-process 3-node cluster through the campaign router instead of a single server")
-		dataDir     = flag.String("data-dir", "", "persistence dir for the -selftest server (default in-memory)")
-		shards      = flag.Int("shards", 0, "shard count for the -selftest server (0 = default)")
-		fsync       = flag.Bool("fsync", false, "fsync the -selftest server's journal before acking mutations")
-		groupCommit = flag.Bool("group-commit", false, "group-commit the -selftest server's journal")
-		kind        = flag.String("kind", "timeline", "campaign kind: timeline|ab")
-		videos      = flag.Int("videos", 4, "videos to capture and upload")
-		concurrency = flag.Int("concurrency", 8, "concurrent workers")
-		duration    = flag.Duration("duration", 10*time.Second, "how long to generate load")
-		maxSessions = flag.Int("sessions", 0, "stop after this many sessions (0 = duration only)")
-		seed        = flag.Int64("seed", 1, "persona and site-corpus seed")
-		watch       = flag.Duration("watch", 0, "poll live quality analytics on this interval (0 = off)")
-		binary      = flag.Bool("binary", false, "buffer each session's events and flush them as one EYB1 binary batch")
-		maxInflight = flag.Int("max-inflight", 0, "global in-flight request cap for the -selftest server (0 = unlimited)")
-		workerRate  = flag.Float64("worker-rate", 0, "per-session req/s cap for the -selftest server (0 = unlimited)")
-		expectThrot = flag.Bool("expect-throttle", false, "fail unless the run saw admission-control 429s (saturation selftest)")
-		logFormat   = flag.String("log-format", "text", "log output format: text|json")
-	)
-	flag.Parse()
-	l, err := newLogger(*logFormat)
+	fs, c := newFlags()
+	fs.Parse(os.Args[1:]) // ExitOnError: a bad command line never returns
+	l, err := newLogger(c.logFormat)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	logger = l
 
-	payloads := capturePayloads(*seed, *videos)
+	payloads := capturePayloads(c.load.seed, c.videos)
 
-	target := *addr
+	target := c.addr
 	var coverage func() bool
-	if *selftest && *clustered {
-		if *maxInflight != 0 || *workerRate != 0 || *shards != 0 {
-			fatalf("-max-inflight, -worker-rate and -shards are single-server options the in-process cluster does not plumb per node")
-		}
-		dir := *dataDir
+	if c.selftest && c.clustered {
+		dir := c.server.DataDir
 		if dir == "" {
 			tmp, err := os.MkdirTemp("", "eyeorg-cluster-*")
 			if err != nil {
@@ -150,9 +166,7 @@ func main() {
 			defer os.RemoveAll(tmp)
 			dir = tmp
 		}
-		cl, err := cluster.New(cluster.Config{
-			Nodes: clusterMembers, Dir: dir, Fsync: *fsync, GroupCommit: *groupCommit,
-		})
+		cl, err := cluster.New(cluster.Config{Nodes: clusterMembers, Dir: dir, Node: c.server})
 		if err != nil {
 			fatalf("selftest cluster: %v", err)
 		}
@@ -162,12 +176,9 @@ func main() {
 		defer ts.Close()
 		target = ts.URL
 		logf("selftest cluster on %s (nodes=%v, dir=%q, fsync=%v, group-commit=%v)",
-			target, clusterMembers, dir, *fsync, *groupCommit)
-	} else if *selftest {
-		srv, err := platform.Open(platform.Options{
-			DataDir: *dataDir, Shards: *shards, Fsync: *fsync, GroupCommit: *groupCommit,
-			MaxInFlight: *maxInflight, WorkerRate: *workerRate,
-		})
+			target, clusterMembers, dir, c.server.Fsync, c.server.GroupCommit)
+	} else if c.selftest {
+		srv, err := platform.Open(c.server)
 		if err != nil {
 			fatalf("selftest server: %v", err)
 		}
@@ -175,41 +186,30 @@ func main() {
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		target = ts.URL
-		logf("selftest server on %s (shards=%d, data-dir=%q, fsync=%v, group-commit=%v, max-inflight=%d, worker-rate=%g)",
-			target, *shards, *dataDir, *fsync, *groupCommit, *maxInflight, *workerRate)
+		logf("selftest server on %s (data-dir=%q, fsync=%v, group-commit=%v, max-inflight=%d, worker-rate=%g)",
+			target, c.server.DataDir, c.server.Fsync, c.server.GroupCommit, c.server.MaxInFlight, c.server.WorkerRate)
 	}
 
-	client := newHTTPClient(*concurrency)
+	client := newHTTPClient(c.load.concurrency)
 	minCampaigns := 1
 	if coverage != nil {
 		minCampaigns = len(clusterMembers)
 	}
-	campaigns, videoIDs, allPayloads, err := seedCampaignSet(client, target, *kind, payloads, minCampaigns, coverage, clusterSeedCap)
+	campaigns, videoIDs, allPayloads, err := seedCampaignSet(client, target, c.load.kind, payloads, minCampaigns, coverage, clusterSeedCap)
 	if err != nil {
 		fatalf("seeding campaigns: %v", err)
 	}
-	logf("campaigns %v (%s): %d videos each, %d workers, %v", campaigns, *kind, len(payloads), *concurrency, *duration)
+	logf("campaigns %v (%s): %d videos each, %d workers, %v", campaigns, c.load.kind, len(payloads), c.load.concurrency, c.load.duration)
 
-	agg, elapsed := runLoad(loadConfig{
-		client:      client,
-		target:      target,
-		campaigns:   campaigns,
-		kind:        *kind,
-		concurrency: *concurrency,
-		duration:    *duration,
-		maxSessions: int64(*maxSessions),
-		seed:        *seed,
-		watch:       *watch,
-		binary:      *binary,
-		payloads:    allPayloads,
-		videoIDs:    videoIDs,
-	})
+	c.load.client, c.load.target, c.load.campaigns = client, target, campaigns
+	c.load.payloads, c.load.videoIDs = allPayloads, videoIDs
+	agg, elapsed := runLoad(c.load)
 	report(agg, elapsed)
 	for _, campaign := range campaigns {
 		reportResults(client, target, campaign)
 		reportAnalytics(client, target, campaign)
 	}
-	if !*clustered {
+	if !c.clustered {
 		// The router's /metrics carries routing counters, not the nodes'
 		// ingest histograms, so the p99 cross-check only applies to a
 		// single-server target.
@@ -222,19 +222,19 @@ func main() {
 		logf("FAIL: %d 429 responses arrived without a Retry-After header", agg.badThrottle)
 		os.Exit(1)
 	}
-	if *expectThrot {
+	if c.expectThrot {
 		// Open-loop load on a small host may never pile enough truly
 		// concurrent requests to trip the cap (handlers that never block
 		// finish one at a time on one core), so the selftest saturates
 		// the cap deterministically: pin every in-flight slot with a
 		// request whose body never finishes arriving, then demand 429 +
 		// Retry-After.
-		if *selftest && *maxInflight > 0 {
-			if err := throttleProbe(client, target, *maxInflight); err != nil {
+		if c.selftest && !c.clustered && c.server.MaxInFlight > 0 {
+			if err := throttleProbe(client, target, c.server.MaxInFlight); err != nil {
 				logf("FAIL: throttle probe: %v", err)
 				os.Exit(1)
 			}
-			logf("throttle probe: %d pinned in-flight slots → 429 with Retry-After", *maxInflight)
+			logf("throttle probe: %d pinned in-flight slots → 429 with Retry-After", c.server.MaxInFlight)
 		} else if agg.throttled == 0 {
 			logf("FAIL: -expect-throttle set but the run saw no admission-control 429s")
 			os.Exit(1)
@@ -300,8 +300,9 @@ func throttleProbe(client *http.Client, target string, slots int) error {
 }
 
 // reportServerMetrics cross-checks the server's self-reported ingest
-// p99 (scraped from /metrics) against the client-observed one. Absent
-// telemetry (older server, -no-telemetry) is not an error.
+// p99 (scraped from /metrics) against the client-observed one. A target
+// that serves no /metrics (something other than eyeorg-server behind
+// -addr) is not an error.
 func reportServerMetrics(client *http.Client, target string, agg *aggregate) {
 	serverP99, err := scrapeIngestP99(client, target)
 	if err != nil {

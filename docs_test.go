@@ -3,7 +3,9 @@
 // every fenced code block tagged `go` must be a complete file that
 // compiles against this module, and the metric names the docs quote
 // must be the ones /metrics serves — docs that drift from the code fail
-// CI instead of rotting.
+// CI instead of rotting. (The flag tables are held to the binaries the
+// same way by TestDocsFlagsRegistered in each cmd package: a main
+// package cannot be imported from here.)
 package eyeorg_test
 
 import (

@@ -237,17 +237,16 @@ type PlatformServer = platform.Server
 // (crash recovery rebuilds byte-identical /results), Shards sets the
 // per-index shard count, Fsync makes every mutation durable before its
 // ack, and GroupCommit coalesces concurrent mutations into one journal
-// flush + fsync per window (tuned by GroupMaxBatch/GroupMaxDelay) —
-// the durable configuration for heavy ingest. MaxInFlight, WorkerRate
-// and MaxBodyBytes put the API behind admission control (429 +
-// Retry-After / 413 under pressure; binary event batches charge the
-// worker's bucket per decoded record), MaxBatchRecords caps one EYB1
-// binary batch on the events endpoint (see internal/wire), and
-// DisableTelemetry turns off the GET /metrics registry the server
-// otherwise maintains. Adaptive enables sequential campaigns
-// (internal/adaptive): per-video confidence intervals steer each new
-// assignment at the under-sampled videos and close the campaign — new
-// joins get 409 — once every interval shrinks to CIHalfWidth.
+// flush + fsync per window — the durable configuration for heavy
+// ingest. MaxInFlight, WorkerRate and MaxBodyBytes put the API behind
+// admission control (429 + Retry-After / 413 under pressure; binary
+// event batches charge the worker's bucket per decoded record, see
+// internal/wire). The server always maintains the GET /metrics
+// registry PlatformServer.Metrics returns. Adaptive enables sequential
+// campaigns (internal/adaptive): per-video confidence intervals steer
+// each new assignment at the under-sampled videos and close the
+// campaign — new joins get 409 — once every interval shrinks to
+// CIHalfWidth.
 type PlatformOptions = platform.Options
 
 // TelemetryRegistry collects the platform's runtime metrics — lock-free
@@ -281,8 +280,9 @@ func NewPlatformHandler() http.Handler {
 // docs/ARCHITECTURE.md.
 type Cluster = cluster.Cluster
 
-// ClusterConfig describes an in-process cluster (node IDs, data
-// directory, durability mode, router mode).
+// ClusterConfig describes an in-process cluster: node IDs, data
+// directory, router mode, and Node, the PlatformOptions every node's
+// server is opened from (DataDir, IDTag and Replicate are set per node).
 type ClusterConfig = cluster.Config
 
 // ClusterRouter is the thin entry point in front of a cluster: it

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/rng"
 	"github.com/eyeorg/eyeorg/internal/stats"
 )
 
@@ -136,12 +137,15 @@ func (e *Estimator) Interval(cfg Config, key string) Interval {
 // multiset and the key, independent of when it is asked.
 func (e *Estimator) bootstrapHalfWidth(cfg Config, key string) float64 {
 	n := len(e.values)
-	rng := newSplitmix(bootstrapSeed(cfg.Seed, key, n))
+	// The SplitMix64 stream from the seed: stable across platforms and Go
+	// versions, which math/rand's generator is not contractually.
+	state := bootstrapSeed(cfg.Seed, key, n)
 	means := make([]float64, cfg.Resamples)
 	for b := range means {
 		var sum float64
 		for i := 0; i < n; i++ {
-			sum += e.values[rng.intn(n)]
+			sum += e.values[rng.SplitMix64(state)%uint64(n)]
+			state += goldenGamma
 		}
 		means[b] = sum / float64(n)
 	}
@@ -154,26 +158,11 @@ func (e *Estimator) bootstrapHalfWidth(cfg Config, key string) float64 {
 func bootstrapSeed(seed int64, key string, n int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return uint64(seed) ^ h.Sum64() ^ (uint64(n) * 0x9e3779b97f4a7c15)
+	return uint64(seed) ^ h.Sum64() ^ (uint64(n) * goldenGamma)
 }
 
-// splitmix is splitmix64 — tiny, fast, and stable across platforms and
-// Go versions, which math/rand's generator is not contractually.
-type splitmix struct{ state uint64 }
-
-func newSplitmix(seed uint64) *splitmix { return &splitmix{state: seed} }
-
-func (s *splitmix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (s *splitmix) intn(n int) int {
-	return int(s.next() % uint64(n))
-}
+// goldenGamma is SplitMix64's state increment.
+const goldenGamma = 0x9e3779b97f4a7c15
 
 // VideoStatus is one video's stopping state for rendering.
 type VideoStatus struct {

@@ -61,17 +61,12 @@ type Options struct {
 	// Dir selects the file tier: blobs persist under Dir/ab/<hash> and
 	// survive restarts. Empty selects the in-memory tier.
 	Dir string
-	// MemServe keeps every blob's chunks resident in RAM on top of the
-	// file tier: writes still hit disk (so recovery works), reads never
-	// do. The tier for operators who want mem-tier serving latency with
-	// file-tier durability.
-	MemServe bool
 	// ChunkBytes is the fixed ingest chunk size and the byte cache's
 	// admission bound (0 = DefaultChunkBytes).
 	ChunkBytes int
 	// CacheBytes caps the file tier's LRU byte cache (0 =
 	// DefaultCacheBytes, negative = cache disabled). Ignored on the
-	// memory tiers, which need no cache.
+	// memory tier, which needs no cache.
 	CacheBytes int64
 	// Fsync makes Put durable before it returns: the blob file and its
 	// directory are fsynced ahead of the rename that publishes it.
@@ -89,20 +84,19 @@ type Ref struct {
 // blobMeta is the in-memory index entry for one blob.
 type blobMeta struct {
 	size int64
-	// chunks holds the blob's fixed-size chunks on the memory tiers
-	// (nil on the pure file tier).
+	// chunks holds the blob's fixed-size chunks on the memory tier (nil
+	// on the file tier).
 	chunks [][]byte
 }
 
 // Store is a content-addressed blob store. All methods are safe for
 // concurrent use.
 type Store struct {
-	dir      string
-	memServe bool
-	chunk    int
-	fsync    bool
-	sink     Telemetry
-	cache    *cache // nil on memory tiers or when disabled
+	dir   string
+	chunk int
+	fsync bool
+	sink  Telemetry
+	cache *cache // nil on the memory tier or when disabled
 
 	mu    sync.RWMutex
 	blobs map[string]*blobMeta
@@ -110,16 +104,14 @@ type Store struct {
 }
 
 // Open returns a store over the configured tier. With a Dir it scans
-// the directory and re-indexes every previously stored blob (loading
-// them into RAM when MemServe is set).
+// the directory and re-indexes every previously stored blob.
 func Open(opts Options) (*Store, error) {
 	s := &Store{
-		dir:      opts.Dir,
-		memServe: opts.Dir == "" || opts.MemServe,
-		chunk:    opts.ChunkBytes,
-		fsync:    opts.Fsync,
-		sink:     opts.Metrics,
-		blobs:    map[string]*blobMeta{},
+		dir:   opts.Dir,
+		chunk: opts.ChunkBytes,
+		fsync: opts.Fsync,
+		sink:  opts.Metrics,
+		blobs: map[string]*blobMeta{},
 	}
 	if s.chunk <= 0 {
 		s.chunk = DefaultChunkBytes
@@ -130,14 +122,12 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, err
 	}
-	if !s.memServe {
-		cap := opts.CacheBytes
-		if cap == 0 {
-			cap = DefaultCacheBytes
-		}
-		if cap > 0 {
-			s.cache = newCache(cap, int64(s.chunk), s.sink)
-		}
+	cap := opts.CacheBytes
+	if cap == 0 {
+		cap = DefaultCacheBytes
+	}
+	if cap > 0 {
+		s.cache = newCache(cap, int64(s.chunk), s.sink)
 	}
 	if err := s.scan(); err != nil {
 		return nil, fmt.Errorf("blob: scanning %s: %w", s.dir, err)
@@ -146,8 +136,7 @@ func Open(opts Options) (*Store, error) {
 }
 
 // scan re-indexes the blob directory after a restart. File names are
-// the content hashes; sizes come from the directory entries, and with
-// MemServe the bytes are loaded back into RAM.
+// the content hashes; sizes come from the directory entries.
 func (s *Store) scan() error {
 	prefixes, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -170,32 +159,11 @@ func (s *Store) scan() error {
 			if err != nil {
 				return err
 			}
-			meta := &blobMeta{size: info.Size()}
-			if s.memServe {
-				data, err := os.ReadFile(s.path(hash))
-				if err != nil {
-					return err
-				}
-				meta.chunks = s.split(data)
-			}
-			s.blobs[hash] = meta
-			s.bytes += meta.size
+			s.blobs[hash] = &blobMeta{size: info.Size()}
+			s.bytes += info.Size()
 		}
 	}
 	return nil
-}
-
-// split slices data into the store's fixed chunk size without copying.
-func (s *Store) split(data []byte) [][]byte {
-	if len(data) == 0 {
-		return [][]byte{{}}
-	}
-	chunks := make([][]byte, 0, (len(data)+s.chunk-1)/s.chunk)
-	for len(data) > s.chunk {
-		chunks = append(chunks, data[:s.chunk:s.chunk])
-		data = data[s.chunk:]
-	}
-	return append(chunks, data)
 }
 
 // path is the file-tier location of a blob: fanned out over 256
@@ -230,7 +198,6 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 			}
 		}()
 	}
-	keepChunks := s.memServe
 	for {
 		buf := make([]byte, s.chunk)
 		n, err := io.ReadFull(r, buf)
@@ -242,8 +209,7 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 				if _, werr := tmp.Write(buf); werr != nil {
 					return Ref{}, false, werr
 				}
-			}
-			if keepChunks {
+			} else {
 				chunks = append(chunks, buf)
 			}
 		}
@@ -253,9 +219,6 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 		if err != nil {
 			return Ref{}, false, err
 		}
-	}
-	if len(chunks) == 0 {
-		chunks = [][]byte{{}}
 	}
 	ref := Ref{Hash: hex.EncodeToString(h.Sum(nil)), Size: size}
 
@@ -273,7 +236,10 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 		tmp = nil // published; the deferred cleanup must not remove it
 	}
 	meta := &blobMeta{size: size}
-	if keepChunks {
+	if s.dir == "" {
+		if len(chunks) == 0 {
+			chunks = [][]byte{{}}
+		}
 		meta.chunks = chunks
 	}
 	s.mu.Lock()
@@ -389,7 +355,7 @@ func (s *Store) Len() int {
 }
 
 // TotalBytes sums stored blob sizes — the resident-set gauge on the
-// memory tiers, the on-disk footprint on the file tier.
+// memory tier, the on-disk footprint on the file tier.
 func (s *Store) TotalBytes() int64 {
 	s.mu.RLock()
 	b := s.bytes
@@ -408,7 +374,7 @@ func (s *Store) CacheStats() (entries int, bytes int64) {
 
 // Bytes is the allocation-free hit path: it returns the blob's contents
 // as one contiguous slice when they are already resident — a
-// single-chunk blob on the memory tiers, or a byte-cache hit on the
+// single-chunk blob on the memory tier, or a byte-cache hit on the
 // file tier — and reports false otherwise (caller falls back to Open).
 // The returned slice is the store's own and must not be modified.
 func (s *Store) Bytes(hash string) ([]byte, bool) {
@@ -432,7 +398,7 @@ func (s *Store) Bytes(hash string) ([]byte, bool) {
 // Open returns the blob's content as an io.ReadSeekCloser sized for
 // http.ServeContent:
 //
-//   - resident bytes (memory tiers, cache hits) serve from RAM;
+//   - resident bytes (memory tier, cache hits) serve from RAM;
 //   - a file-tier blob no larger than one chunk is read once, offered
 //     to the byte cache (doorkeeper-gated), and served from the read;
 //   - larger file-tier blobs return the *os.File itself, which
@@ -494,7 +460,7 @@ func (s *Store) ReadAll(hash string) ([]byte, error) {
 
 // Prewarm pulls a cache-eligible blob into the byte cache, bypassing
 // the doorkeeper — the hook campaign seeding uses so the first
-// participant already hits RAM. A no-op on memory tiers (always
+// participant already hits RAM. A no-op on the memory tier (always
 // resident) and for blobs past the admission bound.
 func (s *Store) Prewarm(hash string) {
 	if s.cache == nil {

@@ -27,11 +27,6 @@ func tiers(t *testing.T, chunk int) map[string]*Store {
 		t.Fatalf("file tier: %v", err)
 	}
 	out["file"] = file
-	memServe, err := Open(Options{Dir: t.TempDir(), ChunkBytes: chunk, MemServe: true})
-	if err != nil {
-		t.Fatalf("memserve tier: %v", err)
-	}
-	out["memserve"] = memServe
 	return out
 }
 
@@ -206,10 +201,10 @@ func TestFileTierPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("persist"), 40)
 	var hash string
-	for _, memServe := range []bool{false, true} {
-		s, err := Open(Options{Dir: dir, ChunkBytes: 64, MemServe: memServe, Fsync: true})
+	for _, pass := range []string{"first open", "reopen"} {
+		s, err := Open(Options{Dir: dir, ChunkBytes: 64, Fsync: true})
 		if err != nil {
-			t.Fatalf("memServe=%v: Open: %v", memServe, err)
+			t.Fatalf("%s: Open: %v", pass, err)
 		}
 		if hash == "" {
 			ref, _, err := s.Put(bytes.NewReader(payload))
@@ -219,11 +214,11 @@ func TestFileTierPersistsAcrossReopen(t *testing.T) {
 			hash = ref.Hash
 		}
 		if !s.Has(hash) {
-			t.Fatalf("memServe=%v: blob missing after reopen", memServe)
+			t.Fatalf("%s: blob missing", pass)
 		}
 		got, err := s.ReadAll(hash)
 		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("memServe=%v: ReadAll after reopen: %v", memServe, err)
+			t.Fatalf("%s: ReadAll: %v", pass, err)
 		}
 	}
 }

@@ -20,20 +20,14 @@ type Config struct {
 	// Dir is the parent data directory; each node journals under its
 	// own subdirectory.
 	Dir string
-	// Fsync/GroupCommit select the nodes' durability mode, same
-	// semantics as platform.Options.
-	Fsync       bool
-	GroupCommit bool
-	// SnapshotEvery forwards to platform.Options.SnapshotEvery.
-	SnapshotEvery int
 	// Vnodes is the ring's virtual-node count (0 = DefaultVnodes).
 	Vnodes int
 	// RouterMode is "proxy" (default) or "redirect".
 	RouterMode string
-	// Adaptive settings forward to every node's platform.Options.
-	Adaptive     bool
-	CIHalfWidth  float64
-	AdaptiveSeed int64
+	// Node is the template every member's server is opened from
+	// (durability mode, snapshot cadence, adaptive stopping, ...).
+	// DataDir, IDTag and Replicate are set per node and ignored here.
+	Node platform.Options
 }
 
 // Cluster is a set of platform nodes partitioned by campaign plus the
@@ -102,17 +96,11 @@ func (c *Cluster) newNode(id string) (*Node, error) {
 			return t.Base, true
 		},
 	}
-	srv, err := platform.Open(platform.Options{
-		DataDir:       filepath.Join(c.cfg.Dir, id),
-		Fsync:         c.cfg.Fsync,
-		GroupCommit:   c.cfg.GroupCommit,
-		SnapshotEvery: c.cfg.SnapshotEvery,
-		IDTag:         id + ".",
-		Replicate:     n,
-		Adaptive:      c.cfg.Adaptive,
-		CIHalfWidth:   c.cfg.CIHalfWidth,
-		AdaptiveSeed:  c.cfg.AdaptiveSeed,
-	})
+	opts := c.cfg.Node
+	opts.DataDir = filepath.Join(c.cfg.Dir, id)
+	opts.IDTag = id + "."
+	opts.Replicate = n
+	srv, err := platform.Open(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func newTestCluster(t *testing.T, cfg Config) *Cluster {
 		cfg.Nodes = []string{"a", "b", "c"}
 	}
 	cfg.Dir = t.TempDir()
-	cfg.SnapshotEvery = -1
+	cfg.Node.SnapshotEvery = -1
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestMisroutedAfterHandoff(t *testing.T) {
 // move — must afterwards be present and completed on exactly one
 // owner.
 func TestMoveCampaignMidFlight(t *testing.T) {
-	c := newTestCluster(t, Config{Fsync: true, GroupCommit: true})
+	c := newTestCluster(t, Config{Node: platform.Options{Fsync: true, GroupCommit: true}})
 	rc := &cc{t: t, h: c.Handler()}
 	members := []string{"a", "b", "c"}
 	owner := map[string]string{}

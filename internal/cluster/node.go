@@ -193,12 +193,9 @@ func (n *Node) redirect(w http.ResponseWriter, r *http.Request, target string) {
 }
 
 // registerMetrics adds the node's cluster rows to its platform
-// /metrics registry (no-op with telemetry disabled).
+// /metrics registry.
 func (n *Node) registerMetrics() {
 	reg := n.srv.Metrics()
-	if reg == nil {
-		return
-	}
 	reg.Help("eyeorg_cluster_campaigns_owned", "Campaigns this node currently owns (handed-off campaigns excluded).")
 	reg.GaugeFunc("eyeorg_cluster_campaigns_owned", `node="`+n.ID+`"`, func() float64 {
 		owned := 0

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -233,9 +234,9 @@ func rawAnalytics(t *testing.T, c *client, campaign string) []byte {
 
 // oracleAnalytics renders /analytics from scratch on a quiesced server,
 // the way the endpoint did before rows were frozen at completion: every
-// session the campaign ever joined is looked up in the session index — a
-// completed one decoded from its frozen record — sorted by ID and
-// encoded as one AnalyticsResponse. The served body, assembled from
+// session of the campaign, completed or in flight, is looked up in the
+// session index — a completed one decoded from its frozen record —
+// sorted by ID and encoded as one AnalyticsResponse. The served body, assembled from
 // frozen rows, must equal it byte for byte.
 func oracleAnalytics(t *testing.T, s *Server, campaignID string, lo, hi float64) []byte {
 	t.Helper()
@@ -243,8 +244,8 @@ func oracleAnalytics(t *testing.T, s *Server, campaignID string, lo, hi float64)
 	if !ok {
 		t.Fatalf("campaign %s missing", campaignID)
 	}
-	resp := s.analyticsShell(c, lo, hi, len(c.sessions))
-	ids := append([]string(nil), c.sessions...)
+	ids := append(slices.Clone(c.recordSessions), c.inflight...)
+	resp := s.analyticsShell(c, lo, hi, len(ids))
 	sort.Strings(ids)
 	for _, sid := range ids {
 		ssh := s.sessions.Shard(sid)

@@ -27,8 +27,9 @@ import (
 	"github.com/eyeorg/eyeorg/internal/wire"
 )
 
-// defaultMaxBatchRecords caps one binary batch when
-// Options.MaxBatchRecords is zero.
+// defaultMaxBatchRecords caps how many records one binary batch may
+// carry; an oversize batch gets 413 after decode, before anything is
+// journaled.
 const defaultMaxBatchRecords = 4096
 
 // isWireBatch reports whether the request negotiated the binary batch

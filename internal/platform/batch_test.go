@@ -112,7 +112,8 @@ func TestAdmitNDebt(t *testing.T) {
 // TestBatchContentNegotiation covers the binary path's edges: media-type
 // parameters, malformed payloads, the record cap, and unknown sessions.
 func TestBatchContentNegotiation(t *testing.T) {
-	c, _ := newClientOpts(t, Options{MaxBatchRecords: 4})
+	c, s := newClientOpts(t, Options{})
+	s.maxBatch = 4 // set before the first request reads it
 	campaign, _ := setupCampaign(c, "ab", 2)
 	jr := join(c, campaign, "nego-worker")
 
@@ -134,10 +135,10 @@ func TestBatchContentNegotiation(t *testing.T) {
 		t.Fatalf("truncated payload: status %d, want 400", resp.StatusCode)
 	}
 
-	// One record past MaxBatchRecords is a 413.
+	// One record past the cap is a 413.
 	resp = postBinary(t, c, jr.Session, wire.ContentType, encodeBatches(engagementBatches(5)...))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("5-record batch with MaxBatchRecords=4: status %d, want 413", resp.StatusCode)
+		t.Fatalf("5-record batch against a 4-record cap: status %d, want 413", resp.StatusCode)
 	}
 
 	// Unknown session decodes fine but 404s at apply, like JSON.

@@ -172,14 +172,17 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 		s.videos.Put(vn.ID, v)
 		s.bumpID(vn.ID)
 	}
-	c, err := s.restoreCampaign(ex.Campaign)
+	c, err := s.restoreCampaign(ex.Campaign, ex.Sessions)
 	if err != nil {
 		return 0, fmt.Errorf("import campaign %s: %w", ex.Campaign.ID, err)
 	}
 	s.campaigns.Put(ex.Campaign.ID, c)
 	s.bumpID(ex.Campaign.ID)
-	s.joined.Add(int64(len(c.sessions)))
-	for _, sid := range c.sessions {
+	s.joined.Add(int64(len(c.recordSessions) + len(c.inflight)))
+	for _, sid := range c.recordSessions {
+		s.bumpID(sid)
+	}
+	for _, sid := range c.inflight {
 		s.bumpID(sid)
 	}
 	// Catch-up tail: events the old owner journaled after the export

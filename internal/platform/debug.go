@@ -81,11 +81,9 @@ func (s *Server) startTrace(route string, r *http.Request) *trace.Trace {
 // latency histograms on /metrics and logs slow traces with their IDs
 // so an operator can pull the full breakdown from /debug/traces/{id}.
 func (s *Server) observeTrace(tr *trace.Trace) {
-	if s.metrics != nil && s.metrics.stages[0] != nil {
-		for i, d := range tr.Stages() {
-			if d > 0 {
-				s.metrics.stages[i].Observe(d)
-			}
+	for i, d := range tr.Stages() {
+		if d > 0 {
+			s.metrics.stages[i].Observe(d)
 		}
 	}
 	if tr.Slow() {

@@ -276,7 +276,6 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 		track:      quality.NewTracker(assignedVideos(ev.Tests)),
 	}})
 	if c, ok := csh.Get(ev.Campaign); ok {
-		c.sessions = append(c.sessions, ev.ID)
 		c.inflight = append(c.inflight, ev.ID)
 		// The allocator charges the assignment as bought budget the
 		// moment it is journaled — live and replay go through this same
@@ -622,7 +621,9 @@ type snapState struct {
 // snapCampaign is one campaign. Records names its completed sessions in
 // completion order; Arena is their frozen records back to back (base64
 // in the document) and ArenaEnds where each one ends, so record i is
-// Records[i]'s. Sessions names every session ever joined, in join order.
+// Records[i]'s. Its sessions in flight are the document's session DTOs
+// that name it. (Documents written before the join-order list was
+// dropped also carry a "sessions" key here; it is ignored.)
 type snapCampaign struct {
 	ID        string   `json:"id"`
 	Name      string   `json:"name"`
@@ -631,7 +632,6 @@ type snapCampaign struct {
 	Records   []string `json:"records,omitempty"`
 	Arena     []byte   `json:"arena,omitempty"`
 	ArenaEnds []uint32 `json:"arena_ends,omitempty"`
-	Sessions  []string `json:"sessions,omitempty"`
 	Moved     string   `json:"moved,omitempty"` // node the campaign was handed off to
 }
 
@@ -681,7 +681,6 @@ func exportCampaignState(c *campaignState) *snapCampaign {
 		Records:   c.recordSessions,
 		Arena:     c.arena,
 		ArenaEnds: c.arenaEnds,
-		Sessions:  c.sessions,
 		Moved:     c.movedTo,
 	}
 }
@@ -774,18 +773,18 @@ func (s *Server) restoreVideo(vn *snapVideo) (*videoState, error) {
 	return v, nil
 }
 
-// restoreCampaign rebuilds one campaign from its DTO and, once all of it
-// checked out, indexes its completed sessions. Its in-flight sessions
-// must already be in the sessions index; the campaign itself is not
-// reachable until the caller puts it in its own.
-func (s *Server) restoreCampaign(cn *snapCampaign) (*campaignState, error) {
+// restoreCampaign rebuilds one campaign from its DTO and those of its
+// sessions in flight and, once all of it checked out, indexes its
+// completed sessions. The caller has put the in-flight sessions in the
+// sessions index; the campaign itself is not reachable until the caller
+// puts it in its own.
+func (s *Server) restoreCampaign(cn *snapCampaign, inflight []*snapSession) (*campaignState, error) {
 	c := &campaignState{
 		ID: cn.ID, Name: cn.Name, Kind: cn.Kind,
 		Videos:         cn.Videos,
 		recordSessions: make([]string, 0, len(cn.Records)),
 		arena:          cn.Arena,
 		arenaEnds:      cn.ArenaEnds,
-		sessions:       cn.Sessions,
 		analytics:      quality.NewCampaign(cn.Kind),
 		movedTo:        cn.Moved,
 	}
@@ -826,17 +825,16 @@ func (s *Server) restoreCampaign(cn *snapCampaign) (*campaignState, error) {
 	if int(start) != len(cn.Arena) {
 		return nil, fmt.Errorf("snapshot campaign %s: %d arena bytes follow its last record", cn.ID, len(cn.Arena)-int(start))
 	}
-	for _, sid := range cn.Sessions {
-		if _, frozen := c.frozenAt(sid); frozen {
-			continue
+	for _, sn := range inflight {
+		if sn.Campaign != cn.ID {
+			return nil, fmt.Errorf("snapshot session %s belongs to campaign %s, not %s", sn.ID, sn.Campaign, cn.ID)
 		}
-		e, ok := s.sessions.Get(sid)
-		if !ok || e.live == nil {
-			return nil, fmt.Errorf("snapshot campaign %s references unknown session %s", cn.ID, sid)
+		if _, frozen := c.frozenAt(sn.ID); frozen {
+			return nil, fmt.Errorf("snapshot campaign %s lists session %s both completed and in flight", cn.ID, sn.ID)
 		}
-		c.inflight = append(c.inflight, sid)
+		c.inflight = append(c.inflight, sn.ID)
 		if c.adaptive != nil {
-			c.adaptive.NoteJoin(assignedVideos(e.live.Assignment))
+			c.adaptive.NoteJoin(assignedVideos(sn.Tests))
 		}
 	}
 	for row, sid := range cn.Records {
@@ -861,12 +859,14 @@ func (s *Server) loadState(data []byte) error {
 	}
 	s.nextID.Store(st.NextID)
 	s.joined.Store(st.Joined)
+	inflight := map[string][]*snapSession{} // by campaign
 	for _, sn := range st.Sessions {
 		sess, err := restoreSession(sn)
 		if err != nil {
 			return err
 		}
 		s.sessions.Put(sn.ID, sessionEntry{live: sess})
+		inflight[sn.Campaign] = append(inflight[sn.Campaign], sn)
 	}
 	for _, vn := range st.Videos {
 		v, err := s.restoreVideo(vn)
@@ -876,11 +876,16 @@ func (s *Server) loadState(data []byte) error {
 		s.videos.Put(vn.ID, v)
 	}
 	for _, cn := range st.Campaigns {
-		c, err := s.restoreCampaign(cn)
+		c, err := s.restoreCampaign(cn, inflight[cn.ID])
 		if err != nil {
 			return err
 		}
 		s.campaigns.Put(cn.ID, c)
+	}
+	for _, sn := range st.Sessions {
+		if _, ok := s.campaigns.Get(sn.Campaign); !ok {
+			return fmt.Errorf("snapshot session %s belongs to campaign %s, which the snapshot does not carry", sn.ID, sn.Campaign)
+		}
 	}
 	return nil
 }

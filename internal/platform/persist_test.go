@@ -383,11 +383,112 @@ func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
 	}
 	cs, _ := srv.campaigns.Get(campaign)
 	cn := st.Campaigns[0]
-	if len(cn.Records) != 5 || len(cn.ArenaEnds) != 5 || len(cn.Sessions) != 6 {
-		t.Fatalf("campaign lists %d completed, %d record ends, %d joined, want 5, 5 and 6", len(cn.Records), len(cn.ArenaEnds), len(cn.Sessions))
+	if len(cn.Records) != 5 || len(cn.ArenaEnds) != 5 || st.Sessions[0].Campaign != cn.ID {
+		t.Fatalf("campaign %s lists %d completed and %d record ends, the session in flight names %s, want 5, 5 and the campaign",
+			cn.ID, len(cn.Records), len(cn.ArenaEnds), st.Sessions[0].Campaign)
+	}
+	if bytes.Contains(data, []byte(`"sessions":["`)) {
+		t.Fatal("a campaign still lists the IDs of every session it ever joined")
 	}
 	if !bytes.Equal(cn.Arena, cs.arena) || len(cn.Arena) == 0 {
 		t.Fatalf("snapshot arena is %d bytes, the campaign's %d", len(cn.Arena), len(cs.arena))
+	}
+}
+
+// TestParentVersion3DocumentsLoad: version 3 did not move when campaigns
+// stopped listing the IDs of every session they ever joined, so the
+// documents the commit before wrote (testdata/parent_v3_*.json: the
+// seedPersistedCampaign state, its campaign's "sessions" key included)
+// must load, and serve the /results and /analytics bytes that server
+// served, with the session in flight still answerable.
+func TestParentVersion3DocumentsLoad(t *testing.T) {
+	fixture := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", "parent_v3_"+name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	check := func(t *testing.T, srv *Server) {
+		c := newClientFor(t, srv)
+		if got := rawResults(t, c, "c1"); !bytes.Equal(got, fixture("results")) {
+			t.Errorf("/results = %s\nthe parent served %s", got, fixture("results"))
+		}
+		if got := rawAnalytics(t, c, "c1"); !bytes.Equal(got, fixture("analytics")) {
+			t.Errorf("/analytics = %s\nthe parent served %s", got, fixture("analytics"))
+		}
+		if inflight, completed := indexCounts(srv); inflight != 1 || completed != 5 || srv.SessionsInFlight() != 1 {
+			t.Fatalf("index holds %d in flight and %d completed, %d counted in flight, want 1, 5 and 1", inflight, completed, srv.SessionsInFlight())
+		}
+		code := c.do("POST", "/api/v1/sessions/s10/responses", ResponseBody{TestID: "s10-t1", SubmittedMs: 1300, KeptOriginal: true}, nil)
+		if code != http.StatusAccepted {
+			t.Fatalf("the session in flight answers its next test: %d", code)
+		}
+		if id := join(c, "c1", "after-load").Session; id != "s11" {
+			t.Fatalf("next session minted as %s, want s11", id)
+		}
+	}
+	t.Run("snapshot", func(t *testing.T) {
+		srv := NewServer()
+		if _, _, err := srv.blobs.PutBytes(sampleVideoBytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.loadState(fixture("snapshot")); err != nil {
+			t.Fatal(err)
+		}
+		srv.assign.Store(srv.joined.Load())
+		check(t, srv)
+	})
+	t.Run("export", func(t *testing.T) {
+		srv := NewServer()
+		if err := srv.ImportCampaign(fixture("export"), nil); err != nil {
+			t.Fatal(err)
+		}
+		check(t, srv)
+	})
+}
+
+// TestStrayInFlightSessionRefused: a campaign's sessions in flight are
+// the session DTOs that name it, so one naming a campaign the document
+// does not carry, or listed as completed too, fails the load.
+func TestStrayInFlightSessionRefused(t *testing.T) {
+	src := NewServer()
+	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
+	state, _, err := src.ExportCampaign(campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		corrupt func(ex *campaignExport)
+		want    string
+	}{
+		"another campaign's": {func(ex *campaignExport) { ex.Sessions[0].Campaign = "c999" }, "belongs to campaign c999"},
+		"completed as well":  {func(ex *campaignExport) { ex.Sessions[0].ID = ex.Campaign.Records[0] }, "both completed and in flight"},
+	} {
+		var ex campaignExport
+		if err := json.Unmarshal(state, &ex); err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(&ex)
+		bad, err := json.Marshal(&ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewServer().ImportCampaign(bad, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: import: %v, want an error saying %q", name, err, tc.want)
+		}
+		st := snapState{Version: stateVersion, Campaigns: []*snapCampaign{ex.Campaign}, Sessions: ex.Sessions, Videos: ex.Videos}
+		snap, err := json.Marshal(&st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := NewServer()
+		if _, _, err := dst.blobs.PutBytes(sampleVideoBytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.loadState(snap); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: snapshot load: %v, want an error saying %q", name, err, tc.want)
+		}
 	}
 }
 

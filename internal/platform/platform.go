@@ -62,17 +62,9 @@ type Options struct {
 	// fsyncing one by one, and the wait happens outside the shard
 	// locks.
 	GroupCommit bool
-	// GroupMaxBatch and GroupMaxDelay tune the group-commit flush
-	// window (0 = store defaults).
-	GroupMaxBatch int
-	GroupMaxDelay time.Duration
 	// SnapshotEvery is how many journal records separate automatic
 	// snapshots (0 = default cadence, negative = never).
 	SnapshotEvery int
-	// DisableTelemetry turns off the /metrics registry and all handler
-	// and store instrumentation. The default (enabled) costs a handful
-	// of atomic adds per request.
-	DisableTelemetry bool
 	// MaxInFlight caps concurrently served API requests across all
 	// endpoints; excess requests get 429 with a Retry-After header.
 	// 0 = unlimited.
@@ -88,23 +80,11 @@ type Options struct {
 	// join, events, responses, flags); oversize bodies get 413.
 	// 0 = the 1 MiB default. Video uploads keep their own 64 MiB cap.
 	MaxBodyBytes int64
-	// MaxBatchRecords caps how many records one binary event batch
-	// (Content-Type application/x-eyeorg-batch) may carry; an oversize
-	// batch gets 413 after decode, before anything is journaled.
-	// 0 = the 4096-record default, negative = unlimited.
-	MaxBatchRecords int
-	// VideoTier selects how video blobs are served when DataDir is set:
-	// "file" (default) serves from blob files fronted by the byte cache,
-	// "mem" additionally keeps every blob resident in RAM (files are
-	// still written, so recovery works). Without a DataDir videos are
-	// always in-memory and this field is ignored.
-	VideoTier string
-	// VideoCacheBytes caps the file tier's video byte cache
-	// (0 = blob.DefaultCacheBytes, negative = disabled).
+	// VideoCacheBytes caps the byte cache in front of the video blob
+	// files a DataDir server keeps (0 = blob.DefaultCacheBytes, negative
+	// = disabled). Without a DataDir videos are held in memory and this
+	// field is ignored.
 	VideoCacheBytes int64
-	// VideoChunkBytes is the blob store's ingest chunk size and the byte
-	// cache's admission bound (0 = blob.DefaultChunkBytes).
-	VideoChunkBytes int
 	// TraceSample enables request tracing and sets the fraction of
 	// requests (0..1) retained in the trace ring served by GET
 	// /debug/traces (on DebugHandler, not the API handler). Every
@@ -117,9 +97,6 @@ type Options struct {
 	// capture; either TraceSample or TraceSlow being set enables
 	// tracing.
 	TraceSlow time.Duration
-	// TraceBuffer is the retention capacity of each trace ring —
-	// sampled and slow — in traces (0 = trace.DefaultBuffer).
-	TraceBuffer int
 	// TraceSeed seeds the deterministic trace sampler, so a fixed seed
 	// reproduces the same capture schedule (0 = clock-derived).
 	TraceSeed uint64
@@ -183,9 +160,9 @@ type Server struct {
 	// completedN.
 	completedN atomic.Int64
 
-	// metrics is the telemetry wiring (nil when disabled) and admission
-	// the backpressure layer; both are configured once at Open and only
-	// read on the request path.
+	// metrics is the telemetry wiring and admission the backpressure
+	// layer; both are configured once at Open and only read on the
+	// request path. maxBatch is defaultMaxBatchRecords outside tests.
 	metrics   *serverMetrics
 	admission admission
 	maxBody   int64
@@ -253,7 +230,8 @@ type campaignState struct {
 	// lists row numbers ascending by session ID, the payload's order;
 	// rowDigest sums the rows' checksums, so the /analytics ETag does not
 	// depend on the order they arrived in. inflight lists the sessions
-	// not yet completed, in join order. Rebuilt on load, never serialized.
+	// not yet completed, in no order that reaches a reply. Rebuilt on load,
+	// never serialized.
 	rows              []byte
 	rowEnds, rowOrder []uint32
 	rowDigest         uint64
@@ -267,11 +245,9 @@ type campaignState struct {
 	arena     []byte
 	arenaEnds []uint32
 
-	// sessions lists every session ever joined to this campaign in join
-	// order, and analytics is the incremental §4.3 aggregate folded in as
-	// sessions complete — what /results and the /analytics summary and
-	// bands render from. Both are guarded by the campaign's shard lock.
-	sessions  []string
+	// analytics is the incremental §4.3 aggregate folded in as sessions
+	// complete — what /results and the /analytics summary and bands
+	// render from. Guarded by the campaign's shard lock.
 	analytics *quality.Campaign
 	// movedTo names the cluster node this campaign was handed off to
 	// ("" while locally owned). Once set, every mutation on the campaign
@@ -421,11 +397,6 @@ func NewServer() *Server {
 // DataDir it recovers prior state from disk and journals every
 // subsequent mutation; Close flushes the journal.
 func Open(opts Options) (*Server, error) {
-	switch opts.VideoTier {
-	case "", "file", "mem":
-	default:
-		return nil, fmt.Errorf("platform: unknown video tier %q (want mem or file)", opts.VideoTier)
-	}
 	if opts.CIHalfWidth < 0 || math.IsNaN(opts.CIHalfWidth) || math.IsInf(opts.CIHalfWidth, 0) {
 		return nil, fmt.Errorf("platform: ci half-width must be a finite value >= 0, got %v", opts.CIHalfWidth)
 	}
@@ -434,18 +405,12 @@ func Open(opts Options) (*Server, error) {
 		sessions:  store.NewMap[sessionEntry](opts.Shards),
 		videos:    store.NewMap[*videoState](opts.Shards),
 		maxBody:   opts.MaxBodyBytes,
+		maxBatch:  defaultMaxBatchRecords,
+		metrics:   newServerMetrics(),
 	}
 	s.idTag = opts.IDTag
 	if s.maxBody <= 0 {
 		s.maxBody = 1 << 20
-	}
-	switch {
-	case opts.MaxBatchRecords > 0:
-		s.maxBatch = opts.MaxBatchRecords
-	case opts.MaxBatchRecords == 0:
-		s.maxBatch = defaultMaxBatchRecords
-	default:
-		s.maxBatch = math.MaxInt
 	}
 	s.admission.maxInflight = int64(opts.MaxInFlight)
 	if opts.WorkerRate > 0 {
@@ -465,50 +430,35 @@ func Open(opts Options) (*Server, error) {
 			HalfWidth: opts.CIHalfWidth,
 			Seed:      opts.AdaptiveSeed,
 		}
-		if s.adaptiveCfg.HalfWidth == 0 {
-			s.adaptiveCfg.HalfWidth = adaptive.DefaultHalfWidth
-		}
 	}
-	var bsink blob.Telemetry
-	if !opts.DisableTelemetry {
-		s.metrics = newServerMetrics()
-		s.observer.registerMetrics(s.metrics.reg)
-		bsink = newBlobSink(s.metrics.reg)
-	}
+	s.observer.registerMetrics(s.metrics.reg)
 	if opts.TraceSample > 0 || opts.TraceSlow > 0 {
 		s.observer.commits = &commitRing{}
 		s.tracer = trace.New(trace.Config{
 			SampleRate: opts.TraceSample,
 			Slow:       opts.TraceSlow,
-			Buffer:     opts.TraceBuffer,
 			Seed:       opts.TraceSeed,
 			OnFinish:   s.observeTrace,
 		})
 		// Stage histograms are registered only when tracing is on: a
 		// tracing-off server's /metrics exposition (golden-pinned) is
 		// unchanged and pays nothing.
-		if s.metrics != nil {
-			s.metrics.registerStageMetrics()
-		}
+		s.metrics.registerStageMetrics()
 	}
 	bopts := blob.Options{
-		ChunkBytes: opts.VideoChunkBytes,
 		CacheBytes: opts.VideoCacheBytes,
 		Fsync:      opts.Fsync,
-		Metrics:    bsink,
+		Metrics:    newBlobSink(s.metrics.reg),
 	}
 	if opts.DataDir != "" {
 		bopts.Dir = filepath.Join(opts.DataDir, "blobs")
-		bopts.MemServe = opts.VideoTier == "mem"
 	}
 	var err error
 	s.blobs, err = blob.Open(bopts)
 	if err != nil {
 		return nil, err
 	}
-	if s.metrics != nil {
-		s.registerStateGauges()
-	}
+	s.registerStateGauges()
 	if opts.DataDir == "" {
 		return s, nil
 	}
@@ -519,12 +469,10 @@ func Open(opts Options) (*Server, error) {
 		observer = store.WithPayloads(observer)
 	}
 	jl, err := store.Open(opts.DataDir, store.Options{
-		SegmentBytes:  opts.SegmentBytes,
-		Fsync:         opts.Fsync,
-		GroupCommit:   opts.GroupCommit,
-		GroupMaxBatch: opts.GroupMaxBatch,
-		GroupMaxDelay: opts.GroupMaxDelay,
-		Observer:      observer,
+		SegmentBytes: opts.SegmentBytes,
+		Fsync:        opts.Fsync,
+		GroupCommit:  opts.GroupCommit,
+		Observer:     observer,
 	})
 	if err != nil {
 		return nil, err
@@ -589,15 +537,13 @@ func (s *Server) Snapshot() error {
 	if err := s.log.WriteSnapshot(data); err != nil {
 		return err
 	}
-	if s.observer.snapshots != nil {
-		s.observer.snapshots.Inc()
-	}
+	s.observer.snapshots.Inc()
 	return nil
 }
 
 // Handler returns the API's http.Handler. Every API route runs behind
-// the admission middleware and, unless telemetry is disabled, records
-// into the /metrics registry served alongside the API.
+// the admission middleware and records into the /metrics registry
+// served alongside the API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/campaigns", s.instrument("create_campaign", s.handleCreateCampaign))
@@ -610,12 +556,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/videos/{id}/flag", s.instrument("flag", s.handleFlag))
 	mux.HandleFunc("POST /api/v1/sessions/{id}/events", s.instrument("events", s.handleEvents))
 	mux.HandleFunc("POST /api/v1/sessions/{id}/responses", s.instrument("response", s.handleResponse))
-	if s.metrics != nil {
-		// The scrape endpoint is deliberately outside the instrumented
-		// set: it must answer even at the in-flight cap, and its own
-		// latency would pollute the histograms it serves.
-		mux.Handle("GET /metrics", s.metrics.reg.Handler())
-	}
+	// The scrape endpoint is deliberately outside the instrumented set:
+	// it must answer even at the in-flight cap, and its own latency would
+	// pollute the histograms it serves.
+	mux.Handle("GET /metrics", s.metrics.reg.Handler())
 	// The trace surface is deliberately NOT mounted here: retained
 	// traces carry campaign and session IDs, so /debug/traces serves
 	// only from DebugHandler, which operators bind to a separate

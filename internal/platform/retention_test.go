@@ -79,13 +79,14 @@ func liveHeap() uint64 {
 
 // TestCompletedSessionRetainedHeap bounds what the server keeps per
 // completed session on an in-memory server: its ID under the index
-// entry's (campaign, row) and in the campaign's two ID lists, its frozen
-// record (about 120 B) and its rendered /analytics row (about 100 B),
-// each stored back to back, and its values in the campaign's sketches.
-// This test measured 5,036 B/session while a session kept its record,
-// tracker and traces, 1,221 once it kept only its folded form, 1,284
-// with the rendered row beside it, and 562 now that no sessionState
-// outlives completion — which it also checks, through the index.
+// entry's (campaign, row) and in the campaign's completion-order list,
+// its frozen record (about 120 B) and its rendered /analytics row (about
+// 100 B), each stored back to back, and its values in the campaign's
+// sketches. This test measured 5,036 B/session while a session kept its
+// record, tracker and traces, 1,221 once it kept only its folded form,
+// 1,284 with the rendered row beside it, 562 once no sessionState
+// outlived completion — which it also checks, through the index — and
+// 542 now that the campaign keeps no join-order list beside that one.
 func TestCompletedSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000

@@ -5,8 +5,7 @@
 // inner): graceful-drain refusal of new sessions, the global in-flight
 // cap, the per-worker token bucket on session-scoped endpoints, and
 // status-class/latency recording into internal/telemetry instruments.
-// The hot-path cost with telemetry enabled is a handful of atomic adds
-// and two time.Now() calls (bench/ prices it per layer as
+// The hot-path cost is a handful of atomic adds and two time.Now() calls (bench/ prices it per layer as
 // telemetry.observe_ns).
 //
 // GET /metrics renders the registry in Prometheus text format:
@@ -126,8 +125,8 @@ func (m *serverMetrics) registerStageMetrics() {
 // commit-timing ring mutate attributes durability waits from, and
 // Options.Replicate.
 type journalObserver struct {
-	// The eyeorg_journal_* instruments; nil with telemetry disabled.
-	// snapshots is bumped by Server.Snapshot, not by windows.
+	// The eyeorg_journal_* instruments. snapshots is bumped by
+	// Server.Snapshot, not by windows.
 	appends, bytes, snapshots *telemetry.Counter
 	windows, fsync            *telemetry.Histogram
 	commits                   *commitRing          // nil with tracing off
@@ -148,13 +147,11 @@ func (o *journalObserver) registerMetrics(reg *telemetry.Registry) {
 }
 
 func (o *journalObserver) WindowDurable(w store.Window) {
-	if o.appends != nil {
-		o.appends.Add(uint64(w.Records()))
-		o.bytes.Add(uint64(w.Bytes))
-		o.windows.ObserveSeconds(float64(w.Records()))
-		if d := w.FsyncEnd.Sub(w.FsyncStart); d > 0 {
-			o.fsync.Observe(d)
-		}
+	o.appends.Add(uint64(w.Records()))
+	o.bytes.Add(uint64(w.Bytes))
+	o.windows.ObserveSeconds(float64(w.Records()))
+	if d := w.FsyncEnd.Sub(w.FsyncStart); d > 0 {
+		o.fsync.Observe(d)
 	}
 	if o.commits != nil {
 		o.commits.publish(w)
@@ -314,7 +311,7 @@ func (s *Server) registerStateGauges() {
 
 // countMutation records one live (non-replay) mutation of the given op.
 func (s *Server) countMutation(op string) {
-	if s.metrics != nil && !s.replaying {
+	if !s.replaying {
 		s.metrics.mutation[op].Inc()
 	}
 }
@@ -408,17 +405,9 @@ func (s *Server) SessionsInFlight() int64 {
 }
 
 // RequestsInFlight counts API requests currently being served. It
-// reads the same counter the in-flight cap charges; on a server with
-// neither a cap nor telemetry the counter is not maintained and this
-// reports 0 — check TracksRequests before treating 0 as quiescence.
+// reads the same counter the in-flight cap charges.
 func (s *Server) RequestsInFlight() int64 {
 	return s.admission.inflight.Load()
-}
-
-// TracksRequests reports whether the in-flight request counter is
-// maintained: true with telemetry enabled or an in-flight cap set.
-func (s *Server) TracksRequests() bool {
-	return s.metrics != nil || s.admission.maxInflight > 0
 }
 
 // retryAfterSeconds renders a Retry-After header value, at least 1s.
@@ -432,9 +421,7 @@ func retryAfterSeconds(d time.Duration) string {
 
 // reject answers an admission refusal and counts it.
 func (s *Server) reject(w http.ResponseWriter, status int, reason, msg string, retryAfter time.Duration) {
-	if s.metrics != nil {
-		s.metrics.rejected[reason].Inc()
-	}
+	s.metrics.rejected[reason].Inc()
 	w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
 	writeErr(w, status, msg)
 }
@@ -501,8 +488,8 @@ func (sc *scratch) ReadFrom(src io.Reader) (int64, error) {
 	return io.Copy(struct{ io.Writer }{sc.ResponseWriter}, src)
 }
 
-// instrument wraps one API handler with admission control and, when
-// telemetry is enabled, status/latency recording; the handler runs on a
+// instrument wraps one API handler with admission control and
+// status/latency recording; the handler runs on a
 // pooled scratch, its ResponseWriter. With tracing enabled it also owns
 // the trace lifecycle: a trace starts before the admission gates (so
 // rejected requests show up as admission-heavy traces), travels to the
@@ -528,20 +515,15 @@ func (s *Server) instrument(name string, h func(*scratch, *http.Request)) http.H
 				"server is draining; not admitting new sessions", 5*time.Second)
 			return
 		}
-		// The in-flight count is a shared atomic every request would
-		// bump twice; touch it only when something reads it — the cap
-		// check, the eyeorg_http_inflight gauge (telemetry on), or the
-		// drain loop's quiescence probe (also gauge-gated). A bare
-		// uncapped, untelemetered server pays nothing.
-		if a.maxInflight > 0 || s.metrics != nil {
-			if n := a.inflight.Add(1); a.maxInflight > 0 && n > a.maxInflight {
-				a.inflight.Add(-1)
-				s.reject(sc, http.StatusTooManyRequests, "inflight",
-					"server at capacity", time.Second)
-				return
-			}
-			defer a.inflight.Add(-1)
+		// The in-flight count feeds the cap check, the
+		// eyeorg_http_inflight gauge and the drain loop's quiescence probe.
+		if n := a.inflight.Add(1); a.maxInflight > 0 && n > a.maxInflight {
+			a.inflight.Add(-1)
+			s.reject(sc, http.StatusTooManyRequests, "inflight",
+				"server at capacity", time.Second)
+			return
 		}
+		defer a.inflight.Add(-1)
 		if a.rate > 0 && sessionScoped[name] {
 			if ok, wait := a.admit(r.PathValue("id")); !ok {
 				s.reject(sc, http.StatusTooManyRequests, "worker-rate",
@@ -550,10 +532,6 @@ func (s *Server) instrument(name string, h func(*scratch, *http.Request)) http.H
 			}
 		}
 		sc.tr.Mark(trace.StageAdmission)
-		if s.metrics == nil {
-			h(sc, r)
-			return
-		}
 		em := s.metrics.byName[name]
 		start := time.Now()
 		h(sc, r)
@@ -566,12 +544,6 @@ func (s *Server) instrument(name string, h func(*scratch, *http.Request)) http.H
 	}
 }
 
-// Metrics returns the server's telemetry registry (nil when telemetry
-// is disabled) so embedders can add their own instruments or serve the
-// exposition elsewhere.
-func (s *Server) Metrics() *telemetry.Registry {
-	if s.metrics == nil {
-		return nil
-	}
-	return s.metrics.reg
-}
+// Metrics returns the server's telemetry registry so embedders can add
+// their own instruments or serve the exposition elsewhere.
+func (s *Server) Metrics() *telemetry.Registry { return s.metrics.reg }

@@ -347,23 +347,3 @@ func TestMaxBodyRejectsOversizeIngest(t *testing.T) {
 		}
 	}
 }
-
-// TestTelemetryDisabled: DisableTelemetry serves no /metrics and keeps
-// the API fully functional.
-func TestTelemetryDisabled(t *testing.T) {
-	c, s := newClientOpts(t, Options{DisableTelemetry: true})
-	if s.Metrics() != nil {
-		t.Fatalf("disabled server still has a registry")
-	}
-	id, _ := setupCampaign(c, "timeline", 1)
-	jr := join(c, id, "w-quiet")
-	completeSession(c, jr, 1500, true, 0, 0)
-	resp, err := http.Get(c.srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /metrics on disabled server = %d, want 404", resp.StatusCode)
-	}
-}

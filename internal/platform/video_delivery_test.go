@@ -75,9 +75,8 @@ func TestVideoRangeRequests(t *testing.T) {
 	// Same table against every tier: the semantics must not depend on
 	// where the bytes live.
 	tiers := map[string]Options{
-		"mem":      {},
-		"file":     {DataDir: t.TempDir(), VideoTier: "file"},
-		"memserve": {DataDir: t.TempDir(), VideoTier: "mem"},
+		"mem":  {},
+		"file": {DataDir: t.TempDir()},
 	}
 	for tier, opts := range tiers {
 		srv, err := Open(opts)
@@ -264,36 +263,34 @@ func TestVideoCacheHitPathAllocFree(t *testing.T) {
 }
 
 func TestVideoSurvivesReopenByHash(t *testing.T) {
-	for _, tier := range []string{"file", "mem"} {
-		dir := t.TempDir()
-		srv, err := Open(Options{DataDir: dir, VideoTier: tier})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := newClientFor(t, srv)
-		_, vids := setupCampaign(c, "timeline", 2)
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re, err := Open(Options{DataDir: dir, VideoTier: tier})
-		if err != nil {
-			t.Fatalf("tier %s: reopen: %v", tier, err)
-		}
-		c2 := newClientFor(t, re)
-		payload := sampleVideoBytes()
-		resp, body := getVideo(c2, vids[0], "", "")
-		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
-			t.Fatalf("tier %s: reopened GET: %d, %d bytes", tier, resp.StatusCode, len(body))
-		}
-		if resp.Header.Get("Content-Length") != strconv.Itoa(len(payload)) {
-			t.Fatalf("tier %s: Content-Length = %q", tier, resp.Header.Get("Content-Length"))
-		}
-		// Range semantics survive the restart too.
-		if resp, body := getVideo(c2, vids[1], "bytes=-9", ""); resp.StatusCode != http.StatusPartialContent ||
-			!bytes.Equal(body, payload[len(payload)-9:]) {
-			t.Fatalf("tier %s: reopened suffix range: %d", tier, resp.StatusCode)
-		}
-		re.Close()
+	dir := t.TempDir()
+	srv, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newClientFor(t, srv)
+	_, vids := setupCampaign(c, "timeline", 2)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	c2 := newClientFor(t, re)
+	payload := sampleVideoBytes()
+	resp, body := getVideo(c2, vids[0], "", "")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+		t.Fatalf("reopened GET: %d, %d bytes", resp.StatusCode, len(body))
+	}
+	if resp.Header.Get("Content-Length") != strconv.Itoa(len(payload)) {
+		t.Fatalf("Content-Length = %q", resp.Header.Get("Content-Length"))
+	}
+	// Range semantics survive the restart too.
+	if resp, body := getVideo(c2, vids[1], "bytes=-9", ""); resp.StatusCode != http.StatusPartialContent ||
+		!bytes.Equal(body, payload[len(payload)-9:]) {
+		t.Fatalf("reopened suffix range: %d", resp.StatusCode)
 	}
 }
 

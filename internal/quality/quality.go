@@ -155,9 +155,6 @@ func (t *Tracker) AddAB(r *survey.ABResponse) {
 // assignment, so the verdict is final from here on.
 func (t *Tracker) SetCompleted() { t.completed = true }
 
-// Completed reports whether the session finished its assignment.
-func (t *Tracker) Completed() bool { return t.completed }
-
 // Verdict classifies the session from the maintained counters, applying
 // the rules in §4.3 order. For a completed session it equals
 // filtering.Classify on the materialized record with the same ceiling;
@@ -297,24 +294,20 @@ type Band struct {
 // It is not goroutine-safe: the platform mutates and reads it under the
 // campaign's shard lock.
 type Campaign struct {
-	kind     string
 	summary  filtering.Summary
 	timeline map[string]*Sketch
 	ab       map[string]*filtering.ABVotes
 }
 
-// NewCampaign starts empty analytics for a campaign of the given kind
-// ("timeline" or "ab").
+// NewCampaign starts empty analytics for a campaign. A campaign of
+// either kind ("timeline" or "ab") folds through the same aggregates, so
+// the kind selects nothing here.
 func NewCampaign(kind string) *Campaign {
 	return &Campaign{
-		kind:     kind,
 		timeline: make(map[string]*Sketch),
 		ab:       make(map[string]*filtering.ABVotes),
 	}
 }
-
-// Kind returns the campaign kind the analytics were started with.
-func (c *Campaign) Kind() string { return c.kind }
 
 // Complete folds one freshly completed session into the aggregates.
 // Callers pass the materialized record and the verdict the session's

@@ -18,7 +18,7 @@ type Source struct {
 
 // New returns a stream source rooted at seed.
 func New(seed int64) *Source {
-	return &Source{seed: splitmix(uint64(seed))}
+	return &Source{seed: SplitMix64(uint64(seed))}
 }
 
 // Stream returns a deterministic *rand.Rand for the given name. Calling
@@ -27,7 +27,7 @@ func New(seed int64) *Source {
 func Stream(src *Source, name string) *rand.Rand {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	return rand.New(rand.NewSource(int64(splitmix(src.seed ^ h.Sum64()))))
+	return rand.New(rand.NewSource(int64(SplitMix64(src.seed ^ h.Sum64()))))
 }
 
 // Stream is the method form of the package-level Stream.
@@ -38,11 +38,16 @@ func (s *Source) Stream(name string) *rand.Rand { return Stream(s, name) }
 func (s *Source) Fork(name string) *Source {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	return &Source{seed: splitmix(s.seed ^ h.Sum64())}
+	return &Source{seed: SplitMix64(s.seed ^ h.Sum64())}
 }
 
-// splitmix is the SplitMix64 finalizer; it decorrelates nearby seeds.
-func splitmix(x uint64) uint64 {
+// SplitMix64 is one step of the SplitMix64 generator from state x: the
+// golden-gamma increment, then the finalizer. It decorrelates nearby
+// seeds, and SplitMix64(s), SplitMix64(s+γ), … with γ = 0x9e3779b97f4a7c15
+// is the generator's output stream from seed s. The one definition in
+// the tree: stable across platforms and Go versions, which math/rand's
+// generator is not contractually.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

@@ -154,3 +154,16 @@ func TestPropertyStreamReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSplitMix64KnownAnswer pins the mixer to the published generator:
+// seeded with 0, SplitMix64's first three outputs (Vigna's reference
+// splitmix64.c). A transposed digit in either multiplier fails it.
+func TestSplitMix64KnownAnswer(t *testing.T) {
+	const gamma = 0x9e3779b97f4a7c15
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
+	for i, w := range want {
+		if got := SplitMix64(uint64(i) * gamma); got != w {
+			t.Fatalf("output %d from seed 0 = %#x, want %#x", i, got, w)
+		}
+	}
+}

@@ -7,8 +7,7 @@
 // bufio flush plus — with Options.Fsync — ONE fsync, then acks every
 // sequence the window covered by advancing the durable watermark. The
 // fsync runs outside the log mutex, so the next window's appends buffer
-// concurrently with it; that overlap is where the batching comes from
-// even with GroupMaxDelay zero.
+// concurrently with it; that overlap is where the batching comes from.
 //
 // Failure is latched exactly like the inline path: a flush or fsync
 // error marks the log failed (memory and disk may disagree) and poisons
@@ -37,18 +36,6 @@ func (l *Log) WaitDurable(seq uint64) error {
 		return l.ackErr
 	}
 	return errClosed
-}
-
-// Durable returns the current durability watermark: every sequence up
-// to it has been flushed (and fsynced when configured). Without group
-// commit that is simply the last appended sequence.
-func (l *Log) Durable() uint64 {
-	if !l.group {
-		return l.Seq()
-	}
-	l.ackMu.Lock()
-	defer l.ackMu.Unlock()
-	return l.durable
 }
 
 // markDurable advances the watermark and wakes every waiter it covers.
@@ -85,41 +72,7 @@ func (l *Log) commitLoop() {
 			return
 		case <-l.kick:
 		}
-		if d := l.opts.GroupMaxDelay; d > 0 {
-			l.awaitBatch(d)
-		}
 		l.flushGroup()
-	}
-}
-
-// awaitBatch holds the flush window open for up to d so more appends
-// can join the batch, closing early once GroupMaxBatch records are
-// pending or shutdown begins. The cap is checked on entry too: a burst
-// that fully buffered while the previous window flushed coalesces into
-// one kick and must not wait out the whole delay.
-func (l *Log) awaitBatch(d time.Duration) {
-	batchFull := func() bool {
-		l.ackMu.Lock()
-		durable := l.durable
-		l.ackMu.Unlock()
-		return l.Seq()-durable >= uint64(l.opts.GroupMaxBatch)
-	}
-	if batchFull() {
-		return
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	for {
-		select {
-		case <-timer.C:
-			return
-		case <-l.stopc:
-			return
-		case <-l.kick:
-			if batchFull() {
-				return
-			}
-		}
 	}
 }
 

@@ -94,10 +94,6 @@ func TestGroupCommitSerialEquivalence(t *testing.T) {
 				SegmentBytes: int64(64 + rng.Intn(1024)), // force rotations
 				Fsync:        trial%2 == 0,
 			}
-			if trial%3 == 0 {
-				opts.GroupMaxDelay = 200 * time.Microsecond
-				opts.GroupMaxBatch = 4
-			}
 			crashing := trial%4 < 2
 			dir := t.TempDir()
 			l, err := Open(dir, opts)

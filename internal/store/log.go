@@ -55,18 +55,11 @@ type Options struct {
 	// their frame and block on a shared ack instead of flushing (and,
 	// with Fsync, fsyncing) individually, and a committer goroutine
 	// turns everything buffered since the last flush into one write
-	// plus at most one fsync. The on-disk format is unchanged; only
-	// when durability is established moves.
+	// plus at most one fsync. The committer flushes as soon as it is
+	// free: batches form from whatever buffers while the previous
+	// window's fsync runs. The on-disk format is unchanged; only when
+	// durability is established moves.
 	GroupCommit bool
-	// GroupMaxBatch closes a flush window early once this many records
-	// are pending (default 1024). Only meaningful with GroupMaxDelay.
-	GroupMaxBatch int
-	// GroupMaxDelay is how long the committer holds a flush window open
-	// after the first pending record so more can join the batch.
-	// Default 0: flush as soon as the committer is free — batches still
-	// form naturally from whatever accumulates while the previous
-	// flush's fsync runs.
-	GroupMaxDelay time.Duration
 	// Observer receives every durability window once it is durable and
 	// before it is acked — the journal's one hook, from which callers
 	// derive metrics, request-trace timing and record capture. Nil disables
@@ -137,9 +130,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	if opts.KeepSnapshots <= 0 {
 		opts.KeepSnapshots = 2
-	}
-	if opts.GroupMaxBatch <= 0 {
-		opts.GroupMaxBatch = 1024
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err

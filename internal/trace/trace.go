@@ -30,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/eyeorg/eyeorg/internal/rng"
 )
 
 // Stage identifies one segment of a traced request, in pipeline order.
@@ -274,7 +276,7 @@ const DefaultBuffer = 256
 // Tracer hands out pooled traces, decides sampling, and retains
 // finished traces. A nil *Tracer is valid and traces nothing.
 type Tracer struct {
-	threshold uint64 // sample iff splitmix64(seed+n) <= threshold
+	threshold uint64 // sample iff SplitMix64(seed+n) <= threshold
 	slow      time.Duration
 	seed      uint64
 	seq       atomic.Uint64
@@ -313,15 +315,6 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// splitmix64 is the SplitMix64 mixer: a cheap, well-distributed hash
-// of the sampler's sequence counter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e9b5
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Parent is an upstream trace identity extracted from a traceparent or
 // trace-id header; see Parse.
 type Parent struct {
@@ -340,7 +333,7 @@ func (t *Tracer) Start(route string, parent *Parent) *Trace {
 		return nil
 	}
 	n := t.seq.Add(1)
-	draw := splitmix64(t.seed + n)
+	draw := rng.SplitMix64(t.seed + n)
 	tr := t.pool.Get().(*Trace)
 	tr.reset()
 	tr.route = route
@@ -350,8 +343,8 @@ func (t *Tracer) Start(route string, parent *Parent) *Trace {
 		tr.id = parent.TraceID
 		tr.sampled = tr.sampled || parent.Sampled
 	} else {
-		binary.BigEndian.PutUint64(tr.id[:8], splitmix64(draw))
-		binary.BigEndian.PutUint64(tr.id[8:], splitmix64(draw+1))
+		binary.BigEndian.PutUint64(tr.id[:8], rng.SplitMix64(draw))
+		binary.BigEndian.PutUint64(tr.id[8:], rng.SplitMix64(draw+1))
 		if tr.id == ([16]byte{}) {
 			tr.id[15] = 1
 		}
