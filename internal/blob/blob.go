@@ -6,14 +6,16 @@
 // Blobs are keyed by the SHA-256 of their content and ingested in
 // fixed-size chunks: Put streams the upload through the hasher without
 // ever holding more than one chunk-sized buffer beyond the stored data
-// itself. Identical uploads deduplicate to one stored blob.
+// itself — a pooled look-ahead buffer, returned when Put does. Identical
+// uploads deduplicate to one stored blob.
 //
 // Two serving tiers share the API:
 //
-//   - the in-memory tier (no Dir) keeps the chunk list in RAM — the
-//     configuration for benchmarks and ephemeral servers, where the hit
-//     path returns the stored slice with zero copies and zero
-//     allocations;
+//   - the in-memory tier (no Dir) keeps the chunk list in RAM, each chunk
+//     an exact-length copy, so a blob costs its own size and not the
+//     chunk size — the configuration for benchmarks and ephemeral
+//     servers, where the hit path returns the stored slice with zero
+//     copies and zero allocations;
 //   - the file tier (Dir set) persists each blob as one contiguous
 //     file, fronted by a sharded LRU byte cache. Blobs no larger than
 //     one chunk are cache-candidates (admitted through a doorkeeper on
@@ -84,8 +86,8 @@ type Ref struct {
 // blobMeta is the in-memory index entry for one blob.
 type blobMeta struct {
 	size int64
-	// chunks holds the blob's fixed-size chunks on the memory tier (nil
-	// on the file tier).
+	// chunks holds the blob's fixed-size chunks on the memory tier, each
+	// exactly as long as its content (nil on the file tier).
 	chunks [][]byte
 }
 
@@ -97,6 +99,9 @@ type Store struct {
 	fsync bool
 	sink  Telemetry
 	cache *cache // nil on the memory tier or when disabled
+
+	// lookahead recycles Put's chunk-sized read buffers (*[]byte).
+	lookahead sync.Pool
 
 	mu    sync.RWMutex
 	blobs map[string]*blobMeta
@@ -115,6 +120,10 @@ func Open(opts Options) (*Store, error) {
 	}
 	if s.chunk <= 0 {
 		s.chunk = DefaultChunkBytes
+	}
+	s.lookahead.New = func() any {
+		buf := make([]byte, s.chunk)
+		return &buf
 	}
 	if s.dir == "" {
 		return s, nil
@@ -174,10 +183,12 @@ func (s *Store) path(hash string) string {
 
 // Put streams r into the store, hashing as it reads, and returns the
 // blob's content address. The boolean reports whether the call stored a
-// new blob (false = deduplicated against an existing one). Never more
-// than one chunk of lookahead is buffered beyond the stored data; on
-// the file tier the bytes land in a temp file that is atomically
-// renamed into place (fsynced first when the store is durable).
+// new blob (false = deduplicated against an existing one). Every upload
+// is read through one pooled chunk-sized look-ahead buffer, so nothing
+// beyond the stored data is held past the call: the memory tier keeps an
+// exact-length copy of each chunk, and the file tier writes each one to a
+// temp file that is atomically renamed into place (fsynced first when
+// the store is durable).
 func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 	h := sha256.New()
 	var (
@@ -198,11 +209,12 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 			}
 		}()
 	}
+	lookahead := s.lookahead.Get().(*[]byte)
+	defer s.lookahead.Put(lookahead)
 	for {
-		buf := make([]byte, s.chunk)
-		n, err := io.ReadFull(r, buf)
+		n, err := io.ReadFull(r, *lookahead)
 		if n > 0 {
-			buf = buf[:n]
+			buf := (*lookahead)[:n]
 			h.Write(buf)
 			size += int64(n)
 			if tmp != nil {
@@ -210,7 +222,7 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 					return Ref{}, false, werr
 				}
 			} else {
-				chunks = append(chunks, buf)
+				chunks = append(chunks, append(make([]byte, 0, n), buf...))
 			}
 		}
 		if err == io.EOF || err == io.ErrUnexpectedEOF {

@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -195,6 +197,101 @@ func TestBytesZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Bytes allocated %.1f times per call, want 0", allocs)
 	}
+}
+
+// TestMemoryTierStoresExactBytes: a memory-tier chunk is a copy exactly
+// as long as its content, whatever the chunk size, so eight small videos
+// cost about their own size and not eight chunk-sized buffers.
+func TestMemoryTierStoresExactBytes(t *testing.T) {
+	small, err := Open(Options{ChunkBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, _, err := small.PutBytes(bytes.Repeat([]byte("0123456789"), 30)) // 4 full chunks and 44 bytes
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExactChunks(t, small, multi.Hash, 5)
+
+	s, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(21))
+	payloads := make([][]byte, 8)
+	var sum int
+	for i := range payloads {
+		payloads[i] = make([]byte, 10_000+2_000*i)
+		r.Read(payloads[i])
+		sum += len(payloads[i])
+	}
+	before := liveHeap()
+	for _, p := range payloads {
+		ref, _, err := s.PutBytes(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkExactChunks(t, s, ref.Hash, 1)
+	}
+	grown := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(payloads) // counted in before: must not be freed by after
+	runtime.KeepAlive(s)
+	t.Logf("8 blobs of %d bytes in all: live heap grew %d bytes", sum, grown)
+	if limit := int64(1.1*float64(sum)) + 4<<10; grown > limit {
+		t.Fatalf("8 blobs of %d bytes in all grew the live heap %d bytes, limit %d", sum, grown, limit)
+	}
+}
+
+// checkExactChunks fails unless the memory-tier blob hash is stored as n
+// chunks, each with no capacity past its length.
+func checkExactChunks(t *testing.T, s *Store, hash string, n int) {
+	t.Helper()
+	s.mu.RLock()
+	chunks := s.blobs[hash].chunks
+	s.mu.RUnlock()
+	if len(chunks) != n {
+		t.Fatalf("blob %.8s: %d chunks, want %d", hash, len(chunks), n)
+	}
+	for i, c := range chunks {
+		if cap(c) != len(c) {
+			t.Fatalf("blob %.8s chunk %d: cap %d for %d bytes", hash, i, cap(c), len(c))
+		}
+	}
+}
+
+// TestPutReusesLookahead: once the pool is warm, a Put allocates what it
+// stores and no chunk-sized buffer of its own, on either tier. The
+// bound leaves room for the race detector, under which sync.Pool drops
+// a quarter of what it is given.
+func TestPutReusesLookahead(t *testing.T) {
+	const puts = 100
+	payload := bytes.Repeat([]byte("v"), 1000)
+	for name, s := range tiers(t, DefaultChunkBytes) {
+		if _, _, err := s.PutBytes(payload); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < puts; i++ {
+			if _, _, err := s.PutBytes(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d Puts of %d bytes allocated %d bytes", name, puts, len(payload), allocated)
+		if allocated > puts/2*DefaultChunkBytes {
+			t.Fatalf("%s: %d Puts allocated %d bytes, as much as a chunk for every other call", name, puts, allocated)
+		}
+	}
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 func TestFileTierPersistsAcrossReopen(t *testing.T) {

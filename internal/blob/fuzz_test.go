@@ -10,9 +10,9 @@ import (
 
 // FuzzBlobPut round-trips arbitrary payloads through every tier with a
 // fuzzed chunk size: the content address must always be the payload's
-// SHA-256, reads must return identical bytes, and duplicate puts must
-// dedup — for any payload, including empty, chunk-aligned, and
-// multi-chunk shapes.
+// SHA-256, reads must return identical bytes, duplicate puts must dedup,
+// and the memory tier must hold each chunk in exactly its length — for
+// any payload, including empty, chunk-aligned, and multi-chunk shapes.
 func FuzzBlobPut(f *testing.F) {
 	f.Add([]byte{}, uint16(1))
 	f.Add([]byte("hello"), uint16(4))
@@ -46,6 +46,9 @@ func FuzzBlobPut(f *testing.F) {
 			}
 			if _, created, err := s.Put(bytes.NewReader(payload)); err != nil || created {
 				t.Fatalf("%s: dup Put: created=%v err=%v", name, created, err)
+			}
+			if name == "mem" {
+				checkExactChunks(t, s, ref.Hash, max(1, (len(payload)+chunk-1)/chunk))
 			}
 			got, err := s.ReadAll(ref.Hash)
 			if err != nil || !bytes.Equal(got, payload) {

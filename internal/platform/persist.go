@@ -239,7 +239,9 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	vsh.Put(ev.ID, newVideoState(ev.ID, ev.Campaign, ev.Hash, ev.Size))
+	// The campaign's own ID string, not the record's: on the live path
+	// that is a substring of the upload's request line.
+	vsh.Put(ev.ID, newVideoState(ev.ID, c.ID, ev.Hash, ev.Size))
 	c.Videos = append(c.Videos, ev.ID)
 	if c.adaptive != nil {
 		c.adaptive.AddVideo(ev.ID)
@@ -260,22 +262,29 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	csh.Lock()
 	defer csh.Unlock()
 	ev.tr.Mark(trace.StageLockWait)
-	if c, ok := csh.Get(ev.Campaign); ok && c.movedTo != "" {
+	c, ok := csh.Get(ev.Campaign)
+	if ok && c.movedTo != "" {
 		return 0, fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, c.ID, c.movedTo)
 	}
 	seq, err := s.journal(ev)
 	if err != nil {
 		return 0, err
 	}
+	// The session names its campaign by the campaign's own string rather
+	// than the join body's copy of it.
+	campaign := ev.Campaign
+	if ok {
+		campaign = c.ID
+	}
 	ssh.Put(ev.ID, sessionEntry{live: &sessionState{
 		ID:         ev.ID,
-		Campaign:   ev.Campaign,
+		Campaign:   campaign,
 		Worker:     *ev.Worker,
 		Assignment: ev.Tests,
 		answers:    make([]answer, 0, len(ev.Tests)),
 		track:      quality.NewTracker(assignedVideos(ev.Tests)),
 	}})
-	if c, ok := csh.Get(ev.Campaign); ok {
+	if ok {
 		c.inflight = append(c.inflight, ev.ID)
 		// The allocator charges the assignment as bought budget the
 		// moment it is journaled — live and replay go through this same
@@ -414,7 +423,10 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 	sess.answers = append(sess.answers, a)
 	sess.trackAnswer(a)
 	if c != nil {
-		ssh.Put(ev.ID, s.completeSession(c, sess))
+		// Keyed by sess.ID, the string the campaign files the session
+		// under: a map assignment replaces the key, and ev.ID is a
+		// substring of the request line on the live path.
+		ssh.Put(sess.ID, s.completeSession(c, sess))
 	}
 	s.countMutation(opResponse)
 	return seq, c != nil, nil

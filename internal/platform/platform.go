@@ -1096,12 +1096,14 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 			fmt.Sprintf("video exceeds the %d MiB upload cap", maxVideoBytes>>20), time.Second)
 		return
 	}
+	// A one-chunk video on the memory tier is read through the Bytes fast
+	// path, no copy, and Validate walks it without building a frame.
 	data, err := s.blobs.ReadAll(ref.Hash)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if _, err := video.Decode(data); err != nil {
+	if err := video.Validate(data); err != nil {
 		s.blobs.Discard(ref.Hash)
 		writeErr(w, http.StatusUnprocessableEntity, "not a valid EYV1 video")
 		return

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // dispatch runs one request straight through the handler (fuzzEnv.do,
@@ -85,12 +86,14 @@ func liveHeap() uint64 {
 // sketches. This test measured 5,036 B/session while a session kept its
 // record, tracker and traces, 1,221 once it kept only its folded form,
 // 1,284 with the rendered row beside it, 562 once no sessionState
-// outlived completion — which it also checks, through the index — and
-// 542 now that the campaign keeps no join-order list beside that one.
+// outlived completion — which it also checks, through the index — 542
+// once the campaign kept no join-order list beside that one, and 494
+// now that the index key is no longer the completing request's line
+// (TestCompletedSessionPinsNoRequestBytes).
 func TestCompletedSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000
-		ceiling  = 700 // bytes per completed session
+		ceiling  = 560 // bytes per completed session
 	)
 	if raceEnabled {
 		t.Skip("heap accounting is measured without the race detector")
@@ -114,6 +117,73 @@ func TestCompletedSessionRetainedHeap(t *testing.T) {
 	}
 	if live, completed := indexCounts(srv); live != 0 || completed != sessions+64 {
 		t.Fatalf("index holds %d session states and %d completed rows, want 0 and %d", live, completed, sessions+64)
+	}
+}
+
+// TestCompletedSessionPinsNoRequestBytes: a completed session's index
+// key is the very string its campaign files it under, not a substring of
+// the request line that completed it — on the live path, after a journal
+// replay, and after a snapshot load. On the live path the videos and the
+// session in flight also name their campaign by its own string, not the
+// request's.
+func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
+	owned := func(how string, srv *Server) {
+		t.Helper()
+		completed := 0
+		srv.sessions.Range(func(id string, e sessionEntry) bool {
+			if e.live == nil {
+				completed++
+				if filed := e.done.recordSessions[e.row]; unsafe.StringData(id) != unsafe.StringData(filed) {
+					t.Errorf("%s: session %s is indexed under a string of its own, not the campaign's", how, id)
+				}
+			}
+			return true
+		})
+		if completed != 6 {
+			t.Fatalf("%s: %d completed sessions indexed, want 6", how, completed)
+		}
+	}
+	dir := t.TempDir()
+	srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	campaign := seedDispatch(t, h, 2)
+	completeSessions(t, h, campaign, 0, 6)
+	dispatch(t, h, "POST", "/api/v1/sessions", JoinRequest{Campaign: campaign, Worker: Worker{ID: "in-flight"}, Captcha: "tok"}, nil)
+	owned("live", srv)
+	c, _ := srv.campaigns.Get(campaign)
+	srv.videos.Range(func(id string, v *videoState) bool {
+		if unsafe.StringData(v.Campaign) != unsafe.StringData(c.ID) {
+			t.Errorf("live: video %s names its campaign by the upload's string", id)
+		}
+		return true
+	})
+	srv.sessions.Range(func(id string, e sessionEntry) bool {
+		if e.live != nil && unsafe.StringData(e.live.Campaign) != unsafe.StringData(c.ID) {
+			t.Errorf("live: session %s in flight names its campaign by the join body's string", id)
+		}
+		return true
+	})
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, how := range []string{"replayed", "snapshot-loaded"} {
+		srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned(how, srv)
+		if how == "replayed" {
+			if err := srv.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,6 +253,14 @@ func (s *Server) registerStateGauges() {
 		_, bytes := s.blobs.CacheStats()
 		return float64(bytes)
 	})
+	// The Go runtime's own accounting, read at scrape time: what the
+	// process holds, beside what the gauges above say it stores.
+	reg.Help("eyeorg_go_heap_live_bytes", "Heap bytes the last GC cycle marked live.")
+	reg.GaugeFunc("eyeorg_go_heap_live_bytes", "", runtimeValue("/gc/heap/live:bytes"))
+	reg.Help("eyeorg_go_gc_cycles_total", "GC cycles completed since the process started.")
+	reg.GaugeFunc("eyeorg_go_gc_cycles_total", "", runtimeValue("/gc/cycles/total:gc-cycles"))
+	reg.Help("eyeorg_go_goroutines", "Live goroutines.")
+	reg.GaugeFunc("eyeorg_go_goroutines", "", runtimeValue("/sched/goroutines:goroutines"))
 	reg.Help("eyeorg_videos_banned", "Videos currently banned by participant flags.")
 	reg.GaugeFunc("eyeorg_videos_banned", "", func() float64 {
 		var n int
@@ -306,6 +316,18 @@ func (s *Server) registerStateGauges() {
 		reg.GaugeFunc("eyeorg_quality_verdicts", `verdict="`+verdict.String()+`"`, func() float64 {
 			return tally(verdict)
 		})
+	}
+}
+
+// runtimeValue reads one uint64 runtime/metrics sample at render time.
+func runtimeValue(name string) func() float64 {
+	return func() float64 {
+		sample := [1]rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(sample[:])
+		if sample[0].Value.Kind() != rtmetrics.KindUint64 {
+			return 0
+		}
+		return float64(sample[0].Value.Uint64())
 	}
 }
 
@@ -365,7 +387,8 @@ func (a *admission) admitN(key string, n float64) (ok bool, retryAfter time.Dura
 			a.buckets.Range(func(k, _ any) bool { a.buckets.Delete(k); return true })
 			a.bucketN.Store(0)
 		}
-		v, loaded = a.buckets.LoadOrStore(key, &tokenBucket{tokens: a.burst, last: time.Now()})
+		// The key is a substring of the request line: the map keeps a copy.
+		v, loaded = a.buckets.LoadOrStore(strings.Clone(key), &tokenBucket{tokens: a.burst, last: time.Now()})
 		if !loaded {
 			a.bucketN.Add(1)
 		}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -113,19 +115,34 @@ func TestMetricsEndpointCoversAPI(t *testing.T) {
 	}
 }
 
+// runtimeRows matches the sample lines of the eyeorg_go_* series, whose
+// values are the Go runtime's and so differ from run to run.
+var runtimeRows = regexp.MustCompile(`(?m)^(eyeorg_go_[a-z_]+) .*$`)
+
 // TestMetricsGolden pins a fresh durable server's full /metrics body:
 // every instrument the platform registers, rendered in the stable
-// order, all zeros. Catches accidental metric renames and format
-// drift in one diff.
+// order, all zeros but the Go runtime rows, whose values alone are
+// masked. Catches accidental metric renames and format drift in one
+// diff.
 func TestMetricsGolden(t *testing.T) {
 	s, err := Open(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	runtime.GC() // the live-heap row reads the last cycle's mark
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	got := rec.Body.String()
+	body := rec.Body.String()
+	if n := len(runtimeRows.FindAllString(body, -1)); n != 3 {
+		t.Fatalf("%d Go runtime rows, want 3:\n%s", n, body)
+	}
+	for _, series := range []string{"eyeorg_go_heap_live_bytes", "eyeorg_go_gc_cycles_total", "eyeorg_go_goroutines"} {
+		if v, err := strconv.ParseFloat(metricValue(t, body, series), 64); err != nil || v < 1 {
+			t.Errorf("%s = %v (%v), want at least 1", series, v, err)
+		}
+	}
+	got := runtimeRows.ReplaceAllString(body, "$1 <runtime>")
 
 	golden := filepath.Join("testdata", "metrics.golden")
 	if *update {

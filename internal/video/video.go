@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/browsersim"
@@ -26,6 +27,11 @@ const DefaultFPS = 10
 type Video struct {
 	FPS    int
 	Frames []*vision.Frame
+
+	// webm memoizes WebmBytes, 0 until the first call (the model never
+	// goes below its container cost). It is why the frames must not
+	// change once a video is in use.
+	webm atomic.Int64
 }
 
 // Duration returns the video length.
@@ -153,8 +159,19 @@ func (v *Video) ChangedTiles() int {
 // WebmBytes models the size of the equivalent webm file served to
 // participants: container overhead, a per-second stream cost, and a cost
 // per changed tile (motion). Participant-side download time is
-// WebmBytes / participant bandwidth.
+// WebmBytes / participant bandwidth. The size is computed once per
+// video: a crowd asks for it on every answer, and ChangedTiles diffs
+// every frame pair.
 func (v *Video) WebmBytes() int64 {
+	if n := v.webm.Load(); n != 0 {
+		return n
+	}
+	n := v.webmBytes()
+	v.webm.Store(n)
+	return n
+}
+
+func (v *Video) webmBytes() int64 {
 	const (
 		container  = 80_000
 		perSecond  = 26_000
@@ -218,57 +235,77 @@ var ErrCorrupt = errors.New("video: corrupt encoding")
 
 // Decode reverses Encode.
 func Decode(data []byte) (*Video, error) {
-	if len(data) < 6 || data[0] != magic[0] || data[1] != magic[1] || data[2] != magic[2] || data[3] != magic[3] {
-		return nil, ErrCorrupt
+	v := &Video{}
+	fps, err := walk(data, func(frame int, val uint64, pos, n int) {
+		if frame == len(v.Frames) {
+			v.Frames = append(v.Frames, vision.NewFrame())
+		}
+		f := v.Frames[frame]
+		for k := pos; k < pos+n; k++ {
+			f.Set(k%vision.GridW, k/vision.GridW, vision.Tile(val))
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	rest := data[4:]
-	fps, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, ErrCorrupt
+	v.FPS = fps
+	return v, nil
+}
+
+// Validate reports whether Decode would accept data, by the same walk
+// over the container, without building a frame.
+func Validate(data []byte) error {
+	_, err := walk(data, nil)
+	return err
+}
+
+// walk checks data against the EYV1 container — magic, frame rate and
+// frame-count bounds, every run non-empty and inside its frame, every
+// frame exactly covered — and returns the frame rate. It is the one
+// definition of a valid payload that Decode and Validate share. visit,
+// when non-nil, gets each run that covers tiles: n tiles of value val
+// from tile pos of the given frame. Every frame walk gets past had such
+// a run, so frames arrive in order, none skipped.
+func walk(data []byte, visit func(frame int, val uint64, pos, n int)) (int, error) {
+	if len(data) < 6 || [4]byte(data[:4]) != magic {
+		return 0, ErrCorrupt
 	}
-	rest = rest[n:]
-	frameCount, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, ErrCorrupt
-	}
-	rest = rest[n:]
-	const maxFrames = 1 << 20
-	if fps == 0 || fps > 240 || frameCount > maxFrames {
-		return nil, ErrCorrupt
-	}
-	v := &Video{FPS: int(fps), Frames: make([]*vision.Frame, 0, frameCount)}
-	total := vision.GridW * vision.GridH
-	for fi := uint64(0); fi < frameCount; fi++ {
-		runs, n := binary.Uvarint(rest)
+	rest, ok := data[4:], true
+	uvarint := func() uint64 {
+		x, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return nil, ErrCorrupt
+			ok = false
+			return 0
 		}
 		rest = rest[n:]
-		f := vision.NewFrame()
-		pos := 0
-		for r := uint64(0); r < runs; r++ {
-			val, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return nil, ErrCorrupt
-			}
-			rest = rest[n:]
-			length, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return nil, ErrCorrupt
-			}
-			rest = rest[n:]
-			if length == 0 || pos+int(length) > total {
-				return nil, ErrCorrupt
-			}
-			for k := 0; k < int(length); k++ {
-				f.Set(pos%vision.GridW, pos/vision.GridW, vision.Tile(val))
-				pos++
-			}
-		}
-		if pos != total {
-			return nil, ErrCorrupt
-		}
-		v.Frames = append(v.Frames, f)
+		return x
 	}
-	return v, nil
+	const maxFrames = 1 << 20
+	fps, frames := uvarint(), uvarint()
+	if !ok || fps == 0 || fps > 240 || frames > maxFrames {
+		return 0, ErrCorrupt
+	}
+	const total = vision.GridW * vision.GridH
+	for frame := 0; frame < int(frames); frame++ {
+		runs, pos := uvarint(), 0
+		for r := uint64(0); ok && r < runs; r++ {
+			val, length := uvarint(), uvarint()
+			// A length past the int range converts to a negative count:
+			// a run that covers nothing, and is accepted.
+			n := int(length)
+			if !ok || length == 0 || pos+n > total {
+				return 0, ErrCorrupt
+			}
+			if n > 0 {
+				if visit != nil {
+					visit(frame, val, pos, n)
+				}
+				pos += n
+			}
+		}
+		if !ok || pos != total {
+			return 0, ErrCorrupt
+		}
+	}
+	return int(fps), nil
 }

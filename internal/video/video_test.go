@@ -1,11 +1,13 @@
 package video
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/browsersim"
+	"github.com/eyeorg/eyeorg/internal/parallel"
 	"github.com/eyeorg/eyeorg/internal/vision"
 )
 
@@ -213,4 +215,85 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWebmBytesMemoConcurrent: many workers asking one video for its
+// size at once all get the value the model computes from the frames, and
+// so does every later call (go test -race checks the memo's publication).
+func TestWebmBytesMemoConcurrent(t *testing.T) {
+	videos := []*Video{
+		Capture(samplePaints(), 3*time.Second, 10),
+		Capture(nil, time.Second, 10),
+		{FPS: 10},
+	}
+	for i, v := range videos {
+		want := v.webmBytes()
+		got, err := parallel.Map(8, 64, func(int) (int64, error) { return v.WebmBytes(), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, n := range got {
+			if n != want {
+				t.Fatalf("video %d, call %d: WebmBytes = %d, want %d", i, w, n, want)
+			}
+		}
+		if n := v.WebmBytes(); n != want {
+			t.Fatalf("video %d: memoized WebmBytes = %d, want %d", i, n, want)
+		}
+	}
+}
+
+// TestValidateMatchesDecode: Validate accepts exactly what Decode
+// decodes, on valid payloads, every truncation of one, and garbage.
+func TestValidateMatchesDecode(t *testing.T) {
+	seeds := validateSeeds()
+	for _, i := range []int{0, 1, 3, 4, len(seeds) - 1} {
+		if err := Validate(seeds[i]); err != nil {
+			t.Fatalf("valid payload %d refused: %v", i, err)
+		}
+	}
+	for i, data := range seeds {
+		_, decErr := Decode(data)
+		if err := Validate(data); (err == nil) != (decErr == nil) {
+			t.Fatalf("payload %d (%d bytes): Validate = %v, Decode = %v", i, len(data), err, decErr)
+		}
+	}
+}
+
+// validateSeeds is what the Validate checks start from: Encode outputs,
+// every truncation of one, a frame whose run is zero-length, and the
+// garbage TestDecodeRejectsGarbage refuses.
+func validateSeeds() [][]byte {
+	one := Encode(Capture(samplePaints(), time.Second, 10))
+	seeds := [][]byte{
+		Encode(Capture(samplePaints(), 3*time.Second, 10)),
+		Encode(&Video{FPS: 10}),
+		// One frame, one run of length zero.
+		append([]byte("EYV1"), 10, 1, 1, 7, 0),
+		// One frame covered by a single run.
+		binary.AppendUvarint(append([]byte("EYV1"), 10, 1, 1, 7), vision.GridW*vision.GridH),
+		// A run whose length is negative as an int, then the real one.
+		binary.AppendUvarint(append(append([]byte("EYV1"), 10, 1, 2, 7),
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 7), vision.GridW*vision.GridH),
+		nil,
+		{1, 2, 3},
+		[]byte("EYV2xxxxxx"),
+	}
+	for cut := range one {
+		seeds = append(seeds, one[:cut])
+	}
+	return append(seeds, one)
+}
+
+// FuzzVideoValidate: Validate(b) == nil exactly when Decode(b) succeeds.
+func FuzzVideoValidate(f *testing.F) {
+	for _, seed := range validateSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, decErr := Decode(data)
+		if err := Validate(data); (err == nil) != (decErr == nil) {
+			t.Fatalf("Validate = %v, Decode = %v", err, decErr)
+		}
+	})
 }
