@@ -17,14 +17,15 @@
 //     servers, where the hit path returns the stored slice with zero
 //     copies and zero allocations;
 //   - the file tier (Dir set) persists each blob as one contiguous
-//     file, fronted by a sharded LRU byte cache. Blobs no larger than
-//     one chunk are cache-candidates (admitted through a doorkeeper on
-//     their second miss, so one-shot scans cannot flush the hot set);
-//     larger blobs bypass the cache entirely and serve straight from
-//     their *os.File, which http.ServeContent turns into sendfile on a
-//     real socket — the kernel already zero-copies those, so the
-//     userspace cache is reserved for the small hot set where syscall
-//     overhead dominates.
+//     file, fronted by one byte cache of CacheBytes that evicts by SIEVE.
+//     Blobs no larger than one chunk are cache-candidates; every read
+//     of one bumps its decayed read count, and a miss is read into the
+//     cache only into free room or when it has been read more often
+//     than the entry it would evict, so the most watched videos stay
+//     resident. Every other read — a miss the cache does not keep, or a
+//     blob larger than a chunk — serves straight from its *os.File,
+//     which http.ServeContent turns into sendfile on a real socket: no
+//     heap copy, no garbage.
 //
 // The store is crash-safe by construction: a blob becomes visible only
 // after a temp-file rename (fsynced when Options.Fsync is set), so a
@@ -43,6 +44,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultChunkBytes is the fixed chunk size used when Options.ChunkBytes
@@ -66,7 +68,7 @@ type Options struct {
 	// ChunkBytes is the fixed ingest chunk size and the byte cache's
 	// admission bound (0 = DefaultChunkBytes).
 	ChunkBytes int
-	// CacheBytes caps the file tier's LRU byte cache (0 =
+	// CacheBytes caps the file tier's byte cache (0 =
 	// DefaultCacheBytes, negative = cache disabled). Ignored on the
 	// memory tier, which needs no cache.
 	CacheBytes int64
@@ -89,6 +91,9 @@ type blobMeta struct {
 	// chunks holds the blob's fixed-size chunks on the memory tier, each
 	// exactly as long as its content (nil on the file tier).
 	chunks [][]byte
+	// reads counts the file tier's reads of the blob, decayed by
+	// access: what byte-cache admission ranks blobs by.
+	reads atomic.Uint32
 }
 
 // Store is a content-addressed blob store. All methods are safe for
@@ -98,7 +103,8 @@ type Store struct {
 	chunk int
 	fsync bool
 	sink  Telemetry
-	cache *cache // nil on the memory tier or when disabled
+	cache *cache       // nil on the memory tier or when disabled
+	reads atomic.Int64 // cache-eligible reads since the counts last halved
 
 	// lookahead recycles Put's chunk-sized read buffers (*[]byte).
 	lookahead sync.Pool
@@ -341,21 +347,16 @@ func (s *Store) Discard(hash string) {
 
 // Has reports whether the store holds hash.
 func (s *Store) Has(hash string) bool {
-	s.mu.RLock()
-	_, ok := s.blobs[hash]
-	s.mu.RUnlock()
-	return ok
+	meta, _ := s.lookup(hash)
+	return meta != nil
 }
 
 // Size returns a blob's exact byte size.
 func (s *Store) Size(hash string) (int64, bool) {
-	s.mu.RLock()
-	meta, ok := s.blobs[hash]
-	s.mu.RUnlock()
-	if !ok {
-		return 0, false
+	if meta, _ := s.lookup(hash); meta != nil {
+		return meta.size, true
 	}
-	return meta.size, true
+	return 0, false
 }
 
 // Len counts stored blobs.
@@ -387,63 +388,106 @@ func (s *Store) CacheStats() (entries int, bytes int64) {
 // Bytes is the allocation-free hit path: it returns the blob's contents
 // as one contiguous slice when they are already resident — a
 // single-chunk blob on the memory tier, or a byte-cache hit on the
-// file tier — and reports false otherwise (caller falls back to Open).
-// The returned slice is the store's own and must not be modified.
+// file tier — and reports false otherwise. It counts a hit but not a
+// miss, and reads nothing: a server falls back through Serve, which
+// counts the read once. The returned slice is the store's own and must
+// not be modified.
 func (s *Store) Bytes(hash string) ([]byte, bool) {
-	s.mu.RLock()
-	meta, ok := s.blobs[hash]
-	s.mu.RUnlock()
-	if !ok {
+	meta, _ := s.lookup(hash)
+	switch {
+	case meta == nil:
 		return nil, false
-	}
-	if len(meta.chunks) == 1 {
+	case len(meta.chunks) == 1:
 		return meta.chunks[0], true
-	}
-	if meta.chunks == nil && s.cache != nil && meta.size <= int64(s.chunk) {
-		if b, ok := s.cache.get(hash); ok {
-			return b, true
-		}
+	case meta.chunks == nil && s.cache != nil:
+		return s.cache.get(hash)
 	}
 	return nil, false
+}
+
+// Serve is Bytes with Open as its fallback, in one lookup: it returns the
+// blob's resident bytes as b, or else a reader over its content as rc
+// (exactly one is set when err is nil). A cache-eligible read counts
+// once, as a hit or a miss.
+func (s *Store) Serve(hash string) (b []byte, rc io.ReadSeekCloser, err error) {
+	b, rc, _, err = s.serve(hash)
+	return b, rc, err
 }
 
 // Open returns the blob's content as an io.ReadSeekCloser sized for
 // http.ServeContent:
 //
 //   - resident bytes (memory tier, cache hits) serve from RAM;
-//   - a file-tier blob no larger than one chunk is read once, offered
-//     to the byte cache (doorkeeper-gated), and served from the read;
-//   - larger file-tier blobs return the *os.File itself, which
-//     http.ServeContent drives with sendfile on a real socket.
+//   - a file-tier miss the byte cache admits is read once, kept, and
+//     served from the read;
+//   - every other file-tier read returns the *os.File itself, which
+//     http.ServeContent drives with sendfile for a full body and with
+//     Seek for a Range.
 func (s *Store) Open(hash string) (io.ReadSeekCloser, int64, error) {
-	s.mu.RLock()
-	meta, ok := s.blobs[hash]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, 0, ErrNotFound
+	b, rc, size, err := s.serve(hash)
+	if err == nil && rc == nil {
+		rc = byteContent{bytes.NewReader(b)}
 	}
-	if meta.chunks != nil {
-		if len(meta.chunks) == 1 {
-			return newByteContent(meta.chunks[0]), meta.size, nil
+	return rc, size, err
+}
+
+func (s *Store) serve(hash string) ([]byte, io.ReadSeekCloser, int64, error) {
+	meta, stored := s.lookup(hash)
+	switch {
+	case meta == nil:
+		return nil, nil, 0, ErrNotFound
+	case len(meta.chunks) == 1:
+		return meta.chunks[0], nil, meta.size, nil
+	case meta.chunks != nil:
+		return nil, &chunkReader{chunks: meta.chunks, chunk: int64(s.chunk), size: meta.size}, meta.size, nil
+	case s.cache != nil && meta.size <= int64(s.chunk):
+		b, hit, admit := s.access(hash, meta, stored)
+		if hit {
+			return b, nil, meta.size, nil
 		}
-		return &chunkReader{chunks: meta.chunks, chunk: int64(s.chunk), size: meta.size}, meta.size, nil
-	}
-	if s.cache != nil && meta.size <= int64(s.chunk) {
-		if b, ok := s.cache.get(hash); ok {
-			return newByteContent(b), meta.size, nil
+		if admit {
+			b, err := os.ReadFile(s.path(hash))
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			s.cache.put(hash, meta, b)
+			return b, nil, meta.size, nil
 		}
-		b, err := os.ReadFile(s.path(hash))
-		if err != nil {
-			return nil, 0, err
-		}
-		s.cache.admit(hash, b, false)
-		return newByteContent(b), meta.size, nil
 	}
 	f, err := os.Open(s.path(hash))
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	return f, meta.size, nil
+	return nil, f, meta.size, nil
+}
+
+// access is one read of a cache-eligible blob: it bumps the blob's read
+// count, looks the byte cache up once and counts the hit or the miss,
+// and on a miss reports whether admission keeps the blob.
+func (s *Store) access(hash string, meta *blobMeta, stored int) (b []byte, hit, admit bool) {
+	reads := meta.reads.Add(1)
+	if n := s.reads.Add(1); n >= 10*int64(stored) && s.reads.CompareAndSwap(n, 0) {
+		// TinyLFU's reset: after ten reads per stored blob every count
+		// halves, so popularity that has passed fades.
+		s.mu.RLock()
+		for _, m := range s.blobs {
+			m.reads.Store(m.reads.Load() / 2)
+		}
+		s.mu.RUnlock()
+	}
+	if b, ok := s.cache.get(hash); ok {
+		return b, true, false
+	}
+	s.cache.sinkMiss()
+	return nil, false, s.cache.admits(hash, meta.size, reads)
+}
+
+// lookup returns hash's index entry (nil if unknown) and the number of
+// blobs stored.
+func (s *Store) lookup(hash string) (*blobMeta, int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.blobs[hash], len(s.blobs)
 }
 
 // ReadAll materializes the whole blob as one contiguous slice. The
@@ -454,10 +498,8 @@ func (s *Store) ReadAll(hash string) ([]byte, error) {
 	if b, ok := s.Bytes(hash); ok {
 		return b, nil
 	}
-	s.mu.RLock()
-	meta, ok := s.blobs[hash]
-	s.mu.RUnlock()
-	if !ok {
+	meta, _ := s.lookup(hash)
+	if meta == nil {
 		return nil, ErrNotFound
 	}
 	if meta.chunks != nil {
@@ -470,26 +512,20 @@ func (s *Store) ReadAll(hash string) ([]byte, error) {
 	return os.ReadFile(s.path(hash))
 }
 
-// Prewarm pulls a cache-eligible blob into the byte cache, bypassing
-// the doorkeeper — the hook campaign seeding uses so the first
-// participant already hits RAM. A no-op on the memory tier (always
-// resident) and for blobs past the admission bound.
+// Prewarm reads a cache-eligible blob into the byte cache while it has
+// free room — the hook campaign seeding uses so the first participants
+// already hit RAM. It never evicts: a blob that does not fit is not
+// even read, and waits for admission like any other. A no-op on the
+// memory tier (always resident) and for blobs past the admission bound.
 func (s *Store) Prewarm(hash string) {
 	if s.cache == nil {
 		return
 	}
-	s.mu.RLock()
-	meta, ok := s.blobs[hash]
-	s.mu.RUnlock()
-	if !ok || meta.size > int64(s.chunk) {
+	meta, _ := s.lookup(hash)
+	if meta == nil || !s.cache.admits(hash, meta.size, 0) {
 		return
 	}
-	if _, ok := s.cache.get(hash); ok {
-		return
+	if b, err := os.ReadFile(s.path(hash)); err == nil {
+		s.cache.put(hash, meta, b)
 	}
-	b, err := os.ReadFile(s.path(hash))
-	if err != nil {
-		return
-	}
-	s.cache.admit(hash, b, true)
 }

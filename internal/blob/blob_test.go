@@ -151,18 +151,17 @@ func TestBytesFastPath(t *testing.T) {
 		rm, _, _ := s.Put(bytes.NewReader(multi))
 		b, ok := s.Bytes(rs.Hash)
 		if name == "file" {
-			// Cold cache: first Bytes misses; Open warms the doorkeeper
-			// and then the cache, after which Bytes hits.
+			// Cold cache: Bytes misses and reads nothing; the first Open
+			// reads the blob into the cache's free room, after which
+			// Bytes hits.
 			if ok {
 				t.Fatalf("file: cold Bytes unexpectedly hit")
 			}
-			for i := 0; i < 2; i++ {
-				rc, _, err := s.Open(rs.Hash)
-				if err != nil {
-					t.Fatalf("file: Open: %v", err)
-				}
-				rc.Close()
+			rc, _, err := s.Open(rs.Hash)
+			if err != nil {
+				t.Fatalf("file: Open: %v", err)
 			}
+			rc.Close()
 			b, ok = s.Bytes(rs.Hash)
 		}
 		if !ok || !bytes.Equal(b, single) {
@@ -447,6 +446,37 @@ func TestPrewarm(t *testing.T) {
 	}
 }
 
+// TestPrewarmFillsFreeRoomOnly: prewarming more blobs than fit keeps the
+// first ones, evicts nothing, and reads no file once the cache is full.
+func TestPrewarmFillsFreeRoomOnly(t *testing.T) {
+	sink := &countSink{}
+	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1 << 10, CacheBytes: 3 << 10, Metrics: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refs []Ref
+	for i := 0; i < 5; i++ {
+		ref, _, err := s.PutBytes(bytes.Repeat([]byte{byte('a' + i)}, 1<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+		s.Prewarm(ref.Hash)
+	}
+	for i, ref := range refs {
+		if _, ok := s.Bytes(ref.Hash); ok != (i < 3) {
+			t.Fatalf("blob %d resident = %v after prewarm, want %v", i, ok, i < 3)
+		}
+	}
+	if sink.evictEntries != 0 {
+		t.Fatalf("prewarm evicted %d entries", sink.evictEntries)
+	}
+	// A file read allocates its buffer; a refused prewarm allocates nothing.
+	if allocs := testing.AllocsPerRun(10, func() { s.Prewarm(refs[4].Hash) }); allocs != 0 {
+		t.Fatalf("prewarm past capacity allocated %.0f times: it read the file", allocs)
+	}
+}
+
 // countSink records sink callbacks for telemetry assertions.
 type countSink struct {
 	mu                             sync.Mutex
@@ -504,9 +534,10 @@ func TestSinkTelemetry(t *testing.T) {
 	if sink.puts != 1 || sink.putBytes != ref.Size {
 		t.Fatalf("puts = %d/%d bytes, want 1/%d", sink.puts, sink.putBytes, ref.Size)
 	}
-	// Open #1 misses (doorkeeper mark), admits; #2 and #3 hit.
-	if sink.misses < 1 || sink.hits < 1 {
-		t.Fatalf("hits=%d misses=%d, want both >= 1", sink.hits, sink.misses)
+	// Open #1 misses and, the cache having room, keeps the blob; #2 and
+	// #3 hit. Each read counts once.
+	if sink.misses != 1 || sink.hits != 2 || sink.hitBytes != 2*ref.Size {
+		t.Fatalf("hits=%d (%d bytes) misses=%d, want 2 (%d bytes) and 1", sink.hits, sink.hitBytes, sink.misses, 2*ref.Size)
 	}
 }
 

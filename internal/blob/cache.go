@@ -1,166 +1,166 @@
 package blob
 
 import (
-	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
-// cacheShards splits the byte cache so concurrent readers of different
-// blobs contend on different mutexes, mirroring store.Map's sharding.
-const cacheShards = 16
-
-// cache is the file tier's sharded LRU byte cache with doorkeeper
-// admission: a blob is admitted only on its second recent miss, so a
-// one-shot scan over many cold blobs cannot flush the resident hot set.
-// Each shard owns capacity/cacheShards bytes and its own LRU list;
-// entries never migrate between shards (hash routing is stable), so
-// per-shard LRU approximates global LRU at 1/16th the lock contention.
+// cache is the file tier's byte cache: one map under one RWMutex,
+// evicting by SIEVE (Zhang et al., NSDI '24) and admitting by read
+// frequency.
+//
+// A hit takes the read lock and sets its entry's visited bit; nothing
+// moves, so concurrent readers never queue behind list surgery.
+// Eviction walks a hand from the oldest entry toward the newest,
+// clearing visited bits as it passes, and evicts the first entry whose
+// bit is already clear. A miss is kept only in free room, or in place of
+// the entry under the hand when its blob has been read more often
+// (blobMeta.reads), so a cold video never displaces a hot one.
+//
+// Evicted bytes are dropped, never recycled: a handler may still be
+// writing them to a socket.
 type cache struct {
-	shards [cacheShards]cacheShard
-	mask   uint32
-	sink   Telemetry
-}
+	cap  int64 // byte budget
+	max  int64 // bound on one entry: min(chunk size, budget)
+	sink Telemetry
 
-type cacheShard struct {
-	mu  sync.Mutex
-	cap int64
-	// max bounds any single entry: an entry larger than the shard
-	// capacity can never fit and must not purge the whole shard trying.
-	max     int64
+	mu      sync.RWMutex
+	entries map[string]*entry
 	bytes   int64
-	entries map[string]*list.Element
-	lru     *list.List // front = most recent
-	// door is the doorkeeper: hashes seen missing once recently. A hit
-	// here on the next miss admits the blob. Reset wholesale when it
-	// grows past doorLimit — an O(1)-amortised stand-in for a decaying
-	// bloom filter, good enough at this scale.
-	door map[string]struct{}
-	_    [32]byte // keep neighbouring shards off one cache line
+	// head is the newest entry and tail the oldest; hand is the entry
+	// the next eviction walk starts from (nil = the tail).
+	head, tail, hand *entry
 }
 
-// doorLimit bounds each shard's doorkeeper set before it is reset.
-const doorLimit = 4096
-
-type cacheEntry struct {
-	hash string
-	b    []byte
+type entry struct {
+	hash         string
+	b            []byte
+	meta         *blobMeta // whose read count admission compares
+	visited      atomic.Bool
+	newer, older *entry
 }
 
 func newCache(capacity, maxEntry int64, sink Telemetry) *cache {
-	c := &cache{mask: cacheShards - 1, sink: sink}
-	per := capacity / cacheShards
-	if per < maxEntry {
-		per = maxEntry // always room for at least one full entry
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.cap = per
-		sh.max = maxEntry
-		sh.entries = make(map[string]*list.Element)
-		sh.lru = list.New()
-		sh.door = make(map[string]struct{})
-	}
-	return c
+	return &cache{cap: capacity, max: min(maxEntry, capacity), sink: sink, entries: map[string]*entry{}}
 }
 
-func (c *cache) shard(hash string) *cacheShard {
-	return &c.shards[fnv1a(hash)&c.mask]
-}
-
-// get returns the cached bytes and bumps recency. A miss marks the hash
-// in the doorkeeper so the caller's follow-up admit succeeds.
+// get returns the cached bytes, marking them visited and counting a hit.
+// A miss is the caller's to count: only it knows whether it serves the
+// read some other way.
 func (c *cache) get(hash string) ([]byte, bool) {
-	sh := c.shard(hash)
-	sh.mu.Lock()
-	if el, ok := sh.entries[hash]; ok {
-		sh.lru.MoveToFront(el)
-		b := el.Value.(*cacheEntry).b
-		sh.mu.Unlock()
-		c.sinkHit(len(b))
-		return b, true
+	c.mu.RLock()
+	e, ok := c.entries[hash]
+	if ok && !e.visited.Load() {
+		e.visited.Store(true)
 	}
-	if len(sh.door) >= doorLimit {
-		sh.door = make(map[string]struct{})
+	c.mu.RUnlock()
+	if !ok {
+		return nil, false
 	}
-	sh.door[hash] = struct{}{}
-	sh.mu.Unlock()
-	c.sinkMiss()
-	return nil, false
+	c.sinkHit(len(e.b))
+	return e.b, true
 }
 
-// admit offers bytes to the cache. Without force it is doorkeeper-gated:
-// only a hash that already missed recently is admitted, so single-touch
-// blobs never displace the hot set. Admission evicts from the shard's
-// LRU tail until the entry fits.
-func (c *cache) admit(hash string, b []byte, force bool) {
-	if int64(len(b)) > c.shards[0].max {
+// admits reports whether a missed blob of size bytes, read reads times,
+// should be read into the cache: into free room, or in place of the
+// entry the hand would evict next when that has been read less. A blob
+// already resident needs no read.
+func (c *cache) admits(hash string, size int64, reads uint32) bool {
+	if size > c.max {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[hash]; ok {
+		return false
+	}
+	if c.bytes+size <= c.cap {
+		return true
+	}
+	return reads > 0 && reads > c.victim().meta.reads.Load()
+}
+
+// put inserts b as the newest entry, evicting from the hand until it
+// fits. Callers put only what admits accepted.
+func (c *cache) put(hash string, meta *blobMeta, b []byte) {
+	size := int64(len(b))
+	if size > c.max {
 		return
 	}
-	sh := c.shard(hash)
-	sh.mu.Lock()
-	if _, ok := sh.entries[hash]; ok {
-		sh.mu.Unlock()
+	c.mu.Lock()
+	if _, ok := c.entries[hash]; ok {
+		c.mu.Unlock()
 		return
 	}
-	if !force {
-		if _, seen := sh.door[hash]; !seen {
-			sh.mu.Unlock()
-			return
-		}
-	}
-	delete(sh.door, hash)
 	evicted, freed := 0, int64(0)
-	for sh.bytes+int64(len(b)) > sh.cap {
-		tail := sh.lru.Back()
-		if tail == nil {
-			break
-		}
-		ent := tail.Value.(*cacheEntry)
-		sh.lru.Remove(tail)
-		delete(sh.entries, ent.hash)
-		sh.bytes -= int64(len(ent.b))
+	for c.bytes+size > c.cap {
+		v := c.victim()
+		c.drop(v)
 		evicted++
-		freed += int64(len(ent.b))
+		freed += int64(len(v.b))
 	}
-	sh.entries[hash] = sh.lru.PushFront(&cacheEntry{hash: hash, b: b})
-	sh.bytes += int64(len(b))
-	sh.mu.Unlock()
+	e := &entry{hash: hash, b: b, meta: meta, older: c.head}
+	if c.head != nil {
+		c.head.newer = e
+	} else {
+		c.tail = e
+	}
+	c.head = e
+	c.entries[hash] = e
+	c.bytes += size
+	c.mu.Unlock()
 	c.sinkEvict(evicted, freed)
+}
+
+// victim moves the hand to the entry SIEVE evicts next: past every
+// visited entry, clearing its bit, to the first one not read since the
+// hand last passed it. Caller holds mu on a non-empty cache.
+func (c *cache) victim() *entry {
+	e := c.hand
+	if e == nil {
+		e = c.tail
+	}
+	for e.visited.Load() {
+		e.visited.Store(false)
+		if e = e.newer; e == nil {
+			e = c.tail
+		}
+	}
+	c.hand = e
+	return e
+}
+
+// drop unlinks e, moving the hand past it. Caller holds mu.
+func (c *cache) drop(e *entry) {
+	if c.hand == e {
+		c.hand = e.newer
+	}
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		c.head = e.older
+	}
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		c.tail = e.newer
+	}
+	delete(c.entries, e.hash)
+	c.bytes -= int64(len(e.b))
 }
 
 // remove drops a blob from the cache (Discard path).
 func (c *cache) remove(hash string) {
-	sh := c.shard(hash)
-	sh.mu.Lock()
-	if el, ok := sh.entries[hash]; ok {
-		ent := el.Value.(*cacheEntry)
-		sh.lru.Remove(el)
-		delete(sh.entries, hash)
-		sh.bytes -= int64(len(ent.b))
+	c.mu.Lock()
+	if e, ok := c.entries[hash]; ok {
+		c.drop(e)
 	}
-	delete(sh.door, hash)
-	sh.mu.Unlock()
+	c.mu.Unlock()
 }
 
-// stats sums resident entries and bytes across shards.
+// stats reports resident entries and bytes.
 func (c *cache) stats() (entries int, bytes int64) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		entries += len(sh.entries)
-		bytes += sh.bytes
-		sh.mu.Unlock()
-	}
-	return entries, bytes
-}
-
-// fnv1a is the 32-bit FNV-1a hash (same inlined form as
-// internal/store), routing hashes to shards without an allocation.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.entries), c.bytes
 }

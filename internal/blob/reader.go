@@ -1,47 +1,16 @@
 package blob
 
 import (
+	"bytes"
 	"errors"
 	"io"
 )
 
-// byteContent adapts a resident byte slice to the io.ReadSeekCloser
-// http.ServeContent wants, without the copy strings.NewReader-style
-// wrappers of []byte(string) would take.
-type byteContent struct {
-	b   []byte
-	off int64
-}
+// byteContent adapts resident bytes to the io.ReadSeekCloser
+// http.ServeContent wants, without copying them.
+type byteContent struct{ *bytes.Reader }
 
-func newByteContent(b []byte) *byteContent { return &byteContent{b: b} }
-
-func (r *byteContent) Read(p []byte) (int, error) {
-	if r.off >= int64(len(r.b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += int64(n)
-	return n, nil
-}
-
-func (r *byteContent) Seek(offset int64, whence int) (int64, error) {
-	switch whence {
-	case io.SeekStart:
-	case io.SeekCurrent:
-		offset += r.off
-	case io.SeekEnd:
-		offset += int64(len(r.b))
-	default:
-		return 0, errors.New("blob: invalid whence")
-	}
-	if offset < 0 {
-		return 0, errors.New("blob: negative seek")
-	}
-	r.off = offset
-	return offset, nil
-}
-
-func (r *byteContent) Close() error { return nil }
+func (byteContent) Close() error { return nil }
 
 // chunkReader serves a multi-chunk memory-tier blob as one logical
 // stream: every chunk except the last is exactly `chunk` bytes, so

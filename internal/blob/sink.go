@@ -6,20 +6,20 @@ package blob
 // system they run (internal/platform wires them into
 // internal/telemetry) — so the storage subsystem stays dependency-free.
 //
-// Hooks fire on the ingest and cache paths, some under a cache shard
-// mutex; implementations must be cheap, non-blocking and safe for
-// concurrent use. A nil Options.Metrics disables all of them.
+// Hooks fire on the ingest and cache paths, after any lock is released;
+// implementations must be cheap, non-blocking and safe for concurrent
+// use. A nil Options.Metrics disables all of them.
 type Telemetry interface {
 	// BlobPut fires once per newly stored blob with its size in bytes.
 	// Deduplicated uploads (content already stored) do not fire.
 	BlobPut(bytes int64)
 	// CacheHit fires when the byte cache serves a blob, with its size.
 	CacheHit(bytes int)
-	// CacheMiss fires when a cache-eligible read finds no entry
-	// (including doorkeeper rejections, which are misses by design).
+	// CacheMiss fires once per cache-eligible read (Serve or Open) that
+	// finds no entry, whether or not admission then keeps the blob.
 	CacheMiss()
-	// CacheEvict fires when admission displaces resident entries, with
-	// the count and byte total evicted in one admission.
+	// CacheEvict fires when an admitted blob displaces resident entries,
+	// with the count and byte total evicted to make room for it.
 	CacheEvict(entries int, bytes int64)
 }
 

@@ -1270,7 +1270,7 @@ func (s *Server) sessionLocked(ssh *store.Shard[sessionEntry], id string) (*sess
 // videoRef resolves a video ID to what a GET serves of it, under the
 // shard lock. Only the head and the ban bit cross the lock — no payload
 // bytes are touched, let alone copied, while it is held — and the
-// cache-hit GET path through here plus blobs.Bytes is allocation-free
+// cache-hit GET path through here plus blobs.Serve is allocation-free
 // (gated by a test).
 func (s *Server) videoRef(id string) (v videoHead, banned, ok bool) {
 	vsh := s.videos.Shard(id)
@@ -1303,25 +1303,28 @@ func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if r.Header.Get("Range") == "" {
-		// Full-body fast path: resident bytes (memory tier, or a byte-
-		// cache hit on the file tier) go straight out, no seeker.
-		if b, fast := s.blobs.Bytes(v.Hash); fast {
+	// One blob lookup, counted once as a byte-cache hit or miss.
+	b, rc, err := s.blobs.Serve(v.Hash)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	if rc == nil {
+		if r.Header.Get("Range") == "" {
+			// Full-body fast path: resident bytes (memory tier, or a
+			// byte-cache hit on the file tier) go straight out, no seeker.
 			h["Content-Length"] = v.lengthValue
 			w.WriteHeader(http.StatusOK)
 			_, _ = w.Write(b)
 			return
 		}
-	}
-	rc, _, err := s.blobs.Open(v.Hash)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
+		http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(b))
 		return
 	}
 	defer rc.Close()
 	// ServeContent answers Range/206/416 and If-Range; a file-tier blob
-	// arrives as the *os.File itself, so on a real socket the copy is
-	// kernel-side sendfile.
+	// the cache does not hold arrives as the *os.File itself, so on a
+	// real socket a full body is kernel-side sendfile.
 	http.ServeContent(w, r, "", time.Time{}, rc)
 }
 

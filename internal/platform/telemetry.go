@@ -181,7 +181,7 @@ func newBlobSink(reg *telemetry.Registry) *blobSink {
 	reg.Help("eyeorg_blob_put_bytes_total", "Bytes of video blobs stored.")
 	reg.Help("eyeorg_blobcache_hits_total", "Video byte-cache hits.")
 	reg.Help("eyeorg_blobcache_hit_bytes_total", "Bytes served from the video byte cache.")
-	reg.Help("eyeorg_blobcache_misses_total", "Video byte-cache misses (doorkeeper rejections included).")
+	reg.Help("eyeorg_blobcache_misses_total", "Video byte-cache misses, one per video read the cache did not hold.")
 	reg.Help("eyeorg_blobcache_evictions_total", "Entries evicted from the video byte cache.")
 	reg.Help("eyeorg_blobcache_evicted_bytes_total", "Bytes evicted from the video byte cache.")
 	return &blobSink{

@@ -240,25 +240,65 @@ func TestVideoDedupSharesOneBlob(t *testing.T) {
 
 // TestVideoCacheHitPathAllocFree is the acceptance gate: resolving a
 // video ID and reading its resident bytes — the whole per-request video
-// work beyond what net/http itself does — allocates nothing.
+// work beyond what net/http itself does — allocates nothing, on the
+// memory tier and on a byte-cache hit of the file tier.
 func TestVideoCacheHitPathAllocFree(t *testing.T) {
-	srv := NewServer()
-	c := newClientFor(t, srv)
-	_, vids := setupCampaign(c, "timeline", 1)
-	id := vids[0]
-	want := len(sampleVideoBytes())
-	allocs := testing.AllocsPerRun(1000, func() {
-		v, banned, ok := srv.videoRef(id)
-		if !ok || banned || v.etag == "" || v.Size != int64(want) {
-			t.Fatal("videoRef failed")
+	for tier, opts := range map[string]Options{"mem": {}, "file": {DataDir: t.TempDir()}} {
+		srv, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		b, fast := srv.blobs.Bytes(v.Hash)
-		if !fast || len(b) != want {
-			t.Fatal("Bytes fast path failed")
+		t.Cleanup(func() { srv.Close() })
+		c := newClientFor(t, srv)
+		_, vids := setupCampaign(c, "timeline", 1)
+		id := vids[0]
+		want := len(sampleVideoBytes())
+		allocs := testing.AllocsPerRun(1000, func() {
+			v, banned, ok := srv.videoRef(id)
+			if !ok || banned || v.etag == "" || v.Size != int64(want) {
+				t.Fatal("videoRef failed")
+			}
+			b, rc, err := srv.blobs.Serve(v.Hash)
+			if err != nil || rc != nil || len(b) != want {
+				t.Fatalf("%s: resident fast path failed", tier)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: cache-hit GET path allocated %.1f times per request, want 0", tier, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("cache-hit GET path allocated %.1f times per request, want 0", allocs)
+	}
+}
+
+// TestVideoGetCountedOnce: every full-body GET of a cold byte cache is
+// one lookup, counted once as a hit or a miss.
+func TestVideoGetCountedOnce(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, vids := setupCampaign(newClientFor(t, srv), "timeline", 1)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopened, the cache starts empty: the first GET misses.
+	re, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { re.Close() })
+	c := newClientFor(t, re)
+	const k = 5
+	for i := 0; i < k; i++ {
+		if resp, _ := getVideo(c, vids[0], "", ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %d: %d", i, resp.StatusCode)
+		}
+	}
+	body := scrape(t, c)
+	hits, _ := strconv.Atoi(metricValue(t, body, "eyeorg_blobcache_hits_total"))
+	misses, _ := strconv.Atoi(metricValue(t, body, "eyeorg_blobcache_misses_total"))
+	if misses < 1 || hits+misses != k {
+		t.Fatalf("%d GETs counted %d hits and %d misses", k, hits, misses)
 	}
 }
 

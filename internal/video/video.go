@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -190,33 +191,53 @@ var magic = [4]byte{'E', 'Y', 'V', '1'}
 // Encode serialises the video with per-frame run-length encoding. The
 // format is a stand-in for webm with the property the experiments care
 // about: size grows with duration and visual activity.
+//
+// Each frame is walked twice: once to count its runs and the bytes they
+// encode to, so the output is allocated once at its exact size, and once
+// to write them. The run counts of up to 128 frames wait on the stack.
 func Encode(v *Video) []byte {
-	buf := make([]byte, 0, 1024)
+	var stack [128]int
+	runs := stack[:0]
+	size := len(magic) + uvarintLen(uint64(v.FPS)) + uvarintLen(uint64(len(v.Frames)))
+	for _, f := range v.Frames {
+		n, b := countRuns(f)
+		runs = append(runs, n)
+		size += uvarintLen(uint64(n)) + b
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, magic[:]...)
 	buf = binary.AppendUvarint(buf, uint64(v.FPS))
 	buf = binary.AppendUvarint(buf, uint64(len(v.Frames)))
-	for _, f := range v.Frames {
-		buf = appendFrameRLE(buf, f)
+	for i, f := range v.Frames {
+		buf = appendFrameRLE(buf, f, runs[i])
 	}
 	return buf
 }
 
-func appendFrameRLE(buf []byte, f *vision.Frame) []byte {
-	total := vision.GridW * vision.GridH
-	i := 0
-	runs := 0
-	// First pass to count runs.
-	for i < total {
-		j := i + 1
+// countRuns is a frame's first walk: its run count and the bytes its
+// (value, length) pairs encode to.
+func countRuns(f *vision.Frame) (runs, size int) {
+	const total = vision.GridW * vision.GridH
+	for i := 0; i < total; {
 		v := f.At(i%vision.GridW, i/vision.GridW)
+		j := i + 1
 		for j < total && f.At(j%vision.GridW, j/vision.GridW) == v {
 			j++
 		}
 		runs++
+		size += uvarintLen(uint64(v)) + uvarintLen(uint64(j-i))
 		i = j
 	}
+	return runs, size
+}
+
+// uvarintLen is the length of x's binary.AppendUvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func appendFrameRLE(buf []byte, f *vision.Frame, runs int) []byte {
+	total := vision.GridW * vision.GridH
 	buf = binary.AppendUvarint(buf, uint64(runs))
-	i = 0
+	i := 0
 	for i < total {
 		v := f.At(i%vision.GridW, i/vision.GridW)
 		j := i + 1

@@ -1,7 +1,9 @@
 package video
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -146,6 +148,64 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d corrupted by roundtrip", i)
 		}
 	}
+}
+
+// TestEncodeExactSize: Encode allocates its output once, with no
+// capacity past its length, and writes the bytes the growing encoder
+// it replaced wrote — over seeded noise frames (long varints, many
+// runs), captures and the empty video.
+func TestEncodeExactSize(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	noise := &Video{FPS: DefaultFPS}
+	for f := 0; f < 41; f++ {
+		fr := vision.NewFrame()
+		for y := 0; y < vision.GridH; y++ {
+			for x := 0; x < vision.GridW; x++ {
+				fr.Set(x, y, vision.Tile(r.Uint32()>>uint(r.Intn(32))))
+			}
+		}
+		noise.Frames = append(noise.Frames, fr)
+	}
+	long := Capture(samplePaints(), 20*time.Second, 10) // 200 frames: past the stack counts
+	for i, v := range []*Video{noise, Capture(samplePaints(), 3*time.Second, 10), long, {FPS: 300}} {
+		got, want := Encode(v), encodeGrowing(v)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("video %d: Encode differs from the growing encoder (%d vs %d bytes)", i, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("video %d: cap %d for %d bytes", i, cap(got), len(got))
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Encode(noise) }); allocs != 1 {
+		t.Fatalf("Encode allocated %.0f times, want 1", allocs)
+	}
+}
+
+// encodeGrowing is Encode as it was before it sized its output: the
+// reference its bytes must match.
+func encodeGrowing(v *Video) []byte {
+	buf := make([]byte, 0, 1024)
+	buf = append(buf, magic[:]...)
+	buf = binary.AppendUvarint(buf, uint64(v.FPS))
+	buf = binary.AppendUvarint(buf, uint64(len(v.Frames)))
+	const total = vision.GridW * vision.GridH
+	for _, f := range v.Frames {
+		var vals, lens []uint64
+		for i := 0; i < total; {
+			val := f.At(i%vision.GridW, i/vision.GridW)
+			j := i + 1
+			for j < total && f.At(j%vision.GridW, j/vision.GridW) == val {
+				j++
+			}
+			vals, lens = append(vals, uint64(val)), append(lens, uint64(j-i))
+			i = j
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(vals)))
+		for k := range vals {
+			buf = binary.AppendUvarint(binary.AppendUvarint(buf, vals[k]), lens[k])
+		}
+	}
+	return buf
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
