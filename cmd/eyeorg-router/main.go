@@ -49,7 +49,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/eyeorg/eyeorg"
+	"github.com/eyeorg/eyeorg/internal/cluster"
 )
 
 // config is the parsed command line.
@@ -92,7 +92,7 @@ func main() {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	router, err := eyeorg.NewRemoteClusterRouter(c.mode, eyeorg.NewClusterRing(ids, c.vnodes), members)
+	router, err := cluster.NewRemoteRouter(c.mode, cluster.NewRing(ids, c.vnodes), members)
 	if err != nil {
 		logger.Error("building router", "err", err)
 		os.Exit(2)

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/eyeorg/eyeorg"
+	"github.com/eyeorg/eyeorg/internal/platform"
 )
 
 func TestValidateAddrs(t *testing.T) {
@@ -37,7 +37,7 @@ func TestNewLoggerFormats(t *testing.T) {
 // (tracing on) the trace ring; with tracing off the trace routes 404
 // while pprof stays up.
 func TestDebugHandlerSurface(t *testing.T) {
-	traced, err := eyeorg.NewPlatformServer(eyeorg.PlatformOptions{TraceSample: 1, TraceSeed: 3})
+	traced, err := platform.Open(platform.Options{TraceSample: 1, TraceSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDebugHandlerSurface(t *testing.T) {
 		}
 	}
 
-	plain, err := eyeorg.NewPlatformServer(eyeorg.PlatformOptions{})
+	plain, err := platform.Open(platform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDebugHandlerSurface(t *testing.T) {
 // /debug/traces route. The API listener itself must not serve the
 // trace surface.
 func TestTracedServerEndToEnd(t *testing.T) {
-	srv, err := eyeorg.NewPlatformServer(eyeorg.PlatformOptions{
+	srv, err := platform.Open(platform.Options{
 		TraceSample: 1, TraceSeed: 11, Fsync: true, GroupCommit: true, DataDir: t.TempDir(),
 	})
 	if err != nil {

@@ -86,13 +86,16 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/eyeorg/eyeorg"
+	"github.com/eyeorg/eyeorg/internal/adaptive"
+	"github.com/eyeorg/eyeorg/internal/blob"
+	"github.com/eyeorg/eyeorg/internal/cluster"
+	"github.com/eyeorg/eyeorg/internal/platform"
 )
 
 // config is the parsed command line: the platform's options, bound to
 // their flags directly, and what only this binary reads.
 type config struct {
-	platform                                            eyeorg.PlatformOptions
+	platform                                            platform.Options
 	addr, debugAddr, logFormat, nodeID, nodeBase, peers string
 	drainTimeout                                        time.Duration
 }
@@ -112,15 +115,15 @@ func newFlags() (*flag.FlagSet, *config) {
 	fs.IntVar(&o.MaxInFlight, "max-inflight", 0, "cap on concurrently served API requests; excess gets 429 (0 = unlimited)")
 	fs.Float64Var(&o.WorkerRate, "worker-rate", 0, "per-session request rate cap in req/s on session endpoints; excess gets 429 (0 = unlimited)")
 	fs.IntVar(&o.WorkerBurst, "worker-burst", 0, "per-session token-bucket burst (0 = 2x rate)")
-	fs.Int64Var(&o.MaxBodyBytes, "max-body", 0, "JSON ingest body cap in bytes; oversize gets 413 (0 = 1 MiB)")
-	fs.Int64Var(&o.VideoCacheBytes, "video-cache", 0, "video byte-cache capacity in bytes, with -data-dir (0 = 64 MiB, <0 = disabled)")
+	fs.Int64Var(&o.MaxBodyBytes, "max-body", 0, fmt.Sprintf("JSON ingest body cap in bytes; oversize gets 413 (0 = %d MiB)", platform.DefaultMaxBodyBytes>>20))
+	fs.Int64Var(&o.VideoCacheBytes, "video-cache", 0, fmt.Sprintf("video byte-cache capacity in bytes, with -data-dir (0 = %d MiB, <0 = disabled)", blob.DefaultCacheBytes>>20))
 	fs.Float64Var(&o.TraceSample, "trace-sample", 0, "fraction of requests retained as stage-attributed traces on /debug/traces (0 = tracing off unless -trace-slow)")
 	fs.DurationVar(&o.TraceSlow, "trace-slow", 0, "always retain and log requests at least this slow (0 = off)")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "separate listener for /debug/pprof, /debug/vars and /debug/traces (empty = off; must differ from -addr)")
 	fs.StringVar(&c.logFormat, "log-format", "text", "log record format: text or json")
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 15*time.Second, "how long a drain waits for in-flight sessions to complete")
 	fs.BoolVar(&o.Adaptive, "adaptive", false, "sequential campaigns: steer assignments by per-video confidence intervals and close campaigns (409 joins) once every video resolves")
-	fs.Float64Var(&o.CIHalfWidth, "ci-halfwidth", 0, "with -adaptive: target 95% CI half-width per video — seconds (timeline) or preference score (ab); 0 = 0.5")
+	fs.Float64Var(&o.CIHalfWidth, "ci-halfwidth", 0, fmt.Sprintf("with -adaptive: target 95%% CI half-width per video — seconds (timeline) or preference score (ab); 0 = %g", adaptive.DefaultHalfWidth))
 	fs.Int64Var(&o.AdaptiveSeed, "adaptive-seed", 0, "with -adaptive: seed for the deterministic small-sample bootstrap")
 	fs.StringVar(&c.nodeID, "node-id", "", "cluster member ID (e.g. a); namespaces minted entity IDs and enables the ownership middleware")
 	fs.StringVar(&c.nodeBase, "node-base", "", "with -node-id: this node's advertised base URL, the prefix of fencing-redirect Locations")
@@ -153,7 +156,7 @@ func main() {
 	if c.nodeID != "" {
 		c.platform.IDTag = c.nodeID + "."
 	}
-	platform, err := eyeorg.NewPlatformServer(c.platform)
+	api, err := platform.Open(c.platform)
 	if err != nil {
 		logger.Error("opening platform store", "err", err)
 		os.Exit(1)
@@ -161,7 +164,7 @@ func main() {
 
 	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
-		platform.Close()
+		api.Close()
 		logger.Error("listening failed", "addr", c.addr, "err", err)
 		os.Exit(1)
 	}
@@ -171,11 +174,11 @@ func main() {
 	if c.debugAddr != "" {
 		dln, err := net.Listen("tcp", c.debugAddr)
 		if err != nil {
-			platform.Close()
+			api.Close()
 			logger.Error("debug listener failed", "addr", c.debugAddr, "err", err)
 			os.Exit(1)
 		}
-		dsrv := &http.Server{Handler: newDebugHandler(platform), ReadHeaderTimeout: 5 * time.Second}
+		dsrv := &http.Server{Handler: newDebugHandler(api), ReadHeaderTimeout: 5 * time.Second}
 		go func() {
 			if err := dsrv.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("debug listener stopped", "err", err)
@@ -185,11 +188,11 @@ func main() {
 	}
 	logger.Info("serving the Eyeorg API", "addr", ln.Addr().String())
 
-	handler := platform.Handler()
+	handler := api.Handler()
 	if c.nodeID != "" {
 		// The ownership middleware fences handed-off campaigns with a
 		// 307 naming the new owner from the peer directory.
-		node := eyeorg.NewStandaloneClusterNode(c.nodeID, c.nodeBase, platform, func(id string) (string, bool) {
+		node := cluster.NewStandaloneNode(c.nodeID, c.nodeBase, api, func(id string) (string, bool) {
 			base, ok := peerDir[id]
 			return base, ok
 		})
@@ -199,7 +202,7 @@ func main() {
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	if err := run(platform, newHTTPServer(handler), ln, sigc, c.drainTimeout); err != nil {
+	if err := run(api, newHTTPServer(handler), ln, sigc, c.drainTimeout); err != nil {
 		logger.Error("server exited", "err", err)
 		os.Exit(1)
 	}
@@ -269,7 +272,7 @@ func validateAddrs(addr, debugAddr string) error {
 // newDebugHandler builds the operational surface served on -debug-addr:
 // net/http/pprof, expvar, and — when tracing is enabled — the platform's
 // /debug/traces routes.
-func newDebugHandler(platform *eyeorg.PlatformServer) http.Handler {
+func newDebugHandler(api *platform.Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -277,7 +280,7 @@ func newDebugHandler(platform *eyeorg.PlatformServer) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	if h := platform.DebugHandler(); h != nil {
+	if h := api.DebugHandler(); h != nil {
 		mux.Handle("/debug/traces", h)
 		mux.Handle("/debug/traces/", h)
 	}
@@ -306,24 +309,24 @@ func newHTTPServer(handler http.Handler) *http.Server {
 // finishes in-flight requests), and flush the journal — Close is what
 // forces a pending group-commit window to disk. Factored out of main
 // so the drain path is testable with an injected signal channel.
-func run(platform *eyeorg.PlatformServer, srv *http.Server, ln net.Listener, sigc <-chan os.Signal, drainTimeout time.Duration) error {
+func run(api *platform.Server, srv *http.Server, ln net.Listener, sigc <-chan os.Signal, drainTimeout time.Duration) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
-		platform.Close()
+		api.Close()
 		return err
 	case sig := <-sigc:
-		slog.Info("draining on signal", "signal", sig.String(), "sessions_in_flight", platform.SessionsInFlight())
-		platform.StartDrain()
-		awaitDrain(platform, drainTimeout)
+		slog.Info("draining on signal", "signal", sig.String(), "sessions_in_flight", api.SessionsInFlight())
+		api.StartDrain()
+		awaitDrain(api, drainTimeout)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			slog.Error("shutdown failed", "err", err)
 		}
 	}
-	return platform.Close()
+	return api.Close()
 }
 
 // drainIdleGrace is how long a drain tolerates zero progress — no
@@ -338,12 +341,12 @@ const drainIdleGrace = 2 * time.Second
 // drainTimeout stall; instead the wait also ends once nothing has made
 // progress for drainIdleGrace: no session completing and no request
 // being served.
-func awaitDrain(platform *eyeorg.PlatformServer, drainTimeout time.Duration) {
+func awaitDrain(api *platform.Server, drainTimeout time.Duration) {
 	deadline := time.Now().Add(drainTimeout)
 	idleSince := time.Now()
-	last := platform.SessionsInFlight()
+	last := api.SessionsInFlight()
 	for {
-		n := platform.SessionsInFlight()
+		n := api.SessionsInFlight()
 		if n == 0 {
 			return
 		}
@@ -351,7 +354,7 @@ func awaitDrain(platform *eyeorg.PlatformServer, drainTimeout time.Duration) {
 			slog.Warn("drain timeout", "sessions_in_flight", n)
 			return
 		}
-		if n != last || platform.RequestsInFlight() > 0 {
+		if n != last || api.RequestsInFlight() > 0 {
 			last, idleSince = n, time.Now()
 		} else if time.Since(idleSince) >= drainIdleGrace {
 			slog.Info("drain quiesced with sessions abandoned", "sessions_in_flight", n, "idle_grace", drainIdleGrace)

@@ -12,11 +12,11 @@ import (
 	"testing"
 	"time"
 
-	"github.com/eyeorg/eyeorg"
 	"github.com/eyeorg/eyeorg/internal/browsersim"
 	"github.com/eyeorg/eyeorg/internal/platform"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
+	"github.com/eyeorg/eyeorg/internal/webpeg"
 )
 
 func sampleVideoBytes() []byte {
@@ -24,7 +24,7 @@ func sampleVideoBytes() []byte {
 		{T: 300 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH}, Value: 1},
 		{T: 1200 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 2, W: 30, H: 10}, Value: 2},
 	}
-	return video.Encode(video.Capture(paints, 3*time.Second, 10))
+	return video.Encode(webpeg.Render(paints, 3*time.Second, 10))
 }
 
 func post(t *testing.T, url string, body []byte, out any) int {
@@ -48,7 +48,7 @@ func post(t *testing.T, url string, body []byte, out any) int {
 // cleanly with the completed record flushed to the journal.
 func TestDrainOnSIGTERM(t *testing.T) {
 	dataDir := t.TempDir()
-	srv, err := eyeorg.NewPlatformServer(eyeorg.PlatformOptions{
+	srv, err := platform.Open(platform.Options{
 		DataDir: dataDir, Fsync: true, GroupCommit: true,
 	})
 	if err != nil {
@@ -114,7 +114,7 @@ func TestDrainOnSIGTERM(t *testing.T) {
 	}
 
 	// Recovery proves the drained writes reached the journal.
-	re, err := eyeorg.NewPlatformServer(eyeorg.PlatformOptions{DataDir: dataDir})
+	re, err := platform.Open(platform.Options{DataDir: dataDir})
 	if err != nil {
 		t.Fatalf("reopening journal: %v", err)
 	}
@@ -129,7 +129,7 @@ func TestDrainOnSIGTERM(t *testing.T) {
 // the idle grace instead of stalling the full -drain-timeout on every
 // restart.
 func TestDrainAbandonedSession(t *testing.T) {
-	srv, err := eyeorg.NewPlatformServer(eyeorg.PlatformOptions{})
+	srv, err := platform.Open(platform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/rng"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
+	"github.com/eyeorg/eyeorg/internal/webpeg"
 )
 
 // syntheticPayloads builds n valid EYV1 videos with distinct paint
@@ -35,7 +36,7 @@ func syntheticPayloads(n int) [][]byte {
 			{T: time.Duration(900+i*150) * time.Millisecond,
 				Rect: vision.Rect{X: 0, Y: 2, W: 30, H: 10}, Value: 2},
 		}
-		out = append(out, video.Encode(video.Capture(paints, 3*time.Second, 10)))
+		out = append(out, video.Encode(webpeg.Render(paints, 3*time.Second, 10)))
 	}
 	return out
 }

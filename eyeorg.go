@@ -5,7 +5,7 @@
 // The package ties the pipeline together end to end:
 //
 //	corpus := eyeorg.GenerateCorpus(2016, 100, 0.65)     // synthetic sites
-//	cap, _ := eyeorg.Capture(corpus[0], eyeorg.CaptureConfig{Seed: 1})
+//	cap, _ := eyeorg.CaptureSite(corpus[0], eyeorg.CaptureConfig{Seed: 1})
 //	plt := eyeorg.ComputePLT(cap.Video, cap.Selected.OnLoad)
 //
 //	campaign, _ := eyeorg.BuildTimelineCampaign("demo", corpus[:20],
@@ -26,7 +26,6 @@ import (
 	"github.com/eyeorg/eyeorg/internal/adblock"
 	"github.com/eyeorg/eyeorg/internal/cluster"
 	"github.com/eyeorg/eyeorg/internal/core"
-	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/experiments"
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/httpsim"
@@ -35,7 +34,6 @@ import (
 	"github.com/eyeorg/eyeorg/internal/platform"
 	"github.com/eyeorg/eyeorg/internal/recruit"
 	"github.com/eyeorg/eyeorg/internal/sitegen"
-	"github.com/eyeorg/eyeorg/internal/telemetry"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/viz"
 	"github.com/eyeorg/eyeorg/internal/webpage"
@@ -77,7 +75,7 @@ func CaptureSite(page *Page, cfg CaptureConfig) (*Capture, error) {
 	return webpeg.CaptureSite(page, cfg)
 }
 
-// Capture is a short alias of CaptureSite.
+// Captures records every page under cfg, concurrently, in page order.
 func Captures(pages []*Page, cfg CaptureConfig) ([]*Capture, error) {
 	return webpeg.CaptureCorpus(pages, cfg)
 }
@@ -88,15 +86,9 @@ const (
 	HTTP2 = httpsim.HTTP2
 )
 
-// Network profiles for capture (Chrome-devtools-style emulation).
-var (
-	ProfileLab    = netem.Lab
-	ProfileCable  = netem.Cable
-	ProfileDSL    = netem.DSL
-	ProfileLTE    = netem.LTE
-	Profile3G     = netem.ThreeG
-	ProfileByName = netem.ProfileByName
-)
+// ProfileByName looks up a capture network profile (Chrome-devtools-style
+// emulation: lab, fiber, cable, dsl, lte, 3g).
+var ProfileByName = netem.ProfileByName
 
 // --- metrics ---
 
@@ -139,15 +131,8 @@ type Campaign = core.Campaign
 // RunResult is a completed campaign with filtering applied.
 type RunResult = core.RunResult
 
-// CampaignStats is a Table-1 row.
-type CampaignStats = core.CampaignStats
-
-// Recruitment services.
-var (
-	CrowdFlower    = recruit.CrowdFlower
-	Microworkers   = recruit.Microworkers
-	TrustedInvites = recruit.TrustedInvites
-)
+// CrowdFlower is the paid recruitment service of the paper's campaigns.
+var CrowdFlower = recruit.CrowdFlower
 
 // BuildTimelineCampaign captures pages and assembles a timeline campaign.
 func BuildTimelineCampaign(name string, pages []*Page, cfg CaptureConfig) (*Campaign, error) {
@@ -177,9 +162,6 @@ func RunCampaignWorkers(c *Campaign, svc *recruit.Service, n, workers int) (*Run
 
 // --- filtering & analysis ---
 
-// SessionRecord is one participant's full session.
-type SessionRecord = filtering.SessionRecord
-
 // TimelineByVideo groups kept timeline answers (seconds) per video.
 var TimelineByVideo = filtering.TimelineByVideo
 
@@ -188,9 +170,6 @@ var WisdomOfCrowd = filtering.WisdomOfCrowd
 
 // ABByVideo tallies kept A/B votes per video.
 var ABByVideo = filtering.ABByVideo
-
-// Participant is a simulated respondent.
-type Participant = crowd.Participant
 
 // --- experiments ---
 
@@ -214,11 +193,6 @@ func NewExperimentSuite(cfg ExperimentConfig) *ExperimentSuite {
 	return experiments.NewSuite(cfg)
 }
 
-// RenderAllExperiments reproduces every artefact in paper order to w.
-func RenderAllExperiments(s *ExperimentSuite, w io.Writer) error {
-	return s.RenderAll(w)
-}
-
 // RenderAllExperimentsParallel evaluates independent artefacts
 // concurrently (workers bounds the pool; 0 = NumCPU) while writing
 // output in paper order.
@@ -227,10 +201,6 @@ func RenderAllExperimentsParallel(s *ExperimentSuite, w io.Writer, workers int) 
 }
 
 // --- platform service ---
-
-// PlatformServer is the Eyeorg web service: sharded in-memory indexes
-// over an optional durable event journal (internal/store).
-type PlatformServer = platform.Server
 
 // PlatformOptions configures the platform's storage and operations
 // subsystems: DataDir enables the write-ahead journal + snapshots
@@ -241,28 +211,13 @@ type PlatformServer = platform.Server
 // ingest. MaxInFlight, WorkerRate and MaxBodyBytes put the API behind
 // admission control (429 + Retry-After / 413 under pressure; binary
 // event batches charge the worker's bucket per decoded record, see
-// internal/wire). The server always maintains the GET /metrics
-// registry PlatformServer.Metrics returns. Adaptive enables sequential
-// campaigns (internal/adaptive): per-video confidence intervals steer
-// each new assignment at the under-sampled videos and close the
-// campaign — new joins get 409 — once every interval shrinks to
-// CIHalfWidth.
+// internal/wire). Adaptive enables sequential campaigns
+// (internal/adaptive): per-video confidence intervals steer each new
+// assignment at the under-sampled videos and close the campaign — new
+// joins get 409 — once every interval shrinks to CIHalfWidth. The
+// server binaries open internal/platform directly; the facade carries
+// the options for ClusterConfig.Node.
 type PlatformOptions = platform.Options
-
-// TelemetryRegistry collects the platform's runtime metrics — lock-free
-// counters, gauges and latency histograms — and renders them in the
-// Prometheus text exposition format. PlatformServer.Metrics returns the
-// server's registry so embedders can add instruments of their own or
-// mount the exposition elsewhere.
-type TelemetryRegistry = telemetry.Registry
-
-// NewPlatformServer opens a platform server with the given storage
-// options. Close it to flush the journal when persistence is enabled;
-// StartDrain before closing to refuse new sessions while participants
-// mid-assignment finish (see cmd/eyeorg-server for the full sequence).
-func NewPlatformServer(opts PlatformOptions) (*PlatformServer, error) {
-	return platform.Open(opts)
-}
 
 // NewPlatformHandler returns an in-memory Eyeorg web service handler.
 func NewPlatformHandler() http.Handler {
@@ -285,73 +240,10 @@ type Cluster = cluster.Cluster
 // server is opened from (DataDir, IDTag and Replicate are set per node).
 type ClusterConfig = cluster.Config
 
-// ClusterRouter is the thin entry point in front of a cluster: it
-// resolves every request to the campaign's owning node and proxies or
-// redirects.
-type ClusterRouter = cluster.Router
-
-// ClusterRing is the consistent-hash ring mapping campaign IDs to
-// nodes; membership changes move only ~1/N of campaigns.
-type ClusterRing = cluster.Ring
-
-// ClusterNode is one cluster member: a platform server wrapped in the
-// ownership middleware that fences handed-off campaigns with 307s.
-type ClusterNode = cluster.Node
-
 // NewCluster brings up an in-process cluster: one durable platform
 // node per ID under cfg.Dir and a router in front. Drive it through
 // Cluster.Handler().
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
-
-// NewClusterRing builds a consistent-hash ring over node IDs
-// (vnodes ≤ 0 selects the default virtual-node count).
-func NewClusterRing(nodes []string, vnodes int) *ClusterRing { return cluster.NewRing(nodes, vnodes) }
-
-// NewRemoteClusterRouter builds a router over out-of-process nodes by
-// their advertised base URLs — the standalone eyeorg-router binary.
-func NewRemoteClusterRouter(mode string, ring *ClusterRing, members map[string]string) (*ClusterRouter, error) {
-	return cluster.NewRemoteRouter(mode, ring, members)
-}
-
-// NewStandaloneClusterNode wraps a platform server in the cluster
-// ownership middleware for multi-process deployments (eyeorg-server
-// -node-id): fenced campaigns 307 to the peer the directory resolves.
-func NewStandaloneClusterNode(id, base string, srv *PlatformServer, directory func(nodeID string) (string, bool)) *ClusterNode {
-	return cluster.NewStandaloneNode(id, base, srv, directory)
-}
-
-// --- live quality analytics ---
-
-// AnalyticsResponse is the live quality-analytics payload of
-// GET /api/v1/campaigns/{id}/analytics: per-participant §4.3 filter
-// verdicts (final for completed sessions, provisional for in-flight
-// ones), kept/dropped counts per rule, and the current wisdom-of-the-
-// crowd percentile band per video. The platform maintains it
-// incrementally on every mutation (internal/quality); its verdicts are
-// contractually equal to running the offline batch filter on the same
-// sessions.
-type AnalyticsResponse = platform.AnalyticsResponse
-
-// AnalyticsSummary is the per-rule kept/dropped histogram of the live
-// analytics.
-type AnalyticsSummary = platform.AnalyticsSummary
-
-// ParticipantVerdict is one session's current standing against the
-// §4.3 filters.
-type ParticipantVerdict = platform.ParticipantVerdict
-
-// VideoAnalytics is one video's live aggregate: the timeline percentile
-// band or the A/B vote tallies over kept sessions.
-type VideoAnalytics = platform.VideoAnalytics
-
-// StoppingAnalytics is the adaptive stopper's campaign-level view in
-// the analytics payload: per-video confidence intervals, resolution
-// state, and whether the campaign has closed to new joins. Present
-// only when the server runs with PlatformOptions.Adaptive.
-type StoppingAnalytics = platform.StoppingAnalytics
-
-// VideoStopping is one video's adaptive stopping state.
-type VideoStopping = platform.VideoStopping
 
 // --- visualization ---
 

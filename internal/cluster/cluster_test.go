@@ -16,6 +16,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/platform"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
+	"github.com/eyeorg/eyeorg/internal/webpeg"
 )
 
 // cc drives an http.Handler in-process (no listener).
@@ -58,7 +59,7 @@ func sampleVideoBytes() []byte {
 		{T: 300 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH}, Value: 1},
 		{T: 1200 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 2, W: 30, H: 10}, Value: 2},
 	}
-	return video.Encode(video.Capture(paints, 3*time.Second, 10))
+	return video.Encode(webpeg.Render(paints, 3*time.Second, 10))
 }
 
 func newTestCluster(t *testing.T, cfg Config) *Cluster {

@@ -134,8 +134,11 @@ func (rt *Router) Metrics() *telemetry.Registry { return rt.reg }
 
 // Override pins a campaign to a node — the Cluster calls it after a
 // handoff so every subsequent request routes to the new owner without
-// bouncing off the old one's fence.
+// bouncing off the old one's fence. The table keeps its own copy of the
+// ID: a fence rehop passes a substring of the request path, which would
+// otherwise keep that request line alive for the router's lifetime.
 func (rt *Router) Override(campaign, nodeID string) {
+	campaign = strings.Clone(campaign)
 	rt.mu.Lock()
 	rt.campaigns[campaign] = nodeID
 	rt.mu.Unlock()
@@ -354,7 +357,8 @@ func (rt *Router) nodeByBase(location string) *target {
 
 // learn updates the routing tables from a successful response: which
 // node answered a join (session → node) or a video upload (video →
-// node).
+// node). An upload's campaign is a substring of its request path, so
+// the video table stores a copy.
 func (rt *Router) learn(r *http.Request, campaign, nodeID string, rec *responseRecorder) {
 	if rec.status != http.StatusCreated {
 		return
@@ -376,7 +380,7 @@ func (rt *Router) learn(r *http.Request, campaign, nodeID string, rec *responseR
 		}
 		if json.Unmarshal(rec.buf.Bytes(), &resp) == nil && resp.ID != "" {
 			rt.mu.Lock()
-			rt.videos[resp.ID] = routeRef{node: nodeID, campaign: campaign}
+			rt.videos[resp.ID] = routeRef{node: nodeID, campaign: strings.Clone(campaign)}
 			rt.mu.Unlock()
 		}
 	}

@@ -363,16 +363,17 @@ func (r *RunResult) Stats() CampaignStats {
 		Filtered:     r.Outcome.Summary,
 	}
 	countries := map[string]bool{}
-	for _, rec := range r.Records {
+	// Records[i] is Recruitment.Participants[i]'s session.
+	for _, p := range r.Recruitment.Participants {
 		// Count only explicit genders; unknown/other values belong in
 		// neither Table-1 column.
-		switch rec.Participant.Gender {
+		switch p.Gender {
 		case "m":
 			cs.Male++
 		case "f":
 			cs.Female++
 		}
-		countries[rec.Participant.Country] = true
+		countries[p.Country] = true
 	}
 	cs.Countries = len(countries)
 	return cs

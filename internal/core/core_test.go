@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/httpsim"
 	"github.com/eyeorg/eyeorg/internal/recruit"
@@ -199,6 +200,25 @@ func TestStatsRow(t *testing.T) {
 	}
 	if row.Duration <= 0 || row.Countries < 2 {
 		t.Fatalf("row duration/countries wrong: %+v", row)
+	}
+	// The row counts the recruited personas; they are the records' own
+	// participants, in the same order.
+	male, female, countries := 0, 0, map[string]bool{}
+	for i, rec := range res.Records {
+		p := rec.Participant.(*crowd.Participant)
+		if p != res.Recruitment.Participants[i] {
+			t.Fatalf("record %d belongs to %s, recruit %d is %s", i, p.ID, i, res.Recruitment.Participants[i].ID)
+		}
+		switch p.Gender {
+		case "m":
+			male++
+		case "f":
+			female++
+		}
+		countries[p.Country] = true
+	}
+	if row.Male != male || row.Female != female || row.Countries != len(countries) {
+		t.Fatalf("row counts %d m / %d f / %d countries, records hold %d / %d / %d", row.Male, row.Female, row.Countries, male, female, len(countries))
 	}
 }
 

@@ -108,6 +108,10 @@ type Participant struct {
 	r *rand.Rand
 }
 
+// ParticipantID returns the ID a filtering.SessionRecord files the
+// participant's session under.
+func (p *Participant) ParticipantID() string { return p.ID }
+
 // PopulationConfig controls population synthesis.
 type PopulationConfig struct {
 	Class Class

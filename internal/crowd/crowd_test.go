@@ -10,6 +10,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/survey"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
+	"github.com/eyeorg/eyeorg/internal/webpeg"
 )
 
 // adPageVideo paints main content at 1.5s and a late ad at 5s.
@@ -19,7 +20,7 @@ func adPageVideo() (*video.Video, metrics.PerceptualCurves) {
 		{T: 1500 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 3, W: 30, H: 12}, Value: 2, Salience: 1},
 		{T: 5 * time.Second, Rect: vision.Rect{X: 36, Y: 0, W: 12, H: 6}, Value: 3, Aux: true, Salience: 0.3},
 	}
-	v := video.Capture(paints, 7*time.Second, 10)
+	v := webpeg.Render(paints, 7*time.Second, 10)
 	return v, metrics.Curves(v, map[vision.Tile]bool{3: true})
 }
 

@@ -6,8 +6,8 @@ import (
 
 	"github.com/eyeorg/eyeorg/internal/browsersim"
 	"github.com/eyeorg/eyeorg/internal/metrics"
-	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
+	"github.com/eyeorg/eyeorg/internal/webpeg"
 )
 
 // curvesWithMainAt builds perception curves for a load whose main content
@@ -18,7 +18,7 @@ func curvesWithMainAt(mainT, auxT time.Duration) metrics.PerceptualCurves {
 		{T: mainT, Rect: vision.Rect{X: 0, Y: 4, W: 30, H: 14}, Value: 2},
 		{T: auxT, Rect: vision.Rect{X: 36, Y: 0, W: 12, H: 6}, Value: 9, Aux: true},
 	}
-	v := video.Capture(paints, 8*time.Second, 10)
+	v := webpeg.Render(paints, 8*time.Second, 10)
 	return metrics.Curves(v, map[vision.Tile]bool{9: true})
 }
 

@@ -888,14 +888,14 @@ func (s *Suite) Participants() (*ParticipantSummary, error) {
 	}
 	sum := &ParticipantSummary{Countries: map[string]int{}}
 	for _, run := range []*core.RunResult{tl, h1h2, ads} {
-		for _, rec := range run.Records {
-			switch rec.Participant.Gender {
+		for _, p := range run.Recruitment.Participants {
+			switch p.Gender {
 			case "m":
 				sum.Male++
 			case "f":
 				sum.Female++
 			}
-			sum.Countries[rec.Participant.Country]++
+			sum.Countries[p.Country]++
 		}
 	}
 	return sum, nil

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"io"
+	"maps"
 	"strings"
 	"testing"
 
+	"github.com/eyeorg/eyeorg/internal/core"
+	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/stats"
 )
 
@@ -373,6 +376,26 @@ func TestParticipantsSummary(t *testing.T) {
 	}
 	if best, n := topCountry(sum.Countries); best != "VE" || n == 0 {
 		t.Fatalf("most common country = %s, want VE (Venezuela)", best)
+	}
+	// The summary counts exactly the final campaigns' records' personas.
+	tl, _ := suite.TimelineFinal()
+	h1h2, _ := suite.ABH1H2Final()
+	ads, _, _ := suite.AdsFinal()
+	want := &ParticipantSummary{Countries: map[string]int{}}
+	for _, run := range []*core.RunResult{tl, h1h2, ads} {
+		for _, rec := range run.Records {
+			p := rec.Participant.(*crowd.Participant)
+			switch p.Gender {
+			case "m":
+				want.Male++
+			case "f":
+				want.Female++
+			}
+			want.Countries[p.Country]++
+		}
+	}
+	if sum.Male != want.Male || sum.Female != want.Female || !maps.Equal(sum.Countries, want.Countries) {
+		t.Fatalf("summary %d m / %d f / %v, records hold %d / %d / %v", sum.Male, sum.Female, sum.Countries, want.Male, want.Female, want.Countries)
 	}
 }
 

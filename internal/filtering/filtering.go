@@ -11,12 +11,17 @@
 //  4. Control: drop participants who failed any control question.
 //  5. Wisdom of the crowd: per video, keep timeline responses between the
 //     25th and 75th percentiles.
+//
+// The rules read a session's answers and engagement trace, never who
+// gave them: a record names its participant only by ID, so the offline
+// pipeline can file simulated personas and the platform's incremental
+// fold (internal/quality) can take the same records without either
+// knowing about the other.
 package filtering
 
 import (
 	"time"
 
-	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/stats"
 	"github.com/eyeorg/eyeorg/internal/survey"
 )
@@ -62,10 +67,16 @@ func (r Reason) String() string {
 	return "unknown"
 }
 
+// Participant is whoever produced a session record; Clean keys its
+// verdicts by the ID. *crowd.Participant is one.
+type Participant interface {
+	ParticipantID() string
+}
+
 // SessionRecord bundles everything one participant produced in a campaign.
 // Exactly one of Timeline and AB is non-empty, matching the campaign type.
 type SessionRecord struct {
-	Participant *crowd.Participant
+	Participant Participant
 	Trace       *survey.SessionTrace
 	Timeline    []*survey.TimelineResponse
 	AB          []*survey.ABResponse
@@ -170,7 +181,7 @@ func Clean(records []*SessionRecord, maxTrustedActions int) *Outcome {
 	out.Summary.Total = len(records)
 	for _, rec := range records {
 		r := Classify(rec, maxTrustedActions)
-		out.ReasonFor[rec.Participant.ID] = r
+		out.ReasonFor[rec.Participant.ParticipantID()] = r
 		switch r {
 		case Kept:
 			out.Summary.Kept++

@@ -8,11 +8,17 @@ import (
 	"github.com/eyeorg/eyeorg/internal/survey"
 )
 
+// worker is a participant known by nothing but its ID, as the platform
+// knows one.
+type worker string
+
+func (w worker) ParticipantID() string { return string(w) }
+
 // record builds a minimal session record with the given trace and control
 // outcomes.
 func record(id string, trace *survey.SessionTrace, controlPassed bool) *SessionRecord {
 	return &SessionRecord{
-		Participant: &crowd.Participant{ID: id},
+		Participant: worker(id),
 		Trace:       trace,
 		Timeline: []*survey.TimelineResponse{
 			{VideoID: "v1", Submitted: 2 * time.Second, Trace: trace.Videos[0]},
@@ -131,6 +137,18 @@ func TestCleanSummary(t *testing.T) {
 	}
 }
 
+// TestCleanKeysByParticipantID: Clean files each verdict under the ID
+// the record's participant reports, whether that is a simulated persona
+// or a bare ID.
+func TestCleanKeysByParticipantID(t *testing.T) {
+	persona := record("", goodTrace(), false)
+	persona.Participant = &crowd.Participant{ID: "persona", Gender: "f", Country: "VE"}
+	out := Clean([]*SessionRecord{persona, record("bare", goodTrace(), true)}, 0)
+	if len(out.ReasonFor) != 2 || out.ReasonFor["persona"] != DropControl || out.ReasonFor["bare"] != Kept {
+		t.Fatalf("ReasonFor = %v, want persona: control, bare: kept", out.ReasonFor)
+	}
+}
+
 func TestControlResults(t *testing.T) {
 	rec := record("x", goodTrace(), true)
 	total, passed := rec.ControlResults()
@@ -227,7 +245,7 @@ func TestABVotesScoreAndAgreement(t *testing.T) {
 func TestABByVideo(t *testing.T) {
 	recs := []*SessionRecord{
 		{
-			Participant: &crowd.Participant{ID: "p1"},
+			Participant: worker("p1"),
 			Trace:       &survey.SessionTrace{},
 			AB: []*survey.ABResponse{
 				{VideoID: "pair1", Choice: survey.ChoiceLeft, AOnLeft: true},         // A
@@ -236,7 +254,7 @@ func TestABByVideo(t *testing.T) {
 			},
 		},
 		{
-			Participant: &crowd.Participant{ID: "p2"},
+			Participant: worker("p2"),
 			Trace:       &survey.SessionTrace{},
 			AB: []*survey.ABResponse{
 				{VideoID: "pair1", Choice: survey.ChoiceLeft, AOnLeft: false}, // B

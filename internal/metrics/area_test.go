@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/browsersim"
-	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
 	"github.com/eyeorg/eyeorg/internal/webpage"
+	"github.com/eyeorg/eyeorg/internal/webpeg"
 )
 
 func TestAreaAboveBasics(t *testing.T) {
@@ -55,14 +55,14 @@ func TestAnimationChurnSplitsMetricsFromPerception(t *testing.T) {
 		{T: 3 * time.Second, Rect: rect, Value: base + webpage.AnimTileOffset},
 		{T: 5 * time.Second, Rect: rect, Value: base},
 	}
-	v := video.Capture(paints, 6*time.Second, 10)
+	v := webpeg.Render(paints, 6*time.Second, 10)
 
 	// LastVisualChange sees the final rotation.
 	if lvc := LastVisualChange(v); lvc != 5*time.Second {
 		t.Fatalf("LVC = %v, want 5s (the last rotation)", lvc)
 	}
 	// SpeedIndex is inflated by the mid-rotation mismatch window.
-	plain := video.Capture(paints[:1], 6*time.Second, 10)
+	plain := webpeg.Render(paints[:1], 6*time.Second, 10)
 	if SpeedIndex(v) <= SpeedIndex(plain) {
 		t.Fatal("churn did not inflate SpeedIndex")
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/browsersim"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
+	"github.com/eyeorg/eyeorg/internal/webpeg"
 )
 
 // stagedVideo paints 50% of the viewport at 1s and the rest at 3s, over a
@@ -16,7 +17,7 @@ func stagedVideo() *video.Video {
 		{T: 1 * time.Second, Rect: vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH/2 + 1}, Value: 1},
 		{T: 3 * time.Second, Rect: vision.Rect{X: 0, Y: vision.GridH/2 + 1, W: vision.GridW, H: vision.GridH}, Value: 2},
 	}
-	return video.Capture(paints, 5*time.Second, 10)
+	return webpeg.Render(paints, 5*time.Second, 10)
 }
 
 func TestFirstAndLastVisualChange(t *testing.T) {
@@ -30,7 +31,7 @@ func TestFirstAndLastVisualChange(t *testing.T) {
 }
 
 func TestStaticVideoMetricsZero(t *testing.T) {
-	v := video.Capture(nil, 2*time.Second, 10)
+	v := webpeg.Render(nil, 2*time.Second, 10)
 	if FirstVisualChange(v) != 0 || LastVisualChange(v) != 0 || SpeedIndex(v) != 0 {
 		t.Fatal("static video should have zero visual metrics")
 	}
@@ -48,10 +49,10 @@ func TestSpeedIndexBetweenPaints(t *testing.T) {
 }
 
 func TestSpeedIndexRewardsEarlyPaint(t *testing.T) {
-	early := video.Capture([]browsersim.PaintEvent{
+	early := webpeg.Render([]browsersim.PaintEvent{
 		{T: 500 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH}, Value: 1},
 	}, 5*time.Second, 10)
-	late := video.Capture([]browsersim.PaintEvent{
+	late := webpeg.Render([]browsersim.PaintEvent{
 		{T: 4 * time.Second, Rect: vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH}, Value: 1},
 	}, 5*time.Second, 10)
 	if SpeedIndex(early) >= SpeedIndex(late) {
@@ -105,7 +106,7 @@ func TestCurvesSeparateMainFromAux(t *testing.T) {
 		{T: 1 * time.Second, Rect: vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH}, Value: 1},
 		{T: 4 * time.Second, Rect: vision.Rect{X: 38, Y: 0, W: 10, H: 5}, Value: 9, Aux: true},
 	}
-	v := video.Capture(paints, 5*time.Second, 10)
+	v := webpeg.Render(paints, 5*time.Second, 10)
 	pc := Curves(v, map[vision.Tile]bool{9: true})
 
 	mainDone, ok := CrossTime(pc.T, pc.Main, 1.0)

@@ -60,4 +60,12 @@
 // during a handoff as the tail the new owner replays through this same
 // recovery path. See docs/ARCHITECTURE.md for the subsystem map and
 // the byte-identical-replay invariant every layer preserves.
+//
+// The package links nothing of the paper's simulator. Beside its own
+// tiers (store, blob, quality, adaptive, wire, trace, telemetry) it
+// reaches filtering, survey and stats for the record types the §4.3
+// fold takes, video and vision to check an upload's EYV1 container, and
+// rng: a participant is a worker ID, and a video is bytes someone else
+// rendered. TestServerDeps at the repository root holds the closure of
+// this package and of both server binaries to that list.
 package platform

@@ -13,6 +13,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/store"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
+	"github.com/eyeorg/eyeorg/internal/webpeg"
 )
 
 // windowRecorder is a Replicate observer that keeps every journaled
@@ -182,5 +183,5 @@ func tailVideoBytes() []byte {
 		{T: 500 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH}, Value: 3},
 		{T: 1700 * time.Millisecond, Rect: vision.Rect{X: 4, Y: 4, W: 20, H: 8}, Value: 1},
 	}
-	return video.Encode(video.Capture(paints, 3*time.Second, 10))
+	return video.Encode(webpeg.Render(paints, 3*time.Second, 10))
 }

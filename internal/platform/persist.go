@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/adaptive"
-	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/quality"
 	"github.com/eyeorg/eyeorg/internal/survey"
@@ -476,11 +475,12 @@ func (c *campaignState) fileCompleted(sess *sessionState) uint32 {
 
 // record views the session's answers as the filtering.SessionRecord the
 // §4.3 folds take, control answers included (the stopper releases their
-// pending assignment entries). The folds read only the participant ID
-// and each answer's video, value and control bit, and keep none of it,
-// so one backing array serves all answers and nothing outlives the call.
+// pending assignment entries). The folds read only each answer's video,
+// value and control bit — not the participant, which the record leaves
+// nil — and keep none of it, so one backing array serves all answers
+// and nothing outlives the call.
 func (sess *sessionState) record(kind string) *filtering.SessionRecord {
-	rec := &filtering.SessionRecord{Participant: &crowd.Participant{ID: sess.Worker.ID}}
+	rec := &filtering.SessionRecord{}
 	n := len(sess.answers)
 	if kind == "ab" {
 		resp := make([]survey.ABResponse, n)

@@ -39,6 +39,10 @@ const TestsPerSession = 7
 // when Options.SnapshotEvery is zero.
 const defaultSnapshotEvery = 4096
 
+// DefaultMaxBodyBytes is the JSON ingest body cap used when
+// Options.MaxBodyBytes is zero.
+const DefaultMaxBodyBytes = 1 << 20
+
 // Options configures a Server's storage subsystem.
 type Options struct {
 	// DataDir enables persistence: every mutation is journaled there
@@ -78,7 +82,7 @@ type Options struct {
 	WorkerBurst int
 	// MaxBodyBytes caps JSON ingest request bodies (campaign create,
 	// join, events, responses, flags); oversize bodies get 413.
-	// 0 = the 1 MiB default. Video uploads keep their own 64 MiB cap.
+	// 0 = DefaultMaxBodyBytes. Video uploads keep their own 64 MiB cap.
 	MaxBodyBytes int64
 	// VideoCacheBytes caps the byte cache in front of the video blob
 	// files a DataDir server keeps (0 = blob.DefaultCacheBytes, negative
@@ -410,7 +414,7 @@ func Open(opts Options) (*Server, error) {
 	}
 	s.idTag = opts.IDTag
 	if s.maxBody <= 0 {
-		s.maxBody = 1 << 20
+		s.maxBody = DefaultMaxBodyBytes
 	}
 	s.admission.maxInflight = int64(opts.MaxInFlight)
 	if opts.WorkerRate > 0 {

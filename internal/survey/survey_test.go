@@ -7,6 +7,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/browsersim"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
+	"github.com/eyeorg/eyeorg/internal/webpeg"
 )
 
 // loadVideo builds a video where the page skeleton paints at 500ms, main
@@ -17,7 +18,7 @@ func loadVideo() *video.Video {
 		{T: 1500 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 2, W: 30, H: 12}, Value: 2},
 		{T: 4 * time.Second, Rect: vision.Rect{X: 40, Y: 0, W: 6, H: 3}, Value: 3},
 	}
-	return video.Capture(paints, 6*time.Second, 10)
+	return webpeg.Render(paints, 6*time.Second, 10)
 }
 
 func TestProposeRewindFindsEarliestSimilarFrame(t *testing.T) {

@@ -1,10 +1,12 @@
-// Package video turns browsersim paint timelines into the page-load videos
-// Eyeorg shows participants (§3.1): fixed-fps frame sequences on the
-// vision raster, with the operations the platform needs — side-by-side
+// Package video is the page-load video Eyeorg shows participants (§3.1)
+// and its EYV1 container: fixed-fps frame sequences on the vision
+// raster, with the operations the platform needs — side-by-side
 // splicing for A/B tests, artificial start delays for control questions,
 // a compact run-length codec standing in for webm, and a transfer-size
 // model for the participant-side download times that drive engagement
-// (Figure 5).
+// (Figure 5). Frames come from elsewhere (webpeg renders a simulated
+// load's paint timeline); the platform only validates and serves the
+// encoded bytes.
 package video
 
 import (
@@ -15,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/eyeorg/eyeorg/internal/browsersim"
 	"github.com/eyeorg/eyeorg/internal/vision"
 )
 
@@ -75,32 +76,6 @@ func (v *Video) FinalFrame() *vision.Frame {
 		return vision.NewFrame()
 	}
 	return v.Frames[len(v.Frames)-1]
-}
-
-// Capture renders the paint timeline into a video of the given duration.
-// Paints after duration are dropped — exactly like stopping the screen
-// recorder N seconds after onload.
-func Capture(paints []browsersim.PaintEvent, duration time.Duration, fps int) *Video {
-	if fps <= 0 {
-		fps = DefaultFPS
-	}
-	if duration <= 0 {
-		duration = time.Second
-	}
-	frameDur := time.Second / time.Duration(fps)
-	n := int(duration/frameDur) + 1
-	v := &Video{FPS: fps, Frames: make([]*vision.Frame, n)}
-	cur := vision.NewFrame()
-	pi := 0
-	for i := 0; i < n; i++ {
-		t := time.Duration(i) * frameDur
-		for pi < len(paints) && paints[pi].T <= t {
-			cur.Paint(paints[pi].Rect, paints[pi].Value)
-			pi++
-		}
-		v.Frames[i] = cur.Clone()
-	}
-	return v
 }
 
 // WithStartDelay returns a copy whose content starts d later; the first

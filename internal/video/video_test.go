@@ -8,67 +8,44 @@ import (
 	"testing/quick"
 	"time"
 
-	"github.com/eyeorg/eyeorg/internal/browsersim"
 	"github.com/eyeorg/eyeorg/internal/parallel"
 	"github.com/eyeorg/eyeorg/internal/vision"
 )
 
-// samplePaints builds a three-stage paint timeline: skeleton at 200ms,
-// hero at 800ms, ad at 2s.
-func samplePaints() []browsersim.PaintEvent {
-	return []browsersim.PaintEvent{
-		{T: 200 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH}, Value: 1, Salience: 0.8},
-		{T: 800 * time.Millisecond, Rect: vision.Rect{X: 0, Y: 2, W: 30, H: 10}, Value: 2, ObjectID: "hero", Salience: 1},
-		{T: 2 * time.Second, Rect: vision.Rect{X: 38, Y: 0, W: 10, H: 5}, Value: 3, ObjectID: "ad", Aux: true, Salience: 0.3},
+// sample builds, frame by frame at 10 fps, a load d long in three
+// stages: a skeleton over the whole grid at 200 ms, a hero at 800 ms and
+// an ad at 2 s, each frame holding what has painted by its time.
+func sample(d time.Duration) *Video {
+	stages := map[int]struct {
+		r vision.Rect
+		v vision.Tile
+	}{
+		2:  {vision.Rect{X: 0, Y: 0, W: vision.GridW, H: vision.GridH}, 1},
+		8:  {vision.Rect{X: 0, Y: 2, W: 30, H: 10}, 2},
+		20: {vision.Rect{X: 38, Y: 0, W: 10, H: 5}, 3},
 	}
-}
-
-func TestCaptureTiming(t *testing.T) {
-	v := Capture(samplePaints(), 3*time.Second, 10)
-	if v.FPS != 10 {
-		t.Fatalf("fps = %d", v.FPS)
-	}
-	if v.Frames[0].NonBlank() != 0 {
-		t.Fatal("frame 0 should be blank")
-	}
-	// At 100ms the skeleton has not painted yet; at 200ms it has.
-	if v.Frames[1].NonBlank() != 0 {
-		t.Fatal("skeleton visible before its paint time")
-	}
-	if v.Frames[2].NonBlank() == 0 {
-		t.Fatal("skeleton missing at its paint time")
-	}
-	// Hero appears by the 800ms frame.
-	if v.Frames[8].At(5, 5) != 2 {
-		t.Fatalf("hero tile = %d at 800ms", v.Frames[8].At(5, 5))
-	}
-	// Ad appears at 2s.
-	if v.Frames[19].At(40, 2) == 3 {
-		t.Fatal("ad visible before 2s")
-	}
-	if v.Frames[20].At(40, 2) != 3 {
-		t.Fatal("ad missing at 2s")
-	}
-}
-
-func TestCaptureDropsLatePaints(t *testing.T) {
-	v := Capture(samplePaints(), time.Second, 10)
-	for _, f := range v.Frames {
-		if f.At(40, 2) == 3 {
-			t.Fatal("paint after capture window appeared in video")
+	v := static(d)
+	cur := vision.NewFrame()
+	for i := range v.Frames {
+		if s, ok := stages[i]; ok {
+			cur.Paint(s.r, s.v)
 		}
+		v.Frames[i] = cur.Clone()
 	}
+	return v
 }
 
-func TestCaptureDefaults(t *testing.T) {
-	v := Capture(nil, 0, 0)
-	if v.FPS != DefaultFPS || len(v.Frames) == 0 {
-		t.Fatal("defaults not applied")
+// static is a blank screen recorded for d at 10 fps.
+func static(d time.Duration) *Video {
+	v := &Video{FPS: 10}
+	for i := 0; i <= int(d/(100*time.Millisecond)); i++ {
+		v.Frames = append(v.Frames, vision.NewFrame())
 	}
+	return v
 }
 
 func TestFrameIndexAtClamps(t *testing.T) {
-	v := Capture(samplePaints(), 3*time.Second, 10)
+	v := sample(3 * time.Second)
 	if v.FrameIndexAt(-time.Second) != 0 {
 		t.Fatal("negative time not clamped")
 	}
@@ -81,14 +58,14 @@ func TestFrameIndexAtClamps(t *testing.T) {
 }
 
 func TestDuration(t *testing.T) {
-	v := Capture(samplePaints(), 3*time.Second, 10)
+	v := sample(3 * time.Second)
 	if v.Duration() != time.Duration(len(v.Frames))*100*time.Millisecond {
 		t.Fatalf("duration = %v for %d frames", v.Duration(), len(v.Frames))
 	}
 }
 
 func TestWithStartDelay(t *testing.T) {
-	v := Capture(samplePaints(), 3*time.Second, 10)
+	v := sample(3 * time.Second)
 	d := v.WithStartDelay(3 * time.Second)
 	if len(d.Frames) != len(v.Frames)+30 {
 		t.Fatalf("delayed video has %d frames, want %d", len(d.Frames), len(v.Frames)+30)
@@ -109,8 +86,8 @@ func TestWithStartDelay(t *testing.T) {
 }
 
 func TestSideBySide(t *testing.T) {
-	a := Capture(samplePaints(), 2*time.Second, 10)
-	b := Capture(samplePaints(), 3*time.Second, 10)
+	a := sample(2 * time.Second)
+	b := sample(3 * time.Second)
 	s, err := SideBySide(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +111,7 @@ func TestSideBySideFPSMismatch(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	v := Capture(samplePaints(), 3*time.Second, 10)
+	v := sample(3 * time.Second)
 	data := Encode(v)
 	got, err := Decode(data)
 	if err != nil {
@@ -166,8 +143,8 @@ func TestEncodeExactSize(t *testing.T) {
 		}
 		noise.Frames = append(noise.Frames, fr)
 	}
-	long := Capture(samplePaints(), 20*time.Second, 10) // 200 frames: past the stack counts
-	for i, v := range []*Video{noise, Capture(samplePaints(), 3*time.Second, 10), long, {FPS: 300}} {
+	long := sample(20 * time.Second) // 200 frames: past the stack counts
+	for i, v := range []*Video{noise, sample(3 * time.Second), long, {FPS: 300}} {
 		got, want := Encode(v), encodeGrowing(v)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("video %d: Encode differs from the growing encoder (%d vs %d bytes)", i, len(got), len(want))
@@ -221,7 +198,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		}
 	}
 	// Truncation of a valid stream must error, not panic.
-	valid := Encode(Capture(samplePaints(), time.Second, 10))
+	valid := Encode(sample(time.Second))
 	for _, cut := range []int{5, 10, len(valid) / 2, len(valid) - 3} {
 		if _, err := Decode(valid[:cut]); err == nil {
 			t.Errorf("truncated at %d accepted", cut)
@@ -230,37 +207,35 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestWebmBytesGrowsWithActivityAndDuration(t *testing.T) {
-	short := Capture(samplePaints(), time.Second, 10)
-	long := Capture(samplePaints(), 10*time.Second, 10)
+	short := sample(time.Second)
+	long := sample(10 * time.Second)
 	if long.WebmBytes() <= short.WebmBytes() {
 		t.Fatal("longer video not larger")
 	}
-	static := Capture(nil, 10*time.Second, 10)
-	if long.WebmBytes() <= static.WebmBytes() {
+	blank := static(10 * time.Second)
+	if long.WebmBytes() <= blank.WebmBytes() {
 		t.Fatal("active video not larger than static of same length")
 	}
 }
 
 func TestChangedTiles(t *testing.T) {
-	v := Capture(samplePaints(), 3*time.Second, 10)
+	v := sample(3 * time.Second)
 	want := vision.GridW*vision.GridH + 30*10 + 10*5 // skeleton + hero + ad
 	if got := v.ChangedTiles(); got != want {
 		t.Fatalf("ChangedTiles = %d, want %d", got, want)
 	}
 }
 
-// Property: encode/decode roundtrips for arbitrary small paint timelines.
+// Property: encode/decode roundtrips for arbitrary small sequences of
+// frames, each painting one more rectangle over the last.
 func TestPropertyCodecRoundTrip(t *testing.T) {
 	f := func(raw []uint16) bool {
-		paints := make([]browsersim.PaintEvent, 0, len(raw))
-		for i, c := range raw {
-			paints = append(paints, browsersim.PaintEvent{
-				T:     time.Duration(i) * 100 * time.Millisecond,
-				Rect:  vision.Rect{X: int(c) % 40, Y: int(c>>4) % 20, W: 1 + int(c)%8, H: 1 + int(c>>8)%7},
-				Value: vision.Tile(c%97) + 1,
-			})
+		v := &Video{FPS: 10, Frames: []*vision.Frame{vision.NewFrame()}}
+		for _, c := range raw {
+			fr := v.FinalFrame().Clone()
+			fr.Paint(vision.Rect{X: int(c) % 40, Y: int(c>>4) % 20, W: 1 + int(c)%8, H: 1 + int(c>>8)%7}, vision.Tile(c%97)+1)
+			v.Frames = append(v.Frames, fr)
 		}
-		v := Capture(paints, time.Duration(len(raw)+1)*100*time.Millisecond, 10)
 		got, err := Decode(Encode(v))
 		if err != nil || len(got.Frames) != len(v.Frames) {
 			return false
@@ -282,8 +257,8 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 // so does every later call (go test -race checks the memo's publication).
 func TestWebmBytesMemoConcurrent(t *testing.T) {
 	videos := []*Video{
-		Capture(samplePaints(), 3*time.Second, 10),
-		Capture(nil, time.Second, 10),
+		sample(3 * time.Second),
+		static(time.Second),
 		{FPS: 10},
 	}
 	for i, v := range videos {
@@ -324,9 +299,9 @@ func TestValidateMatchesDecode(t *testing.T) {
 // every truncation of one, a frame whose run is zero-length, and the
 // garbage TestDecodeRejectsGarbage refuses.
 func validateSeeds() [][]byte {
-	one := Encode(Capture(samplePaints(), time.Second, 10))
+	one := Encode(sample(time.Second))
 	seeds := [][]byte{
-		Encode(Capture(samplePaints(), 3*time.Second, 10)),
+		Encode(sample(3 * time.Second)),
 		Encode(&Video{FPS: 10}),
 		// One frame, one run of length zero.
 		append([]byte("EYV1"), 10, 1, 1, 7, 0),

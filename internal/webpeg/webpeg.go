@@ -1,12 +1,16 @@
 // Package webpeg is the video-capture tool of §3.1: it loads each page
 // several times under controlled conditions, keeps the load with the
-// median onload time, and renders it into the video participants will
-// judge. Faithfully to the paper it performs an initial primer load so the
-// resolver cache is warm before the first measured trial, uses a fresh
-// browser state for every load, and records a configurable number of
-// seconds beyond onload ("since there is no automatic way for webpeg to
-// know when the page has finished loading — if there were, Eyeorg would be
-// unnecessary!").
+// median onload time, and renders its browsersim paint timeline
+// (Render) into the video participants will judge. Faithfully to the
+// paper it performs an initial primer load so the resolver cache is warm
+// before the first measured trial, uses a fresh browser state for every
+// load, and records a configurable number of seconds beyond onload
+// ("since there is no automatic way for webpeg to know when the page has
+// finished loading — if there were, Eyeorg would be unnecessary!").
+//
+// This is where the simulator meets the platform: what webpeg produces
+// is a video.Video, whose EYV1 encoding the platform accepts without
+// linking any of the browser underneath.
 package webpeg
 
 import (
@@ -21,6 +25,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/parallel"
 	"github.com/eyeorg/eyeorg/internal/rng"
 	"github.com/eyeorg/eyeorg/internal/video"
+	"github.com/eyeorg/eyeorg/internal/vision"
 	"github.com/eyeorg/eyeorg/internal/webpage"
 )
 
@@ -131,14 +136,40 @@ func CaptureSite(page *webpage.Page, cfg Config) (*Capture, error) {
 
 	idx := medianIndex(onloads)
 	sel := results[idx]
-	v := video.Capture(sel.Paints, sel.OnLoad+cfg.RecordAfterOnLoad, cfg.FPS)
 	return &Capture{
 		Page:        page,
 		Selected:    sel,
-		Video:       v,
+		Video:       Render(sel.Paints, sel.OnLoad+cfg.RecordAfterOnLoad, cfg.FPS),
 		OnLoads:     onloads,
 		MedianIndex: idx,
 	}, nil
+}
+
+// Render records a paint timeline as a video of duration d at fps
+// (0 = video.DefaultFPS; d ≤ 0 records one second). Paints after d are
+// dropped — exactly like stopping the screen recorder N seconds after
+// onload.
+func Render(paints []browsersim.PaintEvent, d time.Duration, fps int) *video.Video {
+	if fps <= 0 {
+		fps = video.DefaultFPS
+	}
+	if d <= 0 {
+		d = time.Second
+	}
+	frameDur := time.Second / time.Duration(fps)
+	n := int(d/frameDur) + 1
+	v := &video.Video{FPS: fps, Frames: make([]*vision.Frame, n)}
+	cur := vision.NewFrame()
+	pi := 0
+	for i := 0; i < n; i++ {
+		t := time.Duration(i) * frameDur
+		for pi < len(paints) && paints[pi].T <= t {
+			cur.Paint(paints[pi].Rect, paints[pi].Value)
+			pi++
+		}
+		v.Frames[i] = cur.Clone()
+	}
+	return v
 }
 
 // CaptureCorpus records every page concurrently (cfg.Workers bounds the
