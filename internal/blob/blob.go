@@ -45,6 +45,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"syscall"
 )
 
 // DefaultChunkBytes is the fixed chunk size used when Options.ChunkBytes
@@ -295,16 +296,29 @@ func (s *Store) publish(tmp *os.File, hash string) error {
 		return err
 	}
 	if s.fsync {
-		if err := syncDir(dir); err != nil {
+		if err := durableDir(dir); err != nil {
 			return err
 		}
-		return syncDir(s.dir)
+		return durableDir(s.dir)
 	}
 	return nil
 }
 
-// syncDir fsyncs a directory so a rename into it is durable.
-func syncDir(dir string) error {
+// durableDir fsyncs a directory so a rename into it is durable. A
+// filesystem that cannot fsync a directory at all (ENOTSUP/EINVAL) lacks
+// the guarantee rather than failing a write, as for the journal
+// (internal/store): refusing every upload there would fail a server
+// whose journal runs fine.
+func durableDir(dir string) error {
+	err := syncDir(dir)
+	if errors.Is(err, syscall.ENOTSUP) || errors.Is(err, syscall.EINVAL) {
+		return nil
+	}
+	return err
+}
+
+// syncDir fsyncs a directory. A variable so tests can inject failures.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -316,6 +318,62 @@ func TestFileTierPersistsAcrossReopen(t *testing.T) {
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("%s: ReadAll: %v", pass, err)
 		}
+	}
+}
+
+// injectDirSync makes every directory fsync of a durable Put fail with
+// errno, as a filesystem would, until the test ends.
+func injectDirSync(t *testing.T, errno syscall.Errno) {
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	syncDir = func(dir string) error {
+		return &os.PathError{Op: "sync", Path: dir, Err: errno}
+	}
+}
+
+// TestPutToleratesUnsupportedDirSync: on a filesystem that cannot fsync
+// a directory (EINVAL), a durable Put succeeds, as journal appends do on
+// the same filesystem.
+func TestPutToleratesUnsupportedDirSync(t *testing.T) {
+	injectDirSync(t, syscall.EINVAL)
+	s, err := Open(Options{Dir: t.TempDir(), Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("uploaded where directories cannot be fsynced")
+	ref, created, err := s.PutBytes(payload)
+	if err != nil || !created {
+		t.Fatalf("Put: created=%v err=%v, want a stored blob", created, err)
+	}
+	if got, err := s.ReadAll(ref.Hash); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("ReadAll: %q, %v", got, err)
+	}
+}
+
+// TestPutFailsOnDirSyncError: a directory fsync that fails (EIO) fails
+// the Put, and the store publishes nothing: the blob is not indexed, so
+// no journal record can come to reference it, and a retry stores it.
+func TestPutFailsOnDirSyncError(t *testing.T) {
+	injectDirSync(t, syscall.EIO)
+	s, err := Open(Options{Dir: t.TempDir(), Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("uploaded while the disk fails")
+	if _, _, err := s.PutBytes(payload); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Put: %v, want the EIO", err)
+	}
+	sum := sha256.Sum256(payload)
+	hash := hex.EncodeToString(sum[:])
+	if s.Has(hash) || s.Len() != 0 || s.TotalBytes() != 0 {
+		t.Fatalf("a failed Put published: has=%v len=%d bytes=%d", s.Has(hash), s.Len(), s.TotalBytes())
+	}
+	if _, _, err := s.Open(hash); err != ErrNotFound {
+		t.Fatalf("Open after a failed Put: %v, want ErrNotFound", err)
+	}
+	syncDir = func(string) error { return nil }
+	if _, created, err := s.PutBytes(payload); err != nil || !created {
+		t.Fatalf("retry: created=%v err=%v, want a stored blob", created, err)
 	}
 }
 

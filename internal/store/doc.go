@@ -10,8 +10,8 @@
 // replaying every record past it. Sequence numbers start at 1 and are
 // assigned in append order, which is therefore the replay order.
 // Options.GroupCommit swaps per-record durability for a group-commit
-// pipeline (see group.go): identical bytes on disk, one flush + fsync
-// per window instead of per record.
+// pipeline (see group.go): identical bytes on disk, one flush plus, with
+// Options.Fsync, one fdatasync of the window instead of one per record.
 //
 // On-disk layout inside the data directory:
 //
@@ -19,11 +19,17 @@
 //	snap-<seq, 16 hex>.snap       state snapshots (CRC header + payload)
 //
 // Each segment record is framed as a 4-byte little-endian payload
-// length, a 4-byte CRC32-C of the payload, and the payload itself. A
-// torn append (crash mid-write) leaves an invalid frame at the end of
-// the newest segment; Open truncates it away. An invalid frame in any
-// older segment is real corruption and fails Open. The full frame,
-// window and snapshot formats are specified in docs/PROTOCOLS.md.
+// length, a 4-byte CRC32-C of the payload, and the payload itself; a
+// payload is never empty. A segment is preallocated to SegmentBytes
+// when it is created and written in place, so a window never grows the
+// file and its sync is an fdatasync (sync_linux.go; elsewhere the file
+// grows and the sync is an fsync). Past the last frame the segment
+// reads as zeros, and a zero-length header marks the end of the data.
+// Rotation and Close trim a segment to its data, so only the newest
+// segment of a crashed log ends in zeros or in the invalid frame a torn
+// append leaves; Open trims it. Any tail on an older segment is real
+// corruption and fails Open. The full frame, window and snapshot
+// formats are specified in docs/PROTOCOLS.md.
 //
 // One hook keeps the journal dependency-free while letting the platform
 // observe and extend it: Options.Observer, a CommitObserver, receives

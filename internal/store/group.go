@@ -4,10 +4,11 @@
 // also assigns the sequence number, so sequence order stays append
 // order) and then block in WaitDurable. A single committer goroutine
 // watches for pending frames and, per flush window, performs ONE
-// bufio flush plus — with Options.Fsync — ONE fsync, then acks every
-// sequence the window covered by advancing the durable watermark. The
-// fsync runs outside the log mutex, so the next window's appends buffer
-// concurrently with it; that overlap is where the batching comes from.
+// bufio flush plus — with Options.Fsync — ONE fdatasync of the window,
+// then acks every sequence the window covered by advancing the durable
+// watermark. The sync runs outside the log mutex, so the next window's
+// appends buffer concurrently with it; that overlap is where the
+// batching comes from.
 //
 // Failure is latched exactly like the inline path: a flush or fsync
 // error marks the log failed (memory and disk may disagree) and poisons
@@ -17,7 +18,7 @@ package store
 import "time"
 
 // WaitDurable blocks until the record with the given sequence number is
-// durable per the options — flushed to the OS, and fsynced when
+// durable per the options — flushed to the OS, and synced when
 // Options.Fsync is set. Without group commit every Append established
 // durability inline, so it returns immediately.
 func (l *Log) WaitDurable(seq uint64) error {
@@ -77,8 +78,8 @@ func (l *Log) commitLoop() {
 }
 
 // flushGroup makes everything buffered so far durable with one flush
-// and at most one fsync, reports the window, then acks the covered
-// sequences. The fsync runs after the log mutex is released so appends
+// and at most one data sync, reports the window, then acks the covered
+// sequences. The sync runs after the log mutex is released so appends
 // for the next window proceed during it; rotate coordinates through
 // syncWG before closing the file out from under it.
 func (l *Log) flushGroup() {

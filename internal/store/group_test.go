@@ -55,26 +55,23 @@ func journalBytes(t *testing.T, dir string) []byte {
 	return all
 }
 
-// tearTail writes a deliberately incomplete frame onto the newest
-// segment, simulating the torn write a crash mid-append leaves behind.
+// tearTail writes a strict prefix of a frame at the end of the newest
+// segment's data, simulating the torn write a crash mid-append leaves
+// behind. The payload has no zero byte, so the preallocated zeros past
+// the cut can never complete the frame.
 func tearTail(t *testing.T, dir string, rng *rand.Rand) {
 	t.Helper()
 	segs, err := listFiles(dir, segPrefix, segSuffix)
 	if err != nil || len(segs) == 0 {
 		return
 	}
-	payload := make([]byte, rng.Intn(40))
-	rng.Read(payload)
+	payload := make([]byte, 1+rng.Intn(40))
+	for i := range payload {
+		payload[i] = byte(1 + rng.Intn(255))
+	}
 	frame := appendRecord(nil, payload)
 	cut := 1 + rng.Intn(len(frame)-1) // always a strict prefix
-	f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(frame[:cut]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tearSegment(t, segs[len(segs)-1].path, frame[:cut])
 }
 
 // TestGroupCommitSerialEquivalence is the group-commit safety property:
@@ -114,7 +111,7 @@ func TestGroupCommitSerialEquivalence(t *testing.T) {
 					defer wg.Done()
 					arng := rand.New(rand.NewSource(int64(trial*100 + a)))
 					for i := 0; i < 40; i++ {
-						p := make([]byte, arng.Intn(60))
+						p := make([]byte, 1+arng.Intn(60))
 						arng.Read(p)
 						seq, err := l.AppendAsync(p)
 						if err != nil {
@@ -369,7 +366,10 @@ func TestSyncDirErrorPropagates(t *testing.T) {
 }
 
 // BenchmarkAppend compares durable append modes under concurrency: the
-// per-record fsync path against the group-commit pipeline.
+// per-record sync path against the group-commit pipeline, with 32
+// appenders per CPU and with two closed-loop appenders, which is the
+// shape of the repo benchmark's crowd-durable workload. Run it on the
+// disk being measured: b.TempDir() on tmpfs makes every sync free.
 func BenchmarkAppend(b *testing.B) {
 	payload := bytes.Repeat([]byte("x"), 128)
 	for _, mode := range []struct {
@@ -386,6 +386,7 @@ func BenchmarkAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer l.Close()
+			b.ReportAllocs()
 			b.SetParallelism(32)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -397,4 +398,27 @@ func BenchmarkAppend(b *testing.B) {
 			})
 		})
 	}
+	b.Run("fsync-group-2appenders", func(b *testing.B) {
+		l, err := Open(b.TempDir(), Options{Fsync: true, GroupCommit: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for a := 0; a < 2; a++ {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					if _, err := l.Append(payload); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}((b.N + 1 - a) / 2)
+		}
+		wg.Wait()
+	})
 }

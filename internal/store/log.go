@@ -35,17 +35,21 @@ var (
 
 	errClosed = errors.New("store: log closed")
 	errFailed = errors.New("store: log failed; reopen to recover")
+	errEmpty  = errors.New("store: empty record; a zero-length frame marks the end of a segment's data")
 )
 
 // Options tunes a Log.
 type Options struct {
 	// SegmentBytes is the rotation threshold for WAL segments
-	// (default 8 MiB). A record larger than the threshold still lands
-	// in one segment; rotation happens before the next append.
+	// (default 8 MiB), and what each new segment is preallocated to. A
+	// record larger than the threshold still lands in one segment;
+	// rotation happens before the next append.
 	SegmentBytes int64
-	// Fsync forces an fsync after every append. Off by default:
-	// buffered appends survive a process crash (the OS holds the
-	// bytes), just not a kernel crash or power loss mid-window.
+	// Fsync makes every window durable before it is acked with an
+	// fdatasync of the window: per append without group commit, per
+	// flush window with it. Off by default: buffered appends survive a
+	// process crash (the OS holds the bytes), just not a kernel crash or
+	// power loss mid-window.
 	Fsync bool
 	// KeepSnapshots is how many snapshots to retain (default 2). A
 	// segment is deleted once the oldest retained snapshot covers it,
@@ -55,9 +59,9 @@ type Options struct {
 	// their frame and block on a shared ack instead of flushing (and,
 	// with Fsync, fsyncing) individually, and a committer goroutine
 	// turns everything buffered since the last flush into one write
-	// plus at most one fsync. The committer flushes as soon as it is
+	// plus at most one data sync. The committer flushes as soon as it is
 	// free: batches form from whatever buffers while the previous
-	// window's fsync runs. The on-disk format is unchanged; only when
+	// window's sync runs. The on-disk format is unchanged; only when
 	// durability is established moves.
 	GroupCommit bool
 	// Observer receives every durability window once it is durable and
@@ -77,8 +81,9 @@ type Log struct {
 	mu   sync.Mutex
 	f    *os.File
 	w    *bufio.Writer
-	size int64  // bytes written to the active segment
-	seq  uint64 // last assigned sequence number
+	size int64              // bytes written to the active segment: where the next frame goes
+	seq  uint64             // last assigned sequence number
+	hdr  [recordHeader]byte // appendLocked's frame header: a local would escape per append
 
 	// failed latches after an append error that may have left bytes in
 	// the active segment: the in-memory accounting no longer matches the
@@ -104,14 +109,14 @@ type Log struct {
 
 	// Group commit (Options.GroupCommit): AppendAsync buffers frames
 	// under mu and returns; the committer goroutine turns everything
-	// buffered since the last flush into one write + at most one fsync
+	// buffered since the last flush into one write + at most one sync
 	// and acks the whole window by advancing durable.
 	group  bool
 	kick   chan struct{} // 1-buffered: unflushed appends are pending
 	stopc  chan struct{} // closed to stop the committer
 	done   chan struct{} // closed once the committer has exited
 	stop   sync.Once
-	syncWG sync.WaitGroup // in-flight out-of-lock fsyncs; rotate waits
+	syncWG sync.WaitGroup // in-flight out-of-lock syncs; rotate waits
 
 	ackMu     sync.Mutex
 	ackCond   *sync.Cond
@@ -122,8 +127,8 @@ type Log struct {
 
 // Open opens (creating if needed) the journal in dir, loads the newest
 // valid snapshot, and recovers the segment chain: the newest segment's
-// torn tail, if any, is truncated; corruption anywhere else is an
-// error.
+// zero or torn tail, if any, is truncated and the segment preallocated
+// again; corruption anywhere else is an error.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 8 << 20
@@ -178,7 +183,7 @@ func (l *Log) SnapshotSeq() uint64 {
 
 // Append frames payload into the active segment and returns its
 // sequence number once the record is durable per the options: flushed
-// to the OS (and fsynced when Options.Fsync is set) — inline without
+// to the OS (and synced when Options.Fsync is set) — inline without
 // group commit, or by the committer's next flush window with it.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	seq, err := l.AppendAsync(payload)
@@ -197,7 +202,10 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 // flush, and the caller pairs the sequence with WaitDurable for the
 // ack. Without group commit it is exactly Append.
 func (l *Log) AppendAsync(payload []byte) (uint64, error) {
-	if len(payload) > MaxRecordBytes {
+	switch {
+	case len(payload) == 0:
+		return 0, errEmpty
+	case len(payload) > MaxRecordBytes:
 		return 0, fmt.Errorf("store: record of %d bytes exceeds limit", len(payload))
 	}
 	l.mu.Lock()
@@ -231,9 +239,8 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	var hdr [recordHeader]byte
-	putFrameHeader(hdr[:], payload)
-	if _, err := l.w.Write(hdr[:]); err != nil {
+	putFrameHeader(l.hdr[:], payload)
+	if _, err := l.w.Write(l.hdr[:]); err != nil {
 		l.failed = true
 		return 0, err
 	}
@@ -357,8 +364,8 @@ func (l *Log) WriteSnapshot(data []byte) error {
 }
 
 // Close drains the group committer (pending appends are flushed and
-// acked), then flushes and closes the active segment. Further appends
-// fail.
+// acked), then flushes the active segment, trims its preallocated tail,
+// fsyncs and closes it. Further appends fail.
 func (l *Log) Close() error {
 	if l.group {
 		l.stop.Do(func() { close(l.stopc) })
@@ -378,6 +385,11 @@ func (l *Log) Close() error {
 	}
 	w.FlushStart = time.Now()
 	err := l.w.Flush()
+	if err == nil && !l.failed {
+		// A failed log's size no longer describes the file; Open trims
+		// whatever the failure left.
+		err = l.f.Truncate(l.size)
+	}
 	w.FsyncStart = time.Now()
 	if serr := l.f.Sync(); err == nil {
 		err = serr
@@ -468,12 +480,14 @@ func (l *Log) recover() error {
 			return fmt.Errorf("store: journal gap: %s begins at seq %d, want %d",
 				filepath.Base(sf.path), sf.seq, expect)
 		}
-		count, validSize, torn, err := scanSegment(sf.path, sf.seq, nil)
+		count, validSize, tail, err := scanSegment(sf.path, sf.seq, nil)
 		if err != nil {
 			return err
 		}
 		last := i == len(segs)-1
-		if torn {
+		if tail {
+			// Rotation and Close trim a segment to its data, so only the
+			// newest one may end in zeros or a torn frame.
 			if !last {
 				return fmt.Errorf("store: %s corrupt mid-journal", filepath.Base(sf.path))
 			}
@@ -498,9 +512,18 @@ func (l *Log) recover() error {
 		l.seq = l.snapSeq
 		return l.createSegment(l.seq + 1)
 	}
+	// Appends continue in place at the end of the data, inside a
+	// preallocated tail like a fresh segment's.
 	last := segs[len(segs)-1]
-	f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(last.path, os.O_WRONLY, 0o644)
 	if err != nil {
+		return err
+	}
+	if _, err = f.Seek(l.size, io.SeekStart); err == nil {
+		err = preallocate(f, l.opts.SegmentBytes)
+	}
+	if err != nil {
+		f.Close()
 		return err
 	}
 	l.f, l.w = f, bufio.NewWriter(f)
@@ -513,6 +536,11 @@ func (l *Log) recover() error {
 // of the payload, and the payload bytes. putFrameHeader, appendRecord
 // and decodeRecord are the single encode/decode pair for that layout —
 // the append path, recovery and the fuzz targets all go through them.
+//
+// A frame's payload is never empty. Segments are preallocated, so the
+// bytes past the last frame read as zero, and a zero length is where
+// the written data ends; {len 0, crc 0} is also the encoding of an
+// empty payload, which is why AppendAsync refuses one.
 
 // putFrameHeader fills the recordHeader-byte frame header for payload.
 func putFrameHeader(hdr []byte, payload []byte) {
@@ -530,15 +558,16 @@ func appendRecord(dst, payload []byte) []byte {
 
 // decodeRecord parses the first frame of b. It returns the payload (a
 // subslice of b, not a copy), the frame's total byte length, and whether
-// the frame is valid; an undersized buffer, an implausible length or a
-// checksum mismatch all report ok=false — a torn or corrupt frame.
+// the frame is valid; an undersized buffer, a zero length (the end of
+// the data), an implausible length or a checksum mismatch all report
+// ok=false.
 func decodeRecord(b []byte) (payload []byte, n int, ok bool) {
 	if len(b) < recordHeader {
 		return nil, 0, false
 	}
 	size := binary.LittleEndian.Uint32(b[0:4])
 	sum := binary.LittleEndian.Uint32(b[4:8])
-	if int64(size) > MaxRecordBytes || int64(size) > int64(len(b)-recordHeader) {
+	if size == 0 || int64(size) > MaxRecordBytes || int64(size) > int64(len(b)-recordHeader) {
 		return nil, 0, false
 	}
 	payload = b[recordHeader : recordHeader+int(size)]
@@ -550,9 +579,9 @@ func decodeRecord(b []byte) (payload []byte, n int, ok bool) {
 
 // scanRecords walks the frames in data, calling fn (when non-nil) per
 // valid record. It reports how many valid records the buffer holds, the
-// byte length of the valid prefix, and whether an invalid frame (torn
-// tail) follows it.
-func scanRecords(data []byte, base uint64, fn func(seq uint64, payload []byte) error) (count int, validSize int64, torn bool, err error) {
+// byte length of the valid prefix, and whether bytes follow it: a tail
+// that is zeros (preallocated, never written) or a torn frame.
+func scanRecords(data []byte, base uint64, fn func(seq uint64, payload []byte) error) (count int, validSize int64, tail bool, err error) {
 	for len(data) > 0 {
 		payload, n, ok := decodeRecord(data)
 		if !ok {
@@ -573,9 +602,10 @@ func scanRecords(data []byte, base uint64, fn func(seq uint64, payload []byte) e
 // scanSegment streams one segment's records through fn, one frame in
 // memory at a time (a segment can legally hold a single record of up to
 // MaxRecordBytes past its rotation threshold, so buffering whole
-// segments is not an option). Each frame is validated by the same
-// decodeRecord the fuzz targets and scanRecords exercise.
-func scanSegment(path string, base uint64, fn func(seq uint64, payload []byte) error) (count int, validSize int64, torn bool, err error) {
+// segments is not an option), and reports what scanRecords does. Each
+// frame is validated by the same decodeRecord the fuzz targets and
+// scanRecords exercise.
+func scanSegment(path string, base uint64, fn func(seq uint64, payload []byte) error) (count int, validSize int64, tail bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, false, err
@@ -589,7 +619,8 @@ func scanSegment(path string, base uint64, fn func(seq uint64, payload []byte) e
 			return count, validSize, !errors.Is(err, io.EOF), nil
 		}
 		size := binary.LittleEndian.Uint32(hdr[0:4])
-		if int64(size) > MaxRecordBytes {
+		if size == 0 || int64(size) > MaxRecordBytes {
+			// The end of the written data, or a torn length.
 			return count, validSize, true, nil
 		}
 		frame := make([]byte, recordHeader+int(size))
@@ -613,13 +644,18 @@ func scanSegment(path string, base uint64, fn func(seq uint64, payload []byte) e
 
 // --- segment management ---
 
+// createSegment starts the segment whose first record is base,
+// preallocated to SegmentBytes so windows write inside it.
 func (l *Log) createSegment(base uint64) error {
 	path := filepath.Join(l.dir, fmt.Sprintf("%s%016x%s", segPrefix, base, segSuffix))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err = preallocate(f, l.opts.SegmentBytes); err == nil {
+		err = syncDir(l.dir)
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -628,13 +664,19 @@ func (l *Log) createSegment(base uint64) error {
 	return nil
 }
 
+// rotate trims the active segment to its data and makes that durable
+// before the next segment exists, so only the newest segment can ever
+// end in zeros.
 func (l *Log) rotate() error {
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
-	// An out-of-lock group fsync may still hold the file; closing it
-	// mid-Sync would fail the commit pipeline spuriously.
+	// An out-of-lock group sync may still hold the file; closing it
+	// mid-sync would fail the commit pipeline spuriously.
 	l.syncWG.Wait()
+	if err := l.f.Truncate(l.size); err != nil {
+		return err
+	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}

@@ -110,6 +110,26 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
+// tearSegment writes b where the segment at path would take its next
+// frame — the end of its last valid frame, not the end of the file,
+// which on a crashed, preallocated segment lies past the zeros — as a
+// crash mid-append leaves it.
+func tearSegment(t *testing.T, path string, b []byte) {
+	t.Helper()
+	_, end, _, err := scanSegment(path, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, end); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -117,18 +137,10 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, l, "one", "two")
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: garbage trailing bytes.
-	f, err := os.OpenFile(lastSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x09, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	// Simulate a crash mid-append: the log dies with its segment still
+	// preallocated, and a frame's first bytes follow the last good one.
+	l.crash()
+	tearSegment(t, lastSegment(t, dir), []byte{0x09, 0x00, 0x00, 0x00, 0xde, 0xad})
 
 	l, err = Open(dir, Options{})
 	if err != nil {
@@ -138,7 +150,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if len(payloads) != 2 || payloads[1] != "two" {
 		t.Fatalf("replayed %v, want [one two]", payloads)
 	}
-	// The torn bytes are gone; appends land cleanly after them.
+	// The torn bytes are gone; appends land cleanly where they were.
 	if seq, err := l.Append([]byte("three")); err != nil || seq != 3 {
 		t.Fatalf("append after truncation: seq=%d err=%v", seq, err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // Window is one durability window: the contiguous run of records one
-// flush (and, with Options.Fsync, one fsync) made durable. Without
+// flush (and, with Options.Fsync, one data sync) made durable. Without
 // group commit every append is its own window of one; under group
 // commit a window is whatever the committer's flush covered, and Close
 // seals whatever raced the committer's last drain.
@@ -27,7 +27,8 @@ type Window struct {
 	// records, i.e. what the window added to the segment files.
 	Bytes int64
 	// FlushStart is when the window's buffered write began;
-	// FsyncStart/FsyncEnd bracket its fsync and lie inside the window.
+	// FsyncStart/FsyncEnd bracket its data sync (fdatasync on Linux)
+	// and lie inside the window.
 	// Without Options.Fsync the bracket is empty (FsyncStart ==
 	// FsyncEnd == the flush's completion), so flush/fsync/ack splits
 	// still partition a waiter's durability wait.
@@ -68,7 +69,7 @@ func (l *Log) sealLocked(w *Window) {
 	l.sealed, l.pendBytes, l.pendRecs = l.seq, 0, nil
 }
 
-// syncWindow stamps w's fsync bracket, fsyncing f in between when
+// syncWindow stamps w's fsync bracket, syncing f's data in between when
 // Options.Fsync asks for it.
 func (l *Log) syncWindow(w *Window, f *os.File) error {
 	w.FsyncStart = time.Now()
@@ -76,10 +77,16 @@ func (l *Log) syncWindow(w *Window, f *os.File) error {
 	if !l.opts.Fsync {
 		return nil
 	}
-	err := f.Sync()
+	err := syncData(f)
 	w.FsyncEnd = time.Now()
 	return err
 }
+
+// syncData makes a window durable: fdatasync on Linux, where segments
+// are preallocated and a window does not change the file size, fsync
+// elsewhere (sync_*.go). A variable so tests can kill the log between
+// a window's write and its sync.
+var syncData = datasync
 
 // report hands one durable window to the observer, if any. Every path
 // that seals a window calls it once, before acking the window.
