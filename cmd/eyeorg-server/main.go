@@ -41,8 +41,9 @@
 //
 // Video payloads live in a content-addressed blob store (deduplicated
 // by SHA-256, served with strong ETags, 304s and Range requests). With
-// -data-dir they persist as blob files fronted by an LRU byte cache
-// sized by -video-cache; without it they are held in memory.
+// -data-dir they persist as blob files, each served from a read-only
+// mapping of its file, so the kernel's page cache is the video cache;
+// without it they are held in memory.
 //
 // Observability: -trace-sample and/or -trace-slow enable end-to-end
 // ingest tracing — every request is stamped through the explicit stage
@@ -87,7 +88,6 @@ import (
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/adaptive"
-	"github.com/eyeorg/eyeorg/internal/blob"
 	"github.com/eyeorg/eyeorg/internal/cluster"
 	"github.com/eyeorg/eyeorg/internal/platform"
 )
@@ -116,7 +116,6 @@ func newFlags() (*flag.FlagSet, *config) {
 	fs.Float64Var(&o.WorkerRate, "worker-rate", 0, "per-session request rate cap in req/s on session endpoints; excess gets 429 (0 = unlimited)")
 	fs.IntVar(&o.WorkerBurst, "worker-burst", 0, "per-session token-bucket burst (0 = 2x rate)")
 	fs.Int64Var(&o.MaxBodyBytes, "max-body", 0, fmt.Sprintf("JSON ingest body cap in bytes; oversize gets 413 (0 = %d MiB)", platform.DefaultMaxBodyBytes>>20))
-	fs.Int64Var(&o.VideoCacheBytes, "video-cache", 0, fmt.Sprintf("video byte-cache capacity in bytes, with -data-dir (0 = %d MiB, <0 = disabled)", blob.DefaultCacheBytes>>20))
 	fs.Float64Var(&o.TraceSample, "trace-sample", 0, "fraction of requests retained as stage-attributed traces on /debug/traces (0 = tracing off unless -trace-slow)")
 	fs.DurationVar(&o.TraceSlow, "trace-slow", 0, "always retain and log requests at least this slow (0 = off)")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "separate listener for /debug/pprof, /debug/vars and /debug/traces (empty = off; must differ from -addr)")

@@ -16,22 +16,29 @@
 //     chunk size — the configuration for benchmarks and ephemeral
 //     servers, where the hit path returns the stored slice with zero
 //     copies and zero allocations;
-//   - the file tier (Dir set) persists each blob as one contiguous
-//     file, fronted by one byte cache of CacheBytes that evicts by SIEVE.
-//     Blobs no larger than one chunk are cache-candidates; every read
-//     of one bumps its decayed read count, and a miss is read into the
-//     cache only into free room or when it has been read more often
-//     than the entry it would evict, so the most watched videos stay
-//     resident. Every other read — a miss the cache does not keep, or a
-//     blob larger than a chunk — serves straight from its *os.File,
-//     which http.ServeContent turns into sendfile on a real socket: no
-//     heap copy, no garbage.
+//   - the file tier (Dir set) persists each blob as one contiguous file
+//     and serves it from a read-only shared mapping of that file, made
+//     on the blob's first read (or Prewarm) and kept for the life of the
+//     process. The kernel's page cache is the only copy in RAM: a read
+//     returns the mapping as one slice, with zero copies and zero
+//     allocations, exactly as the memory tier returns a chunk. Where a
+//     blob cannot be mapped — a platform without mmap, a mapping error,
+//     or more mappings than maxMaps — the read falls back to the blob's
+//     *os.File, which http.ServeContent turns into sendfile on a real
+//     socket.
+//
+// A mapping is never unmapped, because a handler may still be writing
+// its bytes. That is sound because a file-tier blob is immutable: its
+// file is renamed into place whole and never rewritten, and Discard
+// refuses a blob that has been mapped. A blob file truncated under a
+// live server turns a read of its mapping into SIGBUS.
 //
 // The store is crash-safe by construction: a blob becomes visible only
 // after a temp-file rename (fsynced when Options.Fsync is set), so a
-// journal record referencing a hash can always be replayed. Telemetry
-// (puts, cache hits/misses/evictions, resident bytes) flows through the
-// dependency-free Telemetry hooks, as internal/store's observer does.
+// journal record referencing a hash can always be replayed, and Open
+// removes the temp files of uploads a crash interrupted. Telemetry
+// (puts, mapped reads and file opens) flows through the dependency-free
+// Telemetry hooks, as internal/store's observer does.
 package blob
 
 import (
@@ -50,13 +57,23 @@ import (
 
 // DefaultChunkBytes is the fixed chunk size used when Options.ChunkBytes
 // is zero: large enough that every realistic video payload is a
-// single-chunk (cacheable) blob, small enough that a multi-gigabyte
-// upload never forces a contiguous allocation on the memory tier.
+// single-chunk blob on the memory tier, small enough that a
+// multi-gigabyte upload never forces a contiguous allocation there.
 const DefaultChunkBytes = 1 << 20
 
-// DefaultCacheBytes is the file-tier byte-cache capacity used when
-// Options.CacheBytes is zero.
-const DefaultCacheBytes = 64 << 20
+// maxMaps bounds the blob mappings a process makes. Each is one entry
+// of the process's memory map, and Linux refuses an mmap past
+// vm.max_map_count (65,530 by default) — the Go runtime's own next one
+// included, which is fatal. Blobs read after the bound is reached are
+// served from their files.
+const maxMaps = 16 << 10
+
+// maps counts the mappings every store in the process has made (or is
+// making) against maxMaps.
+var maps atomic.Int64
+
+// tempPattern names Put's temp files in the blob root.
+const tempPattern = "put-*.tmp"
 
 // ErrNotFound reports a hash the store has never seen.
 var ErrNotFound = errors.New("blob: not found")
@@ -66,12 +83,14 @@ type Options struct {
 	// Dir selects the file tier: blobs persist under Dir/ab/<hash> and
 	// survive restarts. Empty selects the in-memory tier.
 	Dir string
-	// ChunkBytes is the fixed ingest chunk size and the byte cache's
-	// admission bound (0 = DefaultChunkBytes).
+	// ChunkBytes is Put's read size and the memory tier's chunk size
+	// (0 = DefaultChunkBytes).
 	ChunkBytes int
-	// CacheBytes caps the file tier's byte cache (0 =
-	// DefaultCacheBytes, negative = cache disabled). Ignored on the
-	// memory tier, which needs no cache.
+	// CacheBytes is ignored.
+	//
+	// Deprecated: the file tier keeps no byte cache; the kernel's page
+	// cache holds what it serves. The field remains only because the
+	// bench module sets it.
 	CacheBytes int64
 	// Fsync makes Put durable before it returns: the blob file and its
 	// directory are fsynced ahead of the rename that publishes it.
@@ -92,9 +111,9 @@ type blobMeta struct {
 	// chunks holds the blob's fixed-size chunks on the memory tier, each
 	// exactly as long as its content (nil on the file tier).
 	chunks [][]byte
-	// reads counts the file tier's reads of the blob, decayed by
-	// access: what byte-cache admission ranks blobs by.
-	reads atomic.Uint32
+	// mapped is the file-tier blob's read-only mapping, published once
+	// by mapBlob and never unmapped (nil until the blob is mapped).
+	mapped atomic.Pointer[[]byte]
 }
 
 // Store is a content-addressed blob store. All methods are safe for
@@ -104,8 +123,6 @@ type Store struct {
 	chunk int
 	fsync bool
 	sink  Telemetry
-	cache *cache       // nil on the memory tier or when disabled
-	reads atomic.Int64 // cache-eligible reads since the counts last halved
 
 	// lookahead recycles Put's chunk-sized read buffers (*[]byte).
 	lookahead sync.Pool
@@ -116,7 +133,8 @@ type Store struct {
 }
 
 // Open returns a store over the configured tier. With a Dir it scans
-// the directory and re-indexes every previously stored blob.
+// the directory, re-indexes every previously stored blob and removes
+// the temp files of uploads a crash interrupted.
 func Open(opts Options) (*Store, error) {
 	s := &Store{
 		dir:   opts.Dir,
@@ -138,13 +156,6 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, err
 	}
-	cap := opts.CacheBytes
-	if cap == 0 {
-		cap = DefaultCacheBytes
-	}
-	if cap > 0 {
-		s.cache = newCache(cap, int64(s.chunk), s.sink)
-	}
 	if err := s.scan(); err != nil {
 		return nil, fmt.Errorf("blob: scanning %s: %w", s.dir, err)
 	}
@@ -152,13 +163,22 @@ func Open(opts Options) (*Store, error) {
 }
 
 // scan re-indexes the blob directory after a restart. File names are
-// the content hashes; sizes come from the directory entries.
+// the content hashes; sizes come from the directory entries. A temp
+// file in the root is an upload the process did not live to publish:
+// nothing can reference it, so it is removed. Anything else scan does
+// not recognise is left alone.
 func (s *Store) scan() error {
 	prefixes, err := os.ReadDir(s.dir)
 	if err != nil {
 		return err
 	}
 	for _, p := range prefixes {
+		if torn, _ := filepath.Match(tempPattern, p.Name()); torn && p.Type().IsRegular() {
+			if err := os.Remove(filepath.Join(s.dir, p.Name())); err != nil {
+				return err
+			}
+			continue
+		}
 		if !p.IsDir() || len(p.Name()) != 2 {
 			continue
 		}
@@ -169,7 +189,7 @@ func (s *Store) scan() error {
 		for _, e := range entries {
 			hash := e.Name()
 			if len(hash) != sha256.Size*2 || hash[:2] != p.Name() {
-				continue // stray temp file or foreign debris
+				continue // foreign debris
 			}
 			info, err := e.Info()
 			if err != nil {
@@ -204,7 +224,7 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 		size   int64
 	)
 	if s.dir != "" {
-		f, err := os.CreateTemp(s.dir, "put-*.tmp")
+		f, err := os.CreateTemp(s.dir, tempPattern)
 		if err != nil {
 			return Ref{}, false, err
 		}
@@ -340,34 +360,36 @@ func (s *Store) PutBytes(b []byte) (Ref, bool, error) {
 // failures (an upload that fails validation, or one that tripped the
 // size cap): any concurrent Put of the same bytes fails the same checks,
 // so removing the blob cannot orphan a reference.
+//
+// Such a blob was never registered as a video, so nothing has served it
+// and it has no mapping: Put and ReadAll, the only reads an upload
+// makes, never map. A mapped blob reaching Discard is a bug — a handler
+// may be writing the mapping — and panics.
 func (s *Store) Discard(hash string) {
 	s.mu.Lock()
 	meta, ok := s.blobs[hash]
-	if ok {
+	mapped := ok && meta.mapped.Load() != nil
+	if ok && !mapped {
 		delete(s.blobs, hash)
 		s.bytes -= meta.size
 	}
 	s.mu.Unlock()
-	if !ok {
-		return
-	}
-	if s.cache != nil {
-		s.cache.remove(hash)
-	}
-	if s.dir != "" {
+	switch {
+	case mapped:
+		panic("blob: Discard of mapped blob " + hash)
+	case ok && s.dir != "":
 		os.Remove(s.path(hash))
 	}
 }
 
 // Has reports whether the store holds hash.
 func (s *Store) Has(hash string) bool {
-	meta, _ := s.lookup(hash)
-	return meta != nil
+	return s.lookup(hash) != nil
 }
 
 // Size returns a blob's exact byte size.
 func (s *Store) Size(hash string) (int64, bool) {
-	if meta, _ := s.lookup(hash); meta != nil {
+	if meta := s.lookup(hash); meta != nil {
 		return meta.size, true
 	}
 	return 0, false
@@ -390,39 +412,51 @@ func (s *Store) TotalBytes() int64 {
 	return b
 }
 
-// CacheStats reports the byte cache's current entry count and resident
-// bytes (zeros on tiers without a cache).
-func (s *Store) CacheStats() (entries int, bytes int64) {
-	if s.cache == nil {
-		return 0, 0
+// Mapped reports how many file-tier blobs are served from a mapping and
+// their total size: the page-cache bytes the process has mapped.
+func (s *Store) Mapped() (blobs int, bytes int64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, meta := range s.blobs {
+		if meta.mapped.Load() != nil {
+			blobs++
+			bytes += meta.size
+		}
 	}
-	return s.cache.stats()
+	return blobs, bytes
 }
 
 // Bytes is the allocation-free hit path: it returns the blob's contents
 // as one contiguous slice when they are already resident — a
-// single-chunk blob on the memory tier, or a byte-cache hit on the
-// file tier — and reports false otherwise. It counts a hit but not a
-// miss, and reads nothing: a server falls back through Serve, which
-// counts the read once. The returned slice is the store's own and must
-// not be modified.
+// single-chunk blob on the memory tier, or a mapped blob on the file
+// tier — and reports false otherwise. It counts a hit but not a miss,
+// and maps nothing: a server falls back through Serve, which counts the
+// read once. The returned slice is the store's own and must not be
+// modified.
 func (s *Store) Bytes(hash string) ([]byte, bool) {
-	meta, _ := s.lookup(hash)
-	switch {
-	case meta == nil:
-		return nil, false
-	case len(meta.chunks) == 1:
+	if meta := s.lookup(hash); meta != nil {
+		return s.resident(meta)
+	}
+	return nil, false
+}
+
+// resident returns a blob's contents when they are one slice in memory,
+// counting a file-tier read of its mapping as a hit.
+func (s *Store) resident(meta *blobMeta) ([]byte, bool) {
+	if len(meta.chunks) == 1 {
 		return meta.chunks[0], true
-	case meta.chunks == nil && s.cache != nil:
-		return s.cache.get(hash)
+	}
+	if m := meta.mapped.Load(); m != nil {
+		s.sinkHit(len(*m))
+		return *m, true
 	}
 	return nil, false
 }
 
 // Serve is Bytes with Open as its fallback, in one lookup: it returns the
 // blob's resident bytes as b, or else a reader over its content as rc
-// (exactly one is set when err is nil). A cache-eligible read counts
-// once, as a hit or a miss.
+// (exactly one is set when err is nil). A file-tier read counts once, as
+// a hit or a miss.
 func (s *Store) Serve(hash string) (b []byte, rc io.ReadSeekCloser, err error) {
 	b, rc, _, err = s.serve(hash)
 	return b, rc, err
@@ -431,12 +465,11 @@ func (s *Store) Serve(hash string) (b []byte, rc io.ReadSeekCloser, err error) {
 // Open returns the blob's content as an io.ReadSeekCloser sized for
 // http.ServeContent:
 //
-//   - resident bytes (memory tier, cache hits) serve from RAM;
-//   - a file-tier miss the byte cache admits is read once, kept, and
-//     served from the read;
-//   - every other file-tier read returns the *os.File itself, which
-//     http.ServeContent drives with sendfile for a full body and with
-//     Seek for a Range.
+//   - resident bytes (memory tier, mapped file-tier blobs) serve from
+//     RAM, a file-tier blob's first read mapping it;
+//   - a file-tier blob that cannot be mapped returns its *os.File,
+//     which http.ServeContent drives with sendfile for a full body and
+//     with Seek for a Range.
 func (s *Store) Open(hash string) (io.ReadSeekCloser, int64, error) {
 	b, rc, size, err := s.serve(hash)
 	if err == nil && rc == nil {
@@ -446,100 +479,96 @@ func (s *Store) Open(hash string) (io.ReadSeekCloser, int64, error) {
 }
 
 func (s *Store) serve(hash string) ([]byte, io.ReadSeekCloser, int64, error) {
-	meta, stored := s.lookup(hash)
-	switch {
-	case meta == nil:
+	meta := s.lookup(hash)
+	if meta == nil {
 		return nil, nil, 0, ErrNotFound
-	case len(meta.chunks) == 1:
-		return meta.chunks[0], nil, meta.size, nil
-	case meta.chunks != nil:
-		return nil, &chunkReader{chunks: meta.chunks, chunk: int64(s.chunk), size: meta.size}, meta.size, nil
-	case s.cache != nil && meta.size <= int64(s.chunk):
-		b, hit, admit := s.access(hash, meta, stored)
-		if hit {
-			return b, nil, meta.size, nil
-		}
-		if admit {
-			b, err := os.ReadFile(s.path(hash))
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			s.cache.put(hash, meta, b)
-			return b, nil, meta.size, nil
-		}
 	}
+	if b, ok := s.resident(meta); ok {
+		return b, nil, meta.size, nil
+	}
+	if meta.chunks != nil {
+		return nil, &chunkReader{chunks: meta.chunks, chunk: int64(s.chunk), size: meta.size}, meta.size, nil
+	}
+	s.sinkMiss()
 	f, err := os.Open(s.path(hash))
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	if b, ok := mapBlob(meta, f); ok {
+		f.Close()
+		return b, nil, meta.size, nil
+	}
 	return nil, f, meta.size, nil
 }
 
-// access is one read of a cache-eligible blob: it bumps the blob's read
-// count, looks the byte cache up once and counts the hit or the miss,
-// and on a miss reports whether admission keeps the blob.
-func (s *Store) access(hash string, meta *blobMeta, stored int) (b []byte, hit, admit bool) {
-	reads := meta.reads.Add(1)
-	if n := s.reads.Add(1); n >= 10*int64(stored) && s.reads.CompareAndSwap(n, 0) {
-		// TinyLFU's reset: after ten reads per stored blob every count
-		// halves, so popularity that has passed fades.
-		s.mu.RLock()
-		for _, m := range s.blobs {
-			m.reads.Store(m.reads.Load() / 2)
-		}
-		s.mu.RUnlock()
+// mapBlob maps f, the file of the blob meta indexes, and publishes the
+// mapping. Racing first reads each map the file; the first to publish
+// wins and the others unmap their own. It reports false, leaving the
+// blob to be served from f, when the process has made maxMaps mappings
+// or the mapping fails.
+func mapBlob(meta *blobMeta, f *os.File) ([]byte, bool) {
+	if maps.Add(1) > maxMaps {
+		maps.Add(-1)
+		return nil, false
 	}
-	if b, ok := s.cache.get(hash); ok {
-		return b, true, false
+	b, err := mapFile(f, meta.size)
+	if err != nil {
+		maps.Add(-1)
+		return nil, false
 	}
-	s.cache.sinkMiss()
-	return nil, false, s.cache.admits(hash, meta.size, reads)
+	if !meta.mapped.CompareAndSwap(nil, &b) {
+		unmapFile(b)
+		maps.Add(-1)
+		return *meta.mapped.Load(), true
+	}
+	return b, true
 }
 
-// lookup returns hash's index entry (nil if unknown) and the number of
-// blobs stored.
-func (s *Store) lookup(hash string) (*blobMeta, int) {
+// lookup returns hash's index entry, nil if unknown.
+func (s *Store) lookup(hash string) *blobMeta {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.blobs[hash], len(s.blobs)
+	return s.blobs[hash]
 }
 
 // ReadAll materializes the whole blob as one contiguous slice. The
 // ingest path uses it transiently for validation; it is not the serving
-// path. The result may alias store-owned memory and must not be
-// modified.
+// path, counts nothing and maps nothing. The result may alias
+// store-owned memory and must not be modified.
 func (s *Store) ReadAll(hash string) ([]byte, error) {
-	if b, ok := s.Bytes(hash); ok {
-		return b, nil
-	}
-	meta, _ := s.lookup(hash)
-	if meta == nil {
+	meta := s.lookup(hash)
+	switch {
+	case meta == nil:
 		return nil, ErrNotFound
-	}
-	if meta.chunks != nil {
+	case len(meta.chunks) == 1:
+		return meta.chunks[0], nil
+	case meta.chunks != nil:
 		out := make([]byte, 0, meta.size)
 		for _, c := range meta.chunks {
 			out = append(out, c...)
 		}
 		return out, nil
 	}
+	if m := meta.mapped.Load(); m != nil {
+		return *m, nil
+	}
 	return os.ReadFile(s.path(hash))
 }
 
-// Prewarm reads a cache-eligible blob into the byte cache while it has
-// free room — the hook campaign seeding uses so the first participants
-// already hit RAM. It never evicts: a blob that does not fit is not
-// even read, and waits for admission like any other. A no-op on the
-// memory tier (always resident) and for blobs past the admission bound.
+// Prewarm maps a file-tier blob ahead of its first read — the hook
+// campaign seeding uses so the first participant is already served from
+// the mapping. It reads no bytes and counts nothing. A no-op on the
+// memory tier (always resident), for a blob already mapped, and where
+// the blob cannot be mapped.
 func (s *Store) Prewarm(hash string) {
-	if s.cache == nil {
+	meta := s.lookup(hash)
+	if meta == nil || meta.chunks != nil || meta.mapped.Load() != nil {
 		return
 	}
-	meta, _ := s.lookup(hash)
-	if meta == nil || !s.cache.admits(hash, meta.size, 0) {
+	f, err := os.Open(s.path(hash))
+	if err != nil {
 		return
 	}
-	if b, err := os.ReadFile(s.path(hash)); err == nil {
-		s.cache.put(hash, meta, b)
-	}
+	mapBlob(meta, f)
+	f.Close()
 }

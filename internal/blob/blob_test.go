@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -26,7 +27,7 @@ func tiers(t *testing.T, chunk int) map[string]*Store {
 		t.Fatalf("mem tier: %v", err)
 	}
 	out["mem"] = mem
-	file, err := Open(Options{Dir: t.TempDir(), ChunkBytes: chunk, CacheBytes: 1 << 20})
+	file, err := Open(Options{Dir: t.TempDir(), ChunkBytes: chunk})
 	if err != nil {
 		t.Fatalf("file tier: %v", err)
 	}
@@ -153,11 +154,10 @@ func TestBytesFastPath(t *testing.T) {
 		rm, _, _ := s.Put(bytes.NewReader(multi))
 		b, ok := s.Bytes(rs.Hash)
 		if name == "file" {
-			// Cold cache: Bytes misses and reads nothing; the first Open
-			// reads the blob into the cache's free room, after which
-			// Bytes hits.
+			// Unmapped: Bytes misses and maps nothing; the first Open maps
+			// the blob, after which Bytes hits.
 			if ok {
-				t.Fatalf("file: cold Bytes unexpectedly hit")
+				t.Fatalf("file: Bytes hit before the blob was mapped")
 			}
 			rc, _, err := s.Open(rs.Hash)
 			if err != nil {
@@ -169,9 +169,17 @@ func TestBytesFastPath(t *testing.T) {
 		if !ok || !bytes.Equal(b, single) {
 			t.Fatalf("%s: Bytes fast path failed (ok=%v)", name, ok)
 		}
-		// Multi-chunk blobs never serve via Bytes.
-		if _, ok := s.Bytes(rm.Hash); ok {
-			t.Fatalf("%s: multi-chunk blob served via Bytes", name)
+		// A multi-chunk blob never serves via Bytes on the memory tier; the
+		// file tier maps a blob whole, whatever its size.
+		if name == "file" {
+			rc, _, err := s.Open(rm.Hash)
+			if err != nil {
+				t.Fatalf("file: Open: %v", err)
+			}
+			rc.Close()
+		}
+		if b, ok := s.Bytes(rm.Hash); ok != (name == "file") || ok && !bytes.Equal(b, multi) {
+			t.Fatalf("%s: multi-chunk blob via Bytes: ok=%v", name, ok)
 		}
 		if _, ok := s.Bytes("deadbeef"); ok {
 			t.Fatalf("%s: unknown hash served via Bytes", name)
@@ -377,7 +385,10 @@ func TestPutFailsOnDirSyncError(t *testing.T) {
 	}
 }
 
-func TestScanIgnoresTempDebris(t *testing.T) {
+// TestScanRemovesTempDebris: a crash mid-Put leaves its temp file in the
+// blob root, up to an upload's full size; Open removes it. A file scan
+// does not recognise in a prefix directory is not the store's, and stays.
+func TestScanRemovesTempDebris(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, ChunkBytes: 64})
 	if err != nil {
@@ -387,15 +398,25 @@ func TestScanIgnoresTempDebris(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-Put: stray temp file plus junk in a prefix dir.
-	os.WriteFile(filepath.Join(dir, "put-123.tmp"), []byte("torn"), 0o644)
-	os.WriteFile(filepath.Join(dir, ref.Hash[:2], "put-456.tmp"), []byte("torn"), 0o644)
+	torn := filepath.Join(dir, "put-123.tmp")
+	foreign := filepath.Join(dir, ref.Hash[:2], "put-456.tmp")
+	for _, p := range []string{torn, foreign} {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s2, err := Open(Options{Dir: dir, ChunkBytes: 64})
 	if err != nil {
 		t.Fatalf("reopen with debris: %v", err)
 	}
 	if s2.Len() != 1 || !s2.Has(ref.Hash) {
 		t.Fatalf("reopen indexed %d blobs, want just the real one", s2.Len())
+	}
+	if _, err := os.Stat(torn); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("crashed upload's temp file after reopen: %v, want it removed", err)
+	}
+	if _, err := os.Stat(foreign); err != nil {
+		t.Fatalf("foreign file in a prefix directory: %v, want it left alone", err)
 	}
 }
 
@@ -462,8 +483,9 @@ func TestConcurrentPutAndRead(t *testing.T) {
 }
 
 func TestFileTierServesOsFile(t *testing.T) {
-	// Multi-chunk file-tier blobs must hand back the *os.File itself so
-	// net/http can drive sendfile.
+	// A file-tier blob that cannot be mapped hands back the *os.File
+	// itself so net/http can drive sendfile.
+	failMaps(t)
 	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -478,12 +500,18 @@ func TestFileTierServesOsFile(t *testing.T) {
 	}
 	defer rc.Close()
 	if _, ok := rc.(*os.File); !ok {
-		t.Fatalf("multi-chunk file-tier Open returned %T, want *os.File", rc)
+		t.Fatalf("unmappable file-tier Open returned %T, want *os.File", rc)
+	}
+	if _, ok := s.Bytes(ref.Hash); ok {
+		t.Fatal("an unmappable blob reads as resident")
 	}
 }
 
+// TestPrewarm: Prewarm maps a blob without reading or counting it, so
+// the first read already hits; prewarming a mapped blob opens nothing.
 func TestPrewarm(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1 << 16, CacheBytes: 1 << 20})
+	sink := &countSink{}
+	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1 << 16, Metrics: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,55 +520,29 @@ func TestPrewarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := s.Bytes(ref.Hash); ok {
-		t.Fatal("cold blob unexpectedly resident")
+		t.Fatal("unread blob unexpectedly resident")
 	}
 	s.Prewarm(ref.Hash)
+	if sink.hits != 0 || sink.misses != 0 {
+		t.Fatalf("Prewarm counted %d hits and %d misses, want none", sink.hits, sink.misses)
+	}
 	if _, ok := s.Bytes(ref.Hash); !ok {
 		t.Fatal("Prewarm did not make the blob resident")
 	}
-	entries, bytes_ := s.CacheStats()
-	if entries != 1 || bytes_ != ref.Size {
-		t.Fatalf("CacheStats = %d entries %d bytes, want 1/%d", entries, bytes_, ref.Size)
+	if blobs, n := s.Mapped(); blobs != 1 || n != ref.Size {
+		t.Fatalf("Mapped = %d blobs %d bytes, want 1/%d", blobs, n, ref.Size)
 	}
-}
-
-// TestPrewarmFillsFreeRoomOnly: prewarming more blobs than fit keeps the
-// first ones, evicts nothing, and reads no file once the cache is full.
-func TestPrewarmFillsFreeRoomOnly(t *testing.T) {
-	sink := &countSink{}
-	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1 << 10, CacheBytes: 3 << 10, Metrics: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refs []Ref
-	for i := 0; i < 5; i++ {
-		ref, _, err := s.PutBytes(bytes.Repeat([]byte{byte('a' + i)}, 1<<10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs = append(refs, ref)
-		s.Prewarm(ref.Hash)
-	}
-	for i, ref := range refs {
-		if _, ok := s.Bytes(ref.Hash); ok != (i < 3) {
-			t.Fatalf("blob %d resident = %v after prewarm, want %v", i, ok, i < 3)
-		}
-	}
-	if sink.evictEntries != 0 {
-		t.Fatalf("prewarm evicted %d entries", sink.evictEntries)
-	}
-	// A file read allocates its buffer; a refused prewarm allocates nothing.
-	if allocs := testing.AllocsPerRun(10, func() { s.Prewarm(refs[4].Hash) }); allocs != 0 {
-		t.Fatalf("prewarm past capacity allocated %.0f times: it read the file", allocs)
+	// Opening the file allocates; prewarming a mapped blob allocates nothing.
+	if allocs := testing.AllocsPerRun(10, func() { s.Prewarm(ref.Hash) }); allocs != 0 {
+		t.Fatalf("prewarming a mapped blob allocated %.0f times: it opened the file", allocs)
 	}
 }
 
 // countSink records sink callbacks for telemetry assertions.
 type countSink struct {
-	mu                             sync.Mutex
-	puts, hits, misses             int
-	evictEntries                   int
-	putBytes, hitBytes, evictBytes int64
+	mu                 sync.Mutex
+	puts, hits, misses int
+	putBytes, hitBytes int64
 }
 
 func (c *countSink) BlobPut(b int64) {
@@ -549,27 +551,21 @@ func (c *countSink) BlobPut(b int64) {
 	c.putBytes += b
 	c.mu.Unlock()
 }
-func (c *countSink) CacheHit(b int) {
+func (c *countSink) MapHit(b int) {
 	c.mu.Lock()
 	c.hits++
 	c.hitBytes += int64(b)
 	c.mu.Unlock()
 }
-func (c *countSink) CacheMiss() {
+func (c *countSink) MapMiss() {
 	c.mu.Lock()
 	c.misses++
-	c.mu.Unlock()
-}
-func (c *countSink) CacheEvict(n int, b int64) {
-	c.mu.Lock()
-	c.evictEntries += n
-	c.evictBytes += b
 	c.mu.Unlock()
 }
 
 func TestSinkTelemetry(t *testing.T) {
 	sink := &countSink{}
-	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1 << 10, CacheBytes: 1 << 20, Metrics: sink})
+	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1 << 10, Metrics: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,8 +588,8 @@ func TestSinkTelemetry(t *testing.T) {
 	if sink.puts != 1 || sink.putBytes != ref.Size {
 		t.Fatalf("puts = %d/%d bytes, want 1/%d", sink.puts, sink.putBytes, ref.Size)
 	}
-	// Open #1 misses and, the cache having room, keeps the blob; #2 and
-	// #3 hit. Each read counts once.
+	// Open #1 misses and maps the blob; #2 and #3 hit the mapping. Each
+	// read counts once.
 	if sink.misses != 1 || sink.hits != 2 || sink.hitBytes != 2*ref.Size {
 		t.Fatalf("hits=%d (%d bytes) misses=%d, want 2 (%d bytes) and 1", sink.hits, sink.hitBytes, sink.misses, 2*ref.Size)
 	}

@@ -29,7 +29,7 @@ func FuzzBlobPut(f *testing.F) {
 			t.Fatal(err)
 		}
 		stores["mem"] = mem
-		file, err := Open(Options{Dir: t.TempDir(), ChunkBytes: chunk, CacheBytes: 1 << 20})
+		file, err := Open(Options{Dir: t.TempDir(), ChunkBytes: chunk})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +54,8 @@ func FuzzBlobPut(f *testing.F) {
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Fatalf("%s: ReadAll mismatch: err=%v", name, err)
 			}
-			// Open twice: second read on the file tier may come from the
-			// byte cache; both must match.
+			// Open twice: the first read on the file tier maps the blob
+			// and the second is served from the mapping; both must match.
 			for i := 0; i < 2; i++ {
 				rc, size, err := s.Open(ref.Hash)
 				if err != nil {

@@ -6,21 +6,20 @@ package blob
 // system they run (internal/platform wires them into
 // internal/telemetry) — so the storage subsystem stays dependency-free.
 //
-// Hooks fire on the ingest and cache paths, after any lock is released;
-// implementations must be cheap, non-blocking and safe for concurrent
-// use. A nil Options.Metrics disables all of them.
+// Hooks fire on the ingest and file-tier read paths, after any lock is
+// released; implementations must be cheap, non-blocking and safe for
+// concurrent use. A nil Options.Metrics disables all of them.
 type Telemetry interface {
 	// BlobPut fires once per newly stored blob with its size in bytes.
 	// Deduplicated uploads (content already stored) do not fire.
 	BlobPut(bytes int64)
-	// CacheHit fires when the byte cache serves a blob, with its size.
-	CacheHit(bytes int)
-	// CacheMiss fires once per cache-eligible read (Serve or Open) that
-	// finds no entry, whether or not admission then keeps the blob.
-	CacheMiss()
-	// CacheEvict fires when an admitted blob displaces resident entries,
-	// with the count and byte total evicted to make room for it.
-	CacheEvict(entries int, bytes int64)
+	// MapHit fires when a file-tier read (Bytes, Serve or Open) is
+	// served from the blob's existing mapping, with its size.
+	MapHit(bytes int)
+	// MapMiss fires once per file-tier read (Serve or Open) that opens
+	// the blob's file: to map it, or to serve from the file when it
+	// cannot be mapped.
+	MapMiss()
 }
 
 // sinkPut reports one stored blob to the sink, if any.
@@ -30,23 +29,16 @@ func (s *Store) sinkPut(bytes int64) {
 	}
 }
 
-// sinkHit reports one cache hit to the sink, if any.
-func (c *cache) sinkHit(bytes int) {
-	if c.sink != nil {
-		c.sink.CacheHit(bytes)
+// sinkHit reports one read served from a mapping to the sink, if any.
+func (s *Store) sinkHit(bytes int) {
+	if s.sink != nil {
+		s.sink.MapHit(bytes)
 	}
 }
 
-// sinkMiss reports one cache miss to the sink, if any.
-func (c *cache) sinkMiss() {
-	if c.sink != nil {
-		c.sink.CacheMiss()
-	}
-}
-
-// sinkEvict reports one eviction batch to the sink, if any.
-func (c *cache) sinkEvict(entries int, bytes int64) {
-	if c.sink != nil && entries > 0 {
-		c.sink.CacheEvict(entries, bytes)
+// sinkMiss reports one read that opened a blob file to the sink, if any.
+func (s *Store) sinkMiss() {
+	if s.sink != nil {
+		s.sink.MapMiss()
 	}
 }

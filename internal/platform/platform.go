@@ -84,10 +84,11 @@ type Options struct {
 	// join, events, responses, flags); oversize bodies get 413.
 	// 0 = DefaultMaxBodyBytes. Video uploads keep their own 64 MiB cap.
 	MaxBodyBytes int64
-	// VideoCacheBytes caps the byte cache in front of the video blob
-	// files a DataDir server keeps (0 = blob.DefaultCacheBytes, negative
-	// = disabled). Without a DataDir videos are held in memory and this
-	// field is ignored.
+	// VideoCacheBytes is ignored.
+	//
+	// Deprecated: a DataDir server serves its video blob files from
+	// read-only mappings, so the kernel's page cache is the only video
+	// cache. The field remains only because the bench module sets it.
 	VideoCacheBytes int64
 	// TraceSample enables request tracing and sets the fraction of
 	// requests (0..1) retained in the trace ring served by GET
@@ -450,9 +451,8 @@ func Open(opts Options) (*Server, error) {
 		s.metrics.registerStageMetrics()
 	}
 	bopts := blob.Options{
-		CacheBytes: opts.VideoCacheBytes,
-		Fsync:      opts.Fsync,
-		Metrics:    newBlobSink(s.metrics.reg),
+		Fsync:   opts.Fsync,
+		Metrics: newBlobSink(s.metrics.reg),
 	}
 	if opts.DataDir != "" {
 		bopts.Dir = filepath.Join(opts.DataDir, "blobs")
@@ -1100,8 +1100,9 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 			fmt.Sprintf("video exceeds the %d MiB upload cap", maxVideoBytes>>20), time.Second)
 		return
 	}
-	// A one-chunk video on the memory tier is read through the Bytes fast
-	// path, no copy, and Validate walks it without building a frame.
+	// A one-chunk video on the memory tier is read in place, no copy; on
+	// the file tier the file is read into a transient buffer, never
+	// mapped. Validate walks it without building a frame.
 	data, err := s.blobs.ReadAll(ref.Hash)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
@@ -1124,8 +1125,10 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	// Campaign seeding prewarms the byte cache: the first participant to
-	// fetch this video already hits RAM instead of the disk tier.
+	// Campaign seeding maps the blob file: the first participant to fetch
+	// this video is served from the mapping like every later one. Only
+	// now, once the video is registered — a rejected upload is discarded
+	// above and must never have been mapped.
 	s.blobs.Prewarm(ref.Hash)
 	writeJSON(w, http.StatusCreated, AddVideoResponse{ID: id})
 }
@@ -1307,7 +1310,8 @@ func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	// One blob lookup, counted once as a byte-cache hit or miss.
+	// One blob lookup; a file-tier read counts once, as a mapped hit or a
+	// miss that opened the file.
 	b, rc, err := s.blobs.Serve(v.Hash)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
@@ -1315,8 +1319,8 @@ func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
 	}
 	if rc == nil {
 		if r.Header.Get("Range") == "" {
-			// Full-body fast path: resident bytes (memory tier, or a
-			// byte-cache hit on the file tier) go straight out, no seeker.
+			// Full-body fast path: resident bytes (memory tier, or a mapped
+			// file-tier blob) go straight out, no seeker.
 			h["Content-Length"] = v.lengthValue
 			w.WriteHeader(http.StatusOK)
 			_, _ = w.Write(b)
@@ -1327,7 +1331,7 @@ func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
 	}
 	defer rc.Close()
 	// ServeContent answers Range/206/416 and If-Range; a file-tier blob
-	// the cache does not hold arrives as the *os.File itself, so on a
+	// that could not be mapped arrives as the *os.File itself, so on a
 	// real socket a full body is kernel-side sendfile.
 	http.ServeContent(w, r, "", time.Time{}, rc)
 }

@@ -167,41 +167,31 @@ func (o *journalObserver) WindowDurable(w store.Window) {
 // registry, the same shape as journalObserver: the blob subsystem stays
 // dependency-free and the platform owns the metric names.
 type blobSink struct {
-	puts         *telemetry.Counter
-	putBytes     *telemetry.Counter
-	hits         *telemetry.Counter
-	hitBytes     *telemetry.Counter
-	misses       *telemetry.Counter
-	evictions    *telemetry.Counter
-	evictedBytes *telemetry.Counter
+	puts     *telemetry.Counter
+	putBytes *telemetry.Counter
+	hits     *telemetry.Counter
+	hitBytes *telemetry.Counter
+	misses   *telemetry.Counter
 }
 
 func newBlobSink(reg *telemetry.Registry) *blobSink {
 	reg.Help("eyeorg_blob_puts_total", "Video blobs stored (deduplicated uploads excluded).")
 	reg.Help("eyeorg_blob_put_bytes_total", "Bytes of video blobs stored.")
-	reg.Help("eyeorg_blobcache_hits_total", "Video byte-cache hits.")
-	reg.Help("eyeorg_blobcache_hit_bytes_total", "Bytes served from the video byte cache.")
-	reg.Help("eyeorg_blobcache_misses_total", "Video byte-cache misses, one per video read the cache did not hold.")
-	reg.Help("eyeorg_blobcache_evictions_total", "Entries evicted from the video byte cache.")
-	reg.Help("eyeorg_blobcache_evicted_bytes_total", "Bytes evicted from the video byte cache.")
+	reg.Help("eyeorg_blobcache_hits_total", "Video file reads served from the blob's existing read-only mapping.")
+	reg.Help("eyeorg_blobcache_hit_bytes_total", "Bytes of video file reads served from an existing mapping.")
+	reg.Help("eyeorg_blobcache_misses_total", "Video file reads that opened the blob file, to map it or to serve from the file.")
 	return &blobSink{
-		puts:         reg.Counter("eyeorg_blob_puts_total", ""),
-		putBytes:     reg.Counter("eyeorg_blob_put_bytes_total", ""),
-		hits:         reg.Counter("eyeorg_blobcache_hits_total", ""),
-		hitBytes:     reg.Counter("eyeorg_blobcache_hit_bytes_total", ""),
-		misses:       reg.Counter("eyeorg_blobcache_misses_total", ""),
-		evictions:    reg.Counter("eyeorg_blobcache_evictions_total", ""),
-		evictedBytes: reg.Counter("eyeorg_blobcache_evicted_bytes_total", ""),
+		puts:     reg.Counter("eyeorg_blob_puts_total", ""),
+		putBytes: reg.Counter("eyeorg_blob_put_bytes_total", ""),
+		hits:     reg.Counter("eyeorg_blobcache_hits_total", ""),
+		hitBytes: reg.Counter("eyeorg_blobcache_hit_bytes_total", ""),
+		misses:   reg.Counter("eyeorg_blobcache_misses_total", ""),
 	}
 }
 
 func (b *blobSink) BlobPut(n int64) { b.puts.Inc(); b.putBytes.Add(uint64(n)) }
-func (b *blobSink) CacheHit(n int)  { b.hits.Inc(); b.hitBytes.Add(uint64(n)) }
-func (b *blobSink) CacheMiss()      { b.misses.Inc() }
-func (b *blobSink) CacheEvict(entries int, bytes int64) {
-	b.evictions.Add(uint64(entries))
-	b.evictedBytes.Add(uint64(bytes))
-}
+func (b *blobSink) MapHit(n int)    { b.hits.Inc(); b.hitBytes.Add(uint64(n)) }
+func (b *blobSink) MapMiss()        { b.misses.Inc() }
 
 // registerStateGauges exposes live platform state as scrape-time
 // gauges. The callbacks walk the sharded indexes under per-shard read
@@ -243,14 +233,14 @@ func (s *Server) registerStateGauges() {
 	reg.GaugeFunc("eyeorg_blob_bytes", "", func() float64 { return float64(s.blobs.TotalBytes()) })
 	reg.Help("eyeorg_blobs", "Content-addressed video blobs stored.")
 	reg.GaugeFunc("eyeorg_blobs", "", func() float64 { return float64(s.blobs.Len()) })
-	reg.Help("eyeorg_blobcache_entries", "Entries resident in the video byte cache.")
-	reg.GaugeFunc("eyeorg_blobcache_entries", "", func() float64 {
-		entries, _ := s.blobs.CacheStats()
-		return float64(entries)
+	reg.Help("eyeorg_blobcache_mapped_blobs", "Video blob files served from a read-only mapping.")
+	reg.GaugeFunc("eyeorg_blobcache_mapped_blobs", "", func() float64 {
+		blobs, _ := s.blobs.Mapped()
+		return float64(blobs)
 	})
-	reg.Help("eyeorg_blobcache_resident_bytes", "Bytes resident in the video byte cache.")
-	reg.GaugeFunc("eyeorg_blobcache_resident_bytes", "", func() float64 {
-		_, bytes := s.blobs.CacheStats()
+	reg.Help("eyeorg_blobcache_mapped_bytes", "Bytes of video blob files mapped: page cache the process shares, not heap.")
+	reg.GaugeFunc("eyeorg_blobcache_mapped_bytes", "", func() float64 {
+		_, bytes := s.blobs.Mapped()
 		return float64(bytes)
 	})
 	// The Go runtime's own accounting, read at scrape time: what the

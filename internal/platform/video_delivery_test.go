@@ -1,6 +1,6 @@
 // Read-path tests for content-addressed video delivery: Range and
 // conditional semantics, the upload size cap, cross-tier persistence,
-// the allocation-free cache-hit gate, and a -race hammer over
+// the allocation-free resident-bytes gate, and a -race hammer over
 // concurrent GET/flag/add on one hash.
 package platform
 
@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
@@ -241,7 +242,8 @@ func TestVideoDedupSharesOneBlob(t *testing.T) {
 // TestVideoCacheHitPathAllocFree is the acceptance gate: resolving a
 // video ID and reading its resident bytes — the whole per-request video
 // work beyond what net/http itself does — allocates nothing, on the
-// memory tier and on a byte-cache hit of the file tier.
+// memory tier and from the file tier's mapping (made when the video was
+// uploaded).
 func TestVideoCacheHitPathAllocFree(t *testing.T) {
 	for tier, opts := range map[string]Options{"mem": {}, "file": {DataDir: t.TempDir()}} {
 		srv, err := Open(opts)
@@ -269,8 +271,10 @@ func TestVideoCacheHitPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestVideoGetCountedOnce: every full-body GET of a cold byte cache is
-// one lookup, counted once as a hit or a miss.
+// TestVideoGetCountedOnce: every full-body GET of a file-tier video is
+// one lookup, counted once as a hit or a miss. A reopened server has
+// mapped nothing, so the first GET is the one miss: it opens the file
+// and maps it, and every later GET hits the mapping.
 func TestVideoGetCountedOnce(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := Open(Options{DataDir: dir})
@@ -281,7 +285,6 @@ func TestVideoGetCountedOnce(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopened, the cache starts empty: the first GET misses.
 	re, err := Open(Options{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -297,8 +300,51 @@ func TestVideoGetCountedOnce(t *testing.T) {
 	body := scrape(t, c)
 	hits, _ := strconv.Atoi(metricValue(t, body, "eyeorg_blobcache_hits_total"))
 	misses, _ := strconv.Atoi(metricValue(t, body, "eyeorg_blobcache_misses_total"))
-	if misses < 1 || hits+misses != k {
-		t.Fatalf("%d GETs counted %d hits and %d misses", k, hits, misses)
+	if misses != 1 || hits != k-1 {
+		t.Fatalf("%d GETs counted %d hits and %d misses, want %d and 1", k, hits, misses, k-1)
+	}
+	if mapped := metricValue(t, body, "eyeorg_blobcache_mapped_blobs"); mapped != "1" {
+		t.Fatalf("eyeorg_blobcache_mapped_blobs = %s after serving one video, want 1", mapped)
+	}
+}
+
+// TestRejectedUploadLeavesNoMapping: uploads refused with 413 (over the
+// cap) or 422 (not EYV1) on a file-tier server are discarded without
+// ever being mapped — Discard would panic on a mapping — and leave
+// neither a blob nor a file behind; only the registered video is mapped.
+func TestRejectedUploadLeavesNoMapping(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := newClientFor(t, srv)
+	id, _ := setupCampaign(c, "timeline", 1)
+	for _, tc := range []struct {
+		body   io.Reader
+		status int
+	}{
+		{io.LimitReader(zeroReader{}, maxVideoBytes+1), http.StatusRequestEntityTooLarge},
+		{bytes.NewReader([]byte("not a video")), http.StatusUnprocessableEntity},
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/campaigns/"+id+"/videos", tc.body))
+		if rec.Code != tc.status {
+			t.Fatalf("upload: %d, want %d", rec.Code, tc.status)
+		}
+	}
+	want := int64(len(sampleVideoBytes()))
+	if blobs, n := srv.blobs.Mapped(); blobs != 1 || n != want {
+		t.Fatalf("mapped %d blobs of %d bytes, want just the registered video's %d", blobs, n, want)
+	}
+	if n := srv.blobs.Len(); n != 1 {
+		t.Fatalf("blob store holds %d blobs after two rejections, want 1", n)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "blobs", "*", "*"))
+	temps, _ := filepath.Glob(filepath.Join(dir, "blobs", "put-*"))
+	if len(files) != 1 || len(temps) != 0 {
+		t.Fatalf("blob files on disk: %v and temp files %v, want the registered video's alone", files, temps)
 	}
 }
 
