@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -17,6 +19,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
 	"github.com/eyeorg/eyeorg/internal/webpeg"
+	"github.com/eyeorg/eyeorg/internal/wire"
 )
 
 // cc drives an http.Handler in-process (no listener).
@@ -25,6 +28,9 @@ type cc struct {
 	h http.Handler
 }
 
+// wireBatch is a request body cc sends as an EYB1 batch.
+type wireBatch []byte
+
 func (c *cc) do(method, path string, body any, out any) (int, http.Header) {
 	c.t.Helper()
 	var buf bytes.Buffer
@@ -32,12 +38,17 @@ func (c *cc) do(method, path string, body any, out any) (int, http.Header) {
 	case nil:
 	case []byte:
 		buf.Write(b)
+	case wireBatch:
+		buf.Write(b)
 	default:
 		if err := json.NewEncoder(&buf).Encode(b); err != nil {
 			c.t.Fatal(err)
 		}
 	}
 	req := httptest.NewRequest(method, path, &buf)
+	if _, ok := body.(wireBatch); ok {
+		req.Header.Set("Content-Type", wire.ContentType)
+	}
 	rec := httptest.NewRecorder()
 	c.h.ServeHTTP(rec, req)
 	if out != nil {
@@ -52,6 +63,29 @@ func (c *cc) body(method, path string) (int, []byte) {
 	rec := httptest.NewRecorder()
 	c.h.ServeHTTP(rec, req)
 	return rec.Code, rec.Body.Bytes()
+}
+
+// viaListener is a handler that sends each request on to the server
+// listening at base, over a real connection, and copies back its reply:
+// cc's helpers drive a listener through it.
+func viaListener(t *testing.T, base string) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, err := http.NewRequest(r.Method, base+r.URL.RequestURI(), r.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header, req.ContentLength = r.Header.Clone(), r.ContentLength
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		maps.Copy(w.Header(), resp.Header)
+		w.WriteHeader(resp.StatusCode)
+		if _, err := io.Copy(w, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func sampleVideoBytes() []byte {
@@ -137,17 +171,43 @@ func joinVia(t *testing.T, rc *cc, campaign, worker string) platform.JoinRespons
 // handler; every POST must ack.
 func completeVia(rc *cc, jr platform.JoinResponse) error {
 	for _, tt := range jr.Tests {
-		if code, _ := rc.do("POST", "/api/v1/sessions/"+jr.Session+"/events", platform.EventBatch{
-			VideoID: tt.VideoID, LoadMs: 900, TimeOnVideoMs: 21_000,
-			Seeks: 10, Plays: 1, WatchedFraction: 0.9,
-		}, nil); code >= 300 {
+		if code, _ := rc.do("POST", "/api/v1/sessions/"+jr.Session+"/events", engagement(tt), nil); code >= 300 {
 			return fmt.Errorf("events for %s: %d", jr.Session, code)
 		}
-		if code, _ := rc.do("POST", "/api/v1/sessions/"+jr.Session+"/responses", platform.ResponseBody{
-			TestID: tt.TestID, SliderMs: 1600, HelperMs: 1400, SubmittedMs: 1500, KeptOriginal: true,
-		}, nil); code >= 300 {
-			return fmt.Errorf("response for %s: %d", jr.Session, code)
+		if err := answer(rc, jr.Session, tt); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// completeWire answers a session's full assignment like completeVia,
+// but sends all its engagement first, as one EYB1 batch.
+func completeWire(rc *cc, jr platform.JoinResponse) error {
+	var recs []wire.Record
+	for _, tt := range jr.Tests {
+		recs = platform.AppendWireRecords(recs, engagement(tt))
+	}
+	if code, _ := rc.do("POST", "/api/v1/sessions/"+jr.Session+"/events", wireBatch(wire.AppendBatch(nil, recs)), nil); code != http.StatusAccepted {
+		return fmt.Errorf("EYB1 batch for %s: %d", jr.Session, code)
+	}
+	for _, tt := range jr.Tests {
+		if err := answer(rc, jr.Session, tt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func engagement(tt platform.AssignedTest) platform.EventBatch {
+	return platform.EventBatch{VideoID: tt.VideoID, LoadMs: 900, TimeOnVideoMs: 21_000, Seeks: 10, Plays: 1, WatchedFraction: 0.9}
+}
+
+func answer(rc *cc, session string, tt platform.AssignedTest) error {
+	if code, _ := rc.do("POST", "/api/v1/sessions/"+session+"/responses", platform.ResponseBody{
+		TestID: tt.TestID, SliderMs: 1600, HelperMs: 1400, SubmittedMs: 1500, KeptOriginal: true,
+	}, nil); code >= 300 {
+		return fmt.Errorf("response for %s: %d", session, code)
 	}
 	return nil
 }
@@ -168,24 +228,36 @@ func analyticsSessions(t *testing.T, rc *cc, campaign string) map[string]platfor
 	return out
 }
 
+// TestClusterLifecycle: fsynced nodes behind the router, driven over a
+// real listener. Campaigns are created until every node owns one, and
+// one session on each node's campaign completes through the router —
+// one of them sending its events as an EYB1 batch.
 func TestClusterLifecycle(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	rc := &cc{t: t, h: c.Handler()}
-	seen := map[string]bool{}
-	// Spread campaigns until at least two nodes own one.
-	var campaigns []string
-	for i := 0; i < 24 && len(seen) < 2; i++ {
+	c := newTestCluster(t, Config{Node: platform.Options{Fsync: true}})
+	ts := httptest.NewServer(c.Handler())
+	t.Cleanup(ts.Close)
+	rc := &cc{t: t, h: viaListener(t, ts.URL)}
+	// One campaign per owner; the ring spreads router-minted IDs well
+	// enough that all three nodes own one long before the cap.
+	byOwner := map[string]string{}
+	for i := 0; i < 24 && len(byOwner) < 3; i++ {
 		id, owner := createCampaign(t, c, rc)
-		campaigns = append(campaigns, id)
-		seen[owner] = true
+		if _, ok := byOwner[owner]; !ok {
+			byOwner[owner] = id
+		}
 	}
-	if len(seen) < 2 {
-		t.Fatalf("24 campaigns landed on one node — ring not partitioning")
+	if len(byOwner) < 3 {
+		t.Fatalf("24 campaigns landed on only %d of 3 nodes — ring not partitioning", len(byOwner))
 	}
-	for _, id := range campaigns[:2] {
+	for _, owner := range []string{"a", "b", "c"} {
+		id := byOwner[owner]
 		addVideos(t, rc, id, 2)
 		jr := joinVia(t, rc, id, "w-"+id)
-		if err := completeVia(rc, jr); err != nil {
+		complete := completeVia
+		if owner == "b" {
+			complete = completeWire
+		}
+		if err := complete(rc, jr); err != nil {
 			t.Fatal(err)
 		}
 		got := analyticsSessions(t, rc, id)

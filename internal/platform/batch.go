@@ -44,8 +44,8 @@ func isWireBatch(r *http.Request) bool {
 // batch sets InstructionMs, an engagement record when it names a
 // video. It is the JSON apply path's own conversion (applyEvents), so a
 // batch ingested over either protocol lands identical durations.
-// Shared with cmd/loadgen's binary client mode and the differential
-// suite.
+// Clients that send EYB1 batches, such as the repository benchmark's
+// driver and the differential suite, build their records with it.
 func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
 	if b.InstructionMs > 0 {
 		dst = append(dst, wire.Record{

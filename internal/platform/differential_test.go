@@ -465,3 +465,81 @@ func TestDifferentialCrashReplayMidBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestDurabilityModeEquivalence: durability tuning may move when bytes
+// reach disk, never what the platform computes. The same randomized
+// session scripts — sent per event as JSON, or per flush unit as EYB1
+// batches — must give byte-identical /results and /analytics in every
+// {fsync} × {group commit} mode, and each mode's server, reopened over
+// its data directory, must serve the same bytes again.
+func TestDurabilityModeEquivalence(t *testing.T) {
+	modes := []struct {
+		name   string
+		binary bool
+		opts   Options
+	}{
+		{"wal", false, Options{}},
+		{"wal-group", false, Options{GroupCommit: true}},
+		{"fsync-record", false, Options{Fsync: true}},
+		{"fsync-group", false, Options{Fsync: true, GroupCommit: true}},
+		// The wire protocol changes how events travel and land in the
+		// journal (one batch record per flush unit), never what the
+		// platform computes.
+		{"wal-binary", true, Options{}},
+		{"fsync-group-binary", true, Options{Fsync: true, GroupCommit: true}},
+	}
+	for _, kind := range []string{"timeline", "ab"} {
+		t.Run(kind, func(t *testing.T) {
+			var wantRes, wantAna []byte
+			for _, m := range modes {
+				dir := t.TempDir()
+				srv, c := openPersisted(t, dir, m.opts)
+				campaign, _ := setupCampaign(c, kind, 3)
+				d := &diffDriver{base: c.srv.URL, client: &http.Client{}, binary: m.binary}
+				r := rand.New(rand.NewSource(7))
+				for i := 0; i < 8; i++ {
+					worker := fmt.Sprintf("%s-mode-%d", kind, i)
+					jr, err := d.join(campaign, worker)
+					if err != nil {
+						t.Fatalf("%s: %v", m.name, err)
+					}
+					sc := buildScript(r, kind, worker, jr)
+					if err := d.runScript(jr.Session, &sc); err != nil {
+						t.Fatalf("%s: %v", m.name, err)
+					}
+				}
+				res, ana := rawResults(t, c, campaign), rawAnalytics(t, c, campaign)
+				c.srv.Close()
+				if err := srv.Close(); err != nil {
+					t.Fatalf("%s: close: %v", m.name, err)
+				}
+
+				srv2, c2 := openPersisted(t, dir, m.opts)
+				if got := rawResults(t, c2, campaign); !bytes.Equal(got, res) {
+					t.Errorf("%s: reopen changed /results:\n before: %s\n after:  %s", m.name, res, got)
+				}
+				if got := rawAnalytics(t, c2, campaign); !bytes.Equal(got, ana) {
+					t.Errorf("%s: reopen changed /analytics:\n before: %s\n after:  %s", m.name, ana, got)
+				}
+				if err := srv2.Close(); err != nil {
+					t.Fatalf("%s: close after reopen: %v", m.name, err)
+				}
+
+				if wantRes == nil {
+					var parsed ResultsResponse
+					if err := json.Unmarshal(res, &parsed); err != nil || parsed.Participants == 0 {
+						t.Fatalf("%s: no completed session to compare (%v): %s", m.name, err, res)
+					}
+					wantRes, wantAna = res, ana
+					continue
+				}
+				if !bytes.Equal(res, wantRes) {
+					t.Errorf("%s: /results diverges from %s:\n %s\n %s", m.name, modes[0].name, res, wantRes)
+				}
+				if !bytes.Equal(ana, wantAna) {
+					t.Errorf("%s: /analytics diverges from %s", m.name, modes[0].name)
+				}
+			}
+		})
+	}
+}

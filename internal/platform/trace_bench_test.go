@@ -8,9 +8,9 @@ import (
 )
 
 // benchIngest drives the events endpoint straight into the handler —
-// the mem-mode ingest hot path the loadgen bench's tracing twin
-// measures — so `go test -bench Ingest` isolates the per-request cost
-// of stage stamping without the load generator around it.
+// the mem-mode ingest hot path — so `go test -bench Ingest` isolates
+// the per-request cost of stage stamping without a load generator
+// around it.
 func benchIngest(b *testing.B, opts Options) {
 	srv, err := Open(opts)
 	if err != nil {

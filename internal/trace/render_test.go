@@ -97,8 +97,7 @@ func TestRenderTextGolden(t *testing.T) {
 }
 
 // TestRenderJSONRoundTrip proves the JSON shape decodes back to the
-// exact records — the contract loadgen's stage-breakdown table and the
-// /debug/traces consumers rely on.
+// exact records — the contract /debug/traces consumers rely on.
 func TestRenderJSONRoundTrip(t *testing.T) {
 	recs := fixedRecords()
 	var buf bytes.Buffer

@@ -19,8 +19,7 @@
 //
 // Sampling is deterministic: the decision for the n-th request is a
 // pure function of the tracer's seed and n, so a fixed seed replays
-// the same capture schedule (loadgen relies on this for reproducible
-// bench traces).
+// the same capture schedule.
 package trace
 
 import (
