@@ -237,7 +237,7 @@ type Cluster = cluster.Cluster
 
 // ClusterConfig describes an in-process cluster: node IDs, data
 // directory, router mode, and Node, the PlatformOptions every node's
-// server is opened from (DataDir, IDTag and Replicate are set per node).
+// server is opened from (DataDir and IDTag are set per node).
 type ClusterConfig = cluster.Config
 
 // NewCluster brings up an in-process cluster: one durable platform

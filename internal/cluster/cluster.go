@@ -26,24 +26,19 @@ type Config struct {
 	RouterMode string
 	// Node is the template every member's server is opened from
 	// (durability mode, snapshot cadence, adaptive stopping, ...).
-	// DataDir, IDTag and Replicate are set per node and ignored here.
+	// DataDir and IDTag are set per node and ignored here.
 	Node platform.Options
 }
 
 // Cluster is a set of platform nodes partitioned by campaign plus the
 // router in front of them. It owns the handoff choreography; the nodes
-// and router only mechanize fencing, tail capture, and routing.
+// and router only mechanize fencing and routing.
 type Cluster struct {
 	cfg    Config
 	router *Router
 
 	mu    sync.Mutex
 	nodes map[string]*Node
-
-	// handoffMu serializes campaign migrations: each handoff uses the
-	// source node's single capture buffer, and interleaving two would
-	// tangle their tails.
-	handoffMu sync.Mutex
 }
 
 // New brings up the cluster: one durable platform server per node and
@@ -79,35 +74,25 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// newNode builds one member: the Node shell first (it is the server's
-// Replicate observer, so it must exist before Open), then the durable
-// server reporting its windows to it.
+// newNode builds one member: a durable server under <Dir>/<id> behind
+// the ownership middleware, resolving peers through the cluster.
 func (c *Cluster) newNode(id string) (*Node, error) {
-	n := &Node{
-		ID:   id,
-		Base: "http://node-" + id,
-		directory: func(nodeID string) (string, bool) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			t, ok := c.nodes[nodeID]
-			if !ok {
-				return "", false
-			}
-			return t.Base, true
-		},
-	}
 	opts := c.cfg.Node
 	opts.DataDir = filepath.Join(c.cfg.Dir, id)
 	opts.IDTag = id + "."
-	opts.Replicate = n
 	srv, err := platform.Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	n.srv = srv
-	n.api = srv.Handler()
-	n.registerMetrics()
-	return n, nil
+	return NewStandaloneNode(id, "http://node-"+id, srv, func(nodeID string) (string, bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		t, ok := c.nodes[nodeID]
+		if !ok {
+			return "", false
+		}
+		return t.Base, true
+	}), nil
 }
 
 // Router returns the cluster's router.
@@ -124,20 +109,14 @@ func (c *Cluster) Node(id string) *Node {
 	return c.nodes[id]
 }
 
-// MoveCampaign migrates one campaign between nodes: snapshot-ship plus
-// journal-tail catch-up.
+// MoveCampaign migrates one campaign between nodes:
 //
-//	capture on ──> export @ cut ──> fence (opHandoff) ──> barrier
-//	    └── tail = captured records after cut, this campaign only
-//	import(state, tail) on target ──> router override
+//	Handoff on source (export + fence, one cut) ──> ImportCampaign on target ──> router override
 //
-// Capture starts before the cut is read (no record journaled between
-// cut and fence can be missed) and the barrier waits until the fence is
-// durable — and therefore reported to the capture — so the tail is
-// complete.
+// Handoff holds the source's world lock across the export and the
+// fence, so every mutation acked before the fence is in the export and
+// every later one is refused; there is no tail to catch up.
 func (c *Cluster) MoveCampaign(campaign, from, to string) error {
-	c.handoffMu.Lock()
-	defer c.handoffMu.Unlock()
 	c.mu.Lock()
 	src, dst := c.nodes[from], c.nodes[to]
 	c.mu.Unlock()
@@ -147,25 +126,11 @@ func (c *Cluster) MoveCampaign(campaign, from, to string) error {
 	if dst == nil {
 		return fmt.Errorf("cluster: no target node %s", to)
 	}
-	src.startCapture()
-	defer src.stopCapture()
-	state, cut, err := src.srv.ExportCampaign(campaign)
+	state, err := src.srv.Handoff(campaign, to)
 	if err != nil {
-		return fmt.Errorf("cluster: export %s from %s: %w", campaign, from, err)
+		return fmt.Errorf("cluster: hand off %s from %s: %w", campaign, from, err)
 	}
-	if err := src.srv.Handoff(campaign, to); err != nil {
-		return fmt.Errorf("cluster: fence %s on %s: %w", campaign, from, err)
-	}
-	if err := src.srv.Barrier(); err != nil {
-		return fmt.Errorf("cluster: barrier on %s: %w", from, err)
-	}
-	var tail [][]byte
-	for _, rec := range src.capturedSince(cut) {
-		if owner, ok := src.srv.CampaignOfRecord(rec); ok && owner == campaign {
-			tail = append(tail, rec)
-		}
-	}
-	if err := dst.srv.ImportCampaign(state, tail); err != nil {
+	if err := dst.srv.ImportCampaign(state); err != nil {
 		return fmt.Errorf("cluster: import %s into %s: %w", campaign, to, err)
 	}
 	c.router.Override(campaign, to)

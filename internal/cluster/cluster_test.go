@@ -356,10 +356,10 @@ func TestMisroutedAfterHandoff(t *testing.T) {
 
 // TestMoveCampaignMidFlight is the chaos test: concurrent sessions
 // stream through the router while campaigns move between nodes under
-// them, so the handoff tail carries real traffic. Every session whose
-// final judgment was acked at the router — before, during or after a
-// move — must afterwards be present and completed on exactly one
-// owner.
+// them, so every handoff's cut falls inside real traffic. Every session
+// whose final judgment was acked at the router — before, during or
+// after a move — must afterwards be present and completed on exactly
+// one owner.
 func TestMoveCampaignMidFlight(t *testing.T) {
 	c := newTestCluster(t, Config{Node: platform.Options{Fsync: true, GroupCommit: true}})
 	rc := &cc{t: t, h: c.Handler()}

@@ -12,15 +12,13 @@
 // ownership middleware that answers 307 for campaigns it has handed
 // off.
 //
-// Campaign migration (Cluster.MoveCampaign) is snapshot-ship plus
-// journal-tail catch-up: export the campaign at a journal cut, fence
-// it with a journaled handoff record (the old owner then answers 307,
-// never double-applies), and import state + tail atomically on the new
-// owner. The tail is what the source journaled between cut and fence:
-// the node is its server's commit observer (platform.Options.Replicate,
-// under the store.Window contract: every record is reported after it is
-// durable and strictly before its mutation acknowledges) and keeps the
-// records while a handoff is in flight.
+// Campaign migration (Cluster.MoveCampaign) is platform.Server.Handoff
+// on the old owner, then ImportCampaign on the new one. Handoff exports
+// the campaign and fences it with a journaled handoff record under one
+// exclusive lock, so the fence is the cut: a mutation acked before it is
+// in the export, and every later one is refused (the old owner answers
+// 307, never double-applies). The new owner installs the export
+// atomically; there is no journal tail to catch up.
 //
 // What the tier does not do: replicate. A node's campaigns live in its
 // own data directory and nowhere else; while the node is down they are
@@ -30,8 +28,9 @@
 // that survives the machine needs a network transport on the same
 // commit observer — see ROADMAP.md. The deployed binaries
 // (eyeorg-router over eyeorg-server -node-id) run NewRemoteRouter over
-// NewStandaloneNode: ring, routing and fencing, with MoveCampaign a
-// library call no binary exposes yet.
+// NewStandaloneNode: ring, routing and fencing. A campaign moves between
+// them with the same Handoff + ImportCampaign pair, which no binary
+// exposes yet.
 //
 // See docs/ARCHITECTURE.md for the protocol narrative and
 // docs/PROTOCOLS.md for the message formats.

@@ -6,23 +6,14 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 
 	"github.com/eyeorg/eyeorg/internal/platform"
-	"github.com/eyeorg/eyeorg/internal/store"
 )
 
 // Node is one cluster member: a durable platform server and the
 // ownership middleware that fences handed-off campaigns with 307s
-// before requests reach the platform.
-//
-// An in-process Node is also its server's platform.Options.Replicate
-// observer: the journal hands it every durability window, payloads
-// included, under the store.Window contract — after the window is
-// durable and strictly before the covered mutations ack — and while a
-// handoff is in flight the node keeps those records as the catch-up
-// tail. Nothing is copied anywhere else: a node's state lives in its
-// own data directory and nowhere besides.
+// before requests reach the platform. A node's state lives in its own
+// data directory and nowhere besides.
 type Node struct {
 	// ID is the node's short name ("a", "b", ...); its platform mints
 	// IDs under the tag ID+"." so every entity names its minting node.
@@ -38,27 +29,15 @@ type Node struct {
 	// directory resolves a node ID to its advertised base URL for
 	// fencing redirects; set by the Cluster (or the server binary).
 	directory func(nodeID string) (string, bool)
-
-	// mu guards the capture buffer; WindowDurable calls are already
-	// serialized by the store, so this lock only orders them against
-	// handoff start/stop.
-	mu        sync.Mutex
-	capturing bool
-	captured  []capturedRec
-}
-
-type capturedRec struct {
-	seq     uint64
-	payload []byte
 }
 
 // NewStandaloneNode wraps an existing platform server in the cluster
-// ownership middleware for a multi-process deployment (eyeorg-server
-// -node-id): requests for handed-off campaigns answer 307 toward the
-// peer the directory resolves, everything else reaches the platform.
-// The server was opened without Replicate, so this node captures no
-// handoff tail: moving a campaign off it is a quiesced export/fence/
-// import (see docs/OPERATIONS.md).
+// ownership middleware — for a multi-process deployment (eyeorg-server
+// -node-id) and for each member of an in-process Cluster alike:
+// requests for handed-off campaigns answer 307 toward the peer the
+// directory resolves, everything else reaches the platform. A campaign
+// moves off it the same way in both: Server.Handoff here, then
+// ImportCampaign on the new owner.
 func NewStandaloneNode(id, base string, srv *platform.Server, directory func(nodeID string) (string, bool)) *Node {
 	n := &Node{ID: id, Base: base, srv: srv, api: srv.Handler(), directory: directory}
 	n.registerMetrics()
@@ -67,49 +46,6 @@ func NewStandaloneNode(id, base string, srv *platform.Server, directory func(nod
 
 // Server returns the node's platform server.
 func (n *Node) Server() *platform.Server { return n.srv }
-
-// WindowDurable implements store.CommitObserver for the node's journal:
-// while a handoff is capturing, keep the window's records. Runs on the
-// path that sealed the window, before the window's mutations ack.
-func (n *Node) WindowDurable(w store.Window) {
-	n.mu.Lock()
-	if n.capturing {
-		for i, rec := range w.Payloads {
-			n.captured = append(n.captured, capturedRec{seq: w.First + uint64(i), payload: rec})
-		}
-	}
-	n.mu.Unlock()
-}
-
-// startCapture begins buffering journaled records for a handoff tail.
-// Cluster.handoffMu admits one handoff at a time, so there is one
-// capture and one buffer.
-func (n *Node) startCapture() {
-	n.mu.Lock()
-	n.capturing = true
-	n.mu.Unlock()
-}
-
-// stopCapture ends the capture and drops the buffer.
-func (n *Node) stopCapture() {
-	n.mu.Lock()
-	n.capturing, n.captured = false, nil
-	n.mu.Unlock()
-}
-
-// capturedSince returns the captured record payloads with sequence >
-// cut, in sequence order.
-func (n *Node) capturedSince(cut uint64) [][]byte {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var out [][]byte
-	for _, rec := range n.captured {
-		if rec.seq > cut {
-			out = append(out, rec.payload)
-		}
-	}
-	return out
-}
 
 // Handler returns the node's API handler: the platform handler wrapped
 // in the ownership middleware. Per request it resolves the campaign,

@@ -17,8 +17,8 @@ import (
 )
 
 // remoteNode is one eyeorg-server -node-id as the binary assembles it:
-// a durable platform server opened WITHOUT Replicate, wrapped by
-// NewStandaloneNode, on a real listener.
+// a durable platform server wrapped by NewStandaloneNode, on a real
+// listener.
 type remoteNode struct {
 	id, dir, addr string
 	peers         map[string]string // shared peer directory: id → base URL
@@ -136,6 +136,14 @@ func (c *hc) json(method, path string, body, out any) int {
 // session joins campaign and answers the whole assignment.
 func (c *hc) session(campaign, worker string) platform.JoinResponse {
 	c.t.Helper()
+	jr := c.join(campaign, worker)
+	c.answer(jr.Session, jr.Tests)
+	return jr
+}
+
+// join joins campaign as worker.
+func (c *hc) join(campaign, worker string) platform.JoinResponse {
+	c.t.Helper()
 	var jr platform.JoinResponse
 	if code := c.json("POST", "/api/v1/sessions", platform.JoinRequest{
 		Campaign: campaign,
@@ -144,19 +152,38 @@ func (c *hc) session(campaign, worker string) platform.JoinResponse {
 	}, &jr); code != http.StatusCreated {
 		c.t.Fatalf("join %s: %d", campaign, code)
 	}
-	for _, tt := range jr.Tests {
-		if code := c.json("POST", "/api/v1/sessions/"+jr.Session+"/events", platform.EventBatch{
+	return jr
+}
+
+// answer sends each test's engagement events and answer for session.
+func (c *hc) answer(session string, tests []platform.AssignedTest) {
+	c.t.Helper()
+	for _, tt := range tests {
+		if code := c.json("POST", "/api/v1/sessions/"+session+"/events", platform.EventBatch{
 			VideoID: tt.VideoID, LoadMs: 900, TimeOnVideoMs: 21_000, Seeks: 10, Plays: 1, WatchedFraction: 0.9,
 		}, nil); code >= 300 {
-			c.t.Fatalf("events for %s: %d", jr.Session, code)
+			c.t.Fatalf("events for %s: %d", session, code)
 		}
-		if code := c.json("POST", "/api/v1/sessions/"+jr.Session+"/responses", platform.ResponseBody{
+		if code := c.json("POST", "/api/v1/sessions/"+session+"/responses", platform.ResponseBody{
 			TestID: tt.TestID, SliderMs: 1600, HelperMs: 1400, SubmittedMs: 1500, KeptOriginal: true,
 		}, nil); code >= 300 {
-			c.t.Fatalf("response for %s: %d", jr.Session, code)
+			c.t.Fatalf("response for %s: %d", session, code)
 		}
 	}
-	return jr
+}
+
+// analyticsOf reads a campaign's /analytics participants by session.
+func analyticsOf(t *testing.T, c *hc, campaign string) map[string]platform.ParticipantVerdict {
+	t.Helper()
+	var ar platform.AnalyticsResponse
+	if code := c.json("GET", "/api/v1/campaigns/"+campaign+"/analytics", nil, &ar); code != http.StatusOK {
+		t.Fatalf("analytics %s: %d", campaign, code)
+	}
+	out := map[string]platform.ParticipantVerdict{}
+	for _, p := range ar.Participants {
+		out[p.Session] = p
+	}
+	return out
 }
 
 func metricValue(t *testing.T, body []byte, series string) string {
@@ -173,9 +200,9 @@ func metricValue(t *testing.T, body []byte, series string) string {
 // TestRemoteRouterOverStandaloneNodes drives the topology the binaries
 // deploy — eyeorg-router (NewRemoteRouter) reverse-proxying or
 // redirecting over HTTP to eyeorg-server -node-id processes
-// (NewStandaloneNode over a durable server with no Replicate observer)
-// — through campaign spread, a session, video delivery, a manual
-// handoff, a node's death and its recovery. What the tier promises about
+// (NewStandaloneNode over a durable server) — through campaign spread, a
+// session, video delivery, a manual handoff with a session in flight
+// across it, a node's death and its recovery. What the tier promises about
 // a dead node is exactly what this pins: its campaigns are unavailable,
 // nobody else's are, and it comes back byte-identical from its own data
 // directory.
@@ -240,12 +267,8 @@ func TestRemoteRouterOverStandaloneNodes(t *testing.T) {
 					}
 				}
 				sessions[id] = rc.session(id, "w-"+id)
-				var ar platform.AnalyticsResponse
-				if code := rc.json("GET", "/api/v1/campaigns/"+id+"/analytics", nil, &ar); code != http.StatusOK {
-					t.Fatalf("analytics %s: %d", id, code)
-				}
-				if len(ar.Participants) != 1 || !ar.Participants[0].Completed {
-					t.Fatalf("campaign %s: session not completed through the router: %+v", id, ar.Participants)
+				if got := analyticsOf(t, rc, id); len(got) != 1 || !got[sessions[id].Session].Completed {
+					t.Fatalf("campaign %s: session not completed through the router: %+v", id, got)
 				}
 			}
 			moving := owned["a"][0]
@@ -271,18 +294,18 @@ func TestRemoteRouterOverStandaloneNodes(t *testing.T) {
 				t.Fatalf("If-None-Match %s: %d with %d body bytes, want 304 and none", etag, code, len(body))
 			}
 
-			// A manual handoff a → b, the only kind this topology has:
-			// nothing captures a tail, so the operator moves a quiesced
-			// campaign. The old owner's fence is followed over real HTTP.
+			// A manual handoff a → b, the same Handoff + ImportCampaign
+			// pair Cluster.MoveCampaign runs, with a session in flight
+			// across it: joined and one test answered on a, the rest after
+			// the move. The old owner's fence is followed over real HTTP.
+			inflight := rc.join(moving, "w-in-flight")
+			rc.answer(inflight.Session, inflight.Tests[:1])
 			_, _, preMove := rc.do("GET", "/api/v1/campaigns/"+moving+"/results", nil, nil)
-			state, _, err := nodes["a"].srv.ExportCampaign(moving)
+			state, err := nodes["a"].srv.Handoff(moving, "b")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := nodes["a"].srv.Handoff(moving, "b"); err != nil {
-				t.Fatal(err)
-			}
-			if err := nodes["b"].srv.ImportCampaign(state, nil); err != nil {
+			if err := nodes["b"].srv.ImportCampaign(state); err != nil {
 				t.Fatal(err)
 			}
 			wantRehops := map[string][2]string{"proxy": {"1", "1"}, "redirect": {"0", "0"}}[mode]
@@ -296,6 +319,28 @@ func TestRemoteRouterOverStandaloneNodes(t *testing.T) {
 				if got := rehops(); got != want {
 					t.Fatalf("eyeorg_router_rehops_total after request %d = %s, want %s", i+1, got, want)
 				}
+			}
+			// The session in flight finishes through the router on b, and b
+			// serves what a server holding the fenced state would: a twin
+			// importing the same document and taking the same answers.
+			rc.answer(inflight.Session, inflight.Tests[1:])
+			if got, ok := nodes["b"].srv.CampaignOf(inflight.Session); !ok || got != moving {
+				t.Fatalf("session %s in flight across the move is not on b", inflight.Session)
+			}
+			if p := analyticsOf(t, rc, moving)[inflight.Session]; !p.Completed {
+				t.Fatalf("session %s in flight across the move did not complete on b: %+v", inflight.Session, p)
+			}
+			twin := platform.NewServer()
+			if err := twin.ImportCampaign(state); err != nil {
+				t.Fatal(err)
+			}
+			twinTS := httptest.NewServer(twin.Handler())
+			defer twinTS.Close()
+			tc := newHC(t, twinTS.URL, false)
+			tc.answer(inflight.Session, inflight.Tests[1:])
+			_, _, want := tc.do("GET", "/api/v1/campaigns/"+moving+"/results", nil, nil)
+			if _, _, got := rc.do("GET", "/api/v1/campaigns/"+moving+"/results", nil, nil); !bytes.Equal(got, want) {
+				t.Fatalf("/results on b after the session in flight completed:\ngot:  %s\nwant: %s", got, want)
 			}
 			moved := rc.session(moving, "w-after-move")
 			if got, ok := nodes["b"].srv.CampaignOf(moved.Session); !ok || got != moving {

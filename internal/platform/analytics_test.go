@@ -725,12 +725,12 @@ func TestAnalyticsAfterExportImport(t *testing.T) {
 			path := "/api/v1/campaigns/" + campaign + "/analytics"
 			_, tag, body := getConditional(c, path, "")
 
-			state, _, err := src.ExportCampaign(campaign)
+			state, err := src.Handoff(campaign, "b")
 			if err != nil {
 				t.Fatal(err)
 			}
 			dst := NewServer()
-			if err := dst.ImportCampaign(state, nil); err != nil {
+			if err := dst.ImportCampaign(state); err != nil {
 				t.Fatal(err)
 			}
 			c2 := newClientFor(t, dst)

@@ -1,17 +1,19 @@
-// Cluster support: campaign export/import (handoff between nodes) and
-// handoff fencing.
+// Cluster support: moving a campaign between nodes, and the ownership
+// accessors the cluster middleware reads.
 //
-// A campaign moves between nodes as snapshot-ship + journal-tail
-// catch-up: the old owner exports the campaign (its sessions, videos
-// and blob payloads as the same DTOs snapshots use) at a journal cut,
-// keeps serving while the transfer is in flight, then fences the
-// campaign with a journaled opHandoff — from that record on, every
-// mutation gets errCampaignMoved, so nothing can double-apply on the
-// old owner. The new owner installs the export plus the fenced tail in
-// ONE journaled opImport record, so its own recovery replays the whole
-// migration or none of it. Both records replay through the same apply
-// functions as everything else, preserving the byte-identical-/results
-// contract across migration and restart.
+// A campaign moves in two journaled records. Handoff holds the world
+// lock exclusively while it exports the campaign (its sessions, videos
+// and blob payloads as the same DTOs snapshots use) and journals an
+// opHandoff fence. Every fence check runs inside an apply function
+// under the world lock held shared, so each mutation either finished
+// before that cut, and is in the export, or sees the fence and gets
+// errCampaignMoved: nothing of the campaign is journaled between the
+// export and the fence, so there is no tail to ship. The new owner
+// installs the export as ONE journaled opImport record, so its own
+// recovery replays the whole migration or none of it. Both records
+// replay through the same apply functions as everything else,
+// preserving the byte-identical-/results contract across migration and
+// restart.
 package platform
 
 import (
@@ -32,18 +34,55 @@ type campaignExport struct {
 	Blobs    map[string][]byte `json:"blobs,omitempty"`
 }
 
-// ExportCampaign serializes one campaign — sessions, videos, blob
-// bytes — as a handoff document, and returns the journal sequence the
-// cut was taken at: records after that sequence form the catch-up tail
-// the importer replays on top. Mutations are quiesced for the duration
-// (the world lock is held exclusively); the campaign keeps serving
-// afterwards until Handoff fences it.
-func (s *Server) ExportCampaign(id string) (state []byte, seq uint64, err error) {
+// Handoff moves a campaign off this server. Under the world lock held
+// exclusively it exports the campaign and journals an opHandoff record
+// marking it owned by target, so the document returned is exactly the
+// state the fence cut. From that record on every mutation touching the
+// campaign fails with errCampaignMoved (HTTP 409; the cluster middleware
+// answers 307 to the new owner before requests get this far), and the
+// fence survives restart — it replays like any mutation. The export
+// comes first so that a failed one fences nothing. Handoff returns once
+// the fence is durable; the document is the new owner's ImportCampaign
+// argument.
+func (s *Server) Handoff(campaign, target string) ([]byte, error) {
+	ev := &event{Op: opHandoff, ID: campaign, Target: target}
+	var state []byte
+	err := s.exclusive(func() (seq uint64, err error) {
+		if state, err = s.exportCampaign(campaign); err != nil {
+			return 0, err
+		}
+		return s.applyHandoff(ev)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return state, nil
+}
+
+// exclusive is mutate for the campaign moves: fn runs under the world
+// lock held exclusively, so no other mutation is mid-apply, then the
+// caller waits for fn's record to be durable and the snapshot cadence
+// runs.
+func (s *Server) exclusive(fn func() (uint64, error)) error {
 	s.world.Lock()
-	defer s.world.Unlock()
+	seq, err := fn()
+	s.world.Unlock()
+	if err == nil && seq != 0 {
+		err = s.log.WaitDurable(seq)
+	}
+	if err == nil {
+		s.maybeSnapshot()
+	}
+	return err
+}
+
+// exportCampaign serializes one campaign — sessions, videos, blob bytes
+// — as a handoff document. Only Handoff calls it, with the world lock
+// held exclusively, so no campaign is exported without being fenced.
+func (s *Server) exportCampaign(id string) ([]byte, error) {
 	c, ok := s.campaigns.Get(id)
 	if !ok {
-		return nil, 0, errNoCampaign
+		return nil, errNoCampaign
 	}
 	ex := campaignExport{Version: stateVersion, Campaign: exportCampaignState(c)}
 	for _, sid := range c.inflight {
@@ -53,7 +92,7 @@ func (s *Server) ExportCampaign(id string) (state []byte, seq uint64, err error)
 	for _, vid := range c.Videos {
 		v, ok := s.videos.Get(vid)
 		if !ok {
-			return nil, 0, fmt.Errorf("campaign %s references unknown video %s", id, vid)
+			return nil, fmt.Errorf("campaign %s references unknown video %s", id, vid)
 		}
 		ex.Videos = append(ex.Videos, exportVideoState(v))
 		if ex.Blobs == nil {
@@ -62,26 +101,12 @@ func (s *Server) ExportCampaign(id string) (state []byte, seq uint64, err error)
 		if _, dup := ex.Blobs[v.Hash]; !dup {
 			data, err := s.blobs.ReadAll(v.Hash)
 			if err != nil {
-				return nil, 0, fmt.Errorf("exporting blob %s: %w", v.Hash, err)
+				return nil, fmt.Errorf("exporting blob %s: %w", v.Hash, err)
 			}
 			ex.Blobs[v.Hash] = data
 		}
 	}
-	if s.log != nil {
-		seq = s.log.Seq()
-	}
-	state, err = json.Marshal(&ex)
-	return state, seq, err
-}
-
-// Handoff fences a campaign: a journaled opHandoff record marks it
-// owned by target, and from that record on every mutation touching the
-// campaign fails with errCampaignMoved (HTTP 409; the cluster
-// middleware answers 307 to the new owner before requests get this
-// far). The fence survives restart — it replays like any mutation.
-func (s *Server) Handoff(campaign, target string) error {
-	ev := &event{Op: opHandoff, ID: campaign, Target: target}
-	return s.mutate(nil, func() (uint64, error) { return s.applyHandoff(ev) })
+	return json.Marshal(&ex)
 }
 
 func (s *Server) applyHandoff(ev *event) (uint64, error) {
@@ -105,27 +130,13 @@ func (s *Server) applyHandoff(ev *event) (uint64, error) {
 	return seq, nil
 }
 
-// ImportCampaign installs a campaign exported from another node: the
-// export document plus the journal-tail records the old owner appended
-// between the export cut and the fence. Everything lands as ONE
-// journaled opImport record, so recovery replays the whole migration
-// atomically. Importing an already-present campaign fails with
-// errCampaignExists — the retry/double-apply guard.
-func (s *Server) ImportCampaign(state []byte, tail [][]byte) error {
-	ev := &event{Op: opImport, State: state, Tail: tail}
-	s.world.Lock()
-	seq, err := s.applyImport(ev)
-	s.world.Unlock()
-	if err != nil {
-		return err
-	}
-	if seq != 0 {
-		if err := s.log.WaitDurable(seq); err != nil {
-			return err
-		}
-	}
-	s.maybeSnapshot()
-	return nil
+// ImportCampaign installs a campaign another node's Handoff exported.
+// It lands as ONE journaled opImport record, so recovery replays the
+// whole migration atomically. Importing an already-present campaign
+// fails with errCampaignExists — the retry/double-apply guard.
+func (s *Server) ImportCampaign(state []byte) error {
+	ev := &event{Op: opImport, State: state}
+	return s.exclusive(func() (uint64, error) { return s.applyImport(ev) })
 }
 
 func (s *Server) applyImport(ev *event) (uint64, error) {
@@ -138,6 +149,10 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 	}
 	if ex.Campaign == nil {
 		return 0, fmt.Errorf("import state: missing campaign")
+	}
+	if len(ev.LegacyTail) > 0 {
+		return 0, fmt.Errorf("%s record for campaign %s carries a handoff tail (%d records) from an earlier build; this server replays no tail and refuses the record rather than drop its mutations",
+			opImport, ex.Campaign.ID, len(ev.LegacyTail))
 	}
 	if _, exists := s.campaigns.Get(ex.Campaign.ID); exists {
 		return 0, errCampaignExists
@@ -185,46 +200,8 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 	for _, sid := range c.inflight {
 		s.bumpID(sid)
 	}
-	// Catch-up tail: events the old owner journaled after the export
-	// cut, replayed through the normal apply functions with journaling
-	// suppressed — they are already durable inside this import record.
-	for _, rec := range ev.Tail {
-		var tev event
-		if err := json.Unmarshal(rec, &tev); err != nil {
-			return 0, fmt.Errorf("import tail: %w", err)
-		}
-		if tev.Op == opHandoff {
-			continue // the fence itself never applies on the new owner
-		}
-		tev.noJournal = true
-		if err := s.applyEvent(&tev); err != nil {
-			return 0, fmt.Errorf("import tail %s %s: %w", tev.Op, tev.ID, err)
-		}
-	}
 	s.countMutation(opImport)
 	return seq, nil
-}
-
-// CampaignOfRecord attributes one journal record payload to the
-// campaign it mutates, resolving session- and video-scoped ops through
-// the live indexes. The handoff protocol uses it to filter a node's
-// captured records down to one campaign's catch-up tail.
-func (s *Server) CampaignOfRecord(payload []byte) (string, bool) {
-	var ev event
-	if err := json.Unmarshal(payload, &ev); err != nil {
-		return "", false
-	}
-	switch ev.Op {
-	case opCampaign, opHandoff:
-		return ev.ID, true
-	case opVideo, opSession:
-		return ev.Campaign, true
-	case opEvents, opBatch, opResponse:
-		return s.CampaignOf(ev.ID)
-	case opFlag:
-		return s.CampaignOfVideo(ev.ID)
-	}
-	return "", false
 }
 
 // --- ownership accessors (read paths for the cluster middleware) ---
@@ -269,18 +246,4 @@ func (s *Server) MovedTo(campaign string) (string, bool) {
 		return "", false
 	}
 	return t.(string), true
-}
-
-// Barrier waits until everything journaled before the call is durable —
-// and therefore, per the store.Window contract, reported to Replicate.
-// The handoff protocol runs it after the fence so the catch-up tail is
-// complete.
-func (s *Server) Barrier() error {
-	if s.log == nil {
-		return nil
-	}
-	s.world.Lock()
-	seq := s.log.Seq()
-	s.world.Unlock()
-	return s.log.WaitDurable(seq)
 }

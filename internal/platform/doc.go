@@ -55,11 +55,11 @@
 // A server can also run as one member of a campaign-partitioned
 // cluster (internal/cluster): Options.IDTag namespaces the IDs it
 // mints, the ownership middleware answers fencing 307s for campaigns
-// handed off to a peer, and Options.Replicate hands every sealed
-// durability window to the node, which keeps the records journaled
-// during a handoff as the tail the new owner replays through this same
-// recovery path. See docs/ARCHITECTURE.md for the subsystem map and
-// the byte-identical-replay invariant every layer preserves.
+// handed off to a peer, and Handoff and ImportCampaign move a campaign:
+// the export and its fence are one cut, and the new owner installs the
+// export through the same filing step a snapshot load uses. See
+// docs/ARCHITECTURE.md for the subsystem map and the
+// byte-identical-replay invariant every layer preserves.
 //
 // The package links nothing of the paper's simulator. Beside its own
 // tiers (store, blob, quality, adaptive, wire, trace, telemetry) it

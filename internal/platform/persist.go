@@ -52,9 +52,9 @@ const (
 	opResponse = "response"
 	opFlag     = "flag"
 	// opHandoff fences a campaign that moved to another cluster node;
-	// opImport installs a campaign received from one (export snapshot +
-	// journal tail in a single record, so a replayed journal either has
-	// the whole campaign or none of it).
+	// opImport installs a campaign received from one (its whole export in
+	// a single record, so a replayed journal either has the whole
+	// campaign or none of it).
 	opHandoff = "handoff"
 	opImport  = "import"
 )
@@ -65,16 +65,14 @@ const (
 // Video records carry a content address (Hash + Size) into the blob
 // store, never the payload: the blob file is made durable before the
 // record referencing it is journaled, so replay always finds the bytes.
-// Data additionally carries the payload when Options.Replicate is set:
-// a record replayed from a handoff tail lands on a node whose blob
-// store has never seen the video.
+// (Journals of earlier builds may carry the payload as "data" too; it is
+// not read.)
 type event struct {
 	Op       string         `json:"op"`
 	ID       string         `json:"id,omitempty"`
 	Campaign string         `json:"campaign,omitempty"`
 	Name     string         `json:"name,omitempty"`
 	Kind     string         `json:"kind,omitempty"`
-	Data     []byte         `json:"data,omitempty"` // video payload, under Options.Replicate
 	Hash     string         `json:"hash,omitempty"`
 	Size     int64          `json:"size,omitempty"`
 	Worker   *Worker        `json:"worker,omitempty"`
@@ -87,12 +85,14 @@ type event struct {
 	// them back through the same pooled decoder the live path used.
 	Wire []byte `json:"wire,omitempty"`
 	// Target is an opHandoff record's destination node; State is an
-	// opImport record's campaignExport document and Tail its journal
-	// catch-up records (raw event payloads journaled on the old owner
-	// after the export was cut).
+	// opImport record's campaignExport document.
 	Target string          `json:"target,omitempty"`
 	State  json.RawMessage `json:"state,omitempty"`
-	Tail   [][]byte        `json:"tail,omitempty"`
+	// LegacyTail is read, never written: earlier builds exported a
+	// campaign before fencing it and put what the old owner journaled in
+	// between in the import record under "tail". applyImport refuses a
+	// record that carries one rather than silently drop its mutations.
+	LegacyTail []json.RawMessage `json:"tail,omitempty"`
 
 	// tr stamps the live request's lock-wait/append boundaries as the
 	// event moves through its apply function. Unexported so it never
@@ -101,10 +101,6 @@ type event struct {
 	// records carries the live path's already-decoded batch so
 	// applyBatch does not decode Wire twice; nil during replay.
 	records []wire.Record
-	// noJournal suppresses journaling for this apply: opImport replays
-	// its Tail through the normal apply functions, and those events are
-	// already durable inside the import record itself.
-	noJournal bool
 }
 
 // journal buffers ev into the WAL and returns its sequence number.
@@ -116,7 +112,7 @@ type event struct {
 // and fsyncs, under this lock). Returns 0 in memory mode and during
 // replay.
 func (s *Server) journal(ev *event) (uint64, error) {
-	if s.log == nil || s.replaying || ev.noJournal {
+	if s.log == nil || s.replaying {
 		return 0, nil
 	}
 	buf, err := json.Marshal(ev)
@@ -215,20 +211,10 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	if ev.Hash == "" {
 		return 0, fmt.Errorf("video %s: record carries no content hash", ev.ID)
 	}
+	// Same refusal as restoreVideo: a video nothing can serve must not be
+	// assigned to participants.
 	if !s.blobs.Has(ev.Hash) {
-		if len(ev.Data) > 0 {
-			// A handoff-tail record landing on the new owner (or
-			// replaying after blob loss): the payload rides in the
-			// record — re-store it.
-			if _, _, err := s.blobs.PutBytes(ev.Data); err != nil {
-				return 0, err
-			}
-		}
-		// Same refusal as restoreVideo: a video nothing can serve must
-		// not be assigned to participants.
-		if !s.blobs.Has(ev.Hash) {
-			return 0, fmt.Errorf("video %s references missing blob %s", ev.ID, ev.Hash)
-		}
+		return 0, fmt.Errorf("video %s references missing blob %s", ev.ID, ev.Hash)
 	}
 	vsh := s.videos.Shard(ev.ID)
 	vsh.Lock()
@@ -683,7 +669,7 @@ func sortedKeys(m map[string]bool) []string {
 }
 
 // exportCampaignState, exportSessionState and exportVideoState turn
-// live state into snapshot DTOs; marshalState and ExportCampaign share
+// live state into snapshot DTOs; marshalState and exportCampaign share
 // them. Callers hold the world lock (exclusively), so reads are a
 // consistent cut.
 func exportCampaignState(c *campaignState) *snapCampaign {

@@ -341,20 +341,21 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 	srv3, c3 := openPersisted(t, dir, Options{SnapshotEvery: -1})
 	defer srv3.Close()
 	check("snapshot load", srv3, c3)
-	state, _, err := srv3.ExportCampaign(campaign)
+	state, err := srv3.Handoff(campaign, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := NewServer()
-	if err := dst.ImportCampaign(state, nil); err != nil {
+	if err := dst.ImportCampaign(state); err != nil {
 		t.Fatal(err)
 	}
-	check("import", dst, newClientFor(t, dst))
+	c4 := newClientFor(t, dst)
+	check("import", dst, c4)
 
 	// The restored fold keeps folding.
-	completeSession(c3, join(c3, campaign, "post-restore"), 1_500, true, 12, 0)
+	completeSession(c4, join(c4, campaign, "post-restore"), 1_500, true, 12, 0)
 	var res ResultsResponse
-	c3.do("GET", "/api/v1/campaigns/"+campaign+"/results", nil, &res)
+	c4.do("GET", "/api/v1/campaigns/"+campaign+"/results", nil, &res)
 	if res.Participants != 8 || res.Control != 1 {
 		t.Fatalf("after restore + one session: participants=%d control=%d, want 8 and 1", res.Participants, res.Control)
 	}
@@ -441,7 +442,7 @@ func TestParentVersion3DocumentsLoad(t *testing.T) {
 	})
 	t.Run("export", func(t *testing.T) {
 		srv := NewServer()
-		if err := srv.ImportCampaign(fixture("export"), nil); err != nil {
+		if err := srv.ImportCampaign(fixture("export")); err != nil {
 			t.Fatal(err)
 		}
 		check(t, srv)
@@ -454,7 +455,7 @@ func TestParentVersion3DocumentsLoad(t *testing.T) {
 func TestStrayInFlightSessionRefused(t *testing.T) {
 	src := NewServer()
 	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
-	state, _, err := src.ExportCampaign(campaign)
+	state, err := src.Handoff(campaign, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +475,7 @@ func TestStrayInFlightSessionRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := NewServer().ImportCampaign(bad, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := NewServer().ImportCampaign(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: import: %v, want an error saying %q", name, err, tc.want)
 		}
 		st := snapState{Version: stateVersion, Campaigns: []*snapCampaign{ex.Campaign}, Sessions: ex.Sessions, Videos: ex.Videos}
@@ -500,7 +501,7 @@ func TestStrayInFlightSessionRefused(t *testing.T) {
 func TestCorruptArenaRefused(t *testing.T) {
 	src := NewServer()
 	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
-	state, _, err := src.ExportCampaign(campaign)
+	state, err := src.Handoff(campaign, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +526,7 @@ func TestCorruptArenaRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			dst := NewServer()
-			err = dst.ImportCampaign(bad, nil)
+			err = dst.ImportCampaign(bad)
 			if err == nil || !strings.Contains(err.Error(), "campaign "+campaign) {
 				t.Fatalf("import: %v, want an error naming campaign %s", err, campaign)
 			}
@@ -545,7 +546,7 @@ func TestCorruptArenaRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := durable.ImportCampaign(state, nil); err != nil {
+			if err := durable.ImportCampaign(state); err != nil {
 				t.Fatal(err)
 			}
 			data, err := durable.marshalState()
@@ -613,19 +614,19 @@ func TestWrongVersionStateRefused(t *testing.T) {
 		t.Run("import/"+name, func(t *testing.T) {
 			src := NewServer()
 			campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
-			state, _, err := src.ExportCampaign(campaign)
+			state, err := src.Handoff(campaign, "b")
 			if err != nil {
 				t.Fatal(err)
 			}
 			dst := NewServer()
-			err = dst.ImportCampaign(bytes.Replace(state, current, []byte(replacement), 1), nil)
+			err = dst.ImportCampaign(bytes.Replace(state, current, []byte(replacement), 1))
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", stateVersion)) {
 				t.Fatalf("import of a %s export: %v, want an error naming version %d", name, err, stateVersion)
 			}
 			if _, ok := dst.campaigns.Get(campaign); ok {
 				t.Fatal("refused import still installed the campaign")
 			}
-			if err := dst.ImportCampaign(state, nil); err != nil {
+			if err := dst.ImportCampaign(state); err != nil {
 				t.Fatalf("import of the current version: %v", err)
 			}
 		})
@@ -639,7 +640,7 @@ func TestVideoWithoutHashRefused(t *testing.T) {
 	srv := NewServer()
 	c := newClientFor(t, srv)
 	campaign, _ := setupCampaign(c, "timeline", 1)
-	err := srv.applyEvent(&event{Op: opVideo, ID: "v77", Campaign: campaign, Data: sampleVideoBytes()})
+	err := srv.applyEvent(&event{Op: opVideo, ID: "v77", Campaign: campaign})
 	if err == nil || !strings.Contains(err.Error(), "v77") {
 		t.Fatalf("replaying a hashless video record: %v, want an error naming v77", err)
 	}

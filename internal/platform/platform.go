@@ -130,17 +130,6 @@ type Options struct {
 	// Tags must be mutually prefix-free (the cluster uses "a.", "b.",
 	// ...); empty keeps the single-node "c1" format.
 	IDTag string
-	// Replicate, when set, receives every sealed durability window of
-	// the journal with its record payloads (see store.Window for the
-	// delivery contract). Its one consumer today is the in-process
-	// cluster node, which keeps the records journaled while a campaign
-	// handoff is in flight as the importer's catch-up tail. Video
-	// records then carry their payload bytes too (normally only the
-	// content address; the blob file is durable separately), because
-	// the importing node's blob store has never seen them. Nothing is
-	// shipped off the machine: a network transport would attach here.
-	// Requires a DataDir.
-	Replicate store.CommitObserver
 }
 
 // Server implements the Eyeorg HTTP API.
@@ -183,7 +172,7 @@ type Server struct {
 	logger   *slog.Logger
 
 	// world is held shared by every mutation and exclusively by
-	// Snapshot (and campaign export/import), which gives them a
+	// Snapshot (and campaign handoff/import), which gives them a
 	// quiescent point without funnelling the request path through one
 	// serial lock.
 	world sync.RWMutex
@@ -466,17 +455,11 @@ func Open(opts Options) (*Server, error) {
 	if opts.DataDir == "" {
 		return s, nil
 	}
-	var observer store.CommitObserver = &s.observer
-	if opts.Replicate != nil {
-		// Only a Replicate observer needs the records themselves.
-		s.observer.replicate = opts.Replicate
-		observer = store.WithPayloads(observer)
-	}
 	jl, err := store.Open(opts.DataDir, store.Options{
 		SegmentBytes: opts.SegmentBytes,
 		Fsync:        opts.Fsync,
 		GroupCommit:  opts.GroupCommit,
-		Observer:     observer,
+		Observer:     &s.observer,
 	})
 	if err != nil {
 		return nil, err
@@ -1116,11 +1099,6 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 	tr.Mark(trace.StageDecode)
 	id := s.newID("v")
 	ev := &event{Op: opVideo, ID: id, Campaign: campaignID, Hash: ref.Hash, Size: ref.Size, tr: tr}
-	if s.observer.replicate != nil {
-		// A handoff tail replays on a node whose blob store has never
-		// seen this video, so the record carries the payload too.
-		ev.Data = data
-	}
 	if err := s.mutate(tr, func() (uint64, error) { return s.applyVideo(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return

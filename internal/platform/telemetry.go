@@ -123,16 +123,14 @@ func (m *serverMetrics) registerStageMetrics() {
 
 // journalObserver is the one value the journal reports to
 // (store.Options.Observer): every durability window arrives here once,
-// before it is acked, and feeds the eyeorg_journal_* series, the
-// commit-timing ring mutate attributes durability waits from, and
-// Options.Replicate.
+// before it is acked, and feeds the eyeorg_journal_* series and the
+// commit-timing ring mutate attributes durability waits from.
 type journalObserver struct {
 	// The eyeorg_journal_* instruments. snapshots is bumped by
 	// Server.Snapshot, not by windows.
 	appends, bytes, snapshots *telemetry.Counter
 	windows, fsync            *telemetry.Histogram
-	commits                   *commitRing          // nil with tracing off
-	replicate                 store.CommitObserver // Options.Replicate
+	commits                   *commitRing // nil with tracing off
 }
 
 func (o *journalObserver) registerMetrics(reg *telemetry.Registry) {
@@ -157,9 +155,6 @@ func (o *journalObserver) WindowDurable(w store.Window) {
 	}
 	if o.commits != nil {
 		o.commits.publish(w)
-	}
-	if o.replicate != nil {
-		o.replicate.WindowDurable(w)
 	}
 }
 

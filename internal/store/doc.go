@@ -34,13 +34,11 @@
 // One hook keeps the journal dependency-free while letting the platform
 // observe and extend it: Options.Observer, a CommitObserver, receives
 // every durability window (Window: sequence range, framed bytes, flush
-// and fsync timestamps, and the payload copies when asked for through
-// WithPayloads) exactly once, after the window is durable and strictly
-// before any append it covers is acked, serialized and in sequence
-// order with no gaps — from every path that seals a window: an inline
-// append as a window of one, the group committer's flush with or
-// without fsync, and Close's tail. Durability telemetry, request-trace
-// timing and the handoff-tail capture of internal/cluster are all
-// derived from that one report; the Window type carries the normative
-// statement.
+// and fsync timestamps) exactly once, after the window is durable and
+// strictly before any append it covers is acked, serialized and in
+// sequence order with no gaps — from every path that seals a window: an
+// inline append as a window of one, the group committer's flush with or
+// without fsync, and Close's tail. Durability telemetry and
+// request-trace timing are both derived from that one report; the
+// Window type carries the normative statement.
 package store

@@ -66,9 +66,8 @@ type Options struct {
 	GroupCommit bool
 	// Observer receives every durability window once it is durable and
 	// before it is acked — the journal's one hook, from which callers
-	// derive metrics, request-trace timing and record capture. Nil disables
-	// it; see Window for the contract and WithPayloads for asking for
-	// the record payloads.
+	// derive metrics and request-trace timing. Nil disables it; see
+	// Window for the contract.
 	Observer CommitObserver
 }
 
@@ -94,13 +93,10 @@ type Log struct {
 
 	// The window being built for Options.Observer (see observer.go):
 	// sealed is the last sequence a reported window covered, pendBytes
-	// the framed bytes appended since, pendRecs their payload copies
-	// when copyPayloads is set. Guarded by mu; sealed by whichever path
-	// makes the window durable.
-	sealed       uint64
-	pendBytes    int64
-	pendRecs     [][]byte
-	copyPayloads bool
+	// the framed bytes appended since. Guarded by mu; sealed by whichever
+	// path makes the window durable.
+	sealed    uint64
+	pendBytes int64
 
 	snapSeq    uint64 // newest snapshot's sequence
 	loadedSeq  uint64 // snapshot found at Open time
@@ -140,9 +136,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{dir: dir, opts: opts}
-	if p, ok := opts.Observer.(payloadObserver); ok {
-		l.opts.Observer, l.copyPayloads = p.CommitObserver, true
-	}
 	l.loadSnapshot()
 	if err := l.recover(); err != nil {
 		return nil, err
@@ -266,9 +259,6 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 	l.size += frame
 	l.seq++
 	l.pendBytes += frame
-	if l.copyPayloads {
-		l.pendRecs = append(l.pendRecs, append([]byte(nil), payload...))
-	}
 	if !l.group {
 		// Inline durability: the record is its own window, reported
 		// before this append returns (= before the caller's ack).

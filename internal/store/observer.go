@@ -33,40 +33,26 @@ type Window struct {
 	// FsyncEnd == the flush's completion), so flush/fsync/ack splits
 	// still partition a waiter's durability wait.
 	FlushStart, FsyncStart, FsyncEnd time.Time
-	// Payloads holds a copy of each record's payload, Payloads[i] being
-	// sequence First+i, when the observer was installed through
-	// WithPayloads; nil otherwise. The copies belong to the observer.
-	Payloads [][]byte
 }
 
 // Records is the number of records the window covers.
 func (w Window) Records() int { return int(w.Last - w.First + 1) }
 
-// CommitObserver is the journal's one hook (Options.Observer): metrics,
-// request-trace timing and the cluster's handoff-tail capture all
-// derive from the windows it receives, and the store stays free of all
-// three. See Window for the
-// delivery contract. WindowDurable runs on the path that sealed the
+// CommitObserver is the journal's one hook (Options.Observer): metrics
+// and request-trace timing derive from the windows it receives, and the
+// store stays free of both. See Window for the delivery contract. WindowDurable runs on the path that sealed the
 // window — under the log mutex for inline appends, on the committer
 // goroutine under group commit — so it must not call back into the Log.
 type CommitObserver interface {
 	WindowDurable(Window)
 }
 
-// WithPayloads marks obs as wanting Window.Payloads. Copying costs one
-// allocation per append, so the log only does it for an observer that
-// keeps the records: today the cluster node capturing a campaign's
-// handoff tail, and the seam a network transport would attach to.
-func WithPayloads(obs CommitObserver) CommitObserver { return payloadObserver{obs} }
-
-type payloadObserver struct{ CommitObserver }
-
 // sealLocked closes the window being built — everything appended since
 // the previous window — into w and starts the next one. Caller holds
 // l.mu and has checked that l.seq > l.sealed.
 func (l *Log) sealLocked(w *Window) {
-	w.First, w.Last, w.Bytes, w.Payloads = l.sealed+1, l.seq, l.pendBytes, l.pendRecs
-	l.sealed, l.pendBytes, l.pendRecs = l.seq, 0, nil
+	w.First, w.Last, w.Bytes = l.sealed+1, l.seq, l.pendBytes
+	l.sealed, l.pendBytes = l.seq, 0
 }
 
 // syncWindow stamps w's fsync bracket, syncing f's data in between when

@@ -33,9 +33,6 @@ func (o *recordingObserver) WindowDurable(w Window) {
 		o.bad = append(o.bad, fmt.Sprintf("window [%d, %d] timestamps out of order: flush=%s fsync=[%s, %s]",
 			w.First, w.Last, w.FlushStart, w.FsyncStart, w.FsyncEnd))
 	}
-	if w.Payloads != nil && len(w.Payloads) != w.Records() {
-		o.bad = append(o.bad, fmt.Sprintf("window [%d, %d] carries %d payloads", w.First, w.Last, len(w.Payloads)))
-	}
 	o.windows = append(o.windows, w)
 	o.next = w.Last + 1
 }
@@ -50,7 +47,7 @@ func (o *recordingObserver) observedThrough(seq uint64) bool {
 
 // totals sums the recorded windows and fails the test on any contract
 // violation noted on arrival.
-func (o *recordingObserver) totals(t *testing.T) (windows, records, fsyncs int, bytes int64, payloads []string) {
+func (o *recordingObserver) totals(t *testing.T) (windows, records, fsyncs int, bytes int64) {
 	t.Helper()
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -64,9 +61,6 @@ func (o *recordingObserver) totals(t *testing.T) (windows, records, fsyncs int, 
 		if w.FsyncEnd.After(w.FsyncStart) {
 			fsyncs++
 		}
-		for _, p := range w.Payloads {
-			payloads = append(payloads, string(p))
-		}
 	}
 	return
 }
@@ -74,7 +68,7 @@ func (o *recordingObserver) totals(t *testing.T) (windows, records, fsyncs int, 
 // appendConcurrently drives writers×per appends through l, each
 // checking on return from WaitDurable that its window has already been
 // reported: the observed-before-ack half of the contract, which is
-// what lets a replicating observer promise "acked implies shipped".
+// what lets an observer's timings cover every acked append.
 func appendConcurrently(t *testing.T, l *Log, obs *recordingObserver, writers, per int) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -115,14 +109,14 @@ var observerModes = []struct {
 // TestObserverContract runs concurrent appenders in every durability
 // mode and checks the whole contract: reported before acked, in order
 // with no gaps and no empty window, records and bytes summing to what
-// was appended, payload copies complete, and exactly one fsync per
-// window with Fsync (none without: an empty bracket).
+// was appended, and exactly one fsync per window with Fsync (none
+// without: an empty bracket).
 func TestObserverContract(t *testing.T) {
 	for _, m := range observerModes {
 		t.Run(m.name, func(t *testing.T) {
 			obs := newRecordingObserver()
 			opts := m.opts
-			opts.Observer = WithPayloads(obs)
+			opts.Observer = obs
 			dir := t.TempDir()
 			l, err := Open(dir, opts)
 			if err != nil {
@@ -133,9 +127,9 @@ func TestObserverContract(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			windows, records, fsyncs, bytes, payloads := obs.totals(t)
-			if records != writers*per || len(payloads) != writers*per {
-				t.Fatalf("windows cover %d records and %d payloads, want %d", records, len(payloads), writers*per)
+			windows, records, fsyncs, bytes := obs.totals(t)
+			if records != writers*per {
+				t.Fatalf("windows cover %d records, want %d", records, writers*per)
 			}
 			if disk := int64(len(journalBytes(t, dir))); bytes != disk {
 				t.Fatalf("windows report %d framed bytes, %d on disk", bytes, disk)
@@ -170,15 +164,12 @@ func TestObserverPerRecordFsync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	windows, records, fsyncs, bytes, payloads := obs.totals(t)
+	windows, records, fsyncs, bytes := obs.totals(t)
 	if windows != 3 || records != 3 || fsyncs != 3 {
 		t.Fatalf("%d windows covering %d records with %d fsyncs, want 3/3/3", windows, records, fsyncs)
 	}
 	if want := int64(3 * (recordHeader + len(payload))); bytes != want {
 		t.Fatalf("bytes = %d, want %d", bytes, want)
-	}
-	if payloads != nil {
-		t.Fatalf("observer installed without WithPayloads received %d payloads", len(payloads))
 	}
 }
 
@@ -196,7 +187,7 @@ func TestObserverGroupCommitNoEmptyWindow(t *testing.T) {
 	}
 	const writers, per = 8, 100
 	appendConcurrently(t, l, obs, writers, per)
-	before, _, _, _, _ := obs.totals(t)
+	before, _, _, _ := obs.totals(t)
 	l.kick <- struct{}{} // everything is durable: nothing to flush
 	if _, err := l.Append([]byte("after the stale kick")); err != nil {
 		t.Fatal(err)
@@ -204,7 +195,7 @@ func TestObserverGroupCommitNoEmptyWindow(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	windows, records, fsyncs, _, _ := obs.totals(t)
+	windows, records, fsyncs, _ := obs.totals(t)
 	if records != writers*per+1 {
 		t.Fatalf("windows cover %d records, want %d", records, writers*per+1)
 	}
@@ -244,23 +235,24 @@ func TestObserverRotationAndSnapshot(t *testing.T) {
 			if segs, _ := listFiles(dir, segPrefix, segSuffix); len(segs) < 2 {
 				t.Fatalf("only %d segments: the run never rotated", len(segs))
 			}
-			if _, records, _, _, _ := obs.totals(t); records != n {
+			if _, records, _, _ := obs.totals(t); records != n {
 				t.Fatalf("windows cover %d records, want %d", records, n)
 			}
 		})
 	}
 }
 
-// TestReplicationCloseDrain: records appended without waiting are still
+// TestObserverCloseDrain: records appended without waiting are still
 // reported (exactly once, in order) by the time Close returns — both
 // the ones the committer's shutdown drain covers and the ones that race
 // it and are left to Close itself, which reports through the same call
 // as every other window: the windows' record counts sum to the
-// successful appends and their bytes to what is on disk.
-func TestReplicationCloseDrain(t *testing.T) {
+// successful appends and their bytes to what is on disk, and a reopen
+// replays the payloads in append order.
+func TestObserverCloseDrain(t *testing.T) {
 	obs := newRecordingObserver()
 	dir := t.TempDir()
-	l, err := Open(dir, Options{GroupCommit: true, Observer: WithPayloads(obs)})
+	l, err := Open(dir, Options{GroupCommit: true, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,42 +279,19 @@ func TestReplicationCloseDrain(t *testing.T) {
 	if err := l.WaitDurable(seq); err != nil {
 		t.Fatalf("tail not acked by Close: %v", err)
 	}
-	_, records, _, bytes, got := obs.totals(t)
+	_, records, _, bytes := obs.totals(t)
 	if records != len(want) {
 		t.Fatalf("windows cover %d records through close, want %d", records, len(want))
 	}
 	if disk := int64(len(journalBytes(t, dir))); bytes != disk {
 		t.Fatalf("windows report %d framed bytes, %d on disk", bytes, disk)
 	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("shipped %q, want %q", got, want)
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestReplicationPayloadIsCopy: the observer may retain payload
-// slices; mutating the caller's buffer after append must not corrupt
-// them.
-func TestReplicationPayloadIsCopy(t *testing.T) {
-	for _, m := range observerModes {
-		t.Run(m.name, func(t *testing.T) {
-			obs := newRecordingObserver()
-			opts := m.opts
-			opts.Observer = WithPayloads(obs)
-			l, err := Open(t.TempDir(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf := []byte("original")
-			if _, err := l.AppendAsync(buf); err != nil {
-				t.Fatal(err)
-			}
-			copy(buf, "CLOBBER!")
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, _, _, got := obs.totals(t); len(got) != 1 || got[0] != "original" {
-				t.Fatalf("observer holds payload %q, want %q (it must get a copy)", got, "original")
-			}
-		})
+	defer l.Close()
+	if _, got := replayAll(t, l); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replayed %q, want %q", got, want)
 	}
 }
