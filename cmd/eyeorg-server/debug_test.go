@@ -92,7 +92,7 @@ func TestDebugHandlerSurface(t *testing.T) {
 // trace surface.
 func TestTracedServerEndToEnd(t *testing.T) {
 	srv, err := platform.Open(platform.Options{
-		TraceSample: 1, TraceSeed: 11, Fsync: true, GroupCommit: true, DataDir: t.TempDir(),
+		TraceSample: 1, TraceSeed: 11, Fsync: true, DataDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,10 +15,10 @@
 // log (wal-*.seg) with periodic snapshots (snap-*.snap); restarting the
 // server over the same directory recovers the exact pre-crash state,
 // including byte-identical /results. -shards sets the lock sharding of
-// the in-memory indexes (rounded up to a power of two). -fsync makes
-// every mutation durable before its response; add -group-commit to
-// amortize that into one fsync per flush window instead of one per
-// record — the durable-ingest configuration for heavy crowds.
+// the in-memory indexes (rounded up to a power of two). Concurrent
+// mutations share one journal flush window, acked once the window
+// reaches the OS; -fsync makes that an fdatasync of the window, so every
+// mutation is on disk before its response.
 //
 // Admission control protects the service from crowd spikes:
 // -max-inflight caps concurrently served requests (excess gets 429 +
@@ -109,8 +109,7 @@ func newFlags() (*flag.FlagSet, *config) {
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.DataDir, "data-dir", "", "journal + snapshot directory (default in-memory)")
 	fs.IntVar(&o.Shards, "shards", 0, "index shard count, rounded to a power of two (0 = default)")
-	fs.BoolVar(&o.Fsync, "fsync", false, "fsync the journal before acking mutations")
-	fs.BoolVar(&o.GroupCommit, "group-commit", false, "coalesce concurrent mutations into one journal flush (and fsync) per window")
+	fs.BoolVar(&o.Fsync, "fsync", false, "fdatasync each journal flush window before acking its mutations")
 	fs.IntVar(&o.SnapshotEvery, "snapshot-every", 0, "journal records between snapshots (0 = default, <0 = never)")
 	fs.IntVar(&o.MaxInFlight, "max-inflight", 0, "cap on concurrently served API requests; excess gets 429 (0 = unlimited)")
 	fs.Float64Var(&o.WorkerRate, "worker-rate", 0, "per-session request rate cap in req/s on session endpoints; excess gets 429 (0 = unlimited)")

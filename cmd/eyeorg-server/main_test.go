@@ -49,7 +49,7 @@ func post(t *testing.T, url string, body []byte, out any) int {
 func TestDrainOnSIGTERM(t *testing.T) {
 	dataDir := t.TempDir()
 	srv, err := platform.Open(platform.Options{
-		DataDir: dataDir, Fsync: true, GroupCommit: true,
+		DataDir: dataDir, Fsync: true,
 	})
 	if err != nil {
 		t.Fatal(err)

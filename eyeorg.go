@@ -205,18 +205,17 @@ func RenderAllExperimentsParallel(s *ExperimentSuite, w io.Writer, workers int) 
 // PlatformOptions configures the platform's storage and operations
 // subsystems: DataDir enables the write-ahead journal + snapshots
 // (crash recovery rebuilds byte-identical /results), Shards sets the
-// per-index shard count, Fsync makes every mutation durable before its
-// ack, and GroupCommit coalesces concurrent mutations into one journal
-// flush + fsync per window — the durable configuration for heavy
-// ingest. MaxInFlight, WorkerRate and MaxBodyBytes put the API behind
-// admission control (429 + Retry-After / 413 under pressure; binary
-// event batches charge the worker's bucket per decoded record, see
-// internal/wire). Adaptive enables sequential campaigns
-// (internal/adaptive): per-video confidence intervals steer each new
-// assignment at the under-sampled videos and close the campaign — new
-// joins get 409 — once every interval shrinks to CIHalfWidth. The
-// server binaries open internal/platform directly; the facade carries
-// the options for ClusterConfig.Node.
+// per-index shard count, and Fsync makes every mutation durable on disk
+// before its ack; concurrent mutations share one journal flush (and,
+// with Fsync, one fdatasync) per window. MaxInFlight, WorkerRate and
+// MaxBodyBytes put the API behind admission control (429 + Retry-After
+// / 413 under pressure; binary event batches charge the worker's bucket
+// per decoded record, see internal/wire). Adaptive enables sequential
+// campaigns (internal/adaptive): per-video confidence intervals steer
+// each new assignment at the under-sampled videos and close the
+// campaign — new joins get 409 — once every interval shrinks to
+// CIHalfWidth. The server binaries open internal/platform directly; the
+// facade carries the options for ClusterConfig.Node.
 type PlatformOptions = platform.Options
 
 // NewPlatformHandler returns an in-memory Eyeorg web service handler.

@@ -361,7 +361,7 @@ func TestMisroutedAfterHandoff(t *testing.T) {
 // after a move — must afterwards be present and completed on exactly
 // one owner.
 func TestMoveCampaignMidFlight(t *testing.T) {
-	c := newTestCluster(t, Config{Node: platform.Options{Fsync: true, GroupCommit: true}})
+	c := newTestCluster(t, Config{Node: platform.Options{Fsync: true}})
 	rc := &cc{t: t, h: c.Handler()}
 	members := []string{"a", "b", "c"}
 	owner := map[string]string{}

@@ -44,13 +44,13 @@
 // hashed IDs), and when Options.DataDir is set every mutation is
 // journaled to a segmented write-ahead log so a restarted server
 // rebuilds the exact same state — byte-identical /results — from the
-// newest snapshot plus the journal tail. With Options.GroupCommit the
-// journal's group-commit pipeline coalesces concurrent mutations into
-// one flush (and, with Fsync, one fsync) per window, and each mutation
-// acks after its window is durable rather than fsyncing per record
-// inside its shard lock. /results and /analytics answer conditional
-// GETs with ETag/If-None-Match, a 304 rendering no body. The paper's
-// deployment sat a database behind the same shape of API.
+// newest snapshot plus the journal tail. The journal's group-commit
+// pipeline coalesces concurrent mutations into one flush (and, with
+// Fsync, one fdatasync) per window, and each mutation acks after its
+// window is durable, waiting outside its shard locks. /results and
+// /analytics answer conditional GETs with ETag/If-None-Match, a 304
+// rendering no body. The paper's deployment sat a database behind the
+// same shape of API.
 //
 // A server can also run as one member of a campaign-partitioned
 // cluster (internal/cluster): Options.IDTag namespaces the IDs it

@@ -4,26 +4,25 @@
 // Every mutation is expressed as an event. The live path validates,
 // buffers the event into the journal, and applies it inside one
 // shard-locked critical section — journal sequence order therefore
-// always matches memory order. Under GroupCommit the durability wait
-// (the flush window that amortizes the fsync) happens in mutate AFTER
-// the shard locks are released, so concurrent mutations on one shard
-// never serialize behind the disk; per-record fsync instead runs inside
-// the append, under the log mutex and the caller's shard lock (see the
-// durability table in docs/OPERATIONS.md). Recovery replays the journal
-// through the same apply functions, so the rebuilt state is
-// field-for-field the state the journal order produced — including the
-// order sessions complete per campaign, which is what makes /results
-// byte-identical after a restart (the analytics fold's float
-// aggregation is order-sensitive).
+// always matches memory order. The durability wait (the journal's
+// group-commit flush window, fdatasync'd with Fsync) happens in mutate
+// AFTER the shard locks are released, so concurrent mutations on one
+// shard never serialize behind the disk (see the durability matrix in
+// docs/OPERATIONS.md). Recovery replays the journal through the same
+// apply functions, so the rebuilt state is field-for-field the state
+// the journal order produced — including the order sessions complete
+// per campaign, which is what makes /results byte-identical after a
+// restart (the analytics fold's float aggregation is order-sensitive).
 //
-// The relaxation this buys is bounded and standard for group commit: a
-// mutation is visible to readers between its in-memory apply and its
-// ack, so a crash in that window can lose state another request
-// already observed — but never state whose mutator was acked (with
-// Fsync the HTTP response is written only after the record is on
-// disk). A durability-wait failure latches the journal: the mutation
-// stays applied in memory, the client gets a 5xx, and every further
-// mutation fails until the operator restarts onto the recovered state.
+// The relaxation this buys is bounded and standard for group commit,
+// and holds on every durable server: a mutation is visible to readers
+// between its in-memory apply and its ack, so a crash in that window
+// can lose state another request already observed — but never state
+// whose mutator was acked (the HTTP response is written only after the
+// record's window is flushed to the OS, and with Fsync on disk). A
+// durability-wait failure latches the journal: the mutation stays
+// applied in memory, the client gets a 5xx, and every further mutation
+// fails until the operator restarts onto the recovered state.
 package platform
 
 import (
@@ -105,12 +104,10 @@ type event struct {
 
 // journal buffers ev into the WAL and returns its sequence number.
 // Callers hold the shard lock that orders the mutation, so journal
-// order always matches memory order. Under GroupCommit durability is
-// NOT awaited here: mutate calls WaitDurable on the returned sequence
-// after the shard locks are released, so a flush window never
-// serializes a shard (without GroupCommit the append itself flushes
-// and fsyncs, under this lock). Returns 0 in memory mode and during
-// replay.
+// order always matches memory order. Durability is NOT awaited here:
+// mutate calls WaitDurable on the returned sequence after the shard
+// locks are released, so a flush window never serializes a shard.
+// Returns 0 in memory mode and during replay.
 func (s *Server) journal(ev *event) (uint64, error) {
 	if s.log == nil || s.replaying {
 		return 0, nil

@@ -56,15 +56,17 @@ type Options struct {
 	// SegmentBytes is the WAL segment rotation threshold (0 = store
 	// default).
 	SegmentBytes int64
-	// Fsync makes every mutation durable before its HTTP response:
-	// per-record (one fsync per mutation, inside the mutation's shard
-	// lock) unless GroupCommit batches them.
+	// Fsync makes every mutation durable on disk before its HTTP
+	// response: the journal's flush window carrying it is fdatasync'd,
+	// one sync shared by every concurrent mutation in the window, and
+	// the wait happens outside the shard locks. Without it a mutation
+	// acks once its window is flushed to the OS.
 	Fsync bool
-	// GroupCommit coalesces concurrent journal appends into one
-	// buffered write and — with Fsync — a single fsync per flush
-	// window; mutations ack after their window reaches disk instead of
-	// fsyncing one by one, and the wait happens outside the shard
-	// locks.
+	// GroupCommit is ignored.
+	//
+	// Deprecated: every journal append rides the store's group-commit
+	// pipeline. The field remains only because the bench module sets
+	// it.
 	GroupCommit bool
 	// SnapshotEvery is how many journal records separate automatic
 	// snapshots (0 = default cadence, negative = never).
@@ -458,7 +460,6 @@ func Open(opts Options) (*Server, error) {
 	jl, err := store.Open(opts.DataDir, store.Options{
 		SegmentBytes: opts.SegmentBytes,
 		Fsync:        opts.Fsync,
-		GroupCommit:  opts.GroupCommit,
 		Observer:     &s.observer,
 	})
 	if err != nil {
@@ -957,9 +958,8 @@ func validCampaignID(id string) bool {
 // with every shard lock released — waits for the journaled record to
 // become durable before acking, and triggers the snapshot cadence. fn
 // returns the journal sequence its record was buffered at (0 when
-// nothing was journaled). Under group commit the wait is one flush
-// window shared with every concurrent mutation; per-record fsync mode
-// established durability inside fn and the wait returns immediately.
+// nothing was journaled). The wait is one flush window shared with
+// every concurrent mutation.
 //
 // tr, when non-nil, receives the mutation's stage attribution: the
 // apply span when fn returns, and the durability wait split into

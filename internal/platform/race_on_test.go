@@ -2,7 +2,7 @@
 
 package platform
 
-// raceEnabled lets the heap-accounting test skip itself under the race
-// detector, where it runs several times slower and measures the
-// detector's bookkeeping.
+// raceEnabled lets the heap- and allocation-accounting tests skip
+// themselves under the race detector, where they run several times
+// slower and measure the detector's bookkeeping.
 const raceEnabled = true

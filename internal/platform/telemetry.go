@@ -136,7 +136,7 @@ type journalObserver struct {
 func (o *journalObserver) registerMetrics(reg *telemetry.Registry) {
 	reg.Help("eyeorg_journal_appends_total", "Records appended to the write-ahead journal.")
 	reg.Help("eyeorg_journal_append_bytes_total", "Framed bytes appended to the write-ahead journal.")
-	reg.Help("eyeorg_journal_window_records", "Records made durable per commit window (1 outside group commit).")
+	reg.Help("eyeorg_journal_window_records", "Records made durable per group-commit window.")
 	reg.Help("eyeorg_journal_fsync_seconds", "Journal data-sync (fdatasync) latency.")
 	reg.Help("eyeorg_journal_snapshots_total", "Snapshot rotations completed.")
 	o.appends = reg.Counter("eyeorg_journal_appends_total", "")

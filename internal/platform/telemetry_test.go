@@ -62,7 +62,7 @@ func metricValue(t *testing.T, body, series string) string {
 // exposition covers every layer the ISSUE names: per-endpoint request
 // counts and latency, store durability internals, and quality tallies.
 func TestMetricsEndpointCoversAPI(t *testing.T) {
-	c, srv := newClientOpts(t, Options{DataDir: t.TempDir(), Fsync: true, GroupCommit: true})
+	c, srv := newClientOpts(t, Options{DataDir: t.TempDir(), Fsync: true})
 	id, _ := setupCampaign(c, "timeline", 2)
 	jr := join(c, id, "w-metrics")
 	completeSession(c, jr, 1500, true, 0, 0)

@@ -8,10 +8,11 @@
 // records, periodically hand the journal a serialized snapshot of their
 // state, and after a restart rebuild by loading the newest snapshot and
 // replaying every record past it. Sequence numbers start at 1 and are
-// assigned in append order, which is therefore the replay order.
-// Options.GroupCommit swaps per-record durability for a group-commit
-// pipeline (see group.go): identical bytes on disk, one flush plus, with
-// Options.Fsync, one fdatasync of the window instead of one per record.
+// assigned in append order, which is therefore the replay order. Every
+// append becomes durable through one group-commit pipeline (group.go):
+// a committer goroutine turns whatever concurrent appends buffered into
+// one flush window, one write plus, with Options.Fsync, one fdatasync,
+// and acks the window's appends together.
 //
 // On-disk layout inside the data directory:
 //
@@ -36,9 +37,8 @@
 // every durability window (Window: sequence range, framed bytes, flush
 // and fsync timestamps) exactly once, after the window is durable and
 // strictly before any append it covers is acked, serialized and in
-// sequence order with no gaps — from every path that seals a window: an
-// inline append as a window of one, the group committer's flush with or
-// without fsync, and Close's tail. Durability telemetry and
-// request-trace timing are both derived from that one report; the
-// Window type carries the normative statement.
+// sequence order with no gaps — from both places that seal a window:
+// the committer's flush, with or without fsync, and Close's tail.
+// Durability telemetry and request-trace timing are both derived from
+// that one report; the Window type carries the normative statement.
 package store

@@ -1,4 +1,4 @@
-// Group commit: the pipeline behind Options.GroupCommit.
+// Group commit: the one way a record becomes durable.
 //
 // Appenders buffer their frame under the log mutex (AppendAsync, which
 // also assigns the sequence number, so sequence order stays append
@@ -8,23 +8,20 @@
 // then acks every sequence the window covered by advancing the durable
 // watermark. The sync runs outside the log mutex, so the next window's
 // appends buffer concurrently with it; that overlap is where the
-// batching comes from.
+// batching comes from. The committer flushes as soon as it is free and
+// never holds a window open to wait for more.
 //
-// Failure is latched exactly like the inline path: a flush or fsync
-// error marks the log failed (memory and disk may disagree) and poisons
-// every current and future waiter until the log is reopened.
+// A flush or fsync error marks the log failed (memory and disk may
+// disagree) and poisons every current and future waiter until the log
+// is reopened.
 package store
 
 import "time"
 
 // WaitDurable blocks until the record with the given sequence number is
 // durable per the options — flushed to the OS, and synced when
-// Options.Fsync is set. Without group commit every Append established
-// durability inline, so it returns immediately.
+// Options.Fsync is set.
 func (l *Log) WaitDurable(seq uint64) error {
-	if !l.group {
-		return nil
-	}
 	l.ackMu.Lock()
 	defer l.ackMu.Unlock()
 	for l.durable < seq && l.ackErr == nil && !l.ackClosed {

@@ -45,24 +45,20 @@ type Options struct {
 	// record larger than the threshold still lands in one segment;
 	// rotation happens before the next append.
 	SegmentBytes int64
-	// Fsync makes every window durable before it is acked with an
-	// fdatasync of the window: per append without group commit, per
-	// flush window with it. Off by default: buffered appends survive a
-	// process crash (the OS holds the bytes), just not a kernel crash or
-	// power loss mid-window.
+	// Fsync adds an fdatasync to every flush window before the window is
+	// acked. Off by default: a window is acked once it is flushed to the
+	// OS, which survives a process crash (the OS holds the bytes), just
+	// not a kernel crash or power loss mid-window.
 	Fsync bool
 	// KeepSnapshots is how many snapshots to retain (default 2). A
 	// segment is deleted once the oldest retained snapshot covers it,
 	// so a corrupt newest snapshot can always fall back one version.
 	KeepSnapshots int
-	// GroupCommit turns on the group-commit pipeline: appends buffer
-	// their frame and block on a shared ack instead of flushing (and,
-	// with Fsync, fsyncing) individually, and a committer goroutine
-	// turns everything buffered since the last flush into one write
-	// plus at most one data sync. The committer flushes as soon as it is
-	// free: batches form from whatever buffers while the previous
-	// window's sync runs. The on-disk format is unchanged; only when
-	// durability is established moves.
+	// GroupCommit is ignored.
+	//
+	// Deprecated: every append rides the group-commit pipeline
+	// (group.go). The field remains only because the bench module sets
+	// it.
 	GroupCommit bool
 	// Observer receives every durability window once it is durable and
 	// before it is acked — the journal's one hook, from which callers
@@ -93,8 +89,8 @@ type Log struct {
 
 	// The window being built for Options.Observer (see observer.go):
 	// sealed is the last sequence a reported window covered, pendBytes
-	// the framed bytes appended since. Guarded by mu; sealed by whichever
-	// path makes the window durable.
+	// the framed bytes appended since. Guarded by mu; sealed by
+	// flushGroup, or by Close for the last window.
 	sealed    uint64
 	pendBytes int64
 
@@ -103,11 +99,10 @@ type Log struct {
 	loadedData []byte
 	loadedOK   bool
 
-	// Group commit (Options.GroupCommit): AppendAsync buffers frames
-	// under mu and returns; the committer goroutine turns everything
-	// buffered since the last flush into one write + at most one sync
-	// and acks the whole window by advancing durable.
-	group  bool
+	// Group commit (group.go): AppendAsync buffers frames under mu and
+	// returns; the committer goroutine turns everything buffered since
+	// the last flush into one write + at most one sync and acks the
+	// whole window by advancing durable.
 	kick   chan struct{} // 1-buffered: unflushed appends are pending
 	stopc  chan struct{} // closed to stop the committer
 	done   chan struct{} // closed once the committer has exited
@@ -140,16 +135,13 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
-	l.sealed = l.seq // windows cover appends, not what recovery found
-	if opts.GroupCommit {
-		l.group = true
-		l.kick = make(chan struct{}, 1)
-		l.stopc = make(chan struct{})
-		l.done = make(chan struct{})
-		l.ackCond = sync.NewCond(&l.ackMu)
-		l.durable = l.seq // everything recovered from disk is durable
-		go l.commitLoop()
-	}
+	l.sealed = l.seq  // windows cover appends, not what recovery found
+	l.durable = l.seq // everything recovered from disk is durable
+	l.kick = make(chan struct{}, 1)
+	l.stopc = make(chan struct{})
+	l.done = make(chan struct{})
+	l.ackCond = sync.NewCond(&l.ackMu)
+	go l.commitLoop()
 	return l, nil
 }
 
@@ -175,9 +167,9 @@ func (l *Log) SnapshotSeq() uint64 {
 }
 
 // Append frames payload into the active segment and returns its
-// sequence number once the record is durable per the options: flushed
-// to the OS (and synced when Options.Fsync is set) — inline without
-// group commit, or by the committer's next flush window with it.
+// sequence number once the committer's flush window covering it is
+// durable per the options: flushed to the OS, and synced when
+// Options.Fsync is set.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	seq, err := l.AppendAsync(payload)
 	if err != nil {
@@ -190,10 +182,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 }
 
 // AppendAsync frames payload into the active segment and returns its
-// sequence number without waiting for group durability: under group
-// commit the frame sits in the write buffer until the committer's next
-// flush, and the caller pairs the sequence with WaitDurable for the
-// ack. Without group commit it is exactly Append.
+// sequence number without waiting for durability: the frame sits in the
+// write buffer until the committer's next flush, and the caller pairs
+// the sequence with WaitDurable for the ack.
 func (l *Log) AppendAsync(payload []byte) (uint64, error) {
 	switch {
 	case len(payload) == 0:
@@ -207,18 +198,15 @@ func (l *Log) AppendAsync(payload []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if l.group {
-		select {
-		case l.kick <- struct{}{}:
-		default: // the committer already knows work is pending
-		}
+	select {
+	case l.kick <- struct{}{}:
+	default: // the committer already knows work is pending
 	}
 	return seq, nil
 }
 
-// appendLocked writes one frame into the active segment's buffer and,
-// outside group mode, establishes its durability inline. Caller holds
-// l.mu.
+// appendLocked writes one frame into the active segment's buffer; the
+// committer makes it durable. Caller holds l.mu.
 func (l *Log) appendLocked(payload []byte) (uint64, error) {
 	if l.f == nil {
 		return 0, errClosed
@@ -241,30 +229,10 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 		l.failed = true
 		return 0, err
 	}
-	var w Window
-	if !l.group {
-		w.FlushStart = time.Now()
-		if err := l.w.Flush(); err != nil {
-			l.failed = true
-			return 0, err
-		}
-		if err := l.syncWindow(&w, l.f); err != nil {
-			// The frame may or may not be durable; either way memory and
-			// disk now disagree, so no further appends until reopen.
-			l.failed = true
-			return 0, err
-		}
-	}
 	frame := int64(recordHeader + len(payload))
 	l.size += frame
 	l.seq++
 	l.pendBytes += frame
-	if !l.group {
-		// Inline durability: the record is its own window, reported
-		// before this append returns (= before the caller's ack).
-		l.sealLocked(&w)
-		l.report(w)
-	}
 	return l.seq, nil
 }
 
@@ -357,10 +325,8 @@ func (l *Log) WriteSnapshot(data []byte) error {
 // acked), then flushes the active segment, trims its preallocated tail,
 // fsyncs and closes it. Further appends fail.
 func (l *Log) Close() error {
-	if l.group {
-		l.stop.Do(func() { close(l.stopc) })
-		<-l.done
-	}
+	l.stop.Do(func() { close(l.stopc) })
+	<-l.done
 	l.mu.Lock()
 	if l.f == nil {
 		l.mu.Unlock()
@@ -396,24 +362,22 @@ func (l *Log) Close() error {
 	}
 	l.f, l.w = nil, nil
 	l.mu.Unlock()
-	if l.group {
-		// Ack the tail, then release any waiter that would otherwise
-		// never hear back. A failed log acks nothing: an earlier fsync
-		// failure means some window may never have reached disk, and a
-		// later Sync succeeding does not bring those pages back — the
-		// reopened journal is the only truth.
-		if err == nil && tail {
-			l.report(w)
-			l.markDurable(w.Last)
-		}
-		l.ackMu.Lock()
-		l.ackClosed = true
-		if err != nil && l.ackErr == nil {
-			l.ackErr = err
-		}
-		l.ackCond.Broadcast()
-		l.ackMu.Unlock()
+	// Ack the tail, then release any waiter that would otherwise never
+	// hear back. A failed log acks nothing: an earlier fsync failure
+	// means some window may never have reached disk, and a later Sync
+	// succeeding does not bring those pages back — the reopened journal
+	// is the only truth.
+	if err == nil && tail {
+		l.report(w)
+		l.markDurable(w.Last)
 	}
+	l.ackMu.Lock()
+	l.ackClosed = true
+	if err != nil && l.ackErr == nil {
+		l.ackErr = err
+	}
+	l.ackCond.Broadcast()
+	l.ackMu.Unlock()
 	return err
 }
 
@@ -661,8 +625,8 @@ func (l *Log) rotate() error {
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
-	// An out-of-lock group sync may still hold the file; closing it
-	// mid-sync would fail the commit pipeline spuriously.
+	// The committer's out-of-lock window sync may still hold the file;
+	// closing it mid-sync would fail the commit pipeline spuriously.
 	l.syncWG.Wait()
 	if err := l.f.Truncate(l.size); err != nil {
 		return err

@@ -6,14 +6,13 @@ import (
 )
 
 // Window is one durability window: the contiguous run of records one
-// flush (and, with Options.Fsync, one data sync) made durable. Without
-// group commit every append is its own window of one; under group
-// commit a window is whatever the committer's flush covered, and Close
-// seals whatever raced the committer's last drain.
+// flush (and, with Options.Fsync, one data sync) made durable: whatever
+// the committer's flush covered, or, for the last window, whatever
+// raced the committer's final drain and Close sealed.
 //
 // The contract, the only one the journal's hook has: the observer is
 // called exactly once per window, after the window is durable and
-// strictly before any WaitDurable (or inline Append) it covers returns;
+// strictly before any WaitDurable (and so any Append) it covers returns;
 // calls are serialized and arrive in sequence order with no gaps, so
 // each First is the previous Last+1 — across segment rotations and
 // snapshots too — and no window is empty. A window the journal could
@@ -40,9 +39,10 @@ func (w Window) Records() int { return int(w.Last - w.First + 1) }
 
 // CommitObserver is the journal's one hook (Options.Observer): metrics
 // and request-trace timing derive from the windows it receives, and the
-// store stays free of both. See Window for the delivery contract. WindowDurable runs on the path that sealed the
-// window — under the log mutex for inline appends, on the committer
-// goroutine under group commit — so it must not call back into the Log.
+// store stays free of both. See Window for the delivery contract.
+// WindowDurable runs on the committer goroutine (in Close for the last
+// window) while every append it covers waits, so it must not call back
+// into the Log.
 type CommitObserver interface {
 	WindowDurable(Window)
 }

@@ -96,21 +96,26 @@ func appendConcurrently(t *testing.T, l *Log, obs *recordingObserver, writers, p
 	wg.Wait()
 }
 
+// observerModes crosses the one durability choice (Fsync or not) with
+// the two window shapes the committer produces: one writer waiting out
+// each record ("wal", "fsync-record") gets windows of one, and eight
+// concurrent writers ("-group") get windows that group records.
 var observerModes = []struct {
-	name string
-	opts Options
+	name    string
+	opts    Options
+	writers int
 }{
-	{"wal", Options{}},
-	{"fsync-record", Options{Fsync: true}},
-	{"wal-group", Options{GroupCommit: true}},
-	{"fsync-group", Options{Fsync: true, GroupCommit: true}},
+	{"wal", Options{}, 1},
+	{"fsync-record", Options{Fsync: true}, 1},
+	{"wal-group", Options{}, 8},
+	{"fsync-group", Options{Fsync: true}, 8},
 }
 
-// TestObserverContract runs concurrent appenders in every durability
-// mode and checks the whole contract: reported before acked, in order
-// with no gaps and no empty window, records and bytes summing to what
-// was appended, and exactly one fsync per window with Fsync (none
-// without: an empty bracket).
+// TestObserverContract runs the appenders of every mode and checks the
+// whole contract: reported before acked, in order with no gaps and no
+// empty window, records and bytes summing to what was appended, windows
+// of one for a single writer, and exactly one fsync per window with
+// Fsync (none without: an empty bracket).
 func TestObserverContract(t *testing.T) {
 	for _, m := range observerModes {
 		t.Run(m.name, func(t *testing.T) {
@@ -122,7 +127,7 @@ func TestObserverContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const writers, per = 8, 25
+			writers, per := m.writers, 200/m.writers
 			appendConcurrently(t, l, obs, writers, per)
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
@@ -134,8 +139,8 @@ func TestObserverContract(t *testing.T) {
 			if disk := int64(len(journalBytes(t, dir))); bytes != disk {
 				t.Fatalf("windows report %d framed bytes, %d on disk", bytes, disk)
 			}
-			if !m.opts.GroupCommit && windows != records {
-				t.Fatalf("inline mode: %d windows for %d records, want windows of one", windows, records)
+			if writers == 1 && windows != records {
+				t.Fatalf("one writer: %d windows for %d records, want windows of one", windows, records)
 			}
 			want := 0
 			if m.opts.Fsync {
@@ -148,10 +153,10 @@ func TestObserverContract(t *testing.T) {
 	}
 }
 
-// TestObserverPerRecordFsync: three serial appends in per-record fsync
-// mode are three windows of one, each with its own fsync and its own
-// frame's bytes.
-func TestObserverPerRecordFsync(t *testing.T) {
+// TestObserverSerialAppends: three serial appends with Fsync are three
+// windows of one — each Append waits out its window before the next
+// buffers — each with its own fsync and its own frame's bytes.
+func TestObserverSerialAppends(t *testing.T) {
 	obs := newRecordingObserver()
 	l, err := Open(t.TempDir(), Options{Fsync: true, Observer: obs})
 	if err != nil {
@@ -181,7 +186,7 @@ func TestObserverPerRecordFsync(t *testing.T) {
 // window must carry exactly one fsync.
 func TestObserverGroupCommitNoEmptyWindow(t *testing.T) {
 	obs := newRecordingObserver()
-	l, err := Open(t.TempDir(), Options{Fsync: true, GroupCommit: true, Observer: obs})
+	l, err := Open(t.TempDir(), Options{Fsync: true, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,19 +213,25 @@ func TestObserverGroupCommitNoEmptyWindow(t *testing.T) {
 }
 
 // TestObserverRotationAndSnapshot: windows stay contiguous across
-// segment rotations and a snapshot, inline and under group commit.
+// segment rotations and a snapshot, both for serial Appends (windows of
+// one) and for AppendAsync bursts, whose rotations land while earlier
+// records still wait in the buffer for a window that groups them.
 func TestObserverRotationAndSnapshot(t *testing.T) {
 	for _, group := range []bool{false, true} {
 		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
 			obs := newRecordingObserver()
 			dir := t.TempDir()
-			l, err := Open(dir, Options{SegmentBytes: 64, GroupCommit: group, Observer: obs})
+			l, err := Open(dir, Options{SegmentBytes: 64, Observer: obs})
 			if err != nil {
 				t.Fatal(err)
 			}
+			append := l.Append
+			if group {
+				append = l.AppendAsync
+			}
 			const n = 40
 			for i := 0; i < n; i++ {
-				if _, err := l.AppendAsync([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
+				if _, err := append([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
 					t.Fatal(err)
 				}
 				if i == n/2 {
@@ -235,8 +246,12 @@ func TestObserverRotationAndSnapshot(t *testing.T) {
 			if segs, _ := listFiles(dir, segPrefix, segSuffix); len(segs) < 2 {
 				t.Fatalf("only %d segments: the run never rotated", len(segs))
 			}
-			if _, records, _, _ := obs.totals(t); records != n {
+			windows, records, _, _ := obs.totals(t)
+			if records != n {
 				t.Fatalf("windows cover %d records, want %d", records, n)
+			}
+			if !group && windows != n {
+				t.Fatalf("serial Appends: %d windows for %d records, want windows of one", windows, n)
 			}
 		})
 	}
@@ -252,7 +267,7 @@ func TestObserverRotationAndSnapshot(t *testing.T) {
 func TestObserverCloseDrain(t *testing.T) {
 	obs := newRecordingObserver()
 	dir := t.TempDir()
-	l, err := Open(dir, Options{GroupCommit: true, Observer: obs})
+	l, err := Open(dir, Options{Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}

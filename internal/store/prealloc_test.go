@@ -137,21 +137,28 @@ func TestPreallocZeroTailInOlderSegmentFailsOpen(t *testing.T) {
 // TestPreallocRotateAndCloseTrimToTrueLength: while a log runs, every
 // segment but the active one is exactly as long as its data and the
 // active one is preallocated; Close trims that one too. Rotation by
-// size and by snapshot, inline and under group commit. (A segment
-// rotated by size is already past its preallocation; the one a
-// snapshot rotates, short of it, is what the trim is for, and the
-// second snapshot keeps it from compaction.)
+// size and by snapshot, for serial Appends and for AppendAsync bursts
+// that rotate with records still buffered. (A segment rotated by size is
+// already past its preallocation; the one a snapshot rotates, short of
+// it, is what the trim is for, and the second snapshot keeps it from
+// compaction.)
 func TestPreallocRotateAndCloseTrimToTrueLength(t *testing.T) {
 	const segBytes = 400
 	for _, group := range []bool{false, true} {
 		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Open(dir, Options{SegmentBytes: segBytes, Fsync: true, GroupCommit: group})
+			l, err := Open(dir, Options{SegmentBytes: segBytes, Fsync: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			append := l.Append
+			if group {
+				append = l.AppendAsync
+			}
 			for i := 0; i < 60; i++ {
-				appendAll(t, l, fmt.Sprintf("record-%02d-padding", i))
+				if _, err := append([]byte(fmt.Sprintf("record-%02d-padding", i))); err != nil {
+					t.Fatal(err)
+				}
 				if i == 20 || i == 45 {
 					if err := l.WriteSnapshot([]byte("state")); err != nil {
 						t.Fatal(err)
@@ -183,25 +190,23 @@ func TestPreallocRotateAndCloseTrimToTrueLength(t *testing.T) {
 // segment's data reads as, so an empty payload is refused — without
 // latching the log or spending a sequence number.
 func TestAppendRejectsEmptyPayload(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		l, err := Open(t.TempDir(), Options{GroupCommit: group})
-		if err != nil {
-			t.Fatal(err)
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][]byte{nil, {}} {
+		if _, err := l.Append(p); !errors.Is(err, errEmpty) {
+			t.Fatalf("Append(%#v): %v, want errEmpty", p, err)
 		}
-		for _, p := range [][]byte{nil, {}} {
-			if _, err := l.Append(p); !errors.Is(err, errEmpty) {
-				t.Fatalf("group=%v: Append(%#v): %v, want errEmpty", group, p, err)
-			}
-			if _, err := l.AppendAsync(p); !errors.Is(err, errEmpty) {
-				t.Fatalf("group=%v: AppendAsync(%#v): %v, want errEmpty", group, p, err)
-			}
+		if _, err := l.AppendAsync(p); !errors.Is(err, errEmpty) {
+			t.Fatalf("AppendAsync(%#v): %v, want errEmpty", p, err)
 		}
-		if seq, err := l.Append([]byte("x")); err != nil || seq != 1 {
-			t.Fatalf("group=%v: append after refusals: seq=%d err=%v, want seq 1", group, seq, err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if seq, err := l.Append([]byte("x")); err != nil || seq != 1 {
+		t.Fatalf("append after refusals: seq=%d err=%v, want seq 1", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -223,7 +228,7 @@ func TestRecoverKillBetweenWriteAndSync(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(11_000 + trial)))
 			dir := t.TempDir()
 			synced := &syncedBytes{}
-			l, err := Open(dir, Options{Fsync: true, GroupCommit: trial%2 == 0, Observer: synced})
+			l, err := Open(dir, Options{Fsync: true, Observer: synced})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -397,7 +402,9 @@ func TestPreallocParentWrittenSegment(t *testing.T) {
 
 // TestAppendAllocsPerRun pins the append path at no heap object per
 // record in every durability mode: the frame header is written from the
-// Log, not from a local that escapes through bufio.Writer.Write.
+// Log, not from a local that escapes through bufio.Writer.Write. The
+// "-group" modes also price a window of m.writers records: all buffered,
+// then one wait.
 func TestAppendAllocsPerRun(t *testing.T) {
 	payload := []byte(`{"op":"events","session":"s-000123","batch":"..."}`)
 	for _, m := range observerModes {
@@ -407,16 +414,28 @@ func TestAppendAllocsPerRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			for name, append := range map[string]func([]byte) (uint64, error){
+			appends := map[string]func([]byte) (uint64, error){
 				"Append": l.Append, "AppendAsync": l.AppendAsync,
-			} {
+			}
+			if m.writers > 1 {
+				appends["window"] = func(p []byte) (seq uint64, err error) {
+					for i := 0; i < m.writers && err == nil; i++ {
+						seq, err = l.AppendAsync(p)
+					}
+					if err == nil {
+						err = l.WaitDurable(seq)
+					}
+					return seq, err
+				}
+			}
+			for name, append := range appends {
 				allocs := testing.AllocsPerRun(200, func() {
 					if _, err := append(payload); err != nil {
 						t.Fatal(err)
 					}
 				})
 				if allocs != 0 {
-					t.Errorf("%s: %.2f heap objects per record, want 0", name, allocs)
+					t.Errorf("%s: %.2f heap objects per call, want 0", name, allocs)
 				}
 			}
 		})

@@ -62,7 +62,8 @@ const (
 	StageFsync
 	// StageAck covers waking from WaitDurable after the window is
 	// durable (and the whole durability wait when no window timing is
-	// available, e.g. in-memory or per-record fsync mode).
+	// available, e.g. in-memory, or when the window was durable before
+	// the wait began).
 	StageAck
 	// StageWrite covers everything after the last explicit checkpoint:
 	// response rendering and the write back to the client.
@@ -170,8 +171,8 @@ func (tr *Trace) Mark(s Stage) {
 // wait exactly: flush is the wait before the window's fsync began,
 // fsync the overlap with the fsync itself, and ack the wake-up after
 // it. Zero timestamps (a lookup miss) and a bracket that closed before
-// the wait began (per-record fsync: the fsync ran inside the append
-// stage) attribute the whole wait to ack.
+// the wait began (the committer synced the window while the caller was
+// still releasing its locks) attribute the whole wait to ack.
 func (tr *Trace) MarkDurable(fsyncStart, fsyncEnd time.Time) {
 	if tr == nil {
 		return
