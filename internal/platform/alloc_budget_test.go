@@ -139,3 +139,47 @@ func TestRequestPathAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestJournaledResponseAllocBudget pins heap objects per answer on a
+// DataDir server: the in-memory response's objects plus what journaling
+// its record costs. journal encodes the record into a pooled buffer and
+// the journal copies it into its write buffer, and the request that
+// waits for the record leads its window itself, so the journal path
+// adds no object of its own. The ceiling has no slack: it is the
+// in-memory response's measured count (TestRequestPathAllocBudget), and
+// one object more is the journal allocating again.
+func TestJournaledResponseAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are measured without the race detector")
+	}
+	const runs = 200
+	srv, err := Open(Options{DataDir: t.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rig := &budgetRig{t: t, h: srv.Handler(), w: &discardWriter{header: http.Header{}}, body: &replayBody{}}
+	campaign := seedDispatch(t, rig.h, 8)
+	// One session per run (AllocsPerRun makes runs+1), each answering its
+	// first test.
+	paths, answers := make([]string, runs+1), make([][]byte, runs+1)
+	for i := range paths {
+		var jr JoinResponse
+		dispatch(t, rig.h, "POST", "/api/v1/sessions", JoinRequest{
+			Campaign: campaign, Worker: Worker{ID: "journaled-" + strconv.Itoa(i), Gender: "f", Country: "ES", Source: "test"}, Captcha: "tok",
+		}, &jr)
+		paths[i] = "/api/v1/sessions/" + jr.Session + "/responses"
+		answers[i] = []byte(`{"test_id":"` + jr.Tests[0].TestID + `","slider_ms":1400.5,"helper_ms":1200,"submitted_ms":1200,"kept_original":true}`)
+	}
+	post := rig.request("POST", "application/json")
+	next := 0
+	const ceiling = 1
+	got := testing.AllocsPerRun(runs, func() {
+		rig.serve(post, paths[next], answers[next], http.StatusAccepted)
+		next++
+	})
+	t.Logf("journaled response %5.1f objects per request (ceiling %d)", got, ceiling)
+	if got > ceiling {
+		t.Errorf("journaled response: %.1f objects per request, ceiling %d", got, ceiling)
+	}
+}

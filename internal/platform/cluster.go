@@ -62,13 +62,17 @@ func (s *Server) Handoff(campaign, target string) ([]byte, error) {
 // exclusive is mutate for the campaign moves: fn runs under the world
 // lock held exclusively, so no other mutation is mid-apply, then the
 // caller waits for fn's record to be durable and the snapshot cadence
-// runs.
+// runs. An import that fails after journaling returns its sequence
+// with the error, and that record is awaited too: the journal flushes
+// only for a waiter, and nothing else would wait for it.
 func (s *Server) exclusive(fn func() (uint64, error)) error {
 	s.world.Lock()
 	seq, err := fn()
 	s.world.Unlock()
-	if err == nil && seq != 0 {
-		err = s.log.WaitDurable(seq)
+	if seq != 0 {
+		if werr := s.log.WaitDurable(seq); err == nil {
+			err = werr
+		}
 	}
 	if err == nil {
 		s.maybeSnapshot()
@@ -161,13 +165,16 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	// From here on the record is journaled: a failure returns seq with
+	// its error so that exclusive still awaits the record.
+
 	// Blob payloads first: video DTOs reference them by content address.
 	for hash, data := range ex.Blobs {
 		if s.blobs.Has(hash) {
 			continue
 		}
 		if _, _, err := s.blobs.PutBytes(data); err != nil {
-			return 0, fmt.Errorf("import blob %s: %w", hash, err)
+			return seq, fmt.Errorf("import blob %s: %w", hash, err)
 		}
 	}
 	// Same rebuild order as loadState: sessions, then videos, then the
@@ -175,21 +182,21 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 	for _, sn := range ex.Sessions {
 		sess, err := restoreSession(sn)
 		if err != nil {
-			return 0, fmt.Errorf("import session %s: %w", sn.ID, err)
+			return seq, fmt.Errorf("import session %s: %w", sn.ID, err)
 		}
 		s.sessions.Put(sn.ID, sessionEntry{live: sess})
 	}
 	for _, vn := range ex.Videos {
 		v, err := s.restoreVideo(vn)
 		if err != nil {
-			return 0, fmt.Errorf("import video %s: %w", vn.ID, err)
+			return seq, fmt.Errorf("import video %s: %w", vn.ID, err)
 		}
 		s.videos.Put(vn.ID, v)
 		s.bumpID(vn.ID)
 	}
 	c, err := s.restoreCampaign(ex.Campaign, ex.Sessions)
 	if err != nil {
-		return 0, fmt.Errorf("import campaign %s: %w", ex.Campaign.ID, err)
+		return seq, fmt.Errorf("import campaign %s: %w", ex.Campaign.ID, err)
 	}
 	s.campaigns.Put(ex.Campaign.ID, c)
 	s.bumpID(ex.Campaign.ID)

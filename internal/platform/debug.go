@@ -24,9 +24,10 @@ import (
 // commitRing retains the timing of recent durability windows,
 // published by journalObserver. A mutation that just returned from
 // WaitDurable looks its sequence up here; the journal reports a window
-// strictly before waking its waiters, so the lookup only misses when
-// commitRingSize whole windows landed between wake-up and lookup — in
-// which case the trace attributes the wait to ack, never blocks.
+// strictly before any WaitDurable it covers returns, so the lookup only
+// misses when commitRingSize whole windows landed between that return
+// and the lookup — in which case the trace attributes the wait to ack,
+// never blocks.
 type commitRing struct {
 	mu  sync.Mutex
 	buf [commitRingSize]store.Window

@@ -173,6 +173,51 @@ func TestImportRecordWithTailRefused(t *testing.T) {
 	}
 }
 
+// TestFailedImportRecordIsAwaited: an import that fails after its record
+// is journaled (here, a video whose blob the document does not carry)
+// still waits for that record's window — the journal flushes only for a
+// waiter — so the record has reached the OS when ImportCampaign returns
+// instead of sitting in the write buffer until the next mutation.
+func TestFailedImportRecordIsAwaited(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent_v3_export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ex campaignExport
+	if err := json.Unmarshal(raw, &ex); err != nil {
+		t.Fatal(err)
+	}
+	ex.Blobs = nil
+	state, err := json.Marshal(&ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.ImportCampaign(state); err == nil || !strings.Contains(err.Error(), "missing blob") {
+		t.Fatalf("ImportCampaign: %v, want the missing-blob failure", err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var disk []byte
+	for _, p := range segs {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk = append(disk, b...)
+	}
+	if !bytes.Contains(disk, []byte(`{"op":"import"`)) {
+		t.Fatal("the failed import's journal record is not in the segment file: nobody waited for it")
+	}
+}
+
 // freshVideoBytes is a payload no seeded video shares, so its blob can
 // only reach the importer in the export's blobs.
 func freshVideoBytes() []byte {

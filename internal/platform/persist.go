@@ -105,18 +105,25 @@ type event struct {
 // journal buffers ev into the WAL and returns its sequence number.
 // Callers hold the shard lock that orders the mutation, so journal
 // order always matches memory order. Durability is NOT awaited here:
-// mutate calls WaitDurable on the returned sequence after the shard
-// locks are released, so a flush window never serializes a shard.
-// Returns 0 in memory mode and during replay.
+// mutate (or exclusive) calls WaitDurable on the returned sequence
+// after the shard locks are released, so a flush window never
+// serializes a shard — and every sequence returned must be awaited,
+// since the journal flushes only for a waiter. Returns 0 in memory mode
+// and during replay.
+//
+// The record is json.Marshal's bytes, encoded into a pooled buffer:
+// the encoder's trailing newline is cut, and AppendAsync copies the
+// payload, so the buffer goes back to the pool at once.
 func (s *Server) journal(ev *event) (uint64, error) {
 	if s.log == nil || s.replaying {
 		return 0, nil
 	}
-	buf, err := json.Marshal(ev)
+	buf, err := encodeJSON(ev)
 	if err != nil {
 		return 0, err
 	}
-	seq, err := s.log.AppendAsync(buf)
+	seq, err := s.log.AppendAsync(buf.Bytes()[:buf.Len()-1])
+	bufPool.Put(buf)
 	ev.tr.Mark(trace.StageAppend)
 	return seq, err
 }

@@ -11,6 +11,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/eyeorg/eyeorg/internal/store"
+	"github.com/eyeorg/eyeorg/internal/wire"
 )
 
 // openPersisted opens a server over dir and wraps it in a test client.
@@ -698,5 +701,71 @@ func TestVideoWithoutBlobRefused(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestJournalRecordBytesMatchMarshal: journal encodes each record into a
+// pooled buffer instead of calling json.Marshal, and the record on disk
+// is still json.Marshal's bytes, for every op: strings that encoding/json
+// escapes (HTML, U+2028, non-ASCII), a batch's EYB1 Wire bytes and an
+// import's State document included.
+func TestJournalRecordBytesMatchMarshal(t *testing.T) {
+	state, err := os.ReadFile(filepath.Join("testdata", "parent_v3_export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := AppendWireRecords(nil, EventBatch{VideoID: "v2", LoadMs: 900, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 4, WatchedFraction: 0.9})
+	var enc wire.Encoder
+	events := []*event{
+		{Op: opCampaign, ID: "c1", Name: "<b>A & B</b> — ünï\u2028code", Kind: "timeline"},
+		{Op: opVideo, ID: "v2", Campaign: "c1", Hash: "e2f418a26daa90aec4ab4540ac673fdc9445eb213788a61c67ac01d4e9e51861", Size: 4096},
+		{Op: opSession, ID: "s3", Campaign: "c1", Worker: &Worker{ID: "w<1>", Gender: "f", Country: "ES", Source: "crowdflower"},
+			Tests: []AssignedTest{{TestID: "s3-t0", VideoID: "v2", Kind: "timeline"}, {TestID: "s3-t1", VideoID: "v2", Kind: "timeline", Control: true}}},
+		{Op: opEvents, ID: "s3", Batch: &EventBatch{VideoID: "v2", InstructionMs: 3.5, LoadMs: 912.25, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 4, WatchedFraction: 0.9, OutOfFocusMs: 1e-7}},
+		{Op: opBatch, ID: "s3", Wire: enc.AppendBatch(nil, recs)},
+		{Op: opResponse, ID: "s3", Body: &ResponseBody{TestID: "s3-t0", SliderMs: 1400.5, HelperMs: 1200, SubmittedMs: 1200, KeptOriginal: true}},
+		{Op: opResponse, ID: "s4", Body: &ResponseBody{TestID: "s4-t0", Choice: "no difference"}},
+		{Op: opFlag, ID: "v2", Flagger: "w&2"},
+		{Op: opHandoff, ID: "c1", Target: "b"},
+		{Op: opImport, State: state},
+	}
+	dir := t.TempDir()
+	srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if _, err := srv.journal(ev); err != nil {
+			t.Fatalf("%s: %v", ev.Op, err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jl, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	n := 0
+	err = jl.Replay(func(_ uint64, payload []byte) error {
+		if n >= len(events) {
+			return fmt.Errorf("record %d past the %d journaled", n+1, len(events))
+		}
+		want, err := json.Marshal(events[n])
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(payload, want) {
+			t.Errorf("%s record:\n got %s\nwant %s", events[n].Op, payload, want)
+		}
+		n++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(events) {
+		t.Fatalf("replayed %d records, journaled %d", n, len(events))
 	}
 }

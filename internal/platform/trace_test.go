@@ -224,8 +224,8 @@ func TestTraceParentAdoptedOverHTTP(t *testing.T) {
 }
 
 // TestTracingPerRecordFsync: a client whose mutations arrive one at a
-// time gets a per-record fsync from the group committer — each journal
-// append is a window of its own, with its own fsync — and every traced
+// time leads a window of its own for each record — one journal append,
+// one fsync, synced by the request that waits for it — and every traced
 // mutation charges its buffering to the append stage and the wait on
 // that window to the flush/fsync/ack stages.
 func TestTracingPerRecordFsync(t *testing.T) {

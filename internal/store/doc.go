@@ -9,10 +9,11 @@
 // state, and after a restart rebuild by loading the newest snapshot and
 // replaying every record past it. Sequence numbers start at 1 and are
 // assigned in append order, which is therefore the replay order. Every
-// append becomes durable through one group-commit pipeline (group.go):
-// a committer goroutine turns whatever concurrent appends buffered into
-// one flush window, one write plus, with Options.Fsync, one fdatasync,
-// and acks the window's appends together.
+// append becomes durable through one group-commit rule (group.go): the
+// first waiter whose record no earlier window covered leads the next
+// window, turning whatever concurrent appends buffered into one write
+// plus, with Options.Fsync, one fdatasync, and acks the window's
+// appends together. The journal starts no goroutine.
 //
 // On-disk layout inside the data directory:
 //
@@ -38,7 +39,7 @@
 // and fsync timestamps) exactly once, after the window is durable and
 // strictly before any append it covers is acked, serialized and in
 // sequence order with no gaps — from both places that seal a window:
-// the committer's flush, with or without fsync, and Close's tail.
+// a leading waiter's flush, with or without fsync, and Close's tail.
 // Durability telemetry and request-trace timing are both derived from
 // that one report; the Window type carries the normative statement.
 package store

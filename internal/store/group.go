@@ -2,14 +2,21 @@
 //
 // Appenders buffer their frame under the log mutex (AppendAsync, which
 // also assigns the sequence number, so sequence order stays append
-// order) and then block in WaitDurable. A single committer goroutine
-// watches for pending frames and, per flush window, performs ONE
-// bufio flush plus — with Options.Fsync — ONE fdatasync of the window,
-// then acks every sequence the window covered by advancing the durable
-// watermark. The sync runs outside the log mutex, so the next window's
-// appends buffer concurrently with it; that overlap is where the
-// batching comes from. The committer flushes as soon as it is free and
-// never holds a window open to wait for more.
+// order) and then call WaitDurable. There is no committer goroutine: the
+// waiter is the committer. A waiter whose record is not yet durable
+// takes commitMu and, unless the window of the previous holder covered
+// its record, leads the next window itself — ONE bufio flush plus, with
+// Options.Fsync, ONE fdatasync of everything buffered so far — then
+// reports the window and acks every sequence it covered by advancing
+// the durable watermark (leader/follower group commit, as in LevelDB's
+// writer queue or PostgreSQL's XLogFlush). The sync runs outside the log
+// mutex, so the next window's appends buffer concurrently with it, and
+// their waiters queue on commitMu; that overlap is where the batching
+// comes from. A window is flushed as soon as the previous one ends, and
+// nothing holds one open to wait for more.
+//
+// Lock order: commitMu, then mu. commitMu guards durable, ackErr and
+// ackClosed.
 //
 // A flush or fsync error marks the log failed (memory and disk may
 // disagree) and poisons every current and future waiter until the log
@@ -20,80 +27,48 @@ import "time"
 
 // WaitDurable blocks until the record with the given sequence number is
 // durable per the options — flushed to the OS, and synced when
-// Options.Fsync is set.
+// Options.Fsync is set — making it durable itself if no earlier
+// waiter's window covered it.
 func (l *Log) WaitDurable(seq uint64) error {
-	l.ackMu.Lock()
-	defer l.ackMu.Unlock()
-	for l.durable < seq && l.ackErr == nil && !l.ackClosed {
-		l.ackCond.Wait()
+	l.commitMu.Lock()
+	defer l.commitMu.Unlock()
+	if l.durable < seq && l.ackErr == nil && !l.ackClosed {
+		l.flushGroup()
 	}
-	if l.durable >= seq {
+	switch {
+	case l.durable >= seq:
 		return nil
-	}
-	if l.ackErr != nil {
+	case l.ackErr != nil:
 		return l.ackErr
 	}
 	return errClosed
 }
 
-// markDurable advances the watermark and wakes every waiter it covers.
-func (l *Log) markDurable(seq uint64) {
-	l.ackMu.Lock()
-	if seq > l.durable {
-		l.durable = seq
-		l.ackCond.Broadcast()
-	}
-	l.ackMu.Unlock()
-}
-
-// failAcks latches the first commit-pipeline error and wakes every
-// waiter: their records may or may not be on disk, and no later flush
-// will ever cover them.
+// failAcks latches the first commit error: every waiter whose record
+// was not yet durable gets it, since the record may or may not be on
+// disk and no later flush will ever cover it. Caller holds commitMu.
 func (l *Log) failAcks(err error) {
-	l.ackMu.Lock()
 	if l.ackErr == nil {
 		l.ackErr = err
 	}
-	l.ackCond.Broadcast()
-	l.ackMu.Unlock()
 }
 
-// commitLoop is the committer goroutine: one iteration per flush
-// window. On shutdown it drains — a final flush acks everything
-// buffered before Close closed stopc.
-func (l *Log) commitLoop() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.stopc:
-			l.flushGroup()
-			return
-		case <-l.kick:
-		}
-		l.flushGroup()
-	}
-}
-
-// flushGroup makes everything buffered so far durable with one flush
-// and at most one data sync, reports the window, then acks the covered
-// sequences. The sync runs after the log mutex is released so appends
-// for the next window proceed during it; rotate coordinates through
-// syncWG before closing the file out from under it.
+// flushGroup leads one window: it makes everything buffered so far
+// durable with one flush and at most one data sync, reports the window,
+// then acks the covered sequences. The sync runs after the log mutex is
+// released so appends for the next window proceed during it; rotate
+// coordinates through syncWG before closing the file out from under it.
+// Caller holds commitMu and has checked that a record past durable is
+// pending.
 func (l *Log) flushGroup() {
 	l.mu.Lock()
 	if l.f == nil {
 		l.mu.Unlock()
-		return // closed (or crashed in tests); Close settles the acks
+		return // crashed in tests; the waiter gets errClosed
 	}
 	if l.failed {
 		l.mu.Unlock()
 		l.failAcks(errFailed)
-		return
-	}
-	if l.seq == l.sealed {
-		// A kick that coalesced with the previous flush: nothing is
-		// pending, so there is no window and nothing to fsync.
-		l.mu.Unlock()
 		return
 	}
 	var w Window
@@ -117,8 +92,8 @@ func (l *Log) flushGroup() {
 		l.failAcks(err)
 		return
 	}
-	// Report before any covered waiter wakes: an acked record has
+	// Report before any covered waiter returns: an acked record has
 	// always been observed (and so, for a capturing observer, captured).
 	l.report(w)
-	l.markDurable(w.Last)
+	l.durable = w.Last
 }

@@ -6,35 +6,29 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // crash abandons the log the way a dying process would: the OS file is
-// closed first, without flushing the user-space write buffer, so every
-// later write fails — including those of the committer's last drain,
-// which runs against the dead file wherever it was in a window — and
-// then every waiter is released. Bytes already flushed to the OS
-// survive (the "OS" outlives the fake process); bytes still in the
-// bufio writer are lost. An in-flight window sync finishes first, as
-// rotate lets it: datasync reads the raw descriptor.
+// closed without flushing the user-space write buffer, wherever the
+// appenders are, so every later append fails and every waiter that
+// would have led a window gets errClosed instead. Bytes already flushed
+// to the OS survive (the "OS" outlives the fake process); bytes still
+// in the bufio writer are lost. An in-flight window sync finishes
+// first, as rotate lets it: datasync reads the raw descriptor, and its
+// leader still acks the window it wrote before the crash.
 func (l *Log) crash() {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.f != nil {
 		l.syncWG.Wait()
 		l.f.Close()
 	}
-	l.mu.Unlock()
-	l.stop.Do(func() { close(l.stopc) })
-	<-l.done
-	l.mu.Lock()
 	l.f, l.w = nil, nil
-	l.mu.Unlock()
-	l.ackMu.Lock()
-	l.ackClosed = true
-	l.ackCond.Broadcast()
-	l.ackMu.Unlock()
 }
 
 // journalBytes concatenates every segment's on-disk bytes in sequence
@@ -197,7 +191,7 @@ func TestGroupCommitSerialEquivalence(t *testing.T) {
 
 // TestGroupCommitAcksAcrossSnapshots runs appends concurrently with
 // snapshots: every acked record past the newest snapshot must replay,
-// and the snapshot rotation must not wedge or mis-ack the committer.
+// and the snapshot rotation must not wedge or mis-ack a leader's window.
 func TestGroupCommitAcksAcrossSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Fsync: true, SegmentBytes: 256})
@@ -302,10 +296,12 @@ func TestCloseDoesNotAckFailedCommits(t *testing.T) {
 	}
 	// Latch the log exactly as flushGroup does on an fsync failure.
 	boom := errors.New("boom: fsync failed")
+	l.commitMu.Lock()
 	l.mu.Lock()
 	l.failed = true
 	l.mu.Unlock()
 	l.failAcks(boom)
+	l.commitMu.Unlock()
 	_ = l.Close()
 	if err := l.WaitDurable(seq); !errors.Is(err, boom) {
 		t.Fatalf("WaitDurable after failed pipeline + Close: %v, want the latched failure", err)
@@ -348,6 +344,151 @@ func TestSyncDirErrorPropagates(t *testing.T) {
 	syncDir = orig
 	if _, err := Open(t.TempDir(), Options{}); err != nil {
 		t.Fatalf("restored syncDir: %v", err)
+	}
+}
+
+// TestGroupCommitOneSyncPerWindow: sixteen writers lead and follow one
+// another through commitMu, and a counting data-sync hook sees exactly
+// one sync per reported window and never two syncs at once — the leader
+// rule keeps one window in flight.
+func TestGroupCommitOneSyncPerWindow(t *testing.T) {
+	defer func() { syncData = datasync }()
+	var inSync, syncs, overlaps atomic.Int32
+	syncData = func(f *os.File) error {
+		if inSync.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		defer inSync.Add(-1)
+		syncs.Add(1)
+		return datasync(f)
+	}
+	l, obs := openObserved(t, t.TempDir(), Options{Fsync: true})
+	const writers, per = 16, 25
+	appendConcurrently(t, l, obs, writers, per)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	windows, records, fsyncs, _ := obs.totals(t)
+	if records != writers*per {
+		t.Fatalf("windows cover %d records, want %d", records, writers*per)
+	}
+	// Every append was waited for, so Close has no tail window and every
+	// window's sync went through the hook.
+	if n := int(syncs.Load()); n != windows || fsyncs != windows {
+		t.Fatalf("%d windows, %d fsync brackets, %d data syncs: want one sync per window", windows, fsyncs, n)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d data syncs started while another was running", n)
+	}
+	t.Logf("%d records in %d windows", records, windows)
+}
+
+// blockedInClose reports whether some goroutine is parked on a mutex
+// inside (*Log).Close.
+func blockedInClose() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		header, _, _ := bytes.Cut(g, []byte("\n"))
+		parked := bytes.Contains(header, []byte("[sync.Mutex.Lock")) || bytes.Contains(header, []byte("[semacquire"))
+		if parked && bytes.Contains(g, []byte("store.(*Log).Close(")) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGroupCommitCloseWaitsForLeader: the sync hook holds a leader's
+// window mid-sync until Close is parked on the commit lock, while three
+// more records nobody waits for buffer behind it. Close must not finish
+// before the leader does; windows arrive in order, the leader's first
+// and Close's tail after it; and a reopen replays every acked record
+// exactly once.
+func TestGroupCommitCloseWaitsForLeader(t *testing.T) {
+	defer func() { syncData = datasync }()
+	inSync, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	syncData = func(f *os.File) error {
+		first.Do(func() {
+			close(inSync)
+			<-release
+		})
+		return datasync(f)
+	}
+	dir := t.TempDir()
+	l, obs := openObserved(t, dir, Options{Fsync: true})
+	leader := make(chan error, 1)
+	go func() {
+		_, err := l.Append([]byte("leader"))
+		leader <- err
+	}()
+	<-inSync
+	want := []string{"leader"}
+	for i := 0; i < 3; i++ {
+		p := fmt.Sprintf("tail-%d", i)
+		want = append(want, p)
+		if _, err := l.AppendAsync([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	for deadline := time.Now().Add(10 * time.Second); !blockedInClose(); {
+		select {
+		case err := <-closed:
+			close(release)
+			t.Fatalf("Close returned (%v) while a leader was mid-sync", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("Close never parked on the commit lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := l.WaitDurable(uint64(len(want))); err != nil {
+		t.Fatalf("tail not acked by Close: %v", err)
+	}
+	windows, records, _, _ := obs.totals(t)
+	if windows != 2 || records != len(want) || obs.windows[0].Last != 1 {
+		t.Fatalf("windows %+v, want the leader's [1, 1] then Close's tail [2, %d]", obs.windows, len(want))
+	}
+	rl, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+	if _, got := replayAll(t, rl); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replayed %q, want %q", got, want)
+	}
+}
+
+// TestOpenStartsNoGoroutine: the journal has no background goroutine;
+// its windows are led by the waiters themselves.
+func TestOpenStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	l, err := Open(t.TempDir(), Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	open := runtime.NumGoroutine()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A goroutine another test left behind may exit in between, never
+	// start: a count above before is the journal's.
+	if after := runtime.NumGoroutine(); open > before || after > before {
+		t.Fatalf("goroutines: %d before Open, %d open, %d after Close", before, open, after)
 	}
 }
 

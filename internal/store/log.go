@@ -100,19 +100,14 @@ type Log struct {
 	loadedOK   bool
 
 	// Group commit (group.go): AppendAsync buffers frames under mu and
-	// returns; the committer goroutine turns everything buffered since
+	// returns; a waiter holding commitMu turns everything buffered since
 	// the last flush into one write + at most one sync and acks the
-	// whole window by advancing durable.
-	kick   chan struct{} // 1-buffered: unflushed appends are pending
-	stopc  chan struct{} // closed to stop the committer
-	done   chan struct{} // closed once the committer has exited
-	stop   sync.Once
-	syncWG sync.WaitGroup // in-flight out-of-lock syncs; rotate waits
-
-	ackMu     sync.Mutex
-	ackCond   *sync.Cond
-	durable   uint64 // highest sequence the committer has made durable
-	ackErr    error  // first commit-pipeline failure, latched
+	// whole window by advancing durable. commitMu is taken before mu
+	// and guards the three fields below it.
+	syncWG    sync.WaitGroup // in-flight out-of-lock syncs; rotate waits
+	commitMu  sync.Mutex
+	durable   uint64 // highest sequence a window has made durable
+	ackErr    error  // first commit failure, latched
 	ackClosed bool   // the log is closed; no further acks will arrive
 }
 
@@ -137,11 +132,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l.sealed = l.seq  // windows cover appends, not what recovery found
 	l.durable = l.seq // everything recovered from disk is durable
-	l.kick = make(chan struct{}, 1)
-	l.stopc = make(chan struct{})
-	l.done = make(chan struct{})
-	l.ackCond = sync.NewCond(&l.ackMu)
-	go l.commitLoop()
 	return l, nil
 }
 
@@ -167,9 +157,8 @@ func (l *Log) SnapshotSeq() uint64 {
 }
 
 // Append frames payload into the active segment and returns its
-// sequence number once the committer's flush window covering it is
-// durable per the options: flushed to the OS, and synced when
-// Options.Fsync is set.
+// sequence number once the flush window covering it is durable per the
+// options: flushed to the OS, and synced when Options.Fsync is set.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	seq, err := l.AppendAsync(payload)
 	if err != nil {
@@ -182,9 +171,12 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 }
 
 // AppendAsync frames payload into the active segment and returns its
-// sequence number without waiting for durability: the frame sits in the
-// write buffer until the committer's next flush, and the caller pairs
-// the sequence with WaitDurable for the ack.
+// sequence number without waiting for durability; the caller pairs the
+// sequence with WaitDurable for the ack. payload is copied before
+// AppendAsync returns, so the caller may reuse it. Nothing runs in the
+// background: a record nobody waits on stays in the write buffer until
+// the next WaitDurable (for it or any later record), a rotation or Close
+// flushes it.
 func (l *Log) AppendAsync(payload []byte) (uint64, error) {
 	switch {
 	case len(payload) == 0:
@@ -193,20 +185,12 @@ func (l *Log) AppendAsync(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("store: record of %d bytes exceeds limit", len(payload))
 	}
 	l.mu.Lock()
-	seq, err := l.appendLocked(payload)
-	l.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	select {
-	case l.kick <- struct{}{}:
-	default: // the committer already knows work is pending
-	}
-	return seq, nil
+	defer l.mu.Unlock()
+	return l.appendLocked(payload)
 }
 
-// appendLocked writes one frame into the active segment's buffer; the
-// committer makes it durable. Caller holds l.mu.
+// appendLocked writes one frame into the active segment's buffer; a
+// waiter's window makes it durable. Caller holds l.mu.
 func (l *Log) appendLocked(payload []byte) (uint64, error) {
 	if l.f == nil {
 		return 0, errClosed
@@ -321,19 +305,18 @@ func (l *Log) WriteSnapshot(data []byte) error {
 	return l.compact()
 }
 
-// Close drains the group committer (pending appends are flushed and
-// acked), then flushes the active segment, trims its preallocated tail,
-// fsyncs and closes it. Further appends fail.
+// Close waits out an in-flight window, then flushes the active segment,
+// trims its preallocated tail, fsyncs and closes it; appends no waiter
+// made durable yet form one last window, reported and acked here.
+// Further appends fail, and later waiters get an error.
 func (l *Log) Close() error {
-	l.stop.Do(func() { close(l.stopc) })
-	<-l.done
+	l.commitMu.Lock()
+	defer l.commitMu.Unlock()
 	l.mu.Lock()
 	if l.f == nil {
 		l.mu.Unlock()
 		return nil
 	}
-	// Appends that raced the committer's shutdown drain form one last
-	// window, sealed here like any other.
 	var w Window
 	tail := l.seq > l.sealed && !l.failed
 	if tail {
@@ -362,22 +345,18 @@ func (l *Log) Close() error {
 	}
 	l.f, l.w = nil, nil
 	l.mu.Unlock()
-	// Ack the tail, then release any waiter that would otherwise never
-	// hear back. A failed log acks nothing: an earlier fsync failure
-	// means some window may never have reached disk, and a later Sync
-	// succeeding does not bring those pages back — the reopened journal
-	// is the only truth.
+	// Ack the tail; every later waiter finds the log closed. A failed log
+	// acks nothing: an earlier fsync failure means some window may never
+	// have reached disk, and a later Sync succeeding does not bring those
+	// pages back — the reopened journal is the only truth.
 	if err == nil && tail {
 		l.report(w)
-		l.markDurable(w.Last)
+		l.durable = w.Last
 	}
-	l.ackMu.Lock()
 	l.ackClosed = true
-	if err != nil && l.ackErr == nil {
-		l.ackErr = err
+	if err != nil {
+		l.failAcks(err)
 	}
-	l.ackCond.Broadcast()
-	l.ackMu.Unlock()
 	return err
 }
 
@@ -625,8 +604,8 @@ func (l *Log) rotate() error {
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
-	// The committer's out-of-lock window sync may still hold the file;
-	// closing it mid-sync would fail the commit pipeline spuriously.
+	// A leader's out-of-lock window sync may still hold the file;
+	// closing it mid-sync would fail that window spuriously.
 	l.syncWG.Wait()
 	if err := l.f.Truncate(l.size); err != nil {
 		return err

@@ -7,8 +7,8 @@ import (
 
 // Window is one durability window: the contiguous run of records one
 // flush (and, with Options.Fsync, one data sync) made durable: whatever
-// the committer's flush covered, or, for the last window, whatever
-// raced the committer's final drain and Close sealed.
+// was buffered when a waiter took the lead, or, for the last window,
+// whatever no waiter had made durable when Close sealed it.
 //
 // The contract, the only one the journal's hook has: the observer is
 // called exactly once per window, after the window is durable and
@@ -40,16 +40,18 @@ func (w Window) Records() int { return int(w.Last - w.First + 1) }
 // CommitObserver is the journal's one hook (Options.Observer): metrics
 // and request-trace timing derive from the windows it receives, and the
 // store stays free of both. See Window for the delivery contract.
-// WindowDurable runs on the committer goroutine (in Close for the last
-// window) while every append it covers waits, so it must not call back
-// into the Log.
+// WindowDurable runs on the goroutine of the request whose WaitDurable
+// led the window (in Close for the last window), while that leader holds
+// the commit lock and every append the window covers waits, so it must
+// not call back into the Log.
 type CommitObserver interface {
 	WindowDurable(Window)
 }
 
 // sealLocked closes the window being built — everything appended since
 // the previous window — into w and starts the next one. Caller holds
-// l.mu and has checked that l.seq > l.sealed.
+// l.mu and knows that l.seq > l.sealed: Close checks it, and a leader's
+// own record is past the durable watermark, which is l.sealed.
 func (l *Log) sealLocked(w *Window) {
 	w.First, w.Last, w.Bytes = l.sealed+1, l.seq, l.pendBytes
 	l.sealed, l.pendBytes = l.seq, 0

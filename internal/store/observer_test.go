@@ -8,17 +8,31 @@ import (
 
 // recordingObserver keeps every window and checks, as each arrives,
 // the parts of the contract a single call can break: no gap or reorder
-// against the previous window, no empty window, timestamps in order.
-// The store serializes calls; the mutex only orders them against the
-// test's readers.
+// against the previous window, no empty window, timestamps in order,
+// and — once log is set — no record of the window acked yet: the
+// durable watermark, which the reporting goroutine holds commitMu over,
+// has not reached the window. The store serializes calls; the mutex
+// only orders them against the test's readers.
 type recordingObserver struct {
 	mu      sync.Mutex
+	log     *Log // set right after Open, before any append
 	windows []Window
 	next    uint64 // First the next window must carry
 	bad     []string
 }
 
-func newRecordingObserver() *recordingObserver { return &recordingObserver{next: 1} }
+// openObserved opens a log in dir that reports to a new recordingObserver.
+func openObserved(t *testing.T, dir string, opts Options) (*Log, *recordingObserver) {
+	t.Helper()
+	obs := &recordingObserver{next: 1}
+	opts.Observer = obs
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.log = l
+	return l, obs
+}
 
 func (o *recordingObserver) WindowDurable(w Window) {
 	o.mu.Lock()
@@ -28,6 +42,9 @@ func (o *recordingObserver) WindowDurable(w Window) {
 	}
 	if w.Last < w.First {
 		o.bad = append(o.bad, fmt.Sprintf("empty window [%d, %d]", w.First, w.Last))
+	}
+	if o.log != nil && o.log.durable >= w.First {
+		o.bad = append(o.bad, fmt.Sprintf("window [%d, %d] reported after the watermark reached %d (acked before reported)", w.First, w.Last, o.log.durable))
 	}
 	if w.FlushStart.IsZero() || w.FlushStart.After(w.FsyncStart) || w.FsyncStart.After(w.FsyncEnd) {
 		o.bad = append(o.bad, fmt.Sprintf("window [%d, %d] timestamps out of order: flush=%s fsync=[%s, %s]",
@@ -97,9 +114,9 @@ func appendConcurrently(t *testing.T, l *Log, obs *recordingObserver, writers, p
 }
 
 // observerModes crosses the one durability choice (Fsync or not) with
-// the two window shapes the committer produces: one writer waiting out
-// each record ("wal", "fsync-record") gets windows of one, and eight
-// concurrent writers ("-group") get windows that group records.
+// the two window shapes the leader rule produces: one writer waiting
+// out each record ("wal", "fsync-record") gets windows of one, and
+// eight concurrent writers ("-group") get windows that group records.
 var observerModes = []struct {
 	name    string
 	opts    Options
@@ -119,14 +136,8 @@ var observerModes = []struct {
 func TestObserverContract(t *testing.T) {
 	for _, m := range observerModes {
 		t.Run(m.name, func(t *testing.T) {
-			obs := newRecordingObserver()
-			opts := m.opts
-			opts.Observer = obs
 			dir := t.TempDir()
-			l, err := Open(dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			l, obs := openObserved(t, dir, m.opts)
 			writers, per := m.writers, 200/m.writers
 			appendConcurrently(t, l, obs, writers, per)
 			if err := l.Close(); err != nil {
@@ -157,11 +168,7 @@ func TestObserverContract(t *testing.T) {
 // windows of one — each Append waits out its window before the next
 // buffers — each with its own fsync and its own frame's bytes.
 func TestObserverSerialAppends(t *testing.T) {
-	obs := newRecordingObserver()
-	l, err := Open(t.TempDir(), Options{Fsync: true, Observer: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, obs := openObserved(t, t.TempDir(), Options{Fsync: true})
 	defer l.Close()
 	payload := []byte("hello")
 	for i := 0; i < 3; i++ {
@@ -178,23 +185,24 @@ func TestObserverSerialAppends(t *testing.T) {
 	}
 }
 
-// TestObserverGroupCommitNoEmptyWindow pins the coalesced-kick fix: a
-// kick whose record the previous flush already covered must not cost
-// an fsync or produce a window. Concurrent writers produce such kicks
-// by chance; the stale kick injected afterwards produces one for sure.
-// recordingObserver rejects an empty window on arrival, and every
-// window must carry exactly one fsync.
+// TestObserverGroupCommitNoEmptyWindow pins the covered-record rule: a
+// waiter whose record an earlier window covered costs no window and no
+// sync. Concurrent writers produce such waiters by chance (followers
+// that queued behind the leader whose window took their record); the
+// stale waits afterwards, one per record already durable, produce them
+// for sure. recordingObserver rejects an empty window on arrival, and
+// every window must carry exactly one fsync.
 func TestObserverGroupCommitNoEmptyWindow(t *testing.T) {
-	obs := newRecordingObserver()
-	l, err := Open(t.TempDir(), Options{Fsync: true, Observer: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, obs := openObserved(t, t.TempDir(), Options{Fsync: true})
 	const writers, per = 8, 100
 	appendConcurrently(t, l, obs, writers, per)
 	before, _, _, _ := obs.totals(t)
-	l.kick <- struct{}{} // everything is durable: nothing to flush
-	if _, err := l.Append([]byte("after the stale kick")); err != nil {
+	for seq := uint64(1); seq <= l.Seq(); seq++ {
+		if err := l.WaitDurable(seq); err != nil { // durable: nothing to flush
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.Append([]byte("after the stale waits")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -205,7 +213,7 @@ func TestObserverGroupCommitNoEmptyWindow(t *testing.T) {
 		t.Fatalf("windows cover %d records, want %d", records, writers*per+1)
 	}
 	if windows != before+1 {
-		t.Fatalf("stale kick + one append produced %d windows, want 1", windows-before)
+		t.Fatalf("stale waits + one append produced %d windows, want 1", windows-before)
 	}
 	if fsyncs != windows {
 		t.Fatalf("%d windows with %d fsyncs, want one fsync per window", windows, fsyncs)
@@ -219,12 +227,8 @@ func TestObserverGroupCommitNoEmptyWindow(t *testing.T) {
 func TestObserverRotationAndSnapshot(t *testing.T) {
 	for _, group := range []bool{false, true} {
 		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			obs := newRecordingObserver()
 			dir := t.TempDir()
-			l, err := Open(dir, Options{SegmentBytes: 64, Observer: obs})
-			if err != nil {
-				t.Fatal(err)
-			}
+			l, obs := openObserved(t, dir, Options{SegmentBytes: 64})
 			append := l.Append
 			if group {
 				append = l.AppendAsync
@@ -258,19 +262,15 @@ func TestObserverRotationAndSnapshot(t *testing.T) {
 }
 
 // TestObserverCloseDrain: records appended without waiting are still
-// reported (exactly once, in order) by the time Close returns — both
-// the ones the committer's shutdown drain covers and the ones that race
-// it and are left to Close itself, which reports through the same call
-// as every other window: the windows' record counts sum to the
-// successful appends and their bytes to what is on disk, and a reopen
-// replays the payloads in append order.
+// reported (exactly once, in order) by the time Close returns. No
+// waiter leads a window for them, so they form Close's tail window,
+// which Close reports through the same call as every other window: one
+// window whose record count is the successful appends and whose bytes
+// are what is on disk, and a reopen replays the payloads in append
+// order.
 func TestObserverCloseDrain(t *testing.T) {
-	obs := newRecordingObserver()
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Observer: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, obs := openObserved(t, dir, Options{})
 	var want []string
 	appendN := func(n int) {
 		for i := 0; i < n; i++ {
@@ -281,12 +281,7 @@ func TestObserverCloseDrain(t *testing.T) {
 			}
 		}
 	}
-	appendN(50)
-	// Stop the committer the way Close does, then append: these records
-	// are exactly the ones that race Close after the last drain.
-	l.stop.Do(func() { close(l.stopc) })
-	<-l.done
-	appendN(5)
+	appendN(55)
 	seq := l.Seq()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -294,14 +289,17 @@ func TestObserverCloseDrain(t *testing.T) {
 	if err := l.WaitDurable(seq); err != nil {
 		t.Fatalf("tail not acked by Close: %v", err)
 	}
-	_, records, _, bytes := obs.totals(t)
+	windows, records, _, bytes := obs.totals(t)
 	if records != len(want) {
 		t.Fatalf("windows cover %d records through close, want %d", records, len(want))
+	}
+	if windows != 1 {
+		t.Fatalf("appends nobody waited for formed %d windows, want Close's tail alone", windows)
 	}
 	if disk := int64(len(journalBytes(t, dir))); bytes != disk {
 		t.Fatalf("windows report %d framed bytes, %d on disk", bytes, disk)
 	}
-	l, err = Open(dir, Options{})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

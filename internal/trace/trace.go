@@ -60,10 +60,11 @@ const (
 	StageFlush
 	// StageFsync covers the commit window's fsync.
 	StageFsync
-	// StageAck covers waking from WaitDurable after the window is
-	// durable (and the whole durability wait when no window timing is
-	// available, e.g. in-memory, or when the window was durable before
-	// the wait began).
+	// StageAck covers returning from WaitDurable after the window is
+	// durable — about zero for the request that led the window, the
+	// hand-off of the commit lock for one its window covered — and the
+	// whole durability wait when no window timing is available (e.g.
+	// in-memory) or when the window was durable before the wait began.
 	StageAck
 	// StageWrite covers everything after the last explicit checkpoint:
 	// response rendering and the write back to the client.
@@ -170,9 +171,11 @@ func (tr *Trace) Mark(s Stage) {
 // the commit window's fsync timestamps. The three stages partition the
 // wait exactly: flush is the wait before the window's fsync began,
 // fsync the overlap with the fsync itself, and ack the wake-up after
-// it. Zero timestamps (a lookup miss) and a bracket that closed before
-// the wait began (the committer synced the window while the caller was
-// still releasing its locks) attribute the whole wait to ack.
+// it. The request that led its window ran that sync itself, so its ack
+// is about zero. Zero timestamps (a lookup miss) and a bracket that
+// closed before the wait began (another request's window covered the
+// record while the caller was still releasing its locks) attribute the
+// whole wait to ack.
 func (tr *Trace) MarkDurable(fsyncStart, fsyncEnd time.Time) {
 	if tr == nil {
 		return

@@ -160,7 +160,8 @@ func TestMarkDurableSplit(t *testing.T) {
 		t.Fatalf("ack %s, want >=3ms", st2[StageAck])
 	}
 
-	// Window already durable before the wait began: all ack.
+	// Window already durable before the wait began (another request led
+	// the window that covered the record): all ack.
 	tr3 := &Trace{start: time.Now()}
 	tr3.MarkDurable(time.Now().Add(-2*time.Second), time.Now().Add(-time.Second))
 	if st3 := tr3.Stages(); st3[StageFlush] != 0 || st3[StageFsync] != 0 {
