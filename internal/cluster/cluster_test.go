@@ -354,6 +354,56 @@ func TestMisroutedAfterHandoff(t *testing.T) {
 	}
 }
 
+// TestFenceChecksTheServedID: the node's fence reads the {id} the
+// platform serves the request with, percent-decoded segment by segment.
+// An escaped spelling of a moved session's or video's ID is fenced like
+// the plain one; an escaped slash keeps the rest of the segment in the
+// ID, so "<sid>%2Fx" names session "<sid>/x", which no node has: the
+// platform answers 404, not the fence of <sid>'s campaign.
+func TestFenceChecksTheServedID(t *testing.T) {
+	c := newTestCluster(t, Config{})
+	rc := &cc{t: t, h: c.Handler()}
+	id, owner := createCampaign(t, c, rc)
+	vid := addVideos(t, rc, id, 2)[0]
+	sid := joinVia(t, rc, id, "w-escaped").Session
+	target := "a"
+	if owner == "a" {
+		target = "b"
+	}
+	if err := c.MoveCampaign(id, owner, target); err != nil {
+		t.Fatal(err)
+	}
+	escape := func(entity string) string { return fmt.Sprintf("%%%02X", entity[0]) + entity[1:] }
+	old := &cc{t: t, h: c.Node(owner).Handler()}
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/api/v1/sessions/" + sid + "/tests", http.StatusTemporaryRedirect},
+		{"/api/v1/sessions/" + escape(sid) + "/tests", http.StatusTemporaryRedirect},
+		{"/api/v1/sessions/" + sid + "%2Fx/tests", http.StatusNotFound},
+		{"/api/v1/videos/" + vid, http.StatusTemporaryRedirect},
+		{"/api/v1/videos/" + escape(vid), http.StatusTemporaryRedirect},
+		{"/api/v1/videos/" + vid + "%2Fx", http.StatusNotFound},
+		{"/api/v1/campaigns/" + escape(id) + "/results", http.StatusTemporaryRedirect},
+	} {
+		if code, _ := old.body("GET", tc.path); code != tc.want {
+			t.Errorf("GET %s at the old owner: %d, want %d", tc.path, code, tc.want)
+		}
+	}
+	// Through the router the escaped slash is the same unknown session.
+	if code, _ := rc.body("GET", "/api/v1/sessions/"+sid+"%2Fx/tests"); code != http.StatusNotFound {
+		t.Errorf("escaped slash through the router: %d, want 404", code)
+	}
+	// A wrong method is the platform's 405 at the old owner and, forwarded
+	// to the new one, through the router.
+	for name, h := range map[string]*cc{"old owner": old, "router": rc} {
+		if code, _ := h.body("DELETE", "/api/v1/sessions/"+sid+"/tests"); code != http.StatusMethodNotAllowed {
+			t.Errorf("DELETE through the %s: %d, want 405", name, code)
+		}
+	}
+}
+
 // TestMoveCampaignMidFlight is the chaos test: concurrent sessions
 // stream through the router while campaigns move between nodes under
 // them, so every handoff's cut falls inside real traffic. Every session

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 
 	"github.com/eyeorg/eyeorg/internal/platform"
 )
@@ -64,16 +63,21 @@ func (n *Node) Handler() http.Handler {
 	})
 }
 
-// resolveCampaign extracts the campaign a request targets: from the
-// path for campaign-scoped routes, through the session/video indexes
-// for entity-scoped ones, and by peeking the join body for POST
-// /sessions (the body is restored for the downstream handler).
+// resolveCampaign extracts the campaign a request targets, reading the
+// route and {id} the platform serves it with: the ID itself on
+// campaign-scoped routes, through the session/video indexes on
+// entity-scoped ones, and by peeking the join body (restored for the
+// platform). A request no handler serves — the platform answers it 301,
+// 405 or 404 — targets none.
 func (n *Node) resolveCampaign(r *http.Request) string {
-	path := r.URL.Path
-	switch {
-	case strings.HasPrefix(path, "/api/v1/campaigns/"):
-		return pathSegment(path, "/api/v1/campaigns/")
-	case path == "/api/v1/sessions" && r.Method == http.MethodPost:
+	endpoint, id, ok := platform.Route(r.Method, r.URL.EscapedPath())
+	if !ok {
+		return ""
+	}
+	switch endpoint {
+	case "add_video", "results", "analytics":
+		return id
+	case "join":
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		r.Body.Close()
 		r.Body = io.NopCloser(bytes.NewReader(body))
@@ -87,24 +91,14 @@ func (n *Node) resolveCampaign(r *http.Request) string {
 			return ""
 		}
 		return req.Campaign
-	case strings.HasPrefix(path, "/api/v1/sessions/"):
-		c, _ := n.srv.CampaignOf(pathSegment(path, "/api/v1/sessions/"))
+	case "tests", "events", "response":
+		c, _ := n.srv.CampaignOf(id)
 		return c
-	case strings.HasPrefix(path, "/api/v1/videos/"):
-		c, _ := n.srv.CampaignOfVideo(pathSegment(path, "/api/v1/videos/"))
+	case "video", "flag":
+		c, _ := n.srv.CampaignOfVideo(id)
 		return c
 	}
 	return ""
-}
-
-// pathSegment returns the path element following prefix, up to the
-// next slash.
-func pathSegment(path, prefix string) string {
-	rest := strings.TrimPrefix(path, prefix)
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
-	return rest
 }
 
 // redirect answers a request for a handed-off campaign: 307 preserves

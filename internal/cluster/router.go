@@ -186,7 +186,7 @@ func (rt *Router) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	// Creates are proxied even in redirect mode: the minted ID lives in
 	// the rewritten body, which a client-side redirect replay would lose.
-	status := rt.dispatch(w, r, owner, req.ID, rewritten, true)
+	status := rt.dispatch(w, r, "create_campaign", owner, req.ID, rewritten, true)
 	if status == http.StatusCreated {
 		rt.Override(req.ID, owner)
 	}
@@ -205,39 +205,40 @@ func (rt *Router) handleRouted(w http.ResponseWriter, r *http.Request) {
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
 	}
-	node, campaign, ok := rt.resolve(r, body)
+	endpoint, id, _ := platform.Route(r.Method, r.URL.EscapedPath())
+	node, campaign, ok := rt.resolve(endpoint, id, body)
 	if !ok {
 		rt.unroutable.Inc()
 		http.Error(w, "no route: unknown entity or owner", http.StatusServiceUnavailable)
 		return
 	}
-	rt.dispatch(w, r, node, campaign, body, false)
+	rt.dispatch(w, r, endpoint, node, campaign, body, false)
 }
 
-// resolve maps a request to (node, campaign). The campaign may be ""
-// when the path names an entity the router has no table entry for yet
-// but whose ID tag names its minting node.
-func (rt *Router) resolve(r *http.Request, body []byte) (node, campaign string, ok bool) {
-	path := r.URL.Path
+// resolve maps a request, by the platform route and {id} its path
+// names, to (node, campaign). A path named with the wrong method still
+// goes to its owner, which answers 405; a path no route has maps to no
+// node. The campaign may be "" when the request names an entity the
+// router has no table entry for yet but whose ID tag names its minting
+// node.
+func (rt *Router) resolve(endpoint, id string, body []byte) (node, campaign string, ok bool) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	switch {
-	case strings.HasPrefix(path, "/api/v1/campaigns/"):
-		campaign = pathSegment(path, "/api/v1/campaigns/")
+	switch endpoint {
+	case "add_video", "results", "analytics":
+		campaign = id
 		node = rt.campaignNodeLocked(campaign)
-	case path == "/api/v1/sessions" && r.Method == http.MethodPost:
+	case "join":
 		var req struct {
 			Campaign string `json:"campaign"`
 		}
 		_ = json.Unmarshal(body, &req)
 		campaign = req.Campaign
 		node = rt.campaignNodeLocked(campaign)
-	case strings.HasPrefix(path, "/api/v1/sessions/"):
-		sid := pathSegment(path, "/api/v1/sessions/")
-		node, campaign = rt.entityNodeLocked(rt.sessions, sid)
-	case strings.HasPrefix(path, "/api/v1/videos/"):
-		vid := pathSegment(path, "/api/v1/videos/")
-		node, campaign = rt.entityNodeLocked(rt.videos, vid)
+	case "tests", "events", "response":
+		node, campaign = rt.entityNodeLocked(rt.sessions, id)
+	case "video", "flag":
+		node, campaign = rt.entityNodeLocked(rt.videos, id)
 	}
 	return node, campaign, node != ""
 }
@@ -297,9 +298,10 @@ func nodeOfID(id string) string {
 
 // dispatch sends the request to a node: proxied in-process (following
 // fence 307s and learning from create/join responses) or answered as
-// a client-side redirect. forceProxy overrides redirect mode for the
-// routes the router rewrites. Returns the response status.
-func (rt *Router) dispatch(w http.ResponseWriter, r *http.Request, nodeID, campaign string, body []byte, forceProxy bool) int {
+// a client-side redirect. endpoint is the platform route the request
+// names; forceProxy overrides redirect mode for the routes the router
+// rewrites. Returns the response status.
+func (rt *Router) dispatch(w http.ResponseWriter, r *http.Request, endpoint, nodeID, campaign string, body []byte, forceProxy bool) int {
 	t := rt.targets[nodeID]
 	if t == nil {
 		rt.unroutable.Inc()
@@ -338,7 +340,7 @@ func (rt *Router) dispatch(w http.ResponseWriter, r *http.Request, nodeID, campa
 				continue
 			}
 		}
-		rt.learn(r, campaign, nodeID, rec)
+		rt.learn(endpoint, campaign, nodeID, rec)
 		copyResponse(w, rec)
 		return rec.status
 	}
@@ -359,13 +361,12 @@ func (rt *Router) nodeByBase(location string) *target {
 // node answered a join (session → node) or a video upload (video →
 // node). An upload's campaign is a substring of its request path, so
 // the video table stores a copy.
-func (rt *Router) learn(r *http.Request, campaign, nodeID string, rec *responseRecorder) {
+func (rt *Router) learn(endpoint, campaign, nodeID string, rec *responseRecorder) {
 	if rec.status != http.StatusCreated {
 		return
 	}
-	path := r.URL.Path
-	switch {
-	case path == "/api/v1/sessions":
+	switch endpoint {
+	case "join":
 		var resp struct {
 			Session string `json:"session"`
 		}
@@ -374,7 +375,7 @@ func (rt *Router) learn(r *http.Request, campaign, nodeID string, rec *responseR
 			rt.sessions[resp.Session] = routeRef{node: nodeID, campaign: campaign}
 			rt.mu.Unlock()
 		}
-	case strings.HasPrefix(path, "/api/v1/campaigns/") && strings.HasSuffix(path, "/videos"):
+	case "add_video":
 		var resp struct {
 			ID string `json:"id"`
 		}

@@ -134,7 +134,7 @@ func percentileParam(r *http.Request, name string, def float64) (float64, bool) 
 }
 
 func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
-	id := r.PathValue("id")
+	id := w.id
 	lo, okLo := percentileParam(r, "lo", filtering.WisdomLo)
 	hi, okHi := percentileParam(r, "hi", filtering.WisdomHi)
 	if !okLo || !okHi || lo > hi {

@@ -78,7 +78,7 @@ func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
 func (s *Server) handleEventsBinary(w *scratch, r *http.Request) {
 	tr := w.tr
 	tr.Mark(trace.StageReceive)
-	id := r.PathValue("id")
+	id := w.id
 	tr.SetSession(id)
 	defer r.Body.Close()
 	dec := wire.GetDecoder()

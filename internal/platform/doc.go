@@ -31,9 +31,13 @@
 // keeps (campaign, row) inline for a completed session, and a late
 // request or GET …/tests decodes its record in place.
 //
-// A request leaves almost no garbage of its own: every handler runs on a
-// pooled scratch (telemetry.go) that is its ResponseWriter and holds the
-// body buffer, the decoded body and the journal event; the three
+// The routes above are one table (route.go), which Handler matches on the
+// escaped path, and which the cluster tier reads through Route; a request
+// no route serves gets ServeMux's answer (301, 405 or 404) and is counted
+// nowhere. A request leaves almost no garbage of its own: routing
+// allocates nothing; every handler runs on a pooled scratch
+// (telemetry.go) that is its ResponseWriter and holds its {id}, the body
+// buffer, the decoded body and the journal event; the three
 // participant bodies are decoded in place (inplace.go), with
 // encoding/json behind them for anything outside that decoder's small
 // language; and reply header values are shared, not built. A JSON body is

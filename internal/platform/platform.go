@@ -529,30 +529,28 @@ func (s *Server) Snapshot() error {
 	return nil
 }
 
-// Handler returns the API's http.Handler. Every API route runs behind
-// the admission middleware and records into the /metrics registry
-// served alongside the API.
+// Handler returns the API's http.Handler, which routes by the table in
+// route.go. Every API route runs through instrument — admission control,
+// then status and latency recording into the /metrics registry served
+// alongside the API — with its {id} on the scratch. GET /metrics itself
+// is served outside instrument, and a request no route serves is
+// answered 301, 405 or 404 before it, counted nowhere.
+//
+// The trace surface is deliberately NOT mounted here: retained traces
+// carry campaign and session IDs, so /debug/traces serves only from
+// DebugHandler, which operators bind to a separate non-public listener
+// (the server binary's -debug-addr).
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/v1/campaigns", s.instrument("create_campaign", s.handleCreateCampaign))
-	mux.HandleFunc("POST /api/v1/campaigns/{id}/videos", s.instrument("add_video", s.handleAddVideo))
-	mux.HandleFunc("GET /api/v1/campaigns/{id}/results", s.instrument("results", s.handleResults))
-	mux.HandleFunc("GET /api/v1/campaigns/{id}/analytics", s.instrument("analytics", s.handleAnalytics))
-	mux.HandleFunc("POST /api/v1/sessions", s.instrument("join", s.handleJoin))
-	mux.HandleFunc("GET /api/v1/sessions/{id}/tests", s.instrument("tests", s.handleTests))
-	mux.HandleFunc("GET /api/v1/videos/{id}", s.instrument("video", s.handleGetVideo))
-	mux.HandleFunc("POST /api/v1/videos/{id}/flag", s.instrument("flag", s.handleFlag))
-	mux.HandleFunc("POST /api/v1/sessions/{id}/events", s.instrument("events", s.handleEvents))
-	mux.HandleFunc("POST /api/v1/sessions/{id}/responses", s.instrument("response", s.handleResponse))
-	// The scrape endpoint is deliberately outside the instrumented set:
-	// it must answer even at the in-flight cap, and its own latency would
-	// pollute the histograms it serves.
-	mux.Handle("GET /metrics", s.metrics.reg.Handler())
-	// The trace surface is deliberately NOT mounted here: retained
-	// traces carry campaign and session IDs, so /debug/traces serves
-	// only from DebugHandler, which operators bind to a separate
-	// non-public listener (the server binary's -debug-addr).
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		i, id := routeRequest(w, r)
+		switch {
+		case i < 0: // answered by routeRequest
+		case routes[i].handle == nil:
+			s.metrics.reg.Handler().ServeHTTP(w, r)
+		default:
+			s.instrument(i, w, r, id)
+		}
+	})
 }
 
 // --- request/response bodies ---
@@ -1059,7 +1057,7 @@ const maxVideoBytes = 64 << 20
 
 func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 	tr := w.tr
-	campaignID := r.PathValue("id")
+	campaignID := w.id
 	tr.SetCampaign(campaignID)
 	defer r.Body.Close()
 	// The upload streams through the blob store's chunked ingest — hashed
@@ -1221,7 +1219,7 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 }
 
 func (s *Server) handleTests(w *scratch, r *http.Request) {
-	id := r.PathValue("id")
+	id := w.id
 	ssh := s.sessions.Shard(id)
 	ssh.RLock()
 	sess, err := s.sessionLocked(ssh, id)
@@ -1268,7 +1266,7 @@ func (s *Server) videoRef(id string) (v videoHead, banned, ok bool) {
 }
 
 func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
-	v, banned, ok := s.videoRef(r.PathValue("id"))
+	v, banned, ok := s.videoRef(w.id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, errNoVideo.Error())
 		return
@@ -1329,7 +1327,7 @@ func (s *Server) handleFlag(w *scratch, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "worker required")
 		return
 	}
-	ev := &event{Op: opFlag, ID: r.PathValue("id"), Flagger: body.Worker, tr: tr}
+	ev := &event{Op: opFlag, ID: w.id, Flagger: body.Worker, tr: tr}
 	var flags int
 	var banned bool
 	err := s.mutate(tr, func() (uint64, error) {
@@ -1353,7 +1351,7 @@ func (s *Server) handleEvents(w *scratch, r *http.Request) {
 	}
 	tr := w.tr
 	tr.Mark(trace.StageReceive)
-	id := r.PathValue("id")
+	id := w.id
 	tr.SetSession(id)
 	batch, known := &w.batch, s.assignmentOf(id)
 	if err := s.readIngest(w, r, batch, func(b []byte) bool { return decodeEventBatch(b, batch, known) }); err != nil {
@@ -1373,7 +1371,7 @@ func (s *Server) handleEvents(w *scratch, r *http.Request) {
 func (s *Server) handleResponse(w *scratch, r *http.Request) {
 	tr := w.tr
 	tr.Mark(trace.StageReceive)
-	id := r.PathValue("id")
+	id := w.id
 	tr.SetSession(id)
 	body, known := &w.resp, s.assignmentOf(id)
 	if err := s.readIngest(w, r, body, func(b []byte) bool { return decodeResponseBody(b, body, known) }); err != nil {
@@ -1397,7 +1395,7 @@ func (s *Server) handleResponse(w *scratch, r *http.Request) {
 }
 
 func (s *Server) handleResults(w *scratch, r *http.Request) {
-	id := r.PathValue("id")
+	id := w.id
 	csh := s.campaigns.Shard(id)
 	csh.RLock()
 	c, ok := csh.Get(id)

@@ -34,19 +34,6 @@ import (
 	"github.com/eyeorg/eyeorg/internal/trace"
 )
 
-// endpoints names every instrumented API route. The list is fixed at
-// startup so the hot path indexes pre-registered instruments instead of
-// taking the registry lock.
-var endpoints = []string{
-	"create_campaign", "add_video", "results", "analytics",
-	"join", "tests", "video", "flag", "events", "response",
-}
-
-// sessionScoped marks the endpoints the per-worker token bucket
-// applies to: they carry the session ID in the path, and one session
-// belongs to exactly one worker.
-var sessionScoped = map[string]bool{"tests": true, "events": true, "response": true}
-
 // windowBuckets sizes the group-commit window histogram in records.
 var windowBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
@@ -58,10 +45,13 @@ type endpointMetrics struct {
 
 // serverMetrics bundles every instrument the platform records into.
 type serverMetrics struct {
-	reg      *telemetry.Registry
-	byName   map[string]*endpointMetrics
-	rejected map[string]*telemetry.Counter // admission rejections by reason
-	mutation map[string]*telemetry.Counter // journaled mutations by op
+	reg *telemetry.Registry
+	// endpoints holds each instrumented route's instruments under its row
+	// of the route table, registered once, so a request indexes them
+	// instead of taking the registry lock. GET /metrics's row stays empty.
+	endpoints []endpointMetrics
+	rejected  map[string]*telemetry.Counter // admission rejections by reason
+	mutation  map[string]*telemetry.Counter // journaled mutations by op
 	// stages holds the per-stage ingest latency histograms, populated by
 	// registerStageMetrics only when tracing is enabled so a tracing-off
 	// server's exposition is byte-identical to previous releases.
@@ -73,21 +63,24 @@ type serverMetrics struct {
 func newServerMetrics() *serverMetrics {
 	reg := telemetry.NewRegistry()
 	m := &serverMetrics{
-		reg:      reg,
-		byName:   make(map[string]*endpointMetrics, len(endpoints)),
-		rejected: map[string]*telemetry.Counter{},
-		mutation: map[string]*telemetry.Counter{},
+		reg:       reg,
+		endpoints: make([]endpointMetrics, len(routes)),
+		rejected:  map[string]*telemetry.Counter{},
+		mutation:  map[string]*telemetry.Counter{},
 	}
 	reg.Help("eyeorg_http_requests_total", "API requests by endpoint and status class.")
 	reg.Help("eyeorg_http_request_seconds", "API request latency by endpoint.")
 	reg.Help("eyeorg_http_request_p50_seconds", "Interpolated median request latency by endpoint.")
 	reg.Help("eyeorg_http_request_p99_seconds", "Interpolated p99 request latency by endpoint.")
-	for _, name := range endpoints {
-		em := &endpointMetrics{
-			lat: reg.Histogram("eyeorg_http_request_seconds", `endpoint="`+name+`"`, nil),
+	for i := range routes {
+		if routes[i].handle == nil {
+			continue
 		}
-		for i, class := range []string{"1xx", "2xx", "3xx", "4xx", "5xx"} {
-			em.codes[i] = reg.Counter("eyeorg_http_requests_total",
+		name := routes[i].endpoint
+		em := &m.endpoints[i]
+		em.lat = reg.Histogram("eyeorg_http_request_seconds", `endpoint="`+name+`"`, nil)
+		for c, class := range []string{"1xx", "2xx", "3xx", "4xx", "5xx"} {
+			em.codes[c] = reg.Counter("eyeorg_http_requests_total",
 				`endpoint="`+name+`",code="`+class+`"`)
 		}
 		lat := em.lat
@@ -95,7 +88,6 @@ func newServerMetrics() *serverMetrics {
 			func() float64 { return lat.Quantile(0.50) })
 		reg.GaugeFunc("eyeorg_http_request_p99_seconds", `endpoint="`+name+`"`,
 			func() float64 { return lat.Quantile(0.99) })
-		m.byName[name] = em
 	}
 	reg.Help("eyeorg_admission_rejected_total", "Requests refused by admission control, by reason.")
 	for _, reason := range []string{"inflight", "worker-rate", "body", "drain"} {
@@ -451,6 +443,7 @@ type scratch struct {
 	http.ResponseWriter
 	status int
 	tr     *trace.Trace
+	id     string // the route's {id} path segment, percent-decoded
 
 	buf   []byte // an ingest body as it arrived; a batch's acknowledgement
 	ev    event
@@ -496,60 +489,61 @@ func (sc *scratch) ReadFrom(src io.Reader) (int64, error) {
 	return io.Copy(struct{ io.Writer }{sc.ResponseWriter}, src)
 }
 
-// instrument wraps one API handler with admission control and
-// status/latency recording; the handler runs on a
-// pooled scratch, its ResponseWriter. With tracing enabled it also owns
-// the trace lifecycle: a trace starts before the admission gates (so
-// rejected requests show up as admission-heavy traces), travels to the
-// handler on the scratch, and finishes with the recorded status after
-// the handler returns.
-func (s *Server) instrument(name string, h func(*scratch, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sc := scratchPool.Get().(*scratch)
-		sc.ResponseWriter = w
-		defer sc.release()
-		if sc.tr = s.startTrace(name, r); sc.tr != nil {
-			defer func() {
-				status := http.StatusOK
-				if sc.status != 0 {
-					status = sc.status
-				}
-				s.tracer.Finish(sc.tr, status)
-			}()
-		}
-		a := &s.admission
-		if a.draining.Load() && name == "join" {
-			s.reject(sc, http.StatusServiceUnavailable, "drain",
-				"server is draining; not admitting new sessions", 5*time.Second)
-			return
-		}
-		// The in-flight count feeds the cap check, the
-		// eyeorg_http_inflight gauge and the drain loop's quiescence probe.
-		if n := a.inflight.Add(1); a.maxInflight > 0 && n > a.maxInflight {
-			a.inflight.Add(-1)
-			s.reject(sc, http.StatusTooManyRequests, "inflight",
-				"server at capacity", time.Second)
-			return
-		}
-		defer a.inflight.Add(-1)
-		if a.rate > 0 && sessionScoped[name] {
-			if ok, wait := a.admit(r.PathValue("id")); !ok {
-				s.reject(sc, http.StatusTooManyRequests, "worker-rate",
-					"per-worker rate exceeded", wait)
-				return
+// instrument serves one request on route row i with admission control
+// and status/latency recording. The handler runs on a pooled scratch,
+// its ResponseWriter, which also carries the route's {id}; the route's
+// instruments were bound to its row when the server was built. With
+// tracing enabled instrument also owns the trace lifecycle: a trace
+// starts before the admission gates (so rejected requests show up as
+// admission-heavy traces), travels to the handler on the scratch, and
+// finishes with the recorded status after the handler returns. Only
+// routed requests get here: the handler's 301, 405 and 404 do not.
+func (s *Server) instrument(i int, w http.ResponseWriter, r *http.Request, id string) {
+	rt := &routes[i]
+	sc := scratchPool.Get().(*scratch)
+	sc.ResponseWriter, sc.id = w, id
+	defer sc.release()
+	if sc.tr = s.startTrace(rt.endpoint, r); sc.tr != nil {
+		defer func() {
+			status := http.StatusOK
+			if sc.status != 0 {
+				status = sc.status
 			}
-		}
-		sc.tr.Mark(trace.StageAdmission)
-		em := s.metrics.byName[name]
-		start := time.Now()
-		h(sc, r)
-		em.lat.Observe(time.Since(start))
-		class := sc.status/100 - 1
-		if class < 0 || class >= len(em.codes) {
-			class = 4 // treat unwritten/invalid statuses as 5xx
-		}
-		em.codes[class].Inc()
+			s.tracer.Finish(sc.tr, status)
+		}()
 	}
+	a := &s.admission
+	if a.draining.Load() && rt.endpoint == "join" {
+		s.reject(sc, http.StatusServiceUnavailable, "drain",
+			"server is draining; not admitting new sessions", 5*time.Second)
+		return
+	}
+	// The in-flight count feeds the cap check, the
+	// eyeorg_http_inflight gauge and the drain loop's quiescence probe.
+	if n := a.inflight.Add(1); a.maxInflight > 0 && n > a.maxInflight {
+		a.inflight.Add(-1)
+		s.reject(sc, http.StatusTooManyRequests, "inflight",
+			"server at capacity", time.Second)
+		return
+	}
+	defer a.inflight.Add(-1)
+	if a.rate > 0 && rt.session {
+		if ok, wait := a.admit(id); !ok {
+			s.reject(sc, http.StatusTooManyRequests, "worker-rate",
+				"per-worker rate exceeded", wait)
+			return
+		}
+	}
+	sc.tr.Mark(trace.StageAdmission)
+	em := &s.metrics.endpoints[i]
+	start := time.Now()
+	rt.handle(s, sc, r)
+	em.lat.Observe(time.Since(start))
+	class := sc.status/100 - 1
+	if class < 0 || class >= len(em.codes) {
+		class = 4 // treat unwritten/invalid statuses as 5xx
+	}
+	em.codes[class].Inc()
 }
 
 // Metrics returns the server's telemetry registry so embedders can add
