@@ -153,7 +153,8 @@ func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
 	csh.RUnlock()
 	sort.Strings(liveIDs)
 	// In-flight rows are rendered under each session's shard lock, the
-	// campaign lock released: mutations nest them the other way round. A
+	// campaign lock released: session shards come first in the lock
+	// order. A
 	// session was indexed before it was listed and is never removed, but
 	// it may have completed since, and then has no state to render.
 	live := make([][]byte, len(liveIDs))
@@ -293,8 +294,8 @@ func (s *Server) analyticsShell(c *campaignState, lo, hi float64, sessions int) 
 
 // renderVideoAnalytics builds the per-video section from the campaign's
 // incremental sketches over the [lo, hi] percentile band. Caller holds
-// the campaign's shard lock and has already validated the band; video
-// shard read-locks nest inside campaign locks by convention.
+// the campaign's shard lock, which the video shards it reads follow in
+// the lock order, and has already validated the band.
 func (s *Server) renderVideoAnalytics(c *campaignState, lo, hi float64) map[string]VideoAnalytics {
 	out := map[string]VideoAnalytics{}
 	switch c.Kind {

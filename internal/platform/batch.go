@@ -110,7 +110,7 @@ func (s *Server) handleEventsBinary(w *scratch, r *http.Request) {
 	}
 	ev := &w.ev
 	*ev = event{Op: opBatch, ID: id, Wire: dec.Bytes(), records: recs, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applyBatch(ev) }); err != nil {
+	if err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) { return s.applyBatch(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}

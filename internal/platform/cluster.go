@@ -47,7 +47,7 @@ type campaignExport struct {
 func (s *Server) Handoff(campaign, target string) ([]byte, error) {
 	ev := &event{Op: opHandoff, ID: campaign, Target: target}
 	var state []byte
-	err := s.exclusive(func() (seq uint64, err error) {
+	err := s.mutate(&s.world, nil, func() (seq uint64, err error) {
 		if state, err = s.exportCampaign(campaign); err != nil {
 			return 0, err
 		}
@@ -57,27 +57,6 @@ func (s *Server) Handoff(campaign, target string) ([]byte, error) {
 		return nil, err
 	}
 	return state, nil
-}
-
-// exclusive is mutate for the campaign moves: fn runs under the world
-// lock held exclusively, so no other mutation is mid-apply, then the
-// caller waits for fn's record to be durable and the snapshot cadence
-// runs. An import that fails after journaling returns its sequence
-// with the error, and that record is awaited too: the journal flushes
-// only for a waiter, and nothing else would wait for it.
-func (s *Server) exclusive(fn func() (uint64, error)) error {
-	s.world.Lock()
-	seq, err := fn()
-	s.world.Unlock()
-	if seq != 0 {
-		if werr := s.log.WaitDurable(seq); err == nil {
-			err = werr
-		}
-	}
-	if err == nil {
-		s.maybeSnapshot()
-	}
-	return err
 }
 
 // exportCampaign serializes one campaign — sessions, videos, blob bytes
@@ -140,7 +119,7 @@ func (s *Server) applyHandoff(ev *event) (uint64, error) {
 // fails with errCampaignExists — the retry/double-apply guard.
 func (s *Server) ImportCampaign(state []byte) error {
 	ev := &event{Op: opImport, State: state}
-	return s.exclusive(func() (uint64, error) { return s.applyImport(ev) })
+	return s.mutate(&s.world, nil, func() (uint64, error) { return s.applyImport(ev) })
 }
 
 func (s *Server) applyImport(ev *event) (uint64, error) {
@@ -166,7 +145,8 @@ func (s *Server) applyImport(ev *event) (uint64, error) {
 		return 0, err
 	}
 	// From here on the record is journaled: a failure returns seq with
-	// its error so that exclusive still awaits the record.
+	// its error so that mutate still awaits the record. No other apply
+	// function can fail once it has journaled.
 
 	// Blob payloads first: video DTOs reference them by content address.
 	for hash, data := range ex.Blobs {

@@ -51,7 +51,14 @@
 // newest snapshot plus the journal tail. The journal's group-commit
 // pipeline coalesces concurrent mutations into one flush (and, with
 // Fsync, one fdatasync) per window, and each mutation acks after its
-// window is durable, waiting outside its shard locks. /results and
+// window is durable, waiting outside its shard locks. Every mutation,
+// a campaign move included, ends in the one commit tail (mutate): the
+// request whose record crosses Options.SnapshotEvery then takes the
+// snapshot itself, under the world lock held exclusively, before it
+// answers. Nothing runs behind a request: the package starts no
+// goroutine. The lock order — world, session shard, campaign shard,
+// video shard, then the journal's two locks — is written down once, in
+// internal/store's doc.go. /results and
 // /analytics answer conditional GETs with ETag/If-None-Match, a 304
 // rendering no body. The paper's deployment sat a database behind the
 // same shape of API.

@@ -105,8 +105,8 @@ type event struct {
 // journal buffers ev into the WAL and returns its sequence number.
 // Callers hold the shard lock that orders the mutation, so journal
 // order always matches memory order. Durability is NOT awaited here:
-// mutate (or exclusive) calls WaitDurable on the returned sequence
-// after the shard locks are released, so a flush window never
+// mutate calls WaitDurable on the returned sequence after the world
+// and shard locks are released, so a flush window never
 // serializes a shard — and every sequence returned must be awaited,
 // since the journal flushes only for a waiter. Returns 0 in memory mode
 // and during replay.
@@ -177,7 +177,10 @@ func (s *Server) campaignMoved(campaign string) error {
 //
 // Each returns the journal sequence its record was buffered at (0 in
 // memory mode / replay); mutate awaits that sequence's durability after
-// every shard lock is back on the hook.
+// every shard lock is back on the hook. Each checks everything that can
+// fail before it journals, so once it has a sequence it succeeds; only
+// applyImport, whose document is installed after its record, can fail
+// after journaling, and it returns the sequence with its error.
 
 func (s *Server) applyCampaign(ev *event) (uint64, error) {
 	csh := s.campaigns.Shard(ev.ID)
@@ -245,8 +248,8 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	ssh := s.sessions.Shard(ev.ID)
 	ssh.Lock()
 	defer ssh.Unlock()
-	// The campaign tracks its sessions for live analytics; session locks
-	// nest over campaign locks (same order as applyResponse).
+	// The campaign tracks its sessions for live analytics; its shard
+	// follows the session's in the lock order.
 	csh := s.campaigns.Shard(ev.Campaign)
 	csh.Lock()
 	defer csh.Unlock()
@@ -521,8 +524,8 @@ func (s *Server) applyFlag(ev *event) (seq uint64, flags int, banned bool, err e
 	vsh.Unlock()
 	if newlyBanned {
 		// A ban changes the Banned bit in /results: drop the cache.
-		// Taken after the video lock is released — campaign locks nest
-		// over video locks elsewhere, never under them.
+		// Taken after the video lock is released: a campaign shard comes
+		// before a video shard in the lock order.
 		csh := s.campaigns.Shard(campaign)
 		csh.Lock()
 		if c, ok := csh.Get(campaign); ok {

@@ -269,7 +269,7 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 		})
 	}
 	ev := &event{Op: opSession, ID: odd.Session, Campaign: campaign, Worker: &Worker{ID: "persist-odd", Country: "PT"}, Tests: odd.Tests}
-	if err := srv.mutate(nil, func() (uint64, error) { return srv.applySession(ev) }); err != nil {
+	if err := srv.mutate(srv.world.RLocker(), nil, func() (uint64, error) { return srv.applySession(ev) }); err != nil {
 		t.Fatal(err)
 	}
 	completeSession(c, odd, 1_700, true, 12, 0)

@@ -108,7 +108,8 @@ type Options struct {
 	// reproduces the same capture schedule (0 = clock-derived).
 	TraceSeed uint64
 	// Logger receives the platform's operational log records (slow
-	// traces, background snapshot failures). Nil uses slog.Default().
+	// traces, and failures of the snapshots requests take at the
+	// cadence). Nil uses slog.Default().
 	Logger *slog.Logger
 	// Adaptive enables sequential campaigns: per-video confidence
 	// intervals drive assignment toward under-sampled videos and close
@@ -195,14 +196,7 @@ type Server struct {
 	log       *store.Log
 	replaying bool
 	snapEvery uint64
-	snapping  atomic.Bool
-	// snapMu orders background-snapshot launches against Close: once
-	// snapClosed is set no new snapshot goroutine starts, so
-	// snapWG.Add never races snapWG.Wait (stragglers that slip past a
-	// timed-out HTTP shutdown just get journal-closed errors).
-	snapMu     sync.Mutex
-	snapClosed bool
-	snapWG     sync.WaitGroup
+	snapping  atomic.Bool // a crossing request is taking the cadence's snapshot
 }
 
 type campaignState struct {
@@ -495,17 +489,15 @@ func Open(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Close waits for any in-flight background snapshot, then flushes and
-// closes the journal; in-memory servers are no-ops. The server must not
-// serve requests afterwards.
+// Close flushes and closes the journal, acking every record a request
+// still waits for; in-memory servers are no-ops. The server must not
+// serve requests afterwards: a mutation that arrives anyway fails with
+// the journal's closed error, and a snapshot a request was taking waits
+// for Close or fails and is logged.
 func (s *Server) Close() error {
 	if s.log == nil {
 		return nil
 	}
-	s.snapMu.Lock()
-	s.snapClosed = true
-	s.snapMu.Unlock()
-	s.snapWG.Wait()
 	return s.log.Close()
 }
 
@@ -952,64 +944,59 @@ func validCampaignID(id string) bool {
 	return true
 }
 
-// mutate runs one state mutation under the shared world lock, then —
-// with every shard lock released — waits for the journaled record to
-// become durable before acking, and triggers the snapshot cadence. fn
+// mutate is the one commit tail of every journaled change. fn runs
+// under lock — the world lock held shared (s.world.RLocker()) for a
+// request's mutation, exclusively (&s.world) for a campaign move — and
 // returns the journal sequence its record was buffered at (0 when
-// nothing was journaled). The wait is one flush window shared with
-// every concurrent mutation.
+// nothing was journaled). With every platform lock released, mutate
+// waits for that record to be durable: one flush window shared with
+// every concurrent mutation. Any non-zero sequence is awaited, even one
+// fn journaled before failing (only applyImport can), because the
+// journal flushes only for a waiter; fn's error wins. The request whose
+// record crossed the snapshot cadence then takes the snapshot before it
+// answers.
 //
 // tr, when non-nil, receives the mutation's stage attribution: the
-// apply span when fn returns, and the durability wait split into
+// apply span when fn returns, the durability wait split into
 // flush/fsync/ack using the commit window the journal published for
-// seq.
-func (s *Server) mutate(tr *trace.Trace, fn func() (uint64, error)) error {
-	s.world.RLock()
+// seq, and a snapshot this request took charged to apply again.
+func (s *Server) mutate(lock sync.Locker, tr *trace.Trace, fn func() (uint64, error)) error {
+	lock.Lock()
 	seq, err := fn()
-	s.world.RUnlock()
+	lock.Unlock()
 	tr.Mark(trace.StageApply)
-	if err == nil && seq != 0 {
-		err = s.log.WaitDurable(seq)
-		if tr != nil { // tracing is on, so the commit ring exists
-			w := s.observer.commits.lookup(seq)
-			tr.MarkDurable(w.FsyncStart, w.FsyncEnd)
-		}
+	if seq == 0 {
+		return err
 	}
-	if err == nil {
-		s.maybeSnapshot()
+	if werr := s.log.WaitDurable(seq); err == nil {
+		err = werr
+	}
+	if tr != nil { // tracing is on, so the commit ring exists
+		w := s.observer.commits.lookup(seq)
+		tr.MarkDurable(w.FsyncStart, w.FsyncEnd)
+	}
+	if err == nil && s.maybeSnapshot(seq) {
+		tr.Mark(trace.StageApply)
 	}
 	return err
 }
 
-func (s *Server) maybeSnapshot() {
-	if s.log == nil || s.snapEvery == 0 {
-		return
+// maybeSnapshot takes the cadence's snapshot when the durable record at
+// seq is at least snapEvery past the newest one, and reports whether it
+// did. Of several requests crossing at once one takes it; the rest
+// answer without waiting for it. A failed snapshot leaves the journal
+// authoritative and the request, whose record is durable, succeeds,
+// but the operator needs the signal: snapshots are what bound journal
+// growth.
+func (s *Server) maybeSnapshot(seq uint64) bool {
+	if s.snapEvery == 0 || seq < s.log.SnapshotSeq()+s.snapEvery || !s.snapping.CompareAndSwap(false, true) {
+		return false
 	}
-	if s.log.Seq()-s.log.SnapshotSeq() < s.snapEvery {
-		return
+	defer s.snapping.Store(false)
+	if err := s.Snapshot(); err != nil {
+		s.logger.Error("snapshot failed", "err", err)
 	}
-	if !s.snapping.CompareAndSwap(false, true) {
-		return
-	}
-	// Background, so the request that crossed the cadence does not eat
-	// the marshal+fsync latency. Best-effort: a failed snapshot leaves
-	// the journal authoritative, but the operator needs the signal —
-	// snapshots are what bound journal growth.
-	s.snapMu.Lock()
-	if s.snapClosed {
-		s.snapMu.Unlock()
-		s.snapping.Store(false)
-		return
-	}
-	s.snapWG.Add(1)
-	s.snapMu.Unlock()
-	go func() {
-		defer s.snapWG.Done()
-		defer s.snapping.Store(false)
-		if err := s.Snapshot(); err != nil {
-			s.logger.Error("background snapshot failed", "err", err)
-		}
-	}()
+	return true
 }
 
 // videoBanned reads a video's ban bit under its shard lock.
@@ -1045,7 +1032,7 @@ func (s *Server) handleCreateCampaign(w *scratch, r *http.Request) {
 	}
 	tr.SetCampaign(id)
 	ev := &event{Op: opCampaign, ID: id, Name: req.Name, Kind: req.Kind, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applyCampaign(ev) }); err != nil {
+	if err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) { return s.applyCampaign(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1097,7 +1084,7 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 	tr.Mark(trace.StageDecode)
 	id := s.newID("v")
 	ev := &event{Op: opVideo, ID: id, Campaign: campaignID, Hash: ref.Hash, Size: ref.Size, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applyVideo(ev) }); err != nil {
+	if err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) { return s.applyVideo(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1138,7 +1125,7 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	if ok {
 		kind = c.Kind
 		movedTo = c.movedTo
-		// Video read-locks nest inside campaign locks by convention, so
+		// Video shards follow campaign shards in the lock order, so
 		// the live (unbanned) set and the allocator's pool are computed
 		// under one campaign lock: the pool is a pure function of the
 		// journaled state this lock guards.
@@ -1211,7 +1198,7 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	tr.SetSession(sid)
 	ev := &w.ev
 	*ev = event{Op: opSession, ID: sid, Campaign: req.Campaign, Worker: &req.Worker, Tests: tests, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applySession(ev) }); err != nil {
+	if err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) { return s.applySession(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1330,7 +1317,7 @@ func (s *Server) handleFlag(w *scratch, r *http.Request) {
 	ev := &event{Op: opFlag, ID: w.id, Flagger: body.Worker, tr: tr}
 	var flags int
 	var banned bool
-	err := s.mutate(tr, func() (uint64, error) {
+	err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) {
 		seq, f, b, err := s.applyFlag(ev)
 		flags, banned = f, b
 		return seq, err
@@ -1361,7 +1348,7 @@ func (s *Server) handleEvents(w *scratch, r *http.Request) {
 	tr.Mark(trace.StageDecode)
 	ev := &w.ev
 	*ev = event{Op: opEvents, ID: id, Batch: batch, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applyEvents(ev) }); err != nil {
+	if err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) { return s.applyEvents(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1382,7 +1369,7 @@ func (s *Server) handleResponse(w *scratch, r *http.Request) {
 	ev := &w.ev
 	*ev = event{Op: opResponse, ID: id, Body: body, tr: tr}
 	var done bool
-	err := s.mutate(tr, func() (uint64, error) {
+	err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) {
 		seq, d, err := s.applyResponse(ev)
 		done = d
 		return seq, err
@@ -1436,8 +1423,8 @@ func (s *Server) handleResults(w *scratch, r *http.Request) {
 }
 
 // renderResults marshals the campaign's §4.3 aggregates exactly as
-// writeJSON would. Caller holds the campaign's shard lock; video shard
-// read-locks nest inside campaign locks by convention.
+// writeJSON would. Caller holds the campaign's shard lock, which the
+// video shards it reads follow in the lock order.
 func (s *Server) renderResults(c *campaignState) ([]byte, error) {
 	sum := c.analytics.Summary()
 	res := ResultsResponse{

@@ -437,8 +437,8 @@ func (s *Server) reject(w http.ResponseWriter, status int, reason, msg string, r
 //
 // The trace rides here instead of the request context because
 // r.WithContext clones the entire http.Request, and one clone per
-// request costs several percent of a mem-mode ingest request: real money
-// under the bench's tracing overhead gate.
+// request costs several percent of a mem-mode ingest request, paid on
+// every request whenever tracing is on.
 type scratch struct {
 	http.ResponseWriter
 	status int

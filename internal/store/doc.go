@@ -15,6 +15,20 @@
 // plus, with Options.Fsync, one fdatasync, and acks the window's
 // appends together. The journal starts no goroutine.
 //
+// An appender only buffers its frame under mu. Only a commitMu holder
+// rotates or closes a segment — a leader rotates a full one (group.go),
+// and WriteSnapshot and Close take commitMu before mu — so no window
+// sync is ever in flight on the file being closed.
+//
+// Lock order, written down once for the journal and the platform above
+// it (internal/platform's doc.go points here): the platform's world
+// lock, then a session shard, a campaign shard, a video shard, then
+// commitMu, then mu; innermost, the platform's commit observer and the
+// blob store take only their own locks. A goroutine takes a lock only
+// while it holds nothing later in that order: a platform request
+// appends (mu) under world and its shard locks, and waits for
+// durability (commitMu) only once it has released all of them.
+//
 // On-disk layout inside the data directory:
 //
 //	wal-<first seq, 16 hex>.seg   record segments, rotated by size

@@ -15,8 +15,12 @@
 // comes from. A window is flushed as soon as the previous one ends, and
 // nothing holds one open to wait for more.
 //
-// Lock order: commitMu, then mu. commitMu guards durable, ackErr and
-// ackClosed.
+// A leader whose segment has reached SegmentBytes rotates it instead of
+// syncing: rotate's full fsync makes the window durable. Rotation, like
+// Close and WriteSnapshot, happens only under commitMu, so no window
+// sync is ever in flight on a file being closed.
+//
+// commitMu guards durable and ackErr; doc.go gives the lock order.
 //
 // A flush or fsync error marks the log failed (memory and disk may
 // disagree) and poisons every current and future waiter until the log
@@ -32,7 +36,7 @@ import "time"
 func (l *Log) WaitDurable(seq uint64) error {
 	l.commitMu.Lock()
 	defer l.commitMu.Unlock()
-	if l.durable < seq && l.ackErr == nil && !l.ackClosed {
+	if l.durable < seq && l.ackErr == nil {
 		l.flushGroup()
 	}
 	switch {
@@ -44,9 +48,10 @@ func (l *Log) WaitDurable(seq uint64) error {
 	return errClosed
 }
 
-// failAcks latches the first commit error: every waiter whose record
-// was not yet durable gets it, since the record may or may not be on
-// disk and no later flush will ever cover it. Caller holds commitMu.
+// failAcks latches the first reason no later window will come: a
+// commit error, since the record may or may not be on disk and no later
+// flush will ever cover it, or errClosed. Every waiter whose record was
+// not yet durable gets it. Caller holds commitMu.
 func (l *Log) failAcks(err error) {
 	if l.ackErr == nil {
 		l.ackErr = err
@@ -54,12 +59,11 @@ func (l *Log) failAcks(err error) {
 }
 
 // flushGroup leads one window: it makes everything buffered so far
-// durable with one flush and at most one data sync, reports the window,
-// then acks the covered sequences. The sync runs after the log mutex is
-// released so appends for the next window proceed during it; rotate
-// coordinates through syncWG before closing the file out from under it.
-// Caller holds commitMu and has checked that a record past durable is
-// pending.
+// durable with one flush and at most one sync, reports the window, then
+// acks the covered sequences. A full segment rotates under the log
+// mutex; otherwise the data sync runs after the mutex is released, so
+// appends for the next window proceed during it. Caller holds commitMu
+// and has checked that a record past durable is pending.
 func (l *Log) flushGroup() {
 	l.mu.Lock()
 	if l.f == nil {
@@ -74,17 +78,24 @@ func (l *Log) flushGroup() {
 	var w Window
 	l.sealLocked(&w)
 	w.FlushStart = time.Now()
-	if err := l.w.Flush(); err != nil {
+	err := l.w.Flush()
+	w.FsyncStart = time.Now()
+	full := err == nil && l.size >= l.opts.SegmentBytes
+	if full {
+		err = l.rotate()
+	}
+	if err != nil {
 		l.failed = true
 		l.mu.Unlock()
 		l.failAcks(err)
 		return
 	}
 	f := l.f
-	l.syncWG.Add(1)
 	l.mu.Unlock()
-	err := l.syncWindow(&w, f)
-	l.syncWG.Done()
+	if !full && l.opts.Fsync {
+		err = syncData(f)
+	}
+	l.endFsync(&w)
 	if err != nil {
 		l.mu.Lock()
 		l.failed = true

@@ -13,19 +13,35 @@ import (
 	"time"
 )
 
+// syncGate is how crash() finds the window syncs in flight: every sync
+// the tests run goes through testSync, which holds the gate shared, and
+// crash holds it exclusively while it closes the file.
+var syncGate sync.RWMutex
+
+// testSync is datasync under syncGate: the syncData of every test in
+// this package, and what each test's own hook syncs through.
+func testSync(f *os.File) error {
+	syncGate.RLock()
+	defer syncGate.RUnlock()
+	return datasync(f)
+}
+
+func init() { syncData = testSync }
+
 // crash abandons the log the way a dying process would: the OS file is
 // closed without flushing the user-space write buffer, wherever the
 // appenders are, so every later append fails and every waiter that
 // would have led a window gets errClosed instead. Bytes already flushed
 // to the OS survive (the "OS" outlives the fake process); bytes still
-// in the bufio writer are lost. An in-flight window sync finishes
-// first, as rotate lets it: datasync reads the raw descriptor, and its
-// leader still acks the window it wrote before the crash.
+// in the bufio writer are lost. A window sync in flight finishes first
+// (datasync reads the raw descriptor), and the crash may land between
+// that sync and its leader's ack, or before a sync that then fails.
 func (l *Log) crash() {
+	syncGate.Lock()
+	defer syncGate.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f != nil {
-		l.syncWG.Wait()
 		l.f.Close()
 	}
 	l.f, l.w = nil, nil
@@ -332,8 +348,8 @@ func TestSyncDirErrorPropagates(t *testing.T) {
 	if got := l.SnapshotSeq(); got != 0 {
 		t.Fatalf("snapshot watermark advanced to %d despite non-durable rename", got)
 	}
-	// The next append rotates (size >= SegmentBytes) and must fail on
-	// the new segment's directory sync, latching the log.
+	// The next append's window rotates (size >= SegmentBytes) and must
+	// fail on the new segment's directory sync, latching the log.
 	if _, err := l.Append([]byte("forces rotation")); !errors.Is(err, boom) {
 		t.Fatalf("rotation swallowed the dir-sync failure: %v", err)
 	}
@@ -352,7 +368,7 @@ func TestSyncDirErrorPropagates(t *testing.T) {
 // one sync per reported window and never two syncs at once — the leader
 // rule keeps one window in flight.
 func TestGroupCommitOneSyncPerWindow(t *testing.T) {
-	defer func() { syncData = datasync }()
+	defer func() { syncData = testSync }()
 	var inSync, syncs, overlaps atomic.Int32
 	syncData = func(f *os.File) error {
 		if inSync.Add(1) > 1 {
@@ -360,7 +376,7 @@ func TestGroupCommitOneSyncPerWindow(t *testing.T) {
 		}
 		defer inSync.Add(-1)
 		syncs.Add(1)
-		return datasync(f)
+		return testSync(f)
 	}
 	l, obs := openObserved(t, t.TempDir(), Options{Fsync: true})
 	const writers, per = 16, 25
@@ -383,19 +399,58 @@ func TestGroupCommitOneSyncPerWindow(t *testing.T) {
 	t.Logf("%d records in %d windows", records, windows)
 }
 
-// blockedInClose reports whether some goroutine is parked on a mutex
-// inside (*Log).Close.
-func blockedInClose() bool {
+// parkedIn reports whether some goroutine is parked on a mutex inside
+// the named (*Log) method.
+func parkedIn(method string) bool {
+	frame := []byte("store.(*Log)." + method + "(")
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
 		header, _, _ := bytes.Cut(g, []byte("\n"))
 		parked := bytes.Contains(header, []byte("[sync.Mutex.Lock")) || bytes.Contains(header, []byte("[semacquire"))
-		if parked && bytes.Contains(g, []byte("store.(*Log).Close(")) {
+		if parked && bytes.Contains(g, frame) {
 			return true
 		}
 	}
 	return false
+}
+
+// holdFirstSync makes the first window sync wait, after inSync closes,
+// until release closes: a leader held mid-sync. The caller restores
+// syncData.
+func holdFirstSync() (inSync, release chan struct{}) {
+	inSync, release = make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	syncData = func(f *os.File) error {
+		first.Do(func() {
+			close(inSync)
+			<-release
+		})
+		return testSync(f)
+	}
+	return inSync, release
+}
+
+// awaitParked waits until a goroutine is parked in the named method,
+// failing the test if done delivers first (the call returned while the
+// leader was mid-sync) or nothing parks within ten seconds. Either way
+// it releases the leader first.
+func awaitParked(t *testing.T, method string, done <-chan error, release chan struct{}) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !parkedIn(method); {
+		select {
+		case err := <-done:
+			close(release)
+			t.Fatalf("%s returned (%v) while a leader was mid-sync", method, err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%s never parked on the commit lock", method)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 }
 
 // TestGroupCommitCloseWaitsForLeader: the sync hook holds a leader's
@@ -405,16 +460,8 @@ func blockedInClose() bool {
 // and Close's tail after it; and a reopen replays every acked record
 // exactly once.
 func TestGroupCommitCloseWaitsForLeader(t *testing.T) {
-	defer func() { syncData = datasync }()
-	inSync, release := make(chan struct{}), make(chan struct{})
-	var first sync.Once
-	syncData = func(f *os.File) error {
-		first.Do(func() {
-			close(inSync)
-			<-release
-		})
-		return datasync(f)
-	}
+	defer func() { syncData = testSync }()
+	inSync, release := holdFirstSync()
 	dir := t.TempDir()
 	l, obs := openObserved(t, dir, Options{Fsync: true})
 	leader := make(chan error, 1)
@@ -433,20 +480,7 @@ func TestGroupCommitCloseWaitsForLeader(t *testing.T) {
 	}
 	closed := make(chan error, 1)
 	go func() { closed <- l.Close() }()
-	for deadline := time.Now().Add(10 * time.Second); !blockedInClose(); {
-		select {
-		case err := <-closed:
-			close(release)
-			t.Fatalf("Close returned (%v) while a leader was mid-sync", err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			close(release)
-			t.Fatal("Close never parked on the commit lock")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
+	awaitParked(t, "Close", closed, release)
 	if err := <-leader; err != nil {
 		t.Fatalf("leader: %v", err)
 	}
@@ -467,6 +501,55 @@ func TestGroupCommitCloseWaitsForLeader(t *testing.T) {
 	defer rl.Close()
 	if _, got := replayAll(t, rl); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("replayed %q, want %q", got, want)
+	}
+}
+
+// TestSnapshotWaitsForLeader: a snapshot rotates the segment a leader
+// may be syncing, so it takes the commit lock first. The sync hook
+// holds a leader's window mid-sync with one more record buffered behind
+// it; WriteSnapshot must park on the commit lock, not rotate the file
+// out from under the sync. Once released, the leader acks, the snapshot
+// covers both records, and a reopen finds it with nothing left to
+// replay.
+func TestSnapshotWaitsForLeader(t *testing.T) {
+	defer func() { syncData = testSync }()
+	inSync, release := holdFirstSync()
+	dir := t.TempDir()
+	l, obs := openObserved(t, dir, Options{Fsync: true})
+	leader := make(chan error, 1)
+	go func() {
+		_, err := l.Append([]byte("leader"))
+		leader <- err
+	}()
+	<-inSync
+	if _, err := l.AppendAsync([]byte("behind")); err != nil {
+		t.Fatal(err)
+	}
+	snapped := make(chan error, 1)
+	go func() { snapped <- l.WriteSnapshot([]byte("state@2")) }()
+	awaitParked(t, "WriteSnapshot", snapped, release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if err := <-snapped; err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if windows, records, _, _ := obs.totals(t); windows != 2 || records != 2 {
+		t.Fatalf("%d windows covering %d records, want the leader's and Close's tail", windows, records)
+	}
+	rl, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+	if seq, data, ok := rl.Snapshot(); !ok || seq != 2 || string(data) != "state@2" {
+		t.Fatalf("snapshot = (%d, %q, %v), want (2, state@2, true)", seq, data, ok)
+	}
+	if seqs, _ := replayAll(t, rl); len(seqs) != 0 {
+		t.Fatalf("replayed %v past a snapshot covering everything", seqs)
 	}
 }
 

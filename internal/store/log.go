@@ -41,9 +41,10 @@ var (
 // Options tunes a Log.
 type Options struct {
 	// SegmentBytes is the rotation threshold for WAL segments
-	// (default 8 MiB), and what each new segment is preallocated to. A
-	// record larger than the threshold still lands in one segment;
-	// rotation happens before the next append.
+	// (default 8 MiB), and what each new segment is preallocated to. The
+	// first window led once the active segment has reached it rotates
+	// the segment, so the window that crosses it writes past the
+	// preallocation.
 	SegmentBytes int64
 	// Fsync adds an fdatasync to every flush window before the window is
 	// acked. Off by default: a window is acked once it is flushed to the
@@ -103,12 +104,10 @@ type Log struct {
 	// returns; a waiter holding commitMu turns everything buffered since
 	// the last flush into one write + at most one sync and acks the
 	// whole window by advancing durable. commitMu is taken before mu
-	// and guards the three fields below it.
-	syncWG    sync.WaitGroup // in-flight out-of-lock syncs; rotate waits
-	commitMu  sync.Mutex
-	durable   uint64 // highest sequence a window has made durable
-	ackErr    error  // first commit failure, latched
-	ackClosed bool   // the log is closed; no further acks will arrive
+	// (doc.go) and guards the two fields below it.
+	commitMu sync.Mutex
+	durable  uint64 // highest sequence a window has made durable
+	ackErr   error  // why no later window will come: a commit failure, or errClosed
 }
 
 // Open opens (creating if needed) the journal in dir, loads the newest
@@ -175,7 +174,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 // sequence with WaitDurable for the ack. payload is copied before
 // AppendAsync returns, so the caller may reuse it. Nothing runs in the
 // background: a record nobody waits on stays in the write buffer until
-// the next WaitDurable (for it or any later record), a rotation or Close
+// the next WaitDurable (for it or any later record), a snapshot or Close
 // flushes it.
 func (l *Log) AppendAsync(payload []byte) (uint64, error) {
 	switch {
@@ -190,19 +189,14 @@ func (l *Log) AppendAsync(payload []byte) (uint64, error) {
 }
 
 // appendLocked writes one frame into the active segment's buffer; a
-// waiter's window makes it durable. Caller holds l.mu.
+// waiter's window makes it durable, and rotates the segment if it is
+// full. Caller holds l.mu.
 func (l *Log) appendLocked(payload []byte) (uint64, error) {
 	if l.f == nil {
 		return 0, errClosed
 	}
 	if l.failed {
 		return 0, errFailed
-	}
-	if l.size >= l.opts.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			l.failed = true
-			return 0, err
-		}
 	}
 	putFrameHeader(l.hdr[:], payload)
 	if _, err := l.w.Write(l.hdr[:]); err != nil {
@@ -251,8 +245,11 @@ func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 // WriteSnapshot atomically persists data as the state through the last
 // appended record, rotates the active segment, and compacts: all but
 // the newest KeepSnapshots snapshots are deleted, along with every
-// segment the oldest retained snapshot fully covers.
+// segment the oldest retained snapshot fully covers. It takes commitMu
+// first, like every rotation, so it waits out a leader's window sync.
 func (l *Log) WriteSnapshot(data []byte) error {
+	l.commitMu.Lock()
+	defer l.commitMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -296,8 +293,8 @@ func (l *Log) WriteSnapshot(data []byte) error {
 	if l.size > 0 {
 		if err := l.rotate(); err != nil {
 			// rotate may have closed the old segment before failing, so
-			// l.f can no longer be trusted: latch, exactly like the
-			// append-path rotation does.
+			// l.f can no longer be trusted: latch, exactly like a
+			// leader's rotation does.
 			l.failed = true
 			return err
 		}
@@ -308,7 +305,8 @@ func (l *Log) WriteSnapshot(data []byte) error {
 // Close waits out an in-flight window, then flushes the active segment,
 // trims its preallocated tail, fsyncs and closes it; appends no waiter
 // made durable yet form one last window, reported and acked here.
-// Further appends fail, and later waiters get an error.
+// Further appends fail, and a later waiter whose record no window acked
+// gets the failure that latched first, or else errClosed.
 func (l *Log) Close() error {
 	l.commitMu.Lock()
 	defer l.commitMu.Unlock()
@@ -329,17 +327,13 @@ func (l *Log) Close() error {
 		// whatever the failure left.
 		err = l.f.Truncate(l.size)
 	}
+	// A clean shutdown syncs regardless, but the tail's bracket follows
+	// the options like every other window's.
 	w.FsyncStart = time.Now()
 	if serr := l.f.Sync(); err == nil {
 		err = serr
 	}
-	w.FsyncEnd = time.Now()
-	if !l.opts.Fsync {
-		// A clean shutdown syncs regardless, but the tail was durable per
-		// the options at the flush: its bracket is empty like every other
-		// unsynced window's.
-		w.FsyncEnd = w.FsyncStart
-	}
+	l.endFsync(&w)
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
@@ -353,10 +347,10 @@ func (l *Log) Close() error {
 		l.report(w)
 		l.durable = w.Last
 	}
-	l.ackClosed = true
 	if err != nil {
 		l.failAcks(err)
 	}
+	l.failAcks(errClosed)
 	return err
 }
 
@@ -599,14 +593,12 @@ func (l *Log) createSegment(base uint64) error {
 
 // rotate trims the active segment to its data and makes that durable
 // before the next segment exists, so only the newest segment can ever
-// end in zeros.
+// end in zeros. Caller holds commitMu and mu, so no window sync is in
+// flight on the file it closes.
 func (l *Log) rotate() error {
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
-	// A leader's out-of-lock window sync may still hold the file;
-	// closing it mid-sync would fail that window spuriously.
-	l.syncWG.Wait()
 	if err := l.f.Truncate(l.size); err != nil {
 		return err
 	}

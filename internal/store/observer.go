@@ -1,9 +1,6 @@
 package store
 
-import (
-	"os"
-	"time"
-)
+import "time"
 
 // Window is one durability window: the contiguous run of records one
 // flush (and, with Options.Fsync, one data sync) made durable: whatever
@@ -26,8 +23,9 @@ type Window struct {
 	// records, i.e. what the window added to the segment files.
 	Bytes int64
 	// FlushStart is when the window's buffered write began;
-	// FsyncStart/FsyncEnd bracket its data sync (fdatasync on Linux)
-	// and lie inside the window.
+	// FsyncStart/FsyncEnd bracket its data sync (fdatasync on Linux, or
+	// the rotation whose full fsync made a full segment's last window
+	// durable) and lie inside the window.
 	// Without Options.Fsync the bracket is empty (FsyncStart ==
 	// FsyncEnd == the flush's completion), so flush/fsync/ack splits
 	// still partition a waiter's durability wait.
@@ -57,23 +55,20 @@ func (l *Log) sealLocked(w *Window) {
 	l.sealed, l.pendBytes = l.seq, 0
 }
 
-// syncWindow stamps w's fsync bracket, syncing f's data in between when
-// Options.Fsync asks for it.
-func (l *Log) syncWindow(w *Window, f *os.File) error {
-	w.FsyncStart = time.Now()
+// endFsync closes w's fsync bracket, opened at w.FsyncStart. Without
+// Options.Fsync the bracket stays empty: the window was durable per the
+// options at its flush, even when a rotation or Close synced it anyway.
+func (l *Log) endFsync(w *Window) {
 	w.FsyncEnd = w.FsyncStart
-	if !l.opts.Fsync {
-		return nil
+	if l.opts.Fsync {
+		w.FsyncEnd = time.Now()
 	}
-	err := syncData(f)
-	w.FsyncEnd = time.Now()
-	return err
 }
 
 // syncData makes a window durable: fdatasync on Linux, where segments
 // are preallocated and a window does not change the file size, fsync
-// elsewhere (sync_*.go). A variable so tests can kill the log between
-// a window's write and its sync.
+// elsewhere (sync_*.go). A variable so tests can slow a window's sync,
+// or kill the log between its write and its sync.
 var syncData = datasync
 
 // report hands one durable window to the observer, if any. Every path

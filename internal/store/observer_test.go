@@ -222,20 +222,17 @@ func TestObserverGroupCommitNoEmptyWindow(t *testing.T) {
 
 // TestObserverRotationAndSnapshot: windows stay contiguous across
 // segment rotations and a snapshot, both for serial Appends (windows of
-// one) and for AppendAsync bursts, whose rotations land while earlier
-// records still wait in the buffer for a window that groups them.
+// one) and for AppendAsync bursts of five, each one window whose leader
+// rotates the segment it filled; the snapshot lands mid-burst and
+// rotates with records still waiting in the buffer for that window.
 func TestObserverRotationAndSnapshot(t *testing.T) {
 	for _, group := range []bool{false, true} {
 		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
 			dir := t.TempDir()
 			l, obs := openObserved(t, dir, Options{SegmentBytes: 64})
-			append := l.Append
-			if group {
-				append = l.AppendAsync
-			}
 			const n = 40
 			for i := 0; i < n; i++ {
-				if _, err := append([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
+				if err := appendBurst(l, group, i, fmt.Sprintf("record-%02d", i)); err != nil {
 					t.Fatal(err)
 				}
 				if i == n/2 {
@@ -254,8 +251,12 @@ func TestObserverRotationAndSnapshot(t *testing.T) {
 			if records != n {
 				t.Fatalf("windows cover %d records, want %d", records, n)
 			}
-			if !group && windows != n {
-				t.Fatalf("serial Appends: %d windows for %d records, want windows of one", windows, n)
+			want := n
+			if group {
+				want = n / 5
+			}
+			if windows != want {
+				t.Fatalf("%d windows for %d records, want %d", windows, n, want)
 			}
 		})
 	}

@@ -14,6 +14,17 @@ import (
 	"testing"
 )
 
+// appendBurst appends record i: serially, or in bursts of five
+// AppendAsync calls whose last one waits, so one leader's window covers
+// the burst.
+func appendBurst(l *Log, burst bool, i int, payload string) error {
+	seq, err := l.AppendAsync([]byte(payload))
+	if err == nil && (!burst || i%5 == 4) {
+		err = l.WaitDurable(seq)
+	}
+	return err
+}
+
 func fileSize(t *testing.T, path string) int64 {
 	t.Helper()
 	fi, err := os.Stat(path)
@@ -137,11 +148,12 @@ func TestPreallocZeroTailInOlderSegmentFailsOpen(t *testing.T) {
 // TestPreallocRotateAndCloseTrimToTrueLength: while a log runs, every
 // segment but the active one is exactly as long as its data and the
 // active one is preallocated; Close trims that one too. Rotation by
-// size and by snapshot, for serial Appends and for AppendAsync bursts
-// that rotate with records still buffered. (A segment rotated by size is
-// already past its preallocation; the one a snapshot rotates, short of
-// it, is what the trim is for, and the second snapshot keeps it from
-// compaction.)
+// size and by snapshot, for serial Appends (windows of one) and for
+// AppendAsync bursts awaited every fifth record, whose leaders rotate
+// with the whole burst in their window and whose snapshots rotate with
+// records still buffered. (A segment rotated by size is already past
+// its preallocation; the one a snapshot rotates, short of it, is what
+// the trim is for, and the second snapshot keeps it from compaction.)
 func TestPreallocRotateAndCloseTrimToTrueLength(t *testing.T) {
 	const segBytes = 400
 	for _, group := range []bool{false, true} {
@@ -151,12 +163,8 @@ func TestPreallocRotateAndCloseTrimToTrueLength(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			append := l.Append
-			if group {
-				append = l.AppendAsync
-			}
 			for i := 0; i < 60; i++ {
-				if _, err := append([]byte(fmt.Sprintf("record-%02d-padding", i))); err != nil {
+				if err := appendBurst(l, group, i, fmt.Sprintf("record-%02d-padding", i)); err != nil {
 					t.Fatal(err)
 				}
 				if i == 20 || i == 45 {
@@ -221,7 +229,7 @@ func (s *syncedBytes) WindowDurable(w Window) { s.n.Add(w.Bytes) }
 // reads as the preallocated zeros), and the reopened journal must
 // replay every acked record, in a gap-free prefix of what was attempted.
 func TestRecoverKillBetweenWriteAndSync(t *testing.T) {
-	defer func() { syncData = datasync }()
+	defer func() { syncData = testSync }()
 	errKilled := errors.New("killed between write and sync")
 	for trial := 0; trial < 8; trial++ {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
@@ -243,7 +251,7 @@ func TestRecoverKillBetweenWriteAndSync(t *testing.T) {
 				case n > killAt:
 					return errKilled
 				}
-				return datasync(f)
+				return testSync(f)
 			}
 
 			var (
@@ -275,7 +283,7 @@ func TestRecoverKillBetweenWriteAndSync(t *testing.T) {
 			<-killed
 			l.crash()
 			wg.Wait()
-			syncData = datasync
+			syncData = testSync
 
 			path := lastSegment(t, dir)
 			_, end, _, err := scanSegment(path, 1, nil)
