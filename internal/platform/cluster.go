@@ -2,8 +2,8 @@
 // accessors the cluster middleware reads.
 //
 // A campaign moves in two journaled records. Handoff holds the world
-// lock exclusively while it exports the campaign (its sessions, videos
-// and blob payloads as the same DTOs snapshots use) and journals an
+// lock exclusively while it exports the campaign (its section, the one
+// snapshots carry, and its blob payloads) and journals an
 // opHandoff fence. Every fence check runs inside an apply function
 // under the world lock held shared, so each mutation either finished
 // before that cut, and is in the export, or sees the fence and gets
@@ -22,15 +22,12 @@ import (
 	"sort"
 )
 
-// campaignExport is the handoff document: one campaign's full state in
-// snapshot DTOs — the campaign with its completed sessions' arena, the
-// in-flight sessions, the videos — plus the blob payloads its videos
+// campaignExport is the handoff document: one campaign's section, the
+// same bytes a snapshot carries for it, plus the blob payloads its videos
 // reference (the receiving node's blob store has never seen them).
 type campaignExport struct {
 	Version  int               `json:"version"`
 	Campaign *snapCampaign     `json:"campaign"`
-	Sessions []*snapSession    `json:"sessions,omitempty"`
-	Videos   []*snapVideo      `json:"videos,omitempty"`
 	Blobs    map[string][]byte `json:"blobs,omitempty"`
 }
 
@@ -59,34 +56,24 @@ func (s *Server) Handoff(campaign, target string) ([]byte, error) {
 	return state, nil
 }
 
-// exportCampaign serializes one campaign — sessions, videos, blob bytes
-// — as a handoff document. Only Handoff calls it, with the world lock
-// held exclusively, so no campaign is exported without being fenced.
+// exportCampaign serializes one campaign's section and its videos' blob
+// bytes as a handoff document. Only Handoff calls it, with the world
+// lock held exclusively, so no campaign is exported without being fenced.
 func (s *Server) exportCampaign(id string) ([]byte, error) {
 	c, ok := s.campaigns.Get(id)
 	if !ok {
 		return nil, errNoCampaign
 	}
-	ex := campaignExport{Version: stateVersion, Campaign: exportCampaignState(c)}
-	for _, sid := range c.inflight {
-		e, _ := s.sessions.Get(sid) // in flight: indexed at join, with its state
-		ex.Sessions = append(ex.Sessions, exportSessionState(e.live))
+	cn, err := s.section(c)
+	if err != nil {
+		return nil, err
 	}
-	for _, vid := range c.Videos {
-		v, ok := s.videos.Get(vid)
-		if !ok {
-			return nil, fmt.Errorf("campaign %s references unknown video %s", id, vid)
-		}
-		ex.Videos = append(ex.Videos, exportVideoState(v))
-		if ex.Blobs == nil {
-			ex.Blobs = map[string][]byte{}
-		}
+	ex := campaignExport{Version: stateVersion, Campaign: &cn, Blobs: map[string][]byte{}}
+	for _, v := range cn.Videos {
 		if _, dup := ex.Blobs[v.Hash]; !dup {
-			data, err := s.blobs.ReadAll(v.Hash)
-			if err != nil {
+			if ex.Blobs[v.Hash], err = s.blobs.ReadAll(v.Hash); err != nil {
 				return nil, fmt.Errorf("exporting blob %s: %w", v.Hash, err)
 			}
-			ex.Blobs[v.Hash] = data
 		}
 	}
 	return json.Marshal(&ex)
@@ -122,71 +109,48 @@ func (s *Server) ImportCampaign(state []byte) error {
 	return s.mutate(&s.world, nil, func() (uint64, error) { return s.applyImport(ev) })
 }
 
+// applyImport restores the document's section, refuses one naming
+// anything this server already holds and puts the blobs, all before it
+// journals, so a refused import leaves neither a record nor an index
+// entry behind; then it installs the section.
 func (s *Server) applyImport(ev *event) (uint64, error) {
 	var ex campaignExport
-	if err := json.Unmarshal(ev.State, &ex); err != nil {
-		return 0, fmt.Errorf("import state: %w", err)
-	}
-	if err := checkStateVersion("import state", ex.Version); err != nil {
+	if err := decodeState("import state", ev.State, &ex); err != nil {
 		return 0, err
 	}
 	if ex.Campaign == nil {
 		return 0, fmt.Errorf("import state: missing campaign")
 	}
-	if len(ev.LegacyTail) > 0 {
-		return 0, fmt.Errorf("%s record for campaign %s carries a handoff tail (%d records) from an earlier build; this server replays no tail and refuses the record rather than drop its mutations",
-			opImport, ex.Campaign.ID, len(ev.LegacyTail))
+	r, err := s.restore(ex.Campaign, func(hash string) bool {
+		_, carried := ex.Blobs[hash]
+		return carried || s.blobs.Has(hash)
+	})
+	if err == nil {
+		err = s.held(r)
 	}
-	if _, exists := s.campaigns.Get(ex.Campaign.ID); exists {
-		return 0, errCampaignExists
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", opImport, err)
+	}
+	// The blobs are durable before the record naming them, as a video
+	// upload's are; one the record does not end up naming is unreferenced.
+	for hash, data := range ex.Blobs {
+		if s.blobs.Has(hash) {
+			continue
+		}
+		ref, _, err := s.blobs.PutBytes(data)
+		if err != nil {
+			return 0, fmt.Errorf("import blob %s: %w", hash, err)
+		}
+		if ref.Hash != hash {
+			return 0, fmt.Errorf("import blob %s: payload hashes to %s", hash, ref.Hash)
+		}
 	}
 	seq, err := s.journal(ev)
 	if err != nil {
 		return 0, err
 	}
-	// From here on the record is journaled: a failure returns seq with
-	// its error so that mutate still awaits the record. No other apply
-	// function can fail once it has journaled.
-
-	// Blob payloads first: video DTOs reference them by content address.
-	for hash, data := range ex.Blobs {
-		if s.blobs.Has(hash) {
-			continue
-		}
-		if _, _, err := s.blobs.PutBytes(data); err != nil {
-			return seq, fmt.Errorf("import blob %s: %w", hash, err)
-		}
-	}
-	// Same rebuild order as loadState: sessions, then videos, then the
-	// campaign whose adaptive/analytics state re-folds over them.
-	for _, sn := range ex.Sessions {
-		sess, err := restoreSession(sn)
-		if err != nil {
-			return seq, fmt.Errorf("import session %s: %w", sn.ID, err)
-		}
-		s.sessions.Put(sn.ID, sessionEntry{live: sess})
-	}
-	for _, vn := range ex.Videos {
-		v, err := s.restoreVideo(vn)
-		if err != nil {
-			return seq, fmt.Errorf("import video %s: %w", vn.ID, err)
-		}
-		s.videos.Put(vn.ID, v)
-		s.bumpID(vn.ID)
-	}
-	c, err := s.restoreCampaign(ex.Campaign, ex.Sessions)
-	if err != nil {
-		return seq, fmt.Errorf("import campaign %s: %w", ex.Campaign.ID, err)
-	}
-	s.campaigns.Put(ex.Campaign.ID, c)
-	s.bumpID(ex.Campaign.ID)
-	s.joined.Add(int64(len(c.recordSessions) + len(c.inflight)))
-	for _, sid := range c.recordSessions {
-		s.bumpID(sid)
-	}
-	for _, sid := range c.inflight {
-		s.bumpID(sid)
-	}
+	s.install(r)
+	s.joined.Add(int64(len(r.c.recordSessions) + len(r.inflight)))
 	s.countMutation(opImport)
 	return seq, nil
 }

@@ -2,18 +2,24 @@
 // platform faces the open internet in the paper's deployment, so no
 // body — however malformed — may panic a handler, produce a 5xx, or
 // answer with something other than JSON. Each target drives the real
-// handler stack against a pre-seeded in-memory server.
+// handler stack against a pre-seeded in-memory server. FuzzImportCampaign
+// holds the campaign-import document to the same standard.
 package platform
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
 type fuzzEnv struct {
+	srv      *Server
 	handler  http.Handler
 	campaign string
 	video    string
@@ -25,7 +31,8 @@ type fuzzEnv struct {
 // exactly what a public endpoint sees).
 func newFuzzEnv(tb testing.TB) *fuzzEnv {
 	tb.Helper()
-	env := &fuzzEnv{handler: NewServer().Handler()}
+	srv := NewServer()
+	env := &fuzzEnv{srv: srv, handler: srv.Handler()}
 	rec := env.do("POST", "/api/v1/campaigns", []byte(`{"name":"fuzz","kind":"timeline"}`))
 	var created CreateCampaignResponse
 	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &created) != nil {
@@ -148,5 +155,62 @@ func FuzzFlagBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkSane(t, env.do("POST", "/api/v1/videos/"+env.video+"/flag", body))
 		checkSane(t, env.do("POST", "/api/v1/videos/ghost/flag", body))
+	})
+}
+
+// FuzzImportCampaign: an import document arrives from another node, so
+// no bytes may panic ImportCampaign, and a document it refuses leaves
+// every index empty, as it found them. The section of one it accepts can
+// be written again, and its /results and /analytics answer without a 5xx.
+func FuzzImportCampaign(f *testing.F) {
+	// The live export carries a video, a completed session in the arena
+	// and a session in flight.
+	src := newFuzzEnv(f)
+	for k := 0; k < TestsPerSession; k++ {
+		test := fmt.Sprintf("%s-t%d", src.session, k)
+		if k == TestsPerSession-1 {
+			test = src.session + "-control"
+		}
+		body := []byte(`{"test_id":"` + test + `","slider_ms":1400,"submitted_ms":1400,"kept_original":true}`)
+		if rec := src.do("POST", "/api/v1/sessions/"+src.session+"/responses", body); rec.Code != http.StatusAccepted {
+			f.Fatalf("answer %s: %d %s", test, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if rec := src.do("POST", "/api/v1/sessions", joinSeeds(src.campaign)[0]); rec.Code != http.StatusCreated {
+		f.Fatalf("second join: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	state, err := src.srv.Handoff(src.campaign, "b")
+	if err != nil {
+		f.Fatal(err)
+	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "parent_v3_export.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(state)
+	f.Add(v3)
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		dst := NewServer()
+		if err := dst.ImportCampaign(doc); err != nil {
+			if n := dst.campaigns.Len() + dst.sessions.Len() + dst.videos.Len(); n != 0 || dst.joined.Load() != 0 || dst.nextID.Load() != 0 {
+				t.Fatalf("refused import (%v) left %d index entries", err, n)
+			}
+			return
+		}
+		var ex campaignExport
+		if err := json.Unmarshal(doc, &ex); err != nil {
+			t.Fatalf("an accepted document does not decode: %v", err)
+		}
+		c, _ := dst.campaigns.Get(ex.Campaign.ID)
+		if _, err := dst.section(c); err != nil {
+			t.Fatalf("the accepted campaign's section cannot be written: %v", err)
+		}
+		for _, view := range []string{"/results", "/analytics"} {
+			rec := httptest.NewRecorder()
+			dst.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/campaigns/"+url.PathEscape(ex.Campaign.ID)+view, nil))
+			if rec.Code >= 500 {
+				t.Fatalf("%s of the imported campaign answered %d: %s", view, rec.Code, rec.Body.Bytes())
+			}
+		}
 	})
 }

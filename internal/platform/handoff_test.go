@@ -3,6 +3,8 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -136,9 +138,10 @@ func TestHandoffIsTheCut(t *testing.T) {
 
 // TestImportRecordWithTailRefused: an import record that an earlier
 // build journaled with a handoff tail — the records its source took
-// between export and fence — fails Open with an error naming the op and
-// the campaign, because replaying the export alone would silently drop
-// the tail's mutations.
+// between export and fence — carries a document of version 3 or older,
+// as every such record does, so replaying it fails Open with an error
+// naming the op and the version rather than silently drop the tail's
+// mutations.
 func TestImportRecordWithTailRefused(t *testing.T) {
 	state, err := os.ReadFile(filepath.Join("testdata", "parent_v3_export.json"))
 	if err != nil {
@@ -168,53 +171,144 @@ func TestImportRecordWithTailRefused(t *testing.T) {
 		srv.Close()
 		t.Fatal("Open replayed an import record carrying a tail")
 	}
-	if !strings.Contains(err.Error(), opImport) || !strings.Contains(err.Error(), "c1") || !strings.Contains(err.Error(), "tail") {
-		t.Fatalf("Open: %v, want an error naming the import op, campaign c1 and the tail", err)
+	if version := fmt.Sprintf("version %d", stateVersion); !strings.Contains(err.Error(), opImport) || !strings.Contains(err.Error(), version) {
+		t.Fatalf("Open: %v, want an error naming the import op and %s", err, version)
 	}
 }
 
-// TestFailedImportRecordIsAwaited: an import that fails after its record
-// is journaled (here, a video whose blob the document does not carry)
-// still waits for that record's window — the journal flushes only for a
-// waiter — so the record has reached the OS when ImportCampaign returns
-// instead of sitting in the write buffer until the next mutation.
-func TestFailedImportRecordIsAwaited(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "parent_v3_export.json"))
+// TestRefusedImportLeavesNothing: an import is checked whole before its
+// record is journaled, so a durable node refusing one — a cut or
+// misnumbered arena, a video whose blob the document does not carry, a
+// version-3 document — holds no campaign, session or video of it, has
+// no import record in its journal, and reopens.
+func TestRefusedImportLeavesNothing(t *testing.T) {
+	src := NewServer()
+	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
+	state, err := src.Handoff(campaign, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ex campaignExport
-	if err := json.Unmarshal(raw, &ex); err != nil {
-		t.Fatal(err)
-	}
-	ex.Blobs = nil
-	state, err := json.Marshal(&ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if err := srv.ImportCampaign(state); err == nil || !strings.Contains(err.Error(), "missing blob") {
-		t.Fatalf("ImportCampaign: %v, want the missing-blob failure", err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var disk []byte
-	for _, p := range segs {
-		b, err := os.ReadFile(p)
+	corrupted := func(corrupt func(ex *campaignExport)) []byte {
+		var ex campaignExport
+		if err := json.Unmarshal(state, &ex); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&ex)
+		bad, err := json.Marshal(&ex)
 		if err != nil {
 			t.Fatal(err)
 		}
-		disk = append(disk, b...)
+		return bad
 	}
-	if !bytes.Contains(disk, []byte(`{"op":"import"`)) {
-		t.Fatal("the failed import's journal record is not in the segment file: nobody waited for it")
+	type refusal struct {
+		doc  []byte
+		want string
+	}
+	cases := map[string]refusal{}
+	for name, corrupt := range arenaCorruptions {
+		cases[name] = refusal{corrupted(func(ex *campaignExport) { corrupt(ex.Campaign) }), "campaign " + campaign}
+	}
+	cases["no blobs"] = refusal{corrupted(func(ex *campaignExport) { ex.Blobs = nil }), "missing blob"}
+	cases["blob under another hash"] = refusal{corrupted(func(ex *campaignExport) {
+		for hash := range ex.Blobs {
+			ex.Blobs[hash] = freshVideoBytes()
+		}
+	}), "payload hashes to"}
+	v3, err := os.ReadFile(filepath.Join("testdata", "parent_v3_export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["version 3"] = refusal{v3, fmt.Sprintf("version %d", stateVersion)}
+
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			dst, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.ImportCampaign(tc.doc); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ImportCampaign: %v, want an error saying %q", err, tc.want)
+			}
+			assertNothingInstalled(t, dst)
+			if err := dst.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range segs {
+				b, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Contains(b, []byte(`{"op":"import"`)) {
+					t.Fatalf("%s holds the refused import's record", filepath.Base(p))
+				}
+			}
+			reopened, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+			if err != nil {
+				t.Fatalf("Open after the refused import: %v", err)
+			}
+			defer reopened.Close()
+			assertNothingInstalled(t, reopened)
+		})
+	}
+}
+
+// TestImportOfHeldEntitiesRefused: installing a section overwrites
+// index entries, so an import naming a campaign, video or session the
+// node already holds is refused, and so is a snapshot whose sections
+// share one, rather than cross-wire two campaigns.
+func TestImportOfHeldEntitiesRefused(t *testing.T) {
+	src := NewServer()
+	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
+	state, err := src.Handoff(campaign, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewServer()
+	if err := dst.ImportCampaign(state); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.ImportCampaign(state); !errors.Is(err, errCampaignExists) {
+		t.Fatalf("importing the campaign again: %v, want errCampaignExists", err)
+	}
+	var ex campaignExport
+	if err := json.Unmarshal(state, &ex); err != nil {
+		t.Fatal(err)
+	}
+	ex.Campaign.ID = "c-copy"
+	for name, corrupt := range map[string]func(cn *snapCampaign){
+		"video":   func(cn *snapCampaign) { cn.Inflight = nil },
+		"session": func(cn *snapCampaign) { cn.Videos = cn.Videos[:0]; cn.Records, cn.Arena, cn.ArenaEnds = nil, nil, nil },
+	} {
+		cn := *ex.Campaign
+		corrupt(&cn)
+		copied, err := json.Marshal(&campaignExport{Version: stateVersion, Campaign: &cn, Blobs: ex.Blobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := [3]int{dst.campaigns.Len(), dst.sessions.Len(), dst.videos.Len()}
+		err = dst.ImportCampaign(copied)
+		if want := name + " "; err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "already held") {
+			t.Fatalf("importing a copy sharing a %s: %v, want it refused as already held", name, err)
+		}
+		if after := [3]int{dst.campaigns.Len(), dst.sessions.Len(), dst.videos.Len()}; after != before {
+			t.Fatalf("the refused copy moved the index sizes from %v to %v", before, after)
+		}
+	}
+	snap, err := json.Marshal(&snapState{Version: stateVersion, Campaigns: []snapCampaign{*ex.Campaign, {ID: "c-other", Kind: "timeline", Videos: ex.Campaign.Videos[:1]}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewServer()
+	if _, _, err := loaded.blobs.PutBytes(sampleVideoBytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.loadState(snap); err == nil || !strings.Contains(err.Error(), "already held") {
+		t.Fatalf("loading a snapshot whose sections share a video: %v, want it refused", err)
 	}
 }
 

@@ -1,5 +1,6 @@
 // Persistence: the journal event schema, the apply functions shared by
-// live handlers and crash recovery, and the snapshot encode/decode.
+// live handlers and crash recovery, and the state documents, in which a
+// campaign's section is the one form of its state.
 //
 // Every mutation is expressed as an event. The live path validates,
 // buffers the event into the journal, and applies it inside one
@@ -87,11 +88,6 @@ type event struct {
 	// opImport record's campaignExport document.
 	Target string          `json:"target,omitempty"`
 	State  json.RawMessage `json:"state,omitempty"`
-	// LegacyTail is read, never written: earlier builds exported a
-	// campaign before fencing it and put what the old owner journaled in
-	// between in the import record under "tail". applyImport refuses a
-	// record that carries one rather than silently drop its mutations.
-	LegacyTail []json.RawMessage `json:"tail,omitempty"`
 
 	// tr stamps the live request's lock-wait/append boundaries as the
 	// event moves through its apply function. Unexported so it never
@@ -178,9 +174,7 @@ func (s *Server) campaignMoved(campaign string) error {
 // Each returns the journal sequence its record was buffered at (0 in
 // memory mode / replay); mutate awaits that sequence's durability after
 // every shard lock is back on the hook. Each checks everything that can
-// fail before it journals, so once it has a sequence it succeeds; only
-// applyImport, whose document is installed after its record, can fail
-// after journaling, and it returns the sequence with its error.
+// fail before it journals, so once it has a sequence it succeeds.
 
 func (s *Server) applyCampaign(ev *event) (uint64, error) {
 	csh := s.campaigns.Shard(ev.ID)
@@ -218,7 +212,7 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	if ev.Hash == "" {
 		return 0, fmt.Errorf("video %s: record carries no content hash", ev.ID)
 	}
-	// Same refusal as restoreVideo: a video nothing can serve must not be
+	// Same refusal as restore: a video nothing can serve must not be
 	// assigned to participants.
 	if !s.blobs.Has(ev.Hash) {
 		return 0, fmt.Errorf("video %s references missing blob %s", ev.ID, ev.Hash)
@@ -254,8 +248,14 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	csh.Lock()
 	defer csh.Unlock()
 	ev.tr.Mark(trace.StageLockWait)
+	// A session lives in its campaign's section of the state documents,
+	// so one whose campaign this server does not hold could not be
+	// written to the next snapshot.
 	c, ok := csh.Get(ev.Campaign)
-	if ok && c.movedTo != "" {
+	if !ok {
+		return 0, fmt.Errorf("session %s: %w %s", ev.ID, errNoCampaign, ev.Campaign)
+	}
+	if c.movedTo != "" {
 		return 0, fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, c.ID, c.movedTo)
 	}
 	seq, err := s.journal(ev)
@@ -264,26 +264,20 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	}
 	// The session names its campaign by the campaign's own string rather
 	// than the join body's copy of it.
-	campaign := ev.Campaign
-	if ok {
-		campaign = c.ID
-	}
 	ssh.Put(ev.ID, sessionEntry{live: &sessionState{
 		ID:         ev.ID,
-		Campaign:   campaign,
+		Campaign:   c.ID,
 		Worker:     *ev.Worker,
 		Assignment: ev.Tests,
 		answers:    make([]answer, 0, len(ev.Tests)),
 		track:      quality.NewTracker(assignedVideos(ev.Tests)),
 	}})
-	if ok {
-		c.inflight = append(c.inflight, ev.ID)
-		// The allocator charges the assignment as bought budget the
-		// moment it is journaled — live and replay go through this same
-		// line, so pending counts replay identically.
-		if c.adaptive != nil {
-			c.adaptive.NoteJoin(assignedVideos(ev.Tests))
-		}
+	c.inflight = append(c.inflight, ev.ID)
+	// The allocator charges the assignment as bought budget the moment it
+	// is journaled — live and replay go through this same line, so pending
+	// counts replay identically.
+	if c.adaptive != nil {
+		c.adaptive.NoteJoin(assignedVideos(ev.Tests))
 	}
 	s.joined.Add(1)
 	s.bumpID(ev.ID)
@@ -441,11 +435,10 @@ func (s *Server) completeSession(c *campaignState, sess *sessionState) sessionEn
 }
 
 // fileCompleted is the one step every completed session goes through,
-// fresh from completeSession or decoded from a loaded arena
-// (restoreCampaign): it folds the answers into the campaign's analytics
-// and stopper and files the session and its /analytics row under the
-// next row number, which it returns — the row the session's record sits
-// at in the arena. Caller holds the campaign's shard lock, or the
+// fresh from completeSession or decoded from a restored arena (restore):
+// it folds the answers into the campaign's analytics and stopper and
+// files the session and its /analytics row under the next row number,
+// which it returns — the row the session's record sits at in the arena. Caller holds the campaign's shard lock, or the
 // campaign is not reachable yet.
 func (c *campaignState) fileCompleted(sess *sessionState) uint32 {
 	rec := sess.record(c.Kind)
@@ -590,77 +583,84 @@ func (sess *sessionState) trackAnswer(a answer) {
 	}
 }
 
-// --- snapshots ---
+// --- state documents ---
 
 // stateVersion is the schema version of the snapshot and campaign-export
-// documents. Version 3 carries a campaign's completed sessions as its
-// arena of frozen records; version 2 listed each one as a session DTO,
-// and the unversioned layout before it serialized per-session traces
-// that a completed session no longer has. No reader for either is kept:
-// a document carrying any other version is refused.
-const stateVersion = 3
+// documents; version 4 nests a campaign's videos and sessions in flight
+// in its section. No reader for an older layout is kept: a document
+// carrying another version is refused.
+const stateVersion = 4
 
-func checkStateVersion(doc string, got int) error {
-	if got != stateVersion {
-		return fmt.Errorf("%s has schema version %d, this server reads only version %d", doc, got, stateVersion)
+// decodeState reads the version of doc before the rest of it, so that a
+// document in another layout fails on its version rather than on a field
+// whose type changed, then decodes all of it into v.
+func decodeState(doc string, data []byte, v any) error {
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return fmt.Errorf("%s: %w", doc, err)
+	}
+	if head.Version != stateVersion {
+		return fmt.Errorf("%s has schema version %d, this server reads only version %d", doc, head.Version, stateVersion)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s: %w", doc, err)
 	}
 	return nil
 }
 
-// The snapshot is a JSON document of plain DTOs. The analytics, stopper
-// state and /analytics rows are NOT serialized: a campaign carries its
-// completed sessions' IDs in completion order and their frozen records
-// as the arena's bytes, and load walks the arena once, re-folding each
-// record through fileCompleted, keeping the snapshot small and the
-// rebuild exact.
+// A campaign's section is the one form its state takes in a document: a
+// snapshot is the counters and every campaign's section, an export one
+// section plus the blobs its videos name (campaignExport). The analytics,
+// stopper state and /analytics rows are NOT serialized: a section carries
+// its completed sessions' IDs in completion order and their frozen
+// records as the arena's bytes, and restore walks the arena once,
+// re-folding each record through fileCompleted, keeping the document
+// small and the rebuild exact.
 
 type snapState struct {
-	Version   int             `json:"version"`
-	NextID    int64           `json:"next_id"`
-	Joined    int64           `json:"joined"`
-	Campaigns []*snapCampaign `json:"campaigns,omitempty"`
-	Sessions  []*snapSession  `json:"sessions,omitempty"`
-	Videos    []*snapVideo    `json:"videos,omitempty"`
+	Version   int            `json:"version"`
+	NextID    int64          `json:"next_id"`
+	Joined    int64          `json:"joined"`
+	Campaigns []snapCampaign `json:"campaigns,omitempty"`
 }
 
-// snapCampaign is one campaign. Records names its completed sessions in
-// completion order; Arena is their frozen records back to back (base64
-// in the document) and ArenaEnds where each one ends, so record i is
-// Records[i]'s. Its sessions in flight are the document's session DTOs
-// that name it. (Documents written before the join-order list was
-// dropped also carry a "sessions" key here; it is ignored.)
+// snapCampaign is one campaign's section: its videos in the campaign's
+// order; its completed sessions, which Records names in completion order,
+// with Arena their frozen records back to back (base64 in the document)
+// and ArenaEnds where each one ends, so record i is Records[i]'s; and its
+// sessions in flight, in ID order.
 type snapCampaign struct {
-	ID        string   `json:"id"`
-	Name      string   `json:"name"`
-	Kind      string   `json:"kind"`
-	Videos    []string `json:"videos,omitempty"`
-	Records   []string `json:"records,omitempty"`
-	Arena     []byte   `json:"arena,omitempty"`
-	ArenaEnds []uint32 `json:"arena_ends,omitempty"`
-	Moved     string   `json:"moved,omitempty"` // node the campaign was handed off to
+	ID        string        `json:"id"`
+	Name      string        `json:"name"`
+	Kind      string        `json:"kind"`
+	Videos    []snapVideo   `json:"videos,omitempty"`
+	Records   []string      `json:"records,omitempty"`
+	Arena     []byte        `json:"arena,omitempty"`
+	ArenaEnds []uint32      `json:"arena_ends,omitempty"`
+	Inflight  []snapSession `json:"inflight,omitempty"`
+	Moved     string        `json:"moved,omitempty"` // node the campaign was handed off to
 }
 
 // snapSession is one session in flight: its answers so far and the
-// tracker's latest trace per video. Completed sessions are not listed;
-// their campaign's arena has them.
+// tracker's latest trace per video.
 type snapSession struct {
-	ID       string                       `json:"id"`
-	Campaign string                       `json:"campaign"`
-	Worker   Worker                       `json:"worker"`
-	Tests    []AssignedTest               `json:"tests"`
-	Answers  []answer                     `json:"answers,omitempty"`
-	Traces   map[string]survey.VideoTrace `json:"traces,omitempty"`
+	ID      string                       `json:"id"`
+	Worker  Worker                       `json:"worker"`
+	Tests   []AssignedTest               `json:"tests"`
+	Answers []answer                     `json:"answers,omitempty"`
+	Traces  map[string]survey.VideoTrace `json:"traces,omitempty"`
 }
 
 // snapVideo references its payload by content address; the blob file is
-// durable independently of the snapshot.
+// durable independently of the document.
 type snapVideo struct {
-	ID       string   `json:"id"`
-	Campaign string   `json:"campaign"`
-	Hash     string   `json:"hash"`
-	Size     int64    `json:"size,omitempty"`
-	Flags    []string `json:"flags,omitempty"`
-	Banned   bool     `json:"banned,omitempty"`
+	ID     string   `json:"id"`
+	Hash   string   `json:"hash"`
+	Size   int64    `json:"size,omitempty"`
+	Flags  []string `json:"flags,omitempty"`
+	Banned bool     `json:"banned,omitempty"`
 }
 
 func sortedKeys(m map[string]bool) []string {
@@ -675,123 +675,98 @@ func sortedKeys(m map[string]bool) []string {
 	return keys
 }
 
-// exportCampaignState, exportSessionState and exportVideoState turn
-// live state into snapshot DTOs; marshalState and exportCampaign share
-// them. Callers hold the world lock (exclusively), so reads are a
-// consistent cut.
-func exportCampaignState(c *campaignState) *snapCampaign {
-	return &snapCampaign{
+// section builds campaign c's section. marshalState and exportCampaign
+// both build with it, so a campaign's section is the same bytes in a
+// snapshot and in an export. Caller holds the world lock exclusively, so
+// the reads are a consistent cut.
+func (s *Server) section(c *campaignState) (snapCampaign, error) {
+	cn := snapCampaign{
 		ID: c.ID, Name: c.Name, Kind: c.Kind,
-		Videos:    c.Videos,
+		Videos:    make([]snapVideo, len(c.Videos)),
 		Records:   c.recordSessions,
 		Arena:     c.arena,
 		ArenaEnds: c.arenaEnds,
+		Inflight:  make([]snapSession, len(c.inflight)),
 		Moved:     c.movedTo,
 	}
-}
-
-func exportSessionState(sess *sessionState) *snapSession {
-	return &snapSession{
-		ID:       sess.ID,
-		Campaign: sess.Campaign,
-		Worker:   sess.Worker,
-		Tests:    sess.Assignment,
-		Answers:  sess.answers,
-		Traces:   sess.track.Traces(),
+	for i, vid := range c.Videos {
+		v, ok := s.videos.Get(vid)
+		if !ok {
+			return cn, fmt.Errorf("campaign %s references unknown video %s", c.ID, vid)
+		}
+		cn.Videos[i] = snapVideo{ID: v.ID, Hash: v.Hash, Size: v.Size, Flags: sortedKeys(v.Flags), Banned: v.Banned}
 	}
-}
-
-func exportVideoState(v *videoState) *snapVideo {
-	return &snapVideo{
-		ID: v.ID, Campaign: v.Campaign, Hash: v.Hash, Size: v.Size,
-		Flags: sortedKeys(v.Flags), Banned: v.Banned,
+	for i, sid := range c.inflight {
+		e, _ := s.sessions.Get(sid) // in flight: indexed at join, with its state
+		sess := e.live
+		cn.Inflight[i] = snapSession{ID: sess.ID, Worker: sess.Worker, Tests: sess.Assignment, Answers: sess.answers, Traces: sess.track.Traces()}
 	}
+	sort.Slice(cn.Inflight, func(i, j int) bool { return cn.Inflight[i].ID < cn.Inflight[j].ID })
+	return cn, nil
 }
 
-// marshalState serializes the full platform state. Caller holds the
-// world lock exclusively, so shard-by-shard iteration is a consistent
-// cut.
+// marshalState serializes the full platform state: the counters and
+// every campaign's section, in ID order. Caller holds the world lock
+// exclusively.
 func (s *Server) marshalState() ([]byte, error) {
 	st := snapState{Version: stateVersion, NextID: s.nextID.Load(), Joined: s.joined.Load()}
+	var err error
 	s.campaigns.Range(func(_ string, c *campaignState) bool {
-		st.Campaigns = append(st.Campaigns, exportCampaignState(c))
-		return true
+		var cn snapCampaign
+		cn, err = s.section(c)
+		st.Campaigns = append(st.Campaigns, cn)
+		return err == nil
 	})
-	s.sessions.Range(func(_ string, e sessionEntry) bool {
-		if e.live != nil {
-			st.Sessions = append(st.Sessions, exportSessionState(e.live))
-		}
-		return true
-	})
-	s.videos.Range(func(_ string, v *videoState) bool {
-		st.Videos = append(st.Videos, exportVideoState(v))
-		return true
-	})
+	if err != nil {
+		return nil, err
+	}
 	sort.Slice(st.Campaigns, func(i, j int) bool { return st.Campaigns[i].ID < st.Campaigns[j].ID })
-	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
-	sort.Slice(st.Videos, func(i, j int) bool { return st.Videos[i].ID < st.Videos[j].ID })
 	return json.Marshal(&st)
 }
 
-// restoreSession rebuilds one in-flight session from its DTO, its
-// tracker re-fed. loadState and applyImport share it so a migrated
-// session is field-for-field the session a local replay would have
-// produced.
-func restoreSession(sn *snapSession) (*sessionState, error) {
-	sess := &sessionState{
-		ID:         sn.ID,
-		Campaign:   sn.Campaign,
-		Worker:     sn.Worker,
-		Assignment: sn.Tests,
-		answers:    sn.Answers,
-		// The tracker is a pure function of the latest per-video traces
-		// and the answer list, both order-independent here, so map
-		// iteration order cannot diverge the rebuild.
-		track: quality.NewTracker(assignedVideos(sn.Tests)),
-	}
-	for _, tr := range sn.Traces {
-		sess.track.Observe(tr)
-	}
-	for _, a := range sess.answers {
-		if a.Test < 0 || a.Test >= len(sess.Assignment) {
-			return nil, fmt.Errorf("snapshot session %s answers test %d of %d", sn.ID, a.Test, len(sess.Assignment))
-		}
-		sess.trackAnswer(a)
-	}
-	return sess, nil
+// restored is a section decoded and checked but not reachable yet: the
+// campaign with its completed sessions filed, its videos and its
+// sessions in flight.
+type restored struct {
+	c        *campaignState
+	videos   []*videoState
+	inflight []*sessionState
 }
 
-// restoreVideo rebuilds one video from its DTO, verifying that the blob
-// it names is present.
-func (s *Server) restoreVideo(vn *snapVideo) (*videoState, error) {
-	if vn.Hash == "" {
-		return nil, fmt.Errorf("snapshot video %s carries no content hash", vn.ID)
-	}
-	if !s.blobs.Has(vn.Hash) {
-		return nil, fmt.Errorf("snapshot video %s references missing blob %s", vn.ID, vn.Hash)
-	}
-	v := newVideoState(vn.ID, vn.Campaign, vn.Hash, vn.Size)
-	v.Banned = vn.Banned
-	for _, worker := range vn.Flags {
-		v.Flags[worker] = true
-	}
-	return v, nil
-}
-
-// restoreCampaign rebuilds one campaign from its DTO and those of its
-// sessions in flight and, once all of it checked out, indexes its
-// completed sessions. The caller has put the in-flight sessions in the
-// sessions index; the campaign itself is not reachable until the caller
-// puts it in its own.
-func (s *Server) restoreCampaign(cn *snapCampaign, inflight []*snapSession) (*campaignState, error) {
+// restore decodes and checks section cn for loadState and applyImport
+// alike, so a moved campaign is field-for-field the one a local replay
+// would have produced. It builds the videos, walks the arena re-folding
+// every completed session, and re-feeds each session in flight's
+// tracker, touching no index: every failure is an error naming the
+// campaign, returned before anything is journaled or installed. hasBlob
+// reports whether a video's blob is held, or will be once the section is
+// installed.
+func (s *Server) restore(cn *snapCampaign, hasBlob func(hash string) bool) (*restored, error) {
 	c := &campaignState{
 		ID: cn.ID, Name: cn.Name, Kind: cn.Kind,
-		Videos:         cn.Videos,
+		Videos:         make([]string, len(cn.Videos)),
 		recordSessions: make([]string, 0, len(cn.Records)),
 		arena:          cn.Arena,
 		arenaEnds:      cn.ArenaEnds,
 		analytics:      quality.NewCampaign(cn.Kind),
 		movedTo:        cn.Moved,
+	}
+	r := &restored{c: c, videos: make([]*videoState, len(cn.Videos))}
+	for i, vn := range cn.Videos {
+		// Same refusals as applyVideo: a video nothing can serve must not
+		// be assigned to participants.
+		if vn.Hash == "" {
+			return nil, fmt.Errorf("campaign %s video %s carries no content hash", cn.ID, vn.ID)
+		}
+		if !hasBlob(vn.Hash) {
+			return nil, fmt.Errorf("campaign %s video %s references missing blob %s", cn.ID, vn.ID, vn.Hash)
+		}
+		v := newVideoState(vn.ID, c.ID, vn.Hash, vn.Size)
+		v.Banned = vn.Banned
+		for _, worker := range vn.Flags {
+			v.Flags[worker] = true
+		}
+		c.Videos[i], r.videos[i] = vn.ID, v
 	}
 	// Adaptive state is never snapshotted: it is a pure fold over
 	// (videos, joins, completions) under a fixed config, so it is
@@ -801,25 +776,25 @@ func (s *Server) restoreCampaign(cn *snapCampaign, inflight []*snapSession) (*ca
 	// join may be noted beside its completion, not in join order.
 	if s.adaptive {
 		c.adaptive = adaptive.New(cn.Kind, s.adaptiveCfg)
-		for _, vid := range cn.Videos {
+		for _, vid := range c.Videos {
 			c.adaptive.AddVideo(vid)
 		}
 	}
-	// The arena is installed as it came; one walk checks every record and
+	// The arena is kept as it came; one walk checks every record and
 	// re-folds it in recorded completion order — the order the journal
 	// produced them.
 	if len(cn.ArenaEnds) != len(cn.Records) {
-		return nil, fmt.Errorf("snapshot campaign %s has %d frozen records for %d completed sessions", cn.ID, len(cn.ArenaEnds), len(cn.Records))
+		return nil, fmt.Errorf("campaign %s has %d frozen records for %d completed sessions", cn.ID, len(cn.ArenaEnds), len(cn.Records))
 	}
 	start := uint32(0)
 	for row, sid := range cn.Records {
 		end := cn.ArenaEnds[row]
 		if end < start || uint64(end) > uint64(len(cn.Arena)) {
-			return nil, fmt.Errorf("snapshot campaign %s row %d (session %s): record ends at byte %d, not within %d..%d", cn.ID, row, sid, end, start, len(cn.Arena))
+			return nil, fmt.Errorf("campaign %s row %d (session %s): record ends at byte %d, not within %d..%d", cn.ID, row, sid, end, start, len(cn.Arena))
 		}
 		sess, err := decodeFrozen(c, sid, cn.Arena[start:end])
 		if err != nil {
-			return nil, fmt.Errorf("snapshot campaign %s row %d (session %s): %w", cn.ID, row, sid, err)
+			return nil, fmt.Errorf("campaign %s row %d (session %s): %w", cn.ID, row, sid, err)
 		}
 		if c.adaptive != nil {
 			c.adaptive.NoteJoin(assignedVideos(sess.Assignment))
@@ -828,69 +803,106 @@ func (s *Server) restoreCampaign(cn *snapCampaign, inflight []*snapSession) (*ca
 		start = end
 	}
 	if int(start) != len(cn.Arena) {
-		return nil, fmt.Errorf("snapshot campaign %s: %d arena bytes follow its last record", cn.ID, len(cn.Arena)-int(start))
+		return nil, fmt.Errorf("campaign %s: %d arena bytes follow its last record", cn.ID, len(cn.Arena)-int(start))
 	}
-	for _, sn := range inflight {
-		if sn.Campaign != cn.ID {
-			return nil, fmt.Errorf("snapshot session %s belongs to campaign %s, not %s", sn.ID, sn.Campaign, cn.ID)
-		}
+	for _, sn := range cn.Inflight {
 		if _, frozen := c.frozenAt(sn.ID); frozen {
-			return nil, fmt.Errorf("snapshot campaign %s lists session %s both completed and in flight", cn.ID, sn.ID)
+			return nil, fmt.Errorf("campaign %s lists session %s both completed and in flight", cn.ID, sn.ID)
+		}
+		sess := &sessionState{
+			ID:         sn.ID,
+			Campaign:   c.ID,
+			Worker:     sn.Worker,
+			Assignment: sn.Tests,
+			answers:    sn.Answers,
+			// The tracker is a pure function of the latest per-video traces
+			// and the answer list, both order-independent here, so map
+			// iteration order cannot diverge the rebuild.
+			track: quality.NewTracker(assignedVideos(sn.Tests)),
+		}
+		for _, tr := range sn.Traces {
+			sess.track.Observe(tr)
+		}
+		for _, a := range sess.answers {
+			if a.Test < 0 || a.Test >= len(sess.Assignment) {
+				return nil, fmt.Errorf("campaign %s session %s answers test %d of %d", cn.ID, sn.ID, a.Test, len(sess.Assignment))
+			}
+			sess.trackAnswer(a)
 		}
 		c.inflight = append(c.inflight, sn.ID)
 		if c.adaptive != nil {
 			c.adaptive.NoteJoin(assignedVideos(sn.Tests))
 		}
+		r.inflight = append(r.inflight, sess)
 	}
-	for row, sid := range cn.Records {
-		s.sessions.Put(sid, sessionEntry{done: c, row: uint32(row)})
-	}
-	s.completedN.Add(int64(len(cn.Records)))
-	if cn.Moved != "" {
-		s.moved.Store(cn.ID, cn.Moved)
-	}
-	return c, nil
+	return r, nil
 }
 
-// loadState rebuilds the indexes from a snapshot. Runs before the
-// server accepts requests, so unlocked convenience accessors suffice.
+// held refuses a restored section naming a campaign, video or session
+// this server already holds, which installing it would overwrite. A
+// campaign already held is errCampaignExists, the import's guard against
+// a retry or a move back.
+func (s *Server) held(r *restored) error {
+	if _, ok := s.campaigns.Get(r.c.ID); ok {
+		return fmt.Errorf("campaign %s: %w", r.c.ID, errCampaignExists)
+	}
+	for _, v := range r.videos {
+		if _, ok := s.videos.Get(v.ID); ok {
+			return fmt.Errorf("campaign %s video %s is already held here", r.c.ID, v.ID)
+		}
+	}
+	for _, sid := range slices.Concat(r.c.inflight, r.c.recordSessions) {
+		if _, ok := s.sessions.Get(sid); ok {
+			return fmt.Errorf("campaign %s session %s is already held here", r.c.ID, sid)
+		}
+	}
+	return nil
+}
+
+// install makes a restored section reachable: it puts its videos,
+// sessions and campaign into the indexes and moves the ID counter past
+// them. It cannot fail; restore checked everything first.
+func (s *Server) install(r *restored) {
+	c := r.c
+	for _, v := range r.videos {
+		s.videos.Put(v.ID, v)
+		s.bumpID(v.ID)
+	}
+	for _, sess := range r.inflight {
+		s.sessions.Put(sess.ID, sessionEntry{live: sess})
+		s.bumpID(sess.ID)
+	}
+	for row, sid := range c.recordSessions {
+		s.sessions.Put(sid, sessionEntry{done: c, row: uint32(row)})
+		s.bumpID(sid)
+	}
+	s.completedN.Add(int64(len(c.recordSessions)))
+	if c.movedTo != "" {
+		s.moved.Store(c.ID, c.movedTo)
+	}
+	s.campaigns.Put(c.ID, c)
+	s.bumpID(c.ID)
+}
+
+// loadState rebuilds the indexes from a snapshot, restoring and
+// installing one section at a time. Runs before the server accepts
+// requests, so unlocked convenience accessors suffice.
 func (s *Server) loadState(data []byte) error {
 	var st snapState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	if err := checkStateVersion("snapshot", st.Version); err != nil {
+	if err := decodeState("snapshot", data, &st); err != nil {
 		return err
 	}
 	s.nextID.Store(st.NextID)
 	s.joined.Store(st.Joined)
-	inflight := map[string][]*snapSession{} // by campaign
-	for _, sn := range st.Sessions {
-		sess, err := restoreSession(sn)
+	for i := range st.Campaigns {
+		r, err := s.restore(&st.Campaigns[i], s.blobs.Has)
+		if err == nil {
+			err = s.held(r)
+		}
 		if err != nil {
 			return err
 		}
-		s.sessions.Put(sn.ID, sessionEntry{live: sess})
-		inflight[sn.Campaign] = append(inflight[sn.Campaign], sn)
-	}
-	for _, vn := range st.Videos {
-		v, err := s.restoreVideo(vn)
-		if err != nil {
-			return err
-		}
-		s.videos.Put(vn.ID, v)
-	}
-	for _, cn := range st.Campaigns {
-		c, err := s.restoreCampaign(cn, inflight[cn.ID])
-		if err != nil {
-			return err
-		}
-		s.campaigns.Put(cn.ID, c)
-	}
-	for _, sn := range st.Sessions {
-		if _, ok := s.campaigns.Get(sn.Campaign); !ok {
-			return fmt.Errorf("snapshot session %s belongs to campaign %s, which the snapshot does not carry", sn.ID, sn.Campaign)
-		}
+		s.install(r)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -364,16 +365,30 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesCompletedSessionsAsArena pins the version-3 schema:
-// the sessions list holds only sessions in flight, and a campaign's completed sessions travel as its arena — one record
-// per completed session, the bytes the server holds.
+// TestSnapshotCarriesCompletedSessionsAsArena pins the version-4 layout:
+// a snapshot is its counters and its campaigns' sections and nothing
+// beside them; a section nests its videos in the campaign's order and
+// its sessions in flight, and its completed sessions travel as its arena
+// — one record per completed session, the bytes the server holds.
 func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
 	srv := NewServer()
 	c := newClientFor(t, srv)
-	campaign, _ := seedPersistedCampaign(t, c)
+	campaign, vids := seedPersistedCampaign(t, c)
 	data, err := srv.marshalState()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(data, &top); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range top {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := []string{"campaigns", "joined", "next_id", "version"}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("snapshot keys %v, want %v", keys, want)
 	}
 	var st snapState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -382,30 +397,120 @@ func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
 	if st.Version != stateVersion {
 		t.Fatalf("snapshot version %d, want %d", st.Version, stateVersion)
 	}
-	if len(st.Sessions) != 1 || len(st.Sessions[0].Answers) != 1 {
-		t.Fatalf("sessions lists %d, want only the one in flight, with its one answer", len(st.Sessions))
-	}
 	cs, _ := srv.campaigns.Get(campaign)
 	cn := st.Campaigns[0]
-	if len(cn.Records) != 5 || len(cn.ArenaEnds) != 5 || st.Sessions[0].Campaign != cn.ID {
-		t.Fatalf("campaign %s lists %d completed and %d record ends, the session in flight names %s, want 5, 5 and the campaign",
-			cn.ID, len(cn.Records), len(cn.ArenaEnds), st.Sessions[0].Campaign)
+	if len(cn.Inflight) != 1 || len(cn.Inflight[0].Answers) != 1 {
+		t.Fatalf("campaign %s lists %d sessions in flight, want only the one, with its one answer", cn.ID, len(cn.Inflight))
 	}
-	if bytes.Contains(data, []byte(`"sessions":["`)) {
-		t.Fatal("a campaign still lists the IDs of every session it ever joined")
+	if len(cn.Records) != 5 || len(cn.ArenaEnds) != 5 {
+		t.Fatalf("campaign %s lists %d completed and %d record ends, want 5 and 5", cn.ID, len(cn.Records), len(cn.ArenaEnds))
+	}
+	for i, v := range cn.Videos {
+		if v.ID != vids[i] || v.Hash == "" || v.Banned != (i == 2) {
+			t.Fatalf("video %d of the section is %+v, want %s with its hash, banned only the third", i, v, vids[i])
+		}
+	}
+	if len(cn.Videos) != len(vids) {
+		t.Fatalf("the section carries %d videos, the campaign %d", len(cn.Videos), len(vids))
 	}
 	if !bytes.Equal(cn.Arena, cs.arena) || len(cn.Arena) == 0 {
 		t.Fatalf("snapshot arena is %d bytes, the campaign's %d", len(cn.Arena), len(cs.arena))
 	}
 }
 
-// TestParentVersion3DocumentsLoad: version 3 did not move when campaigns
-// stopped listing the IDs of every session they ever joined, so the
-// documents the commit before wrote (testdata/parent_v3_*.json: the
-// seedPersistedCampaign state, its campaign's "sessions" key included)
-// must load, and serve the /results and /analytics bytes that server
-// served, with the session in flight still answerable.
-func TestParentVersion3DocumentsLoad(t *testing.T) {
+// TestStateDocumentRoundTrip: a campaign's section is the one form of
+// its state. A snapshot loaded and taken again is the same bytes;
+// Handoff's export carries a campaign's section byte for byte as the
+// snapshot taken just before it does; and the importer serves the
+// source's /results and /analytics byte for byte.
+func TestStateDocumentRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	src, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	campaign, _ := seedPersistedCampaign(t, c)
+	// A second session in flight, and a second campaign, moved away.
+	join(c, campaign, "round-trip")
+	moved, _ := setupCampaign(c, "ab", 2)
+	join(c, moved, "round-trip-ab")
+	if _, err := src.Handoff(moved, "b"); err != nil {
+		t.Fatal(err)
+	}
+	before, err := src.marshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src, c = openPersisted(t, dir, Options{SnapshotEvery: -1})
+	defer src.Close()
+	after, err := src.marshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("snapshot, load, snapshot changed the document:\nbefore: %s\nafter:  %s", before, after)
+	}
+
+	wantResults, wantAnalytics := rawResults(t, c, campaign), rawAnalytics(t, c, campaign)
+	state, err := src.Handoff(campaign, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Campaigns []json.RawMessage `json:"campaigns"`
+	}
+	var ex struct {
+		Campaign json.RawMessage `json:"campaign"`
+	}
+	if err := json.Unmarshal(after, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(state, &ex); err != nil {
+		t.Fatal(err)
+	}
+	var section json.RawMessage
+	for _, raw := range snap.Campaigns {
+		if bytes.HasPrefix(raw, []byte(`{"id":"`+campaign+`"`)) {
+			section = raw
+		}
+	}
+	if !bytes.Equal(section, ex.Campaign) {
+		t.Fatalf("the export's section differs from the snapshot's:\nsnapshot: %s\nexport:   %s", section, ex.Campaign)
+	}
+
+	dst := NewServer()
+	if err := dst.ImportCampaign(state); err != nil {
+		t.Fatal(err)
+	}
+	c2 := newClientFor(t, dst)
+	if got := rawResults(t, c2, campaign); !bytes.Equal(got, wantResults) {
+		t.Fatalf("imported /results = %s\nthe source served %s", got, wantResults)
+	}
+	if got := rawAnalytics(t, c2, campaign); !bytes.Equal(got, wantAnalytics) {
+		t.Fatalf("imported /analytics = %s\nthe source served %s", got, wantAnalytics)
+	}
+}
+
+// assertNothingInstalled fails t unless s holds no campaign, session or
+// video: s started empty, and the only documents it was given were
+// refused.
+func assertNothingInstalled(t *testing.T, s *Server) {
+	t.Helper()
+	if nc, ns, nv := s.campaigns.Len(), s.sessions.Len(), s.videos.Len(); nc+ns+nv != 0 {
+		t.Fatalf("a refused document left %d campaigns, %d sessions and %d videos in the indexes", nc, ns, nv)
+	}
+}
+
+// TestParentVersion3DocumentsRefused: the documents a version-3 server
+// wrote (testdata/parent_v3_*.json, the seedPersistedCampaign state) list
+// a campaign's videos as IDs and its sessions in flight beside it. The
+// snapshot fails Open and the export fails ImportCampaign with an error
+// naming version 4 — on the version, not on the videos' type — and
+// nothing of either is installed.
+func TestParentVersion3DocumentsRefused(t *testing.T) {
 	fixture := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join("testdata", "parent_v3_"+name+".json"))
 		if err != nil {
@@ -413,48 +518,47 @@ func TestParentVersion3DocumentsLoad(t *testing.T) {
 		}
 		return data
 	}
-	check := func(t *testing.T, srv *Server) {
-		c := newClientFor(t, srv)
-		if got := rawResults(t, c, "c1"); !bytes.Equal(got, fixture("results")) {
-			t.Errorf("/results = %s\nthe parent served %s", got, fixture("results"))
-		}
-		if got := rawAnalytics(t, c, "c1"); !bytes.Equal(got, fixture("analytics")) {
-			t.Errorf("/analytics = %s\nthe parent served %s", got, fixture("analytics"))
-		}
-		if inflight, completed := indexCounts(srv); inflight != 1 || completed != 5 || srv.SessionsInFlight() != 1 {
-			t.Fatalf("index holds %d in flight and %d completed, %d counted in flight, want 1, 5 and 1", inflight, completed, srv.SessionsInFlight())
-		}
-		code := c.do("POST", "/api/v1/sessions/s10/responses", ResponseBody{TestID: "s10-t1", SubmittedMs: 1300, KeptOriginal: true}, nil)
-		if code != http.StatusAccepted {
-			t.Fatalf("the session in flight answers its next test: %d", code)
-		}
-		if id := join(c, "c1", "after-load").Session; id != "s11" {
-			t.Fatalf("next session minted as %s, want s11", id)
-		}
-	}
+	want := fmt.Sprintf("has schema version 3, this server reads only version %d", stateVersion)
 	t.Run("snapshot", func(t *testing.T) {
-		srv := NewServer()
-		if _, _, err := srv.blobs.PutBytes(sampleVideoBytes()); err != nil {
+		dir := t.TempDir()
+		srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.loadState(fixture("snapshot")); err != nil {
+		if err := srv.log.WriteSnapshot(fixture("snapshot")); err != nil {
 			t.Fatal(err)
 		}
-		srv.assign.Store(srv.joined.Load())
-		check(t, srv)
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if srv, err = Open(Options{DataDir: dir}); err == nil {
+			srv.Close()
+			t.Fatal("Open loaded a version-3 snapshot")
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open: %v, want an error saying %q", err, want)
+		}
+		srv = NewServer()
+		if err := srv.loadState(fixture("snapshot")); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("loadState: %v, want an error saying %q", err, want)
+		}
+		assertNothingInstalled(t, srv)
 	})
 	t.Run("export", func(t *testing.T) {
 		srv := NewServer()
-		if err := srv.ImportCampaign(fixture("export")); err != nil {
-			t.Fatal(err)
+		if err := srv.ImportCampaign(fixture("export")); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("ImportCampaign: %v, want an error saying %q", err, want)
 		}
-		check(t, srv)
+		assertNothingInstalled(t, srv)
+		if n := srv.blobs.Len(); n != 0 {
+			t.Fatalf("the refused import put %d blobs", n)
+		}
 	})
 }
 
-// TestStrayInFlightSessionRefused: a campaign's sessions in flight are
-// the session DTOs that name it, so one naming a campaign the document
-// does not carry, or listed as completed too, fails the load.
+// TestStrayInFlightSessionRefused: a section lists its sessions in
+// flight itself, so the one stray it can carry is a session it also
+// lists as completed, which fails the import and the snapshot load.
 func TestStrayInFlightSessionRefused(t *testing.T) {
 	src := NewServer()
 	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
@@ -462,38 +566,75 @@ func TestStrayInFlightSessionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, tc := range map[string]struct {
-		corrupt func(ex *campaignExport)
-		want    string
-	}{
-		"another campaign's": {func(ex *campaignExport) { ex.Sessions[0].Campaign = "c999" }, "belongs to campaign c999"},
-		"completed as well":  {func(ex *campaignExport) { ex.Sessions[0].ID = ex.Campaign.Records[0] }, "both completed and in flight"},
-	} {
-		var ex campaignExport
-		if err := json.Unmarshal(state, &ex); err != nil {
-			t.Fatal(err)
-		}
-		tc.corrupt(&ex)
-		bad, err := json.Marshal(&ex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := NewServer().ImportCampaign(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: import: %v, want an error saying %q", name, err, tc.want)
-		}
-		st := snapState{Version: stateVersion, Campaigns: []*snapCampaign{ex.Campaign}, Sessions: ex.Sessions, Videos: ex.Videos}
-		snap, err := json.Marshal(&st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := NewServer()
-		if _, _, err := dst.blobs.PutBytes(sampleVideoBytes()); err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.loadState(snap); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: snapshot load: %v, want an error saying %q", name, err, tc.want)
-		}
+	var ex campaignExport
+	if err := json.Unmarshal(state, &ex); err != nil {
+		t.Fatal(err)
 	}
+	ex.Campaign.Inflight[0].ID = ex.Campaign.Records[0]
+	bad, err := json.Marshal(&ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "both completed and in flight"
+	if err := NewServer().ImportCampaign(bad); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("import: %v, want an error saying %q", err, want)
+	}
+	snap, err := json.Marshal(&snapState{Version: stateVersion, Campaigns: []snapCampaign{*ex.Campaign}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewServer()
+	if _, _, err := dst.blobs.PutBytes(sampleVideoBytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.loadState(snap); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("snapshot load: %v, want an error saying %q", err, want)
+	}
+}
+
+// TestSessionForUnknownCampaignRefused: a session is written inside its
+// campaign's section, so a journaled join naming a campaign this server
+// does not hold fails replay with an error naming that campaign, rather
+// than index a session no snapshot would carry.
+func TestSessionForUnknownCampaignRefused(t *testing.T) {
+	rec, err := json.Marshal(&event{Op: opSession, ID: "s9", Campaign: "c999", Worker: &Worker{ID: "w"},
+		Tests: []AssignedTest{{TestID: "s9-t0", VideoID: "v1", Kind: "timeline"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jl, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jl.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Open(Options{DataDir: dir})
+	if err == nil {
+		srv.Close()
+		t.Fatal("Open replayed a session record naming a campaign it does not hold")
+	}
+	if !strings.Contains(err.Error(), "c999") {
+		t.Fatalf("Open: %v, want an error naming campaign c999", err)
+	}
+}
+
+// arenaCorruptions cut or misnumber a section's arena, each in a way
+// restore must refuse with an error naming the campaign (and, but for
+// "missing ends", the row).
+var arenaCorruptions = map[string]func(cn *snapCampaign){
+	"truncated record": func(cn *snapCampaign) {
+		cn.Arena = cn.Arena[:len(cn.Arena)-1]
+		cn.ArenaEnds[4]--
+	},
+	"video out of range":  func(cn *snapCampaign) { cn.Videos = cn.Videos[:1] },
+	"ends past the arena": func(cn *snapCampaign) { cn.ArenaEnds[4] += 40 },
+	"ends out of order":   func(cn *snapCampaign) { cn.ArenaEnds[2] = cn.ArenaEnds[1] - 1 },
+	"missing ends":        func(cn *snapCampaign) { cn.ArenaEnds = cn.ArenaEnds[:4] },
 }
 
 // TestCorruptArenaRefused: a state document arrives from outside the
@@ -508,16 +649,7 @@ func TestCorruptArenaRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, corrupt := range map[string]func(cn *snapCampaign){
-		"truncated record": func(cn *snapCampaign) {
-			cn.Arena = cn.Arena[:len(cn.Arena)-1]
-			cn.ArenaEnds[4]--
-		},
-		"video out of range":  func(cn *snapCampaign) { cn.Videos = cn.Videos[:1] },
-		"ends past the arena": func(cn *snapCampaign) { cn.ArenaEnds[4] += 40 },
-		"ends out of order":   func(cn *snapCampaign) { cn.ArenaEnds[2] = cn.ArenaEnds[1] - 1 },
-		"missing ends":        func(cn *snapCampaign) { cn.ArenaEnds = cn.ArenaEnds[:4] },
-	} {
+	for name, corrupt := range arenaCorruptions {
 		t.Run(name, func(t *testing.T) {
 			var ex campaignExport
 			if err := json.Unmarshal(state, &ex); err != nil {
@@ -536,12 +668,7 @@ func TestCorruptArenaRefused(t *testing.T) {
 			if name != "missing ends" && !strings.Contains(err.Error(), "row ") {
 				t.Fatalf("import: %v, want an error naming the row", err)
 			}
-			if _, ok := dst.campaigns.Get(campaign); ok {
-				t.Fatal("refused import still installed the campaign")
-			}
-			if _, completed := indexCounts(dst); completed != 0 {
-				t.Fatalf("refused import left %d completed sessions in the index", completed)
-			}
+			assertNothingInstalled(t, dst)
 
 			// The same campaign inside a snapshot fails Open the same way.
 			dir := t.TempDir()
@@ -560,7 +687,7 @@ func TestCorruptArenaRefused(t *testing.T) {
 			if err := json.Unmarshal(data, &st); err != nil {
 				t.Fatal(err)
 			}
-			corrupt(st.Campaigns[0])
+			corrupt(&st.Campaigns[0])
 			if data, err = json.Marshal(&st); err != nil {
 				t.Fatal(err)
 			}
@@ -583,14 +710,15 @@ func TestCorruptArenaRefused(t *testing.T) {
 }
 
 // TestWrongVersionStateRefused: a snapshot or a campaign export that
-// does not carry the current schema version — version 2, which listed
-// completed sessions one DTO each, a version not written yet, and the
-// unversioned layout older builds wrote — fails Open or import with an
-// error naming the version, rather than loading as empty sessions.
+// does not carry the current schema version — version 3, which listed
+// videos and sessions in flight beside the campaigns, version 2, which
+// listed completed sessions one DTO each, a version not written yet, and
+// the unversioned layout older builds wrote — fails Open or import with
+// an error naming the version, rather than loading as empty sessions.
 func TestWrongVersionStateRefused(t *testing.T) {
 	current := []byte(fmt.Sprintf(`"version":%d`, stateVersion))
 	for name, replacement := range map[string]string{
-		"version 2": `"version":2`, "newer": `"version":4`, "older": `"version":1`, "unversioned": `"v":0`,
+		"version 3": `"version":3`, "version 2": `"version":2`, "newer": `"version":5`, "older": `"version":1`, "unversioned": `"v":0`,
 	} {
 		t.Run("snapshot/"+name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -655,8 +783,8 @@ func TestVideoWithoutHashRefused(t *testing.T) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	id := st.Videos[0].ID
-	st.Videos[0].Hash = ""
+	id := st.Campaigns[0].Videos[0].ID
+	st.Campaigns[0].Videos[0].Hash = ""
 	data, err = json.Marshal(&st)
 	if err != nil {
 		t.Fatal(err)
@@ -669,7 +797,7 @@ func TestVideoWithoutHashRefused(t *testing.T) {
 
 // TestVideoWithoutBlobRefused: a video whose blob file is gone cannot
 // be served, so recovery refuses it by name and hash on both paths —
-// pure journal replay (applyVideo) and snapshot load (restoreVideo) —
+// pure journal replay (applyVideo) and snapshot load (restore) —
 // rather than one of them opening a server that assigns the video to
 // participants and answers 500 for it.
 func TestVideoWithoutBlobRefused(t *testing.T) {

@@ -247,9 +247,9 @@ type campaignState struct {
 	movedTo string
 	// adaptive is the sequential stopper/allocator (nil unless the
 	// server runs with Options.Adaptive). Its state is a pure fold over
-	// the journaled events, so it is never snapshotted: loadState
-	// rebuilds it from the restored campaign. Guarded by the campaign's
-	// shard lock.
+	// the journaled events, so it is never snapshotted: restore rebuilds
+	// it from the campaign's section. Guarded by the campaign's shard
+	// lock.
 	adaptive *adaptive.Campaign
 }
 
@@ -950,11 +950,10 @@ func validCampaignID(id string) bool {
 // returns the journal sequence its record was buffered at (0 when
 // nothing was journaled). With every platform lock released, mutate
 // waits for that record to be durable: one flush window shared with
-// every concurrent mutation. Any non-zero sequence is awaited, even one
-// fn journaled before failing (only applyImport can), because the
-// journal flushes only for a waiter; fn's error wins. The request whose
-// record crossed the snapshot cadence then takes the snapshot before it
-// answers.
+// every concurrent mutation. fn fails only before it journals, so a
+// sequence comes with no error, and it must be awaited: the journal
+// flushes only for a waiter. The request whose record crossed the
+// snapshot cadence then takes the snapshot before it answers.
 //
 // tr, when non-nil, receives the mutation's stage attribution: the
 // apply span when fn returns, the durability wait split into
@@ -968,9 +967,7 @@ func (s *Server) mutate(lock sync.Locker, tr *trace.Trace, fn func() (uint64, er
 	if seq == 0 {
 		return err
 	}
-	if werr := s.log.WaitDurable(seq); err == nil {
-		err = werr
-	}
+	err = s.log.WaitDurable(seq)
 	if tr != nil { // tracing is on, so the commit ring exists
 		w := s.observer.commits.lookup(seq)
 		tr.MarkDurable(w.FsyncStart, w.FsyncEnd)
