@@ -3,25 +3,25 @@
 // session downloads multiple payloads that never change once uploaded
 // (PAPER.md §3: video bytes dwarf judgment bytes).
 //
-// Blobs are keyed by the SHA-256 of their content and ingested in
-// fixed-size chunks: Put streams the upload through the hasher without
-// ever holding more than one chunk-sized buffer beyond the stored data
-// itself — a pooled look-ahead buffer, returned when Put does. Identical
-// uploads deduplicate to one stored blob.
+// Blobs are keyed by the SHA-256 of their content. Put streams the
+// upload through the hasher in reads of one pooled look-ahead buffer,
+// returned when Put does. Identical uploads deduplicate to one stored
+// blob.
 //
-// Two serving tiers share the API:
+// A blob is resident bytes or a file. Two serving tiers share the API:
 //
-//   - the in-memory tier (no Dir) keeps the chunk list in RAM, each chunk
-//     an exact-length copy, so a blob costs its own size and not the
-//     chunk size — the configuration for benchmarks and ephemeral
-//     servers, where the hit path returns the stored slice with zero
-//     copies and zero allocations;
+//   - the in-memory tier (no Dir) keeps each blob resident as one slice
+//     exactly as long as its content, so a blob costs its own size — the
+//     configuration for benchmarks and ephemeral servers, where the hit
+//     path returns the stored slice with zero copies and zero
+//     allocations. Put holds an upload of more than one look-ahead read
+//     twice while it makes that exact copy;
 //   - the file tier (Dir set) persists each blob as one contiguous file
-//     and serves it from a read-only shared mapping of that file, made
-//     on the blob's first read (or Prewarm) and kept for the life of the
-//     process. The kernel's page cache is the only copy in RAM: a read
-//     returns the mapping as one slice, with zero copies and zero
-//     allocations, exactly as the memory tier returns a chunk. Where a
+//     and makes it resident as a read-only shared mapping of that file,
+//     made on the blob's first read (or Prewarm) and kept for the life
+//     of the process. The kernel's page cache is the only copy in RAM: a
+//     read returns the mapping as one slice, with zero copies and zero
+//     allocations, exactly as the memory tier returns its slice. Where a
 //     blob cannot be mapped — a platform without mmap, a mapping error,
 //     or more mappings than maxMaps — the read falls back to the blob's
 //     *os.File, which http.ServeContent turns into sendfile on a real
@@ -55,11 +55,9 @@ import (
 	"syscall"
 )
 
-// DefaultChunkBytes is the fixed chunk size used when Options.ChunkBytes
-// is zero: large enough that every realistic video payload is a
-// single-chunk blob on the memory tier, small enough that a
-// multi-gigabyte upload never forces a contiguous allocation there.
-const DefaultChunkBytes = 1 << 20
+// lookaheadBytes is Put's read size: large enough that every realistic
+// video payload arrives in one read.
+const lookaheadBytes = 1 << 20
 
 // maxMaps bounds the blob mappings a process makes. Each is one entry
 // of the process's memory map, and Linux refuses an mmap past
@@ -83,9 +81,6 @@ type Options struct {
 	// Dir selects the file tier: blobs persist under Dir/ab/<hash> and
 	// survive restarts. Empty selects the in-memory tier.
 	Dir string
-	// ChunkBytes is Put's read size and the memory tier's chunk size
-	// (0 = DefaultChunkBytes).
-	ChunkBytes int
 	// CacheBytes is ignored.
 	//
 	// Deprecated: the file tier keeps no byte cache; the kernel's page
@@ -108,23 +103,21 @@ type Ref struct {
 // blobMeta is the in-memory index entry for one blob.
 type blobMeta struct {
 	size int64
-	// chunks holds the blob's fixed-size chunks on the memory tier, each
-	// exactly as long as its content (nil on the file tier).
-	chunks [][]byte
-	// mapped is the file-tier blob's read-only mapping, published once
-	// by mapBlob and never unmapped (nil until the blob is mapped).
-	mapped atomic.Pointer[[]byte]
+	// data is the blob's resident bytes: on the memory tier one copy with
+	// cap == len, set by Put before the blob is indexed; on the file tier
+	// its read-only mapping, published once by mapBlob and never unmapped
+	// (nil until the blob is mapped).
+	data atomic.Pointer[[]byte]
 }
 
 // Store is a content-addressed blob store. All methods are safe for
 // concurrent use.
 type Store struct {
 	dir   string
-	chunk int
 	fsync bool
 	sink  Telemetry
 
-	// lookahead recycles Put's chunk-sized read buffers (*[]byte).
+	// lookahead recycles Put's read buffers (*[]byte).
 	lookahead sync.Pool
 
 	mu    sync.RWMutex
@@ -138,16 +131,12 @@ type Store struct {
 func Open(opts Options) (*Store, error) {
 	s := &Store{
 		dir:   opts.Dir,
-		chunk: opts.ChunkBytes,
 		fsync: opts.Fsync,
 		sink:  opts.Metrics,
 		blobs: map[string]*blobMeta{},
 	}
-	if s.chunk <= 0 {
-		s.chunk = DefaultChunkBytes
-	}
 	s.lookahead.New = func() any {
-		buf := make([]byte, s.chunk)
+		buf := make([]byte, lookaheadBytes)
 		return &buf
 	}
 	if s.dir == "" {
@@ -211,17 +200,17 @@ func (s *Store) path(hash string) string {
 // Put streams r into the store, hashing as it reads, and returns the
 // blob's content address. The boolean reports whether the call stored a
 // new blob (false = deduplicated against an existing one). Every upload
-// is read through one pooled chunk-sized look-ahead buffer, so nothing
-// beyond the stored data is held past the call: the memory tier keeps an
-// exact-length copy of each chunk, and the file tier writes each one to a
-// temp file that is atomically renamed into place (fsynced first when
-// the store is durable).
+// is read through one pooled look-ahead buffer, so nothing beyond the
+// stored data is held past the call: the memory tier keeps one exact
+// copy of the upload, and the file tier writes each read to a temp file
+// that is atomically renamed into place (fsynced first when the store is
+// durable).
 func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 	h := sha256.New()
 	var (
-		chunks [][]byte
-		tmp    *os.File
-		size   int64
+		held []byte // the memory tier's copy of the upload
+		tmp  *os.File
+		size int64
 	)
 	if s.dir != "" {
 		f, err := os.CreateTemp(s.dir, tempPattern)
@@ -244,12 +233,15 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 			buf := (*lookahead)[:n]
 			h.Write(buf)
 			size += int64(n)
-			if tmp != nil {
+			switch {
+			case tmp != nil:
 				if _, werr := tmp.Write(buf); werr != nil {
 					return Ref{}, false, werr
 				}
-			} else {
-				chunks = append(chunks, append(make([]byte, 0, n), buf...))
+			case held == nil && err != nil: // one read is the whole upload: copy it exactly, once
+				held = append(make([]byte, 0, n), buf...)
+			default:
+				held = append(held, buf...)
 			}
 		}
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -276,10 +268,10 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 	}
 	meta := &blobMeta{size: size}
 	if s.dir == "" {
-		if len(chunks) == 0 {
-			chunks = [][]byte{{}}
+		if cap(held) != len(held) {
+			held = append(make([]byte, 0, len(held)), held...)
 		}
-		meta.chunks = chunks
+		meta.data.Store(&held)
 	}
 	s.mu.Lock()
 	if _, ok := s.blobs[ref.Hash]; !ok {
@@ -363,12 +355,12 @@ func (s *Store) PutBytes(b []byte) (Ref, bool, error) {
 //
 // Such a blob was never registered as a video, so nothing has served it
 // and it has no mapping: Put and ReadAll, the only reads an upload
-// makes, never map. A mapped blob reaching Discard is a bug — a handler
-// may be writing the mapping — and panics.
+// makes, never map. A mapped file-tier blob reaching Discard is a bug —
+// a handler may be writing the mapping — and panics.
 func (s *Store) Discard(hash string) {
 	s.mu.Lock()
 	meta, ok := s.blobs[hash]
-	mapped := ok && meta.mapped.Load() != nil
+	mapped := ok && s.dir != "" && meta.data.Load() != nil
 	if ok && !mapped {
 		delete(s.blobs, hash)
 		s.bytes -= meta.size
@@ -385,14 +377,6 @@ func (s *Store) Discard(hash string) {
 // Has reports whether the store holds hash.
 func (s *Store) Has(hash string) bool {
 	return s.lookup(hash) != nil
-}
-
-// Size returns a blob's exact byte size.
-func (s *Store) Size(hash string) (int64, bool) {
-	if meta := s.lookup(hash); meta != nil {
-		return meta.size, true
-	}
-	return 0, false
 }
 
 // Len counts stored blobs.
@@ -413,12 +397,16 @@ func (s *Store) TotalBytes() int64 {
 }
 
 // Mapped reports how many file-tier blobs are served from a mapping and
-// their total size: the page-cache bytes the process has mapped.
+// their total size: the page-cache bytes the process has mapped. The
+// memory tier maps nothing.
 func (s *Store) Mapped() (blobs int, bytes int64) {
+	if s.dir == "" {
+		return 0, 0
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, meta := range s.blobs {
-		if meta.mapped.Load() != nil {
+		if meta.data.Load() != nil {
 			blobs++
 			bytes += meta.size
 		}
@@ -427,12 +415,11 @@ func (s *Store) Mapped() (blobs int, bytes int64) {
 }
 
 // Bytes is the allocation-free hit path: it returns the blob's contents
-// as one contiguous slice when they are already resident — a
-// single-chunk blob on the memory tier, or a mapped blob on the file
-// tier — and reports false otherwise. It counts a hit but not a miss,
-// and maps nothing: a server falls back through Serve, which counts the
-// read once. The returned slice is the store's own and must not be
-// modified.
+// as one contiguous slice when they are already resident — every blob on
+// the memory tier, a mapped blob on the file tier — and reports false
+// otherwise. It counts a file-tier hit but not a miss, and maps
+// nothing: a server falls back through Serve, which counts the read
+// once. The returned slice is the store's own and must not be modified.
 func (s *Store) Bytes(hash string) ([]byte, bool) {
 	if meta := s.lookup(hash); meta != nil {
 		return s.resident(meta)
@@ -440,17 +427,17 @@ func (s *Store) Bytes(hash string) ([]byte, bool) {
 	return nil, false
 }
 
-// resident returns a blob's contents when they are one slice in memory,
-// counting a file-tier read of its mapping as a hit.
+// resident returns a blob's contents when they are resident, counting a
+// file-tier read of its mapping as a hit.
 func (s *Store) resident(meta *blobMeta) ([]byte, bool) {
-	if len(meta.chunks) == 1 {
-		return meta.chunks[0], true
+	m := meta.data.Load()
+	if m == nil {
+		return nil, false
 	}
-	if m := meta.mapped.Load(); m != nil {
+	if s.dir != "" {
 		s.sinkHit(len(*m))
-		return *m, true
 	}
-	return nil, false
+	return *m, true
 }
 
 // Serve is Bytes with Open as its fallback, in one lookup: it returns the
@@ -478,6 +465,12 @@ func (s *Store) Open(hash string) (io.ReadSeekCloser, int64, error) {
 	return rc, size, err
 }
 
+// byteContent adapts resident bytes to the io.ReadSeekCloser
+// http.ServeContent wants, without copying them.
+type byteContent struct{ *bytes.Reader }
+
+func (byteContent) Close() error { return nil }
+
 func (s *Store) serve(hash string) ([]byte, io.ReadSeekCloser, int64, error) {
 	meta := s.lookup(hash)
 	if meta == nil {
@@ -485,9 +478,6 @@ func (s *Store) serve(hash string) ([]byte, io.ReadSeekCloser, int64, error) {
 	}
 	if b, ok := s.resident(meta); ok {
 		return b, nil, meta.size, nil
-	}
-	if meta.chunks != nil {
-		return nil, &chunkReader{chunks: meta.chunks, chunk: int64(s.chunk), size: meta.size}, meta.size, nil
 	}
 	s.sinkMiss()
 	f, err := os.Open(s.path(hash))
@@ -516,10 +506,10 @@ func mapBlob(meta *blobMeta, f *os.File) ([]byte, bool) {
 		maps.Add(-1)
 		return nil, false
 	}
-	if !meta.mapped.CompareAndSwap(nil, &b) {
+	if !meta.data.CompareAndSwap(nil, &b) {
 		unmapFile(b)
 		maps.Add(-1)
-		return *meta.mapped.Load(), true
+		return *meta.data.Load(), true
 	}
 	return b, true
 }
@@ -537,19 +527,10 @@ func (s *Store) lookup(hash string) *blobMeta {
 // store-owned memory and must not be modified.
 func (s *Store) ReadAll(hash string) ([]byte, error) {
 	meta := s.lookup(hash)
-	switch {
-	case meta == nil:
+	if meta == nil {
 		return nil, ErrNotFound
-	case len(meta.chunks) == 1:
-		return meta.chunks[0], nil
-	case meta.chunks != nil:
-		out := make([]byte, 0, meta.size)
-		for _, c := range meta.chunks {
-			out = append(out, c...)
-		}
-		return out, nil
 	}
-	if m := meta.mapped.Load(); m != nil {
+	if m := meta.data.Load(); m != nil {
 		return *m, nil
 	}
 	return os.ReadFile(s.path(hash))
@@ -562,7 +543,7 @@ func (s *Store) ReadAll(hash string) ([]byte, error) {
 // the blob cannot be mapped.
 func (s *Store) Prewarm(hash string) {
 	meta := s.lookup(hash)
-	if meta == nil || meta.chunks != nil || meta.mapped.Load() != nil {
+	if meta == nil || meta.data.Load() != nil {
 		return
 	}
 	f, err := os.Open(s.path(hash))

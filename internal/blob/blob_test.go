@@ -17,17 +17,16 @@ import (
 	"testing"
 )
 
-// tiers returns one store per serving tier, all with a small chunk size
-// so multi-chunk paths are exercised by modest payloads.
-func tiers(t *testing.T, chunk int) map[string]*Store {
+// tiers returns one store per serving tier.
+func tiers(t *testing.T) map[string]*Store {
 	t.Helper()
 	out := map[string]*Store{}
-	mem, err := Open(Options{ChunkBytes: chunk})
+	mem, err := Open(Options{})
 	if err != nil {
 		t.Fatalf("mem tier: %v", err)
 	}
 	out["mem"] = mem
-	file, err := Open(Options{Dir: t.TempDir(), ChunkBytes: chunk})
+	file, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("file tier: %v", err)
 	}
@@ -39,12 +38,12 @@ func TestPutRoundTrip(t *testing.T) {
 	payloads := [][]byte{
 		{},
 		[]byte("x"),
-		bytes.Repeat([]byte("chunky"), 100), // multi-chunk at chunk=64
-		bytes.Repeat([]byte{0xEE}, 64),      // exactly one chunk
-		bytes.Repeat([]byte{0xEE}, 65),      // one byte over
+		bytes.Repeat([]byte("chunky"), 100),
+		bytes.Repeat([]byte{0xEE}, 64),
+		bytes.Repeat([]byte{0xEE}, 65),
 		bytes.Repeat([]byte("0123456789"), 1000),
 	}
-	for name, s := range tiers(t, 64) {
+	for name, s := range tiers(t) {
 		for i, p := range payloads {
 			want := sha256.Sum256(p)
 			ref, created, err := s.Put(bytes.NewReader(p))
@@ -67,9 +66,6 @@ func TestPutRoundTrip(t *testing.T) {
 			if !bytes.Equal(got, p) {
 				t.Fatalf("%s payload %d: round-trip mismatch (%d vs %d bytes)", name, i, len(got), len(p))
 			}
-			if sz, ok := s.Size(ref.Hash); !ok || sz != int64(len(p)) {
-				t.Fatalf("%s payload %d: Size = %d,%v", name, i, sz, ok)
-			}
 		}
 		if s.Len() != len(payloads) {
 			t.Fatalf("%s: Len = %d, want %d", name, s.Len(), len(payloads))
@@ -78,7 +74,7 @@ func TestPutRoundTrip(t *testing.T) {
 }
 
 func TestPutDeduplicates(t *testing.T) {
-	for name, s := range tiers(t, 64) {
+	for name, s := range tiers(t) {
 		p := bytes.Repeat([]byte("dup"), 50)
 		r1, created1, err := s.Put(bytes.NewReader(p))
 		if err != nil || !created1 {
@@ -104,11 +100,11 @@ func TestPutDeduplicates(t *testing.T) {
 }
 
 func TestOpenSeekAndRange(t *testing.T) {
-	p := make([]byte, 300) // ~5 chunks at 64
+	p := make([]byte, 300)
 	for i := range p {
 		p[i] = byte(i)
 	}
-	for name, s := range tiers(t, 64) {
+	for name, s := range tiers(t) {
 		ref, _, err := s.Put(bytes.NewReader(p))
 		if err != nil {
 			t.Fatalf("%s: Put: %v", name, err)
@@ -120,7 +116,7 @@ func TestOpenSeekAndRange(t *testing.T) {
 		if size != int64(len(p)) {
 			t.Fatalf("%s: size = %d, want %d", name, size, len(p))
 		}
-		// Mid-stream range read spanning a chunk boundary.
+		// Mid-stream range read.
 		if _, err := rc.Seek(60, io.SeekStart); err != nil {
 			t.Fatalf("%s: Seek: %v", name, err)
 		}
@@ -148,8 +144,8 @@ func TestOpenSeekAndRange(t *testing.T) {
 
 func TestBytesFastPath(t *testing.T) {
 	single := bytes.Repeat([]byte("s"), 64)
-	multi := bytes.Repeat([]byte("m"), 200)
-	for name, s := range tiers(t, 64) {
+	multi := bytes.Repeat([]byte("m"), lookaheadBytes+200) // more than one Put read
+	for name, s := range tiers(t) {
 		rs, _, _ := s.Put(bytes.NewReader(single))
 		rm, _, _ := s.Put(bytes.NewReader(multi))
 		b, ok := s.Bytes(rs.Hash)
@@ -169,8 +165,8 @@ func TestBytesFastPath(t *testing.T) {
 		if !ok || !bytes.Equal(b, single) {
 			t.Fatalf("%s: Bytes fast path failed (ok=%v)", name, ok)
 		}
-		// A multi-chunk blob never serves via Bytes on the memory tier; the
-		// file tier maps a blob whole, whatever its size.
+		// A blob of more than one read is one slice too: resident on the
+		// memory tier, mapped whole on the file tier.
 		if name == "file" {
 			rc, _, err := s.Open(rm.Hash)
 			if err != nil {
@@ -178,8 +174,8 @@ func TestBytesFastPath(t *testing.T) {
 			}
 			rc.Close()
 		}
-		if b, ok := s.Bytes(rm.Hash); ok != (name == "file") || ok && !bytes.Equal(b, multi) {
-			t.Fatalf("%s: multi-chunk blob via Bytes: ok=%v", name, ok)
+		if b, ok := s.Bytes(rm.Hash); !ok || !bytes.Equal(b, multi) {
+			t.Fatalf("%s: multi-read blob via Bytes: ok=%v", name, ok)
 		}
 		if _, ok := s.Bytes("deadbeef"); ok {
 			t.Fatalf("%s: unknown hash served via Bytes", name)
@@ -188,7 +184,7 @@ func TestBytesFastPath(t *testing.T) {
 }
 
 func TestBytesZeroAlloc(t *testing.T) {
-	s, err := Open(Options{ChunkBytes: 1 << 16})
+	s, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,24 +204,21 @@ func TestBytesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMemoryTierStoresExactBytes: a memory-tier chunk is a copy exactly
-// as long as its content, whatever the chunk size, so eight small videos
-// cost about their own size and not eight chunk-sized buffers.
+// TestMemoryTierStoresExactBytes: a memory-tier blob is one copy exactly
+// as long as its content, whatever its size, so eight small videos cost
+// about their own size and not eight look-ahead buffers.
 func TestMemoryTierStoresExactBytes(t *testing.T) {
-	small, err := Open(Options{ChunkBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, _, err := small.PutBytes(bytes.Repeat([]byte("0123456789"), 30)) // 4 full chunks and 44 bytes
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExactChunks(t, small, multi.Hash, 5)
-
 	s, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	large, _, err := s.PutBytes(bytes.Repeat([]byte("0123456789"), lookaheadBytes/10+5)) // two Put reads
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExactSlice(t, s, large.Hash)
+	s.Discard(large.Hash)
+
 	r := rand.New(rand.NewSource(21))
 	payloads := make([][]byte, 8)
 	var sum int
@@ -240,7 +233,7 @@ func TestMemoryTierStoresExactBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkExactChunks(t, s, ref.Hash, 1)
+		checkExactSlice(t, s, ref.Hash)
 	}
 	grown := int64(liveHeap()) - int64(before)
 	runtime.KeepAlive(payloads) // counted in before: must not be freed by after
@@ -251,31 +244,25 @@ func TestMemoryTierStoresExactBytes(t *testing.T) {
 	}
 }
 
-// checkExactChunks fails unless the memory-tier blob hash is stored as n
-// chunks, each with no capacity past its length.
-func checkExactChunks(t *testing.T, s *Store, hash string, n int) {
+// checkExactSlice fails unless the memory-tier blob hash is resident as
+// one slice of its size with no capacity past its length.
+func checkExactSlice(t *testing.T, s *Store, hash string) {
 	t.Helper()
-	s.mu.RLock()
-	chunks := s.blobs[hash].chunks
-	s.mu.RUnlock()
-	if len(chunks) != n {
-		t.Fatalf("blob %.8s: %d chunks, want %d", hash, len(chunks), n)
-	}
-	for i, c := range chunks {
-		if cap(c) != len(c) {
-			t.Fatalf("blob %.8s chunk %d: cap %d for %d bytes", hash, i, cap(c), len(c))
-		}
+	meta := s.lookup(hash)
+	b := *meta.data.Load()
+	if int64(len(b)) != meta.size || cap(b) != len(b) {
+		t.Fatalf("blob %.8s: len %d cap %d for %d bytes", hash, len(b), cap(b), meta.size)
 	}
 }
 
 // TestPutReusesLookahead: once the pool is warm, a Put allocates what it
-// stores and no chunk-sized buffer of its own, on either tier. The
-// bound leaves room for the race detector, under which sync.Pool drops
-// a quarter of what it is given.
+// stores and no look-ahead buffer of its own, on either tier. The bound
+// leaves room for the race detector, under which sync.Pool drops a
+// quarter of what it is given.
 func TestPutReusesLookahead(t *testing.T) {
 	const puts = 100
 	payload := bytes.Repeat([]byte("v"), 1000)
-	for name, s := range tiers(t, DefaultChunkBytes) {
+	for name, s := range tiers(t) {
 		if _, _, err := s.PutBytes(payload); err != nil {
 			t.Fatal(err)
 		}
@@ -289,8 +276,8 @@ func TestPutReusesLookahead(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		allocated := after.TotalAlloc - before.TotalAlloc
 		t.Logf("%s: %d Puts of %d bytes allocated %d bytes", name, puts, len(payload), allocated)
-		if allocated > puts/2*DefaultChunkBytes {
-			t.Fatalf("%s: %d Puts allocated %d bytes, as much as a chunk for every other call", name, puts, allocated)
+		if allocated > puts/2*lookaheadBytes {
+			t.Fatalf("%s: %d Puts allocated %d bytes, as much as a look-ahead buffer for every other call", name, puts, allocated)
 		}
 	}
 }
@@ -308,7 +295,7 @@ func TestFileTierPersistsAcrossReopen(t *testing.T) {
 	payload := bytes.Repeat([]byte("persist"), 40)
 	var hash string
 	for _, pass := range []string{"first open", "reopen"} {
-		s, err := Open(Options{Dir: dir, ChunkBytes: 64, Fsync: true})
+		s, err := Open(Options{Dir: dir, Fsync: true})
 		if err != nil {
 			t.Fatalf("%s: Open: %v", pass, err)
 		}
@@ -390,7 +377,7 @@ func TestPutFailsOnDirSyncError(t *testing.T) {
 // does not recognise in a prefix directory is not the store's, and stays.
 func TestScanRemovesTempDebris(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, ChunkBytes: 64})
+	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +392,7 @@ func TestScanRemovesTempDebris(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s2, err := Open(Options{Dir: dir, ChunkBytes: 64})
+	s2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen with debris: %v", err)
 	}
@@ -421,7 +408,7 @@ func TestScanRemovesTempDebris(t *testing.T) {
 }
 
 func TestDiscard(t *testing.T) {
-	for name, s := range tiers(t, 64) {
+	for name, s := range tiers(t) {
 		ref, _, err := s.PutBytes([]byte("doomed"))
 		if err != nil {
 			t.Fatal(err)
@@ -441,7 +428,7 @@ func TestDiscard(t *testing.T) {
 }
 
 func TestConcurrentPutAndRead(t *testing.T) {
-	for name, s := range tiers(t, 256) {
+	for name, s := range tiers(t) {
 		const writers = 8
 		var wg sync.WaitGroup
 		refs := make([]Ref, writers)
@@ -486,7 +473,7 @@ func TestFileTierServesOsFile(t *testing.T) {
 	// A file-tier blob that cannot be mapped hands back the *os.File
 	// itself so net/http can drive sendfile.
 	failMaps(t)
-	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 64})
+	s, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +498,7 @@ func TestFileTierServesOsFile(t *testing.T) {
 // the first read already hits; prewarming a mapped blob opens nothing.
 func TestPrewarm(t *testing.T) {
 	sink := &countSink{}
-	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1 << 16, Metrics: sink})
+	s, err := Open(Options{Dir: t.TempDir(), Metrics: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,34 +551,45 @@ func (c *countSink) MapMiss() {
 }
 
 func TestSinkTelemetry(t *testing.T) {
-	sink := &countSink{}
-	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1 << 10, Metrics: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _, err := s.PutBytes([]byte("telemetry payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.PutBytes([]byte("telemetry payload")); err != nil {
-		t.Fatal(err) // dedup: must not double-count
-	}
-	for i := 0; i < 3; i++ {
-		rc, _, err := s.Open(ref.Hash)
+	for _, tier := range []struct {
+		name, dir          string
+		hits, misses, maps int
+	}{
+		// Open #1 misses and maps the blob; #2 and #3 hit the mapping.
+		// Each read counts once.
+		{"file", t.TempDir(), 2, 1, 1},
+		// The memory tier's blob is resident from Put on: its reads are
+		// neither hits nor misses, and it maps nothing.
+		{"mem", "", 0, 0, 0},
+	} {
+		sink := &countSink{}
+		s, err := Open(Options{Dir: tier.dir, Metrics: sink})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc.Close()
-	}
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if sink.puts != 1 || sink.putBytes != ref.Size {
-		t.Fatalf("puts = %d/%d bytes, want 1/%d", sink.puts, sink.putBytes, ref.Size)
-	}
-	// Open #1 misses and maps the blob; #2 and #3 hit the mapping. Each
-	// read counts once.
-	if sink.misses != 1 || sink.hits != 2 || sink.hitBytes != 2*ref.Size {
-		t.Fatalf("hits=%d (%d bytes) misses=%d, want 2 (%d bytes) and 1", sink.hits, sink.hitBytes, sink.misses, 2*ref.Size)
+		ref, _, err := s.PutBytes([]byte("telemetry payload"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.PutBytes([]byte("telemetry payload")); err != nil {
+			t.Fatal(err) // dedup: must not double-count
+		}
+		for i := 0; i < 3; i++ {
+			rc, _, err := s.Open(ref.Hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc.Close()
+		}
+		if sink.puts != 1 || sink.putBytes != ref.Size {
+			t.Fatalf("%s: puts = %d/%d bytes, want 1/%d", tier.name, sink.puts, sink.putBytes, ref.Size)
+		}
+		if sink.misses != tier.misses || sink.hits != tier.hits || sink.hitBytes != int64(tier.hits)*ref.Size {
+			t.Fatalf("%s: hits=%d (%d bytes) misses=%d, want %d and %d", tier.name, sink.hits, sink.hitBytes, sink.misses, tier.hits, tier.misses)
+		}
+		if blobs, n := s.Mapped(); blobs != tier.maps || n != int64(tier.maps)*ref.Size {
+			t.Fatalf("%s: Mapped = %d blobs %d bytes, want %d", tier.name, blobs, n, tier.maps)
+		}
 	}
 }
 

@@ -1044,9 +1044,9 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 	campaignID := w.id
 	tr.SetCampaign(campaignID)
 	defer r.Body.Close()
-	// The upload streams through the blob store's chunked ingest — hashed
-	// and (on the file tier) written out chunk by chunk, never held as
-	// one handler-owned slice. One extra byte of read budget
+	// The upload streams through the blob store's ingest — hashed and
+	// (on the file tier) written out read by read, never held as one
+	// handler-owned slice. One extra byte of read budget
 	// distinguishes "exactly at the cap" from "over it".
 	ref, _, err := s.blobs.Put(io.LimitReader(r.Body, maxVideoBytes+1))
 	if err != nil {
@@ -1065,9 +1065,9 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 			fmt.Sprintf("video exceeds the %d MiB upload cap", maxVideoBytes>>20), time.Second)
 		return
 	}
-	// A one-chunk video on the memory tier is read in place, no copy; on
-	// the file tier the file is read into a transient buffer, never
-	// mapped. Validate walks it without building a frame.
+	// A video on the memory tier is read in place, no copy; on the file
+	// tier the file is read into a transient buffer, never mapped.
+	// Validate walks it without building a frame.
 	data, err := s.blobs.ReadAll(ref.Hash)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())

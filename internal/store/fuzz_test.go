@@ -1,6 +1,7 @@
-// Fuzz targets for the WAL record framing. Recovery feeds scanRecords
-// whatever bytes a crash left on disk, so the decoder must never panic
-// and must only ever accept frames the encoder could have written.
+// Fuzz targets for the WAL record framing. Recovery feeds scanSegment
+// whatever bytes a crash left on disk, so the walker and the decoder must
+// never panic and must only ever accept frames the encoder could have
+// written.
 package store
 
 import (
@@ -10,7 +11,7 @@ import (
 )
 
 // FuzzDecodeRecord throws arbitrary bytes at the frame decoder and the
-// segment scanner: no input may panic, a zero-length header is never
+// segment walker: no input may panic, a zero-length header is never
 // accepted, accepted frames must re-encode to the exact input bytes, and
 // the reported valid prefix must itself scan cleanly.
 func FuzzDecodeRecord(f *testing.F) {
@@ -42,9 +43,16 @@ func FuzzDecodeRecord(f *testing.F) {
 				t.Fatalf("accepted frame does not re-encode to its input:\n in:  %x\n out: %x", data[:n], re)
 			}
 		}
-		count, validSize, tail, err := scanRecords(data, 1, nil)
+		var walked []byte // the walked records, framed again
+		count, validSize, tail, err := scanSegment(bytes.NewReader(data), 1, func(_ uint64, payload []byte) error {
+			if len(payload) == 0 {
+				t.Fatalf("walked a zero-length frame at byte %d", len(walked))
+			}
+			walked = appendRecord(walked, payload)
+			return nil
+		})
 		if err != nil {
-			t.Fatalf("scanRecords with nil fn returned error: %v", err)
+			t.Fatalf("scanSegment returned error: %v", err)
 		}
 		if validSize < 0 || validSize > int64(len(data)) {
 			t.Fatalf("valid prefix %d out of bounds for %d input bytes", validSize, len(data))
@@ -52,9 +60,12 @@ func FuzzDecodeRecord(f *testing.F) {
 		if !tail && validSize != int64(len(data)) {
 			t.Fatalf("clean scan consumed %d of %d bytes", validSize, len(data))
 		}
+		if !bytes.Equal(walked, data[:validSize]) {
+			t.Fatalf("walked records do not re-encode to the valid prefix:\n in:  %x\n out: %x", data[:validSize], walked)
+		}
 		// The valid prefix is what recovery truncates to: re-scanning it
 		// must yield the same records and no tail.
-		count2, validSize2, tail2, err := scanRecords(data[:validSize], 1, nil)
+		count2, validSize2, tail2, err := scanSegment(bytes.NewReader(data[:validSize]), 1, nil)
 		if err != nil || tail2 || count2 != count || validSize2 != validSize {
 			t.Fatalf("valid prefix unstable: count %d->%d size %d->%d tail=%v err=%v",
 				count, count2, validSize, validSize2, tail2, err)
@@ -63,7 +74,7 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // FuzzRecordRoundTrip: for any non-empty payload, encode → decode is
-// the identity and the scanner sees exactly the appended frames in
+// the identity and the walker sees exactly the appended frames in
 // order; an empty payload's frame is refused by the decoder rather than
 // round-tripped (Append refuses the payload: TestAppendRejectsEmptyPayload).
 func FuzzRecordRoundTrip(f *testing.F) {
@@ -90,7 +101,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			t.Fatalf("second frame: ok=%v payload %x, want %x", ok, got2, b)
 		}
 		var seen [][]byte
-		count, validSize, tail, err := scanRecords(buf, 7, func(seq uint64, payload []byte) error {
+		count, validSize, tail, err := scanSegment(bytes.NewReader(buf), 7, func(seq uint64, payload []byte) error {
 			if want := uint64(7 + len(seen)); seq != want {
 				t.Fatalf("seq %d, want %d", seq, want)
 			}

@@ -25,6 +25,11 @@ const (
 
 	recordHeader = 8 // 4-byte length + 4-byte CRC32-C
 
+	// keepSnapshots is how many snapshots compaction retains. A segment
+	// is deleted once the oldest retained snapshot covers it, so a
+	// corrupt newest snapshot can always fall back one version.
+	keepSnapshots = 2
+
 	// MaxRecordBytes bounds one journal record. Larger appends fail,
 	// and larger lengths found on disk are treated as torn frames.
 	MaxRecordBytes = 256 << 20
@@ -51,10 +56,6 @@ type Options struct {
 	// OS, which survives a process crash (the OS holds the bytes), just
 	// not a kernel crash or power loss mid-window.
 	Fsync bool
-	// KeepSnapshots is how many snapshots to retain (default 2). A
-	// segment is deleted once the oldest retained snapshot covers it,
-	// so a corrupt newest snapshot can always fall back one version.
-	KeepSnapshots int
 	// GroupCommit is ignored.
 	//
 	// Deprecated: every append rides the group-commit pipeline
@@ -117,9 +118,6 @@ type Log struct {
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 8 << 20
-	}
-	if opts.KeepSnapshots <= 0 {
-		opts.KeepSnapshots = 2
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -225,12 +223,17 @@ func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 		return err
 	}
 	for _, sf := range segs {
-		_, _, _, err := scanSegment(sf.path, sf.seq, func(seq uint64, payload []byte) error {
+		f, err := os.Open(sf.path)
+		if err != nil {
+			return err
+		}
+		_, _, _, err = scanSegment(f, sf.seq, func(seq uint64, payload []byte) error {
 			if seq <= l.loadedSeq {
 				return nil
 			}
 			return fn(seq, payload)
 		})
+		f.Close()
 		if err != nil {
 			return err
 		}
@@ -244,7 +247,7 @@ func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 
 // WriteSnapshot atomically persists data as the state through the last
 // appended record, rotates the active segment, and compacts: all but
-// the newest KeepSnapshots snapshots are deleted, along with every
+// the newest keepSnapshots snapshots are deleted, along with every
 // segment the oldest retained snapshot fully covers. It takes commitMu
 // first, like every rotation, so it waits out a leader's window sync.
 func (l *Log) WriteSnapshot(data []byte) error {
@@ -407,7 +410,12 @@ func (l *Log) recover() error {
 			return fmt.Errorf("store: journal gap: %s begins at seq %d, want %d",
 				filepath.Base(sf.path), sf.seq, expect)
 		}
-		count, validSize, tail, err := scanSegment(sf.path, sf.seq, nil)
+		f, err := os.Open(sf.path)
+		if err != nil {
+			return err
+		}
+		count, validSize, tail, err := scanSegment(f, sf.seq, nil)
+		f.Close()
 		if err != nil {
 			return err
 		}
@@ -461,8 +469,9 @@ func (l *Log) recover() error {
 //
 // One frame is a 4-byte little-endian payload length, a 4-byte CRC32-C
 // of the payload, and the payload bytes. putFrameHeader, appendRecord
-// and decodeRecord are the single encode/decode pair for that layout —
-// the append path, recovery and the fuzz targets all go through them.
+// and decodeRecord are the single encode/decode pair for that layout,
+// and scanSegment the single walker over a run of frames — the append
+// path, recovery and the fuzz targets all go through them.
 //
 // A frame's payload is never empty. Segments are preallocated, so the
 // bytes past the last frame read as zero, and a zero length is where
@@ -483,6 +492,14 @@ func appendRecord(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// frameSize returns the payload length a frame header declares and
+// whether it is plausible: a zero length is the end of the data, and one
+// past MaxRecordBytes is torn.
+func frameSize(hdr []byte) (int, bool) {
+	size := binary.LittleEndian.Uint32(hdr[0:4])
+	return int(size), size != 0 && int64(size) <= MaxRecordBytes
+}
+
 // decodeRecord parses the first frame of b. It returns the payload (a
 // subslice of b, not a copy), the frame's total byte length, and whether
 // the frame is valid; an undersized buffer, a zero length (the end of
@@ -492,67 +509,40 @@ func decodeRecord(b []byte) (payload []byte, n int, ok bool) {
 	if len(b) < recordHeader {
 		return nil, 0, false
 	}
-	size := binary.LittleEndian.Uint32(b[0:4])
-	sum := binary.LittleEndian.Uint32(b[4:8])
-	if size == 0 || int64(size) > MaxRecordBytes || int64(size) > int64(len(b)-recordHeader) {
+	size, ok := frameSize(b)
+	if !ok || size > len(b)-recordHeader {
 		return nil, 0, false
 	}
-	payload = b[recordHeader : recordHeader+int(size)]
-	if crc32.Checksum(payload, castagnoli) != sum {
+	payload = b[recordHeader : recordHeader+size]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
 		return nil, 0, false
 	}
-	return payload, recordHeader + int(size), true
+	return payload, recordHeader + size, true
 }
 
-// scanRecords walks the frames in data, calling fn (when non-nil) per
-// valid record. It reports how many valid records the buffer holds, the
-// byte length of the valid prefix, and whether bytes follow it: a tail
-// that is zeros (preallocated, never written) or a torn frame.
-func scanRecords(data []byte, base uint64, fn func(seq uint64, payload []byte) error) (count int, validSize int64, tail bool, err error) {
-	for len(data) > 0 {
-		payload, n, ok := decodeRecord(data)
-		if !ok {
-			return count, validSize, true, nil
-		}
-		if fn != nil {
-			if err := fn(base+uint64(count), payload); err != nil {
-				return count, validSize, false, err
-			}
-		}
-		count++
-		validSize += int64(n)
-		data = data[n:]
-	}
-	return count, validSize, false, nil
-}
-
-// scanSegment streams one segment's records through fn, one frame in
-// memory at a time (a segment can legally hold a single record of up to
-// MaxRecordBytes past its rotation threshold, so buffering whole
-// segments is not an option), and reports what scanRecords does. Each
-// frame is validated by the same decodeRecord the fuzz targets and
-// scanRecords exercise.
-func scanSegment(path string, base uint64, fn func(seq uint64, payload []byte) error) (count int, validSize int64, tail bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
+// scanSegment walks the frames r holds — a segment file in recovery, a
+// buffer in the fuzz targets — calling fn (when non-nil) per valid
+// record, one frame in memory at a time (a segment can legally hold a
+// single record of up to MaxRecordBytes past its rotation threshold, so
+// buffering whole segments is not an option). It reports how many valid
+// records r holds, the byte length of the valid prefix, and whether
+// bytes follow it: a tail that is zeros (preallocated, never written) or
+// a torn frame.
+func scanSegment(r io.Reader, base uint64, fn func(seq uint64, payload []byte) error) (count int, validSize int64, tail bool, err error) {
+	br := bufio.NewReader(r)
 	for {
 		var hdr [recordHeader]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			// A partial header is a torn tail; a clean EOF is the end.
 			return count, validSize, !errors.Is(err, io.EOF), nil
 		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
-		if size == 0 || int64(size) > MaxRecordBytes {
-			// The end of the written data, or a torn length.
+		size, ok := frameSize(hdr[:])
+		if !ok {
 			return count, validSize, true, nil
 		}
-		frame := make([]byte, recordHeader+int(size))
+		frame := make([]byte, recordHeader+size)
 		copy(frame, hdr[:])
-		if _, err := io.ReadFull(r, frame[recordHeader:]); err != nil {
+		if _, err := io.ReadFull(br, frame[recordHeader:]); err != nil {
 			return count, validSize, true, nil
 		}
 		payload, n, ok := decodeRecord(frame)
@@ -616,7 +606,7 @@ func (l *Log) compact() error {
 	if err != nil || len(snaps) == 0 {
 		return err
 	}
-	keepFrom := len(snaps) - l.opts.KeepSnapshots
+	keepFrom := len(snaps) - keepSnapshots
 	if keepFrom < 0 {
 		keepFrom = 0
 	}

@@ -116,10 +116,7 @@ func TestSegmentRotation(t *testing.T) {
 // crash mid-append leaves it.
 func tearSegment(t *testing.T, path string, b []byte) {
 	t.Helper()
-	_, end, _, err := scanSegment(path, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	end, _ := dataEnd(t, path)
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +297,7 @@ func TestSnapshotReplaysOnlyTail(t *testing.T) {
 
 func TestSnapshotCompactsSegmentsAndOldSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 32, KeepSnapshots: 2})
+	l, err := Open(dir, Options{SegmentBytes: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,14 +34,30 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
+// dataEnd returns where the segment at path's last valid frame ends,
+// and whether bytes follow it.
+func dataEnd(t *testing.T, path string) (end int64, tail bool) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, end, tail, err = scanSegment(f, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end, tail
+}
+
 // checkTrimmed fails unless the segment at path ends exactly where its
 // last valid frame does.
 func checkTrimmed(t *testing.T, path string) {
 	t.Helper()
-	_, end, tail, err := scanSegment(path, 1, nil)
-	if size := fileSize(t, path); err != nil || tail || size != end {
-		t.Fatalf("%s: %d bytes on disk, data ends at %d (tail=%v err=%v)",
-			filepath.Base(path), size, end, tail, err)
+	end, tail := dataEnd(t, path)
+	if size := fileSize(t, path); tail || size != end {
+		t.Fatalf("%s: %d bytes on disk, data ends at %d (tail=%v)",
+			filepath.Base(path), size, end, tail)
 	}
 }
 
@@ -61,10 +77,7 @@ func TestPreallocCrashZeroTailReplaysClean(t *testing.T) {
 		t.Fatalf("active segment is %d bytes, want it preallocated to 8 MiB", size)
 	}
 	l.crash()
-	_, end, _, err := scanSegment(path, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	end, _ := dataEnd(t, path)
 	if fileSize(t, path) == end {
 		// No preallocation on this system: leave the tail it would have.
 		if err := os.Truncate(path, end+4096); err != nil {
@@ -286,10 +299,7 @@ func TestRecoverKillBetweenWriteAndSync(t *testing.T) {
 			syncData = testSync
 
 			path := lastSegment(t, dir)
-			_, end, _, err := scanSegment(path, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			end, _ := dataEnd(t, path)
 			durable := synced.n.Load()
 			if end < durable {
 				t.Fatalf("data ends at byte %d, before the %d bytes synced", end, durable)
