@@ -58,7 +58,9 @@ func (rig *budgetRig) serve(req *http.Request, path string, body []byte, want in
 // configuration. Each ceiling is the measured count plus one: the request
 // path's pools are warm and nothing else runs, so the counts repeat
 // exactly, and the next regression names its endpoint. Objects a request
-// retains (a join's session, a completion's rows) are in the count.
+// retains are in the count: a join's are the session's own (see
+// sessionKeeps), and the rows a completion files grow by amortized
+// appends, which round to none.
 func TestRequestPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are measured without the race detector")
@@ -115,8 +117,8 @@ func TestRequestPathAllocBudget(t *testing.T) {
 		ceiling float64
 		run     func()
 	}{
-		{"join", 18, func() { rig.serve(post, "/api/v1/sessions", joinBody, http.StatusCreated) }},
-		{"tests", 2, func() { rig.serve(get, testsPath, nil, http.StatusOK) }},
+		{"join", sessionKeeps + 1, func() { rig.serve(post, "/api/v1/sessions", joinBody, http.StatusCreated) }},
+		{"tests", 1, func() { rig.serve(get, testsPath, nil, http.StatusOK) }},
 		{"video cache hit", 1, func() { rig.serve(get, video, nil, http.StatusOK) }},
 		{"events JSON", 1, func() { rig.serve(post, eventsPath, events, http.StatusAccepted) }},
 		{"events EYB1", 2, func() { rig.serve(binary, eventsPath, batch, http.StatusAccepted) }},
@@ -125,7 +127,7 @@ func TestRequestPathAllocBudget(t *testing.T) {
 			next++
 			rig.serve(post, s.responses, s.first, http.StatusAccepted)
 		}},
-		{"response completing", 6, func() {
+		{"response completing", 1, func() {
 			s := sessions[next]
 			next++
 			rig.serve(post, s.responses, s.last, http.StatusAccepted)
@@ -137,6 +139,74 @@ func TestRequestPathAllocBudget(t *testing.T) {
 		if got > c.ceiling {
 			t.Errorf("%s: %.1f objects per request, ceiling %.0f", c.name, got, c.ceiling)
 		}
+	}
+}
+
+// sessionKeeps is what a join allocates, all of it kept until the session
+// completes: the session's state (its tracker and answer storage inline),
+// its tracker's entries, its ID, its assignment and the one string its
+// test IDs are cut from, and the one string its worker's fields are cut
+// from. The campaign ID and the captcha token are read in place.
+const sessionKeeps = 6
+
+// TestSessionLifecycleAllocBudget pins heap objects per whole session on
+// the server TestRequestPathAllocBudget measures: a join, its /tests, an
+// engagement batch per test and an answer per test, the last completing
+// it. The ceiling is what the join keeps: nothing else a session sends
+// allocates, completion included, which folds from and renders into the
+// campaign's own storage, so one object more is a request allocating
+// again.
+func TestSessionLifecycleAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are measured without the race detector")
+	}
+	const runs = 200
+	srv := NewServer()
+	rig := &budgetRig{t: t, h: srv.Handler(), w: &discardWriter{header: http.Header{}}, body: &replayBody{}}
+	campaign := seedDispatch(t, rig.h, 8)
+	completeSessions(t, rig.h, campaign, 0, 64) // size the campaign's rows, sketches and scratch
+
+	c, _ := srv.campaigns.Get(campaign)
+	events := map[string][]byte{}
+	for _, vid := range c.Videos {
+		events[vid] = []byte(`{"video_id":"` + vid + `","load_ms":912.25,"time_on_video_ms":21000,"plays":1,"pauses":0,"seeks":4,"watched_fraction":0.9,"out_of_focus_ms":0}`)
+	}
+	joinBody := []byte(`{"campaign":"` + campaign + `","worker":{"id":"w12345","gender":"f","country":"ES","source":"bench"},"captcha":"bench"}`)
+	// Nothing but the joins mints an ID from here on, so the sessions'
+	// IDs, and with them their paths, are known ahead (AllocsPerRun makes
+	// runs+1). The answers name the tests the server assigned, appended
+	// into one buffer sized for them.
+	type paths struct{ id, tests, events, responses string }
+	next, sessions := 0, make([]paths, runs+1)
+	for i := range sessions {
+		id := "s" + strconv.FormatInt(srv.nextID.Load()+1+int64(i), 10)
+		sessions[i] = paths{id, "/api/v1/sessions/" + id + "/tests", "/api/v1/sessions/" + id + "/events", "/api/v1/sessions/" + id + "/responses"}
+	}
+	answer := make([]byte, 0, 256)
+	post, get := rig.request("POST", "application/json"), rig.request("GET", "")
+	got := testing.AllocsPerRun(runs, func() {
+		s := sessions[next]
+		next++
+		rig.serve(post, "/api/v1/sessions", joinBody, http.StatusCreated)
+		e, _ := srv.sessions.Get(s.id)
+		if e.live == nil {
+			t.Fatalf("the join did not start session %s", s.id)
+		}
+		rig.serve(get, s.tests, nil, http.StatusOK)
+		for _, tt := range e.live.Assignment {
+			rig.serve(post, s.events, events[tt.VideoID], http.StatusAccepted)
+		}
+		for _, tt := range e.live.Assignment {
+			answer = append(append(append(answer[:0], `{"test_id":"`...), tt.TestID...), `","slider_ms":1400.5,"helper_ms":1200,"submitted_ms":1200,"kept_original":true}`...)
+			rig.serve(post, s.responses, answer, http.StatusAccepted)
+		}
+		if e, _ = srv.sessions.Get(s.id); e.live != nil {
+			t.Fatalf("session %s did not complete", s.id)
+		}
+	})
+	t.Logf("whole session %5.1f objects (ceiling %d)", got, sessionKeeps)
+	if got > sessionKeeps {
+		t.Errorf("whole session: %.1f objects, ceiling %d", got, sessionKeeps)
 	}
 }
 

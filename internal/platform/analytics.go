@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"hash/crc64"
 	"net/http"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -117,12 +118,12 @@ type VideoAnalytics struct {
 	Banned    bool    `json:"banned,omitempty"`
 }
 
-// percentileParam parses an optional percentile query parameter,
+// percentileParam parses an optional percentile query parameter from q,
 // falling back to def when absent. Out-of-range or non-numeric values
 // report ok=false: stats.Percentile panics past this boundary by
 // design, so user input must be rejected here with a 400.
-func percentileParam(r *http.Request, name string, def float64) (float64, bool) {
-	raw := r.URL.Query().Get(name)
+func percentileParam(q url.Values, name string, def float64) (float64, bool) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, true
 	}
@@ -135,8 +136,12 @@ func percentileParam(r *http.Request, name string, def float64) (float64, bool) 
 
 func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
 	id := w.id
-	lo, okLo := percentileParam(r, "lo", filtering.WisdomLo)
-	hi, okHi := percentileParam(r, "hi", filtering.WisdomHi)
+	var q url.Values // a poll without a query parses none, and reads the defaults
+	if r.URL.RawQuery != "" {
+		q = r.URL.Query()
+	}
+	lo, okLo := percentileParam(q, "lo", filtering.WisdomLo)
+	hi, okHi := percentileParam(q, "hi", filtering.WisdomHi)
 	if !okLo || !okHi || lo > hi {
 		writeErr(w, http.StatusBadRequest, "lo/hi must be percentiles in [0,100] with lo <= hi")
 		return
@@ -162,7 +167,8 @@ func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
 		ssh := s.sessions.Shard(sid)
 		ssh.RLock()
 		if e, _ := ssh.Get(sid); e.live != nil {
-			live[i] = e.live.verdictRow()
+			v := e.live.verdict()
+			live[i], _ = json.Marshal(&v) // strings, ints, bools: cannot fail
 		}
 		ssh.RUnlock()
 	}
@@ -204,14 +210,14 @@ func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
 	writeConditional(w, r, tag, body)
 }
 
-// verdictRow renders the session's ParticipantVerdict as encoding/json
-// would inside a whole payload. Caller holds the session's shard lock.
-func (sess *sessionState) verdictRow() []byte {
+// verdict returns the session's ParticipantVerdict, which encoding/json
+// renders as its /analytics row. Caller holds the session's shard lock.
+func (sess *sessionState) verdict() ParticipantVerdict {
 	snap := sess.final
 	if !sess.completed() {
 		snap = sess.track.Snapshot()
 	}
-	row, _ := json.Marshal(&ParticipantVerdict{ // strings, ints, bools: cannot fail
+	return ParticipantVerdict{
 		Session:        sess.ID,
 		Worker:         sess.Worker.ID,
 		Completed:      snap.Completed,
@@ -220,8 +226,7 @@ func (sess *sessionState) verdictRow() []byte {
 		Answered:       snap.Answered,
 		Actions:        snap.Actions,
 		ControlsFailed: snap.ControlsFailed,
-	})
-	return row
+	}
 }
 
 // frozenAt reports where session id sits, or would sit, among the frozen

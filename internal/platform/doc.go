@@ -19,8 +19,8 @@
 // Verdicts have one source: each campaign's quality.Campaign, the
 // incremental §4.3 fold. A session's tracker follows it while in
 // flight; the answer that completes it runs completeSession, which
-// freezes the session's standing, releases the tracker and its traces
-// and encodes what is left — worker, assignment, answers, the frozen
+// freezes the session's standing, lets its state go with the tracker
+// and its traces inside, and encodes what is left — worker, assignment, answers, the frozen
 // counters — as one varint record appended to the campaign's arena
 // (frozen.go). Every completed session, fresh or decoded from the arena
 // a snapshot or an imported campaign carried, then goes through

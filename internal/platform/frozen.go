@@ -115,8 +115,9 @@ func appendFrozen(dst []byte, c *campaignState, sess *sessionState) []byte {
 }
 
 // decodeFrozen reads the record of session id back as a sessionState in
-// its completed form (no tracker, final set). The state is the caller's
-// own: nothing keeps it, and it aliases neither rec nor the arena.
+// its completed form (final set, the tracker empty). The state is the
+// caller's own: nothing keeps it, and it aliases neither rec nor the
+// arena.
 // Caller holds c's shard lock, at least shared (it reads c.Videos, and
 // rec is usually a slice of c.arena).
 func decodeFrozen(c *campaignState, id string, rec []byte) (*sessionState, error) {

@@ -177,11 +177,11 @@ func FuzzFrozenSession(f *testing.F) {
 			return
 		}
 		// What the server does with a decoded session.
-		folded := sess.record(c.Kind)
+		folded := new(completion).record(sess, c.Kind)
 		if n := len(folded.Timeline) + len(folded.AB); n != len(sess.answers) {
 			t.Fatalf("record views %d answers of %d", n, len(sess.answers))
 		}
-		_ = sess.verdictRow()
+		_ = sess.verdict()
 		_, _ = parseResponse(sess, &ResponseBody{TestID: "s17-t0", Choice: "left"})
 		again, err := decodeFrozen(c, "s17", appendFrozen(nil, c, sess))
 		if err != nil || !reflect.DeepEqual(again, sess) {

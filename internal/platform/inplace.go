@@ -20,6 +20,7 @@ package platform
 import (
 	"bytes"
 	"strconv"
+	"unsafe"
 )
 
 // flat reads the members of a JSON object from b, in place. The first
@@ -191,11 +192,14 @@ func own(known []AssignedTest, id []byte, video bool) string {
 	return string(id)
 }
 
-// decodeJoinRequest decodes b into v, or declines and leaves v zero. Its
-// strings are copies: the session keeps the worker's, and a campaign ID
-// is not known to be one before it is decoded.
-func decodeJoinRequest(b []byte, v *JoinRequest) bool {
+// decodeJoinRequest decodes b into v, or declines and leaves v zero.
+// campaign resolves the campaign ID to a string: the server's own for a
+// campaign it holds. The worker's four fields, which the session keeps
+// and drops together, are cut from one copy; the captcha token, which
+// nothing keeps, is not copied at all and reads b (see transient).
+func decodeJoinRequest(b []byte, v *JoinRequest, campaign func(id []byte) string) bool {
 	*v = JoinRequest{}
+	var worker [4][]byte // id, gender, country, source
 	f := flat{b: b}
 	f.open()
 	for n := 0; ; n++ {
@@ -205,7 +209,7 @@ func decodeJoinRequest(b []byte, v *JoinRequest) bool {
 		}
 		switch string(key) {
 		case "campaign":
-			v.Campaign = string(f.str())
+			v.Campaign = campaign(f.str())
 		case "worker":
 			f.open()
 			for m := 0; ; m++ {
@@ -215,19 +219,19 @@ func decodeJoinRequest(b []byte, v *JoinRequest) bool {
 				}
 				switch string(key) {
 				case "id":
-					v.Worker.ID = string(f.str())
+					worker[0] = f.str()
 				case "gender":
-					v.Worker.Gender = string(f.str())
+					worker[1] = f.str()
 				case "country":
-					v.Worker.Country = string(f.str())
+					worker[2] = f.str()
 				case "source":
-					v.Worker.Source = string(f.str())
+					worker[3] = f.str()
 				default:
 					f.bad = true
 				}
 			}
 		case "captcha":
-			v.Captcha = string(f.str())
+			v.Captcha = transient(f.str())
 		default:
 			f.bad = true
 		}
@@ -236,7 +240,26 @@ func decodeJoinRequest(b []byte, v *JoinRequest) bool {
 		*v = JoinRequest{}
 		return false
 	}
+	var buf [64]byte
+	joined := buf[:0]
+	for _, field := range worker {
+		joined = append(joined, field...)
+	}
+	all := string(joined)
+	cut := func(field []byte) string {
+		s := all[:len(field)]
+		all = all[len(field):]
+		return s
+	}
+	v.Worker = Worker{ID: cut(worker[0]), Gender: cut(worker[1]), Country: cut(worker[2]), Source: cut(worker[3])}
 	return true
+}
+
+// transient returns b as a string that shares its bytes, for a value
+// read only while b holds the body it came in: the join's captcha, which
+// handleJoin checks and the scratch's release drops.
+func transient(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // decodeEventBatch decodes b into v, or declines and leaves v zero. A

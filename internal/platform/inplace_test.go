@@ -90,12 +90,26 @@ var fuzzAssignment = []AssignedTest{
 	{TestID: "s3-control", VideoID: "v4", Kind: "timeline", Control: true},
 }
 
+// copyID resolves no campaign ID: a join decoded with it copies its own.
+func copyID(id []byte) string { return string(id) }
+
+// fuzzCampaign resolves the campaign the seeds name, as a server holding
+// it would, to its own string.
+func fuzzCampaign(id []byte) string {
+	if string(id) == "c1" {
+		return "c1"
+	}
+	return string(id)
+}
+
 // checkAllInPlace runs body through all three decoders, with and without
-// an assignment to resolve IDs against.
+// a campaign or an assignment to resolve IDs against.
 func checkAllInPlace(t *testing.T, body []byte) {
 	t.Helper()
-	var join JoinRequest
-	checkInPlace(t, body, joinFields, decodeJoinRequest(body, &join), &join, new(JoinRequest))
+	for _, campaign := range []func([]byte) string{copyID, fuzzCampaign} {
+		var join JoinRequest
+		checkInPlace(t, body, joinFields, decodeJoinRequest(body, &join, campaign), &join, new(JoinRequest))
+	}
 	for _, known := range [][]AssignedTest{nil, fuzzAssignment} {
 		var batch EventBatch
 		checkInPlace(t, body, eventsFields, decodeEventBatch(body, &batch, known), &batch, new(EventBatch))
@@ -231,7 +245,7 @@ func TestClientBodiesDecodeInPlace(t *testing.T) {
 			batch EventBatch
 			resp  ResponseBody
 		)
-		if !decodeJoinRequest(body, &join) && !decodeEventBatch(body, &batch, fuzzAssignment) && !decodeResponseBody(body, &resp, fuzzAssignment) {
+		if !decodeJoinRequest(body, &join, copyID) && !decodeEventBatch(body, &batch, fuzzAssignment) && !decodeResponseBody(body, &resp, fuzzAssignment) {
 			t.Fatalf("takes the slow path: %s", body)
 		}
 		checkAllInPlace(t, body)

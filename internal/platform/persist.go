@@ -264,20 +264,14 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	}
 	// The session names its campaign by the campaign's own string rather
 	// than the join body's copy of it.
-	ssh.Put(ev.ID, sessionEntry{live: &sessionState{
-		ID:         ev.ID,
-		Campaign:   c.ID,
-		Worker:     *ev.Worker,
-		Assignment: ev.Tests,
-		answers:    make([]answer, 0, len(ev.Tests)),
-		track:      quality.NewTracker(assignedVideos(ev.Tests)),
-	}})
+	sess := newSessionState(ev.ID, c.ID, *ev.Worker, ev.Tests)
+	ssh.Put(ev.ID, sessionEntry{live: sess})
 	c.inflight = append(c.inflight, ev.ID)
 	// The allocator charges the assignment as bought budget the moment it
 	// is journaled — live and replay go through this same line, so pending
 	// counts replay identically.
 	if c.adaptive != nil {
-		c.adaptive.NoteJoin(assignedVideos(ev.Tests))
+		c.adaptive.NoteJoin(sess.videos())
 	}
 	s.joined.Add(1)
 	s.bumpID(ev.ID)
@@ -285,14 +279,18 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	return seq, nil
 }
 
-// assignedVideos flattens an assignment to one video ID per test, the
-// multiplicity-aware shape the quality tracker weights counters by.
-func assignedVideos(tests []AssignedTest) []string {
-	vids := make([]string, len(tests))
-	for i, t := range tests {
-		vids[i] = t.VideoID
+// assignedVideos appends to dst one video ID per test of an assignment,
+// the multiplicity-aware shape the quality tracker weights counters by.
+func assignedVideos(dst []string, tests []AssignedTest) []string {
+	for _, t := range tests {
+		dst = append(dst, t.VideoID)
 	}
-	return vids
+	return dst
+}
+
+// videos returns the session's assignment as assignedVideos lays it out.
+func (sess *sessionState) videos() []string {
+	return assignedVideos(make([]string, 0, len(sess.Assignment)), sess.Assignment)
 }
 
 // applyEvents applies one JSON engagement batch as the wire records it
@@ -420,14 +418,14 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 
 // completeSession is what the completing answer does, on the live path
 // and on every replay of its journal record alike: it freezes the
-// session's standing, releases the tracker with its traces, appends the
-// session's frozen record to the campaign's arena and files it. The
-// entry returned replaces the session's state in the index, which held
-// the last reference to it. Caller holds both shard locks.
+// session's standing, appends the session's frozen record to the
+// campaign's arena and files it. The entry returned replaces the
+// session's state in the index, which held the last reference to it, so
+// the tracker and its traces go with the state. Caller holds both shard
+// locks.
 func (s *Server) completeSession(c *campaignState, sess *sessionState) sessionEntry {
 	sess.track.SetCompleted()
 	sess.final = sess.track.Snapshot()
-	sess.track = nil
 	c.arena = appendFrozen(c.arena, c, sess)
 	c.arenaEnds = append(c.arenaEnds, uint32(len(c.arena)))
 	s.completedN.Add(1)
@@ -438,10 +436,11 @@ func (s *Server) completeSession(c *campaignState, sess *sessionState) sessionEn
 // fresh from completeSession or decoded from a restored arena (restore):
 // it folds the answers into the campaign's analytics and stopper and
 // files the session and its /analytics row under the next row number,
-// which it returns — the row the session's record sits at in the arena. Caller holds the campaign's shard lock, or the
-// campaign is not reachable yet.
+// which it returns — the row the session's record sits at in the arena.
+// Caller holds the campaign's shard lock, or the campaign is not
+// reachable yet: either way the campaign's completion scratch is its own.
 func (c *campaignState) fileCompleted(sess *sessionState) uint32 {
-	rec := sess.record(c.Kind)
+	rec := c.done.record(sess, c.Kind)
 	c.analytics.Complete(rec, sess.final.Final)
 	if c.adaptive != nil {
 		c.adaptive.Complete(rec, sess.final.Final)
@@ -451,41 +450,57 @@ func (c *campaignState) fileCompleted(sess *sessionState) uint32 {
 	n := uint32(len(c.recordSessions))
 	c.rowOrder = slices.Insert(c.rowOrder, at, n)
 	c.recordSessions = append(c.recordSessions, sess.ID)
-	row := sess.verdictRow()
+	c.done.verdict = sess.verdict()
+	buf, _ := encodeJSON(&c.done.verdict) // strings, ints, bools: cannot fail
+	row := buf.Bytes()[:buf.Len()-1]      // less the encoder's newline
 	c.rows = append(append(c.rows, row...), ',')
 	c.rowEnds = append(c.rowEnds, uint32(len(c.rows)))
 	c.rowDigest += crc64.Checksum(row, etagTable)
+	bufPool.Put(buf)
+	c.done.verdict = ParticipantVerdict{} // the scratch pins no session's strings
 	c.invalidate()
 	return n
 }
 
-// record views the session's answers as the filtering.SessionRecord the
-// §4.3 folds take, control answers included (the stopper releases their
-// pending assignment entries). The folds read only each answer's video,
-// value and control bit — not the participant, which the record leaves
-// nil — and keep none of it, so one backing array serves all answers
-// and nothing outlives the call.
-func (sess *sessionState) record(kind string) *filtering.SessionRecord {
-	rec := &filtering.SessionRecord{}
-	n := len(sess.answers)
+// completion is the scratch fileCompleted folds a session from, one per
+// campaign and reused under its shard lock: the session's answers as the
+// filtering.SessionRecord the §4.3 folds take, and its /analytics row's
+// fields. Neither quality.Campaign.Complete nor adaptive.Campaign.Complete
+// keeps the record or anything it points to.
+type completion struct {
+	rec      filtering.SessionRecord
+	timeline []survey.TimelineResponse
+	ab       []survey.ABResponse
+	verdict  ParticipantVerdict
+}
+
+// record views the session's answers as a filtering.SessionRecord,
+// control answers included (the stopper releases their pending
+// assignment entries). The folds read only each answer's video, value
+// and control bit — not the participant, which the record leaves nil.
+// The record is valid until the next call.
+func (d *completion) record(sess *sessionState, kind string) *filtering.SessionRecord {
+	d.rec.Timeline, d.rec.AB = d.rec.Timeline[:0], d.rec.AB[:0]
 	if kind == "ab" {
-		resp := make([]survey.ABResponse, n)
-		rec.AB = make([]*survey.ABResponse, n)
-		for i, a := range sess.answers {
+		d.ab = d.ab[:0]
+		for _, a := range sess.answers {
 			t := &sess.Assignment[a.Test]
-			resp[i] = survey.ABResponse{VideoID: t.VideoID, Choice: a.Choice, AOnLeft: true, Control: t.Control}
-			rec.AB[i] = &resp[i]
+			d.ab = append(d.ab, survey.ABResponse{VideoID: t.VideoID, Choice: a.Choice, AOnLeft: true, Control: t.Control})
 		}
-		return rec
+		for i := range d.ab {
+			d.rec.AB = append(d.rec.AB, &d.ab[i])
+		}
+		return &d.rec
 	}
-	resp := make([]survey.TimelineResponse, n)
-	rec.Timeline = make([]*survey.TimelineResponse, n)
-	for i, a := range sess.answers {
+	d.timeline = d.timeline[:0]
+	for _, a := range sess.answers {
 		t := &sess.Assignment[a.Test]
-		resp[i] = survey.TimelineResponse{VideoID: t.VideoID, Submitted: a.Submitted, Control: t.Control}
-		rec.Timeline[i] = &resp[i]
+		d.timeline = append(d.timeline, survey.TimelineResponse{VideoID: t.VideoID, Submitted: a.Submitted, Control: t.Control})
 	}
-	return rec
+	for i := range d.timeline {
+		d.rec.Timeline = append(d.rec.Timeline, &d.timeline[i])
+	}
+	return &d.rec
 }
 
 func (s *Server) applyFlag(ev *event) (seq uint64, flags int, banned bool, err error) {
@@ -797,7 +812,7 @@ func (s *Server) restore(cn *snapCampaign, hasBlob func(hash string) bool) (*res
 			return nil, fmt.Errorf("campaign %s row %d (session %s): %w", cn.ID, row, sid, err)
 		}
 		if c.adaptive != nil {
-			c.adaptive.NoteJoin(assignedVideos(sess.Assignment))
+			c.adaptive.NoteJoin(sess.videos())
 		}
 		c.fileCompleted(sess)
 		start = end
@@ -809,29 +824,23 @@ func (s *Server) restore(cn *snapCampaign, hasBlob func(hash string) bool) (*res
 		if _, frozen := c.frozenAt(sn.ID); frozen {
 			return nil, fmt.Errorf("campaign %s lists session %s both completed and in flight", cn.ID, sn.ID)
 		}
-		sess := &sessionState{
-			ID:         sn.ID,
-			Campaign:   c.ID,
-			Worker:     sn.Worker,
-			Assignment: sn.Tests,
-			answers:    sn.Answers,
-			// The tracker is a pure function of the latest per-video traces
-			// and the answer list, both order-independent here, so map
-			// iteration order cannot diverge the rebuild.
-			track: quality.NewTracker(assignedVideos(sn.Tests)),
-		}
+		// The tracker is a pure function of the latest per-video traces and
+		// the answer list, both order-independent here, so map iteration
+		// order cannot diverge the rebuild.
+		sess := newSessionState(sn.ID, c.ID, sn.Worker, sn.Tests)
 		for _, tr := range sn.Traces {
 			sess.track.Observe(tr)
 		}
-		for _, a := range sess.answers {
+		for _, a := range sn.Answers {
 			if a.Test < 0 || a.Test >= len(sess.Assignment) {
 				return nil, fmt.Errorf("campaign %s session %s answers test %d of %d", cn.ID, sn.ID, a.Test, len(sess.Assignment))
 			}
+			sess.answers = append(sess.answers, a)
 			sess.trackAnswer(a)
 		}
 		c.inflight = append(c.inflight, sn.ID)
 		if c.adaptive != nil {
-			c.adaptive.NoteJoin(assignedVideos(sn.Tests))
+			c.adaptive.NoteJoin(sess.videos())
 		}
 		r.inflight = append(r.inflight, sess)
 	}

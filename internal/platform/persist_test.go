@@ -556,6 +556,74 @@ func TestParentVersion3DocumentsRefused(t *testing.T) {
 	})
 }
 
+// TestParentVersion4SnapshotLoads: testdata/parent_v4_snapshot.json was
+// written by a server whose tracker kept its traces and multiplicities in
+// maps. It holds sessions in flight on two campaigns, one of each kind,
+// whose assignments name each video several times and whose traces
+// include replacement batches. It loads; each session's engagement total
+// weights every trace by its video's multiplicity, as filtering.Classify
+// counts the materialized record; and the snapshot taken again is the
+// same bytes.
+func TestParentVersion4SnapshotLoads(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent_v4_snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.blobs.PutBytes(sampleVideoBytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.log.WriteSnapshot(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if srv, err = Open(Options{DataDir: dir, SnapshotEvery: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var st snapState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	repeated := 0
+	for _, cn := range st.Campaigns {
+		for _, sn := range cn.Inflight {
+			want, mult := 0, map[string]int{}
+			for _, tt := range sn.Tests {
+				tr := sn.Traces[tt.VideoID]
+				want += tr.Actions()
+				if mult[tt.VideoID]++; mult[tt.VideoID] == 2 && tr.VideoID != "" {
+					repeated++
+				}
+			}
+			e, _ := srv.sessions.Get(sn.ID)
+			if e.live == nil {
+				t.Fatalf("session %s is not in flight after the load", sn.ID)
+			}
+			if got := e.live.track.Snapshot().Actions; got != want {
+				t.Errorf("session %s: %d actions, want %d", sn.ID, got, want)
+			}
+		}
+	}
+	if repeated == 0 {
+		t.Fatal("the fixture has no session in flight with a trace on a video assigned twice")
+	}
+	got, err := srv.marshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("the loaded snapshot, taken again, differs:\nfixture: %s\nagain:   %s", data, got)
+	}
+}
+
 // TestStrayInFlightSessionRefused: a section lists its sessions in
 // flight itself, so the one stray it can carry is a session it also
 // lists as completed, which fails the import and the snapshot load.

@@ -239,6 +239,9 @@ type campaignState struct {
 	// complete — what /results and the /analytics summary and bands
 	// render from. Guarded by the campaign's shard lock.
 	analytics *quality.Campaign
+	// done is the scratch fileCompleted folds and renders a completing
+	// session from. Guarded by the campaign's shard lock.
+	done completion
 	// movedTo names the cluster node this campaign was handed off to
 	// ("" while locally owned). Once set, every mutation on the campaign
 	// is fenced with errCampaignMoved. Guarded by the campaign's shard
@@ -321,10 +324,12 @@ type sessionEntry struct {
 
 // sessionState is one participant session in flight, guarded by its
 // shard lock; completion encodes it into its campaign's arena and lets
-// it go (see completeSession). A completed session takes this form again
-// only in passing, decoded from its record (decodeFrozen) to answer a
-// late request or to be folded on load: track is nil then and final,
-// the standing frozen when the tracker was released, is set.
+// it go (see completeSession). Its tracker and the answers' storage are
+// its own fields, so the state is one object beside its tracker's entries
+// and its strings. A completed session takes this form again only in
+// passing, decoded from its record (decodeFrozen) to answer a late
+// request or to be folded on load: final, the standing frozen when the
+// session completed, is set then and the tracker is empty.
 type sessionState struct {
 	ID         string
 	Campaign   string
@@ -332,18 +337,29 @@ type sessionState struct {
 	Assignment []AssignedTest
 	// answers holds one entry per answered test, in answer order. It is
 	// what duplicate detection scans and what completion folds into the
-	// campaign's analytics.
-	answers []answer
+	// campaign's analytics. A live assignment's answers fit in answerBuf.
+	answers   []answer
+	answerBuf [TestsPerSession]answer
 	// track follows the session against the per-participant §4.3 rules
 	// and holds its latest engagement trace per video.
-	track *quality.Tracker
+	track quality.Tracker
 	// final is the completed session's standing: the traces that produced
 	// it are gone, so it cannot be derived again.
 	final quality.Snapshot
 }
 
+// newSessionState starts the state of session id, in flight on campaign
+// with the given assignment: the tracker fed nothing, no answer stored.
+func newSessionState(id, campaign string, worker Worker, tests []AssignedTest) *sessionState {
+	sess := &sessionState{ID: id, Campaign: campaign, Worker: worker, Assignment: tests}
+	sess.answers = sess.answerBuf[:0]
+	var buf [TestsPerSession]string
+	sess.track = *quality.NewTracker(assignedVideos(buf[:0], tests))
+	return sess
+}
+
 // completed reports whether the session answered its full assignment.
-func (sess *sessionState) completed() bool { return sess.track == nil }
+func (sess *sessionState) completed() bool { return sess.final.Completed }
 
 // answer is one stored response, reduced to what the §4.3 fold reads.
 // The answered video and its control bit come from Assignment[Test].
@@ -766,7 +782,16 @@ func appendBatchAck(dst []byte, n int) []byte {
 // over etagTable, and its length.
 var etagTable = crc64.MakeTable(crc64.ECMA)
 
-func etagOf(sum uint64, n int) string { return fmt.Sprintf(`"%016x-%x"`, sum, n) }
+// etagOf renders the tag, quoted: the checksum as 16 hex digits, a dash
+// and the length in hex.
+func etagOf(sum uint64, n int) string {
+	b := append(make([]byte, 0, 40), '"')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[sum>>shift&0xf])
+	}
+	b = strconv.AppendInt(append(b, '-'), int64(n), 16)
+	return string(append(b, '"'))
+}
 
 // etagMatches reports whether an If-None-Match header names tag. The
 // header may carry a comma-separated list or "*"; weak validators
@@ -1097,7 +1122,7 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	tr := w.tr
 	tr.Mark(trace.StageReceive)
 	req := &w.join
-	if err := s.readIngest(w, r, req, func(b []byte) bool { return decodeJoinRequest(b, req) }); err != nil {
+	if err := s.readIngest(w, r, req, func(b []byte) bool { return decodeJoinRequest(b, req, s.campaignID) }); err != nil {
 		s.writeBodyErr(w, err, err.Error())
 		return
 	}
@@ -1117,8 +1142,8 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	csh.RLock()
 	c, ok := csh.Get(req.Campaign)
 	var kind, movedTo string
-	var pool []string
 	var closed bool
+	pool := w.pool[:0]
 	if ok {
 		kind = c.Kind
 		movedTo = c.movedTo
@@ -1126,12 +1151,12 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 		// the live (unbanned) set and the allocator's pool are computed
 		// under one campaign lock: the pool is a pure function of the
 		// journaled state this lock guards.
-		pool = make([]string, 0, len(c.Videos))
 		for _, vid := range c.Videos {
 			if !s.videoBanned(vid) {
 				pool = append(pool, vid)
 			}
 		}
+		w.pool = pool
 		if c.adaptive != nil {
 			closed = c.adaptive.Closed()
 			if !closed && len(pool) > 0 {
@@ -1199,7 +1224,18 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, JoinResponse{Session: sid, Tests: tests})
+	w.reply = JoinResponse{Session: sid, Tests: tests}
+	writeJSON(w, http.StatusCreated, &w.reply)
+}
+
+// campaignID returns the campaign's own ID string for id when this server
+// holds the campaign, and a copy of id otherwise: a join body names its
+// campaign without a string of its own.
+func (s *Server) campaignID(id []byte) string {
+	if c, ok := s.campaigns.Get(string(id)); ok {
+		return c.ID
+	}
+	return string(id)
 }
 
 func (s *Server) handleTests(w *scratch, r *http.Request) {
@@ -1213,7 +1249,8 @@ func (s *Server) handleTests(w *scratch, r *http.Request) {
 		return
 	}
 	// Assignment is immutable after creation.
-	writeJSON(w, http.StatusOK, JoinResponse{Session: id, Tests: sess.Assignment})
+	w.reply = JoinResponse{Session: id, Tests: sess.Assignment}
+	writeJSON(w, http.StatusOK, &w.reply)
 }
 
 // sessionLocked returns session id's state: the indexed one while it is

@@ -120,6 +120,59 @@ func TestCompletedSessionRetainedHeap(t *testing.T) {
 	}
 }
 
+// joinSessions drives n participants, numbered from first, through join
+// and one engagement batch per assigned test, and answers nothing.
+func joinSessions(tb testing.TB, h http.Handler, campaign string, first, n int) {
+	tb.Helper()
+	for i := first; i < first+n; i++ {
+		var jr JoinResponse
+		dispatch(tb, h, "POST", "/api/v1/sessions", JoinRequest{
+			Campaign: campaign,
+			Worker:   Worker{ID: fmt.Sprintf("walked-%d", i), Gender: "f", Country: "ES", Source: "test"},
+			Captcha:  "tok",
+		}, &jr)
+		for _, tt := range jr.Tests {
+			dispatch(tb, h, "POST", "/api/v1/sessions/"+jr.Session+"/events", EventBatch{
+				VideoID: tt.VideoID, LoadMs: 900, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 3 + i%5, WatchedFraction: 0.9,
+			}, nil)
+		}
+	}
+}
+
+// TestLiveSessionRetainedHeap bounds what the server keeps per session in
+// flight on an in-memory server, the form a participant who walks away
+// stays in: its index entry, its state (tracker and answer storage
+// inline), its tracker's entry per distinct video with the latest trace,
+// its assignment and test IDs, its worker's fields and its place in the
+// campaign's in-flight list. Each session here joins a campaign of 8
+// videos and sends a trace per assigned test. This test measured 2,203 B
+// per session while the tracker kept two maps and the state its answers
+// apart, 1,778 now.
+func TestLiveSessionRetainedHeap(t *testing.T) {
+	const (
+		sessions = 4000
+		ceiling  = 1900 // bytes per session in flight
+	)
+	if raceEnabled {
+		t.Skip("heap accounting is measured without the race detector")
+	}
+	srv := NewServer()
+	h := srv.Handler()
+	campaign := seedDispatch(t, h, 8)
+	joinSessions(t, h, campaign, 0, 64) // warm pools, size the first map buckets
+	before := liveHeap()
+	joinSessions(t, h, campaign, 64, sessions)
+	after := liveHeap()
+	per := float64(after-before) / sessions
+	t.Logf("retained heap: %.0f B per session in flight", per)
+	if per > ceiling {
+		t.Fatalf("retained %.0f B per session in flight, ceiling %d", per, ceiling)
+	}
+	if live, completed := indexCounts(srv); live != sessions+64 || completed != 0 {
+		t.Fatalf("index holds %d session states and %d completed rows, want %d and 0", live, completed, sessions+64)
+	}
+}
+
 // TestCompletedSessionPinsNoRequestBytes: a completed session's index
 // key is the very string its campaign files it under, not a substring of
 // the request line that completed it — on the live path, after a journal

@@ -450,15 +450,19 @@ type scratch struct {
 	join  JoinRequest
 	batch EventBatch
 	resp  ResponseBody
+	pool  []string     // a join's live videos
+	reply JoinResponse // a join's or a /tests reply
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // release clears everything the request left in the scratch, so the pool
-// pins none of it, and returns it. The buffer stays, emptied: it never
-// grows past maxInPlaceBody.
+// pins none of it, and returns it. The buffers stay, emptied: the body
+// buffer never grows past maxInPlaceBody, and the video pool past the
+// largest campaign joined.
 func (sc *scratch) release() {
-	*sc = scratch{buf: sc.buf[:0]}
+	clear(sc.pool)
+	*sc = scratch{buf: sc.buf[:0], pool: sc.pool[:0]}
 	scratchPool.Put(sc)
 }
 

@@ -60,12 +60,10 @@ import (
 // goroutine-safe: the platform mutates it under the session's shard
 // lock.
 type Tracker struct {
-	// mult counts assignment entries per video: the materialized record
-	// repeats a shared trace once per entry, so engagement totals weight
-	// each video's counters by its multiplicity.
-	mult     map[string]int
-	distinct int
-	traces   map[string]survey.VideoTrace
+	// videos holds one entry per distinct assigned video, in the order
+	// the assignment first names it. A session is assigned a handful of
+	// videos, so a scan finds an entry sooner than a hash would.
+	videos []videoEntry
 
 	totalActions   int
 	focusBad       int // assigned videos currently violating the focus rule
@@ -76,18 +74,43 @@ type Tracker struct {
 	completed      bool
 }
 
+// videoEntry is one distinct assigned video: its ID is trace.VideoID,
+// set from the assignment and kept by every replacement. mult counts the
+// assignment entries naming the video: the materialized record repeats a
+// shared trace once per entry, so engagement totals weight the video's
+// counters by it. trace is the latest batch once seen is set, and zero
+// before.
+type videoEntry struct {
+	trace survey.VideoTrace
+	mult  int
+	seen  bool
+}
+
 // NewTracker starts a tracker for a session assigned the given videos,
 // one entry per assigned test (repeats included).
 func NewTracker(assignedVideos []string) *Tracker {
-	t := &Tracker{
-		mult:   make(map[string]int, len(assignedVideos)),
-		traces: make(map[string]survey.VideoTrace, len(assignedVideos)),
-	}
+	return &Tracker{videos: entriesOf(assignedVideos)}
+}
+
+func entriesOf(assignedVideos []string) []videoEntry {
+	videos := make([]videoEntry, 0, len(assignedVideos))
 	for _, v := range assignedVideos {
-		t.mult[v]++
+		if i := indexOf(videos, v); i >= 0 {
+			videos[i].mult++
+		} else {
+			videos = append(videos, videoEntry{trace: survey.VideoTrace{VideoID: v}, mult: 1})
+		}
 	}
-	t.distinct = len(t.mult)
-	return t
+	return videos
+}
+
+func indexOf(videos []videoEntry, id string) int {
+	for i := range videos {
+		if videos[i].trace.VideoID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // focusViolated mirrors rule 2 of filtering.Classify: a long absence
@@ -101,12 +124,13 @@ func focusViolated(tr survey.VideoTrace) bool {
 // session state keeps only the newest trace. Batches for videos outside
 // the assignment never reach the materialized record and are ignored.
 func (t *Tracker) Observe(tr survey.VideoTrace) {
-	m := t.mult[tr.VideoID]
-	if m == 0 {
+	i := indexOf(t.videos, tr.VideoID)
+	if i < 0 {
 		return
 	}
-	old, had := t.traces[tr.VideoID]
-	t.totalActions += m * (tr.Actions() - old.Actions())
+	e := &t.videos[i]
+	old, had := e.trace, e.seen
+	t.totalActions += e.mult * (tr.Actions() - old.Actions())
 	if had && focusViolated(old) {
 		t.focusBad--
 	}
@@ -119,15 +143,27 @@ func (t *Tracker) Observe(tr survey.VideoTrace) {
 	if tr.Interacted() {
 		t.interacted++
 	}
-	t.traces[tr.VideoID] = tr
+	tr.VideoID = old.VideoID // the assignment's string, not the batch's
+	e.trace, e.seen = tr, true
 }
 
-// Traces returns the latest engagement batch per assigned video. The
-// tracker is the only place an in-flight session keeps them; snapshots
-// serialize this map and re-feed a restored tracker through Observe.
-// The map is the tracker's own: read it under the lock that guards
+// Traces returns the latest engagement batch per assigned video, nil
+// when none arrived. The tracker keeps them in its entries, the only
+// place an in-flight session keeps them; the map is built per call, for
+// snapshots, which serialize it and re-feed a restored tracker through
 // Observe.
-func (t *Tracker) Traces() map[string]survey.VideoTrace { return t.traces }
+func (t *Tracker) Traces() map[string]survey.VideoTrace {
+	var out map[string]survey.VideoTrace
+	for i := range t.videos {
+		if e := &t.videos[i]; e.seen {
+			if out == nil {
+				out = make(map[string]survey.VideoTrace, len(t.videos))
+			}
+			out[e.trace.VideoID] = e.trace
+		}
+	}
+	return out
+}
 
 // AddTimeline ingests one stored timeline answer.
 func (t *Tracker) AddTimeline(r *survey.TimelineResponse) {
@@ -172,7 +208,7 @@ func (t *Tracker) Verdict(maxTrustedActions int) filtering.Reason {
 	if t.focusBad > 0 {
 		return filtering.DropEngagementFocus
 	}
-	if t.interacted < t.distinct {
+	if t.interacted < len(t.videos) {
 		return filtering.DropSoft
 	}
 	if t.controlsFailed > 0 {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,6 +131,41 @@ func (s *session) record(worker string) *filtering.SessionRecord {
 // tracker's verdict equals filtering.Classify on the materialized
 // record, for default and explicit trusted ceilings.
 func TestPropertyTrackerVerdictMatchesClassify(t *testing.T) {
+	for _, sc := range trackerCases() {
+		t.Run(sc.name, func(t *testing.T) {
+			s := &session{traces: map[string]*survey.VideoTrace{}, assigned: sc.assigned, controls: make([]bool, len(sc.assigned))}
+			s.tracker = NewTracker(s.assigned)
+			for _, tr := range sc.batches {
+				tr := tr
+				s.traces[tr.VideoID] = &tr
+				s.tracker.Observe(tr)
+			}
+			checkTracker(t, s.tracker, s.record("w"), sc.ceiling)
+			// What a snapshot keeps of the tracker: the latest batch per
+			// assigned video, and nothing for any other.
+			traces := s.tracker.Traces()
+			for _, vid := range s.assigned {
+				if want, ok := s.traces[vid]; ok != (traces[vid] != survey.VideoTrace{}) || ok && traces[vid] != *want {
+					t.Fatalf("Traces()[%s] = %+v, want the latest batch %+v", vid, traces[vid], want)
+				}
+			}
+			for vid := range traces {
+				if !slices.Contains(s.assigned, vid) {
+					t.Fatalf("Traces() keeps %s, which is not assigned", vid)
+				}
+			}
+			// A tracker re-fed those traces, as a snapshot load re-feeds
+			// one, stands where this one does.
+			restored := NewTracker(s.assigned)
+			for _, tr := range traces {
+				restored.Observe(tr)
+			}
+			if got, want := restored.Snapshot(), s.tracker.Snapshot(); got != want {
+				t.Fatalf("restored from Traces(): %+v, want %+v", got, want)
+			}
+			checkTracker(t, restored, s.record("w"), sc.ceiling)
+		})
+	}
 	for seed := int64(1); seed <= 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		for i := 0; i < 400; i++ {
@@ -147,6 +183,58 @@ func TestPropertyTrackerVerdictMatchesClassify(t *testing.T) {
 						seed, i, ceiling, got, want, rec.Trace.Videos)
 				}
 			}
+		}
+	}
+}
+
+// trackerCase is a scripted session: an assignment, the engagement
+// batches sent for it in order, and the trusted ceiling it is judged by.
+type trackerCase struct {
+	name     string
+	assigned []string
+	batches  []survey.VideoTrace
+	ceiling  int
+}
+
+// trackerCases are the schedules whose verdict turns on how the tracker
+// carries multiplicity: the record repeats a video's trace once per
+// assignment entry, so a video assigned twice counts its actions twice.
+// Each ceiling puts the seek threshold between the actions counted once
+// and twice.
+func trackerCases() []trackerCase {
+	storm := survey.VideoTrace{VideoID: "v1", Plays: 1, Seeks: 300}
+	return []trackerCase{
+		{
+			name:     "video assigned twice",
+			assigned: []string{"v1", "v2", "v1"},
+			batches:  []survey.VideoTrace{storm, {VideoID: "v2", Plays: 1}},
+			ceiling:  300, // 450 actions allowed: 302 counted once, 603 twice
+		},
+		{
+			name:     "batch for an unassigned video",
+			assigned: []string{"v1", "v1", "v2"},
+			batches:  []survey.VideoTrace{{VideoID: "v3", Plays: 1, Seeks: 5000}, {VideoID: "v1", Plays: 1, Seeks: 100}, {VideoID: "v2", Plays: 1}},
+			ceiling:  100, // 150 allowed: 102 counted once, 203 twice
+		},
+		{
+			name:     "replacement batch",
+			assigned: []string{"v1", "v1", "v2", "v1"},
+			batches: []survey.VideoTrace{
+				storm, {VideoID: "v2", Plays: 1, OutOfFocus: 20 * time.Second},
+				{VideoID: "v1", Plays: 1, Seeks: 60}, {VideoID: "v2", Plays: 1, LoadTime: time.Second},
+			},
+			ceiling: 100, // 150 allowed: 62 counted once, 184 three times
+		},
+	}
+}
+
+// checkTracker fails t unless tr's verdict equals filtering.Classify on
+// rec at ceiling and at the default.
+func checkTracker(t *testing.T, tr *Tracker, rec *filtering.SessionRecord, ceiling int) {
+	t.Helper()
+	for _, c := range []int{0, ceiling} {
+		if got, want := tr.Verdict(c), filtering.Classify(rec, c); got != want {
+			t.Fatalf("ceiling %d: tracker=%v classify=%v\nrecord: %+v", c, got, want, rec.Trace.Videos)
 		}
 	}
 }
