@@ -9,7 +9,6 @@ package platform
 
 import (
 	"bytes"
-	"encoding/json"
 	"hash/crc64"
 	"net/http"
 	"net/url"
@@ -168,7 +167,7 @@ func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
 		ssh.RLock()
 		if e, _ := ssh.Get(sid); e.live != nil {
 			v := e.live.verdict()
-			live[i], _ = json.Marshal(&v) // strings, ints, bools: cannot fail
+			live[i] = v.appendRow(nil)
 		}
 		ssh.RUnlock()
 	}
@@ -227,6 +226,15 @@ func (sess *sessionState) verdict() ParticipantVerdict {
 		Actions:        snap.Actions,
 		ControlsFailed: snap.ControlsFailed,
 	}
+}
+
+// appendRow appends v's /analytics row to dst, the bytes encoding/json
+// renders for it: once for a completed session, per poll for one in flight.
+func (v *ParticipantVerdict) appendRow(dst []byte) []byte {
+	buf, _ := encodeJSON(v)                         // strings, ints, bools: cannot fail
+	dst = append(dst, buf.Bytes()[:buf.Len()-1]...) // less the encoder's newline
+	bufPool.Put(buf)
+	return dst
 }
 
 // frozenAt reports where session id sits, or would sit, among the frozen

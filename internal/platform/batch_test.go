@@ -89,7 +89,7 @@ func TestBatchAdmissionPerRecord(t *testing.T) {
 // negative, so the sustained record rate stays bounded at rate
 // tokens/sec even though individual oversized charges get through.
 func TestAdmitNDebt(t *testing.T) {
-	a := &admission{rate: 1, burst: 4}
+	a := &admission{rate: 1, burst: 4, held: func(string) bool { return true }}
 	ok, _ := a.admitN("k", 10) // fresh bucket holds burst=4 ≥ need=min(10,4)
 	if !ok {
 		t.Fatal("oversized charge against a full bucket refused; want admitted with debt")

@@ -87,15 +87,14 @@ func (s *Server) applyHandoff(ev *event) (uint64, error) {
 	if !ok {
 		return 0, errNoCampaign
 	}
-	if c.movedTo != "" {
-		return 0, fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, c.ID, c.movedTo)
+	if err := c.fenced(); err != nil {
+		return 0, err
 	}
 	seq, err := s.journal(ev)
 	if err != nil {
 		return 0, err
 	}
 	c.movedTo = ev.Target
-	s.moved.Store(ev.ID, ev.Target)
 	s.countMutation(opHandoff)
 	return seq, nil
 }
@@ -164,7 +163,7 @@ func (s *Server) CampaignOf(sessionID string) (string, bool) {
 	case !ok:
 		return "", false
 	case e.live != nil:
-		return e.live.Campaign, true
+		return e.live.campaign.ID, true
 	}
 	return e.done.ID, true
 }
@@ -175,7 +174,7 @@ func (s *Server) CampaignOfVideo(videoID string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return v.Campaign, true
+	return v.campaign.ID, true
 }
 
 // CampaignIDs lists every campaign on this node, sorted.
@@ -190,11 +189,15 @@ func (s *Server) CampaignIDs() []string {
 }
 
 // MovedTo reports where a handed-off campaign now lives ("" and false
-// while locally owned).
+// while locally owned, or not held here). It reads the fence under the
+// campaign's shard lock held shared.
 func (s *Server) MovedTo(campaign string) (string, bool) {
-	t, ok := s.moved.Load(campaign)
-	if !ok {
+	csh := s.campaigns.Shard(campaign)
+	csh.RLock()
+	defer csh.RUnlock()
+	c, ok := csh.Get(campaign)
+	if !ok || c.fenced() == nil {
 		return "", false
 	}
-	return t.(string), true
+	return c.movedTo, true
 }

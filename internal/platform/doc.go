@@ -68,7 +68,14 @@
 // mints, the ownership middleware answers fencing 307s for campaigns
 // handed off to a peer, and Handoff and ImportCampaign move a campaign:
 // the export and its fence are one cut, and the new owner installs the
-// export through the same filing step a snapshot load uses. See
+// export through the same filing step a snapshot load uses. The fence is
+// the campaign's movedTo field, and every check of it goes through
+// campaignState.fenced. applyHandoff alone writes it, holding world
+// exclusively and the campaign's shard lock, so either lock is enough to
+// read it: the apply functions read it under world held shared (a live
+// session and a video point at their campaign, so they need no lookup),
+// the join handler and MovedTo, which the ownership middleware calls,
+// under the campaign's shard read lock. See
 // docs/ARCHITECTURE.md for the subsystem map and the
 // byte-identical-replay invariant every layer preserves.
 //

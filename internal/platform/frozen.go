@@ -123,7 +123,7 @@ func appendFrozen(dst []byte, c *campaignState, sess *sessionState) []byte {
 func decodeFrozen(c *campaignState, id string, rec []byte) (*sessionState, error) {
 	p := wire.Parser{Rest: rec}
 	str := func() string { return string(p.Bytes(len(p.Rest))) }
-	sess := &sessionState{ID: id, Campaign: c.ID}
+	sess := &sessionState{ID: id, campaign: c}
 	sess.Worker = Worker{ID: str(), Gender: str(), Country: str(), Source: str()}
 
 	// A test is at least three bytes and an answer two, so a count past

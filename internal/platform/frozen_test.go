@@ -19,7 +19,7 @@ func frozenFixture(kind string) (*campaignState, *sessionState) {
 	c := &campaignState{ID: "c1", Kind: kind, Videos: []string{"v2", "v3", "v4"}}
 	sess := &sessionState{
 		ID:       "s17",
-		Campaign: c.ID,
+		campaign: c,
 		Worker:   Worker{ID: "worker-17", Gender: "f", Country: "IT", Source: "microworkers"},
 		final: quality.Snapshot{
 			Provisional: filtering.DropControl, Final: filtering.DropControl, Completed: true,

@@ -159,22 +159,13 @@ func (s *Server) applyEvent(ev *event) error {
 	}
 }
 
-// campaignMoved is the lock-free fencing check session- and video-
-// scoped mutations run before journaling: once a campaign is handed
-// off, nothing may double-apply on the old owner.
-func (s *Server) campaignMoved(campaign string) error {
-	if t, ok := s.moved.Load(campaign); ok {
-		return fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, campaign, t)
-	}
-	return nil
-}
-
 // --- apply functions (journal + mutate under shard locks) ---
 //
 // Each returns the journal sequence its record was buffered at (0 in
 // memory mode / replay); mutate awaits that sequence's durability after
 // every shard lock is back on the hook. Each checks everything that can
-// fail before it journals, so once it has a sequence it succeeds.
+// fail before it journals, so once it has a sequence it succeeds: a
+// handed-off campaign's fence (fenced) included, so nothing double-applies.
 
 func (s *Server) applyCampaign(ev *event) (uint64, error) {
 	csh := s.campaigns.Shard(ev.ID)
@@ -206,8 +197,8 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	if !ok {
 		return 0, errNoCampaign
 	}
-	if c.movedTo != "" {
-		return 0, fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, c.ID, c.movedTo)
+	if err := c.fenced(); err != nil {
+		return 0, err
 	}
 	if ev.Hash == "" {
 		return 0, fmt.Errorf("video %s: record carries no content hash", ev.ID)
@@ -225,9 +216,7 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The campaign's own ID string, not the record's: on the live path
-	// that is a substring of the upload's request line.
-	vsh.Put(ev.ID, newVideoState(ev.ID, c.ID, ev.Hash, ev.Size))
+	vsh.Put(ev.ID, newVideoState(ev.ID, c, ev.Hash, ev.Size))
 	c.Videos = append(c.Videos, ev.ID)
 	if c.adaptive != nil {
 		c.adaptive.AddVideo(ev.ID)
@@ -255,16 +244,14 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("session %s: %w %s", ev.ID, errNoCampaign, ev.Campaign)
 	}
-	if c.movedTo != "" {
-		return 0, fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, c.ID, c.movedTo)
+	if err := c.fenced(); err != nil {
+		return 0, err
 	}
 	seq, err := s.journal(ev)
 	if err != nil {
 		return 0, err
 	}
-	// The session names its campaign by the campaign's own string rather
-	// than the join body's copy of it.
-	sess := newSessionState(ev.ID, c.ID, *ev.Worker, ev.Tests)
+	sess := newSessionState(ev.ID, c, *ev.Worker, ev.Tests)
 	ssh.Put(ev.ID, sessionEntry{live: sess})
 	c.inflight = append(c.inflight, ev.ID)
 	// The allocator charges the assignment as bought budget the moment it
@@ -338,7 +325,7 @@ func (s *Server) applyRecords(ev *event, recs []wire.Record) (uint64, error) {
 	if sess == nil {
 		return 0, errSessionDone
 	}
-	if err := s.campaignMoved(sess.Campaign); err != nil {
+	if err := sess.campaign.fenced(); err != nil {
 		return 0, err
 	}
 	seq, err := s.journal(ev)
@@ -382,7 +369,7 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 	if sess.completed() {
 		return 0, false, errSessionDone
 	}
-	if err := s.campaignMoved(sess.Campaign); err != nil {
+	if err := sess.campaign.fenced(); err != nil {
 		return 0, false, err
 	}
 	// When this answer completes the session, the campaign shard lock
@@ -391,13 +378,10 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 	// the completion order exactly.
 	var c *campaignState
 	if len(sess.answers)+1 >= len(sess.Assignment) {
-		csh := s.campaigns.Shard(sess.Campaign)
+		c = sess.campaign
+		csh := s.campaigns.Shard(c.ID)
 		csh.Lock()
 		defer csh.Unlock()
-		var ok bool
-		if c, ok = csh.Get(sess.Campaign); !ok {
-			return 0, false, errNoCampaign
-		}
 	}
 	ev.tr.Mark(trace.StageLockWait)
 	seq, err = s.journal(ev)
@@ -428,7 +412,6 @@ func (s *Server) completeSession(c *campaignState, sess *sessionState) sessionEn
 	sess.final = sess.track.Snapshot()
 	c.arena = appendFrozen(c.arena, c, sess)
 	c.arenaEnds = append(c.arenaEnds, uint32(len(c.arena)))
-	s.completedN.Add(1)
 	return sessionEntry{done: c, row: c.fileCompleted(sess)}
 }
 
@@ -451,12 +434,11 @@ func (c *campaignState) fileCompleted(sess *sessionState) uint32 {
 	c.rowOrder = slices.Insert(c.rowOrder, at, n)
 	c.recordSessions = append(c.recordSessions, sess.ID)
 	c.done.verdict = sess.verdict()
-	buf, _ := encodeJSON(&c.done.verdict) // strings, ints, bools: cannot fail
-	row := buf.Bytes()[:buf.Len()-1]      // less the encoder's newline
-	c.rows = append(append(c.rows, row...), ',')
+	start := len(c.rows)
+	c.rows = c.done.verdict.appendRow(c.rows)
+	c.rowDigest += crc64.Checksum(c.rows[start:], etagTable)
+	c.rows = append(c.rows, ',')
 	c.rowEnds = append(c.rowEnds, uint32(len(c.rows)))
-	c.rowDigest += crc64.Checksum(row, etagTable)
-	bufPool.Put(buf)
 	c.done.verdict = ParticipantVerdict{} // the scratch pins no session's strings
 	c.invalidate()
 	return n
@@ -512,7 +494,7 @@ func (s *Server) applyFlag(ev *event) (seq uint64, flags int, banned bool, err e
 		vsh.Unlock()
 		return 0, 0, false, errNoVideo
 	}
-	if err := s.campaignMoved(v.Campaign); err != nil {
+	if err := v.campaign.fenced(); err != nil {
 		vsh.Unlock()
 		return 0, 0, false, err
 	}
@@ -528,17 +510,15 @@ func (s *Server) applyFlag(ev *event) (seq uint64, flags int, banned bool, err e
 		v.Banned = true
 	}
 	banned = v.Banned
-	campaign := v.Campaign
+	c := v.campaign
 	vsh.Unlock()
 	if newlyBanned {
 		// A ban changes the Banned bit in /results: drop the cache.
 		// Taken after the video lock is released: a campaign shard comes
 		// before a video shard in the lock order.
-		csh := s.campaigns.Shard(campaign)
+		csh := s.campaigns.Shard(c.ID)
 		csh.Lock()
-		if c, ok := csh.Get(campaign); ok {
-			c.invalidate()
-		}
+		c.invalidate()
 		csh.Unlock()
 	}
 	s.countMutation(opFlag)
@@ -776,7 +756,7 @@ func (s *Server) restore(cn *snapCampaign, hasBlob func(hash string) bool) (*res
 		if !hasBlob(vn.Hash) {
 			return nil, fmt.Errorf("campaign %s video %s references missing blob %s", cn.ID, vn.ID, vn.Hash)
 		}
-		v := newVideoState(vn.ID, c.ID, vn.Hash, vn.Size)
+		v := newVideoState(vn.ID, c, vn.Hash, vn.Size)
 		v.Banned = vn.Banned
 		for _, worker := range vn.Flags {
 			v.Flags[worker] = true
@@ -827,7 +807,7 @@ func (s *Server) restore(cn *snapCampaign, hasBlob func(hash string) bool) (*res
 		// The tracker is a pure function of the latest per-video traces and
 		// the answer list, both order-independent here, so map iteration
 		// order cannot diverge the rebuild.
-		sess := newSessionState(sn.ID, c.ID, sn.Worker, sn.Tests)
+		sess := newSessionState(sn.ID, c, sn.Worker, sn.Tests)
 		for _, tr := range sn.Traces {
 			sess.track.Observe(tr)
 		}
@@ -884,10 +864,6 @@ func (s *Server) install(r *restored) {
 	for row, sid := range c.recordSessions {
 		s.sessions.Put(sid, sessionEntry{done: c, row: uint32(row)})
 		s.bumpID(sid)
-	}
-	s.completedN.Add(int64(len(c.recordSessions)))
-	if c.movedTo != "" {
-		s.moved.Store(c.ID, c.movedTo)
 	}
 	s.campaigns.Put(c.ID, c)
 	s.bumpID(c.ID)

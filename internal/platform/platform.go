@@ -152,10 +152,6 @@ type Server struct {
 	// Add so concurrent joins never share an assignment; seeded from
 	// joined at Open so coverage continues across restarts.
 	assign atomic.Int64
-	// completedN counts sessions whose assignment is fully answered
-	// (restored state included), so sessions-in-flight is joined minus
-	// completedN.
-	completedN atomic.Int64
 
 	// metrics is the telemetry wiring and admission the backpressure
 	// layer; both are configured once at Open and only read on the
@@ -182,10 +178,6 @@ type Server struct {
 
 	// idTag namespaces minted IDs (Options.IDTag).
 	idTag string
-	// moved maps campaign ID → owning node for campaigns handed off to
-	// another cluster node. Guarded by nothing: sync.Map, written only
-	// by applyHandoff/restore, read on every mutation's fencing check.
-	moved sync.Map
 
 	// adaptive enables the sequential stopper; adaptiveCfg is the
 	// estimator/allocator configuration shared by every campaign. Both
@@ -244,9 +236,9 @@ type campaignState struct {
 	done completion
 	// movedTo names the cluster node this campaign was handed off to
 	// ("" while locally owned). Once set, every mutation on the campaign
-	// is fenced with errCampaignMoved. Guarded by the campaign's shard
-	// lock; mirrored in Server.moved for lock-free fencing checks on
-	// session-scoped paths.
+	// is refused by fenced. applyHandoff writes it holding world
+	// exclusively and the campaign's shard lock, so either lock, shared,
+	// guards a read.
 	movedTo string
 	// adaptive is the sequential stopper/allocator (nil unless the
 	// server runs with Options.Adaptive). Its state is a pure fold over
@@ -268,6 +260,15 @@ func segment(buf []byte, ends []uint32, i uint32) []byte {
 	return buf[start:ends[i]]
 }
 
+// fenced refuses a mutation on a campaign handed off to another node,
+// naming its new owner. Caller holds world or the campaign's shard lock.
+func (c *campaignState) fenced() error {
+	if c.movedTo == "" {
+		return nil
+	}
+	return fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, c.ID, c.movedTo)
+}
+
 // invalidate drops the rendered /results body and its ETag. Caller
 // holds the campaign's shard lock; every mutation that changes what
 // /results would say (video add, session completion, ban) goes through
@@ -279,7 +280,7 @@ func (c *campaignState) invalidate() {
 
 type videoState struct {
 	ID       string
-	Campaign string
+	campaign *campaignState
 	videoHead
 	Flags  map[string]bool
 	Banned bool
@@ -297,11 +298,12 @@ type videoHead struct {
 	etagValue, lengthValue []string
 }
 
-// newVideoState builds a video index entry around its content address.
-func newVideoState(id, campaign, hash string, size int64) *videoState {
+// newVideoState builds campaign c's video index entry around its content
+// address.
+func newVideoState(id string, c *campaignState, hash string, size int64) *videoState {
 	etag := `"` + hash + `"`
 	return &videoState{
-		ID: id, Campaign: campaign,
+		ID: id, campaign: c,
 		videoHead: videoHead{
 			Hash: hash, Size: size, etag: etag,
 			etagValue:   []string{etag},
@@ -332,7 +334,7 @@ type sessionEntry struct {
 // session completed, is set then and the tracker is empty.
 type sessionState struct {
 	ID         string
-	Campaign   string
+	campaign   *campaignState
 	Worker     Worker
 	Assignment []AssignedTest
 	// answers holds one entry per answered test, in answer order. It is
@@ -348,10 +350,10 @@ type sessionState struct {
 	final quality.Snapshot
 }
 
-// newSessionState starts the state of session id, in flight on campaign
+// newSessionState starts the state of session id, in flight on campaign c
 // with the given assignment: the tracker fed nothing, no answer stored.
-func newSessionState(id, campaign string, worker Worker, tests []AssignedTest) *sessionState {
-	sess := &sessionState{ID: id, Campaign: campaign, Worker: worker, Assignment: tests}
+func newSessionState(id string, c *campaignState, worker Worker, tests []AssignedTest) *sessionState {
+	sess := &sessionState{ID: id, campaign: c, Worker: worker, Assignment: tests}
 	sess.answers = sess.answerBuf[:0]
 	var buf [TestsPerSession]string
 	sess.track = *quality.NewTracker(assignedVideos(buf[:0], tests))
@@ -419,6 +421,7 @@ func Open(opts Options) (*Server, error) {
 		s.maxBody = DefaultMaxBodyBytes
 	}
 	s.admission.maxInflight = int64(opts.MaxInFlight)
+	s.admission.held = s.sessionHeld
 	if opts.WorkerRate > 0 {
 		s.admission.rate = opts.WorkerRate
 		s.admission.burst = float64(opts.WorkerBurst)
@@ -907,6 +910,13 @@ func (s *Server) assignmentOf(id string) []AssignedTest {
 	return e.live.Assignment
 }
 
+// sessionHeld reports whether the sessions index holds session id, in
+// flight or completed.
+func (s *Server) sessionHeld(id string) bool {
+	_, ok := s.sessions.Get(id)
+	return ok
+}
+
 // writeBodyErr answers a readJSON failure. An oversize body is
 // backpressure, not a client syntax error: it goes through the
 // admission reject path — counted under reason="body", answered 413
@@ -1141,12 +1151,13 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	csh := s.campaigns.Shard(req.Campaign)
 	csh.RLock()
 	c, ok := csh.Get(req.Campaign)
-	var kind, movedTo string
+	var kind string
+	var fence error
 	var closed bool
 	pool := w.pool[:0]
 	if ok {
 		kind = c.Kind
-		movedTo = c.movedTo
+		fence = c.fenced()
 		// Video shards follow campaign shards in the lock order, so
 		// the live (unbanned) set and the allocator's pool are computed
 		// under one campaign lock: the pool is a pure function of the
@@ -1169,8 +1180,8 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errNoCampaign.Error())
 		return
 	}
-	if movedTo != "" {
-		writeErr(w, http.StatusConflict, fmt.Sprintf("%s: now owned by %s", errCampaignMoved, movedTo))
+	if fence != nil {
+		writeErr(w, statusFor(fence), fence.Error())
 		return
 	}
 	if closed {

@@ -177,8 +177,8 @@ func TestLiveSessionRetainedHeap(t *testing.T) {
 // key is the very string its campaign files it under, not a substring of
 // the request line that completed it — on the live path, after a journal
 // replay, and after a snapshot load. On the live path the videos and the
-// session in flight also name their campaign by its own string, not the
-// request's.
+// session in flight also point at their campaign, so they keep none of
+// the request's strings for it.
 func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
 	owned := func(how string, srv *Server) {
 		t.Helper()
@@ -208,14 +208,14 @@ func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
 	owned("live", srv)
 	c, _ := srv.campaigns.Get(campaign)
 	srv.videos.Range(func(id string, v *videoState) bool {
-		if unsafe.StringData(v.Campaign) != unsafe.StringData(c.ID) {
-			t.Errorf("live: video %s names its campaign by the upload's string", id)
+		if v.campaign != c {
+			t.Errorf("live: video %s does not point at its campaign", id)
 		}
 		return true
 	})
 	srv.sessions.Range(func(id string, e sessionEntry) bool {
-		if e.live != nil && unsafe.StringData(e.live.Campaign) != unsafe.StringData(c.ID) {
-			t.Errorf("live: session %s in flight names its campaign by the join body's string", id)
+		if e.live != nil && e.live.campaign != c {
+			t.Errorf("live: session %s in flight does not point at its campaign", id)
 		}
 		return true
 	})

@@ -183,7 +183,7 @@ func (b *blobSink) MapMiss()        { b.misses.Inc() }
 // registerStateGauges exposes live platform state as scrape-time
 // gauges. The callbacks walk the sharded indexes under per-shard read
 // locks — a scrape serializes with nothing beyond the shard it is
-// currently reading.
+// currently reading — and read each fact where the campaign keeps it.
 func (s *Server) registerStateGauges() {
 	reg := s.metrics.reg
 	reg.Help("eyeorg_campaigns", "Campaigns stored.")
@@ -193,17 +193,10 @@ func (s *Server) registerStateGauges() {
 	reg.Help("eyeorg_sessions", "Sessions ever joined.")
 	reg.GaugeFunc("eyeorg_sessions", "", func() float64 { return float64(s.joined.Load()) })
 	reg.Help("eyeorg_sessions_inflight", "Joined sessions not yet completed.")
-	reg.GaugeFunc("eyeorg_sessions_inflight", "", func() float64 {
-		return float64(s.joined.Load() - s.completedN.Load())
-	})
+	reg.GaugeFunc("eyeorg_sessions_inflight", "", func() float64 { return float64(s.SessionsInFlight()) })
 	reg.Help("eyeorg_sessions_completed_bytes", "Bytes held for completed sessions: frozen records and /analytics rows, all campaigns.")
 	reg.GaugeFunc("eyeorg_sessions_completed_bytes", "", func() float64 {
-		var n int
-		s.campaigns.Range(func(_ string, c *campaignState) bool {
-			n += len(c.arena) + len(c.rows)
-			return true
-		})
-		return float64(n)
+		return float64(s.sumCampaigns(func(c *campaignState) int { return len(c.arena) + len(c.rows) }))
 	})
 	reg.Help("eyeorg_http_inflight", "API requests currently being served.")
 	reg.GaugeFunc("eyeorg_http_inflight", "", func() float64 {
@@ -250,50 +243,30 @@ func (s *Server) registerStateGauges() {
 		return float64(n)
 	})
 	reg.Help("eyeorg_quality_verdicts", "Completed sessions by live §4.3 filter verdict, across campaigns.")
-	// All five verdict gauges come from one walk over the campaign
-	// shards: the callbacks fire together inside a single Render, so a
-	// short-lived memo turns five full Range passes per scrape into one
-	// without tying the gauges to the registry's invocation order.
-	var (
-		verdictMu  sync.Mutex
-		verdictAt  time.Time
-		verdictSum filtering.Summary
-	)
-	tally := func(verdict filtering.Reason) float64 {
-		verdictMu.Lock()
-		defer verdictMu.Unlock()
-		if time.Since(verdictAt) > 250*time.Millisecond {
-			verdictSum = filtering.Summary{}
-			s.campaigns.Range(func(_ string, c *campaignState) bool {
-				sum := c.analytics.Summary()
-				verdictSum.Kept += sum.Kept
-				verdictSum.EngagementSeeks += sum.EngagementSeeks
-				verdictSum.EngagementFocus += sum.EngagementFocus
-				verdictSum.Soft += sum.Soft
-				verdictSum.Control += sum.Control
-				return true
-			})
-			verdictAt = time.Now()
-		}
-		switch verdict {
-		case filtering.Kept:
-			return float64(verdictSum.Kept)
-		case filtering.DropEngagementSeeks:
-			return float64(verdictSum.EngagementSeeks)
-		case filtering.DropEngagementFocus:
-			return float64(verdictSum.EngagementFocus)
-		case filtering.DropSoft:
-			return float64(verdictSum.Soft)
-		default:
-			return float64(verdictSum.Control)
-		}
-	}
-	for r := filtering.Kept; r <= filtering.DropControl; r++ {
-		verdict := r
-		reg.GaugeFunc("eyeorg_quality_verdicts", `verdict="`+verdict.String()+`"`, func() float64 {
-			return tally(verdict)
+	// Each verdict's gauge sums its field of every campaign's summary: one
+	// walk over the campaigns, not their sessions, per gauge.
+	for verdict, count := range [...]func(filtering.Summary) int{
+		filtering.Kept:                func(t filtering.Summary) int { return t.Kept },
+		filtering.DropEngagementSeeks: func(t filtering.Summary) int { return t.EngagementSeeks },
+		filtering.DropEngagementFocus: func(t filtering.Summary) int { return t.EngagementFocus },
+		filtering.DropSoft:            func(t filtering.Summary) int { return t.Soft },
+		filtering.DropControl:         func(t filtering.Summary) int { return t.Control },
+	} {
+		reg.GaugeFunc("eyeorg_quality_verdicts", `verdict="`+filtering.Reason(verdict).String()+`"`, func() float64 {
+			return float64(s.sumCampaigns(func(c *campaignState) int { return count(c.analytics.Summary()) }))
 		})
 	}
+}
+
+// sumCampaigns adds f up over every campaign, each read under its shard's
+// read lock.
+func (s *Server) sumCampaigns(f func(c *campaignState) int) int {
+	n := 0
+	s.campaigns.Range(func(_ string, c *campaignState) bool {
+		n += f(c)
+		return true
+	})
+	return n
 }
 
 // runtimeValue reads one uint64 runtime/metrics sample at render time.
@@ -327,12 +300,16 @@ type admission struct {
 	inflight    atomic.Int64
 	draining    atomic.Bool
 
-	// buckets holds one token bucket per active session key. bucketN
-	// approximates the population so a crowd of one-shot sessions
-	// cannot grow the map without bound: past bucketCap the whole map
-	// resets, which at worst briefly refills every active bucket.
+	// buckets holds one token bucket per active session key, made only
+	// for a key held reports the sessions index holds: an unknown ID is
+	// passed on uncharged (the handler answers it 404), so made-up IDs
+	// neither grow the map nor reset it. bucketN approximates the
+	// population so a crowd of one-shot sessions cannot grow the map
+	// without bound: past bucketCap the whole map resets, which at worst
+	// briefly refills every active bucket.
 	buckets sync.Map
 	bucketN atomic.Int64
+	held    func(key string) bool
 }
 
 const bucketCap = 1 << 16
@@ -344,7 +321,8 @@ type tokenBucket struct {
 }
 
 // admit charges one token from key's bucket, reporting how long the
-// caller should wait when the bucket is dry.
+// caller should wait when the bucket is dry. A key the sessions index
+// does not hold has no bucket and is admitted uncharged.
 func (a *admission) admit(key string) (ok bool, retryAfter time.Duration) {
 	return a.admitN(key, 1)
 }
@@ -360,6 +338,9 @@ func (a *admission) admit(key string) (ok bool, retryAfter time.Duration) {
 func (a *admission) admitN(key string, n float64) (ok bool, retryAfter time.Duration) {
 	v, loaded := a.buckets.Load(key)
 	if !loaded {
+		if !a.held(key) {
+			return true, 0
+		}
 		if a.bucketN.Load() > bucketCap {
 			a.buckets.Range(func(k, _ any) bool { a.buckets.Delete(k); return true })
 			a.bucketN.Store(0)
@@ -397,11 +378,13 @@ func (s *Server) Draining() bool { return s.admission.draining.Load() }
 
 // SessionsInFlight counts joined sessions whose assignment is not yet
 // fully answered — what a draining server waits on before shutting its
-// listener, so participants mid-assignment can finish. Abandoned
+// listener, so participants mid-assignment can finish. It sums the
+// campaigns' in-flight lists, which a join appends to, a completion
+// removes from, and a snapshot load or an import rebuilds. Abandoned
 // sessions never leave this count, so drain loops pair it with
 // RequestsInFlight to detect quiescence instead of waiting it to zero.
 func (s *Server) SessionsInFlight() int64 {
-	return s.joined.Load() - s.completedN.Load()
+	return int64(s.sumCampaigns(func(c *campaignState) int { return len(c.inflight) }))
 }
 
 // RequestsInFlight counts API requests currently being served. It

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/eyeorg/eyeorg/internal/filtering"
 )
 
 // newClientOpts is newClient with storage/admission options.
@@ -303,6 +306,151 @@ func TestWorkerRate429(t *testing.T) {
 	if code := c.do("GET", "/api/v1/sessions/"+jr2.Session+"/tests", nil, nil); code != http.StatusOK {
 		t.Fatalf("other session's fetch: %d", code)
 	}
+}
+
+// TestWorkerRateIgnoresUnknownSessions: a request naming a session the
+// index does not hold makes no token bucket, so bucketCap+1 made-up IDs
+// (each answered 404) cannot reset the bucket map and refill a drained
+// participant's bucket.
+func TestWorkerRateIgnoresUnknownSessions(t *testing.T) {
+	s, err := Open(Options{WorkerRate: 0.001, WorkerBurst: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	campaign := seedDispatch(t, h, 1)
+	var jr JoinResponse
+	dispatch(t, h, "POST", "/api/v1/sessions", JoinRequest{Campaign: campaign, Worker: Worker{ID: "drained"}, Captcha: "tok"}, &jr)
+	env := &fuzzEnv{handler: h}
+	tests := "/api/v1/sessions/" + jr.Session + "/tests"
+	for i, want := range []int{http.StatusOK, http.StatusTooManyRequests} {
+		if rec := env.do("GET", tests, nil); rec.Code != want {
+			t.Fatalf("tests fetch %d of the live session: %d, want %d", i+1, rec.Code, want)
+		}
+	}
+	for i := 0; i <= bucketCap; i++ {
+		if rec := env.do("GET", "/api/v1/sessions/s-unknown-"+strconv.Itoa(i)+"/tests", nil); rec.Code != http.StatusNotFound {
+			t.Fatalf("unknown session %d: %d, want 404", i, rec.Code)
+		}
+	}
+	if rec := env.do("GET", tests, nil); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("drained session after %d unknown IDs: %d, want 429", bucketCap+1, rec.Code)
+	}
+}
+
+// TestDerivedCountsMatchCampaigns: SessionsInFlight, the
+// eyeorg_sessions_inflight gauge and each eyeorg_quality_verdicts gauge
+// equal what every campaign's /analytics document lists — its rows not
+// yet completed, and its completed rows by verdict — after a join, a
+// completion, an abandoned session, a handoff with a session in flight,
+// an import on a second server, and a snapshot and a reopen of both. On
+// the parent-written v4 fixture, the sessions in flight are its joined
+// count less its completed records.
+func TestDerivedCountsMatchCampaigns(t *testing.T) {
+	check := func(step string, srv *Server, c *client) {
+		t.Helper()
+		inflight, verdicts := 0, map[string]int{}
+		for _, id := range srv.CampaignIDs() {
+			for _, p := range fetchAnalytics(t, c, id).Participants {
+				if !p.Completed {
+					inflight++
+				} else {
+					verdicts[p.Verdict]++
+				}
+			}
+		}
+		if got := srv.SessionsInFlight(); got != int64(inflight) {
+			t.Errorf("%s: SessionsInFlight %d, the campaigns list %d", step, got, inflight)
+		}
+		body := scrape(t, c)
+		if got := metricValue(t, body, "eyeorg_sessions_inflight"); got != strconv.Itoa(inflight) {
+			t.Errorf("%s: eyeorg_sessions_inflight %s, the campaigns list %d", step, got, inflight)
+		}
+		for r := filtering.Kept; r <= filtering.DropControl; r++ {
+			series := `eyeorg_quality_verdicts{verdict="` + r.String() + `"}`
+			if got := metricValue(t, body, series); got != strconv.Itoa(verdicts[r.String()]) {
+				t.Errorf("%s: %s is %s, the campaigns list %d", step, series, got, verdicts[r.String()])
+			}
+		}
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a, ca := openPersisted(t, dirA, Options{IDTag: "a.", SnapshotEvery: -1})
+	moving, _ := setupCampaign(ca, "timeline", 2)
+	staying, _ := setupCampaign(ca, "ab", 2)
+	check("empty", a, ca)
+	join(ca, moving, "derived-live") // in flight when its campaign moves
+	check("join", a, ca)
+	completeSession(ca, join(ca, moving, "derived-kept"), 1500, true, 12, 0)
+	completeSession(ca, join(ca, moving, "derived-away"), 9000, true, 12, 45_000)
+	completeSession(ca, join(ca, moving, "derived-control"), 1500, false, 12, 0)
+	check("completion", a, ca)
+	walked := join(ca, staying, "derived-walked")
+	tt := walked.Tests[0]
+	ca.do("POST", "/api/v1/sessions/"+walked.Session+"/events", EventBatch{
+		VideoID: tt.VideoID, LoadMs: 900, TimeOnVideoMs: 21_000, Seeks: 12, Plays: 1, WatchedFraction: 0.9,
+	}, nil)
+	if code := ca.do("POST", "/api/v1/sessions/"+walked.Session+"/responses", ResponseBody{TestID: tt.TestID, Choice: "left"}, nil); code >= 300 {
+		t.Fatalf("abandoned session's one answer: %d", code)
+	}
+	check("abandoned", a, ca)
+	state, err := a.Handoff(moving, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("handoff", a, ca)
+	b, cb := openPersisted(t, dirB, Options{IDTag: "b.", SnapshotEvery: -1})
+	if err := b.ImportCampaign(state); err != nil {
+		t.Fatal(err)
+	}
+	check("import", b, cb)
+	for _, n := range []struct {
+		srv      *Server
+		dir, tag string
+	}{{a, dirA, "a."}, {b, dirB, "b."}} {
+		if err := n.srv.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv, c := openPersisted(t, n.dir, Options{IDTag: n.tag, SnapshotEvery: -1})
+		check("snapshot and reopen "+n.tag, srv, c)
+		srv.Close()
+	}
+
+	data, err := os.ReadFile(filepath.Join("testdata", "parent_v4_snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st snapState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	want := st.Joined
+	for _, cn := range st.Campaigns {
+		want -= int64(len(cn.Records))
+	}
+	dir := t.TempDir()
+	srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.blobs.PutBytes(sampleVideoBytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.log.WriteSnapshot(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, cf := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	defer srv.Close()
+	if got := srv.SessionsInFlight(); got != want || want == 0 {
+		t.Errorf("v4 fixture: SessionsInFlight %d, want joined %d less %d completed records", got, st.Joined, st.Joined-want)
+	}
+	check("v4 fixture", srv, cf)
 }
 
 // TestDrainRefusesNewSessions: after StartDrain, joins bounce with 503

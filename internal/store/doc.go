@@ -23,11 +23,23 @@
 // Lock order, written down once for the journal and the platform above
 // it (internal/platform's doc.go points here): the platform's world
 // lock, then a session shard, a campaign shard, a video shard, then
-// commitMu, then mu; innermost, the platform's commit observer and the
-// blob store take only their own locks. A goroutine takes a lock only
-// while it holds nothing later in that order: a platform request
-// appends (mu) under world and its shard locks, and waits for
-// durability (commitMu) only once it has released all of them.
+// commitMu, then mu. A goroutine takes a lock only while it holds
+// nothing later in that order: a platform request appends (mu) under
+// world and its shard locks, and waits for durability (commitMu) only
+// once it has released all of them.
+//
+// Beside world and the shards the platform takes three locks of its
+// own. The telemetry registry's ranks first: a /metrics scrape holds it
+// while the gauge callbacks take campaign and video shard read locks
+// (and the blob store's), and nothing takes it under a shard. The
+// admission buckets — a sync.Map of token buckets, each with its own
+// mutex — are taken before a request's handler, with nothing held; a
+// missing bucket is made only after a session shard read lock finds the
+// session indexed and is released, and a bucket's mutex is held over no
+// other lock. The commit ring (request-trace timings of recent windows)
+// is innermost: the commit observer publishes into it under commitMu,
+// and mutate reads it holding nothing. The blob store, innermost too,
+// takes only its own locks.
 //
 // On-disk layout inside the data directory:
 //
