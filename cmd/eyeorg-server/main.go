@@ -83,21 +83,19 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/adaptive"
-	"github.com/eyeorg/eyeorg/internal/cluster"
 	"github.com/eyeorg/eyeorg/internal/platform"
 )
 
 // config is the parsed command line: the platform's options, bound to
 // their flags directly, and what only this binary reads.
 type config struct {
-	platform                                            platform.Options
-	addr, debugAddr, logFormat, nodeID, nodeBase, peers string
-	drainTimeout                                        time.Duration
+	platform                   platform.Options
+	addr, debugAddr, logFormat string
+	drainTimeout               time.Duration
 }
 
 // newFlags declares the command line. docs/OPERATIONS.md tabulates it,
@@ -123,9 +121,6 @@ func newFlags() (*flag.FlagSet, *config) {
 	fs.BoolVar(&o.Adaptive, "adaptive", false, "sequential campaigns: steer assignments by per-video confidence intervals and close campaigns (409 joins) once every video resolves")
 	fs.Float64Var(&o.CIHalfWidth, "ci-halfwidth", 0, fmt.Sprintf("with -adaptive: target 95%% CI half-width per video — seconds (timeline) or preference score (ab); 0 = %g", adaptive.DefaultHalfWidth))
 	fs.Int64Var(&o.AdaptiveSeed, "adaptive-seed", 0, "with -adaptive: seed for the deterministic small-sample bootstrap")
-	fs.StringVar(&c.nodeID, "node-id", "", "cluster member ID (e.g. a); namespaces minted entity IDs and enables the ownership middleware")
-	fs.StringVar(&c.nodeBase, "node-base", "", "with -node-id: this node's advertised base URL, the prefix of fencing-redirect Locations")
-	fs.StringVar(&c.peers, "peers", "", "with -node-id: peer nodes as id=baseURL pairs, comma-separated, for resolving handoff redirects")
 	return fs, c
 }
 
@@ -144,16 +139,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	peerDir, err := parsePeers(c.nodeID, c.nodeBase, c.peers)
-	if err != nil {
-		logger.Error("invalid cluster configuration", "err", err)
-		os.Exit(2)
-	}
-
 	c.platform.Logger = logger
-	if c.nodeID != "" {
-		c.platform.IDTag = c.nodeID + "."
-	}
 	api, err := platform.Open(c.platform)
 	if err != nil {
 		logger.Error("opening platform store", "err", err)
@@ -186,21 +172,9 @@ func main() {
 	}
 	logger.Info("serving the Eyeorg API", "addr", ln.Addr().String())
 
-	handler := api.Handler()
-	if c.nodeID != "" {
-		// The ownership middleware fences handed-off campaigns with a
-		// 307 naming the new owner from the peer directory.
-		node := cluster.NewStandaloneNode(c.nodeID, c.nodeBase, api, func(id string) (string, bool) {
-			base, ok := peerDir[id]
-			return base, ok
-		})
-		handler = node.Handler()
-		logger.Info("cluster member", "node", c.nodeID, "base", c.nodeBase, "peers", len(peerDir))
-	}
-
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	if err := run(api, newHTTPServer(handler), ln, sigc, c.drainTimeout); err != nil {
+	if err := run(api, newHTTPServer(api.Handler()), ln, sigc, c.drainTimeout); err != nil {
 		logger.Error("server exited", "err", err)
 		os.Exit(1)
 	}
@@ -216,45 +190,6 @@ func newLogger(w *os.File, format string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
 	}
-}
-
-// parsePeers validates the cluster flags and parses the peer directory
-// ("b=http://host-b:8081,c=http://host-c:8081"). Self resolves to the
-// node's own base, so a stale fence naming this node still redirects
-// somewhere sensible.
-func parsePeers(nodeID, nodeBase, peers string) (map[string]string, error) {
-	if nodeID == "" {
-		if nodeBase != "" || peers != "" {
-			return nil, fmt.Errorf("-node-base/-peers require -node-id")
-		}
-		return nil, nil
-	}
-	if strings.Contains(nodeID, ".") || strings.Contains(nodeID, "/") {
-		return nil, fmt.Errorf("-node-id %q must not contain '.' or '/'", nodeID)
-	}
-	if nodeBase == "" {
-		return nil, fmt.Errorf("-node-id requires -node-base")
-	}
-	dir := map[string]string{nodeID: strings.TrimSuffix(nodeBase, "/")}
-	if strings.TrimSpace(peers) == "" {
-		return dir, nil
-	}
-	for _, part := range strings.Split(peers, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, base, ok := strings.Cut(part, "=")
-		id, base = strings.TrimSpace(id), strings.TrimSpace(base)
-		if !ok || id == "" || base == "" {
-			return nil, fmt.Errorf("-peers entry %q is not id=baseURL", part)
-		}
-		if _, dup := dir[id]; dup && id != nodeID {
-			return nil, fmt.Errorf("-peers lists node ID %q twice", id)
-		}
-		dir[id] = strings.TrimSuffix(base, "/")
-	}
-	return dir, nil
 }
 
 // validateAddrs refuses to start with the debug surface on the public

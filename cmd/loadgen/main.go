@@ -1,7 +1,6 @@
 // Command loadgen drives the full participant lifecycle — join → video
 // fetch → engagement events → responses — against a running Eyeorg
-// platform server, or a campaign router in front of cluster nodes, and
-// reports throughput and latency percentiles. Participants are
+// platform server, and reports throughput and latency percentiles. Participants are
 // internal/crowd personas answering from the videos the server serves,
 // so the traffic has the shape of the paper's crowd; workers fan out
 // through the internal/parallel pool.
@@ -49,7 +48,7 @@ type config struct {
 func newFlags() (*flag.FlagSet, *config) {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	c := &config{}
-	fs.StringVar(&c.addr, "addr", "http://localhost:8080", "target server or router base URL")
+	fs.StringVar(&c.addr, "addr", "http://localhost:8080", "target server base URL")
 	fs.IntVar(&c.videos, "videos", 4, "videos to capture and upload")
 	fs.IntVar(&c.concurrency, "concurrency", 8, "concurrent workers")
 	fs.DurationVar(&c.duration, "duration", 10*time.Second, "how long to generate load")

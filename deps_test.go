@@ -11,11 +11,10 @@ import (
 // reproduction (the §4.3 rules, the survey records they read, the EYV1
 // video codec it validates uploads with). Nothing of the page-load
 // simulator, the simulated crowd or the experiment suite belongs here. A
-// new import that pulls another package into internal/platform or either
+// new import that pulls another package into internal/platform or the
 // server binary fails TestServerDeps until it is added here, on purpose.
 var serverPackages = map[string]bool{
 	"internal/platform":  true,
-	"internal/cluster":   true,
 	"internal/store":     true,
 	"internal/blob":      true,
 	"internal/quality":   true,
@@ -31,8 +30,8 @@ var serverPackages = map[string]bool{
 	"internal/rng":       true,
 }
 
-// TestServerDeps lists the module packages internal/platform and the two
-// server binaries are linked from (go list -deps, test files aside) and
+// TestServerDeps lists the module packages internal/platform and the
+// server binary are linked from (go list -deps, test files aside) and
 // fails on any that is neither on serverPackages nor the binary itself.
 // Run it with -v to log each closure.
 func TestServerDeps(t *testing.T) {
@@ -40,7 +39,7 @@ func TestServerDeps(t *testing.T) {
 		t.Skip("go toolchain not on PATH")
 	}
 	const module = "github.com/eyeorg/eyeorg"
-	for _, target := range []string{"./internal/platform", "./cmd/eyeorg-server", "./cmd/eyeorg-router"} {
+	for _, target := range []string{"./internal/platform", "./cmd/eyeorg-server"} {
 		out, err := exec.Command("go", "list", "-deps", target).Output()
 		if err != nil {
 			t.Fatalf("go list -deps %s: %v", target, err)

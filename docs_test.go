@@ -20,7 +20,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/eyeorg/eyeorg/internal/cluster"
 	"github.com/eyeorg/eyeorg/internal/platform"
 )
 
@@ -173,7 +172,7 @@ func TestDocsGoSnippets(t *testing.T) {
 }
 
 // seriesName matches a metric name as the docs quote it; one that ends
-// in "_" is a family prefix ("eyeorg_router_*").
+// in "_" is a family prefix ("eyeorg_http_*").
 var seriesName = regexp.MustCompile(`eyeorg_[a-z0-9_]+`)
 
 // registeredSeries scrapes h's /metrics and returns the series names
@@ -200,9 +199,7 @@ func registeredSeries(t *testing.T, h http.Handler) map[string]bool {
 // TestDocsMetricNamesRegistered ties the metrics reference to the
 // registries both ways: every eyeorg_* name README.md or
 // docs/OPERATIONS.md quotes is a series a durable, tracing-on server
-// (or, for the eyeorg_router_/eyeorg_cluster_ families, a cluster's
-// node and router) really serves, and every series they serve is
-// named in full in docs/OPERATIONS.md — an abbreviated name is one no
+// really serves, and every series it serves is named in full in docs/OPERATIONS.md — an abbreviated name is one no
 // grep, dashboard query or benchmark scrape can match.
 func TestDocsMetricNamesRegistered(t *testing.T) {
 	srv, err := platform.Open(platform.Options{DataDir: t.TempDir(), TraceSample: 1})
@@ -210,17 +207,7 @@ func TestDocsMetricNamesRegistered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	node := registeredSeries(t, srv.Handler())
-
-	cl, err := cluster.New(cluster.Config{Nodes: []string{"a"}, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	clustered := registeredSeries(t, cl.Handler())
-	for name := range registeredSeries(t, cl.Node("a").Server().Handler()) {
-		clustered[name] = true
-	}
+	registered := registeredSeries(t, srv.Handler())
 
 	documented := map[string]bool{} // names docs/OPERATIONS.md spells out
 	for _, file := range []string{"README.md", filepath.Join("docs", "OPERATIONS.md")} {
@@ -229,10 +216,6 @@ func TestDocsMetricNamesRegistered(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, name := range seriesName.FindAllString(string(body), -1) {
-			registered := node
-			if strings.HasPrefix(name, "eyeorg_router_") || strings.HasPrefix(name, "eyeorg_cluster_") {
-				registered = clustered
-			}
 			found := registered[name]
 			if strings.HasSuffix(name, "_") {
 				for reg := range registered {
@@ -246,10 +229,7 @@ func TestDocsMetricNamesRegistered(t *testing.T) {
 			}
 		}
 	}
-	for name := range node {
-		clustered[name] = true
-	}
-	for name := range clustered {
+	for name := range registered {
 		if !documented[name] {
 			t.Errorf("series %q is served but docs/OPERATIONS.md never names it in full", name)
 		}

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/adblock"
-	"github.com/eyeorg/eyeorg/internal/cluster"
 	"github.com/eyeorg/eyeorg/internal/core"
 	"github.com/eyeorg/eyeorg/internal/experiments"
 	"github.com/eyeorg/eyeorg/internal/filtering"
@@ -214,35 +213,13 @@ func RenderAllExperimentsParallel(s *ExperimentSuite, w io.Writer, workers int) 
 // campaigns (internal/adaptive): per-video confidence intervals steer
 // each new assignment at the under-sampled videos and close the
 // campaign — new joins get 409 — once every interval shrinks to
-// CIHalfWidth. The server binaries open internal/platform directly; the
-// facade carries the options for ClusterConfig.Node.
+// CIHalfWidth. The server binary opens internal/platform directly.
 type PlatformOptions = platform.Options
 
 // NewPlatformHandler returns an in-memory Eyeorg web service handler.
 func NewPlatformHandler() http.Handler {
 	return platform.NewServer().Handler()
 }
-
-// --- cluster ---
-
-// Cluster partitions campaigns across several platform nodes by
-// consistent hashing, routes every request to the owning node, and
-// moves a campaign between nodes under load with a journaled ownership
-// fence (Cluster.MoveCampaign). It does not replicate: a node's
-// campaigns live in that node's data directory only, and are
-// unavailable while it is down. See internal/cluster and
-// docs/ARCHITECTURE.md.
-type Cluster = cluster.Cluster
-
-// ClusterConfig describes an in-process cluster: node IDs, data
-// directory, router mode, and Node, the PlatformOptions every node's
-// server is opened from (DataDir and IDTag are set per node).
-type ClusterConfig = cluster.Config
-
-// NewCluster brings up an in-process cluster: one durable platform
-// node per ID under cfg.Dir and a router in front. Drive it through
-// Cluster.Handler().
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
 // --- visualization ---
 

@@ -342,12 +342,6 @@ var syncDir = func(dir string) error {
 	return err
 }
 
-// PutBytes stores b (used when a replayed video record carries its
-// payload, by campaign import, and by tests).
-func (s *Store) PutBytes(b []byte) (Ref, bool, error) {
-	return s.Put(bytes.NewReader(b))
-}
-
 // Discard removes a blob. It exists for content-deterministic ingest
 // failures (an upload that fails validation, or one that tripped the
 // size cap): any concurrent Put of the same bytes fails the same checks,

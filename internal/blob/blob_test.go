@@ -188,7 +188,7 @@ func TestBytesZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := s.PutBytes(bytes.Repeat([]byte("z"), 4096))
+	ref, _, err := s.Put(bytes.NewReader(bytes.Repeat([]byte("z"), 4096)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestMemoryTierStoresExactBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, _, err := s.PutBytes(bytes.Repeat([]byte("0123456789"), lookaheadBytes/10+5)) // two Put reads
+	large, _, err := s.Put(bytes.NewReader(bytes.Repeat([]byte("0123456789"), lookaheadBytes/10+5))) // two Put reads
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestMemoryTierStoresExactBytes(t *testing.T) {
 	}
 	before := liveHeap()
 	for _, p := range payloads {
-		ref, _, err := s.PutBytes(p)
+		ref, _, err := s.Put(bytes.NewReader(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,13 +263,13 @@ func TestPutReusesLookahead(t *testing.T) {
 	const puts = 100
 	payload := bytes.Repeat([]byte("v"), 1000)
 	for name, s := range tiers(t) {
-		if _, _, err := s.PutBytes(payload); err != nil {
+		if _, _, err := s.Put(bytes.NewReader(payload)); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < puts; i++ {
-			if _, _, err := s.PutBytes(payload); err != nil {
+			if _, _, err := s.Put(bytes.NewReader(payload)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -336,7 +336,7 @@ func TestPutToleratesUnsupportedDirSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("uploaded where directories cannot be fsynced")
-	ref, created, err := s.PutBytes(payload)
+	ref, created, err := s.Put(bytes.NewReader(payload))
 	if err != nil || !created {
 		t.Fatalf("Put: created=%v err=%v, want a stored blob", created, err)
 	}
@@ -355,7 +355,7 @@ func TestPutFailsOnDirSyncError(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("uploaded while the disk fails")
-	if _, _, err := s.PutBytes(payload); !errors.Is(err, syscall.EIO) {
+	if _, _, err := s.Put(bytes.NewReader(payload)); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Put: %v, want the EIO", err)
 	}
 	sum := sha256.Sum256(payload)
@@ -367,7 +367,7 @@ func TestPutFailsOnDirSyncError(t *testing.T) {
 		t.Fatalf("Open after a failed Put: %v, want ErrNotFound", err)
 	}
 	syncDir = func(string) error { return nil }
-	if _, created, err := s.PutBytes(payload); err != nil || !created {
+	if _, created, err := s.Put(bytes.NewReader(payload)); err != nil || !created {
 		t.Fatalf("retry: created=%v err=%v, want a stored blob", created, err)
 	}
 }
@@ -381,7 +381,7 @@ func TestScanRemovesTempDebris(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := s.PutBytes([]byte("real blob"))
+	ref, _, err := s.Put(bytes.NewReader([]byte("real blob")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestScanRemovesTempDebris(t *testing.T) {
 
 func TestDiscard(t *testing.T) {
 	for name, s := range tiers(t) {
-		ref, _, err := s.PutBytes([]byte("doomed"))
+		ref, _, err := s.Put(bytes.NewReader([]byte("doomed")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +421,7 @@ func TestDiscard(t *testing.T) {
 			t.Fatalf("%s: Open after Discard: %v, want ErrNotFound", name, err)
 		}
 		// Re-put after discard works (content-deterministic failure retry).
-		if _, created, err := s.PutBytes([]byte("doomed")); err != nil || !created {
+		if _, created, err := s.Put(bytes.NewReader([]byte("doomed"))); err != nil || !created {
 			t.Fatalf("%s: re-Put after Discard: created=%v err=%v", name, created, err)
 		}
 	}
@@ -477,7 +477,7 @@ func TestFileTierServesOsFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := s.PutBytes(bytes.Repeat([]byte("big"), 100))
+	ref, _, err := s.Put(bytes.NewReader(bytes.Repeat([]byte("big"), 100)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestPrewarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := s.PutBytes(bytes.Repeat([]byte("warm"), 64))
+	ref, _, err := s.Put(bytes.NewReader(bytes.Repeat([]byte("warm"), 64)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,11 +567,11 @@ func TestSinkTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, _, err := s.PutBytes([]byte("telemetry payload"))
+		ref, _, err := s.Put(bytes.NewReader([]byte("telemetry payload")))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.PutBytes([]byte("telemetry payload")); err != nil {
+		if _, _, err := s.Put(bytes.NewReader([]byte("telemetry payload"))); err != nil {
 			t.Fatal(err) // dedup: must not double-count
 		}
 		for i := 0; i < 3; i++ {
@@ -610,7 +610,7 @@ func TestCorruptHashRejected(t *testing.T) {
 
 func BenchmarkBytesHit(b *testing.B) {
 	s, _ := Open(Options{})
-	ref, _, _ := s.PutBytes(bytes.Repeat([]byte("b"), 16<<10))
+	ref, _, _ := s.Put(bytes.NewReader(bytes.Repeat([]byte("b"), 16<<10)))
 	hash := ref.Hash
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -34,7 +34,7 @@ func fileStore(t *testing.T, sink Telemetry) *Store {
 // putBytes stores p and fails the test on error.
 func putBytes(t *testing.T, s *Store, p []byte) Ref {
 	t.Helper()
-	ref, _, err := s.PutBytes(p)
+	ref, _, err := s.Put(bytes.NewReader(p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,9 @@ import (
 // the partition (stddev of ownership shrinks ~1/sqrt(vnodes)) at the
 // cost of a larger sorted point table; 128 keeps worst-case movement
 // on membership change within the ~1/N+10% bound ring_test.go pins.
+//
+// Deprecated: kept only for the repository benchmark's ring probe; see
+// the package doc.
 const DefaultVnodes = 128
 
 // Ring is a consistent-hash ring over campaign IDs with virtual nodes:
@@ -36,6 +39,9 @@ type ringPoint struct {
 // NewRing builds a ring over the given node IDs. Node order does not
 // matter: points depend only on the ID strings, so every participant
 // that knows the member set derives the identical ring.
+//
+// Deprecated: kept only for the repository benchmark's ring probe; see
+// the package doc.
 func NewRing(nodes []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes
@@ -58,6 +64,9 @@ func NewRing(nodes []string, vnodes int) *Ring {
 }
 
 // Owner returns the node owning key ("" on an empty ring).
+//
+// Deprecated: kept only for the repository benchmark's ring probe; see
+// the package doc.
 func (r *Ring) Owner(key string) string {
 	if len(r.points) == 0 {
 		return ""
@@ -101,7 +110,7 @@ func (r *Ring) Without(node string) *Ring {
 
 // hash64 is 64-bit FNV-1a with a murmur-style finalizer — cheap,
 // dependency-free, and stable across processes (the ring must hash
-// identically on router and nodes). Raw FNV avalanches poorly in the
+// identically in every process). Raw FNV avalanches poorly in the
 // high bits on short keys like "a#17", which skews point spacing on
 // the circle; the finalizer mixes every input bit into every output
 // bit and restores the ~1/N movement bound.

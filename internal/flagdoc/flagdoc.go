@@ -1,8 +1,7 @@
 // Package flagdoc holds a binary's command line and the markdown that
-// documents it together: each of eyeorg-server, eyeorg-router and
-// loadgen builds its flag.FlagSet in a newFlags function its main also
-// uses, and a TestDocsFlagsRegistered in its package hands that set to
-// Check. The docs cannot name a flag that does not exist, drop one that
+// documents it together: each of eyeorg-server and loadgen builds its
+// flag.FlagSet in a newFlags function its main also uses, and a
+// TestDocsFlagsRegistered in its package hands that set to Check. The docs cannot name a flag that does not exist, drop one that
 // does, or quote a default the binary does not have.
 package flagdoc
 
@@ -20,7 +19,6 @@ import (
 // relative to the repository root, and the heading the table follows.
 var tables = map[string]struct{ file, heading string }{
 	"eyeorg-server": {"docs/OPERATIONS.md", "## eyeorg-server flags"},
-	"eyeorg-router": {"docs/OPERATIONS.md", "## eyeorg-router flags"},
 	"loadgen":       {"README.md", "## The load generator"},
 }
 
@@ -28,7 +26,7 @@ var tables = map[string]struct{ file, heading string }{
 var proseFiles = []string{"README.md", "docs/OPERATIONS.md"}
 
 // otherFlags are the flags the prose names that belong to none of the
-// three binaries: go test's, and cmd/campaign's and cmd/experiments'.
+// two binaries: go test's, and cmd/campaign's and cmd/experiments'.
 var otherFlags = map[string]bool{"race": true, "workers": true}
 
 var (
@@ -45,7 +43,7 @@ var (
 //     column is the flag's default (`off` for a false switch, *(empty)* or
 //     *(required)* for an empty string), and every row is a flag of fs;
 //   - every `-flag` in a code span of README.md or docs/OPERATIONS.md is a
-//     row of one of the three tables (each held to its binary by that
+//     row of one of the two tables (each held to its binary by that
 //     binary's test) or one of otherFlags;
 //   - in a fenced block, a command line that runs the binary passes only
 //     flags of fs.

@@ -709,37 +709,35 @@ func TestAnalyticsScriptedVerdicts(t *testing.T) {
 	}
 }
 
-// TestAnalyticsAfterExportImport: the frozen rows are never serialized;
-// a campaign exported and imported into another server gets them from
-// fileCompleted like a snapshot load does, so the importer serves the
-// exporter's exact bytes under the exporter's validator, equal to the
-// from-scratch render, and keeps folding.
-func TestAnalyticsAfterExportImport(t *testing.T) {
+// TestAnalyticsAfterSnapshotLoad: the frozen rows are never serialized;
+// a server that loads a snapshot gets them from fileCompleted, so it
+// serves the bytes it served before under the same validator, equal to
+// the from-scratch render, and keeps folding.
+func TestAnalyticsAfterSnapshotLoad(t *testing.T) {
 	for _, kind := range []string{"timeline", "ab"} {
 		t.Run(kind, func(t *testing.T) {
-			src := NewServer()
-			c := newClientFor(t, src)
+			dir := t.TempDir()
+			src, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
 			campaign, _ := setupCampaign(c, kind, 3)
 			l := newSent()
 			runChaos(t, l, c.srv.URL, campaign, kind, 5, 4, 5)
 			path := "/api/v1/campaigns/" + campaign + "/analytics"
 			_, tag, body := getConditional(c, path, "")
+			if err := src.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-			state, err := src.Handoff(campaign, "b")
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := NewServer()
-			if err := dst.ImportCampaign(state); err != nil {
-				t.Fatal(err)
-			}
-			c2 := newClientFor(t, dst)
+			dst, c2 := openPersisted(t, dir, Options{SnapshotEvery: -1})
+			defer dst.Close()
 			status, tag2, body2 := getConditional(c2, path, "")
 			if status != http.StatusOK || !bytes.Equal(body2, body) || tag2 != tag {
-				t.Fatalf("imported campaign serves %d tag %s, exporter tag %s\nimported: %s\nexported: %s", status, tag2, tag, body2, body)
+				t.Fatalf("loaded campaign serves %d tag %s, before the snapshot tag %s\nloaded: %s\nbefore: %s", status, tag2, tag, body2, body)
 			}
 			if status, _, got := getConditional(c2, path, tag); status != http.StatusNotModified || len(got) != 0 {
-				t.Fatalf("exporter's validator on the importer: %d with %d body bytes, want 304 and none", status, len(got))
+				t.Fatalf("the validator from before the snapshot: %d with %d body bytes, want 304 and none", status, len(got))
 			}
 			assertAnalyticsEqualsOracle(t, dst, c2, campaign)
 			runChaos(t, l, c2.srv.URL, campaign, kind, 6, 4, 2)

@@ -69,6 +69,37 @@ func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
 	return dst
 }
 
+// durationFits reports whether ms milliseconds, counted in nanoseconds,
+// fit in an int64, the range of time.Duration. Go leaves the conversion
+// of a float outside that range to the machine, so a value past it would
+// be stored as whatever this one makes of it, and a journal replayed on
+// another could fold a different duration.
+func durationFits(ms float64) bool {
+	ns := ms * float64(time.Millisecond)
+	return ns >= -(1<<63) && ns < 1<<63
+}
+
+// badDuration names the first millisecond field of b that durationFits
+// refuses, or returns "" when they all fit.
+func (b *EventBatch) badDuration() string {
+	switch {
+	case !durationFits(b.InstructionMs):
+		return "instruction_ms"
+	case !durationFits(b.LoadMs):
+		return "load_ms"
+	case !durationFits(b.TimeOnVideoMs):
+		return "time_on_video_ms"
+	case !durationFits(b.OutOfFocusMs):
+		return "out_of_focus_ms"
+	}
+	return ""
+}
+
+// writeBadDuration answers 400 for a millisecond field out of range.
+func writeBadDuration(w http.ResponseWriter, field string) {
+	writeErr(w, http.StatusBadRequest, field+" is outside the range of a duration")
+}
+
 // handleEventsBinary ingests one EYB1 batch. The pooled decoder reads
 // the capped body into its reusable buffer and decodes in place — zero
 // allocations per record at steady state — then the whole batch
@@ -110,7 +141,7 @@ func (s *Server) handleEventsBinary(w *scratch, r *http.Request) {
 	}
 	ev := &w.ev
 	*ev = event{Op: opBatch, ID: id, Wire: dec.Bytes(), records: recs, tr: tr}
-	if err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) { return s.applyBatch(ev) }); err != nil {
+	if err := s.mutate(tr, func() (uint64, error) { return s.applyBatch(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}

@@ -23,7 +23,7 @@
 // and its traces inside, and encodes what is left — worker, assignment, answers, the frozen
 // counters — as one varint record appended to the campaign's arena
 // (frozen.go). Every completed session, fresh or decoded from the arena
-// a snapshot or an imported campaign carried, then goes through
+// a snapshot carried, then goes through
 // fileCompleted, which folds the answers in and renders the /analytics
 // row polls then copy. Both endpoints render from that fold;
 // internal/filtering, the batch form of the same rules, is only the
@@ -31,17 +31,17 @@
 // keeps (campaign, row) inline for a completed session, and a late
 // request or GET …/tests decodes its record in place.
 //
-// The routes above are one table (route.go), which Handler matches on the
-// escaped path, and which the cluster tier reads through Route; a request
-// no route serves gets ServeMux's answer (301, 405 or 404) and is counted
-// nowhere. A request leaves almost no garbage of its own: routing
-// allocates nothing; every handler runs on a pooled scratch
-// (telemetry.go) that is its ResponseWriter and holds its {id}, the body
-// buffer, the decoded body and the journal event; the three
-// participant bodies are decoded in place (inplace.go), with
+// The routes above are one table (route.go), which Handler matches on
+// the escaped path; a request no route serves gets ServeMux's answer
+// (301, 405 or 404) and is counted nowhere. A request leaves almost no
+// garbage of its own: routing allocates nothing; every handler runs on a
+// pooled scratch (telemetry.go) that is its ResponseWriter and holds its
+// {id}, the body buffer, the decoded body and the journal event; the
+// three participant bodies are decoded in place (inplace.go), with
 // encoding/json behind them for anything outside that decoder's small
-// language; and reply header values are shared, not built. A JSON body is
-// one object and whitespace — anything after it is a 400.
+// language; and reply header values are shared, not built. A JSON body
+// is one object and whitespace — anything after it is a 400, and so is
+// a millisecond field whose nanoseconds do not fit a time.Duration.
 //
 // Storage is the internal/store subsystem: campaigns, sessions and
 // videos live in sharded in-memory indexes (per-shard RW locks, FNV-
@@ -51,33 +51,19 @@
 // newest snapshot plus the journal tail. The journal's group-commit
 // pipeline coalesces concurrent mutations into one flush (and, with
 // Fsync, one fdatasync) per window, and each mutation acks after its
-// window is durable, waiting outside its shard locks. Every mutation,
-// a campaign move included, ends in the one commit tail (mutate): the
-// request whose record crosses Options.SnapshotEvery then takes the
-// snapshot itself, under the world lock held exclusively, before it
-// answers. Nothing runs behind a request: the package starts no
-// goroutine. The lock order — world, session shard, campaign shard,
-// video shard, then the journal's two locks — is written down once, in
-// internal/store's doc.go. /results and
-// /analytics answer conditional GETs with ETag/If-None-Match, a 304
-// rendering no body. The paper's deployment sat a database behind the
-// same shape of API.
-//
-// A server can also run as one member of a campaign-partitioned
-// cluster (internal/cluster): Options.IDTag namespaces the IDs it
-// mints, the ownership middleware answers fencing 307s for campaigns
-// handed off to a peer, and Handoff and ImportCampaign move a campaign:
-// the export and its fence are one cut, and the new owner installs the
-// export through the same filing step a snapshot load uses. The fence is
-// the campaign's movedTo field, and every check of it goes through
-// campaignState.fenced. applyHandoff alone writes it, holding world
-// exclusively and the campaign's shard lock, so either lock is enough to
-// read it: the apply functions read it under world held shared (a live
-// session and a video point at their campaign, so they need no lookup),
-// the join handler and MovedTo, which the ownership middleware calls,
-// under the campaign's shard read lock. See
-// docs/ARCHITECTURE.md for the subsystem map and the
-// byte-identical-replay invariant every layer preserves.
+// window is durable, waiting outside its shard locks. Every mutation
+// ends in the one commit tail (mutate), which holds the world lock
+// shared while the mutation applies; Snapshot is the only holder of
+// world in exclusive mode. The request whose record crosses
+// Options.SnapshotEvery takes the snapshot itself before it answers.
+// Nothing runs behind a request: the package starts no goroutine. The
+// lock order — world, session shard, campaign shard, video shard, then
+// the journal's two locks — is written down once, in internal/store's
+// doc.go. /results and /analytics answer conditional GETs with
+// ETag/If-None-Match, a 304 rendering no body. The paper's deployment
+// sat a database behind the same shape of API. See docs/ARCHITECTURE.md
+// for the subsystem map and the byte-identical-replay invariant every
+// layer preserves.
 //
 // The package links nothing of the paper's simulator. Beside its own
 // tiers (store, blob, quality, adaptive, wire, trace, telemetry) it
@@ -85,5 +71,5 @@
 // fold takes, video and vision to check an upload's EYV1 container, and
 // rng: a participant is a worker ID, and a video is bytes someone else
 // rendered. TestServerDeps at the repository root holds the closure of
-// this package and of both server binaries to that list.
+// this package and of the server binary to that list.
 package platform

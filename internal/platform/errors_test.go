@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"testing"
 )
@@ -189,5 +190,66 @@ func TestJoinEmptyCampaignConflicts(t *testing.T) {
 		Campaign: campaign, Worker: Worker{ID: "w"}, Captcha: "t",
 	}, nil); code != http.StatusConflict {
 		t.Fatalf("join all-banned campaign: %d, want 409", code)
+	}
+}
+
+// TestOutOfRangeMillisecondsRefused: a JSON millisecond field whose count
+// of nanoseconds does not fit in an int64 (time.Duration's range) is a
+// 400 naming the field, on the events body and the response body alike,
+// and nothing of it is journaled; a negative value that fits is still
+// accepted. Go leaves the float-to-int conversion of such a value to the
+// machine, so accepting it would store a platform-dependent duration.
+func TestOutOfRangeMillisecondsRefused(t *testing.T) {
+	for _, c := range []struct {
+		ms   float64
+		fits bool
+	}{{9.2e12, true}, {-9.2e12, true}, {0, true}, {9.3e12, false}, {-9.3e12, false}, {math.MaxFloat64, false}, {math.Inf(-1), false}} {
+		if durationFits(c.ms) != c.fits {
+			t.Errorf("durationFits(%g) = %v, want %v", c.ms, !c.fits, c.fits)
+		}
+	}
+
+	srv, err := Open(Options{DataDir: t.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	env := &fuzzEnv{handler: srv.Handler()}
+	campaign := seedDispatch(t, env.handler, 2)
+	var jr JoinResponse
+	dispatch(t, env.handler, "POST", "/api/v1/sessions", JoinRequest{Campaign: campaign, Worker: Worker{ID: "w-range"}, Captcha: "tok"}, &jr)
+	tt := jr.Tests[0]
+	if tt.Kind != "timeline" {
+		t.Fatalf("first test is %s, want timeline", tt.Kind)
+	}
+	base := "/api/v1/sessions/" + jr.Session
+	seq := srv.log.Seq()
+	for _, ms := range []string{"9.3e12", "-9.3e12", "1e308"} {
+		for _, field := range []string{"instruction_ms", "load_ms", "time_on_video_ms", "out_of_focus_ms"} {
+			body := fmt.Sprintf(`{"video_id":%q,"load_ms":900,"time_on_video_ms":21000,%q:%s}`, tt.VideoID, field, ms)
+			if field == "load_ms" || field == "time_on_video_ms" {
+				body = fmt.Sprintf(`{"video_id":%q,%q:%s}`, tt.VideoID, field, ms)
+			}
+			rec := env.do("POST", base+"/events", []byte(body))
+			if rec.Code != http.StatusBadRequest || !bytes.Contains(rec.Body.Bytes(), []byte(field)) {
+				t.Errorf("events with %s %s: %d %s, want 400 naming the field", field, ms, rec.Code, rec.Body.Bytes())
+			}
+		}
+		body := fmt.Sprintf(`{"test_id":%q,"slider_ms":1400,"submitted_ms":%s,"kept_original":true}`, tt.TestID, ms)
+		rec := env.do("POST", base+"/responses", []byte(body))
+		if rec.Code != http.StatusBadRequest || !bytes.Contains(rec.Body.Bytes(), []byte("submitted_ms")) {
+			t.Errorf("response with submitted_ms %s: %d %s, want 400 naming the field", ms, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if got := srv.log.Seq(); got != seq {
+		t.Fatalf("the refused bodies journaled %d records", got-seq)
+	}
+
+	// A negative duration that fits is a value, not a refusal.
+	if rec := env.do("POST", base+"/events", []byte(fmt.Sprintf(`{"video_id":%q,"load_ms":-5,"time_on_video_ms":21000}`, tt.VideoID))); rec.Code != http.StatusAccepted {
+		t.Errorf("events with load_ms -5: %d %s, want 202", rec.Code, rec.Body.Bytes())
+	}
+	if rec := env.do("POST", base+"/responses", []byte(fmt.Sprintf(`{"test_id":%q,"submitted_ms":-5,"kept_original":true}`, tt.TestID))); rec.Code != http.StatusAccepted {
+		t.Errorf("response with submitted_ms -5: %d %s, want 202", rec.Code, rec.Body.Bytes())
 	}
 }

@@ -23,8 +23,8 @@
 // The encoding is total: a video outside the campaign, a foreign kind
 // or a test ID without the prefix each cost their literal, never an
 // error, so completion has no failure path. Decoding checks every
-// index and length, because an import document arrives from outside
-// the process.
+// index and length, because a snapshot is read from outside the
+// process.
 package platform
 
 import (

@@ -1,17 +1,17 @@
 // Nothing runs behind a request: the request whose record crosses the
 // snapshot cadence takes the snapshot, the server starts no goroutine,
-// and a soak holds two durable servers live under sessions, snapshots,
-// campaign moves and drain.
+// and a soak holds a durable server live under sessions, snapshots and
+// drain.
 package platform
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -94,34 +94,30 @@ func watchdog(t *testing.T, done <-chan struct{}, bound time.Duration, what stri
 	}
 }
 
-// TestLivenessSoak is internal/store's soak one tier up. Two durable
-// servers snapshot every 8 records, so crossing requests take snapshots
+// TestLivenessSoak is internal/store's soak one tier up. A durable
+// server snapshots every 8 records, so crossing requests take snapshots
 // under the exclusive world lock all the time, while workers stream
-// sessions, a mover hands every campaign off from the source to the
-// target (Handoff, then ImportCampaign), and the source starts draining
-// after the first move. Each request goes to the campaign's owner and
-// retries where a move is in flight: the source's 409 for a fenced
-// campaign, the target's 404 until the import lands. Anything else but
-// the source's 503 to a join once it drains fails the soak; a request
-// still unanswered 30 s on fails it with every goroutine's stack; and
-// each server, reopened over its directory, must serve the /results it
-// served before Close.
+// sessions on three campaigns, and the worker that completes the 20th
+// session starts the drain while the others are mid-session. Anything but a 503 to a join once it drains fails the soak; a
+// request still unanswered 30 s on fails it with every goroutine's
+// stack; and the server, reopened over its directory, must serve the
+// /results it served before Close.
 func TestLivenessSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(9_101))
-	open := func(dir, tag string) *Server {
+	dir := t.TempDir()
+	open := func() *Server {
 		t.Helper()
-		srv, err := Open(Options{DataDir: dir, IDTag: tag, Fsync: true, SnapshotEvery: 8, SegmentBytes: 4 << 10})
+		srv, err := Open(Options{DataDir: dir, Fsync: true, SnapshotEvery: 8, SegmentBytes: 4 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return srv
 	}
-	dirs := [2]string{t.TempDir(), t.TempDir()}
-	src, dst := open(dirs[0], "a."), open(dirs[1], "b.")
-	hs := [2]http.Handler{src.Handler(), dst.Handler()}
+	srv := open()
+	h := srv.Handler()
 	var campaigns []string
 	for i := 0; i < 3; i++ {
-		campaigns = append(campaigns, seedDispatch(t, hs[0], 2))
+		campaigns = append(campaigns, seedDispatch(t, h, 2))
 	}
 
 	var (
@@ -133,29 +129,16 @@ func TestLivenessSoak(t *testing.T) {
 		bad = append(bad, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
-	// send posts body to the campaign's owner and returns the status and
-	// reply, retrying where a move is in flight.
-	send := func(campaign, path string, body any) (int, []byte) {
+	send := func(path string, body any) (int, []byte) {
 		raw, err := json.Marshal(body)
 		if err != nil {
 			panic(err)
 		}
-		for attempt := 0; ; attempt++ {
-			_, moved := src.MovedTo(campaign)
-			who := 0
-			if moved {
-				who = 1
-			}
-			rec := (&fuzzEnv{handler: hs[who]}).do("POST", path, raw)
-			retry := (rec.Code == http.StatusConflict && who == 0 && bytes.Contains(rec.Body.Bytes(), []byte("now owned by"))) ||
-				(rec.Code == http.StatusNotFound && who == 1)
-			if !retry || attempt == 1000 {
-				return rec.Code, rec.Body.Bytes()
-			}
-			time.Sleep(time.Millisecond)
-		}
+		rec := (&fuzzEnv{handler: h}).do("POST", path, raw)
+		return rec.Code, rec.Body.Bytes()
 	}
 
+	var completed atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wrng := rand.New(rand.NewSource(rng.Int63()))
@@ -164,12 +147,12 @@ func TestLivenessSoak(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				campaign := campaigns[wrng.Intn(len(campaigns))]
-				code, reply := send(campaign, "/api/v1/sessions", JoinRequest{
+				code, reply := send("/api/v1/sessions", JoinRequest{
 					Campaign: campaign, Worker: Worker{ID: fmt.Sprintf("soak-%d-%d", w, i)}, Captcha: "tok",
 				})
 				switch code {
 				case http.StatusCreated:
-				case http.StatusServiceUnavailable: // the source drains
+				case http.StatusServiceUnavailable: // the server drains
 					continue
 				default:
 					fail("join %s: %d %s", campaign, code, reply)
@@ -182,49 +165,29 @@ func TestLivenessSoak(t *testing.T) {
 				}
 				base := "/api/v1/sessions/" + jr.Session
 				for _, tt := range jr.Tests {
-					if code, reply := send(campaign, base+"/events", EventBatch{
+					if code, reply := send(base+"/events", EventBatch{
 						VideoID: tt.VideoID, LoadMs: 900, TimeOnVideoMs: 21_000, Plays: 1, Seeks: wrng.Intn(6), WatchedFraction: 0.9,
 					}); code != http.StatusAccepted {
 						fail("events %s: %d %s", jr.Session, code, reply)
 						return
 					}
 					sub := 1_000 + float64(wrng.Intn(900))
-					if code, reply := send(campaign, base+"/responses", ResponseBody{
+					if code, reply := send(base+"/responses", ResponseBody{
 						TestID: tt.TestID, SliderMs: sub + 200, HelperMs: sub, SubmittedMs: sub, KeptOriginal: true,
 					}); code != http.StatusAccepted {
 						fail("response %s: %d %s", jr.Session, code, reply)
 						return
 					}
 				}
+				if completed.Add(1) == 20 {
+					srv.StartDrain()
+				}
 			}
 		}(w)
 	}
-	pauses := make([]time.Duration, len(campaigns))
-	for i := range pauses {
-		pauses[i] = time.Duration(rng.Intn(8)) * time.Millisecond
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i, campaign := range campaigns {
-			time.Sleep(pauses[i])
-			state, err := src.Handoff(campaign, "b")
-			if err != nil {
-				fail("handoff %s: %v", campaign, err)
-				return
-			}
-			if err := dst.ImportCampaign(state); err != nil {
-				fail("import %s: %v", campaign, err)
-				return
-			}
-			if i == 0 {
-				src.StartDrain()
-			}
-		}
-	}()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	watchdog(t, done, 30*time.Second, "sessions, moves or snapshots")
+	watchdog(t, done, 30*time.Second, "sessions, drain or snapshots")
 	for _, msg := range bad {
 		t.Error(msg)
 	}
@@ -239,23 +202,14 @@ func TestLivenessSoak(t *testing.T) {
 		}
 		return out
 	}
-	want := results(hs[1])
-	t.Logf("snapshots: source %d, target %d", src.observer.snapshots.Value(), dst.observer.snapshots.Value())
-	for _, srv := range []*Server{src, dst} {
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
+	want := results(h)
+	t.Logf("%d sessions completed, %d snapshots", completed.Load(), srv.observer.snapshots.Value())
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
-	dst = open(dirs[1], "b.")
-	defer dst.Close()
-	if got := results(dst.Handler()); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("reopened target serves other /results:\n got  %v\n want %v", got, want)
-	}
-	src = open(dirs[0], "a.")
-	defer src.Close()
-	for _, c := range campaigns {
-		if to, moved := src.MovedTo(c); !moved || to != "b" {
-			t.Fatalf("reopened source lost the fence on %s", c)
-		}
+	srv = open()
+	defer srv.Close()
+	if got := results(srv.Handler()); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reopened server serves other /results:\n got  %v\n want %v", got, want)
 	}
 }

@@ -51,12 +51,6 @@ const (
 	opBatch    = "batch"
 	opResponse = "response"
 	opFlag     = "flag"
-	// opHandoff fences a campaign that moved to another cluster node;
-	// opImport installs a campaign received from one (its whole export in
-	// a single record, so a replayed journal either has the whole
-	// campaign or none of it).
-	opHandoff = "handoff"
-	opImport  = "import"
 )
 
 // event is one journaled mutation. ID is the entity the op targets
@@ -84,10 +78,6 @@ type event struct {
 	// the compact wire bytes a binary batch arrived as, and replay runs
 	// them back through the same pooled decoder the live path used.
 	Wire []byte `json:"wire,omitempty"`
-	// Target is an opHandoff record's destination node; State is an
-	// opImport record's campaignExport document.
-	Target string          `json:"target,omitempty"`
-	State  json.RawMessage `json:"state,omitempty"`
 
 	// tr stamps the live request's lock-wait/append boundaries as the
 	// event moves through its apply function. Unexported so it never
@@ -148,12 +138,11 @@ func (s *Server) applyEvent(ev *event) error {
 	case opFlag:
 		_, _, _, err := s.applyFlag(ev)
 		return err
-	case opHandoff:
-		_, err := s.applyHandoff(ev)
-		return err
-	case opImport:
-		_, err := s.applyImport(ev)
-		return err
+	case "handoff", "import":
+		// Builds with a cluster tier journaled these to move a campaign
+		// between nodes. Replaying past one would serve a campaign another
+		// node owns, or miss one that arrived from another node.
+		return fmt.Errorf("journal %s record moved a campaign between cluster nodes; this server runs one node and cannot replay it", ev.Op)
 	default:
 		return fmt.Errorf("unknown journal op %q", ev.Op)
 	}
@@ -164,8 +153,7 @@ func (s *Server) applyEvent(ev *event) error {
 // Each returns the journal sequence its record was buffered at (0 in
 // memory mode / replay); mutate awaits that sequence's durability after
 // every shard lock is back on the hook. Each checks everything that can
-// fail before it journals, so once it has a sequence it succeeds: a
-// handed-off campaign's fence (fenced) included, so nothing double-applies.
+// fail before it journals, so once it has a sequence it succeeds.
 
 func (s *Server) applyCampaign(ev *event) (uint64, error) {
 	csh := s.campaigns.Shard(ev.ID)
@@ -196,9 +184,6 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	c, ok := csh.Get(ev.Campaign)
 	if !ok {
 		return 0, errNoCampaign
-	}
-	if err := c.fenced(); err != nil {
-		return 0, err
 	}
 	if ev.Hash == "" {
 		return 0, fmt.Errorf("video %s: record carries no content hash", ev.ID)
@@ -243,9 +228,6 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	c, ok := csh.Get(ev.Campaign)
 	if !ok {
 		return 0, fmt.Errorf("session %s: %w %s", ev.ID, errNoCampaign, ev.Campaign)
-	}
-	if err := c.fenced(); err != nil {
-		return 0, err
 	}
 	seq, err := s.journal(ev)
 	if err != nil {
@@ -325,9 +307,6 @@ func (s *Server) applyRecords(ev *event, recs []wire.Record) (uint64, error) {
 	if sess == nil {
 		return 0, errSessionDone
 	}
-	if err := sess.campaign.fenced(); err != nil {
-		return 0, err
-	}
 	seq, err := s.journal(ev)
 	if err != nil {
 		return 0, err
@@ -355,9 +334,9 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 	ssh.Lock()
 	defer ssh.Unlock()
 	// A completed session answers from its frozen record. Every test of
-	// a record this server wrote is answered, so parseResponse tells a
-	// duplicate from an unknown test; an imported record that leaves one
-	// open is still a session that is done.
+	// a frozen record is answered, so parseResponse tells a duplicate
+	// from an unknown test; a record that leaves one open is still a
+	// session that is done.
 	sess, err := s.sessionLocked(ssh, ev.ID)
 	if err != nil {
 		return 0, false, err
@@ -368,9 +347,6 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 	}
 	if sess.completed() {
 		return 0, false, errSessionDone
-	}
-	if err := sess.campaign.fenced(); err != nil {
-		return 0, false, err
 	}
 	// When this answer completes the session, the campaign shard lock
 	// must span journaling and the fold: two sessions completing on one
@@ -494,10 +470,6 @@ func (s *Server) applyFlag(ev *event) (seq uint64, flags int, banned bool, err e
 		vsh.Unlock()
 		return 0, 0, false, errNoVideo
 	}
-	if err := v.campaign.fenced(); err != nil {
-		vsh.Unlock()
-		return 0, 0, false, err
-	}
 	seq, err = s.journal(ev)
 	if err != nil {
 		vsh.Unlock()
@@ -580,10 +552,10 @@ func (sess *sessionState) trackAnswer(a answer) {
 
 // --- state documents ---
 
-// stateVersion is the schema version of the snapshot and campaign-export
-// documents; version 4 nests a campaign's videos and sessions in flight
-// in its section. No reader for an older layout is kept: a document
-// carrying another version is refused.
+// stateVersion is the schema version of the snapshot document; version
+// 4 nests a campaign's videos and sessions in flight in its section. No
+// reader for an older layout is kept: a document carrying another
+// version is refused.
 const stateVersion = 4
 
 // decodeState reads the version of doc before the rest of it, so that a
@@ -606,8 +578,7 @@ func decodeState(doc string, data []byte, v any) error {
 }
 
 // A campaign's section is the one form its state takes in a document: a
-// snapshot is the counters and every campaign's section, an export one
-// section plus the blobs its videos name (campaignExport). The analytics,
+// snapshot is the counters and every campaign's section. The analytics,
 // stopper state and /analytics rows are NOT serialized: a section carries
 // its completed sessions' IDs in completion order and their frozen
 // records as the arena's bytes, and restore walks the arena once,
@@ -635,7 +606,10 @@ type snapCampaign struct {
 	Arena     []byte        `json:"arena,omitempty"`
 	ArenaEnds []uint32      `json:"arena_ends,omitempty"`
 	Inflight  []snapSession `json:"inflight,omitempty"`
-	Moved     string        `json:"moved,omitempty"` // node the campaign was handed off to
+	// Moved is never written. Builds with a cluster tier set it on a
+	// campaign handed off to another node; it is read only so that
+	// restore refuses such a section instead of serving the campaign.
+	Moved string `json:"moved,omitempty"`
 }
 
 // snapSession is one session in flight: its answers so far and the
@@ -670,10 +644,8 @@ func sortedKeys(m map[string]bool) []string {
 	return keys
 }
 
-// section builds campaign c's section. marshalState and exportCampaign
-// both build with it, so a campaign's section is the same bytes in a
-// snapshot and in an export. Caller holds the world lock exclusively, so
-// the reads are a consistent cut.
+// section builds campaign c's section. Caller holds the world lock
+// exclusively, so the reads are a consistent cut.
 func (s *Server) section(c *campaignState) (snapCampaign, error) {
 	cn := snapCampaign{
 		ID: c.ID, Name: c.Name, Kind: c.Kind,
@@ -682,7 +654,6 @@ func (s *Server) section(c *campaignState) (snapCampaign, error) {
 		Arena:     c.arena,
 		ArenaEnds: c.arenaEnds,
 		Inflight:  make([]snapSession, len(c.inflight)),
-		Moved:     c.movedTo,
 	}
 	for i, vid := range c.Videos {
 		v, ok := s.videos.Get(vid)
@@ -728,15 +699,16 @@ type restored struct {
 	inflight []*sessionState
 }
 
-// restore decodes and checks section cn for loadState and applyImport
-// alike, so a moved campaign is field-for-field the one a local replay
-// would have produced. It builds the videos, walks the arena re-folding
-// every completed session, and re-feeds each session in flight's
-// tracker, touching no index: every failure is an error naming the
-// campaign, returned before anything is journaled or installed. hasBlob
-// reports whether a video's blob is held, or will be once the section is
-// installed.
-func (s *Server) restore(cn *snapCampaign, hasBlob func(hash string) bool) (*restored, error) {
+// restore decodes and checks section cn, so a restored campaign is
+// field-for-field the one a replay of its journal would have produced.
+// It builds the videos, walks the arena re-folding every completed
+// session, and re-feeds each session in flight's tracker, touching no
+// index: every failure is an error naming the campaign, returned before
+// anything is installed.
+func (s *Server) restore(cn *snapCampaign) (*restored, error) {
+	if cn.Moved != "" {
+		return nil, fmt.Errorf("campaign %s was handed off to cluster node %s; this server runs one node and does not serve a campaign another node owns", cn.ID, cn.Moved)
+	}
 	c := &campaignState{
 		ID: cn.ID, Name: cn.Name, Kind: cn.Kind,
 		Videos:         make([]string, len(cn.Videos)),
@@ -744,7 +716,6 @@ func (s *Server) restore(cn *snapCampaign, hasBlob func(hash string) bool) (*res
 		arena:          cn.Arena,
 		arenaEnds:      cn.ArenaEnds,
 		analytics:      quality.NewCampaign(cn.Kind),
-		movedTo:        cn.Moved,
 	}
 	r := &restored{c: c, videos: make([]*videoState, len(cn.Videos))}
 	for i, vn := range cn.Videos {
@@ -753,7 +724,7 @@ func (s *Server) restore(cn *snapCampaign, hasBlob func(hash string) bool) (*res
 		if vn.Hash == "" {
 			return nil, fmt.Errorf("campaign %s video %s carries no content hash", cn.ID, vn.ID)
 		}
-		if !hasBlob(vn.Hash) {
+		if !s.blobs.Has(vn.Hash) {
 			return nil, fmt.Errorf("campaign %s video %s references missing blob %s", cn.ID, vn.ID, vn.Hash)
 		}
 		v := newVideoState(vn.ID, c, vn.Hash, vn.Size)
@@ -828,9 +799,7 @@ func (s *Server) restore(cn *snapCampaign, hasBlob func(hash string) bool) (*res
 }
 
 // held refuses a restored section naming a campaign, video or session
-// this server already holds, which installing it would overwrite. A
-// campaign already held is errCampaignExists, the import's guard against
-// a retry or a move back.
+// this server already holds, which installing it would overwrite.
 func (s *Server) held(r *restored) error {
 	if _, ok := s.campaigns.Get(r.c.ID); ok {
 		return fmt.Errorf("campaign %s: %w", r.c.ID, errCampaignExists)
@@ -880,7 +849,7 @@ func (s *Server) loadState(data []byte) error {
 	s.nextID.Store(st.NextID)
 	s.joined.Store(st.Joined)
 	for i := range st.Campaigns {
-		r, err := s.restore(&st.Campaigns[i], s.blobs.Has)
+		r, err := s.restore(&st.Campaigns[i])
 		if err == nil {
 			err = s.held(r)
 		}

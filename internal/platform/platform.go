@@ -125,14 +125,6 @@ type Options struct {
 	// AdaptiveSeed seeds the deterministic bootstrap used for small-n
 	// intervals, making allocation a function of (journal state, seed).
 	AdaptiveSeed int64
-	// IDTag namespaces this server's minted entity IDs ("c<tag>1",
-	// "s<tag>2", ...) so several servers — the cluster's nodes and its
-	// router — can mint concurrently without collisions. bumpID only
-	// advances the counter for IDs carrying this server's own tag, so
-	// importing another node's entities never perturbs local allocation.
-	// Tags must be mutually prefix-free (the cluster uses "a.", "b.",
-	// ...); empty keeps the single-node "c1" format.
-	IDTag string
 }
 
 // Server implements the Eyeorg HTTP API.
@@ -170,14 +162,10 @@ type Server struct {
 	observer journalObserver
 	logger   *slog.Logger
 
-	// world is held shared by every mutation and exclusively by
-	// Snapshot (and campaign handoff/import), which gives them a
-	// quiescent point without funnelling the request path through one
-	// serial lock.
+	// world is held shared by every mutation (mutate takes it) and
+	// exclusively by Snapshot alone, which gives a snapshot a quiescent
+	// point without funnelling the request path through one serial lock.
 	world sync.RWMutex
-
-	// idTag namespaces minted IDs (Options.IDTag).
-	idTag string
 
 	// adaptive enables the sequential stopper; adaptiveCfg is the
 	// estimator/allocator configuration shared by every campaign. Both
@@ -198,7 +186,7 @@ type campaignState struct {
 	Videos []string
 
 	// recordSessions lists completed sessions in completion order — the
-	// order a snapshot load or import re-folds them into analytics.
+	// order a snapshot load re-folds them into analytics.
 	// cache is the rendered /results body and cacheTag its ETag, both
 	// nil/empty when stale. All guarded by the campaign's shard lock.
 	recordSessions []string
@@ -234,12 +222,6 @@ type campaignState struct {
 	// done is the scratch fileCompleted folds and renders a completing
 	// session from. Guarded by the campaign's shard lock.
 	done completion
-	// movedTo names the cluster node this campaign was handed off to
-	// ("" while locally owned). Once set, every mutation on the campaign
-	// is refused by fenced. applyHandoff writes it holding world
-	// exclusively and the campaign's shard lock, so either lock, shared,
-	// guards a read.
-	movedTo string
 	// adaptive is the sequential stopper/allocator (nil unless the
 	// server runs with Options.Adaptive). Its state is a pure fold over
 	// the journaled events, so it is never snapshotted: restore rebuilds
@@ -258,15 +240,6 @@ func segment(buf []byte, ends []uint32, i uint32) []byte {
 		start = ends[i-1]
 	}
 	return buf[start:ends[i]]
-}
-
-// fenced refuses a mutation on a campaign handed off to another node,
-// naming its new owner. Caller holds world or the campaign's shard lock.
-func (c *campaignState) fenced() error {
-	if c.movedTo == "" {
-		return nil
-	}
-	return fmt.Errorf("%w: campaign %s now owned by %s", errCampaignMoved, c.ID, c.movedTo)
 }
 
 // invalidate drops the rendered /results body and its ETag. Caller
@@ -416,7 +389,6 @@ func Open(opts Options) (*Server, error) {
 		maxBatch:  defaultMaxBatchRecords,
 		metrics:   newServerMetrics(),
 	}
-	s.idTag = opts.IDTag
 	if s.maxBody <= 0 {
 		s.maxBody = DefaultMaxBodyBytes
 	}
@@ -566,10 +538,9 @@ func (s *Server) Handler() http.Handler {
 
 // --- request/response bodies ---
 
-// CreateCampaignRequest creates a campaign. ID is optional: when set
-// (the cluster router mints IDs up front so consistent-hash ownership
-// is decided before the request is dispatched) the campaign is created
-// under that ID instead of a server-minted one; it must look like a
+// CreateCampaignRequest creates a campaign. ID is optional: when set,
+// the campaign is created under that ID instead of a server-minted one,
+// so a client knows the ID before the create lands; it must look like a
 // campaign ID ("c" + tag/digits) and not already exist.
 type CreateCampaignRequest struct {
 	ID   string `json:"id,omitempty"`
@@ -659,15 +630,8 @@ var (
 	// errCampaignClosed refuses joins once the adaptive stopper resolved
 	// every comparison — the same 409 shape a fully-banned video set gets.
 	errCampaignClosed = errors.New("campaign closed: every comparison resolved")
-	// errCampaignMoved fences mutations on a campaign handed off to
-	// another cluster node: the cluster middleware 307s such requests to
-	// the new owner before they reach the platform, so this surfacing as
-	// a 409 means a request bypassed the cluster layer — it must never
-	// double-apply here.
-	errCampaignMoved = errors.New("campaign handed off")
-	// errCampaignExists refuses a caller-supplied campaign ID (or a
-	// replayed import) that is already present — the double-apply guard
-	// for retried handoffs.
+	// errCampaignExists refuses a caller-supplied campaign ID that is
+	// already present.
 	errCampaignExists = errors.New("campaign already exists")
 )
 
@@ -676,7 +640,7 @@ func statusFor(err error) int {
 	case errors.Is(err, errNoCampaign), errors.Is(err, errNoSession), errors.Is(err, errNoVideo):
 		return http.StatusNotFound
 	case errors.Is(err, errDuplicateTest), errors.Is(err, errSessionDone), errors.Is(err, errCampaignClosed),
-		errors.Is(err, errCampaignMoved), errors.Is(err, errCampaignExists):
+		errors.Is(err, errCampaignExists):
 		return http.StatusConflict
 	case errors.Is(err, errUnknownTest), errors.Is(err, errBadChoice):
 		return http.StatusBadRequest
@@ -932,24 +896,18 @@ func (s *Server) writeBodyErr(w http.ResponseWriter, err error, msg string) {
 }
 
 func (s *Server) newID(prefix string) string {
-	id := append(append(make([]byte, 0, 32), prefix...), s.idTag...)
-	return string(strconv.AppendInt(id, s.nextID.Add(1), 10))
+	return string(strconv.AppendInt(append(make([]byte, 0, 32), prefix...), s.nextID.Add(1), 10))
 }
 
 // bumpID advances the ID counter to cover id, so replayed and
-// snapshot-restored entities never collide with fresh allocations.
-// Only IDs minted under this server's own tag count: a campaign handed
-// off from another node (or minted by the router) rides a foreign tag
-// and must not perturb the local counter.
+// snapshot-restored entities never collide with fresh allocations. A
+// caller-supplied campaign ID whose tail is not a number does not move
+// it.
 func (s *Server) bumpID(id string) {
 	if len(id) < 2 {
 		return
 	}
-	rest, ok := strings.CutPrefix(id[1:], s.idTag)
-	if !ok {
-		return
-	}
-	n, err := strconv.ParseInt(rest, 10, 64)
+	n, err := strconv.ParseInt(id[1:], 10, 64)
 	if err != nil {
 		return
 	}
@@ -980,9 +938,7 @@ func validCampaignID(id string) bool {
 }
 
 // mutate is the one commit tail of every journaled change. fn runs
-// under lock — the world lock held shared (s.world.RLocker()) for a
-// request's mutation, exclusively (&s.world) for a campaign move — and
-// returns the journal sequence its record was buffered at (0 when
+// under the world lock held shared and returns the journal sequence its record was buffered at (0 when
 // nothing was journaled). With every platform lock released, mutate
 // waits for that record to be durable: one flush window shared with
 // every concurrent mutation. fn fails only before it journals, so a
@@ -994,10 +950,10 @@ func validCampaignID(id string) bool {
 // apply span when fn returns, the durability wait split into
 // flush/fsync/ack using the commit window the journal published for
 // seq, and a snapshot this request took charged to apply again.
-func (s *Server) mutate(lock sync.Locker, tr *trace.Trace, fn func() (uint64, error)) error {
-	lock.Lock()
+func (s *Server) mutate(tr *trace.Trace, fn func() (uint64, error)) error {
+	s.world.RLock()
 	seq, err := fn()
-	lock.Unlock()
+	s.world.RUnlock()
 	tr.Mark(trace.StageApply)
 	if seq == 0 {
 		return err
@@ -1064,7 +1020,7 @@ func (s *Server) handleCreateCampaign(w *scratch, r *http.Request) {
 	}
 	tr.SetCampaign(id)
 	ev := &event{Op: opCampaign, ID: id, Name: req.Name, Kind: req.Kind, tr: tr}
-	if err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) { return s.applyCampaign(ev) }); err != nil {
+	if err := s.mutate(tr, func() (uint64, error) { return s.applyCampaign(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1116,7 +1072,7 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 	tr.Mark(trace.StageDecode)
 	id := s.newID("v")
 	ev := &event{Op: opVideo, ID: id, Campaign: campaignID, Hash: ref.Hash, Size: ref.Size, tr: tr}
-	if err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) { return s.applyVideo(ev) }); err != nil {
+	if err := s.mutate(tr, func() (uint64, error) { return s.applyVideo(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1152,12 +1108,10 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	csh.RLock()
 	c, ok := csh.Get(req.Campaign)
 	var kind string
-	var fence error
 	var closed bool
 	pool := w.pool[:0]
 	if ok {
 		kind = c.Kind
-		fence = c.fenced()
 		// Video shards follow campaign shards in the lock order, so
 		// the live (unbanned) set and the allocator's pool are computed
 		// under one campaign lock: the pool is a pure function of the
@@ -1178,10 +1132,6 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	csh.RUnlock()
 	if !ok {
 		writeErr(w, http.StatusNotFound, errNoCampaign.Error())
-		return
-	}
-	if fence != nil {
-		writeErr(w, statusFor(fence), fence.Error())
 		return
 	}
 	if closed {
@@ -1231,7 +1181,7 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	tr.SetSession(sid)
 	ev := &w.ev
 	*ev = event{Op: opSession, ID: sid, Campaign: req.Campaign, Worker: &req.Worker, Tests: tests, tr: tr}
-	if err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) { return s.applySession(ev) }); err != nil {
+	if err := s.mutate(tr, func() (uint64, error) { return s.applySession(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1362,7 +1312,7 @@ func (s *Server) handleFlag(w *scratch, r *http.Request) {
 	ev := &event{Op: opFlag, ID: w.id, Flagger: body.Worker, tr: tr}
 	var flags int
 	var banned bool
-	err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) {
+	err := s.mutate(tr, func() (uint64, error) {
 		seq, f, b, err := s.applyFlag(ev)
 		flags, banned = f, b
 		return seq, err
@@ -1390,10 +1340,16 @@ func (s *Server) handleEvents(w *scratch, r *http.Request) {
 		s.writeBodyErr(w, err, err.Error())
 		return
 	}
+	// Checked before anything is journaled, so a journal never holds a
+	// duration the machine replaying it converts its own way.
+	if field := batch.badDuration(); field != "" {
+		writeBadDuration(w, field)
+		return
+	}
 	tr.Mark(trace.StageDecode)
 	ev := &w.ev
 	*ev = event{Op: opEvents, ID: id, Batch: batch, tr: tr}
-	if err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) { return s.applyEvents(ev) }); err != nil {
+	if err := s.mutate(tr, func() (uint64, error) { return s.applyEvents(ev) }); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1410,11 +1366,15 @@ func (s *Server) handleResponse(w *scratch, r *http.Request) {
 		s.writeBodyErr(w, err, err.Error())
 		return
 	}
+	if !durationFits(body.SubmittedMs) {
+		writeBadDuration(w, "submitted_ms")
+		return
+	}
 	tr.Mark(trace.StageDecode)
 	ev := &w.ev
 	*ev = event{Op: opResponse, ID: id, Body: body, tr: tr}
 	var done bool
-	err := s.mutate(s.world.RLocker(), tr, func() (uint64, error) {
+	err := s.mutate(tr, func() (uint64, error) {
 		seq, d, err := s.applyResponse(ev)
 		done = d
 		return seq, err

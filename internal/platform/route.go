@@ -1,6 +1,5 @@
 // The API's route table and the matcher that reads it. Server.Handler
-// serves from it, and the cluster tier asks it (Route) which endpoint and
-// entity a request names, so the URL layout is written down once.
+// serves from it, so the URL layout is written down once.
 //
 // Every answer the table gives on its own — a 301 to the cleaned path, a
 // 405 with Allow, a 404 — is byte for byte what net/http's ServeMux
@@ -69,25 +68,6 @@ func init() {
 // HEAD too.
 func (rt *route) serves(method string) bool {
 	return method == rt.method || method == http.MethodHead && rt.method == http.MethodGet
-}
-
-// Route reports which route of the API a request's path names — the
-// endpoint by its /metrics name ("tests", "join", ...) and the {id} path
-// segment its handler receives, percent-decoded ("" on routes without
-// one) — and ok, whether the API handler serves the request with that
-// endpoint's handler. A known path with another method names its endpoint
-// with ok false: the handler answers it 405. A path the handler answers
-// 301 (to its cleaned form) or 404 names none. escapedPath is the
-// request's r.URL.EscapedPath().
-func Route(method, escapedPath string) (endpoint, id string, ok bool) {
-	if method != http.MethodConnect && cleanPath(escapedPath) != escapedPath {
-		return "", "", false
-	}
-	i, id := lookup(escapedPath)
-	if i < 0 {
-		return "", "", false
-	}
-	return routes[i].endpoint, id, routes[i].serves(method)
 }
 
 // routeRequest answers every request the table does not serve, as ServeMux

@@ -127,38 +127,50 @@ func FuzzRouteDifferential(f *testing.F) {
 	})
 }
 
-// TestRoute pins the exported matcher the cluster tier reads.
+// TestRoute pins what the matcher makes of a request: the endpoint by
+// its /metrics name and the {id} its handler receives, percent-decoded,
+// for a served request; a 405 for a known path with another method; and
+// a 301 or 404 for a path no route has.
 func TestRoute(t *testing.T) {
 	for _, c := range []struct {
 		method, path string
 		endpoint, id string
-		ok           bool
+		status       int // the matcher's own answer; 0 when it serves
 	}{
-		{"POST", "/api/v1/campaigns", "create_campaign", "", true},
-		{"POST", "/api/v1/campaigns/c1/videos", "add_video", "c1", true},
-		{"GET", "/api/v1/campaigns/c1/results", "results", "c1", true},
-		{"HEAD", "/api/v1/campaigns/c1/analytics", "analytics", "c1", true},
-		{"POST", "/api/v1/sessions", "join", "", true},
-		{"GET", "/api/v1/sessions/sa.1/tests", "tests", "sa.1", true},
-		{"GET", "/api/v1/videos/v%31", "video", "v1", true},
-		{"POST", "/api/v1/videos/v1/flag", "flag", "v1", true},
-		{"POST", "/api/v1/sessions/sa.1%2Fx/events", "events", "sa.1/x", true},
-		{"POST", "/api/v1/sessions/s1/responses", "response", "s1", true},
-		{"GET", "/metrics", "metrics", "", true},
-		// Answered 405: the endpoint, not served.
-		{"GET", "/api/v1/sessions", "join", "", false},
-		{"DELETE", "/api/v1/videos/v1", "video", "v1", false},
-		{"CONNECT", "/api/v1/sessions//tests", "tests", "", false},
-		// Answered 301 or 404: no endpoint.
-		{"POST", "/api/v1//sessions", "", "", false},
-		{"GET", "/api/v1/videos/./v1", "", "", false},
-		{"GET", "/api/v1/videos/", "", "", false},
-		{"GET", "/api/v1/videos/v1/", "", "", false},
-		{"GET", "/api/v2/videos/v1", "", "", false},
+		{"POST", "/api/v1/campaigns", "create_campaign", "", 0},
+		{"POST", "/api/v1/campaigns/c1/videos", "add_video", "c1", 0},
+		{"GET", "/api/v1/campaigns/c1/results", "results", "c1", 0},
+		{"HEAD", "/api/v1/campaigns/c1/analytics", "analytics", "c1", 0},
+		{"POST", "/api/v1/sessions", "join", "", 0},
+		{"GET", "/api/v1/sessions/sa.1/tests", "tests", "sa.1", 0},
+		{"GET", "/api/v1/videos/v%31", "video", "v1", 0},
+		{"POST", "/api/v1/videos/v1/flag", "flag", "v1", 0},
+		{"POST", "/api/v1/sessions/sa.1%2Fx/events", "events", "sa.1/x", 0},
+		{"POST", "/api/v1/sessions/s1/responses", "response", "s1", 0},
+		{"GET", "/metrics", "metrics", "", 0},
+		{"GET", "/api/v1/sessions", "", "", http.StatusMethodNotAllowed},
+		{"DELETE", "/api/v1/videos/v1", "", "", http.StatusMethodNotAllowed},
+		{"CONNECT", "/api/v1/sessions//tests", "", "", http.StatusMethodNotAllowed},
+		{"POST", "/api/v1//sessions", "", "", http.StatusMovedPermanently},
+		{"GET", "/api/v1/videos/./v1", "", "", http.StatusMovedPermanently},
+		{"GET", "/api/v1/videos/", "", "", http.StatusNotFound},
+		{"GET", "/api/v1/videos/v1/", "", "", http.StatusNotFound},
+		{"GET", "/api/v2/videos/v1", "", "", http.StatusNotFound},
 	} {
-		endpoint, id, ok := Route(c.method, c.path)
-		if endpoint != c.endpoint || id != c.id || ok != c.ok {
-			t.Errorf("Route(%s, %s) = %q, %q, %v; want %q, %q, %v", c.method, c.path, endpoint, id, ok, c.endpoint, c.id, c.ok)
+		r, ok := readRequest(c.method, c.path)
+		if !ok {
+			t.Fatalf("%s %s: not a request", c.method, c.path)
+		}
+		rec := httptest.NewRecorder()
+		i, id := routeRequest(rec, r)
+		endpoint, status := "", 0
+		if i >= 0 {
+			endpoint = routes[i].endpoint
+		} else {
+			status = rec.Code
+		}
+		if endpoint != c.endpoint || id != c.id || status != c.status {
+			t.Errorf("%s %s: %q, %q, status %d; want %q, %q, %d", c.method, c.path, endpoint, id, status, c.endpoint, c.id, c.status)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func newServerMetrics() *serverMetrics {
 		m.rejected[reason] = reg.Counter("eyeorg_admission_rejected_total", `reason="`+reason+`"`)
 	}
 	reg.Help("eyeorg_mutations_total", "Journaled state mutations applied by this process, by op.")
-	for _, op := range []string{opCampaign, opVideo, opSession, opEvents, opBatch, opResponse, opFlag, opHandoff, opImport} {
+	for _, op := range []string{opCampaign, opVideo, opSession, opEvents, opBatch, opResponse, opFlag} {
 		m.mutation[op] = reg.Counter("eyeorg_mutations_total", `op="`+op+`"`)
 	}
 	return m
@@ -380,7 +380,7 @@ func (s *Server) Draining() bool { return s.admission.draining.Load() }
 // fully answered — what a draining server waits on before shutting its
 // listener, so participants mid-assignment can finish. It sums the
 // campaigns' in-flight lists, which a join appends to, a completion
-// removes from, and a snapshot load or an import rebuilds. Abandoned
+// removes from, and a snapshot load rebuilds. Abandoned
 // sessions never leave this count, so drain loops pair it with
 // RequestsInFlight to detect quiescence instead of waiting it to zero.
 func (s *Server) SessionsInFlight() int64 {

@@ -25,8 +25,9 @@
 // lock, then a session shard, a campaign shard, a video shard, then
 // commitMu, then mu. A goroutine takes a lock only while it holds
 // nothing later in that order: a platform request appends (mu) under
-// world and its shard locks, and waits for durability (commitMu) only
-// once it has released all of them.
+// world, held shared, and its shard locks, and waits for durability
+// (commitMu) only once it has released all of them. The platform's
+// Snapshot is the only holder of world in exclusive mode.
 //
 // Beside world and the shards the platform takes three locks of its
 // own. The telemetry registry's ranks first: a /metrics scrape holds it
