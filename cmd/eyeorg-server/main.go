@@ -31,13 +31,15 @@
 // pending group-commit window — is flushed by Close.
 //
 // -adaptive turns campaigns sequential (VidPlat-style): the platform
-// keeps a 95% confidence interval per video over kept sessions, steers
-// each new assignment at the under-sampled / widest-interval videos,
-// and closes the campaign — new joins get 409 — once every interval is
-// at most -ci-halfwidth (seconds for timeline campaigns, preference
-// score for A/B). -adaptive-seed fixes the small-sample bootstrap so
-// stopping decisions are reproducible; /analytics gains a "stopping"
-// block reporting per-video intervals and resolution.
+// keeps a 95% confidence sequence per video over kept sessions, valid
+// however often it is checked, steers each new assignment at the
+// under-sampled / widest-interval videos, and closes the campaign — new
+// joins get 409 — once every video resolves: a timeline video when its
+// sequence for the median load time is at most -ci-halfwidth seconds
+// either side, an A/B video when its sequence names a preferred side or
+// rules out any preference. Stopping is a pure function of the kept
+// values, so it replays exactly; /analytics gains a "stopping" block
+// reporting per-video sequences, resolution and A/B verdicts.
 //
 // Video payloads live in a content-addressed blob store (deduplicated
 // by SHA-256, served with strong ETags, 304s and Range requests). With
@@ -119,8 +121,7 @@ func newFlags() (*flag.FlagSet, *config) {
 	fs.StringVar(&c.logFormat, "log-format", "text", "log record format: text or json")
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 15*time.Second, "how long a drain waits for in-flight sessions to complete")
 	fs.BoolVar(&o.Adaptive, "adaptive", false, "sequential campaigns: steer assignments by per-video confidence intervals and close campaigns (409 joins) once every video resolves")
-	fs.Float64Var(&o.CIHalfWidth, "ci-halfwidth", 0, fmt.Sprintf("with -adaptive: target 95%% CI half-width per video — seconds (timeline) or preference score (ab); 0 = %g", adaptive.DefaultHalfWidth))
-	fs.Int64Var(&o.AdaptiveSeed, "adaptive-seed", 0, "with -adaptive: seed for the deterministic small-sample bootstrap")
+	fs.Float64Var(&o.CIHalfWidth, "ci-halfwidth", 0, fmt.Sprintf("with -adaptive: target 95%% half-width, in seconds, of a timeline video's median load time (A/B videos resolve by verdict); 0 = %g", adaptive.DefaultHalfWidth))
 	return fs, c
 }
 

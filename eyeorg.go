@@ -210,10 +210,12 @@ func RenderAllExperimentsParallel(s *ExperimentSuite, w io.Writer, workers int) 
 // MaxBodyBytes put the API behind admission control (429 + Retry-After
 // / 413 under pressure; binary event batches charge the worker's bucket
 // per decoded record, see internal/wire). Adaptive enables sequential
-// campaigns (internal/adaptive): per-video confidence intervals steer
+// campaigns (internal/adaptive): per-video confidence sequences steer
 // each new assignment at the under-sampled videos and close the
-// campaign — new joins get 409 — once every interval shrinks to
-// CIHalfWidth. The server binary opens internal/platform directly.
+// campaign — new joins get 409 — once every video resolves: a timeline
+// video when its sequence shrinks to CIHalfWidth seconds, an A/B video
+// when its sequence names a preference or rules one out. The server
+// binary opens internal/platform directly.
 type PlatformOptions = platform.Options
 
 // NewPlatformHandler returns an in-memory Eyeorg web service handler.

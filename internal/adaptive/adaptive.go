@@ -1,64 +1,43 @@
 package adaptive
 
 import (
-	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
-	"github.com/eyeorg/eyeorg/internal/rng"
-	"github.com/eyeorg/eyeorg/internal/stats"
 )
 
-// Defaults for Config's zero fields.
 const (
-	// DefaultHalfWidth is the target 95% half-width: 0.5 seconds of
-	// user-perceived load time (timeline) or 0.5 of preference score
-	// (A/B — effectively "any consistent majority").
+	// DefaultHalfWidth is the default target half-width, in seconds of
+	// user-perceived load time, a timeline video's interval must reach.
 	DefaultHalfWidth = 0.5
-	// DefaultMinKept is the fewest kept samples a video may resolve on;
-	// below it no interval, however tight, stops collection.
-	DefaultMinKept = 5
-	// DefaultBootstrapBelow is the sample count under which the seeded
-	// bootstrap replaces the normal approximation.
-	DefaultBootstrapBelow = 30
-	// DefaultResamples is the bootstrap resample count.
-	DefaultResamples = 200
-	// z95 is the two-sided 95% normal quantile.
-	z95 = 1.959963984540054
+	// alphaSide is the error allowed on each side of every interval:
+	// two sides make the 95% level.
+	alphaSide = 0.025
+	// noPreferenceMargin is how far from an even split an A/B video's
+	// score may lie and still read as no preference: 0.1 is a 60/40
+	// split of decisive votes. An interval this narrow needs about 400
+	// kept votes when the crowd is split evenly; halving the margin
+	// needs about 1,660, more than the 1,000 participants the paper pays
+	// for a whole campaign.
+	noPreferenceMargin = 0.1
 )
 
-// Config parameterizes estimation and stopping. The zero value selects
-// every default.
+// Config parameterizes stopping. The zero value selects every default.
 type Config struct {
-	// HalfWidth is the confidence-interval half-width a video must reach
-	// to resolve (0 = DefaultHalfWidth).
+	// HalfWidth is the half-width, in seconds, a timeline video's
+	// interval must reach to resolve (0 = DefaultHalfWidth). A/B videos
+	// resolve by verdict and ignore it.
 	HalfWidth float64
-	// MinKept is the minimum kept samples before a video may resolve
-	// (0 = DefaultMinKept).
-	MinKept int
-	// BootstrapBelow switches small samples to the seeded bootstrap
-	// (0 = DefaultBootstrapBelow).
-	BootstrapBelow int
-	// Resamples is the bootstrap resample count (0 = DefaultResamples).
-	Resamples int
-	// Seed keys the bootstrap PRNG: same seed + same journal = same
-	// stopping decisions, the crash-replay determinism contract.
+	// Deprecated: intervals are a pure function of the kept values, so
+	// there is nothing to seed. Seed is ignored.
 	Seed int64
 }
 
 func (c Config) withDefaults() Config {
 	if c.HalfWidth <= 0 {
 		c.HalfWidth = DefaultHalfWidth
-	}
-	if c.MinKept <= 0 {
-		c.MinKept = DefaultMinKept
-	}
-	if c.BootstrapBelow <= 0 {
-		c.BootstrapBelow = DefaultBootstrapBelow
-	}
-	if c.Resamples <= 0 {
-		c.Resamples = DefaultResamples
 	}
 	return c
 }
@@ -71,110 +50,86 @@ const (
 	StateResolved   State = "resolved"
 )
 
-// Interval is one video's current confidence interval.
+// Verdict is the decision a resolved A/B video stopped on.
+type Verdict string
+
+const (
+	VerdictA    Verdict = "a"
+	VerdictB    Verdict = "b"
+	VerdictNone Verdict = "none"
+)
+
+// Interval is one video's current 95% confidence sequence. Lo is -Inf
+// and Hi +Inf while a side is still unbounded.
 type Interval struct {
-	N    int
-	Mean float64
-	// HalfWidth is the 95% half-width; valid only when Method is
-	// non-empty (two or more samples).
-	HalfWidth float64
-	// Method names the estimator that produced HalfWidth: "normal",
-	// "bootstrap", or "" when no interval is computable yet.
-	Method string
+	N      int
+	Lo, Hi float64
 }
 
-// Estimator accumulates one video's kept samples in completion order
-// and answers interval queries.
+// boundary is the stitched boundary u(n) of Howard, Ramdas, McAuliffe
+// & Sekhon (Ann. Statist. 2021) for a sum of n ¼-sub-Gaussian terms,
+// with alphaSide per side. It holds at every n at once, so checking
+// after each completion is safe. Below n = 4 it is +Inf.
+func boundary(n int) float64 {
+	v := float64(n) / 4
+	if v < 1 {
+		return math.Inf(1)
+	}
+	return 1.7 * math.Sqrt(v*(math.Log(math.Log(2*v))+0.72*math.Log(5.2/alphaSide)))
+}
+
+// Estimator holds one video's kept samples, sorted, and their sum.
 type Estimator struct {
 	values []float64
 	sum    float64
-	sumsq  float64
 }
 
-// Add appends one kept sample.
+// Add folds one kept sample.
 func (e *Estimator) Add(v float64) {
-	e.values = append(e.values, v)
+	i, _ := slices.BinarySearch(e.values, v)
+	e.values = slices.Insert(e.values, i, v)
 	e.sum += v
-	e.sumsq += v * v
 }
 
-// N returns the kept sample count.
-func (e *Estimator) N() int { return len(e.values) }
-
-// Interval computes the current 95% interval under cfg. key
-// disambiguates the bootstrap stream per video, so two videos with
-// identical samples still draw independent resample schedules.
-func (e *Estimator) Interval(cfg Config, key string) Interval {
-	cfg = cfg.withDefaults()
+// Interval computes the current confidence sequence for a campaign of
+// the given kind. An A/B score lies in [0,1], so its sum is
+// ¼-sub-Gaussian and the sequence is mean ± u(n)/n. A timeline sample
+// has no known bound, so the sequence is for the median: the order
+// statistics x₍⌈n/2−u(n)⌉₎ and x₍⌊n/2+u(n)⌋+1₎ (Howard & Ramdas,
+// Bernoulli 2022).
+func (e *Estimator) Interval(kind string) Interval {
 	n := len(e.values)
-	if n == 0 {
-		return Interval{}
+	iv := Interval{N: n, Lo: math.Inf(-1), Hi: math.Inf(1)}
+	u := boundary(n)
+	if math.IsInf(u, 1) {
+		return iv
 	}
-	mean := e.sum / float64(n)
-	if n == 1 {
-		return Interval{N: 1, Mean: mean}
+	if kind == "ab" {
+		mean := e.sum / float64(n)
+		iv.Lo, iv.Hi = math.Max(0, mean-u/float64(n)), math.Min(1, mean+u/float64(n))
+		return iv
 	}
-	if n < cfg.BootstrapBelow {
-		return Interval{N: n, Mean: mean, HalfWidth: e.bootstrapHalfWidth(cfg, key), Method: "bootstrap"}
+	if lo := int(math.Ceil(float64(n)/2 - u)); lo >= 1 {
+		iv.Lo = e.values[lo-1]
 	}
-	// Sample stdev via the running sums; clamp the cancellation error an
-	// all-equal stream can leave slightly negative.
-	variance := (e.sumsq - e.sum*e.sum/float64(n)) / float64(n-1)
-	if variance < 0 {
-		variance = 0
+	if hi := int(math.Floor(float64(n)/2+u)) + 1; hi <= n {
+		iv.Hi = e.values[hi-1]
 	}
-	return Interval{
-		N: n, Mean: mean,
-		HalfWidth: z95 * math.Sqrt(variance/float64(n)),
-		Method:    "normal",
-	}
+	return iv
 }
-
-// bootstrapHalfWidth is the small-sample fallback: half the central 95%
-// spread of Resamples resampled means, drawn from a deterministic
-// stream keyed by (seed, video, n). Keying on n means each new sample
-// re-draws the schedule — the estimate is a pure function of the value
-// multiset and the key, independent of when it is asked.
-func (e *Estimator) bootstrapHalfWidth(cfg Config, key string) float64 {
-	n := len(e.values)
-	// The SplitMix64 stream from the seed: stable across platforms and Go
-	// versions, which math/rand's generator is not contractually.
-	state := bootstrapSeed(cfg.Seed, key, n)
-	means := make([]float64, cfg.Resamples)
-	for b := range means {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += e.values[rng.SplitMix64(state)%uint64(n)]
-			state += goldenGamma
-		}
-		means[b] = sum / float64(n)
-	}
-	sort.Float64s(means)
-	lo := stats.Sample(means).Percentile(2.5)
-	hi := stats.Sample(means).Percentile(97.5)
-	return (hi - lo) / 2
-}
-
-func bootstrapSeed(seed int64, key string, n int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return uint64(seed) ^ h.Sum64() ^ (uint64(n) * goldenGamma)
-}
-
-// goldenGamma is SplitMix64's state increment.
-const goldenGamma = 0x9e3779b97f4a7c15
 
 // VideoStatus is one video's stopping state for rendering.
 type VideoStatus struct {
 	Video   string
 	State   State
-	Kept    int
 	Pending int
+	// Verdict is set on a resolved A/B video.
+	Verdict Verdict
 	Interval
 }
 
 // Campaign is one campaign's adaptive state: estimators, stopping
-// flags, and the in-flight assignment counts the allocator steers by.
+// verdicts, and the in-flight assignment counts the allocator steers by.
 type Campaign struct {
 	cfg    Config
 	kind   string // "timeline" | "ab"
@@ -183,9 +138,9 @@ type Campaign struct {
 	// pending counts journaled-but-not-completed assignment entries per
 	// video; maintained verdict-agnostically (see the package comment on
 	// provisional DropSoft).
-	pending  map[string]int
-	resolved map[string]bool
-	closed   bool
+	pending map[string]int
+	// resolved holds each resolved video's verdict ("" on timeline).
+	resolved map[string]Verdict
 }
 
 // New starts empty adaptive state for a campaign of the given kind.
@@ -195,7 +150,7 @@ func New(kind string, cfg Config) *Campaign {
 		kind:     kind,
 		est:      map[string]*Estimator{},
 		pending:  map[string]int{},
-		resolved: map[string]bool{},
+		resolved: map[string]Verdict{},
 	}
 }
 
@@ -206,7 +161,13 @@ func (a *Campaign) Config() Config { return a.cfg }
 // comparison is by definition unresolved, so a closed campaign reopens.
 func (a *Campaign) AddVideo(id string) {
 	a.videos = append(a.videos, id)
-	a.closed = false
+}
+
+// RemoveVideo takes a banned video out of the assignment universe: no
+// participant is assigned it again, so it must not hold the campaign
+// open.
+func (a *Campaign) RemoveVideo(id string) {
+	a.videos = slices.DeleteFunc(a.videos, func(v string) bool { return v == id })
 }
 
 // NoteJoin records one journaled session's assignment: each entry
@@ -221,8 +182,8 @@ func (a *Campaign) NoteJoin(videos []string) {
 // Complete folds one completed session: releases its pending
 // assignment entries and, for a kept session, feeds the estimators and
 // refreshes the stopping state. Calls must arrive in completion order —
-// the order the journal produced — so the estimator folds and therefore
-// the stopping decisions replay bit-identically.
+// the order the journal produced — so the stopping decisions replay
+// bit-identically.
 func (a *Campaign) Complete(rec *filtering.SessionRecord, verdict filtering.Reason) {
 	kept := verdict == filtering.Kept
 	for _, r := range rec.Timeline {
@@ -256,31 +217,50 @@ func (a *Campaign) observe(video string, v float64) {
 	e.Add(v)
 }
 
-// refresh re-evaluates stopping after a completion: resolution is
-// sticky per video, and the campaign closes once every registered video
-// has resolved.
+func (a *Campaign) interval(video string) Interval {
+	if e := a.est[video]; e != nil {
+		return e.Interval(a.kind)
+	}
+	return Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
+}
+
+// refresh re-evaluates stopping after a completion; resolution is
+// sticky per video.
 func (a *Campaign) refresh() {
-	allResolved := len(a.videos) > 0
 	for _, v := range a.videos {
-		if a.resolved[v] {
-			continue
-		}
-		if e := a.est[v]; e != nil && e.N() >= a.cfg.MinKept {
-			if iv := e.Interval(a.cfg, v); iv.Method != "" && iv.HalfWidth <= a.cfg.HalfWidth {
-				a.resolved[v] = true
-				continue
+		if _, done := a.resolved[v]; !done {
+			if verdict, ok := a.stop(a.interval(v)); ok {
+				a.resolved[v] = verdict
 			}
 		}
-		allResolved = false
-	}
-	if allResolved {
-		a.closed = true
 	}
 }
 
-// Closed reports whether every comparison has resolved; the platform
-// 409s joins on a closed campaign.
-func (a *Campaign) Closed() bool { return a.closed }
+// stop is the stopping rule. A timeline video stops once half its
+// interval's width is at most HalfWidth. An A/B video stops once its
+// interval excludes an even split (a preference for A or B) or fits
+// within noPreferenceMargin of it (no preference).
+func (a *Campaign) stop(iv Interval) (Verdict, bool) {
+	if a.kind != "ab" {
+		return "", (iv.Hi-iv.Lo)/2 <= a.cfg.HalfWidth
+	}
+	switch {
+	case iv.Lo > 0.5:
+		return VerdictA, true
+	case iv.Hi < 0.5:
+		return VerdictB, true
+	case iv.Lo >= 0.5-noPreferenceMargin && iv.Hi <= 0.5+noPreferenceMargin:
+		return VerdictNone, true
+	}
+	return "", false
+}
+
+// Closed reports whether every registered video has resolved; the
+// platform 409s joins on a closed campaign.
+func (a *Campaign) Closed() bool {
+	resolved, total := a.Resolved()
+	return total > 0 && resolved == total
+}
 
 // Assign returns the allocation pool for the next session's assignment:
 // the unresolved subset of live (the campaign's unbanned videos),
@@ -292,7 +272,7 @@ func (a *Campaign) Closed() bool { return a.closed }
 func (a *Campaign) Assign(live []string) []string {
 	pool := make([]string, 0, len(live))
 	for _, v := range live {
-		if !a.resolved[v] {
+		if _, done := a.resolved[v]; !done {
 			pool = append(pool, v)
 		}
 	}
@@ -307,14 +287,8 @@ func (a *Campaign) Assign(live []string) []string {
 	}
 	needs := make([]need, len(pool))
 	for i, v := range pool {
-		n := need{video: v, expected: a.pending[v], width: math.Inf(1), order: i}
-		if e := a.est[v]; e != nil {
-			n.expected += e.N()
-			if iv := e.Interval(a.cfg, v); iv.Method != "" {
-				n.width = iv.HalfWidth
-			}
-		}
-		needs[i] = n
+		iv := a.interval(v)
+		needs[i] = need{video: v, expected: a.pending[v] + iv.N, width: iv.Hi - iv.Lo, order: i}
 	}
 	sort.SliceStable(needs, func(i, j int) bool {
 		if needs[i].expected != needs[j].expected {
@@ -336,13 +310,9 @@ func (a *Campaign) Assign(live []string) []string {
 func (a *Campaign) Status() []VideoStatus {
 	out := make([]VideoStatus, 0, len(a.videos))
 	for _, v := range a.videos {
-		st := VideoStatus{Video: v, State: StateCollecting, Pending: a.pending[v]}
-		if a.resolved[v] {
-			st.State = StateResolved
-		}
-		if e := a.est[v]; e != nil {
-			st.Kept = e.N()
-			st.Interval = e.Interval(a.cfg, v)
+		st := VideoStatus{Video: v, State: StateCollecting, Pending: a.pending[v], Interval: a.interval(v)}
+		if verdict, done := a.resolved[v]; done {
+			st.State, st.Verdict = StateResolved, verdict
 		}
 		out = append(out, st)
 	}
@@ -353,7 +323,7 @@ func (a *Campaign) Status() []VideoStatus {
 // total registered.
 func (a *Campaign) Resolved() (resolved, total int) {
 	for _, v := range a.videos {
-		if a.resolved[v] {
+		if _, done := a.resolved[v]; done {
 			resolved++
 		}
 	}

@@ -1,8 +1,11 @@
 package adaptive
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -24,73 +27,91 @@ func timelineRecord(id string, videos []string, submitted []time.Duration, contr
 	return rec
 }
 
-func TestNormalIntervalMatchesFormula(t *testing.T) {
-	e := &Estimator{}
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	var sum, sumsq float64
-	for _, v := range vals {
-		e.Add(v)
-		sum += v
-		sumsq += v * v
+func abRecord(video string, choice survey.ABChoice) *filtering.SessionRecord {
+	rec := &filtering.SessionRecord{Participant: &crowd.Participant{ID: "w"}}
+	rec.AB = append(rec.AB, &survey.ABResponse{VideoID: video, Choice: choice, AOnLeft: true, ControlPassed: true})
+	return rec
+}
+
+func TestBoundaryMatchesFormula(t *testing.T) {
+	// u(n) = 1.7·√(V·(ln ln 2V + 0.72·ln(5.2/0.025))), V = n/4, where
+	// 0.72·ln 208 = 3.842990.
+	for _, tc := range []struct {
+		n    int
+		want float64
+	}{
+		{4, 1.7 * math.Sqrt(1*(-0.366513+3.842990))},   // ln ln 2 = -0.366513
+		{20, 1.7 * math.Sqrt(5*(0.834032+3.842990))},   // ln ln 10 = 0.834032
+		{100, 1.7 * math.Sqrt(25*(1.364055+3.842990))}, // ln ln 50 = 1.364055
+	} {
+		if got := boundary(tc.n); math.Abs(got-tc.want) > 1e-4 {
+			t.Errorf("u(%d) = %v, want %v", tc.n, got, tc.want)
+		}
 	}
-	cfg := Config{BootstrapBelow: 2} // force normal at any n ≥ 2
-	iv := e.Interval(cfg, "v")
-	if iv.Method != "normal" || iv.N != len(vals) {
-		t.Fatalf("interval = %+v, want normal over %d", iv, len(vals))
-	}
-	n := float64(len(vals))
-	mean := sum / n
-	sd := math.Sqrt((sumsq - sum*sum/n) / (n - 1))
-	want := z95 * sd / math.Sqrt(n)
-	if math.Abs(iv.Mean-mean) > 1e-12 || math.Abs(iv.HalfWidth-want) > 1e-12 {
-		t.Fatalf("interval = %+v, want mean %v half-width %v", iv, mean, want)
+	for n := 0; n < 4; n++ {
+		if u := boundary(n); !math.IsInf(u, 1) {
+			t.Errorf("u(%d) = %v, want +Inf below V = 1", n, u)
+		}
+		e := &Estimator{}
+		for i := 0; i < n; i++ {
+			e.Add(1)
+		}
+		for _, kind := range []string{"ab", "timeline"} {
+			if iv := e.Interval(kind); !math.IsInf(iv.Lo, -1) || !math.IsInf(iv.Hi, 1) {
+				t.Errorf("%s interval at n=%d = %+v, want unbounded", kind, n, iv)
+			}
+		}
 	}
 }
 
-func TestBootstrapDeterministicPerSeed(t *testing.T) {
-	build := func() *Estimator {
-		e := &Estimator{}
-		for _, v := range []float64{3.0, 3.2, 2.9, 3.1, 3.05} {
-			e.Add(v)
-		}
-		return e
+func TestIntervalIsAFunctionOfTheValues(t *testing.T) {
+	vals := []float64{3.4, 2.9, 3.1, 3.05, 2.7, 3.3, 3.0, 2.95, 3.2, 2.8, 3.15, 3.25, 2.85, 3.1, 2.99, 3.01, 3.6, 2.4, 3.02, 2.98}
+	fwd, rev := &Estimator{}, &Estimator{}
+	for i := range vals {
+		fwd.Add(vals[i])
+		rev.Add(vals[len(vals)-1-i])
 	}
-	a := build().Interval(Config{Seed: 7}, "v1")
-	b := build().Interval(Config{Seed: 7}, "v1")
-	if a.Method != "bootstrap" {
-		t.Fatalf("method = %q, want bootstrap at n=5", a.Method)
-	}
+	a, b := fwd.Interval("timeline"), rev.Interval("timeline")
 	if a != b {
-		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
+		t.Fatalf("same multiset, two orders: %+v vs %+v", a, b)
 	}
-	if c := build().Interval(Config{Seed: 8}, "v1"); c.HalfWidth == a.HalfWidth {
-		t.Fatalf("different seeds produced identical bootstrap half-width %v", c.HalfWidth)
+	if math.IsInf(a.Lo, 0) || math.IsInf(a.Hi, 0) || a.Lo > 3.02 || a.Hi < 3.02 {
+		t.Fatalf("timeline interval at n=20 = %+v, want bounded around the median", a)
 	}
-	if d := build().Interval(Config{Seed: 7}, "v2"); d.HalfWidth == a.HalfWidth {
-		t.Fatalf("different videos share one bootstrap stream (half-width %v)", d.HalfWidth)
+	// Ten A votes and ten B votes, and twenty no-difference votes: the
+	// same n and sum, so the same A/B interval.
+	split, even := &Estimator{}, &Estimator{}
+	for i := 0; i < 20; i++ {
+		split.Add(float64(i % 2))
+		even.Add(0.5)
+	}
+	if x, y := split.Interval("ab"), even.Interval("ab"); x != y {
+		t.Fatalf("A/B interval depends on more than (n, sum): %+v vs %+v", x, y)
 	}
 }
 
 func TestResolutionStickyAndClosing(t *testing.T) {
-	a := New("timeline", Config{HalfWidth: 0.5, MinKept: 3, Seed: 1})
+	a := New("timeline", Config{HalfWidth: 0.5})
 	a.AddVideo("v1")
 	a.AddVideo("v2")
 	sub := []time.Duration{3 * time.Second, 3 * time.Second, 3 * time.Second}
-	// Three kept sessions, each answering both videos plus a control.
-	for i := 0; i < 3; i++ {
+	// Kept sessions, each answering both videos plus a control, until
+	// both videos resolve; no sequence is bounded below n = 13.
+	sessions := 0
+	for ; !a.Closed(); sessions++ {
+		if sessions == 100 {
+			t.Fatal("identical samples never closed the campaign")
+		}
 		vids := []string{"v1", "v2", "v1"}
 		a.NoteJoin(vids)
 		a.Complete(timelineRecord("w", vids, sub, 2), filtering.Kept)
 	}
+	if sessions != 13 {
+		t.Fatalf("closed after %d sessions, want 13 (one sample per video each, control excluded)", sessions)
+	}
 	st := a.Status()
-	if st[0].State != StateResolved || st[0].Kept != 3 {
-		t.Fatalf("v1 = %+v, want resolved with 3 kept (1 per session, control excluded)", st[0])
-	}
-	if st[1].State != StateResolved {
-		t.Fatalf("v2 = %+v, want resolved", st[1])
-	}
-	if !a.Closed() {
-		t.Fatal("campaign should close when every video resolves")
+	if st[0].State != StateResolved || st[0].N != 13 || st[0].Lo != 3 || st[0].Hi != 3 {
+		t.Fatalf("v1 = %+v, want resolved at [3, 3] with 13 kept", st[0])
 	}
 	if r, tot := a.Resolved(); r != 2 || tot != 2 {
 		t.Fatalf("Resolved() = %d/%d, want 2/2", r, tot)
@@ -107,10 +128,21 @@ func TestResolutionStickyAndClosing(t *testing.T) {
 	if a.Closed() {
 		t.Fatal("AddVideo must reopen a closed campaign")
 	}
+	// Banning the only open video closes it again; banning the rest
+	// leaves nothing registered, which is not closed.
+	a.RemoveVideo("v3")
+	if !a.Closed() {
+		t.Fatal("removing the only unresolved video must close the campaign")
+	}
+	a.RemoveVideo("v1")
+	a.RemoveVideo("v2")
+	if a.Closed() || len(a.Status()) != 0 {
+		t.Fatal("a campaign with no registered video must not read closed")
+	}
 }
 
 func TestDroppedSessionsReleaseBudgetWithoutSamples(t *testing.T) {
-	a := New("timeline", Config{HalfWidth: 0.5, MinKept: 3, Seed: 1})
+	a := New("timeline", Config{HalfWidth: 0.5})
 	a.AddVideo("v1")
 	vids := []string{"v1", "v1", "v1"}
 	a.NoteJoin(vids)
@@ -120,13 +152,13 @@ func TestDroppedSessionsReleaseBudgetWithoutSamples(t *testing.T) {
 	sub := []time.Duration{3 * time.Second, 3 * time.Second, 3 * time.Second}
 	a.Complete(timelineRecord("w", vids, sub, 2), filtering.DropControl)
 	st := a.Status()[0]
-	if st.Pending != 0 || st.Kept != 0 || st.State != StateCollecting {
+	if st.Pending != 0 || st.N != 0 || st.State != StateCollecting {
 		t.Fatalf("dropped session left %+v, want budget released and no samples", st)
 	}
 }
 
 func TestAssignSteersAtUnderSampledUnresolved(t *testing.T) {
-	a := New("timeline", Config{HalfWidth: 0.2, MinKept: 2, Seed: 1})
+	a := New("timeline", Config{HalfWidth: 0.2})
 	for _, v := range []string{"v1", "v2", "v3"} {
 		a.AddVideo(v)
 	}
@@ -135,10 +167,10 @@ func TestAssignSteersAtUnderSampledUnresolved(t *testing.T) {
 	if got := a.Assign(live); !reflect.DeepEqual(got, live) {
 		t.Fatalf("fresh pool = %v, want registration order %v", got, live)
 	}
-	// Resolve v1; give v2 one kept sample. Pool drops v1 and leads with
-	// the never-sampled v3.
+	// Resolve v1 with 14 identical samples; give v2 two kept samples.
+	// Pool drops v1 and leads with the never-sampled v3.
 	tight := []time.Duration{3 * time.Second, 3 * time.Second, 3 * time.Second}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 7; i++ {
 		vids := []string{"v1", "v1", "v1"}
 		a.NoteJoin(vids)
 		a.Complete(timelineRecord("w", vids, tight, 2), filtering.Kept)
@@ -165,24 +197,36 @@ func TestAssignSteersAtUnderSampledUnresolved(t *testing.T) {
 }
 
 func TestABVotesMapToPreferenceScores(t *testing.T) {
-	a := New("ab", Config{HalfWidth: 0.3, MinKept: 3, Seed: 1})
+	a := New("ab", Config{})
 	a.AddVideo("v1")
-	choices := []survey.ABChoice{survey.ChoiceLeft, survey.ChoiceLeft, survey.ChoiceNoDifference}
-	for _, ch := range choices {
-		rec := &filtering.SessionRecord{Participant: &crowd.Participant{ID: "w"}}
-		rec.AB = append(rec.AB, &survey.ABResponse{
-			VideoID: "v1", Choice: ch, AOnLeft: true, ControlPassed: true,
-		})
+	for _, ch := range []survey.ABChoice{survey.ChoiceLeft, survey.ChoiceLeft, survey.ChoiceNoDifference} {
 		a.NoteJoin([]string{"v1"})
-		a.Complete(rec, filtering.Kept)
+		a.Complete(abRecord("v1", ch), filtering.Kept)
 	}
-	st := a.Status()[0]
-	if st.Kept != 3 {
-		t.Fatalf("kept = %d, want 3", st.Kept)
+	e := a.est["v1"]
+	if len(e.values) != 3 || e.sum != 1+1+0.5 {
+		t.Fatalf("values = %v, sum = %v, want 3 votes scoring 2.5", e.values, e.sum)
 	}
-	want := (1.0 + 1.0 + 0.5) / 3
-	if math.Abs(st.Mean-want) > 1e-12 {
-		t.Fatalf("mean preference = %v, want %v", st.Mean, want)
+}
+
+func TestABVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		choice survey.ABChoice
+		want   Verdict
+		n      int
+	}{
+		{survey.ChoiceLeft, VerdictA, 13},
+		{survey.ChoiceRight, VerdictB, 13},
+		{survey.ChoiceNoDifference, VerdictNone, 399},
+	} {
+		a := New("ab", Config{HalfWidth: 1e-9}) // A/B ignores the half-width
+		a.AddVideo("v1")
+		for !a.Closed() {
+			a.Complete(abRecord("v1", tc.choice), filtering.Kept)
+		}
+		if st := a.Status()[0]; st.Verdict != tc.want || st.N != tc.n {
+			t.Errorf("%v votes resolved as %+v, want verdict %q at n=%d", tc.choice, st, tc.want, tc.n)
+		}
 	}
 }
 
@@ -193,7 +237,86 @@ func TestStatusJSONSafeBeforeTwoSamples(t *testing.T) {
 	a.NoteJoin(vids)
 	a.Complete(timelineRecord("w", vids, []time.Duration{3 * time.Second}, -1), filtering.Kept)
 	st := a.Status()[0]
-	if st.Method != "" || st.HalfWidth != 0 {
-		t.Fatalf("n=1 status = %+v, want no computable interval (JSON cannot carry Inf)", st)
+	if st.N != 1 || !math.IsInf(st.Lo, -1) || !math.IsInf(st.Hi, 1) {
+		t.Fatalf("n=1 status = %+v, want both sides unbounded (the platform omits them: JSON cannot carry Inf)", st)
+	}
+}
+
+// TestStoppingCoverage drives Campaign.Complete on simulated videos, one
+// sample per completion, until each resolves, and holds the error rate
+// at the stop to the nominal 5% plus three binomial standard errors: a
+// named preference where there is none, a preference for the wrong
+// side, or a timeline interval that excludes the true median.
+func TestStoppingCoverage(t *testing.T) {
+	const videos = 2000
+	slack := 0.05 + 3*math.Sqrt(0.05*0.95/videos)
+	type row struct {
+		name string
+		kind string
+		// A/B: the share of no-difference votes, and the chance a
+		// decisive vote picks A.
+		noDiff, p float64
+		// timeline: the spread of load times around a 3 s median.
+		sigma float64
+	}
+	var rows []row
+	for _, p := range []float64{0.5, 0.6, 0.7, 0.8} {
+		for _, nd := range []float64{0, 0.2} {
+			rows = append(rows, row{name: fmt.Sprintf("ab-p%.1f-nd%.1f", p, nd), kind: "ab", p: p, noDiff: nd})
+		}
+	}
+	for _, sigma := range []float64{0.5, 1.0, 1.5, 2.0, 2.5} {
+		rows = append(rows, row{name: fmt.Sprintf("timeline-sigma%.1f", sigma), kind: "timeline", sigma: sigma})
+	}
+	for i, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			rnd := rand.New(rand.NewSource(int64(i + 1)))
+			errs := 0
+			kept := make([]int, 0, videos)
+			ab := abRecord("v", survey.ChoiceLeft)
+			tl := timelineRecord("w", []string{"v"}, []time.Duration{0}, -1)
+			for v := 0; v < videos; v++ {
+				a := New(r.kind, Config{})
+				a.AddVideo("v")
+				for n := 0; !a.Closed(); n++ {
+					if n == 100_000 {
+						t.Fatalf("video %d never resolved", v)
+					}
+					switch {
+					case r.kind == "timeline":
+						tl.Timeline[0].Submitted = time.Duration((3 + r.sigma*rnd.NormFloat64()) * float64(time.Second))
+						a.Complete(tl, filtering.Kept)
+						continue
+					case rnd.Float64() < r.noDiff:
+						ab.AB[0].Choice = survey.ChoiceNoDifference
+					case rnd.Float64() < r.p:
+						ab.AB[0].Choice = survey.ChoiceLeft
+					default:
+						ab.AB[0].Choice = survey.ChoiceRight
+					}
+					a.Complete(ab, filtering.Kept)
+				}
+				st := a.Status()[0]
+				kept = append(kept, st.N)
+				switch {
+				case r.kind == "timeline":
+					if st.Lo > 3 || st.Hi < 3 {
+						errs++
+					}
+				case r.p == 0.5:
+					if st.Verdict != VerdictNone {
+						errs++
+					}
+				case st.Verdict == VerdictB:
+					errs++
+				}
+			}
+			sort.Ints(kept)
+			rate := float64(errs) / videos
+			t.Logf("error rate %.4f, kept at stop: median %d, p90 %d", rate, kept[videos/2], kept[videos*9/10])
+			if rate > slack {
+				t.Errorf("error rate %.4f over %d videos, want at most %.4f", rate, videos, slack)
+			}
+		})
 	}
 }

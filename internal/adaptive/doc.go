@@ -1,34 +1,38 @@
 // Package adaptive makes campaigns sequential, after VidPlat: instead
 // of collecting a fixed number of judgments per video, the platform
-// keeps a per-video confidence interval over the kept sessions'
-// submissions, stops steering assignments at videos whose interval has
-// resolved to the configured half-width, and closes the whole campaign
-// once every comparison has resolved — cutting sessions-to-decision by
-// whatever margin the crowd's agreement allows.
+// keeps a per-video confidence sequence over the kept sessions'
+// submissions, stops steering assignments at videos whose sequence has
+// resolved, and closes the whole campaign once every comparison has
+// resolved — cutting sessions-to-decision by whatever margin the
+// crowd's agreement allows.
 //
 // # Estimation
 //
-// Each video's estimator holds the kept, non-control submissions in
-// completion order (timeline campaigns: user-perceived load time in
-// seconds; A/B campaigns: each vote mapped to a preference score — A=1,
-// B=0, no-difference=0.5). With enough samples the 95% interval is the
-// normal approximation mean ± z·s/√n. Below Config.BootstrapBelow
-// samples the normal approximation is optimistic, so a deterministic
-// seeded bootstrap takes over: Config.Resamples resamples with
-// replacement, each drawn from a splitmix64 stream keyed by
-// (Config.Seed, video ID, n), and the half-width is half the
-// 2.5th–97.5th percentile spread of the resampled means. Everything is
-// a pure function of (values in completion order, Config), which is
-// what lets crash recovery re-fold the journal and land on bit-equal
-// stopping decisions.
+// Each video's estimator holds the kept, non-control submissions,
+// sorted, and their sum (timeline campaigns: user-perceived load time
+// in seconds; A/B campaigns: each vote mapped to a preference score —
+// A=1, B=0, no-difference=0.5). One boundary u(n), the stitched
+// boundary of Howard, Ramdas, McAuliffe & Sekhon (2021) at 2.5% per
+// side, gives both kinds a 95% confidence sequence: an interval that
+// covers the truth at every n at once, so the stopper may look after
+// every completion without inflating its error. An A/B score's
+// sequence is mean ± u(n)/n; a timeline video's is an order-statistic
+// pair around the median, the statistic §4.3's percentile band centres
+// on, since nothing bounds a load time. Below n = 4 the boundary is
+// infinite and no video can resolve. The sequence is a pure function
+// of the kept values, which is what lets crash recovery re-fold the
+// journal and land on bit-equal stopping decisions.
 //
 // # Stopping and allocation
 //
-// A video is "collecting" until it has Config.MinKept kept samples AND
-// a computed half-width at or under Config.HalfWidth; then it is
-// "resolved", stickily — later samples (sessions already in flight
-// when it resolved) never reopen it. The campaign closes when every
-// registered video has resolved; registering a new video reopens it.
+// A timeline video resolves once half its sequence's width is at most
+// Config.HalfWidth seconds. An A/B video resolves with verdict "a" or
+// "b" once its sequence excludes an even split, or "none" once the
+// sequence fits within a small margin of it. Resolution is sticky —
+// later samples (sessions already in flight when it resolved) never
+// reopen a video. The campaign is closed while every registered video
+// has resolved; registering a new video reopens it, and a banned video
+// leaves the registered set.
 //
 // The allocator steers each new session at the unresolved videos,
 // most-needed first: fewest expected samples (kept plus in-flight

@@ -78,13 +78,15 @@ func copyTree(t *testing.T, src, dst string) {
 // TestAdaptiveAnalyticsEquivalence: the allocator may steer every
 // assignment, but the verdicts on the sessions it admits must still be
 // byte-for-byte what the offline batch pipeline computes — across both
-// campaign kinds and both worker counts. A vanishing half-width keeps
-// the campaign collecting for the whole chaos run.
+// campaign kinds and both worker counts. A vanishing half-width keeps a
+// timeline campaign collecting for the whole chaos run; an A/B
+// campaign's uniformly random votes are far too few to resolve every
+// video.
 func TestAdaptiveAnalyticsEquivalence(t *testing.T) {
 	for _, kind := range []string{"timeline", "ab"} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s-w%d", kind, workers), func(t *testing.T) {
-				c, s := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9, AdaptiveSeed: 42})
+				c, s := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9})
 				campaign, _ := setupCampaign(c, kind, 3)
 				l := newSent()
 				runChaos(t, l, c.srv.URL, campaign, kind, 7, workers, 6)
@@ -118,7 +120,6 @@ func TestAdaptiveCrashReplayDeterminism(t *testing.T) {
 	} {
 		opt.Adaptive = true
 		opt.CIHalfWidth = 1e-9
-		opt.AdaptiveSeed = 11
 		t.Run(fmt.Sprintf("snap%d", opt.SnapshotEvery), func(t *testing.T) {
 			dir := t.TempDir()
 			_, c := openPersisted(t, dir, opt)
@@ -161,7 +162,7 @@ func TestAdaptiveCrashReplayDeterminism(t *testing.T) {
 // 409 — and after a crash the recovered server holds the same closure
 // (same bytes, same 409) without re-running any estimator decision live.
 func TestAdaptiveStopperClosesAndSurvivesCrash(t *testing.T) {
-	opt := Options{Adaptive: true, CIHalfWidth: 0.25, AdaptiveSeed: 5}
+	opt := Options{Adaptive: true, CIHalfWidth: 0.25}
 	dir := t.TempDir()
 	_, c := openPersisted(t, dir, opt)
 	campaign, _ := setupCampaign(c, "timeline", 2)
@@ -189,7 +190,7 @@ func TestAdaptiveStopperClosesAndSurvivesCrash(t *testing.T) {
 		t.Fatalf("resolved %d/%d, want 2/2", ar.Stopping.Resolved, ar.Stopping.Total)
 	}
 	for id, vs := range ar.Stopping.PerVideo {
-		if vs.State != "resolved" || vs.HalfWidth > 0.25 {
+		if vs.State != "resolved" || vs.Lo == nil || vs.Hi == nil || *vs.Hi-*vs.Lo > 0.5 {
 			t.Fatalf("video %s not resolved below target: %+v", id, vs)
 		}
 	}
@@ -209,13 +210,105 @@ func TestAdaptiveStopperClosesAndSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestAdaptiveABVerdictRendered: an A/B video resolves by verdict, not
+// by half-width, and /analytics says which side won; the seconds-only
+// target is absent from an A/B campaign's stopping block.
+func TestAdaptiveABVerdictRendered(t *testing.T) {
+	c, _ := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9})
+	campaign, vids := setupCampaign(c, "ab", 2)
+	closed := false
+	for i := 0; i < 20; i++ {
+		jr, code := joinStatus(c, campaign, fmt.Sprintf("ab-%d", i))
+		if code == http.StatusConflict {
+			closed = true
+			break
+		}
+		c.do("POST", "/api/v1/sessions/"+jr.Session+"/events", EventBatch{InstructionMs: 25_000}, nil)
+		for _, tt := range jr.Tests {
+			c.do("POST", "/api/v1/sessions/"+jr.Session+"/events", EventBatch{
+				VideoID: tt.VideoID, LoadMs: 900, TimeOnVideoMs: 21_000, Seeks: 12, Plays: 1, WatchedFraction: 0.9,
+			}, nil)
+			choice := "left" // A is always served on the left
+			if tt.Control {
+				choice = "no difference"
+			}
+			c.do("POST", "/api/v1/sessions/"+jr.Session+"/responses", ResponseBody{TestID: tt.TestID, Choice: choice}, nil)
+		}
+	}
+	ar := fetchAnalytics(t, c, campaign)
+	if !closed || ar.Stopping == nil || !ar.Stopping.Closed || ar.Stopping.TargetHalfWidth != 0 {
+		t.Fatalf("A/B campaign of unanimous votes: closed=%v, stopping %+v", closed, ar.Stopping)
+	}
+	for _, id := range vids {
+		vs := ar.Stopping.PerVideo[id]
+		if vs.State != "resolved" || vs.Verdict != "a" || vs.Lo == nil || *vs.Lo <= 0.5 {
+			t.Fatalf("video %s: %+v, want resolved for A above 0.5", id, vs)
+		}
+	}
+}
+
+// TestBannedVideoDoesNotHoldAdaptiveCampaignOpen: a banned video is
+// never assigned again, so it can never resolve; the stopper must drop
+// it, or the campaign stays open forever while every join is handed
+// videos that already resolved. The closure must hold live, after a
+// crash replays the journal's ban, and after a snapshot load, which
+// must not register the banned video again.
+func TestBannedVideoDoesNotHoldAdaptiveCampaignOpen(t *testing.T) {
+	opt := Options{Adaptive: true, CIHalfWidth: 0.25}
+	dir := t.TempDir()
+	_, c := openPersisted(t, dir, opt)
+	campaign, vids := setupCampaign(c, "timeline", 3)
+	for i := 0; i < BanThreshold; i++ {
+		c.do("POST", "/api/v1/videos/"+vids[0]+"/flag", map[string]string{"worker": fmt.Sprintf("flagger-%d", i)}, nil)
+	}
+	closed := false
+	for i := 0; i < 60 && !closed; i++ {
+		jr, code := joinStatus(c, campaign, fmt.Sprintf("ban-%d", i))
+		switch code {
+		case http.StatusConflict:
+			closed = true
+		case http.StatusCreated:
+			completeSession(c, jr, 3_000+float64(i%3)*10, true, 12, 0)
+		default:
+			t.Fatalf("join %d: %d", i, code)
+		}
+	}
+	ar := fetchAnalytics(t, c, campaign)
+	if !closed || !ar.Stopping.Closed || ar.Stopping.Resolved != 2 || ar.Stopping.Total != 2 {
+		t.Fatalf("banned video held the campaign open: %+v", ar.Stopping)
+	}
+	if _, ok := ar.Stopping.PerVideo[vids[0]]; ok {
+		t.Fatalf("banned video %s still in the stopping block", vids[0])
+	}
+	pre := rawAnalytics(t, c, campaign)
+	check := func(stage string, c *client) {
+		t.Helper()
+		if _, code := joinStatus(c, campaign, "probe-"+stage); code != http.StatusConflict {
+			t.Fatalf("%s: join got %d, want 409", stage, code)
+		}
+		if got := rawAnalytics(t, c, campaign); string(got) != string(pre) {
+			t.Fatalf("%s: analytics diverged:\n pre:  %s\n post: %s", stage, pre, got)
+		}
+	}
+
+	c.srv.Close() // crash without Server.Close: the ban replays from the journal
+	s2, c2 := openPersisted(t, dir, opt)
+	check("replay", c2)
+	if err := s2.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	c2.srv.Close()
+	_, c3 := openPersisted(t, dir, opt)
+	check("snapshot", c3)
+}
+
 // TestAdaptivePendingBudgetNotSpent pins the provisional-verdict split:
 // an in-flight session holds Pending budget but contributes no Kept
 // samples (its provisional soft verdict must not be spent), a dropped
 // session releases its budget without ever adding samples, and only a
 // final kept verdict moves Pending into Kept.
 func TestAdaptivePendingBudgetNotSpent(t *testing.T) {
-	c, _ := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9, AdaptiveSeed: 3})
+	c, _ := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9})
 	campaign, vids := setupCampaign(c, "timeline", 2)
 
 	jr1, code := joinStatus(c, campaign, "w-inflight")
@@ -315,7 +408,7 @@ func TestAnalyticsPercentileParamValidation(t *testing.T) {
 func TestAnalyticsRenderRace(t *testing.T) {
 	for _, kind := range []string{"timeline", "ab"} {
 		t.Run(kind, func(t *testing.T) {
-			c, _ := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9, AdaptiveSeed: 9})
+			c, _ := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9})
 			campaign, _ := setupCampaign(c, kind, 2)
 			var early []JoinResponse
 			for i := 0; i < 24; i++ {
@@ -386,25 +479,28 @@ func TestAnalyticsRenderRace(t *testing.T) {
 	}
 }
 
-// TestGoldenAdaptiveAnalytics scripts a fixed adaptive campaign — two
-// high-agreement sessions that resolve both videos and close it, with
-// one session still in flight — and pins the exact /analytics bytes,
-// stopping block included.
+// TestGoldenAdaptiveAnalytics scripts a fixed adaptive campaign — five
+// high-agreement sessions, the fewest whose 15 kept samples per video
+// bound both confidence sequences, resolving both videos and closing it,
+// with one session still in flight — and pins the exact /analytics
+// bytes, stopping block included.
 func TestGoldenAdaptiveAnalytics(t *testing.T) {
-	c, _ := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 0.25, AdaptiveSeed: 1})
+	c, _ := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 0.25})
 	campaign, _ := setupCampaign(c, "timeline", 2)
-	jr0, _ := joinStatus(c, campaign, "g-adaptive-0")
-	completeSession(c, jr0, 3_000, true, 12, 0)
-	inflight, code := joinStatus(c, campaign, "g-adaptive-inflight")
-	if code != http.StatusCreated {
-		t.Fatalf("in-flight join: %d", code)
+	for i := 0; i < 5; i++ {
+		jr, code := joinStatus(c, campaign, fmt.Sprintf("g-adaptive-%d", i))
+		if code != http.StatusCreated {
+			t.Fatalf("join %d: %d", i, code)
+		}
+		completeSession(c, jr, 3_000+float64(i%2)*10, true, 12, 0)
+		if i == 0 {
+			inflight, code := joinStatus(c, campaign, "g-adaptive-inflight")
+			if code != http.StatusCreated {
+				t.Fatalf("in-flight join: %d", code)
+			}
+			c.do("POST", "/api/v1/sessions/"+inflight.Session+"/events", EventBatch{InstructionMs: 12_000}, nil)
+		}
 	}
-	c.do("POST", "/api/v1/sessions/"+inflight.Session+"/events", EventBatch{InstructionMs: 12_000}, nil)
-	jr1, code := joinStatus(c, campaign, "g-adaptive-1")
-	if code != http.StatusCreated {
-		t.Fatalf("second join: %d", code)
-	}
-	completeSession(c, jr1, 3_010, true, 12, 0)
 	if _, code := joinStatus(c, campaign, "g-adaptive-late"); code != http.StatusConflict {
 		t.Fatalf("join after closure: %d, want 409", code)
 	}

@@ -10,6 +10,7 @@ package platform
 import (
 	"bytes"
 	"hash/crc64"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -38,18 +39,19 @@ type AnalyticsResponse struct {
 	// campaigns) or vote tallies (A/B campaigns) over kept sessions.
 	PerVideo map[string]VideoAnalytics `json:"per_video"`
 	// Stopping reports the adaptive stopper's state — per-video
-	// confidence intervals and resolution — when the server runs with
+	// confidence sequences and resolution — when the server runs with
 	// adaptive campaigns enabled; absent otherwise.
 	Stopping *StoppingAnalytics `json:"stopping,omitempty"`
 }
 
 // StoppingAnalytics is the adaptive stopper's campaign-level view.
 type StoppingAnalytics struct {
-	// TargetHalfWidth is the configured half-width (seconds for
-	// timeline campaigns, preference-score units for A/B) each video's
-	// interval must shrink to before it resolves.
-	TargetHalfWidth float64 `json:"target_half_width"`
-	// Closed means every video resolved: new joins are refused with 409.
+	// TargetHalfWidth is the configured half-width, in seconds, each
+	// timeline video's confidence sequence must shrink to before it
+	// resolves; absent on A/B campaigns, whose videos resolve by verdict.
+	TargetHalfWidth float64 `json:"target_half_width,omitempty"`
+	// Closed means every unbanned video resolved: new joins are refused
+	// with 409. Resolved and Total count unbanned videos only.
 	Closed   bool                     `json:"closed"`
 	Resolved int                      `json:"resolved"`
 	Total    int                      `json:"total"`
@@ -64,11 +66,14 @@ type VideoStopping struct {
 	// counts in-flight assignments already bought but not yet settled.
 	Kept    int `json:"kept"`
 	Pending int `json:"pending,omitempty"`
-	// Mean/HalfWidth describe the current confidence interval; Method
-	// is "normal", "bootstrap", or absent when n < 2.
-	Mean      float64 `json:"mean,omitempty"`
-	HalfWidth float64 `json:"half_width,omitempty"`
-	Method    string  `json:"method,omitempty"`
+	// Lo/Hi bound the current 95% confidence sequence: the median load
+	// time in seconds (timeline) or the preference score for A (A/B).
+	// Each is absent while that side is unbounded.
+	Lo *float64 `json:"lo,omitempty"`
+	Hi *float64 `json:"hi,omitempty"`
+	// Verdict is what a resolved A/B video decided: "a" or "b" for a
+	// preference, "none" for none.
+	Verdict string `json:"verdict,omitempty"`
 }
 
 // AnalyticsSummary is the §4.3 outcome histogram, one counter per rule.
@@ -284,25 +289,36 @@ func (s *Server) analyticsShell(c *campaignState, lo, hi float64, sessions int) 
 	if c.adaptive != nil {
 		resolved, total := c.adaptive.Resolved()
 		st := StoppingAnalytics{
-			TargetHalfWidth: c.adaptive.Config().HalfWidth,
-			Closed:          c.adaptive.Closed(),
-			Resolved:        resolved,
-			Total:           total,
-			PerVideo:        map[string]VideoStopping{},
+			Closed:   c.adaptive.Closed(),
+			Resolved: resolved,
+			Total:    total,
+			PerVideo: map[string]VideoStopping{},
+		}
+		if c.Kind == "timeline" {
+			st.TargetHalfWidth = c.adaptive.Config().HalfWidth
 		}
 		for _, vs := range c.adaptive.Status() {
 			st.PerVideo[vs.Video] = VideoStopping{
-				State:     string(vs.State),
-				Kept:      vs.Kept,
-				Pending:   vs.Pending,
-				Mean:      vs.Mean,
-				HalfWidth: vs.HalfWidth,
-				Method:    vs.Method,
+				State:   string(vs.State),
+				Kept:    vs.N,
+				Pending: vs.Pending,
+				Lo:      finite(vs.Lo),
+				Hi:      finite(vs.Hi),
+				Verdict: string(vs.Verdict),
 			}
 		}
 		resp.Stopping = &st
 	}
 	return resp
+}
+
+// finite points at x, or is nil for an unbounded side, which JSON
+// cannot carry.
+func finite(x float64) *float64 {
+	if math.IsInf(x, 0) {
+		return nil
+	}
+	return &x
 }
 
 // renderVideoAnalytics builds the per-video section from the campaign's

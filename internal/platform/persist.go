@@ -485,12 +485,17 @@ func (s *Server) applyFlag(ev *event) (seq uint64, flags int, banned bool, err e
 	c := v.campaign
 	vsh.Unlock()
 	if newlyBanned {
-		// A ban changes the Banned bit in /results: drop the cache.
+		// A ban changes the Banned bit in /results: drop the cache. No
+		// join is assigned a banned video again, so it leaves the
+		// stopper too, or it would hold an adaptive campaign open.
 		// Taken after the video lock is released: a campaign shard comes
 		// before a video shard in the lock order.
 		csh := s.campaigns.Shard(c.ID)
 		csh.Lock()
 		c.invalidate()
+		if c.adaptive != nil {
+			c.adaptive.RemoveVideo(ev.ID)
+		}
 		csh.Unlock()
 	}
 	s.countMutation(opFlag)
@@ -739,11 +744,14 @@ func (s *Server) restore(cn *snapCampaign) (*restored, error) {
 	// re-derived here exactly as the live path derived it — the
 	// crash-replay determinism contract. A join only counts its videos as
 	// pending and a completion counts them back, so a completed session's
-	// join may be noted beside its completion, not in join order.
+	// join may be noted beside its completion, not in join order. A banned
+	// video left the stopper when it was banned, so it is not registered.
 	if s.adaptive {
 		c.adaptive = adaptive.New(cn.Kind, s.adaptiveCfg)
-		for _, vid := range c.Videos {
-			c.adaptive.AddVideo(vid)
+		for _, v := range r.videos {
+			if !v.Banned {
+				c.adaptive.AddVideo(v.ID)
+			}
 		}
 	}
 	// The arena is kept as it came; one walk checks every record and

@@ -112,19 +112,17 @@ type Options struct {
 	// cadence). Nil uses slog.Default().
 	Logger *slog.Logger
 	// Adaptive enables sequential campaigns: per-video confidence
-	// intervals drive assignment toward under-sampled videos and close
-	// the campaign (new joins get 409) once every video resolves to
-	// CIHalfWidth. Stopping state is a pure fold over the journal, so
-	// crash+replay reproduces the same assignment decisions.
+	// sequences drive assignment toward under-sampled videos and close
+	// the campaign (new joins get 409) once every video resolves — a
+	// timeline video to CIHalfWidth, an A/B video to a verdict. Stopping
+	// state is a pure fold over the journal, so crash+replay reproduces
+	// the same assignment decisions.
 	Adaptive bool
-	// CIHalfWidth is the target confidence-interval half-width each
-	// video must reach before it resolves (seconds for timeline
-	// campaigns, preference-score units for A/B). 0 selects
-	// adaptive.DefaultHalfWidth; negative, NaN, or infinite is an error.
+	// CIHalfWidth is the half-width, in seconds, a timeline video's
+	// confidence sequence must reach before it resolves; A/B campaigns
+	// ignore it. 0 selects adaptive.DefaultHalfWidth; negative, NaN, or
+	// infinite is an error.
 	CIHalfWidth float64
-	// AdaptiveSeed seeds the deterministic bootstrap used for small-n
-	// intervals, making allocation a function of (journal state, seed).
-	AdaptiveSeed int64
 }
 
 // Server implements the Eyeorg HTTP API.
@@ -407,10 +405,7 @@ func Open(opts Options) (*Server, error) {
 	}
 	if opts.Adaptive {
 		s.adaptive = true
-		s.adaptiveCfg = adaptive.Config{
-			HalfWidth: opts.CIHalfWidth,
-			Seed:      opts.AdaptiveSeed,
-		}
+		s.adaptiveCfg = adaptive.Config{HalfWidth: opts.CIHalfWidth}
 	}
 	s.observer.registerMetrics(s.metrics.reg)
 	if opts.TraceSample > 0 || opts.TraceSlow > 0 {
