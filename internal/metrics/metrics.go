@@ -95,7 +95,7 @@ func FirstVisualChange(v *video.Video) time.Duration {
 	}
 	first := v.Frames[0]
 	for i := 1; i < len(v.Frames); i++ {
-		if vision.Diff(first, v.Frames[i]) > 0 {
+		if *v.Frames[i] != *first {
 			return v.FrameTime(i)
 		}
 	}
@@ -106,7 +106,7 @@ func FirstVisualChange(v *video.Video) time.Duration {
 // from its predecessor, or 0 for a static video.
 func LastVisualChange(v *video.Video) time.Duration {
 	for i := len(v.Frames) - 1; i >= 1; i-- {
-		if vision.Diff(v.Frames[i-1], v.Frames[i]) > 0 {
+		if *v.Frames[i] != *v.Frames[i-1] {
 			return v.FrameTime(i)
 		}
 	}

@@ -398,11 +398,11 @@ func TestAnalyticsPercentileParamValidation(t *testing.T) {
 // TestAnalyticsRenderRace renders /analytics in tight loops while chaos
 // sessions join and complete, and while a batch of sessions joined
 // before the first poll complete one after another: run under -race this
-// pins the copy-at-the-boundary contract of stats.SortedSample.Values
-// and quality.Campaign.Votes, that frozen rows are filed and copied
-// under the campaign lock only, and that a poll copes with a session it
-// listed as in flight having completed — its state gone from the index —
-// before the poll reaches it. Whatever the interleaving, a poll lists
+// pins the copy-at-the-boundary contract of quality.Campaign.Votes, that
+// frozen rows are filed and copied under the campaign lock only, and
+// that a poll copes with a session it listed as in flight having
+// completed — its state gone from the index — before the poll reaches
+// it. Whatever the interleaving, a poll lists
 // each session once, in ascending ID order, as many as it counts, and
 // none of the early sessions is ever missing.
 func TestAnalyticsRenderRace(t *testing.T) {

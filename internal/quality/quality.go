@@ -29,7 +29,8 @@
 // interacted-video count for the soft rule, and control outcomes —
 // updated as batches and answers arrive, replacement batches included.
 // A Campaign aggregates completed sessions: the Summary histogram,
-// per-video streaming percentile sketches for the timeline band, and
+// per-video sketches of the timeline submissions (each distinct value
+// kept once, with its count) for the band, and
 // per-video A/B vote tallies; a participant's verdict stays with the
 // session, as the frozen Snapshot the platform renders /analytics from.
 //
@@ -45,11 +46,15 @@
 // internal/platform enforce the contract over randomized schedules,
 // worker counts and crash points, building the reference's records from
 // what the test clients sent; every float is computed by the same code
-// path as the batch (stats.SortedSample shares its interpolation with
-// stats.Sample), so equality is exact, not approximate.
+// path as the batch (a sketch's percentiles interpolate through
+// stats.PercentileOf, as stats.Sample.Percentile does, and its in-band
+// sum adds the same values in the same order), so equality is exact,
+// not approximate.
 package quality
 
 import (
+	"slices"
+
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/stats"
 	"github.com/eyeorg/eyeorg/internal/survey"
@@ -272,42 +277,99 @@ func (t *Tracker) Snapshot() Snapshot {
 	return snap
 }
 
-// Sketch is a per-video streaming percentile sketch over the kept
-// sessions' timeline submissions (seconds): insertion order is preserved
-// for order-sensitive float aggregation, and an ascending copy answers
-// band queries without re-sorting. The sketch is exact — the
+// Sketch is one video's wisdom-of-the-crowd state: the kept sessions'
+// timeline submissions (seconds) as a counted multiset. A submission is
+// a frame picked on the video's timeline, so a video's submissions
+// repeat a few hundred distinct values at most: each distinct value is
+// stored once, with its count, and each submission is one code naming
+// its value, kept in completion order for the order-sensitive in-band
+// sum. That is 4 bytes per submission plus 16 per distinct value (20 per
+// submission if none repeated). Adding a value already seen is a binary
+// search and a count increment, and a band's percentiles are one walk
+// over the counts; only a new value shifts the distinct values'
+// ascending order. The sketch is exact — the
 // wisdom-of-the-crowd contract demands equality with the batch filter,
-// not an approximation.
+// not an approximation — and its percentiles interpolate through
+// stats.PercentileOf, as stats.Sample.Percentile does.
 type Sketch struct {
-	values []float64 // insertion (record completion) order
-	sorted stats.SortedSample
+	codes  []uint32  // one per submission, in completion order: an index into vals
+	vals   []float64 // the distinct values, in first-seen order
+	order  []uint32  // the distinct values' codes, in ascending value order
+	counts []uint32  // submissions per distinct value, aligned with order
 }
 
-// Add inserts one submission.
+// Add inserts one submission. Values equal under == share a code, so 0
+// and -0 are one value; submissions are durations, which have no -0.
 func (sk *Sketch) Add(v float64) {
-	sk.values = append(sk.values, v)
-	sk.sorted.Insert(v)
+	vals, order := sk.vals, sk.order
+	// i becomes the first ascending position whose value is not below v.
+	i, j := 0, len(order)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if vals[order[m]] < v {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i < len(order) && vals[order[i]] == v {
+		sk.counts[i]++
+		sk.codes = append(sk.codes, order[i])
+		return
+	}
+	code := uint32(len(sk.vals))
+	sk.vals = append(sk.vals, v)
+	sk.order = slices.Insert(sk.order, i, code)
+	sk.counts = slices.Insert(sk.counts, i, 1)
+	sk.codes = append(sk.codes, code)
 }
 
 // Len returns the number of submissions sketched.
-func (sk *Sketch) Len() int { return len(sk.values) }
+func (sk *Sketch) Len() int { return len(sk.codes) }
 
-// Band returns the lo-th and hi-th percentile bounds.
+// Band returns the lo-th and hi-th percentile bounds: exactly
+// stats.Sample.Percentile over the same values. The lower bound's order
+// statistics are found walking up from the smallest value and the
+// upper's walking down from the largest, so the wisdom band reads half
+// the counts.
 func (sk *Sketch) Band(lo, hi float64) (lv, hv float64) {
-	return sk.sorted.Percentile(lo), sk.sorted.Percentile(hi)
+	n := len(sk.codes)
+	up, down := ranks{sk: sk}, ranks{sk: sk, pos: len(sk.counts), below: n}
+	return stats.PercentileOf(n, lo, up.at), stats.PercentileOf(n, hi, down.at)
+}
+
+// ranks finds a sketch's order statistics by walking its counts, down
+// or up, from where the last lookup stopped.
+type ranks struct {
+	sk         *Sketch
+	pos, below int // an ascending position, and the submissions below it
+}
+
+// at returns the k-th smallest submission, from 0.
+func (r *ranks) at(k int) float64 {
+	counts := r.sk.counts
+	for k < r.below {
+		r.pos--
+		r.below -= int(counts[r.pos])
+	}
+	for k >= r.below+int(counts[r.pos]) {
+		r.below += int(counts[r.pos])
+		r.pos++
+	}
+	return r.sk.vals[r.sk.order[r.pos]]
 }
 
 // Filtered returns the submissions inside the [lo, hi] percentile band
 // in insertion order: exactly stats.Sample.IQRFilter over the same
-// values.
+// values. The slice is the caller's.
 func (sk *Sketch) Filtered(lo, hi float64) []float64 {
-	if len(sk.values) == 0 {
+	if len(sk.codes) == 0 {
 		return nil
 	}
 	lv, hv := sk.Band(lo, hi)
-	out := make([]float64, 0, len(sk.values))
-	for _, v := range sk.values {
-		if v >= lv && v <= hv {
+	out := make([]float64, 0, len(sk.codes))
+	for _, c := range sk.codes {
+		if v := sk.vals[c]; v >= lv && v <= hv {
 			out = append(out, v)
 		}
 	}
@@ -423,15 +485,18 @@ func (c *Campaign) TimelineBands(lo, hi float64) map[string]Band {
 	for id, sk := range c.timeline {
 		b := Band{Total: sk.Len()}
 		b.Lo, b.Hi = sk.Band(lo, hi)
-		var sum float64
-		for _, v := range sk.values {
-			if v >= b.Lo && v <= b.Hi {
-				b.InBand++
+		// Locals, not fields, so the loop keeps them in registers.
+		lv, hv, vals := b.Lo, b.Hi, sk.vals
+		n, sum := 0, 0.0
+		for _, c := range sk.codes {
+			if v := vals[c]; v >= lv && v <= hv {
+				n++
 				sum += v
 			}
 		}
-		if b.InBand > 0 {
-			b.Mean = sum / float64(b.InBand)
+		b.InBand = n
+		if n > 0 {
+			b.Mean = sum / float64(n)
 		}
 		out[id] = b
 	}

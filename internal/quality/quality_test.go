@@ -351,38 +351,80 @@ func TestSketchFilteredMatchesIQRFilter(t *testing.T) {
 }
 
 // TestTimelineBandsMatchFilteredMean: TimelineBands takes the in-band
-// count and mean in one pass; both must be what stats.Sample.Mean over
-// Filtered gives, to the last bit, for any sample and band — an empty
-// sketch and a single value included.
+// count and mean in one pass; the bounds, the count and the mean must be
+// what stats.Sample gives over the same submissions in the same order
+// (Percentile, and Mean over IQRFilter), to the last bit, for any sample
+// and band. The random cases include an empty sketch, single values and
+// ties at the band's edges; the scripted ones a sample of ties only, one
+// distinct value repeated, and bands whose edges fall between two
+// distinct values, where the rank search crosses from one value's count
+// to the next.
 func TestTimelineBandsMatchFilteredMean(t *testing.T) {
+	check := func(t *testing.T, name string, raw map[string][]float64, lo, hi float64) {
+		t.Helper()
+		c := NewCampaign("timeline")
+		for id, vals := range raw {
+			sk := &Sketch{}
+			c.timeline[id] = sk
+			for _, v := range vals {
+				sk.Add(v)
+			}
+		}
+		for id, got := range c.TimelineBands(lo, hi) {
+			s := stats.Sample(raw[id])
+			filtered := s.IQRFilter(lo, hi)
+			want := Band{Total: len(s), InBand: len(filtered), Lo: s.Percentile(lo), Hi: s.Percentile(hi), Mean: filtered.Mean()}
+			if !sameBand(got, want) {
+				t.Fatalf("%s video %s band [%v, %v] over %v: got %+v, want %+v", name, id, lo, hi, raw[id], got, want)
+			}
+			if f := c.timeline[id].Filtered(lo, hi); !sameFloats(f, filtered) {
+				t.Fatalf("%s video %s band [%v, %v] over %v: Filtered %v, want %v", name, id, lo, hi, raw[id], f, filtered)
+			}
+		}
+	}
+	scripted := map[string][]float64{
+		"ties only":          {2, 1, 3, 1, 2, 3, 3, 1, 2, 2},
+		"one distinct value": {4.2, 4.2, 4.2, 4.2, 4.2, 4.2, 4.2},
+		"edge between two":   {2, 1, 1, 2, 1, 2},    // 50th: rank 2.5, between the last 1 and the first 2
+		"edges between many": {3, 2, 1, 2, 3, 2, 1}, // 25th and 75th: ranks 1.5 (1 to 2) and 4.5 (2 to 3)
+	}
+	for name, vals := range scripted {
+		for _, band := range [][2]float64{{filtering.WisdomLo, filtering.WisdomHi}, {50, 50}, {10, 90}, {0, 100}, {49, 51}} {
+			check(t, name, map[string][]float64{"v": vals}, band[0], band[1])
+		}
+	}
 	r := rand.New(rand.NewSource(18))
 	for i := 0; i < 300; i++ {
-		c := NewCampaign("timeline")
+		raw := map[string][]float64{}
 		for v := 0; v < 4; v++ {
-			sk := &Sketch{}
-			c.timeline[fmt.Sprintf("v%d", v)] = sk
+			var vals []float64
 			for n := r.Intn(5) * r.Intn(20); n > 0; n-- { // empty, single and up to 76 values
-				sk.Add(r.ExpFloat64() * 3)
+				vals = append(vals, r.ExpFloat64()*3)
 			}
-			if r.Intn(4) == 0 && sk.Len() > 0 { // ties at the band's edges
-				sk.Add(sk.values[0])
+			if r.Intn(4) == 0 && len(vals) > 0 { // ties at the band's edges
+				vals = append(vals, vals[0])
 			}
+			raw[fmt.Sprintf("v%d", v)] = vals
 		}
 		lo := r.Float64() * 100
 		hi := lo + r.Float64()*(100-lo)
 		if i%3 == 0 {
 			lo, hi = filtering.WisdomLo, filtering.WisdomHi
 		}
-		for id, got := range c.TimelineBands(lo, hi) {
-			sk := c.timeline[id]
-			filtered := sk.Filtered(lo, hi)
-			want := Band{Total: sk.Len(), InBand: len(filtered), Mean: stats.Sample(filtered).Mean()}
-			want.Lo, want.Hi = sk.Band(lo, hi)
-			if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) || got != want {
-				t.Fatalf("case %d video %s band [%v, %v] over %d values: got %+v, want %+v", i, id, lo, hi, sk.Len(), got, want)
-			}
-		}
+		check(t, fmt.Sprintf("case %d", i), raw, lo, hi)
 	}
+}
+
+// sameBand reports whether two bands are equal to the bit.
+func sameBand(a, b Band) bool {
+	return a.Total == b.Total && a.InBand == b.InBand &&
+		sameFloats([]float64{a.Lo, a.Hi, a.Mean}, []float64{b.Lo, b.Hi, b.Mean})
+}
+
+// sameFloats reports whether two slices hold the same floats, bit for
+// bit and in order.
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // The Snapshot split: an in-flight session's provisional DropSoft must

@@ -84,7 +84,8 @@ func (s Sample) Sorted() Sample {
 // interpolation between closest ranks. It panics if p is out of range and
 // returns 0 for an empty sample.
 func (s Sample) Percentile(p float64) float64 {
-	return percentileSorted(s.Sorted(), p)
+	sorted := s.Sorted()
+	return PercentileOf(len(sorted), p, func(i int) float64 { return sorted[i] })
 }
 
 // ValidPercentile reports whether p is a legal percentile argument.
@@ -96,66 +97,30 @@ func ValidPercentile(p float64) bool {
 	return !math.IsNaN(p) && p >= 0 && p <= 100
 }
 
-// percentileSorted is the shared closest-ranks interpolation over an
-// already ascending slice. Sample.Percentile and SortedSample.Percentile
-// both delegate here, so a streamed sample answers bit-identically to a
-// batch re-sort of the same observations.
-func percentileSorted(sorted []float64, p float64) float64 {
+// PercentileOf is the closest-ranks interpolation behind
+// Sample.Percentile, over n ascending observations of which at(i)
+// returns the i-th (from 0); it reads at most two of them. A sample kept
+// in another form (the live wisdom-of-the-crowd sketch counts repeats)
+// answers through it bit-identically to a batch re-sort of the same
+// observations. It panics if p is out of range and returns 0 when n is 0.
+func PercentileOf(n int, p float64, at func(i int) float64) float64 {
 	if p < 0 || p > 100 {
 		panic("stats: percentile out of range")
 	}
-	if len(sorted) == 0 {
+	if n == 0 {
 		return 0
 	}
-	if len(sorted) == 1 {
-		return sorted[0]
+	if n == 1 {
+		return at(0)
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return at(lo)
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// SortedSample is a multiset of observations maintained in ascending
-// order, so percentile queries cost no re-sort. It is the streaming
-// counterpart of Sample for consumers that interleave inserts and
-// quantile reads (e.g. the live wisdom-of-the-crowd band): Insert places
-// each observation by binary search, and Percentile answers exactly what
-// Sample.Percentile would answer over the same observations.
-type SortedSample struct {
-	vals []float64
-}
-
-// Insert adds one observation, keeping ascending order. O(log n) search
-// plus an O(n) shift.
-func (s *SortedSample) Insert(v float64) {
-	i := sort.SearchFloat64s(s.vals, v)
-	s.vals = append(s.vals, 0)
-	copy(s.vals[i+1:], s.vals[i:])
-	s.vals[i] = v
-}
-
-// Len returns the number of observations inserted so far.
-func (s *SortedSample) Len() int { return len(s.vals) }
-
-// Percentile returns the p-th percentile with the same closest-ranks
-// interpolation as Sample.Percentile: identical observations give
-// identical answers, whichever type computed them.
-func (s *SortedSample) Percentile(p float64) float64 {
-	return percentileSorted(s.vals, p)
-}
-
-// Values returns a copy of the ascending observations. Callers often
-// hold the result outside whatever lock guards the sample (the
-// analytics render boundary), so sharing the live slice here would let
-// a reader alias a mutating backing array; the copy makes the returned
-// Sample safe to keep.
-func (s *SortedSample) Values() Sample {
-	return append(Sample(nil), s.vals...)
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // Median returns the 50th percentile.

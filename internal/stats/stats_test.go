@@ -3,8 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -329,70 +327,6 @@ func TestPropertyAgreementBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: a SortedSample answers percentile queries bit-identically to
-// a batch Sample over the same observations, for any insertion order.
-func TestPropertySortedSampleMatchesSample(t *testing.T) {
-	f := func(raw []float64, probes []uint8) bool {
-		clean := raw[:0:0]
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				clean = append(clean, v)
-			}
-		}
-		var ss SortedSample
-		for _, v := range clean {
-			ss.Insert(v)
-		}
-		if ss.Len() != len(clean) {
-			return false
-		}
-		if !sort.Float64sAreSorted(ss.Values()) {
-			return false
-		}
-		batch := Sample(clean)
-		for _, p := range append(probes, 0, 63, 127, 191, 255) {
-			q := float64(p) / 255 * 100
-			if ss.Percentile(q) != batch.Percentile(q) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSortedSampleEmptyAndPanic(t *testing.T) {
-	var ss SortedSample
-	if got := ss.Percentile(50); got != 0 {
-		t.Fatalf("empty Percentile = %v, want 0", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range percentile did not panic")
-		}
-	}()
-	ss.Insert(1)
-	ss.Percentile(101)
-}
-
-// Values must hand back an independent copy: the platform renders
-// analytics from it outside the shard locks, so a shared backing array
-// would race with concurrent Inserts.
-func TestSortedSampleValuesIsACopy(t *testing.T) {
-	var ss SortedSample
-	for _, v := range []float64{3, 1, 2} {
-		ss.Insert(v)
-	}
-	got := ss.Values()
-	got[0] = -99
-	ss.Insert(0.5)
-	if want := []float64{0.5, 1, 2, 3}; !reflect.DeepEqual([]float64(ss.Values()), want) {
-		t.Fatalf("mutating the returned slice reached the sample: %v", ss.Values())
 	}
 }
 

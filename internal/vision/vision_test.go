@@ -1,6 +1,8 @@
 package vision
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -220,5 +222,51 @@ func TestPropertyMatchDiffComplement(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Similar(a, b, t) is Diff(a, b) <= t, for frames differing
+// in any number of tiles, in one run or scattered, and for any
+// threshold: 0, 0.01, 1, negative, NaN, infinite, the exact fractions
+// next to the frames' Diff and arbitrary ones.
+func TestPropertySimilarMatchesDiff(t *testing.T) {
+	const total = GridW * GridH
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		a := NewFrame()
+		for i := range a.tiles {
+			a.tiles[i] = Tile(r.Intn(4))
+		}
+		b := a.Clone()
+		k := r.Intn(40) // around the frame helper's 1% (13 tiles)
+		if trial%4 == 0 {
+			k = r.Intn(total + 1)
+		}
+		if trial%2 == 0 { // one run of k tiles
+			start := r.Intn(total - k + 1)
+			for i := start; i < start+k; i++ {
+				b.tiles[i]++
+			}
+		} else {
+			for _, i := range r.Perm(total)[:k] {
+				b.tiles[i]++
+			}
+		}
+		d := Diff(a, b)
+		if d != float64(k)/total {
+			t.Fatalf("trial %d: Diff = %v with %d tiles changed", trial, d, k)
+		}
+		for _, th := range []float64{
+			0, 0.01, 1, -0.01, -1, math.NaN(), math.Inf(1), math.Inf(-1),
+			d, math.Nextafter(d, -1), math.Nextafter(d, 2),
+			float64(k-1) / total, float64(k+1) / total, r.Float64(), r.Float64() / 20,
+		} {
+			if got, want := Similar(a, b, th), d <= th; got != want {
+				t.Fatalf("trial %d: %d of %d tiles differ: Similar(%v) = %v, Diff %v", trial, k, total, th, got, d)
+			}
+			if got, want := Similar(b, a, th), d <= th; got != want {
+				t.Fatalf("trial %d: %d of %d tiles differ: Similar(b, a, %v) = %v, Diff %v", trial, k, total, th, got, d)
+			}
+		}
 	}
 }
