@@ -188,19 +188,19 @@ func TestSessionLifecycleAllocBudget(t *testing.T) {
 		s := sessions[next]
 		next++
 		rig.serve(post, "/api/v1/sessions", joinBody, http.StatusCreated)
-		e, _ := srv.sessions.Get(s.id)
-		if e.live == nil {
+		sess, ok := srv.sessions.Get(s.id)
+		if !ok {
 			t.Fatalf("the join did not start session %s", s.id)
 		}
 		rig.serve(get, s.tests, nil, http.StatusOK)
-		for _, tt := range e.live.Assignment {
+		for _, tt := range sess.Assignment {
 			rig.serve(post, s.events, events[tt.VideoID], http.StatusAccepted)
 		}
-		for _, tt := range e.live.Assignment {
+		for _, tt := range sess.Assignment {
 			answer = append(append(append(answer[:0], `{"test_id":"`...), tt.TestID...), `","slider_ms":1400.5,"helper_ms":1200,"submitted_ms":1200,"kept_original":true}`...)
 			rig.serve(post, s.responses, answer, http.StatusAccepted)
 		}
-		if e, _ = srv.sessions.Get(s.id); e.live != nil {
+		if _, ok = srv.sessions.Get(s.id); ok {
 			t.Fatalf("session %s did not complete", s.id)
 		}
 	})

@@ -163,15 +163,14 @@ func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
 	sort.Strings(liveIDs)
 	// In-flight rows are rendered under each session's shard lock, the
 	// campaign lock released: session shards come first in the lock
-	// order. A
-	// session was indexed before it was listed and is never removed, but
-	// it may have completed since, and then has no state to render.
+	// order. A session was indexed before it was listed, but it may have
+	// completed since, and then the index no longer holds it.
 	live := make([][]byte, len(liveIDs))
 	for i, sid := range liveIDs {
 		ssh := s.sessions.Shard(sid)
 		ssh.RLock()
-		if e, _ := ssh.Get(sid); e.live != nil {
-			v := e.live.verdict()
+		if sess, ok := ssh.Get(sid); ok {
+			v := sess.verdict()
 			live[i] = v.appendRow(nil)
 		}
 		ssh.RUnlock()
@@ -242,11 +241,15 @@ func (v *ParticipantVerdict) appendRow(dst []byte) []byte {
 	return dst
 }
 
+// frozenID returns the ID of the completed session at position i of the
+// frozen rows in payload order, which is ascending by ID.
+func (c *campaignState) frozenID(i int) string { return c.recordSessions[c.rowOrder[i]] }
+
 // frozenAt reports where session id sits, or would sit, among the frozen
 // rows in payload order, and whether its row is there.
 func (c *campaignState) frozenAt(id string) (int, bool) {
-	at := sort.Search(len(c.rowOrder), func(i int) bool { return c.recordSessions[c.rowOrder[i]] >= id })
-	return at, at < len(c.rowOrder) && c.recordSessions[c.rowOrder[at]] == id
+	at := sort.Search(len(c.rowOrder), func(i int) bool { return c.frozenID(i) >= id })
+	return at, at < len(c.rowOrder) && c.frozenID(at) == id
 }
 
 // appendAnalytics appends the payload to b: shell, an AnalyticsResponse

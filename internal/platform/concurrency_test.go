@@ -231,7 +231,7 @@ func TestLateRequestsRaceCompletions(t *testing.T) {
 	completeSessions(t, h, campaign, 1, completing)
 	close(stop)
 	wg.Wait()
-	if live, completed := indexCounts(srv); live != 0 || completed != frozen+1+completing {
-		t.Fatalf("index holds %d session states and %d completed rows, want 0 and %d", live, completed, frozen+1+completing)
+	if inflight, completed := sessionCounts(t, srv); inflight != 0 || completed != frozen+1+completing {
+		t.Fatalf("index holds %d sessions and the campaign files %d completed, want 0 and %d", inflight, completed, frozen+1+completing)
 	}
 }

@@ -28,8 +28,9 @@
 // row polls then copy. Both endpoints render from that fold;
 // internal/filtering, the batch form of the same rules, is only the
 // tests' reference. No struct outlives completion: the sessions index
-// keeps (campaign, row) inline for a completed session, and a late
-// request or GET …/tests decodes its record in place.
+// holds only sessions in flight, a lookup that misses it asks each
+// campaign for the session's frozen row, and a late request or
+// GET …/tests decodes its record in place.
 //
 // The routes above are one table (route.go), which Handler matches on
 // the escaped path; a request no route serves gets ServeMux's answer

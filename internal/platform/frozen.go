@@ -10,10 +10,10 @@
 //	worker   id, gender, country, source
 //	tests    count, then count × test:
 //	  flags  1 control · 2 kind follows · 4 video ID follows ·
-//	         8 the test ID is stored whole
+//	         8 the test ID is the one the join minted
 //	  video  index into the campaign's Videos, or under flag 4 the ID
 //	  kind   under flag 2 only: a kind other than the campaign's
-//	  test   the test ID less its session-ID prefix, or under flag 8 whole
+//	  test   the test ID whole, or nothing under flag 8
 //	answers  count, then count × answer:
 //	  test<<1 | control failed       — test indexes the tests above
 //	  zigzag submitted ns, or where the test's kind is "ab" the choice
@@ -21,9 +21,9 @@
 //	         controls, controls failed
 //
 // The encoding is total: a video outside the campaign, a foreign kind
-// or a test ID without the prefix each cost their literal, never an
-// error, so completion has no failure path. Decoding checks every
-// index and length, because a snapshot is read from outside the
+// or a test ID the join would not have minted each cost their literal,
+// never an error, so completion has no failure path. Decoding checks
+// every index and length, because a snapshot is read from outside the
 // process.
 package platform
 
@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -46,7 +47,7 @@ const (
 	frozenControl = 1 << iota
 	frozenKind
 	frozenVideo
-	frozenWholeID
+	frozenMinted
 	frozenFlagsEnd
 )
 
@@ -55,6 +56,32 @@ var errFrozen = errors.New("corrupt session record")
 
 func appendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// appendTestID appends the ID a join mints for test k of session sid:
+// sid+"-t"+k, or sid+"-control" for the control test.
+func appendTestID(dst []byte, sid string, k int, control bool) []byte {
+	dst = append(dst, sid...)
+	if control {
+		return append(dst, "-control"...)
+	}
+	return strconv.AppendInt(append(dst, "-t"...), int64(k), 10)
+}
+
+// mintedTestID reports whether t, test k of session sid, carries the ID
+// appendTestID mints for it. It builds nothing on the heap: completion
+// asks it of every test.
+func mintedTestID(sid string, k int, t *AssignedTest) bool {
+	rest, ok := strings.CutPrefix(t.TestID, sid)
+	if !ok {
+		return false
+	}
+	if t.Control {
+		return rest == "-control"
+	}
+	var buf [20]byte
+	n, ok := strings.CutPrefix(rest, "-t")
+	return ok && n == string(strconv.AppendInt(buf[:0], int64(k), 10))
 }
 
 // appendFrozen appends the record of sess, a completed session of c, to
@@ -67,7 +94,7 @@ func appendFrozen(dst []byte, c *campaignState, sess *sessionState) []byte {
 	for i := range sess.Assignment {
 		t := &sess.Assignment[i]
 		video := slices.Index(c.Videos, t.VideoID)
-		testID, stripped := strings.CutPrefix(t.TestID, sess.ID)
+		minted := mintedTestID(sess.ID, i, t)
 		var flags uint64
 		if t.Control {
 			flags |= frozenControl
@@ -78,8 +105,8 @@ func appendFrozen(dst []byte, c *campaignState, sess *sessionState) []byte {
 		if video < 0 {
 			flags |= frozenVideo
 		}
-		if !stripped {
-			flags |= frozenWholeID
+		if minted {
+			flags |= frozenMinted
 		}
 		dst = binary.AppendUvarint(dst, flags)
 		if video < 0 {
@@ -90,7 +117,9 @@ func appendFrozen(dst []byte, c *campaignState, sess *sessionState) []byte {
 		if t.Kind != c.Kind {
 			dst = appendString(dst, t.Kind)
 		}
-		dst = appendString(dst, testID)
+		if !minted {
+			dst = appendString(dst, t.TestID)
+		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(sess.answers)))
 	for _, a := range sess.answers {
@@ -126,7 +155,7 @@ func decodeFrozen(c *campaignState, id string, rec []byte) (*sessionState, error
 	sess := &sessionState{ID: id, campaign: c}
 	sess.Worker = Worker{ID: str(), Gender: str(), Country: str(), Source: str()}
 
-	// A test is at least three bytes and an answer two, so a count past
+	// A test is at least two bytes and an answer two, so a count past
 	// what is left of the record is corrupt, not a reason to allocate.
 	n := p.Uvarint()
 	if n > uint64(len(p.Rest)) {
@@ -154,9 +183,10 @@ func decodeFrozen(c *campaignState, id string, rec []byte) (*sessionState, error
 		if flags&frozenKind != 0 {
 			t.Kind = str()
 		}
-		t.TestID = str()
-		if flags&frozenWholeID == 0 {
-			t.TestID = id + t.TestID
+		if flags&frozenMinted != 0 {
+			t.TestID = string(appendTestID(nil, id, i, t.Control))
+		} else {
+			t.TestID = str()
 		}
 	}
 

@@ -45,8 +45,8 @@ func frozenFixture(kind string) (*campaignState, *sessionState) {
 
 // TestFrozenRoundTrip: encode → decode gives back every field a completed
 // session has, for the records completion writes and for the literals
-// the encoding falls back to — a test ID without the session prefix, a
-// video the campaign does not list, a kind other than the campaign's —
+// the encoding falls back to — a test ID the join would not have minted,
+// a video the campaign does not list, a kind other than the campaign's —
 // and for the values no handler mints but a journal may carry.
 func TestFrozenRoundTrip(t *testing.T) {
 	for name, mutate := range map[string]func(c *campaignState, sess *sessionState){
@@ -57,6 +57,12 @@ func TestFrozenRoundTrip(t *testing.T) {
 			sess.Assignment[4].TestID = ""
 		},
 		"test ID is the session ID": func(_ *campaignState, sess *sessionState) { sess.Assignment[1].TestID = sess.ID },
+		"minted IDs out of place": func(_ *campaignState, sess *sessionState) {
+			sess.Assignment[0].TestID = sess.ID + "-t1"      // another test's
+			sess.Assignment[1].TestID = sess.ID + "-control" // the control's, on a plain test
+			sess.Assignment[2].TestID = sess.ID + "-t02"     // the number spelled otherwise
+			sess.Assignment[6].TestID = sess.ID + "-t6"      // a plain test's, on the control
+		},
 		"video outside the campaign": func(_ *campaignState, sess *sessionState) {
 			sess.Assignment[2].VideoID = "v-gone"
 			sess.Assignment[5].VideoID = ""
@@ -101,8 +107,8 @@ func TestFrozenRoundTrip(t *testing.T) {
 		}
 	}
 	c, sess := frozenFixture("timeline")
-	if n := len(appendFrozen(nil, c, sess)); n > 140 {
-		t.Fatalf("a plain timeline record takes %d bytes, want at most 140", n)
+	if n := len(appendFrozen(nil, c, sess)); n > 100 {
+		t.Fatalf("a plain timeline record takes %d bytes, want at most 100", n)
 	}
 }
 
@@ -163,6 +169,9 @@ func FuzzFrozenSession(f *testing.F) {
 	}
 	f.Add([]byte{}, false, uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, true, uint8(1))
+	// One test, answered: its ID the minted "s17-t0", then one stored whole.
+	f.Add([]byte{0, 0, 0, 0, 1, frozenMinted, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, false, uint8(1))
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 3, 'o', 'd', 'd', 1, 0, 0, 0, 0, 0, 0, 0, 0}, false, uint8(1))
 	f.Fuzz(func(t *testing.T, rec []byte, ab bool, videos uint8) {
 		c, _ := frozenFixture("timeline")
 		if ab {

@@ -234,7 +234,7 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 		return 0, err
 	}
 	sess := newSessionState(ev.ID, c, *ev.Worker, ev.Tests)
-	ssh.Put(ev.ID, sessionEntry{live: sess})
+	ssh.Put(ev.ID, sess)
 	c.inflight = append(c.inflight, ev.ID)
 	// The allocator charges the assignment as bought budget the moment it
 	// is journaled — live and replay go through this same line, so pending
@@ -297,15 +297,14 @@ func (s *Server) applyRecords(ev *event, recs []wire.Record) (uint64, error) {
 	ssh.Lock()
 	defer ssh.Unlock()
 	ev.tr.Mark(trace.StageLockWait)
-	e, ok := ssh.Get(ev.ID)
+	sess, ok := ssh.Get(ev.ID)
 	if !ok {
+		// A completed session's verdict is already folded and frozen;
+		// accepting more instrumentation would silently diverge from it.
+		if s.frozenLocked(ev.ID, nil) {
+			return 0, errSessionDone
+		}
 		return 0, errNoSession
-	}
-	// A completed session's verdict is already folded and frozen;
-	// accepting more instrumentation would silently diverge from it.
-	sess := e.live
-	if sess == nil {
-		return 0, errSessionDone
 	}
 	seq, err := s.journal(ev)
 	if err != nil {
@@ -367,10 +366,8 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 	sess.answers = append(sess.answers, a)
 	sess.trackAnswer(a)
 	if c != nil {
-		// Keyed by sess.ID, the string the campaign files the session
-		// under: a map assignment replaces the key, and ev.ID is a
-		// substring of the request line on the live path.
-		ssh.Put(sess.ID, s.completeSession(c, sess))
+		s.completeSession(c, sess)
+		ssh.Delete(sess.ID)
 	}
 	s.countMutation(opResponse)
 	return seq, c != nil, nil
@@ -379,26 +376,25 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 // completeSession is what the completing answer does, on the live path
 // and on every replay of its journal record alike: it freezes the
 // session's standing, appends the session's frozen record to the
-// campaign's arena and files it. The entry returned replaces the
-// session's state in the index, which held the last reference to it, so
-// the tracker and its traces go with the state. Caller holds both shard
-// locks.
-func (s *Server) completeSession(c *campaignState, sess *sessionState) sessionEntry {
+// campaign's arena and files it. The caller then deletes the session
+// from the index, which held the last reference to its state, so the
+// tracker and its traces go with it. Caller holds both shard locks.
+func (s *Server) completeSession(c *campaignState, sess *sessionState) {
 	sess.track.SetCompleted()
 	sess.final = sess.track.Snapshot()
 	c.arena = appendFrozen(c.arena, c, sess)
 	c.arenaEnds = append(c.arenaEnds, uint32(len(c.arena)))
-	return sessionEntry{done: c, row: c.fileCompleted(sess)}
+	c.fileCompleted(sess)
 }
 
 // fileCompleted is the one step every completed session goes through,
 // fresh from completeSession or decoded from a restored arena (restore):
 // it folds the answers into the campaign's analytics and stopper and
 // files the session and its /analytics row under the next row number,
-// which it returns — the row the session's record sits at in the arena.
-// Caller holds the campaign's shard lock, or the campaign is not
-// reachable yet: either way the campaign's completion scratch is its own.
-func (c *campaignState) fileCompleted(sess *sessionState) uint32 {
+// the row the session's record sits at in the arena. Caller holds the
+// campaign's shard lock, or the campaign is not reachable yet: either
+// way the campaign's completion scratch is its own.
+func (c *campaignState) fileCompleted(sess *sessionState) {
 	rec := c.done.record(sess, c.Kind)
 	c.analytics.Complete(rec, sess.final.Final)
 	if c.adaptive != nil {
@@ -417,7 +413,6 @@ func (c *campaignState) fileCompleted(sess *sessionState) uint32 {
 	c.rowEnds = append(c.rowEnds, uint32(len(c.rows)))
 	c.done.verdict = ParticipantVerdict{} // the scratch pins no session's strings
 	c.invalidate()
-	return n
 }
 
 // completion is the scratch fileCompleted folds a session from, one per
@@ -558,10 +553,11 @@ func (sess *sessionState) trackAnswer(a answer) {
 // --- state documents ---
 
 // stateVersion is the schema version of the snapshot document; version
-// 4 nests a campaign's videos and sessions in flight in its section. No
-// reader for an older layout is kept: a document carrying another
-// version is refused.
-const stateVersion = 4
+// 5 nests a campaign's videos and sessions in flight in its section, and
+// its frozen records keep a test ID the join minted as a flag bit
+// (frozen.go). No reader for an older layout is kept: a document carrying
+// another version is refused.
+const stateVersion = 5
 
 // decodeState reads the version of doc before the rest of it, so that a
 // document in another layout fails on its version rather than on a field
@@ -668,8 +664,7 @@ func (s *Server) section(c *campaignState) (snapCampaign, error) {
 		cn.Videos[i] = snapVideo{ID: v.ID, Hash: v.Hash, Size: v.Size, Flags: sortedKeys(v.Flags), Banned: v.Banned}
 	}
 	for i, sid := range c.inflight {
-		e, _ := s.sessions.Get(sid) // in flight: indexed at join, with its state
-		sess := e.live
+		sess, _ := s.sessions.Get(sid) // in flight: indexed from join to completion
 		cn.Inflight[i] = snapSession{ID: sess.ID, Worker: sess.Worker, Tests: sess.Assignment, Answers: sess.answers, Traces: sess.track.Traces()}
 	}
 	sort.Slice(cn.Inflight, func(i, j int) bool { return cn.Inflight[i].ID < cn.Inflight[j].ID })
@@ -807,27 +802,61 @@ func (s *Server) restore(cn *snapCampaign) (*restored, error) {
 }
 
 // held refuses a restored section naming a campaign, video or session
-// this server already holds, which installing it would overwrite.
+// this server already holds, which installing it would overwrite. The
+// section's sessions, in ID order, are looked up in the sessions index,
+// which holds the installed sessions in flight, then merged against each
+// installed campaign's frozen rows, which are in ID order too, so a load
+// stays linear in the sessions it installs for a given campaign count.
 func (s *Server) held(r *restored) error {
-	if _, ok := s.campaigns.Get(r.c.ID); ok {
-		return fmt.Errorf("campaign %s: %w", r.c.ID, errCampaignExists)
+	c := r.c
+	if _, ok := s.campaigns.Get(c.ID); ok {
+		return fmt.Errorf("campaign %s: %w", c.ID, errCampaignExists)
 	}
 	for _, v := range r.videos {
 		if _, ok := s.videos.Get(v.ID); ok {
-			return fmt.Errorf("campaign %s video %s is already held here", r.c.ID, v.ID)
+			return fmt.Errorf("campaign %s video %s is already held here", c.ID, v.ID)
 		}
 	}
-	for _, sid := range slices.Concat(r.c.inflight, r.c.recordSessions) {
-		if _, ok := s.sessions.Get(sid); ok {
-			return fmt.Errorf("campaign %s session %s is already held here", r.c.ID, sid)
+	inflight := slices.Clone(c.inflight)
+	slices.Sort(inflight)
+	ids := make([]string, 0, len(inflight)+len(c.rowOrder))
+	for i := range c.rowOrder {
+		sid := c.frozenID(i)
+		for ; len(inflight) > 0 && inflight[0] < sid; inflight = inflight[1:] {
+			ids = append(ids, inflight[0])
 		}
+		ids = append(ids, sid)
+	}
+	ids = append(ids, inflight...)
+	dup := ""
+	for _, sid := range ids {
+		if _, ok := s.sessions.Get(sid); ok {
+			dup = sid
+			break
+		}
+	}
+	s.campaigns.Range(func(_ string, installed *campaignState) bool {
+		for i, j := 0, 0; dup == "" && i < len(ids) && j < len(installed.rowOrder); {
+			switch sid := installed.frozenID(j); {
+			case ids[i] < sid:
+				i++
+			case ids[i] > sid:
+				j++
+			default:
+				dup = sid
+			}
+		}
+		return dup == ""
+	})
+	if dup != "" {
+		return fmt.Errorf("campaign %s session %s is already held here", c.ID, dup)
 	}
 	return nil
 }
 
 // install makes a restored section reachable: it puts its videos,
-// sessions and campaign into the indexes and moves the ID counter past
-// them. It cannot fail; restore checked everything first.
+// sessions in flight and campaign into the indexes and moves the ID
+// counter past them and past its completed sessions. It cannot fail; restore checked everything first.
 func (s *Server) install(r *restored) {
 	c := r.c
 	for _, v := range r.videos {
@@ -835,11 +864,10 @@ func (s *Server) install(r *restored) {
 		s.bumpID(v.ID)
 	}
 	for _, sess := range r.inflight {
-		s.sessions.Put(sess.ID, sessionEntry{live: sess})
+		s.sessions.Put(sess.ID, sess)
 		s.bumpID(sess.ID)
 	}
-	for row, sid := range c.recordSessions {
-		s.sessions.Put(sid, sessionEntry{done: c, row: uint32(row)})
+	for _, sid := range c.recordSessions {
 		s.bumpID(sid)
 	}
 	s.campaigns.Put(c.ID, c)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -234,19 +235,30 @@ func rawDo(t *testing.T, c *client, method, path string, body any) (int, []byte)
 	return resp.StatusCode, got
 }
 
-// indexCounts walks the sessions index: how many entries still hold a
-// sessionState, and how many are the inline (campaign, row) of a
-// completed session.
-func indexCounts(s *Server) (live, completed int) {
-	s.sessions.Range(func(_ string, e sessionEntry) bool {
-		if e.live != nil {
-			live++
-		} else {
-			completed++
+// sessionCounts returns how many sessions the sessions index holds and
+// how many completed ones the campaigns file. It fails tb if the index
+// holds a completed session, or one a campaign files as completed: a
+// completed session lives only in its campaign.
+func sessionCounts(tb testing.TB, s *Server) (inflight, completed int) {
+	tb.Helper()
+	s.sessions.Range(func(id string, sess *sessionState) bool {
+		if sess.completed() {
+			tb.Errorf("the sessions index holds completed session %s", id)
 		}
+		inflight++
 		return true
 	})
-	return live, completed
+	var filed []string
+	s.campaigns.Range(func(_ string, c *campaignState) bool {
+		filed = append(filed, c.recordSessions...)
+		return true
+	})
+	for _, id := range filed {
+		if _, ok := s.sessions.Get(id); ok {
+			tb.Errorf("the sessions index holds session %s, which its campaign files as completed", id)
+		}
+	}
+	return inflight, len(filed)
 }
 
 // TestCompactSessionRoundTrip: a completed session is its frozen record
@@ -314,13 +326,13 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 			t.Fatalf("GET tests of completed session %s: %+v (%v), want the assignment it joined with %+v", jr.Session, tests, err, jr)
 		}
 	}
-	// Whatever way a server came by the campaign, the index holds state
-	// for the one session still in flight and a row for each of the seven
-	// completed, and the replies are the first server's.
+	// Whatever way a server came by the campaign, the index holds the one
+	// session still in flight, the campaign files the seven completed, and
+	// the replies are the first server's.
 	check := func(how string, s *Server, c *client) {
 		t.Helper()
-		if live, completed := indexCounts(s); live != 1 || completed != 7 {
-			t.Fatalf("%s: index holds %d session states and %d completed rows, want 1 and 7", how, live, completed)
+		if inflight, completed := sessionCounts(t, s); inflight != 1 || completed != 7 {
+			t.Fatalf("%s: index holds %d sessions and the campaign files %d completed, want 1 and 7", how, inflight, completed)
 		}
 		after := probe(c)
 		for name, want := range before {
@@ -355,7 +367,110 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesCompletedSessionsAsArena pins the version-4 layout:
+// TestLateRequestsAcrossCampaigns: the sessions index holds no completed
+// session, so every late request goes to the campaigns, and the
+// session's campaign may be any of them. On three campaigns with
+// completed sessions in each, live, after a journal replay and after a
+// snapshot load: GET tests of a completed session answers the bytes its
+// join was answered with, a late answer and late events are 409, an
+// unknown session is 404, and under a per-worker rate a completed
+// session's key is charged while a made-up one gets no bucket.
+func TestLateRequestsAcrossCampaigns(t *testing.T) {
+	const burst = 16 // seven answers to complete, three late requests, to spare
+	opts := Options{SnapshotEvery: -1, WorkerRate: 0.001, WorkerBurst: burst}
+	dir := t.TempDir()
+	srv, c := openPersisted(t, dir, opts)
+	type completed struct {
+		jr   JoinResponse
+		join []byte // the join's reply, byte for byte
+	}
+	var done []completed
+	for i, kind := range []string{"timeline", "ab", "timeline"} {
+		campaign, _ := setupCampaign(c, kind, 2)
+		for k := 0; k < 3; k++ {
+			status, body := rawDo(t, c, "POST", "/api/v1/sessions", JoinRequest{
+				Campaign: campaign, Worker: Worker{ID: fmt.Sprintf("late-%d-%d", i, k)}, Captcha: "tok",
+			})
+			var jr JoinResponse
+			if err := json.Unmarshal(body, &jr); status != http.StatusCreated || err != nil {
+				t.Fatalf("join: %d %s", status, body)
+			}
+			if k == 2 {
+				continue // stays in flight
+			}
+			for _, tt := range jr.Tests {
+				if status, reply := rawDo(t, c, "POST", "/api/v1/sessions/"+jr.Session+"/responses",
+					ResponseBody{TestID: tt.TestID, SubmittedMs: 1_500, KeptOriginal: true, Choice: "left"}); status != http.StatusAccepted {
+					t.Fatalf("answer: %d %s", status, reply)
+				}
+			}
+			done = append(done, completed{jr, body})
+		}
+	}
+	const madeUp = "s-made-up"
+	check := func(how string, srv *Server, c *client) {
+		t.Helper()
+		if inflight, filed := sessionCounts(t, srv); inflight != 3 || filed != len(done) {
+			t.Fatalf("%s: index holds %d sessions and the campaigns file %d completed, want 3 and %d", how, inflight, filed, len(done))
+		}
+		for _, d := range done {
+			base := "/api/v1/sessions/" + d.jr.Session
+			if status, body := rawDo(t, c, "GET", base+"/tests", nil); status != http.StatusOK || !bytes.Equal(body, d.join) {
+				t.Fatalf("%s: GET tests of completed %s: %d %s, want 200 and its join's reply %s", how, d.jr.Session, status, body, d.join)
+			}
+			if status, body := rawDo(t, c, "POST", base+"/responses", ResponseBody{TestID: d.jr.Tests[3].TestID, SubmittedMs: 1, Choice: "left"}); status != http.StatusConflict {
+				t.Fatalf("%s: late answer to %s: %d %s, want 409", how, d.jr.Session, status, body)
+			}
+			if status, body := rawDo(t, c, "POST", base+"/events", EventBatch{VideoID: d.jr.Tests[0].VideoID, Plays: 1}); status != http.StatusConflict {
+				t.Fatalf("%s: late events of %s: %d %s, want 409", how, d.jr.Session, status, body)
+			}
+			v, ok := srv.admission.buckets.Load(d.jr.Session)
+			if !ok {
+				t.Fatalf("%s: completed session %s has no rate bucket", how, d.jr.Session)
+			}
+			b := v.(*tokenBucket)
+			b.mu.Lock()
+			tokens := b.tokens
+			b.mu.Unlock()
+			if tokens > burst-3+0.5 { // the rate refills a thousandth of a token a second
+				t.Fatalf("%s: completed session %s holds %.2f of %d tokens after three requests", how, d.jr.Session, tokens, burst)
+			}
+		}
+		base := "/api/v1/sessions/" + madeUp
+		for _, r := range []struct {
+			method, path string
+			body         any
+		}{
+			{"GET", base + "/tests", nil},
+			{"POST", base + "/responses", ResponseBody{TestID: madeUp + "-t0", SubmittedMs: 1}},
+			{"POST", base + "/events", EventBatch{VideoID: done[0].jr.Tests[0].VideoID, Plays: 1}},
+		} {
+			if status, body := rawDo(t, c, r.method, r.path, r.body); status != http.StatusNotFound {
+				t.Fatalf("%s: %s %s: %d %s, want 404", how, r.method, r.path, status, body)
+			}
+		}
+		if _, ok := srv.admission.buckets.Load(madeUp); ok {
+			t.Fatalf("%s: the made-up session %s got a rate bucket", how, madeUp)
+		}
+	}
+	check("live", srv, c)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, c = openPersisted(t, dir, opts)
+	check("journal replay", srv, c)
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, c = openPersisted(t, dir, opts)
+	defer srv.Close()
+	check("snapshot load", srv, c)
+}
+
+// TestSnapshotCarriesCompletedSessionsAsArena pins the version-5 layout:
 // a snapshot is its counters and its campaigns' sections and nothing
 // beside them; a section nests its videos in the campaign's order and
 // its sessions in flight, and its completed sessions travel as its arena
@@ -494,110 +609,55 @@ func assertNothingInstalled(t *testing.T, s *Server) {
 	}
 }
 
-// TestParentVersion3DocumentsRefused: the snapshot a version-3 server
-// wrote (testdata/parent_v3_snapshot.json, the seedPersistedCampaign
-// state) lists a campaign's videos as IDs and its sessions in flight
-// beside it. It fails Open with an error naming version 4 — on the
-// version, not on the videos' type — and nothing of it is installed.
-func TestParentVersion3DocumentsRefused(t *testing.T) {
-	snapshot, err := os.ReadFile(filepath.Join("testdata", "parent_v3_snapshot.json"))
+// refusedByVersion writes fixture, a snapshot a version-v server wrote,
+// into a data dir and checks that Open fails on it with an error naming
+// its version and this server's — on the version, not on a field whose
+// layout changed — and that loadState installs nothing of it.
+func refusedByVersion(t *testing.T, fixture string, v int) {
+	snapshot, err := os.ReadFile(filepath.Join("testdata", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("has schema version 3, this server reads only version %d", stateVersion)
-	t.Run("snapshot", func(t *testing.T) {
-		dir := t.TempDir()
-		srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.log.WriteSnapshot(snapshot); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if srv, err = Open(Options{DataDir: dir}); err == nil {
-			srv.Close()
-			t.Fatal("Open loaded a version-3 snapshot")
-		}
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("Open: %v, want an error saying %q", err, want)
-		}
-		srv = NewServer()
-		if err := srv.loadState(snapshot); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("loadState: %v, want an error saying %q", err, want)
-		}
-		assertNothingInstalled(t, srv)
-	})
-}
-
-// TestParentVersion4SnapshotLoads: testdata/parent_v4_snapshot.json was
-// written by a server whose tracker kept its traces and multiplicities in
-// maps. It holds sessions in flight on two campaigns, one of each kind,
-// whose assignments name each video several times and whose traces
-// include replacement batches. It loads; each session's engagement total
-// weights every trace by its video's multiplicity, as filtering.Classify
-// counts the materialized record; and the snapshot taken again is the
-// same bytes.
-func TestParentVersion4SnapshotLoads(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "parent_v4_snapshot.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := fmt.Sprintf("has schema version %d, this server reads only version %d", v, stateVersion)
 	dir := t.TempDir()
 	srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.blobs.Put(bytes.NewReader(sampleVideoBytes())); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.log.WriteSnapshot(data); err != nil {
+	if err := srv.log.WriteSnapshot(snapshot); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if srv, err = Open(Options{DataDir: dir, SnapshotEvery: -1}); err != nil {
-		t.Fatal(err)
+	if srv, err = Open(Options{DataDir: dir}); err == nil {
+		srv.Close()
+		t.Fatalf("Open loaded a version-%d snapshot", v)
 	}
-	defer srv.Close()
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open: %v, want an error saying %q", err, want)
+	}
+	srv = NewServer()
+	if err := srv.loadState(snapshot); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("loadState: %v, want an error saying %q", err, want)
+	}
+	assertNothingInstalled(t, srv)
+}
 
-	var st snapState
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
-	repeated := 0
-	for _, cn := range st.Campaigns {
-		for _, sn := range cn.Inflight {
-			want, mult := 0, map[string]int{}
-			for _, tt := range sn.Tests {
-				tr := sn.Traces[tt.VideoID]
-				want += tr.Actions()
-				if mult[tt.VideoID]++; mult[tt.VideoID] == 2 && tr.VideoID != "" {
-					repeated++
-				}
-			}
-			e, _ := srv.sessions.Get(sn.ID)
-			if e.live == nil {
-				t.Fatalf("session %s is not in flight after the load", sn.ID)
-			}
-			if got := e.live.track.Snapshot().Actions; got != want {
-				t.Errorf("session %s: %d actions, want %d", sn.ID, got, want)
-			}
-		}
-	}
-	if repeated == 0 {
-		t.Fatal("the fixture has no session in flight with a trace on a video assigned twice")
-	}
-	got, err := srv.marshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("the loaded snapshot, taken again, differs:\nfixture: %s\nagain:   %s", data, got)
-	}
+// TestParentVersion3DocumentsRefused: the snapshot a version-3 server
+// wrote (testdata/parent_v3_snapshot.json, the seedPersistedCampaign
+// state) lists a campaign's videos as IDs and its sessions in flight
+// beside it. It is refused by its version.
+func TestParentVersion3DocumentsRefused(t *testing.T) {
+	t.Run("snapshot", func(t *testing.T) { refusedByVersion(t, "parent_v3_snapshot.json", 3) })
+}
+
+// TestParentVersion4SnapshotRefused: the snapshot a version-4 server
+// wrote (testdata/parent_v4_snapshot.json) stores in its frozen records
+// every test ID less its session-ID prefix, a form this server no longer
+// decodes. It is refused by its version.
+func TestParentVersion4SnapshotRefused(t *testing.T) {
+	refusedByVersion(t, "parent_v4_snapshot.json", 4)
 }
 
 // TestStrayInFlightSessionRefused: a section lists its sessions in
@@ -639,6 +699,46 @@ func TestSnapshotOfHeldEntitiesRefused(t *testing.T) {
 			_, err := loadSections(t, cn, c.copyOf(cn))
 			if err == nil || !strings.Contains(err.Error(), name+" ") || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("loading a snapshot whose sections share a %s: %v, want an error naming the %s, %q", name, err, name, c.want)
+			}
+		})
+	}
+}
+
+// TestSnapshotOfHeldCompletedSessionsRefused: the sessions index holds
+// no completed session, so the section that names one an installed
+// campaign filed as completed, as completed again or as in flight, is
+// found by the merge against that campaign's frozen rows and refused.
+func TestSnapshotOfHeldCompletedSessionsRefused(t *testing.T) {
+	src := NewServer()
+	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
+	cn := sectionOf(t, src, campaign)
+	elsewhere := func(cn snapCampaign) snapCampaign {
+		cn.ID, cn.Inflight = "c-copy", nil
+		cn.Videos = slices.Clone(cn.Videos)
+		for i := range cn.Videos {
+			cn.Videos[i].ID += "-copy"
+		}
+		return cn
+	}
+	for name, copyOf := range map[string]func(cn snapCampaign) snapCampaign{
+		"completed again": elsewhere,
+		"in flight": func(cn snapCampaign) snapCampaign {
+			inflight := cn.Inflight[0]
+			inflight.ID = cn.Records[len(cn.Records)-1]
+			cn = elsewhere(cn)
+			cn.Records, cn.Arena, cn.ArenaEnds, cn.Inflight = nil, nil, nil, []snapSession{inflight}
+			return cn
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dup := copyOf(cn)
+			_, err := loadSections(t, cn, dup)
+			if err == nil || !strings.Contains(err.Error(), "session ") || !strings.Contains(err.Error(), "already held") {
+				t.Fatalf("loading a snapshot whose second section lists a session the first completed: %v, want an error naming the session", err)
+			}
+			// In the other order, the merge runs against the copy's rows.
+			if _, err := loadSections(t, dup, cn); err == nil || !strings.Contains(err.Error(), "already held") {
+				t.Fatalf("the same sections in the other order: %v, want an error naming the session", err)
 			}
 		})
 	}
@@ -798,15 +898,17 @@ func TestCorruptArenaRefused(t *testing.T) {
 }
 
 // TestWrongVersionStateRefused: a snapshot that does not carry the
-// current schema version — version 3, which listed videos and sessions in
-// flight beside the campaigns, version 2, which listed completed sessions
-// one DTO each, a version not written yet, and the unversioned layout
-// older builds wrote — fails Open with an error naming the version,
-// rather than loading as empty sessions.
+// current schema version — version 4, whose frozen records kept every
+// test ID less its session-ID prefix, version 3, which listed videos and
+// sessions in flight beside the campaigns, version 2, which listed
+// completed sessions one DTO each, a version not written yet, and the
+// unversioned layout older builds wrote — fails Open with an error
+// naming the version, rather than loading as empty sessions.
 func TestWrongVersionStateRefused(t *testing.T) {
 	current := []byte(fmt.Sprintf(`"version":%d`, stateVersion))
 	for name, replacement := range map[string]string{
-		"version 3": `"version":3`, "version 2": `"version":2`, "newer": `"version":5`, "older": `"version":1`, "unversioned": `"v":0`,
+		"version 4": `"version":4`, "version 3": `"version":3`, "version 2": `"version":2`,
+		"newer": fmt.Sprintf(`"version":%d`, stateVersion+1), "older": `"version":1`, "unversioned": `"v":0`,
 	} {
 		t.Run("snapshot/"+name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -128,8 +128,10 @@ type Options struct {
 // Server implements the Eyeorg HTTP API.
 type Server struct {
 	campaigns *store.Map[*campaignState]
-	sessions  *store.Map[sessionEntry]
-	videos    *store.Map[*videoState]
+	// sessions holds the sessions in flight. A completed one lives only in
+	// its campaign, which frozenLocked finds it in.
+	sessions *store.Map[*sessionState]
+	videos   *store.Map[*videoState]
 	// blobs holds every video payload, content-addressed; the videos
 	// index stores only references into it. Blob writes are durable
 	// before the journal record naming the hash, and blobs are excluded
@@ -208,8 +210,9 @@ type campaignState struct {
 	// arena holds the completed sessions themselves, all that is left of
 	// them: one frozen record each (frozen.go), back to back under the
 	// rows' numbering — record i ends at arenaEnds[i] and is
-	// recordSessions[i]'s. The sessions index points here; state documents
-	// carry both slices as they are. Guarded by the campaign's shard lock.
+	// recordSessions[i]'s. A lookup that misses the sessions index finds
+	// the record through rowOrder (frozenLocked); state documents carry
+	// both slices as they are. Guarded by the campaign's shard lock.
 	arena     []byte
 	arenaEnds []uint32
 
@@ -284,21 +287,10 @@ func newVideoState(id string, c *campaignState, hash string, size int64) *videoS
 	}
 }
 
-// sessionEntry is what the sessions index holds per session ID, inline in
-// the map: a session in flight is its state; a completed one is the
-// campaign and row its frozen record was filed at, and nothing else of
-// it stays on the heap. One lookup tells in flight, completed (live is
-// nil) and unknown apart. Guarded by the session's shard lock.
-type sessionEntry struct {
-	live *sessionState
-	done *campaignState
-	row  uint32
-}
-
 // sessionState is one participant session in flight, guarded by its
-// shard lock; completion encodes it into its campaign's arena and lets
-// it go (see completeSession). Its tracker and the answers' storage are
-// its own fields, so the state is one object beside its tracker's entries
+// shard lock; completion encodes it into its campaign's arena and drops
+// it from the sessions index (see completeSession). Its tracker and the
+// answers' storage are its own fields, so the state is one object beside its tracker's entries
 // and its strings. A completed session takes this form again only in
 // passing, decoded from its record (decodeFrozen) to answer a late
 // request or to be folded on load: final, the standing frozen when the
@@ -381,7 +373,7 @@ func Open(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		campaigns: store.NewMap[*campaignState](opts.Shards),
-		sessions:  store.NewMap[sessionEntry](opts.Shards),
+		sessions:  store.NewMap[*sessionState](opts.Shards),
 		videos:    store.NewMap[*videoState](opts.Shards),
 		maxBody:   opts.MaxBodyBytes,
 		maxBatch:  defaultMaxBatchRecords,
@@ -861,19 +853,21 @@ func (s *Server) readIngest(sc *scratch, r *http.Request, v any, inPlace func([]
 func (s *Server) assignmentOf(id string) []AssignedTest {
 	ssh := s.sessions.Shard(id)
 	ssh.RLock()
-	e, _ := ssh.Get(id)
-	ssh.RUnlock()
-	if e.live == nil {
-		return nil
+	defer ssh.RUnlock()
+	if sess, ok := ssh.Get(id); ok {
+		return sess.Assignment
 	}
-	return e.live.Assignment
+	return nil
 }
 
-// sessionHeld reports whether the sessions index holds session id, in
-// flight or completed.
+// sessionHeld reports whether this server holds session id, in flight or
+// completed.
 func (s *Server) sessionHeld(id string) bool {
-	_, ok := s.sessions.Get(id)
-	return ok
+	ssh := s.sessions.Shard(id)
+	ssh.RLock()
+	defer ssh.RUnlock()
+	_, ok := ssh.Get(id)
+	return ok || s.frozenLocked(id, nil)
 }
 
 // writeBodyErr answers a readJSON failure. An oversize body is
@@ -1150,22 +1144,21 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	}
 	sid := s.newID("s")
 	// The seven test IDs are cut from one string: they live and die
-	// together, with the session's state. The session ID is its own; the
-	// campaign's lists keep it for good.
+	// together, with the session's state, and its frozen record keeps none
+	// of them. The session ID is its own; the campaign's lists keep it for
+	// good.
 	tests := make([]AssignedTest, TestsPerSession)
 	var ends [TestsPerSession]int
 	ids := make([]byte, 0, 128)
 	for k := range tests {
 		t := &tests[k]
 		t.Kind = kind
-		ids = append(ids, sid...)
 		if t.Control = k == TestsPerSession-1; t.Control {
-			ids = append(ids, "-control"...)
 			t.VideoID = pool[offset%len(pool)]
 		} else {
-			ids = strconv.AppendInt(append(ids, "-t"...), int64(k), 10)
 			t.VideoID = pool[(offset*(TestsPerSession-1)+k)%len(pool)]
 		}
+		ids = appendTestID(ids, sid, k, t.Control)
 		ends[k] = len(ids)
 	}
 	all, start := string(ids), 0
@@ -1210,21 +1203,40 @@ func (s *Server) handleTests(w *scratch, r *http.Request) {
 }
 
 // sessionLocked returns session id's state: the indexed one while it is
-// in flight, one decoded from its frozen record once completed. It reads
-// the record in place, under the campaign's shard lock taken inside the
-// session's, the order applyResponse takes them in. Caller holds ssh.
-func (s *Server) sessionLocked(ssh *store.Shard[sessionEntry], id string) (*sessionState, error) {
-	e, ok := ssh.Get(id)
-	if !ok {
-		return nil, errNoSession
+// in flight, one decoded from its frozen record once completed. Caller
+// holds ssh, id's session shard.
+func (s *Server) sessionLocked(ssh *store.Shard[*sessionState], id string) (*sessionState, error) {
+	if sess, ok := ssh.Get(id); ok {
+		return sess, nil
 	}
-	if e.live != nil {
-		return e.live, nil
-	}
-	csh := s.campaigns.Shard(e.done.ID)
-	csh.RLock()
-	defer csh.RUnlock()
-	return decodeFrozen(e.done, id, segment(e.done.arena, e.done.arenaEnds, e.row))
+	var sess *sessionState
+	err := errNoSession
+	s.frozenLocked(id, func(c *campaignState, rec []byte) {
+		sess, err = decodeFrozen(c, id, rec)
+	})
+	return sess, err
+}
+
+// frozenLocked is where a lookup that misses the sessions index goes: it
+// reports whether a campaign filed session id as completed and, if one
+// did and fn is not nil, calls fn with the campaign and the session's
+// frozen record in place. It asks each campaign's frozenAt in turn under
+// that campaign's shard lock, held shared and released before the next
+// shard's is taken, so it never holds two; fn runs under it. Caller
+// holds id's session shard lock, which comes before a campaign's in the
+// lock order: a completion deletes the session from the index and files
+// it under both, so the session is in exactly one of the two places.
+func (s *Server) frozenLocked(id string, fn func(c *campaignState, rec []byte)) bool {
+	found := false
+	s.campaigns.Range(func(_ string, c *campaignState) bool {
+		at, ok := c.frozenAt(id)
+		if ok && fn != nil {
+			fn(c, segment(c.arena, c.arenaEnds, c.rowOrder[at]))
+		}
+		found = ok
+		return !ok
+	})
+	return found
 }
 
 // videoRef resolves a video ID to what a GET serves of it, under the

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"testing"
 	"unsafe"
 )
@@ -79,24 +80,25 @@ func liveHeap() uint64 {
 }
 
 // TestCompletedSessionRetainedHeap bounds what the server keeps per
-// completed session on an in-memory server: its ID under the index
-// entry's (campaign, row) and in the campaign's completion-order list,
-// its frozen record (about 120 B) and its rendered /analytics row (about
-// 100 B), each stored back to back, and its values in the campaign's
-// sketches. This test measured 5,036 B/session while a session kept its
-// record, tracker and traces, 1,221 once it kept only its folded form,
-// 1,284 with the rendered row beside it, 562 once no sessionState
-// outlived completion — which it also checks, through the index — 542
-// once the campaign kept no join-order list beside that one, 494 once
-// the index key was no longer the completing request's line
-// (TestCompletedSessionPinsNoRequestBytes), and 428 now that a sketch
-// keeps each answer as a 4-byte code over its distinct values in place
-// of two float64 copies (TestSketchBytesPerSubmission in
-// internal/quality); the ceiling is that plus 10%.
+// completed session on an in-memory server: its ID in the campaign's
+// completion-order list and its place in rowOrder, its frozen record
+// (about 90 B) and its rendered /analytics row (about 100 B), each
+// stored back to back, and its values in the campaign's sketches. This
+// test measured 5,036 B/session while a session kept its record, tracker
+// and traces, 1,221 once it kept only its folded form, 1,284 with the
+// rendered row beside it, 562 once no sessionState outlived completion
+// — which it also checks — 542 once the campaign kept no join-order list
+// beside that one, 494 once the index key was no longer the completing
+// request's line (TestCompletedSessionPinsNoRequestBytes), 428 once a
+// sketch kept each answer as a 4-byte code over its distinct values in
+// place of two float64 copies (TestSketchBytesPerSubmission in
+// internal/quality), and 314 now that the sessions index holds no
+// completed session and a frozen record stores none of the test IDs its
+// join minted; the ceiling is that plus 10%.
 func TestCompletedSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000
-		ceiling  = 471 // bytes per completed session
+		ceiling  = 346 // bytes per completed session
 	)
 	if raceEnabled {
 		t.Skip("heap accounting is measured without the race detector")
@@ -118,8 +120,8 @@ func TestCompletedSessionRetainedHeap(t *testing.T) {
 	if res.Participants != sessions+64 {
 		t.Fatalf("participants = %d, want %d", res.Participants, sessions+64)
 	}
-	if live, completed := indexCounts(srv); live != 0 || completed != sessions+64 {
-		t.Fatalf("index holds %d session states and %d completed rows, want 0 and %d", live, completed, sessions+64)
+	if inflight, completed := sessionCounts(t, srv); inflight != 0 || completed != sessions+64 {
+		t.Fatalf("index holds %d sessions and the campaign files %d completed, want 0 and %d", inflight, completed, sessions+64)
 	}
 }
 
@@ -150,11 +152,12 @@ func joinSessions(tb testing.TB, h http.Handler, campaign string, first, n int) 
 // campaign's in-flight list. Each session here joins a campaign of 8
 // videos and sends a trace per assigned test. This test measured 2,203 B
 // per session while the tracker kept two maps and the state its answers
-// apart, 1,778 now.
+// apart, 1,778 while an index slot held a 24-byte entry in place of the
+// state's pointer, 1,746 now.
 func TestLiveSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000
-		ceiling  = 1900 // bytes per session in flight
+		ceiling  = 1870 // bytes per session in flight
 	)
 	if raceEnabled {
 		t.Skip("heap accounting is measured without the race detector")
@@ -171,32 +174,37 @@ func TestLiveSessionRetainedHeap(t *testing.T) {
 	if per > ceiling {
 		t.Fatalf("retained %.0f B per session in flight, ceiling %d", per, ceiling)
 	}
-	if live, completed := indexCounts(srv); live != sessions+64 || completed != 0 {
-		t.Fatalf("index holds %d session states and %d completed rows, want %d and 0", live, completed, sessions+64)
+	if inflight, completed := sessionCounts(t, srv); inflight != sessions+64 || completed != 0 {
+		t.Fatalf("index holds %d sessions and the campaign files %d completed, want %d and 0", inflight, completed, sessions+64)
 	}
 }
 
-// TestCompletedSessionPinsNoRequestBytes: a completed session's index
-// key is the very string its campaign files it under, not a substring of
-// the request line that completed it — on the live path, after a journal
-// replay, and after a snapshot load. On the live path the videos and the
-// session in flight also point at their campaign, so they keep none of
-// the request's strings for it.
+// TestCompletedSessionPinsNoRequestBytes: the campaign's recordSessions
+// string is the only copy of a completed session's ID — the sessions
+// index holds no entry for it — and on the live path it is the string the
+// join minted, not a substring of the request line that completed it.
+// The session in flight is indexed under its own ID string. All of it
+// holds on the live path, after a journal replay and after a snapshot
+// load. On the live path the videos and the session in flight also point
+// at their campaign, so they keep none of the request's strings for it.
 func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
-	owned := func(how string, srv *Server) {
+	var campaign string
+	owned := func(how string, srv *Server, minted map[string]*byte) {
 		t.Helper()
-		completed := 0
-		srv.sessions.Range(func(id string, e sessionEntry) bool {
-			if e.live == nil {
-				completed++
-				if filed := e.done.recordSessions[e.row]; unsafe.StringData(id) != unsafe.StringData(filed) {
-					t.Errorf("%s: session %s is indexed under a string of its own, not the campaign's", how, id)
-				}
+		if inflight, completed := sessionCounts(t, srv); inflight != 1 || completed != 6 {
+			t.Fatalf("%s: index holds %d sessions and the campaign files %d completed, want 1 and 6", how, inflight, completed)
+		}
+		srv.sessions.Range(func(id string, sess *sessionState) bool {
+			if unsafe.StringData(id) != unsafe.StringData(sess.ID) {
+				t.Errorf("%s: session %s is indexed under a string of its own, not its ID", how, id)
 			}
 			return true
 		})
-		if completed != 6 {
-			t.Fatalf("%s: %d completed sessions indexed, want 6", how, completed)
+		c, _ := srv.campaigns.Get(campaign)
+		for _, id := range c.recordSessions {
+			if p, ok := minted[id]; ok && p != unsafe.StringData(id) {
+				t.Errorf("%s: the campaign files session %s under a copy, not the ID its join minted", how, id)
+			}
 		}
 	}
 	dir := t.TempDir()
@@ -205,10 +213,23 @@ func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
-	campaign := seedDispatch(t, h, 2)
-	completeSessions(t, h, campaign, 0, 6)
+	campaign = seedDispatch(t, h, 2)
+	minted := map[string]*byte{}
+	var joined []JoinResponse
+	for i := 0; i < 6; i++ {
+		var jr JoinResponse
+		dispatch(t, h, "POST", "/api/v1/sessions", JoinRequest{Campaign: campaign, Worker: Worker{ID: fmt.Sprintf("owned-%d", i)}, Captcha: "tok"}, &jr)
+		sess, _ := srv.sessions.Get(jr.Session)
+		minted[jr.Session] = unsafe.StringData(sess.ID)
+		joined = append(joined, jr)
+	}
+	for _, jr := range joined {
+		for _, tt := range jr.Tests {
+			dispatch(t, h, "POST", "/api/v1/sessions/"+jr.Session+"/responses", ResponseBody{TestID: tt.TestID, SubmittedMs: 1_500, KeptOriginal: true}, nil)
+		}
+	}
 	dispatch(t, h, "POST", "/api/v1/sessions", JoinRequest{Campaign: campaign, Worker: Worker{ID: "in-flight"}, Captcha: "tok"}, nil)
-	owned("live", srv)
+	owned("live", srv, minted)
 	c, _ := srv.campaigns.Get(campaign)
 	srv.videos.Range(func(id string, v *videoState) bool {
 		if v.campaign != c {
@@ -216,8 +237,8 @@ func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
 		}
 		return true
 	})
-	srv.sessions.Range(func(id string, e sessionEntry) bool {
-		if e.live != nil && e.live.campaign != c {
+	srv.sessions.Range(func(id string, sess *sessionState) bool {
+		if sess.campaign != c {
 			t.Errorf("live: session %s in flight does not point at its campaign", id)
 		}
 		return true
@@ -231,7 +252,7 @@ func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		owned(how, srv)
+		owned(how, srv, nil)
 		if how == "replayed" {
 			if err := srv.Snapshot(); err != nil {
 				t.Fatal(err)
@@ -373,5 +394,46 @@ func TestAnalyticsRenderAllocsFlat(t *testing.T) {
 	t.Logf("analytics allocations: %.0f at 100 sessions, %.0f at 800", small, large)
 	if large > small {
 		t.Fatalf("analytics allocations grew with session count: %.0f at 100 sessions, %.0f at 800", small, large)
+	}
+}
+
+// BenchmarkSessionLookupMiss prices the lookup of a session the sessions
+// index does not hold — what a late request to a completed session and
+// the rate limiter's first sight of its key pay — on servers of 1 and 16
+// campaigns sharing 1k and 8k completed sessions: the index miss, then
+// each campaign's frozenAt in turn until one files the session. An
+// unknown ID asks every campaign.
+func BenchmarkSessionLookupMiss(b *testing.B) {
+	for _, campaigns := range []int{1, 16} {
+		for _, completed := range []int{1000, 8000} {
+			srv := NewServer()
+			h := srv.Handler()
+			for i := 0; i < campaigns; i++ {
+				completeSessions(b, h, seedDispatch(b, h, 4), i*completed/campaigns, completed/campaigns)
+			}
+			var filed []string
+			srv.campaigns.Range(func(_ string, c *campaignState) bool {
+				filed = append(filed, c.recordSessions...)
+				return true
+			})
+			unknown := make([]string, len(filed))
+			for i := range unknown {
+				unknown[i] = "s" + strconv.FormatInt(srv.nextID.Load()+1+int64(i), 10)
+			}
+			for _, tc := range []struct {
+				name string
+				ids  []string
+				held bool
+			}{{"completed", filed, true}, {"unknown", unknown, false}} {
+				b.Run(fmt.Sprintf("campaigns=%d/sessions=%d/id=%s", campaigns, completed, tc.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if id := tc.ids[i%len(tc.ids)]; srv.sessionHeld(id) != tc.held {
+							b.Fatalf("sessionHeld(%s) = %v, want %v", id, !tc.held, tc.held)
+						}
+					}
+				})
+			}
+		}
 	}
 }

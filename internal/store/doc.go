@@ -26,8 +26,11 @@
 // commitMu, then mu. A goroutine takes a lock only while it holds
 // nothing later in that order: a platform request appends (mu) under
 // world, held shared, and its shard locks, and waits for durability
-// (commitMu) only once it has released all of them. The platform's
-// Snapshot is the only holder of world in exclusive mode.
+// (commitMu) only once it has released all of them. A session lookup
+// that misses the sessions index asks every campaign shard in turn
+// under the session shard, each read-locked and released before the
+// next, so it never holds two. The platform's Snapshot is the only
+// holder of world in exclusive mode.
 //
 // Beside world and the shards the platform takes three locks of its
 // own. The telemetry registry's ranks first: a /metrics scrape holds it
@@ -36,8 +39,8 @@
 // admission buckets — a sync.Map of token buckets, each with its own
 // mutex — are taken before a request's handler, with nothing held; a
 // missing bucket is made only after a session shard read lock finds the
-// session indexed and is released, and a bucket's mutex is held over no
-// other lock. The commit ring (request-trace timings of recent windows)
+// session, in flight in the index or completed in a campaign, and is
+// released, and a bucket's mutex is held over no other lock. The commit ring (request-trace timings of recent windows)
 // is innermost: the commit observer publishes into it under commitMu,
 // and mutate reads it holding nothing. The blob store, innermost too,
 // takes only its own locks.
