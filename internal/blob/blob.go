@@ -24,8 +24,9 @@
 //     allocations, exactly as the memory tier returns its slice. Where a
 //     blob cannot be mapped — a platform without mmap, a mapping error,
 //     or more mappings than maxMaps — the read falls back to the blob's
-//     *os.File, which http.ServeContent turns into sendfile on a real
-//     socket.
+//     *os.File, which a caller hands to http.ServeContent to get
+//     sendfile on a real socket. Resident bytes need no seeker: a
+//     caller may write them, or a slice of them, as they are.
 //
 // A mapping is never unmapped, because a handler may still be writing
 // its bytes. That is sound because a file-tier blob is immutable: its

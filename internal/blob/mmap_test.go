@@ -49,10 +49,12 @@ func failMaps(t *testing.T) {
 	mapFile = func(*os.File, int64) ([]byte, error) { return nil, syscall.ENOMEM }
 }
 
-// serveVideo answers a GET for hash the way the platform's video handler
-// does: 304 on a matching If-None-Match before the store is read,
-// resident bytes written whole for a full body, http.ServeContent for a
-// Range or a file.
+// serveVideo is a minimal video handler over the store: 304 on a
+// matching If-None-Match before the store is read, resident bytes written
+// whole for a full body, http.ServeContent for a Range or a file. It is
+// not the platform's handler, which also writes one satisfiable range of
+// resident bytes itself; here ServeContent is the reference both tiers
+// are compared through.
 func serveVideo(s *Store, hash string) http.HandlerFunc {
 	etag := `"` + hash + `"`
 	return func(w http.ResponseWriter, r *http.Request) {

@@ -210,6 +210,13 @@ func TestETagMatchesAllocFree(t *testing.T) {
 		{`"stale", "staler",`, false},
 		{`W/"stale"`, false},
 		{"", false},
+		// Read as http.ServeContent reads it: whitespace separates tags
+		// too, a leading "*" matches, and the walk stops at the first
+		// element that is not a quoted tag.
+		{`"stale" ` + tag, true},
+		{"*junk", true},
+		{`junk, ` + tag, false},
+		{`"st ale", ` + tag, false},
 	} {
 		if got := etagMatches(tc.header, tag); got != tc.want {
 			t.Fatalf("etagMatches(%q) = %v, want %v", tc.header, got, tc.want)

@@ -26,7 +26,12 @@ type fuzzEnv struct {
 // exactly what a public endpoint sees).
 func newFuzzEnv(tb testing.TB) *fuzzEnv {
 	tb.Helper()
-	srv := NewServer()
+	return seedFuzzEnv(tb, NewServer())
+}
+
+// seedFuzzEnv seeds srv the way newFuzzEnv seeds its in-memory server.
+func seedFuzzEnv(tb testing.TB, srv *Server) *fuzzEnv {
+	tb.Helper()
 	env := &fuzzEnv{srv: srv, handler: srv.Handler()}
 	rec := env.do("POST", "/api/v1/campaigns", []byte(`{"name":"fuzz","kind":"timeline"}`))
 	var created CreateCampaignResponse

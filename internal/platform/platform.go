@@ -748,22 +748,56 @@ func etagOf(sum uint64, n int) string {
 }
 
 // etagMatches reports whether an If-None-Match header names tag. The
-// header may carry a comma-separated list or "*"; weak validators
-// compare by tag (RFC 9110's weak comparison — byte-identical cached
-// bodies are what the tag certifies here).
+// header is "*" or a list of entity tags separated by commas and
+// optional whitespace, read as http.ServeContent reads it, so the video
+// handler's own 304 and ServeContent's agree on every header: the walk
+// stops at the first element that is not a quoted tag, and a weak
+// validator matches by its tag (RFC 9110's weak comparison —
+// byte-identical cached bodies are what the tag certifies here).
 func etagMatches(header, tag string) bool {
 	if tag == "" {
 		return false
 	}
-	for more := header != ""; more; {
-		var cand string
-		cand, header, more = strings.Cut(header, ",")
-		cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/")
-		if cand == "*" || cand == tag {
+	for {
+		header = strings.TrimLeft(header, " \t\r\n")
+		switch {
+		case header == "":
+			return false
+		case header[0] == ',':
+			header = header[1:]
+			continue
+		case header[0] == '*':
 			return true
 		}
+		cand, rest, ok := scanETag(header)
+		if !ok {
+			return false
+		}
+		if cand == tag {
+			return true
+		}
+		header = rest
 	}
-	return false
+}
+
+// scanETag cuts the entity tag, "…" or W/"…", that s starts with and
+// returns it without its W/ and the rest of s; ok is false when s does
+// not start with one. The characters allowed between the quotes are
+// RFC 9110's etagc.
+func scanETag(s string) (tag, rest string, ok bool) {
+	s = strings.TrimPrefix(s, "W/")
+	if len(s) < 2 || s[0] != '"' {
+		return "", "", false
+	}
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"':
+			return s[:i+1], s[i+1:], true
+		case c != 0x21 && (c < 0x23 || c > 0x7e) && c < 0x80:
+			return "", "", false
+		}
+	}
+	return "", "", false
 }
 
 // writeConditional answers a GET whose validator is known: 304 without
@@ -1265,16 +1299,19 @@ func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
 		return
 	}
 	// The payload is immutable and content-addressed, so the validator
-	// is the strong content hash and clients may cache forever.
+	// is the strong content hash and clients may cache forever. If-Match
+	// is evaluated before If-None-Match (RFC 9110 §13.2.2), so a request
+	// that carries it goes to http.ServeContent, which does both.
 	h := w.Header()
 	h["Etag"] = v.etagValue
 	h["Cache-Control"] = videoCacheControl
 	h["Accept-Ranges"] = videoAcceptRanges
-	h["Content-Type"] = videoContentType
-	if etagMatches(r.Header.Get("If-None-Match"), v.etag) {
+	ifMatch := r.Header.Get("If-Match") != ""
+	if !ifMatch && etagMatches(r.Header.Get("If-None-Match"), v.etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	h["Content-Type"] = videoContentType
 	// One blob lookup; a file-tier read counts once, as a mapped hit or a
 	// miss that opened the file.
 	b, rc, err := s.blobs.Serve(v.Hash)
@@ -1282,23 +1319,88 @@ func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if rc == nil {
-		if r.Header.Get("Range") == "" {
-			// Full-body fast path: resident bytes (memory tier, or a mapped
-			// file-tier blob) go straight out, no seeker.
-			h["Content-Length"] = v.lengthValue
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(b)
-			return
-		}
-		http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(b))
+	if rc != nil {
+		// A file-tier blob that could not be mapped arrives as the
+		// *os.File itself, so on a real socket a full body is
+		// kernel-side sendfile.
+		defer rc.Close()
+		http.ServeContent(w, r, "", time.Time{}, rc)
 		return
 	}
-	defer rc.Close()
-	// ServeContent answers Range/206/416 and If-Range; a file-tier blob
-	// that could not be mapped arrives as the *os.File itself, so on a
-	// real socket a full body is kernel-side sendfile.
-	http.ServeContent(w, r, "", time.Time{}, rc)
+	// Resident bytes (memory tier, or a mapped file-tier blob) answer a
+	// full body or one satisfiable range here, with no seeker; anything
+	// else (If-Match, If-Range, several ranges, 416) is ServeContent's.
+	rng := r.Header.Get("Range")
+	start, end, single := singleRange(rng, len(b))
+	switch {
+	case ifMatch || rng != "" && (!single || r.Header.Get("If-Range") != ""):
+		http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(b))
+		return
+	case rng == "":
+		h["Content-Length"] = v.lengthValue
+		w.WriteHeader(http.StatusOK)
+	default:
+		h["Content-Range"], h["Content-Length"] = rangeValues(start, end, len(b))
+		w.WriteHeader(http.StatusPartialContent)
+		b = b[start:end]
+	}
+	if r.Method != http.MethodHead {
+		_, _ = w.Write(b)
+	}
+}
+
+// singleRange parses a Range header that names one byte range of a
+// size-byte body in its plainest form, "bytes=a-b", "bytes=a-" or
+// "bytes=-n" with digits only, and returns the span [start, end) it
+// selects, clamped to the body as http.ServeContent clamps it. ok is
+// false for any other header (several ranges, whitespace, a sign, a
+// number past int64) and for a range that selects nothing: one starting
+// past the end, a-b with b < a, "-0", or any range of an empty body.
+// Declining is always safe; ServeContent answers those.
+func singleRange(header string, size int) (start, end int, ok bool) {
+	spec, isBytes := strings.CutPrefix(header, "bytes=")
+	first, last, isRange := strings.Cut(spec, "-")
+	if !isBytes || !isRange || size == 0 {
+		return 0, 0, false
+	}
+	// Base-10 ParseUint takes digits only: no sign, space or comma.
+	n := uint64(size)
+	if first == "" {
+		suffix, err := strconv.ParseUint(last, 10, 63)
+		if err != nil || suffix == 0 {
+			return 0, 0, false
+		}
+		return int(n - min(suffix, n)), size, true
+	}
+	a, err := strconv.ParseUint(first, 10, 63)
+	if err != nil || a >= n {
+		return 0, 0, false
+	}
+	if last == "" {
+		return int(a), size, true
+	}
+	z, err := strconv.ParseUint(last, 10, 63)
+	if err != nil || z < a {
+		return 0, 0, false
+	}
+	return int(a), int(min(z, n-1) + 1), true
+}
+
+// rangeValues returns the Content-Range and Content-Length values of the
+// 206 that carries bytes [start, end) of a size-byte body, exactly as
+// http.ServeContent renders them. Both texts are cut from one string and
+// both values from one array, each with no spare capacity: two heap
+// objects per reply.
+func rangeValues(start, end, size int) (contentRange, contentLength []string) {
+	var buf [96]byte
+	p := strconv.AppendInt(append(buf[:0], "bytes "...), int64(start), 10)
+	p = strconv.AppendInt(append(p, '-'), int64(end-1), 10)
+	p = strconv.AppendInt(append(p, '/'), int64(size), 10)
+	cut := len(p)
+	text := string(strconv.AppendInt(p, int64(end-start), 10))
+	values := new([2]string)
+	values[0], values[1] = text[:cut], text[cut:]
+	return values[0:1:1], values[1:2:2]
 }
 
 func (s *Server) handleFlag(w *scratch, r *http.Request) {

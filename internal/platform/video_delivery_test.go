@@ -10,27 +10,44 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"github.com/eyeorg/eyeorg/internal/browsersim"
+	"github.com/eyeorg/eyeorg/internal/video"
+	"github.com/eyeorg/eyeorg/internal/vision"
+	"github.com/eyeorg/eyeorg/internal/webpeg"
 )
 
 // getVideo issues a GET for a video with optional Range and
 // If-None-Match headers, returning the response (body drained).
 func getVideo(c *client, id, rangeHdr, inm string) (*http.Response, []byte) {
 	c.t.Helper()
+	return fetchVideo(c, id, http.Header{"Range": {rangeHdr}, "If-None-Match": {inm}})
+}
+
+// fetchVideo issues a GET for a video with the non-empty headers of hdr,
+// returning the response (body drained).
+func fetchVideo(c *client, id string, hdr http.Header) (*http.Response, []byte) {
+	c.t.Helper()
 	req, err := http.NewRequest("GET", c.srv.URL+"/api/v1/videos/"+id, nil)
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	if rangeHdr != "" {
-		req.Header.Set("Range", rangeHdr)
-	}
-	if inm != "" {
-		req.Header.Set("If-None-Match", inm)
+	for k, v := range hdr {
+		if v[0] != "" {
+			req.Header.Set(k, v[0])
+		}
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -42,6 +59,37 @@ func getVideo(c *client, id, rangeHdr, inm string) (*http.Response, []byte) {
 		c.t.Fatal(err)
 	}
 	return resp, body
+}
+
+// largeVideoBytes is a valid EYV1 video of a few KiB, every frame a new
+// paint, so a Range reply can be 1 KiB or longer: past the shared
+// Content-Length values, like the benchmark's 64 KiB suffix.
+func largeVideoBytes() []byte {
+	var paints []browsersim.PaintEvent
+	for i := 0; i < 15; i++ {
+		paints = append(paints, browsersim.PaintEvent{
+			T:     time.Duration(i) * 200 * time.Millisecond,
+			Rect:  vision.Rect{X: i % 20, Y: i % 7, W: 10, H: 5},
+			Value: vision.Tile(i + 1),
+		})
+	}
+	return video.Encode(webpeg.Render(paints, 3*time.Second, 10))
+}
+
+// seedLargeVideo adds largeVideoBytes to a campaign of its own on h and
+// returns the video's path and its ETag.
+func seedLargeVideo(tb testing.TB, h http.Handler) (path, tag string) {
+	tb.Helper()
+	var created CreateCampaignResponse
+	dispatch(tb, h, "POST", "/api/v1/campaigns", CreateCampaignRequest{Name: "large video", Kind: "timeline"}, &created)
+	var added AddVideoResponse
+	dispatch(tb, h, "POST", "/api/v1/campaigns/"+created.ID+"/videos", largeVideoBytes(), &added)
+	path = "/api/v1/videos/" + added.ID
+	rec := (&fuzzEnv{handler: h}).do("GET", path, nil)
+	if rec.Code != http.StatusOK || rec.Body.Len() < 2048 {
+		tb.Fatalf("GET %s: %d, %d bytes", path, rec.Code, rec.Body.Len())
+	}
+	return path, rec.Header().Get("ETag")
 }
 
 func TestVideoRangeRequests(t *testing.T) {
@@ -143,6 +191,34 @@ func TestVideoConditionalGet(t *testing.T) {
 	// A stale validator revalidates to the full body.
 	if resp, body := getVideo(c, vids[0], "", `"stale"`); resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
 		t.Fatalf("stale If-None-Match: %d", resp.StatusCode)
+	}
+}
+
+// TestVideoIfMatch: If-Match holds on every video GET, with or without
+// Range (RFC 9110 §13.1.1). A matching tag or "*" serves the
+// representation; any other tag is 412 with no body, whichever path would
+// have written it.
+func TestVideoIfMatch(t *testing.T) {
+	c := newClient(t)
+	_, vids := setupCampaign(c, "timeline", 1)
+	payload := sampleVideoBytes()
+	resp, _ := getVideo(c, vids[0], "", "")
+	tag := resp.Header.Get("ETag")
+	for _, im := range []string{tag, "*", `"stale"`} {
+		for _, rng := range []string{"", "bytes=0-9"} {
+			status, want := http.StatusOK, payload
+			switch {
+			case im == `"stale"`:
+				status, want = http.StatusPreconditionFailed, nil
+			case rng != "":
+				status, want = http.StatusPartialContent, payload[:10]
+			}
+			resp, body := fetchVideo(c, vids[0], http.Header{"If-Match": {im}, "Range": {rng}})
+			if resp.StatusCode != status || !bytes.Equal(body, want) {
+				t.Errorf("If-Match %s, Range %q: %d with %d bytes, want %d with %d",
+					im, rng, resp.StatusCode, len(body), status, len(want))
+			}
+		}
 	}
 }
 
@@ -458,7 +534,10 @@ func TestVideoGetFlagAddHammer(t *testing.T) {
 // TestGoldenVideoHeaders pins the /videos/{id} response headers the way
 // the /results goldens pin payload bytes: ETag format, cache policy,
 // range capability and exact length. sampleVideoBytes is deterministic,
-// so the content hash in the golden is stable.
+// so the content hash in the golden is stable. A suffix and a bounded
+// 206 follow, each with every header but Date. Those two were recorded
+// from http.ServeContent's replies, so they hold the handler's own
+// single-range replies to ServeContent's header block.
 func TestGoldenVideoHeaders(t *testing.T) {
 	c := newClient(t)
 	_, vids := setupCampaign(c, "timeline", 1)
@@ -467,14 +546,28 @@ func TestGoldenVideoHeaders(t *testing.T) {
 	for _, h := range []string{"ETag", "Cache-Control", "Accept-Ranges", "Content-Type", "Content-Length"} {
 		fmt.Fprintf(&buf, "%s: %s\n", h, resp.Header.Get(h))
 	}
+	for _, rng := range []string{"bytes=-100", "bytes=10-19"} {
+		resp, _ := getVideo(c, vids[0], rng, "")
+		fmt.Fprintf(&buf, "\nRange: %s\n%s\n", rng, resp.Status)
+		resp.Header.Del("Date")
+		keys := make([]string, 0, len(resp.Header))
+		for k := range resp.Header {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&buf, "%s: %s\n", k, strings.Join(resp.Header[k], ", "))
+		}
+	}
 	checkGolden(t, "video_headers.txt", buf.Bytes())
 }
 
 // FuzzRangeHeader throws arbitrary Range and If-None-Match headers at
 // the video endpoint. The oracle differs from the JSON targets — the
 // body is binary — but the contract is as strict: only statuses the
-// range state machine can produce, and any 200/206 body must be a
-// verbatim slice of the payload.
+// range state machine can produce, a 200 body is the payload, and a 206
+// carries exactly the bytes its Content-Range names, a range the
+// request asked for (checkPartial).
 func FuzzRangeHeader(f *testing.F) {
 	env := newFuzzEnv(f)
 	payload := sampleVideoBytes()
@@ -483,6 +576,8 @@ func FuzzRangeHeader(f *testing.F) {
 	f.Add("bytes=999999999-", "*")
 	f.Add("bytes=0-0,5-9", "W/\"x\"")
 	f.Add("bytes=\x00", "\xff")
+	f.Add("bytes=-0", "")
+	f.Add("bytes=3-3", "")
 	f.Fuzz(func(t *testing.T, rangeHdr, inm string) {
 		req := httptest.NewRequest("GET", "/api/v1/videos/"+env.video, nil)
 		req.Header.Set("Range", rangeHdr)
@@ -495,14 +590,218 @@ func FuzzRangeHeader(f *testing.F) {
 				t.Fatalf("200 body diverged from payload (%d bytes)", rec.Body.Len())
 			}
 		case http.StatusPartialContent:
-			if !bytes.Contains(payload, rec.Body.Bytes()) && !bytes.Contains(rec.Body.Bytes(), []byte("Content-Range")) {
-				// Single ranges must be verbatim slices; multipart
-				// responses interleave their own boundaries.
-				t.Fatalf("206 body is not a slice of the payload")
+			if err := checkPartial(rangeHdr, rec.Result().Header, rec.Body.Bytes(), payload); err != nil {
+				t.Fatalf("Range %q: %v", rangeHdr, err)
 			}
 		case http.StatusNotModified, http.StatusRequestedRangeNotSatisfiable:
 		default:
 			t.Fatalf("video GET answered %d for Range=%q If-None-Match=%q", rec.Code, rangeHdr, inm)
 		}
 	})
+}
+
+// checkPartial holds a 206 to the payload it was cut from and the Range
+// header it answers: its Content-Length is the body's length, and a
+// single range's Content-Range names bytes a-b of the whole payload, a
+// span the header asked for, with the body exactly payload[a:b+1]. A
+// multipart/byteranges reply has two parts or more, each checked the
+// same way against its own Content-Range.
+func checkPartial(rangeHdr string, h http.Header, body, payload []byte) error {
+	if cl := h.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+		return fmt.Errorf("Content-Length %q for a %d-byte body", cl, len(body))
+	}
+	asked := requestedSpans(rangeHdr, len(payload))
+	mt, params, err := mime.ParseMediaType(h.Get("Content-Type"))
+	if err != nil || mt != "multipart/byteranges" {
+		return checkSlice(h.Get("Content-Range"), body, payload, asked)
+	}
+	mr := multipart.NewReader(bytes.NewReader(body), params["boundary"])
+	parts := 0
+	for ; ; parts++ {
+		part, err := mr.NextPart()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("part %d: %v", parts, err)
+		}
+		b, err := io.ReadAll(part)
+		if err != nil {
+			return fmt.Errorf("part %d: %v", parts, err)
+		}
+		if err := checkSlice(part.Header.Get("Content-Range"), b, payload, asked); err != nil {
+			return fmt.Errorf("part %d: %v", parts, err)
+		}
+	}
+	if parts < 2 {
+		return fmt.Errorf("multipart reply of %d parts", parts)
+	}
+	return nil
+}
+
+// checkSlice checks one range: contentRange is "bytes a-b/size" with
+// size the payload's length, [a, b+1) is one of the asked spans, and
+// body is payload[a:b+1]. The range may be empty (a = b+1):
+// http.ServeContent answers "bytes=-0" with a 206 whose Content-Range is
+// "bytes size-(size-1)/size" and whose body is empty, and the handler
+// leaves that reply to it.
+func checkSlice(contentRange string, body, payload []byte, asked [][2]int) error {
+	var a, b, size int
+	if _, err := fmt.Sscanf(contentRange, "bytes %d-%d/%d", &a, &b, &size); err != nil ||
+		contentRange != fmt.Sprintf("bytes %d-%d/%d", a, b, size) {
+		return fmt.Errorf("Content-Range %q is not bytes a-b/size", contentRange)
+	}
+	if size != len(payload) || a < 0 || a > b+1 || b >= size {
+		return fmt.Errorf("Content-Range %q outside a %d-byte payload", contentRange, len(payload))
+	}
+	if !slices.Contains(asked, [2]int{a, b + 1}) {
+		return fmt.Errorf("Content-Range %q is none of the spans asked for, %v", contentRange, asked)
+	}
+	if !bytes.Equal(body, payload[a:b+1]) {
+		return fmt.Errorf("Content-Range %q: the %d-byte body is not payload[%d:%d]", contentRange, len(body), a, b+1)
+	}
+	return nil
+}
+
+// requestedSpans returns the spans [start, end) of a size-byte payload
+// that a Range header's specs name (RFC 9110 §14.1.2: a-b, a- and the
+// suffix -n, clamped to the payload), each spec read as leniently as
+// http.ServeContent reads it: around whitespace, with any sign
+// strconv.ParseInt takes. A spec that names no byte of the payload
+// yields no span.
+func requestedSpans(header string, size int) [][2]int {
+	specs, ok := strings.CutPrefix(header, "bytes=")
+	if !ok {
+		return nil
+	}
+	n := int64(size)
+	var spans [][2]int
+	for _, spec := range strings.Split(specs, ",") {
+		first, last, ok := strings.Cut(strings.TrimSpace(spec), "-")
+		if !ok {
+			continue
+		}
+		first, last = strings.TrimSpace(first), strings.TrimSpace(last)
+		a, errA := strconv.ParseInt(first, 10, 64)
+		z, errZ := strconv.ParseInt(last, 10, 64)
+		switch {
+		case first == "" && errZ == nil && z >= 0:
+			spans = append(spans, [2]int{int(n - min(z, n)), size})
+		case errA != nil || a < 0 || a >= n:
+		case last == "":
+			spans = append(spans, [2]int{int(a), size})
+		case errZ == nil && z >= a:
+			spans = append(spans, [2]int{int(a), int(min(z, n-1) + 1)})
+		}
+	}
+	return spans
+}
+
+// FuzzVideoReplyDifferential holds the video handler to http.ServeContent,
+// the reference for every reply it writes itself (a full body, a 304, one
+// range from resident bytes). For any Range, If-Range, If-Match and
+// If-None-Match, by GET or HEAD, on a memory-tier server and on a
+// file-tier server serving its mapping, the handler's status, every
+// header and its body are what this Go version's ServeContent writes for
+// the same request over the same bytes, after the headers the handler
+// sets first. Multipart replies differ only by their random boundary,
+// which is normalised.
+func FuzzVideoReplyDifferential(f *testing.F) {
+	payload := sampleVideoBytes()
+	file, err := Open(Options{DataDir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { file.Close() })
+	envs := map[string]*fuzzEnv{"mem": newFuzzEnv(f), "file": seedFuzzEnv(f, file)}
+	if n, _ := file.blobs.Mapped(); n != 1 {
+		f.Fatalf("the file-tier server maps %d blobs, want its video's", n)
+	}
+	tag := envs["mem"].do("GET", "/api/v1/videos/"+envs["mem"].video, nil).Header().Get("ETag")
+	for _, rng := range []string{"bytes=-65536", "bytes=0-9", "bytes=5-", "bytes=-1", "bytes=0-999999", "bytes=3-3",
+		"bytes=-0", "bytes=+1-2", "bytes= 1-2", "bytes=9-2", "bytes=0-0,5-9", "bytes=999999-", ""} {
+		f.Add(rng, "", "", "", false)
+		f.Add(rng, "", "", "", true)
+	}
+	f.Add("bytes=0-9", tag, "", "", false)
+	f.Add("bytes=0-9", `"stale"`, "", "", false)
+	f.Add("bytes=0-9", "", tag, "", false)
+	f.Add("", "", `"stale"`, "", false)
+	f.Add("bytes=0-9", "", `"stale"`, tag, false)
+	f.Add("bytes=0-9", "", "", tag+` "x"`, false)
+	f.Add("", "", "", `W/`+tag, true)
+	f.Fuzz(func(t *testing.T, rangeHdr, ifRange, ifMatch, inm string, head bool) {
+		method := "GET"
+		if head {
+			method = "HEAD"
+		}
+		for tier, env := range envs {
+			req := httptest.NewRequest(method, "/api/v1/videos/"+env.video, nil)
+			for k, v := range map[string]string{"Range": rangeHdr, "If-Range": ifRange, "If-Match": ifMatch, "If-None-Match": inm} {
+				if v != "" {
+					req.Header.Set(k, v)
+				}
+			}
+			got := httptest.NewRecorder()
+			env.handler.ServeHTTP(got, req)
+			want := httptest.NewRecorder()
+			h := want.Header()
+			h.Set("Etag", tag)
+			h.Set("Cache-Control", "public, max-age=31536000, immutable")
+			h.Set("Accept-Ranges", "bytes")
+			h.Set("Content-Type", "application/octet-stream")
+			http.ServeContent(want, req, "", time.Time{}, bytes.NewReader(payload))
+			g, w := normalizedReply(got), normalizedReply(want)
+			if g != w {
+				t.Fatalf("%s %s Range=%q If-Range=%q If-Match=%q If-None-Match=%q:\nhandler:      %q\nServeContent: %q",
+					tier, method, rangeHdr, ifRange, ifMatch, inm, g, w)
+			}
+		}
+	})
+}
+
+// normalizedReply renders a recorded reply as its status, its headers in
+// wire order and its body, with a multipart boundary replaced by a fixed
+// string.
+func normalizedReply(rec *httptest.ResponseRecorder) string {
+	res := rec.Result()
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "%d\n", res.StatusCode)
+	res.Header.Write(&buf)
+	buf.WriteString("\n")
+	buf.Write(rec.Body.Bytes())
+	out := buf.String()
+	if _, params, err := mime.ParseMediaType(res.Header.Get("Content-Type")); err == nil && params["boundary"] != "" {
+		out = strings.ReplaceAll(out, params["boundary"], "BOUNDARY")
+	}
+	return out
+}
+
+// BenchmarkVideoReply prices the video handler's own replies through the
+// whole handler stack, with the budget test's reused request and writer:
+// a full body, a 304 and a 2 KiB suffix range of a resident video.
+func BenchmarkVideoReply(b *testing.B) {
+	srv := NewServer()
+	rig := &budgetRig{t: b, h: srv.Handler(), w: &discardWriter{header: http.Header{}}, body: &replayBody{}}
+	path, tag := seedLargeVideo(b, rig.h)
+	for _, bc := range []struct {
+		name, header, value string
+		status              int
+	}{
+		{"full", "", "", http.StatusOK},
+		{"not-modified", "If-None-Match", tag, http.StatusNotModified},
+		{"range", "Range", "bytes=-2048", http.StatusPartialContent},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rig.t = b
+			req := rig.request("GET", "")
+			if bc.header != "" {
+				req.Header.Set(bc.header, bc.value)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rig.serve(req, path, nil, bc.status)
+			}
+		})
+	}
 }
