@@ -42,7 +42,7 @@ func isWireBatch(r *http.Request) bool {
 // AppendWireRecords converts one JSON-shaped EventBatch into its wire
 // records and appends them to dst: an instruction record when the
 // batch sets InstructionMs, an engagement record when it names a
-// video. It is the JSON apply path's own conversion (applyEvents), so a
+// video. It is the JSON apply path's own conversion (applyJSONBatch), so a
 // batch ingested over either protocol lands identical durations.
 // Clients that send EYB1 batches, such as the repository benchmark's
 // driver and the differential suite, build their records with it.
@@ -141,7 +141,7 @@ func (s *Server) handleEventsBinary(w *scratch, r *http.Request) {
 	}
 	ev := &w.ev
 	*ev = event{Op: opBatch, ID: id, Wire: dec.Bytes(), records: recs, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applyBatch(ev) }); err != nil {
+	if err := s.mutate(ev); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}

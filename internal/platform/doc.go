@@ -53,10 +53,10 @@
 // pipeline coalesces concurrent mutations into one flush (and, with
 // Fsync, one fdatasync) per window, and each mutation acks after its
 // window is durable, waiting outside its shard locks. Every mutation
-// ends in the one commit tail (mutate), which holds the world lock
-// shared while the mutation applies; Snapshot is the only holder of
-// world in exclusive mode. The request whose record crosses
-// Options.SnapshotEvery takes the snapshot itself before it answers.
+// ends in the one commit tail, mutate(ev), which applies the record's
+// row of the op table (ops) with world held shared, as replay applies a
+// journaled one; Snapshot alone holds world exclusively. The request
+// whose record crosses Options.SnapshotEvery snapshots before it answers.
 // Nothing runs behind a request: the package starts no goroutine. The
 // lock order — world, session shard, campaign shard, video shard, then
 // the journal's two locks — is written down once, in internal/store's

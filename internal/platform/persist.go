@@ -1,18 +1,18 @@
-// Persistence: the journal event schema, the apply functions shared by
-// live handlers and crash recovery, and the state documents, in which a
-// campaign's section is the one form of its state.
+// Persistence: the journal event schema, the op table whose rows apply a
+// record for live handlers and crash recovery alike, and the state
+// documents, in which a campaign's section is the one form of its state.
 //
-// Every mutation is expressed as an event. The live path validates,
-// buffers the event into the journal, and applies it inside one
-// shard-locked critical section — journal sequence order therefore
-// always matches memory order. The durability wait (the journal's
-// group-commit flush window, fdatasync'd with Fsync) happens in mutate
-// AFTER the shard locks are released, so concurrent mutations on one
-// shard never serialize behind the disk (see the durability matrix in
-// docs/OPERATIONS.md). Recovery replays the journal through the same
-// apply functions, so the rebuilt state is field-for-field the state
-// the journal order produced — including the order sessions complete
-// per campaign, which is what makes /results byte-identical after a
+// Every mutation is expressed as an event. The live path validates, and
+// mutate(ev) applies the record's row: it buffers the event into the
+// journal and applies it inside one shard-locked critical section, so
+// journal sequence order always matches memory order. The durability
+// wait (the journal's group-commit flush window, fdatasync'd with Fsync)
+// happens in mutate AFTER the shard locks are released, so concurrent
+// mutations on one shard never serialize behind the disk (see the
+// durability matrix in docs/OPERATIONS.md). Replay applies each record
+// through the same row, so the rebuilt state is field-for-field the
+// state the journal order produced — including the order sessions
+// complete per campaign, which makes /results byte-identical after a
 // restart (the analytics fold's float aggregation is order-sensitive).
 //
 // The relaxation this buys is bounded and standard for group commit,
@@ -42,7 +42,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/wire"
 )
 
-// Journal event opcodes, one per mutation.
+// Journal event opcodes, one per mutation; each names a row of ops.
 const (
 	opCampaign = "campaign"
 	opVideo    = "video"
@@ -86,6 +86,54 @@ type event struct {
 	// records carries the live path's already-decoded batch so
 	// applyBatch does not decode Wire twice; nil during replay.
 	records []wire.Record
+	// applyFlag's and applyResponse's results for their handlers.
+	flags        int
+	banned, done bool
+}
+
+// op is one row of the op table: a journal opcode and the function that
+// applies its record. A retired op is one only earlier builds journaled.
+type op struct {
+	name    string
+	apply   func(*Server, *event) (uint64, error)
+	retired bool
+}
+
+// ops is the one list of journal opcodes: mutate applies a live record
+// through its row, replay a journaled one through the same row, and
+// /metrics counts each live row's mutations.
+var ops = []op{
+	{name: opCampaign, apply: (*Server).applyCampaign},
+	{name: opVideo, apply: (*Server).applyVideo},
+	{name: opSession, apply: (*Server).applySession},
+	{name: opEvents, apply: (*Server).applyJSONBatch},
+	{name: opBatch, apply: (*Server).applyBatch},
+	{name: opResponse, apply: (*Server).applyResponse},
+	{name: opFlag, apply: (*Server).applyFlag},
+	{name: "handoff", apply: refuseClusterOp, retired: true},
+	{name: "import", apply: refuseClusterOp, retired: true},
+}
+
+// opRow returns the index of the row of ops that applies op name.
+func opRow(name string) (int, error) {
+	for i := range ops {
+		if ops[i].name == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown journal op %q", name)
+}
+
+// refuseClusterOp refuses a handoff or import record, which builds with a
+// cluster tier journaled to move a campaign between nodes: replaying past
+// one would serve a campaign another node owns, or miss one that arrived.
+func refuseClusterOp(_ *Server, ev *event) (uint64, error) {
+	return 0, fmt.Errorf("journal %s record moved a campaign between cluster nodes; this server runs one node and cannot replay it", ev.Op)
+}
+
+// errMissing refuses a record that lacks a field its op reads.
+func errMissing(ev *event, field string) error {
+	return fmt.Errorf("%s %s: record carries no %s", ev.Op, ev.ID, field)
 }
 
 // journal buffers ev into the WAL and returns its sequence number.
@@ -95,13 +143,13 @@ type event struct {
 // and shard locks are released, so a flush window never
 // serializes a shard — and every sequence returned must be awaited,
 // since the journal flushes only for a waiter. Returns 0 in memory mode
-// and during replay.
+// and during replay, which Open runs before it attaches the journal.
 //
 // The record is json.Marshal's bytes, encoded into a pooled buffer:
 // the encoder's trailing newline is cut, and AppendAsync copies the
 // payload, so the buffer goes back to the pool at once.
 func (s *Server) journal(ev *event) (uint64, error) {
-	if s.log == nil || s.replaying {
+	if s.log == nil {
 		return 0, nil
 	}
 	buf, err := encodeJSON(ev)
@@ -114,48 +162,18 @@ func (s *Server) journal(ev *event) (uint64, error) {
 	return seq, err
 }
 
-// applyEvent dispatches one replayed journal record.
-func (s *Server) applyEvent(ev *event) error {
-	switch ev.Op {
-	case opCampaign:
-		_, err := s.applyCampaign(ev)
-		return err
-	case opVideo:
-		_, err := s.applyVideo(ev)
-		return err
-	case opSession:
-		_, err := s.applySession(ev)
-		return err
-	case opEvents:
-		_, err := s.applyEvents(ev)
-		return err
-	case opBatch:
-		_, err := s.applyBatch(ev)
-		return err
-	case opResponse:
-		_, _, err := s.applyResponse(ev)
-		return err
-	case opFlag:
-		_, _, _, err := s.applyFlag(ev)
-		return err
-	case "handoff", "import":
-		// Builds with a cluster tier journaled these to move a campaign
-		// between nodes. Replaying past one would serve a campaign another
-		// node owns, or miss one that arrived from another node.
-		return fmt.Errorf("journal %s record moved a campaign between cluster nodes; this server runs one node and cannot replay it", ev.Op)
-	default:
-		return fmt.Errorf("unknown journal op %q", ev.Op)
-	}
-}
-
 // --- apply functions (journal + mutate under shard locks) ---
 //
-// Each returns the journal sequence its record was buffered at (0 in
-// memory mode / replay); mutate awaits that sequence's durability after
-// every shard lock is back on the hook. Each checks everything that can
-// fail before it journals, so once it has a sequence it succeeds.
+// Each is its op's apply. It returns the journal sequence its record was
+// buffered at (0 in memory mode / replay); mutate awaits that sequence's
+// durability after every shard lock is back on the hook. Each checks
+// everything that can fail before it journals, a missing field included,
+// so once it has a sequence it succeeds.
 
 func (s *Server) applyCampaign(ev *event) (uint64, error) {
+	if !validCampaign(ev.Name, ev.Kind) {
+		return 0, fmt.Errorf("campaign %s: record needs a name and kind timeline|ab, has kind %q", ev.ID, ev.Kind)
+	}
 	csh := s.campaigns.Shard(ev.ID)
 	csh.Lock()
 	defer csh.Unlock()
@@ -173,7 +191,6 @@ func (s *Server) applyCampaign(ev *event) (uint64, error) {
 	}
 	csh.Put(ev.ID, c)
 	s.bumpID(ev.ID)
-	s.countMutation(opCampaign)
 	return seq, nil
 }
 
@@ -208,11 +225,13 @@ func (s *Server) applyVideo(ev *event) (uint64, error) {
 	}
 	c.invalidate()
 	s.bumpID(ev.ID)
-	s.countMutation(opVideo)
 	return seq, nil
 }
 
 func (s *Server) applySession(ev *event) (uint64, error) {
+	if ev.Worker == nil {
+		return 0, errMissing(ev, "worker")
+	}
 	ssh := s.sessions.Shard(ev.ID)
 	ssh.Lock()
 	defer ssh.Unlock()
@@ -244,7 +263,6 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	}
 	s.joined.Add(1)
 	s.bumpID(ev.ID)
-	s.countMutation(opSession)
 	return seq, nil
 }
 
@@ -262,10 +280,13 @@ func (sess *sessionState) videos() []string {
 	return assignedVideos(make([]string, 0, len(sess.Assignment)), sess.Assignment)
 }
 
-// applyEvents applies one JSON engagement batch as the wire records it
+// applyJSONBatch applies one JSON engagement batch as the wire records it
 // is equivalent to, so both ingest protocols reach the tracker through
 // the same code.
-func (s *Server) applyEvents(ev *event) (uint64, error) {
+func (s *Server) applyJSONBatch(ev *event) (uint64, error) {
+	if ev.Batch == nil {
+		return 0, errMissing(ev, "batch")
+	}
 	var buf [2]wire.Record
 	return s.applyRecords(ev, AppendWireRecords(buf[:0], *ev.Batch))
 }
@@ -324,11 +345,13 @@ func (s *Server) applyRecords(ev *event, recs []wire.Record) (uint64, error) {
 			})
 		}
 	}
-	s.countMutation(ev.Op)
 	return seq, nil
 }
 
-func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
+func (s *Server) applyResponse(ev *event) (uint64, error) {
+	if ev.Body == nil {
+		return 0, errMissing(ev, "body")
+	}
 	ssh := s.sessions.Shard(ev.ID)
 	ssh.Lock()
 	defer ssh.Unlock()
@@ -338,14 +361,14 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 	// session that is done.
 	sess, err := s.sessionLocked(ssh, ev.ID)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	a, err := parseResponse(sess, ev.Body)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	if sess.completed() {
-		return 0, false, errSessionDone
+		return 0, errSessionDone
 	}
 	// When this answer completes the session, the campaign shard lock
 	// must span journaling and the fold: two sessions completing on one
@@ -359,9 +382,9 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 		defer csh.Unlock()
 	}
 	ev.tr.Mark(trace.StageLockWait)
-	seq, err = s.journal(ev)
+	seq, err := s.journal(ev)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	sess.answers = append(sess.answers, a)
 	sess.trackAnswer(a)
@@ -369,8 +392,8 @@ func (s *Server) applyResponse(ev *event) (seq uint64, done bool, err error) {
 		s.completeSession(c, sess)
 		ssh.Delete(sess.ID)
 	}
-	s.countMutation(opResponse)
-	return seq, c != nil, nil
+	ev.done = c != nil
+	return seq, nil
 }
 
 // completeSession is what the completing answer does, on the live path
@@ -456,27 +479,30 @@ func (d *completion) record(sess *sessionState, kind string) *filtering.SessionR
 	return &d.rec
 }
 
-func (s *Server) applyFlag(ev *event) (seq uint64, flags int, banned bool, err error) {
+func (s *Server) applyFlag(ev *event) (uint64, error) {
+	if ev.Flagger == "" {
+		return 0, errMissing(ev, "flagger")
+	}
 	vsh := s.videos.Shard(ev.ID)
 	vsh.Lock()
 	ev.tr.Mark(trace.StageLockWait)
 	v, ok := vsh.Get(ev.ID)
 	if !ok {
 		vsh.Unlock()
-		return 0, 0, false, errNoVideo
+		return 0, errNoVideo
 	}
-	seq, err = s.journal(ev)
+	seq, err := s.journal(ev)
 	if err != nil {
 		vsh.Unlock()
-		return 0, 0, false, err
+		return 0, err
 	}
 	v.Flags[ev.Flagger] = true
-	flags = len(v.Flags)
-	newlyBanned := !v.Banned && flags >= BanThreshold
+	ev.flags = len(v.Flags)
+	newlyBanned := !v.Banned && ev.flags >= BanThreshold
 	if newlyBanned {
 		v.Banned = true
 	}
-	banned = v.Banned
+	ev.banned = v.Banned
 	c := v.campaign
 	vsh.Unlock()
 	if newlyBanned {
@@ -493,8 +519,7 @@ func (s *Server) applyFlag(ev *event) (seq uint64, flags int, banned bool, err e
 		}
 		csh.Unlock()
 	}
-	s.countMutation(opFlag)
-	return seq, flags, banned, nil
+	return seq, nil
 }
 
 // parseResponse resolves the answered test and builds the answer to

@@ -282,7 +282,7 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 		})
 	}
 	ev := &event{Op: opSession, ID: odd.Session, Campaign: campaign, Worker: &Worker{ID: "persist-odd", Country: "PT"}, Tests: odd.Tests}
-	if err := srv.mutate(nil, func() (uint64, error) { return srv.applySession(ev) }); err != nil {
+	if err := srv.mutate(ev); err != nil {
 		t.Fatal(err)
 	}
 	completeSession(c, odd, 1_700, true, 12, 0)
@@ -942,7 +942,8 @@ func TestVideoWithoutHashRefused(t *testing.T) {
 	srv := NewServer()
 	c := newClientFor(t, srv)
 	campaign, _ := setupCampaign(c, "timeline", 1)
-	err := srv.applyEvent(&event{Op: opVideo, ID: "v77", Campaign: campaign})
+	row, _ := opRow(opVideo)
+	_, err := ops[row].apply(srv, &event{Op: opVideo, ID: "v77", Campaign: campaign})
 	if err == nil || !strings.Contains(err.Error(), "v77") {
 		t.Fatalf("replaying a hashless video record: %v, want an error naming v77", err)
 	}
@@ -1007,7 +1008,7 @@ func TestVideoWithoutBlobRefused(t *testing.T) {
 // pooled buffer instead of calling json.Marshal, and the record on disk
 // is still json.Marshal's bytes, for every op: strings that encoding/json
 // escapes (HTML, U+2028, non-ASCII) and a batch's EYB1 Wire bytes
-// included.
+// included. Every live row of ops has a record here.
 func TestJournalRecordBytesMatchMarshal(t *testing.T) {
 	recs := AppendWireRecords(nil, EventBatch{VideoID: "v2", LoadMs: 900, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 4, WatchedFraction: 0.9})
 	var enc wire.Encoder
@@ -1060,5 +1061,10 @@ func TestJournalRecordBytesMatchMarshal(t *testing.T) {
 	}
 	if n != len(events) {
 		t.Fatalf("replayed %d records, journaled %d", n, len(events))
+	}
+	for _, row := range ops {
+		if !row.retired && !slices.ContainsFunc(events, func(ev *event) bool { return ev.Op == row.name }) {
+			t.Errorf("op %s has no record here", row.name)
+		}
 	}
 }

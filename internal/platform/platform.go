@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/textproto"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -174,7 +175,6 @@ type Server struct {
 	adaptiveCfg adaptive.Config
 
 	log       *store.Log
-	replaying bool
 	snapEvery uint64
 	snapping  atomic.Bool // a crossing request is taking the cadence's snapshot
 }
@@ -437,32 +437,37 @@ func Open(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.log = jl
 	switch {
 	case opts.SnapshotEvery > 0:
 		s.snapEvery = uint64(opts.SnapshotEvery)
 	case opts.SnapshotEvery == 0:
 		s.snapEvery = defaultSnapshotEvery
 	}
-	s.replaying = true
 	if _, data, ok := jl.Snapshot(); ok {
 		if err := s.loadState(data); err != nil {
 			jl.Close()
 			return nil, fmt.Errorf("platform: loading snapshot: %w", err)
 		}
 	}
-	err = jl.Replay(func(_ uint64, payload []byte) error {
+	err = jl.Replay(func(seq uint64, payload []byte) error {
 		var ev event
 		if err := json.Unmarshal(payload, &ev); err != nil {
-			return err
+			return fmt.Errorf("record %d: %w", seq, err)
 		}
-		return s.applyEvent(&ev)
+		row, err := opRow(ev.Op)
+		if err == nil {
+			_, err = ops[row].apply(s, &ev)
+		}
+		if err != nil {
+			return fmt.Errorf("record %d (%s): %w", seq, ev.Op, err)
+		}
+		return nil
 	})
 	if err != nil {
 		jl.Close()
 		return nil, fmt.Errorf("platform: replaying journal: %w", err)
 	}
-	s.replaying = false
+	s.log = jl // after replay, which journals nothing
 	s.assign.Store(s.joined.Load())
 	return s, nil
 }
@@ -942,6 +947,12 @@ func (s *Server) bumpID(id string) {
 	}
 }
 
+// validCampaign reports whether a campaign of this name and kind can be
+// created; the create handler and applyCampaign refuse the same ones.
+func validCampaign(name, kind string) bool {
+	return name != "" && (kind == "timeline" || kind == "ab")
+}
+
 // validCampaignID accepts caller-supplied campaign IDs: "c" followed by
 // 1..63 tag/counter characters. Anything outside that alphabet (or an
 // empty/oversize suffix) is a 400, never a 5xx.
@@ -960,34 +971,42 @@ func validCampaignID(id string) bool {
 	return true
 }
 
-// mutate is the one commit tail of every journaled change. fn runs
-// under the world lock held shared and returns the journal sequence its record was buffered at (0 when
-// nothing was journaled). With every platform lock released, mutate
-// waits for that record to be durable: one flush window shared with
-// every concurrent mutation. fn fails only before it journals, so a
-// sequence comes with no error, and it must be awaited: the journal
-// flushes only for a waiter. The request whose record crossed the
-// snapshot cadence then takes the snapshot before it answers.
+// mutate is the one commit tail of every journaled change. It applies ev
+// through its op's row, as replay does, under the world lock held shared,
+// and counts it. With every platform lock released, mutate waits for the
+// record to be durable: one flush window shared with every concurrent
+// mutation. A row fails only before it journals, so a sequence comes
+// with no error, and it must be awaited: the journal flushes only for a
+// waiter. The request whose record crossed the snapshot cadence then
+// takes the snapshot before it answers.
 //
-// tr, when non-nil, receives the mutation's stage attribution: the
-// apply span when fn returns, the durability wait split into
+// ev.tr, when non-nil, receives the mutation's stage attribution: the
+// apply span when the row returns, the durability wait split into
 // flush/fsync/ack using the commit window the journal published for
 // seq, and a snapshot this request took charged to apply again.
-func (s *Server) mutate(tr *trace.Trace, fn func() (uint64, error)) error {
-	s.world.RLock()
-	seq, err := fn()
-	s.world.RUnlock()
-	tr.Mark(trace.StageApply)
-	if seq == 0 {
+func (s *Server) mutate(ev *event) error {
+	row, err := opRow(ev.Op)
+	if err != nil {
 		return err
 	}
+	s.world.RLock()
+	seq, err := ops[row].apply(s, ev)
+	s.world.RUnlock()
+	ev.tr.Mark(trace.StageApply)
+	if err != nil {
+		return err
+	}
+	s.metrics.mutation[row].Inc()
+	if seq == 0 {
+		return nil
+	}
 	err = s.log.WaitDurable(seq)
-	if tr != nil { // tracing is on, so the commit ring exists
+	if ev.tr != nil { // tracing is on, so the commit ring exists
 		w := s.observer.commits.lookup(seq)
-		tr.MarkDurable(w.FsyncStart, w.FsyncEnd)
+		ev.tr.MarkDurable(w.FsyncStart, w.FsyncEnd)
 	}
 	if err == nil && s.maybeSnapshot(seq) {
-		tr.Mark(trace.StageApply)
+		ev.tr.Mark(trace.StageApply)
 	}
 	return err
 }
@@ -1030,7 +1049,7 @@ func (s *Server) handleCreateCampaign(w *scratch, r *http.Request) {
 		return
 	}
 	tr.Mark(trace.StageDecode)
-	if req.Name == "" || (req.Kind != "timeline" && req.Kind != "ab") {
+	if !validCampaign(req.Name, req.Kind) {
 		writeErr(w, http.StatusBadRequest, "campaign needs a name and kind timeline|ab")
 		return
 	}
@@ -1043,7 +1062,7 @@ func (s *Server) handleCreateCampaign(w *scratch, r *http.Request) {
 	}
 	tr.SetCampaign(id)
 	ev := &event{Op: opCampaign, ID: id, Name: req.Name, Kind: req.Kind, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applyCampaign(ev) }); err != nil {
+	if err := s.mutate(ev); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1095,7 +1114,7 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 	tr.Mark(trace.StageDecode)
 	id := s.newID("v")
 	ev := &event{Op: opVideo, ID: id, Campaign: campaignID, Hash: ref.Hash, Size: ref.Size, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applyVideo(ev) }); err != nil {
+	if err := s.mutate(ev); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1203,7 +1222,7 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	tr.SetSession(sid)
 	ev := &w.ev
 	*ev = event{Op: opSession, ID: sid, Campaign: req.Campaign, Worker: &req.Worker, Tests: tests, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applySession(ev) }); err != nil {
+	if err := s.mutate(ev); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1324,17 +1343,17 @@ func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
 		// *os.File itself, so on a real socket a full body is
 		// kernel-side sendfile.
 		defer rc.Close()
-		http.ServeContent(w, r, "", time.Time{}, rc)
+		serveContent(w, r, rc)
 		return
 	}
 	// Resident bytes (memory tier, or a mapped file-tier blob) answer a
 	// full body or one satisfiable range here, with no seeker; anything
-	// else (If-Match, If-Range, several ranges, 416) is ServeContent's.
+	// else (If-Match, If-Range, several ranges, 416) is serveContent's.
 	rng := r.Header.Get("Range")
 	start, end, single := singleRange(rng, len(b))
 	switch {
 	case ifMatch || rng != "" && (!single || r.Header.Get("If-Range") != ""):
-		http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(b))
+		serveContent(w, r, bytes.NewReader(b))
 		return
 	case rng == "":
 		h["Content-Length"] = v.lengthValue
@@ -1349,6 +1368,55 @@ func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
 	}
 }
 
+// serveContent answers a video request through http.ServeContent, after
+// taking every suffix range of zero length ("bytes=-0") out of its Range
+// header. Such a range selects no byte (RFC 9110 §14.1.1), but
+// ServeContent answers it with a range that ends before it starts. A
+// header left with no range asks for pastEnd, which ServeContent
+// answers, once If-Match and If-Range allow, with 416 and Content-Range
+// bytes */size.
+func serveContent(w http.ResponseWriter, r *http.Request, content io.ReadSeeker) {
+	if rng, ok := dropEmptySuffixes(r.Header.Get("Range")); ok {
+		r = r.Clone(r.Context())
+		r.Header.Set("Range", rng)
+	}
+	http.ServeContent(w, r, "", time.Time{}, content)
+}
+
+// pastEnd is a Range header no body can satisfy: its one range starts at
+// the largest offset ServeContent parses.
+const pastEnd = "bytes=9223372036854775807-"
+
+// dropEmptySuffixes returns header without its zero-length suffix
+// ranges, each spec read as http.ServeContent reads it, and whether it
+// had one.
+func dropEmptySuffixes(header string) (string, bool) {
+	specs, ok := strings.CutPrefix(header, "bytes=")
+	if !ok {
+		return header, false
+	}
+	var kept []string
+	dropped := false
+	for _, spec := range strings.Split(specs, ",") {
+		first, last, _ := strings.Cut(textproto.TrimString(spec), "-")
+		last = textproto.TrimString(last)
+		n, err := strconv.ParseInt(last, 10, 64)
+		switch {
+		case first == "" && err == nil && n == 0 && last[0] != '-':
+			dropped = true
+		case textproto.TrimString(spec) != "":
+			kept = append(kept, spec)
+		}
+	}
+	switch {
+	case !dropped:
+		return header, false
+	case len(kept) == 0:
+		return pastEnd, true
+	}
+	return "bytes=" + strings.Join(kept, ","), true
+}
+
 // singleRange parses a Range header that names one byte range of a
 // size-byte body in its plainest form, "bytes=a-b", "bytes=a-" or
 // "bytes=-n" with digits only, and returns the span [start, end) it
@@ -1356,7 +1424,7 @@ func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
 // false for any other header (several ranges, whitespace, a sign, a
 // number past int64) and for a range that selects nothing: one starting
 // past the end, a-b with b < a, "-0", or any range of an empty body.
-// Declining is always safe; ServeContent answers those.
+// Declining is always safe; serveContent answers those.
 func singleRange(header string, size int) (start, end int, ok bool) {
 	spec, isBytes := strings.CutPrefix(header, "bytes=")
 	first, last, isRange := strings.Cut(spec, "-")
@@ -1419,18 +1487,11 @@ func (s *Server) handleFlag(w *scratch, r *http.Request) {
 		return
 	}
 	ev := &event{Op: opFlag, ID: w.id, Flagger: body.Worker, tr: tr}
-	var flags int
-	var banned bool
-	err := s.mutate(tr, func() (uint64, error) {
-		seq, f, b, err := s.applyFlag(ev)
-		flags, banned = f, b
-		return seq, err
-	})
-	if err != nil {
+	if err := s.mutate(ev); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"flags": flags, "banned": banned})
+	writeJSON(w, http.StatusOK, map[string]any{"flags": ev.flags, "banned": ev.banned})
 }
 
 func (s *Server) handleEvents(w *scratch, r *http.Request) {
@@ -1458,7 +1519,7 @@ func (s *Server) handleEvents(w *scratch, r *http.Request) {
 	tr.Mark(trace.StageDecode)
 	ev := &w.ev
 	*ev = event{Op: opEvents, ID: id, Batch: batch, tr: tr}
-	if err := s.mutate(tr, func() (uint64, error) { return s.applyEvents(ev) }); err != nil {
+	if err := s.mutate(ev); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1482,17 +1543,11 @@ func (s *Server) handleResponse(w *scratch, r *http.Request) {
 	tr.Mark(trace.StageDecode)
 	ev := &w.ev
 	*ev = event{Op: opResponse, ID: id, Body: body, tr: tr}
-	var done bool
-	err := s.mutate(tr, func() (uint64, error) {
-		seq, d, err := s.applyResponse(ev)
-		done = d
-		return seq, err
-	})
-	if err != nil {
+	if err := s.mutate(ev); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	writeBody(w, http.StatusAccepted, ackComplete[done])
+	writeBody(w, http.StatusAccepted, ackComplete[ev.done])
 }
 
 func (s *Server) handleResults(w *scratch, r *http.Request) {

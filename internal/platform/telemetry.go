@@ -51,7 +51,7 @@ type serverMetrics struct {
 	// instead of taking the registry lock. GET /metrics's row stays empty.
 	endpoints []endpointMetrics
 	rejected  map[string]*telemetry.Counter // admission rejections by reason
-	mutation  map[string]*telemetry.Counter // journaled mutations by op
+	mutation  []*telemetry.Counter          // journaled mutations by row of ops; nil for a retired op
 	// stages holds the per-stage ingest latency histograms, populated by
 	// registerStageMetrics only when tracing is enabled so a tracing-off
 	// server's exposition is byte-identical to previous releases.
@@ -66,7 +66,7 @@ func newServerMetrics() *serverMetrics {
 		reg:       reg,
 		endpoints: make([]endpointMetrics, len(routes)),
 		rejected:  map[string]*telemetry.Counter{},
-		mutation:  map[string]*telemetry.Counter{},
+		mutation:  make([]*telemetry.Counter, len(ops)),
 	}
 	reg.Help("eyeorg_http_requests_total", "API requests by endpoint and status class.")
 	reg.Help("eyeorg_http_request_seconds", "API request latency by endpoint.")
@@ -94,8 +94,10 @@ func newServerMetrics() *serverMetrics {
 		m.rejected[reason] = reg.Counter("eyeorg_admission_rejected_total", `reason="`+reason+`"`)
 	}
 	reg.Help("eyeorg_mutations_total", "Journaled state mutations applied by this process, by op.")
-	for _, op := range []string{opCampaign, opVideo, opSession, opEvents, opBatch, opResponse, opFlag} {
-		m.mutation[op] = reg.Counter("eyeorg_mutations_total", `op="`+op+`"`)
+	for i := range ops {
+		if !ops[i].retired {
+			m.mutation[i] = reg.Counter("eyeorg_mutations_total", `op="`+ops[i].name+`"`)
+		}
 	}
 	return m
 }
@@ -278,13 +280,6 @@ func runtimeValue(name string) func() float64 {
 			return 0
 		}
 		return float64(sample[0].Value.Uint64())
-	}
-}
-
-// countMutation records one live (non-replay) mutation of the given op.
-func (s *Server) countMutation(op string) {
-	if !s.replaying {
-		s.metrics.mutation[op].Inc()
 	}
 }
 
