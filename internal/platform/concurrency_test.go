@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -233,5 +234,63 @@ func TestLateRequestsRaceCompletions(t *testing.T) {
 	wg.Wait()
 	if inflight, completed := sessionCounts(t, srv); inflight != 0 || completed != frozen+1+completing {
 		t.Fatalf("index holds %d sessions and the campaign files %d completed, want 0 and %d", inflight, completed, frozen+1+completing)
+	}
+}
+
+// TestBandMemoRendersRaceCompletions runs /analytics polls, which read
+// the wisdom-band sketches under the campaign lock held shared, and
+// /results misses, which hold it exclusively, against completions.
+// Every render writes each sketch's band memo under the sketch's own
+// mutex, and two polls at once write the same memo: run under -race
+// this pins that mutex. One poller asks for a custom band, so the memos
+// are both resumed and retaken, and the answers repeat seven values, so
+// resumes are common and bounds cross values. Once the completions
+// stop, each render must be byte for byte what a server that completed
+// the same sessions, rendering nothing before, serves.
+func TestBandMemoRendersRaceCompletions(t *testing.T) {
+	const sessions = 60
+	complete := func(h http.Handler, campaign string) {
+		for i := 0; i < sessions; i++ {
+			completeDispatched(t, h, campaign, i, 1_000+float64(i%7)*100)
+		}
+	}
+	h := NewServer().Handler()
+	env := &fuzzEnv{handler: h}
+	campaign := seedDispatch(t, h, 4)
+	base := "/api/v1/campaigns/" + campaign
+	paths := []string{base + "/results", base + "/analytics", base + "/analytics?lo=10&hi=90", base + "/analytics"}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, path := range paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if rec := env.do("GET", path, nil); rec.Code != http.StatusOK {
+					t.Errorf("GET %s: %d %s", path, rec.Code, rec.Body.Bytes())
+					return
+				}
+			}
+		}()
+	}
+	complete(h, campaign)
+	close(stop)
+	wg.Wait()
+
+	fresh := &fuzzEnv{handler: NewServer().Handler()}
+	if id := seedDispatch(t, fresh.handler, 4); id != campaign {
+		t.Fatalf("the fresh server minted campaign %s, not %s", id, campaign)
+	}
+	complete(fresh.handler, campaign)
+	for _, path := range paths {
+		want := fresh.do("GET", path, nil).Body.Bytes()
+		if got := env.do("GET", path, nil).Body.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("GET %s after the race:\n%s\nwant, as a server that rendered nothing before serves:\n%s", path, got, want)
+		}
 	}
 }

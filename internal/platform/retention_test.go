@@ -11,7 +11,11 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 	"unsafe"
+
+	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/survey"
 )
 
 // dispatch runs one request straight through the handler (fuzzEnv.do,
@@ -52,22 +56,28 @@ func seedDispatch(tb testing.TB, h http.Handler, n int) string {
 func completeSessions(tb testing.TB, h http.Handler, campaign string, first, n int) {
 	tb.Helper()
 	for i := first; i < first+n; i++ {
-		var jr JoinResponse
-		dispatch(tb, h, "POST", "/api/v1/sessions", JoinRequest{
-			Campaign: campaign,
-			Worker:   Worker{ID: fmt.Sprintf("retained-%d", i), Gender: "f", Country: "ES", Source: "test"},
-			Captcha:  "tok",
-		}, &jr)
-		base := "/api/v1/sessions/" + jr.Session
-		for _, tt := range jr.Tests {
-			dispatch(tb, h, "POST", base+"/events", EventBatch{
-				VideoID: tt.VideoID, LoadMs: 900, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 3 + i%5, WatchedFraction: 0.9,
-			}, nil)
-			sub := 1_000 + float64(i%997)
-			dispatch(tb, h, "POST", base+"/responses", ResponseBody{
-				TestID: tt.TestID, SliderMs: sub + 200, HelperMs: sub, SubmittedMs: sub, KeptOriginal: true,
-			}, nil)
-		}
+		completeDispatched(tb, h, campaign, i, 1_000+float64(i%997))
+	}
+}
+
+// completeDispatched drives participant i through join, one engagement
+// batch and one answer of sub ms per test.
+func completeDispatched(tb testing.TB, h http.Handler, campaign string, i int, sub float64) {
+	tb.Helper()
+	var jr JoinResponse
+	dispatch(tb, h, "POST", "/api/v1/sessions", JoinRequest{
+		Campaign: campaign,
+		Worker:   Worker{ID: fmt.Sprintf("retained-%d", i), Gender: "f", Country: "ES", Source: "test"},
+		Captcha:  "tok",
+	}, &jr)
+	base := "/api/v1/sessions/" + jr.Session
+	for _, tt := range jr.Tests {
+		dispatch(tb, h, "POST", base+"/events", EventBatch{
+			VideoID: tt.VideoID, LoadMs: 900, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 3 + i%5, WatchedFraction: 0.9,
+		}, nil)
+		dispatch(tb, h, "POST", base+"/responses", ResponseBody{
+			TestID: tt.TestID, SliderMs: sub + 200, HelperMs: sub, SubmittedMs: sub, KeptOriginal: true,
+		}, nil)
 	}
 }
 
@@ -278,49 +288,131 @@ func resultsRenderFixture(tb testing.TB, n int) (*Server, *campaignState) {
 
 var renderSink []byte
 
-// BenchmarkResultsRender prices the /results cache-miss render — the
-// work done under the campaign shard's exclusive lock after every
-// completion — at two campaign sizes.
-func BenchmarkResultsRender(b *testing.B) {
-	for _, n := range []int{1000, 8000} {
-		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
-			srv, c := resultsRenderFixture(b, n)
+// renderCases are the states a render finds a fixture's campaign in,
+// each brought about by a step taken before the render and not counted
+// with it:
+//
+//   - unchanged: nothing happened since the last render, so each
+//     video's band memo resumes with no answer to add;
+//   - cold: a render of another band took every memo, so the render
+//     sums every kept answer again;
+//   - completion: one more kept session's answers were folded in, one
+//     per video and valued as the fixture's, so the memos resume over
+//     them. The step is the fold a completion makes
+//     (quality.Campaign.Complete) without the session's row, so the
+//     campaign keeps its size however many renders a benchmark runs.
+var renderCases = []struct {
+	name   string
+	before func(c *campaignState)
+}{
+	{"unchanged", func(*campaignState) {}},
+	{"cold", func(c *campaignState) { c.analytics.TimelineBands(0, 100) }},
+	{"completion", func(c *campaignState) {
+		sub := time.Duration(1_000+c.analytics.Summary().Total%997) * time.Millisecond
+		rec := &filtering.SessionRecord{}
+		for _, v := range c.Videos {
+			rec.Timeline = append(rec.Timeline, &survey.TimelineResponse{VideoID: v, Submitted: sub})
+		}
+		c.analytics.Complete(rec, filtering.Kept)
+	}},
+}
+
+// benchRenders times render in each of renderCases on a fixture of n
+// completed sessions, the case's step untimed.
+func benchRenders(b *testing.B, n int, fixture func(testing.TB, int) (*campaignState, func())) {
+	c, render := fixture(b, n)
+	for _, rc := range renderCases {
+		b.Run(fmt.Sprintf("sessions=%d/%s", n, rc.name), func(b *testing.B) {
+			render() // the memos and the pooled buffers are warm
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				body, err := srv.renderResults(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				renderSink = body
+				b.StopTimer()
+				rc.before(c)
+				b.StartTimer()
+				render()
 			}
 		})
 	}
 }
 
-// TestResultsRenderAllocsFlat: the miss path allocates per video, never
-// per session, so eight times the sessions must cost no more
-// allocations. Skipped under the race detector, whose sync.Pool drops
-// pooled buffers at random.
+// resultsRender returns a /results cache-miss render — the work done
+// under the campaign shard's exclusive lock after every completion — on
+// a fixture of n completed sessions.
+func resultsRender(tb testing.TB, n int) (*campaignState, func()) {
+	srv, c := resultsRenderFixture(tb, n)
+	return c, func() {
+		body, err := srv.renderResults(c)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		renderSink = body
+	}
+}
+
+// BenchmarkResultsRender prices the /results cache-miss render at two
+// campaign sizes, in each of renderCases.
+func BenchmarkResultsRender(b *testing.B) {
+	for _, n := range []int{1000, 8000} {
+		benchRenders(b, n, resultsRender)
+	}
+}
+
+// renderAllocs is testing.AllocsPerRun over render alone: before runs
+// ahead of each render, its allocations not counted.
+func renderAllocs(runs int, before, render func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	render() // warm up, as AllocsPerRun does
+	var m runtime.MemStats
+	var mallocs uint64
+	for i := 0; i < runs; i++ {
+		before()
+		runtime.ReadMemStats(&m)
+		start := m.Mallocs
+		render()
+		runtime.ReadMemStats(&m)
+		mallocs += m.Mallocs - start
+	}
+	return float64(mallocs / uint64(runs))
+}
+
+// checkRenderAllocsFlat fails t unless a render allocates, in each of
+// renderCases, no more at 800 completed sessions than at 100, and no
+// more after an unchanged campaign or a completion than cold: the
+// render allocates per video, never per session, and resuming a band
+// memo allocates nothing.
+func checkRenderAllocsFlat(t *testing.T, what string, fixture func(testing.TB, int) (*campaignState, func())) {
+	allocs := map[string][2]float64{}
+	for j, n := range []int{100, 800} {
+		c, render := fixture(t, n)
+		for _, rc := range renderCases {
+			got := allocs[rc.name]
+			got[j] = renderAllocs(100, func() { rc.before(c) }, render)
+			allocs[rc.name] = got
+		}
+	}
+	for _, rc := range renderCases {
+		small, large := allocs[rc.name][0], allocs[rc.name][1]
+		t.Logf("%s allocations, %s: %.0f at 100 sessions, %.0f at 800", what, rc.name, small, large)
+		if large > small {
+			t.Errorf("%s allocations, %s: grew with session count: %.0f at 100 sessions, %.0f at 800", what, rc.name, small, large)
+		}
+		for j := range allocs[rc.name] {
+			if allocs[rc.name][j] > allocs["cold"][j] {
+				t.Errorf("%s allocations, %s: %.0f, more than the cold render's %.0f", what, rc.name, allocs[rc.name][j], allocs["cold"][j])
+			}
+		}
+	}
+}
+
+// TestResultsRenderAllocsFlat holds the /results miss render to
+// checkRenderAllocsFlat. Skipped under the race detector, whose
+// sync.Pool drops pooled buffers at random.
 func TestResultsRenderAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are measured without the race detector")
 	}
-	allocs := func(n int) float64 {
-		srv, c := resultsRenderFixture(t, n)
-		return testing.AllocsPerRun(100, func() {
-			body, err := srv.renderResults(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			renderSink = body
-		})
-	}
-	small, large := allocs(100), allocs(800)
-	t.Logf("render allocations: %.0f at 100 sessions, %.0f at 800", small, large)
-	if large > small {
-		t.Fatalf("render allocations grew with session count: %.0f at 100 sessions, %.0f at 800", small, large)
-	}
+	checkRenderAllocsFlat(t, "render", resultsRender)
 }
 
 // discardWriter is the cheapest ResponseWriter: it keeps the status and
@@ -341,7 +433,7 @@ func (d *discardWriter) Write(p []byte) (int, error) {
 // analyticsRender returns a function serving one GET /analytics, through
 // the whole handler, on a campaign with n completed sessions and one in
 // flight.
-func analyticsRender(tb testing.TB, n int) func() {
+func analyticsRender(tb testing.TB, n int) (*campaignState, func()) {
 	tb.Helper()
 	srv, c := resultsRenderFixture(tb, n)
 	h := srv.Handler()
@@ -350,7 +442,7 @@ func analyticsRender(tb testing.TB, n int) func() {
 	}, nil)
 	req := httptest.NewRequest("GET", "/api/v1/campaigns/"+c.ID+"/analytics", nil)
 	w := &discardWriter{header: http.Header{}}
-	return func() {
+	return c, func() {
 		clear(w.header)
 		w.status, w.n = 0, 0
 		h.ServeHTTP(w, req)
@@ -361,40 +453,24 @@ func analyticsRender(tb testing.TB, n int) func() {
 }
 
 // BenchmarkAnalyticsRender prices one /analytics poll, handler entry to
-// last byte written, at two campaign sizes: a copy per completed
-// session, and allocations that do not depend on their number.
+// last byte written, at two campaign sizes and in each of renderCases:
+// a copy per completed session, and allocations that do not depend on
+// their number.
 func BenchmarkAnalyticsRender(b *testing.B) {
 	for _, n := range []int{1000, 8000} {
-		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
-			render := analyticsRender(b, n)
-			render() // size the pooled body
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				render()
-			}
-		})
+		benchRenders(b, n, analyticsRender)
 	}
 }
 
-// TestAnalyticsRenderAllocsFlat: completed sessions are copied from
-// their frozen rows, so eight times as many must cost no more
-// allocations. Skipped under the race detector, like
+// TestAnalyticsRenderAllocsFlat holds the /analytics poll to
+// checkRenderAllocsFlat: completed sessions are copied from their
+// frozen rows. Skipped under the race detector, like
 // TestResultsRenderAllocsFlat.
 func TestAnalyticsRenderAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are measured without the race detector")
 	}
-	allocs := func(n int) float64 {
-		render := analyticsRender(t, n)
-		render()
-		return testing.AllocsPerRun(100, render)
-	}
-	small, large := allocs(100), allocs(800)
-	t.Logf("analytics allocations: %.0f at 100 sessions, %.0f at 800", small, large)
-	if large > small {
-		t.Fatalf("analytics allocations grew with session count: %.0f at 100 sessions, %.0f at 800", small, large)
-	}
+	checkRenderAllocsFlat(t, "analytics", analyticsRender)
 }
 
 // BenchmarkSessionLookupMiss prices the lookup of a session the sessions

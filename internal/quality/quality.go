@@ -50,10 +50,22 @@
 // stats.PercentileOf, as stats.Sample.Percentile does, and its in-band
 // sum adds the same values in the same order), so equality is exact,
 // not approximate.
+//
+// A render does not re-add every kept answer. Each sketch memoizes, in
+// one slot, its last band's in-band count and sum, and the distinct
+// values on either side of each bound. While the next render's bounds
+// fall between the same neighbours, no answer already summed has
+// crossed a bound, so it adds only the answers filed since, in the same
+// order the full sum would; when a bound crosses a distinct value, or a
+// poll of a custom band takes the slot, that render sums every answer
+// once more. The cost of a render is therefore per video, plus per
+// distinct value, plus the answers filed since the last render.
 package quality
 
 import (
+	"math"
 	"slices"
+	"sync"
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/stats"
@@ -291,18 +303,65 @@ func (t *Tracker) Snapshot() Snapshot {
 // wisdom-of-the-crowd contract demands equality with the batch filter,
 // not an approximation — and its percentiles interpolate through
 // stats.PercentileOf, as stats.Sample.Percentile does.
+//
+// A render resumes the last one. The sketch remembers, in one slot, the
+// in-band count and sum over the codes it last summed and, as a
+// certificate, the distinct values then nearest each bound: below and
+// first around the lower bound (below < lv <= first), last and above
+// around the upper (last <= hv < above). No value those codes name lies
+// strictly inside either gap, so when the next band's bounds stay
+// inside both gaps, each of those codes is in the band exactly when it
+// was, and the render adds only the codes filed since. A value seen for
+// the first time can only be among those. Otherwise — a bound crossed a
+// distinct value — the render sums from the first code. Either way it
+// adds the same values in the same order as a sum over Filtered, so the
+// mean is bit-exact; and it re-certifies around its own bounds over the
+// distinct values as they stand. The slot is keyed by those values, not
+// by the percentiles asked for, so a poll of a custom band takes it:
+// unless its bounds fall in the same gaps, that poll and the next
+// default render each sum from the first code once.
 type Sketch struct {
 	codes  []uint32  // one per submission, in completion order: an index into vals
 	vals   []float64 // the distinct values, in first-seen order
 	order  []uint32  // the distinct values' codes, in ascending value order
 	counts []uint32  // submissions per distinct value, aligned with order
+
+	// mu guards memo: renders read a sketch under a shared campaign lock.
+	// It is a leaf lock, taken under the campaign shard lock and held
+	// over no other.
+	mu   sync.Mutex
+	memo bandMemo
+}
+
+// bandMemo is a sketch's last band: the in-band count n and sum over
+// codes[:upto], and the certificate that lets the next band resume them.
+// The zero memo sums from the first code.
+type bandMemo struct {
+	upto, n                   int
+	sum                       float64
+	below, first, last, above float64
 }
 
 // Add inserts one submission. Values equal under == share a code, so 0
 // and -0 are one value; submissions are durations, which have no -0.
 func (sk *Sketch) Add(v float64) {
+	i := sk.search(v)
+	if i < len(sk.order) && sk.vals[sk.order[i]] == v {
+		sk.counts[i]++
+		sk.codes = append(sk.codes, sk.order[i])
+		return
+	}
+	code := uint32(len(sk.vals))
+	sk.vals = append(sk.vals, v)
+	sk.order = slices.Insert(sk.order, i, code)
+	sk.counts = slices.Insert(sk.counts, i, 1)
+	sk.codes = append(sk.codes, code)
+}
+
+// search returns the first ascending position whose value is not below
+// v.
+func (sk *Sketch) search(v float64) int {
 	vals, order := sk.vals, sk.order
-	// i becomes the first ascending position whose value is not below v.
 	i, j := 0, len(order)
 	for i < j {
 		m := int(uint(i+j) >> 1)
@@ -312,16 +371,26 @@ func (sk *Sketch) Add(v float64) {
 			j = m
 		}
 	}
-	if i < len(order) && vals[order[i]] == v {
-		sk.counts[i]++
-		sk.codes = append(sk.codes, order[i])
-		return
+	return i
+}
+
+// neighbours returns the distinct values on either side of x: the
+// largest below it and the smallest not below it or, when past is set,
+// the largest at or below it and the smallest above it. A side with no
+// value reads -Inf or +Inf.
+func (sk *Sketch) neighbours(x float64, past bool) (lower, upper float64) {
+	lower, upper = math.Inf(-1), math.Inf(1)
+	i := sk.search(x)
+	if past && i < len(sk.order) && sk.vals[sk.order[i]] == x {
+		i++ // distinct values: at most one equals x
 	}
-	code := uint32(len(sk.vals))
-	sk.vals = append(sk.vals, v)
-	sk.order = slices.Insert(sk.order, i, code)
-	sk.counts = slices.Insert(sk.counts, i, 1)
-	sk.codes = append(sk.codes, code)
+	if i > 0 {
+		lower = sk.vals[sk.order[i-1]]
+	}
+	if i < len(sk.order) {
+		upper = sk.vals[sk.order[i]]
+	}
+	return lower, upper
 }
 
 // Len returns the number of submissions sketched.
@@ -389,8 +458,10 @@ type Band struct {
 }
 
 // Campaign aggregates completed sessions of one campaign incrementally.
-// It is not goroutine-safe: the platform mutates and reads it under the
-// campaign's shard lock.
+// The platform mutates it under the campaign's shard lock, held
+// exclusively, and reads it under the same lock, held shared by renders
+// that may run at once; TimelineBands, the one read that writes (each
+// sketch's memo), takes the sketch's own mutex.
 type Campaign struct {
 	summary  filtering.Summary
 	timeline map[string]*Sketch
@@ -479,28 +550,45 @@ func (c *Campaign) TimelineFiltered(lo, hi float64) map[string][]float64 {
 // TimelineBands summarises each video's band: total and in-band counts,
 // the percentile bounds, and the in-band mean. The mean is
 // stats.Sample.Mean over Filtered — a sum in insertion order, divided
-// once — taken in one pass without building the slice.
+// once — taken without building the slice, and resumed from the last
+// render where its certificate allows (see Sketch). Renders may call it
+// concurrently under a shared campaign lock.
 func (c *Campaign) TimelineBands(lo, hi float64) map[string]Band {
 	out := make(map[string]Band, len(c.timeline))
 	for id, sk := range c.timeline {
-		b := Band{Total: sk.Len()}
-		b.Lo, b.Hi = sk.Band(lo, hi)
-		// Locals, not fields, so the loop keeps them in registers.
-		lv, hv, vals := b.Lo, b.Hi, sk.vals
-		n, sum := 0, 0.0
-		for _, c := range sk.codes {
-			if v := vals[c]; v >= lv && v <= hv {
-				n++
-				sum += v
-			}
-		}
-		b.InBand = n
-		if n > 0 {
-			b.Mean = sum / float64(n)
-		}
-		out[id] = b
+		out[id] = sk.band(lo, hi)
 	}
 	return out
+}
+
+// band is one sketch's Band, resumed from the memo when the new bounds
+// stay inside its certificate's gaps.
+func (sk *Sketch) band(lo, hi float64) Band {
+	b := Band{Total: len(sk.codes)}
+	b.Lo, b.Hi = sk.Band(lo, hi)
+	// Locals, not fields, so the loop keeps them in registers.
+	lv, hv, vals := b.Lo, b.Hi, sk.vals
+	sk.mu.Lock()
+	m := &sk.memo
+	if !(m.below < lv && lv <= m.first && m.last <= hv && hv < m.above) {
+		*m = bandMemo{}
+	}
+	n, sum := m.n, m.sum
+	for _, c := range sk.codes[m.upto:] {
+		if v := vals[c]; v >= lv && v <= hv {
+			n++
+			sum += v
+		}
+	}
+	m.upto, m.n, m.sum = len(sk.codes), n, sum
+	m.below, m.first = sk.neighbours(lv, false)
+	m.last, m.above = sk.neighbours(hv, true)
+	sk.mu.Unlock()
+	b.InBand = n
+	if n > 0 {
+		b.Mean = sum / float64(n)
+	}
+	return b
 }
 
 // Votes returns the per-video A/B tallies over kept sessions — live what

@@ -288,6 +288,15 @@ func TestPropertyCampaignMatchesClean(t *testing.T) {
 				records = append(records, rec)
 				verdicts[worker] = s.tracker.Verdict(0)
 				camp.Complete(rec, verdicts[worker])
+				if kind == "timeline" {
+					// Render between completions, mostly at the default
+					// band, so TimelineBands resumes its last sum.
+					lo, hi := filtering.WisdomLo, filtering.WisdomHi
+					if i%3 == 2 {
+						lo, hi = 10, 90
+					}
+					checkBands(t, fmt.Sprintf("seed %d after %d completions", seed, i+1), camp, records, lo, hi)
+				}
 			}
 			offline := filtering.Clean(records, 0)
 			if camp.Summary() != offline.Summary {
@@ -412,6 +421,25 @@ func TestTimelineBandsMatchFilteredMean(t *testing.T) {
 			lo, hi = filtering.WisdomLo, filtering.WisdomHi
 		}
 		check(t, fmt.Sprintf("case %d", i), raw, lo, hi)
+	}
+}
+
+// checkBands fails t unless c's TimelineBands(lo, hi) equals, bit for
+// bit, the band stats.Sample gives over the kept records' submissions.
+func checkBands(t *testing.T, name string, c *Campaign, records []*filtering.SessionRecord, lo, hi float64) {
+	t.Helper()
+	byVideo := filtering.TimelineByVideo(filtering.Clean(records, 0).Kept)
+	got := c.TimelineBands(lo, hi)
+	if len(got) != len(byVideo) {
+		t.Fatalf("%s: %d videos banded, want %d", name, len(got), len(byVideo))
+	}
+	for id, vals := range byVideo {
+		s := stats.Sample(vals)
+		filtered := s.IQRFilter(lo, hi)
+		want := Band{Total: len(s), InBand: len(filtered), Lo: s.Percentile(lo), Hi: s.Percentile(hi), Mean: filtered.Mean()}
+		if !sameBand(got[id], want) {
+			t.Fatalf("%s: video %s band [%v, %v] = %+v, want %+v", name, id, lo, hi, got[id], want)
+		}
 	}
 }
 

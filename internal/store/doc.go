@@ -43,7 +43,10 @@
 // released, and a bucket's mutex is held over no other lock. The commit ring (request-trace timings of recent windows)
 // is innermost: the commit observer publishes into it under commitMu,
 // and mutate reads it holding nothing. The blob store, innermost too,
-// takes only its own locks.
+// takes only its own locks. Each wisdom-band sketch's memo mutex
+// (quality.Sketch) is a leaf: a render takes it under its campaign
+// shard lock, held shared by an /analytics poll or exclusively by a
+// /results miss, and takes no lock while holding it.
 //
 // On-disk layout inside the data directory:
 //
