@@ -179,7 +179,7 @@ func TestSessionLifecycleAllocBudget(t *testing.T) {
 	campaign := seedDispatch(t, rig.h, 8)
 	completeSessions(t, rig.h, campaign, 0, 64) // size the campaign's rows, sketches and scratch
 
-	c, _ := srv.campaigns.Get(campaign)
+	c, _ := srv.state.Campaign(campaign)
 	events := map[string][]byte{}
 	for _, vid := range c.Videos {
 		events[vid] = []byte(`{"video_id":"` + vid + `","load_ms":912.25,"time_on_video_ms":21000,"plays":1,"pauses":0,"seeks":4,"watched_fraction":0.9,"out_of_focus_ms":0}`)
@@ -191,8 +191,9 @@ func TestSessionLifecycleAllocBudget(t *testing.T) {
 	// into one buffer sized for them.
 	type paths struct{ id, tests, events, responses string }
 	next, sessions := 0, make([]paths, runs+1)
+	minted, _ := strconv.ParseInt(srv.state.NewID(""), 10, 64)
 	for i := range sessions {
-		id := "s" + strconv.FormatInt(srv.nextID.Load()+1+int64(i), 10)
+		id := "s" + strconv.FormatInt(minted+1+int64(i), 10)
 		sessions[i] = paths{id, "/api/v1/sessions/" + id + "/tests", "/api/v1/sessions/" + id + "/events", "/api/v1/sessions/" + id + "/responses"}
 	}
 	answer := make([]byte, 0, 256)
@@ -201,19 +202,19 @@ func TestSessionLifecycleAllocBudget(t *testing.T) {
 		s := sessions[next]
 		next++
 		rig.serve(post, "/api/v1/sessions", joinBody, http.StatusCreated)
-		sess, ok := srv.sessions.Get(s.id)
-		if !ok {
+		tests := srv.state.Assignment(s.id)
+		if tests == nil {
 			t.Fatalf("the join did not start session %s", s.id)
 		}
 		rig.serve(get, s.tests, nil, http.StatusOK)
-		for _, tt := range sess.Assignment {
+		for _, tt := range tests {
 			rig.serve(post, s.events, events[tt.VideoID], http.StatusAccepted)
 		}
-		for _, tt := range sess.Assignment {
+		for _, tt := range tests {
 			answer = append(append(append(answer[:0], `{"test_id":"`...), tt.TestID...), `","slider_ms":1400.5,"helper_ms":1200,"submitted_ms":1200,"kept_original":true}`...)
 			rig.serve(post, s.responses, answer, http.StatusAccepted)
 		}
-		if _, ok = srv.sessions.Get(s.id); ok {
+		if srv.state.Assignment(s.id) != nil {
 			t.Fatalf("session %s did not complete", s.id)
 		}
 	})

@@ -23,6 +23,7 @@ import (
 
 	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 	"github.com/eyeorg/eyeorg/internal/stats"
 	"github.com/eyeorg/eyeorg/internal/survey"
 )
@@ -113,12 +114,12 @@ func (ss *sentSession) record() *filtering.SessionRecord {
 
 // offline runs the batch §4.3 pipeline over the sent sessions, in the
 // campaign's completion order.
-func (l *sent) offline(t *testing.T, c *campaignState) *filtering.Outcome {
+func (l *sent) offline(t *testing.T, c *state.Campaign) *filtering.Outcome {
 	t.Helper()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	records := make([]*filtering.SessionRecord, 0, len(c.recordSessions))
-	for _, sid := range c.recordSessions {
+	records := make([]*filtering.SessionRecord, 0, len(c.Completed()))
+	for _, sid := range c.Completed() {
 		ss, ok := l.sessions[sid]
 		if !ok {
 			t.Fatalf("completed session %s was never driven by this test", sid)
@@ -134,7 +135,7 @@ func (l *sent) offline(t *testing.T, c *campaignState) *filtering.Outcome {
 // offlineResults renders /results the way the batch pipeline defines
 // it: Clean, then the wisdom-of-the-crowd band and its mean (timeline)
 // or the vote tallies (A/B) over the kept records.
-func offlineResults(s *Server, c *campaignState, offline *filtering.Outcome) []byte {
+func offlineResults(s *Server, c *state.Campaign, offline *filtering.Outcome) []byte {
 	res := ResultsResponse{
 		Campaign:     c.ID,
 		Participants: offline.Summary.Total,
@@ -146,34 +147,38 @@ func offlineResults(s *Server, c *campaignState, offline *filtering.Outcome) []b
 	}
 	if c.Kind == "ab" {
 		for id, votes := range filtering.ABByVideo(offline.Kept) {
-			res.PerVideo[id] = VideoAg{Responses: votes.Total(), Agreement: votes.Agreement(), Banned: s.videoBanned(id)}
+			res.PerVideo[id] = VideoAg{Responses: votes.Total(), Agreement: votes.Agreement(), Banned: banned(s, id)}
 		}
 	} else {
 		for id, vals := range filtering.WisdomOfCrowd(filtering.TimelineByVideo(offline.Kept)) {
-			res.PerVideo[id] = VideoAg{Responses: len(vals), MeanUPLT: stats.Sample(vals).Mean(), Banned: s.videoBanned(id)}
+			res.PerVideo[id] = VideoAg{Responses: len(vals), MeanUPLT: stats.Sample(vals).Mean(), Banned: banned(s, id)}
 		}
 	}
 	buf, _ := json.Marshal(res)
 	return append(buf, '\n')
 }
 
+// banned reports whether video id is banned.
+func banned(s *Server, id string) bool {
+	_, b, _ := s.state.Video(id)
+	return b
+}
+
 // frozenVerdicts decodes the campaign's frozen /analytics rows in
 // completion order into worker -> verdict, a later session of the same
 // worker replacing an earlier one as filtering.Clean's ReasonFor does.
-func frozenVerdicts(t *testing.T, c *campaignState) map[string]string {
+func frozenVerdicts(t *testing.T, c *state.Campaign) map[string]string {
 	t.Helper()
 	out := map[string]string{}
-	start := uint32(0)
-	for i, end := range c.rowEnds {
+	for i := range c.Completed() {
 		var pv ParticipantVerdict
-		if err := json.Unmarshal(c.rows[start:end-1], &pv); err != nil { // less its comma
+		if err := json.Unmarshal(c.Row(i), &pv); err != nil {
 			t.Fatalf("frozen row %d: %v", i, err)
 		}
-		if pv.Session != c.recordSessions[i] || !pv.Completed || pv.Provisional {
-			t.Fatalf("frozen row %d is %+v, want completed session %s", i, pv, c.recordSessions[i])
+		if pv.Session != c.Completed()[i] || !pv.Completed || pv.Provisional {
+			t.Fatalf("frozen row %d is %+v, want completed session %s", i, pv, c.Completed()[i])
 		}
 		out[pv.Worker] = pv.Verdict
-		start = end
 	}
 	return out
 }
@@ -184,12 +189,12 @@ func frozenVerdicts(t *testing.T, c *campaignState) map[string]string {
 // per-video wisdom-of-the-crowd band (timeline) or vote tallies (A/B).
 func assertLiveEqualsOffline(t *testing.T, s *Server, l *sent, campaignID string) {
 	t.Helper()
-	c, ok := s.campaigns.Get(campaignID)
+	c, ok := s.state.Campaign(campaignID)
 	if !ok {
 		t.Fatalf("campaign %s missing", campaignID)
 	}
 	offline := l.offline(t, c)
-	if got := c.analytics.Summary(); got != offline.Summary {
+	if got := c.Analytics().Summary(); got != offline.Summary {
 		t.Fatalf("summary diverged:\nlive:    %+v\noffline: %+v", got, offline.Summary)
 	}
 	want := map[string]string{}
@@ -202,14 +207,14 @@ func assertLiveEqualsOffline(t *testing.T, s *Server, l *sent, campaignID string
 	switch c.Kind {
 	case "timeline":
 		want := filtering.WisdomOfCrowd(filtering.TimelineByVideo(offline.Kept))
-		got := c.analytics.TimelineFiltered(filtering.WisdomLo, filtering.WisdomHi)
+		got := c.Analytics().TimelineFiltered(filtering.WisdomLo, filtering.WisdomHi)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("timeline bands diverged:\nlive:    %v\noffline: %v", got, want)
 		}
 	case "ab":
 		want := filtering.ABByVideo(offline.Kept)
-		if !reflect.DeepEqual(c.analytics.Votes(), want) {
-			t.Fatalf("ab votes diverged:\nlive:    %v\noffline: %v", c.analytics.Votes(), want)
+		if !reflect.DeepEqual(c.Analytics().Votes(), want) {
+			t.Fatalf("ab votes diverged:\nlive:    %v\noffline: %v", c.Analytics().Votes(), want)
 		}
 	}
 }
@@ -240,25 +245,19 @@ func rawAnalytics(t *testing.T, c *client, campaign string) []byte {
 // frozen rows, must equal it byte for byte.
 func oracleAnalytics(t *testing.T, s *Server, campaignID string, lo, hi float64) []byte {
 	t.Helper()
-	c, ok := s.campaigns.Get(campaignID)
+	c, ok := s.state.Campaign(campaignID)
 	if !ok {
 		t.Fatalf("campaign %s missing", campaignID)
 	}
-	ids := append(slices.Clone(c.recordSessions), c.inflight...)
-	resp := s.analyticsShell(c, lo, hi, len(ids))
+	ids := append(slices.Clone(c.Completed()), c.InFlight()...)
+	resp := s.state.AnalyticsShell(c, lo, hi, len(ids))
 	sort.Strings(ids)
 	for _, sid := range ids {
-		ssh := s.sessions.Shard(sid)
-		ssh.RLock()
-		sess, err := s.sessionLocked(ssh, sid)
-		ssh.RUnlock()
+		sess, err := s.state.Session(sid)
 		if err != nil {
 			t.Fatalf("campaign %s lists session %s: %v", campaignID, sid, err)
 		}
-		snap := sess.final
-		if !sess.completed() {
-			snap = sess.track.Snapshot()
-		}
+		snap := sess.Standing()
 		resp.Participants = append(resp.Participants, ParticipantVerdict{
 			Session:        sid,
 			Worker:         sess.Worker.ID,
@@ -503,7 +502,7 @@ func crossCheckHTTP(t *testing.T, s *Server, l *sent, c *client, campaignID stri
 	if err := json.Unmarshal(rawAnalytics(t, c, campaignID), &ar); err != nil {
 		t.Fatal(err)
 	}
-	cs, _ := s.campaigns.Get(campaignID)
+	cs, _ := s.state.Campaign(campaignID)
 	offline := l.offline(t, cs)
 	if got, want := rawResults(t, c, campaignID), offlineResults(s, cs, offline); !bytes.Equal(got, want) {
 		t.Fatalf("rendered /results diverged from the offline batch:\nlive:    %s\noffline: %s", got, want)
@@ -643,7 +642,7 @@ func TestAnalyticsCrashReplayEquivalence(t *testing.T) {
 			runChaos(t, l, c2.srv.URL, campaign, "timeline", 43, 4, 2)
 			assertLiveEqualsOffline(t, srv2, l, campaign)
 			crossCheckHTTP(t, srv2, l, c2, campaign)
-			cs, _ := srv2.campaigns.Get(campaign)
+			cs, _ := srv2.state.Campaign(campaign)
 			if v := frozenVerdicts(t, cs)["crash-survivor"]; v != filtering.Kept.String() {
 				t.Fatalf("crash-survivor verdict = %q, want kept", v)
 			}

@@ -12,7 +12,7 @@
 //
 // Equivalence with the JSON path is by construction: a JSON EventBatch
 // is applied as the records AppendWireRecords converts it to, through
-// the same applyRecords. The differential suite
+// the state's one applyRecords. The differential suite
 // (differential_test.go) holds the two protocols to byte-identical
 // /results and /analytics, including across crash+replay.
 package platform
@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 	"github.com/eyeorg/eyeorg/internal/trace"
 	"github.com/eyeorg/eyeorg/internal/wire"
 )
@@ -40,33 +41,13 @@ func isWireBatch(r *http.Request) bool {
 }
 
 // AppendWireRecords converts one JSON-shaped EventBatch into its wire
-// records and appends them to dst: an instruction record when the
-// batch sets InstructionMs, an engagement record when it names a
-// video. It is the JSON apply path's own conversion (applyJSONBatch), so a
-// batch ingested over either protocol lands identical durations.
-// Clients that send EYB1 batches, such as the repository benchmark's
-// driver and the differential suite, build their records with it.
+// records and appends them to dst, as the JSON events path applies it
+// (state.AppendWireRecords), so a batch ingested over either protocol
+// lands identical durations. Clients that send EYB1 batches, such as the
+// repository benchmark's driver and the differential suite, build their
+// records with it.
 func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
-	if b.InstructionMs > 0 {
-		dst = append(dst, wire.Record{
-			Kind:          wire.KindInstruction,
-			InstructionNs: int64(time.Duration(b.InstructionMs * float64(time.Millisecond))),
-		})
-	}
-	if b.VideoID != "" {
-		dst = append(dst, wire.Record{
-			Kind:            wire.KindEngagement,
-			VideoID:         b.VideoID,
-			LoadNs:          int64(time.Duration(b.LoadMs * float64(time.Millisecond))),
-			TimeOnVideoNs:   int64(time.Duration(b.TimeOnVideoMs * float64(time.Millisecond))),
-			OutOfFocusNs:    int64(time.Duration(b.OutOfFocusMs * float64(time.Millisecond))),
-			Plays:           b.Plays,
-			Pauses:          b.Pauses,
-			Seeks:           b.Seeks,
-			WatchedFraction: b.WatchedFraction,
-		})
-	}
-	return dst
+	return state.AppendWireRecords(dst, b)
 }
 
 // durationFits reports whether ms milliseconds, counted in nanoseconds,
@@ -81,7 +62,7 @@ func durationFits(ms float64) bool {
 
 // badDuration names the first millisecond field of b that durationFits
 // refuses, or returns "" when they all fit.
-func (b *EventBatch) badDuration() string {
+func badDuration(b *EventBatch) string {
 	switch {
 	case !durationFits(b.InstructionMs):
 		return "instruction_ms"
@@ -140,8 +121,8 @@ func (s *Server) handleEventsBinary(w *scratch, r *http.Request) {
 		}
 	}
 	ev := &w.ev
-	*ev = event{Op: opBatch, ID: id, Wire: dec.Bytes(), records: recs, tr: tr}
-	if err := s.mutate(ev); err != nil {
+	*ev = state.Event{Op: state.OpBatch, ID: id, Wire: dec.Bytes(), Records: recs}
+	if _, err := s.mutate(ev, tr); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}

@@ -16,21 +16,16 @@
 //	POST /api/v1/videos/{id}/flag         report a broken video (5 distinct
 //	                                      reporters auto-ban it, §3.3)
 //
-// Verdicts have one source: each campaign's quality.Campaign, the
-// incremental §4.3 fold. A session's tracker follows it while in
-// flight; the answer that completes it runs completeSession, which
-// freezes the session's standing, lets its state go with the tracker
-// and its traces inside, and encodes what is left — worker, assignment, answers, the frozen
-// counters — as one varint record appended to the campaign's arena
-// (frozen.go). Every completed session, fresh or decoded from the arena
-// a snapshot carried, then goes through
-// fileCompleted, which folds the answers in and renders the /analytics
-// row polls then copy. Both endpoints render from that fold;
-// internal/filtering, the batch form of the same rules, is only the
-// tests' reference. No struct outlives completion: the sessions index
-// holds only sessions in flight, a lookup that misses it asks each
-// campaign for the session's frozen row, and a late request or
-// GET …/tests decodes its record in place.
+// The service is two packages. internal/platform/state is the campaign
+// state machine: the campaigns, videos and sessions, the journal op table
+// and every apply rule, frozen records, state documents, the §4.3 fold
+// both endpoints render from, and every lock over them. This package is
+// the HTTP tier around it, and takes none of those locks: it routes,
+// admits, decodes a body into a state.Event, and hands it to mutate, the
+// one commit tail, which calls state.Apply, awaits the record's
+// durability with no lock held, and takes the snapshot the cadence asks
+// for; every read is a state query. Open builds the state and has it
+// replay the journal through the same Apply.
 //
 // The routes above are one table (route.go), which Handler matches on
 // the escaped path; a request no route serves gets ServeMux's answer
@@ -43,32 +38,20 @@
 // language; and reply header values are shared, not built. A JSON body
 // is one object and whitespace — anything after it is a 400, and so is
 // a millisecond field whose nanoseconds do not fit a time.Duration.
+// /results and /analytics answer conditional GETs with ETag/If-None-Match,
+// a 304 rendering no body; video replies serve resident bytes themselves
+// and anything else through http.ServeContent (video.go).
 //
-// Storage is the internal/store subsystem: campaigns, sessions and
-// videos live in sharded in-memory indexes (per-shard RW locks, FNV-
-// hashed IDs), and when Options.DataDir is set every mutation is
-// journaled to a segmented write-ahead log so a restarted server
-// rebuilds the exact same state — byte-identical /results — from the
-// newest snapshot plus the journal tail. The journal's group-commit
-// pipeline coalesces concurrent mutations into one flush (and, with
-// Fsync, one fdatasync) per window, and each mutation acks after its
-// window is durable, waiting outside its shard locks. Every mutation
-// ends in the one commit tail, mutate(ev), which applies the record's
-// row of the op table (ops) with world held shared, as replay applies a
-// journaled one; Snapshot alone holds world exclusively. The request
-// whose record crosses Options.SnapshotEvery snapshots before it answers.
-// Nothing runs behind a request: the package starts no goroutine. The
-// lock order — world, session shard, campaign shard, video shard, then
-// the journal's two locks — is written down once, in internal/store's
-// doc.go. /results and /analytics answer conditional GETs with
-// ETag/If-None-Match, a 304 rendering no body. The paper's deployment
-// sat a database behind the same shape of API. See docs/ARCHITECTURE.md
-// for the subsystem map and the byte-identical-replay invariant every
-// layer preserves.
+// With Options.DataDir set every mutation is journaled to internal/store's
+// segmented write-ahead log, so a restarted server rebuilds the exact
+// same state — byte-identical /results — from the newest snapshot plus
+// the journal tail. Nothing runs behind a request: the package starts no
+// goroutine. See docs/ARCHITECTURE.md for the subsystem map and the
+// byte-identical-replay invariant every layer preserves.
 //
 // The package links nothing of the paper's simulator. Beside its own
-// tiers (store, blob, quality, adaptive, wire, trace, telemetry) it
-// reaches filtering, survey and stats for the record types the §4.3
+// tiers (state, store, blob, quality, adaptive, wire, trace, telemetry)
+// it reaches filtering, survey and stats for the record types the §4.3
 // fold takes, video and vision to check an upload's EYV1 container, and
 // rng: a participant is a worker ID, and a video is bytes someone else
 // rendered. TestServerDeps at the repository root holds the closure of

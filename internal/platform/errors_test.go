@@ -11,6 +11,8 @@ import (
 	"math"
 	"net/http"
 	"testing"
+
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 )
 
 func TestStatusForMapping(t *testing.T) {
@@ -18,15 +20,15 @@ func TestStatusForMapping(t *testing.T) {
 		err  error
 		want int
 	}{
-		{errNoCampaign, http.StatusNotFound},
-		{errNoSession, http.StatusNotFound},
-		{errNoVideo, http.StatusNotFound},
-		{errDuplicateTest, http.StatusConflict},
-		{errSessionDone, http.StatusConflict},
-		{errUnknownTest, http.StatusBadRequest},
-		{errBadChoice, http.StatusBadRequest},
-		{fmt.Errorf("wrapped: %w", errNoSession), http.StatusNotFound},
-		{fmt.Errorf("wrapped: %w", errSessionDone), http.StatusConflict},
+		{state.ErrNoCampaign, http.StatusNotFound},
+		{state.ErrNoSession, http.StatusNotFound},
+		{state.ErrNoVideo, http.StatusNotFound},
+		{state.ErrDuplicateTest, http.StatusConflict},
+		{state.ErrSessionDone, http.StatusConflict},
+		{state.ErrUnknownTest, http.StatusBadRequest},
+		{state.ErrBadChoice, http.StatusBadRequest},
+		{fmt.Errorf("wrapped: %w", state.ErrNoSession), http.StatusNotFound},
+		{fmt.Errorf("wrapped: %w", state.ErrSessionDone), http.StatusConflict},
 		{errors.New("anything else"), http.StatusInternalServerError},
 	}
 	for _, tc := range cases {

@@ -1,14 +1,13 @@
 package platform
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 	"github.com/eyeorg/eyeorg/internal/store"
 	"github.com/eyeorg/eyeorg/internal/wire"
 )
@@ -37,20 +36,23 @@ func seedOpPrefix(tb testing.TB, srv *Server) opPrefix {
 	p := opPrefix{campaign: "c1", video: "v2", hash: ref.Hash, session: "s3"}
 	for k := 0; k < TestsPerSession; k++ {
 		control := k == TestsPerSession-1
-		id := string(appendTestID(nil, p.session, k, control))
+		id := fmt.Sprintf("%s-t%d", p.session, k)
+		if control {
+			id = p.session + "-control"
+		}
 		p.tests = append(p.tests, AssignedTest{TestID: id, VideoID: p.video, Kind: "timeline", Control: control})
 	}
-	records := []*event{
-		{Op: opCampaign, ID: p.campaign, Name: "op table", Kind: "timeline"},
-		{Op: opVideo, ID: p.video, Campaign: p.campaign, Hash: p.hash, Size: ref.Size},
-		{Op: opSession, ID: p.session, Campaign: p.campaign, Worker: &Worker{ID: "w1", Country: "ES"}, Tests: p.tests},
+	records := []*state.Event{
+		{Op: state.OpCampaign, ID: p.campaign, Name: "op table", Kind: "timeline"},
+		{Op: state.OpVideo, ID: p.video, Campaign: p.campaign, Hash: p.hash, Size: ref.Size},
+		{Op: state.OpSession, ID: p.session, Campaign: p.campaign, Worker: &Worker{ID: "w1", Country: "ES"}, Tests: p.tests},
 	}
 	for k, t := range p.tests[:TestsPerSession-1] {
-		records = append(records, &event{Op: opResponse, ID: p.session,
+		records = append(records, &state.Event{Op: state.OpResponse, ID: p.session,
 			Body: &ResponseBody{TestID: t.TestID, SubmittedMs: 1200 + float64(k), KeptOriginal: true}})
 	}
 	for _, ev := range records {
-		if err := srv.mutate(ev); err != nil {
+		if _, err := srv.mutate(ev, nil); err != nil {
 			tb.Fatalf("prefix %s record: %v", ev.Op, err)
 		}
 	}
@@ -76,11 +78,11 @@ func TestMalformedJournalRecordRefused(t *testing.T) {
 	for _, tc := range []struct {
 		op, record, field string
 	}{
-		{opSession, `{"op":"session","id":"s9","campaign":"c1"}`, "worker"},
-		{opEvents, `{"op":"events","id":"s3"}`, "batch"},
-		{opResponse, `{"op":"response","id":"s3"}`, "body"},
-		{opCampaign, `{"op":"campaign","id":"c77","name":"n","kind":"bogus"}`, "kind"},
-		{opFlag, `{"op":"flag","id":"v2"}`, "flagger"},
+		{state.OpSession, `{"op":"session","id":"s9","campaign":"c1"}`, "worker"},
+		{state.OpEvents, `{"op":"events","id":"s3"}`, "batch"},
+		{state.OpResponse, `{"op":"response","id":"s3"}`, "body"},
+		{state.OpCampaign, `{"op":"campaign","id":"c77","name":"n","kind":"bogus"}`, "kind"},
+		{state.OpFlag, `{"op":"flag","id":"v2"}`, "flagger"},
 	} {
 		t.Run(tc.op, func(t *testing.T) {
 			dir := t.TempDir()
@@ -117,18 +119,18 @@ func TestMalformedJournalRecordRefused(t *testing.T) {
 	}
 }
 
-// FuzzOpRoundTrip drives one record of a live row through mutate, with
-// no HTTP in front of it, after seedOpPrefix on a durable server. pick
-// chooses the row; the strings and numbers fill its fields, a set bit of
-// known puts the prefix's value in a field instead (so a record can name
-// the campaign, video, session or test that exists), and nilPtr leaves
-// the record's pointer field out. Whatever the record, Open over the
-// journal does not panic, a record refused live leaves the journal's
-// sequence where it was and one accepted moves it by one, and the
-// reopened server's state document equals the live server's byte for
-// byte.
+// FuzzOpRoundTrip drives one record of a live row through mutate, which
+// hands it to the state's Apply with no HTTP in front of it, after
+// seedOpPrefix on a durable server. pick chooses the row; the strings and
+// numbers fill its fields, a set bit of known puts the prefix's value in
+// a field instead (so a record can name the campaign, video, session or
+// test that exists), and nilPtr leaves the record's pointer field out.
+// Whatever the record, Open over the journal does not panic, a record
+// refused live leaves the journal's sequence where it was and one
+// accepted moves it by one, and the reopened server's state document
+// equals the live server's byte for byte.
 func FuzzOpRoundTrip(f *testing.F) {
-	for pick := range ops {
+	for pick := range state.Ops() {
 		f.Add(byte(pick), uint8(0xff), "c9", "name", "timeline", 1400.5, int64(3), false)
 		f.Add(byte(pick), uint8(0), "", "", "", 0.0, int64(0), true)
 	}
@@ -137,9 +139,9 @@ func FuzzOpRoundTrip(f *testing.F) {
 	f.Add(byte(1), uint8(0xfe), "v8", "c404", "", 0.0, int64(10), false)
 	f.Add(byte(4), uint8(0), "s3", "\xff\x00", "", 0.0, int64(0), false) // undecodable EYB1
 	var live []string
-	for _, row := range ops {
-		if !row.retired {
-			live = append(live, row.name)
+	for _, row := range state.Ops() {
+		if !row.Retired {
+			live = append(live, row.Name)
 		}
 	}
 	f.Fuzz(func(t *testing.T, pick byte, known uint8, id, s1, s2 string, x float64, n int64, nilPtr bool) {
@@ -158,13 +160,13 @@ func FuzzOpRoundTrip(f *testing.F) {
 			}
 			return s
 		}
-		ev := &event{Op: live[int(pick)%len(live)]}
+		ev := &state.Event{Op: live[int(pick)%len(live)]}
 		switch ev.Op {
-		case opCampaign:
+		case state.OpCampaign:
 			ev.ID, ev.Name, ev.Kind = id, s1, or(1, s2, "timeline")
-		case opVideo:
+		case state.OpVideo:
 			ev.ID, ev.Campaign, ev.Hash, ev.Size = id, or(1, s1, p.campaign), or(2, s2, p.hash), n
-		case opSession:
+		case state.OpSession:
 			ev.ID, ev.Campaign = id, or(1, s1, p.campaign)
 			if known&2 != 0 {
 				ev.Tests = p.tests
@@ -174,39 +176,39 @@ func FuzzOpRoundTrip(f *testing.F) {
 			if !nilPtr {
 				ev.Worker = &Worker{ID: s2, Country: s1}
 			}
-		case opEvents, opBatch:
+		case state.OpEvents, state.OpBatch:
 			ev.ID = or(1, id, p.session)
 			b := EventBatch{VideoID: or(2, s1, p.video), InstructionMs: x, LoadMs: x, TimeOnVideoMs: x,
 				Plays: int(n), Pauses: int(n >> 8), Seeks: int(n >> 16), WatchedFraction: x, OutOfFocusMs: x}
 			switch {
-			case ev.Op == opBatch && known&4 != 0:
+			case ev.Op == state.OpBatch && known&4 != 0:
 				var enc wire.Encoder
 				ev.Wire = enc.AppendBatch(nil, AppendWireRecords(nil, b))
-			case ev.Op == opBatch:
+			case ev.Op == state.OpBatch:
 				ev.Wire = []byte(s2)
 			case !nilPtr:
 				ev.Batch = &b
 			}
-		case opResponse:
+		case state.OpResponse:
 			ev.ID = or(1, id, p.session)
 			if !nilPtr {
 				k := int(uint64(n) % TestsPerSession)
 				ev.Body = &ResponseBody{TestID: or(2, s1, p.tests[k].TestID), Choice: s2, SubmittedMs: x, KeptOriginal: n%2 == 0}
 			}
-		case opFlag:
+		case state.OpFlag:
 			ev.ID, ev.Flagger = or(1, id, p.video), s1
 		default:
 			t.Fatalf("live op %s has no record here", ev.Op)
 		}
 		before := srv.log.Seq()
-		applied := srv.mutate(ev)
+		_, applied := srv.mutate(ev, nil)
 		switch after := srv.log.Seq(); {
 		case applied != nil && after != before:
 			t.Fatalf("%s record refused (%v) moved the journal from %d to %d", ev.Op, applied, before, after)
 		case applied == nil && after != before+1:
 			t.Fatalf("%s record applied moved the journal from %d to %d", ev.Op, before, after)
 		}
-		want, err := srv.marshalState()
+		want, err := document(srv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +220,7 @@ func FuzzOpRoundTrip(f *testing.F) {
 			t.Fatalf("Open after a %s record (live: %v): %v", ev.Op, applied, err)
 		}
 		defer reopened.Close()
-		got, err := reopened.marshalState()
+		got, err := document(reopened)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,42 +228,4 @@ func FuzzOpRoundTrip(f *testing.F) {
 			t.Fatalf("%s record (live: %v): reopened state\n%s\nlive state\n%s", ev.Op, applied, got, want)
 		}
 	})
-}
-
-// TestJournalOpsDocumented: docs/PROTOCOLS.md's table of journal record
-// payloads has one row per live row of ops, and no other.
-func TestJournalOpsDocumented(t *testing.T) {
-	doc, err := os.Open("../../docs/PROTOCOLS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer doc.Close()
-	documented := map[string]bool{}
-	section := false
-	for sc := bufio.NewScanner(doc); sc.Scan(); {
-		line := sc.Text()
-		if strings.HasPrefix(line, "## ") {
-			section = line == "## Journal record payloads"
-			continue
-		}
-		if op, ok := strings.CutPrefix(line, "| `"); section && ok {
-			op, _, _ = strings.Cut(op, "`")
-			documented[op] = true
-		}
-	}
-	if len(documented) == 0 {
-		t.Fatal(`docs/PROTOCOLS.md has no "Journal record payloads" table`)
-	}
-	for _, row := range ops {
-		switch {
-		case row.retired && documented[row.name]:
-			t.Errorf("docs/PROTOCOLS.md's journal record table lists retired op %s", row.name)
-		case !row.retired && !documented[row.name]:
-			t.Errorf("op %s has no row in docs/PROTOCOLS.md's journal record table", row.name)
-		}
-		delete(documented, row.name)
-	}
-	for op := range documented {
-		t.Errorf("docs/PROTOCOLS.md's journal record table lists %s, which is no row of ops", op)
-	}
 }

@@ -14,9 +14,49 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 	"github.com/eyeorg/eyeorg/internal/store"
-	"github.com/eyeorg/eyeorg/internal/wire"
 )
+
+// The state document's types and version, under the names the tests
+// below have always used.
+type (
+	snapState    = state.SnapState
+	snapCampaign = state.SnapCampaign
+	snapSession  = state.SnapSession
+)
+
+const stateVersion = state.StateVersion
+
+// campaignsOf returns every campaign srv holds, in ID order: those its
+// state document lists.
+func campaignsOf(tb testing.TB, srv *Server) []*state.Campaign {
+	tb.Helper()
+	data, err := document(srv)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var doc snapState
+	if err := json.Unmarshal(data, &doc); err != nil {
+		tb.Fatal(err)
+	}
+	var out []*state.Campaign
+	for _, cn := range doc.Campaigns {
+		c, _ := srv.state.Campaign(cn.ID)
+		out = append(out, c)
+	}
+	return out
+}
+
+// document returns the state document a snapshot of srv taken now would
+// write.
+func document(srv *Server) (doc []byte, err error) {
+	err = srv.state.Snapshot(func(b []byte) error {
+		doc = b
+		return nil
+	})
+	return doc, err
+}
 
 // openPersisted opens a server over dir and wraps it in a test client.
 func openPersisted(t *testing.T, dir string, opts Options) (*Server, *client) {
@@ -241,20 +281,19 @@ func rawDo(t *testing.T, c *client, method, path string, body any) (int, []byte)
 // completed session lives only in its campaign.
 func sessionCounts(tb testing.TB, s *Server) (inflight, completed int) {
 	tb.Helper()
-	s.sessions.Range(func(id string, sess *sessionState) bool {
-		if sess.completed() {
+	s.state.Sessions(func(id string, sess *state.Session) bool {
+		if sess.Standing().Completed {
 			tb.Errorf("the sessions index holds completed session %s", id)
 		}
 		inflight++
 		return true
 	})
 	var filed []string
-	s.campaigns.Range(func(_ string, c *campaignState) bool {
-		filed = append(filed, c.recordSessions...)
-		return true
-	})
+	for _, c := range campaignsOf(tb, s) {
+		filed = append(filed, c.Completed()...)
+	}
 	for _, id := range filed {
-		if _, ok := s.sessions.Get(id); ok {
+		if s.state.Assignment(id) != nil {
 			tb.Errorf("the sessions index holds session %s, which its campaign files as completed", id)
 		}
 	}
@@ -281,8 +320,8 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 			TestID: fmt.Sprintf("odd-%d", k), VideoID: vids[k%2], Kind: "timeline", Control: k == TestsPerSession-1,
 		})
 	}
-	ev := &event{Op: opSession, ID: odd.Session, Campaign: campaign, Worker: &Worker{ID: "persist-odd", Country: "PT"}, Tests: odd.Tests}
-	if err := srv.mutate(ev); err != nil {
+	ev := &state.Event{Op: state.OpSession, ID: odd.Session, Campaign: campaign, Worker: &Worker{ID: "persist-odd", Country: "PT"}, Tests: odd.Tests}
+	if _, err := srv.mutate(ev, nil); err != nil {
 		t.Fatal(err)
 	}
 	completeSession(c, odd, 1_700, true, 12, 0)
@@ -479,7 +518,7 @@ func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
 	srv := NewServer()
 	c := newClientFor(t, srv)
 	campaign, vids := seedPersistedCampaign(t, c)
-	data, err := srv.marshalState()
+	data, err := document(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +541,7 @@ func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
 	if st.Version != stateVersion {
 		t.Fatalf("snapshot version %d, want %d", st.Version, stateVersion)
 	}
-	cs, _ := srv.campaigns.Get(campaign)
+	cs, _ := srv.state.Campaign(campaign)
 	cn := st.Campaigns[0]
 	if len(cn.Inflight) != 1 || len(cn.Inflight[0].Answers) != 1 {
 		t.Fatalf("campaign %s lists %d sessions in flight, want only the one, with its one answer", cn.ID, len(cn.Inflight))
@@ -518,8 +557,8 @@ func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
 	if len(cn.Videos) != len(vids) {
 		t.Fatalf("the section carries %d videos, the campaign %d", len(cn.Videos), len(vids))
 	}
-	if !bytes.Equal(cn.Arena, cs.arena) || len(cn.Arena) == 0 {
-		t.Fatalf("snapshot arena is %d bytes, the campaign's %d", len(cn.Arena), len(cs.arena))
+	if !bytes.Equal(cn.Arena, cs.Arena()) || len(cn.Arena) == 0 {
+		t.Fatalf("snapshot arena is %d bytes, the campaign's %d", len(cn.Arena), len(cs.Arena()))
 	}
 }
 
@@ -535,7 +574,7 @@ func TestStateDocumentRoundTrip(t *testing.T) {
 	other, _ := setupCampaign(c, "ab", 2)
 	join(c, other, "round-trip-ab")
 	wantResults, wantAnalytics := rawResults(t, c, campaign), rawAnalytics(t, c, campaign)
-	before, err := src.marshalState()
+	before, err := document(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +586,7 @@ func TestStateDocumentRoundTrip(t *testing.T) {
 	}
 	src, c = openPersisted(t, dir, Options{SnapshotEvery: -1})
 	defer src.Close()
-	after, err := src.marshalState()
+	after, err := document(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +605,7 @@ func TestStateDocumentRoundTrip(t *testing.T) {
 // carry it.
 func sectionOf(t *testing.T, srv *Server, campaign string) snapCampaign {
 	t.Helper()
-	data, err := srv.marshalState()
+	data, err := document(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +635,7 @@ func loadSections(t *testing.T, sections ...snapCampaign) (*Server, error) {
 	if _, _, err := dst.blobs.Put(bytes.NewReader(sampleVideoBytes())); err != nil {
 		t.Fatal(err)
 	}
-	return dst, dst.loadState(data)
+	return dst, dst.state.Load(data)
 }
 
 // assertNothingInstalled fails t unless s holds no campaign, session or
@@ -604,8 +643,8 @@ func loadSections(t *testing.T, sections ...snapCampaign) (*Server, error) {
 // refused.
 func assertNothingInstalled(t *testing.T, s *Server) {
 	t.Helper()
-	if nc, ns, nv := s.campaigns.Len(), s.sessions.Len(), s.videos.Len(); nc+ns+nv != 0 {
-		t.Fatalf("a refused document left %d campaigns, %d sessions and %d videos in the indexes", nc, ns, nv)
+	if n := s.state.Counts(); n.Campaigns+n.Sessions+n.Videos != 0 {
+		t.Fatalf("a refused document left %d campaigns, %d sessions and %d videos in the indexes", n.Campaigns, n.Sessions, n.Videos)
 	}
 }
 
@@ -638,8 +677,8 @@ func refusedByVersion(t *testing.T, fixture string, v int) {
 		t.Fatalf("Open: %v, want an error saying %q", err, want)
 	}
 	srv = NewServer()
-	if err := srv.loadState(snapshot); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("loadState: %v, want an error saying %q", err, want)
+	if err := srv.state.Load(snapshot); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Load: %v, want an error saying %q", err, want)
 	}
 	assertNothingInstalled(t, srv)
 }
@@ -749,7 +788,7 @@ func TestSnapshotOfHeldCompletedSessionsRefused(t *testing.T) {
 // does not hold fails replay with an error naming that campaign, rather
 // than index a session no snapshot would carry.
 func TestSessionForUnknownCampaignRefused(t *testing.T) {
-	rec, err := json.Marshal(&event{Op: opSession, ID: "s9", Campaign: "c999", Worker: &Worker{ID: "w"},
+	rec, err := json.Marshal(&state.Event{Op: state.OpSession, ID: "s9", Campaign: "c999", Worker: &Worker{ID: "w"},
 		Tests: []AssignedTest{{TestID: "s9-t0", VideoID: "v1", Kind: "timeline"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -914,7 +953,7 @@ func TestWrongVersionStateRefused(t *testing.T) {
 			dir := t.TempDir()
 			srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
 			seedPersistedCampaign(t, c)
-			data, err := srv.marshalState()
+			data, err := document(srv)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -942,12 +981,11 @@ func TestVideoWithoutHashRefused(t *testing.T) {
 	srv := NewServer()
 	c := newClientFor(t, srv)
 	campaign, _ := setupCampaign(c, "timeline", 1)
-	row, _ := opRow(opVideo)
-	_, err := ops[row].apply(srv, &event{Op: opVideo, ID: "v77", Campaign: campaign})
+	_, _, err := srv.state.Apply(&state.Event{Op: state.OpVideo, ID: "v77", Campaign: campaign}, nil)
 	if err == nil || !strings.Contains(err.Error(), "v77") {
 		t.Fatalf("replaying a hashless video record: %v, want an error naming v77", err)
 	}
-	data, err := srv.marshalState()
+	data, err := document(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -961,7 +999,7 @@ func TestVideoWithoutHashRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = NewServer().loadState(data)
+	err = NewServer().state.Load(data)
 	if err == nil || !strings.Contains(err.Error(), id) {
 		t.Fatalf("loading a hashless video DTO: %v, want an error naming %s", err, id)
 	}
@@ -978,7 +1016,7 @@ func TestVideoWithoutBlobRefused(t *testing.T) {
 			dir := t.TempDir()
 			srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
 			_, vids := setupCampaign(c, "timeline", 1)
-			v, _ := srv.videos.Get(vids[0])
+			v, _, _ := srv.state.Video(vids[0])
 			if snapshot {
 				if err := srv.Snapshot(); err != nil {
 					t.Fatal(err)
@@ -1001,70 +1039,5 @@ func TestVideoWithoutBlobRefused(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestJournalRecordBytesMatchMarshal: journal encodes each record into a
-// pooled buffer instead of calling json.Marshal, and the record on disk
-// is still json.Marshal's bytes, for every op: strings that encoding/json
-// escapes (HTML, U+2028, non-ASCII) and a batch's EYB1 Wire bytes
-// included. Every live row of ops has a record here.
-func TestJournalRecordBytesMatchMarshal(t *testing.T) {
-	recs := AppendWireRecords(nil, EventBatch{VideoID: "v2", LoadMs: 900, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 4, WatchedFraction: 0.9})
-	var enc wire.Encoder
-	events := []*event{
-		{Op: opCampaign, ID: "c1", Name: "<b>A & B</b> — ünï\u2028code", Kind: "timeline"},
-		{Op: opVideo, ID: "v2", Campaign: "c1", Hash: "e2f418a26daa90aec4ab4540ac673fdc9445eb213788a61c67ac01d4e9e51861", Size: 4096},
-		{Op: opSession, ID: "s3", Campaign: "c1", Worker: &Worker{ID: "w<1>", Gender: "f", Country: "ES", Source: "crowdflower"},
-			Tests: []AssignedTest{{TestID: "s3-t0", VideoID: "v2", Kind: "timeline"}, {TestID: "s3-t1", VideoID: "v2", Kind: "timeline", Control: true}}},
-		{Op: opEvents, ID: "s3", Batch: &EventBatch{VideoID: "v2", InstructionMs: 3.5, LoadMs: 912.25, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 4, WatchedFraction: 0.9, OutOfFocusMs: 1e-7}},
-		{Op: opBatch, ID: "s3", Wire: enc.AppendBatch(nil, recs)},
-		{Op: opResponse, ID: "s3", Body: &ResponseBody{TestID: "s3-t0", SliderMs: 1400.5, HelperMs: 1200, SubmittedMs: 1200, KeptOriginal: true}},
-		{Op: opResponse, ID: "s4", Body: &ResponseBody{TestID: "s4-t0", Choice: "no difference"}},
-		{Op: opFlag, ID: "v2", Flagger: "w&2"},
-	}
-	dir := t.TempDir()
-	srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
-		if _, err := srv.journal(ev); err != nil {
-			t.Fatalf("%s: %v", ev.Op, err)
-		}
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	jl, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jl.Close()
-	n := 0
-	err = jl.Replay(func(_ uint64, payload []byte) error {
-		if n >= len(events) {
-			return fmt.Errorf("record %d past the %d journaled", n+1, len(events))
-		}
-		want, err := json.Marshal(events[n])
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(payload, want) {
-			t.Errorf("%s record:\n got %s\nwant %s", events[n].Op, payload, want)
-		}
-		n++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(events) {
-		t.Fatalf("replayed %d records, journaled %d", n, len(events))
-	}
-	for _, row := range ops {
-		if !row.retired && !slices.ContainsFunc(events, func(ev *event) bool { return ev.Op == row.name }) {
-			t.Errorf("op %s has no record here", row.name)
-		}
 	}
 }

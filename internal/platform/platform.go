@@ -5,12 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"log/slog"
 	"math"
 	"net/http"
-	"net/textproto"
+	"net/url"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -22,19 +21,19 @@ import (
 	"github.com/eyeorg/eyeorg/internal/adaptive"
 	"github.com/eyeorg/eyeorg/internal/blob"
 	"github.com/eyeorg/eyeorg/internal/filtering"
-	"github.com/eyeorg/eyeorg/internal/quality"
+	"github.com/eyeorg/eyeorg/internal/platform/state"
+	"github.com/eyeorg/eyeorg/internal/stats"
 	"github.com/eyeorg/eyeorg/internal/store"
-	"github.com/eyeorg/eyeorg/internal/survey"
 	"github.com/eyeorg/eyeorg/internal/trace"
 	"github.com/eyeorg/eyeorg/internal/video"
 )
 
 // BanThreshold is how many distinct participants must flag a video before
 // it is automatically banned.
-const BanThreshold = 5
+const BanThreshold = state.BanThreshold
 
 // TestsPerSession is the assignment size (6 videos + 1 control).
-const TestsPerSession = 7
+const TestsPerSession = state.TestsPerSession
 
 // defaultSnapshotEvery is the journal-records-per-snapshot cadence used
 // when Options.SnapshotEvery is zero.
@@ -126,25 +125,16 @@ type Options struct {
 	CIHalfWidth float64
 }
 
-// Server implements the Eyeorg HTTP API.
+// Server implements the Eyeorg HTTP API over the campaign state
+// machine, internal/platform/state, which it asks every question and
+// hands every change as an Event.
 type Server struct {
-	campaigns *store.Map[*campaignState]
-	// sessions holds the sessions in flight. A completed one lives only in
-	// its campaign, which frozenLocked finds it in.
-	sessions *store.Map[*sessionState]
-	videos   *store.Map[*videoState]
-	// blobs holds every video payload, content-addressed; the videos
-	// index stores only references into it. Blob writes are durable
+	state *state.State
+	// blobs holds every video payload, content-addressed; the state's
+	// videos store only references into it. Blob writes are durable
 	// before the journal record naming the hash, and blobs are excluded
 	// from group-commit windows (immutable content needs no ordering).
 	blobs *blob.Store
-
-	nextID atomic.Int64
-	joined atomic.Int64 // sessions ever created (persisted)
-	// assign hands each join a unique round-robin offset. Drawn with
-	// Add so concurrent joins never share an assignment; seeded from
-	// joined at Open so coverage continues across restarts.
-	assign atomic.Int64
 
 	// metrics is the telemetry wiring and admission the backpressure
 	// layer; both are configured once at Open and only read on the
@@ -163,196 +153,27 @@ type Server struct {
 	observer journalObserver
 	logger   *slog.Logger
 
-	// world is held shared by every mutation (mutate takes it) and
-	// exclusively by Snapshot alone, which gives a snapshot a quiescent
-	// point without funnelling the request path through one serial lock.
-	world sync.RWMutex
-
-	// adaptive enables the sequential stopper; adaptiveCfg is the
-	// estimator/allocator configuration shared by every campaign. Both
-	// are fixed at Open.
-	adaptive    bool
-	adaptiveCfg adaptive.Config
-
 	log       *store.Log
 	snapEvery uint64
 	snapping  atomic.Bool // a crossing request is taking the cadence's snapshot
 }
 
-type campaignState struct {
-	ID     string
-	Name   string
-	Kind   string // "timeline" | "ab"
-	Videos []string
-
-	// recordSessions lists completed sessions in completion order — the
-	// order a snapshot load re-folds them into analytics.
-	// cache is the rendered /results body and cacheTag its ETag, both
-	// nil/empty when stale. All guarded by the campaign's shard lock.
-	recordSessions []string
-	cache          []byte
-	cacheTag       string
-
-	// The completed sessions as /analytics lists them: each one's
-	// ParticipantVerdict and a comma, rendered once by fileCompleted,
-	// back to back in completion order (row i, ending at rowEnds[i], is
-	// recordSessions[i]'s; 32-bit offsets hold some 40 million). rowOrder
-	// lists row numbers ascending by session ID, the payload's order;
-	// rowDigest sums the rows' checksums, so the /analytics ETag does not
-	// depend on the order they arrived in. inflight lists the sessions
-	// not yet completed, in no order that reaches a reply. Rebuilt on load,
-	// never serialized.
-	rows              []byte
-	rowEnds, rowOrder []uint32
-	rowDigest         uint64
-	inflight          []string
-
-	// arena holds the completed sessions themselves, all that is left of
-	// them: one frozen record each (frozen.go), back to back under the
-	// rows' numbering — record i ends at arenaEnds[i] and is
-	// recordSessions[i]'s. A lookup that misses the sessions index finds
-	// the record through rowOrder (frozenLocked); state documents carry
-	// both slices as they are. Guarded by the campaign's shard lock.
-	arena     []byte
-	arenaEnds []uint32
-
-	// analytics is the incremental §4.3 aggregate folded in as sessions
-	// complete — what /results and the /analytics summary and bands
-	// render from. Guarded by the campaign's shard lock.
-	analytics *quality.Campaign
-	// done is the scratch fileCompleted folds and renders a completing
-	// session from. Guarded by the campaign's shard lock.
-	done completion
-	// adaptive is the sequential stopper/allocator (nil unless the
-	// server runs with Options.Adaptive). Its state is a pure fold over
-	// the journaled events, so it is never snapshotted: restore rebuilds
-	// it from the campaign's section. Guarded by the campaign's shard
-	// lock.
-	adaptive *adaptive.Campaign
-}
-
-// segment returns piece i of buf, where ends[i] is the offset piece i
-// ends at and pieces sit back to back: a frozen record of the arena, a
-// rendered row of rows. Caller holds the campaign's shard lock, at least
-// shared, for as long as it reads the bytes.
-func segment(buf []byte, ends []uint32, i uint32) []byte {
-	start := uint32(0)
-	if i > 0 {
-		start = ends[i-1]
-	}
-	return buf[start:ends[i]]
-}
-
-// invalidate drops the rendered /results body and its ETag. Caller
-// holds the campaign's shard lock; every mutation that changes what
-// /results would say (video add, session completion, ban) goes through
-// here so conditional GETs can trust the tag.
-func (c *campaignState) invalidate() {
-	c.cache = nil
-	c.cacheTag = ""
-}
-
-type videoState struct {
-	ID       string
-	campaign *campaignState
-	videoHead
-	Flags  map[string]bool
-	Banned bool
-}
-
-// videoHead is what GET /videos/{id} serves of a video besides its bytes:
-// the content address of the EYV1 payload in the blob store, the strong
-// content-hash validator, and the validator and the size as reply header
-// values. All of it is rendered once at creation and never written to, so
-// the read path builds no strings and a copy may outlive the shard lock.
-type videoHead struct {
-	Hash                   string
-	Size                   int64
-	etag                   string
-	etagValue, lengthValue []string
-}
-
-// newVideoState builds campaign c's video index entry around its content
-// address.
-func newVideoState(id string, c *campaignState, hash string, size int64) *videoState {
-	etag := `"` + hash + `"`
-	return &videoState{
-		ID: id, campaign: c,
-		videoHead: videoHead{
-			Hash: hash, Size: size, etag: etag,
-			etagValue:   []string{etag},
-			lengthValue: []string{strconv.FormatInt(size, 10)},
-		},
-		Flags: map[string]bool{},
-	}
-}
-
-// sessionState is one participant session in flight, guarded by its
-// shard lock; completion encodes it into its campaign's arena and drops
-// it from the sessions index (see completeSession). Its tracker and the
-// answers' storage are its own fields, so the state is one object beside its tracker's entries
-// and its strings. A completed session takes this form again only in
-// passing, decoded from its record (decodeFrozen) to answer a late
-// request or to be folded on load: final, the standing frozen when the
-// session completed, is set then and the tracker is empty.
-type sessionState struct {
-	ID         string
-	campaign   *campaignState
-	Worker     Worker
-	Assignment []AssignedTest
-	// answers holds one entry per answered test, in answer order. It is
-	// what duplicate detection scans and what completion folds into the
-	// campaign's analytics. A live assignment's answers fit in answerBuf.
-	answers   []answer
-	answerBuf [TestsPerSession]answer
-	// track follows the session against the per-participant §4.3 rules
-	// and holds its latest engagement trace per video.
-	track quality.Tracker
-	// final is the completed session's standing: the traces that produced
-	// it are gone, so it cannot be derived again.
-	final quality.Snapshot
-}
-
-// newSessionState starts the state of session id, in flight on campaign c
-// with the given assignment: the tracker fed nothing, no answer stored.
-func newSessionState(id string, c *campaignState, worker Worker, tests []AssignedTest) *sessionState {
-	sess := &sessionState{ID: id, campaign: c, Worker: worker, Assignment: tests}
-	sess.answers = sess.answerBuf[:0]
-	var buf [TestsPerSession]string
-	sess.track = *quality.NewTracker(assignedVideos(buf[:0], tests))
-	return sess
-}
-
-// completed reports whether the session answered its full assignment.
-func (sess *sessionState) completed() bool { return sess.final.Completed }
-
-// answer is one stored response, reduced to what the §4.3 fold reads.
-// The answered video and its control bit come from Assignment[Test].
-type answer struct {
-	Test int `json:"test"`
-	// Submitted is a timeline answer's final position on the video
-	// clock; Choice is an A/B answer's side.
-	Submitted time.Duration   `json:"submitted_ns,omitempty"`
-	Choice    survey.ABChoice `json:"choice,omitempty"`
-	// ControlFailed marks a control question answered wrong.
-	ControlFailed bool `json:"control_failed,omitempty"`
-}
-
-// Worker identifies a participant joining a session.
-type Worker struct {
-	ID      string `json:"id"`
-	Gender  string `json:"gender"`
-	Country string `json:"country"`
-	Source  string `json:"source"` // e.g. "crowdflower", "microworkers"
-}
-
-// AssignedTest is one item of a participant's assignment.
-type AssignedTest struct {
-	TestID  string `json:"test_id"`
-	VideoID string `json:"video_id"`
-	Kind    string `json:"kind"`
-	Control bool   `json:"control"`
-}
+// The JSON API types the state renders or journals, under the names this
+// package has always exported them by.
+type (
+	Worker             = state.Worker
+	AssignedTest       = state.AssignedTest
+	EventBatch         = state.EventBatch
+	ResponseBody       = state.ResponseBody
+	ResultsResponse    = state.ResultsResponse
+	VideoAg            = state.VideoAg
+	AnalyticsResponse  = state.AnalyticsResponse
+	StoppingAnalytics  = state.StoppingAnalytics
+	VideoStopping      = state.VideoStopping
+	AnalyticsSummary   = state.AnalyticsSummary
+	ParticipantVerdict = state.ParticipantVerdict
+	VideoAnalytics     = state.VideoAnalytics
+)
 
 // NewServer returns an empty in-memory platform.
 func NewServer() *Server {
@@ -372,18 +193,14 @@ func Open(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("platform: ci half-width must be a finite value >= 0, got %v", opts.CIHalfWidth)
 	}
 	s := &Server{
-		campaigns: store.NewMap[*campaignState](opts.Shards),
-		sessions:  store.NewMap[*sessionState](opts.Shards),
-		videos:    store.NewMap[*videoState](opts.Shards),
-		maxBody:   opts.MaxBodyBytes,
-		maxBatch:  defaultMaxBatchRecords,
-		metrics:   newServerMetrics(),
+		maxBody:  opts.MaxBodyBytes,
+		maxBatch: defaultMaxBatchRecords,
+		metrics:  newServerMetrics(),
 	}
 	if s.maxBody <= 0 {
 		s.maxBody = DefaultMaxBodyBytes
 	}
 	s.admission.maxInflight = int64(opts.MaxInFlight)
-	s.admission.held = s.sessionHeld
 	if opts.WorkerRate > 0 {
 		s.admission.rate = opts.WorkerRate
 		s.admission.burst = float64(opts.WorkerBurst)
@@ -394,10 +211,6 @@ func Open(opts Options) (*Server, error) {
 	s.logger = opts.Logger
 	if s.logger == nil {
 		s.logger = slog.Default()
-	}
-	if opts.Adaptive {
-		s.adaptive = true
-		s.adaptiveCfg = adaptive.Config{HalfWidth: opts.CIHalfWidth}
 	}
 	s.observer.registerMetrics(s.metrics.reg)
 	if opts.TraceSample > 0 || opts.TraceSlow > 0 {
@@ -425,6 +238,12 @@ func Open(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	var stopper *adaptive.Config
+	if opts.Adaptive {
+		stopper = &adaptive.Config{HalfWidth: opts.CIHalfWidth}
+	}
+	s.state = state.New(opts.Shards, s.blobs, stopper)
+	s.admission.held = s.state.Held
 	s.registerStateGauges()
 	if opts.DataDir == "" {
 		return s, nil
@@ -443,32 +262,11 @@ func Open(opts Options) (*Server, error) {
 	case opts.SnapshotEvery == 0:
 		s.snapEvery = defaultSnapshotEvery
 	}
-	if _, data, ok := jl.Snapshot(); ok {
-		if err := s.loadState(data); err != nil {
-			jl.Close()
-			return nil, fmt.Errorf("platform: loading snapshot: %w", err)
-		}
-	}
-	err = jl.Replay(func(seq uint64, payload []byte) error {
-		var ev event
-		if err := json.Unmarshal(payload, &ev); err != nil {
-			return fmt.Errorf("record %d: %w", seq, err)
-		}
-		row, err := opRow(ev.Op)
-		if err == nil {
-			_, err = ops[row].apply(s, &ev)
-		}
-		if err != nil {
-			return fmt.Errorf("record %d (%s): %w", seq, ev.Op, err)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := s.state.Recover(jl); err != nil {
 		jl.Close()
-		return nil, fmt.Errorf("platform: replaying journal: %w", err)
+		return nil, fmt.Errorf("platform: %w", err)
 	}
-	s.log = jl // after replay, which journals nothing
-	s.assign.Store(s.joined.Load())
+	s.log = jl
 	return s, nil
 }
 
@@ -491,13 +289,7 @@ func (s *Server) Snapshot() error {
 	if s.log == nil {
 		return nil
 	}
-	s.world.Lock()
-	defer s.world.Unlock()
-	data, err := s.marshalState()
-	if err != nil {
-		return err
-	}
-	if err := s.log.WriteSnapshot(data); err != nil {
+	if err := s.state.Snapshot(s.log.WriteSnapshot); err != nil {
 		return err
 	}
 	s.observer.snapshots.Inc()
@@ -564,77 +356,15 @@ type JoinResponse struct {
 	Tests   []AssignedTest `json:"tests"`
 }
 
-// EventBatch reports engagement instrumentation for one video.
-type EventBatch struct {
-	VideoID         string  `json:"video_id"`
-	InstructionMs   float64 `json:"instruction_ms,omitempty"`
-	LoadMs          float64 `json:"load_ms"`
-	TimeOnVideoMs   float64 `json:"time_on_video_ms"`
-	Plays           int     `json:"plays"`
-	Pauses          int     `json:"pauses"`
-	Seeks           int     `json:"seeks"`
-	WatchedFraction float64 `json:"watched_fraction"`
-	OutOfFocusMs    float64 `json:"out_of_focus_ms"`
-}
-
-// ResponseBody submits one answer.
-type ResponseBody struct {
-	TestID string `json:"test_id"`
-	// Timeline fields (milliseconds on the video clock).
-	SliderMs       float64 `json:"slider_ms,omitempty"`
-	HelperMs       float64 `json:"helper_ms,omitempty"`
-	SubmittedMs    float64 `json:"submitted_ms,omitempty"`
-	AcceptedHelper bool    `json:"accepted_helper,omitempty"`
-	KeptOriginal   bool    `json:"kept_original,omitempty"`
-	// A/B field: "left" | "right" | "no difference".
-	Choice string `json:"choice,omitempty"`
-}
-
-// ResultsResponse summarises a campaign after filtering.
-type ResultsResponse struct {
-	Campaign     string             `json:"campaign"`
-	Participants int                `json:"participants"`
-	Kept         int                `json:"kept"`
-	Engagement   int                `json:"engagement_dropped"`
-	Soft         int                `json:"soft_dropped"`
-	Control      int                `json:"control_dropped"`
-	PerVideo     map[string]VideoAg `json:"per_video"`
-}
-
-// VideoAg is per-video aggregated output.
-type VideoAg struct {
-	Responses int     `json:"responses"`
-	MeanUPLT  float64 `json:"mean_uplt_s,omitempty"`
-	Agreement float64 `json:"agreement,omitempty"`
-	Banned    bool    `json:"banned,omitempty"`
-}
-
-// --- lookup failures, mapped to HTTP statuses ---
-
-var (
-	errNoCampaign    = errors.New("no such campaign")
-	errNoSession     = errors.New("no such session")
-	errNoVideo       = errors.New("no such video")
-	errUnknownTest   = errors.New("unknown test")
-	errDuplicateTest = errors.New("test already answered")
-	errSessionDone   = errors.New("session already complete")
-	errBadChoice     = errors.New("choice must be left, right or no difference")
-	// errCampaignClosed refuses joins once the adaptive stopper resolved
-	// every comparison — the same 409 shape a fully-banned video set gets.
-	errCampaignClosed = errors.New("campaign closed: every comparison resolved")
-	// errCampaignExists refuses a caller-supplied campaign ID that is
-	// already present.
-	errCampaignExists = errors.New("campaign already exists")
-)
-
+// statusFor maps a state failure to its HTTP status.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, errNoCampaign), errors.Is(err, errNoSession), errors.Is(err, errNoVideo):
+	case errors.Is(err, state.ErrNoCampaign), errors.Is(err, state.ErrNoSession), errors.Is(err, state.ErrNoVideo):
 		return http.StatusNotFound
-	case errors.Is(err, errDuplicateTest), errors.Is(err, errSessionDone), errors.Is(err, errCampaignClosed),
-		errors.Is(err, errCampaignExists):
+	case errors.Is(err, state.ErrDuplicateTest), errors.Is(err, state.ErrSessionDone), errors.Is(err, state.ErrCampaignClosed),
+		errors.Is(err, state.ErrCampaignExists), errors.Is(err, state.ErrNoUsableVideos), errors.Is(err, state.ErrHeld):
 		return http.StatusConflict
-	case errors.Is(err, errUnknownTest), errors.Is(err, errBadChoice):
+	case errors.Is(err, state.ErrUnknownTest), errors.Is(err, state.ErrBadChoice):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
@@ -660,25 +390,15 @@ var bufPool = sync.Pool{New: func() any {
 // so stay out of bufPool; an idle pool is emptied by the collector.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// encodeJSON renders v into a pooled buffer. The caller owns the buffer
-// and must hand it back to bufPool once the bytes are written out.
-func encodeJSON(v any) (*jsonBuf, error) {
+// writeJSON renders v into a pooled buffer and sends it.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := bufPool.Get().(*jsonBuf)
+	defer bufPool.Put(buf)
 	buf.Reset()
 	if err := buf.enc.Encode(v); err != nil {
-		bufPool.Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf, err := encodeJSON(v)
-	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	defer bufPool.Put(buf)
 	writeBody(w, status, buf.Bytes())
 }
 
@@ -735,86 +455,6 @@ var (
 func appendBatchAck(dst []byte, n int) []byte {
 	dst = strconv.AppendInt(append(dst, `{"records":`...), int64(n), 10)
 	return append(dst, `,"status":"recorded"}`+"\n"...)
-}
-
-// A strong ETag is a digest of the response, built from CRC-64 checksums
-// over etagTable, and its length.
-var etagTable = crc64.MakeTable(crc64.ECMA)
-
-// etagOf renders the tag, quoted: the checksum as 16 hex digits, a dash
-// and the length in hex.
-func etagOf(sum uint64, n int) string {
-	b := append(make([]byte, 0, 40), '"')
-	for shift := 60; shift >= 0; shift -= 4 {
-		b = append(b, "0123456789abcdef"[sum>>shift&0xf])
-	}
-	b = strconv.AppendInt(append(b, '-'), int64(n), 16)
-	return string(append(b, '"'))
-}
-
-// etagMatches reports whether an If-None-Match header names tag. The
-// header is "*" or a list of entity tags separated by commas and
-// optional whitespace, read as http.ServeContent reads it, so the video
-// handler's own 304 and ServeContent's agree on every header: the walk
-// stops at the first element that is not a quoted tag, and a weak
-// validator matches by its tag (RFC 9110's weak comparison —
-// byte-identical cached bodies are what the tag certifies here).
-func etagMatches(header, tag string) bool {
-	if tag == "" {
-		return false
-	}
-	for {
-		header = strings.TrimLeft(header, " \t\r\n")
-		switch {
-		case header == "":
-			return false
-		case header[0] == ',':
-			header = header[1:]
-			continue
-		case header[0] == '*':
-			return true
-		}
-		cand, rest, ok := scanETag(header)
-		if !ok {
-			return false
-		}
-		if cand == tag {
-			return true
-		}
-		header = rest
-	}
-}
-
-// scanETag cuts the entity tag, "…" or W/"…", that s starts with and
-// returns it without its W/ and the rest of s; ok is false when s does
-// not start with one. The characters allowed between the quotes are
-// RFC 9110's etagc.
-func scanETag(s string) (tag, rest string, ok bool) {
-	s = strings.TrimPrefix(s, "W/")
-	if len(s) < 2 || s[0] != '"' {
-		return "", "", false
-	}
-	for i := 1; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
-			return s[:i+1], s[i+1:], true
-		case c != 0x21 && (c < 0x23 || c > 0x7e) && c < 0x80:
-			return "", "", false
-		}
-	}
-	return "", "", false
-}
-
-// writeConditional answers a GET whose validator is known: 304 without
-// a body when If-None-Match names tag (body is not read then), the full
-// JSON body otherwise. The ETag header rides on both.
-func writeConditional(w http.ResponseWriter, r *http.Request, tag string, body []byte) {
-	w.Header().Set("ETag", tag)
-	if etagMatches(r.Header.Get("If-None-Match"), tag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	writeBody(w, http.StatusOK, body)
 }
 
 func writeErr(w http.ResponseWriter, status int, msg string) {
@@ -885,30 +525,6 @@ func (s *Server) readIngest(sc *scratch, r *http.Request, v any, inPlace func([]
 	return decodeJSON(bytes.NewReader(sc.buf), v)
 }
 
-// assignmentOf returns session id's assignment while the session is in
-// flight (it is immutable from the join on), nil otherwise: the strings
-// the in-place decoders resolve a body's video and test IDs to, so that
-// what the tracker keeps of a body is the session's own string.
-func (s *Server) assignmentOf(id string) []AssignedTest {
-	ssh := s.sessions.Shard(id)
-	ssh.RLock()
-	defer ssh.RUnlock()
-	if sess, ok := ssh.Get(id); ok {
-		return sess.Assignment
-	}
-	return nil
-}
-
-// sessionHeld reports whether this server holds session id, in flight or
-// completed.
-func (s *Server) sessionHeld(id string) bool {
-	ssh := s.sessions.Shard(id)
-	ssh.RLock()
-	defer ssh.RUnlock()
-	_, ok := ssh.Get(id)
-	return ok || s.frozenLocked(id, nil)
-}
-
 // writeBodyErr answers a readJSON failure. An oversize body is
 // backpressure, not a client syntax error: it goes through the
 // admission reject path — counted under reason="body", answered 413
@@ -923,92 +539,36 @@ func (s *Server) writeBodyErr(w http.ResponseWriter, err error, msg string) {
 	writeErr(w, http.StatusBadRequest, msg)
 }
 
-func (s *Server) newID(prefix string) string {
-	return string(strconv.AppendInt(append(make([]byte, 0, 32), prefix...), s.nextID.Add(1), 10))
-}
-
-// bumpID advances the ID counter to cover id, so replayed and
-// snapshot-restored entities never collide with fresh allocations. A
-// caller-supplied campaign ID whose tail is not a number does not move
-// it.
-func (s *Server) bumpID(id string) {
-	if len(id) < 2 {
-		return
-	}
-	n, err := strconv.ParseInt(id[1:], 10, 64)
-	if err != nil {
-		return
-	}
-	for {
-		cur := s.nextID.Load()
-		if cur >= n || s.nextID.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// validCampaign reports whether a campaign of this name and kind can be
-// created; the create handler and applyCampaign refuse the same ones.
-func validCampaign(name, kind string) bool {
-	return name != "" && (kind == "timeline" || kind == "ab")
-}
-
-// validCampaignID accepts caller-supplied campaign IDs: "c" followed by
-// 1..63 tag/counter characters. Anything outside that alphabet (or an
-// empty/oversize suffix) is a 400, never a 5xx.
-func validCampaignID(id string) bool {
-	if len(id) < 2 || len(id) > 64 || id[0] != 'c' {
-		return false
-	}
-	for i := 1; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '.', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// mutate is the one commit tail of every journaled change. It applies ev
-// through its op's row, as replay does, under the world lock held shared,
-// and counts it. With every platform lock released, mutate waits for the
-// record to be durable: one flush window shared with every concurrent
-// mutation. A row fails only before it journals, so a sequence comes
-// with no error, and it must be awaited: the journal flushes only for a
-// waiter. The request whose record crossed the snapshot cadence then
+// mutate is the one commit tail of every journaled change. It hands ev
+// to the state's Apply, which applies it through its op's row, as replay
+// does, and counts it. With every state lock released, mutate waits for
+// the record to be durable: one flush window shared with every concurrent
+// mutation. The request whose record crossed the snapshot cadence then
 // takes the snapshot before it answers.
 //
-// ev.tr, when non-nil, receives the mutation's stage attribution: the
-// apply span when the row returns, the durability wait split into
-// flush/fsync/ack using the commit window the journal published for
-// seq, and a snapshot this request took charged to apply again.
-func (s *Server) mutate(ev *event) error {
-	row, err := opRow(ev.Op)
+// tr, when non-nil, receives the mutation's stage attribution: the apply
+// span when Apply returns, the durability wait split into flush/fsync/ack
+// using the commit window the journal published for the sequence, and a
+// snapshot this request took charged to apply again.
+func (s *Server) mutate(ev *state.Event, tr *trace.Trace) (state.Result, error) {
+	seq, res, err := s.state.Apply(ev, tr)
+	tr.Mark(trace.StageApply)
 	if err != nil {
-		return err
+		return res, err
 	}
-	s.world.RLock()
-	seq, err := ops[row].apply(s, ev)
-	s.world.RUnlock()
-	ev.tr.Mark(trace.StageApply)
-	if err != nil {
-		return err
-	}
-	s.metrics.mutation[row].Inc()
+	s.metrics.mutation[res.Op].Inc()
 	if seq == 0 {
-		return nil
+		return res, nil
 	}
 	err = s.log.WaitDurable(seq)
-	if ev.tr != nil { // tracing is on, so the commit ring exists
+	if tr != nil { // tracing is on, so the commit ring exists
 		w := s.observer.commits.lookup(seq)
-		ev.tr.MarkDurable(w.FsyncStart, w.FsyncEnd)
+		tr.MarkDurable(w.FsyncStart, w.FsyncEnd)
 	}
 	if err == nil && s.maybeSnapshot(seq) {
-		ev.tr.Mark(trace.StageApply)
+		tr.Mark(trace.StageApply)
 	}
-	return err
+	return res, err
 }
 
 // maybeSnapshot takes the cadence's snapshot when the durable record at
@@ -1029,15 +589,6 @@ func (s *Server) maybeSnapshot(seq uint64) bool {
 	return true
 }
 
-// videoBanned reads a video's ban bit under its shard lock.
-func (s *Server) videoBanned(id string) bool {
-	vsh := s.videos.Shard(id)
-	vsh.RLock()
-	defer vsh.RUnlock()
-	v, ok := vsh.Get(id)
-	return ok && v.Banned
-}
-
 // --- handlers ---
 
 func (s *Server) handleCreateCampaign(w *scratch, r *http.Request) {
@@ -1049,20 +600,19 @@ func (s *Server) handleCreateCampaign(w *scratch, r *http.Request) {
 		return
 	}
 	tr.Mark(trace.StageDecode)
-	if !validCampaign(req.Name, req.Kind) {
+	if !state.ValidCampaign(req.Name, req.Kind) {
 		writeErr(w, http.StatusBadRequest, "campaign needs a name and kind timeline|ab")
 		return
 	}
 	id := req.ID
 	if id == "" {
-		id = s.newID("c")
-	} else if !validCampaignID(id) {
-		writeErr(w, http.StatusBadRequest, "campaign id must match c[A-Za-z0-9.-]{1,63}")
+		id = s.state.NewID("c")
+	} else if !state.ValidCampaignID(id) {
+		writeErr(w, http.StatusBadRequest, "campaign id must match c[A-Za-z0-9.-]{1,63}, its number at most 2^53")
 		return
 	}
 	tr.SetCampaign(id)
-	ev := &event{Op: opCampaign, ID: id, Name: req.Name, Kind: req.Kind, tr: tr}
-	if err := s.mutate(ev); err != nil {
+	if _, err := s.mutate(&state.Event{Op: state.OpCampaign, ID: id, Name: req.Name, Kind: req.Kind}, tr); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1077,6 +627,13 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 	campaignID := w.id
 	tr.SetCampaign(campaignID)
 	defer r.Body.Close()
+	// Asked before the upload is stored, so a video for no campaign leaves
+	// no blob behind. Campaigns are never deleted, so the answer holds
+	// until the record applies.
+	if _, ok := s.state.Campaign(campaignID); !ok {
+		writeErr(w, http.StatusNotFound, state.ErrNoCampaign.Error())
+		return
+	}
 	// The upload streams through the blob store's ingest — hashed and
 	// (on the file tier) written out read by read, never held as one
 	// handler-owned slice. One extra byte of read budget
@@ -1112,9 +669,9 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 		return
 	}
 	tr.Mark(trace.StageDecode)
-	id := s.newID("v")
-	ev := &event{Op: opVideo, ID: id, Campaign: campaignID, Hash: ref.Hash, Size: ref.Size, tr: tr}
-	if err := s.mutate(ev); err != nil {
+	id := s.state.NewID("v")
+	ev := &state.Event{Op: state.OpVideo, ID: id, Campaign: campaignID, Hash: ref.Hash, Size: ref.Size}
+	if _, err := s.mutate(ev, tr); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1130,7 +687,7 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	tr := w.tr
 	tr.Mark(trace.StageReceive)
 	req := &w.join
-	if err := s.readIngest(w, r, req, func(b []byte) bool { return decodeJoinRequest(b, req, s.campaignID) }); err != nil {
+	if err := s.readIngest(w, r, req, func(b []byte) bool { return decodeJoinRequest(b, req, s.state.CampaignID) }); err != nil {
 		s.writeBodyErr(w, err, err.Error())
 		return
 	}
@@ -1146,83 +703,15 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "worker id required")
 		return
 	}
-	csh := s.campaigns.Shard(req.Campaign)
-	csh.RLock()
-	c, ok := csh.Get(req.Campaign)
-	var kind string
-	var closed bool
-	pool := w.pool[:0]
-	if ok {
-		kind = c.Kind
-		// Video shards follow campaign shards in the lock order, so
-		// the live (unbanned) set and the allocator's pool are computed
-		// under one campaign lock: the pool is a pure function of the
-		// journaled state this lock guards.
-		for _, vid := range c.Videos {
-			if !s.videoBanned(vid) {
-				pool = append(pool, vid)
-			}
-		}
-		w.pool = pool
-		if c.adaptive != nil {
-			closed = c.adaptive.Closed()
-			if !closed && len(pool) > 0 {
-				pool = c.adaptive.Assign(pool)
-			}
-		}
-	}
-	csh.RUnlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, errNoCampaign.Error())
+	sid, tests, err := s.state.Join(req.Campaign)
+	if err != nil {
+		writeErr(w, statusFor(err), err.Error())
 		return
-	}
-	if closed {
-		writeErr(w, http.StatusConflict, errCampaignClosed.Error())
-		return
-	}
-	if len(pool) == 0 {
-		writeErr(w, http.StatusConflict, "campaign has no usable videos")
-		return
-	}
-	// 6 regular tests plus 1 control. Fixed campaigns round-robin over
-	// the live videos via the offset counter; adaptive campaigns cycle
-	// the allocator's most-needed-first pool instead, so the assignment
-	// is a deterministic function of the journaled campaign state (the
-	// in-flight counts the allocator steers by advance on every join).
-	// Either way the materialized assignment is what gets journaled, so
-	// replay does not depend on how it was derived.
-	offset := 0
-	if !s.adaptive {
-		offset = int(s.assign.Add(1) - 1)
-	}
-	sid := s.newID("s")
-	// The seven test IDs are cut from one string: they live and die
-	// together, with the session's state, and its frozen record keeps none
-	// of them. The session ID is its own; the campaign's lists keep it for
-	// good.
-	tests := make([]AssignedTest, TestsPerSession)
-	var ends [TestsPerSession]int
-	ids := make([]byte, 0, 128)
-	for k := range tests {
-		t := &tests[k]
-		t.Kind = kind
-		if t.Control = k == TestsPerSession-1; t.Control {
-			t.VideoID = pool[offset%len(pool)]
-		} else {
-			t.VideoID = pool[(offset*(TestsPerSession-1)+k)%len(pool)]
-		}
-		ids = appendTestID(ids, sid, k, t.Control)
-		ends[k] = len(ids)
-	}
-	all, start := string(ids), 0
-	for k, end := range ends {
-		tests[k].TestID = all[start:end]
-		start = end
 	}
 	tr.SetSession(sid)
 	ev := &w.ev
-	*ev = event{Op: opSession, ID: sid, Campaign: req.Campaign, Worker: &req.Worker, Tests: tests, tr: tr}
-	if err := s.mutate(ev); err != nil {
+	*ev = state.Event{Op: state.OpSession, ID: sid, Campaign: req.Campaign, Worker: &req.Worker, Tests: tests}
+	if _, err := s.mutate(ev, tr); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1230,245 +719,15 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	writeJSON(w, http.StatusCreated, &w.reply)
 }
 
-// campaignID returns the campaign's own ID string for id when this server
-// holds the campaign, and a copy of id otherwise: a join body names its
-// campaign without a string of its own.
-func (s *Server) campaignID(id []byte) string {
-	if c, ok := s.campaigns.Get(string(id)); ok {
-		return c.ID
-	}
-	return string(id)
-}
-
 func (s *Server) handleTests(w *scratch, r *http.Request) {
-	id := w.id
-	ssh := s.sessions.Shard(id)
-	ssh.RLock()
-	sess, err := s.sessionLocked(ssh, id)
-	ssh.RUnlock()
+	sess, err := s.state.Session(w.id)
 	if err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
 	// Assignment is immutable after creation.
-	w.reply = JoinResponse{Session: id, Tests: sess.Assignment}
+	w.reply = JoinResponse{Session: w.id, Tests: sess.Assignment}
 	writeJSON(w, http.StatusOK, &w.reply)
-}
-
-// sessionLocked returns session id's state: the indexed one while it is
-// in flight, one decoded from its frozen record once completed. Caller
-// holds ssh, id's session shard.
-func (s *Server) sessionLocked(ssh *store.Shard[*sessionState], id string) (*sessionState, error) {
-	if sess, ok := ssh.Get(id); ok {
-		return sess, nil
-	}
-	var sess *sessionState
-	err := errNoSession
-	s.frozenLocked(id, func(c *campaignState, rec []byte) {
-		sess, err = decodeFrozen(c, id, rec)
-	})
-	return sess, err
-}
-
-// frozenLocked is where a lookup that misses the sessions index goes: it
-// reports whether a campaign filed session id as completed and, if one
-// did and fn is not nil, calls fn with the campaign and the session's
-// frozen record in place. It asks each campaign's frozenAt in turn under
-// that campaign's shard lock, held shared and released before the next
-// shard's is taken, so it never holds two; fn runs under it. Caller
-// holds id's session shard lock, which comes before a campaign's in the
-// lock order: a completion deletes the session from the index and files
-// it under both, so the session is in exactly one of the two places.
-func (s *Server) frozenLocked(id string, fn func(c *campaignState, rec []byte)) bool {
-	found := false
-	s.campaigns.Range(func(_ string, c *campaignState) bool {
-		at, ok := c.frozenAt(id)
-		if ok && fn != nil {
-			fn(c, segment(c.arena, c.arenaEnds, c.rowOrder[at]))
-		}
-		found = ok
-		return !ok
-	})
-	return found
-}
-
-// videoRef resolves a video ID to what a GET serves of it, under the
-// shard lock. Only the head and the ban bit cross the lock — no payload
-// bytes are touched, let alone copied, while it is held — and the
-// cache-hit GET path through here plus blobs.Serve is allocation-free
-// (gated by a test).
-func (s *Server) videoRef(id string) (v videoHead, banned, ok bool) {
-	vsh := s.videos.Shard(id)
-	vsh.RLock()
-	if p, found := vsh.Get(id); found {
-		v, banned, ok = p.videoHead, p.Banned, true
-	}
-	vsh.RUnlock()
-	return v, banned, ok
-}
-
-func (s *Server) handleGetVideo(w *scratch, r *http.Request) {
-	v, banned, ok := s.videoRef(w.id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, errNoVideo.Error())
-		return
-	}
-	if banned {
-		writeErr(w, http.StatusGone, "video banned")
-		return
-	}
-	// The payload is immutable and content-addressed, so the validator
-	// is the strong content hash and clients may cache forever. If-Match
-	// is evaluated before If-None-Match (RFC 9110 §13.2.2), so a request
-	// that carries it goes to http.ServeContent, which does both.
-	h := w.Header()
-	h["Etag"] = v.etagValue
-	h["Cache-Control"] = videoCacheControl
-	h["Accept-Ranges"] = videoAcceptRanges
-	ifMatch := r.Header.Get("If-Match") != ""
-	if !ifMatch && etagMatches(r.Header.Get("If-None-Match"), v.etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	h["Content-Type"] = videoContentType
-	// One blob lookup; a file-tier read counts once, as a mapped hit or a
-	// miss that opened the file.
-	b, rc, err := s.blobs.Serve(v.Hash)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if rc != nil {
-		// A file-tier blob that could not be mapped arrives as the
-		// *os.File itself, so on a real socket a full body is
-		// kernel-side sendfile.
-		defer rc.Close()
-		serveContent(w, r, rc)
-		return
-	}
-	// Resident bytes (memory tier, or a mapped file-tier blob) answer a
-	// full body or one satisfiable range here, with no seeker; anything
-	// else (If-Match, If-Range, several ranges, 416) is serveContent's.
-	rng := r.Header.Get("Range")
-	start, end, single := singleRange(rng, len(b))
-	switch {
-	case ifMatch || rng != "" && (!single || r.Header.Get("If-Range") != ""):
-		serveContent(w, r, bytes.NewReader(b))
-		return
-	case rng == "":
-		h["Content-Length"] = v.lengthValue
-		w.WriteHeader(http.StatusOK)
-	default:
-		h["Content-Range"], h["Content-Length"] = rangeValues(start, end, len(b))
-		w.WriteHeader(http.StatusPartialContent)
-		b = b[start:end]
-	}
-	if r.Method != http.MethodHead {
-		_, _ = w.Write(b)
-	}
-}
-
-// serveContent answers a video request through http.ServeContent, after
-// taking every suffix range of zero length ("bytes=-0") out of its Range
-// header. Such a range selects no byte (RFC 9110 §14.1.1), but
-// ServeContent answers it with a range that ends before it starts. A
-// header left with no range asks for pastEnd, which ServeContent
-// answers, once If-Match and If-Range allow, with 416 and Content-Range
-// bytes */size.
-func serveContent(w http.ResponseWriter, r *http.Request, content io.ReadSeeker) {
-	if rng, ok := dropEmptySuffixes(r.Header.Get("Range")); ok {
-		r = r.Clone(r.Context())
-		r.Header.Set("Range", rng)
-	}
-	http.ServeContent(w, r, "", time.Time{}, content)
-}
-
-// pastEnd is a Range header no body can satisfy: its one range starts at
-// the largest offset ServeContent parses.
-const pastEnd = "bytes=9223372036854775807-"
-
-// dropEmptySuffixes returns header without its zero-length suffix
-// ranges, each spec read as http.ServeContent reads it, and whether it
-// had one.
-func dropEmptySuffixes(header string) (string, bool) {
-	specs, ok := strings.CutPrefix(header, "bytes=")
-	if !ok {
-		return header, false
-	}
-	var kept []string
-	dropped := false
-	for _, spec := range strings.Split(specs, ",") {
-		first, last, _ := strings.Cut(textproto.TrimString(spec), "-")
-		last = textproto.TrimString(last)
-		n, err := strconv.ParseInt(last, 10, 64)
-		switch {
-		case first == "" && err == nil && n == 0 && last[0] != '-':
-			dropped = true
-		case textproto.TrimString(spec) != "":
-			kept = append(kept, spec)
-		}
-	}
-	switch {
-	case !dropped:
-		return header, false
-	case len(kept) == 0:
-		return pastEnd, true
-	}
-	return "bytes=" + strings.Join(kept, ","), true
-}
-
-// singleRange parses a Range header that names one byte range of a
-// size-byte body in its plainest form, "bytes=a-b", "bytes=a-" or
-// "bytes=-n" with digits only, and returns the span [start, end) it
-// selects, clamped to the body as http.ServeContent clamps it. ok is
-// false for any other header (several ranges, whitespace, a sign, a
-// number past int64) and for a range that selects nothing: one starting
-// past the end, a-b with b < a, "-0", or any range of an empty body.
-// Declining is always safe; serveContent answers those.
-func singleRange(header string, size int) (start, end int, ok bool) {
-	spec, isBytes := strings.CutPrefix(header, "bytes=")
-	first, last, isRange := strings.Cut(spec, "-")
-	if !isBytes || !isRange || size == 0 {
-		return 0, 0, false
-	}
-	// Base-10 ParseUint takes digits only: no sign, space or comma.
-	n := uint64(size)
-	if first == "" {
-		suffix, err := strconv.ParseUint(last, 10, 63)
-		if err != nil || suffix == 0 {
-			return 0, 0, false
-		}
-		return int(n - min(suffix, n)), size, true
-	}
-	a, err := strconv.ParseUint(first, 10, 63)
-	if err != nil || a >= n {
-		return 0, 0, false
-	}
-	if last == "" {
-		return int(a), size, true
-	}
-	z, err := strconv.ParseUint(last, 10, 63)
-	if err != nil || z < a {
-		return 0, 0, false
-	}
-	return int(a), int(min(z, n-1) + 1), true
-}
-
-// rangeValues returns the Content-Range and Content-Length values of the
-// 206 that carries bytes [start, end) of a size-byte body, exactly as
-// http.ServeContent renders them. Both texts are cut from one string and
-// both values from one array, each with no spare capacity: two heap
-// objects per reply.
-func rangeValues(start, end, size int) (contentRange, contentLength []string) {
-	var buf [96]byte
-	p := strconv.AppendInt(append(buf[:0], "bytes "...), int64(start), 10)
-	p = strconv.AppendInt(append(p, '-'), int64(end-1), 10)
-	p = strconv.AppendInt(append(p, '/'), int64(size), 10)
-	cut := len(p)
-	text := string(strconv.AppendInt(p, int64(end-start), 10))
-	values := new([2]string)
-	values[0], values[1] = text[:cut], text[cut:]
-	return values[0:1:1], values[1:2:2]
 }
 
 func (s *Server) handleFlag(w *scratch, r *http.Request) {
@@ -1486,12 +745,12 @@ func (s *Server) handleFlag(w *scratch, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "worker required")
 		return
 	}
-	ev := &event{Op: opFlag, ID: w.id, Flagger: body.Worker, tr: tr}
-	if err := s.mutate(ev); err != nil {
+	res, err := s.mutate(&state.Event{Op: state.OpFlag, ID: w.id, Flagger: body.Worker}, tr)
+	if err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"flags": ev.flags, "banned": ev.banned})
+	writeJSON(w, http.StatusOK, map[string]any{"flags": res.Flags, "banned": res.Banned})
 }
 
 func (s *Server) handleEvents(w *scratch, r *http.Request) {
@@ -1505,21 +764,21 @@ func (s *Server) handleEvents(w *scratch, r *http.Request) {
 	tr.Mark(trace.StageReceive)
 	id := w.id
 	tr.SetSession(id)
-	batch, known := &w.batch, s.assignmentOf(id)
+	batch, known := &w.batch, s.state.Assignment(id)
 	if err := s.readIngest(w, r, batch, func(b []byte) bool { return decodeEventBatch(b, batch, known) }); err != nil {
 		s.writeBodyErr(w, err, err.Error())
 		return
 	}
 	// Checked before anything is journaled, so a journal never holds a
 	// duration the machine replaying it converts its own way.
-	if field := batch.badDuration(); field != "" {
+	if field := badDuration(batch); field != "" {
 		writeBadDuration(w, field)
 		return
 	}
 	tr.Mark(trace.StageDecode)
 	ev := &w.ev
-	*ev = event{Op: opEvents, ID: id, Batch: batch, tr: tr}
-	if err := s.mutate(ev); err != nil {
+	*ev = state.Event{Op: state.OpEvents, ID: id, Batch: batch}
+	if _, err := s.mutate(ev, tr); err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
@@ -1531,7 +790,7 @@ func (s *Server) handleResponse(w *scratch, r *http.Request) {
 	tr.Mark(trace.StageReceive)
 	id := w.id
 	tr.SetSession(id)
-	body, known := &w.resp, s.assignmentOf(id)
+	body, known := &w.resp, s.state.Assignment(id)
 	if err := s.readIngest(w, r, body, func(b []byte) bool { return decodeResponseBody(b, body, known) }); err != nil {
 		s.writeBodyErr(w, err, err.Error())
 		return
@@ -1542,90 +801,61 @@ func (s *Server) handleResponse(w *scratch, r *http.Request) {
 	}
 	tr.Mark(trace.StageDecode)
 	ev := &w.ev
-	*ev = event{Op: opResponse, ID: id, Body: body, tr: tr}
-	if err := s.mutate(ev); err != nil {
+	*ev = state.Event{Op: state.OpResponse, ID: id, Body: body}
+	res, err := s.mutate(ev, tr)
+	if err != nil {
 		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	writeBody(w, http.StatusAccepted, ackComplete[ev.done])
+	writeBody(w, http.StatusAccepted, ackComplete[res.Done])
 }
 
 func (s *Server) handleResults(w *scratch, r *http.Request) {
-	id := w.id
-	csh := s.campaigns.Shard(id)
-	csh.RLock()
-	c, ok := csh.Get(id)
-	var body []byte
-	var tag string
-	if ok {
-		body, tag = c.cache, c.cacheTag
-	}
-	csh.RUnlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, errNoCampaign.Error())
+	body, tag, err := s.state.Results(w.id)
+	if err != nil {
+		writeErr(w, statusFor(err), err.Error())
 		return
 	}
-	if body == nil {
-		csh.Lock()
-		if c, ok = csh.Get(id); !ok {
-			csh.Unlock()
-			writeErr(w, http.StatusNotFound, errNoCampaign.Error())
-			return
-		}
-		if c.cache == nil {
-			rendered, err := s.renderResults(c)
-			if err != nil {
-				csh.Unlock()
-				writeErr(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			c.cache = rendered
-			c.cacheTag = etagOf(crc64.Checksum(rendered, etagTable), len(rendered))
-		}
-		body, tag = c.cache, c.cacheTag
-		csh.Unlock()
-	}
-	// The tag is minted from the cached bytes and dropped with them by
-	// every invalidation hook, so a match certifies the client's copy
-	// is the current render.
 	writeConditional(w, r, tag, body)
 }
 
-// renderResults marshals the campaign's §4.3 aggregates exactly as
-// writeJSON would. Caller holds the campaign's shard lock, which the
-// video shards it reads follow in the lock order.
-func (s *Server) renderResults(c *campaignState) ([]byte, error) {
-	sum := c.analytics.Summary()
-	res := ResultsResponse{
-		Campaign:     c.ID,
-		Participants: sum.Total,
-		Kept:         sum.Kept,
-		Engagement:   sum.Engagement(),
-		Soft:         sum.Soft,
-		Control:      sum.Control,
-		PerVideo:     map[string]VideoAg{},
+// percentileParam parses an optional percentile query parameter from q,
+// falling back to def when absent. Out-of-range or non-numeric values
+// report ok=false: stats.Percentile panics past this boundary by
+// design, so user input must be rejected here with a 400.
+func percentileParam(q url.Values, name string, def float64) (float64, bool) {
+	raw := q.Get(name)
+	if raw == "" {
+		return def, true
 	}
-	switch c.Kind {
-	case "timeline":
-		for id, band := range c.analytics.TimelineBands(filtering.WisdomLo, filtering.WisdomHi) {
-			res.PerVideo[id] = VideoAg{
-				Responses: band.InBand,
-				MeanUPLT:  band.Mean,
-				Banned:    s.videoBanned(id),
-			}
-		}
-	case "ab":
-		for id, votes := range c.analytics.Votes() {
-			res.PerVideo[id] = VideoAg{
-				Responses: votes.Total(),
-				Agreement: votes.Agreement(),
-				Banned:    s.videoBanned(id),
-			}
-		}
+	p, err := strconv.ParseFloat(raw, 64)
+	if err != nil || !stats.ValidPercentile(p) {
+		return 0, false
 	}
-	buf, err := json.Marshal(res)
+	return p, true
+}
+
+func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
+	var q url.Values // a poll without a query parses none, and reads the defaults
+	if r.URL.RawQuery != "" {
+		q = r.URL.Query()
+	}
+	lo, okLo := percentileParam(q, "lo", filtering.WisdomLo)
+	hi, okHi := percentileParam(q, "hi", filtering.WisdomHi)
+	if !okLo || !okHi || lo > hi {
+		writeErr(w, http.StatusBadRequest, "lo/hi must be percentiles in [0,100] with lo <= hi")
+		return
+	}
+	// The body grows with the campaign, so it is rendered into a pooled
+	// buffer, and not at all when the client's copy is current.
+	pooled := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(pooled)
+	inm := r.Header.Get("If-None-Match")
+	body, tag, err := s.state.Analytics((*pooled)[:0], w.id, lo, hi, func(tag string) bool { return etagMatches(inm, tag) })
 	if err != nil {
-		return nil, err
+		writeErr(w, statusFor(err), err.Error())
+		return
 	}
-	return append(buf, '\n'), nil
+	*pooled = body
+	writeConditional(w, r, tag, body)
 }

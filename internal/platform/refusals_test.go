@@ -1,0 +1,97 @@
+package platform
+
+import (
+	"io/fs"
+	"net/http"
+	"path/filepath"
+	"testing"
+
+	"github.com/eyeorg/eyeorg/internal/store"
+)
+
+// TestVideoForUnknownCampaignLeavesNoBlob: an upload to a campaign the
+// server does not hold is answered 404 before its bytes are stored, so
+// no blob file is left behind for eyeorg_blobs to count and a restart to
+// keep.
+func TestVideoForUnknownCampaignLeavesNoBlob(t *testing.T) {
+	dir := t.TempDir()
+	srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	defer srv.Close()
+	if code := c.do("POST", "/api/v1/campaigns/cNOPE/videos", sampleVideoBytes(), nil); code != http.StatusNotFound {
+		t.Fatalf("upload to an unknown campaign: %d, want 404", code)
+	}
+	if got := metricValue(t, scrape(t, c), "eyeorg_blobs"); got != "0" {
+		t.Errorf("eyeorg_blobs is %s after a refused upload, want 0", got)
+	}
+	err := filepath.WalkDir(filepath.Join(dir, "blobs"), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			t.Errorf("a refused upload left %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCampaignIDCannotWrapCounter: the ID counter moves past every ID the
+// server indexes, so a campaign ID ending in a number near the top of an
+// int64 would wrap it, and after a restart a join would be minted the ID
+// of a session still in flight. Such an ID is refused at create; one an
+// earlier build journaled does not move the counter on replay, so every
+// join across the restart gets an ID of its own.
+func TestCampaignIDCannotWrapCounter(t *testing.T) {
+	const huge = "c9223372036854775807"
+	c := newClient(t)
+	for _, id := range []string{huge, "c9007199254740993", "c99999999999999999999"} {
+		if code := c.do("POST", "/api/v1/campaigns", CreateCampaignRequest{ID: id, Name: "wrap", Kind: "timeline"}, nil); code != http.StatusBadRequest {
+			t.Errorf("create campaign %s: %d, want 400", id, code)
+		}
+	}
+	if code := c.do("POST", "/api/v1/campaigns", CreateCampaignRequest{ID: "c9007199254740992", Name: "2^53", Kind: "timeline"}, nil); code != http.StatusCreated {
+		t.Errorf("create campaign c9007199254740992 (2^53): %d, want 201", code)
+	}
+
+	dir := t.TempDir()
+	jl, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jl.Append([]byte(`{"op":"campaign","id":"` + huge + `","name":"wrap","kind":"timeline"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, pc := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	if code := pc.do("POST", "/api/v1/campaigns/"+huge+"/videos", sampleVideoBytes(), nil); code != http.StatusCreated {
+		t.Fatalf("add video: %d", code)
+	}
+	seen := map[string]bool{}
+	joinTwice := func(c *client) {
+		for i := 0; i < 2; i++ {
+			sid := join(c, huge, "wrap").Session
+			if seen[sid] {
+				t.Errorf("join minted %s, the ID of a session already in flight", sid)
+			}
+			seen[sid] = true
+		}
+	}
+	joinTwice(pc)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, pc = openPersisted(t, dir, Options{SnapshotEvery: -1})
+	defer srv.Close()
+	joinTwice(pc)
+	if got := srv.SessionsInFlight(); got != 4 {
+		t.Errorf("%d sessions in flight after four joins", got)
+	}
+	if got := metricValue(t, scrape(t, pc), "eyeorg_sessions_inflight"); got != "4" {
+		t.Errorf("eyeorg_sessions_inflight is %s after four joins, want 4", got)
+	}
+	var ar AnalyticsResponse
+	if code := pc.do("GET", "/api/v1/campaigns/"+huge+"/analytics", nil, &ar); code != http.StatusOK || len(ar.Participants) != 4 {
+		t.Errorf("analytics: %d, %d participants, want 200 and 4", code, len(ar.Participants))
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 	"github.com/eyeorg/eyeorg/internal/survey"
 )
 
@@ -204,14 +205,14 @@ func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
 		if inflight, completed := sessionCounts(t, srv); inflight != 1 || completed != 6 {
 			t.Fatalf("%s: index holds %d sessions and the campaign files %d completed, want 1 and 6", how, inflight, completed)
 		}
-		srv.sessions.Range(func(id string, sess *sessionState) bool {
+		srv.state.Sessions(func(id string, sess *state.Session) bool {
 			if unsafe.StringData(id) != unsafe.StringData(sess.ID) {
 				t.Errorf("%s: session %s is indexed under a string of its own, not its ID", how, id)
 			}
 			return true
 		})
-		c, _ := srv.campaigns.Get(campaign)
-		for _, id := range c.recordSessions {
+		c, _ := srv.state.Campaign(campaign)
+		for _, id := range c.Completed() {
 			if p, ok := minted[id]; ok && p != unsafe.StringData(id) {
 				t.Errorf("%s: the campaign files session %s under a copy, not the ID its join minted", how, id)
 			}
@@ -229,7 +230,7 @@ func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		var jr JoinResponse
 		dispatch(t, h, "POST", "/api/v1/sessions", JoinRequest{Campaign: campaign, Worker: Worker{ID: fmt.Sprintf("owned-%d", i)}, Captcha: "tok"}, &jr)
-		sess, _ := srv.sessions.Get(jr.Session)
+		sess, _ := srv.state.Session(jr.Session)
 		minted[jr.Session] = unsafe.StringData(sess.ID)
 		joined = append(joined, jr)
 	}
@@ -240,15 +241,15 @@ func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
 	}
 	dispatch(t, h, "POST", "/api/v1/sessions", JoinRequest{Campaign: campaign, Worker: Worker{ID: "in-flight"}, Captcha: "tok"}, nil)
 	owned("live", srv, minted)
-	c, _ := srv.campaigns.Get(campaign)
-	srv.videos.Range(func(id string, v *videoState) bool {
-		if v.campaign != c {
-			t.Errorf("live: video %s does not point at its campaign", id)
+	c, _ := srv.state.Campaign(campaign)
+	srv.state.Videos(func(v *state.Video) bool {
+		if v.Campaign != c {
+			t.Errorf("live: video %s does not point at its campaign", v.ID)
 		}
 		return true
 	})
-	srv.sessions.Range(func(id string, sess *sessionState) bool {
-		if sess.campaign != c {
+	srv.state.Sessions(func(id string, sess *state.Session) bool {
+		if sess.Campaign != c {
 			t.Errorf("live: session %s in flight does not point at its campaign", id)
 		}
 		return true
@@ -276,13 +277,13 @@ func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
 
 // resultsRenderFixture returns a server whose campaign has folded n
 // completed sessions.
-func resultsRenderFixture(tb testing.TB, n int) (*Server, *campaignState) {
+func resultsRenderFixture(tb testing.TB, n int) (*Server, *state.Campaign) {
 	tb.Helper()
 	srv := NewServer()
 	h := srv.Handler()
 	campaign := seedDispatch(tb, h, 4)
 	completeSessions(tb, h, campaign, 0, n)
-	c, _ := srv.campaigns.Get(campaign)
+	c, _ := srv.state.Campaign(campaign)
 	return srv, c
 }
 
@@ -303,23 +304,23 @@ var renderSink []byte
 //     campaign keeps its size however many renders a benchmark runs.
 var renderCases = []struct {
 	name   string
-	before func(c *campaignState)
+	before func(c *state.Campaign)
 }{
-	{"unchanged", func(*campaignState) {}},
-	{"cold", func(c *campaignState) { c.analytics.TimelineBands(0, 100) }},
-	{"completion", func(c *campaignState) {
-		sub := time.Duration(1_000+c.analytics.Summary().Total%997) * time.Millisecond
+	{"unchanged", func(*state.Campaign) {}},
+	{"cold", func(c *state.Campaign) { c.Analytics().TimelineBands(0, 100) }},
+	{"completion", func(c *state.Campaign) {
+		sub := time.Duration(1_000+c.Analytics().Summary().Total%997) * time.Millisecond
 		rec := &filtering.SessionRecord{}
 		for _, v := range c.Videos {
 			rec.Timeline = append(rec.Timeline, &survey.TimelineResponse{VideoID: v, Submitted: sub})
 		}
-		c.analytics.Complete(rec, filtering.Kept)
+		c.Analytics().Complete(rec, filtering.Kept)
 	}},
 }
 
 // benchRenders times render in each of renderCases on a fixture of n
 // completed sessions, the case's step untimed.
-func benchRenders(b *testing.B, n int, fixture func(testing.TB, int) (*campaignState, func())) {
+func benchRenders(b *testing.B, n int, fixture func(testing.TB, int) (*state.Campaign, func())) {
 	c, render := fixture(b, n)
 	for _, rc := range renderCases {
 		b.Run(fmt.Sprintf("sessions=%d/%s", n, rc.name), func(b *testing.B) {
@@ -339,10 +340,10 @@ func benchRenders(b *testing.B, n int, fixture func(testing.TB, int) (*campaignS
 // resultsRender returns a /results cache-miss render — the work done
 // under the campaign shard's exclusive lock after every completion — on
 // a fixture of n completed sessions.
-func resultsRender(tb testing.TB, n int) (*campaignState, func()) {
+func resultsRender(tb testing.TB, n int) (*state.Campaign, func()) {
 	srv, c := resultsRenderFixture(tb, n)
 	return c, func() {
-		body, err := srv.renderResults(c)
+		body, err := srv.state.RenderResults(c)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -381,7 +382,7 @@ func renderAllocs(runs int, before, render func()) float64 {
 // more after an unchanged campaign or a completion than cold: the
 // render allocates per video, never per session, and resuming a band
 // memo allocates nothing.
-func checkRenderAllocsFlat(t *testing.T, what string, fixture func(testing.TB, int) (*campaignState, func())) {
+func checkRenderAllocsFlat(t *testing.T, what string, fixture func(testing.TB, int) (*state.Campaign, func())) {
 	allocs := map[string][2]float64{}
 	for j, n := range []int{100, 800} {
 		c, render := fixture(t, n)
@@ -433,7 +434,7 @@ func (d *discardWriter) Write(p []byte) (int, error) {
 // analyticsRender returns a function serving one GET /analytics, through
 // the whole handler, on a campaign with n completed sessions and one in
 // flight.
-func analyticsRender(tb testing.TB, n int) (*campaignState, func()) {
+func analyticsRender(tb testing.TB, n int) (*state.Campaign, func()) {
 	tb.Helper()
 	srv, c := resultsRenderFixture(tb, n)
 	h := srv.Handler()
@@ -488,13 +489,13 @@ func BenchmarkSessionLookupMiss(b *testing.B) {
 				completeSessions(b, h, seedDispatch(b, h, 4), i*completed/campaigns, completed/campaigns)
 			}
 			var filed []string
-			srv.campaigns.Range(func(_ string, c *campaignState) bool {
-				filed = append(filed, c.recordSessions...)
-				return true
-			})
+			for _, c := range campaignsOf(b, srv) {
+				filed = append(filed, c.Completed()...)
+			}
 			unknown := make([]string, len(filed))
+			minted, _ := strconv.ParseInt(srv.state.NewID(""), 10, 64)
 			for i := range unknown {
-				unknown[i] = "s" + strconv.FormatInt(srv.nextID.Load()+1+int64(i), 10)
+				unknown[i] = "s" + strconv.FormatInt(minted+1+int64(i), 10)
 			}
 			for _, tc := range []struct {
 				name string
@@ -504,8 +505,8 @@ func BenchmarkSessionLookupMiss(b *testing.B) {
 				b.Run(fmt.Sprintf("campaigns=%d/sessions=%d/id=%s", campaigns, completed, tc.name), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if id := tc.ids[i%len(tc.ids)]; srv.sessionHeld(id) != tc.held {
-							b.Fatalf("sessionHeld(%s) = %v, want %v", id, !tc.held, tc.held)
+						if id := tc.ids[i%len(tc.ids)]; srv.state.Held(id) != tc.held {
+							b.Fatalf("Held(%s) = %v, want %v", id, !tc.held, tc.held)
 						}
 					}
 				})

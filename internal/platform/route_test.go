@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 )
 
 // routeMethods are the methods every row is tried with: its own, HEAD and
@@ -230,7 +232,7 @@ func TestRouteAnswers(t *testing.T) {
 	// "<id>/x", which does not exist, and answers its own JSON 404.
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/sessions/"+env.session+"%2Fx/tests", nil))
-	if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), errNoSession.Error()) {
+	if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), state.ErrNoSession.Error()) {
 		t.Errorf("escaped slash in a session ID: %d %s", rec.Code, rec.Body.Bytes())
 	}
 	if got := metricValue(t, scrape(), `eyeorg_http_requests_total{endpoint="video",code="2xx"}`); got != "2" {

@@ -1,7 +1,7 @@
 // Frozen session records: what a completed session still has to answer
 // — a late request, GET /sessions/{id}/tests, the next snapshot or
 // export — as one varint record on internal/wire's primitives. Records
-// sit back to back in their campaign's arena (campaignState.arena) and
+// sit back to back in their campaign's arena (Campaign.arena) and
 // travel inside state documents as those bytes.
 //
 // Layout (unsigned varints unless noted; a string is its length, then
@@ -25,7 +25,7 @@
 // never an error, so completion has no failure path. Decoding checks
 // every index and length, because a snapshot is read from outside the
 // process.
-package platform
+package state
 
 import (
 	"encoding/binary"
@@ -86,7 +86,7 @@ func mintedTestID(sid string, k int, t *AssignedTest) bool {
 
 // appendFrozen appends the record of sess, a completed session of c, to
 // dst. Caller holds c's shard lock (it reads c.Videos).
-func appendFrozen(dst []byte, c *campaignState, sess *sessionState) []byte {
+func appendFrozen(dst []byte, c *Campaign, sess *Session) []byte {
 	for _, field := range [...]string{sess.Worker.ID, sess.Worker.Gender, sess.Worker.Country, sess.Worker.Source} {
 		dst = appendString(dst, field)
 	}
@@ -143,16 +143,16 @@ func appendFrozen(dst []byte, c *campaignState, sess *sessionState) []byte {
 	return binary.AppendUvarint(dst, uint64(f.ControlsFailed))
 }
 
-// decodeFrozen reads the record of session id back as a sessionState in
+// decodeFrozen reads the record of session id back as a Session in
 // its completed form (final set, the tracker empty). The state is the
 // caller's own: nothing keeps it, and it aliases neither rec nor the
 // arena.
 // Caller holds c's shard lock, at least shared (it reads c.Videos, and
 // rec is usually a slice of c.arena).
-func decodeFrozen(c *campaignState, id string, rec []byte) (*sessionState, error) {
+func decodeFrozen(c *Campaign, id string, rec []byte) (*Session, error) {
 	p := wire.Parser{Rest: rec}
 	str := func() string { return string(p.Bytes(len(p.Rest))) }
-	sess := &sessionState{ID: id, campaign: c}
+	sess := &Session{ID: id, Campaign: c}
 	sess.Worker = Worker{ID: str(), Gender: str(), Country: str(), Source: str()}
 
 	// A test is at least two bytes and an answer two, so a count past

@@ -1,4 +1,4 @@
-package platform
+package state
 
 import (
 	"errors"
@@ -15,11 +15,11 @@ import (
 // frozenFixture returns a campaign of the given kind with three videos
 // and a completed session of it: six tests and a control, answered in
 // presentation order, the control failed.
-func frozenFixture(kind string) (*campaignState, *sessionState) {
-	c := &campaignState{ID: "c1", Kind: kind, Videos: []string{"v2", "v3", "v4"}}
-	sess := &sessionState{
+func frozenFixture(kind string) (*Campaign, *Session) {
+	c := &Campaign{ID: "c1", Kind: kind, Videos: []string{"v2", "v3", "v4"}}
+	sess := &Session{
 		ID:       "s17",
-		campaign: c,
+		Campaign: c,
 		Worker:   Worker{ID: "worker-17", Gender: "f", Country: "IT", Source: "microworkers"},
 		final: quality.Snapshot{
 			Provisional: filtering.DropControl, Final: filtering.DropControl, Completed: true,
@@ -49,26 +49,26 @@ func frozenFixture(kind string) (*campaignState, *sessionState) {
 // a video the campaign does not list, a kind other than the campaign's —
 // and for the values no handler mints but a journal may carry.
 func TestFrozenRoundTrip(t *testing.T) {
-	for name, mutate := range map[string]func(c *campaignState, sess *sessionState){
-		"as completion writes it": func(*campaignState, *sessionState) {},
-		"foreign test IDs": func(_ *campaignState, sess *sessionState) {
+	for name, mutate := range map[string]func(c *Campaign, sess *Session){
+		"as completion writes it": func(*Campaign, *Session) {},
+		"foreign test IDs": func(_ *Campaign, sess *Session) {
 			sess.Assignment[0].TestID = "odd-0"
 			sess.Assignment[3].TestID = "s1" // a proper prefix of the session ID
 			sess.Assignment[4].TestID = ""
 		},
-		"test ID is the session ID": func(_ *campaignState, sess *sessionState) { sess.Assignment[1].TestID = sess.ID },
-		"minted IDs out of place": func(_ *campaignState, sess *sessionState) {
+		"test ID is the session ID": func(_ *Campaign, sess *Session) { sess.Assignment[1].TestID = sess.ID },
+		"minted IDs out of place": func(_ *Campaign, sess *Session) {
 			sess.Assignment[0].TestID = sess.ID + "-t1"      // another test's
 			sess.Assignment[1].TestID = sess.ID + "-control" // the control's, on a plain test
 			sess.Assignment[2].TestID = sess.ID + "-t02"     // the number spelled otherwise
 			sess.Assignment[6].TestID = sess.ID + "-t6"      // a plain test's, on the control
 		},
-		"video outside the campaign": func(_ *campaignState, sess *sessionState) {
+		"video outside the campaign": func(_ *Campaign, sess *Session) {
 			sess.Assignment[2].VideoID = "v-gone"
 			sess.Assignment[5].VideoID = ""
 		},
-		"campaign without videos": func(c *campaignState, _ *sessionState) { c.Videos = nil },
-		"kind other than the campaign's": func(c *campaignState, sess *sessionState) {
+		"campaign without videos": func(c *Campaign, _ *Session) { c.Videos = nil },
+		"kind other than the campaign's": func(c *Campaign, sess *Session) {
 			// The answer's value travels as the test's own kind reads it.
 			sess.Assignment[1].Kind, sess.answers[1] = "ab", answer{Test: 1, Choice: survey.ChoiceRight}
 			if c.Kind == "ab" {
@@ -76,7 +76,7 @@ func TestFrozenRoundTrip(t *testing.T) {
 			}
 			sess.Assignment[2].Kind, sess.answers[2] = "survey", answer{Test: 2, Submitted: 2 * time.Second}
 		},
-		"answers out of order, negative values": func(c *campaignState, sess *sessionState) {
+		"answers out of order, negative values": func(c *Campaign, sess *Session) {
 			sess.answers[0], sess.answers[6] = sess.answers[6], sess.answers[0]
 			sess.final.Actions = -12
 			if c.Kind == "timeline" {
@@ -84,7 +84,7 @@ func TestFrozenRoundTrip(t *testing.T) {
 				sess.answers[3].Submitted = 1<<63 - 1
 			}
 		},
-		"empty worker, no tests": func(_ *campaignState, sess *sessionState) {
+		"empty worker, no tests": func(_ *Campaign, sess *Session) {
 			sess.Worker, sess.Assignment, sess.answers = Worker{}, []AssignedTest{}, []answer{}
 			sess.final = quality.Snapshot{Completed: true}
 		},

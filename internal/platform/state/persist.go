@@ -1,30 +1,28 @@
 // Persistence: the journal event schema, the op table whose rows apply a
-// record for live handlers and crash recovery alike, and the state
+// record for a live request and for crash recovery alike, and the state
 // documents, in which a campaign's section is the one form of its state.
 //
-// Every mutation is expressed as an event. The live path validates, and
-// mutate(ev) applies the record's row: it buffers the event into the
-// journal and applies it inside one shard-locked critical section, so
-// journal sequence order always matches memory order. The durability
-// wait (the journal's group-commit flush window, fdatasync'd with Fsync)
-// happens in mutate AFTER the shard locks are released, so concurrent
-// mutations on one shard never serialize behind the disk (see the
-// durability matrix in docs/OPERATIONS.md). Replay applies each record
-// through the same row, so the rebuilt state is field-for-field the
-// state the journal order produced — including the order sessions
-// complete per campaign, which makes /results byte-identical after a
-// restart (the analytics fold's float aggregation is order-sensitive).
+// A row checks its record, buffers it into the journal and applies it
+// inside one shard-locked critical section, so journal order always
+// matches memory order. The durability wait (the journal's group-commit
+// flush window) is Apply's caller's, after every lock is released, so
+// concurrent ops on one shard never serialize behind the disk. Recover
+// applies each journaled record through the same row, so the rebuilt
+// state is field-for-field the state the journal order produced —
+// including the order sessions complete per campaign, which makes
+// /results byte-identical after a restart (the analytics fold's float
+// aggregation is order-sensitive).
 //
 // The relaxation this buys is bounded and standard for group commit,
-// and holds on every durable server: a mutation is visible to readers
-// between its in-memory apply and its ack, so a crash in that window
-// can lose state another request already observed — but never state
-// whose mutator was acked (the HTTP response is written only after the
-// record's window is flushed to the OS, and with Fsync on disk). A
-// durability-wait failure latches the journal: the mutation stays
-// applied in memory, the client gets a 5xx, and every further mutation
-// fails until the operator restarts onto the recovered state.
-package platform
+// and holds on every durable server: an op is visible to readers between
+// its in-memory apply and its ack, so a crash in that window can lose
+// state another request already observed — but never state whose
+// requester was acked (the platform answers only after the record's
+// window is flushed to the OS, and with Fsync on disk). A durability-wait
+// failure latches the journal: the op stays applied in memory, the client
+// gets a 5xx, and every further op fails until the operator restarts onto
+// the recovered state.
+package state
 
 import (
 	"encoding/json"
@@ -42,26 +40,26 @@ import (
 	"github.com/eyeorg/eyeorg/internal/wire"
 )
 
-// Journal event opcodes, one per mutation; each names a row of ops.
+// Journal event opcodes, one per op; each names a row of ops.
 const (
-	opCampaign = "campaign"
-	opVideo    = "video"
-	opSession  = "session"
-	opEvents   = "events"
-	opBatch    = "batch"
-	opResponse = "response"
-	opFlag     = "flag"
+	OpCampaign = "campaign"
+	OpVideo    = "video"
+	OpSession  = "session"
+	OpEvents   = "events"
+	OpBatch    = "batch"
+	OpResponse = "response"
+	OpFlag     = "flag"
 )
 
-// event is one journaled mutation. ID is the entity the op targets
-// (campaign, video or session by op).
+// Event is one journaled op. ID is the entity the op targets (campaign,
+// video or session by op).
 //
 // Video records carry a content address (Hash + Size) into the blob
 // store, never the payload: the blob file is made durable before the
 // record referencing it is journaled, so replay always finds the bytes.
 // (Journals of earlier builds may carry the payload as "data" too; it is
 // not read.)
-type event struct {
+type Event struct {
 	Op       string         `json:"op"`
 	ID       string         `json:"id,omitempty"`
 	Campaign string         `json:"campaign,omitempty"`
@@ -74,44 +72,82 @@ type event struct {
 	Batch    *EventBatch    `json:"batch,omitempty"`
 	Body     *ResponseBody  `json:"body,omitempty"`
 	Flagger  string         `json:"flagger,omitempty"`
-	// Wire is an opBatch record's raw EYB1 payload: the journal stores
-	// the compact wire bytes a binary batch arrived as, and replay runs
-	// them back through the same pooled decoder the live path used.
+	// Wire is a batch record's raw EYB1 payload: the journal stores the
+	// compact wire bytes a binary batch arrived as, and replay runs them
+	// back through the same pooled decoder the live path used.
 	Wire []byte `json:"wire,omitempty"`
+	// Records is a live batch's decode of Wire, so applyBatch does not
+	// decode it twice; nil during replay. It never reaches the journal.
+	Records []wire.Record `json:"-"`
+}
 
-	// tr stamps the live request's lock-wait/append boundaries as the
-	// event moves through its apply function. Unexported so it never
-	// reaches the journal; nil during replay and when tracing is off.
-	tr *trace.Trace
-	// records carries the live path's already-decoded batch so
-	// applyBatch does not decode Wire twice; nil during replay.
-	records []wire.Record
-	// applyFlag's and applyResponse's results for their handlers.
-	flags        int
-	banned, done bool
+// Result is what an applied op tells its requester beyond its sequence.
+type Result struct {
+	// Op is the row of the op table that applied the record, an index
+	// into Ops.
+	Op int
+	// Flags and Banned are a flagged video's distinct flaggers and ban bit.
+	Flags  int
+	Banned bool
+	// Done reports that an answer completed its session.
+	Done bool
 }
 
 // op is one row of the op table: a journal opcode and the function that
 // applies its record. A retired op is one only earlier builds journaled.
 type op struct {
 	name    string
-	apply   func(*Server, *event) (uint64, error)
+	apply   func(*State, *Event, *trace.Trace) (uint64, Result, error)
 	retired bool
 }
 
-// ops is the one list of journal opcodes: mutate applies a live record
-// through its row, replay a journaled one through the same row, and
-// /metrics counts each live row's mutations.
+// ops is the one list of journal opcodes: Apply applies a live or a
+// journaled record through its row.
 var ops = []op{
-	{name: opCampaign, apply: (*Server).applyCampaign},
-	{name: opVideo, apply: (*Server).applyVideo},
-	{name: opSession, apply: (*Server).applySession},
-	{name: opEvents, apply: (*Server).applyJSONBatch},
-	{name: opBatch, apply: (*Server).applyBatch},
-	{name: opResponse, apply: (*Server).applyResponse},
-	{name: opFlag, apply: (*Server).applyFlag},
+	{name: OpCampaign, apply: (*State).applyCampaign},
+	{name: OpVideo, apply: (*State).applyVideo},
+	{name: OpSession, apply: (*State).applySession},
+	{name: OpEvents, apply: (*State).applyJSONBatch},
+	{name: OpBatch, apply: (*State).applyBatch},
+	{name: OpResponse, apply: (*State).applyResponse},
+	{name: OpFlag, apply: (*State).applyFlag},
 	{name: "handoff", apply: refuseClusterOp, retired: true},
 	{name: "import", apply: refuseClusterOp, retired: true},
+}
+
+// OpName is a row of the op table: its opcode, and whether only earlier
+// builds journaled it (its records are refused).
+type OpName struct {
+	Name    string
+	Retired bool
+}
+
+// Ops lists the op table's rows in order.
+func Ops() []OpName {
+	names := make([]OpName, len(ops))
+	for i, row := range ops {
+		names[i] = OpName{row.name, row.retired}
+	}
+	return names
+}
+
+// Apply is the one way state changes: it applies ev through its op's row
+// with world held shared, the same for a live request as for a record
+// Recover replays. A row fails only before it journals, so a sequence
+// comes with no error. It is 0 in memory and during replay; otherwise the
+// caller must await it (WaitDurable), since the journal flushes only for
+// a waiter. tr, when not nil, receives the op's lock-wait and append
+// stages.
+func (st *State) Apply(ev *Event, tr *trace.Trace) (uint64, Result, error) {
+	row, err := opRow(ev.Op)
+	if err != nil {
+		return 0, Result{}, err
+	}
+	st.world.RLock()
+	seq, res, err := ops[row].apply(st, ev, tr)
+	st.world.RUnlock()
+	res.Op = row
+	return seq, res, err
 }
 
 // opRow returns the index of the row of ops that applies op name.
@@ -127,132 +163,154 @@ func opRow(name string) (int, error) {
 // refuseClusterOp refuses a handoff or import record, which builds with a
 // cluster tier journaled to move a campaign between nodes: replaying past
 // one would serve a campaign another node owns, or miss one that arrived.
-func refuseClusterOp(_ *Server, ev *event) (uint64, error) {
-	return 0, fmt.Errorf("journal %s record moved a campaign between cluster nodes; this server runs one node and cannot replay it", ev.Op)
+func refuseClusterOp(_ *State, ev *Event, _ *trace.Trace) (uint64, Result, error) {
+	return 0, Result{}, fmt.Errorf("journal %s record moved a campaign between cluster nodes; this server runs one node and cannot replay it", ev.Op)
 }
 
 // errMissing refuses a record that lacks a field its op reads.
-func errMissing(ev *event, field string) error {
+func errMissing(ev *Event, field string) error {
 	return fmt.Errorf("%s %s: record carries no %s", ev.Op, ev.ID, field)
 }
 
 // journal buffers ev into the WAL and returns its sequence number.
-// Callers hold the shard lock that orders the mutation, so journal
-// order always matches memory order. Durability is NOT awaited here:
-// mutate calls WaitDurable on the returned sequence after the world
-// and shard locks are released, so a flush window never
-// serializes a shard — and every sequence returned must be awaited,
-// since the journal flushes only for a waiter. Returns 0 in memory mode
-// and during replay, which Open runs before it attaches the journal.
+// Callers hold the shard lock that orders the op, so journal order always
+// matches memory order. Durability is NOT awaited here: Apply's caller
+// awaits the returned sequence after the world and shard locks are
+// released, so a flush window never serializes a shard. Returns 0 in
+// memory and during replay, which Recover runs before it attaches the
+// journal.
 //
-// The record is json.Marshal's bytes, encoded into a pooled buffer:
-// the encoder's trailing newline is cut, and AppendAsync copies the
-// payload, so the buffer goes back to the pool at once.
-func (s *Server) journal(ev *event) (uint64, error) {
-	if s.log == nil {
+// The record is json.Marshal's bytes, encoded into a pooled buffer: the
+// encoder's trailing newline is cut, and AppendAsync copies the payload,
+// so the buffer goes back to the pool at once.
+func (st *State) journal(ev *Event, tr *trace.Trace) (uint64, error) {
+	if st.log == nil {
 		return 0, nil
 	}
 	buf, err := encodeJSON(ev)
 	if err != nil {
 		return 0, err
 	}
-	seq, err := s.log.AppendAsync(buf.Bytes()[:buf.Len()-1])
-	bufPool.Put(buf)
-	ev.tr.Mark(trace.StageAppend)
+	seq, err := st.log.AppendAsync(buf.Bytes()[:buf.Len()-1])
+	jsonPool.Put(buf)
+	tr.Mark(trace.StageAppend)
 	return seq, err
 }
 
-// --- apply functions (journal + mutate under shard locks) ---
+// --- apply functions (journal + apply under shard locks) ---
 //
 // Each is its op's apply. It returns the journal sequence its record was
-// buffered at (0 in memory mode / replay); mutate awaits that sequence's
-// durability after every shard lock is back on the hook. Each checks
-// everything that can fail before it journals, a missing field included,
-// so once it has a sequence it succeeds.
+// buffered at (0 in memory mode / replay), which the caller awaits once
+// every shard lock is back on the hook. Each checks everything that can
+// fail before it journals, a missing field included, so once it has a
+// sequence it succeeds.
 
-func (s *Server) applyCampaign(ev *event) (uint64, error) {
-	if !validCampaign(ev.Name, ev.Kind) {
-		return 0, fmt.Errorf("campaign %s: record needs a name and kind timeline|ab, has kind %q", ev.ID, ev.Kind)
-	}
-	csh := s.campaigns.Shard(ev.ID)
-	csh.Lock()
-	defer csh.Unlock()
-	ev.tr.Mark(trace.StageLockWait)
-	if _, exists := csh.Get(ev.ID); exists {
-		return 0, errCampaignExists
-	}
-	seq, err := s.journal(ev)
-	if err != nil {
-		return 0, err
-	}
-	c := &campaignState{ID: ev.ID, Name: ev.Name, Kind: ev.Kind, analytics: quality.NewCampaign(ev.Kind)}
-	if s.adaptive {
-		c.adaptive = adaptive.New(ev.Kind, s.adaptiveCfg)
-	}
-	csh.Put(ev.ID, c)
-	s.bumpID(ev.ID)
-	return seq, nil
+// ValidCampaign reports whether a campaign of this name and kind can be
+// created; the platform's create handler and applyCampaign refuse the
+// same ones.
+func ValidCampaign(name, kind string) bool {
+	return name != "" && (kind == "timeline" || kind == "ab")
 }
 
-func (s *Server) applyVideo(ev *event) (uint64, error) {
-	csh := s.campaigns.Shard(ev.Campaign)
+func (st *State) applyCampaign(ev *Event, tr *trace.Trace) (uint64, Result, error) {
+	if !ValidCampaign(ev.Name, ev.Kind) {
+		return 0, Result{}, fmt.Errorf("campaign %s: record needs a name and kind timeline|ab, has kind %q", ev.ID, ev.Kind)
+	}
+	csh := st.campaigns.Shard(ev.ID)
+	csh.Lock()
+	defer csh.Unlock()
+	tr.Mark(trace.StageLockWait)
+	if _, exists := csh.Get(ev.ID); exists {
+		return 0, Result{}, ErrCampaignExists
+	}
+	seq, err := st.journal(ev, tr)
+	if err != nil {
+		return 0, Result{}, err
+	}
+	c := &Campaign{ID: ev.ID, Name: ev.Name, Kind: ev.Kind, analytics: quality.NewCampaign(ev.Kind)}
+	if st.adaptive != nil {
+		c.adaptive = adaptive.New(ev.Kind, *st.adaptive)
+	}
+	csh.Put(ev.ID, c)
+	st.bumpID(ev.ID)
+	return seq, Result{}, nil
+}
+
+// servable refuses a video nothing can serve, which must not be assigned
+// to participants: one without a content hash, or whose blob is missing.
+// A video record and a state document's video are checked alike.
+func (st *State) servable(id, hash string) error {
+	if hash == "" {
+		return fmt.Errorf("video %s carries no content hash", id)
+	}
+	if !st.blobs.Has(hash) {
+		return fmt.Errorf("video %s references missing blob %s", id, hash)
+	}
+	return nil
+}
+
+func (st *State) applyVideo(ev *Event, tr *trace.Trace) (uint64, Result, error) {
+	csh := st.campaigns.Shard(ev.Campaign)
 	csh.Lock()
 	defer csh.Unlock()
 	c, ok := csh.Get(ev.Campaign)
 	if !ok {
-		return 0, errNoCampaign
+		return 0, Result{}, ErrNoCampaign
 	}
-	if ev.Hash == "" {
-		return 0, fmt.Errorf("video %s: record carries no content hash", ev.ID)
+	if err := st.servable(ev.ID, ev.Hash); err != nil {
+		return 0, Result{}, err
 	}
-	// Same refusal as restore: a video nothing can serve must not be
-	// assigned to participants.
-	if !s.blobs.Has(ev.Hash) {
-		return 0, fmt.Errorf("video %s references missing blob %s", ev.ID, ev.Hash)
-	}
-	vsh := s.videos.Shard(ev.ID)
+	vsh := st.videos.Shard(ev.ID)
 	vsh.Lock()
 	defer vsh.Unlock()
-	ev.tr.Mark(trace.StageLockWait)
-	seq, err := s.journal(ev)
-	if err != nil {
-		return 0, err
+	tr.Mark(trace.StageLockWait)
+	if _, held := vsh.Get(ev.ID); held {
+		return 0, Result{}, fmt.Errorf("video %s: %w", ev.ID, ErrHeld)
 	}
-	vsh.Put(ev.ID, newVideoState(ev.ID, c, ev.Hash, ev.Size))
+	seq, err := st.journal(ev, tr)
+	if err != nil {
+		return 0, Result{}, err
+	}
+	vsh.Put(ev.ID, newVideo(ev.ID, c, ev.Hash, ev.Size))
 	c.Videos = append(c.Videos, ev.ID)
 	if c.adaptive != nil {
 		c.adaptive.AddVideo(ev.ID)
 	}
 	c.invalidate()
-	s.bumpID(ev.ID)
-	return seq, nil
+	st.bumpID(ev.ID)
+	return seq, Result{}, nil
 }
 
-func (s *Server) applySession(ev *event) (uint64, error) {
+func (st *State) applySession(ev *Event, tr *trace.Trace) (uint64, Result, error) {
 	if ev.Worker == nil {
-		return 0, errMissing(ev, "worker")
+		return 0, Result{}, errMissing(ev, "worker")
 	}
-	ssh := s.sessions.Shard(ev.ID)
+	ssh := st.sessions.Shard(ev.ID)
 	ssh.Lock()
 	defer ssh.Unlock()
+	// Asked before the campaign shard is taken: frozenLocked takes each
+	// campaign shard in turn.
+	if _, held := ssh.Get(ev.ID); held || st.frozenLocked(ev.ID, nil) {
+		return 0, Result{}, fmt.Errorf("session %s: %w", ev.ID, ErrHeld)
+	}
 	// The campaign tracks its sessions for live analytics; its shard
 	// follows the session's in the lock order.
-	csh := s.campaigns.Shard(ev.Campaign)
+	csh := st.campaigns.Shard(ev.Campaign)
 	csh.Lock()
 	defer csh.Unlock()
-	ev.tr.Mark(trace.StageLockWait)
+	tr.Mark(trace.StageLockWait)
 	// A session lives in its campaign's section of the state documents,
-	// so one whose campaign this server does not hold could not be
+	// so one whose campaign this state does not hold could not be
 	// written to the next snapshot.
 	c, ok := csh.Get(ev.Campaign)
 	if !ok {
-		return 0, fmt.Errorf("session %s: %w %s", ev.ID, errNoCampaign, ev.Campaign)
+		return 0, Result{}, fmt.Errorf("session %s: %w %s", ev.ID, ErrNoCampaign, ev.Campaign)
 	}
-	seq, err := s.journal(ev)
+	seq, err := st.journal(ev, tr)
 	if err != nil {
-		return 0, err
+		return 0, Result{}, err
 	}
-	sess := newSessionState(ev.ID, c, *ev.Worker, ev.Tests)
+	sess := newSession(ev.ID, c, *ev.Worker, ev.Tests)
 	ssh.Put(ev.ID, sess)
 	c.inflight = append(c.inflight, ev.ID)
 	// The allocator charges the assignment as bought budget the moment it
@@ -261,9 +319,9 @@ func (s *Server) applySession(ev *event) (uint64, error) {
 	if c.adaptive != nil {
 		c.adaptive.NoteJoin(sess.videos())
 	}
-	s.joined.Add(1)
-	s.bumpID(ev.ID)
-	return seq, nil
+	st.joined.Add(1)
+	st.bumpID(ev.ID)
+	return seq, Result{}, nil
 }
 
 // assignedVideos appends to dst one video ID per test of an assignment,
@@ -276,36 +334,64 @@ func assignedVideos(dst []string, tests []AssignedTest) []string {
 }
 
 // videos returns the session's assignment as assignedVideos lays it out.
-func (sess *sessionState) videos() []string {
+func (sess *Session) videos() []string {
 	return assignedVideos(make([]string, 0, len(sess.Assignment)), sess.Assignment)
+}
+
+// AppendWireRecords converts one JSON-shaped EventBatch into its wire
+// records and appends them to dst: an instruction record when the
+// batch sets InstructionMs, an engagement record when it names a
+// video. It is the JSON apply path's own conversion (applyJSONBatch), so a
+// batch ingested over either protocol lands identical durations.
+func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
+	if b.InstructionMs > 0 {
+		dst = append(dst, wire.Record{
+			Kind:          wire.KindInstruction,
+			InstructionNs: int64(time.Duration(b.InstructionMs * float64(time.Millisecond))),
+		})
+	}
+	if b.VideoID != "" {
+		dst = append(dst, wire.Record{
+			Kind:            wire.KindEngagement,
+			VideoID:         b.VideoID,
+			LoadNs:          int64(time.Duration(b.LoadMs * float64(time.Millisecond))),
+			TimeOnVideoNs:   int64(time.Duration(b.TimeOnVideoMs * float64(time.Millisecond))),
+			OutOfFocusNs:    int64(time.Duration(b.OutOfFocusMs * float64(time.Millisecond))),
+			Plays:           b.Plays,
+			Pauses:          b.Pauses,
+			Seeks:           b.Seeks,
+			WatchedFraction: b.WatchedFraction,
+		})
+	}
+	return dst
 }
 
 // applyJSONBatch applies one JSON engagement batch as the wire records it
 // is equivalent to, so both ingest protocols reach the tracker through
 // the same code.
-func (s *Server) applyJSONBatch(ev *event) (uint64, error) {
+func (st *State) applyJSONBatch(ev *Event, tr *trace.Trace) (uint64, Result, error) {
 	if ev.Batch == nil {
-		return 0, errMissing(ev, "batch")
+		return 0, Result{}, errMissing(ev, "batch")
 	}
 	var buf [2]wire.Record
-	return s.applyRecords(ev, AppendWireRecords(buf[:0], *ev.Batch))
+	return st.applyRecords(ev, tr, AppendWireRecords(buf[:0], *ev.Batch))
 }
 
-// applyBatch applies one binary batch. On the live path ev.records
+// applyBatch applies one binary batch. On the live path ev.Records
 // holds the handler's decode; during replay the raw wire bytes are
 // decoded here through the same pooled decoder.
-func (s *Server) applyBatch(ev *event) (uint64, error) {
-	recs := ev.records
+func (st *State) applyBatch(ev *Event, tr *trace.Trace) (uint64, Result, error) {
+	recs := ev.Records
 	if recs == nil {
 		dec := wire.GetDecoder()
 		defer wire.PutDecoder(dec)
 		var err error
 		recs, err = dec.Decode(ev.Wire)
 		if err != nil {
-			return 0, fmt.Errorf("batch payload: %w", err)
+			return 0, Result{}, fmt.Errorf("batch payload: %w", err)
 		}
 	}
-	return s.applyRecords(ev, recs)
+	return st.applyRecords(ev, tr, recs)
 }
 
 // applyRecords journals ev and folds its engagement records into the
@@ -313,23 +399,23 @@ func (s *Server) applyBatch(ev *event) (uint64, error) {
 // rule reads them). Every record lands under a single session-shard
 // lock acquisition and the whole event is one journal record, so a
 // replayed journal either carries all of a batch or none of it.
-func (s *Server) applyRecords(ev *event, recs []wire.Record) (uint64, error) {
-	ssh := s.sessions.Shard(ev.ID)
+func (st *State) applyRecords(ev *Event, tr *trace.Trace, recs []wire.Record) (uint64, Result, error) {
+	ssh := st.sessions.Shard(ev.ID)
 	ssh.Lock()
 	defer ssh.Unlock()
-	ev.tr.Mark(trace.StageLockWait)
+	tr.Mark(trace.StageLockWait)
 	sess, ok := ssh.Get(ev.ID)
 	if !ok {
 		// A completed session's verdict is already folded and frozen;
 		// accepting more instrumentation would silently diverge from it.
-		if s.frozenLocked(ev.ID, nil) {
-			return 0, errSessionDone
+		if st.frozenLocked(ev.ID, nil) {
+			return 0, Result{}, ErrSessionDone
 		}
-		return 0, errNoSession
+		return 0, Result{}, ErrNoSession
 	}
-	seq, err := s.journal(ev)
+	seq, err := st.journal(ev, tr)
 	if err != nil {
-		return 0, err
+		return 0, Result{}, err
 	}
 	for i := range recs {
 		if r := &recs[i]; r.Kind == wire.KindEngagement {
@@ -345,55 +431,54 @@ func (s *Server) applyRecords(ev *event, recs []wire.Record) (uint64, error) {
 			})
 		}
 	}
-	return seq, nil
+	return seq, Result{}, nil
 }
 
-func (s *Server) applyResponse(ev *event) (uint64, error) {
+func (st *State) applyResponse(ev *Event, tr *trace.Trace) (uint64, Result, error) {
 	if ev.Body == nil {
-		return 0, errMissing(ev, "body")
+		return 0, Result{}, errMissing(ev, "body")
 	}
-	ssh := s.sessions.Shard(ev.ID)
+	ssh := st.sessions.Shard(ev.ID)
 	ssh.Lock()
 	defer ssh.Unlock()
 	// A completed session answers from its frozen record. Every test of
 	// a frozen record is answered, so parseResponse tells a duplicate
 	// from an unknown test; a record that leaves one open is still a
 	// session that is done.
-	sess, err := s.sessionLocked(ssh, ev.ID)
+	sess, err := st.sessionLocked(ssh, ev.ID)
 	if err != nil {
-		return 0, err
+		return 0, Result{}, err
 	}
 	a, err := parseResponse(sess, ev.Body)
 	if err != nil {
-		return 0, err
+		return 0, Result{}, err
 	}
 	if sess.completed() {
-		return 0, errSessionDone
+		return 0, Result{}, ErrSessionDone
 	}
 	// When this answer completes the session, the campaign shard lock
 	// must span journaling and the fold: two sessions completing on one
 	// campaign journal in the same order they fold, so replay reproduces
 	// the completion order exactly.
-	var c *campaignState
+	var c *Campaign
 	if len(sess.answers)+1 >= len(sess.Assignment) {
-		c = sess.campaign
-		csh := s.campaigns.Shard(c.ID)
+		c = sess.Campaign
+		csh := st.campaigns.Shard(c.ID)
 		csh.Lock()
 		defer csh.Unlock()
 	}
-	ev.tr.Mark(trace.StageLockWait)
-	seq, err := s.journal(ev)
+	tr.Mark(trace.StageLockWait)
+	seq, err := st.journal(ev, tr)
 	if err != nil {
-		return 0, err
+		return 0, Result{}, err
 	}
 	sess.answers = append(sess.answers, a)
 	sess.trackAnswer(a)
 	if c != nil {
-		s.completeSession(c, sess)
+		completeSession(c, sess)
 		ssh.Delete(sess.ID)
 	}
-	ev.done = c != nil
-	return seq, nil
+	return seq, Result{Done: c != nil}, nil
 }
 
 // completeSession is what the completing answer does, on the live path
@@ -402,7 +487,7 @@ func (s *Server) applyResponse(ev *event) (uint64, error) {
 // campaign's arena and files it. The caller then deletes the session
 // from the index, which held the last reference to its state, so the
 // tracker and its traces go with it. Caller holds both shard locks.
-func (s *Server) completeSession(c *campaignState, sess *sessionState) {
+func completeSession(c *Campaign, sess *Session) {
 	sess.track.SetCompleted()
 	sess.final = sess.track.Snapshot()
 	c.arena = appendFrozen(c.arena, c, sess)
@@ -417,7 +502,7 @@ func (s *Server) completeSession(c *campaignState, sess *sessionState) {
 // the row the session's record sits at in the arena. Caller holds the
 // campaign's shard lock, or the campaign is not reachable yet: either
 // way the campaign's completion scratch is its own.
-func (c *campaignState) fileCompleted(sess *sessionState) {
+func (c *Campaign) fileCompleted(sess *Session) {
 	rec := c.done.record(sess, c.Kind)
 	c.analytics.Complete(rec, sess.final.Final)
 	if c.adaptive != nil {
@@ -455,7 +540,7 @@ type completion struct {
 // assignment entries). The folds read only each answer's video, value
 // and control bit — not the participant, which the record leaves nil.
 // The record is valid until the next call.
-func (d *completion) record(sess *sessionState, kind string) *filtering.SessionRecord {
+func (d *completion) record(sess *Session, kind string) *filtering.SessionRecord {
 	d.rec.Timeline, d.rec.AB = d.rec.Timeline[:0], d.rec.AB[:0]
 	if kind == "ab" {
 		d.ab = d.ab[:0]
@@ -479,31 +564,31 @@ func (d *completion) record(sess *sessionState, kind string) *filtering.SessionR
 	return &d.rec
 }
 
-func (s *Server) applyFlag(ev *event) (uint64, error) {
+func (st *State) applyFlag(ev *Event, tr *trace.Trace) (uint64, Result, error) {
 	if ev.Flagger == "" {
-		return 0, errMissing(ev, "flagger")
+		return 0, Result{}, errMissing(ev, "flagger")
 	}
-	vsh := s.videos.Shard(ev.ID)
+	vsh := st.videos.Shard(ev.ID)
 	vsh.Lock()
-	ev.tr.Mark(trace.StageLockWait)
+	tr.Mark(trace.StageLockWait)
 	v, ok := vsh.Get(ev.ID)
 	if !ok {
 		vsh.Unlock()
-		return 0, errNoVideo
+		return 0, Result{}, ErrNoVideo
 	}
-	seq, err := s.journal(ev)
+	seq, err := st.journal(ev, tr)
 	if err != nil {
 		vsh.Unlock()
-		return 0, err
+		return 0, Result{}, err
 	}
 	v.Flags[ev.Flagger] = true
-	ev.flags = len(v.Flags)
-	newlyBanned := !v.Banned && ev.flags >= BanThreshold
+	res := Result{Flags: len(v.Flags)}
+	newlyBanned := !v.Banned && res.Flags >= BanThreshold
 	if newlyBanned {
 		v.Banned = true
 	}
-	ev.banned = v.Banned
-	c := v.campaign
+	res.Banned = v.Banned
+	c := v.Campaign
 	vsh.Unlock()
 	if newlyBanned {
 		// A ban changes the Banned bit in /results: drop the cache. No
@@ -511,7 +596,7 @@ func (s *Server) applyFlag(ev *event) (uint64, error) {
 		// stopper too, or it would hold an adaptive campaign open.
 		// Taken after the video lock is released: a campaign shard comes
 		// before a video shard in the lock order.
-		csh := s.campaigns.Shard(c.ID)
+		csh := st.campaigns.Shard(c.ID)
 		csh.Lock()
 		c.invalidate()
 		if c.adaptive != nil {
@@ -519,13 +604,13 @@ func (s *Server) applyFlag(ev *event) (uint64, error) {
 		}
 		csh.Unlock()
 	}
-	return seq, nil
+	return seq, res, nil
 }
 
 // parseResponse resolves the answered test and builds the answer to
 // store, rejecting duplicates and malformed A/B choices before anything
 // is journaled.
-func parseResponse(sess *sessionState, body *ResponseBody) (answer, error) {
+func parseResponse(sess *Session, body *ResponseBody) (answer, error) {
 	a := answer{Test: -1}
 	for i := range sess.Assignment {
 		if sess.Assignment[i].TestID == body.TestID {
@@ -534,11 +619,11 @@ func parseResponse(sess *sessionState, body *ResponseBody) (answer, error) {
 		}
 	}
 	if a.Test < 0 {
-		return a, errUnknownTest
+		return a, ErrUnknownTest
 	}
 	for _, prev := range sess.answers {
 		if prev.Test == a.Test {
-			return a, errDuplicateTest
+			return a, ErrDuplicateTest
 		}
 	}
 	t := &sess.Assignment[a.Test]
@@ -558,7 +643,7 @@ func parseResponse(sess *sessionState, body *ResponseBody) (answer, error) {
 	case "no difference":
 		a.Choice = survey.ChoiceNoDifference
 	default:
-		return a, errBadChoice
+		return a, ErrBadChoice
 	}
 	// The platform's A/B controls delay the right side.
 	a.ControlFailed = t.Control && a.Choice == survey.ChoiceRight
@@ -566,7 +651,7 @@ func parseResponse(sess *sessionState, body *ResponseBody) (answer, error) {
 }
 
 // trackAnswer feeds one stored answer to the session's tracker.
-func (sess *sessionState) trackAnswer(a answer) {
+func (sess *Session) trackAnswer(a answer) {
 	t := &sess.Assignment[a.Test]
 	if t.Kind == "ab" {
 		sess.track.AddAB(&survey.ABResponse{Control: t.Control, ControlPassed: !a.ControlFailed})
@@ -577,12 +662,12 @@ func (sess *sessionState) trackAnswer(a answer) {
 
 // --- state documents ---
 
-// stateVersion is the schema version of the snapshot document; version
+// StateVersion is the schema version of the snapshot document; version
 // 5 nests a campaign's videos and sessions in flight in its section, and
 // its frozen records keep a test ID the join minted as a flag bit
 // (frozen.go). No reader for an older layout is kept: a document carrying
 // another version is refused.
-const stateVersion = 5
+const StateVersion = 5
 
 // decodeState reads the version of doc before the rest of it, so that a
 // document in another layout fails on its version rather than on a field
@@ -594,8 +679,8 @@ func decodeState(doc string, data []byte, v any) error {
 	if err := json.Unmarshal(data, &head); err != nil {
 		return fmt.Errorf("%s: %w", doc, err)
 	}
-	if head.Version != stateVersion {
-		return fmt.Errorf("%s has schema version %d, this server reads only version %d", doc, head.Version, stateVersion)
+	if head.Version != StateVersion {
+		return fmt.Errorf("%s has schema version %d, this server reads only version %d", doc, head.Version, StateVersion)
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("%s: %w", doc, err)
@@ -611,36 +696,36 @@ func decodeState(doc string, data []byte, v any) error {
 // re-folding each record through fileCompleted, keeping the document
 // small and the rebuild exact.
 
-type snapState struct {
+type SnapState struct {
 	Version   int            `json:"version"`
 	NextID    int64          `json:"next_id"`
 	Joined    int64          `json:"joined"`
-	Campaigns []snapCampaign `json:"campaigns,omitempty"`
+	Campaigns []SnapCampaign `json:"campaigns,omitempty"`
 }
 
-// snapCampaign is one campaign's section: its videos in the campaign's
+// SnapCampaign is one campaign's section: its videos in the campaign's
 // order; its completed sessions, which Records names in completion order,
 // with Arena their frozen records back to back (base64 in the document)
 // and ArenaEnds where each one ends, so record i is Records[i]'s; and its
 // sessions in flight, in ID order.
-type snapCampaign struct {
+type SnapCampaign struct {
 	ID        string        `json:"id"`
 	Name      string        `json:"name"`
 	Kind      string        `json:"kind"`
-	Videos    []snapVideo   `json:"videos,omitempty"`
+	Videos    []SnapVideo   `json:"videos,omitempty"`
 	Records   []string      `json:"records,omitempty"`
 	Arena     []byte        `json:"arena,omitempty"`
 	ArenaEnds []uint32      `json:"arena_ends,omitempty"`
-	Inflight  []snapSession `json:"inflight,omitempty"`
+	Inflight  []SnapSession `json:"inflight,omitempty"`
 	// Moved is never written. Builds with a cluster tier set it on a
 	// campaign handed off to another node; it is read only so that
 	// restore refuses such a section instead of serving the campaign.
 	Moved string `json:"moved,omitempty"`
 }
 
-// snapSession is one session in flight: its answers so far and the
+// SnapSession is one session in flight: its answers so far and the
 // tracker's latest trace per video.
-type snapSession struct {
+type SnapSession struct {
 	ID      string                       `json:"id"`
 	Worker  Worker                       `json:"worker"`
 	Tests   []AssignedTest               `json:"tests"`
@@ -648,9 +733,9 @@ type snapSession struct {
 	Traces  map[string]survey.VideoTrace `json:"traces,omitempty"`
 }
 
-// snapVideo references its payload by content address; the blob file is
+// SnapVideo references its payload by content address; the blob file is
 // durable independently of the document.
-type snapVideo struct {
+type SnapVideo struct {
 	ID     string   `json:"id"`
 	Hash   string   `json:"hash"`
 	Size   int64    `json:"size,omitempty"`
@@ -672,56 +757,56 @@ func sortedKeys(m map[string]bool) []string {
 
 // section builds campaign c's section. Caller holds the world lock
 // exclusively, so the reads are a consistent cut.
-func (s *Server) section(c *campaignState) (snapCampaign, error) {
-	cn := snapCampaign{
+func (st *State) section(c *Campaign) (SnapCampaign, error) {
+	cn := SnapCampaign{
 		ID: c.ID, Name: c.Name, Kind: c.Kind,
-		Videos:    make([]snapVideo, len(c.Videos)),
+		Videos:    make([]SnapVideo, len(c.Videos)),
 		Records:   c.recordSessions,
 		Arena:     c.arena,
 		ArenaEnds: c.arenaEnds,
-		Inflight:  make([]snapSession, len(c.inflight)),
+		Inflight:  make([]SnapSession, len(c.inflight)),
 	}
 	for i, vid := range c.Videos {
-		v, ok := s.videos.Get(vid)
+		v, ok := st.videos.Get(vid)
 		if !ok {
 			return cn, fmt.Errorf("campaign %s references unknown video %s", c.ID, vid)
 		}
-		cn.Videos[i] = snapVideo{ID: v.ID, Hash: v.Hash, Size: v.Size, Flags: sortedKeys(v.Flags), Banned: v.Banned}
+		cn.Videos[i] = SnapVideo{ID: v.ID, Hash: v.Hash, Size: v.Size, Flags: sortedKeys(v.Flags), Banned: v.Banned}
 	}
 	for i, sid := range c.inflight {
-		sess, _ := s.sessions.Get(sid) // in flight: indexed from join to completion
-		cn.Inflight[i] = snapSession{ID: sess.ID, Worker: sess.Worker, Tests: sess.Assignment, Answers: sess.answers, Traces: sess.track.Traces()}
+		sess, _ := st.sessions.Get(sid) // in flight: indexed from join to completion
+		cn.Inflight[i] = SnapSession{ID: sess.ID, Worker: sess.Worker, Tests: sess.Assignment, Answers: sess.answers, Traces: sess.track.Traces()}
 	}
 	sort.Slice(cn.Inflight, func(i, j int) bool { return cn.Inflight[i].ID < cn.Inflight[j].ID })
 	return cn, nil
 }
 
-// marshalState serializes the full platform state: the counters and
+// marshal serializes the full platform state: the counters and
 // every campaign's section, in ID order. Caller holds the world lock
 // exclusively.
-func (s *Server) marshalState() ([]byte, error) {
-	st := snapState{Version: stateVersion, NextID: s.nextID.Load(), Joined: s.joined.Load()}
+func (st *State) marshal() ([]byte, error) {
+	doc := SnapState{Version: StateVersion, NextID: st.nextID.Load(), Joined: st.joined.Load()}
 	var err error
-	s.campaigns.Range(func(_ string, c *campaignState) bool {
-		var cn snapCampaign
-		cn, err = s.section(c)
-		st.Campaigns = append(st.Campaigns, cn)
+	st.campaigns.Range(func(_ string, c *Campaign) bool {
+		var cn SnapCampaign
+		cn, err = st.section(c)
+		doc.Campaigns = append(doc.Campaigns, cn)
 		return err == nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(st.Campaigns, func(i, j int) bool { return st.Campaigns[i].ID < st.Campaigns[j].ID })
-	return json.Marshal(&st)
+	sort.Slice(doc.Campaigns, func(i, j int) bool { return doc.Campaigns[i].ID < doc.Campaigns[j].ID })
+	return json.Marshal(&doc)
 }
 
 // restored is a section decoded and checked but not reachable yet: the
 // campaign with its completed sessions filed, its videos and its
 // sessions in flight.
 type restored struct {
-	c        *campaignState
-	videos   []*videoState
-	inflight []*sessionState
+	c        *Campaign
+	videos   []*Video
+	inflight []*Session
 }
 
 // restore decodes and checks section cn, so a restored campaign is
@@ -730,11 +815,11 @@ type restored struct {
 // session, and re-feeds each session in flight's tracker, touching no
 // index: every failure is an error naming the campaign, returned before
 // anything is installed.
-func (s *Server) restore(cn *snapCampaign) (*restored, error) {
+func (st *State) restore(cn *SnapCampaign) (*restored, error) {
 	if cn.Moved != "" {
 		return nil, fmt.Errorf("campaign %s was handed off to cluster node %s; this server runs one node and does not serve a campaign another node owns", cn.ID, cn.Moved)
 	}
-	c := &campaignState{
+	c := &Campaign{
 		ID: cn.ID, Name: cn.Name, Kind: cn.Kind,
 		Videos:         make([]string, len(cn.Videos)),
 		recordSessions: make([]string, 0, len(cn.Records)),
@@ -742,17 +827,12 @@ func (s *Server) restore(cn *snapCampaign) (*restored, error) {
 		arenaEnds:      cn.ArenaEnds,
 		analytics:      quality.NewCampaign(cn.Kind),
 	}
-	r := &restored{c: c, videos: make([]*videoState, len(cn.Videos))}
+	r := &restored{c: c, videos: make([]*Video, len(cn.Videos))}
 	for i, vn := range cn.Videos {
-		// Same refusals as applyVideo: a video nothing can serve must not
-		// be assigned to participants.
-		if vn.Hash == "" {
-			return nil, fmt.Errorf("campaign %s video %s carries no content hash", cn.ID, vn.ID)
+		if err := st.servable(vn.ID, vn.Hash); err != nil {
+			return nil, fmt.Errorf("campaign %s %w", cn.ID, err)
 		}
-		if !s.blobs.Has(vn.Hash) {
-			return nil, fmt.Errorf("campaign %s video %s references missing blob %s", cn.ID, vn.ID, vn.Hash)
-		}
-		v := newVideoState(vn.ID, c, vn.Hash, vn.Size)
+		v := newVideo(vn.ID, c, vn.Hash, vn.Size)
 		v.Banned = vn.Banned
 		for _, worker := range vn.Flags {
 			v.Flags[worker] = true
@@ -766,8 +846,8 @@ func (s *Server) restore(cn *snapCampaign) (*restored, error) {
 	// pending and a completion counts them back, so a completed session's
 	// join may be noted beside its completion, not in join order. A banned
 	// video left the stopper when it was banned, so it is not registered.
-	if s.adaptive {
-		c.adaptive = adaptive.New(cn.Kind, s.adaptiveCfg)
+	if st.adaptive != nil {
+		c.adaptive = adaptive.New(cn.Kind, *st.adaptive)
 		for _, v := range r.videos {
 			if !v.Banned {
 				c.adaptive.AddVideo(v.ID)
@@ -806,7 +886,7 @@ func (s *Server) restore(cn *snapCampaign) (*restored, error) {
 		// The tracker is a pure function of the latest per-video traces and
 		// the answer list, both order-independent here, so map iteration
 		// order cannot diverge the rebuild.
-		sess := newSessionState(sn.ID, c, sn.Worker, sn.Tests)
+		sess := newSession(sn.ID, c, sn.Worker, sn.Tests)
 		for _, tr := range sn.Traces {
 			sess.track.Observe(tr)
 		}
@@ -832,13 +912,13 @@ func (s *Server) restore(cn *snapCampaign) (*restored, error) {
 // which holds the installed sessions in flight, then merged against each
 // installed campaign's frozen rows, which are in ID order too, so a load
 // stays linear in the sessions it installs for a given campaign count.
-func (s *Server) held(r *restored) error {
+func (st *State) held(r *restored) error {
 	c := r.c
-	if _, ok := s.campaigns.Get(c.ID); ok {
-		return fmt.Errorf("campaign %s: %w", c.ID, errCampaignExists)
+	if _, ok := st.campaigns.Get(c.ID); ok {
+		return fmt.Errorf("campaign %s: %w", c.ID, ErrCampaignExists)
 	}
 	for _, v := range r.videos {
-		if _, ok := s.videos.Get(v.ID); ok {
+		if _, ok := st.videos.Get(v.ID); ok {
 			return fmt.Errorf("campaign %s video %s is already held here", c.ID, v.ID)
 		}
 	}
@@ -855,12 +935,12 @@ func (s *Server) held(r *restored) error {
 	ids = append(ids, inflight...)
 	dup := ""
 	for _, sid := range ids {
-		if _, ok := s.sessions.Get(sid); ok {
+		if _, ok := st.sessions.Get(sid); ok {
 			dup = sid
 			break
 		}
 	}
-	s.campaigns.Range(func(_ string, installed *campaignState) bool {
+	st.campaigns.Range(func(_ string, installed *Campaign) bool {
 		for i, j := 0, 0; dup == "" && i < len(ids) && j < len(installed.rowOrder); {
 			switch sid := installed.frozenID(j); {
 			case ids[i] < sid:
@@ -882,42 +962,42 @@ func (s *Server) held(r *restored) error {
 // install makes a restored section reachable: it puts its videos,
 // sessions in flight and campaign into the indexes and moves the ID
 // counter past them and past its completed sessions. It cannot fail; restore checked everything first.
-func (s *Server) install(r *restored) {
+func (st *State) install(r *restored) {
 	c := r.c
 	for _, v := range r.videos {
-		s.videos.Put(v.ID, v)
-		s.bumpID(v.ID)
+		st.videos.Put(v.ID, v)
+		st.bumpID(v.ID)
 	}
 	for _, sess := range r.inflight {
-		s.sessions.Put(sess.ID, sess)
-		s.bumpID(sess.ID)
+		st.sessions.Put(sess.ID, sess)
+		st.bumpID(sess.ID)
 	}
 	for _, sid := range c.recordSessions {
-		s.bumpID(sid)
+		st.bumpID(sid)
 	}
-	s.campaigns.Put(c.ID, c)
-	s.bumpID(c.ID)
+	st.campaigns.Put(c.ID, c)
+	st.bumpID(c.ID)
 }
 
-// loadState rebuilds the indexes from a snapshot, restoring and
-// installing one section at a time. Runs before the server accepts
-// requests, so unlocked convenience accessors suffice.
-func (s *Server) loadState(data []byte) error {
-	var st snapState
-	if err := decodeState("snapshot", data, &st); err != nil {
+// Load rebuilds the indexes from a snapshot, restoring and installing
+// one section at a time. It runs before the state serves anything, so
+// unlocked convenience accessors suffice.
+func (st *State) Load(data []byte) error {
+	var doc SnapState
+	if err := decodeState("snapshot", data, &doc); err != nil {
 		return err
 	}
-	s.nextID.Store(st.NextID)
-	s.joined.Store(st.Joined)
-	for i := range st.Campaigns {
-		r, err := s.restore(&st.Campaigns[i])
+	st.nextID.Store(doc.NextID)
+	st.joined.Store(doc.Joined)
+	for i := range doc.Campaigns {
+		r, err := st.restore(&doc.Campaigns[i])
 		if err == nil {
-			err = s.held(r)
+			err = st.held(r)
 		}
 		if err != nil {
 			return err
 		}
-		s.install(r)
+		st.install(r)
 	}
 	return nil
 }

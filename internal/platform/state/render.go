@@ -1,25 +1,43 @@
-// The live quality-analytics endpoint: GET /campaigns/{id}/analytics
-// serves the incremental §4.3 state internal/quality maintains on every
-// mutation — per-participant filter verdicts (frozen for completed
-// sessions, provisional for in-flight ones), kept/dropped counts per
-// rule, and the current wisdom-of-the-crowd percentile band per video —
-// without replaying a session or re-encoding a completed one's row.
-// /results (renderResults) reads the same aggregates.
-package platform
+// The read side: the /results and /analytics documents, rendered from
+// the incremental §4.3 state internal/quality maintains on every op —
+// per-participant filter verdicts (frozen for completed sessions,
+// provisional for in-flight ones), kept/dropped counts per rule, and the
+// current wisdom-of-the-crowd percentile band per video — without
+// replaying a session or re-encoding a completed one's row. Each comes
+// with a strong ETag.
+package state
 
 import (
 	"bytes"
+	"encoding/json"
 	"hash/crc64"
 	"math"
-	"net/http"
-	"net/url"
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
-	"github.com/eyeorg/eyeorg/internal/stats"
 )
+
+// ResultsResponse summarises a campaign after filtering.
+type ResultsResponse struct {
+	Campaign     string             `json:"campaign"`
+	Participants int                `json:"participants"`
+	Kept         int                `json:"kept"`
+	Engagement   int                `json:"engagement_dropped"`
+	Soft         int                `json:"soft_dropped"`
+	Control      int                `json:"control_dropped"`
+	PerVideo     map[string]VideoAg `json:"per_video"`
+}
+
+// VideoAg is per-video aggregated output.
+type VideoAg struct {
+	Responses int     `json:"responses"`
+	MeanUPLT  float64 `json:"mean_uplt_s,omitempty"`
+	Agreement float64 `json:"agreement,omitempty"`
+	Banned    bool    `json:"banned,omitempty"`
+}
 
 // AnalyticsResponse is the live quality-analytics payload.
 type AnalyticsResponse struct {
@@ -122,52 +140,132 @@ type VideoAnalytics struct {
 	Banned    bool    `json:"banned,omitempty"`
 }
 
-// percentileParam parses an optional percentile query parameter from q,
-// falling back to def when absent. Out-of-range or non-numeric values
-// report ok=false: stats.Percentile panics past this boundary by
-// design, so user input must be rejected here with a 400.
-func percentileParam(q url.Values, name string, def float64) (float64, bool) {
-	raw := q.Get(name)
-	if raw == "" {
-		return def, true
-	}
-	p, err := strconv.ParseFloat(raw, 64)
-	if err != nil || !stats.ValidPercentile(p) {
-		return 0, false
-	}
-	return p, true
+// jsonBuf is a rendering buffer with the encoder that writes to it,
+// recycled through jsonPool.
+type jsonBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
 }
 
-func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
-	id := w.id
-	var q url.Values // a poll without a query parses none, and reads the defaults
-	if r.URL.RawQuery != "" {
-		q = r.URL.Query()
+var jsonPool = sync.Pool{New: func() any {
+	buf := new(jsonBuf)
+	buf.enc = json.NewEncoder(&buf.Buffer)
+	return buf
+}}
+
+// encodeJSON renders v into a pooled buffer. The caller owns the buffer
+// and must hand it back to jsonPool once the bytes are used.
+func encodeJSON(v any) (*jsonBuf, error) {
+	buf := jsonPool.Get().(*jsonBuf)
+	buf.Reset()
+	if err := buf.enc.Encode(v); err != nil {
+		jsonPool.Put(buf)
+		return nil, err
 	}
-	lo, okLo := percentileParam(q, "lo", filtering.WisdomLo)
-	hi, okHi := percentileParam(q, "hi", filtering.WisdomHi)
-	if !okLo || !okHi || lo > hi {
-		writeErr(w, http.StatusBadRequest, "lo/hi must be percentiles in [0,100] with lo <= hi")
-		return
+	return buf, nil
+}
+
+// A strong ETag is a digest of the response, built from CRC-64 checksums
+// over etagTable, and its length.
+var etagTable = crc64.MakeTable(crc64.ECMA)
+
+// etagOf renders the tag, quoted: the checksum as 16 hex digits, a dash
+// and the length in hex.
+func etagOf(sum uint64, n int) string {
+	b := append(make([]byte, 0, 40), '"')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[sum>>shift&0xf])
 	}
-	csh := s.campaigns.Shard(id)
+	b = strconv.AppendInt(append(b, '-'), int64(n), 16)
+	return string(append(b, '"'))
+}
+
+// Results returns campaign id's /results body and its ETag. The body is
+// rendered once per change: every op that changes what it would say
+// drops it (invalidate), the tag with it, so a match certifies the
+// client's copy is the current render.
+func (st *State) Results(id string) ([]byte, string, error) {
+	csh := st.campaigns.Shard(id)
+	csh.Lock()
+	defer csh.Unlock()
+	c, ok := csh.Get(id)
+	if !ok {
+		return nil, "", ErrNoCampaign
+	}
+	if c.cache == nil {
+		rendered, err := st.RenderResults(c)
+		if err != nil {
+			return nil, "", err
+		}
+		c.cache = rendered
+		c.cacheTag = etagOf(crc64.Checksum(rendered, etagTable), len(rendered))
+	}
+	return c.cache, c.cacheTag, nil
+}
+
+// RenderResults marshals the campaign's §4.3 aggregates exactly as
+// encoding/json's Encoder would. Caller holds the campaign's shard lock,
+// which the video shards it reads follow in the lock order, or no op
+// applies.
+func (st *State) RenderResults(c *Campaign) ([]byte, error) {
+	sum := c.analytics.Summary()
+	res := ResultsResponse{
+		Campaign:     c.ID,
+		Participants: sum.Total,
+		Kept:         sum.Kept,
+		Engagement:   sum.Engagement(),
+		Soft:         sum.Soft,
+		Control:      sum.Control,
+		PerVideo:     map[string]VideoAg{},
+	}
+	switch c.Kind {
+	case "timeline":
+		for id, band := range c.analytics.TimelineBands(filtering.WisdomLo, filtering.WisdomHi) {
+			res.PerVideo[id] = VideoAg{
+				Responses: band.InBand,
+				MeanUPLT:  band.Mean,
+				Banned:    st.videoBanned(id),
+			}
+		}
+	case "ab":
+		for id, votes := range c.analytics.Votes() {
+			res.PerVideo[id] = VideoAg{
+				Responses: votes.Total(),
+				Agreement: votes.Agreement(),
+				Banned:    st.videoBanned(id),
+			}
+		}
+	}
+	buf, err := json.Marshal(res)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, '\n'), nil
+}
+
+// Analytics appends campaign id's /analytics payload over the [lo, hi]
+// percentile band, which the caller has validated, to dst and returns it
+// with its ETag. When fresh reports that the client holds the tag's body
+// already, it renders no body and returns dst as it came.
+//
+// In-flight rows are rendered under each session's shard lock, the
+// campaign lock released: session shards come first in the lock order.
+// A session was indexed before it was listed, but it may have completed
+// since, and then the index no longer holds it.
+func (st *State) Analytics(dst []byte, id string, lo, hi float64, fresh func(tag string) bool) ([]byte, string, error) {
+	csh := st.campaigns.Shard(id)
 	csh.RLock()
 	c, ok := csh.Get(id)
 	if !ok {
 		csh.RUnlock()
-		writeErr(w, http.StatusNotFound, errNoCampaign.Error())
-		return
+		return dst, "", ErrNoCampaign
 	}
 	liveIDs := slices.Clone(c.inflight)
 	csh.RUnlock()
 	sort.Strings(liveIDs)
-	// In-flight rows are rendered under each session's shard lock, the
-	// campaign lock released: session shards come first in the lock
-	// order. A session was indexed before it was listed, but it may have
-	// completed since, and then the index no longer holds it.
 	live := make([][]byte, len(liveIDs))
 	for i, sid := range liveIDs {
-		ssh := s.sessions.Shard(sid)
+		ssh := st.sessions.Shard(sid)
 		ssh.RLock()
 		if sess, ok := ssh.Get(sid); ok {
 			v := sess.verdict()
@@ -175,11 +273,11 @@ func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
 		}
 		ssh.RUnlock()
 	}
-	// The rest is read under the campaign lock, released before anything
-	// is written. A session that completed since it was listed — before or
-	// after its row was rendered — is listed from its frozen row; one that
-	// joined since, in the next poll.
+	// The rest is read under the campaign lock. A session that completed
+	// since it was listed — before or after its row was rendered — is
+	// listed from its frozen row; one that joined since, in the next poll.
 	csh.RLock()
+	defer csh.RUnlock()
 	rows, size, sum := len(c.rowOrder), len(c.rows), uint64(0)
 	for i, sid := range liveIDs {
 		if _, frozen := c.frozenAt(sid); frozen {
@@ -190,36 +288,26 @@ func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
 		size += len(live[i]) + 1
 		sum = crc64.Update(sum, etagTable, live[i])
 	}
-	resp := s.analyticsShell(c, lo, hi, rows)
+	resp := st.AnalyticsShell(c, lo, hi, rows)
 	shell, err := encodeJSON(&resp)
 	if err != nil {
-		csh.RUnlock()
-		writeErr(w, http.StatusInternalServerError, err.Error())
-		return
+		return dst, "", err
 	}
-	defer bufPool.Put(shell)
+	defer jsonPool.Put(shell)
 	// The validator needs no body: the frozen rows' digest, a hash of what
 	// this request rendered, and the length (the last row has no comma).
 	size += shell.Len() - min(rows, 1)
 	tag := etagOf(c.rowDigest+crc64.Update(sum, etagTable, shell.Bytes()), size)
-	var body []byte
-	if !etagMatches(r.Header.Get("If-None-Match"), tag) {
-		pooled := bodyPool.Get().(*[]byte)
-		defer bodyPool.Put(pooled)
-		*pooled = c.appendAnalytics(slices.Grow((*pooled)[:0], size), shell.Bytes(), liveIDs, live)
-		body = *pooled
+	if fresh(tag) {
+		return dst, tag, nil
 	}
-	csh.RUnlock()
-	writeConditional(w, r, tag, body)
+	return c.appendAnalytics(slices.Grow(dst, size), shell.Bytes(), liveIDs, live), tag, nil
 }
 
 // verdict returns the session's ParticipantVerdict, which encoding/json
 // renders as its /analytics row. Caller holds the session's shard lock.
-func (sess *sessionState) verdict() ParticipantVerdict {
-	snap := sess.final
-	if !sess.completed() {
-		snap = sess.track.Snapshot()
-	}
+func (sess *Session) verdict() ParticipantVerdict {
+	snap := sess.Standing()
 	return ParticipantVerdict{
 		Session:        sess.ID,
 		Worker:         sess.Worker.ID,
@@ -237,17 +325,17 @@ func (sess *sessionState) verdict() ParticipantVerdict {
 func (v *ParticipantVerdict) appendRow(dst []byte) []byte {
 	buf, _ := encodeJSON(v)                         // strings, ints, bools: cannot fail
 	dst = append(dst, buf.Bytes()[:buf.Len()-1]...) // less the encoder's newline
-	bufPool.Put(buf)
+	jsonPool.Put(buf)
 	return dst
 }
 
 // frozenID returns the ID of the completed session at position i of the
 // frozen rows in payload order, which is ascending by ID.
-func (c *campaignState) frozenID(i int) string { return c.recordSessions[c.rowOrder[i]] }
+func (c *Campaign) frozenID(i int) string { return c.recordSessions[c.rowOrder[i]] }
 
 // frozenAt reports where session id sits, or would sit, among the frozen
 // rows in payload order, and whether its row is there.
-func (c *campaignState) frozenAt(id string) (int, bool) {
+func (c *Campaign) frozenAt(id string) (int, bool) {
 	at := sort.Search(len(c.rowOrder), func(i int) bool { return c.frozenID(i) >= id })
 	return at, at < len(c.rowOrder) && c.frozenID(at) == id
 }
@@ -256,7 +344,7 @@ func (c *campaignState) frozenAt(id string) (int, bool) {
 // encoded with no participants, with the frozen rows copied into its
 // empty list, merged in ascending session order with the non-nil rows
 // of live (live[i] is liveIDs[i]'s). Caller holds the campaign's lock.
-func (c *campaignState) appendAnalytics(b, shell []byte, liveIDs []string, live [][]byte) []byte {
+func (c *Campaign) appendAnalytics(b, shell []byte, liveIDs []string, live [][]byte) []byte {
 	// encoding/json escapes quotes in strings: the first match is the field.
 	cut := bytes.Index(shell, []byte(`"participants":[]`)) + len(`"participants":[`)
 	b = append(b, shell[:cut]...)
@@ -276,10 +364,10 @@ func (c *campaignState) appendAnalytics(b, shell []byte, liveIDs []string, live 
 	return append(bytes.TrimSuffix(b, []byte(",")), shell[cut:]...)
 }
 
-// analyticsShell builds the payload's campaign-level fields around an
+// AnalyticsShell builds the payload's campaign-level fields around an
 // empty list of the sessions it counts. Caller holds the campaign's
 // shard lock.
-func (s *Server) analyticsShell(c *campaignState, lo, hi float64, sessions int) AnalyticsResponse {
+func (st *State) AnalyticsShell(c *Campaign, lo, hi float64, sessions int) AnalyticsResponse {
 	resp := AnalyticsResponse{
 		Campaign:     c.ID,
 		Kind:         c.Kind,
@@ -287,7 +375,7 @@ func (s *Server) analyticsShell(c *campaignState, lo, hi float64, sessions int) 
 		Completed:    len(c.recordSessions),
 		Summary:      AnalyticsSummary(c.analytics.Summary()), // same fields, this type names them in JSON
 		Participants: []ParticipantVerdict{},
-		PerVideo:     s.renderVideoAnalytics(c, lo, hi),
+		PerVideo:     st.renderVideoAnalytics(c, lo, hi),
 	}
 	if c.adaptive != nil {
 		resolved, total := c.adaptive.Resolved()
@@ -328,7 +416,7 @@ func finite(x float64) *float64 {
 // incremental sketches over the [lo, hi] percentile band. Caller holds
 // the campaign's shard lock, which the video shards it reads follow in
 // the lock order, and has already validated the band.
-func (s *Server) renderVideoAnalytics(c *campaignState, lo, hi float64) map[string]VideoAnalytics {
+func (st *State) renderVideoAnalytics(c *Campaign, lo, hi float64) map[string]VideoAnalytics {
 	out := map[string]VideoAnalytics{}
 	switch c.Kind {
 	case "timeline":
@@ -339,7 +427,7 @@ func (s *Server) renderVideoAnalytics(c *campaignState, lo, hi float64) map[stri
 				BandLoS:   band.Lo,
 				BandHiS:   band.Hi,
 				MeanUPLTS: band.Mean,
-				Banned:    s.videoBanned(id),
+				Banned:    st.videoBanned(id),
 			}
 		}
 	case "ab":
@@ -350,7 +438,7 @@ func (s *Server) renderVideoAnalytics(c *campaignState, lo, hi float64) map[stri
 				VotesB:    votes.B,
 				NoDiff:    votes.NoDiff,
 				Agreement: votes.Agreement(),
-				Banned:    s.videoBanned(id),
+				Banned:    st.videoBanned(id),
 			}
 		}
 	}

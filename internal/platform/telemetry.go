@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 	"github.com/eyeorg/eyeorg/internal/store"
 	"github.com/eyeorg/eyeorg/internal/telemetry"
 	"github.com/eyeorg/eyeorg/internal/trace"
@@ -51,7 +52,7 @@ type serverMetrics struct {
 	// instead of taking the registry lock. GET /metrics's row stays empty.
 	endpoints []endpointMetrics
 	rejected  map[string]*telemetry.Counter // admission rejections by reason
-	mutation  []*telemetry.Counter          // journaled mutations by row of ops; nil for a retired op
+	mutation  []*telemetry.Counter          // journaled mutations by row of state.Ops; nil for a retired op
 	// stages holds the per-stage ingest latency histograms, populated by
 	// registerStageMetrics only when tracing is enabled so a tracing-off
 	// server's exposition is byte-identical to previous releases.
@@ -66,7 +67,7 @@ func newServerMetrics() *serverMetrics {
 		reg:       reg,
 		endpoints: make([]endpointMetrics, len(routes)),
 		rejected:  map[string]*telemetry.Counter{},
-		mutation:  make([]*telemetry.Counter, len(ops)),
+		mutation:  make([]*telemetry.Counter, len(state.Ops())),
 	}
 	reg.Help("eyeorg_http_requests_total", "API requests by endpoint and status class.")
 	reg.Help("eyeorg_http_request_seconds", "API request latency by endpoint.")
@@ -94,9 +95,9 @@ func newServerMetrics() *serverMetrics {
 		m.rejected[reason] = reg.Counter("eyeorg_admission_rejected_total", `reason="`+reason+`"`)
 	}
 	reg.Help("eyeorg_mutations_total", "Journaled state mutations applied by this process, by op.")
-	for i := range ops {
-		if !ops[i].retired {
-			m.mutation[i] = reg.Counter("eyeorg_mutations_total", `op="`+ops[i].name+`"`)
+	for i, row := range state.Ops() {
+		if !row.Retired {
+			m.mutation[i] = reg.Counter("eyeorg_mutations_total", `op="`+row.Name+`"`)
 		}
 	}
 	return m
@@ -183,23 +184,28 @@ func (b *blobSink) MapHit(n int)    { b.hits.Inc(); b.hitBytes.Add(uint64(n)) }
 func (b *blobSink) MapMiss()        { b.misses.Inc() }
 
 // registerStateGauges exposes live platform state as scrape-time
-// gauges. The callbacks walk the sharded indexes under per-shard read
-// locks — a scrape serializes with nothing beyond the shard it is
-// currently reading — and read each fact where the campaign keeps it.
+// gauges. Each state gauge reads the state's Counts, which walk the
+// indexes under per-shard read locks — a scrape serializes with nothing
+// beyond the shard it is currently reading — and read each fact where
+// the campaign keeps it.
 func (s *Server) registerStateGauges() {
 	reg := s.metrics.reg
+	count := func(field func(n *state.Counts) int) func() float64 {
+		return func() float64 {
+			n := s.state.Counts()
+			return float64(field(&n))
+		}
+	}
 	reg.Help("eyeorg_campaigns", "Campaigns stored.")
-	reg.GaugeFunc("eyeorg_campaigns", "", func() float64 { return float64(s.campaigns.Len()) })
+	reg.GaugeFunc("eyeorg_campaigns", "", count(func(n *state.Counts) int { return n.Campaigns }))
 	reg.Help("eyeorg_videos", "Videos stored.")
-	reg.GaugeFunc("eyeorg_videos", "", func() float64 { return float64(s.videos.Len()) })
+	reg.GaugeFunc("eyeorg_videos", "", count(func(n *state.Counts) int { return n.Videos }))
 	reg.Help("eyeorg_sessions", "Sessions ever joined.")
-	reg.GaugeFunc("eyeorg_sessions", "", func() float64 { return float64(s.joined.Load()) })
+	reg.GaugeFunc("eyeorg_sessions", "", count(func(n *state.Counts) int { return int(n.Joined) }))
 	reg.Help("eyeorg_sessions_inflight", "Joined sessions not yet completed.")
-	reg.GaugeFunc("eyeorg_sessions_inflight", "", func() float64 { return float64(s.SessionsInFlight()) })
+	reg.GaugeFunc("eyeorg_sessions_inflight", "", count(func(n *state.Counts) int { return n.InFlight }))
 	reg.Help("eyeorg_sessions_completed_bytes", "Bytes held for completed sessions: frozen records and /analytics rows, all campaigns.")
-	reg.GaugeFunc("eyeorg_sessions_completed_bytes", "", func() float64 {
-		return float64(s.sumCampaigns(func(c *campaignState) int { return len(c.arena) + len(c.rows) }))
-	})
+	reg.GaugeFunc("eyeorg_sessions_completed_bytes", "", count(func(n *state.Counts) int { return n.CompletedBytes }))
 	reg.Help("eyeorg_http_inflight", "API requests currently being served.")
 	reg.GaugeFunc("eyeorg_http_inflight", "", func() float64 {
 		return float64(s.admission.inflight.Load())
@@ -234,41 +240,12 @@ func (s *Server) registerStateGauges() {
 	reg.Help("eyeorg_go_goroutines", "Live goroutines.")
 	reg.GaugeFunc("eyeorg_go_goroutines", "", runtimeValue("/sched/goroutines:goroutines"))
 	reg.Help("eyeorg_videos_banned", "Videos currently banned by participant flags.")
-	reg.GaugeFunc("eyeorg_videos_banned", "", func() float64 {
-		var n int
-		s.videos.Range(func(_ string, v *videoState) bool {
-			if v.Banned {
-				n++
-			}
-			return true
-		})
-		return float64(n)
-	})
+	reg.GaugeFunc("eyeorg_videos_banned", "", count(func(n *state.Counts) int { return n.Banned }))
 	reg.Help("eyeorg_quality_verdicts", "Completed sessions by live §4.3 filter verdict, across campaigns.")
-	// Each verdict's gauge sums its field of every campaign's summary: one
-	// walk over the campaigns, not their sessions, per gauge.
-	for verdict, count := range [...]func(filtering.Summary) int{
-		filtering.Kept:                func(t filtering.Summary) int { return t.Kept },
-		filtering.DropEngagementSeeks: func(t filtering.Summary) int { return t.EngagementSeeks },
-		filtering.DropEngagementFocus: func(t filtering.Summary) int { return t.EngagementFocus },
-		filtering.DropSoft:            func(t filtering.Summary) int { return t.Soft },
-		filtering.DropControl:         func(t filtering.Summary) int { return t.Control },
-	} {
-		reg.GaugeFunc("eyeorg_quality_verdicts", `verdict="`+filtering.Reason(verdict).String()+`"`, func() float64 {
-			return float64(s.sumCampaigns(func(c *campaignState) int { return count(c.analytics.Summary()) }))
-		})
+	for verdict := filtering.Kept; verdict <= filtering.DropControl; verdict++ {
+		reg.GaugeFunc("eyeorg_quality_verdicts", `verdict="`+verdict.String()+`"`,
+			count(func(n *state.Counts) int { return n.Verdicts[verdict] }))
 	}
-}
-
-// sumCampaigns adds f up over every campaign, each read under its shard's
-// read lock.
-func (s *Server) sumCampaigns(f func(c *campaignState) int) int {
-	n := 0
-	s.campaigns.Range(func(_ string, c *campaignState) bool {
-		n += f(c)
-		return true
-	})
-	return n
 }
 
 // runtimeValue reads one uint64 runtime/metrics sample at render time.
@@ -379,7 +356,7 @@ func (s *Server) Draining() bool { return s.admission.draining.Load() }
 // sessions never leave this count, so drain loops pair it with
 // RequestsInFlight to detect quiescence instead of waiting it to zero.
 func (s *Server) SessionsInFlight() int64 {
-	return int64(s.sumCampaigns(func(c *campaignState) int { return len(c.inflight) }))
+	return int64(s.state.Counts().InFlight)
 }
 
 // RequestsInFlight counts API requests currently being served. It
@@ -424,23 +401,20 @@ type scratch struct {
 	id     string // the route's {id} path segment, percent-decoded
 
 	buf   []byte // an ingest body as it arrived; a batch's acknowledgement
-	ev    event
+	ev    state.Event
 	join  JoinRequest
 	batch EventBatch
 	resp  ResponseBody
-	pool  []string     // a join's live videos
 	reply JoinResponse // a join's or a /tests reply
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // release clears everything the request left in the scratch, so the pool
-// pins none of it, and returns it. The buffers stay, emptied: the body
-// buffer never grows past maxInPlaceBody, and the video pool past the
-// largest campaign joined.
+// pins none of it, and returns it. The body buffer stays, emptied: it
+// never grows past maxInPlaceBody.
 func (sc *scratch) release() {
-	clear(sc.pool)
-	*sc = scratch{buf: sc.buf[:0], pool: sc.pool[:0]}
+	*sc = scratch{buf: sc.buf[:0]}
 	scratchPool.Put(sc)
 }
 

@@ -351,13 +351,8 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 	check := func(step string, srv *Server, c *client) {
 		t.Helper()
 		inflight, verdicts := 0, map[string]int{}
-		var ids []string
-		srv.campaigns.Range(func(id string, _ *campaignState) bool {
-			ids = append(ids, id)
-			return true
-		})
-		for _, id := range ids {
-			for _, p := range fetchAnalytics(t, c, id).Participants {
+		for _, cs := range campaignsOf(t, srv) {
+			for _, p := range fetchAnalytics(t, c, cs.ID).Participants {
 				if !p.Completed {
 					inflight++
 				} else {
@@ -368,7 +363,7 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 		if got := srv.SessionsInFlight(); got != int64(inflight) {
 			t.Errorf("%s: SessionsInFlight %d, the campaigns list %d", step, got, inflight)
 		}
-		if got, want := int64(srv.sessions.Len()), srv.SessionsInFlight(); got != want {
+		if got, want := int64(srv.state.Counts().Sessions), srv.SessionsInFlight(); got != want {
 			t.Errorf("%s: the sessions index holds %d sessions, the campaigns' in-flight lists %d", step, got, want)
 		}
 		body := scrape(t, c)
@@ -415,7 +410,7 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 	// Reloaded from the snapshot this test wrote, the sessions in flight are
 	// its joined count less its completed records, read from the state the
 	// reopened server loaded from it, written again.
-	data, err := a.marshalState()
+	data, err := document(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -317,8 +317,8 @@ func TestVideoDedupSharesOneBlob(t *testing.T) {
 	if n := srv.blobs.Len(); n != 1 {
 		t.Fatalf("5 identical uploads stored %d blobs, want 1", n)
 	}
-	if srv.videos.Len() != 5 {
-		t.Fatalf("videos indexed: %d, want 5", srv.videos.Len())
+	if n := srv.state.Counts().Videos; n != 5 {
+		t.Fatalf("videos indexed: %d, want 5", n)
 	}
 }
 
@@ -339,9 +339,9 @@ func TestVideoCacheHitPathAllocFree(t *testing.T) {
 		id := vids[0]
 		want := len(sampleVideoBytes())
 		allocs := testing.AllocsPerRun(1000, func() {
-			v, banned, ok := srv.videoRef(id)
-			if !ok || banned || v.etag == "" || v.Size != int64(want) {
-				t.Fatal("videoRef failed")
+			v, banned, ok := srv.state.Video(id)
+			if !ok || banned || v.ETag == "" || v.Size != int64(want) {
+				t.Fatal("the video lookup failed")
 			}
 			b, rc, err := srv.blobs.Serve(v.Hash)
 			if err != nil || rc != nil || len(b) != want {

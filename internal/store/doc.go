@@ -21,21 +21,24 @@
 // sync is ever in flight on the file being closed.
 //
 // Lock order, written down once for the journal and the platform above
-// it (internal/platform's doc.go points here): the platform's world
-// lock, then a session shard, a campaign shard, a video shard, then
-// commitMu, then mu. A goroutine takes a lock only while it holds
-// nothing later in that order: a platform request appends (mu) under
-// world, held shared, and its shard locks, and waits for durability
-// (commitMu) only once it has released all of them. A session lookup
+// it (internal/platform/state's doc points here): the world lock, then a
+// session shard, a campaign shard, a video shard, then commitMu, then
+// mu. internal/platform/state is the only taker of world and the shard
+// locks; the HTTP tier in internal/platform holds none of them. A
+// goroutine takes a lock only while it holds nothing later in that
+// order: state.Apply appends (mu) under world, held shared, and the op's
+// shard locks, and the platform's commit tail waits for durability
+// (commitMu) only once Apply has released all of them. A session lookup
 // that misses the sessions index asks every campaign shard in turn
 // under the session shard, each read-locked and released before the
-// next, so it never holds two. The platform's Snapshot is the only
-// holder of world in exclusive mode.
+// next, so it never holds two. The state's Snapshot is the only holder
+// of world in exclusive mode.
 //
 // Beside world and the shards the platform takes three locks of its
 // own. The telemetry registry's ranks first: a /metrics scrape holds it
-// while the gauge callbacks take campaign and video shard read locks
-// (and the blob store's), and nothing takes it under a shard. The
+// while the gauge callbacks ask the state for its counts, which take
+// campaign and video shard read locks, and the blob store's, and
+// nothing takes it under a shard. The
 // admission buckets — a sync.Map of token buckets, each with its own
 // mutex — are taken before a request's handler, with nothing held; a
 // missing bucket is made only after a session shard read lock finds the
