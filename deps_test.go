@@ -8,8 +8,8 @@ import (
 
 // serverPackages is what a server is built from: the platform, the tiers
 // under it, and the few leaf packages it shares with the paper
-// reproduction (the §4.3 rules, the survey records they read, the EYV1
-// video codec it validates uploads with). Nothing of the page-load
+// reproduction (the §4.3 rules, the participant records they read, the
+// EYV1 video codec it validates uploads with). Nothing of the page-load
 // simulator, the simulated crowd or the experiment suite belongs here. A
 // new import that pulls another package into internal/platform or the
 // server binary fails TestServerDeps until it is added here, on purpose.
@@ -24,7 +24,7 @@ var serverPackages = map[string]bool{
 	"internal/trace":          true,
 	"internal/telemetry":      true,
 	"internal/filtering":      true,
-	"internal/survey":         true,
+	"internal/response":       true,
 	"internal/video":          true,
 	"internal/vision":         true,
 	"internal/stats":          true,
@@ -72,9 +72,10 @@ func TestServerDeps(t *testing.T) {
 
 // TestStateDeps holds the campaign state machine to what it is: the
 // closure of internal/platform/state, standard library included, has
-// neither net/http nor internal/telemetry, which are the HTTP tier's, and
-// every module package in it is on serverPackages. Run it with -v to log
-// the closure.
+// neither net/http nor internal/telemetry, which are the HTTP tier's, nor
+// the frame code of internal/video and internal/vision, which only the
+// upload check and the tests participants take need, and every module
+// package in it is on serverPackages. Run it with -v to log the closure.
 func TestStateDeps(t *testing.T) {
 	const target = "./internal/platform/state"
 	var own []string
@@ -83,6 +84,8 @@ func TestStateDeps(t *testing.T) {
 		switch {
 		case pkg == "net/http", pkg == module+"/internal/telemetry":
 			t.Errorf("%s links %s, which belongs to the HTTP tier", target, pkg)
+		case rel == "internal/video", rel == "internal/vision", rel == "internal/survey":
+			t.Errorf("%s links %s, frame code the §4.3 fold does not read", target, pkg)
 		case ok && !serverPackages[rel]:
 			t.Errorf("%s links %s, which is not on the server allowlist", target, pkg)
 		}

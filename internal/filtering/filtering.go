@@ -22,8 +22,8 @@ package filtering
 import (
 	"time"
 
+	"github.com/eyeorg/eyeorg/internal/response"
 	"github.com/eyeorg/eyeorg/internal/stats"
-	"github.com/eyeorg/eyeorg/internal/survey"
 )
 
 // TrustedMaxSeeks is the highest interaction count observed among trusted
@@ -77,9 +77,9 @@ type Participant interface {
 // Exactly one of Timeline and AB is non-empty, matching the campaign type.
 type SessionRecord struct {
 	Participant Participant
-	Trace       *survey.SessionTrace
-	Timeline    []*survey.TimelineResponse
-	AB          []*survey.ABResponse
+	Trace       *response.SessionTrace
+	Timeline    []*response.TimelineResponse
+	AB          []*response.ABResponse
 }
 
 // ControlsPassed reports whether every control question was answered

@@ -172,7 +172,11 @@ func frozenVerdicts(t *testing.T, c *state.Campaign) map[string]string {
 	out := map[string]string{}
 	for i := range c.Completed() {
 		var pv ParticipantVerdict
-		if err := json.Unmarshal(c.Row(i), &pv); err != nil {
+		row, err := c.Row(i)
+		if err == nil {
+			err = json.Unmarshal(row, &pv)
+		}
+		if err != nil {
 			t.Fatalf("frozen row %d: %v", i, err)
 		}
 		if pv.Session != c.Completed()[i] || !pv.Completed || pv.Provisional {

@@ -51,7 +51,7 @@
 //
 // The package links nothing of the paper's simulator. Beside its own
 // tiers (state, store, blob, quality, adaptive, wire, trace, telemetry)
-// it reaches filtering, survey and stats for the record types the §4.3
+// it reaches filtering, response and stats for the record types the §4.3
 // fold takes, video and vision to check an upload's EYV1 container, and
 // rng: a participant is a worker ID, and a video is bytes someone else
 // rendered. TestServerDeps at the repository root holds the closure of

@@ -509,14 +509,15 @@ func TestLateRequestsAcrossCampaigns(t *testing.T) {
 	check("snapshot load", srv, c)
 }
 
-// TestSnapshotCarriesCompletedSessionsAsArena pins the version-5 layout:
-// a snapshot is its counters and its campaigns' sections and nothing
-// beside them; a section nests its videos in the campaign's order and
-// its sessions in flight, and its completed sessions travel as its arena
-// — one record per completed session, the bytes the server holds.
+// TestSnapshotCarriesCompletedSessionsAsArena pins the version-6
+// layout: a snapshot is its counters and its campaigns' sections and
+// nothing beside them; a section nests its videos in the campaign's order
+// and its sessions in flight, and its completed sessions travel as the
+// campaign's files — the section counts them and says how long each file
+// is valid for, and carries none of their IDs, records or rows.
 func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
-	srv := NewServer()
-	c := newClientFor(t, srv)
+	srv, c := openPersisted(t, t.TempDir(), Options{SnapshotEvery: -1})
+	defer srv.Close()
 	campaign, vids := seedPersistedCampaign(t, c)
 	data, err := document(srv)
 	if err != nil {
@@ -534,6 +535,18 @@ func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
 	if want := []string{"campaigns", "joined", "next_id", "version"}; !reflect.DeepEqual(keys, want) {
 		t.Fatalf("snapshot keys %v, want %v", keys, want)
 	}
+	var sections []map[string]json.RawMessage
+	if err := json.Unmarshal(top["campaigns"], &sections); err != nil {
+		t.Fatal(err)
+	}
+	keys = keys[:0]
+	for k := range sections[0] {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := []string{"frozen", "frozen_bytes", "id", "inflight", "kind", "name", "row_bytes", "videos"}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("section keys %v, want %v", keys, want)
+	}
 	var st snapState
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
@@ -546,8 +559,8 @@ func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
 	if len(cn.Inflight) != 1 || len(cn.Inflight[0].Answers) != 1 {
 		t.Fatalf("campaign %s lists %d sessions in flight, want only the one, with its one answer", cn.ID, len(cn.Inflight))
 	}
-	if len(cn.Records) != 5 || len(cn.ArenaEnds) != 5 {
-		t.Fatalf("campaign %s lists %d completed and %d record ends, want 5 and 5", cn.ID, len(cn.Records), len(cn.ArenaEnds))
+	if cn.Frozen != 5 || cs.Spilled() != 5 {
+		t.Fatalf("campaign %s counts %d completed and spilled %d, want 5 and 5", cn.ID, cn.Frozen, cs.Spilled())
 	}
 	for i, v := range cn.Videos {
 		if v.ID != vids[i] || v.Hash == "" || v.Banned != (i == 2) {
@@ -557,8 +570,12 @@ func TestSnapshotCarriesCompletedSessionsAsArena(t *testing.T) {
 	if len(cn.Videos) != len(vids) {
 		t.Fatalf("the section carries %d videos, the campaign %d", len(cn.Videos), len(vids))
 	}
-	if !bytes.Equal(cn.Arena, cs.Arena()) || len(cn.Arena) == 0 {
-		t.Fatalf("snapshot arena is %d bytes, the campaign's %d", len(cn.Arena), len(cs.Arena()))
+	frozen, rows := cs.Files()
+	if frozen == nil || cn.FrozenBytes == 0 || frozen.Size() != cn.FrozenBytes || frozen.Synced() != cn.FrozenBytes {
+		t.Fatalf("the section says the frozen file holds %d bytes, the file is %v", cn.FrozenBytes, frozen)
+	}
+	if rows.Size() != cn.RowBytes || rows.Synced() != cn.RowBytes || cn.RowBytes == 0 {
+		t.Fatalf("the section says the rows file holds %d bytes; it holds %d, %d synced", cn.RowBytes, rows.Size(), rows.Synced())
 	}
 }
 
@@ -622,20 +639,56 @@ func sectionOf(t *testing.T, srv *Server, campaign string) snapCampaign {
 	return snapCampaign{}
 }
 
-// loadSections loads a snapshot of sections into a new in-memory server
-// that holds the sample video's blob, and returns the server and the
-// load's error.
-func loadSections(t *testing.T, sections ...snapCampaign) (*Server, error) {
+// loadSections loads a snapshot of sections into a new server over a
+// fresh data dir that holds the sample video's blob and a copy of every
+// campaign file in src's data dir (none when src is empty), and returns
+// the server and the load's error.
+func loadSections(t *testing.T, src string, sections ...snapCampaign) (*Server, error) {
 	t.Helper()
 	data, err := json.Marshal(&snapState{Version: stateVersion, Campaigns: sections})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := NewServer()
+	dir := t.TempDir()
+	dst, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dst.Close() })
 	if _, _, err := dst.blobs.Put(bytes.NewReader(sampleVideoBytes())); err != nil {
 		t.Fatal(err)
 	}
+	if src != "" {
+		names, _ := filepath.Glob(filepath.Join(src, "campaigns", "*"))
+		if err := os.MkdirAll(filepath.Join(dir, "campaigns"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			copyFile(t, name, filepath.Join(dir, "campaigns", filepath.Base(name)))
+		}
+	}
 	return dst, dst.state.Load(data)
+}
+
+// copyFile copies file from to file to.
+func copyFile(t *testing.T, from, to string) {
+	t.Helper()
+	b, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(to, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyCampaignFiles copies campaign from's files in data dir dir to
+// campaign to's.
+func copyCampaignFiles(t *testing.T, dir, from, to string) {
+	t.Helper()
+	for _, ext := range []string{".frozen", ".rows"} {
+		copyFile(t, filepath.Join(dir, "campaigns", from+ext), filepath.Join(dir, "campaigns", to+ext))
+	}
 }
 
 // assertNothingInstalled fails t unless s holds no campaign, session or
@@ -699,16 +752,43 @@ func TestParentVersion4SnapshotRefused(t *testing.T) {
 	refusedByVersion(t, "parent_v4_snapshot.json", 4)
 }
 
+// TestParentVersion5SnapshotRefused: the snapshot a version-5 server
+// wrote (testdata/parent_v5_snapshot.json, the seedPersistedCampaign
+// state) carries its completed sessions' IDs and frozen records in the
+// section, where this server reads them from the campaign's files. It is
+// refused by its version.
+func TestParentVersion5SnapshotRefused(t *testing.T) {
+	refusedByVersion(t, "parent_v5_snapshot.json", 5)
+}
+
+// persistedSource seeds seedPersistedCampaign's state on a server over
+// a data dir and returns the server, the dir and the campaign's ID and
+// section, as a snapshot taken now carries it: the campaign's completed
+// sessions are in its files.
+func persistedSource(t *testing.T) (src *Server, dir, campaign string, cn snapCampaign) {
+	t.Helper()
+	dir = t.TempDir()
+	src, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	t.Cleanup(func() { src.Close() })
+	campaign, _ = seedPersistedCampaign(t, c)
+	return src, dir, campaign, sectionOf(t, src, campaign)
+}
+
+// completedIDs lists campaign's completed sessions on srv in completion
+// order.
+func completedIDs(srv *Server, campaign string) []string {
+	c, _ := srv.state.Campaign(campaign)
+	return c.Completed()
+}
+
 // TestStrayInFlightSessionRefused: a section lists its sessions in
 // flight itself, so the one stray it can carry is a session it also
 // lists as completed, which fails the snapshot load.
 func TestStrayInFlightSessionRefused(t *testing.T) {
-	src := NewServer()
-	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
-	cn := sectionOf(t, src, campaign)
-	cn.Inflight[0].ID = cn.Records[0]
+	src, dir, campaign, cn := persistedSource(t)
+	cn.Inflight[0].ID = completedIDs(src, campaign)[0]
 	const want = "both completed and in flight"
-	if _, err := loadSections(t, cn); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := loadSections(t, dir, cn); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("snapshot load: %v, want an error saying %q", err, want)
 	}
 }
@@ -717,9 +797,8 @@ func TestStrayInFlightSessionRefused(t *testing.T) {
 // index entries, so a snapshot whose sections share a campaign, a video
 // or a session is refused, rather than cross-wire two campaigns.
 func TestSnapshotOfHeldEntitiesRefused(t *testing.T) {
-	src := NewServer()
-	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
-	cn := sectionOf(t, src, campaign)
+	_, dir, campaign, cn := persistedSource(t)
+	copyCampaignFiles(t, dir, campaign, "c-copy")
 	for name, c := range map[string]struct {
 		copyOf func(cn snapCampaign) snapCampaign
 		want   string
@@ -730,12 +809,12 @@ func TestSnapshotOfHeldEntitiesRefused(t *testing.T) {
 			return cn
 		}, "already held"},
 		"session": {func(cn snapCampaign) snapCampaign {
-			cn.ID, cn.Videos, cn.Records, cn.Arena, cn.ArenaEnds = "c-copy", nil, nil, nil, nil
+			cn.ID, cn.Videos, cn.Frozen, cn.FrozenBytes, cn.RowBytes = "c-copy", nil, 0, 0, 0
 			return cn
 		}, "already held"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, err := loadSections(t, cn, c.copyOf(cn))
+			_, err := loadSections(t, dir, cn, c.copyOf(cn))
 			if err == nil || !strings.Contains(err.Error(), name+" ") || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("loading a snapshot whose sections share a %s: %v, want an error naming the %s, %q", name, err, name, c.want)
 			}
@@ -748,9 +827,9 @@ func TestSnapshotOfHeldEntitiesRefused(t *testing.T) {
 // campaign filed as completed, as completed again or as in flight, is
 // found by the merge against that campaign's frozen rows and refused.
 func TestSnapshotOfHeldCompletedSessionsRefused(t *testing.T) {
-	src := NewServer()
-	campaign, _ := seedPersistedCampaign(t, newClientFor(t, src))
-	cn := sectionOf(t, src, campaign)
+	src, dir, campaign, cn := persistedSource(t)
+	copyCampaignFiles(t, dir, campaign, "c-copy")
+	completed := completedIDs(src, campaign)
 	elsewhere := func(cn snapCampaign) snapCampaign {
 		cn.ID, cn.Inflight = "c-copy", nil
 		cn.Videos = slices.Clone(cn.Videos)
@@ -763,20 +842,20 @@ func TestSnapshotOfHeldCompletedSessionsRefused(t *testing.T) {
 		"completed again": elsewhere,
 		"in flight": func(cn snapCampaign) snapCampaign {
 			inflight := cn.Inflight[0]
-			inflight.ID = cn.Records[len(cn.Records)-1]
+			inflight.ID = completed[len(completed)-1]
 			cn = elsewhere(cn)
-			cn.Records, cn.Arena, cn.ArenaEnds, cn.Inflight = nil, nil, nil, []snapSession{inflight}
+			cn.Frozen, cn.FrozenBytes, cn.RowBytes, cn.Inflight = 0, 0, 0, []snapSession{inflight}
 			return cn
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dup := copyOf(cn)
-			_, err := loadSections(t, cn, dup)
+			_, err := loadSections(t, dir, cn, dup)
 			if err == nil || !strings.Contains(err.Error(), "session ") || !strings.Contains(err.Error(), "already held") {
 				t.Fatalf("loading a snapshot whose second section lists a session the first completed: %v, want an error naming the session", err)
 			}
 			// In the other order, the merge runs against the copy's rows.
-			if _, err := loadSections(t, dup, cn); err == nil || !strings.Contains(err.Error(), "already held") {
+			if _, err := loadSections(t, dir, dup, cn); err == nil || !strings.Contains(err.Error(), "already held") {
 				t.Fatalf("the same sections in the other order: %v, want an error naming the session", err)
 			}
 		})
@@ -877,18 +956,32 @@ func TestLeftoverClusterStateRefused(t *testing.T) {
 	}
 }
 
-// arenaCorruptions cut or misnumber a section's arena, each in a way
-// restore must refuse with an error naming the campaign (and, but for
-// "missing ends", the row).
-var arenaCorruptions = map[string]func(cn *snapCampaign){
-	"truncated record": func(cn *snapCampaign) {
-		cn.Arena = cn.Arena[:len(cn.Arena)-1]
-		cn.ArenaEnds[4]--
-	},
-	"video out of range":  func(cn *snapCampaign) { cn.Videos = cn.Videos[:1] },
-	"ends past the arena": func(cn *snapCampaign) { cn.ArenaEnds[4] += 40 },
-	"ends out of order":   func(cn *snapCampaign) { cn.ArenaEnds[2] = cn.ArenaEnds[1] - 1 },
-	"missing ends":        func(cn *snapCampaign) { cn.ArenaEnds = cn.ArenaEnds[:4] },
+// arenaCorruptions cut or misnumber a campaign's completed sessions —
+// its section in the document, or its frozen file in data dir dir — each
+// in a way restore must refuse with an error naming the campaign and,
+// unless row is false, the row.
+var arenaCorruptions = map[string]struct {
+	corrupt func(t *testing.T, dir string, cn *snapCampaign)
+	row     bool
+}{
+	// The frozen file and the document lose the last byte of the last
+	// record alike.
+	"truncated record": {func(t *testing.T, dir string, cn *snapCampaign) {
+		name := filepath.Join(dir, "campaigns", cn.ID+".frozen")
+		if err := os.Truncate(name, cn.FrozenBytes-1); err != nil {
+			t.Fatal(err)
+		}
+		cn.FrozenBytes--
+	}, true},
+	"video out of range": {func(_ *testing.T, _ string, cn *snapCampaign) { cn.Videos = cn.Videos[:1] }, true},
+	// The document says the frozen file is longer than it is.
+	"ends past the arena": {func(_ *testing.T, _ string, cn *snapCampaign) { cn.FrozenBytes += 40 }, false},
+	// The document ends the rows file inside the last row.
+	"ends out of order": {func(_ *testing.T, _ string, cn *snapCampaign) { cn.RowBytes-- }, true},
+	// The document counts fewer completed sessions than the files hold.
+	"missing ends": {func(_ *testing.T, _ string, cn *snapCampaign) { cn.Frozen-- }, false},
+	// The document gives the rows file a negative length.
+	"negative length": {func(_ *testing.T, _ string, cn *snapCampaign) { cn.RowBytes = -1 }, false},
 }
 
 // TestCorruptArenaRefused: a state document arrives from outside the
@@ -897,18 +990,18 @@ var arenaCorruptions = map[string]func(cn *snapCampaign){
 // Open with an error naming the campaign and the row — never a panic,
 // and never a half-installed campaign.
 func TestCorruptArenaRefused(t *testing.T) {
-	for name, corrupt := range arenaCorruptions {
+	for name, corruption := range arenaCorruptions {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			durable, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
 			campaign, _ := seedPersistedCampaign(t, c)
 			cn := sectionOf(t, durable, campaign)
-			corrupt(&cn)
-			dst, err := loadSections(t, cn)
+			corruption.corrupt(t, dir, &cn)
+			dst, err := loadSections(t, dir, cn)
 			if err == nil || !strings.Contains(err.Error(), "campaign "+campaign) {
 				t.Fatalf("snapshot load: %v, want an error naming campaign %s", err, campaign)
 			}
-			if name != "missing ends" && !strings.Contains(err.Error(), "row ") {
+			if corruption.row && !strings.Contains(err.Error(), "row ") {
 				t.Fatalf("snapshot load: %v, want an error naming the row", err)
 			}
 			assertNothingInstalled(t, dst)

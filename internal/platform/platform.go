@@ -156,6 +156,12 @@ type Server struct {
 	log       *store.Log
 	snapEvery uint64
 	snapping  atomic.Bool // a crossing request is taking the cadence's snapshot
+	// counts is the walk of the state a /metrics render takes once, into
+	// scraped, which the state gauges read; both only under the metrics
+	// registry's lock (registerStateGauges). counts is the state's Counts,
+	// a field so a test can count the walks.
+	counts  func() state.Counts
+	scraped state.Counts
 }
 
 // The JSON API types the state renders or journals, under the names this
@@ -264,6 +270,7 @@ func Open(opts Options) (*Server, error) {
 	}
 	if err := s.state.Recover(jl); err != nil {
 		jl.Close()
+		s.state.Close()
 		return nil, fmt.Errorf("platform: %w", err)
 	}
 	s.log = jl
@@ -271,7 +278,8 @@ func Open(opts Options) (*Server, error) {
 }
 
 // Close flushes and closes the journal, acking every record a request
-// still waits for; in-memory servers are no-ops. The server must not
+// still waits for, and closes the campaigns' files; in-memory servers
+// are no-ops. The server must not
 // serve requests afterwards: a mutation that arrives anyway fails with
 // the journal's closed error, and a snapshot a request was taking waits
 // for Close or fails and is logged.
@@ -279,7 +287,11 @@ func (s *Server) Close() error {
 	if s.log == nil {
 		return nil
 	}
-	return s.log.Close()
+	err := s.log.Close()
+	if serr := s.state.Close(); err == nil {
+		err = serr
+	}
+	return err
 }
 
 // Snapshot persists a full state snapshot and compacts the journal; it

@@ -1,8 +1,9 @@
 // Frozen session records: what a completed session still has to answer
 // — a late request, GET /sessions/{id}/tests, the next snapshot or
-// export — as one varint record on internal/wire's primitives. Records
-// sit back to back in their campaign's arena (Campaign.arena) and
-// travel inside state documents as those bytes.
+// export — as one varint record on internal/wire's primitives. Each
+// record, behind its session ID and length, sits in its campaign's
+// arena (Campaign.arena) until a snapshot spills it to the campaign's
+// frozen file (spill.go).
 //
 // Layout (unsigned varints unless noted; a string is its length, then
 // its bytes):
@@ -38,7 +39,7 @@ import (
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/quality"
-	"github.com/eyeorg/eyeorg/internal/survey"
+	"github.com/eyeorg/eyeorg/internal/response"
 	"github.com/eyeorg/eyeorg/internal/wire"
 )
 
@@ -148,7 +149,7 @@ func appendFrozen(dst []byte, c *Campaign, sess *Session) []byte {
 // caller's own: nothing keeps it, and it aliases neither rec nor the
 // arena.
 // Caller holds c's shard lock, at least shared (it reads c.Videos, and
-// rec is usually a slice of c.arena).
+// rec may be a slice of c.arena).
 func decodeFrozen(c *Campaign, id string, rec []byte) (*Session, error) {
 	p := wire.Parser{Rest: rec}
 	str := func() string { return string(p.Bytes(len(p.Rest))) }
@@ -206,7 +207,7 @@ func decodeFrozen(c *Campaign, id string, rec []byte) (*Session, error) {
 		a := &sess.answers[i]
 		a.Test, a.ControlFailed = int(head>>1), head&1 != 0
 		if sess.Assignment[a.Test].Kind == "ab" {
-			a.Choice = survey.ABChoice(p.Uvarint())
+			a.Choice = response.ABChoice(p.Uvarint())
 		} else {
 			a.Submitted = time.Duration(p.Zigzag())
 		}

@@ -9,7 +9,7 @@ import (
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/quality"
-	"github.com/eyeorg/eyeorg/internal/survey"
+	"github.com/eyeorg/eyeorg/internal/response"
 )
 
 // frozenFixture returns a campaign of the given kind with three videos
@@ -33,7 +33,7 @@ func frozenFixture(kind string) (*Campaign, *Session) {
 			t.TestID, t.Control, a.ControlFailed = sess.ID+"-control", true, true
 		}
 		if kind == "ab" {
-			a.Choice = survey.ABChoice(k % 3)
+			a.Choice = response.ABChoice(k % 3)
 		} else {
 			a.Submitted = time.Duration(1_400+k*37) * time.Millisecond
 		}
@@ -70,7 +70,7 @@ func TestFrozenRoundTrip(t *testing.T) {
 		"campaign without videos": func(c *Campaign, _ *Session) { c.Videos = nil },
 		"kind other than the campaign's": func(c *Campaign, sess *Session) {
 			// The answer's value travels as the test's own kind reads it.
-			sess.Assignment[1].Kind, sess.answers[1] = "ab", answer{Test: 1, Choice: survey.ChoiceRight}
+			sess.Assignment[1].Kind, sess.answers[1] = "ab", answer{Test: 1, Choice: response.ChoiceRight}
 			if c.Kind == "ab" {
 				sess.Assignment[1].Kind, sess.answers[1] = "timeline", answer{Test: 1, Submitted: 5 * time.Second}
 			}

@@ -35,7 +35,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/adaptive"
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/quality"
-	"github.com/eyeorg/eyeorg/internal/survey"
+	"github.com/eyeorg/eyeorg/internal/response"
 	"github.com/eyeorg/eyeorg/internal/trace"
 	"github.com/eyeorg/eyeorg/internal/wire"
 )
@@ -419,7 +419,7 @@ func (st *State) applyRecords(ev *Event, tr *trace.Trace, recs []wire.Record) (u
 	}
 	for i := range recs {
 		if r := &recs[i]; r.Kind == wire.KindEngagement {
-			sess.track.Observe(survey.VideoTrace{
+			sess.track.Observe(response.VideoTrace{
 				VideoID:         r.VideoID,
 				LoadTime:        time.Duration(r.LoadNs),
 				TimeOnVideo:     time.Duration(r.TimeOnVideoNs),
@@ -483,20 +483,22 @@ func (st *State) applyResponse(ev *Event, tr *trace.Trace) (uint64, Result, erro
 
 // completeSession is what the completing answer does, on the live path
 // and on every replay of its journal record alike: it freezes the
-// session's standing, appends the session's frozen record to the
-// campaign's arena and files it. The caller then deletes the session
+// session's standing, appends the session's entry — its ID and frozen
+// record — to the campaign's arena and files it. The caller then deletes the session
 // from the index, which held the last reference to its state, so the
 // tracker and its traces go with it. Caller holds both shard locks.
 func completeSession(c *Campaign, sess *Session) {
 	sess.track.SetCompleted()
 	sess.final = sess.track.Snapshot()
-	c.arena = appendFrozen(c.arena, c, sess)
-	c.arenaEnds = append(c.arenaEnds, uint32(len(c.arena)))
+	c.done.frozen = appendFrozen(c.done.frozen[:0], c, sess)
+	c.arena = appendEntry(c.arena, sess.ID, c.done.frozen)
+	c.arenaEnds = append(c.arenaEnds, end(c.arenaEnds, c.spilled)+uint32(len(c.arena)))
 	c.fileCompleted(sess)
 }
 
 // fileCompleted is the one step every completed session goes through,
-// fresh from completeSession or decoded from a restored arena (restore):
+// fresh from completeSession or decoded from a campaign's frozen file
+// (fileSpilled):
 // it folds the answers into the campaign's analytics and stopper and
 // files the session and its /analytics row under the next row number,
 // the row the session's record sits at in the arena. Caller holds the
@@ -518,20 +520,22 @@ func (c *Campaign) fileCompleted(sess *Session) {
 	c.rows = c.done.verdict.appendRow(c.rows)
 	c.rowDigest += crc64.Checksum(c.rows[start:], etagTable)
 	c.rows = append(c.rows, ',')
-	c.rowEnds = append(c.rowEnds, uint32(len(c.rows)))
+	c.rowEnds = append(c.rowEnds, end(c.rowEnds, c.spilled)+uint32(len(c.rows)))
 	c.done.verdict = ParticipantVerdict{} // the scratch pins no session's strings
 	c.invalidate()
 }
 
-// completion is the scratch fileCompleted folds a session from, one per
-// campaign and reused under its shard lock: the session's answers as the
+// completion is the scratch completeSession and fileCompleted work in,
+// one per campaign and reused under its shard lock: the session's frozen
+// record before it is framed into the arena, its answers as the
 // filtering.SessionRecord the §4.3 folds take, and its /analytics row's
 // fields. Neither quality.Campaign.Complete nor adaptive.Campaign.Complete
 // keeps the record or anything it points to.
 type completion struct {
+	frozen   []byte
 	rec      filtering.SessionRecord
-	timeline []survey.TimelineResponse
-	ab       []survey.ABResponse
+	timeline []response.TimelineResponse
+	ab       []response.ABResponse
 	verdict  ParticipantVerdict
 }
 
@@ -546,7 +550,7 @@ func (d *completion) record(sess *Session, kind string) *filtering.SessionRecord
 		d.ab = d.ab[:0]
 		for _, a := range sess.answers {
 			t := &sess.Assignment[a.Test]
-			d.ab = append(d.ab, survey.ABResponse{VideoID: t.VideoID, Choice: a.Choice, AOnLeft: true, Control: t.Control})
+			d.ab = append(d.ab, response.ABResponse{VideoID: t.VideoID, Choice: a.Choice, AOnLeft: true, Control: t.Control})
 		}
 		for i := range d.ab {
 			d.rec.AB = append(d.rec.AB, &d.ab[i])
@@ -556,7 +560,7 @@ func (d *completion) record(sess *Session, kind string) *filtering.SessionRecord
 	d.timeline = d.timeline[:0]
 	for _, a := range sess.answers {
 		t := &sess.Assignment[a.Test]
-		d.timeline = append(d.timeline, survey.TimelineResponse{VideoID: t.VideoID, Submitted: a.Submitted, Control: t.Control})
+		d.timeline = append(d.timeline, response.TimelineResponse{VideoID: t.VideoID, Submitted: a.Submitted, Control: t.Control})
 	}
 	for i := range d.timeline {
 		d.rec.Timeline = append(d.rec.Timeline, &d.timeline[i])
@@ -637,16 +641,16 @@ func parseResponse(sess *Session, body *ResponseBody) (answer, error) {
 	// Hard rule: one of the three answers must be present (§3.3).
 	switch body.Choice {
 	case "left":
-		a.Choice = survey.ChoiceLeft
+		a.Choice = response.ChoiceLeft
 	case "right":
-		a.Choice = survey.ChoiceRight
+		a.Choice = response.ChoiceRight
 	case "no difference":
-		a.Choice = survey.ChoiceNoDifference
+		a.Choice = response.ChoiceNoDifference
 	default:
 		return a, ErrBadChoice
 	}
 	// The platform's A/B controls delay the right side.
-	a.ControlFailed = t.Control && a.Choice == survey.ChoiceRight
+	a.ControlFailed = t.Control && a.Choice == response.ChoiceRight
 	return a, nil
 }
 
@@ -654,20 +658,21 @@ func parseResponse(sess *Session, body *ResponseBody) (answer, error) {
 func (sess *Session) trackAnswer(a answer) {
 	t := &sess.Assignment[a.Test]
 	if t.Kind == "ab" {
-		sess.track.AddAB(&survey.ABResponse{Control: t.Control, ControlPassed: !a.ControlFailed})
+		sess.track.AddAB(&response.ABResponse{Control: t.Control, ControlPassed: !a.ControlFailed})
 	} else {
-		sess.track.AddTimeline(&survey.TimelineResponse{Control: t.Control, ControlPassed: !a.ControlFailed})
+		sess.track.AddTimeline(&response.TimelineResponse{Control: t.Control, ControlPassed: !a.ControlFailed})
 	}
 }
 
 // --- state documents ---
 
 // StateVersion is the schema version of the snapshot document; version
-// 5 nests a campaign's videos and sessions in flight in its section, and
-// its frozen records keep a test ID the join minted as a flag bit
-// (frozen.go). No reader for an older layout is kept: a document carrying
-// another version is refused.
-const StateVersion = 5
+// 6 keeps a campaign's completed sessions in its files (spill.go) and
+// records only how many there are and how long the files are valid for;
+// version 5 carried their IDs and frozen records in the section. No
+// reader for an older layout is kept: a document carrying another
+// version is refused.
+const StateVersion = 6
 
 // decodeState reads the version of doc before the rest of it, so that a
 // document in another layout fails on its version rather than on a field
@@ -690,11 +695,11 @@ func decodeState(doc string, data []byte, v any) error {
 
 // A campaign's section is the one form its state takes in a document: a
 // snapshot is the counters and every campaign's section. The analytics,
-// stopper state and /analytics rows are NOT serialized: a section carries
-// its completed sessions' IDs in completion order and their frozen
-// records as the arena's bytes, and restore walks the arena once,
-// re-folding each record through fileCompleted, keeping the document
-// small and the rebuild exact.
+// stopper state and completed sessions are NOT serialized: a section
+// counts its completed sessions and records how long the campaign's two
+// files are valid for, and restore walks the files once, re-folding each
+// record through fileCompleted, keeping the document small and the
+// rebuild exact.
 
 type SnapState struct {
 	Version   int            `json:"version"`
@@ -704,19 +709,19 @@ type SnapState struct {
 }
 
 // SnapCampaign is one campaign's section: its videos in the campaign's
-// order; its completed sessions, which Records names in completion order,
-// with Arena their frozen records back to back (base64 in the document)
-// and ArenaEnds where each one ends, so record i is Records[i]'s; and its
-// sessions in flight, in ID order.
+// order; how many sessions it completed, whose entries and rows fill the
+// first FrozenBytes of its frozen file and the first RowBytes of its rows
+// file, in completion order (spill.go); and its sessions in flight, in ID
+// order.
 type SnapCampaign struct {
-	ID        string        `json:"id"`
-	Name      string        `json:"name"`
-	Kind      string        `json:"kind"`
-	Videos    []SnapVideo   `json:"videos,omitempty"`
-	Records   []string      `json:"records,omitempty"`
-	Arena     []byte        `json:"arena,omitempty"`
-	ArenaEnds []uint32      `json:"arena_ends,omitempty"`
-	Inflight  []SnapSession `json:"inflight,omitempty"`
+	ID          string        `json:"id"`
+	Name        string        `json:"name"`
+	Kind        string        `json:"kind"`
+	Videos      []SnapVideo   `json:"videos,omitempty"`
+	Frozen      int           `json:"frozen,omitempty"`
+	FrozenBytes int64         `json:"frozen_bytes,omitempty"`
+	RowBytes    int64         `json:"row_bytes,omitempty"`
+	Inflight    []SnapSession `json:"inflight,omitempty"`
 	// Moved is never written. Builds with a cluster tier set it on a
 	// campaign handed off to another node; it is read only so that
 	// restore refuses such a section instead of serving the campaign.
@@ -726,11 +731,11 @@ type SnapCampaign struct {
 // SnapSession is one session in flight: its answers so far and the
 // tracker's latest trace per video.
 type SnapSession struct {
-	ID      string                       `json:"id"`
-	Worker  Worker                       `json:"worker"`
-	Tests   []AssignedTest               `json:"tests"`
-	Answers []answer                     `json:"answers,omitempty"`
-	Traces  map[string]survey.VideoTrace `json:"traces,omitempty"`
+	ID      string                         `json:"id"`
+	Worker  Worker                         `json:"worker"`
+	Tests   []AssignedTest                 `json:"tests"`
+	Answers []answer                       `json:"answers,omitempty"`
+	Traces  map[string]response.VideoTrace `json:"traces,omitempty"`
 }
 
 // SnapVideo references its payload by content address; the blob file is
@@ -758,13 +763,14 @@ func sortedKeys(m map[string]bool) []string {
 // section builds campaign c's section. Caller holds the world lock
 // exclusively, so the reads are a consistent cut.
 func (st *State) section(c *Campaign) (SnapCampaign, error) {
+	n := uint32(len(c.recordSessions))
 	cn := SnapCampaign{
 		ID: c.ID, Name: c.Name, Kind: c.Kind,
-		Videos:    make([]SnapVideo, len(c.Videos)),
-		Records:   c.recordSessions,
-		Arena:     c.arena,
-		ArenaEnds: c.arenaEnds,
-		Inflight:  make([]SnapSession, len(c.inflight)),
+		Videos:      make([]SnapVideo, len(c.Videos)),
+		Frozen:      int(n),
+		FrozenBytes: int64(end(c.arenaEnds, n)),
+		RowBytes:    int64(end(c.rowEnds, n)),
+		Inflight:    make([]SnapSession, len(c.inflight)),
 	}
 	for i, vid := range c.Videos {
 		v, ok := st.videos.Get(vid)
@@ -781,25 +787,6 @@ func (st *State) section(c *Campaign) (SnapCampaign, error) {
 	return cn, nil
 }
 
-// marshal serializes the full platform state: the counters and
-// every campaign's section, in ID order. Caller holds the world lock
-// exclusively.
-func (st *State) marshal() ([]byte, error) {
-	doc := SnapState{Version: StateVersion, NextID: st.nextID.Load(), Joined: st.joined.Load()}
-	var err error
-	st.campaigns.Range(func(_ string, c *Campaign) bool {
-		var cn SnapCampaign
-		cn, err = st.section(c)
-		doc.Campaigns = append(doc.Campaigns, cn)
-		return err == nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(doc.Campaigns, func(i, j int) bool { return doc.Campaigns[i].ID < doc.Campaigns[j].ID })
-	return json.Marshal(&doc)
-}
-
 // restored is a section decoded and checked but not reachable yet: the
 // campaign with its completed sessions filed, its videos and its
 // sessions in flight.
@@ -811,22 +798,25 @@ type restored struct {
 
 // restore decodes and checks section cn, so a restored campaign is
 // field-for-field the one a replay of its journal would have produced.
-// It builds the videos, walks the arena re-folding every completed
-// session, and re-feeds each session in flight's tracker, touching no
-// index: every failure is an error naming the campaign, returned before
-// anything is installed.
-func (st *State) restore(cn *SnapCampaign) (*restored, error) {
+// It builds the videos, truncates the campaign's files to the lengths cn
+// records and walks them, re-folding every completed session, and
+// re-feeds each session in flight's tracker, touching no index: every
+// failure is an error naming the campaign, returned before anything is
+// installed.
+func (st *State) restore(cn *SnapCampaign) (_ *restored, err error) {
 	if cn.Moved != "" {
 		return nil, fmt.Errorf("campaign %s was handed off to cluster node %s; this server runs one node and does not serve a campaign another node owns", cn.ID, cn.Moved)
 	}
 	c := &Campaign{
 		ID: cn.ID, Name: cn.Name, Kind: cn.Kind,
-		Videos:         make([]string, len(cn.Videos)),
-		recordSessions: make([]string, 0, len(cn.Records)),
-		arena:          cn.Arena,
-		arenaEnds:      cn.ArenaEnds,
-		analytics:      quality.NewCampaign(cn.Kind),
+		Videos:    make([]string, len(cn.Videos)),
+		analytics: quality.NewCampaign(cn.Kind),
 	}
+	defer func() {
+		if err != nil && c.files != nil {
+			c.files.close()
+		}
+	}()
 	r := &restored{c: c, videos: make([]*Video, len(cn.Videos))}
 	for i, vn := range cn.Videos {
 		if err := st.servable(vn.ID, vn.Hash); err != nil {
@@ -854,30 +844,21 @@ func (st *State) restore(cn *SnapCampaign) (*restored, error) {
 			}
 		}
 	}
-	// The arena is kept as it came; one walk checks every record and
-	// re-folds it in recorded completion order — the order the journal
-	// produced them.
-	if len(cn.ArenaEnds) != len(cn.Records) {
-		return nil, fmt.Errorf("campaign %s has %d frozen records for %d completed sessions", cn.ID, len(cn.ArenaEnds), len(cn.Records))
-	}
-	start := uint32(0)
-	for row, sid := range cn.Records {
-		end := cn.ArenaEnds[row]
-		if end < start || uint64(end) > uint64(len(cn.Arena)) {
-			return nil, fmt.Errorf("campaign %s row %d (session %s): record ends at byte %d, not within %d..%d", cn.ID, row, sid, end, start, len(cn.Arena))
+	// One walk of the files checks every record and row and re-folds each
+	// session in recorded completion order — the order the journal
+	// produced them. Then the bytes leave the heap: the files hold them.
+	if cn.Frozen != 0 || cn.FrozenBytes != 0 || cn.RowBytes != 0 {
+		var frozen, rows []byte
+		if c.files, frozen, rows, err = st.loadFiles(cn); err != nil {
+			return nil, err
 		}
-		sess, err := decodeFrozen(c, sid, cn.Arena[start:end])
-		if err != nil {
-			return nil, fmt.Errorf("campaign %s row %d (session %s): %w", cn.ID, row, sid, err)
+		if err = c.fileSpilled(frozen, rows); err != nil {
+			return nil, err
 		}
-		if c.adaptive != nil {
-			c.adaptive.NoteJoin(sess.videos())
+		if len(c.recordSessions) != cn.Frozen {
+			return nil, fmt.Errorf("campaign %s: %s holds %d completed sessions, its document says %d", cn.ID, c.files.frozen.Name(), len(c.recordSessions), cn.Frozen)
 		}
-		c.fileCompleted(sess)
-		start = end
-	}
-	if int(start) != len(cn.Arena) {
-		return nil, fmt.Errorf("campaign %s: %d arena bytes follow its last record", cn.ID, len(cn.Arena)-int(start))
+		c.spilled, c.rows = uint32(cn.Frozen), nil
 	}
 	for _, sn := range cn.Inflight {
 		if _, frozen := c.frozenAt(sn.ID); frozen {
@@ -992,7 +973,9 @@ func (st *State) Load(data []byte) error {
 	for i := range doc.Campaigns {
 		r, err := st.restore(&doc.Campaigns[i])
 		if err == nil {
-			err = st.held(r)
+			if err = st.held(r); err != nil && r.c.files != nil {
+				r.c.files.close()
+			}
 		}
 		if err != nil {
 			return err

@@ -278,7 +278,7 @@ func (st *State) Analytics(dst []byte, id string, lo, hi float64, fresh func(tag
 	// listed from its frozen row; one that joined since, in the next poll.
 	csh.RLock()
 	defer csh.RUnlock()
-	rows, size, sum := len(c.rowOrder), len(c.rows), uint64(0)
+	rows, size, sum := len(c.rowOrder), int(end(c.rowEnds, uint32(len(c.rowEnds)))), uint64(0)
 	for i, sid := range liveIDs {
 		if _, frozen := c.frozenAt(sid); frozen {
 			live[i] = nil
@@ -301,7 +301,12 @@ func (st *State) Analytics(dst []byte, id string, lo, hi float64, fresh func(tag
 	if fresh(tag) {
 		return dst, tag, nil
 	}
-	return c.appendAnalytics(slices.Grow(dst, size), shell.Bytes(), liveIDs, live), tag, nil
+	spilled, err := c.readSpilledRows()
+	if err != nil {
+		return dst, "", err
+	}
+	defer regionPool.Put(spilled)
+	return c.appendAnalytics(slices.Grow(dst, size), *spilled, shell.Bytes(), liveIDs, live), tag, nil
 }
 
 // verdict returns the session's ParticipantVerdict, which encoding/json
@@ -341,10 +346,11 @@ func (c *Campaign) frozenAt(id string) (int, bool) {
 }
 
 // appendAnalytics appends the payload to b: shell, an AnalyticsResponse
-// encoded with no participants, with the frozen rows copied into its
-// empty list, merged in ascending session order with the non-nil rows
-// of live (live[i] is liveIDs[i]'s). Caller holds the campaign's lock.
-func (c *Campaign) appendAnalytics(b, shell []byte, liveIDs []string, live [][]byte) []byte {
+// encoded with no participants, with the frozen rows — spilled holds the
+// rows file's valid region — copied into its empty list, merged in
+// ascending session order with the non-nil rows of live (live[i] is
+// liveIDs[i]'s). Caller holds the campaign's lock.
+func (c *Campaign) appendAnalytics(b, spilled, shell []byte, liveIDs []string, live [][]byte) []byte {
 	// encoding/json escapes quotes in strings: the first match is the field.
 	cut := bytes.Index(shell, []byte(`"participants":[]`)) + len(`"participants":[`)
 	b = append(b, shell[:cut]...)
@@ -355,7 +361,7 @@ func (c *Campaign) appendAnalytics(b, shell []byte, liveIDs []string, live [][]b
 			at, _ = c.frozenAt(liveIDs[i])
 		}
 		for ; next < at; next++ {
-			b = append(b, segment(c.rows, c.rowEnds, c.rowOrder[next])...)
+			b = append(b, c.row(spilled, c.rowOrder[next])...)
 		}
 		if i < len(liveIDs) && live[i] != nil {
 			b = append(append(b, live[i]...), ',')

@@ -18,7 +18,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +29,8 @@ import (
 	"github.com/eyeorg/eyeorg/internal/blob"
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/quality"
+	"github.com/eyeorg/eyeorg/internal/response"
 	"github.com/eyeorg/eyeorg/internal/store"
-	"github.com/eyeorg/eyeorg/internal/survey"
 )
 
 // BanThreshold is how many distinct participants must flag a video before
@@ -86,8 +88,11 @@ type State struct {
 	// funnelling the request path through one serial lock.
 	world sync.RWMutex
 	// log is the journal Apply appends to; nil in memory and during
-	// Recover's replay.
-	log *store.Log
+	// Recover's replay. disk is the same journal from the start of
+	// Recover on, as the owner of the campaigns' files (spill.go); nil in
+	// memory.
+	log, disk *store.Log
+	closed    atomic.Bool // Close has run
 }
 
 // New returns an empty state whose indexes have shards shards each (as
@@ -122,13 +127,13 @@ type Campaign struct {
 	cacheTag       string
 
 	// The completed sessions as /analytics lists them: each one's
-	// ParticipantVerdict and a comma, rendered once by fileCompleted,
-	// back to back in completion order (row i, ending at rowEnds[i], is
+	// ParticipantVerdict and a comma, rendered once by fileCompleted, back
+	// to back in completion order (row i, ending at offset rowEnds[i], is
 	// recordSessions[i]'s; 32-bit offsets hold some 40 million). rowOrder
 	// lists row numbers ascending by session ID, the payload's order;
 	// rowDigest sums the rows' checksums, so the /analytics ETag does not
-	// depend on the order they arrived in. inflight lists the sessions
-	// not yet completed, in no order that reaches a reply. Rebuilt on load,
+	// depend on the order they arrived in. inflight lists the sessions not
+	// yet completed, in no order that reaches a reply. Rebuilt on load,
 	// never serialized.
 	rows              []byte
 	rowEnds, rowOrder []uint32
@@ -136,13 +141,20 @@ type Campaign struct {
 	inflight          []string
 
 	// arena holds the completed sessions themselves, all that is left of
-	// them: one frozen record each (frozen.go), back to back under the
-	// rows' numbering — record i ends at arenaEnds[i] and is
-	// recordSessions[i]'s. A lookup that misses the sessions index finds
-	// the record through rowOrder (frozenLocked); state documents carry
-	// both slices as they are.
+	// them: one entry each, the session's ID and frozen record (frozen.go,
+	// spill.go), back to back under the rows' numbering — entry i ends at
+	// offset arenaEnds[i] and is recordSessions[i]'s. A lookup that misses
+	// the sessions index finds the entry through rowOrder (frozenLocked).
 	arena     []byte
 	arenaEnds []uint32
+
+	// The first spilled completed sessions have their entries and rows in
+	// files (spill.go), nil until a snapshot first spills and always nil
+	// in memory; arena and rows hold only the bytes from offset
+	// arenaEnds[spilled-1] and rowEnds[spilled-1] on. The offsets, the IDs
+	// and rowOrder stay here for every completed session.
+	spilled uint32
+	files   *campaignFiles
 
 	// analytics is the incremental §4.3 aggregate folded in as sessions
 	// complete — what /results and the /analytics summary and bands
@@ -167,26 +179,30 @@ func (c *Campaign) InFlight() []string { return c.inflight }
 // Analytics is the campaign's incremental §4.3 fold.
 func (c *Campaign) Analytics() *quality.Campaign { return c.analytics }
 
-// Arena is the campaign's completed sessions' frozen records, back to back.
-func (c *Campaign) Arena() []byte { return c.arena }
-
-// Row returns completed session i's /analytics row, in completion order,
-// without its trailing comma.
-func (c *Campaign) Row(i int) []byte {
-	row := segment(c.rows, c.rowEnds, uint32(i))
-	return row[:len(row)-1]
+// Files returns the campaign's frozen-record and rows files: nil until a
+// snapshot first spilled the campaign, and always nil in memory.
+func (c *Campaign) Files() (frozen, rows *store.File) {
+	if c.files == nil {
+		return nil, nil
+	}
+	return c.files.frozen, c.files.rows
 }
 
-// segment returns piece i of buf, where ends[i] is the offset piece i
-// ends at and pieces sit back to back: a frozen record of the arena, a
-// rendered row of rows. Caller holds the campaign's shard lock, at least
-// shared, for as long as it reads the bytes.
-func segment(buf []byte, ends []uint32, i uint32) []byte {
-	start := uint32(0)
-	if i > 0 {
-		start = ends[i-1]
+// Spilled counts the completed sessions whose records and rows are in
+// the campaign's files.
+func (c *Campaign) Spilled() int { return int(c.spilled) }
+
+// Row returns completed session i's /analytics row, in completion order,
+// without its trailing comma, read from the rows file if it is spilled.
+func (c *Campaign) Row(i int) ([]byte, error) {
+	n := uint32(i)
+	if n >= c.spilled {
+		row := c.row(nil, n)
+		return row[:len(row)-1], nil
 	}
-	return buf[start:ends[i]]
+	row := make([]byte, c.rowEnds[n]-end(c.rowEnds, n))
+	err := c.files.rows.ReadAt(row, int64(end(c.rowEnds, n)))
+	return row[:len(row)-1], err
 }
 
 // invalidate drops the rendered /results body and its ETag. Caller
@@ -288,8 +304,8 @@ type answer struct {
 	Test int `json:"test"`
 	// Submitted is a timeline answer's final position on the video
 	// clock; Choice is an A/B answer's side.
-	Submitted time.Duration   `json:"submitted_ns,omitempty"`
-	Choice    survey.ABChoice `json:"choice,omitempty"`
+	Submitted time.Duration     `json:"submitted_ns,omitempty"`
+	Choice    response.ABChoice `json:"choice,omitempty"`
 	// ControlFailed marks a control question answered wrong.
 	ControlFailed bool `json:"control_failed,omitempty"`
 }
@@ -340,10 +356,14 @@ type ResponseBody struct {
 // journal record past it, each through Apply — and then journals every
 // later op to jl. It runs before the state serves anything.
 func (st *State) Recover(jl *store.Log) error {
+	st.disk = jl
 	if _, data, ok := jl.Snapshot(); ok {
 		if err := st.Load(data); err != nil {
 			return fmt.Errorf("loading snapshot: %w", err)
 		}
+	}
+	if err := st.sweep(); err != nil {
+		return fmt.Errorf("removing files the snapshot does not cover: %w", err)
 	}
 	err := jl.Replay(func(seq uint64, payload []byte) error {
 		var ev Event
@@ -364,16 +384,63 @@ func (st *State) Recover(jl *store.Log) error {
 }
 
 // Snapshot hands write the state document, with every op quiesced
-// (queries proceed) until write returns: the journal's WriteSnapshot
-// makes it the snapshot of every record so far.
+// (queries proceed) until it returns: the journal's WriteSnapshot makes
+// it the snapshot of every record so far. On a state with a data
+// directory it first appends what each campaign completed since the last
+// snapshot to the campaign's files and syncs them, so the document it
+// writes covers only durable bytes; once write succeeds, each campaign
+// drops from the heap what its files now hold (spill.go). world is held
+// for work that grows with what completed since the last snapshot and
+// with the sessions in flight, not with every completed session.
 func (st *State) Snapshot(write func(doc []byte) error) error {
 	st.world.Lock()
 	defer st.world.Unlock()
-	data, err := st.marshal()
+	var campaigns []*Campaign
+	st.campaigns.Range(func(_ string, c *Campaign) bool {
+		campaigns = append(campaigns, c)
+		return true
+	})
+	slices.SortFunc(campaigns, func(a, b *Campaign) int { return strings.Compare(a.ID, b.ID) })
+	doc := SnapState{Version: StateVersion, NextID: st.nextID.Load(), Joined: st.joined.Load()}
+	for _, c := range campaigns {
+		if err := st.spill(c); err != nil {
+			return err
+		}
+		cn, err := st.section(c)
+		if err != nil {
+			return err
+		}
+		doc.Campaigns = append(doc.Campaigns, cn)
+	}
+	data, err := json.Marshal(&doc)
 	if err != nil {
 		return err
 	}
-	return write(data)
+	if err := write(data); err != nil {
+		return err
+	}
+	for i, c := range campaigns {
+		st.advance(c, uint32(doc.Campaigns[i].Frozen))
+	}
+	return nil
+}
+
+// Close closes the campaigns' files, once however often it is called.
+// The state serves nothing after it.
+func (st *State) Close() error {
+	if !st.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	var err error
+	st.campaigns.Range(func(_ string, c *Campaign) bool {
+		if c.files != nil {
+			if ferr := c.files.close(); err == nil {
+				err = ferr
+			}
+		}
+		return true
+	})
+	return err
 }
 
 // NewID mints a fresh entity ID: prefix and the next number.
@@ -551,8 +618,11 @@ func (st *State) sessionLocked(ssh *store.Shard[*Session], id string) (*Session,
 	}
 	var sess *Session
 	err := ErrNoSession
-	st.frozenLocked(id, func(c *Campaign, rec []byte) {
-		sess, err = decodeFrozen(c, id, rec)
+	st.frozenLocked(id, func(c *Campaign, i uint32) {
+		var rec []byte
+		if rec, err = c.record(i); err == nil {
+			sess, err = decodeFrozen(c, id, rec)
+		}
 	})
 	return sess, err
 }
@@ -560,18 +630,18 @@ func (st *State) sessionLocked(ssh *store.Shard[*Session], id string) (*Session,
 // frozenLocked is where a lookup that misses the sessions index goes: it
 // reports whether a campaign filed session id as completed and, if one
 // did and fn is not nil, calls fn with the campaign and the session's
-// frozen record in place. It asks each campaign's frozenAt in turn under
+// row number. It asks each campaign's frozenAt in turn under
 // that campaign's shard lock, held shared and released before the next
 // shard's is taken, so it never holds two; fn runs under it. Caller
 // holds id's session shard lock, which comes before a campaign's in the
 // lock order: a completion deletes the session from the index and files
 // it under both, so the session is in exactly one of the two places.
-func (st *State) frozenLocked(id string, fn func(c *Campaign, rec []byte)) bool {
+func (st *State) frozenLocked(id string, fn func(c *Campaign, i uint32)) bool {
 	found := false
 	st.campaigns.Range(func(_ string, c *Campaign) bool {
 		at, ok := c.frozenAt(id)
 		if ok && fn != nil {
-			fn(c, segment(c.arena, c.arenaEnds, c.rowOrder[at]))
+			fn(c, c.rowOrder[at])
 		}
 		found = ok
 		return !ok
@@ -606,9 +676,10 @@ type Counts struct {
 	// InFlight sums the campaigns' lists of them.
 	Sessions, InFlight int
 	Joined             int64
-	// CompletedBytes is what completed sessions hold: frozen records and
-	// /analytics rows.
-	CompletedBytes int
+	// CompletedBytes is what completed sessions hold in the heap, and
+	// SpilledBytes what they hold in the campaigns' files: frozen records
+	// and /analytics rows.
+	CompletedBytes, SpilledBytes int
 	// Verdicts counts completed sessions by their §4.3 verdict.
 	Verdicts [filtering.DropControl + 1]int
 }
@@ -628,6 +699,7 @@ func (st *State) Counts() Counts {
 	st.campaigns.Range(func(_ string, c *Campaign) bool {
 		n.InFlight += len(c.inflight)
 		n.CompletedBytes += len(c.arena) + len(c.rows)
+		n.SpilledBytes += int(end(c.arenaEnds, c.spilled) + end(c.rowEnds, c.spilled))
 		sum := c.analytics.Summary()
 		n.Verdicts[filtering.Kept] += sum.Kept
 		n.Verdicts[filtering.DropEngagementSeeks] += sum.EngagementSeeks

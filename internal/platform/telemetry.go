@@ -184,17 +184,17 @@ func (b *blobSink) MapHit(n int)    { b.hits.Inc(); b.hitBytes.Add(uint64(n)) }
 func (b *blobSink) MapMiss()        { b.misses.Inc() }
 
 // registerStateGauges exposes live platform state as scrape-time
-// gauges. Each state gauge reads the state's Counts, which walk the
-// indexes under per-shard read locks — a scrape serializes with nothing
-// beyond the shard it is currently reading — and read each fact where
-// the campaign keeps it.
+// gauges. Every render walks the state once, before its first gauge
+// (Registry.BeforeRender): the state's Counts walk the indexes under
+// per-shard read locks — a scrape serializes with nothing beyond the
+// shard it is currently reading — and read each fact where the campaign
+// keeps it, and each state gauge reads its field of that one walk.
 func (s *Server) registerStateGauges() {
 	reg := s.metrics.reg
+	s.counts = s.state.Counts
+	reg.BeforeRender(func() { s.scraped = s.counts() })
 	count := func(field func(n *state.Counts) int) func() float64 {
-		return func() float64 {
-			n := s.state.Counts()
-			return float64(field(&n))
-		}
+		return func() float64 { return float64(field(&s.scraped)) }
 	}
 	reg.Help("eyeorg_campaigns", "Campaigns stored.")
 	reg.GaugeFunc("eyeorg_campaigns", "", count(func(n *state.Counts) int { return n.Campaigns }))
@@ -204,8 +204,10 @@ func (s *Server) registerStateGauges() {
 	reg.GaugeFunc("eyeorg_sessions", "", count(func(n *state.Counts) int { return int(n.Joined) }))
 	reg.Help("eyeorg_sessions_inflight", "Joined sessions not yet completed.")
 	reg.GaugeFunc("eyeorg_sessions_inflight", "", count(func(n *state.Counts) int { return n.InFlight }))
-	reg.Help("eyeorg_sessions_completed_bytes", "Bytes held for completed sessions: frozen records and /analytics rows, all campaigns.")
+	reg.Help("eyeorg_sessions_completed_bytes", "Heap bytes held for completed sessions: frozen records and /analytics rows not yet spilled, all campaigns.")
 	reg.GaugeFunc("eyeorg_sessions_completed_bytes", "", count(func(n *state.Counts) int { return n.CompletedBytes }))
+	reg.Help("eyeorg_sessions_spilled_bytes", "Bytes of completed sessions' frozen records and /analytics rows in the campaigns' files, all campaigns.")
+	reg.GaugeFunc("eyeorg_sessions_spilled_bytes", "", count(func(n *state.Counts) int { return n.SpilledBytes }))
 	reg.Help("eyeorg_http_inflight", "API requests currently being served.")
 	reg.GaugeFunc("eyeorg_http_inflight", "", func() float64 {
 		return float64(s.admission.inflight.Load())

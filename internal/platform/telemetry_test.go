@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 )
 
 // newClientOpts is newClient with storage/admission options.
@@ -420,7 +421,7 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 	}
 	want := st.Joined
 	for _, cn := range st.Campaigns {
-		want -= int64(len(cn.Records))
+		want -= int64(cn.Frozen)
 	}
 	if got := a.SessionsInFlight(); got != want || want == 0 {
 		t.Errorf("snapshot: SessionsInFlight %d, want joined %d less %d completed records", got, st.Joined, st.Joined-want)
@@ -484,5 +485,53 @@ func TestMaxBodyRejectsOversizeIngest(t *testing.T) {
 		if got := metricValue(t, scrape(t, c), `eyeorg_admission_rejected_total{reason="body"}`); got != fmt.Sprint(i+1) {
 			t.Fatalf("body rejections counted: %s, want %d", got, i+1)
 		}
+	}
+}
+
+// TestMetricsWalkStateOncePerScrape: a /metrics render walks the state
+// once, however many gauges read it, and the completed sessions' bytes
+// move from the heap gauge to the spilled one when a snapshot writes
+// them to the campaigns' files.
+func TestMetricsWalkStateOncePerScrape(t *testing.T) {
+	srv, c := openPersisted(t, t.TempDir(), Options{SnapshotEvery: -1})
+	defer srv.Close()
+	seedPersistedCampaign(t, c)
+	walks := 0
+	srv.counts = func() state.Counts {
+		walks++
+		return srv.state.Counts()
+	}
+	scrape := func() map[string]float64 {
+		t.Helper()
+		var b strings.Builder
+		srv.Metrics().Render(&b)
+		values := map[string]float64{}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+				values[name], _ = strconv.ParseFloat(value, 64)
+			}
+		}
+		return values
+	}
+	before := scrape()
+	if walks != 1 {
+		t.Fatalf("one render walked the state %d times", walks)
+	}
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	after := scrape()
+	if walks != 2 {
+		t.Fatalf("two renders walked the state %d times", walks)
+	}
+	const heap, spilled = "eyeorg_sessions_completed_bytes", "eyeorg_sessions_spilled_bytes"
+	if before[heap] == 0 || before[spilled] != 0 {
+		t.Fatalf("before the snapshot: %s %v, %s %v; want the heap to hold every byte", heap, before[heap], spilled, before[spilled])
+	}
+	if after[heap] != 0 || after[spilled] != before[heap] {
+		t.Fatalf("after the snapshot: %s %v, %s %v; want the files to hold the %v bytes the heap did", heap, after[heap], spilled, after[spilled], before[heap])
+	}
+	if after["eyeorg_sessions_inflight"] != 1 || after[`eyeorg_quality_verdicts{verdict="kept"}`] != before[`eyeorg_quality_verdicts{verdict="kept"}`] {
+		t.Fatalf("the other state gauges changed across the snapshot: %v, then %v", before, after)
 	}
 }

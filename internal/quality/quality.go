@@ -68,8 +68,8 @@ import (
 	"sync"
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/response"
 	"github.com/eyeorg/eyeorg/internal/stats"
-	"github.com/eyeorg/eyeorg/internal/survey"
 )
 
 // Tracker follows one session's standing against the per-participant
@@ -98,7 +98,7 @@ type Tracker struct {
 // counters by it. trace is the latest batch once seen is set, and zero
 // before.
 type videoEntry struct {
-	trace survey.VideoTrace
+	trace response.VideoTrace
 	mult  int
 	seen  bool
 }
@@ -115,7 +115,7 @@ func entriesOf(assignedVideos []string) []videoEntry {
 		if i := indexOf(videos, v); i >= 0 {
 			videos[i].mult++
 		} else {
-			videos = append(videos, videoEntry{trace: survey.VideoTrace{VideoID: v}, mult: 1})
+			videos = append(videos, videoEntry{trace: response.VideoTrace{VideoID: v}, mult: 1})
 		}
 	}
 	return videos
@@ -132,7 +132,7 @@ func indexOf(videos []videoEntry, id string) int {
 
 // focusViolated mirrors rule 2 of filtering.Classify: a long absence
 // counts only once the video was delivered within the absence window.
-func focusViolated(tr survey.VideoTrace) bool {
+func focusViolated(tr response.VideoTrace) bool {
 	return tr.OutOfFocus > filtering.FocusLimit && tr.LoadTime <= tr.OutOfFocus
 }
 
@@ -140,7 +140,7 @@ func focusViolated(tr survey.VideoTrace) bool {
 // any earlier batch for the same video — exactly as the platform's
 // session state keeps only the newest trace. Batches for videos outside
 // the assignment never reach the materialized record and are ignored.
-func (t *Tracker) Observe(tr survey.VideoTrace) {
+func (t *Tracker) Observe(tr response.VideoTrace) {
 	i := indexOf(t.videos, tr.VideoID)
 	if i < 0 {
 		return
@@ -169,12 +169,12 @@ func (t *Tracker) Observe(tr survey.VideoTrace) {
 // place an in-flight session keeps them; the map is built per call, for
 // snapshots, which serialize it and re-feed a restored tracker through
 // Observe.
-func (t *Tracker) Traces() map[string]survey.VideoTrace {
-	var out map[string]survey.VideoTrace
+func (t *Tracker) Traces() map[string]response.VideoTrace {
+	var out map[string]response.VideoTrace
 	for i := range t.videos {
 		if e := &t.videos[i]; e.seen {
 			if out == nil {
-				out = make(map[string]survey.VideoTrace, len(t.videos))
+				out = make(map[string]response.VideoTrace, len(t.videos))
 			}
 			out[e.trace.VideoID] = e.trace
 		}
@@ -183,7 +183,7 @@ func (t *Tracker) Traces() map[string]survey.VideoTrace {
 }
 
 // AddTimeline ingests one stored timeline answer.
-func (t *Tracker) AddTimeline(r *survey.TimelineResponse) {
+func (t *Tracker) AddTimeline(r *response.TimelineResponse) {
 	t.answered++
 	if r.Control {
 		t.controls++
@@ -194,7 +194,7 @@ func (t *Tracker) AddTimeline(r *survey.TimelineResponse) {
 }
 
 // AddAB ingests one stored A/B answer.
-func (t *Tracker) AddAB(r *survey.ABResponse) {
+func (t *Tracker) AddAB(r *response.ABResponse) {
 	t.answered++
 	if r.Control {
 		t.controls++

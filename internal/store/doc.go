@@ -32,7 +32,14 @@
 // that misses the sessions index asks every campaign shard in turn
 // under the session shard, each read-locked and released before the
 // next, so it never holds two. The state's Snapshot is the only holder
-// of world in exclusive mode.
+// of world in exclusive mode. Under it the snapshot appends to each
+// campaign's data files (File) what completed since the last snapshot and
+// syncs them, writes the state document through WriteSnapshot (commitMu,
+// then mu), and then moves each campaign's spill boundary under that
+// campaign's shard lock held exclusively; a reader of a spilled session's
+// bytes holds the campaign's shard lock shared while it calls ReadAt. A
+// File takes no lock: its appends are the snapshot's alone, and a ReadAt
+// reads only below the boundary, which no append writes.
 //
 // Beside world and the shards the platform takes three locks of its
 // own. The telemetry registry's ranks first: a /metrics scrape holds it
@@ -55,6 +62,8 @@
 //
 //	wal-<first seq, 16 hex>.seg   record segments, rotated by size
 //	snap-<seq, 16 hex>.snap       state snapshots (CRC header + payload)
+//	campaigns/<id>.frozen         a campaign's spilled frozen records (File)
+//	campaigns/<id>.rows           a campaign's spilled /analytics rows (File)
 //
 // Each segment record is framed as a 4-byte little-endian payload
 // length, a 4-byte CRC32-C of the payload, and the payload itself; a
@@ -68,6 +77,16 @@
 // append leaves; Open trims it. Any tail on an older segment is real
 // corruption and fails Open. The full frame, window and snapshot
 // formats are specified in docs/PROTOCOLS.md.
+//
+// Data files (file.go) sit beside the journal for bytes a caller keeps
+// out of memory once a snapshot covers them. The store does not read
+// them; the caller's snapshot says how long each is valid for, and its
+// recovery is the caller's too: after Open, truncate each data file to
+// the lengths the loaded snapshot records (a crash may have left a tail
+// past them, written and synced before the snapshot that would have
+// covered it), read them back, then Replay. A File syncs through the
+// same syncData as a window, so a test that fails or slows window syncs
+// reaches the data files as well.
 //
 // One hook keeps the journal dependency-free while letting the platform
 // observe and extend it: Options.Observer, a CommitObserver, receives

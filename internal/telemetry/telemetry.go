@@ -229,6 +229,7 @@ type Registry struct {
 	gauges   map[metricKey]*Gauge
 	hists    map[metricKey]*Histogram
 	funcs    []gaugeFunc
+	before   []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -286,6 +287,15 @@ func (r *Registry) GaugeFunc(name, labels string, fn func() float64) {
 	r.mu.Unlock()
 }
 
+// BeforeRender registers fn to run at the start of every Render, under
+// the registry's lock and before any gauge function: gauges that read
+// one walk of some state can share a walk taken there, once per render.
+func (r *Registry) BeforeRender(fn func()) {
+	r.mu.Lock()
+	r.before = append(r.before, fn)
+	r.mu.Unlock()
+}
+
 // Histogram returns the histogram for (name, labels), creating it with
 // the given bucket bounds (nil = DefBuckets) on first use.
 func (r *Registry) Histogram(name, labels string, bounds []float64) *Histogram {
@@ -329,6 +339,9 @@ func series(w io.Writer, name, labels, extra, value string) {
 func (r *Registry) Render(w io.Writer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for _, fn := range r.before {
+		fn()
+	}
 
 	type sample struct {
 		key  metricKey
