@@ -123,7 +123,7 @@ func (s *Server) handleEventsBinary(w *scratch, r *http.Request) {
 	ev := &w.ev
 	*ev = state.Event{Op: state.OpBatch, ID: id, Wire: dec.Bytes(), Records: recs}
 	if _, err := s.mutate(ev, tr); err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	w.buf = appendBatchAck(w.buf[:0], len(recs))

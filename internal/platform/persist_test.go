@@ -706,12 +706,17 @@ func assertNothingInstalled(t *testing.T, s *Server) {
 // its version and this server's — on the version, not on a field whose
 // layout changed — and that loadState installs nothing of it.
 func refusedByVersion(t *testing.T, fixture string, v int) {
+	refusedByVersionIn(t, t.TempDir(), fixture, v)
+}
+
+// refusedByVersionIn is refusedByVersion over data dir dir, which may
+// already hold the campaign files the fixture's server wrote beside it.
+func refusedByVersionIn(t *testing.T, dir, fixture string, v int) {
 	snapshot, err := os.ReadFile(filepath.Join("testdata", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("has schema version %d, this server reads only version %d", v, stateVersion)
-	dir := t.TempDir()
 	srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -759,6 +764,28 @@ func TestParentVersion4SnapshotRefused(t *testing.T) {
 // refused by its version.
 func TestParentVersion5SnapshotRefused(t *testing.T) {
 	refusedByVersion(t, "parent_v5_snapshot.json", 5)
+}
+
+// TestParentVersion6SnapshotRefused: the snapshot a version-6 server
+// wrote and its campaign's files (testdata/parent_v6, the
+// seedPersistedCampaign state) keep each completed session's frozen
+// record behind varint lengths and no checksum, where this server reads
+// a checked frame. Open over the document and its files is refused by
+// the version, before it reads a file.
+func TestParentVersion6SnapshotRefused(t *testing.T) {
+	fixture := filepath.Join("testdata", "parent_v6")
+	names, err := filepath.Glob(filepath.Join(fixture, "campaigns", "*"))
+	if err != nil || len(names) != 2 {
+		t.Fatalf("the fixture holds campaign files %v (%v), want two", names, err)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "campaigns"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		copyFile(t, name, filepath.Join(dir, "campaigns", filepath.Base(name)))
+	}
+	refusedByVersionIn(t, dir, filepath.Join("parent_v6", "snapshot.json"), 6)
 }
 
 // persistedSource seeds seedPersistedCampaign's state on a server over
@@ -893,13 +920,14 @@ func TestSessionForUnknownCampaignRefused(t *testing.T) {
 	}
 }
 
-// TestLeftoverClusterStateRefused: builds with a cluster tier wrote two
-// things this server cannot honour, a snapshot section marked "moved" to
-// another node and a journaled handoff or import record. Open refuses
-// each with an error naming the cause (the campaign and the node, or the
-// record's op) rather than serve a campaign another node owns.
+// TestLeftoverClusterStateRefused: builds with a cluster tier journaled
+// handoff and import records, which carry no version. Open refuses each
+// with an error naming the record's op rather than serve a campaign
+// another node owns. (Their snapshot sections marked "moved" are at
+// state version 4 or older, so the version refuses them:
+// TestParentVersion4SnapshotRefused.)
 func TestLeftoverClusterStateRefused(t *testing.T) {
-	openOver := func(t *testing.T, snapshot []byte, records ...string) error {
+	openOver := func(t *testing.T, records ...string) error {
 		t.Helper()
 		dir := t.TempDir()
 		jl, err := store.Open(dir, store.Options{})
@@ -908,11 +936,6 @@ func TestLeftoverClusterStateRefused(t *testing.T) {
 		}
 		for _, rec := range records {
 			if _, err := jl.Append([]byte(rec)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if snapshot != nil {
-			if err := jl.WriteSnapshot(snapshot); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -925,25 +948,13 @@ func TestLeftoverClusterStateRefused(t *testing.T) {
 		}
 		return err
 	}
-	t.Run("moved section", func(t *testing.T) {
-		snap := fmt.Sprintf(`{"version":%d,"next_id":1,"joined":0,"campaigns":[{"id":"c1","name":"gone","kind":"timeline","moved":"b"}]}`, stateVersion)
-		err := openOver(t, []byte(snap))
-		if err == nil {
-			t.Fatal("Open served a campaign its snapshot marks as handed off")
-		}
-		for _, want := range []string{"campaign c1", "cluster node b"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("Open: %v, want an error naming %q", err, want)
-			}
-		}
-	})
 	campaign := `{"op":"campaign","id":"c1","name":"gone","kind":"timeline"}`
 	for op, rec := range map[string]string{
 		"handoff": `{"op":"handoff","id":"c1","target":"b"}`,
 		"import":  fmt.Sprintf(`{"op":"import","state":{"version":%d,"campaign":{"id":"c2","name":"arrived","kind":"ab"}}}`, stateVersion),
 	} {
 		t.Run(op+" record", func(t *testing.T) {
-			err := openOver(t, nil, campaign, rec)
+			err := openOver(t, campaign, rec)
 			if err == nil {
 				t.Fatalf("Open replayed a journaled %s record", op)
 			}

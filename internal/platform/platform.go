@@ -383,6 +383,15 @@ func statusFor(err error) int {
 	}
 }
 
+// writeStateErr answers a failed state call with its status, and counts
+// a completed session's spilled bytes that failed their check.
+func (s *Server) writeStateErr(w http.ResponseWriter, err error) {
+	if errors.Is(err, state.ErrSpillCorrupt) {
+		s.metrics.spillCorrupt.Inc()
+	}
+	writeErr(w, statusFor(err), err.Error())
+}
+
 // --- helpers ---
 
 // jsonBuf is a response-rendering buffer with the encoder that writes to
@@ -625,7 +634,7 @@ func (s *Server) handleCreateCampaign(w *scratch, r *http.Request) {
 	}
 	tr.SetCampaign(id)
 	if _, err := s.mutate(&state.Event{Op: state.OpCampaign, ID: id, Name: req.Name, Kind: req.Kind}, tr); err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, CreateCampaignResponse{ID: id})
@@ -684,7 +693,7 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 	id := s.state.NewID("v")
 	ev := &state.Event{Op: state.OpVideo, ID: id, Campaign: campaignID, Hash: ref.Hash, Size: ref.Size}
 	if _, err := s.mutate(ev, tr); err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	// Campaign seeding maps the blob file: the first participant to fetch
@@ -717,14 +726,14 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 	}
 	sid, tests, err := s.state.Join(req.Campaign)
 	if err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	tr.SetSession(sid)
 	ev := &w.ev
 	*ev = state.Event{Op: state.OpSession, ID: sid, Campaign: req.Campaign, Worker: &req.Worker, Tests: tests}
 	if _, err := s.mutate(ev, tr); err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	w.reply = JoinResponse{Session: sid, Tests: tests}
@@ -734,7 +743,7 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 func (s *Server) handleTests(w *scratch, r *http.Request) {
 	sess, err := s.state.Session(w.id)
 	if err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	// Assignment is immutable after creation.
@@ -759,7 +768,7 @@ func (s *Server) handleFlag(w *scratch, r *http.Request) {
 	}
 	res, err := s.mutate(&state.Event{Op: state.OpFlag, ID: w.id, Flagger: body.Worker}, tr)
 	if err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"flags": res.Flags, "banned": res.Banned})
@@ -791,7 +800,7 @@ func (s *Server) handleEvents(w *scratch, r *http.Request) {
 	ev := &w.ev
 	*ev = state.Event{Op: state.OpEvents, ID: id, Batch: batch}
 	if _, err := s.mutate(ev, tr); err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	writeBody(w, http.StatusAccepted, ackRecorded)
@@ -816,7 +825,7 @@ func (s *Server) handleResponse(w *scratch, r *http.Request) {
 	*ev = state.Event{Op: state.OpResponse, ID: id, Body: body}
 	res, err := s.mutate(ev, tr)
 	if err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	writeBody(w, http.StatusAccepted, ackComplete[res.Done])
@@ -825,7 +834,7 @@ func (s *Server) handleResponse(w *scratch, r *http.Request) {
 func (s *Server) handleResults(w *scratch, r *http.Request) {
 	body, tag, err := s.state.Results(w.id)
 	if err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	writeConditional(w, r, tag, body)
@@ -865,7 +874,7 @@ func (s *Server) handleAnalytics(w *scratch, r *http.Request) {
 	inm := r.Header.Get("If-None-Match")
 	body, tag, err := s.state.Analytics((*pooled)[:0], w.id, lo, hi, func(tag string) bool { return etagMatches(inm, tag) })
 	if err != nil {
-		writeErr(w, statusFor(err), err.Error())
+		s.writeStateErr(w, err)
 		return
 	}
 	*pooled = body

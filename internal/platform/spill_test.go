@@ -13,7 +13,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -443,6 +445,164 @@ func TestSpillRacesReaders(t *testing.T) {
 		if got := env.do("GET", path, nil).Body.Bytes(); !bytes.Equal(got, want) {
 			t.Errorf("GET %s after the race:\n%s\nwant, as an in-memory server serves:\n%s", path, got, want)
 		}
+	}
+}
+
+// TestSpillBitFlipsRefused: a campaign file whose bytes a document
+// covers and which lost none of them can still have one go bad. Flipping
+// the low bit of each byte of each campaign file in turn, every flip
+// fails Open with an error that names the campaign, the file and an
+// offset at or before the flipped byte: a frozen record's frame fails
+// its checksum, and a row is not the one its checked record renders.
+func TestSpillBitFlipsRefused(t *testing.T) {
+	srv, _, dir, campaigns := spillSetup(t)
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	offset := regexp.MustCompile(`at offset (\d+)`)
+	for _, id := range campaigns {
+		for _, ext := range []string{".frozen", ".rows"} {
+			name := "campaigns/" + id + ext
+			path := filepath.Join(dir, name)
+			clean, err := os.ReadFile(path)
+			if err != nil || len(clean) == 0 {
+				t.Fatalf("%s holds %d bytes (%v)", name, len(clean), err)
+			}
+			for i := range clean {
+				flipped := slices.Clone(clean)
+				flipped[i] ^= 1
+				if err := os.WriteFile(path, flipped, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				reopened, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+				if err == nil {
+					reopened.Close()
+					t.Fatalf("Open over %s with byte %d flipped succeeded", name, i)
+				}
+				for _, want := range []string{"campaign " + id, name} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("byte %d of %s flipped: Open: %v, want an error naming %q", i, name, err, want)
+					}
+				}
+				m := offset.FindStringSubmatch(err.Error())
+				if m == nil {
+					t.Fatalf("byte %d of %s flipped: Open: %v, want an error naming the offset", i, name, err)
+				}
+				if at, _ := strconv.Atoi(m[1]); at > i {
+					t.Fatalf("byte %d of %s flipped: Open: %v, names an offset past the flip", i, name, err)
+				}
+			}
+			if err := os.WriteFile(path, clean, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	srv2, _ := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	srv2.Close()
+}
+
+// TestSpillCorruptRecordAfterOpen: a spilled record that goes bad under
+// a running server is refused wherever a lookup reads it, not served:
+// GET /sessions/{id}/tests of its session answers 500 and counts it in
+// eyeorg_spill_corrupt_total, and /results, which is folded from the
+// records Open checked, does not change.
+func TestSpillCorruptRecordAfterOpen(t *testing.T) {
+	srv, c, dir, campaigns := spillSetup(t)
+	defer srv.Close()
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	cs, _ := srv.state.Campaign(campaigns[0])
+	sid := cs.Completed()[2]
+	results := rawResults(t, c, campaigns[0])
+
+	// Walk the frozen file's frames to the one of session sid, and flip a
+	// bit of its payload on disk.
+	path := filepath.Join(dir, "campaigns", campaigns[0]+".frozen")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := -1
+	for off := 0; off < len(raw) && at < 0; {
+		payload, n, ok := store.DecodeRecord(raw[off:])
+		if !ok {
+			t.Fatalf("%s holds no valid frame at offset %d", path, off)
+		}
+		if bytes.HasPrefix(payload[1:], []byte(sid)) && int(payload[0]) == len(sid) {
+			at = off + n - 1
+		}
+		off += n
+	}
+	if at < 0 {
+		t.Fatalf("%s holds no frame of session %s", path, sid)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{raw[at] ^ 1}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if code := c.do("GET", "/api/v1/sessions/"+sid+"/tests", nil, nil); code != http.StatusInternalServerError {
+		t.Fatalf("GET the tests of session %s, whose record is corrupt: %d, want 500", sid, code)
+	}
+	if got := metricValue(t, scrape(t, c), "eyeorg_spill_corrupt_total"); got != "1" {
+		t.Fatalf("eyeorg_spill_corrupt_total = %s after one corrupt read, want 1", got)
+	}
+	if other := cs.Completed()[3]; c.do("GET", "/api/v1/sessions/"+other+"/tests", nil, nil) != http.StatusOK {
+		t.Fatalf("GET the tests of session %s, whose record is intact, failed", other)
+	}
+	if got := rawResults(t, c, campaigns[0]); !bytes.Equal(got, results) {
+		t.Fatalf("/results changed after a record went bad:\n%s\nwant %s", got, results)
+	}
+}
+
+// BenchmarkOpen prices opening a data directory whose one timeline
+// campaign has n completed sessions, every one spilled by a snapshot
+// before a clean close: Open reads each campaign file once, checks every
+// record's frame, and re-folds and re-renders every session. The close
+// after each Open is untimed.
+func BenchmarkOpen(b *testing.B) {
+	for _, n := range []int{1000, 8000} {
+		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			campaign := seedDispatch(b, srv.Handler(), 4)
+			completeSessions(b, srv.Handler(), campaign, 0, n)
+			if err := srv.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			if err := srv.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if c, _ := srv.state.Campaign(campaign); c.Spilled() != n {
+					b.Fatalf("the reopened campaign spilled %d of %d completed sessions", c.Spilled(), n)
+				}
+				if err := srv.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }
 

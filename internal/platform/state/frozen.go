@@ -1,9 +1,9 @@
 // Frozen session records: what a completed session still has to answer
 // — a late request, GET /sessions/{id}/tests, the next snapshot or
 // export — as one varint record on internal/wire's primitives. Each
-// record, behind its session ID and length, sits in its campaign's
-// arena (Campaign.arena) until a snapshot spills it to the campaign's
-// frozen file (spill.go).
+// record, behind its session ID, sits in one checked frame of its
+// campaign's records (Campaign.records) until a snapshot spills it to
+// the campaign's frozen file (spill.go).
 //
 // Layout (unsigned varints unless noted; a string is its length, then
 // its bytes):
@@ -147,9 +147,9 @@ func appendFrozen(dst []byte, c *Campaign, sess *Session) []byte {
 // decodeFrozen reads the record of session id back as a Session in
 // its completed form (final set, the tracker empty). The state is the
 // caller's own: nothing keeps it, and it aliases neither rec nor the
-// arena.
+// records.
 // Caller holds c's shard lock, at least shared (it reads c.Videos, and
-// rec may be a slice of c.arena).
+// rec may be a slice of c.records' tail).
 func decodeFrozen(c *Campaign, id string, rec []byte) (*Session, error) {
 	p := wire.Parser{Rest: rec}
 	str := func() string { return string(p.Bytes(len(p.Rest))) }

@@ -36,6 +36,7 @@ import (
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/quality"
 	"github.com/eyeorg/eyeorg/internal/response"
+	"github.com/eyeorg/eyeorg/internal/store"
 	"github.com/eyeorg/eyeorg/internal/trace"
 	"github.com/eyeorg/eyeorg/internal/wire"
 )
@@ -483,16 +484,16 @@ func (st *State) applyResponse(ev *Event, tr *trace.Trace) (uint64, Result, erro
 
 // completeSession is what the completing answer does, on the live path
 // and on every replay of its journal record alike: it freezes the
-// session's standing, appends the session's entry — its ID and frozen
-// record — to the campaign's arena and files it. The caller then deletes the session
+// session's standing, appends the session's ID and frozen record, in one
+// frame, to the campaign's records and files it. The caller then deletes the session
 // from the index, which held the last reference to its state, so the
 // tracker and its traces go with it. Caller holds both shard locks.
 func completeSession(c *Campaign, sess *Session) {
 	sess.track.SetCompleted()
 	sess.final = sess.track.Snapshot()
-	c.done.frozen = appendFrozen(c.done.frozen[:0], c, sess)
-	c.arena = appendEntry(c.arena, sess.ID, c.done.frozen)
-	c.arenaEnds = append(c.arenaEnds, end(c.arenaEnds, c.spilled)+uint32(len(c.arena)))
+	c.done.frozen = appendFrozen(appendString(c.done.frozen[:0], sess.ID), c, sess)
+	c.records.tail = store.AppendRecord(c.records.tail, c.done.frozen)
+	c.records.push(c.spilled)
 	c.fileCompleted(sess)
 }
 
@@ -501,7 +502,7 @@ func completeSession(c *Campaign, sess *Session) {
 // (fileSpilled):
 // it folds the answers into the campaign's analytics and stopper and
 // files the session and its /analytics row under the next row number,
-// the row the session's record sits at in the arena. Caller holds the
+// the piece the session's record is in its records. Caller holds the
 // campaign's shard lock, or the campaign is not reachable yet: either
 // way the campaign's completion scratch is its own.
 func (c *Campaign) fileCompleted(sess *Session) {
@@ -516,18 +517,18 @@ func (c *Campaign) fileCompleted(sess *Session) {
 	c.rowOrder = slices.Insert(c.rowOrder, at, n)
 	c.recordSessions = append(c.recordSessions, sess.ID)
 	c.done.verdict = sess.verdict()
-	start := len(c.rows)
-	c.rows = c.done.verdict.appendRow(c.rows)
-	c.rowDigest += crc64.Checksum(c.rows[start:], etagTable)
-	c.rows = append(c.rows, ',')
-	c.rowEnds = append(c.rowEnds, end(c.rowEnds, c.spilled)+uint32(len(c.rows)))
+	start := len(c.rows.tail)
+	c.rows.tail = c.done.verdict.appendRow(c.rows.tail)
+	c.rowDigest += crc64.Checksum(c.rows.tail[start:], etagTable)
+	c.rows.tail = append(c.rows.tail, ',')
+	c.rows.push(c.spilled)
 	c.done.verdict = ParticipantVerdict{} // the scratch pins no session's strings
 	c.invalidate()
 }
 
 // completion is the scratch completeSession and fileCompleted work in,
-// one per campaign and reused under its shard lock: the session's frozen
-// record before it is framed into the arena, its answers as the
+// one per campaign and reused under its shard lock: the session's ID and
+// frozen record before they are framed into its records, its answers as the
 // filtering.SessionRecord the §4.3 folds take, and its /analytics row's
 // fields. Neither quality.Campaign.Complete nor adaptive.Campaign.Complete
 // keeps the record or anything it points to.
@@ -666,13 +667,13 @@ func (sess *Session) trackAnswer(a answer) {
 
 // --- state documents ---
 
-// StateVersion is the schema version of the snapshot document; version
-// 6 keeps a campaign's completed sessions in its files (spill.go) and
-// records only how many there are and how long the files are valid for;
-// version 5 carried their IDs and frozen records in the section. No
-// reader for an older layout is kept: a document carrying another
-// version is refused.
-const StateVersion = 6
+// StateVersion is the schema version of the snapshot document and the
+// campaign files it covers; version 7 frames each frozen record as a
+// journal record (spill.go), where version 6 wrote unchecked varint
+// entries and version 5 carried the records in the section. No reader
+// for an older layout is kept: a document carrying another version is
+// refused.
+const StateVersion = 7
 
 // decodeState reads the version of doc before the rest of it, so that a
 // document in another layout fails on its version rather than on a field
@@ -709,7 +710,7 @@ type SnapState struct {
 }
 
 // SnapCampaign is one campaign's section: its videos in the campaign's
-// order; how many sessions it completed, whose entries and rows fill the
+// order; how many sessions it completed, whose records and rows fill the
 // first FrozenBytes of its frozen file and the first RowBytes of its rows
 // file, in completion order (spill.go); and its sessions in flight, in ID
 // order.
@@ -722,10 +723,6 @@ type SnapCampaign struct {
 	FrozenBytes int64         `json:"frozen_bytes,omitempty"`
 	RowBytes    int64         `json:"row_bytes,omitempty"`
 	Inflight    []SnapSession `json:"inflight,omitempty"`
-	// Moved is never written. Builds with a cluster tier set it on a
-	// campaign handed off to another node; it is read only so that
-	// restore refuses such a section instead of serving the campaign.
-	Moved string `json:"moved,omitempty"`
 }
 
 // SnapSession is one session in flight: its answers so far and the
@@ -768,8 +765,8 @@ func (st *State) section(c *Campaign) (SnapCampaign, error) {
 		ID: c.ID, Name: c.Name, Kind: c.Kind,
 		Videos:      make([]SnapVideo, len(c.Videos)),
 		Frozen:      int(n),
-		FrozenBytes: int64(end(c.arenaEnds, n)),
-		RowBytes:    int64(end(c.rowEnds, n)),
+		FrozenBytes: int64(c.records.size(n)),
+		RowBytes:    int64(c.rows.size(n)),
 		Inflight:    make([]SnapSession, len(c.inflight)),
 	}
 	for i, vid := range c.Videos {
@@ -804,17 +801,14 @@ type restored struct {
 // failure is an error naming the campaign, returned before anything is
 // installed.
 func (st *State) restore(cn *SnapCampaign) (_ *restored, err error) {
-	if cn.Moved != "" {
-		return nil, fmt.Errorf("campaign %s was handed off to cluster node %s; this server runs one node and does not serve a campaign another node owns", cn.ID, cn.Moved)
-	}
 	c := &Campaign{
 		ID: cn.ID, Name: cn.Name, Kind: cn.Kind,
 		Videos:    make([]string, len(cn.Videos)),
 		analytics: quality.NewCampaign(cn.Kind),
 	}
 	defer func() {
-		if err != nil && c.files != nil {
-			c.files.close()
+		if err != nil {
+			c.closeFiles()
 		}
 	}()
 	r := &restored{c: c, videos: make([]*Video, len(cn.Videos))}
@@ -848,17 +842,20 @@ func (st *State) restore(cn *SnapCampaign) (_ *restored, err error) {
 	// session in recorded completion order — the order the journal
 	// produced them. Then the bytes leave the heap: the files hold them.
 	if cn.Frozen != 0 || cn.FrozenBytes != 0 || cn.RowBytes != 0 {
-		var frozen, rows []byte
-		if c.files, frozen, rows, err = st.loadFiles(cn); err != nil {
+		if st.disk == nil {
+			return nil, fmt.Errorf("campaign %s: its %d completed sessions are in files, and this state has no data directory", cn.ID, cn.Frozen)
+		}
+		valid, err := st.loadFiles(c, [2]int64{cn.FrozenBytes, cn.RowBytes})
+		if err != nil {
 			return nil, err
 		}
-		if err = c.fileSpilled(frozen, rows); err != nil {
+		if err = c.fileSpilled(valid[0], valid[1]); err != nil {
 			return nil, err
 		}
 		if len(c.recordSessions) != cn.Frozen {
-			return nil, fmt.Errorf("campaign %s: %s holds %d completed sessions, its document says %d", cn.ID, c.files.frozen.Name(), len(c.recordSessions), cn.Frozen)
+			return nil, fmt.Errorf("campaign %s: %s holds %d completed sessions, its document says %d", cn.ID, fileName(cn.ID, 0), len(c.recordSessions), cn.Frozen)
 		}
-		c.spilled, c.rows = uint32(cn.Frozen), nil
+		c.spilled, c.rows.tail = uint32(cn.Frozen), nil
 	}
 	for _, sn := range cn.Inflight {
 		if _, frozen := c.frozenAt(sn.ID); frozen {
@@ -973,8 +970,8 @@ func (st *State) Load(data []byte) error {
 	for i := range doc.Campaigns {
 		r, err := st.restore(&doc.Campaigns[i])
 		if err == nil {
-			if err = st.held(r); err != nil && r.c.files != nil {
-				r.c.files.close()
+			if err = st.held(r); err != nil {
+				r.c.closeFiles()
 			}
 		}
 		if err != nil {

@@ -278,7 +278,7 @@ func (st *State) Analytics(dst []byte, id string, lo, hi float64, fresh func(tag
 	// listed from its frozen row; one that joined since, in the next poll.
 	csh.RLock()
 	defer csh.RUnlock()
-	rows, size, sum := len(c.rowOrder), int(end(c.rowEnds, uint32(len(c.rowEnds)))), uint64(0)
+	rows, size, sum := len(c.rowOrder), int(c.rows.size(uint32(len(c.rows.ends)))), uint64(0)
 	for i, sid := range liveIDs {
 		if _, frozen := c.frozenAt(sid); frozen {
 			live[i] = nil
@@ -301,7 +301,7 @@ func (st *State) Analytics(dst []byte, id string, lo, hi float64, fresh func(tag
 	if fresh(tag) {
 		return dst, tag, nil
 	}
-	spilled, err := c.readSpilledRows()
+	spilled, err := c.rows.readSpilled(c.spilled)
 	if err != nil {
 		return dst, "", err
 	}
@@ -361,7 +361,7 @@ func (c *Campaign) appendAnalytics(b, spilled, shell []byte, liveIDs []string, l
 			at, _ = c.frozenAt(liveIDs[i])
 		}
 		for ; next < at; next++ {
-			b = append(b, c.row(spilled, c.rowOrder[next])...)
+			b = append(b, c.rows.at(spilled, c.rowOrder[next], c.spilled)...)
 		}
 		if i < len(liveIDs) && live[i] != nil {
 			b = append(append(b, live[i]...), ',')

@@ -1,19 +1,19 @@
-// Spilled sessions: on a server with a data directory, a snapshot moves
-// each campaign's completed sessions out of the heap into two
-// append-only files beside the journal, which internal/store owns —
-// the frozen records (campaigns/<id>.frozen) and the rendered
-// /analytics rows (campaigns/<id>.rows). The sessions in them are the
-// campaign's first spilled ones, in completion order: the record of
-// completed session i ends at byte arenaEnds[i] of the frozen file and
-// its row at byte rowEnds[i] of the rows file, and arena and rows hold
-// only the bytes past the last spilled one. An in-memory server spills
-// nothing; its boundary stays at 0 and every read below goes to arena
-// and rows, through the same code.
+// Spilled sessions: a campaign's completed sessions are two streams of
+// pieces, one per session in completion order — its frozen record and
+// its rendered /analytics row — each kept by one type, stream. On a
+// server with a data directory a snapshot moves each stream's first
+// pieces out of the heap into an append-only file beside the journal,
+// which internal/store owns: campaigns/<id>.frozen and .rows. An
+// in-memory server spills nothing; its boundary stays at 0 and every
+// read goes to the heap, through the same code.
 //
-// An entry of the frozen file, and of the arena, is the session's ID
-// and then its frozen record (frozen.go), each behind its length as an
-// unsigned varint, so the file alone names every session it holds. A
-// row is its ParticipantVerdict as encoding/json renders it and a comma.
+// A stream is blind to what its pieces hold. A record piece is one frame
+// of the journal's own format (store.AppendRecord: a length, a CRC32-C
+// and a payload of the session's ID, behind its varint length, and its
+// frozen record), so the file alone names every session it holds and a
+// flipped bit is caught wherever the record is read. A row piece is its
+// ParticipantVerdict as encoding/json renders it and a comma, unframed:
+// Recover re-renders every row from its checked record and compares.
 //
 // Snapshot appends what froze since the last snapshot to both files and
 // syncs them before it writes the state document, which records how
@@ -23,19 +23,21 @@
 // Recover truncates each file to the newest document's lengths (a crash
 // may have left a tail past them, or the document may be the older of
 // two), then walks it to rebuild the campaign's IDs, offsets, row order
-// and §4.3 fold, checking each row it renders against the file's.
+// and §4.3 fold; a frame that fails its check, or a row that is not the
+// one its record renders, fails Open naming the campaign, the file and
+// the offset.
 //
 // Readers of the files — an /analytics render, which reads the spilled
 // rows once per render, and a lookup of a completed session, which reads
-// its one record — read with ReadAt under the campaign's shard lock,
-// held at least shared, so the boundary they read below cannot move.
-// Nothing maps the files, so a file cut short under a reader is an
-// error, not a fault.
+// and checks its one record — read with ReadAt under the campaign's
+// shard lock, held at least shared, so the boundary they read below
+// cannot move; none touches a file while nothing is spilled. Nothing
+// maps the files, so a file cut short under a reader is an error, not a
+// fault, and a record whose frame fails its check is ErrSpillCorrupt.
 package state
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"path"
 	"slices"
@@ -47,237 +49,241 @@ import (
 )
 
 // filesDir is the subdirectory of the data directory that holds every
-// campaign's files; frozenExt and rowsExt end their names.
-const (
-	filesDir  = "campaigns"
-	frozenExt = ".frozen"
-	rowsExt   = ".rows"
-)
+// campaign's files; streamExts end their names, in streams' order.
+const filesDir = "campaigns"
 
-// campaignFiles are a campaign's two data files.
-type campaignFiles struct {
-	frozen, rows *store.File
+var streamExts = [2]string{".frozen", ".rows"}
+
+// stream is one of a campaign's two byte streams. Piece i, completed
+// session i's, ends at offset ends[i] of the whole stream. The pieces
+// before the campaign's spill boundary are in file, which is nil until
+// a snapshot first spills and always nil in memory; tail holds the
+// bytes from the boundary on.
+type stream struct {
+	tail []byte
+	ends []uint32
+	file *store.File
 }
 
-func (f *campaignFiles) close() error {
-	err := f.frozen.Close()
-	if rerr := f.rows.Close(); err == nil {
-		err = rerr
-	}
-	return err
-}
+// streams lists c's streams: the frozen records, then the /analytics
+// rows.
+func (c *Campaign) streams() [2]*stream { return [2]*stream{&c.records, &c.rows} }
 
-// end returns where piece n-1 ends, which is where piece n starts: 0
-// for n == 0.
-func end(ends []uint32, n uint32) uint32 {
+// fileName is the name of campaign id's file of stream k.
+func fileName(id string, k int) string { return path.Join(filesDir, id+streamExts[k]) }
+
+// size is the length of the first n pieces: where piece n starts.
+func (s *stream) size(n uint32) uint32 {
 	if n == 0 {
 		return 0
 	}
-	return ends[n-1]
+	return s.ends[n-1]
 }
 
-// appendEntry appends the arena entry of session id, whose frozen record
-// is rec, to dst.
-func appendEntry(dst []byte, id string, rec []byte) []byte {
-	dst = appendString(dst, id)
-	return append(binary.AppendUvarint(dst, uint64(len(rec))), rec...)
+// push ends a piece at the end of the tail, to which the caller
+// appended its bytes. spilled is the campaign's boundary.
+func (s *stream) push(spilled uint32) {
+	s.ends = append(s.ends, s.size(spilled)+uint32(len(s.tail)))
 }
 
-// nextEntry reads the first entry of b: the session ID, its record and
-// what follows the entry.
-func nextEntry(b []byte) (id, rec, rest []byte, err error) {
-	p := wire.Parser{Rest: b}
-	id = p.Bytes(len(p.Rest))
-	rec = p.Bytes(len(p.Rest))
-	if p.Err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: the entry ends early", errFrozen)
+// at returns piece i: from region, the spilled pieces as readSpilled
+// read them, or from the tail.
+func (s *stream) at(region []byte, i, spilled uint32) []byte {
+	start, stop := s.size(i), s.ends[i]
+	if i < spilled {
+		return region[start:stop]
 	}
-	return id, rec, p.Rest, nil
+	base := s.size(spilled)
+	return s.tail[start-base : stop-base]
 }
 
-// record returns completed session i's frozen record: from the arena,
-// or read from the frozen file into a new slice when the session is
-// spilled. Caller holds the campaign's shard lock, at least shared.
-func (c *Campaign) record(i uint32) ([]byte, error) {
-	start, stop := end(c.arenaEnds, i), c.arenaEnds[i]
-	var entry []byte
-	if i < c.spilled {
-		entry = make([]byte, stop-start)
-		if err := c.files.frozen.ReadAt(entry, int64(start)); err != nil {
-			return nil, err
-		}
-	} else {
-		base := end(c.arenaEnds, c.spilled)
-		entry = c.arena[start-base : stop-base]
+// piece returns piece i: from the tail, or read from the file into a
+// new slice when it is spilled.
+func (s *stream) piece(i, spilled uint32) ([]byte, error) {
+	if i >= spilled {
+		return s.at(nil, i, spilled), nil
 	}
-	_, rec, rest, err := nextEntry(entry)
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("%w: %d bytes follow its entry", errFrozen, len(rest))
-	}
-	return rec, err
-}
-
-// row returns completed session i's row and its comma, from spilled,
-// the rows file's valid region as readSpilledRows read it, or from rows.
-// Caller holds the campaign's shard lock, at least shared.
-func (c *Campaign) row(spilled []byte, i uint32) []byte {
-	start, stop := end(c.rowEnds, i), c.rowEnds[i]
-	if i < c.spilled {
-		return spilled[start:stop]
-	}
-	base := end(c.rowEnds, c.spilled)
-	return c.rows[start-base : stop-base]
+	b := make([]byte, s.ends[i]-s.size(i))
+	return b, s.file.ReadAt(b, int64(s.size(i)))
 }
 
 // regionPool recycles the buffers renders read the spilled rows into.
 var regionPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// readSpilledRows reads the rows of the spilled sessions, all of them,
-// into a pooled buffer, which the caller hands back to regionPool once
-// it has copied the rows out; nothing is read, and buf is empty, while
-// nothing is spilled. Caller holds the campaign's shard lock, at least
-// shared.
-func (c *Campaign) readSpilledRows() (*[]byte, error) {
+// readSpilled reads the spilled pieces, all of them, into a pooled
+// buffer, which the caller hands back to regionPool once it has copied
+// them out; nothing is read, and the buffer is empty, while nothing is
+// spilled.
+func (s *stream) readSpilled(spilled uint32) (*[]byte, error) {
 	buf := regionPool.Get().(*[]byte)
-	n := int(end(c.rowEnds, c.spilled))
+	n := int(s.size(spilled))
 	*buf = slices.Grow((*buf)[:0], n)[:n]
 	if n == 0 {
 		return buf, nil
 	}
-	if err := c.files.rows.ReadAt(*buf, 0); err != nil {
+	if err := s.file.ReadAt(*buf, 0); err != nil {
 		regionPool.Put(buf)
 		return nil, err
 	}
 	return buf, nil
 }
 
-// spill appends to c's files every entry and row that froze since they
-// were last written to, and syncs them: afterwards they are valid, and
+// flush brings the file, which holds the pieces before spilled and may
+// hold some after them, up to the end of piece n-1 from the tail, and
+// syncs what it appended.
+func (s *stream) flush(campaign string, spilled, n uint32) error {
+	base, want, have := int64(s.size(spilled)), int64(s.size(n)), s.file.Size()
+	if have > want {
+		return fmt.Errorf("campaign %s: %s holds %d bytes, past the %d its completed sessions fill", campaign, s.file.Name(), have, want)
+	}
+	if have < want {
+		if err := s.file.Append(s.tail[have-base : want-base]); err != nil {
+			return err
+		}
+	}
+	if s.file.Synced() < want {
+		return s.file.Sync()
+	}
+	return nil
+}
+
+// advance moves the tail past piece n-1, from spilled: it copies what is
+// left into a new slice, so the bytes written become garbage.
+func (s *stream) advance(spilled, n uint32) {
+	s.tail = append([]byte(nil), s.tail[s.size(n)-s.size(spilled):]...)
+}
+
+// open opens campaign's file name, creating it empty, cuts it to its
+// first n bytes and returns them: bytes past n are a crashed process's,
+// which no document this process loaded covers. A file shorter than n
+// fails, naming the campaign and the file.
+func (st *State) open(campaign, name string, n int64) (*store.File, []byte, error) {
+	f, err := st.disk.OpenFile(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	var valid []byte
+	switch {
+	case n < 0 || f.Size() < n:
+		err = fmt.Errorf("campaign %s: %s holds %d bytes, its document says %d", campaign, name, f.Size(), n)
+	case f.Size() > n:
+		err = f.Truncate(n)
+	}
+	if err == nil {
+		valid = make([]byte, n)
+		err = f.ReadAt(valid, 0)
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return f, valid, nil
+}
+
+// closeFiles closes the files c's streams have open.
+func (c *Campaign) closeFiles() (err error) {
+	for _, s := range c.streams() {
+		if s.file != nil {
+			if ferr := s.file.Close(); err == nil {
+				err = ferr
+			}
+		}
+	}
+	return err
+}
+
+// loadFiles opens c's files, cuts each to its length in lengths and
+// returns their valid bytes, in streams' order. On failure no file is
+// left open.
+func (st *State) loadFiles(c *Campaign, lengths [2]int64) (valid [2][]byte, err error) {
+	for k, s := range c.streams() {
+		if s.file, valid[k], err = st.open(c.ID, fileName(c.ID, k), lengths[k]); err != nil {
+			c.closeFiles()
+			c.records.file, c.rows.file = nil, nil
+			return valid, err
+		}
+	}
+	return valid, nil
+}
+
+// spill appends to c's files every piece that froze since they were
+// last written to, and syncs them: afterwards they are valid, and
 // durable, up to the lengths c's section records. It opens the files at
-// c's first spill. Caller holds world exclusively, so nothing completes
-// meanwhile; in memory it does nothing.
+// c's first spill, when nothing is spilled yet and no reader touches
+// them. Caller holds world exclusively, so nothing completes meanwhile;
+// in memory it does nothing.
 func (st *State) spill(c *Campaign) error {
 	if st.disk == nil {
 		return nil
 	}
-	if c.files == nil {
-		files, err := st.openFiles(c.ID)
-		if err != nil {
-			return err
-		}
-		// Bytes past the boundary are a crashed process's: no document
-		// this process loaded covers them.
-		if err = files.frozen.Truncate(int64(end(c.arenaEnds, c.spilled))); err == nil {
-			err = files.rows.Truncate(int64(end(c.rowEnds, c.spilled)))
-		}
-		if err != nil {
-			files.close()
-			return err
-		}
-		csh := st.campaigns.Shard(c.ID)
-		csh.Lock()
-		c.files = files
-		csh.Unlock()
-	}
-	n := uint32(len(c.recordSessions))
-	if err := appendTail(c.ID, c.files.frozen, c.arena, c.arenaEnds, c.spilled, n); err != nil {
-		return err
-	}
-	return appendTail(c.ID, c.files.rows, c.rows, c.rowEnds, c.spilled, n)
-}
-
-// appendTail brings f, which holds the pieces before spilled and may
-// hold some after them, up to the end of piece n-1 from tail, the bytes
-// from the end of piece spilled-1 on, and syncs what it appended.
-func appendTail(campaign string, f *store.File, tail []byte, ends []uint32, spilled, n uint32) error {
-	base, want, have := int64(end(ends, spilled)), int64(end(ends, n)), f.Size()
-	if have > want {
-		return fmt.Errorf("campaign %s: %s holds %d bytes, past the %d its completed sessions fill", campaign, f.Name(), have, want)
-	}
-	if have < want {
-		if err := f.Append(tail[have-base : want-base]); err != nil {
+	if c.records.file == nil {
+		if _, err := st.loadFiles(c, [2]int64{}); err != nil {
 			return err
 		}
 	}
-	if f.Synced() < want {
-		return f.Sync()
+	for _, s := range c.streams() {
+		if err := s.flush(c.ID, c.spilled, uint32(len(c.recordSessions))); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // advance moves c's boundary to its first n completed sessions, all of
-// them in its files and covered by a durable document. The tail past
-// them moves to new slices, so the bytes written become garbage.
+// them in its files and covered by a durable document.
 func (st *State) advance(c *Campaign, n uint32) {
 	csh := st.campaigns.Shard(c.ID)
 	csh.Lock()
 	defer csh.Unlock()
-	if c.files == nil || n <= c.spilled {
+	if st.disk == nil || n <= c.spilled {
 		return
 	}
-	arenaBase, rowsBase := end(c.arenaEnds, c.spilled), end(c.rowEnds, c.spilled)
-	c.arena = append([]byte(nil), c.arena[end(c.arenaEnds, n)-arenaBase:]...)
-	c.rows = append([]byte(nil), c.rows[end(c.rowEnds, n)-rowsBase:]...)
+	for _, s := range c.streams() {
+		s.advance(c.spilled, n)
+	}
 	c.spilled = n
 }
 
-// openFiles opens campaign id's two files, creating them empty.
-func (st *State) openFiles(id string) (*campaignFiles, error) {
-	frozen, err := st.disk.OpenFile(path.Join(filesDir, id+frozenExt))
-	if err != nil {
-		return nil, err
-	}
-	rows, err := st.disk.OpenFile(path.Join(filesDir, id+rowsExt))
-	if err != nil {
-		frozen.Close()
-		return nil, err
-	}
-	return &campaignFiles{frozen: frozen, rows: rows}, nil
+// unframe checks the frame at the start of b, a record piece, and
+// splits its payload into the session ID and its frozen record; n is
+// the frame's length.
+func unframe(b []byte) (id, rec []byte, n int, ok bool) {
+	payload, n, ok := store.DecodeRecord(b)
+	p := wire.Parser{Rest: payload}
+	id = p.Bytes(len(p.Rest))
+	return id, p.Rest, n, ok && p.Err == nil
 }
 
-// loadFiles opens the files of section cn, truncates each to the length
-// cn records, and returns their valid bytes. A file shorter than that
-// fails, naming the campaign and the file.
-func (st *State) loadFiles(cn *SnapCampaign) (files *campaignFiles, frozen, rows []byte, err error) {
-	if st.disk == nil {
-		return nil, nil, nil, fmt.Errorf("campaign %s: its %d completed sessions are in files, and this state has no data directory", cn.ID, cn.Frozen)
-	}
-	if files, err = st.openFiles(cn.ID); err != nil {
-		return nil, nil, nil, err
-	}
-	read := func(f *store.File, n int64) ([]byte, error) {
-		if n < 0 || f.Size() < n {
-			return nil, fmt.Errorf("campaign %s: %s holds %d bytes, its document says %d", cn.ID, f.Name(), f.Size(), n)
-		}
-		if f.Size() > n {
-			if err := f.Truncate(n); err != nil {
-				return nil, err
-			}
-		}
-		b := make([]byte, n)
-		return b, f.ReadAt(b, 0)
-	}
-	if frozen, err = read(files.frozen, cn.FrozenBytes); err == nil {
-		rows, err = read(files.rows, cn.RowBytes)
-	}
+// badFrame is the error for record piece i of c, whose frame fails its
+// check.
+func (c *Campaign) badFrame(i uint32) error {
+	return fmt.Errorf("%w: campaign %s row %d: %s holds no valid frame at offset %d", ErrSpillCorrupt, c.ID, i, fileName(c.ID, 0), c.records.size(i))
+}
+
+// record returns completed session i's frozen record, from the heap or
+// read from the frozen file, once its frame is checked. Caller holds the
+// campaign's shard lock, at least shared.
+func (c *Campaign) record(i uint32) ([]byte, error) {
+	piece, err := c.records.piece(i, c.spilled)
 	if err != nil {
-		files.close()
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return files, frozen, rows, nil
+	if _, rec, n, ok := unframe(piece); ok && n == len(piece) {
+		return rec, nil
+	}
+	return nil, c.badFrame(i)
 }
 
 // fileSpilled rebuilds restored campaign c's spilled sessions from the
-// valid bytes of its files: each entry of frozen is decoded, its join
-// noted by the stopper and the session filed (fileCompleted), and the
-// row that renders must be the next of rows. Caller has built c's
-// videos and stopper, and holds no lock: c is not reachable yet.
+// valid bytes of its files: each frame of frozen is checked and decoded,
+// its join noted by the stopper and the session filed (fileCompleted),
+// and the row that renders must be the next of rows. Caller has built
+// c's videos and stopper, and holds no lock: c is not reachable yet.
 func (c *Campaign) fileSpilled(frozen, rows []byte) error {
-	rest := frozen
-	for row := 0; len(rest) > 0; row++ {
-		id, rec, next, err := nextEntry(rest)
-		if err != nil {
-			return fmt.Errorf("campaign %s row %d: %w", c.ID, row, err)
+	for off, row := 0, uint32(0); off < len(frozen); row++ {
+		id, rec, n, ok := unframe(frozen[off:])
+		if !ok {
+			return c.badFrame(row)
 		}
 		sid := string(id)
 		sess, err := decodeFrozen(c, sid, rec)
@@ -287,19 +293,19 @@ func (c *Campaign) fileSpilled(frozen, rows []byte) error {
 		if _, dup := c.frozenAt(sid); dup {
 			return fmt.Errorf("campaign %s row %d: session %s completed twice", c.ID, row, sid)
 		}
-		rest = next
-		c.arenaEnds = append(c.arenaEnds, uint32(len(frozen)-len(rest)))
+		off += n
+		c.records.ends = append(c.records.ends, uint32(off))
 		if c.adaptive != nil {
 			c.adaptive.NoteJoin(sess.videos())
 		}
-		start := len(c.rows)
+		start := len(c.rows.tail)
 		c.fileCompleted(sess)
-		if stop := len(c.rows); stop > len(rows) || !bytes.Equal(c.rows[start:], rows[start:stop]) {
-			return fmt.Errorf("campaign %s row %d (session %s): the rows file does not hold the row its record renders", c.ID, row, sid)
+		if stop := len(c.rows.tail); stop > len(rows) || !bytes.Equal(c.rows.tail[start:], rows[start:stop]) {
+			return fmt.Errorf("%w: campaign %s row %d (session %s): %s does not hold at offset %d the row its record renders", ErrSpillCorrupt, c.ID, row, sid, fileName(c.ID, 1), start)
 		}
 	}
-	if len(c.rows) != len(rows) {
-		return fmt.Errorf("campaign %s: the rows file holds %d bytes past its last row", c.ID, len(rows)-len(c.rows))
+	if len(c.rows.tail) != len(rows) {
+		return fmt.Errorf("%w: campaign %s: %s holds %d bytes past its last row, at offset %d", ErrSpillCorrupt, c.ID, fileName(c.ID, 1), len(rows)-len(c.rows.tail), len(c.rows.tail))
 	}
 	return nil
 }
@@ -313,7 +319,7 @@ func (st *State) sweep() error {
 		return err
 	}
 	for _, name := range names {
-		id := strings.TrimSuffix(strings.TrimSuffix(path.Base(name), frozenExt), rowsExt)
+		id := strings.TrimSuffix(strings.TrimSuffix(path.Base(name), streamExts[0]), streamExts[1])
 		if _, held := st.campaigns.Get(id); held {
 			continue
 		}

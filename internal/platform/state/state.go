@@ -63,6 +63,9 @@ var (
 	// already present; ErrHeld a video or session record whose ID is.
 	ErrCampaignExists = errors.New("campaign already exists")
 	ErrHeld           = errors.New("id already held")
+	// ErrSpillCorrupt is a completed session's bytes failing their check
+	// (spill.go); every later read of the same bytes fails the same way.
+	ErrSpillCorrupt = errors.New("spilled bytes corrupt")
 )
 
 // State is the platform's campaign state. Its methods are safe for
@@ -126,35 +129,24 @@ type Campaign struct {
 	cache          []byte
 	cacheTag       string
 
-	// The completed sessions as /analytics lists them: each one's
-	// ParticipantVerdict and a comma, rendered once by fileCompleted, back
-	// to back in completion order (row i, ending at offset rowEnds[i], is
-	// recordSessions[i]'s; 32-bit offsets hold some 40 million). rowOrder
-	// lists row numbers ascending by session ID, the payload's order;
-	// rowDigest sums the rows' checksums, so the /analytics ETag does not
-	// depend on the order they arrived in. inflight lists the sessions not
-	// yet completed, in no order that reaches a reply. Rebuilt on load,
-	// never serialized.
-	rows              []byte
-	rowEnds, rowOrder []uint32
-	rowDigest         uint64
-	inflight          []string
+	// The completed sessions, one piece each in completion order (piece i
+	// is recordSessions[i]'s), in two streams (spill.go) whose first
+	// spilled pieces are in files: records, all that is left of them, each
+	// one's ID and frozen record (frozen.go) in a checked frame, which a
+	// lookup that misses the sessions index finds through rowOrder
+	// (frozenLocked); and rows, each one's /analytics row, rendered once
+	// by fileCompleted.
+	records, rows stream
+	spilled       uint32
 
-	// arena holds the completed sessions themselves, all that is left of
-	// them: one entry each, the session's ID and frozen record (frozen.go,
-	// spill.go), back to back under the rows' numbering — entry i ends at
-	// offset arenaEnds[i] and is recordSessions[i]'s. A lookup that misses
-	// the sessions index finds the entry through rowOrder (frozenLocked).
-	arena     []byte
-	arenaEnds []uint32
-
-	// The first spilled completed sessions have their entries and rows in
-	// files (spill.go), nil until a snapshot first spills and always nil
-	// in memory; arena and rows hold only the bytes from offset
-	// arenaEnds[spilled-1] and rowEnds[spilled-1] on. The offsets, the IDs
-	// and rowOrder stay here for every completed session.
-	spilled uint32
-	files   *campaignFiles
+	// rowOrder lists row numbers ascending by session ID, the payload's
+	// order; rowDigest sums the rows' checksums, so the /analytics ETag
+	// does not depend on the order they arrived in. inflight lists the
+	// sessions not yet completed, in no order that reaches a reply.
+	// Rebuilt on load, never serialized.
+	rowOrder  []uint32
+	rowDigest uint64
+	inflight  []string
 
 	// analytics is the incremental §4.3 aggregate folded in as sessions
 	// complete — what /results and the /analytics summary and bands
@@ -181,12 +173,7 @@ func (c *Campaign) Analytics() *quality.Campaign { return c.analytics }
 
 // Files returns the campaign's frozen-record and rows files: nil until a
 // snapshot first spilled the campaign, and always nil in memory.
-func (c *Campaign) Files() (frozen, rows *store.File) {
-	if c.files == nil {
-		return nil, nil
-	}
-	return c.files.frozen, c.files.rows
-}
+func (c *Campaign) Files() (frozen, rows *store.File) { return c.records.file, c.rows.file }
 
 // Spilled counts the completed sessions whose records and rows are in
 // the campaign's files.
@@ -195,14 +182,11 @@ func (c *Campaign) Spilled() int { return int(c.spilled) }
 // Row returns completed session i's /analytics row, in completion order,
 // without its trailing comma, read from the rows file if it is spilled.
 func (c *Campaign) Row(i int) ([]byte, error) {
-	n := uint32(i)
-	if n >= c.spilled {
-		row := c.row(nil, n)
-		return row[:len(row)-1], nil
+	row, err := c.rows.piece(uint32(i), c.spilled)
+	if err != nil {
+		return nil, err
 	}
-	row := make([]byte, c.rowEnds[n]-end(c.rowEnds, n))
-	err := c.files.rows.ReadAt(row, int64(end(c.rowEnds, n)))
-	return row[:len(row)-1], err
+	return row[:len(row)-1], nil
 }
 
 // invalidate drops the rendered /results body and its ETag. Caller
@@ -251,7 +235,7 @@ func newVideo(id string, c *Campaign, hash string, size int64) *Video {
 }
 
 // Session is one participant session in flight, guarded by its shard
-// lock; completion encodes it into its campaign's arena and drops it from
+// lock; completion encodes it into its campaign's records and drops it from
 // the sessions index (see completeSession). Its tracker and the answers'
 // storage are its own fields, so the state is one object beside its
 // tracker's entries and its strings. A completed session takes this form
@@ -433,10 +417,8 @@ func (st *State) Close() error {
 	}
 	var err error
 	st.campaigns.Range(func(_ string, c *Campaign) bool {
-		if c.files != nil {
-			if ferr := c.files.close(); err == nil {
-				err = ferr
-			}
+		if ferr := c.closeFiles(); err == nil {
+			err = ferr
 		}
 		return true
 	})
@@ -698,8 +680,10 @@ func (st *State) Counts() Counts {
 	})
 	st.campaigns.Range(func(_ string, c *Campaign) bool {
 		n.InFlight += len(c.inflight)
-		n.CompletedBytes += len(c.arena) + len(c.rows)
-		n.SpilledBytes += int(end(c.arenaEnds, c.spilled) + end(c.rowEnds, c.spilled))
+		for _, s := range c.streams() {
+			n.CompletedBytes += len(s.tail)
+			n.SpilledBytes += int(s.size(c.spilled))
+		}
 		sum := c.analytics.Summary()
 		n.Verdicts[filtering.Kept] += sum.Kept
 		n.Verdicts[filtering.DropEngagementSeeks] += sum.EngagementSeeks

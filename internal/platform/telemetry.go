@@ -50,9 +50,10 @@ type serverMetrics struct {
 	// endpoints holds each instrumented route's instruments under its row
 	// of the route table, registered once, so a request indexes them
 	// instead of taking the registry lock. GET /metrics's row stays empty.
-	endpoints []endpointMetrics
-	rejected  map[string]*telemetry.Counter // admission rejections by reason
-	mutation  []*telemetry.Counter          // journaled mutations by row of state.Ops; nil for a retired op
+	endpoints    []endpointMetrics
+	rejected     map[string]*telemetry.Counter // admission rejections by reason
+	mutation     []*telemetry.Counter          // journaled mutations by row of state.Ops; nil for a retired op
+	spillCorrupt *telemetry.Counter            // requests a spilled record failed its check (writeStateErr)
 	// stages holds the per-stage ingest latency histograms, populated by
 	// registerStageMetrics only when tracing is enabled so a tracing-off
 	// server's exposition is byte-identical to previous releases.
@@ -100,6 +101,8 @@ func newServerMetrics() *serverMetrics {
 			m.mutation[i] = reg.Counter("eyeorg_mutations_total", `op="`+row.Name+`"`)
 		}
 	}
+	reg.Help("eyeorg_spill_corrupt_total", "Requests answered 500 because a completed session's spilled record failed its checksum.")
+	m.spillCorrupt = reg.Counter("eyeorg_spill_corrupt_total", "")
 	return m
 }
 

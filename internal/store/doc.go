@@ -79,14 +79,15 @@
 // formats are specified in docs/PROTOCOLS.md.
 //
 // Data files (file.go) sit beside the journal for bytes a caller keeps
-// out of memory once a snapshot covers them. The store does not read
-// them; the caller's snapshot says how long each is valid for, and its
-// recovery is the caller's too: after Open, truncate each data file to
-// the lengths the loaded snapshot records (a crash may have left a tail
-// past them, written and synced before the snapshot that would have
-// covered it), read them back, then Replay. A File syncs through the
-// same syncData as a window, so a test that fails or slows window syncs
-// reaches the data files as well.
+// out of memory once a snapshot covers them, framed with AppendRecord
+// where it wants them checked. The store reads none; the caller's
+// snapshot says how long each is valid for, and recovery is the
+// caller's too: after Open, truncate each data file to the lengths the
+// loaded snapshot records (a crash may have left a tail past them,
+// written and synced before the snapshot that would have covered it),
+// read them back, then Replay. A File syncs through the same syncData
+// as a window, so a test that fails or slows window syncs reaches the
+// data files as well.
 //
 // One hook keeps the journal dependency-free while letting the platform
 // observe and extend it: Options.Observer, a CommitObserver, receives

@@ -17,21 +17,21 @@ import (
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})                                             // short header
-	f.Add(appendRecord(nil, nil))                                         // zero header: an empty payload's encoding
+	f.Add(AppendRecord(nil, nil))                                         // zero header: an empty payload's encoding
 	f.Add(make([]byte, 64))                                               // a preallocated tail
-	f.Add(appendRecord(nil, []byte("journal record")))                    // one frame
-	f.Add(append(appendRecord(nil, []byte("last")), make([]byte, 32)...)) // data, then zeros
-	f.Add(appendRecord(appendRecord(nil, []byte("a")),                    // two frames,
+	f.Add(AppendRecord(nil, []byte("journal record")))                    // one frame
+	f.Add(append(AppendRecord(nil, []byte("last")), make([]byte, 32)...)) // data, then zeros
+	f.Add(AppendRecord(AppendRecord(nil, []byte("a")),                    // two frames,
 		[]byte("b"))[:12]) // torn second
 	huge := make([]byte, recordHeader)
 	binary.LittleEndian.PutUint32(huge[0:4], ^uint32(0)) // implausible length
 	f.Add(huge)
-	corrupt := appendRecord(nil, []byte("flip me"))
+	corrupt := AppendRecord(nil, []byte("flip me"))
 	corrupt[len(corrupt)-1] ^= 0xff // checksum mismatch
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, n, ok := decodeRecord(data)
+		payload, n, ok := DecodeRecord(data)
 		if ok {
 			if len(payload) == 0 {
 				t.Fatalf("accepted a zero-length frame: %x", data[:n])
@@ -39,7 +39,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			if n <= recordHeader || n > len(data) {
 				t.Fatalf("frame length %d out of bounds for %d input bytes", n, len(data))
 			}
-			if re := appendRecord(nil, payload); !bytes.Equal(re, data[:n]) {
+			if re := AppendRecord(nil, payload); !bytes.Equal(re, data[:n]) {
 				t.Fatalf("accepted frame does not re-encode to its input:\n in:  %x\n out: %x", data[:n], re)
 			}
 		}
@@ -48,7 +48,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			if len(payload) == 0 {
 				t.Fatalf("walked a zero-length frame at byte %d", len(walked))
 			}
-			walked = appendRecord(walked, payload)
+			walked = AppendRecord(walked, payload)
 			return nil
 		})
 		if err != nil {
@@ -85,18 +85,18 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		if len(a) == 0 || len(b) == 0 {
 			for _, p := range [][]byte{a, b} {
-				if _, _, ok := decodeRecord(appendRecord(nil, p)); ok && len(p) == 0 {
+				if _, _, ok := DecodeRecord(AppendRecord(nil, p)); ok && len(p) == 0 {
 					t.Fatal("an empty payload's frame decoded")
 				}
 			}
 			return
 		}
-		buf := appendRecord(appendRecord(nil, a), b)
-		got, n, ok := decodeRecord(buf)
+		buf := AppendRecord(AppendRecord(nil, a), b)
+		got, n, ok := DecodeRecord(buf)
 		if !ok || !bytes.Equal(got, a) {
 			t.Fatalf("first frame: ok=%v payload %x, want %x", ok, got, a)
 		}
-		got2, _, ok := decodeRecord(buf[n:])
+		got2, _, ok := DecodeRecord(buf[n:])
 		if !ok || !bytes.Equal(got2, b) {
 			t.Fatalf("second frame: ok=%v payload %x, want %x", ok, got2, b)
 		}

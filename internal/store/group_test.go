@@ -80,7 +80,7 @@ func tearTail(t *testing.T, dir string, rng *rand.Rand) {
 	for i := range payload {
 		payload[i] = byte(1 + rng.Intn(255))
 	}
-	frame := appendRecord(nil, payload)
+	frame := AppendRecord(nil, payload)
 	cut := 1 + rng.Intn(len(frame)-1) // always a strict prefix
 	tearSegment(t, segs[len(segs)-1].path, frame[:cut])
 }
@@ -196,7 +196,7 @@ func TestGroupCommitSerialEquivalence(t *testing.T) {
 				if !ok {
 					t.Fatalf("replayed seq %d was never buffered", seq)
 				}
-				want = appendRecord(want, p)
+				want = AppendRecord(want, p)
 			}
 			if !bytes.Equal(journalBytes(t, dir), want) {
 				t.Fatal("journal bytes diverge from the submitted payloads framed in sequence order")

@@ -468,10 +468,10 @@ func (l *Log) recover() error {
 // --- record framing ---
 //
 // One frame is a 4-byte little-endian payload length, a 4-byte CRC32-C
-// of the payload, and the payload bytes. putFrameHeader, appendRecord
-// and decodeRecord are the single encode/decode pair for that layout,
+// of the payload, and the payload bytes. putFrameHeader, AppendRecord
+// and DecodeRecord are the single encode/decode pair for that layout,
 // and scanSegment the single walker over a run of frames — the append
-// path, recovery and the fuzz targets all go through them.
+// path, recovery, the fuzz targets and data-file callers use them.
 //
 // A frame's payload is never empty. Segments are preallocated, so the
 // bytes past the last frame read as zero, and a zero length is where
@@ -484,8 +484,8 @@ func putFrameHeader(hdr []byte, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
 }
 
-// appendRecord frames payload onto dst and returns the extended slice.
-func appendRecord(dst, payload []byte) []byte {
+// AppendRecord frames payload onto dst and returns the extended slice.
+func AppendRecord(dst, payload []byte) []byte {
 	var hdr [recordHeader]byte
 	putFrameHeader(hdr[:], payload)
 	dst = append(dst, hdr[:]...)
@@ -500,12 +500,12 @@ func frameSize(hdr []byte) (int, bool) {
 	return int(size), size != 0 && int64(size) <= MaxRecordBytes
 }
 
-// decodeRecord parses the first frame of b. It returns the payload (a
+// DecodeRecord parses the first frame of b. It returns the payload (a
 // subslice of b, not a copy), the frame's total byte length, and whether
 // the frame is valid; an undersized buffer, a zero length (the end of
 // the data), an implausible length or a checksum mismatch all report
 // ok=false.
-func decodeRecord(b []byte) (payload []byte, n int, ok bool) {
+func DecodeRecord(b []byte) (payload []byte, n int, ok bool) {
 	if len(b) < recordHeader {
 		return nil, 0, false
 	}
@@ -545,7 +545,7 @@ func scanSegment(r io.Reader, base uint64, fn func(seq uint64, payload []byte) e
 		if _, err := io.ReadFull(br, frame[recordHeader:]); err != nil {
 			return count, validSize, true, nil
 		}
-		payload, n, ok := decodeRecord(frame)
+		payload, n, ok := DecodeRecord(frame)
 		if !ok {
 			return count, validSize, true, nil
 		}

@@ -107,7 +107,7 @@ func TestPreallocCrashZeroTailReplaysClean(t *testing.T) {
 	}
 	checkTrimmed(t, path)
 	want := raw[:end]
-	want = appendRecord(want, []byte("four"))
+	want = AppendRecord(want, []byte("four"))
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
 		t.Fatalf("segment after reopen + append is not the old data plus one frame:\n got  %x\n want %x", got, want)
 	}
@@ -402,7 +402,7 @@ func TestPreallocParentWrittenSegment(t *testing.T) {
 			t.Fatalf("append %d: seq=%d err=%v", i, seq, err)
 		}
 		want = append(want, p)
-		expect = appendRecord(expect, []byte(p))
+		expect = AppendRecord(expect, []byte(p))
 	}
 	// In place: the old bytes stand and the new frames follow them inside
 	// the preallocated tail.
