@@ -305,18 +305,17 @@ func (a *Campaign) Assign(live []string) []string {
 	return pool
 }
 
-// Status reports every registered video's stopping state in
-// registration order.
-func (a *Campaign) Status() []VideoStatus {
-	out := make([]VideoStatus, 0, len(a.videos))
+// Status appends every registered video's stopping state to dst, in
+// registration order, and returns it.
+func (a *Campaign) Status(dst []VideoStatus) []VideoStatus {
 	for _, v := range a.videos {
 		st := VideoStatus{Video: v, State: StateCollecting, Pending: a.pending[v], Interval: a.interval(v)}
 		if verdict, done := a.resolved[v]; done {
 			st.State, st.Verdict = StateResolved, verdict
 		}
-		out = append(out, st)
+		dst = append(dst, st)
 	}
-	return out
+	return dst
 }
 
 // Resolved returns how many registered videos have resolved, and the

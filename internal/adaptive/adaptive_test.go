@@ -109,7 +109,7 @@ func TestResolutionStickyAndClosing(t *testing.T) {
 	if sessions != 13 {
 		t.Fatalf("closed after %d sessions, want 13 (one sample per video each, control excluded)", sessions)
 	}
-	st := a.Status()
+	st := a.Status(nil)
 	if st[0].State != StateResolved || st[0].N != 13 || st[0].Lo != 3 || st[0].Hi != 3 {
 		t.Fatalf("v1 = %+v, want resolved at [3, 3] with 13 kept", st[0])
 	}
@@ -120,7 +120,7 @@ func TestResolutionStickyAndClosing(t *testing.T) {
 	vids := []string{"v1", "v1", "v1"}
 	a.NoteJoin(vids)
 	a.Complete(timelineRecord("w", vids, []time.Duration{time.Minute, time.Minute, time.Minute}, 2), filtering.Kept)
-	if a.Status()[0].State != StateResolved || !a.Closed() {
+	if a.Status(nil)[0].State != StateResolved || !a.Closed() {
 		t.Fatal("resolution must be sticky")
 	}
 	// A new video is a new comparison: the campaign reopens.
@@ -136,7 +136,7 @@ func TestResolutionStickyAndClosing(t *testing.T) {
 	}
 	a.RemoveVideo("v1")
 	a.RemoveVideo("v2")
-	if a.Closed() || len(a.Status()) != 0 {
+	if a.Closed() || len(a.Status(nil)) != 0 {
 		t.Fatal("a campaign with no registered video must not read closed")
 	}
 }
@@ -146,12 +146,12 @@ func TestDroppedSessionsReleaseBudgetWithoutSamples(t *testing.T) {
 	a.AddVideo("v1")
 	vids := []string{"v1", "v1", "v1"}
 	a.NoteJoin(vids)
-	if got := a.Status()[0].Pending; got != 3 {
+	if got := a.Status(nil)[0].Pending; got != 3 {
 		t.Fatalf("pending = %d, want 3 after join", got)
 	}
 	sub := []time.Duration{3 * time.Second, 3 * time.Second, 3 * time.Second}
 	a.Complete(timelineRecord("w", vids, sub, 2), filtering.DropControl)
-	st := a.Status()[0]
+	st := a.Status(nil)[0]
 	if st.Pending != 0 || st.N != 0 || st.State != StateCollecting {
 		t.Fatalf("dropped session left %+v, want budget released and no samples", st)
 	}
@@ -224,7 +224,7 @@ func TestABVerdicts(t *testing.T) {
 		for !a.Closed() {
 			a.Complete(abRecord("v1", tc.choice), filtering.Kept)
 		}
-		if st := a.Status()[0]; st.Verdict != tc.want || st.N != tc.n {
+		if st := a.Status(nil)[0]; st.Verdict != tc.want || st.N != tc.n {
 			t.Errorf("%v votes resolved as %+v, want verdict %q at n=%d", tc.choice, st, tc.want, tc.n)
 		}
 	}
@@ -236,7 +236,7 @@ func TestStatusJSONSafeBeforeTwoSamples(t *testing.T) {
 	vids := []string{"v1"}
 	a.NoteJoin(vids)
 	a.Complete(timelineRecord("w", vids, []time.Duration{3 * time.Second}, -1), filtering.Kept)
-	st := a.Status()[0]
+	st := a.Status(nil)[0]
 	if st.N != 1 || !math.IsInf(st.Lo, -1) || !math.IsInf(st.Hi, 1) {
 		t.Fatalf("n=1 status = %+v, want both sides unbounded (the platform omits them: JSON cannot carry Inf)", st)
 	}
@@ -296,7 +296,7 @@ func TestStoppingCoverage(t *testing.T) {
 					}
 					a.Complete(ab, filtering.Kept)
 				}
-				st := a.Status()[0]
+				st := a.Status(nil)[0]
 				kept = append(kept, st.N)
 				switch {
 				case r.kind == "timeline":

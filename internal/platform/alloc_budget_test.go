@@ -82,20 +82,31 @@ func TestRequestPathAllocBudget(t *testing.T) {
 	answer := func(tt AssignedTest) []byte {
 		return []byte(`{"test_id":"` + tt.TestID + `","slider_ms":1400.5,"helper_ms":1200,"submitted_ms":1200,"kept_original":true}`)
 	}
-	sessions := make([]joined, 2*(runs+1))
-	for i := range sessions {
-		var jr JoinResponse
-		dispatch(t, rig.h, "POST", "/api/v1/sessions", JoinRequest{
-			Campaign: campaign, Worker: Worker{ID: "budget-" + strconv.Itoa(i), Gender: "f", Country: "ES", Source: "test"}, Captcha: "tok",
-		}, &jr)
-		sessions[i] = joined{"/api/v1/sessions/" + jr.Session, "/api/v1/sessions/" + jr.Session + "/responses", jr.Tests, answer(jr.Tests[0]), answer(jr.Tests[TestsPerSession-1])}
-	}
 	post := rig.request("POST", "application/json")
-	for _, s := range sessions[runs+1:] {
-		for _, tt := range s.tests[:TestsPerSession-1] {
-			rig.serve(post, s.path+"/responses", answer(tt), http.StatusAccepted)
+	// join starts n sessions of campaign on rig; with nearlyDone, each
+	// answers all but its control test, which completes it.
+	joins := 0
+	join := func(rig *budgetRig, campaign string, n int, nearlyDone bool) []joined {
+		post := rig.request("POST", "application/json")
+		sessions := make([]joined, n)
+		for i := range sessions {
+			joins++
+			var jr JoinResponse
+			dispatch(t, rig.h, "POST", "/api/v1/sessions", JoinRequest{
+				Campaign: campaign, Worker: Worker{ID: "budget-" + strconv.Itoa(joins), Gender: "f", Country: "ES", Source: "test"}, Captcha: "tok",
+			}, &jr)
+			sessions[i] = joined{"/api/v1/sessions/" + jr.Session, "/api/v1/sessions/" + jr.Session + "/responses", jr.Tests, answer(jr.Tests[0]), answer(jr.Tests[TestsPerSession-1])}
 		}
+		if nearlyDone {
+			for _, s := range sessions {
+				for _, tt := range s.tests[:TestsPerSession-1] {
+					rig.serve(post, s.responses, answer(tt), http.StatusAccepted)
+				}
+			}
+		}
+		return sessions
 	}
+	sessions := append(join(rig, campaign, runs+1, false), join(rig, campaign, runs+1, true)...)
 
 	first := sessions[0]
 	testsPath, eventsPath := first.path+"/tests", first.path+"/events"
@@ -150,6 +161,70 @@ func TestRequestPathAllocBudget(t *testing.T) {
 			t.Logf("%-20s %5.1f objects per request (ceiling %.0f)", c.name, got, c.ceiling)
 			if got > c.ceiling {
 				t.Errorf("%s: %.1f objects per request, ceiling %.0f", c.name, got, c.ceiling)
+			}
+		})
+	}
+
+	// The experimenter's views, on this timeline campaign and on an
+	// adaptive one, whose /analytics adds the stopping block. Each
+	// ceiling is what the request keeps, with no slack: a /results miss
+	// its body, its tag and the tag's header value, a hit nothing, and an
+	// /analytics poll its tag and one array for the tag's and the body
+	// length's header values. A miss is measured after a completion drops
+	// the cached render, the completion not counted.
+	adaptive, err := Open(Options{Adaptive: true, CIHalfWidth: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adaptive.Close()
+	arig := &budgetRig{t: t, h: adaptive.Handler(), w: &discardWriter{header: http.Header{}}, body: &replayBody{}}
+	acampaign := seedDispatch(t, arig.h, 8)
+	completeSessions(t, arig.h, acampaign, 0, 64)
+	type view struct {
+		name               string
+		rig                *budgetRig
+		results, analytics string
+		completing         []joined
+	}
+	views := []view{
+		{"timeline", rig, "/api/v1/campaigns/" + campaign + "/results", "/api/v1/campaigns/" + campaign + "/analytics", join(rig, campaign, runs, true)},
+		{"adaptive", arig, "/api/v1/campaigns/" + acampaign + "/results", "/api/v1/campaigns/" + acampaign + "/analytics", join(arig, acampaign, runs, true)},
+	}
+	rows := []struct {
+		name    string
+		ceiling float64
+		measure func(v *view) float64
+	}{
+		{"results miss", 3, func(v *view) float64 {
+			post, get, next := v.rig.request("POST", "application/json"), v.rig.request("GET", ""), 0
+			return renderAllocs(runs, func() {
+				v.rig.serve(post, v.completing[next].responses, v.completing[next].last, http.StatusAccepted)
+				next++
+			}, func() { v.rig.serve(get, v.results, nil, http.StatusOK) })
+		}},
+		{"results hit", 0, func(v *view) float64 {
+			hit := v.rig.request("GET", "")
+			v.rig.serve(hit, v.results, nil, http.StatusOK)
+			hit.Header.Set("If-None-Match", v.rig.w.header.Get("Etag"))
+			return testing.AllocsPerRun(runs, func() { v.rig.serve(hit, v.results, nil, http.StatusNotModified) })
+		}},
+		{"analytics", 2, func(v *view) float64 {
+			get := v.rig.request("GET", "")
+			return testing.AllocsPerRun(runs, func() { v.rig.serve(get, v.analytics, nil, http.StatusOK) })
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for i := range views {
+				v := &views[i]
+				t.Run(v.name, func(t *testing.T) {
+					v.rig.t = t
+					got := row.measure(v)
+					t.Logf("%-12s %-8s %5.1f objects per request (ceiling %.0f)", row.name, v.name, got, row.ceiling)
+					if got > row.ceiling {
+						t.Errorf("%s on the %s campaign: %.1f objects per request, ceiling %.0f", row.name, v.name, got, row.ceiling)
+					}
+				})
 			}
 		})
 	}

@@ -1145,3 +1145,66 @@ func TestVideoWithoutBlobRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestCampaignIDThatCannotNameAFileRefused: a journaled campaign record
+// whose ID cannot name campaigns/<id>.frozen — a NUL, a path separator,
+// "." or "..", an empty or over-long name — is refused before it is
+// journaled, and the snapshot after it succeeds; a state document that
+// lists such a campaign fails Open naming the ID. IDs that are file
+// names but outside ValidCampaignID, as older builds journaled them (a
+// number past 2^53, the longest name that fits), apply, snapshot and
+// reopen.
+func TestCampaignIDThatCannotNameAFileRefused(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	for _, id := range []string{"\x00", "c1/x", "../x", `c1\x`, ".", "..", "", strings.Repeat("c", 249)} {
+		before := srv.log.Seq()
+		if _, err := srv.mutate(&state.Event{Op: state.OpCampaign, ID: id, Name: "n", Kind: "timeline"}, nil); err == nil {
+			t.Fatalf("campaign record with ID %q applied", id)
+		}
+		if after := srv.log.Seq(); after != before {
+			t.Fatalf("refused campaign record with ID %q moved the journal from %d to %d", id, before, after)
+		}
+		if err := srv.Snapshot(); err != nil {
+			t.Fatalf("snapshot after refusing ID %q: %v", id, err)
+		}
+	}
+	accepted := []string{"c9007199254740993", strings.Repeat("c", 248), "x.y"}
+	for _, id := range accepted {
+		if state.ValidCampaignID(id) {
+			t.Fatalf("%q is a valid caller ID; the case wants one outside ValidCampaignID", id)
+		}
+		if _, err := srv.mutate(&state.Event{Op: state.OpCampaign, ID: id, Name: "n", Kind: "timeline"}, nil); err != nil {
+			t.Fatalf("campaign record with ID %q: %v", id, err)
+		}
+	}
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := document(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, _ := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	for _, id := range accepted {
+		if _, ok := reopened.state.Campaign(id); !ok {
+			t.Fatalf("campaign %q did not survive the reopen", id)
+		}
+	}
+	// The same document with one campaign renamed "../x".
+	if err := reopened.log.WriteSnapshot(bytes.Replace(doc, []byte(`"x.y"`), []byte(`"../x"`), 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if srv, err := Open(Options{DataDir: dir}); err == nil {
+		srv.Close()
+		t.Fatal("Open loaded a document listing campaign ../x")
+	} else if !strings.Contains(err.Error(), `"../x"`) {
+		t.Fatalf("Open: %v, want an error naming the ID", err)
+	}
+}

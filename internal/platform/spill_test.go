@@ -640,3 +640,40 @@ func BenchmarkSnapshot(b *testing.B) {
 		})
 	}
 }
+
+// TestSpillKeepsFilesOfDottedCampaignIDs: a campaign whose ID ends in
+// one of the files' extensions ("c9.rows", a valid caller ID) keeps both
+// its files across reopens: Open's sweep cuts one extension to find the
+// ID a file belongs to, so it does not read c9.rows.frozen as campaign
+// c9's.
+func TestSpillKeepsFilesOfDottedCampaignIDs(t *testing.T) {
+	dir := t.TempDir()
+	srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	var created CreateCampaignResponse
+	for _, id := range []string{"c9.rows", "c9.frozen"} {
+		if code := c.do("POST", "/api/v1/campaigns", CreateCampaignRequest{ID: id, Name: "dotted", Kind: "timeline"}, &created); code != http.StatusCreated {
+			t.Fatalf("create campaign %s: %d", id, code)
+		}
+		for i := 0; i < 2; i++ {
+			c.do("POST", "/api/v1/campaigns/"+id+"/videos", sampleVideoBytes(), nil)
+		}
+		completeN(c, id, id, 3)
+	}
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	want := viewsOf(t, c, "c9.rows", "c9.frozen")
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
+		want.check(t, fmt.Sprintf("reopen %d", i), viewsOf(t, c, "c9.rows", "c9.frozen"))
+		if n := len(fileSizes(t, dir)); n != 4 {
+			t.Fatalf("reopen %d: the data dir holds %d campaign files, want 4: %v", i, n, fileSizes(t, dir))
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -25,11 +25,13 @@
 package state
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc64"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/adaptive"
@@ -198,6 +200,31 @@ func (st *State) journal(ev *Event, tr *trace.Trace) (uint64, error) {
 	return seq, err
 }
 
+// jsonBuf is a buffer with the encoder that writes to it, recycled
+// through jsonPool: journal encodes each record in one.
+type jsonBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonPool = sync.Pool{New: func() any {
+	buf := new(jsonBuf)
+	buf.enc = json.NewEncoder(&buf.Buffer)
+	return buf
+}}
+
+// encodeJSON renders v into a pooled buffer. The caller owns the buffer
+// and must hand it back to jsonPool once the bytes are used.
+func encodeJSON(v any) (*jsonBuf, error) {
+	buf := jsonPool.Get().(*jsonBuf)
+	buf.Reset()
+	if err := buf.enc.Encode(v); err != nil {
+		jsonPool.Put(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
 // --- apply functions (journal + apply under shard locks) ---
 //
 // Each is its op's apply. It returns the journal sequence its record was
@@ -216,6 +243,9 @@ func ValidCampaign(name, kind string) bool {
 func (st *State) applyCampaign(ev *Event, tr *trace.Trace) (uint64, Result, error) {
 	if !ValidCampaign(ev.Name, ev.Kind) {
 		return 0, Result{}, fmt.Errorf("campaign %s: record needs a name and kind timeline|ab, has kind %q", ev.ID, ev.Kind)
+	}
+	if err := checkFileID(ev.ID); err != nil {
+		return 0, Result{}, err
 	}
 	csh := st.campaigns.Shard(ev.ID)
 	csh.Lock()
@@ -801,6 +831,9 @@ type restored struct {
 // failure is an error naming the campaign, returned before anything is
 // installed.
 func (st *State) restore(cn *SnapCampaign) (_ *restored, err error) {
+	if err := checkFileID(cn.ID); err != nil {
+		return nil, err
+	}
 	c := &Campaign{
 		ID: cn.ID, Name: cn.Name, Kind: cn.Kind,
 		Videos:    make([]string, len(cn.Videos)),

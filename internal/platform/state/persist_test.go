@@ -21,7 +21,8 @@ import (
 func TestETagFormat(t *testing.T) {
 	for _, sum := range []uint64{0, 1, 0xf, 0xabc, 1 << 32, 0x0123456789abcdef, 0xfedcba9876543210, ^uint64(0)} {
 		for _, n := range []int{0, 1, 15, 16, 4095, 1 << 20, 1<<31 - 1} {
-			if got, want := etagOf(sum, n), fmt.Sprintf(`"%016x-%x"`, sum, n); got != want {
+			tag := etagOf(sum, n)
+			if got, want := tag.String(), fmt.Sprintf(`"%016x-%x"`, sum, n); got != want {
 				t.Errorf("etagOf(%#x, %d) = %s, want %s", sum, n, got, want)
 			}
 		}

@@ -15,9 +15,12 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
+	"github.com/eyeorg/eyeorg/internal/adaptive"
 	"github.com/eyeorg/eyeorg/internal/filtering"
+	"github.com/eyeorg/eyeorg/internal/quality"
 )
 
 // ResultsResponse summarises a campaign after filtering.
@@ -140,107 +143,330 @@ type VideoAnalytics struct {
 	Banned    bool    `json:"banned,omitempty"`
 }
 
-// jsonBuf is a rendering buffer with the encoder that writes to it,
-// recycled through jsonPool.
-type jsonBuf struct {
-	bytes.Buffer
-	enc *json.Encoder
+// The JSON appenders below write every value exactly as encoding/json's
+// Marshal writes it, so the rendered documents are its bytes without
+// its reflection: FuzzRenderDifferential holds them to encoding/json on
+// random documents. A document is appended into a jsonOut, whose key
+// separates each field or map entry from the one before it.
+
+// jsonOut is a JSON document being appended. err latches the first
+// value JSON cannot carry, which fails the render as encoding/json
+// fails.
+type jsonOut struct {
+	b   []byte
+	err error
 }
 
-var jsonPool = sync.Pool{New: func() any {
-	buf := new(jsonBuf)
-	buf.enc = json.NewEncoder(&buf.Buffer)
-	return buf
-}}
-
-// encodeJSON renders v into a pooled buffer. The caller owns the buffer
-// and must hand it back to jsonPool once the bytes are used.
-func encodeJSON(v any) (*jsonBuf, error) {
-	buf := jsonPool.Get().(*jsonBuf)
-	buf.Reset()
-	if err := buf.enc.Encode(v); err != nil {
-		jsonPool.Put(buf)
-		return nil, err
+// appendJSONString appends s as a JSON string. A string of printable ASCII
+// that needs no escape is copied as it is; any other goes through
+// encoding/json, which escapes quotes, backslashes, control characters
+// and the HTML characters <, > and &, and replaces invalid UTF-8.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			// A string always encodes. The clone keeps s from escaping
+			// through the interface, so a caller's values stay on its
+			// stack.
+			quoted, _ := json.Marshal(strings.Clone(s))
+			return append(b, quoted...)
+		}
 	}
-	return buf, nil
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// key appends name as the key of the next field or map entry, after a
+// comma unless the object has just opened.
+func (o *jsonOut) key(name string) {
+	if o.b[len(o.b)-1] != '{' {
+		o.b = append(o.b, ',')
+	}
+	o.b = append(appendJSONString(o.b, name), ':')
+}
+
+func (o *jsonOut) str(name, v string) {
+	o.key(name)
+	o.b = appendJSONString(o.b, v)
+}
+
+func (o *jsonOut) int(name string, v int) {
+	o.key(name)
+	o.b = strconv.AppendInt(o.b, int64(v), 10)
+}
+
+func (o *jsonOut) bool(name string, v bool) {
+	o.key(name)
+	o.b = strconv.AppendBool(o.b, v)
+}
+
+// float appends v as encoding/json writes a float64: the shortest 'f'
+// form, or 'e' form below 1e-6 and from 1e21 up with a one-digit
+// negative exponent unpadded. NaN and ±Inf fail.
+func (o *jsonOut) float(name string, v float64) {
+	o.key(name)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if o.err == nil {
+			o.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	o.b = strconv.AppendFloat(o.b, v, format, -1, 64)
+	if n := len(o.b); format == 'e' && o.b[n-4] == 'e' && o.b[n-3] == '-' && o.b[n-2] == '0' {
+		o.b[n-2] = o.b[n-1]
+		o.b = o.b[:n-1]
+	}
+}
+
+// The omitempty fields: a zero is left out.
+
+func (o *jsonOut) intOmit(name string, v int) {
+	if v != 0 {
+		o.int(name, v)
+	}
+}
+
+func (o *jsonOut) boolOmit(name string, v bool) {
+	if v {
+		o.bool(name, v)
+	}
+}
+
+func (o *jsonOut) floatOmit(name string, v float64) {
+	if v != 0 {
+		o.float(name, v)
+	}
+}
+
+func (o *jsonOut) strOmit(name, v string) {
+	if v != "" {
+		o.str(name, v)
+	}
+}
+
+// resultsHead appends r's fields up to the opening of its per_video
+// object, whose entries videoAg appends.
+func (o *jsonOut) resultsHead(r *ResultsResponse) {
+	o.b = append(o.b, '{')
+	o.str("campaign", r.Campaign)
+	o.int("participants", r.Participants)
+	o.int("kept", r.Kept)
+	o.int("engagement_dropped", r.Engagement)
+	o.int("soft_dropped", r.Soft)
+	o.int("control_dropped", r.Control)
+	o.key("per_video")
+	o.b = append(o.b, '{')
+}
+
+// videoAg appends one per_video entry of /results.
+func (o *jsonOut) videoAg(id string, v *VideoAg) {
+	o.key(id)
+	o.b = append(o.b, '{')
+	o.int("responses", v.Responses)
+	o.floatOmit("mean_uplt_s", v.MeanUPLT)
+	o.floatOmit("agreement", v.Agreement)
+	o.boolOmit("banned", v.Banned)
+	o.b = append(o.b, '}')
+}
+
+// analyticsHead appends r's fields up to the opening of its
+// participants list; after the rows, the caller closes the list and
+// appends per_video (videoAnalytics) and, when set, stopping.
+func (o *jsonOut) analyticsHead(r *AnalyticsResponse) {
+	o.b = append(o.b, '{')
+	o.str("campaign", r.Campaign)
+	o.str("kind", r.Kind)
+	o.int("sessions", r.Sessions)
+	o.int("completed", r.Completed)
+	o.key("summary")
+	o.b = append(o.b, '{')
+	o.int("total", r.Summary.Total)
+	o.int("kept", r.Summary.Kept)
+	o.int("engagement_seeks", r.Summary.EngagementSeeks)
+	o.int("engagement_focus", r.Summary.EngagementFocus)
+	o.int("soft", r.Summary.Soft)
+	o.int("control", r.Summary.Control)
+	o.b = append(o.b, '}')
+	o.key("participants")
+	o.b = append(o.b, '[')
+}
+
+// videoAnalytics appends one per_video entry of /analytics.
+func (o *jsonOut) videoAnalytics(id string, v *VideoAnalytics) {
+	o.key(id)
+	o.b = append(o.b, '{')
+	o.int("responses", v.Responses)
+	o.intOmit("in_band", v.InBand)
+	o.floatOmit("band_lo_s", v.BandLoS)
+	o.floatOmit("band_hi_s", v.BandHiS)
+	o.floatOmit("mean_uplt_s", v.MeanUPLTS)
+	o.intOmit("votes_a", v.VotesA)
+	o.intOmit("votes_b", v.VotesB)
+	o.intOmit("no_difference", v.NoDiff)
+	o.floatOmit("agreement", v.Agreement)
+	o.boolOmit("banned", v.Banned)
+	o.b = append(o.b, '}')
+}
+
+// stoppingHead appends s's fields up to the opening of its per_video
+// object, whose entries videoStopping appends.
+func (o *jsonOut) stoppingHead(s *StoppingAnalytics) {
+	o.b = append(o.b, '{')
+	o.floatOmit("target_half_width", s.TargetHalfWidth)
+	o.bool("closed", s.Closed)
+	o.int("resolved", s.Resolved)
+	o.int("total", s.Total)
+	o.key("per_video")
+	o.b = append(o.b, '{')
+}
+
+// videoStopping appends one per_video entry of the stopping block.
+func (o *jsonOut) videoStopping(id string, v *VideoStopping) {
+	o.key(id)
+	o.b = append(o.b, '{')
+	o.str("state", v.State)
+	o.int("kept", v.Kept)
+	o.intOmit("pending", v.Pending)
+	if v.Lo != nil {
+		o.float("lo", *v.Lo)
+	}
+	if v.Hi != nil {
+		o.float("hi", *v.Hi)
+	}
+	o.strOmit("verdict", v.Verdict)
+	o.b = append(o.b, '}')
+}
+
+// appendRow appends v's /analytics row to dst: once for a completed
+// session, per poll for one in flight, and once more for each spilled
+// one when Recover checks the rows file.
+func (v *ParticipantVerdict) appendRow(dst []byte) []byte {
+	o := jsonOut{b: append(dst, '{')}
+	o.str("session", v.Session)
+	o.str("worker", v.Worker)
+	o.bool("completed", v.Completed)
+	o.str("verdict", v.Verdict)
+	o.boolOmit("provisional", v.Provisional)
+	o.int("answered", v.Answered)
+	o.int("actions", v.Actions)
+	o.intOmit("controls_failed", v.ControlsFailed)
+	return append(o.b, '}') // strings, ints, bools: o.err stays nil
+}
+
+// renderScratch is the memory a render works in, recycled through
+// scratchPool: the document it appends and, for /analytics, the sessions
+// in flight it lists, their rows back to back (row i is
+// live[spans[i].from:spans[i].to], empty when it is not listed) and the
+// stopper's status.
+type renderScratch struct {
+	doc    []byte
+	ids    []string
+	live   []byte
+	spans  []span
+	status []adaptive.VideoStatus
+}
+
+type span struct{ from, to int }
+
+var scratchPool = sync.Pool{New: func() any { return new(renderScratch) }}
+
+func getScratch() *renderScratch { return scratchPool.Get().(*renderScratch) }
+
+// put hands sc back to scratchPool, pinning no session's or video's ID.
+func (sc *renderScratch) put() {
+	clear(sc.ids)
+	clear(sc.status)
+	scratchPool.Put(sc)
 }
 
 // A strong ETag is a digest of the response, built from CRC-64 checksums
 // over etagTable, and its length.
 var etagTable = crc64.MakeTable(crc64.ECMA)
 
-// etagOf renders the tag, quoted: the checksum as 16 hex digits, a dash
-// and the length in hex.
-func etagOf(sum uint64, n int) string {
-	b := append(make([]byte, 0, 40), '"')
+// An ETag is a rendered tag, quoted: the checksum as 16 hex digits, a
+// dash and the length in hex. It is a value, so a request that renders
+// one allocates nothing until it sends it.
+type ETag struct {
+	b [64]byte
+	n uint8
+}
+
+// etagOf renders the tag of the n-byte body whose checksum is sum.
+func etagOf(sum uint64, n int) ETag {
+	var t ETag
+	b := append(t.b[:0], '"')
 	for shift := 60; shift >= 0; shift -= 4 {
 		b = append(b, "0123456789abcdef"[sum>>shift&0xf])
 	}
 	b = strconv.AppendInt(append(b, '-'), int64(n), 16)
-	return string(append(b, '"'))
+	t.n = uint8(len(append(b, '"')))
+	return t
 }
 
-// Results returns campaign id's /results body and its ETag. The body is
-// rendered once per change: every op that changes what it would say
-// drops it (invalidate), the tag with it, so a match certifies the
-// client's copy is the current render.
-func (st *State) Results(id string) ([]byte, string, error) {
+// Bytes returns the tag, quotes included, in t's own storage.
+func (t *ETag) Bytes() []byte { return t.b[:t.n] }
+
+// String returns the tag as a new string.
+func (t *ETag) String() string { return string(t.Bytes()) }
+
+// Results returns campaign id's /results body and its ETag, as the
+// header value a reply assigns. The body is rendered once per change:
+// every op that changes what it would say drops it (invalidate), the tag
+// with it, so a match certifies the client's copy is the current render.
+func (st *State) Results(id string) ([]byte, []string, error) {
 	csh := st.campaigns.Shard(id)
 	csh.Lock()
 	defer csh.Unlock()
 	c, ok := csh.Get(id)
 	if !ok {
-		return nil, "", ErrNoCampaign
+		return nil, nil, ErrNoCampaign
 	}
 	if c.cache == nil {
 		rendered, err := st.RenderResults(c)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 		c.cache = rendered
-		c.cacheTag = etagOf(crc64.Checksum(rendered, etagTable), len(rendered))
+		tag := etagOf(crc64.Checksum(rendered, etagTable), len(rendered))
+		c.cacheTag = []string{tag.String()}
 	}
 	return c.cache, c.cacheTag, nil
 }
 
-// RenderResults marshals the campaign's §4.3 aggregates exactly as
-// encoding/json's Encoder would. Caller holds the campaign's shard lock,
-// which the video shards it reads follow in the lock order, or no op
-// applies.
+// RenderResults renders the campaign's §4.3 aggregates as a new body of
+// exactly its length, the bytes encoding/json's Encoder writes for its
+// ResultsResponse. Caller holds the campaign's shard lock, which the
+// video shards it reads follow in the lock order, or no op applies.
 func (st *State) RenderResults(c *Campaign) ([]byte, error) {
+	sc := getScratch()
+	defer sc.put()
 	sum := c.analytics.Summary()
-	res := ResultsResponse{
+	o := jsonOut{b: sc.doc[:0]}
+	o.resultsHead(&ResultsResponse{
 		Campaign:     c.ID,
 		Participants: sum.Total,
 		Kept:         sum.Kept,
 		Engagement:   sum.Engagement(),
 		Soft:         sum.Soft,
 		Control:      sum.Control,
-		PerVideo:     map[string]VideoAg{},
-	}
+	})
 	switch c.Kind {
 	case "timeline":
-		for id, band := range c.analytics.TimelineBands(filtering.WisdomLo, filtering.WisdomHi) {
-			res.PerVideo[id] = VideoAg{
-				Responses: band.InBand,
-				MeanUPLT:  band.Mean,
-				Banned:    st.videoBanned(id),
-			}
-		}
+		c.analytics.EachBand(filtering.WisdomLo, filtering.WisdomHi, func(id string, band quality.Band) {
+			o.videoAg(id, &VideoAg{Responses: band.InBand, MeanUPLT: band.Mean, Banned: st.videoBanned(id)})
+		})
 	case "ab":
-		for id, votes := range c.analytics.Votes() {
-			res.PerVideo[id] = VideoAg{
-				Responses: votes.Total(),
-				Agreement: votes.Agreement(),
-				Banned:    st.videoBanned(id),
-			}
-		}
+		c.analytics.EachVotes(func(id string, votes *filtering.ABVotes) {
+			o.videoAg(id, &VideoAg{Responses: votes.Total(), Agreement: votes.Agreement(), Banned: st.videoBanned(id)})
+		})
 	}
-	buf, err := json.Marshal(res)
-	if err != nil {
-		return nil, err
+	sc.doc = append(o.b, "}}\n"...)
+	if o.err != nil {
+		return nil, o.err
 	}
-	return append(buf, '\n'), nil
+	return bytes.Clone(sc.doc), nil
 }
 
 // Analytics appends campaign id's /analytics payload over the [lo, hi]
@@ -252,26 +478,30 @@ func (st *State) RenderResults(c *Campaign) ([]byte, error) {
 // campaign lock released: session shards come first in the lock order.
 // A session was indexed before it was listed, but it may have completed
 // since, and then the index no longer holds it.
-func (st *State) Analytics(dst []byte, id string, lo, hi float64, fresh func(tag string) bool) ([]byte, string, error) {
+func (st *State) Analytics(dst []byte, id string, lo, hi float64, fresh func(tag ETag) bool) ([]byte, ETag, error) {
 	csh := st.campaigns.Shard(id)
 	csh.RLock()
 	c, ok := csh.Get(id)
 	if !ok {
 		csh.RUnlock()
-		return dst, "", ErrNoCampaign
+		return dst, ETag{}, ErrNoCampaign
 	}
-	liveIDs := slices.Clone(c.inflight)
+	sc := getScratch()
+	defer sc.put()
+	sc.ids = append(sc.ids[:0], c.inflight...)
 	csh.RUnlock()
-	sort.Strings(liveIDs)
-	live := make([][]byte, len(liveIDs))
-	for i, sid := range liveIDs {
+	slices.Sort(sc.ids)
+	sc.live, sc.spans = sc.live[:0], sc.spans[:0]
+	for _, sid := range sc.ids {
+		from := len(sc.live)
 		ssh := st.sessions.Shard(sid)
 		ssh.RLock()
 		if sess, ok := ssh.Get(sid); ok {
 			v := sess.verdict()
-			live[i] = v.appendRow(nil)
+			sc.live = v.appendRow(sc.live)
 		}
 		ssh.RUnlock()
+		sc.spans = append(sc.spans, span{from, len(sc.live)})
 	}
 	// The rest is read under the campaign lock. A session that completed
 	// since it was listed — before or after its row was rendered — is
@@ -279,38 +509,38 @@ func (st *State) Analytics(dst []byte, id string, lo, hi float64, fresh func(tag
 	csh.RLock()
 	defer csh.RUnlock()
 	rows, size, sum := len(c.rowOrder), int(c.rows.size(uint32(len(c.rows.ends)))), uint64(0)
-	for i, sid := range liveIDs {
-		if _, frozen := c.frozenAt(sid); frozen {
-			live[i] = nil
+	for i, sid := range sc.ids {
+		row := sc.live[sc.spans[i].from:sc.spans[i].to]
+		if _, frozen := c.frozenAt(sid); frozen || len(row) == 0 {
+			sc.spans[i].to = sc.spans[i].from
 			continue
 		}
 		rows++
-		size += len(live[i]) + 1
-		sum = crc64.Update(sum, etagTable, live[i])
+		size += len(row) + 1
+		sum = crc64.Update(sum, etagTable, row)
 	}
-	resp := st.AnalyticsShell(c, lo, hi, rows)
-	shell, err := encodeJSON(&resp)
+	cut, err := st.appendShell(sc, c, lo, hi, rows)
 	if err != nil {
-		return dst, "", err
+		return dst, ETag{}, err
 	}
-	defer jsonPool.Put(shell)
+	shell := sc.doc
 	// The validator needs no body: the frozen rows' digest, a hash of what
 	// this request rendered, and the length (the last row has no comma).
-	size += shell.Len() - min(rows, 1)
-	tag := etagOf(c.rowDigest+crc64.Update(sum, etagTable, shell.Bytes()), size)
+	size += len(shell) - min(rows, 1)
+	tag := etagOf(c.rowDigest+crc64.Update(sum, etagTable, shell), size)
 	if fresh(tag) {
 		return dst, tag, nil
 	}
 	spilled, err := c.rows.readSpilled(c.spilled)
 	if err != nil {
-		return dst, "", err
+		return dst, ETag{}, err
 	}
 	defer regionPool.Put(spilled)
-	return c.appendAnalytics(slices.Grow(dst, size), *spilled, shell.Bytes(), liveIDs, live), tag, nil
+	return c.appendAnalytics(slices.Grow(dst, size), *spilled, shell, cut, sc), tag, nil
 }
 
-// verdict returns the session's ParticipantVerdict, which encoding/json
-// renders as its /analytics row. Caller holds the session's shard lock.
+// verdict returns the session's ParticipantVerdict, its /analytics row.
+// Caller holds the session's shard lock.
 func (sess *Session) verdict() ParticipantVerdict {
 	snap := sess.Standing()
 	return ParticipantVerdict{
@@ -325,15 +555,6 @@ func (sess *Session) verdict() ParticipantVerdict {
 	}
 }
 
-// appendRow appends v's /analytics row to dst, the bytes encoding/json
-// renders for it: once for a completed session, per poll for one in flight.
-func (v *ParticipantVerdict) appendRow(dst []byte) []byte {
-	buf, _ := encodeJSON(v)                         // strings, ints, bools: cannot fail
-	dst = append(dst, buf.Bytes()[:buf.Len()-1]...) // less the encoder's newline
-	jsonPool.Put(buf)
-	return dst
-}
-
 // frozenID returns the ID of the completed session at position i of the
 // frozen rows in payload order, which is ascending by ID.
 func (c *Campaign) frozenID(i int) string { return c.recordSessions[c.rowOrder[i]] }
@@ -345,68 +566,114 @@ func (c *Campaign) frozenAt(id string) (int, bool) {
 	return at, at < len(c.rowOrder) && c.frozenID(at) == id
 }
 
-// appendAnalytics appends the payload to b: shell, an AnalyticsResponse
-// encoded with no participants, with the frozen rows — spilled holds the
-// rows file's valid region — copied into its empty list, merged in
-// ascending session order with the non-nil rows of live (live[i] is
-// liveIDs[i]'s). Caller holds the campaign's lock.
-func (c *Campaign) appendAnalytics(b, spilled, shell []byte, liveIDs []string, live [][]byte) []byte {
-	// encoding/json escapes quotes in strings: the first match is the field.
-	cut := bytes.Index(shell, []byte(`"participants":[]`)) + len(`"participants":[`)
+// appendAnalytics appends the payload to b: shell, the document with an
+// empty participants list whose inside is at cut, with the frozen rows —
+// spilled holds the rows file's valid region — copied into that list,
+// merged in ascending session order with sc's listed live rows. Caller
+// holds the campaign's lock.
+func (c *Campaign) appendAnalytics(b, spilled, shell []byte, cut int, sc *renderScratch) []byte {
 	b = append(b, shell[:cut]...)
 	next := 0 // frozen rows copied so far, in payload order
-	for i := 0; i <= len(liveIDs); i++ {
+	for i := 0; i <= len(sc.ids); i++ {
 		at := len(c.rowOrder)
-		if i < len(liveIDs) {
-			at, _ = c.frozenAt(liveIDs[i])
+		if i < len(sc.ids) {
+			at, _ = c.frozenAt(sc.ids[i])
 		}
-		for ; next < at; next++ {
-			b = append(b, c.rows.at(spilled, c.rowOrder[next], c.spilled)...)
-		}
-		if i < len(liveIDs) && live[i] != nil {
-			b = append(append(b, live[i]...), ',')
+		b = c.appendFrozenRows(b, spilled, next, at)
+		next = at
+		if i < len(sc.ids) && sc.spans[i].to > sc.spans[i].from {
+			b = append(append(b, sc.live[sc.spans[i].from:sc.spans[i].to]...), ',')
 		}
 	}
 	return append(bytes.TrimSuffix(b, []byte(",")), shell[cut:]...)
 }
 
-// AnalyticsShell builds the payload's campaign-level fields around an
-// empty list of the sessions it counts. Caller holds the campaign's
-// shard lock.
-func (st *State) AnalyticsShell(c *Campaign, lo, hi float64, sessions int) AnalyticsResponse {
-	resp := AnalyticsResponse{
-		Campaign:     c.ID,
-		Kind:         c.Kind,
-		Sessions:     sessions,
-		Completed:    len(c.recordSessions),
-		Summary:      AnalyticsSummary(c.analytics.Summary()), // same fields, this type names them in JSON
-		Participants: []ParticipantVerdict{},
-		PerVideo:     st.renderVideoAnalytics(c, lo, hi),
+// appendFrozenRows appends the frozen rows at payload positions [from, to)
+// to b, each run of consecutive row numbers on one side of the spill
+// boundary in one copy.
+func (c *Campaign) appendFrozenRows(b, spilled []byte, from, to int) []byte {
+	for from < to {
+		first := c.rowOrder[from]
+		end := first + 1
+		for from++; from < to && c.rowOrder[from] == end && (end < c.spilled) == (first < c.spilled); from++ {
+			end++
+		}
+		b = append(b, c.rows.span(spilled, first, end, c.spilled)...)
 	}
-	if c.adaptive != nil {
-		resolved, total := c.adaptive.Resolved()
-		st := StoppingAnalytics{
-			Closed:   c.adaptive.Closed(),
-			Resolved: resolved,
-			Total:    total,
-			PerVideo: map[string]VideoStopping{},
-		}
+	return b
+}
+
+// appendShell renders into sc.doc the payload's campaign-level fields
+// around an empty list of the sessions it counts, and returns where the
+// list's inside is. Per-video sections come in ascending video-ID order,
+// as encoding/json orders a map's keys. Caller holds the campaign's
+// shard lock, which the video shards it reads follow in the lock order,
+// and has validated the band.
+func (st *State) appendShell(sc *renderScratch, c *Campaign, lo, hi float64, sessions int) (int, error) {
+	o := jsonOut{b: sc.doc[:0]}
+	o.analyticsHead(&AnalyticsResponse{
+		Campaign:  c.ID,
+		Kind:      c.Kind,
+		Sessions:  sessions,
+		Completed: len(c.recordSessions),
+		Summary:   AnalyticsSummary(c.analytics.Summary()), // same fields, this type names them in JSON
+	})
+	cut := len(o.b)
+	o.b = append(o.b, ']')
+	o.key("per_video")
+	o.b = append(o.b, '{')
+	switch c.Kind {
+	case "timeline":
+		c.analytics.EachBand(lo, hi, func(id string, band quality.Band) {
+			o.videoAnalytics(id, &VideoAnalytics{
+				Responses: band.Total,
+				InBand:    band.InBand,
+				BandLoS:   band.Lo,
+				BandHiS:   band.Hi,
+				MeanUPLTS: band.Mean,
+				Banned:    st.videoBanned(id),
+			})
+		})
+	case "ab":
+		c.analytics.EachVotes(func(id string, votes *filtering.ABVotes) {
+			o.videoAnalytics(id, &VideoAnalytics{
+				Responses: votes.Total(),
+				VotesA:    votes.A,
+				VotesB:    votes.B,
+				NoDiff:    votes.NoDiff,
+				Agreement: votes.Agreement(),
+				Banned:    st.videoBanned(id),
+			})
+		})
+	}
+	o.b = append(o.b, '}')
+	if a := c.adaptive; a != nil {
+		resolved, total := a.Resolved()
+		stopping := StoppingAnalytics{Closed: a.Closed(), Resolved: resolved, Total: total}
 		if c.Kind == "timeline" {
-			st.TargetHalfWidth = c.adaptive.Config().HalfWidth
+			stopping.TargetHalfWidth = a.Config().HalfWidth
 		}
-		for _, vs := range c.adaptive.Status() {
-			st.PerVideo[vs.Video] = VideoStopping{
+		o.key("stopping")
+		o.stoppingHead(&stopping)
+		// A video is registered once (applyVideo refuses a held ID), so
+		// sorting the status by video gives the map's key order.
+		sc.status = a.Status(sc.status[:0])
+		slices.SortFunc(sc.status, func(x, y adaptive.VideoStatus) int { return strings.Compare(x.Video, y.Video) })
+		for i := range sc.status {
+			vs := &sc.status[i]
+			o.videoStopping(vs.Video, &VideoStopping{
 				State:   string(vs.State),
 				Kept:    vs.N,
 				Pending: vs.Pending,
 				Lo:      finite(vs.Lo),
 				Hi:      finite(vs.Hi),
 				Verdict: string(vs.Verdict),
-			}
+			})
 		}
-		resp.Stopping = &st
+		o.b = append(o.b, "}}"...)
 	}
-	return resp
+	sc.doc = append(o.b, "}\n"...)
+	return cut, o.err
 }
 
 // finite points at x, or is nil for an unbounded side, which JSON
@@ -416,37 +683,4 @@ func finite(x float64) *float64 {
 		return nil
 	}
 	return &x
-}
-
-// renderVideoAnalytics builds the per-video section from the campaign's
-// incremental sketches over the [lo, hi] percentile band. Caller holds
-// the campaign's shard lock, which the video shards it reads follow in
-// the lock order, and has already validated the band.
-func (st *State) renderVideoAnalytics(c *Campaign, lo, hi float64) map[string]VideoAnalytics {
-	out := map[string]VideoAnalytics{}
-	switch c.Kind {
-	case "timeline":
-		for id, band := range c.analytics.TimelineBands(lo, hi) {
-			out[id] = VideoAnalytics{
-				Responses: band.Total,
-				InBand:    band.InBand,
-				BandLoS:   band.Lo,
-				BandHiS:   band.Hi,
-				MeanUPLTS: band.Mean,
-				Banned:    st.videoBanned(id),
-			}
-		}
-	case "ab":
-		for id, votes := range c.analytics.Votes() {
-			out[id] = VideoAnalytics{
-				Responses: votes.Total(),
-				VotesA:    votes.A,
-				VotesB:    votes.B,
-				NoDiff:    votes.NoDiff,
-				Agreement: votes.Agreement(),
-				Banned:    st.videoBanned(id),
-			}
-		}
-	}
-	return out
 }

@@ -12,7 +12,8 @@
 // and a payload of the session's ID, behind its varint length, and its
 // frozen record), so the file alone names every session it holds and a
 // flipped bit is caught wherever the record is read. A row piece is its
-// ParticipantVerdict as encoding/json renders it and a comma, unframed:
+// ParticipantVerdict, the bytes encoding/json renders for it (appendRow),
+// and a comma, unframed:
 // Recover re-renders every row from its checked record and compares.
 //
 // Snapshot appends what froze since the last snapshot to both files and
@@ -72,6 +73,22 @@ func (c *Campaign) streams() [2]*stream { return [2]*stream{&c.records, &c.rows}
 // fileName is the name of campaign id's file of stream k.
 func fileName(id string, k int) string { return path.Join(filesDir, id+streamExts[k]) }
 
+// maxFileID is the longest campaign ID whose file names fit the 255
+// bytes a file name may hold.
+const maxFileID = 255 - len(".frozen")
+
+// checkFileID refuses a campaign ID that cannot name its files under
+// filesDir: an empty or over-long one, "." or "..", or one holding a
+// NUL or a path separator, which would fail every snapshot or name a
+// file outside filesDir. Any other ID is accepted, those past
+// ValidCampaignID's bounds that older builds journaled included.
+func checkFileID(id string) error {
+	if id == "" || len(id) > maxFileID || id == "." || id == ".." || strings.ContainsAny(id, "/\\\x00") {
+		return fmt.Errorf("campaign ID %q cannot name the campaign's files", id)
+	}
+	return nil
+}
+
 // size is the length of the first n pieces: where piece n starts.
 func (s *stream) size(n uint32) uint32 {
 	if n == 0 {
@@ -86,10 +103,11 @@ func (s *stream) push(spilled uint32) {
 	s.ends = append(s.ends, s.size(spilled)+uint32(len(s.tail)))
 }
 
-// at returns piece i: from region, the spilled pieces as readSpilled
+// span returns pieces i to j-1, which lie on one side of the boundary
+// spilled, as one slice: from region, the spilled pieces as readSpilled
 // read them, or from the tail.
-func (s *stream) at(region []byte, i, spilled uint32) []byte {
-	start, stop := s.size(i), s.ends[i]
+func (s *stream) span(region []byte, i, j, spilled uint32) []byte {
+	start, stop := s.size(i), s.size(j)
 	if i < spilled {
 		return region[start:stop]
 	}
@@ -101,7 +119,7 @@ func (s *stream) at(region []byte, i, spilled uint32) []byte {
 // new slice when it is spilled.
 func (s *stream) piece(i, spilled uint32) ([]byte, error) {
 	if i >= spilled {
-		return s.at(nil, i, spilled), nil
+		return s.span(nil, i, i+1, spilled), nil
 	}
 	b := make([]byte, s.ends[i]-s.size(i))
 	return b, s.file.ReadAt(b, int64(s.size(i)))
@@ -319,7 +337,8 @@ func (st *State) sweep() error {
 		return err
 	}
 	for _, name := range names {
-		id := strings.TrimSuffix(strings.TrimSuffix(path.Base(name), streamExts[0]), streamExts[1])
+		base := path.Base(name)
+		id := strings.TrimSuffix(base, path.Ext(base)) // one extension: an ID may hold ".rows"
 		if _, held := st.campaigns.Get(id); held {
 			continue
 		}

@@ -123,11 +123,11 @@ type Campaign struct {
 
 	// recordSessions lists completed sessions in completion order — the
 	// order a snapshot load re-folds them into analytics.
-	// cache is the rendered /results body and cacheTag its ETag, both
-	// nil/empty when stale.
+	// cache is the rendered /results body and cacheTag its ETag, as the
+	// header value a reply assigns, both nil when stale.
 	recordSessions []string
 	cache          []byte
-	cacheTag       string
+	cacheTag       []string
 
 	// The completed sessions, one piece each in completion order (piece i
 	// is recordSessions[i]'s), in two streams (spill.go) whose first
@@ -171,6 +171,10 @@ func (c *Campaign) InFlight() []string { return c.inflight }
 // Analytics is the campaign's incremental §4.3 fold.
 func (c *Campaign) Analytics() *quality.Campaign { return c.analytics }
 
+// Adaptive is the campaign's stopper: nil unless the state runs
+// adaptive campaigns.
+func (c *Campaign) Adaptive() *adaptive.Campaign { return c.adaptive }
+
 // Files returns the campaign's frozen-record and rows files: nil until a
 // snapshot first spilled the campaign, and always nil in memory.
 func (c *Campaign) Files() (frozen, rows *store.File) { return c.records.file, c.rows.file }
@@ -195,7 +199,7 @@ func (c *Campaign) Row(i int) ([]byte, error) {
 // here so conditional GETs can trust the tag.
 func (c *Campaign) invalidate() {
 	c.cache = nil
-	c.cacheTag = ""
+	c.cacheTag = nil
 }
 
 // Video is one video of a campaign, guarded by its shard lock.

@@ -70,11 +70,12 @@ func scanETag(s string) (tag, rest string, ok bool) {
 }
 
 // writeConditional answers a GET whose validator is known: 304 without
-// a body when If-None-Match names tag (body is not read then), the full
-// JSON body otherwise. The ETag header rides on both.
-func writeConditional(w http.ResponseWriter, r *http.Request, tag string, body []byte) {
-	w.Header().Set("ETag", tag)
-	if etagMatches(r.Header.Get("If-None-Match"), tag) {
+// a body when If-None-Match names the tag (body is not read then), the
+// full JSON body otherwise. tag is the ETag header's value, which rides
+// on both.
+func writeConditional(w http.ResponseWriter, r *http.Request, tag []string, body []byte) {
+	w.Header()["Etag"] = tag
+	if etagMatches(r.Header.Get("If-None-Match"), tag[0]) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}

@@ -466,6 +466,9 @@ type Campaign struct {
 	summary  filtering.Summary
 	timeline map[string]*Sketch
 	ab       map[string]*filtering.ABVotes
+	// timelineIDs and abIDs list the two maps' keys in ascending order,
+	// the order a JSON object's keys are rendered in.
+	timelineIDs, abIDs []string
 }
 
 // NewCampaign starts empty analytics for a campaign. A campaign of
@@ -504,12 +507,7 @@ func (c *Campaign) Complete(rec *filtering.SessionRecord, verdict filtering.Reas
 		if r.Control {
 			continue
 		}
-		sk := c.timeline[r.VideoID]
-		if sk == nil {
-			sk = &Sketch{}
-			c.timeline[r.VideoID] = sk
-		}
-		sk.Add(r.Submitted.Seconds())
+		c.sketch(r.VideoID).Add(r.Submitted.Seconds())
 	}
 	for _, r := range rec.AB {
 		if r.Control {
@@ -519,6 +517,7 @@ func (c *Campaign) Complete(rec *filtering.SessionRecord, verdict filtering.Reas
 		if v == nil {
 			v = &filtering.ABVotes{}
 			c.ab[r.VideoID] = v
+			c.abIDs = insertSorted(c.abIDs, r.VideoID)
 		}
 		switch {
 		case r.PickedA():
@@ -529,6 +528,17 @@ func (c *Campaign) Complete(rec *filtering.SessionRecord, verdict filtering.Reas
 			v.NoDiff++
 		}
 	}
+}
+
+// sketch returns video id's sketch, made at its first kept answer.
+func (c *Campaign) sketch(id string) *Sketch {
+	sk := c.timeline[id]
+	if sk == nil {
+		sk = &Sketch{}
+		c.timeline[id] = sk
+		c.timelineIDs = insertSorted(c.timelineIDs, id)
+	}
+	return sk
 }
 
 // Summary returns the per-rule kept/dropped histogram over completed
@@ -555,10 +565,22 @@ func (c *Campaign) TimelineFiltered(lo, hi float64) map[string][]float64 {
 // concurrently under a shared campaign lock.
 func (c *Campaign) TimelineBands(lo, hi float64) map[string]Band {
 	out := make(map[string]Band, len(c.timeline))
-	for id, sk := range c.timeline {
-		out[id] = sk.band(lo, hi)
-	}
+	c.EachBand(lo, hi, func(id string, b Band) { out[id] = b })
 	return out
+}
+
+// EachBand calls fn with each video's Band, as TimelineBands computes
+// it, in ascending video-ID order, and builds nothing.
+func (c *Campaign) EachBand(lo, hi float64, fn func(id string, b Band)) {
+	for _, id := range c.timelineIDs {
+		fn(id, c.timeline[id].band(lo, hi))
+	}
+}
+
+// insertSorted inserts id, which ids does not hold, into ascending ids.
+func insertSorted(ids []string, id string) []string {
+	at, _ := slices.BinarySearch(ids, id)
+	return slices.Insert(ids, at, id)
 }
 
 // band is one sketch's Band, resumed from the memo when the new bounds
@@ -591,15 +613,12 @@ func (sk *Sketch) band(lo, hi float64) Band {
 	return b
 }
 
-// Votes returns the per-video A/B tallies over kept sessions — live what
-// filtering.ABByVideo computes offline. Both the map and the tallies
-// are copies, so the result stays coherent outside the campaign shard
-// lock while sessions keep completing.
-func (c *Campaign) Votes() map[string]*filtering.ABVotes {
-	out := make(map[string]*filtering.ABVotes, len(c.ab))
-	for id, v := range c.ab {
-		cp := *v
-		out[id] = &cp
+// EachVotes calls fn with each video's A/B tally over kept sessions —
+// live what filtering.ABByVideo computes offline — in ascending video-ID
+// order. The tally is the campaign's own: fn reads it under the
+// campaign shard lock and neither keeps nor changes it.
+func (c *Campaign) EachVotes(fn func(id string, v *filtering.ABVotes)) {
+	for _, id := range c.abIDs {
+		fn(id, c.ab[id])
 	}
-	return out
 }

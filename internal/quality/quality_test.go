@@ -314,12 +314,28 @@ func TestPropertyCampaignMatchesClean(t *testing.T) {
 				}
 			} else {
 				want := filtering.ABByVideo(offline.Kept)
-				if !reflect.DeepEqual(camp.Votes(), want) {
-					t.Fatalf("seed %d: votes diverge\nlive:    %v\noffline: %v", seed, camp.Votes(), want)
+				if got := votesOf(t, camp); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: votes diverge\nlive:    %v\noffline: %v", seed, got, want)
 				}
 			}
 		}
 	}
+}
+
+// votesOf collects c's EachVotes into a map of copies, failing t unless
+// the videos come in ascending order.
+func votesOf(t *testing.T, c *Campaign) map[string]*filtering.ABVotes {
+	t.Helper()
+	out := map[string]*filtering.ABVotes{}
+	last := ""
+	c.EachVotes(func(id string, v *filtering.ABVotes) {
+		if len(out) > 0 && id <= last {
+			t.Fatalf("EachVotes named %q after %q", id, last)
+		}
+		cp := *v
+		out[id], last = &cp, id
+	})
+	return out
 }
 
 func TestSketchFilteredMatchesIQRFilter(t *testing.T) {
@@ -373,8 +389,7 @@ func TestTimelineBandsMatchFilteredMean(t *testing.T) {
 		t.Helper()
 		c := NewCampaign("timeline")
 		for id, vals := range raw {
-			sk := &Sketch{}
-			c.timeline[id] = sk
+			sk := c.sketch(id)
 			for _, v := range vals {
 				sk.Add(v)
 			}

@@ -207,8 +207,7 @@ func FuzzSketchMatchesSample(f *testing.F) {
 			bands[i] = [2]float64{lo, min(lo+float64(data[2*i+1])/255*(100-lo), 100)}
 		}
 		c := NewCampaign("timeline")
-		sk := &Sketch{}
-		c.timeline["v"] = sk
+		sk := c.sketch("v")
 		var vals []float64
 		for rest := data[4:]; len(rest) > 0; {
 			b := rest[0]
@@ -271,11 +270,11 @@ func BenchmarkTimelineBands(b *testing.B) {
 	c := NewCampaign("timeline")
 	var sketches []*Sketch
 	for v := 0; v < videos; v++ {
-		sk := &Sketch{codes: make([]uint32, 0, answers+4*period)}
+		sk := c.sketch(fmt.Sprintf("v%d", v))
+		sk.codes = make([]uint32, 0, answers+4*period)
 		for _, p := range r.Perm(answers) {
 			sk.Add(frameTime(p % 256))
 		}
-		c.timeline[fmt.Sprintf("v%d", v)] = sk
 		sketches = append(sketches, sk)
 	}
 	adds := []float64{frameTime(0), frameTime(128), frameTime(128), frameTime(255)}
