@@ -6,7 +6,11 @@
 // Blobs are keyed by the SHA-256 of their content. Put streams the
 // upload through the hasher in reads of one pooled look-ahead buffer,
 // returned when Put does. Identical uploads deduplicate to one stored
-// blob.
+// blob. The store never reads a blob back for its caller to check: a
+// caller that validates content tees the reader it hands Put into its
+// checker (the platform checks each video upload against the EYV1
+// container this way), so the upload is hashed, stored and checked in
+// one pass and the verdict is in when Put returns.
 //
 // A blob is resident bytes or a file. Two serving tiers share the API:
 //
@@ -349,9 +353,10 @@ var syncDir = func(dir string) error {
 // so removing the blob cannot orphan a reference.
 //
 // Such a blob was never registered as a video, so nothing has served it
-// and it has no mapping: Put and ReadAll, the only reads an upload
-// makes, never map. A mapped file-tier blob reaching Discard is a bug —
-// a handler may be writing the mapping — and panics.
+// and it has no mapping: Put, the only read an upload makes, never maps,
+// and the upload is checked as Put streams it, not read back. A mapped
+// file-tier blob reaching Discard is a bug — a handler may be writing
+// the mapping — and panics.
 func (s *Store) Discard(hash string) {
 	s.mu.Lock()
 	meta, ok := s.blobs[hash]
@@ -514,21 +519,6 @@ func (s *Store) lookup(hash string) *blobMeta {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.blobs[hash]
-}
-
-// ReadAll materializes the whole blob as one contiguous slice. The
-// ingest path uses it transiently for validation; it is not the serving
-// path, counts nothing and maps nothing. The result may alias
-// store-owned memory and must not be modified.
-func (s *Store) ReadAll(hash string) ([]byte, error) {
-	meta := s.lookup(hash)
-	if meta == nil {
-		return nil, ErrNotFound
-	}
-	if m := meta.data.Load(); m != nil {
-		return *m, nil
-	}
-	return os.ReadFile(s.path(hash))
 }
 
 // Prewarm maps a file-tier blob ahead of its first read — the hook

@@ -346,8 +346,8 @@ func zipfTrace(seed int64, n, reads int) []int {
 func TestCacheRemove(t *testing.T) {
 	s := fileStore(t, nil)
 	doomed := putBytes(t, s, []byte("rejected upload"))
-	if _, err := s.ReadAll(doomed.Hash); err != nil { // validation's read maps nothing
-		t.Fatal(err)
+	if _, ok := s.Bytes(doomed.Hash); ok { // an upload's one read, Put, maps nothing
+		t.Fatal("a fresh upload is resident before any read")
 	}
 	s.Discard(doomed.Hash)
 	if s.Has(doomed.Hash) {

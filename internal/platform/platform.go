@@ -655,11 +655,14 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 		writeErr(w, http.StatusNotFound, state.ErrNoCampaign.Error())
 		return
 	}
-	// The upload streams through the blob store's ingest — hashed and
-	// (on the file tier) written out read by read, never held as one
-	// handler-owned slice. One extra byte of read budget
-	// distinguishes "exactly at the cap" from "over it".
-	ref, _, err := s.blobs.Put(io.LimitReader(r.Body, maxVideoBytes+1))
+	// The upload streams through the blob store's ingest once: each read
+	// is hashed, written out (on the file tier) and checked against the
+	// EYV1 container by a video.Checker, so the verdict is in when Put
+	// returns and no part of the upload is read back or held as one
+	// handler-owned slice. One extra byte of read budget distinguishes
+	// "exactly at the cap" from "over it".
+	var check video.Checker
+	ref, _, err := s.blobs.Put(io.TeeReader(io.LimitReader(r.Body, maxVideoBytes+1), &check))
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
@@ -676,15 +679,7 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 			fmt.Sprintf("video exceeds the %d MiB upload cap", maxVideoBytes>>20), time.Second)
 		return
 	}
-	// A video on the memory tier is read in place, no copy; on the file
-	// tier the file is read into a transient buffer, never mapped.
-	// Validate walks it without building a frame.
-	data, err := s.blobs.ReadAll(ref.Hash)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if err := video.Validate(data); err != nil {
+	if _, err := check.Verdict(); err != nil {
 		s.blobs.Discard(ref.Hash)
 		writeErr(w, http.StatusUnprocessableEntity, "not a valid EYV1 video")
 		return

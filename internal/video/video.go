@@ -167,9 +167,10 @@ var magic = [4]byte{'E', 'Y', 'V', '1'}
 // format is a stand-in for webm with the property the experiments care
 // about: size grows with duration and visual activity.
 //
-// Each frame is walked twice: once to count its runs and the bytes they
-// encode to, so the output is allocated once at its exact size, and once
-// to write them. The run counts of up to 128 frames wait on the stack.
+// Each frame's row-major tile array is scanned twice: once to count its
+// runs and the bytes they encode to, so the output is allocated once at
+// its exact size, and once to write them. The run counts of up to 128
+// frames wait on the stack.
 func Encode(v *Video) []byte {
 	var stack [128]int
 	runs := stack[:0]
@@ -179,24 +180,27 @@ func Encode(v *Video) []byte {
 		runs = append(runs, n)
 		size += uvarintLen(uint64(n)) + b
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, magic[:]...)
-	buf = binary.AppendUvarint(buf, uint64(v.FPS))
-	buf = binary.AppendUvarint(buf, uint64(len(v.Frames)))
+	buf := make([]byte, size)
+	off := copy(buf, magic[:])
+	off += binary.PutUvarint(buf[off:], uint64(v.FPS))
+	off += binary.PutUvarint(buf[off:], uint64(len(v.Frames)))
 	for i, f := range v.Frames {
-		buf = appendFrameRLE(buf, f, runs[i])
+		off += binary.PutUvarint(buf[off:], uint64(runs[i]))
+		off = putRuns(buf, off, f)
 	}
 	return buf
 }
 
-// countRuns is a frame's first walk: its run count and the bytes its
+// tiles is the number of tiles in a frame.
+const tiles = vision.GridW * vision.GridH
+
+// countRuns is a frame's first scan: its run count and the bytes its
 // (value, length) pairs encode to.
 func countRuns(f *vision.Frame) (runs, size int) {
-	const total = vision.GridW * vision.GridH
-	for i := 0; i < total; {
-		v := f.At(i%vision.GridW, i/vision.GridW)
+	for i := 0; i < tiles; {
+		v := f.TileAt(i)
 		j := i + 1
-		for j < total && f.At(j%vision.GridW, j/vision.GridW) == v {
+		for j < tiles && f.TileAt(j) == v {
 			j++
 		}
 		runs++
@@ -206,41 +210,40 @@ func countRuns(f *vision.Frame) (runs, size int) {
 	return runs, size
 }
 
-// uvarintLen is the length of x's binary.AppendUvarint encoding.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-func appendFrameRLE(buf []byte, f *vision.Frame, runs int) []byte {
-	total := vision.GridW * vision.GridH
-	buf = binary.AppendUvarint(buf, uint64(runs))
-	i := 0
-	for i < total {
-		v := f.At(i%vision.GridW, i/vision.GridW)
+// putRuns is a frame's second scan: it writes the frame's (value,
+// length) pairs into buf from off and returns the offset past them.
+func putRuns(buf []byte, off int, f *vision.Frame) int {
+	for i := 0; i < tiles; {
+		v := f.TileAt(i)
 		j := i + 1
-		for j < total && f.At(j%vision.GridW, j/vision.GridW) == v {
+		for j < tiles && f.TileAt(j) == v {
 			j++
 		}
-		buf = binary.AppendUvarint(buf, uint64(v))
-		buf = binary.AppendUvarint(buf, uint64(j-i))
+		off += binary.PutUvarint(buf[off:], uint64(v))
+		off += binary.PutUvarint(buf[off:], uint64(j-i))
 		i = j
 	}
-	return buf
+	return off
 }
+
+// uvarintLen is the length of x's binary.AppendUvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // ErrCorrupt reports an undecodable video payload.
 var ErrCorrupt = errors.New("video: corrupt encoding")
 
-// Decode reverses Encode.
+// Decode reverses Encode. It builds each frame from the runs a Checker
+// reports as it checks data.
 func Decode(data []byte) (*Video, error) {
 	v := &Video{}
-	fps, err := walk(data, func(frame int, val uint64, pos, n int) {
+	c := Checker{visit: func(frame int, val uint64, pos, n int) {
 		if frame == len(v.Frames) {
 			v.Frames = append(v.Frames, vision.NewFrame())
 		}
-		f := v.Frames[frame]
-		for k := pos; k < pos+n; k++ {
-			f.Set(k%vision.GridW, k/vision.GridW, vision.Tile(val))
-		}
-	})
+		v.Frames[frame].Fill(pos, n, vision.Tile(val))
+	}}
+	c.Write(data)
+	fps, err := c.Verdict()
 	if err != nil {
 		return nil, err
 	}
@@ -248,60 +251,242 @@ func Decode(data []byte) (*Video, error) {
 	return v, nil
 }
 
-// Validate reports whether Decode would accept data, by the same walk
-// over the container, without building a frame.
+// Validate reports whether Decode would accept data: one Write to a
+// Checker, which builds no frame.
 func Validate(data []byte) error {
-	_, err := walk(data, nil)
+	var c Checker
+	c.Write(data)
+	_, err := c.Verdict()
 	return err
 }
 
-// walk checks data against the EYV1 container — magic, frame rate and
-// frame-count bounds, every run non-empty and inside its frame, every
-// frame exactly covered — and returns the frame rate. It is the one
-// definition of a valid payload that Decode and Validate share. visit,
-// when non-nil, gets each run that covers tiles: n tiles of value val
-// from tile pos of the given frame. Every frame walk gets past had such
-// a run, so frames arrive in order, none skipped.
-func walk(data []byte, visit func(frame int, val uint64, pos, n int)) (int, error) {
-	if len(data) < 6 || [4]byte(data[:4]) != magic {
-		return 0, ErrCorrupt
-	}
-	rest, ok := data[4:], true
-	uvarint := func() uint64 {
-		x, n := binary.Uvarint(rest)
-		if n <= 0 {
-			ok = false
-			return 0
+// Container bounds a payload's header must respect.
+const (
+	maxFPS    = 240
+	maxFrames = 1 << 20
+)
+
+// Checker checks a payload against the EYV1 container as it arrives —
+// magic, frame rate and frame-count bounds, every run non-empty and
+// inside its frame, every frame exactly covered — and is the one
+// definition of a valid payload: Validate is one Write to a Checker,
+// Decode builds frames from the runs one reports, and an upload is
+// written to one while it is stored. Write the payload in pieces of any
+// size, then ask Verdict. A Checker reads each varint in place; only a
+// varint a piece ends inside is carried to the next Write, as the value
+// and length of its bytes so far. Bytes past a complete payload are
+// accepted and ignored. The zero value is ready to use.
+type Checker struct {
+	// visit, when non-nil, gets each run that covers tiles: n tiles of
+	// value val from tile pos of the given frame. Every frame a Checker
+	// gets past had such a run, so frames arrive in order, none skipped.
+	visit func(frame int, val uint64, pos, n int)
+
+	next   field  // what the next varint is
+	magic  int    // bytes of the magic matched (next == fieldMagic)
+	x      uint64 // the carried varint's value so far
+	nb     uint   // and how many of its bytes have arrived
+	fps    int
+	frames int    // frames the header declares
+	frame  int    // the frame whose runs are being read
+	runs   uint64 // runs of that frame still to read
+	pos    int    // tiles of that frame its runs have covered
+	val    uint64 // the value of the run whose length is next
+}
+
+// field is where a Checker stands in the container.
+type field uint8
+
+const (
+	fieldMagic field = iota
+	fieldFPS
+	fieldFrames
+	fieldRuns // a frame's run count
+	fieldVal  // a run's value
+	fieldLen  // a run's length
+	fieldDone // a whole payload checked
+	fieldBad  // corrupt: the verdict is latched
+)
+
+// Write checks the next piece of the payload. It never fails, so a
+// Checker can sit behind an io.TeeReader or io.MultiWriter; a corrupt
+// payload shows in Verdict.
+func (c *Checker) Write(p []byte) (int, error) {
+	i := 0
+	for ; c.next == fieldMagic && i < len(p); i++ {
+		if p[i] != magic[c.magic] {
+			c.next = fieldBad
+			return len(p), nil
 		}
-		rest = rest[n:]
-		return x
+		if c.magic++; c.magic == len(magic) {
+			c.next = fieldFPS
+		}
 	}
-	const maxFrames = 1 << 20
-	fps, frames := uvarint(), uvarint()
-	if !ok || fps == 0 || fps > 240 || frames > maxFrames {
-		return 0, ErrCorrupt
-	}
-	const total = vision.GridW * vision.GridH
-	for frame := 0; frame < int(frames); frame++ {
-		runs, pos := uvarint(), 0
-		for r := uint64(0); ok && r < runs; r++ {
-			val, length := uvarint(), uvarint()
-			// A length past the int range converts to a negative count:
-			// a run that covers nothing, and is accepted.
-			n := int(length)
-			if !ok || length == 0 || pos+n > total {
-				return 0, ErrCorrupt
+	// The walk runs on locals and stores them back once, at the end.
+	next, x, nb := c.next, c.x, c.nb
+	pos, runs, val := c.pos, c.runs, c.val
+	for i < len(p) && next < fieldDone {
+		if next == fieldVal && nb == 0 {
+			var ok bool
+			if i, pos, runs, ok = c.runsInPlace(p, i, pos, runs); !ok {
+				next = fieldBad
+				break
+			}
+			if runs == 0 {
+				next = c.endFrame(pos)
+				continue
+			}
+			if i == len(p) {
+				break
+			}
+		}
+		// Read bytes until one with its high bit clear ends the varint;
+		// p may end first, and the varint is carried to the next Write.
+		for ; i < len(p) && p[i] >= 0x80; i++ {
+			if nb == binary.MaxVarintLen64-1 {
+				next = fieldBad // binary.Uvarint's overflow: an 11th byte
+				break
+			}
+			x |= uint64(p[i]&0x7f) << (7 * nb)
+			nb++
+		}
+		if i == len(p) || next == fieldBad {
+			break
+		}
+		b := p[i]
+		i++
+		// binary.Uvarint's overflow rule: a tenth byte above 1 puts the
+		// value past 64 bits.
+		if nb == binary.MaxVarintLen64-1 && b > 1 {
+			next = fieldBad
+			break
+		}
+		x |= uint64(b) << (7 * nb)
+		// x is whole: it completes the field next names.
+		switch next {
+		case fieldVal:
+			val, next = x, fieldLen
+		case fieldLen:
+			n, ok := span(pos, x)
+			if !ok {
+				next = fieldBad
+				break
 			}
 			if n > 0 {
-				if visit != nil {
-					visit(frame, val, pos, n)
+				if c.visit != nil {
+					c.visit(c.frame, val, pos, n)
 				}
 				pos += n
 			}
+			next = fieldVal
+			if runs--; runs == 0 {
+				next = c.endFrame(pos)
+			}
+		case fieldRuns:
+			runs, pos, next = x, 0, fieldVal
+			if runs == 0 {
+				next = c.endFrame(pos)
+			}
+		case fieldFPS:
+			next = fieldFrames
+			if x == 0 || x > maxFPS {
+				next = fieldBad
+			}
+			c.fps = int(x)
+		case fieldFrames:
+			next = fieldRuns
+			switch {
+			case x > maxFrames:
+				next = fieldBad
+			case x == 0:
+				next = fieldDone
+			}
+			c.frames = int(x)
 		}
-		if !ok || pos != total {
-			return 0, ErrCorrupt
+		x, nb = 0, 0
+	}
+	c.next, c.x, c.nb = next, x, nb
+	c.pos, c.runs, c.val = pos, runs, val
+	return len(p), nil
+}
+
+// runsInPlace reads whole runs of the current frame from p[i:], having
+// covered pos tiles with runs left to read, for as long as both of a
+// run's varints surely lie in p and neither is longer than nine bytes:
+// the loop a payload spends its time in, with nothing carried. It
+// returns where it stopped (before any run it did not read), the tiles
+// covered and the runs left, or false for a run that does not fit. Write
+// reads a run it leaves a byte at a time.
+func (c *Checker) runsInPlace(p []byte, i, pos int, runs uint64) (int, int, uint64, bool) {
+	for ; runs > 0 && len(p)-i >= 2*binary.MaxVarintLen64; runs-- {
+		val, j, ok := shortUvarint(p, i)
+		if !ok {
+			break
+		}
+		length, j, ok := shortUvarint(p, j)
+		if !ok {
+			break
+		}
+		i = j
+		n, ok := span(pos, length)
+		if !ok {
+			return i, pos, runs, false
+		}
+		if n > 0 {
+			if c.visit != nil {
+				c.visit(c.frame, val, pos, n)
+			}
+			pos += n
 		}
 	}
-	return int(fps), nil
+	return i, pos, runs, true
+}
+
+// shortUvarint reads the varint at p[i:] in place when it is at most
+// nine bytes long (every value below 2^63): its value and the index
+// past it. A longer one is left to Write's byte-at-a-time reading, which
+// alone applies binary.Uvarint's rule for a tenth byte.
+func shortUvarint(p []byte, i int) (uint64, int, bool) {
+	var x uint64
+	for s := uint(0); s < 63; s += 7 {
+		b := p[i]
+		i++
+		if b < 0x80 {
+			return x | uint64(b)<<s, i, true
+		}
+		x |= uint64(b&0x7f) << s
+	}
+	return 0, i, false
+}
+
+// span is what a run of the given length does to a frame whose runs
+// have covered pos tiles: the tiles it covers, or false when it is
+// empty or does not fit the tiles the frame has left (compared without
+// overflow). A length past the int range converts to a negative count:
+// a run that covers nothing, and is accepted.
+func span(pos int, length uint64) (int, bool) {
+	n := int(length)
+	return n, length != 0 && n <= tiles-pos
+}
+
+// endFrame closes the frame whose runs are all read, having covered pos
+// tiles (they must cover it exactly), and returns the next field.
+func (c *Checker) endFrame(pos int) field {
+	if pos != tiles {
+		return fieldBad
+	}
+	if c.frame++; c.frame == c.frames {
+		return fieldDone
+	}
+	return fieldRuns
+}
+
+// Verdict reports the frame rate of the payload written so far, or
+// ErrCorrupt unless it is one whole valid payload (and, perhaps, bytes
+// past it).
+func (c *Checker) Verdict() (fps int, err error) {
+	if c.next != fieldDone {
+		return 0, ErrCorrupt
+	}
+	return c.fps, nil
 }

@@ -313,6 +313,8 @@ func validateSeeds() [][]byte {
 		nil,
 		{1, 2, 3},
 		[]byte("EYV2xxxxxx"),
+		// A run that would wrap the tile count (TestWrappingRunRefused).
+		wrappingRun(),
 	}
 	for cut := range one {
 		seeds = append(seeds, one[:cut])

@@ -97,6 +97,22 @@ func (f *Frame) Set(x, y int, v Tile) {
 	f.tiles[y*GridW+x] = v
 }
 
+// TileAt returns tile i of the row-major tile array: the tile at
+// (i%GridW, i/GridW). It reads the array without a coordinate check,
+// so a scan over i in [0, GridW*GridH) costs one load per tile; an i
+// outside that range panics as an index does.
+func (f *Frame) TileAt(i int) Tile { return f.tiles[i] }
+
+// Fill sets n tiles of the row-major tile array, from tile i on, to v: a
+// run of tiles that may wrap from one row to the next. A run outside
+// the array panics as a slice does.
+func (f *Frame) Fill(i, n int, v Tile) {
+	run := f.tiles[i : i+n]
+	for k := range run {
+		run[k] = v
+	}
+}
+
 // Paint fills the viewport-visible part of rect with v and returns the
 // number of tiles changed.
 func (f *Frame) Paint(rect Rect, v Tile) int {

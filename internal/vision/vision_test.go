@@ -91,6 +91,29 @@ func TestAtSetBounds(t *testing.T) {
 	f.At(GridW, 0)
 }
 
+// TestTileAtAndFill: tile i of the row-major array is the tile at
+// (i%GridW, i/GridW), a filled run wraps from a row's last column to the
+// next row's first, and a run past the array panics.
+func TestTileAtAndFill(t *testing.T) {
+	f := NewFrame()
+	f.Fill(GridW-2, 4, 7)
+	for i := 0; i < GridW*GridH; i++ {
+		want := Tile(0)
+		if i >= GridW-2 && i < GridW+2 {
+			want = 7
+		}
+		if f.TileAt(i) != want || f.At(i%GridW, i/GridW) != want {
+			t.Fatalf("tile %d: TileAt %d, At %d, want %d", i, f.TileAt(i), f.At(i%GridW, i/GridW), want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a run past the tile array did not panic")
+		}
+	}()
+	f.Fill(GridW*GridH-1, 2, 1)
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	f := NewFrame()
 	f.Set(1, 1, 5)
