@@ -37,7 +37,7 @@ func TestNewLoggerFormats(t *testing.T) {
 // (tracing on) the trace ring; with tracing off the trace routes 404
 // while pprof stays up.
 func TestDebugHandlerSurface(t *testing.T) {
-	traced, err := platform.Open(platform.Options{TraceSample: 1, TraceSeed: 3})
+	traced, err := platform.Open(platform.Options{TraceSample: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDebugHandlerSurface(t *testing.T) {
 // trace surface.
 func TestTracedServerEndToEnd(t *testing.T) {
 	srv, err := platform.Open(platform.Options{
-		TraceSample: 1, TraceSeed: 11, Fsync: true, DataDir: t.TempDir(),
+		TraceSample: 1, Fsync: true, DataDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

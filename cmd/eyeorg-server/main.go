@@ -7,18 +7,17 @@
 // Usage:
 //
 //	eyeorg-server -addr :8080
-//	eyeorg-server -addr :8080 -data-dir ./eyeorg-data -shards 64
+//	eyeorg-server -addr :8080 -data-dir ./eyeorg-data
 //	eyeorg-server -addr :8080 -max-inflight 256 -worker-rate 20
 //	eyeorg-server -addr :8080 -trace-sample 0.01 -trace-slow 50ms -debug-addr :8081
 //
 // With -data-dir every mutation is journaled to a segmented write-ahead
 // log (wal-*.seg) with periodic snapshots (snap-*.snap); restarting the
 // server over the same directory recovers the exact pre-crash state,
-// including byte-identical /results. -shards sets the lock sharding of
-// the in-memory indexes (rounded up to a power of two). Concurrent
-// mutations share one journal flush window, acked once the window
-// reaches the OS; -fsync makes that an fdatasync of the window, so every
-// mutation is on disk before its response.
+// including byte-identical /results. Concurrent mutations share one
+// journal flush window, acked once the window reaches the OS; -fsync
+// makes that an fdatasync of the window, so every mutation is on disk
+// before its response.
 //
 // Admission control protects the service from crowd spikes:
 // -max-inflight caps concurrently served requests (excess gets 429 +
@@ -108,7 +107,6 @@ func newFlags() (*flag.FlagSet, *config) {
 	o := &c.platform
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.DataDir, "data-dir", "", "journal + snapshot directory (default in-memory)")
-	fs.IntVar(&o.Shards, "shards", 0, "index shard count, rounded to a power of two (0 = default)")
 	fs.BoolVar(&o.Fsync, "fsync", false, "fdatasync each journal flush window before acking its mutations")
 	fs.IntVar(&o.SnapshotEvery, "snapshot-every", 0, "journal records between snapshots (0 = default, <0 = never)")
 	fs.IntVar(&o.MaxInFlight, "max-inflight", 0, "cap on concurrently served API requests; excess gets 429 (0 = unlimited)")

@@ -203,10 +203,9 @@ func RenderAllExperimentsParallel(s *ExperimentSuite, w io.Writer, workers int) 
 
 // PlatformOptions configures the platform's storage and operations
 // subsystems: DataDir enables the write-ahead journal + snapshots
-// (crash recovery rebuilds byte-identical /results), Shards sets the
-// per-index shard count, and Fsync makes every mutation durable on disk
-// before its ack; concurrent mutations share one journal flush (and,
-// with Fsync, one fdatasync) per window. MaxInFlight, WorkerRate and
+// (crash recovery rebuilds byte-identical /results), and Fsync makes
+// every mutation durable on disk before its ack; concurrent mutations
+// share one journal flush (and, with Fsync, one fdatasync) per window. MaxInFlight, WorkerRate and
 // MaxBodyBytes put the API behind admission control (429 + Retry-After
 // / 413 under pressure; binary event batches charge the worker's bucket
 // per decoded record, see internal/wire). Adaptive enables sequential

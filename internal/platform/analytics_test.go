@@ -166,23 +166,29 @@ func banned(s *Server, id string) bool {
 	return b
 }
 
-// frozenVerdicts decodes the campaign's frozen /analytics rows in
-// completion order into worker -> verdict, a later session of the same
-// worker replacing an earlier one as filtering.Clean's ReasonFor does.
-func frozenVerdicts(t *testing.T, c *state.Campaign) map[string]string {
+// frozenVerdicts reads the campaign's completed /analytics rows, as s
+// serves them, in completion order into worker -> verdict, a later
+// session of the same worker replacing an earlier one as
+// filtering.Clean's ReasonFor does.
+func frozenVerdicts(t *testing.T, s *Server, c *state.Campaign) map[string]string {
 	t.Helper()
+	body, _, err := s.state.Analytics(nil, c.ID, filtering.WisdomLo, filtering.WisdomHi, func(state.ETag) bool { return false })
+	var ar AnalyticsResponse
+	if err == nil {
+		err = json.Unmarshal(body, &ar)
+	}
+	if err != nil {
+		t.Fatalf("analytics of %s: %v", c.ID, err)
+	}
+	rows := map[string]ParticipantVerdict{}
+	for _, pv := range ar.Participants {
+		rows[pv.Session] = pv
+	}
 	out := map[string]string{}
-	for i := range c.Completed() {
-		var pv ParticipantVerdict
-		row, err := c.Row(i)
-		if err == nil {
-			err = json.Unmarshal(row, &pv)
-		}
-		if err != nil {
-			t.Fatalf("frozen row %d: %v", i, err)
-		}
-		if pv.Session != c.Completed()[i] || !pv.Completed || pv.Provisional {
-			t.Fatalf("frozen row %d is %+v, want completed session %s", i, pv, c.Completed()[i])
+	for i, sid := range c.Completed() {
+		pv, ok := rows[sid]
+		if !ok || !pv.Completed || pv.Provisional {
+			t.Fatalf("completed session %d's row is %+v (listed: %v), want completed session %s", i, pv, ok, sid)
 		}
 		out[pv.Worker] = pv.Verdict
 	}
@@ -207,7 +213,7 @@ func assertLiveEqualsOffline(t *testing.T, s *Server, l *sent, campaignID string
 	for worker, reason := range offline.ReasonFor {
 		want[worker] = reason.String()
 	}
-	if got := frozenVerdicts(t, c); !reflect.DeepEqual(got, want) {
+	if got := frozenVerdicts(t, s, c); !reflect.DeepEqual(got, want) {
 		t.Fatalf("verdicts diverged:\nlive:    %v\noffline: %v", got, want)
 	}
 	switch c.Kind {
@@ -255,7 +261,13 @@ func oracleAnalytics(t *testing.T, s *Server, campaignID string, lo, hi float64)
 	if !ok {
 		t.Fatalf("campaign %s missing", campaignID)
 	}
-	ids := append(slices.Clone(c.Completed()), c.InFlight()...)
+	ids := slices.Clone(c.Completed())
+	s.state.Sessions(func(id string, sess *state.Session) bool {
+		if sess.Campaign == c {
+			ids = append(ids, id)
+		}
+		return true
+	})
 	resp := oracleShell(s, c, lo, hi, len(ids))
 	sort.Strings(ids)
 	for _, sid := range ids {
@@ -706,7 +718,7 @@ func TestAnalyticsCrashReplayEquivalence(t *testing.T) {
 			assertLiveEqualsOffline(t, srv2, l, campaign)
 			crossCheckHTTP(t, srv2, l, c2, campaign)
 			cs, _ := srv2.state.Campaign(campaign)
-			if v := frozenVerdicts(t, cs)["crash-survivor"]; v != filtering.Kept.String() {
+			if v := frozenVerdicts(t, srv2, cs)["crash-survivor"]; v != filtering.Kept.String() {
 				t.Fatalf("crash-survivor verdict = %q, want kept", v)
 			}
 		})

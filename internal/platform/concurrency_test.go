@@ -91,7 +91,7 @@ func TestJoinRoundRobinCoversVideos(t *testing.T) {
 // go test -race in CI.
 func TestConcurrentSessions(t *testing.T) {
 	const participants = 64
-	srv, err := Open(Options{Shards: 16})
+	srv, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestLateRequestsRaceCompletions(t *testing.T) {
 	completeSessions(t, h, campaign, 1, completing)
 	close(stop)
 	wg.Wait()
-	if inflight, completed := sessionCounts(t, srv); inflight != 0 || completed != frozen+1+completing {
+	if inflight, completed := sessionCounts(t, srv, campaign); inflight != 0 || completed != frozen+1+completing {
 		t.Fatalf("index holds %d sessions and the campaign files %d completed, want 0 and %d", inflight, completed, frozen+1+completing)
 	}
 }

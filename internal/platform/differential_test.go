@@ -301,8 +301,8 @@ func TestDifferentialBinaryVsJSON(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			for seed := int64(1); seed <= 2; seed++ {
 				t.Run(fmt.Sprintf("%s/workers=%d/seed=%d", kind, workers, seed), func(t *testing.T) {
-					cJSON, _ := newClientOpts(t, Options{Shards: 4})
-					cBin, _ := newClientOpts(t, Options{Shards: 4})
+					cJSON, _ := newClientOpts(t, Options{})
+					cBin, _ := newClientOpts(t, Options{})
 
 					// Allocation phase, sequential and identical on both:
 					// one campaign per worker, then every join in order.

@@ -49,10 +49,6 @@ type Options struct {
 	// and Open rebuilds state from the newest snapshot plus the journal
 	// tail. Empty means in-memory only.
 	DataDir string
-	// Shards is the shard count of each index (campaigns, sessions,
-	// videos), rounded up to a power of two; 0 selects
-	// store.DefaultShards.
-	Shards int
 	// SegmentBytes is the WAL segment rotation threshold (0 = store
 	// default).
 	SegmentBytes int64
@@ -104,9 +100,6 @@ type Options struct {
 	// capture; either TraceSample or TraceSlow being set enables
 	// tracing.
 	TraceSlow time.Duration
-	// TraceSeed seeds the deterministic trace sampler, so a fixed seed
-	// reproduces the same capture schedule (0 = clock-derived).
-	TraceSeed uint64
 	// Logger receives the platform's operational log records (slow
 	// traces, and failures of the snapshots requests take at the
 	// cadence). Nil uses slog.Default().
@@ -224,7 +217,6 @@ func Open(opts Options) (*Server, error) {
 		s.tracer = trace.New(trace.Config{
 			SampleRate: opts.TraceSample,
 			Slow:       opts.TraceSlow,
-			Seed:       opts.TraceSeed,
 			OnFinish:   s.observeTrace,
 		})
 		// Stage histograms are registered only when tracing is on: a
@@ -248,7 +240,7 @@ func Open(opts Options) (*Server, error) {
 	if opts.Adaptive {
 		stopper = &adaptive.Config{HalfWidth: opts.CIHalfWidth}
 	}
-	s.state = state.New(opts.Shards, s.blobs, stopper)
+	s.state = state.New(s.blobs, stopper)
 	s.admission.held = s.state.Held
 	s.registerStateGauges()
 	if opts.DataDir == "" {

@@ -7,7 +7,6 @@ package platform
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -100,23 +99,6 @@ func fileSizes(t *testing.T, dir string) map[string]int64 {
 	return sizes
 }
 
-// lengthsIn returns the lengths state document data records for every
-// campaign file, by name, and the completed sessions it counts per
-// campaign.
-func lengthsIn(t *testing.T, data []byte) (map[string]int64, map[string]int) {
-	t.Helper()
-	var doc snapState
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	lengths, frozen := map[string]int64{}, map[string]int{}
-	for _, cn := range doc.Campaigns {
-		lengths[cn.ID+".frozen"], lengths[cn.ID+".rows"] = cn.FrozenBytes, cn.RowBytes
-		frozen[cn.ID] = cn.Frozen
-	}
-	return lengths, frozen
-}
-
 // TestSpillCrashBeforeDocument: a crash after a snapshot appended and
 // synced the campaigns' tails but before its document landed leaves the
 // files longer than the newest document says. Open truncates them to
@@ -128,6 +110,7 @@ func TestSpillCrashBeforeDocument(t *testing.T) {
 	if err := srv.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	covered := fileSizes(t, dir) // the lengths the document records
 	for _, id := range campaigns {
 		completeN(c, id, "second", 5)
 	}
@@ -140,13 +123,12 @@ func TestSpillCrashBeforeDocument(t *testing.T) {
 
 	// The crash: the old server is dropped without Close.
 	srv2, c2 := openPersisted(t, dir, Options{SnapshotEvery: -1})
-	lengths, _ := documentLengthsOnDisk(t, dir)
 	for name, size := range fileSizes(t, dir) {
-		if size != lengths[name] {
-			t.Fatalf("after reopen %s is %d bytes, the newest document says %d (it was %d before the crash)", name, size, lengths[name], grown[name])
+		if size != covered[name] {
+			t.Fatalf("after reopen %s is %d bytes, the newest document says %d (it was %d before the crash)", name, size, covered[name], grown[name])
 		}
-		if grown[name] <= lengths[name] {
-			t.Fatalf("the failed snapshot did not grow %s past the document's %d bytes", name, lengths[name])
+		if grown[name] <= covered[name] {
+			t.Fatalf("the failed snapshot did not grow %s past the document's %d bytes", name, covered[name])
 		}
 	}
 	want.check(t, "reopened after the crash", viewsOf(t, c2, campaigns...))
@@ -167,64 +149,6 @@ func TestSpillCrashBeforeDocument(t *testing.T) {
 	want.check(t, "reopened after the next snapshot", viewsOf(t, c3, campaigns...))
 }
 
-// documentLengthsOnDisk returns what the newest state document in dir
-// says of the campaigns' files.
-func documentLengthsOnDisk(t *testing.T, dir string) (map[string]int64, map[string]int) {
-	t.Helper()
-	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("the data dir holds snapshots %v (%v)", snaps, err)
-	}
-	raw, err := os.ReadFile(snaps[len(snaps)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return lengthsIn(t, raw[4:]) // past the checksum
-}
-
-// TestSpillSyncedBeforeDocument: every byte a state document covers was
-// synced before the document was written, so a power loss that drops
-// whatever the files' last sync did not cover still reopens onto the
-// same views.
-func TestSpillSyncedBeforeDocument(t *testing.T) {
-	srv, c, dir, campaigns := spillSetup(t)
-	for round := 0; round < 2; round++ {
-		err := srv.state.Snapshot(func(doc []byte) error {
-			lengths, _ := lengthsIn(t, doc)
-			for _, id := range campaigns {
-				cs, _ := srv.state.Campaign(id)
-				frozen, rows := cs.Files()
-				for _, f := range []*store.File{frozen, rows} {
-					if got, want := f.Synced(), lengths[filepath.Base(f.Name())]; got < want {
-						return fmt.Errorf("%s: %d bytes synced when the document covering %d is written", f.Name(), got, want)
-					}
-				}
-			}
-			return srv.log.WriteSnapshot(doc)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range campaigns {
-			completeN(c, id, fmt.Sprintf("round-%d", round), 4)
-		}
-	}
-	want := viewsOf(t, c, campaigns...)
-	// The power loss: each file keeps what its last sync covered.
-	for _, id := range campaigns {
-		cs, _ := srv.state.Campaign(id)
-		frozen, rows := cs.Files()
-		for _, f := range []*store.File{frozen, rows} {
-			if err := os.Truncate(filepath.Join(dir, f.Name()), f.Synced()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	srv2, c2 := openPersisted(t, dir, Options{SnapshotEvery: -1})
-	defer srv2.Close()
-	want.check(t, "reopened after losing every unsynced byte", viewsOf(t, c2, campaigns...))
-}
-
 // TestSpillTornNewestDocument: when the newest state document is torn,
 // Open falls back to the older one (the journal keeps two), truncates
 // the files to its shorter lengths, and replays the journal past it
@@ -234,7 +158,7 @@ func TestSpillTornNewestDocument(t *testing.T) {
 	if err := srv.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	older, olderFrozen := documentLengthsOnDisk(t, dir)
+	older := fileSizes(t, dir) // the lengths the older document records
 	for _, id := range campaigns {
 		completeN(c, id, "second", 4)
 	}
@@ -263,15 +187,15 @@ func TestSpillTornNewestDocument(t *testing.T) {
 
 	srv2, c2 := openPersisted(t, dir, Options{SnapshotEvery: -1})
 	defer srv2.Close()
+	var spilled int64
 	for name, size := range fileSizes(t, dir) {
 		if size != older[name] {
 			t.Fatalf("after falling back %s is %d bytes, the older document says %d", name, size, older[name])
 		}
+		spilled += size
 	}
-	for _, id := range campaigns {
-		if cs, _ := srv2.state.Campaign(id); cs.Spilled() != olderFrozen[id] {
-			t.Fatalf("campaign %s spilled %d sessions after falling back, the older document %d", id, cs.Spilled(), olderFrozen[id])
-		}
+	if got := srv2.state.Counts().SpilledBytes; int64(got) != spilled {
+		t.Fatalf("the campaigns hold %d spilled bytes after falling back, the older document %d", got, spilled)
 	}
 	want.check(t, "reopened onto the older document", viewsOf(t, c2, campaigns...))
 }
@@ -432,8 +356,8 @@ func TestSpillRacesReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if c.Spilled() != sessions {
-		t.Fatalf("the campaign spilled %d of %d completed sessions", c.Spilled(), sessions)
+	if held := srv.state.Counts().CompletedBytes; held != 0 || len(c.Completed()) != sessions {
+		t.Fatalf("the campaign holds %d bytes of %d completed sessions in the heap, want %d, every one spilled", held, len(c.Completed()), sessions)
 	}
 
 	fresh := &fuzzEnv{handler: NewServer().Handler()}
@@ -604,8 +528,8 @@ func BenchmarkOpen(b *testing.B) {
 				cpu += end - start
 				cpuOK = cpuOK && ok && ok2
 				b.StopTimer()
-				if c, _ := srv.state.Campaign(campaign); c.Spilled() != n {
-					b.Fatalf("the reopened campaign spilled %d of %d completed sessions", c.Spilled(), n)
+				if c, _ := srv.state.Campaign(campaign); srv.state.Counts().CompletedBytes != 0 || len(c.Completed()) != n {
+					b.Fatalf("the reopened campaign holds %d completed sessions, %d bytes of them in the heap, want %d, every one spilled", len(c.Completed()), srv.state.Counts().CompletedBytes, n)
 				}
 				if err := srv.Close(); err != nil {
 					b.Fatal(err)

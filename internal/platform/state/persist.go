@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc64"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -450,7 +451,7 @@ func (st *State) applyRecords(ev *Event, tr *trace.Trace, recs []wire.Record) (u
 	}
 	for i := range recs {
 		if r := &recs[i]; r.Kind == wire.KindEngagement {
-			sess.track.Observe(response.VideoTrace{
+			vt := response.VideoTrace{
 				VideoID:         r.VideoID,
 				LoadTime:        time.Duration(r.LoadNs),
 				TimeOnVideo:     time.Duration(r.TimeOnVideoNs),
@@ -459,7 +460,14 @@ func (st *State) applyRecords(ev *Event, tr *trace.Trace, recs []wire.Record) (u
 				Seeks:           r.Seeks,
 				WatchedFraction: r.WatchedFraction,
 				OutOfFocus:      time.Duration(r.OutOfFocusNs),
-			})
+			}
+			// An EYB1 batch may carry a watched fraction JSON cannot, which
+			// would fail every state document the session is in. No §4.3
+			// rule reads it, so it is kept as 0.
+			if math.IsNaN(vt.WatchedFraction) || math.IsInf(vt.WatchedFraction, 0) {
+				vt.WatchedFraction = 0
+			}
+			sess.track.Observe(vt)
 		}
 	}
 	return seq, Result{}, nil
@@ -697,13 +705,13 @@ func (sess *Session) trackAnswer(a answer) {
 
 // --- state documents ---
 
-// StateVersion is the schema version of the snapshot document and the
+// stateVersion is the schema version of the snapshot document and the
 // campaign files it covers; version 7 frames each frozen record as a
 // journal record (spill.go), where version 6 wrote unchecked varint
 // entries and version 5 carried the records in the section. No reader
 // for an older layout is kept: a document carrying another version is
 // refused.
-const StateVersion = 7
+const stateVersion = 7
 
 // decodeState reads the version of doc before the rest of it, so that a
 // document in another layout fails on its version rather than on a field
@@ -715,8 +723,8 @@ func decodeState(doc string, data []byte, v any) error {
 	if err := json.Unmarshal(data, &head); err != nil {
 		return fmt.Errorf("%s: %w", doc, err)
 	}
-	if head.Version != StateVersion {
-		return fmt.Errorf("%s has schema version %d, this server reads only version %d", doc, head.Version, StateVersion)
+	if head.Version != stateVersion {
+		return fmt.Errorf("%s has schema version %d, this server reads only version %d", doc, head.Version, stateVersion)
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("%s: %w", doc, err)
@@ -732,32 +740,33 @@ func decodeState(doc string, data []byte, v any) error {
 // record through fileCompleted, keeping the document small and the
 // rebuild exact.
 
-type SnapState struct {
+// snapState is a snapshot's document.
+type snapState struct {
 	Version   int            `json:"version"`
 	NextID    int64          `json:"next_id"`
 	Joined    int64          `json:"joined"`
-	Campaigns []SnapCampaign `json:"campaigns,omitempty"`
+	Campaigns []snapCampaign `json:"campaigns,omitempty"`
 }
 
-// SnapCampaign is one campaign's section: its videos in the campaign's
+// snapCampaign is one campaign's section: its videos in the campaign's
 // order; how many sessions it completed, whose records and rows fill the
 // first FrozenBytes of its frozen file and the first RowBytes of its rows
 // file, in completion order (spill.go); and its sessions in flight, in ID
 // order.
-type SnapCampaign struct {
+type snapCampaign struct {
 	ID          string        `json:"id"`
 	Name        string        `json:"name"`
 	Kind        string        `json:"kind"`
-	Videos      []SnapVideo   `json:"videos,omitempty"`
+	Videos      []snapVideo   `json:"videos,omitempty"`
 	Frozen      int           `json:"frozen,omitempty"`
 	FrozenBytes int64         `json:"frozen_bytes,omitempty"`
 	RowBytes    int64         `json:"row_bytes,omitempty"`
-	Inflight    []SnapSession `json:"inflight,omitempty"`
+	Inflight    []snapSession `json:"inflight,omitempty"`
 }
 
-// SnapSession is one session in flight: its answers so far and the
+// snapSession is one session in flight: its answers so far and the
 // tracker's latest trace per video.
-type SnapSession struct {
+type snapSession struct {
 	ID      string                         `json:"id"`
 	Worker  Worker                         `json:"worker"`
 	Tests   []AssignedTest                 `json:"tests"`
@@ -765,9 +774,9 @@ type SnapSession struct {
 	Traces  map[string]response.VideoTrace `json:"traces,omitempty"`
 }
 
-// SnapVideo references its payload by content address; the blob file is
+// snapVideo references its payload by content address; the blob file is
 // durable independently of the document.
-type SnapVideo struct {
+type snapVideo struct {
 	ID     string   `json:"id"`
 	Hash   string   `json:"hash"`
 	Size   int64    `json:"size,omitempty"`
@@ -789,26 +798,26 @@ func sortedKeys(m map[string]bool) []string {
 
 // section builds campaign c's section. Caller holds the world lock
 // exclusively, so the reads are a consistent cut.
-func (st *State) section(c *Campaign) (SnapCampaign, error) {
+func (st *State) section(c *Campaign) (snapCampaign, error) {
 	n := uint32(len(c.recordSessions))
-	cn := SnapCampaign{
+	cn := snapCampaign{
 		ID: c.ID, Name: c.Name, Kind: c.Kind,
-		Videos:      make([]SnapVideo, len(c.Videos)),
+		Videos:      make([]snapVideo, len(c.Videos)),
 		Frozen:      int(n),
 		FrozenBytes: int64(c.records.size(n)),
 		RowBytes:    int64(c.rows.size(n)),
-		Inflight:    make([]SnapSession, len(c.inflight)),
+		Inflight:    make([]snapSession, len(c.inflight)),
 	}
 	for i, vid := range c.Videos {
 		v, ok := st.videos.Get(vid)
 		if !ok {
 			return cn, fmt.Errorf("campaign %s references unknown video %s", c.ID, vid)
 		}
-		cn.Videos[i] = SnapVideo{ID: v.ID, Hash: v.Hash, Size: v.Size, Flags: sortedKeys(v.Flags), Banned: v.Banned}
+		cn.Videos[i] = snapVideo{ID: v.ID, Hash: v.Hash, Size: v.Size, Flags: sortedKeys(v.Flags), Banned: v.Banned}
 	}
 	for i, sid := range c.inflight {
 		sess, _ := st.sessions.Get(sid) // in flight: indexed from join to completion
-		cn.Inflight[i] = SnapSession{ID: sess.ID, Worker: sess.Worker, Tests: sess.Assignment, Answers: sess.answers, Traces: sess.track.Traces()}
+		cn.Inflight[i] = snapSession{ID: sess.ID, Worker: sess.Worker, Tests: sess.Assignment, Answers: sess.answers, Traces: sess.track.Traces()}
 	}
 	sort.Slice(cn.Inflight, func(i, j int) bool { return cn.Inflight[i].ID < cn.Inflight[j].ID })
 	return cn, nil
@@ -830,7 +839,7 @@ type restored struct {
 // re-feeds each session in flight's tracker, touching no index: every
 // failure is an error naming the campaign, returned before anything is
 // installed.
-func (st *State) restore(cn *SnapCampaign) (_ *restored, err error) {
+func (st *State) restore(cn *snapCampaign) (_ *restored, err error) {
 	if err := checkFileID(cn.ID); err != nil {
 		return nil, err
 	}
@@ -990,11 +999,11 @@ func (st *State) install(r *restored) {
 	st.bumpID(c.ID)
 }
 
-// Load rebuilds the indexes from a snapshot, restoring and installing
+// load rebuilds the indexes from a snapshot, restoring and installing
 // one section at a time. It runs before the state serves anything, so
 // unlocked convenience accessors suffice.
-func (st *State) Load(data []byte) error {
-	var doc SnapState
+func (st *State) load(data []byte) error {
+	var doc snapState
 	if err := decodeState("snapshot", data, &doc); err != nil {
 		return err
 	}

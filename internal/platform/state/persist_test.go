@@ -91,7 +91,7 @@ func TestJournalRecordBytesMatchMarshal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := New(0, nil, nil)
+	st := New(nil, nil)
 	if err := st.Recover(jl); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestHeldIDRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := New(0, blobs, nil)
+	st := New(blobs, nil)
 	if err := st.Recover(jl); err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,7 @@ func FuzzRenderDifferential(f *testing.F) {
 		c := g.campaign()
 		band := [][2]float64{{filtering.WisdomLo, filtering.WisdomHi}, {0, 100}, {10, 90}}[g.pick(3)]
 		wantRes, wantShell := oracleViews(c, band[0], band[1])
-		st := New(0, nil, nil)
+		st := New(nil, nil)
 		got, err = st.RenderResults(c)
 		check("campaign results", got, err, wantRes)
 		sc := getScratch()

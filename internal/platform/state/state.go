@@ -98,15 +98,15 @@ type State struct {
 	closed    atomic.Bool // Close has run
 }
 
-// New returns an empty state whose indexes have shards shards each (as
-// store.NewMap takes it). blobs holds every video payload: a video whose
-// blob it lacks is refused. With adaptive set, every campaign gets a
-// sequential stopper of that configuration.
-func New(shards int, blobs *blob.Store, adaptive *adaptive.Config) *State {
+// New returns an empty state whose indexes have store.DefaultShards
+// shards each. blobs holds every video payload: a video whose blob it
+// lacks is refused. With adaptive set, every campaign gets a sequential
+// stopper of that configuration.
+func New(blobs *blob.Store, adaptive *adaptive.Config) *State {
 	return &State{
-		campaigns: store.NewMap[*Campaign](shards),
-		sessions:  store.NewMap[*Session](shards),
-		videos:    store.NewMap[*Video](shards),
+		campaigns: store.NewMap[*Campaign](store.DefaultShards),
+		sessions:  store.NewMap[*Session](store.DefaultShards),
+		videos:    store.NewMap[*Video](store.DefaultShards),
 		blobs:     blobs,
 		adaptive:  adaptive,
 	}
@@ -165,33 +165,12 @@ type Campaign struct {
 // Completed lists the campaign's completed sessions in completion order.
 func (c *Campaign) Completed() []string { return c.recordSessions }
 
-// InFlight lists the campaign's sessions in flight, in no set order.
-func (c *Campaign) InFlight() []string { return c.inflight }
-
 // Analytics is the campaign's incremental §4.3 fold.
 func (c *Campaign) Analytics() *quality.Campaign { return c.analytics }
 
 // Adaptive is the campaign's stopper: nil unless the state runs
 // adaptive campaigns.
 func (c *Campaign) Adaptive() *adaptive.Campaign { return c.adaptive }
-
-// Files returns the campaign's frozen-record and rows files: nil until a
-// snapshot first spilled the campaign, and always nil in memory.
-func (c *Campaign) Files() (frozen, rows *store.File) { return c.records.file, c.rows.file }
-
-// Spilled counts the completed sessions whose records and rows are in
-// the campaign's files.
-func (c *Campaign) Spilled() int { return int(c.spilled) }
-
-// Row returns completed session i's /analytics row, in completion order,
-// without its trailing comma, read from the rows file if it is spilled.
-func (c *Campaign) Row(i int) ([]byte, error) {
-	row, err := c.rows.piece(uint32(i), c.spilled)
-	if err != nil {
-		return nil, err
-	}
-	return row[:len(row)-1], nil
-}
 
 // invalidate drops the rendered /results body and its ETag. Caller
 // holds the campaign's shard lock; every mutation that changes what
@@ -346,7 +325,7 @@ type ResponseBody struct {
 func (st *State) Recover(jl *store.Log) error {
 	st.disk = jl
 	if _, data, ok := jl.Snapshot(); ok {
-		if err := st.Load(data); err != nil {
+		if err := st.load(data); err != nil {
 			return fmt.Errorf("loading snapshot: %w", err)
 		}
 	}
@@ -389,7 +368,7 @@ func (st *State) Snapshot(write func(doc []byte) error) error {
 		return true
 	})
 	slices.SortFunc(campaigns, func(a, b *Campaign) int { return strings.Compare(a.ID, b.ID) })
-	doc := SnapState{Version: StateVersion, NextID: st.nextID.Load(), Joined: st.joined.Load()}
+	doc := snapState{Version: stateVersion, NextID: st.nextID.Load(), Joined: st.joined.Load()}
 	for _, c := range campaigns {
 		if err := st.spill(c); err != nil {
 			return err
@@ -702,8 +681,3 @@ func (st *State) Counts() Counts {
 // Sessions calls fn with each session in flight, and the key the index
 // holds it under, until fn returns false.
 func (st *State) Sessions(fn func(key string, sess *Session) bool) { st.sessions.Range(fn) }
-
-// Videos calls fn with each video until fn returns false.
-func (st *State) Videos(fn func(v *Video) bool) {
-	st.videos.Range(func(_ string, v *Video) bool { return fn(v) })
-}

@@ -62,9 +62,9 @@ func BenchmarkIngestUntraced(b *testing.B) {
 // plus retention. BenchmarkIngestTracedSampled is the production
 // configuration (1% retention): the cost left is stamping alone.
 func BenchmarkIngestTraced(b *testing.B) {
-	benchIngest(b, Options{TraceSample: 1, TraceSeed: 1})
+	benchIngest(b, Options{TraceSample: 1})
 }
 
 func BenchmarkIngestTracedSampled(b *testing.B) {
-	benchIngest(b, Options{TraceSample: 0.01, TraceSeed: 1})
+	benchIngest(b, Options{TraceSample: 0.01})
 }

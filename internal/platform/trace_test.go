@@ -23,7 +23,6 @@ func TestTracingEndToEnd(t *testing.T) {
 		DataDir:     t.TempDir(),
 		Fsync:       true,
 		TraceSample: 1,
-		TraceSeed:   42,
 	})
 	campaign, _ := setupCampaign(c, "timeline", 2)
 	jr := join(c, campaign, "w-trace")
@@ -185,7 +184,7 @@ func TestTracingDisabledSurface(t *testing.T) {
 // TestTraceSlowCapture: a request slower than the threshold is
 // retained even at sample rate 0, flagged slow.
 func TestTraceSlowCapture(t *testing.T) {
-	c, s := newClientOpts(t, Options{TraceSlow: time.Nanosecond, TraceSeed: 7})
+	c, s := newClientOpts(t, Options{TraceSlow: time.Nanosecond})
 	setupCampaign(c, "timeline", 1)
 	recs := s.Tracer().Snapshot()
 	if len(recs) == 0 {
@@ -201,7 +200,7 @@ func TestTraceSlowCapture(t *testing.T) {
 // TestTraceParentAdoptedOverHTTP: an inbound W3C traceparent supplies
 // the trace identity and forces retention via its sampled flag.
 func TestTraceParentAdoptedOverHTTP(t *testing.T) {
-	c, s := newClientOpts(t, Options{TraceSlow: time.Hour, TraceSeed: 9})
+	c, s := newClientOpts(t, Options{TraceSlow: time.Hour})
 	const id = "4bf92f3577b34da6a3ce929d0e0e4736"
 	req, err := http.NewRequest("POST", c.srv.URL+"/api/v1/campaigns",
 		strings.NewReader(`{"name":"p","kind":"timeline"}`))
@@ -233,7 +232,6 @@ func TestTracingPerRecordFsync(t *testing.T) {
 		DataDir:     t.TempDir(),
 		Fsync:       true,
 		TraceSample: 1,
-		TraceSeed:   42,
 	})
 	campaign, _ := setupCampaign(c, "timeline", 2)
 	jr := join(c, campaign, "w-trace-serial")
