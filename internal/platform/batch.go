@@ -50,37 +50,6 @@ func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
 	return state.AppendWireRecords(dst, b)
 }
 
-// durationFits reports whether ms milliseconds, counted in nanoseconds,
-// fit in an int64, the range of time.Duration. Go leaves the conversion
-// of a float outside that range to the machine, so a value past it would
-// be stored as whatever this one makes of it, and a journal replayed on
-// another could fold a different duration.
-func durationFits(ms float64) bool {
-	ns := ms * float64(time.Millisecond)
-	return ns >= -(1<<63) && ns < 1<<63
-}
-
-// badDuration names the first millisecond field of b that durationFits
-// refuses, or returns "" when they all fit.
-func badDuration(b *EventBatch) string {
-	switch {
-	case !durationFits(b.InstructionMs):
-		return "instruction_ms"
-	case !durationFits(b.LoadMs):
-		return "load_ms"
-	case !durationFits(b.TimeOnVideoMs):
-		return "time_on_video_ms"
-	case !durationFits(b.OutOfFocusMs):
-		return "out_of_focus_ms"
-	}
-	return ""
-}
-
-// writeBadDuration answers 400 for a millisecond field out of range.
-func writeBadDuration(w http.ResponseWriter, field string) {
-	writeErr(w, http.StatusBadRequest, field+" is outside the range of a duration")
-}
-
 // handleEventsBinary ingests one EYB1 batch. The pooled decoder reads
 // the capped body into its reusable buffer and decodes in place — zero
 // allocations per record at steady state — then the whole batch

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"testing"
 
@@ -201,16 +200,9 @@ func TestJoinEmptyCampaignConflicts(t *testing.T) {
 // and nothing of it is journaled; a negative value that fits is still
 // accepted. Go leaves the float-to-int conversion of such a value to the
 // machine, so accepting it would store a platform-dependent duration.
+// The record's row refuses it (the state package's test of the same name
+// holds the rule); this holds the HTTP answer.
 func TestOutOfRangeMillisecondsRefused(t *testing.T) {
-	for _, c := range []struct {
-		ms   float64
-		fits bool
-	}{{9.2e12, true}, {-9.2e12, true}, {0, true}, {9.3e12, false}, {-9.3e12, false}, {math.MaxFloat64, false}, {math.Inf(-1), false}} {
-		if durationFits(c.ms) != c.fits {
-			t.Errorf("durationFits(%g) = %v, want %v", c.ms, !c.fits, c.fits)
-		}
-	}
-
 	srv, err := Open(Options{DataDir: t.TempDir(), SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)

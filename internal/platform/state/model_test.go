@@ -251,8 +251,13 @@ func (m *model) apply(ev *Event) (Result, error) {
 	case OpSession:
 		err = m.session(ev)
 	case OpEvents:
-		err = errRefused
-		if b := ev.Batch; b != nil {
+		b := ev.Batch
+		switch {
+		case b == nil:
+			err = errRefused
+		case !fits(b.InstructionMs, b.LoadMs, b.TimeOnVideoMs, b.OutOfFocusMs) || !carriable(b.WatchedFraction):
+			err = ErrInvalidValue
+		default:
 			var recs []wire.Record
 			if b.VideoID != "" {
 				recs = append(recs, wire.Record{
@@ -261,7 +266,7 @@ func (m *model) apply(ev *Event) (Result, error) {
 					Plays: b.Plays, Pauses: b.Pauses, Seeks: b.Seeks, WatchedFraction: b.WatchedFraction,
 				})
 			}
-			err = m.engagement(ev.ID, recs, b.InstructionMs, b.LoadMs, b.TimeOnVideoMs, b.OutOfFocusMs, b.WatchedFraction)
+			err = m.engagement(ev.ID, recs)
 		}
 	case OpBatch:
 		recs := ev.Records
@@ -284,6 +289,15 @@ func (m *model) apply(ev *Event) (Result, error) {
 // carriable reports whether JSON can carry every x.
 func carriable(xs ...float64) bool {
 	return !slices.ContainsFunc(xs, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) })
+}
+
+// fits reports whether every ms, as nanoseconds, lies in [-2^63, 2^63):
+// a time.Duration holds it, whatever machine converts it.
+func fits(ms ...float64) bool {
+	return !slices.ContainsFunc(ms, func(ms float64) bool {
+		ns := ms * 1e6
+		return !(ns >= -math.Ldexp(1, 63) && ns < math.Ldexp(1, 63))
+	})
 }
 
 func nanos(ms float64) int64 { return int64(time.Duration(ms * float64(time.Millisecond))) }
@@ -333,6 +347,8 @@ func (m *model) session(ev *Event) error {
 	switch {
 	case ev.Worker == nil:
 		return errRefused
+	case ev.Worker.ID == "":
+		return ErrInvalidValue
 	case m.sessions[ev.ID] != nil:
 		return ErrHeld
 	case c == nil:
@@ -350,18 +366,14 @@ func (m *model) session(ev *Event) error {
 	return nil
 }
 
-// engagement files a session's engagement records. A JSON record is
-// refused if a field of its own (carried) is a number the journal's JSON
-// cannot carry.
-func (m *model) engagement(id string, recs []wire.Record, carried ...float64) error {
+// engagement files a session's engagement records.
+func (m *model) engagement(id string, recs []wire.Record) error {
 	s := m.sessions[id]
 	switch {
 	case s == nil:
 		return ErrNoSession
 	case s.done:
 		return ErrSessionDone
-	case !carriable(carried...):
-		return errRefused
 	}
 	for _, r := range recs {
 		if r.Kind == wire.KindEngagement {
@@ -372,8 +384,11 @@ func (m *model) engagement(id string, recs []wire.Record, carried ...float64) er
 }
 
 func (m *model) response(ev *Event) (done bool, err error) {
-	if ev.Body == nil {
+	switch b := ev.Body; {
+	case b == nil:
 		return false, errRefused
+	case !fits(b.SubmittedMs) || !carriable(b.SliderMs, b.HelperMs):
+		return false, ErrInvalidValue
 	}
 	s := m.sessions[ev.ID]
 	if s == nil {
@@ -399,11 +414,8 @@ func (m *model) response(ev *Event) (done bool, err error) {
 		// A timeline control's helper frame is wrong on purpose.
 		a.submitted, a.failed = time.Duration(nanos(ev.Body.SubmittedMs)), t.Control && !ev.Body.KeptOriginal
 	}
-	switch b := ev.Body; {
-	case s.done:
+	if s.done {
 		return false, ErrSessionDone
-	case !carriable(b.SliderMs, b.HelperMs, b.SubmittedMs):
-		return false, errRefused // the journal's JSON cannot carry it
 	}
 	s.answers = append(s.answers, a)
 	if len(s.answers) < len(s.tests) {
@@ -420,7 +432,7 @@ func (m *model) response(ev *Event) (done bool, err error) {
 
 func (m *model) flag(ev *Event) (flags int, banned bool, err error) {
 	if ev.Flagger == "" {
-		return 0, false, errRefused
+		return 0, false, ErrInvalidValue
 	}
 	v := m.videos[ev.ID]
 	if v == nil {
@@ -597,6 +609,7 @@ func (m *model) counts() Counts {
 var sentinels = []error{
 	ErrNoCampaign, ErrNoSession, ErrNoVideo, ErrUnknownTest, ErrDuplicateTest, ErrSessionDone,
 	ErrBadChoice, ErrCampaignClosed, ErrNoUsableVideos, ErrCampaignExists, ErrHeld, ErrSpillCorrupt,
+	ErrInvalidValue,
 }
 
 // sameRefusal reports whether got and want both succeeded, or both
@@ -613,24 +626,24 @@ func sameRefusal(got, want error) bool {
 	return true
 }
 
-// compare fails t where the state r holds differs from the model's:
-// every campaign's /results and its /analytics over [lo, hi], every
-// session's worker and tests, every video's head and ban, and the
-// counts the platform's gauges read.
-func compare(t *testing.T, how string, r *rig, m *model, lo, hi float64) {
+// compare fails t where state st differs from the model: every
+// campaign's /results and its /analytics over [lo, hi], every session's
+// worker and tests, every video's head and ban, and the counts the
+// platform's gauges read.
+func compare(t *testing.T, how string, st *State, m *model, lo, hi float64) {
 	t.Helper()
 	for id, c := range m.campaigns {
-		got, _, err := r.st.Results(id)
+		got, _, err := st.Results(id)
 		if want := m.results(c); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: campaign %q /results (%v):\n got %s\nwant %s", how, id, err, got, want)
 		}
-		got, err = r.analytics(id, lo, hi)
+		got, _, err = st.Analytics(nil, id, lo, hi, func(ETag) bool { return false })
 		if want := m.analytics(c, lo, hi); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: campaign %q /analytics?lo=%g&hi=%g (%v):\n got %s\nwant %s", how, id, lo, hi, err, got, want)
 		}
 	}
 	for id, s := range m.sessions {
-		sess, err := r.st.Session(id)
+		sess, err := st.Session(id)
 		if err != nil {
 			t.Fatalf("%s: session %q: %v", how, id, err)
 		}
@@ -639,20 +652,20 @@ func compare(t *testing.T, how string, r *rig, m *model, lo, hi float64) {
 		if sess.Worker != s.worker || len(sess.Assignment)+len(s.tests) > 0 && !reflect.DeepEqual(sess.Assignment, s.tests) {
 			t.Fatalf("%s: session %q is %+v %+v, want %+v %+v", how, id, sess.Worker, sess.Assignment, s.worker, s.tests)
 		}
-		if !r.st.Held(id) {
+		if !st.Held(id) {
 			t.Fatalf("%s: the state does not hold session %q", how, id)
 		}
 	}
-	if _, err := r.st.Session("s-never"); m.sessions["s-never"] == nil && (!errors.Is(err, ErrNoSession) || r.st.Held("s-never")) {
+	if _, err := st.Session("s-never"); m.sessions["s-never"] == nil && (!errors.Is(err, ErrNoSession) || st.Held("s-never")) {
 		t.Fatalf("%s: a session never joined: %v", how, err)
 	}
 	for id, v := range m.videos {
-		head, banned, ok := r.st.Video(id)
+		head, banned, ok := st.Video(id)
 		if !ok || head.Hash != v.hash || head.Size != v.size || banned != v.banned {
 			t.Fatalf("%s: video %q is %v %+v banned=%v, want %s/%d banned=%v", how, id, ok, head, banned, v.hash, v.size, v.banned)
 		}
 	}
-	got := r.st.Counts()
+	got := st.Counts()
 	got.CompletedBytes, got.SpilledBytes = 0, 0
 	if want := m.counts(); got != want {
 		t.Fatalf("%s: counts %+v, want %+v", how, got, want)
@@ -661,15 +674,15 @@ func compare(t *testing.T, how string, r *rig, m *model, lo, hi float64) {
 	// video and session in flight points at its campaign's own entry, so
 	// none keeps a string of the record it came in for the campaign.
 	pointsAt := func(what, id string, c *Campaign, want *modelCampaign) {
-		if held, _ := r.st.Campaign(want.id); c != held {
+		if held, _ := st.Campaign(want.id); c != held {
 			t.Fatalf("%s: %s %q does not point at campaign %q", how, what, id, want.id)
 		}
 	}
-	r.st.videos.Range(func(id string, v *Video) bool {
+	st.videos.Range(func(id string, v *Video) bool {
 		pointsAt("video", id, v.Campaign, m.videos[id].c)
 		return true
 	})
-	r.st.Sessions(func(id string, sess *Session) bool {
+	st.Sessions(func(id string, sess *Session) bool {
 		pointsAt("session", id, sess.Campaign, m.sessions[id].c)
 		return true
 	})
@@ -692,11 +705,12 @@ const (
 	opReopen
 )
 
-// runner turns a fuzz program into ops on the rig and the model, and
-// compares them after each.
+// runner turns a fuzz program into ops on the rig, a state in memory
+// and the model, and compares them after each.
 type runner struct {
 	t          *testing.T
 	r          *rig
+	mem        *State // no journal, no data directory
 	m          *model
 	hash       string
 	size       int64
@@ -809,6 +823,9 @@ func (d *runner) event(row string) *Event {
 		ev.Campaign = d.ref(d.campaigns, "c", d.field(1))
 		if w := d.field(2); w%8 != 7 {
 			ev.Worker = &Worker{ID: "w" + strconv.Itoa(w%5), Gender: "f", Country: d.strs[0], Source: "crowdflower"}
+			if w%8 == 6 {
+				ev.Worker.ID = ""
+			}
 		}
 		n := []int{TestsPerSession, TestsPerSession, TestsPerSession, 1, 2, 0}[d.field(3)%6]
 		ev.Tests = d.tests(ev.ID, d.m.campaigns[ev.Campaign], n, d.field(4), d.field(5))
@@ -823,7 +840,7 @@ func (d *runner) event(row string) *Event {
 			VideoID:         video,
 			InstructionMs:   []float64{0, 20_000}[d.field(5)%2],
 			LoadMs:          []float64{900, 900, 20_000, 0, d.x}[d.field(2)%5],
-			TimeOnVideoMs:   21_000,
+			TimeOnVideoMs:   []float64{21_000, d.x}[d.field(3)/4%2],
 			Plays:           []int{1, 1, 0, 2}[d.field(2)/4%4],
 			Pauses:          d.field(5) / 2 % 3,
 			Seeks:           []int{0, 4, 12, 600}[d.field(3)%4],
@@ -890,9 +907,10 @@ func (d *runner) step(i, code int) {
 	ev := d.event(Ops()[code].Name)
 	before := d.r.jl.Seq()
 	got, gotErr := d.r.apply(ev)
+	memSeq, memGot, memErr := d.mem.Apply(ev, nil)
 	want, wantErr := d.m.apply(ev)
-	if !sameRefusal(gotErr, wantErr) || got != want {
-		t.Fatalf("op %d: %s %q: state %+v %v, model %+v %v", i, ev.Op, ev.ID, got, gotErr, want, wantErr)
+	if !sameRefusal(gotErr, wantErr) || got != want || !sameRefusal(memErr, wantErr) || memGot != want || memSeq != 0 {
+		t.Fatalf("op %d: %s %q: state %+v %v, in memory %+v %v (sequence %d), model %+v %v", i, ev.Op, ev.ID, got, gotErr, memGot, memErr, memSeq, want, wantErr)
 	}
 	after := d.r.jl.Seq()
 	switch {
@@ -938,16 +956,18 @@ func band(b byte) (lo, hi float64) {
 	return lo, min(100, lo+float64(b/11%11)*10)
 }
 
-// FuzzStateVsModel applies a program of ops to a durable State and to
-// the reference model, each record through Apply. Every record, refused
-// ones included, gets the same answer from both — the same Result, or
-// the same sentinel refusal — and a refused record leaves the journal's
-// sequence where it was while an accepted one moves it by one. After
-// every op the two serve the same /results, the same /analytics at the
-// op's band, the same tests for every session, the same video heads and
-// the same counts. Snapshots, which spill, and reopens come where the
-// program puts them, and one more reopen ends it: Recover never panics
-// or fails, and the reopened state's document is the live one's.
+// FuzzStateVsModel applies a program of ops to a durable State, to a
+// State in memory and to the reference model, each record through Apply.
+// Every record, refused ones included, gets the same answer from all
+// three — the same Result, or the same sentinel refusal — and a refused
+// record leaves the journal's sequence where it was while an accepted one
+// moves it by one. After every op the durable state and the model serve
+// the same /results, the same /analytics at the op's band, the same tests
+// for every session, the same video heads and the same counts.
+// Snapshots, which spill, and reopens come where the program puts them,
+// and one more reopen ends it: Recover never panics or fails, the
+// reopened state's document is the live one's, and the state in memory
+// serves what the model does.
 //
 // The program's first byte switches adaptive campaigns on; then each op
 // is opSize bytes (see runner.event). The fuzzer's two strings are the
@@ -968,8 +988,10 @@ func runProgram(t *testing.T, prog []byte, a, b string, x float64) {
 	}
 	r := openRig(t, filepath.Join(t.TempDir(), "data"), cfg)
 	hash, size := r.video()
+	mem := New(r.blobs, cfg)
+	defer mem.Close()
 	d := &runner{
-		t: t, r: r, m: newModel(cfg, hash), hash: hash, size: size,
+		t: t, r: r, mem: mem, m: newModel(cfg, hash), hash: hash, size: size,
 		strs:       [2]string{strings.ToValidUTF8(a, "�"), strings.ToValidUTF8(b, "�")},
 		x:          x,
 		adaptiveOn: cfg != nil,
@@ -989,10 +1011,11 @@ func runProgram(t *testing.T, prog []byte, a, b string, x float64) {
 		d.f = prog[1 : opSize-1]
 		d.step(i, code)
 		lo, hi := band(prog[opSize-1])
-		compare(t, "op "+strconv.Itoa(i), r, d.m, lo, hi)
+		compare(t, "op "+strconv.Itoa(i), r.st, d.m, lo, hi)
 	}
 	d.reopen(-1)
-	compare(t, "reopened at the end", r, d.m, filtering.WisdomLo, filtering.WisdomHi)
+	compare(t, "reopened at the end", r.st, d.m, filtering.WisdomLo, filtering.WisdomHi)
+	compare(t, "in memory at the end", mem, d.m, filtering.WisdomLo, filtering.WisdomHi)
 }
 
 // progWriter writes fuzz programs for the seed corpus.

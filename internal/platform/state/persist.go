@@ -176,6 +176,46 @@ func errMissing(ev *Event, field string) error {
 	return fmt.Errorf("%s %s: record carries no %s", ev.Op, ev.ID, field)
 }
 
+// badValue refuses a record for a value it carries, and is
+// ErrInvalidValue: text is the HTTP tier's answer, field where the
+// record carries the value, which a replay error names too.
+type badValue struct{ field, text string }
+
+func (e *badValue) Error() string { return e.text }
+func (e *badValue) Unwrap() error { return ErrInvalidValue }
+
+// durationFits reports whether ms milliseconds, counted in nanoseconds,
+// fit in an int64, time.Duration's range; NaN and ±Inf do not. Go leaves
+// converting a float past it to the machine, so a replay could fold
+// another duration.
+func durationFits(ms float64) bool {
+	ns := ms * float64(time.Millisecond)
+	return ns >= -(1<<63) && ns < 1<<63
+}
+
+// floatField is a float a record carries; ms marks milliseconds the state
+// converts to a duration.
+type floatField struct {
+	field string
+	x     float64
+	ms    bool
+}
+
+// checkFloats refuses the first of record part's floats that is a
+// duration durationFits refuses or that JSON, the journal's encoding,
+// cannot carry.
+func checkFloats(part string, fields ...floatField) error {
+	for _, f := range fields {
+		if f.ms && !durationFits(f.x) {
+			return &badValue{part + "." + f.field, f.field + " is outside the range of a duration"}
+		}
+		if math.IsNaN(f.x) || math.IsInf(f.x, 0) {
+			return &badValue{part + "." + f.field, f.field + " is not a finite number"}
+		}
+	}
+	return nil
+}
+
 // journal buffers ev into the WAL and returns its sequence number.
 // Callers hold the shard lock that orders the op, so journal order always
 // matches memory order. Durability is NOT awaited here: Apply's caller
@@ -231,8 +271,11 @@ func encodeJSON(v any) (*jsonBuf, error) {
 // Each is its op's apply. It returns the journal sequence its record was
 // buffered at (0 in memory mode / replay), which the caller awaits once
 // every shard lock is back on the hook. Each checks everything that can
-// fail before it journals, a missing field included, so once it has a
-// sequence it succeeds.
+// fail before it journals, so once it has a sequence it succeeds: first
+// the record's own fields (a missing field, a value the HTTP tier would
+// refuse), before any lock, then what depends on the state. So a record
+// is refused alike live and on replay, in memory and on disk, from the
+// HTTP tier and from a direct Apply.
 
 // ValidCampaign reports whether a campaign of this name and kind can be
 // created; the platform's create handler and applyCampaign refuse the
@@ -314,8 +357,11 @@ func (st *State) applyVideo(ev *Event, tr *trace.Trace) (uint64, Result, error) 
 }
 
 func (st *State) applySession(ev *Event, tr *trace.Trace) (uint64, Result, error) {
-	if ev.Worker == nil {
+	switch {
+	case ev.Worker == nil:
 		return 0, Result{}, errMissing(ev, "worker")
+	case ev.Worker.ID == "":
+		return 0, Result{}, &badValue{"worker.id", "worker id required"}
 	}
 	ssh := st.sessions.Shard(ev.ID)
 	ssh.Lock()
@@ -400,13 +446,21 @@ func AppendWireRecords(dst []wire.Record, b EventBatch) []wire.Record {
 
 // applyJSONBatch applies one JSON engagement batch as the wire records it
 // is equivalent to, so both ingest protocols reach the tracker through
-// the same code.
+// the same code. An EYB1 batch needs none of its value checks: it carries
+// int64 nanoseconds, and journals its wire bytes.
 func (st *State) applyJSONBatch(ev *Event, tr *trace.Trace) (uint64, Result, error) {
-	if ev.Batch == nil {
+	b := ev.Batch
+	if b == nil {
 		return 0, Result{}, errMissing(ev, "batch")
 	}
+	if err := checkFloats("batch",
+		floatField{"instruction_ms", b.InstructionMs, true}, floatField{"load_ms", b.LoadMs, true},
+		floatField{"time_on_video_ms", b.TimeOnVideoMs, true}, floatField{"out_of_focus_ms", b.OutOfFocusMs, true},
+		floatField{"watched_fraction", b.WatchedFraction, false}); err != nil {
+		return 0, Result{}, err
+	}
 	var buf [2]wire.Record
-	return st.applyRecords(ev, tr, AppendWireRecords(buf[:0], *ev.Batch))
+	return st.applyRecords(ev, tr, AppendWireRecords(buf[:0], *b))
 }
 
 // applyBatch applies one binary batch. On the live path ev.Records
@@ -474,8 +528,13 @@ func (st *State) applyRecords(ev *Event, tr *trace.Trace, recs []wire.Record) (u
 }
 
 func (st *State) applyResponse(ev *Event, tr *trace.Trace) (uint64, Result, error) {
-	if ev.Body == nil {
+	b := ev.Body
+	if b == nil {
 		return 0, Result{}, errMissing(ev, "body")
+	}
+	if err := checkFloats("body", floatField{"submitted_ms", b.SubmittedMs, true},
+		floatField{"slider_ms", b.SliderMs, false}, floatField{"helper_ms", b.HelperMs, false}); err != nil {
+		return 0, Result{}, err
 	}
 	ssh := st.sessions.Shard(ev.ID)
 	ssh.Lock()
@@ -608,8 +667,8 @@ func (d *completion) record(sess *Session, kind string) *filtering.SessionRecord
 }
 
 func (st *State) applyFlag(ev *Event, tr *trace.Trace) (uint64, Result, error) {
-	if ev.Flagger == "" {
-		return 0, Result{}, errMissing(ev, "flagger")
+	if ev.Flagger == "" { // the worker, as the request names it
+		return 0, Result{}, &badValue{"flagger", "worker required"}
 	}
 	vsh := st.videos.Shard(ev.ID)
 	vsh.Lock()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -188,4 +189,59 @@ func TestHeldIDRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	refused("completed", session)
+}
+
+// TestOutOfRangeMillisecondsRefused: a millisecond field whose count of
+// nanoseconds does not fit in an int64 (time.Duration's range), NaN and
+// ±Inf included, is refused by its record's row with ErrInvalidValue and
+// the field's name, by a state in memory and a durable one alike, before
+// anything is journaled; a negative value that fits is a value. A journal
+// holding such a record, which builds that checked it only at the HTTP
+// boundary could replay, fails Open with an error naming the record.
+func TestOutOfRangeMillisecondsRefused(t *testing.T) {
+	for _, c := range []struct {
+		ms   float64
+		fits bool
+	}{{9.2e12, true}, {-9.2e12, true}, {0, true}, {9.3e12, false}, {-9.3e12, false}, {math.MaxFloat64, false}, {math.Inf(-1), false}, {math.Inf(1), false}, {math.NaN(), false}} {
+		if durationFits(c.ms) != c.fits {
+			t.Errorf("durationFits(%g) = %v, want %v", c.ms, !c.fits, c.fits)
+		}
+	}
+
+	dir := t.TempDir()
+	r := openRig(t, dir, nil)
+	seedOpPrefix(r)
+	mem := New(r.blobs, nil)
+	defer mem.Close()
+	refused := func(ev *Event, field string) {
+		t.Helper()
+		before := r.jl.Seq()
+		_, err := r.apply(ev)
+		_, _, memErr := mem.Apply(ev, nil)
+		want := field + " is outside the range of a duration"
+		for how, err := range map[string]error{"durable": err, "in memory": memErr} {
+			if !errors.Is(err, ErrInvalidValue) || err.Error() != want {
+				t.Errorf("%s %s %s: %v, want ErrInvalidValue %q", how, ev.Op, field, err, want)
+			}
+		}
+		if r.jl.Seq() != before {
+			t.Errorf("%s %s: the refused record was journaled", ev.Op, field)
+		}
+	}
+	for _, ms := range []float64{9.3e12, -9.3e12, math.MaxFloat64, math.Inf(1), math.NaN()} {
+		for i, field := range []string{"instruction_ms", "load_ms", "time_on_video_ms", "out_of_focus_ms"} {
+			b := EventBatch{VideoID: "v2", LoadMs: 900, TimeOnVideoMs: 21_000}
+			*[]*float64{&b.InstructionMs, &b.LoadMs, &b.TimeOnVideoMs, &b.OutOfFocusMs}[i] = ms
+			refused(&Event{Op: OpEvents, ID: "s3", Batch: &b}, field)
+		}
+		refused(&Event{Op: OpResponse, ID: "s3", Body: &ResponseBody{TestID: "s3-control", SubmittedMs: ms, KeptOriginal: true}}, "submitted_ms")
+	}
+	r.mustApply(&Event{Op: OpEvents, ID: "s3", Batch: &EventBatch{VideoID: "v2", LoadMs: -5, TimeOnVideoMs: 21_000}})
+	r.close()
+
+	seq := appendRecords(t, dir, []byte(`{"op":"events","id":"s3","batch":{"video_id":"v2","load_ms":900,"time_on_video_ms":9.3e12}}`))
+	err := openErr(t, dir)
+	if want := fmt.Sprintf("record %d (events) batch.time_on_video_ms: time_on_video_ms is outside the range of a duration", seq); !errors.Is(err, ErrInvalidValue) || !strings.Contains(fmt.Sprint(err), want) {
+		t.Fatalf("replay: %v, want ErrInvalidValue naming %q", err, want)
+	}
 }

@@ -66,6 +66,10 @@ var (
 	// ErrSpillCorrupt is a completed session's bytes failing their check
 	// (spill.go); every later read of the same bytes fails the same way.
 	ErrSpillCorrupt = errors.New("spilled bytes corrupt")
+	// ErrInvalidValue refuses a record for a value it carries (a
+	// duration out of range, a flag without a flagger, ...); the
+	// refusal's own text names the field.
+	ErrInvalidValue = errors.New("record carries an invalid value")
 )
 
 // State is the platform's campaign state. Its methods are safe for
@@ -338,6 +342,10 @@ func (st *State) Recover(jl *store.Log) error {
 			return fmt.Errorf("record %d: %w", seq, err)
 		}
 		if _, _, err := st.Apply(&ev, nil); err != nil {
+			var bad *badValue
+			if errors.As(err, &bad) {
+				return fmt.Errorf("record %d (%s) %s: %w", seq, ev.Op, bad.field, err)
+			}
 			return fmt.Errorf("record %d (%s): %w", seq, ev.Op, err)
 		}
 		return nil

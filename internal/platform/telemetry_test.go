@@ -219,10 +219,14 @@ func TestMetricsUnderConcurrentMutation(t *testing.T) {
 // finishes arriving) against a MaxInFlight=1 server and requires the
 // next request to bounce with 429 + Retry-After.
 func TestInFlightCap429(t *testing.T) {
-	c, _ := newClientOpts(t, Options{MaxInFlight: 1})
+	c, srv := newClientOpts(t, Options{MaxInFlight: 1})
 	id, _ := setupCampaign(c, "timeline", 1)
 
 	pr, pw := io.Pipe()
+	// Cleanups run last in, first out: the pipe closes before the test
+	// server does, so a failure below ends the pinned request instead of
+	// leaving httptest.Server.Close waiting on it forever.
+	t.Cleanup(func() { pw.Close() })
 	req, err := http.NewRequest("POST", c.srv.URL+"/api/v1/sessions", pr)
 	if err != nil {
 		t.Fatal(err)
@@ -243,28 +247,29 @@ func TestInFlightCap429(t *testing.T) {
 	if _, err := pw.Write([]byte(`{"campaign":`)); err != nil {
 		t.Fatal(err)
 	}
-	// The occupied slot must 429 the next request.
+	// Probe only once the server holds the slot, so what is timed is the
+	// client reaching the server, and the probe's answer is the cap's.
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		resp, err := http.Get(c.srv.URL + "/api/v1/campaigns/" + id + "/results")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		ra := resp.Header.Get("Retry-After")
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if ra == "" {
-				t.Fatalf("429 without Retry-After")
-			}
-			break
-		}
+	for srv.RequestsInFlight() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("never saw 429 while a request held the only slot (last status %d)", resp.StatusCode)
+			t.Fatalf("the pinned request never took the slot (%d in flight)", srv.RequestsInFlight())
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	// Release the pinned request; it finishes (as a 4xx: body invalid).
+	// The occupied slot must 429 the next request.
+	resp, err := http.Get(c.srv.URL + "/api/v1/campaigns/" + id + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("a request while another held the only slot got %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("429 without Retry-After")
+	}
+	// Release the pinned request; it completes the join.
 	fmt.Fprintf(pw, `"%s","worker":{"id":"w"},"captcha":"x"}`, id)
 	pw.Close()
 	if code := <-done; code != http.StatusCreated {

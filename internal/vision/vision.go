@@ -83,18 +83,29 @@ func (f *Frame) Clone() *Frame {
 
 // At returns the tile at (x, y). Out-of-range coordinates panic.
 func (f *Frame) At(x, y int) Tile {
-	if x < 0 || x >= GridW || y < 0 || y >= GridH {
-		panic(fmt.Sprintf("vision: tile (%d,%d) outside %dx%d grid", x, y, GridW, GridH))
+	if uint(x) >= GridW || uint(y) >= GridH {
+		panic(outsideGrid{x, y})
 	}
 	return f.tiles[y*GridW+x]
 }
 
-// Set writes the tile at (x, y).
+// Set writes the tile at (x, y). Out-of-range coordinates panic.
 func (f *Frame) Set(x, y int, v Tile) {
-	if x < 0 || x >= GridW || y < 0 || y >= GridH {
-		panic(fmt.Sprintf("vision: tile (%d,%d) outside %dx%d grid", x, y, GridW, GridH))
+	if uint(x) >= GridW || uint(y) >= GridH {
+		panic(outsideGrid{x, y})
 	}
 	f.tiles[y*GridW+x] = v
+}
+
+// outsideGrid is the panic value of At and Set for a tile outside the
+// grid. Its message is formatted only when the panic is printed, so At
+// and Set, called once per tile, stay cheap enough to inline; a negative
+// coordinate converts to a huge unsigned one, so each bound is one
+// compare.
+type outsideGrid struct{ x, y int }
+
+func (e outsideGrid) Error() string {
+	return fmt.Sprintf("vision: tile (%d,%d) outside %dx%d grid", e.x, e.y, GridW, GridH)
 }
 
 // TileAt returns tile i of the row-major tile array: the tile at
