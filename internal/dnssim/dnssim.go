@@ -41,12 +41,6 @@ func WithTTL(ttl time.Duration) Option {
 	return func(r *Resolver) { r.ttl = ttl }
 }
 
-// WithStubCost sets the cost of a cache hit (default 1ms: the stub-to-
-// resolver hop on the same ISP network).
-func WithStubCost(d time.Duration) Option {
-	return func(r *Resolver) { r.stubCost = d }
-}
-
 // NewResolver creates a resolver whose cache-miss latency is missLatency
 // with ±50% multiplicative jitter drawn from rng.
 func NewResolver(sched *simtime.Scheduler, missLatency time.Duration, rng *rand.Rand, opts ...Option) *Resolver {

@@ -85,9 +85,6 @@ type Timing struct {
 // Blocked returns time spent queued before a connection was available.
 func (t Timing) Blocked() time.Duration { return time.Duration(t.ConnReady - t.DNSDone) }
 
-// TTFB returns time from request start to first response byte.
-func (t Timing) TTFB() time.Duration { return time.Duration(t.FirstByte - t.Start) }
-
 // Request is one object fetch. Callbacks fire in simulated time; only
 // OnComplete is required.
 type Request struct {

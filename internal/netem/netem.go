@@ -61,9 +61,6 @@ func (p Profile) BDPBytes() int64 {
 	return int64(float64(p.DownBps) / 8 * p.RTT.Seconds())
 }
 
-// DownBytesPerSec returns downstream capacity in bytes/second.
-func (p Profile) DownBytesPerSec() float64 { return float64(p.DownBps) / 8 }
-
 // UpBytesPerSec returns upstream capacity in bytes/second.
 func (p Profile) UpBytesPerSec() float64 { return float64(p.UpBps) / 8 }
 

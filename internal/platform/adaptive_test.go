@@ -77,16 +77,19 @@ func copyTree(t *testing.T, src, dst string) {
 
 // TestAdaptiveAnalyticsEquivalence: the allocator may steer every
 // assignment, but the verdicts on the sessions it admits must still be
-// byte-for-byte what the offline batch pipeline computes — across both
-// campaign kinds and both worker counts. A vanishing half-width keeps a
-// timeline campaign collecting for the whole chaos run; an A/B
-// campaign's uniformly random votes are far too few to resolve every
-// video.
+// byte-for-byte what the offline batch pipeline computes, and the ones
+// the same sessions get without it — across both campaign kinds and both
+// worker counts. The data directory reopened without adaptive campaigns
+// serves the same /results, and the same /analytics but for the stopping
+// block. A vanishing half-width keeps a timeline campaign collecting for the
+// whole chaos run; an A/B campaign's uniformly random votes are far too
+// few to resolve every video.
 func TestAdaptiveAnalyticsEquivalence(t *testing.T) {
 	for _, kind := range []string{"timeline", "ab"} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s-w%d", kind, workers), func(t *testing.T) {
-				c, s := newClientOpts(t, Options{Adaptive: true, CIHalfWidth: 1e-9})
+				dir := t.TempDir()
+				s, c := openPersisted(t, dir, Options{Adaptive: true, CIHalfWidth: 1e-9})
 				campaign, _ := setupCampaign(c, kind, 3)
 				l := newSent()
 				runChaos(t, l, c.srv.URL, campaign, kind, 7, workers, 6)
@@ -102,6 +105,19 @@ func TestAdaptiveAnalyticsEquivalence(t *testing.T) {
 				if ar.Stopping.Total != 3 || len(ar.Stopping.PerVideo) != 3 {
 					t.Fatalf("stopping covers %d/%d videos, want 3/3",
 						ar.Stopping.Resolved, ar.Stopping.Total)
+				}
+				results := rawResults(t, c, campaign)
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				fixed, fc := openPersisted(t, dir, Options{})
+				defer fixed.Close()
+				if got := rawResults(t, fc, campaign); string(got) != string(results) {
+					t.Fatalf("/results without adaptive campaigns:\n got %s\nwant %s", got, results)
+				}
+				ar.Stopping = nil
+				if got := fetchAnalytics(t, fc, campaign); !reflect.DeepEqual(got, ar) || ar.Completed == 0 {
+					t.Fatalf("/analytics without adaptive campaigns, %d sessions completed:\n got %+v\nwant %+v", ar.Completed, got, ar)
 				}
 			})
 		}
@@ -122,7 +138,7 @@ func TestAdaptiveCrashReplayDeterminism(t *testing.T) {
 		opt.CIHalfWidth = 1e-9
 		t.Run(fmt.Sprintf("snap%d", opt.SnapshotEvery), func(t *testing.T) {
 			dir := t.TempDir()
-			_, c := openPersisted(t, dir, opt)
+			srv, c := openPersisted(t, dir, opt)
 			campaign, _ := setupCampaign(c, "timeline", 3)
 			l := newSent()
 			runChaos(t, l, c.srv.URL, campaign, "timeline", 13, 8, 4)
@@ -132,6 +148,7 @@ func TestAdaptiveCrashReplayDeterminism(t *testing.T) {
 			// Crash: drop the listener without Server.Close, then clone
 			// the journal so two replicas can replay it independently.
 			c.srv.Close()
+			abandon(srv)
 			dir2 := t.TempDir()
 			copyTree(t, dir, dir2)
 
@@ -164,7 +181,7 @@ func TestAdaptiveCrashReplayDeterminism(t *testing.T) {
 func TestAdaptiveStopperClosesAndSurvivesCrash(t *testing.T) {
 	opt := Options{Adaptive: true, CIHalfWidth: 0.25}
 	dir := t.TempDir()
-	_, c := openPersisted(t, dir, opt)
+	srv, c := openPersisted(t, dir, opt)
 	campaign, _ := setupCampaign(c, "timeline", 2)
 
 	closedAfter := -1
@@ -197,6 +214,7 @@ func TestAdaptiveStopperClosesAndSurvivesCrash(t *testing.T) {
 	pre := rawAnalytics(t, c, campaign)
 
 	c.srv.Close() // crash without Server.Close
+	abandon(srv)
 	_, c2 := openPersisted(t, dir, opt)
 	if _, code := joinStatus(c2, campaign, "post-crash"); code != http.StatusConflict {
 		t.Fatalf("closed campaign accepted a join after replay: %d", code)
@@ -256,7 +274,7 @@ func TestAdaptiveABVerdictRendered(t *testing.T) {
 func TestBannedVideoDoesNotHoldAdaptiveCampaignOpen(t *testing.T) {
 	opt := Options{Adaptive: true, CIHalfWidth: 0.25}
 	dir := t.TempDir()
-	_, c := openPersisted(t, dir, opt)
+	srv, c := openPersisted(t, dir, opt)
 	campaign, vids := setupCampaign(c, "timeline", 3)
 	for i := 0; i < BanThreshold; i++ {
 		c.do("POST", "/api/v1/videos/"+vids[0]+"/flag", map[string]string{"worker": fmt.Sprintf("flagger-%d", i)}, nil)
@@ -292,12 +310,14 @@ func TestBannedVideoDoesNotHoldAdaptiveCampaignOpen(t *testing.T) {
 	}
 
 	c.srv.Close() // crash without Server.Close: the ban replays from the journal
+	abandon(srv)
 	s2, c2 := openPersisted(t, dir, opt)
 	check("replay", c2)
 	if err := s2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	c2.srv.Close()
+	abandon(s2)
 	_, c3 := openPersisted(t, dir, opt)
 	check("snapshot", c3)
 }

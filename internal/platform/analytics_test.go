@@ -700,6 +700,7 @@ func TestAnalyticsCrashReplayEquivalence(t *testing.T) {
 			// Crash: abandon the server without Close. Every journal
 			// append was flushed, so recovery sees the full history.
 			c.srv.Close()
+			abandon(srv)
 
 			srv2, c2 := openPersisted(t, dir, opts)
 			defer srv2.Close()

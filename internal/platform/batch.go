@@ -12,9 +12,8 @@
 //
 // Equivalence with the JSON path is by construction: a JSON EventBatch
 // is applied as the records AppendWireRecords converts it to, through
-// the state's one applyRecords. The differential suite
-// (differential_test.go) holds the two protocols to byte-identical
-// /results and /analytics, including across crash+replay.
+// the state's one applyRecords. FuzzServerVsModel holds both protocols
+// to the state's reference model.
 package platform
 
 import (

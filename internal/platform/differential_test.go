@@ -383,8 +383,8 @@ func TestDifferentialCrashReplayMidBatch(t *testing.T) {
 	for _, kind := range []string{"timeline", "ab"} {
 		t.Run(kind, func(t *testing.T) {
 			dirJ, dirB := t.TempDir(), t.TempDir()
-			_, cJSON := openPersisted(t, dirJ, Options{})
-			_, cBin := openPersisted(t, dirB, Options{})
+			srvJ, cJSON := openPersisted(t, dirJ, Options{})
+			srvB, cBin := openPersisted(t, dirB, Options{})
 			campaign, _ := setupCampaign(cJSON, kind, 3)
 			if idB, _ := setupCampaign(cBin, kind, 3); idB != campaign {
 				t.Fatalf("campaign IDs diverged: %s vs %s", campaign, idB)
@@ -429,6 +429,8 @@ func TestDifferentialCrashReplayMidBatch(t *testing.T) {
 				// append was flushed, so recovery sees the full history.
 				cJSON.srv.Close()
 				cBin.srv.Close()
+				abandon(srvJ)
+				abandon(srvB)
 				var srvJ2, srvB2 *Server
 				srvJ2, cJSON = openPersisted(t, dirJ, Options{})
 				srvB2, cBin = openPersisted(t, dirB, Options{})

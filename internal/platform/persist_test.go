@@ -36,6 +36,11 @@ func openPersisted(t *testing.T, dir string, opts Options) (*Server, *client) {
 	return srv, newClientFor(t, srv)
 }
 
+// abandon drops srv as a crashed process would, without Close: only the
+// data directory's lock goes, as the process's exit would release it, so
+// the directory can be opened again in this process.
+func abandon(srv *Server) { srv.lock.Close() }
+
 // rawResults fetches the exact /results body bytes.
 func rawResults(t *testing.T, c *client, campaign string) []byte {
 	t.Helper()

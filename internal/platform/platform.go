@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -147,6 +148,7 @@ type Server struct {
 	logger   *slog.Logger
 
 	log       *store.Log
+	lock      *os.File // the data directory's flocked LOCK; nil, whose Close does nothing, without one
 	snapEvery uint64
 	snapping  atomic.Bool // a crossing request is taking the cadence's snapshot
 	// counts is the walk of the state a /metrics render takes once, into
@@ -228,12 +230,19 @@ func Open(opts Options) (*Server, error) {
 		Fsync:   opts.Fsync,
 		Metrics: newBlobSink(s.metrics.reg),
 	}
+	var err error
 	if opts.DataDir != "" {
 		bopts.Dir = filepath.Join(opts.DataDir, "blobs")
+		// Before anything reads the directory: blob.Open deletes temp
+		// files, which are a live owner's uploads in flight, and store.Open
+		// and Recover cut the journal's tail and the campaigns' files.
+		if s.lock, err = lockDir(opts.DataDir); err != nil {
+			return nil, err
+		}
 	}
-	var err error
 	s.blobs, err = blob.Open(bopts)
 	if err != nil {
+		s.lock.Close()
 		return nil, err
 	}
 	var stopper *adaptive.Config
@@ -252,6 +261,7 @@ func Open(opts Options) (*Server, error) {
 		Observer:     &s.observer,
 	})
 	if err != nil {
+		s.lock.Close()
 		return nil, err
 	}
 	switch {
@@ -263,6 +273,7 @@ func Open(opts Options) (*Server, error) {
 	if err := s.state.Recover(jl); err != nil {
 		jl.Close()
 		s.state.Close()
+		s.lock.Close()
 		return nil, fmt.Errorf("platform: %w", err)
 	}
 	s.log = jl
@@ -270,8 +281,8 @@ func Open(opts Options) (*Server, error) {
 }
 
 // Close flushes and closes the journal, acking every record a request
-// still waits for, and closes the campaigns' files; in-memory servers
-// are no-ops. The server must not
+// still waits for, closes the campaigns' files and gives up the data
+// directory; in-memory servers are no-ops. The server must not
 // serve requests afterwards: a mutation that arrives anyway fails with
 // the journal's closed error, and a snapshot a request was taking waits
 // for Close or fails and is logged.
@@ -283,6 +294,7 @@ func (s *Server) Close() error {
 	if serr := s.state.Close(); err == nil {
 		err = serr
 	}
+	s.lock.Close()
 	return err
 }
 
@@ -613,15 +625,9 @@ func (s *Server) handleCreateCampaign(w *scratch, r *http.Request) {
 		return
 	}
 	tr.Mark(trace.StageDecode)
-	if !state.ValidCampaign(req.Name, req.Kind) {
-		writeErr(w, http.StatusBadRequest, "campaign needs a name and kind timeline|ab")
-		return
-	}
-	id := req.ID
-	if id == "" {
-		id = s.state.NewID("c")
-	} else if !state.ValidCampaignID(id) {
-		writeErr(w, http.StatusBadRequest, "campaign id must match c[A-Za-z0-9.-]{1,63}, its number at most 2^53")
+	id, err := s.state.NewCampaignID(req.ID, req.Name, req.Kind)
+	if err != nil {
+		s.writeStateErr(w, err)
 		return
 	}
 	tr.SetCampaign(id)
@@ -707,13 +713,7 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 		writeErr(w, http.StatusForbidden, "captcha required")
 		return
 	}
-	// The session row refuses this too, but only after Join has minted an
-	// ID and moved the round-robin offset for it.
-	if req.Worker.ID == "" {
-		writeErr(w, http.StatusBadRequest, "worker id required")
-		return
-	}
-	sid, tests, err := s.state.Join(req.Campaign)
+	sid, tests, err := s.state.Join(req.Campaign, req.Worker.ID)
 	if err != nil {
 		s.writeStateErr(w, err)
 		return

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"io/fs"
 	"net/http"
 	"path/filepath"
@@ -88,5 +89,40 @@ func TestCampaignIDCannotWrapCounter(t *testing.T) {
 	var ar AnalyticsResponse
 	if code := pc.do("GET", "/api/v1/campaigns/"+huge+"/analytics", nil, &ar); code != http.StatusOK || len(ar.Participants) != 4 {
 		t.Errorf("analytics: %d, %d participants, want 200 and 4", code, len(ar.Participants))
+	}
+}
+
+// TestRefusalsBeforeMinting: the state refuses a create with no name or
+// no such kind or a caller ID that is not a campaign's, and a join with
+// no worker ID, before it mints anything. The replies are the bodies the
+// handlers wrote when they made these checks themselves, and the join
+// after them gets the ID it would have had. A campaign record the row
+// refuses is ErrInvalidValue, which a direct Apply caller gets too, and
+// statusFor answers 400.
+func TestRefusalsBeforeMinting(t *testing.T) {
+	c := newClient(t)
+	campaign, _ := setupCampaign(c, "timeline", 1) // c1, v2
+	shape := `{"error":"campaign needs a name and kind timeline|ab"}` + "\n"
+	for _, r := range []struct {
+		path string
+		body any
+		want string
+	}{
+		{"/api/v1/campaigns", CreateCampaignRequest{Name: "x", Kind: "weird"}, shape},
+		{"/api/v1/campaigns", CreateCampaignRequest{Kind: "timeline"}, shape},
+		{"/api/v1/campaigns", CreateCampaignRequest{ID: "x1", Name: "x", Kind: "ab"}, `{"error":"campaign id must match c[A-Za-z0-9.-]{1,63}, its number at most 2^53"}` + "\n"},
+		{"/api/v1/sessions", JoinRequest{Campaign: campaign, Captcha: "tok"}, `{"error":"worker id required"}` + "\n"},
+	} {
+		if status, body := rawDo(t, c, "POST", r.path, r.body); status != http.StatusBadRequest || string(body) != r.want {
+			t.Errorf("POST %s %+v: %d %s, want 400 %s", r.path, r.body, status, body, r.want)
+		}
+	}
+	if sid := join(c, campaign, "w").Session; sid != "s3" {
+		t.Errorf("the join after the refusals is %s, want s3", sid)
+	}
+	srv := NewServer()
+	_, _, err := srv.state.Apply(&state.Event{Op: state.OpCampaign, ID: "c1", Kind: "timeline"}, nil)
+	if !errors.Is(err, state.ErrInvalidValue) || statusFor(err) != http.StatusBadRequest || err.Error() != "campaign needs a name and kind timeline|ab" {
+		t.Errorf("Apply of a campaign with no name: %v (status %d)", err, statusFor(err))
 	}
 }

@@ -122,6 +122,7 @@ func TestSpillCrashBeforeDocument(t *testing.T) {
 	grown := fileSizes(t, dir)
 
 	// The crash: the old server is dropped without Close.
+	abandon(srv)
 	srv2, c2 := openPersisted(t, dir, Options{SnapshotEvery: -1})
 	for name, size := range fileSizes(t, dir) {
 		if size != covered[name] {

@@ -41,7 +41,7 @@ func (r *rig) campaign(kind string, n int) (string, []string) {
 // join handler does.
 func (r *rig) join(campaign, worker string) (string, []AssignedTest) {
 	r.tb.Helper()
-	sid, tests, err := r.st.Join(campaign)
+	sid, tests, err := r.st.Join(campaign, worker)
 	if err != nil {
 		r.tb.Fatal(err)
 	}
@@ -672,7 +672,7 @@ func TestVideoWithoutHashRefused(t *testing.T) {
 // "." or "..", an empty or over-long name — is refused before it is
 // journaled, and the snapshot after it succeeds; a state document that
 // lists such a campaign fails the open naming the ID. IDs that are file
-// names but outside ValidCampaignID, as older builds journaled them (a
+// names but outside validCampaignID, as older builds journaled them (a
 // number past 2^53, the longest name that fits), apply, snapshot and
 // reopen.
 func TestCampaignIDThatCannotNameAFileRefused(t *testing.T) {
@@ -692,8 +692,8 @@ func TestCampaignIDThatCannotNameAFileRefused(t *testing.T) {
 	}
 	accepted := []string{"c9007199254740993", strings.Repeat("c", 248), "x.y"}
 	for _, id := range accepted {
-		if ValidCampaignID(id) {
-			t.Fatalf("%q is a valid caller ID; the case wants one outside ValidCampaignID", id)
+		if validCampaignID(id) {
+			t.Fatalf("%q is a valid caller ID; the case wants one outside validCampaignID", id)
 		}
 		r.mustApply(&Event{Op: OpCampaign, ID: id, Name: "n", Kind: "timeline"})
 	}

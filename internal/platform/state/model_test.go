@@ -11,7 +11,13 @@ package state
 // sessions' records in completion order; /analytics is encoding/json
 // over a sorted slice of rows. It may use the §4.3 reference
 // (internal/filtering, internal/stats) and, with adaptive campaigns, an
-// adaptive.Campaign of its own fed in completion order.
+// adaptive.Campaign of its own fed in completion order. It also mints
+// IDs and draws assignments as a server does, so it answers a create
+// and a join before any record exists.
+//
+// FuzzServerVsModel (server_test.go, package state_test) holds the HTTP
+// tier to the same model and programs: Model, Program and ModelSeeds are
+// exported for it, and so are the methods it calls.
 
 import (
 	"bytes"
@@ -21,6 +27,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"sort"
 	"strconv"
@@ -181,12 +188,16 @@ func (r *rig) analytics(id string, lo, hi float64) ([]byte, error) {
 
 // --- the model ---
 
+// Model is the model as FuzzServerVsModel names it.
+type Model = model
+
 type model struct {
 	adaptive  *adaptive.Config
 	blobs     map[string]bool
 	campaigns map[string]*modelCampaign
 	videos    map[string]*modelVideo
 	sessions  map[string]*modelSession // joined ever, in flight or completed
+	next      int64                    // the number the newest ID minted or held ends in
 }
 
 type modelCampaign struct {
@@ -225,7 +236,9 @@ type modelAnswer struct {
 // errRefused is the model's refusal where the state names no sentinel.
 var errRefused = errors.New("refused")
 
-func newModel(cfg *adaptive.Config, blobs ...string) *model {
+// NewModel returns an empty model whose campaigns stop under cfg (nil:
+// fixed campaigns) and whose blob store holds blobs.
+func NewModel(cfg *adaptive.Config, blobs ...string) *model {
 	m := &model{
 		adaptive:  cfg,
 		blobs:     map[string]bool{},
@@ -239,8 +252,8 @@ func newModel(cfg *adaptive.Config, blobs ...string) *model {
 	return m
 }
 
-// apply applies ev, or refuses it and changes nothing.
-func (m *model) apply(ev *Event) (Result, error) {
+// Apply applies ev, or refuses it and changes nothing.
+func (m *model) Apply(ev *Event) (Result, error) {
 	res := Result{Op: slices.IndexFunc(Ops(), func(o OpName) bool { return o.Name == ev.Op })}
 	var err error
 	switch ev.Op {
@@ -283,7 +296,86 @@ func (m *model) apply(ev *Event) (Result, error) {
 	default: // a retired op
 		err = errRefused
 	}
+	if err == nil && (ev.Op == OpCampaign || ev.Op == OpVideo || ev.Op == OpSession) {
+		m.hold(ev.ID)
+	}
 	return res, err
+}
+
+// hold moves the ID counter past the number id ends in, if it is one no
+// larger than 2^53, so that no minted ID repeats a held one.
+func (m *model) hold(id string) {
+	if len(id) < 2 {
+		return
+	}
+	if n, err := strconv.ParseInt(id[1:], 10, 64); err == nil && n <= 1<<53 && n > m.next {
+		m.next = n
+	}
+}
+
+// NewID mints an ID: prefix and the counter's next number.
+func (m *model) NewID(prefix string) string {
+	m.next++
+	return prefix + strconv.FormatInt(m.next, 10)
+}
+
+// campaignIDShape is what a caller-supplied campaign ID looks like.
+var campaignIDShape = regexp.MustCompile(`^c[A-Za-z0-9.-]{1,63}$`)
+
+// NewCampaignID is the ID a create of campaign id (minted when empty)
+// of this name and kind gets, or the refusal of one no campaign may
+// have, which mints nothing.
+func (m *model) NewCampaignID(id, name, kind string) (string, error) {
+	if name == "" || kind != "timeline" && kind != "ab" {
+		return "", ErrInvalidValue
+	}
+	if id == "" {
+		return m.NewID("c"), nil
+	}
+	n, err := strconv.ParseInt(id[1:], 10, 64)
+	if !campaignIDShape.MatchString(id) || errors.Is(err, strconv.ErrRange) || err == nil && n > 1<<53 {
+		return "", ErrInvalidValue
+	}
+	return id, nil
+}
+
+// Join mints the session ID and draws the assignment a join of worker to
+// campaign id gets, or refuses it and mints nothing: TestsPerSession
+// tests over the campaign's unbanned videos in the order they were
+// added, the last the control, round-robin from the number of sessions
+// joined so far; in an adaptive campaign, over its stopper's
+// most-needed-first order from the start.
+func (m *model) Join(id, worker string) (string, []AssignedTest, error) {
+	c := m.campaigns[id]
+	switch {
+	case worker == "":
+		return "", nil, ErrInvalidValue
+	case c == nil:
+		return "", nil, ErrNoCampaign
+	case c.stopper != nil && c.stopper.Closed():
+		return "", nil, ErrCampaignClosed
+	}
+	var pool []string
+	for _, v := range c.videos {
+		if !m.videos[v].banned {
+			pool = append(pool, v)
+		}
+	}
+	if len(pool) == 0 {
+		return "", nil, ErrNoUsableVideos
+	}
+	offset := len(m.sessions)
+	if c.stopper != nil {
+		pool, offset = c.stopper.Assign(pool), 0
+	}
+	sid := m.NewID("s")
+	tests := make([]AssignedTest, TestsPerSession)
+	for k := range tests {
+		tests[k] = AssignedTest{Kind: c.kind, VideoID: pool[(offset*(TestsPerSession-1)+k)%len(pool)], TestID: sid + "-t" + strconv.Itoa(k)}
+	}
+	control := &tests[TestsPerSession-1]
+	control.Control, control.VideoID, control.TestID = true, pool[offset%len(pool)], sid+"-control"
+	return sid, tests, nil
 }
 
 // carriable reports whether JSON can carry every x.
@@ -311,7 +403,9 @@ func namesFile(id string) bool {
 
 func (m *model) campaign(ev *Event) error {
 	switch {
-	case ev.Name == "" || ev.Kind != "timeline" && ev.Kind != "ab", !namesFile(ev.ID):
+	case ev.Name == "" || ev.Kind != "timeline" && ev.Kind != "ab":
+		return ErrInvalidValue
+	case !namesFile(ev.ID):
 		return errRefused
 	case m.campaigns[ev.ID] != nil:
 		return ErrCampaignExists
@@ -571,6 +665,55 @@ func (m *model) analytics(c *modelCampaign, lo, hi float64) []byte {
 	return jsonLine(res)
 }
 
+// Results is campaign id's /results body, nil if the model holds no such
+// campaign.
+func (m *model) Results(id string) []byte {
+	if c := m.campaigns[id]; c != nil {
+		return m.results(c)
+	}
+	return nil
+}
+
+// Analytics is campaign id's /analytics body over [lo, hi], nil if the
+// model holds no such campaign.
+func (m *model) Analytics(id string, lo, hi float64) []byte {
+	if c := m.campaigns[id]; c != nil {
+		return m.analytics(c, lo, hi)
+	}
+	return nil
+}
+
+// Campaigns lists the campaigns the model holds, and Sessions the
+// sessions ever joined.
+func (m *model) Campaigns() []string { return sortedIDs(m.campaigns) }
+func (m *model) Sessions() []string  { return sortedIDs(m.sessions) }
+
+func sortedIDs[V any](held map[string]V) []string {
+	ids := make([]string, 0, len(held))
+	for id := range held {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// Tests is session id's assignment, nil if it was never joined.
+func (m *model) Tests(id string) []AssignedTest {
+	if s := m.sessions[id]; s != nil {
+		return s.tests
+	}
+	return nil
+}
+
+// Banned reports, of each video the model holds, whether it is banned.
+func (m *model) Banned() map[string]bool {
+	banned := map[string]bool{}
+	for id, v := range m.videos {
+		banned[id] = v.banned
+	}
+	return banned
+}
+
 func jsonLine(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -688,7 +831,7 @@ func compare(t *testing.T, how string, st *State, m *model, lo, hi float64) {
 	})
 }
 
-// --- the fuzzer ---
+// --- the programs ---
 
 // An op of a fuzz program is opSize bytes: its code, fields whose
 // meaning the code picks, and the percentile band the views are
@@ -700,51 +843,115 @@ const (
 	maxProgCampaigns = 4
 )
 
+// The codes Program.Next reads past the op table's rows.
 const (
-	opSnapshot = -1 - iota
-	opReopen
+	ProgSnapshot = -1 - iota
+	ProgReopen
 )
 
-// runner turns a fuzz program into ops on the rig, a state in memory
-// and the model, and compares them after each.
-type runner struct {
-	t          *testing.T
-	r          *rig
-	mem        *State // no journal, no data directory
-	m          *model
-	hash       string
-	size       int64
-	strs       [2]string
-	x          float64 // the fuzzer's number
-	fresh      int
-	campaigns  []string // applied, in order
-	videos     []string
-	sessions   []string
-	f          []byte // the current op's fields
-	adaptiveOn bool
+// Program reads a fuzz program of FuzzStateVsModel or FuzzServerVsModel:
+// a header byte, whose bit 0 switches adaptive campaigns on (the HTTP
+// fuzzer reads more of it), then ops, each built into a record by Event.
+// A record names the entities the program has applied (Applied notes
+// them), minted ones and the fuzzer's strings. The program's model
+// applies what the program's targets apply.
+type Program struct {
+	Header    byte
+	Model     *Model
+	hash      string // the one video payload's content address
+	size      int64
+	strs      [2]string
+	x         float64 // the fuzzer's number
+	fresh     int
+	campaigns []string // applied, in order
+	videos    []string
+	sessions  []string
+	rest      []byte // the ops not read yet
+	f         []byte // the current op's fields
+	band      byte   // the current op's band
+	read      int
+}
+
+// AdaptiveConfig is the stopper a program's header asks for, nil for
+// fixed campaigns.
+func AdaptiveConfig(prog []byte) *adaptive.Config {
+	if len(prog) > 0 && prog[0]&1 == 1 {
+		return &adaptive.Config{HalfWidth: 0.4}
+	}
+	return nil
+}
+
+// NewProgram starts reading prog, whose one video payload has content
+// address hash and size bytes; a and b are the fuzzer's strings, x its
+// number. As every string a record carries was decoded from JSON or
+// minted, the strings are made valid UTF-8.
+func NewProgram(prog []byte, a, b string, x float64, hash string, size int64) *Program {
+	p := &Program{
+		Model: NewModel(AdaptiveConfig(prog), hash), hash: hash, size: size,
+		strs: [2]string{strings.ToValidUTF8(a, "�"), strings.ToValidUTF8(b, "�")},
+		x:    x,
+	}
+	if len(prog) > 0 {
+		p.Header, p.rest = prog[0], prog[1:]
+	}
+	return p
+}
+
+// Next reads the next op and returns its code: a row of Ops, ProgSnapshot
+// or ProgReopen; ok is false past the program's last op.
+func (p *Program) Next() (code int, ok bool) {
+	if len(p.rest) < opSize || p.read == maxProgOps {
+		return 0, false
+	}
+	rows := len(Ops())
+	code = int(p.rest[0]) % (rows + 2)
+	switch code {
+	case rows:
+		code = ProgSnapshot
+	case rows + 1:
+		code = ProgReopen
+	}
+	p.f, p.band = p.rest[1:opSize-1], p.rest[opSize-1]
+	p.rest = p.rest[opSize:]
+	p.read++
+	return code, true
+}
+
+// Band is the percentile band the current op's views are compared at:
+// the default band for 0, else bounds on a 10-point grid.
+func (p *Program) Band() (lo, hi float64) {
+	if p.band == 0 {
+		return filtering.WisdomLo, filtering.WisdomHi
+	}
+	lo = float64(p.band%11) * 10
+	return lo, min(100, lo+float64(p.band/11%11)*10)
 }
 
 // field returns the current op's field i.
-func (d *runner) field(i int) int { return int(d.f[i]) }
+func (p *Program) field(i int) int { return int(p.f[i]) }
 
 // newID draws the ID of an entity the op creates: a fresh one, one
-// already held, or one of the fuzzer's strings.
-func (d *runner) newID(held []string, prefix string, sel int) string {
-	if sel < 160 || (sel < 220 && len(held) == 0) {
-		d.fresh++
-		return prefix + strconv.Itoa(d.fresh)
+// already held, or one of the fuzzer's strings; or none, for one the
+// target mints, when mint is set and sel picks it.
+func (p *Program) newID(held []string, prefix string, sel int, mint bool) string {
+	switch {
+	case mint && sel >= 144 && sel < 160:
+		return ""
+	case sel < 160 || (sel < 220 && len(held) == 0):
+		p.fresh++
+		return prefix + strconv.Itoa(p.fresh)
 	}
-	return d.ref(held, prefix, sel)
+	return p.ref(held, prefix, sel)
 }
 
 // ref draws the ID an op names: one held, counting back from the
 // newest, or one of the fuzzer's strings, or one nothing holds.
-func (d *runner) ref(held []string, prefix string, sel int) string {
+func (p *Program) ref(held []string, prefix string, sel int) string {
 	switch {
 	case sel >= 238:
-		return d.strs[1]
+		return p.strs[1]
 	case sel >= 220:
-		return d.strs[0]
+		return p.strs[0]
 	case len(held) == 0:
 		return prefix + "404"
 	}
@@ -755,12 +962,12 @@ func (d *runner) ref(held []string, prefix string, sel int) string {
 // round-robin over the campaign's videos from offset, the last a
 // control, with test odd%8 made odd in the way odd/8%5 picks when odd is
 // 8 or more (oddTest writes one).
-func (d *runner) tests(sid string, c *modelCampaign, n, odd, offset int) []AssignedTest {
+func (p *Program) tests(sid string, c *modelCampaign, n, odd, offset int) []AssignedTest {
 	kind, videos := "timeline", []string(nil)
 	if c != nil {
 		kind, videos = c.kind, c.videos
 	}
-	if d.adaptiveOn && len(videos) == 0 {
+	if p.Model.adaptive != nil && len(videos) == 0 {
 		n = 0 // an adaptive join draws only from the stopper's videos
 	}
 	var tests []AssignedTest
@@ -777,7 +984,7 @@ func (d *runner) tests(sid string, c *modelCampaign, n, odd, offset int) []Assig
 			case 0:
 				// A stopper registers a campaign's videos as they are added, so
 				// an adaptive session names only those, as every join does.
-				if !d.adaptiveOn {
+				if p.Model.adaptive == nil {
 					t.VideoID = "v-elsewhere"
 				}
 			case 1:
@@ -785,7 +992,7 @@ func (d *runner) tests(sid string, c *modelCampaign, n, odd, offset int) []Assig
 			case 2:
 				t.Kind = "survey"
 			case 3:
-				t.TestID = d.strs[0]
+				t.TestID = p.strs[0]
 			case 4:
 				t.TestID = sid + "-t" + strconv.Itoa(k+1)
 			}
@@ -795,66 +1002,78 @@ func (d *runner) tests(sid string, c *modelCampaign, n, odd, offset int) []Assig
 	return tests
 }
 
-// event builds the record of op row from the current fields.
-func (d *runner) event(row string) *Event {
+// Event builds the record of op row from the current op's fields. A
+// campaign or session record with no ID is one to mint: a create whose
+// ID the target mints, or a join, whose assignment it draws too.
+func (p *Program) Event(row string) *Event {
 	ev := &Event{Op: row}
 	sessionOf := func(sel int) (string, *modelSession) {
-		id := d.ref(d.sessions, "s", sel)
-		return id, d.m.sessions[id]
+		id := p.ref(p.sessions, "s", sel)
+		return id, p.Model.sessions[id]
 	}
 	switch row {
 	case OpCampaign:
 		// Each campaign's first snapshot opens two files, the costliest
 		// step of a run, so a program holds a few campaigns at most.
-		sel := d.field(0)
-		if len(d.campaigns) >= maxProgCampaigns {
+		sel := p.field(0)
+		if len(p.campaigns) >= maxProgCampaigns {
 			sel = max(sel, 160)
 		}
-		ev.ID = d.newID(d.campaigns, "c", sel)
-		ev.Name = []string{"campaign", "campaign", "", d.strs[1]}[d.field(1)%4]
-		ev.Kind = []string{"timeline", "ab", "timeline", "ab", "survey", d.strs[1]}[d.field(2)%6]
+		ev.ID = p.newID(p.campaigns, "c", sel, true)
+		ev.Name = []string{"campaign", "campaign", "", p.strs[1]}[p.field(1)%4]
+		ev.Kind = []string{"timeline", "ab", "timeline", "ab", "survey", p.strs[1]}[p.field(2)%6]
 	case OpVideo:
-		ev.ID = d.newID(d.videos, "v", d.field(0))
-		ev.Campaign = d.ref(d.campaigns, "c", d.field(1))
-		ev.Hash = []string{d.hash, d.hash, d.hash, "", strings.Repeat("ab", 32)}[d.field(2)%5]
-		ev.Size = int64(d.field(3)%3) * d.size
+		ev.ID = p.newID(p.videos, "v", p.field(0), false)
+		ev.Campaign = p.ref(p.campaigns, "c", p.field(1))
+		ev.Hash = []string{p.hash, p.hash, p.hash, "", strings.Repeat("ab", 32)}[p.field(2)%5]
+		ev.Size = int64(p.field(3)%3) * p.size
 	case OpSession:
-		ev.ID = d.newID(d.sessions, "s", d.field(0))
-		ev.Campaign = d.ref(d.campaigns, "c", d.field(1))
-		if w := d.field(2); w%8 != 7 {
-			ev.Worker = &Worker{ID: "w" + strconv.Itoa(w%5), Gender: "f", Country: d.strs[0], Source: "crowdflower"}
+		ev.ID = p.newID(p.sessions, "s", p.field(0), true)
+		ev.Campaign = p.ref(p.campaigns, "c", p.field(1))
+		if w := p.field(2); w%8 != 7 {
+			ev.Worker = &Worker{ID: "w" + strconv.Itoa(w%5), Gender: "f", Country: p.strs[0], Source: "crowdflower"}
 			if w%8 == 6 {
 				ev.Worker.ID = ""
 			}
 		}
-		n := []int{TestsPerSession, TestsPerSession, TestsPerSession, 1, 2, 0}[d.field(3)%6]
-		ev.Tests = d.tests(ev.ID, d.m.campaigns[ev.Campaign], n, d.field(4), d.field(5))
+		if ev.ID != "" {
+			n := []int{TestsPerSession, TestsPerSession, TestsPerSession, 1, 2, 0}[p.field(3)%6]
+			ev.Tests = p.tests(ev.ID, p.Model.campaigns[ev.Campaign], n, p.field(4), p.field(5))
+		}
 	case OpEvents, OpBatch:
 		var s *modelSession
-		ev.ID, s = sessionOf(d.field(0))
+		ev.ID, s = sessionOf(p.field(0))
 		video := "v-gone"
 		if s != nil && len(s.tests) > 0 {
-			video = s.tests[d.field(1)%len(s.tests)].VideoID
+			video = s.tests[p.field(1)%len(s.tests)].VideoID
 		}
 		b := EventBatch{
 			VideoID:         video,
-			InstructionMs:   []float64{0, 20_000}[d.field(5)%2],
-			LoadMs:          []float64{900, 900, 20_000, 0, d.x}[d.field(2)%5],
-			TimeOnVideoMs:   []float64{21_000, d.x}[d.field(3)/4%2],
-			Plays:           []int{1, 1, 0, 2}[d.field(2)/4%4],
-			Pauses:          d.field(5) / 2 % 3,
-			Seeks:           []int{0, 4, 12, 600}[d.field(3)%4],
-			WatchedFraction: []float64{0.9, d.x}[d.field(4)/4%2],
-			OutOfFocusMs:    []float64{0, 0, 15_000, 5_000}[d.field(4)%4],
+			InstructionMs:   []float64{0, 20_000}[p.field(5)%2],
+			LoadMs:          []float64{900, 900, 20_000, 0, p.x}[p.field(2)%5],
+			TimeOnVideoMs:   []float64{21_000, p.x}[p.field(3)/4%2],
+			Plays:           []int{1, 1, 0, 2}[p.field(2)/4%4],
+			Pauses:          p.field(5) / 2 % 3,
+			Seeks:           []int{0, 4, 12, 600}[p.field(3)%4],
+			WatchedFraction: []float64{0.9, p.x}[p.field(4)/4%2],
+			OutOfFocusMs:    []float64{0, 0, 15_000, 5_000}[p.field(4)%4],
 		}
-		switch mode := d.field(6) % 8; {
+		switch mode := p.field(6) % 8; {
 		case row == OpEvents && mode == 7:
 		case row == OpEvents:
 			ev.Batch = &b
 		case mode == 7:
-			ev.Wire = []byte(d.strs[1])
+			ev.Wire = []byte(p.strs[1])
 		default:
 			recs := AppendWireRecords(nil, b)
+			if mode == 6 && s != nil {
+				// A client's whole buffer in one batch: a record for every
+				// test, each with values of its own.
+				for k, t := range s.tests {
+					b.VideoID, b.Seeks, b.InstructionMs = t.VideoID, k, 0
+					recs = AppendWireRecords(recs, b)
+				}
+			}
 			var enc wire.Encoder
 			ev.Wire = enc.AppendBatch(nil, recs)
 			if mode%2 == 1 { // the live path hands Apply its decode
@@ -863,52 +1082,107 @@ func (d *runner) event(row string) *Event {
 		}
 	case OpResponse:
 		var s *modelSession
-		ev.ID, s = sessionOf(d.field(0))
-		if d.field(1)%8 == 7 {
+		ev.ID, s = sessionOf(p.field(0))
+		if p.field(1)%8 == 7 {
 			break
 		}
 		body := &ResponseBody{
 			TestID:       "t-unknown",
-			SubmittedMs:  1_000 + 37*float64(d.field(3)%64),
-			KeptOriginal: d.field(4)%4 != 3,
-			Choice:       []string{"left", "right", "no difference", "left", "", "bogus"}[d.field(4)/4%6],
+			SubmittedMs:  1_000 + 37*float64(p.field(3)%64),
+			KeptOriginal: p.field(4)%4 != 3,
+			Choice:       []string{"left", "right", "no difference", "left", "", "bogus"}[p.field(4)/4%6],
 		}
-		if d.field(3) == 255 {
-			body.SubmittedMs = d.x
+		if p.field(3) == 255 {
+			body.SubmittedMs = p.x
 		}
 		body.SliderMs, body.HelperMs = body.SubmittedMs+200, body.SubmittedMs
-		if s != nil && len(s.tests) > 0 && d.field(2) != 255 {
-			body.TestID = s.tests[d.field(2)%len(s.tests)].TestID
+		if s != nil && len(s.tests) > 0 && p.field(2) != 255 {
+			body.TestID = s.tests[p.field(2)%len(s.tests)].TestID
 		}
 		ev.Body = body
 	case OpFlag:
-		ev.ID = d.ref(d.videos, "v", d.field(0))
-		ev.Flagger = []string{"", "f0", "f1", "f2", "f3", "f4", "f5", "f6"}[d.field(1)%8]
+		ev.ID = p.ref(p.videos, "v", p.field(0))
+		ev.Flagger = []string{"", "f0", "f1", "f2", "f3", "f4", "f5", "f6"}[p.field(1)%8]
 	default: // a retired op
-		ev.ID = d.ref(d.campaigns, "c", d.field(0))
+		ev.ID = p.ref(p.campaigns, "c", p.field(0))
 	}
 	return ev
 }
 
-// step runs one op, of code row or opSnapshot/opReopen, and checks what
-// it can of it alone.
+// Applied notes that ev, a record every target and the model applied,
+// created the entity it names.
+func (p *Program) Applied(ev *Event) {
+	switch ev.Op {
+	case OpCampaign:
+		p.campaigns = append(p.campaigns, ev.ID)
+	case OpVideo:
+		p.videos = append(p.videos, ev.ID)
+	case OpSession:
+		p.sessions = append(p.sessions, ev.ID)
+	}
+}
+
+// --- the fuzzer ---
+
+// runner runs a program on the rig, a state in memory and the model, and
+// compares them after each op.
+type runner struct {
+	*Program
+	t   *testing.T
+	r   *rig
+	mem *State // no journal, no data directory
+}
+
+// mint gives ev, a create or a join, the ID the states mint for it (and
+// a join the model's assignment) and reports true, or checks that all
+// three refuse it alike before they mint anything and reports false.
+func (d *runner) mint(i int, ev *Event) bool {
+	var ids [3]string
+	var errs [3]error
+	if ev.Op == OpCampaign {
+		ids[0], errs[0] = d.r.st.NewCampaignID("", ev.Name, ev.Kind)
+		ids[1], errs[1] = d.mem.NewCampaignID("", ev.Name, ev.Kind)
+		ids[2], errs[2] = d.Model.NewCampaignID("", ev.Name, ev.Kind)
+	} else {
+		worker := ""
+		if ev.Worker != nil {
+			worker = ev.Worker.ID
+		}
+		// A state's assignment depends on the joins since it opened; the
+		// HTTP tier's fuzzer checks it. Here every party applies the model's.
+		ids[0], _, errs[0] = d.r.st.Join(ev.Campaign, worker)
+		ids[1], _, errs[1] = d.mem.Join(ev.Campaign, worker)
+		ids[2], ev.Tests, errs[2] = d.Model.Join(ev.Campaign, worker)
+	}
+	if ids[0] != ids[2] || ids[1] != ids[2] || !sameRefusal(errs[0], errs[2]) || !sameRefusal(errs[1], errs[2]) {
+		d.t.Fatalf("op %d: minting %s: state %q %v, in memory %q %v, model %q %v", i, ev.Op, ids[0], errs[0], ids[1], errs[1], ids[2], errs[2])
+	}
+	ev.ID = ids[2]
+	return errs[2] == nil
+}
+
+// step runs one op, of code row or ProgSnapshot/ProgReopen, and checks
+// what it can of it alone.
 func (d *runner) step(i, code int) {
 	t := d.t
 	switch code {
-	case opSnapshot:
+	case ProgSnapshot:
 		if err := d.r.snapshot(); err != nil {
 			t.Fatalf("op %d: snapshot: %v", i, err)
 		}
 		return
-	case opReopen:
+	case ProgReopen:
 		d.reopen(i)
 		return
 	}
-	ev := d.event(Ops()[code].Name)
+	ev := d.Event(Ops()[code].Name)
+	if ev.ID == "" && (ev.Op == OpCampaign || ev.Op == OpSession) && !d.mint(i, ev) {
+		return
+	}
 	before := d.r.jl.Seq()
 	got, gotErr := d.r.apply(ev)
 	memSeq, memGot, memErr := d.mem.Apply(ev, nil)
-	want, wantErr := d.m.apply(ev)
+	want, wantErr := d.Model.Apply(ev)
 	if !sameRefusal(gotErr, wantErr) || got != want || !sameRefusal(memErr, wantErr) || memGot != want || memSeq != 0 {
 		t.Fatalf("op %d: %s %q: state %+v %v, in memory %+v %v (sequence %d), model %+v %v", i, ev.Op, ev.ID, got, gotErr, memGot, memErr, memSeq, want, wantErr)
 	}
@@ -919,16 +1193,8 @@ func (d *runner) step(i, code int) {
 	case gotErr == nil && after != before+1:
 		t.Fatalf("op %d: %s record applied moved the journal from %d to %d", i, ev.Op, before, after)
 	}
-	if gotErr != nil {
-		return
-	}
-	switch ev.Op {
-	case OpCampaign:
-		d.campaigns = append(d.campaigns, ev.ID)
-	case OpVideo:
-		d.videos = append(d.videos, ev.ID)
-	case OpSession:
-		d.sessions = append(d.sessions, ev.ID)
+	if gotErr == nil {
+		d.Applied(ev)
 	}
 }
 
@@ -946,35 +1212,26 @@ func (d *runner) reopen(i int) {
 	}
 }
 
-// band reads the percentile band byte b names: the default band for 0,
-// else bounds on a 10-point grid.
-func band(b byte) (lo, hi float64) {
-	if b == 0 {
-		return filtering.WisdomLo, filtering.WisdomHi
-	}
-	lo = float64(b%11) * 10
-	return lo, min(100, lo+float64(b/11%11)*10)
-}
-
 // FuzzStateVsModel applies a program of ops to a durable State, to a
 // State in memory and to the reference model, each record through Apply.
 // Every record, refused ones included, gets the same answer from all
 // three — the same Result, or the same sentinel refusal — and a refused
 // record leaves the journal's sequence where it was while an accepted one
-// moves it by one. After every op the durable state and the model serve
-// the same /results, the same /analytics at the op's band, the same tests
-// for every session, the same video heads and the same counts.
-// Snapshots, which spill, and reopens come where the program puts them,
-// and one more reopen ends it: Recover never panics or fails, the
-// reopened state's document is the live one's, and the state in memory
-// serves what the model does.
+// moves it by one. A create or join the program leaves to the target
+// mints the same ID in all three, or is refused alike before anything is
+// minted. After every op the durable state and the model serve the same
+// /results, the same /analytics at the op's band, the same tests for
+// every session, the same video heads and the same counts. Snapshots,
+// which spill, and reopens come where the program puts them, and one
+// more reopen ends it: Recover never panics or fails, the reopened
+// state's document is the live one's, and the state in memory serves
+// what the model does.
 //
 // The program's first byte switches adaptive campaigns on; then each op
-// is opSize bytes (see runner.event). The fuzzer's two strings are the
-// IDs and names a program may use beside minted ones; as every string a
-// record carries was decoded from JSON or minted, they are valid UTF-8.
+// is opSize bytes (see Program.Event). The fuzzer's two strings are the
+// IDs and names a program may use beside minted ones.
 func FuzzStateVsModel(f *testing.F) {
-	for _, seed := range modelSeeds() {
+	for _, seed := range ModelSeeds() {
 		f.Add(seed, "wéird<id>", "c1.rows", 0.75)
 	}
 	f.Fuzz(runProgram)
@@ -982,44 +1239,32 @@ func FuzzStateVsModel(f *testing.F) {
 
 // runProgram is FuzzStateVsModel's body.
 func runProgram(t *testing.T, prog []byte, a, b string, x float64) {
-	var cfg *adaptive.Config
-	if len(prog) > 0 && prog[0]&1 == 1 {
-		cfg = &adaptive.Config{HalfWidth: 0.4}
-	}
+	cfg := AdaptiveConfig(prog)
 	r := openRig(t, filepath.Join(t.TempDir(), "data"), cfg)
 	hash, size := r.video()
 	mem := New(r.blobs, cfg)
 	defer mem.Close()
-	d := &runner{
-		t: t, r: r, mem: mem, m: newModel(cfg, hash), hash: hash, size: size,
-		strs:       [2]string{strings.ToValidUTF8(a, "�"), strings.ToValidUTF8(b, "�")},
-		x:          x,
-		adaptiveOn: cfg != nil,
-	}
-	if len(prog) > 0 {
-		prog = prog[1:]
-	}
-	rows := len(Ops())
-	for i := 0; len(prog) >= opSize && i < maxProgOps; i, prog = i+1, prog[opSize:] {
-		code := int(prog[0]) % (rows + 2)
-		switch code {
-		case rows:
-			code = opSnapshot
-		case rows + 1:
-			code = opReopen
+	d := &runner{Program: NewProgram(prog, a, b, x, hash, size), t: t, r: r, mem: mem}
+	for i := 0; ; i++ {
+		code, ok := d.Next()
+		if !ok {
+			break
 		}
-		d.f = prog[1 : opSize-1]
 		d.step(i, code)
-		lo, hi := band(prog[opSize-1])
-		compare(t, "op "+strconv.Itoa(i), r.st, d.m, lo, hi)
+		lo, hi := d.Band()
+		compare(t, "op "+strconv.Itoa(i), r.st, d.Model, lo, hi)
 	}
 	d.reopen(-1)
-	compare(t, "reopened at the end", r.st, d.m, filtering.WisdomLo, filtering.WisdomHi)
-	compare(t, "in memory at the end", mem, d.m, filtering.WisdomLo, filtering.WisdomHi)
+	compare(t, "reopened at the end", r.st, d.Model, filtering.WisdomLo, filtering.WisdomHi)
+	compare(t, "in memory at the end", mem, d.Model, filtering.WisdomLo, filtering.WisdomHi)
 }
 
-// progWriter writes fuzz programs for the seed corpus.
-type progWriter struct{ b []byte }
+// progWriter writes fuzz programs for the seed corpus. A session it
+// writes while midReopen is set reopens between its batches.
+type progWriter struct {
+	b         []byte
+	midReopen bool
+}
 
 func (p *progWriter) op(row string, band byte, fields ...byte) {
 	code := slices.IndexFunc(Ops(), func(o OpName) bool { return o.Name == row })
@@ -1040,8 +1285,11 @@ func (p *progWriter) snapshot() { p.raw(byte(len(Ops())), 0) }
 func (p *progWriter) reopen()   { p.raw(byte(len(Ops())+1), 0) }
 
 // oddTest is the session field that makes test k odd in way w of
-// runner.tests.
+// Program.tests.
 func oddTest(w, k int) byte { return byte(8*(w+5) + k) }
+
+// mintSel is the ID field of a create or join the target mints.
+const mintSel = 150
 
 // session joins a session to the newest campaign but skip and drives
 // it: an engagement record per test, in JSON and EYB1 batches, then
@@ -1059,6 +1307,10 @@ func (p *progWriter) session(skip, odd, offset, seeks, focus, submitted byte, an
 			row = OpBatch
 		}
 		p.op(row, band, 0, byte(k), plays, seeks, focus, 1, byte(k%3))
+		if k == 3 && p.midReopen {
+			p.reopen()
+			p.midReopen = false
+		}
 	}
 	for k := 0; k < answered; k++ {
 		answer := byte(k%3) * 4 // the choice; the original kept
@@ -1069,10 +1321,10 @@ func (p *progWriter) session(skip, odd, offset, seeks, focus, submitted byte, an
 	}
 }
 
-// modelSeeds are programs that drive every op row, with completions,
-// refusals, bans, snapshots and reopens, in each campaign kind, with and
-// without adaptive campaigns.
-func modelSeeds() [][]byte {
+// ModelSeeds are programs that drive every op row, with completions,
+// refusals, bans, minted creates and joins, snapshots and reopens, in
+// each campaign kind, with and without adaptive campaigns.
+func ModelSeeds() [][]byte {
 	var seeds [][]byte
 	for _, header := range []byte{0, 1} {
 		for _, kind := range []byte{0, 1} { // timeline, ab
@@ -1118,10 +1370,18 @@ func modelSeeds() [][]byte {
 			p.session(0, 0, 1, 0, 0, 31, 2, 0)
 			p.snapshot()
 			p.session(0, 0, 2, 0, 0, 33, TestsPerSession, 34) // soft: no video played
-			p.reopen()
+			p.midReopen = true
+			p.session(0, 0, 1, 2, 0, 34, TestsPerSession, 45)
 			p.session(0, 0, 0, 2, 0, 35, TestsPerSession, 56)
-			p.op(OpCampaign, 0, 0, 0, 1-kind) // a second campaign, of the other kind
+			// Creates and joins the target mints: each refusal before the
+			// mint leaves the next ID to the create or join after it.
+			p.op(OpCampaign, 0, mintSel, 2, 1-kind) // no name
+			p.op(OpCampaign, 0, mintSel, 0, 4)      // no such kind
+			p.op(OpCampaign, 0, mintSel, 0, 1-kind) // a second campaign, of the other kind
 			p.op(OpVideo, 0, 0, 0, 0)
+			p.op(OpSession, 0, mintSel, 0, 6) // no worker ID
+			p.op(OpSession, 0, mintSel, 1, 1) // the first campaign
+			p.op(OpBatch, 0, 0, 0, 0, 1, 0, 0, 6)
 			p.session(0, 0, 0, 1, 0, 7, TestsPerSession, 78)
 			p.snapshot()
 			p.session(0, 0, 0, 1, 0, 8, 3, 0)

@@ -277,16 +277,20 @@ func encodeJSON(v any) (*jsonBuf, error) {
 // is refused alike live and on replay, in memory and on disk, from the
 // HTTP tier and from a direct Apply.
 
-// ValidCampaign reports whether a campaign of this name and kind can be
-// created; the platform's create handler and applyCampaign refuse the
-// same ones.
-func ValidCampaign(name, kind string) bool {
+// The refusals State makes before it mints an ID as well as in a row.
+var (
+	errCampaign = &badValue{"name or kind", "campaign needs a name and kind timeline|ab"}
+	errWorkerID = &badValue{"worker.id", "worker id required"}
+)
+
+// validCampaign reports whether a campaign can have this name and kind.
+func validCampaign(name, kind string) bool {
 	return name != "" && (kind == "timeline" || kind == "ab")
 }
 
 func (st *State) applyCampaign(ev *Event, tr *trace.Trace) (uint64, Result, error) {
-	if !ValidCampaign(ev.Name, ev.Kind) {
-		return 0, Result{}, fmt.Errorf("campaign %s: record needs a name and kind timeline|ab, has kind %q", ev.ID, ev.Kind)
+	if !validCampaign(ev.Name, ev.Kind) {
+		return 0, Result{}, errCampaign
 	}
 	if err := checkFileID(ev.ID); err != nil {
 		return 0, Result{}, err
@@ -361,7 +365,7 @@ func (st *State) applySession(ev *Event, tr *trace.Trace) (uint64, Result, error
 	case ev.Worker == nil:
 		return 0, Result{}, errMissing(ev, "worker")
 	case ev.Worker.ID == "":
-		return 0, Result{}, &badValue{"worker.id", "worker id required"}
+		return 0, Result{}, errWorkerID
 	}
 	ssh := st.sessions.Shard(ev.ID)
 	ssh.Lock()

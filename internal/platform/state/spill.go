@@ -81,7 +81,7 @@ const maxFileID = 255 - len(".frozen")
 // filesDir: an empty or over-long one, "." or "..", or one holding a
 // NUL or a path separator, which would fail every snapshot or name a
 // file outside filesDir. Any other ID is accepted, those past
-// ValidCampaignID's bounds that older builds journaled included.
+// validCampaignID's bounds that older builds journaled included.
 func checkFileID(id string) error {
 	if id == "" || len(id) > maxFileID || id == "." || id == ".." || strings.ContainsAny(id, "/\\\x00") {
 		return fmt.Errorf("campaign ID %q cannot name the campaign's files", id)

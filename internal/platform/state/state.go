@@ -421,10 +421,25 @@ func (st *State) NewID(prefix string) string {
 	return string(strconv.AppendInt(append(make([]byte, 0, 32), prefix...), st.nextID.Add(1), 10))
 }
 
-// ValidCampaignID accepts caller-supplied campaign IDs: "c" followed by
+// NewCampaignID returns the ID a campaign create names, id or a fresh one
+// when id is empty, or refuses, before it mints anything, a create that
+// applyCampaign or validCampaignID would refuse.
+func (st *State) NewCampaignID(id, name, kind string) (string, error) {
+	switch {
+	case !validCampaign(name, kind):
+		return "", errCampaign
+	case id == "":
+		return st.NewID("c"), nil
+	case !validCampaignID(id):
+		return "", &badValue{"id", "campaign id must match c[A-Za-z0-9.-]{1,63}, its number at most 2^53"}
+	}
+	return id, nil
+}
+
+// validCampaignID accepts caller-supplied campaign IDs: "c" followed by
 // 1..63 tag/counter characters, and no number past maxIDTail (one too
 // large for an int64 included).
-func ValidCampaignID(id string) bool {
+func validCampaignID(id string) bool {
 	if len(id) < 2 || len(id) > 64 || id[0] != 'c' {
 		return false
 	}
@@ -475,16 +490,19 @@ func (st *State) CampaignID(id []byte) string {
 // poolPool recycles the live-video lists Join draws assignments from.
 var poolPool = sync.Pool{New: func() any { return new([]string) }}
 
-// Join mints a session ID for a participant joining campaign id and draws
-// its assignment: TestsPerSession tests over the campaign's unbanned
-// videos, the last of them the control. Fixed campaigns round-robin over
+// Join mints a session ID for worker joining campaign id and draws its
+// assignment, or refuses before it mints: TestsPerSession tests over the
+// campaign's unbanned videos, the last of them the control. Fixed campaigns round-robin over
 // the live videos via the offset counter; adaptive campaigns cycle the
 // allocator's most-needed-first pool instead, so the assignment is a
 // deterministic function of the journaled campaign state (the in-flight
 // counts the allocator steers by advance on every join). Either way the
 // assignment is what the session record journals, so replay does not
 // depend on how it was drawn.
-func (st *State) Join(id string) (sid string, tests []AssignedTest, err error) {
+func (st *State) Join(id, worker string) (sid string, tests []AssignedTest, err error) {
+	if worker == "" {
+		return "", nil, errWorkerID
+	}
 	csh := st.campaigns.Shard(id)
 	scratch := poolPool.Get().(*[]string)
 	defer func() {

@@ -90,9 +90,6 @@ type Stream struct {
 	done       bool
 }
 
-// Delivered returns cumulative bytes received.
-func (s *Stream) Delivered() int64 { return s.delivered }
-
 // Done reports whether the stream has fully arrived.
 func (s *Stream) Done() bool { return s.done }
 
@@ -101,9 +98,8 @@ type Conn struct {
 	path *netem.Path
 	cfg  Config
 
-	established   bool
-	establishedAt simtime.Time
-	closed        bool
+	established bool
+	closed      bool
 
 	cwnd     float64 // segments
 	ssthresh float64
@@ -150,9 +146,8 @@ func Dial(path *netem.Path, cfg Config, ready func(*Conn, simtime.Time)) *Conn {
 	hs := time.Duration(cfg.HandshakeRTTs()) * path.Profile.RTT
 	path.Scheduler().After(hs, func() {
 		c.established = true
-		c.establishedAt = path.Scheduler().Now()
 		if ready != nil {
-			ready(c, c.establishedAt)
+			ready(c, path.Scheduler().Now())
 		}
 		c.maybeScheduleRound()
 	})
@@ -161,9 +156,6 @@ func Dial(path *netem.Path, cfg Config, ready func(*Conn, simtime.Time)) *Conn {
 
 // Established reports whether the handshake has completed.
 func (c *Conn) Established() bool { return c.established }
-
-// EstablishedAt returns when the handshake completed (zero until then).
-func (c *Conn) EstablishedAt() simtime.Time { return c.establishedAt }
 
 // Busy reports whether any stream is still in flight.
 func (c *Conn) Busy() bool {
@@ -376,6 +368,3 @@ func (c *Conn) compactStreams() {
 	}
 	c.streams = live
 }
-
-// Cwnd returns the current congestion window in segments (for tests).
-func (c *Conn) Cwnd() float64 { return c.cwnd }

@@ -20,10 +20,6 @@ import (
 const (
 	GridW = 48
 	GridH = 27
-	// FoldRow is the first tile row below the fold when the page is longer
-	// than the viewport (the full grid is above the fold for the captured
-	// viewport; layouts use rows beyond GridH for below-fold content).
-	FoldRow = GridH
 )
 
 // Tile is the content identity painted on one tile (0 = blank/white).
