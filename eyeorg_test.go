@@ -12,11 +12,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"github.com/eyeorg/eyeorg/internal/crowd"
 	"github.com/eyeorg/eyeorg/internal/metrics"
-	"github.com/eyeorg/eyeorg/internal/platform"
 	"github.com/eyeorg/eyeorg/internal/rng"
 	"github.com/eyeorg/eyeorg/internal/survey"
 )
@@ -259,6 +257,4 @@ func TestEndToEndCrowdOverHTTP(t *testing.T) {
 			t.Fatalf("video %s mean UPLT %.2fs beyond video end %.2fs", id, ag.MeanUPLT, dur)
 		}
 	}
-	_ = platform.BanThreshold // document the linkage for readers
-	_ = time.Second
 }

@@ -17,6 +17,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 )
 
 // joinStatus is join without the fatal-on-non-201: closed campaigns
@@ -276,7 +278,7 @@ func TestBannedVideoDoesNotHoldAdaptiveCampaignOpen(t *testing.T) {
 	dir := t.TempDir()
 	srv, c := openPersisted(t, dir, opt)
 	campaign, vids := setupCampaign(c, "timeline", 3)
-	for i := 0; i < BanThreshold; i++ {
+	for i := 0; i < state.BanThreshold; i++ {
 		c.do("POST", "/api/v1/videos/"+vids[0]+"/flag", map[string]string{"worker": fmt.Sprintf("flagger-%d", i)}, nil)
 	}
 	closed := false

@@ -145,15 +145,15 @@ func offlineResults(s *Server, c *state.Campaign, offline *filtering.Outcome) []
 		Engagement:   offline.Summary.Engagement(),
 		Soft:         offline.Summary.Soft,
 		Control:      offline.Summary.Control,
-		PerVideo:     map[string]VideoAg{},
+		PerVideo:     map[string]state.VideoAg{},
 	}
 	if c.Kind == "ab" {
 		for id, votes := range filtering.ABByVideo(offline.Kept) {
-			res.PerVideo[id] = VideoAg{Responses: votes.Total(), Agreement: votes.Agreement(), Banned: banned(s, id)}
+			res.PerVideo[id] = state.VideoAg{Responses: votes.Total(), Agreement: votes.Agreement(), Banned: banned(s, id)}
 		}
 	} else {
 		for id, vals := range filtering.WisdomOfCrowd(filtering.TimelineByVideo(offline.Kept)) {
-			res.PerVideo[id] = VideoAg{Responses: len(vals), MeanUPLT: stats.Sample(vals).Mean(), Banned: banned(s, id)}
+			res.PerVideo[id] = state.VideoAg{Responses: len(vals), MeanUPLT: stats.Sample(vals).Mean(), Banned: banned(s, id)}
 		}
 	}
 	buf, _ := json.Marshal(res)
@@ -180,7 +180,7 @@ func frozenVerdicts(t *testing.T, s *Server, c *state.Campaign) map[string]strin
 	if err != nil {
 		t.Fatalf("analytics of %s: %v", c.ID, err)
 	}
-	rows := map[string]ParticipantVerdict{}
+	rows := map[string]state.ParticipantVerdict{}
 	for _, pv := range ar.Participants {
 		rows[pv.Session] = pv
 	}
@@ -276,7 +276,7 @@ func oracleAnalytics(t *testing.T, s *Server, campaignID string, lo, hi float64)
 			t.Fatalf("campaign %s lists session %s: %v", campaignID, sid, err)
 		}
 		snap := sess.Standing()
-		resp.Participants = append(resp.Participants, ParticipantVerdict{
+		resp.Participants = append(resp.Participants, state.ParticipantVerdict{
 			Session:        sid,
 			Worker:         sess.Worker.ID,
 			Completed:      snap.Completed,
@@ -317,23 +317,23 @@ func oracleShell(s *Server, c *state.Campaign, lo, hi float64, sessions int) Ana
 		Kind:         c.Kind,
 		Sessions:     sessions,
 		Completed:    len(c.Completed()),
-		Summary:      AnalyticsSummary(c.Analytics().Summary()),
-		Participants: []ParticipantVerdict{},
-		PerVideo:     map[string]VideoAnalytics{},
+		Summary:      state.AnalyticsSummary(c.Analytics().Summary()),
+		Participants: []state.ParticipantVerdict{},
+		PerVideo:     map[string]state.VideoAnalytics{},
 	}
 	switch c.Kind {
 	case "timeline":
 		for id, band := range c.Analytics().TimelineBands(lo, hi) {
-			resp.PerVideo[id] = VideoAnalytics{Responses: band.Total, InBand: band.InBand, BandLoS: band.Lo, BandHiS: band.Hi, MeanUPLTS: band.Mean, Banned: banned(id)}
+			resp.PerVideo[id] = state.VideoAnalytics{Responses: band.Total, InBand: band.InBand, BandLoS: band.Lo, BandHiS: band.Hi, MeanUPLTS: band.Mean, Banned: banned(id)}
 		}
 	case "ab":
 		for id, votes := range votesOf(c.Analytics()) {
-			resp.PerVideo[id] = VideoAnalytics{Responses: votes.Total(), VotesA: votes.A, VotesB: votes.B, NoDiff: votes.NoDiff, Agreement: votes.Agreement(), Banned: banned(id)}
+			resp.PerVideo[id] = state.VideoAnalytics{Responses: votes.Total(), VotesA: votes.A, VotesB: votes.B, NoDiff: votes.NoDiff, Agreement: votes.Agreement(), Banned: banned(id)}
 		}
 	}
 	if a := c.Adaptive(); a != nil {
 		resolved, total := a.Resolved()
-		stopping := StoppingAnalytics{Closed: a.Closed(), Resolved: resolved, Total: total, PerVideo: map[string]VideoStopping{}}
+		stopping := state.StoppingAnalytics{Closed: a.Closed(), Resolved: resolved, Total: total, PerVideo: map[string]state.VideoStopping{}}
 		if c.Kind == "timeline" {
 			stopping.TargetHalfWidth = a.Config().HalfWidth
 		}
@@ -344,7 +344,7 @@ func oracleShell(s *Server, c *state.Campaign, lo, hi float64, sessions int) Ana
 			return &x
 		}
 		for _, vs := range a.Status(nil) {
-			stopping.PerVideo[vs.Video] = VideoStopping{State: string(vs.State), Kept: vs.N, Pending: vs.Pending, Lo: bound(vs.Lo), Hi: bound(vs.Hi), Verdict: string(vs.Verdict)}
+			stopping.PerVideo[vs.Video] = state.VideoStopping{State: string(vs.State), Kept: vs.N, Pending: vs.Pending, Lo: bound(vs.Lo), Hi: bound(vs.Hi), Verdict: string(vs.Verdict)}
 		}
 		resp.Stopping = &stopping
 	}
@@ -582,7 +582,7 @@ func crossCheckHTTP(t *testing.T, s *Server, l *sent, c *client, campaignID stri
 	if got, want := rawResults(t, c, campaignID), offlineResults(s, cs, offline); !bytes.Equal(got, want) {
 		t.Fatalf("rendered /results diverged from the offline batch:\nlive:    %s\noffline: %s", got, want)
 	}
-	want := AnalyticsSummary{
+	want := state.AnalyticsSummary{
 		Total:           offline.Summary.Total,
 		Kept:            offline.Summary.Kept,
 		EngagementSeeks: offline.Summary.EngagementSeeks,
@@ -757,11 +757,11 @@ func TestAnalyticsScriptedVerdicts(t *testing.T) {
 	if ar.Sessions != 5 || ar.Completed != 4 {
 		t.Fatalf("sessions=%d completed=%d, want 5/4", ar.Sessions, ar.Completed)
 	}
-	want := AnalyticsSummary{Total: 4, Kept: 1, EngagementSeeks: 1, EngagementFocus: 1, Control: 1}
+	want := state.AnalyticsSummary{Total: 4, Kept: 1, EngagementSeeks: 1, EngagementFocus: 1, Control: 1}
 	if ar.Summary != want {
 		t.Fatalf("summary %+v, want %+v", ar.Summary, want)
 	}
-	byWorker := map[string]ParticipantVerdict{}
+	byWorker := map[string]state.ParticipantVerdict{}
 	for _, pv := range ar.Participants {
 		byWorker[pv.Worker] = pv
 	}

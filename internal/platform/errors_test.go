@@ -184,7 +184,7 @@ func TestJoinEmptyCampaignConflicts(t *testing.T) {
 		t.Fatalf("join video-less campaign: %d, want 409", code)
 	}
 	campaign, vids := setupCampaign(c, "timeline", 1)
-	for i := 0; i < BanThreshold; i++ {
+	for i := 0; i < state.BanThreshold; i++ {
 		c.do("POST", "/api/v1/videos/"+vids[0]+"/flag", map[string]string{"worker": fmt.Sprintf("f%d", i)}, nil)
 	}
 	if code := c.do("POST", "/api/v1/sessions", JoinRequest{

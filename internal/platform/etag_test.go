@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 )
 
 // getConditional issues a GET with an optional If-None-Match header and
@@ -81,7 +83,7 @@ func TestResultsETagInvalidatedByBan(t *testing.T) {
 	path := "/api/v1/campaigns/" + id + "/results"
 	_, tag, _ := getConditional(c, path, "")
 
-	for i := 0; i < BanThreshold; i++ {
+	for i := 0; i < state.BanThreshold; i++ {
 		if code := c.do("POST", "/api/v1/videos/"+vids[0]+"/flag",
 			map[string]string{"worker": string(rune('a' + i))}, nil); code != http.StatusOK {
 			t.Fatalf("flag %d: %d", i, code)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/eyeorg/eyeorg/internal/blob"
 	"github.com/eyeorg/eyeorg/internal/platform/state"
+	"github.com/eyeorg/eyeorg/internal/store"
 )
 
 // document returns the state document a snapshot of srv taken now would
@@ -72,7 +75,7 @@ func seedPersistedCampaign(t *testing.T, c *client) (campaign string, vids []str
 	jr := join(c, campaign, "persist-away")
 	completeSession(c, jr, 9000, true, 12, 45_000)
 	// Ban one video so the Banned bit must survive recovery.
-	for i := 0; i < BanThreshold; i++ {
+	for i := 0; i < state.BanThreshold; i++ {
 		c.do("POST", "/api/v1/videos/"+vids[2]+"/flag", map[string]string{"worker": fmt.Sprintf("flagger-%d", i)}, nil)
 	}
 	// An in-flight (incomplete) session must also survive.
@@ -178,7 +181,8 @@ func TestRecoveryAfterTornTail(t *testing.T) {
 }
 
 // TestExplicitSnapshotCompacts verifies Server.Snapshot writes a
-// snapshot and the journal keeps serving identical state from it.
+// snapshot beside the directory's first and the journal keeps serving
+// identical state from it.
 func TestExplicitSnapshotCompacts(t *testing.T) {
 	dir := t.TempDir()
 	srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
@@ -191,8 +195,8 @@ func TestExplicitSnapshotCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots on disk = %d, want 1", len(snaps))
+	if len(snaps) != 2 || filepath.Base(snaps[0]) != firstSnapshot {
+		t.Fatalf("snapshots on disk = %q, want %s and the explicit one", snaps, firstSnapshot)
 	}
 
 	srv2, c2 := openPersisted(t, dir, Options{SnapshotEvery: -1})
@@ -201,6 +205,121 @@ func TestExplicitSnapshotCompacts(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatalf("snapshot-only recovery diverged:\n before: %s\n after:  %s", before, after)
 	}
+}
+
+// firstSnapshot is the snapshot Open writes into a fresh data directory.
+const firstSnapshot = "snap-0000000000000000.snap"
+
+// TestFreshDataDirSnapshotFirst: Open writes a fresh data directory's
+// first snapshot before it returns, so every record the directory ever
+// holds follows a snapshot whose version names its format, and a server
+// that never takes a cadence snapshot reopens its own directory.
+func TestFreshDataDirSnapshotFirst(t *testing.T) {
+	dir := t.TempDir()
+	srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	if _, err := os.Stat(filepath.Join(dir, firstSnapshot)); err != nil {
+		t.Fatalf("a fresh data dir after Open: %v", err)
+	}
+	if seq := srv.log.Seq(); seq != 0 {
+		t.Fatalf("Open journaled %d records", seq)
+	}
+	campaign, _ := setupCampaign(c, "timeline", 1)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv2, c2 := openPersisted(t, dir, Options{SnapshotEvery: -1})
+	defer srv2.Close()
+	if code := c2.do("GET", "/api/v1/campaigns/"+campaign+"/results", nil, nil); code != http.StatusOK {
+		t.Fatalf("results after reopen: %d", code)
+	}
+}
+
+// copyDir copies the files under directory from to directory to.
+func copyDir(t *testing.T, from, to string) {
+	t.Helper()
+	err := filepath.WalkDir(from, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(from, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(to, rel), 0o755)
+		}
+		copyFile(t, path, filepath.Join(to, rel))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParentDataDirFormat: testdata/parent_v7 is a data directory the
+// parent build wrote (seedPersistedCampaign with SnapshotEvery -1) and
+// the /results it served, twice. Its journal alone, with no snapshot to
+// name the records' format, fails Open before anything is swept or
+// replayed. After one Snapshot of that build it opens and serves the
+// same /results bytes.
+func TestParentDataDirFormat(t *testing.T) {
+	fixture := filepath.Join("testdata", "parent_v7")
+	want, err := os.ReadFile(filepath.Join(fixture, "results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("no snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		copyDir(t, filepath.Join(fixture, "no_snapshot"), dir)
+		// Campaign files a failed snapshot could leave, which a sweep of a
+		// directory with no snapshot removes.
+		files := filepath.Join(dir, "campaigns")
+		copyDir(t, filepath.Join(fixture, "snapshot", "campaigns"), files)
+		left, err := os.ReadDir(files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := Open(Options{DataDir: dir})
+		if err == nil {
+			srv.Close()
+			t.Fatal("Open over the parent's journal with no snapshot succeeded")
+		}
+		for _, want := range []string{"92 records", "no snapshot", "version 7"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open: %v, want an error naming %q", err, want)
+			}
+		}
+		if now, err := os.ReadDir(files); err != nil || len(now) != len(left) {
+			t.Fatalf("campaign files after the refused Open: %v (%v), before %v", now, err, left)
+		}
+		// No record reached the state either.
+		jl, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jl.Close()
+		blobs, err := blob.Open(blob.Options{Dir: filepath.Join(dir, "blobs")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := state.New(blobs, nil)
+		defer st.Close()
+		if err := st.Recover(jl); err == nil {
+			t.Fatal("Recover over the parent's journal with no snapshot succeeded")
+		}
+		if n := st.Counts(); n != (state.Counts{}) {
+			t.Fatalf("the refused Recover applied records: %+v", n)
+		}
+	})
+	t.Run("snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		copyDir(t, filepath.Join(fixture, "snapshot"), dir)
+		srv, c := openPersisted(t, dir, Options{})
+		defer srv.Close()
+		if got := rawResults(t, c, "c1"); !bytes.Equal(got, want) {
+			t.Fatalf("/results over the parent's snapshotted dir:\n got %s\nwant %s", got, want)
+		}
+	})
 }
 
 // TestInMemoryServerHasNoJournal pins the in-memory default: an empty

@@ -29,10 +29,6 @@ import (
 	"github.com/eyeorg/eyeorg/internal/video"
 )
 
-// BanThreshold is how many distinct participants must flag a video before
-// it is automatically banned.
-const BanThreshold = state.BanThreshold
-
 // TestsPerSession is the assignment size (6 videos + 1 control).
 const TestsPerSession = state.TestsPerSession
 
@@ -162,18 +158,12 @@ type Server struct {
 // The JSON API types the state renders or journals, under the names this
 // package has always exported them by.
 type (
-	Worker             = state.Worker
-	AssignedTest       = state.AssignedTest
-	EventBatch         = state.EventBatch
-	ResponseBody       = state.ResponseBody
-	ResultsResponse    = state.ResultsResponse
-	VideoAg            = state.VideoAg
-	AnalyticsResponse  = state.AnalyticsResponse
-	StoppingAnalytics  = state.StoppingAnalytics
-	VideoStopping      = state.VideoStopping
-	AnalyticsSummary   = state.AnalyticsSummary
-	ParticipantVerdict = state.ParticipantVerdict
-	VideoAnalytics     = state.VideoAnalytics
+	Worker            = state.Worker
+	AssignedTest      = state.AssignedTest
+	EventBatch        = state.EventBatch
+	ResponseBody      = state.ResponseBody
+	ResultsResponse   = state.ResultsResponse
+	AnalyticsResponse = state.AnalyticsResponse
 )
 
 // NewServer returns an empty in-memory platform.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/browsersim"
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
 	"github.com/eyeorg/eyeorg/internal/webpeg"
@@ -188,16 +189,16 @@ func TestFlagBansAtThreshold(t *testing.T) {
 	c := newClient(t)
 	id, vids := setupCampaign(c, "timeline", 2)
 	target := vids[0]
-	for i := 0; i < BanThreshold; i++ {
+	for i := 0; i < state.BanThreshold; i++ {
 		var out struct {
 			Flags  int  `json:"flags"`
 			Banned bool `json:"banned"`
 		}
 		c.do("POST", "/api/v1/videos/"+target+"/flag", map[string]string{"worker": fmt.Sprintf("w%d", i)}, &out)
-		if i < BanThreshold-1 && out.Banned {
+		if i < state.BanThreshold-1 && out.Banned {
 			t.Fatalf("banned after only %d flags", i+1)
 		}
-		if i == BanThreshold-1 && !out.Banned {
+		if i == state.BanThreshold-1 && !out.Banned {
 			t.Fatal("not banned at threshold")
 		}
 	}

@@ -407,20 +407,18 @@ func TestSnapshotOfHeldCompletedSessionsRefused(t *testing.T) {
 	}
 }
 
-// appendRecords appends raw journal records to a journal over dir.
+// appendRecords opens a state over dir, as a server does, so the records
+// follow the directory's snapshot, and appends raw journal records to its
+// journal.
 func appendRecords(t *testing.T, dir string, records ...[]byte) (seq uint64) {
 	t.Helper()
-	jl, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openRig(t, dir, nil)
+	defer r.close()
 	for _, rec := range records {
-		if seq, err = jl.Append(rec); err != nil {
+		var err error
+		if seq, err = r.jl.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := jl.Close(); err != nil {
-		t.Fatal(err)
 	}
 	return seq
 }
@@ -443,11 +441,13 @@ func TestSessionForUnknownCampaignRefused(t *testing.T) {
 }
 
 // TestLeftoverClusterStateRefused: builds with a cluster tier journaled
-// handoff and import records, which carry no version. Replay refuses
-// each with an error naming the record's op rather than serve a campaign
-// another node owns. (Their snapshot sections marked "moved" are at
-// state version 4 or older, so the version refuses them:
-// TestParentVersion4SnapshotRefused.)
+// handoff and import records to move a campaign between nodes. A journal
+// of theirs with no snapshot is refused whole, by its format, before a
+// record is replayed. After a snapshot such a record is one no row of
+// ops applies: replay refuses it with an error naming its sequence and
+// op rather than serve a campaign another node owns. (Their snapshot
+// sections marked "moved" are at state version 4 or older, so the
+// version refuses them: TestParentVersion4SnapshotRefused.)
 func TestLeftoverClusterStateRefused(t *testing.T) {
 	campaign := `{"op":"campaign","id":"c1","name":"gone","kind":"timeline"}`
 	for op, rec := range map[string]string{
@@ -456,15 +456,28 @@ func TestLeftoverClusterStateRefused(t *testing.T) {
 	} {
 		t.Run(op+" record", func(t *testing.T) {
 			dir := t.TempDir()
-			appendRecords(t, dir, []byte(campaign), []byte(rec))
-			err := openErr(t, dir)
-			if err == nil {
-				t.Fatalf("replayed a journaled %s record", op)
+			jl, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, want := range []string{"journal " + op + " record", "cluster"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Fatalf("replay: %v, want an error naming %q", err, want)
+			for _, r := range []string{campaign, rec} {
+				if _, err := jl.Append([]byte(r)); err != nil {
+					t.Fatal(err)
 				}
+			}
+			if err := jl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("journal holds 2 records and no snapshot: this server reads only records that follow a snapshot of version %d", stateVersion)
+			if err := openErr(t, dir); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("open over a journal with no snapshot: %v, want an error saying %q", err, want)
+			}
+
+			dir = t.TempDir()
+			seq := appendRecords(t, dir, []byte(campaign), []byte(rec))
+			want = fmt.Sprintf("record %d (%s): unknown journal op %q", seq, op, op)
+			if err := openErr(t, dir); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("replay past a snapshot: %v, want an error saying %q", err, want)
 			}
 		})
 	}

@@ -254,7 +254,7 @@ func NewModel(cfg *adaptive.Config, blobs ...string) *model {
 
 // Apply applies ev, or refuses it and changes nothing.
 func (m *model) Apply(ev *Event) (Result, error) {
-	res := Result{Op: slices.IndexFunc(Ops(), func(o OpName) bool { return o.Name == ev.Op })}
+	res := Result{Op: slices.Index(Ops(), ev.Op)}
 	var err error
 	switch ev.Op {
 	case OpCampaign:
@@ -293,7 +293,7 @@ func (m *model) Apply(ev *Event) (Result, error) {
 		res.Done, err = m.response(ev)
 	case OpFlag:
 		res.Flags, res.Banned, err = m.flag(ev)
-	default: // a retired op
+	default: // an op no row applies
 		err = errRefused
 	}
 	if err == nil && (ev.Op == OpCampaign || ev.Op == OpVideo || ev.Op == OpSession) {
@@ -835,15 +835,20 @@ func compare(t *testing.T, how string, st *State, m *model, lo, hi float64) {
 
 // An op of a fuzz program is opSize bytes: its code, fields whose
 // meaning the code picks, and the percentile band the views are
-// compared at after it. A code past the op table's rows is a snapshot
-// or a reopen. A program runs at most maxProgOps ops.
+// compared at after it. A code names an op of ProgOps; one past them is
+// a snapshot or a reopen. A program runs at most maxProgOps ops.
 const (
 	opSize           = 9
 	maxProgOps       = 256
 	maxProgCampaigns = 4
 )
 
-// The codes Program.Next reads past the op table's rows.
+// ProgOps are the ops a program's codes name: the op table's rows, then
+// two ops no row applies, the cluster records of earlier builds, so the
+// committed programs keep their meaning and every target refuses those.
+var ProgOps = append(Ops(), "handoff", "import")
+
+// The codes Program.Next reads past ProgOps.
 const (
 	ProgSnapshot = -1 - iota
 	ProgReopen
@@ -897,18 +902,18 @@ func NewProgram(prog []byte, a, b string, x float64, hash string, size int64) *P
 	return p
 }
 
-// Next reads the next op and returns its code: a row of Ops, ProgSnapshot
-// or ProgReopen; ok is false past the program's last op.
+// Next reads the next op and returns its code: an index into ProgOps,
+// ProgSnapshot or ProgReopen; ok is false past the program's last op.
 func (p *Program) Next() (code int, ok bool) {
 	if len(p.rest) < opSize || p.read == maxProgOps {
 		return 0, false
 	}
-	rows := len(Ops())
-	code = int(p.rest[0]) % (rows + 2)
+	n := len(ProgOps)
+	code = int(p.rest[0]) % (n + 2)
 	switch code {
-	case rows:
+	case n:
 		code = ProgSnapshot
-	case rows + 1:
+	case n + 1:
 		code = ProgReopen
 	}
 	p.f, p.band = p.rest[1:opSize-1], p.rest[opSize-1]
@@ -1002,9 +1007,10 @@ func (p *Program) tests(sid string, c *modelCampaign, n, odd, offset int) []Assi
 	return tests
 }
 
-// Event builds the record of op row from the current op's fields. A
-// campaign or session record with no ID is one to mint: a create whose
-// ID the target mints, or a join, whose assignment it draws too.
+// Event builds the record of op row, one of ProgOps, from the current
+// op's fields. A campaign or session record with no ID is one to mint: a
+// create whose ID the target mints, or a join, whose assignment it draws
+// too.
 func (p *Program) Event(row string) *Event {
 	ev := &Event{Op: row}
 	sessionOf := func(sel int) (string, *modelSession) {
@@ -1103,7 +1109,7 @@ func (p *Program) Event(row string) *Event {
 	case OpFlag:
 		ev.ID = p.ref(p.videos, "v", p.field(0))
 		ev.Flagger = []string{"", "f0", "f1", "f2", "f3", "f4", "f5", "f6"}[p.field(1)%8]
-	default: // a retired op
+	default: // an op no row applies
 		ev.ID = p.ref(p.campaigns, "c", p.field(0))
 	}
 	return ev
@@ -1175,7 +1181,7 @@ func (d *runner) step(i, code int) {
 		d.reopen(i)
 		return
 	}
-	ev := d.Event(Ops()[code].Name)
+	ev := d.Event(ProgOps[code])
 	if ev.ID == "" && (ev.Op == OpCampaign || ev.Op == OpSession) && !d.mint(i, ev) {
 		return
 	}
@@ -1267,7 +1273,7 @@ type progWriter struct {
 }
 
 func (p *progWriter) op(row string, band byte, fields ...byte) {
-	code := slices.IndexFunc(Ops(), func(o OpName) bool { return o.Name == row })
+	code := slices.Index(ProgOps, row)
 	if code < 0 {
 		panic(row)
 	}
@@ -1281,8 +1287,8 @@ func (p *progWriter) raw(code, band byte, fields ...byte) {
 	p.b = append(p.b, rec...)
 }
 
-func (p *progWriter) snapshot() { p.raw(byte(len(Ops())), 0) }
-func (p *progWriter) reopen()   { p.raw(byte(len(Ops())+1), 0) }
+func (p *progWriter) snapshot() { p.raw(byte(len(ProgOps)), 0) }
+func (p *progWriter) reopen()   { p.raw(byte(len(ProgOps)+1), 0) }
 
 // oddTest is the session field that makes test k odd in way w of
 // Program.tests.

@@ -61,8 +61,6 @@ const (
 // Video records carry a content address (Hash + Size) into the blob
 // store, never the payload: the blob file is made durable before the
 // record referencing it is journaled, so replay always finds the bytes.
-// (Journals of earlier builds may carry the payload as "data" too; it is
-// not read.)
 type Event struct {
 	Op       string         `json:"op"`
 	ID       string         `json:"id,omitempty"`
@@ -88,7 +86,7 @@ type Event struct {
 // Result is what an applied op tells its requester beyond its sequence.
 type Result struct {
 	// Op is the row of the op table that applied the record, an index
-	// into Ops.
+	// into Ops; -1 for an op no row applies.
 	Op int
 	// Flags and Banned are a flagged video's distinct flaggers and ban bit.
 	Flags  int
@@ -98,11 +96,10 @@ type Result struct {
 }
 
 // op is one row of the op table: a journal opcode and the function that
-// applies its record. A retired op is one only earlier builds journaled.
+// applies its record.
 type op struct {
-	name    string
-	apply   func(*State, *Event, *trace.Trace) (uint64, Result, error)
-	retired bool
+	name  string
+	apply func(*State, *Event, *trace.Trace) (uint64, Result, error)
 }
 
 // ops is the one list of journal opcodes: Apply applies a live or a
@@ -115,22 +112,13 @@ var ops = []op{
 	{name: OpBatch, apply: (*State).applyBatch},
 	{name: OpResponse, apply: (*State).applyResponse},
 	{name: OpFlag, apply: (*State).applyFlag},
-	{name: "handoff", apply: refuseClusterOp, retired: true},
-	{name: "import", apply: refuseClusterOp, retired: true},
 }
 
-// OpName is a row of the op table: its opcode, and whether only earlier
-// builds journaled it (its records are refused).
-type OpName struct {
-	Name    string
-	Retired bool
-}
-
-// Ops lists the op table's rows in order.
-func Ops() []OpName {
-	names := make([]OpName, len(ops))
+// Ops lists the op table's opcodes in row order.
+func Ops() []string {
+	names := make([]string, len(ops))
 	for i, row := range ops {
-		names[i] = OpName{row.name, row.retired}
+		names[i] = row.name
 	}
 	return names
 }
@@ -145,7 +133,7 @@ func Ops() []OpName {
 func (st *State) Apply(ev *Event, tr *trace.Trace) (uint64, Result, error) {
 	row, err := opRow(ev.Op)
 	if err != nil {
-		return 0, Result{}, err
+		return 0, Result{Op: -1}, err
 	}
 	st.world.RLock()
 	seq, res, err := ops[row].apply(st, ev, tr)
@@ -161,14 +149,7 @@ func opRow(name string) (int, error) {
 			return i, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown journal op %q", name)
-}
-
-// refuseClusterOp refuses a handoff or import record, which builds with a
-// cluster tier journaled to move a campaign between nodes: replaying past
-// one would serve a campaign another node owns, or miss one that arrived.
-func refuseClusterOp(_ *State, ev *Event, _ *trace.Trace) (uint64, Result, error) {
-	return 0, Result{}, fmt.Errorf("journal %s record moved a campaign between cluster nodes; this server runs one node and cannot replay it", ev.Op)
+	return -1, fmt.Errorf("unknown journal op %q", name)
 }
 
 // errMissing refuses a record that lacks a field its op reads.
@@ -768,32 +749,15 @@ func (sess *Session) trackAnswer(a answer) {
 
 // --- state documents ---
 
-// stateVersion is the schema version of the snapshot document and the
-// campaign files it covers; version 7 frames each frozen record as a
+// stateVersion is the schema version of the snapshot document, of the
+// campaign files it covers and of the journal records after it: a data
+// directory opens from a snapshot (Recover), so a format change of any
+// of the three bumps it. Version 7 frames each frozen record as a
 // journal record (spill.go), where version 6 wrote unchecked varint
 // entries and version 5 carried the records in the section. No reader
 // for an older layout is kept: a document carrying another version is
 // refused.
 const stateVersion = 7
-
-// decodeState reads the version of doc before the rest of it, so that a
-// document in another layout fails on its version rather than on a field
-// whose type changed, then decodes all of it into v.
-func decodeState(doc string, data []byte, v any) error {
-	var head struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return fmt.Errorf("%s: %w", doc, err)
-	}
-	if head.Version != stateVersion {
-		return fmt.Errorf("%s has schema version %d, this server reads only version %d", doc, head.Version, stateVersion)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("%s: %w", doc, err)
-	}
-	return nil
-}
 
 // A campaign's section is the one form its state takes in a document: a
 // snapshot is the counters and every campaign's section. The analytics,
@@ -1064,11 +1028,22 @@ func (st *State) install(r *restored) {
 
 // load rebuilds the indexes from a snapshot, restoring and installing
 // one section at a time. It runs before the state serves anything, so
-// unlocked convenience accessors suffice.
+// unlocked convenience accessors suffice. It reads the document's version
+// before the rest, so that a document in another layout fails on its
+// version rather than on a field whose type changed.
 func (st *State) load(data []byte) error {
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	if head.Version != stateVersion {
+		return fmt.Errorf("snapshot has schema version %d, this server reads only version %d", head.Version, stateVersion)
+	}
 	var doc snapState
-	if err := decodeState("snapshot", data, &doc); err != nil {
-		return err
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
 	st.nextID.Store(doc.NextID)
 	st.joined.Store(doc.Joined)

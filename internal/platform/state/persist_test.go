@@ -31,7 +31,7 @@ func TestETagFormat(t *testing.T) {
 }
 
 // TestJournalOpsDocumented: docs/PROTOCOLS.md's table of journal record
-// payloads has one row per live row of ops, and no other.
+// payloads has one row per row of ops, and no other.
 func TestJournalOpsDocumented(t *testing.T) {
 	doc, err := os.Open("../../../docs/PROTOCOLS.md")
 	if err != nil {
@@ -55,10 +55,7 @@ func TestJournalOpsDocumented(t *testing.T) {
 		t.Fatal(`docs/PROTOCOLS.md has no "Journal record payloads" table`)
 	}
 	for _, row := range ops {
-		switch {
-		case row.retired && documented[row.name]:
-			t.Errorf("docs/PROTOCOLS.md's journal record table lists retired op %s", row.name)
-		case !row.retired && !documented[row.name]:
+		if !documented[row.name] {
 			t.Errorf("op %s has no row in docs/PROTOCOLS.md's journal record table", row.name)
 		}
 		delete(documented, row.name)
@@ -72,7 +69,7 @@ func TestJournalOpsDocumented(t *testing.T) {
 // pooled buffer instead of calling json.Marshal, and the record on disk
 // is still json.Marshal's bytes, for every op: strings that encoding/json
 // escapes (HTML, U+2028, non-ASCII) and a batch's EYB1 Wire bytes
-// included. Every live row of ops has a record here.
+// included. Every row of ops has a record here.
 func TestJournalRecordBytesMatchMarshal(t *testing.T) {
 	recs := AppendWireRecords(nil, EventBatch{VideoID: "v2", LoadMs: 900, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 4, WatchedFraction: 0.9})
 	var enc wire.Encoder
@@ -131,7 +128,7 @@ func TestJournalRecordBytesMatchMarshal(t *testing.T) {
 		t.Fatalf("replayed %d records, journaled %d", n, len(events))
 	}
 	for _, row := range ops {
-		if !row.retired && !slices.ContainsFunc(events, func(ev *Event) bool { return ev.Op == row.name }) {
+		if !slices.ContainsFunc(events, func(ev *Event) bool { return ev.Op == row.name }) {
 			t.Errorf("op %s has no record here", row.name)
 		}
 	}

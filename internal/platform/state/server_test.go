@@ -255,7 +255,7 @@ func (d *serverRunner) request(ev *state.Event) (request, bool) {
 		return request{"POST", "/api/v1/videos/" + url.PathEscape(ev.ID) + "/flag", "", jsonLine(map[string]string{"worker": ev.Flagger}),
 			statusOf(t, err, http.StatusOK), jsonLine(map[string]any{"flags": res.Flags, "banned": res.Banned})}, true
 	}
-	return request{}, false // a retired op: only a journal carries one
+	return request{}, false // an op no row applies: only a journal carries one
 }
 
 // step runs op i, of code row or ProgSnapshot/ProgReopen, on every
@@ -274,11 +274,11 @@ func (d *serverRunner) step(i, code int) {
 		d.reopen()
 		return
 	}
-	row := state.Ops()[code].Name
+	row := state.ProgOps[code]
 	if d.Header&headerSwap != 0 {
 		row = map[string]string{state.OpEvents: state.OpBatch, state.OpBatch: state.OpEvents}[row]
 		if row == "" {
-			row = state.Ops()[code].Name
+			row = state.ProgOps[code]
 		}
 	}
 	ev := d.Event(row)

@@ -326,12 +326,21 @@ type ResponseBody struct {
 // Recover rebuilds the state from jl — its newest snapshot, then every
 // journal record past it, each through Apply — and then journals every
 // later op to jl. It runs before the state serves anything.
+//
+// A data directory opens from a snapshot, whose version names the format
+// of the records after it too: a journal with records and no snapshot is
+// refused before anything is read or removed, and a fresh directory gets
+// its first snapshot before any record is appended.
 func (st *State) Recover(jl *store.Log) error {
 	st.disk = jl
-	if _, data, ok := jl.Snapshot(); ok {
+	_, data, ok := jl.Snapshot()
+	switch {
+	case ok:
 		if err := st.load(data); err != nil {
 			return fmt.Errorf("loading snapshot: %w", err)
 		}
+	case jl.Seq() > 0:
+		return fmt.Errorf("journal holds %d records and no snapshot: this server reads only records that follow a snapshot of version %d", jl.Seq(), stateVersion)
 	}
 	if err := st.sweep(); err != nil {
 		return fmt.Errorf("removing files the snapshot does not cover: %w", err)
@@ -355,6 +364,11 @@ func (st *State) Recover(jl *store.Log) error {
 	}
 	st.log = jl // after replay, which journals nothing
 	st.assign.Store(st.joined.Load())
+	if !ok {
+		if err := st.Snapshot(jl.WriteSnapshot); err != nil {
+			return fmt.Errorf("writing the first snapshot: %w", err)
+		}
+	}
 	return nil
 }
 

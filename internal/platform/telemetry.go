@@ -52,7 +52,7 @@ type serverMetrics struct {
 	// instead of taking the registry lock. GET /metrics's row stays empty.
 	endpoints    []endpointMetrics
 	rejected     map[string]*telemetry.Counter // admission rejections by reason
-	mutation     []*telemetry.Counter          // journaled mutations by row of state.Ops; nil for a retired op
+	mutation     []*telemetry.Counter          // journaled mutations by row of state.Ops
 	spillCorrupt *telemetry.Counter            // requests a spilled record failed its check (writeStateErr)
 	// stages holds the per-stage ingest latency histograms, populated by
 	// registerStageMetrics only when tracing is enabled so a tracing-off
@@ -96,10 +96,8 @@ func newServerMetrics() *serverMetrics {
 		m.rejected[reason] = reg.Counter("eyeorg_admission_rejected_total", `reason="`+reason+`"`)
 	}
 	reg.Help("eyeorg_mutations_total", "Journaled state mutations applied by this process, by op.")
-	for i, row := range state.Ops() {
-		if !row.Retired {
-			m.mutation[i] = reg.Counter("eyeorg_mutations_total", `op="`+row.Name+`"`)
-		}
+	for i, op := range state.Ops() {
+		m.mutation[i] = reg.Counter("eyeorg_mutations_total", `op="`+op+`"`)
 	}
 	reg.Help("eyeorg_spill_corrupt_total", "Requests answered 500 because a completed session's spilled record failed its checksum.")
 	m.spillCorrupt = reg.Counter("eyeorg_spill_corrupt_total", "")

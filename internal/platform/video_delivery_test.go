@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"github.com/eyeorg/eyeorg/internal/browsersim"
+	"github.com/eyeorg/eyeorg/internal/platform/state"
 	"github.com/eyeorg/eyeorg/internal/video"
 	"github.com/eyeorg/eyeorg/internal/vision"
 	"github.com/eyeorg/eyeorg/internal/webpeg"
@@ -238,7 +239,7 @@ func TestVideoETagStableAcrossFlagsAndBan(t *testing.T) {
 
 	// Sub-threshold flags change nothing the client can see: the content
 	// hash still validates, so cached copies keep answering 304.
-	for i := 0; i < BanThreshold-1; i++ {
+	for i := 0; i < state.BanThreshold-1; i++ {
 		c.do("POST", "/api/v1/videos/"+target+"/flag",
 			map[string]string{"worker": fmt.Sprintf("flagger%d", i)}, nil)
 		resp, _ := getVideo(c, target, "", tag)
@@ -515,7 +516,7 @@ func TestVideoGetFlagAddHammer(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < BanThreshold+3; i++ {
+		for i := 0; i < state.BanThreshold+3; i++ {
 			c.do("POST", "/api/v1/videos/"+target+"/flag",
 				map[string]string{"worker": fmt.Sprintf("hammer%d", i)}, nil)
 		}
