@@ -335,7 +335,7 @@ func benchWorkerCounts() []int {
 // BenchmarkCaptureCorpus measures webpeg capture throughput across
 // worker counts.
 func BenchmarkCaptureCorpus(b *testing.B) {
-	pages := sitegen.Generate(sitegen.Config{Seed: 17, Sites: 16, AdShare: 0.65, ComplexityScale: 1})
+	pages := sitegen.Generate(sitegen.Config{Seed: 17, Sites: 16, AdShare: 0.65})
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			cfg := webpeg.Config{Seed: 17, Loads: 3, Workers: w}
@@ -351,7 +351,7 @@ func BenchmarkCaptureCorpus(b *testing.B) {
 // BenchmarkBuildTimelineCampaign measures campaign construction (capture
 // + metrics) across worker counts.
 func BenchmarkBuildTimelineCampaign(b *testing.B) {
-	pages := sitegen.Generate(sitegen.Config{Seed: 19, Sites: 12, AdShare: 0.65, ComplexityScale: 1})
+	pages := sitegen.Generate(sitegen.Config{Seed: 19, Sites: 12, AdShare: 0.65})
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			cfg := webpeg.Config{Seed: 19, Loads: 3, Workers: w}
@@ -367,7 +367,7 @@ func BenchmarkBuildTimelineCampaign(b *testing.B) {
 // BenchmarkRunCampaign measures crowd-session throughput across worker
 // counts; BENCH_*.json snapshots track the workers=1 vs workers=N gap.
 func BenchmarkRunCampaign(b *testing.B) {
-	pages := sitegen.Generate(sitegen.Config{Seed: 21, Sites: 8, AdShare: 0.65, ComplexityScale: 1})
+	pages := sitegen.Generate(sitegen.Config{Seed: 21, Sites: 8, AdShare: 0.65})
 	campaign, err := core.BuildTimelineCampaign("bench-run", pages, webpeg.Config{Seed: 21, Loads: 3})
 	requireNoErr(b, err)
 	for _, w := range benchWorkerCounts() {
@@ -384,7 +384,7 @@ func BenchmarkRunCampaign(b *testing.B) {
 // --- substrate micro-benchmarks ---
 
 func benchPage() *webpage.Page {
-	return sitegen.Generate(sitegen.Config{Seed: 5, Sites: 1, AdShare: 1, ComplexityScale: 1})[0]
+	return sitegen.Generate(sitegen.Config{Seed: 5, Sites: 1, AdShare: 1})[0]
 }
 
 func BenchmarkPageLoadHTTP1(b *testing.B) {
@@ -484,7 +484,7 @@ func BenchmarkCrowdTimelineAnswers(b *testing.B) {
 
 func BenchmarkFilteringClean(b *testing.B) {
 	// Build a realistic record set once.
-	pages := sitegen.Generate(sitegen.Config{Seed: 13, Sites: 4, AdShare: 0.5, ComplexityScale: 1})
+	pages := sitegen.Generate(sitegen.Config{Seed: 13, Sites: 4, AdShare: 0.5})
 	campaign, err := core.BuildTimelineCampaign("bench", pages, webpeg.Config{Seed: 13, Loads: 3})
 	requireNoErr(b, err)
 	run, err := core.RunCampaign(campaign, recruit.CrowdFlower, 200, 0)
@@ -521,7 +521,7 @@ func BenchmarkSiteGeneration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sitegen.Generate(sitegen.Config{Seed: int64(i), Sites: 10, AdShare: 0.65, ComplexityScale: 1})
+		sitegen.Generate(sitegen.Config{Seed: int64(i), Sites: 10, AdShare: 0.65})
 	}
 }
 

@@ -115,7 +115,7 @@ func (g *generator) seedCampaign(seed int64, n int) error {
 		return err
 	}
 	g.campaign, g.decoded = created.ID, make(map[string]*decodedVideo, n)
-	for _, page := range sitegen.Generate(sitegen.Config{Seed: seed, Sites: n, AdShare: 0.5, ComplexityScale: 1}) {
+	for _, page := range sitegen.Generate(sitegen.Config{Seed: seed, Sites: n, AdShare: 0.5}) {
 		cap, err := webpeg.CaptureSite(page, webpeg.Config{Seed: seed, Loads: 3})
 		if err != nil {
 			return fmt.Errorf("capturing %s: %w", page.URL, err)

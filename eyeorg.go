@@ -48,7 +48,7 @@ type Page = webpage.Page
 // GenerateCorpus synthesises n sites with the given ad-supported share;
 // deterministic per seed. It stands in for the paper's Alexa sample.
 func GenerateCorpus(seed int64, n int, adShare float64) []*Page {
-	return sitegen.Generate(sitegen.Config{Seed: seed, Sites: n, AdShare: adShare, ComplexityScale: 1})
+	return sitegen.Generate(sitegen.Config{Seed: seed, Sites: n, AdShare: adShare})
 }
 
 // GenerateAdCorpus synthesises n sites that all display ads (the §5.4

@@ -171,12 +171,6 @@ func (s *Session) jitterThink(d time.Duration) time.Duration {
 	return time.Duration(rng.LogNormal(s.thinkRng, float64(d), ThinkJitterSigma))
 }
 
-// Resolver exposes the session's DNS resolver (tests and webpeg use it).
-func (s *Session) Resolver() *dnssim.Resolver { return s.resolver }
-
-// Scheduler exposes the session's event scheduler.
-func (s *Session) Scheduler() *simtime.Scheduler { return s.sched }
-
 // Load performs one complete page load and returns its Result. The load
 // runs to quiescence, including deferred post-onload work.
 func (s *Session) Load(page *webpage.Page, opts Options) (*Result, error) {

@@ -153,7 +153,7 @@ func TestPaintsQuantizedToFrameClock(t *testing.T) {
 
 func TestH2FasterThanH1OnGeneratedSites(t *testing.T) {
 	// The aggregate effect of Figure 8(b): most sites load faster on H2.
-	pages := sitegen.Generate(sitegen.Config{Seed: 9, Sites: 15, AdShare: 0.6, ComplexityScale: 1})
+	pages := sitegen.Generate(sitegen.Config{Seed: 9, Sites: 15, AdShare: 0.6})
 	h2Wins := 0
 	for i, p := range pages {
 		s1 := newTestSession(int64(100 + i))
@@ -270,21 +270,21 @@ func TestSequentialLoadsShareResolverCache(t *testing.T) {
 	s := newTestSession(13)
 	p := testPage()
 	mustLoad(t, s, p, Options{Protocol: httpsim.HTTP2})
-	missesAfterFirst := s.Resolver().Misses
+	missesAfterFirst := s.resolver.Misses
 	if missesAfterFirst == 0 {
 		t.Fatal("cold load saw no DNS misses")
 	}
 	mustLoad(t, s, p, Options{Protocol: httpsim.HTTP2})
-	if s.Resolver().Misses != missesAfterFirst {
-		t.Fatalf("warm load added DNS misses: %d -> %d", missesAfterFirst, s.Resolver().Misses)
+	if s.resolver.Misses != missesAfterFirst {
+		t.Fatalf("warm load added DNS misses: %d -> %d", missesAfterFirst, s.resolver.Misses)
 	}
-	if s.Resolver().Hits == 0 {
+	if s.resolver.Hits == 0 {
 		t.Fatal("warm load produced no cache hits")
 	}
 }
 
 func TestGeneratedCorpusLoadsClean(t *testing.T) {
-	pages := sitegen.Generate(sitegen.Config{Seed: 21, Sites: 10, AdShare: 1, ComplexityScale: 1})
+	pages := sitegen.Generate(sitegen.Config{Seed: 21, Sites: 10, AdShare: 1})
 	for i, p := range pages {
 		s := newTestSession(int64(i + 40))
 		res := mustLoad(t, s, p, Options{Protocol: httpsim.HTTP2})
@@ -303,7 +303,7 @@ func TestGeneratedCorpusLoadsClean(t *testing.T) {
 func TestAblationDisablePriorities(t *testing.T) {
 	// Priorities should help blocking resources; first paint must not get
 	// faster when they are disabled. (Equal is possible on tiny pages.)
-	pages := sitegen.Generate(sitegen.Config{Seed: 31, Sites: 8, AdShare: 0.5, ComplexityScale: 1.5})
+	pages := sitegen.Generate(sitegen.Config{Seed: 31, Sites: 8, AdShare: 0.5})
 	worse := 0
 	for i, p := range pages {
 		with := mustLoad(t, newTestSession(int64(60+i)), p, Options{Protocol: httpsim.HTTP2})

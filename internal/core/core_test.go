@@ -17,7 +17,7 @@ import (
 // buildSmallTimeline captures a small corpus into a timeline campaign.
 func buildSmallTimeline(t *testing.T, sites int, seed int64) *Campaign {
 	t.Helper()
-	pages := sitegen.Generate(sitegen.Config{Seed: seed, Sites: sites, AdShare: 0.7, ComplexityScale: 1})
+	pages := sitegen.Generate(sitegen.Config{Seed: seed, Sites: sites, AdShare: 0.7})
 	c, err := BuildTimelineCampaign("tl", pages, webpeg.Config{Seed: seed, Loads: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func buildSmallTimeline(t *testing.T, sites int, seed int64) *Campaign {
 
 func buildSmallAB(t *testing.T, sites int, seed int64) *Campaign {
 	t.Helper()
-	pages := sitegen.Generate(sitegen.Config{Seed: seed, Sites: sites, AdShare: 0.7, ComplexityScale: 1})
+	pages := sitegen.Generate(sitegen.Config{Seed: seed, Sites: sites, AdShare: 0.7})
 	cfgA := webpeg.Config{Seed: seed, Loads: 3, Protocol: httpsim.HTTP1}
 	cfgB := webpeg.Config{Seed: seed, Loads: 3, Protocol: httpsim.HTTP2}
 	c, err := BuildABCampaign("h1h2", pages, cfgA, cfgB)

@@ -19,7 +19,7 @@ const detSeed = 77
 
 func detPages(t *testing.T, sites int) []*webpage.Page {
 	t.Helper()
-	return sitegen.Generate(sitegen.Config{Seed: detSeed, Sites: sites, AdShare: 0.7, ComplexityScale: 1})
+	return sitegen.Generate(sitegen.Config{Seed: detSeed, Sites: sites, AdShare: 0.7})
 }
 
 func TestBuildTimelineCampaignWorkerCountInvariant(t *testing.T) {

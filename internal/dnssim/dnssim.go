@@ -32,22 +32,14 @@ type Resolver struct {
 	Misses int
 }
 
-// Option configures a Resolver.
-type Option func(*Resolver)
-
-// WithTTL sets how long entries stay cached (default 5 minutes, typical of
-// CDN-hosted records in 2016).
-func WithTTL(ttl time.Duration) Option {
-	return func(r *Resolver) { r.ttl = ttl }
-}
-
 // NewResolver creates a resolver whose cache-miss latency is missLatency
-// with ±50% multiplicative jitter drawn from rng.
-func NewResolver(sched *simtime.Scheduler, missLatency time.Duration, rng *rand.Rand, opts ...Option) *Resolver {
+// with ±50% multiplicative jitter drawn from rng. Entries stay cached for
+// 5 minutes, typical of CDN-hosted records in 2016.
+func NewResolver(sched *simtime.Scheduler, missLatency time.Duration, rng *rand.Rand) *Resolver {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	r := &Resolver{
+	return &Resolver{
 		sched:       sched,
 		rng:         rng,
 		missLatency: missLatency,
@@ -55,10 +47,6 @@ func NewResolver(sched *simtime.Scheduler, missLatency time.Duration, rng *rand.
 		stubCost:    time.Millisecond,
 		cache:       make(map[string]simtime.Time),
 	}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
 }
 
 // Resolve looks up host and invokes done with the completion time. The
@@ -81,12 +69,6 @@ func (r *Resolver) Resolve(host string, done func(simtime.Time)) {
 		r.cache[host] = r.sched.Now() + simtime.Time(r.ttl)
 		done(r.sched.Now())
 	})
-}
-
-// Cached reports whether host currently has a live cache entry.
-func (r *Resolver) Cached(host string) bool {
-	exp, ok := r.cache[host]
-	return ok && exp > r.sched.Now()
 }
 
 // FlushExpired removes dead entries; useful in long campaign simulations to

@@ -130,10 +130,9 @@ func NewSuite(cfg Config) *Suite {
 func (s *Suite) Corpus() []*webpage.Page {
 	s.corpusOnce.Do(func() {
 		s.corpus = sitegen.Generate(sitegen.Config{
-			Seed:            s.Cfg.Seed,
-			Sites:           s.Cfg.FinalSites,
-			AdShare:         0.65,
-			ComplexityScale: 1,
+			Seed:    s.Cfg.Seed,
+			Sites:   s.Cfg.FinalSites,
+			AdShare: 0.65,
 		})
 	})
 	return s.corpus

@@ -82,9 +82,6 @@ type Timing struct {
 	Protocol  Protocol
 }
 
-// Blocked returns time spent queued before a connection was available.
-func (t Timing) Blocked() time.Duration { return time.Duration(t.ConnReady - t.DNSDone) }
-
 // Request is one object fetch. Callbacks fire in simulated time; only
 // OnComplete is required.
 type Request struct {
@@ -182,9 +179,6 @@ func NewClient(sched *simtime.Scheduler, path *netem.Path, resolver *dnssim.Reso
 	}
 }
 
-// Protocol returns the protocol this client speaks.
-func (c *Client) Protocol() Protocol { return c.opts.Protocol }
-
 // Stats returns a copy of the client's counters.
 func (c *Client) Stats() Stats { return c.stats }
 
@@ -246,22 +240,6 @@ func (c *Client) Close() {
 			hs.h2 = nil
 		}
 	}
-}
-
-// OpenConns counts currently open (dialed, not closed) connections.
-func (c *Client) OpenConns() int {
-	n := 0
-	for _, hs := range c.hosts {
-		for _, hc := range hs.conns {
-			if !hc.conn.Closed() {
-				n++
-			}
-		}
-		if hs.h2 != nil && !hs.h2.Closed() {
-			n++
-		}
-	}
-	return n
 }
 
 func (c *Client) dispatch(hs *hostState, req *Request) {

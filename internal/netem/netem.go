@@ -93,9 +93,6 @@ func NewPath(sched *simtime.Scheduler, profile Profile, rng *rand.Rand) *Path {
 // Scheduler returns the event scheduler driving this path.
 func (p *Path) Scheduler() *simtime.Scheduler { return p.sched }
 
-// Rand returns the path's loss RNG.
-func (p *Path) Rand() *rand.Rand { return p.rng }
-
 // ConnOpened registers one more connection competing for the path.
 func (p *Path) ConnOpened() { p.active++ }
 
@@ -118,9 +115,6 @@ func (p *Path) ConnIdle() {
 		p.busy--
 	}
 }
-
-// BusyConns returns the number of connections with data in flight.
-func (p *Path) BusyConns() int { return p.busy }
 
 // FairShareBytesPerRTT returns how many downstream bytes one connection may
 // deliver per RTT. TCP fairness is per *flow with data in flight*: idle

@@ -50,12 +50,12 @@ func TestFairShareSplitsAcrossBusyConns(t *testing.T) {
 	}
 	path.ConnIdle()
 	path.ConnIdle()
-	if path.BusyConns() != 0 {
-		t.Fatalf("BusyConns = %d after balanced busy/idle", path.BusyConns())
+	if path.busy != 0 {
+		t.Fatalf("busy = %d after balanced busy/idle", path.busy)
 	}
 	path.ConnIdle() // must not underflow
-	if path.BusyConns() != 0 {
-		t.Fatal("BusyConns went negative")
+	if path.busy != 0 {
+		t.Fatal("busy went negative")
 	}
 	path.ConnClosed()
 	path.ConnClosed()

@@ -94,10 +94,6 @@ func (s *Server) observeTrace(tr *trace.Trace) {
 	}
 }
 
-// Tracer returns the server's request tracer (nil when tracing is
-// disabled) so embedders can snapshot retained traces directly.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
 // DebugHandler returns the /debug/traces routes, the only place they
 // are served: retained traces name campaigns and sessions, so the
 // surface belongs on a separate operational listener (alongside

@@ -407,6 +407,15 @@ func TestSnapshotOfHeldCompletedSessionsRefused(t *testing.T) {
 	}
 }
 
+// appendSync appends payload to jl and waits until it is durable.
+func appendSync(jl *store.Log, payload []byte) (uint64, error) {
+	seq, err := jl.AppendAsync(payload)
+	if err != nil {
+		return 0, err
+	}
+	return seq, jl.WaitDurable(seq)
+}
+
 // appendRecords opens a state over dir, as a server does, so the records
 // follow the directory's snapshot, and appends raw journal records to its
 // journal.
@@ -416,7 +425,7 @@ func appendRecords(t *testing.T, dir string, records ...[]byte) (seq uint64) {
 	defer r.close()
 	for _, rec := range records {
 		var err error
-		if seq, err = r.jl.Append(rec); err != nil {
+		if seq, err = appendSync(r.jl, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -461,7 +470,7 @@ func TestLeftoverClusterStateRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range []string{campaign, rec} {
-				if _, err := jl.Append([]byte(r)); err != nil {
+				if _, err := appendSync(jl, []byte(r)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -28,7 +28,7 @@ func TestTracingEndToEnd(t *testing.T) {
 	jr := join(c, campaign, "w-trace")
 	completeSession(c, jr, 1500, true, 0, 0)
 
-	recs := s.Tracer().Snapshot()
+	recs := s.tracer.Snapshot()
 	if len(recs) == 0 {
 		t.Fatal("no traces retained at sample rate 1")
 	}
@@ -167,7 +167,7 @@ func TestTracingEndToEnd(t *testing.T) {
 // TestMetricsGolden) is unchanged.
 func TestTracingDisabledSurface(t *testing.T) {
 	c, s := newClientOpts(t, Options{})
-	if s.Tracer() != nil {
+	if s.tracer != nil {
 		t.Fatal("tracer non-nil with tracing off")
 	}
 	if s.DebugHandler() != nil {
@@ -186,7 +186,7 @@ func TestTracingDisabledSurface(t *testing.T) {
 func TestTraceSlowCapture(t *testing.T) {
 	c, s := newClientOpts(t, Options{TraceSlow: time.Nanosecond})
 	setupCampaign(c, "timeline", 1)
-	recs := s.Tracer().Snapshot()
+	recs := s.tracer.Snapshot()
 	if len(recs) == 0 {
 		t.Fatal("no slow traces retained with a 1ns threshold")
 	}
@@ -213,7 +213,7 @@ func TestTraceParentAdoptedOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	rec, ok := s.Tracer().Get(id)
+	rec, ok := s.tracer.Get(id)
 	if !ok {
 		t.Fatal("sampled traceparent request not retained")
 	}
@@ -238,7 +238,7 @@ func TestTracingPerRecordFsync(t *testing.T) {
 	completeSession(c, jr, 1500, true, 0, 0)
 
 	var responses int
-	for _, rec := range s.Tracer().Snapshot() {
+	for _, rec := range s.tracer.Snapshot() {
 		if rec.Route != "response" {
 			continue
 		}

@@ -266,12 +266,6 @@ func (s Snapshot) Current() filtering.Reason {
 	return s.Provisional
 }
 
-// FinalVerdict returns the settled verdict and true for a completed
-// session, or (0, false) while the verdict can still change.
-func (s Snapshot) FinalVerdict() (filtering.Reason, bool) {
-	return s.Final, s.Completed
-}
-
 // Snapshot captures the tracker's current standing under the default
 // trusted ceiling.
 func (t *Tracker) Snapshot() Snapshot {
@@ -563,6 +557,10 @@ func (c *Campaign) TimelineFiltered(lo, hi float64) map[string][]float64 {
 // once — taken without building the slice, and resumed from the last
 // render where its certificate allows (see Sketch). Renders may call it
 // concurrently under a shared campaign lock.
+//
+// Deprecated: renders walk EachBand, which builds no map. TimelineBands
+// remains only because the quality.bands_us probe in bench/layers.go
+// reads it.
 func (c *Campaign) TimelineBands(lo, hi float64) map[string]Band {
 	out := make(map[string]Band, len(c.timeline))
 	c.EachBand(lo, hi, func(id string, b Band) { out[id] = b })

@@ -471,7 +471,7 @@ func sameFloats(a, b []float64) bool {
 }
 
 // The Snapshot split: an in-flight session's provisional DropSoft must
-// never read as a settled verdict — FinalVerdict reports ok=false until
+// never read as a settled verdict — Completed is false until
 // SetCompleted, at which point Final freezes to the rule Current shows.
 // The adaptive allocator leans on this to keep provisional drops from
 // being spent as campaign budget.
@@ -485,9 +485,6 @@ func TestSnapshotSplitsProvisionalFromFinal(t *testing.T) {
 	if snap.Provisional != filtering.DropSoft {
 		t.Fatalf("provisional verdict = %v, want DropSoft while v2 is untouched", snap.Provisional)
 	}
-	if _, ok := snap.FinalVerdict(); ok {
-		t.Fatal("in-flight FinalVerdict reported a settled verdict")
-	}
 	if snap.Current() != filtering.DropSoft {
 		t.Fatalf("Current = %v, want the provisional reading", snap.Current())
 	}
@@ -495,8 +492,8 @@ func TestSnapshotSplitsProvisionalFromFinal(t *testing.T) {
 	tr.Observe(survey.VideoTrace{VideoID: "v2", Plays: 1})
 	tr.SetCompleted()
 	snap = tr.Snapshot()
-	if v, ok := snap.FinalVerdict(); !ok || v != filtering.Kept {
-		t.Fatalf("completed FinalVerdict = (%v, %v), want (Kept, true)", v, ok)
+	if !snap.Completed || snap.Final != filtering.Kept {
+		t.Fatalf("completed snapshot Final = %v, Completed = %v, want Kept, true", snap.Final, snap.Completed)
 	}
 	if snap.Current() != filtering.Kept {
 		t.Fatalf("Current = %v, want Kept", snap.Current())

@@ -24,9 +24,6 @@ type Event struct {
 	canceled bool
 }
 
-// At reports the time the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (e *Event) Cancel() {

@@ -39,15 +39,12 @@ type Config struct {
 	Sites int
 	// AdShare is the fraction of pages that display ads.
 	AdShare float64
-	// ComplexityScale multiplies object counts (ablation knob; 1.0 = 2016
-	// HTTP Archive shape).
+	// ComplexityScale is ignored: every page has the 2016 HTTP Archive
+	// shape.
+	//
+	// Deprecated: every caller set it to 1. The field remains only
+	// because the bench module sets it.
 	ComplexityScale float64
-}
-
-// DefaultConfig returns the corpus shape used for the paper's campaigns:
-// 100 sites, ~2/3 ad-supported.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, Sites: 100, AdShare: 0.65, ComplexityScale: 1}
 }
 
 // Generate produces the corpus for cfg. Pages come out in a deterministic
@@ -56,15 +53,12 @@ func Generate(cfg Config) []*webpage.Page {
 	if cfg.Sites <= 0 {
 		return nil
 	}
-	if cfg.ComplexityScale <= 0 {
-		cfg.ComplexityScale = 1
-	}
 	src := rng.New(cfg.Seed)
 	pages := make([]*webpage.Page, cfg.Sites)
 	for i := range pages {
 		siteSrc := src.Fork(fmt.Sprintf("site-%d", i))
 		withAds := siteSrc.Stream("ad-coin").Float64() < cfg.AdShare
-		pages[i] = GenerateSite(siteSrc, i, withAds, cfg.ComplexityScale)
+		pages[i] = GenerateSite(siteSrc, i, withAds)
 	}
 	return pages
 }
@@ -76,14 +70,14 @@ func GenerateAdCorpus(seed int64, n int) []*webpage.Page {
 	pages := make([]*webpage.Page, n)
 	for i := range pages {
 		siteSrc := src.Fork(fmt.Sprintf("adsite-%d", i))
-		pages[i] = GenerateSite(siteSrc, i, true, 1)
+		pages[i] = GenerateSite(siteSrc, i, true)
 	}
 	return pages
 }
 
 // GenerateSite builds one page. index names the site; withAds adds ad and
-// tracker objects; scale multiplies object counts.
-func GenerateSite(src *rng.Source, index int, withAds bool, scale float64) *webpage.Page {
+// tracker objects.
+func GenerateSite(src *rng.Source, index int, withAds bool) *webpage.Page {
 	r := src.Stream("structure")
 	host := fmt.Sprintf("www.site-%d.example", index)
 	cdn := fmt.Sprintf("cdn.site-%d.example", index)
@@ -199,7 +193,7 @@ func GenerateSite(src *rng.Source, index int, withAds bool, scale float64) *webp
 	// queue behind whatever already occupies the six lanes; over HTTP/2
 	// their viewport priority lets them preempt — a key source of the
 	// protocols' perceived difference.
-	nImages := int(rng.Pareto(r, 1.0, 40, 220) * scale)
+	nImages := int(rng.Pareto(r, 1.0, 40, 220))
 	for i := 0; i < nImages; i++ {
 		pos := 0.2 + 0.75*float64(i)/float64(nImages)
 		aboveFold := r.Float64() < 0.45

@@ -1,14 +1,20 @@
 package sitegen
 
 import (
+	"reflect"
 	"testing"
 
-	"github.com/eyeorg/eyeorg/internal/rng"
 	"github.com/eyeorg/eyeorg/internal/webpage"
 )
 
+// defaultConfig is the corpus shape of the paper's campaigns: 100 sites,
+// ~2/3 ad-supported.
+func defaultConfig(seed int64) Config {
+	return Config{Seed: seed, Sites: 100, AdShare: 0.65}
+}
+
 func TestGenerateCountAndValidity(t *testing.T) {
-	pages := Generate(DefaultConfig(1))
+	pages := Generate(defaultConfig(1))
 	if len(pages) != 100 {
 		t.Fatalf("generated %d pages, want 100", len(pages))
 	}
@@ -20,8 +26,8 @@ func TestGenerateCountAndValidity(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(DefaultConfig(42))
-	b := Generate(DefaultConfig(42))
+	a := Generate(defaultConfig(42))
+	b := Generate(defaultConfig(42))
 	for i := range a {
 		if a[i].URL != b[i].URL {
 			t.Fatalf("page %d URL differs across runs", i)
@@ -36,8 +42,8 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestSeedChangesCorpus(t *testing.T) {
-	a := Generate(DefaultConfig(1))
-	b := Generate(DefaultConfig(2))
+	a := Generate(defaultConfig(1))
+	b := Generate(defaultConfig(2))
 	same := 0
 	for i := range a {
 		if a[i].TotalBytes() == b[i].TotalBytes() {
@@ -50,7 +56,7 @@ func TestSeedChangesCorpus(t *testing.T) {
 }
 
 func TestAdShareRespected(t *testing.T) {
-	cfg := DefaultConfig(7)
+	cfg := defaultConfig(7)
 	cfg.AdShare = 0.65
 	pages := Generate(cfg)
 	withAds := 0
@@ -83,7 +89,7 @@ func TestGenerateAdCorpusAllHaveAds(t *testing.T) {
 }
 
 func TestRealisticComplexity(t *testing.T) {
-	pages := Generate(DefaultConfig(11))
+	pages := Generate(defaultConfig(11))
 	var objs, bytes, hosts float64
 	for _, p := range pages {
 		objs += float64(len(p.Objects))
@@ -104,7 +110,7 @@ func TestRealisticComplexity(t *testing.T) {
 }
 
 func TestStructuralFeatures(t *testing.T) {
-	pages := Generate(DefaultConfig(13))
+	pages := Generate(defaultConfig(13))
 	sawRenderBlocking, sawInjected, sawDeferred, sawHero := 0, 0, 0, 0
 	for _, p := range pages {
 		hero := false
@@ -188,11 +194,17 @@ func TestAdHostsShareNetworks(t *testing.T) {
 	}
 }
 
+// TestComplexityScale: the deprecated knob is ignored, so a corpus is the
+// same whatever it is set to.
 func TestComplexityScale(t *testing.T) {
-	small := GenerateSite(rng.New(5).Fork("s"), 0, true, 0.5)
-	big := GenerateSite(rng.New(5).Fork("s"), 0, true, 2.0)
-	if len(big.Objects) <= len(small.Objects) {
-		t.Fatalf("scale 2.0 (%d objects) not larger than scale 0.5 (%d)", len(big.Objects), len(small.Objects))
+	want := Generate(Config{Seed: 5, Sites: 4, AdShare: 0.5})
+	for _, scale := range []float64{0.5, 1, 2} {
+		got := Generate(Config{Seed: 5, Sites: 4, AdShare: 0.5, ComplexityScale: scale})
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("ComplexityScale %v changed site %d", scale, i)
+			}
+		}
 	}
 }
 
@@ -205,7 +217,7 @@ func TestZeroSites(t *testing.T) {
 func TestSiteDiversity(t *testing.T) {
 	// Load-time experiments need real spread across sites; verify weights
 	// span at least 4x between light and heavy pages.
-	pages := Generate(DefaultConfig(29))
+	pages := Generate(defaultConfig(29))
 	min, max := pages[0].TotalBytes(), pages[0].TotalBytes()
 	for _, p := range pages {
 		if b := p.TotalBytes(); b < min {

@@ -181,9 +181,6 @@ func NewCDF(values []float64) *CDF {
 	return &CDF{sorted: Sample(values).Sorted()}
 }
 
-// Len returns the number of observations behind the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // At returns P(X <= x) in [0,1]; 0 for an empty CDF.
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {

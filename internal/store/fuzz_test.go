@@ -76,7 +76,7 @@ func FuzzDecodeRecord(f *testing.F) {
 // FuzzRecordRoundTrip: for any non-empty payload, encode → decode is
 // the identity and the walker sees exactly the appended frames in
 // order; an empty payload's frame is refused by the decoder rather than
-// round-tripped (Append refuses the payload: TestAppendRejectsEmptyPayload).
+// round-tripped (AppendAsync refuses the payload: TestAppendRejectsEmptyPayload).
 func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add([]byte("first"), []byte("second"))
 	f.Add([]byte(`{"op":"campaign","id":"c1"}`), []byte{0xff, 0x00})

@@ -220,7 +220,7 @@ func TestGroupCommitAcksAcrossSnapshots(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("a%d-%d", a, i))); err != nil {
+				if _, err := appendSync(l, []byte(fmt.Sprintf("a%d-%d", a, i))); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -276,7 +276,7 @@ func TestSnapshotRotateFailureLatchesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append([]byte("payload")); err != nil { // size > 0: snapshot rotates
+	if _, err := appendSync(l, []byte("payload")); err != nil { // size > 0: snapshot rotates
 		t.Fatal(err)
 	}
 	boom := errors.New("boom: dir sync failed")
@@ -292,7 +292,7 @@ func TestSnapshotRotateFailureLatchesLog(t *testing.T) {
 	if err := l.WriteSnapshot([]byte("state")); !errors.Is(err, boom) {
 		t.Fatalf("WriteSnapshot: %v, want the injected failure", err)
 	}
-	if _, err := l.Append([]byte("after")); !errors.Is(err, errFailed) {
+	if _, err := appendSync(l, []byte("after")); !errors.Is(err, errFailed) {
 		t.Fatalf("log accepted an append after a failed snapshot rotation: %v", err)
 	}
 }
@@ -337,7 +337,7 @@ func TestSyncDirErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append([]byte("first record")); err != nil {
+	if _, err := appendSync(l, []byte("first record")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -350,10 +350,10 @@ func TestSyncDirErrorPropagates(t *testing.T) {
 	}
 	// The next append's window rotates (size >= SegmentBytes) and must
 	// fail on the new segment's directory sync, latching the log.
-	if _, err := l.Append([]byte("forces rotation")); !errors.Is(err, boom) {
+	if _, err := appendSync(l, []byte("forces rotation")); !errors.Is(err, boom) {
 		t.Fatalf("rotation swallowed the dir-sync failure: %v", err)
 	}
-	if _, err := l.Append([]byte("after failure")); !errors.Is(err, errFailed) {
+	if _, err := appendSync(l, []byte("after failure")); !errors.Is(err, errFailed) {
 		t.Fatalf("log not latched after dir-sync failure: %v", err)
 	}
 
@@ -466,7 +466,7 @@ func TestGroupCommitCloseWaitsForLeader(t *testing.T) {
 	l, obs := openObserved(t, dir, Options{Fsync: true})
 	leader := make(chan error, 1)
 	go func() {
-		_, err := l.Append([]byte("leader"))
+		_, err := appendSync(l, []byte("leader"))
 		leader <- err
 	}()
 	<-inSync
@@ -518,7 +518,7 @@ func TestSnapshotWaitsForLeader(t *testing.T) {
 	l, obs := openObserved(t, dir, Options{Fsync: true})
 	leader := make(chan error, 1)
 	go func() {
-		_, err := l.Append([]byte("leader"))
+		_, err := appendSync(l, []byte("leader"))
 		leader <- err
 	}()
 	<-inSync
@@ -561,7 +561,7 @@ func TestOpenStartsNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("x")); err != nil {
+	if _, err := appendSync(l, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	open := runtime.NumGoroutine()
@@ -600,7 +600,7 @@ func BenchmarkAppend(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if _, err := l.Append(payload); err != nil {
+					if _, err := appendSync(l, payload); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -621,7 +621,7 @@ func BenchmarkAppend(b *testing.B) {
 			go func(n int) {
 				defer wg.Done()
 				for i := 0; i < n; i++ {
-					if _, err := l.Append(payload); err != nil {
+					if _, err := appendSync(l, payload); err != nil {
 						b.Error(err)
 						return
 					}

@@ -70,7 +70,7 @@ type Options struct {
 }
 
 // Log is a durable append-only journal. All methods are safe for
-// concurrent use; Append order defines sequence order.
+// concurrent use; AppendAsync order defines sequence order.
 type Log struct {
 	dir  string
 	opts Options
@@ -153,20 +153,6 @@ func (l *Log) SnapshotSeq() uint64 {
 	return l.snapSeq
 }
 
-// Append frames payload into the active segment and returns its
-// sequence number once the flush window covering it is durable per the
-// options: flushed to the OS, and synced when Options.Fsync is set.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	seq, err := l.AppendAsync(payload)
-	if err != nil {
-		return 0, err
-	}
-	if err := l.WaitDurable(seq); err != nil {
-		return 0, err
-	}
-	return seq, nil
-}
-
 // AppendAsync frames payload into the active segment and returns its
 // sequence number without waiting for durability; the caller pairs the
 // sequence with WaitDurable for the ack. payload is copied before
@@ -214,7 +200,7 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 
 // Replay streams every record with a sequence past the loaded snapshot
 // through fn, in sequence order. Call it after Open and before the
-// first Append.
+// first AppendAsync.
 func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -10,10 +10,20 @@ import (
 	"testing"
 )
 
+// appendSync appends payload and waits until it is durable, as a caller
+// that acks the record does.
+func appendSync(l *Log, payload []byte) (uint64, error) {
+	seq, err := l.AppendAsync(payload)
+	if err != nil {
+		return 0, err
+	}
+	return seq, l.WaitDurable(seq)
+}
+
 func appendAll(t *testing.T, l *Log, payloads ...string) {
 	t.Helper()
 	for _, p := range payloads {
-		if _, err := l.Append([]byte(p)); err != nil {
+		if _, err := appendSync(l, []byte(p)); err != nil {
 			t.Fatalf("append %q: %v", p, err)
 		}
 	}
@@ -65,7 +75,7 @@ func TestAppendReplayAcrossReopen(t *testing.T) {
 		t.Fatalf("sequences %v, want 1..3", seqs)
 	}
 	// Appends continue the sequence.
-	seq, err := l.Append([]byte("dddd"))
+	seq, err := appendSync(l, []byte("dddd"))
 	if err != nil || seq != 4 {
 		t.Fatalf("append after reopen: seq=%d err=%v", seq, err)
 	}
@@ -148,7 +158,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("replayed %v, want [one two]", payloads)
 	}
 	// The torn bytes are gone; appends land cleanly where they were.
-	if seq, err := l.Append([]byte("three")); err != nil || seq != 3 {
+	if seq, err := appendSync(l, []byte("three")); err != nil || seq != 3 {
 		t.Fatalf("append after truncation: seq=%d err=%v", seq, err)
 	}
 	if err := l.Close(); err != nil {
@@ -394,7 +404,7 @@ func TestEmptyDirStartsAtSeqOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	seq, err := l.Append([]byte("first"))
+	seq, err := appendSync(l, []byte("first"))
 	if err != nil || seq != 1 {
 		t.Fatalf("first append seq=%d err=%v", seq, err)
 	}
@@ -414,10 +424,10 @@ func TestAppendErrorLatchesLogFailed(t *testing.T) {
 	// and from then on the log must refuse appends (memory and disk can
 	// no longer be trusted to agree) until reopened.
 	l.f.Close()
-	if _, err := l.Append([]byte("doomed")); err == nil {
+	if _, err := appendSync(l, []byte("doomed")); err == nil {
 		t.Fatal("append to sabotaged file succeeded")
 	}
-	if _, err := l.Append([]byte("after")); !errors.Is(err, errFailed) {
+	if _, err := appendSync(l, []byte("after")); !errors.Is(err, errFailed) {
 		t.Fatalf("append after failure: %v, want errFailed", err)
 	}
 	if err := l.WriteSnapshot([]byte("state")); !errors.Is(err, errFailed) {
@@ -433,7 +443,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("x")); err == nil || !strings.Contains(err.Error(), "closed") {
+	if _, err := appendSync(l, []byte("x")); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("append after close: %v", err)
 	}
 }

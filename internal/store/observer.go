@@ -9,7 +9,7 @@ import "time"
 //
 // The contract, the only one the journal's hook has: the observer is
 // called exactly once per window, after the window is durable and
-// strictly before any WaitDurable (and so any Append) it covers returns;
+// strictly before any WaitDurable it covers returns;
 // calls are serialized and arrive in sequence order with no gaps, so
 // each First is the previous Last+1 — across segment rotations and
 // snapshots too — and no window is empty. A window the journal could

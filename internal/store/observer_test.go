@@ -165,14 +165,14 @@ func TestObserverContract(t *testing.T) {
 }
 
 // TestObserverSerialAppends: three serial appends with Fsync are three
-// windows of one — each Append waits out its window before the next
+// windows of one — each appendSync waits out its window before the next
 // buffers — each with its own fsync and its own frame's bytes.
 func TestObserverSerialAppends(t *testing.T) {
 	l, obs := openObserved(t, t.TempDir(), Options{Fsync: true})
 	defer l.Close()
 	payload := []byte("hello")
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append(payload); err != nil {
+		if _, err := appendSync(l, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestObserverGroupCommitNoEmptyWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := l.Append([]byte("after the stale waits")); err != nil {
+	if _, err := appendSync(l, []byte("after the stale waits")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

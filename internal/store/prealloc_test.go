@@ -99,7 +99,7 @@ func TestPreallocCrashZeroTailReplaysClean(t *testing.T) {
 	if _, payloads := replayAll(t, l); fmt.Sprint(payloads) != "[one two three]" {
 		t.Fatalf("replayed %v, want [one two three]", payloads)
 	}
-	if seq, err := l.Append([]byte("four")); err != nil || seq != 4 {
+	if seq, err := appendSync(l, []byte("four")); err != nil || seq != 4 {
 		t.Fatalf("append after a zero tail: seq=%d err=%v", seq, err)
 	}
 	if err := l.Close(); err != nil {
@@ -216,14 +216,14 @@ func TestAppendRejectsEmptyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range [][]byte{nil, {}} {
-		if _, err := l.Append(p); !errors.Is(err, errEmpty) {
-			t.Fatalf("Append(%#v): %v, want errEmpty", p, err)
+		if _, err := appendSync(l, p); !errors.Is(err, errEmpty) {
+			t.Fatalf("appendSync(%#v): %v, want errEmpty", p, err)
 		}
 		if _, err := l.AppendAsync(p); !errors.Is(err, errEmpty) {
 			t.Fatalf("AppendAsync(%#v): %v, want errEmpty", p, err)
 		}
 	}
-	if seq, err := l.Append([]byte("x")); err != nil || seq != 1 {
+	if seq, err := appendSync(l, []byte("x")); err != nil || seq != 1 {
 		t.Fatalf("append after refusals: seq=%d err=%v, want seq 1", seq, err)
 	}
 	if err := l.Close(); err != nil {
@@ -283,7 +283,7 @@ func TestRecoverKillBetweenWriteAndSync(t *testing.T) {
 						mu.Lock()
 						attempted[p] = true
 						mu.Unlock()
-						seq, err := l.Append([]byte(p))
+						seq, err := appendSync(l, []byte(p))
 						if err != nil {
 							return
 						}
@@ -398,7 +398,7 @@ func TestPreallocParentWrittenSegment(t *testing.T) {
 	expect := fixture
 	for i := 25; i <= 27; i++ {
 		p := parentPayload(i)
-		if seq, err := l.Append([]byte(p)); err != nil || seq != uint64(i) {
+		if seq, err := appendSync(l, []byte(p)); err != nil || seq != uint64(i) {
 			t.Fatalf("append %d: seq=%d err=%v", i, seq, err)
 		}
 		want = append(want, p)
@@ -433,7 +433,8 @@ func TestAppendAllocsPerRun(t *testing.T) {
 			}
 			defer l.Close()
 			appends := map[string]func([]byte) (uint64, error){
-				"Append": l.Append, "AppendAsync": l.AppendAsync,
+				"Append":      func(p []byte) (uint64, error) { return appendSync(l, p) },
+				"AppendAsync": l.AppendAsync,
 			}
 			if m.writers > 1 {
 				appends["window"] = func(p []byte) (seq uint64, err error) {

@@ -47,9 +47,6 @@ func NewMap[V any](n int) *Map[V] {
 	return m
 }
 
-// Shards returns the shard count.
-func (m *Map[V]) Shards() int { return len(m.shards) }
-
 // Shard returns the shard owning key. The caller locks it around the
 // unlocked accessors.
 func (m *Map[V]) Shard(key string) *Shard[V] {

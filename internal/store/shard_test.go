@@ -10,8 +10,8 @@ func TestMapRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, DefaultShards}, {-3, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32}, {64, 64},
 	} {
-		if got := NewMap[int](tc.in).Shards(); got != tc.want {
-			t.Errorf("NewMap(%d).Shards() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewMap[int](tc.in).shards); got != tc.want {
+			t.Errorf("NewMap(%d) has %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 }

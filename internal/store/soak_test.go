@@ -28,7 +28,7 @@ func watchdog(t *testing.T, done <-chan struct{}, bound time.Duration, what stri
 	}
 }
 
-// TestLivenessSoak: seeded writers mix Append with AppendAsync, some
+// TestLivenessSoak: seeded writers mix appendSync with AppendAsync, some
 // awaited and some never, over segments small enough that most windows
 // rotate, beside a snapshotter, with every window sync slowed so that
 // rotations, snapshots and Close keep landing on a leader mid-sync; the
@@ -75,11 +75,11 @@ func TestLivenessSoak(t *testing.T) {
 					wrng := rand.New(rand.NewSource(int64(trial*100 + w)))
 					for i := 0; i < 300; i++ {
 						p := []byte(fmt.Sprintf("w%d-%d-%s", w, i, strings.Repeat("p", wrng.Intn(48))))
-						mode := wrng.Intn(3) // 0 Append, 1 awaited AppendAsync, 2 unawaited
+						mode := wrng.Intn(3) // 0 appendSync, 1 awaited AppendAsync, 2 unawaited
 						var seq uint64
 						var err error
 						if mode == 0 {
-							seq, err = l.Append(p)
+							seq, err = appendSync(l, p)
 						} else {
 							seq, err = l.AppendAsync(p)
 						}

@@ -53,15 +53,6 @@ func (t *TimelineTest) ProposeRewind(slider time.Duration) time.Duration {
 	return t.Video.FrameTime(early)
 }
 
-// ControlFrameDiff returns how different the control helper frame is from
-// the participant's chosen frame; it is large by construction (the control
-// frame is nearly blank).
-func (t *TimelineTest) ControlFrameDiff(slider time.Duration) float64 {
-	idx := t.Video.FrameIndexAt(slider)
-	blank := vision.NewFrame()
-	return vision.Diff(t.Video.Frames[idx], blank)
-}
-
 // The records a test produces live in internal/response, which the
 // §4.3 filters and the platform read without linking frame code; they
 // keep their names here.

@@ -90,9 +90,6 @@ type Stream struct {
 	done       bool
 }
 
-// Done reports whether the stream has fully arrived.
-func (s *Stream) Done() bool { return s.done }
-
 // Conn is a flow-level TCP connection.
 type Conn struct {
 	path *netem.Path
@@ -157,27 +154,6 @@ func Dial(path *netem.Path, cfg Config, ready func(*Conn, simtime.Time)) *Conn {
 // Established reports whether the handshake has completed.
 func (c *Conn) Established() bool { return c.established }
 
-// Busy reports whether any stream is still in flight.
-func (c *Conn) Busy() bool {
-	for _, s := range c.streams {
-		if !s.done {
-			return true
-		}
-	}
-	return false
-}
-
-// ActiveStreams returns the number of in-flight streams.
-func (c *Conn) ActiveStreams() int {
-	n := 0
-	for _, s := range c.streams {
-		if !s.done {
-			n++
-		}
-	}
-	return n
-}
-
 // AddStream enqueues a response for delivery. It panics if the stream has
 // no completion callback or the connection is closed.
 func (c *Conn) AddStream(s *Stream) {
@@ -209,9 +185,6 @@ func (c *Conn) Close() {
 	}
 	c.path.ConnClosed()
 }
-
-// Closed reports whether Close has been called.
-func (c *Conn) Closed() bool { return c.closed }
 
 // maybeScheduleRound arms the next delivery round if there is pending work.
 func (c *Conn) maybeScheduleRound() {

@@ -285,12 +285,21 @@ func TestBusyAndActiveStreams(t *testing.T) {
 	s := simtime.NewScheduler()
 	path := testPath(s)
 	c := Dial(path, Config{TLS: false}, nil)
+	inFlight := func() int {
+		n := 0
+		for _, st := range c.streams {
+			if !st.done {
+				n++
+			}
+		}
+		return n
+	}
 	c.AddStream(&Stream{Bytes: 100_000, OnComplete: func(simtime.Time) {}})
-	if !c.Busy() || c.ActiveStreams() != 1 {
+	if !c.busy || inFlight() != 1 {
 		t.Fatal("stream not visible as active")
 	}
 	s.Run()
-	if c.Busy() || c.ActiveStreams() != 0 {
+	if c.busy || inFlight() != 0 {
 		t.Fatal("conn still busy after completion")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // upload (41 frames of 28-bit noise, ~265 KB, every tile its own run)
 // and a webpeg capture of a generated page (few long runs).
 func BenchmarkValidate(b *testing.B) {
-	page := sitegen.Generate(sitegen.Config{Seed: 5, Sites: 1, AdShare: 1, ComplexityScale: 1})[0]
+	page := sitegen.Generate(sitegen.Config{Seed: 5, Sites: 1, AdShare: 1})[0]
 	capture, err := webpeg.CaptureSite(page, webpeg.Config{Seed: 9, Loads: 3})
 	if err != nil {
 		b.Fatal(err)

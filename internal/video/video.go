@@ -251,15 +251,6 @@ func Decode(data []byte) (*Video, error) {
 	return v, nil
 }
 
-// Validate reports whether Decode would accept data: one Write to a
-// Checker, which builds no frame.
-func Validate(data []byte) error {
-	var c Checker
-	c.Write(data)
-	_, err := c.Verdict()
-	return err
-}
-
 // Container bounds a payload's header must respect.
 const (
 	maxFPS    = 240
@@ -269,13 +260,13 @@ const (
 // Checker checks a payload against the EYV1 container as it arrives —
 // magic, frame rate and frame-count bounds, every run non-empty and
 // inside its frame, every frame exactly covered — and is the one
-// definition of a valid payload: Validate is one Write to a Checker,
-// Decode builds frames from the runs one reports, and an upload is
-// written to one while it is stored. Write the payload in pieces of any
-// size, then ask Verdict. A Checker reads each varint in place; only a
-// varint a piece ends inside is carried to the next Write, as the value
-// and length of its bytes so far. Bytes past a complete payload are
-// accepted and ignored. The zero value is ready to use.
+// definition of a valid payload: Decode builds frames from the runs one
+// reports, and an upload is written to one while it is stored. Write the
+// payload in pieces of any size, then ask Verdict. A Checker reads each
+// varint in place; only a varint a piece ends inside is carried to the
+// next Write, as the value and length of its bytes so far. Bytes past a
+// complete payload are accepted and ignored. The zero value is ready to
+// use.
 type Checker struct {
 	// visit, when non-nil, gets each run that covers tiles: n tiles of
 	// value val from tile pos of the given frame. Every frame a Checker

@@ -35,14 +35,6 @@ type Rect struct {
 // such as scripts and tracking pixels).
 func (r Rect) Empty() bool { return r.W <= 0 || r.H <= 0 }
 
-// Area returns the number of tiles covered.
-func (r Rect) Area() int {
-	if r.Empty() {
-		return 0
-	}
-	return r.W * r.H
-}
-
 // Intersect returns the overlap of two rectangles.
 func (r Rect) Intersect(o Rect) Rect {
 	x1 := max(r.X, o.X)

@@ -11,7 +11,7 @@ import (
 // CaptureSite would: per-site randomness forks from the seed by URL, so
 // the worker count cannot influence any capture.
 func TestCaptureCorpusWorkerCountInvariant(t *testing.T) {
-	pages := sitegen.Generate(sitegen.Config{Seed: 31, Sites: 6, AdShare: 0.5, ComplexityScale: 1})
+	pages := sitegen.Generate(sitegen.Config{Seed: 31, Sites: 6, AdShare: 0.5})
 	serial, err := CaptureCorpus(pages, Config{Seed: 31, Loads: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 )
 
 func smallCorpus(seed int64, n int) []*webpage.Page {
-	return sitegen.Generate(sitegen.Config{Seed: seed, Sites: n, AdShare: 1, ComplexityScale: 1})
+	return sitegen.Generate(sitegen.Config{Seed: seed, Sites: n, AdShare: 1})
 }
 
 func TestCaptureSiteBasics(t *testing.T) {
