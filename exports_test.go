@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -25,7 +26,7 @@ var unusedExports = map[string]string{
 	// Accessors that tests of another package read state through.
 	"internal/platform/state.Campaign.Adaptive":  "test accessor: internal/platform's analytics tests build their oracle from the allocator",
 	"internal/platform/state.Campaign.Analytics": "test accessor: internal/platform's analytics and retention tests read the live §4.3 campaign",
-	"internal/platform/state.Campaign.Completed": "test accessor: internal/platform's persist, spill, retention and telemetry tests count completed sessions",
+	"internal/platform/state.Campaign.Completed": "test accessor: builds a slice of views of the campaign's ID arena, which internal/platform's persist, spill, retention and telemetry tests count and look sessions up by",
 	"internal/platform/state.State.Sessions":     "test accessor: the server's model comparison (server_test.go) walks every session",
 	"internal/quality.Campaign.TimelineFiltered": "test accessor: the live band as a slice, the oracle of quality's and internal/platform's analytics tests",
 	"internal/trace.Record.StageSum":             "test accessor: trace's and internal/platform's tests check that stages tile a request",
@@ -122,6 +123,12 @@ func TestNoUnusedExports(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
+	// The source importer reads build.Default. With cgo off it checks the
+	// standard library's pure-Go files, as a CGO_ENABLED=0 build would,
+	// and runs neither go tool cgo nor the C compiler on net and
+	// runtime/cgo; no export of the module depends on that choice.
+	defer func(ctx build.Context) { build.Default = ctx }(build.Default)
+	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	imp := moduleImporter{
 		checked: map[string]*types.Package{},

@@ -4,13 +4,14 @@
 // (PAPER.md §3: video bytes dwarf judgment bytes).
 //
 // Blobs are keyed by the SHA-256 of their content. Put streams the
-// upload through the hasher in reads of one pooled look-ahead buffer,
-// returned when Put does. Identical uploads deduplicate to one stored
-// blob. The store never reads a blob back for its caller to check: a
-// caller that validates content tees the reader it hands Put into its
-// checker (the platform checks each video upload against the EYV1
-// container this way), so the upload is hashed, stored and checked in
-// one pass and the verdict is in when Put returns.
+// upload through the hasher in reads of one look-ahead buffer from the
+// store's free list, returned when Put does. Identical uploads
+// deduplicate to one stored blob. The store never reads a blob back for
+// its caller to check: a caller that validates content tees the reader
+// it hands Put into its checker (the platform checks each video upload
+// against the EYV1 container this way), so the upload is hashed, stored
+// and checked in one pass and the verdict is in when Put returns; a
+// checker that fails the read stops Put there, with nothing stored.
 //
 // A blob is resident bytes or a file. Two serving tiers share the API:
 //
@@ -60,9 +61,12 @@ import (
 	"syscall"
 )
 
-// lookaheadBytes is Put's read size: large enough that every realistic
-// video payload arrives in one read.
-const lookaheadBytes = 1 << 20
+// lookaheadBytes is Put's read size. The store keeps one look-ahead
+// buffer for every Put it ever ran at once, for good, so the buffer is
+// small: the file tier writes each read as it arrives, and the memory
+// tier accumulates an upload of more than one read and copies it once,
+// exactly, at its end.
+const lookaheadBytes = 64 << 10
 
 // maxMaps bounds the blob mappings a process makes. Each is one entry
 // of the process's memory map, and Linux refuses an mmap past
@@ -122,8 +126,12 @@ type Store struct {
 	fsync bool
 	sink  Telemetry
 
-	// lookahead recycles Put's read buffers (*[]byte).
-	lookahead sync.Pool
+	// free holds Put's idle look-ahead buffers. A Put takes one, or makes
+	// one when none is idle, and hands it back when it returns, so the
+	// store keeps as many as it ever ran Puts at once: a sync.Pool would
+	// miss when a Put runs on another P than the last.
+	freeMu sync.Mutex
+	free   [][]byte
 
 	mu    sync.RWMutex
 	blobs map[string]*blobMeta
@@ -139,10 +147,6 @@ func Open(opts Options) (*Store, error) {
 		fsync: opts.Fsync,
 		sink:  opts.Metrics,
 		blobs: map[string]*blobMeta{},
-	}
-	s.lookahead.New = func() any {
-		buf := make([]byte, lookaheadBytes)
-		return &buf
 	}
 	if s.dir == "" {
 		return s, nil
@@ -205,11 +209,13 @@ func (s *Store) path(hash string) string {
 // Put streams r into the store, hashing as it reads, and returns the
 // blob's content address. The boolean reports whether the call stored a
 // new blob (false = deduplicated against an existing one). Every upload
-// is read through one pooled look-ahead buffer, so nothing beyond the
-// stored data is held past the call: the memory tier keeps one exact
-// copy of the upload, and the file tier writes each read to a temp file
-// that is atomically renamed into place (fsynced first when the store is
-// durable).
+// is read through one look-ahead buffer, so nothing beyond the stored
+// data is held past the call: the memory tier keeps one exact copy of
+// the upload, and the file tier writes each read to a temp file that is
+// atomically renamed into place (fsynced first when the store is
+// durable). A read of r that fails, other than at its end, fails Put
+// with that error before the read's bytes are hashed or written, and
+// nothing is stored.
 func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 	h := sha256.New()
 	var (
@@ -230,12 +236,15 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 			}
 		}()
 	}
-	lookahead := s.lookahead.Get().(*[]byte)
-	defer s.lookahead.Put(lookahead)
+	lookahead := s.takeLookahead()
+	defer s.returnLookahead(lookahead)
 	for {
-		n, err := io.ReadFull(r, *lookahead)
+		n, err := io.ReadFull(r, lookahead)
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return Ref{}, false, err
+		}
 		if n > 0 {
-			buf := (*lookahead)[:n]
+			buf := lookahead[:n]
 			h.Write(buf)
 			size += int64(n)
 			switch {
@@ -249,11 +258,8 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 				held = append(held, buf...)
 			}
 		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break
-		}
 		if err != nil {
-			return Ref{}, false, err
+			break
 		}
 	}
 	ref := Ref{Hash: hex.EncodeToString(h.Sum(nil)), Size: size}
@@ -286,6 +292,26 @@ func (s *Store) Put(r io.Reader) (Ref, bool, error) {
 	s.mu.Unlock()
 	s.sinkPut(size)
 	return ref, true, nil
+}
+
+// takeLookahead returns an idle look-ahead buffer, or a new one.
+func (s *Store) takeLookahead() []byte {
+	s.freeMu.Lock()
+	defer s.freeMu.Unlock()
+	if n := len(s.free); n > 0 {
+		buf := s.free[n-1]
+		s.free = s.free[:n-1]
+		return buf
+	}
+	return make([]byte, lookaheadBytes)
+}
+
+// returnLookahead hands a buffer takeLookahead returned back to the free
+// list.
+func (s *Store) returnLookahead(buf []byte) {
+	s.freeMu.Lock()
+	s.free = append(s.free, buf)
+	s.freeMu.Unlock()
 }
 
 // publish moves a finished temp file to its content address. With

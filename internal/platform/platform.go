@@ -647,28 +647,40 @@ func (s *Server) handleAddVideo(w *scratch, r *http.Request) {
 	// is hashed, written out (on the file tier) and checked against the
 	// EYV1 container by a video.Checker, so the verdict is in when Put
 	// returns and no part of the upload is read back or held as one
-	// handler-owned slice. One extra byte of read budget distinguishes
-	// "exactly at the cap" from "over it".
+	// handler-owned slice. The read that shows the payload corrupt fails,
+	// so Put stops there and stores nothing; the rest of the body is only
+	// counted, so a body past the cap gets 413 whether or not it is a
+	// video. One extra byte of read budget distinguishes "exactly at the
+	// cap" from "over it".
 	var check video.Checker
-	ref, _, err := s.blobs.Put(io.TeeReader(io.LimitReader(r.Body, maxVideoBytes+1), &check))
+	body := &io.LimitedReader{R: r.Body, N: maxVideoBytes + 1}
+	ref, _, err := s.blobs.Put(io.TeeReader(body, &check))
+	stored := err == nil
+	if errors.Is(err, video.ErrCorrupt) {
+		_, err = io.Copy(io.Discard, body)
+	}
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	// The streamed upload is this route's receive+decode work in one.
 	tr.Mark(trace.StageReceive)
-	// Both failure paths below discard the blob. That is safe only
+	// Both failure paths below discard a stored blob. That is safe only
 	// because they are content-deterministic: identical bytes trip the
 	// same check, so a concurrent duplicate upload is discarding too,
 	// never holding a reference to the removed blob.
-	if ref.Size > maxVideoBytes {
-		s.blobs.Discard(ref.Hash)
+	if body.N == 0 {
+		if stored {
+			s.blobs.Discard(ref.Hash)
+		}
 		s.reject(w, http.StatusRequestEntityTooLarge, "body",
 			fmt.Sprintf("video exceeds the %d MiB upload cap", maxVideoBytes>>20), time.Second)
 		return
 	}
 	if _, err := check.Verdict(); err != nil {
-		s.blobs.Discard(ref.Hash)
+		if stored {
+			s.blobs.Discard(ref.Hash)
+		}
 		writeErr(w, http.StatusUnprocessableEntity, "not a valid EYV1 video")
 		return
 	}

@@ -92,7 +92,7 @@ func liveHeap() uint64 {
 
 // TestCompletedSessionRetainedHeap bounds what the server keeps per
 // completed session on an in-memory server: its ID in the campaign's
-// completion-order list and its place in rowOrder, its frozen record
+// completion-order arena and its place in rowOrder, its frozen record
 // (about 90 B) and its rendered /analytics row (about 100 B), each
 // stored back to back, and its values in the campaign's sketches. This
 // test measured 5,036 B/session while a session kept its record, tracker
@@ -105,12 +105,15 @@ func liveHeap() uint64 {
 // place of two float64 copies (TestSketchBytesPerSubmission in
 // internal/quality), and 314 now that the sessions index holds no
 // completed session and a frozen record stores none of the test IDs its
-// join minted; the ceiling is that plus 10%. A record framed with a
-// length and a CRC32-C (about 7 B more) measured 314-316 B, as before.
+// join minted. A record framed with a length and a CRC32-C (about 7 B
+// more) measured 314-316 B, as before; 273 B once the IDs were packed in
+// one arena in place of a string each and a sketch's codes were one byte
+// wide while a video has at most 256 distinct answers; the ceiling is
+// that plus 10%.
 func TestCompletedSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000
-		ceiling  = 346 // bytes per completed session
+		ceiling  = 300 // bytes per completed session
 	)
 	if raceEnabled {
 		t.Skip("heap accounting is measured without the race detector")
@@ -140,16 +143,17 @@ func TestCompletedSessionRetainedHeap(t *testing.T) {
 // TestSpilledSessionRetainedHeap bounds what a server with a data
 // directory keeps per completed session once a snapshot has spilled its
 // frozen record and /analytics row to the campaign's files: its ID in
-// the completion-order list, its place in rowOrder, the two offsets its
+// the completion-order arena, its place in rowOrder, the two offsets its
 // entry and row end at, and its values in the campaign's sketches, each
 // with the spare capacity of the slice it was appended to. This test
 // measured 97 B/session when it was written, against the 314 an
-// in-memory server keeps (TestCompletedSessionRetainedHeap); the ceiling
-// is that plus 10%. Framed records (one stream type) measured 96-98 B.
+// in-memory server keeps (TestCompletedSessionRetainedHeap). Framed
+// records (one stream type) measured 96-98 B; the ID arena and one-byte
+// sketch codes 56-57 B; the ceiling is that plus 10%.
 func TestSpilledSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000
-		ceiling  = 107 // bytes per completed session
+		ceiling  = 63 // bytes per completed session
 	)
 	if raceEnabled {
 		t.Skip("heap accounting is measured without the race detector")
@@ -240,10 +244,12 @@ func TestLiveSessionRetainedHeap(t *testing.T) {
 	}
 }
 
-// TestCompletedSessionPinsNoRequestBytes: the campaign's recordSessions
-// string is the only copy of a completed session's ID — the sessions
-// index holds no entry for it — and on the live path it is the string the
-// join minted, not a substring of the request line that completed it.
+// TestCompletedSessionPinsNoRequestBytes: the campaign's ID arena is
+// the only copy of a completed session's ID — the sessions index holds
+// no entry for it, the campaign's completed IDs are views of its bytes,
+// back to back in completion order, the same bytes at every call of
+// Completed, and on the live path none of them is the string the join
+// minted, let alone a substring of the request line that completed it.
 // The session in flight is indexed under its own ID string. All of it
 // holds on the live path, after a journal replay and after a snapshot
 // load. On the live path the session in flight also points at its
@@ -264,9 +270,16 @@ func TestCompletedSessionPinsNoRequestBytes(t *testing.T) {
 			return true
 		})
 		c, _ := srv.state.Campaign(campaign)
-		for _, id := range c.Completed() {
-			if p, ok := minted[id]; ok && p != unsafe.StringData(id) {
-				t.Errorf("%s: the campaign files session %s under a copy, not the ID its join minted", how, id)
+		ids, again := c.Completed(), c.Completed()
+		for i, id := range ids {
+			if p, ok := minted[id]; ok && p == unsafe.StringData(id) {
+				t.Errorf("%s: the campaign keeps the ID string session %s's join minted", how, id)
+			}
+			if unsafe.StringData(id) != unsafe.StringData(again[i]) {
+				t.Errorf("%s: the campaign lists session %s as a copy, not a view of its arena", how, id)
+			}
+			if i > 0 && unsafe.StringData(id) != (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(ids[i-1])), len(ids[i-1]))) {
+				t.Errorf("%s: session %s's ID does not follow %s's in the campaign's arena", how, id, ids[i-1])
 			}
 		}
 	}

@@ -498,9 +498,10 @@ func TestSpillCorruptRecordAfterOpen(t *testing.T) {
 // after each Open is untimed. Beside wall time it reports cpu-ns/op, the
 // process's user and system CPU time (getrusage) across the timed Opens:
 // on a shared disk the wall time varies more than any change to Open
-// would move it, and the CPU time does not wait on the disk.
+// would move it, and the CPU time does not wait on the disk. The three
+// sizes give the curve of restart cost against history.
 func BenchmarkOpen(b *testing.B) {
-	for _, n := range []int{1000, 8000} {
+	for _, n := range []int{1000, 8000, 32000} {
 		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
 			dir := b.TempDir()
 			srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})

@@ -567,15 +567,19 @@ func (st *State) applyResponse(ev *Event, tr *trace.Trace) (uint64, Result, erro
 // completeSession is what the completing answer does, on the live path
 // and on every replay of its journal record alike: it freezes the
 // session's standing, appends the session's ID and frozen record, in one
-// frame, to the campaign's records and files it. The caller then deletes the session
-// from the index, which held the last reference to its state, so the
-// tracker and its traces go with it. Caller holds both shard locks.
+// frame, to the campaign's records, and its ID to the campaign's arena,
+// and files it. The caller then deletes the session from the index, which
+// held the last reference to its state and to the ID string its join
+// minted, so the tracker and its traces go with them. Caller holds both
+// shard locks.
 func completeSession(c *Campaign, sess *Session) {
 	sess.track.SetCompleted()
 	sess.final = sess.track.Snapshot()
 	c.done.frozen = appendFrozen(appendString(c.done.frozen[:0], sess.ID), c, sess)
 	c.records.tail = store.AppendRecord(c.records.tail, c.done.frozen)
 	c.records.push(c.spilled)
+	c.ids.tail = append(c.ids.tail, sess.ID...)
+	c.ids.push(0)
 	c.fileCompleted(sess)
 }
 
@@ -584,9 +588,10 @@ func completeSession(c *Campaign, sess *Session) {
 // (fileSpilled):
 // it folds the answers into the campaign's analytics and stopper and
 // files the session and its /analytics row under the next row number,
-// the piece the session's record is in its records. Caller holds the
-// campaign's shard lock, or the campaign is not reachable yet: either
-// way the campaign's completion scratch is its own.
+// the piece the session's record is in its records and its ID, which the
+// caller has appended, in its arena. Caller holds the campaign's shard
+// lock, or the campaign is not reachable yet: either way the campaign's
+// completion scratch is its own.
 func (c *Campaign) fileCompleted(sess *Session) {
 	rec := c.done.record(sess, c.Kind)
 	c.analytics.Complete(rec, sess.final.Final)
@@ -595,9 +600,7 @@ func (c *Campaign) fileCompleted(sess *Session) {
 	}
 	c.inflight = slices.DeleteFunc(c.inflight, func(id string) bool { return id == sess.ID })
 	at, _ := c.frozenAt(sess.ID)
-	n := uint32(len(c.recordSessions))
-	c.rowOrder = slices.Insert(c.rowOrder, at, n)
-	c.recordSessions = append(c.recordSessions, sess.ID)
+	c.rowOrder = slices.Insert(c.rowOrder, at, uint32(len(c.ids.ends)-1))
 	c.done.verdict = sess.verdict()
 	start := len(c.rows.tail)
 	c.rows.tail = c.done.verdict.appendRow(c.rows.tail)
@@ -826,7 +829,7 @@ func sortedKeys(m map[string]bool) []string {
 // section builds campaign c's section. Caller holds the world lock
 // exclusively, so the reads are a consistent cut.
 func (st *State) section(c *Campaign) (snapCampaign, error) {
-	n := uint32(len(c.recordSessions))
+	n := uint32(len(c.ids.ends))
 	cn := snapCampaign{
 		ID: c.ID, Name: c.Name, Kind: c.Kind,
 		Videos:      make([]snapVideo, len(c.Videos)),
@@ -921,8 +924,8 @@ func (st *State) restore(cn *snapCampaign) (_ *restored, err error) {
 		if err = c.fileSpilled(valid[0], valid[1]); err != nil {
 			return nil, err
 		}
-		if len(c.recordSessions) != cn.Frozen {
-			return nil, fmt.Errorf("campaign %s: %s holds %d completed sessions, its document says %d", cn.ID, fileName(cn.ID, 0), len(c.recordSessions), cn.Frozen)
+		if len(c.ids.ends) != cn.Frozen {
+			return nil, fmt.Errorf("campaign %s: %s holds %d completed sessions, its document says %d", cn.ID, fileName(cn.ID, 0), len(c.ids.ends), cn.Frozen)
 		}
 		c.spilled, c.rows.tail = uint32(cn.Frozen), nil
 	}
@@ -1019,8 +1022,8 @@ func (st *State) install(r *restored) {
 		st.sessions.Put(sess.ID, sess)
 		st.bumpID(sess.ID)
 	}
-	for _, sid := range c.recordSessions {
-		st.bumpID(sid)
+	for i := range c.ids.ends {
+		st.bumpID(c.completedID(uint32(i)))
 	}
 	st.campaigns.Put(c.ID, c)
 	st.bumpID(c.ID)

@@ -557,7 +557,7 @@ func (sess *Session) verdict() ParticipantVerdict {
 
 // frozenID returns the ID of the completed session at position i of the
 // frozen rows in payload order, which is ascending by ID.
-func (c *Campaign) frozenID(i int) string { return c.recordSessions[c.rowOrder[i]] }
+func (c *Campaign) frozenID(i int) string { return c.completedID(c.rowOrder[i]) }
 
 // frozenAt reports where session id sits, or would sit, among the frozen
 // rows in payload order, and whether its row is there.
@@ -615,7 +615,7 @@ func (st *State) appendShell(sc *renderScratch, c *Campaign, lo, hi float64, ses
 		Campaign:  c.ID,
 		Kind:      c.Kind,
 		Sessions:  sessions,
-		Completed: len(c.recordSessions),
+		Completed: len(c.ids.ends),
 		Summary:   AnalyticsSummary(c.analytics.Summary()), // same fields, this type names them in JSON
 	})
 	cut := len(o.b)

@@ -59,7 +59,9 @@ var streamExts = [2]string{".frozen", ".rows"}
 // session i's, ends at offset ends[i] of the whole stream. The pieces
 // before the campaign's spill boundary are in file, which is nil until
 // a snapshot first spills and always nil in memory; tail holds the
-// bytes from the boundary on.
+// bytes from the boundary on. A campaign's ID arena (Campaign.ids) is a
+// stream that never spills: its file stays nil and its boundary 0, and
+// no piece of its tail is ever rewritten.
 type stream struct {
 	tail []byte
 	ends []uint32
@@ -240,7 +242,7 @@ func (st *State) spill(c *Campaign) error {
 		}
 	}
 	for _, s := range c.streams() {
-		if err := s.flush(c.ID, c.spilled, uint32(len(c.recordSessions))); err != nil {
+		if err := s.flush(c.ID, c.spilled, uint32(len(c.ids.ends))); err != nil {
 			return err
 		}
 	}
@@ -293,17 +295,21 @@ func (c *Campaign) record(i uint32) ([]byte, error) {
 }
 
 // fileSpilled rebuilds restored campaign c's spilled sessions from the
-// valid bytes of its files: each frame of frozen is checked and decoded,
-// its join noted by the stopper and the session filed (fileCompleted),
-// and the row that renders must be the next of rows. Caller has built
-// c's videos and stopper, and holds no lock: c is not reachable yet.
+// valid bytes of its files: each frame of frozen is checked, its ID
+// appended to c's arena and its record decoded with that view of the
+// arena as the session's ID, its join noted by the stopper and the
+// session filed (fileCompleted), and the row that renders must be the
+// next of rows. Caller has built c's videos and stopper, and holds no
+// lock: c is not reachable yet.
 func (c *Campaign) fileSpilled(frozen, rows []byte) error {
 	for off, row := 0, uint32(0); off < len(frozen); row++ {
 		id, rec, n, ok := unframe(frozen[off:])
 		if !ok {
 			return c.badFrame(row)
 		}
-		sid := string(id)
+		c.ids.tail = append(c.ids.tail, id...)
+		c.ids.push(0)
+		sid := c.completedID(row)
 		sess, err := decodeFrozen(c, sid, rec)
 		if err != nil {
 			return fmt.Errorf("campaign %s row %d (session %s): %w", c.ID, row, sid, err)

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/eyeorg/eyeorg/internal/adaptive"
 	"github.com/eyeorg/eyeorg/internal/blob"
@@ -125,16 +126,20 @@ type Campaign struct {
 	Kind   string // "timeline" | "ab"
 	Videos []string
 
-	// recordSessions lists completed sessions in completion order — the
-	// order a snapshot load re-folds them into analytics.
+	// ids is the completed sessions' IDs, one piece each in completion
+	// order — the order a snapshot load re-folds them into analytics —
+	// packed in one arena that never spills and whose written bytes never
+	// change, so an ID read from it (completedID) is a view that stays
+	// valid however the arena grows. It is the only copy a completed
+	// session's ID keeps.
 	// cache is the rendered /results body and cacheTag its ETag, as the
 	// header value a reply assigns, both nil when stale.
-	recordSessions []string
-	cache          []byte
-	cacheTag       []string
+	ids      stream
+	cache    []byte
+	cacheTag []string
 
 	// The completed sessions, one piece each in completion order (piece i
-	// is recordSessions[i]'s), in two streams (spill.go) whose first
+	// is completedID(i)'s), in two streams (spill.go) whose first
 	// spilled pieces are in files: records, all that is left of them, each
 	// one's ID and frozen record (frozen.go) in a checked frame, which a
 	// lookup that misses the sessions index finds through rowOrder
@@ -166,8 +171,22 @@ type Campaign struct {
 	adaptive *adaptive.Campaign
 }
 
-// Completed lists the campaign's completed sessions in completion order.
-func (c *Campaign) Completed() []string { return c.recordSessions }
+// Completed lists the campaign's completed sessions in completion order,
+// each ID a view of the campaign's arena (completedID).
+func (c *Campaign) Completed() []string {
+	ids := make([]string, len(c.ids.ends))
+	for i := range ids {
+		ids[i] = c.completedID(uint32(i))
+	}
+	return ids
+}
+
+// completedID returns completed session i's ID as a view of the arena,
+// with no copy: the arena's written bytes never change.
+func (c *Campaign) completedID(i uint32) string {
+	id := c.ids.span(nil, i, i+1, 0)
+	return unsafe.String(unsafe.SliceData(id), len(id))
+}
 
 // Analytics is the campaign's incremental §4.3 fold.
 func (c *Campaign) Analytics() *quality.Campaign { return c.analytics }

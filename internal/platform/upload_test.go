@@ -116,7 +116,10 @@ func blobFiles(dir string) (files, temps []string) {
 // valid one is stored under the same content address as the same bytes
 // sent in one piece; an invalid one — cut short, corrupt midway, or
 // garbage — is refused with 422 and leaves neither a blob file nor a
-// temp file.
+// temp file. A body corrupt midway, or garbage, is refused where the
+// check fails, so no blob is published (eyeorg_blob_puts_total stays
+// put) and none removed; one cut short is valid up to its end, so it is
+// stored and then removed.
 func TestUploadInPieces(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := Open(Options{DataDir: dir})
@@ -158,11 +161,15 @@ func TestUploadInPieces(t *testing.T) {
 		"corrupt":   corrupt,
 		"garbage":   []byte("not a video, sent a few bytes at a time"),
 	} {
+		puts := metricValue(t, scrape(t, c), "eyeorg_blob_puts_total")
 		if status, reply := uploadInPieces(t, addr, path, body, 9); status != http.StatusUnprocessableEntity {
 			t.Fatalf("%s upload in pieces: %d %s, want 422", name, status, reply)
 		}
 		if files, temps := blobFiles(dir); len(files) != len(stored) || len(temps) != 0 {
 			t.Fatalf("%s upload left blob files %v and temp files %v", name, files, temps)
+		}
+		if after := metricValue(t, scrape(t, c), "eyeorg_blob_puts_total"); name != "truncated" && after != puts {
+			t.Fatalf("%s upload published a blob before it was refused: %s puts, %s before", name, after, puts)
 		}
 	}
 }
@@ -255,8 +262,7 @@ func TestUploadHeapDoesNotScaleWithPayload(t *testing.T) {
 			t.Fatalf("upload %d: %d, want 201", n, resp.StatusCode)
 		}
 	}
-	// Warm-up: the connection, and the store's look-ahead buffers (a
-	// sync.Pool, so there may come to be one per P).
+	// Warm-up: the connection, and the store's look-ahead buffer.
 	const warm, uploads = 4, 16
 	for n := 0; n < warm; n++ {
 		upload(n)

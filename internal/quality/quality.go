@@ -289,8 +289,10 @@ func (t *Tracker) Snapshot() Snapshot {
 // repeat a few hundred distinct values at most: each distinct value is
 // stored once, with its count, and each submission is one code naming
 // its value, kept in completion order for the order-sensitive in-band
-// sum. That is 4 bytes per submission plus 16 per distinct value (20 per
-// submission if none repeated). Adding a value already seen is a binary
+// sum. A code is as wide as the number of distinct values needs (codes):
+// one byte per submission up to 256 of them, so a few hundred frame
+// picks cost about a byte per submission plus 16 per distinct value (20
+// per submission if none repeated). Adding a value already seen is a binary
 // search and a count increment, and a band's percentiles are one walk
 // over the counts; only a new value shifts the distinct values'
 // ascending order. The sketch is exact — the
@@ -315,7 +317,7 @@ func (t *Tracker) Snapshot() Snapshot {
 // unless its bounds fall in the same gaps, that poll and the next
 // default render each sum from the first code once.
 type Sketch struct {
-	codes  []uint32  // one per submission, in completion order: an index into vals
+	codes  codes     // one per submission, in completion order: an index into vals
 	vals   []float64 // the distinct values, in first-seen order
 	order  []uint32  // the distinct values' codes, in ascending value order
 	counts []uint32  // submissions per distinct value, aligned with order
@@ -325,6 +327,133 @@ type Sketch struct {
 	// over no other.
 	mu   sync.Mutex
 	memo bandMemo
+}
+
+// codes is a sketch's submissions in completion order, each the index of
+// its value in the sketch's vals, at the narrowest width that indexes
+// every distinct value seen: w8 while there are at most 256, w16 up to
+// 65,536, w32 past that. The one in use is the widest that is not nil;
+// the first code too wide for it widens every code, in one copy, and
+// drops the narrower slice. Each walk dispatches on the width once and
+// runs one generic loop over the slice.
+type codes struct {
+	w8  []uint8
+	w16 []uint16
+	w32 []uint32
+}
+
+// code is the width of a sketch's codes.
+type code interface{ ~uint8 | ~uint16 | ~uint32 }
+
+// len returns the number of codes.
+func (cs *codes) len() int { return len(cs.w8) + len(cs.w16) + len(cs.w32) }
+
+// add appends c, widening the codes first when c does not fit.
+func (cs *codes) add(c uint32) {
+	switch {
+	case cs.w32 != nil:
+		cs.w32 = append(cs.w32, c)
+	case cs.w16 != nil && c > math.MaxUint16:
+		cs.w32, cs.w16 = widen[uint32](cs.w16), nil
+		cs.add(c)
+	case cs.w16 != nil:
+		cs.w16 = append(cs.w16, uint16(c))
+	case c > math.MaxUint8:
+		cs.w16, cs.w8 = widen[uint16](cs.w8), nil
+		cs.add(c)
+	default:
+		cs.w8 = append(cs.w8, uint8(c))
+	}
+}
+
+// widen copies narrow into a slice of the wider codes W with the same
+// capacity.
+func widen[W, N code](narrow []N) []W {
+	wide := make([]W, len(narrow), cap(narrow))
+	for i, c := range narrow {
+		wide[i] = W(c)
+	}
+	return wide
+}
+
+// sumBand adds to n and sum, in order, each value the codes from the
+// from-th on name that lies in [lv, hv].
+func (cs *codes) sumBand(from int, vals []float64, lv, hv float64, n int, sum float64) (int, float64) {
+	switch {
+	case cs.w32 != nil:
+		return sumBand(cs.w32[from:], vals, lv, hv, n, sum)
+	case cs.w16 != nil:
+		return sumBand(cs.w16[from:], vals, lv, hv, n, sum)
+	}
+	return sumBand(cs.w8[from:], vals, lv, hv, n, sum)
+}
+
+// sumBand walks codes in one of two loops, which add the same values in
+// the same order. Whether an answer lies in the band is as predictable
+// as the answers' order makes it: in runs (answers that drift, or agree
+// in a row) a branch guesses it and skips the add for each answer
+// outside; shuffled, a branch misses about once in two answers, and
+// adding every value times 1 in the band and 0 outside it is cheaper.
+// The first 64 answers choose: a branch when fewer than one in eight
+// crosses the band's edge from its predecessor. Every value is finite (a
+// duration in seconds), so v*0 is a zero and both sums are bit-identical.
+func sumBand[C code](codes []C, vals []float64, lv, hv float64, n int, sum float64) (int, float64) {
+	probe := codes[:min(len(codes), 64)]
+	crossings, last := 0, 0
+	for _, c := range probe {
+		in := inBand(vals[c], lv, hv)
+		crossings += in ^ last
+		last = in
+	}
+	if crossings*8 < len(probe) {
+		for _, c := range codes {
+			if v := vals[c]; v >= lv && v <= hv {
+				n++
+				sum += v
+			}
+		}
+		return n, sum
+	}
+	for _, c := range codes {
+		v := vals[c]
+		in := inBand(v, lv, hv)
+		n += in
+		sum += v * float64(in)
+	}
+	return n, sum
+}
+
+// inBand is 1 when lv <= v <= hv and 0 otherwise, without a branch.
+func inBand(v, lv, hv float64) int {
+	above, below := 0, 0
+	if v >= lv {
+		above = 1
+	}
+	if v <= hv {
+		below = 1
+	}
+	return above & below
+}
+
+// appendBand appends to out, in order, each value the codes name that
+// lies in [lv, hv].
+func (cs *codes) appendBand(out, vals []float64, lv, hv float64) []float64 {
+	switch {
+	case cs.w32 != nil:
+		return appendBand(out, cs.w32, vals, lv, hv)
+	case cs.w16 != nil:
+		return appendBand(out, cs.w16, vals, lv, hv)
+	}
+	return appendBand(out, cs.w8, vals, lv, hv)
+}
+
+func appendBand[C code](out []float64, codes []C, vals []float64, lv, hv float64) []float64 {
+	for _, c := range codes {
+		if v := vals[c]; v >= lv && v <= hv {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // bandMemo is a sketch's last band: the in-band count n and sum over
@@ -342,14 +471,14 @@ func (sk *Sketch) Add(v float64) {
 	i := sk.search(v)
 	if i < len(sk.order) && sk.vals[sk.order[i]] == v {
 		sk.counts[i]++
-		sk.codes = append(sk.codes, sk.order[i])
+		sk.codes.add(sk.order[i])
 		return
 	}
 	code := uint32(len(sk.vals))
 	sk.vals = append(sk.vals, v)
 	sk.order = slices.Insert(sk.order, i, code)
 	sk.counts = slices.Insert(sk.counts, i, 1)
-	sk.codes = append(sk.codes, code)
+	sk.codes.add(code)
 }
 
 // search returns the first ascending position whose value is not below
@@ -388,7 +517,7 @@ func (sk *Sketch) neighbours(x float64, past bool) (lower, upper float64) {
 }
 
 // Len returns the number of submissions sketched.
-func (sk *Sketch) Len() int { return len(sk.codes) }
+func (sk *Sketch) Len() int { return sk.codes.len() }
 
 // Band returns the lo-th and hi-th percentile bounds: exactly
 // stats.Sample.Percentile over the same values. The lower bound's order
@@ -396,7 +525,7 @@ func (sk *Sketch) Len() int { return len(sk.codes) }
 // upper's walking down from the largest, so the wisdom band reads half
 // the counts.
 func (sk *Sketch) Band(lo, hi float64) (lv, hv float64) {
-	n := len(sk.codes)
+	n := sk.codes.len()
 	up, down := ranks{sk: sk}, ranks{sk: sk, pos: len(sk.counts), below: n}
 	return stats.PercentileOf(n, lo, up.at), stats.PercentileOf(n, hi, down.at)
 }
@@ -426,17 +555,12 @@ func (r *ranks) at(k int) float64 {
 // in insertion order: exactly stats.Sample.IQRFilter over the same
 // values. The slice is the caller's.
 func (sk *Sketch) Filtered(lo, hi float64) []float64 {
-	if len(sk.codes) == 0 {
+	n := sk.codes.len()
+	if n == 0 {
 		return nil
 	}
 	lv, hv := sk.Band(lo, hi)
-	out := make([]float64, 0, len(sk.codes))
-	for _, c := range sk.codes {
-		if v := sk.vals[c]; v >= lv && v <= hv {
-			out = append(out, v)
-		}
-	}
-	return out
+	return sk.codes.appendBand(make([]float64, 0, n), sk.vals, lv, hv)
 }
 
 // Band summarises one video's wisdom-of-the-crowd state.
@@ -584,23 +708,16 @@ func insertSorted(ids []string, id string) []string {
 // band is one sketch's Band, resumed from the memo when the new bounds
 // stay inside its certificate's gaps.
 func (sk *Sketch) band(lo, hi float64) Band {
-	b := Band{Total: len(sk.codes)}
+	b := Band{Total: sk.codes.len()}
 	b.Lo, b.Hi = sk.Band(lo, hi)
-	// Locals, not fields, so the loop keeps them in registers.
-	lv, hv, vals := b.Lo, b.Hi, sk.vals
+	lv, hv := b.Lo, b.Hi
 	sk.mu.Lock()
 	m := &sk.memo
 	if !(m.below < lv && lv <= m.first && m.last <= hv && hv < m.above) {
 		*m = bandMemo{}
 	}
-	n, sum := m.n, m.sum
-	for _, c := range sk.codes[m.upto:] {
-		if v := vals[c]; v >= lv && v <= hv {
-			n++
-			sum += v
-		}
-	}
-	m.upto, m.n, m.sum = len(sk.codes), n, sum
+	n, sum := sk.codes.sumBand(m.upto, sk.vals, lv, hv, m.n, m.sum)
+	m.upto, m.n, m.sum = b.Total, n, sum
 	m.below, m.first = sk.neighbours(lv, false)
 	m.last, m.above = sk.neighbours(hv, true)
 	sk.mu.Unlock()

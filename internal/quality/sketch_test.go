@@ -106,18 +106,21 @@ func TestSketchFilteredIsACopy(t *testing.T) {
 
 // TestSketchBytesPerSubmission pins what a sketch keeps per submission,
 // as live heap. Timeline answers are frame picks, so 100,000 answers
-// over 256 frames cost a 4-byte code each and 16 B per distinct value:
-// at most 5 B per answer with the codes' growth slack. Were every answer
-// distinct, each would carry a distinct value's 16 B too: at most 24 B.
-// The two float64 copies the sketch once kept cost 16 B per answer plus
-// slack whatever the repeats.
+// over 256 frames cost a 1-byte code each and 16 B per distinct value:
+// at most 1.5 B per answer with the codes' growth slack (5 B while every
+// code was 4 bytes wide). Over 60,000 distinct values a code is 2 bytes
+// and 0.6 distinct values per answer cost 9.6 B: at most 15 B. Were
+// every answer distinct, each would carry a 4-byte code and a distinct
+// value's 16 B: at most 24 B. The two float64 copies the sketch once
+// kept cost 16 B per answer plus slack whatever the repeats.
 func TestSketchBytesPerSubmission(t *testing.T) {
 	const answers = 100_000
 	for _, tc := range []struct {
 		distinct int
 		ceiling  float64 // bytes per answer
 	}{
-		{256, 5},
+		{256, 1.5},
+		{60_000, 15},
 		{answers, 24},
 	} {
 		before := liveHeap()
@@ -132,6 +135,34 @@ func TestSketchBytesPerSubmission(t *testing.T) {
 			t.Errorf("%d distinct values: %.2f B per answer, ceiling %v", tc.distinct, per, tc.ceiling)
 		}
 	}
+}
+
+// cut cuts the codes back to their first n, at their width.
+func (cs *codes) cut(n int) {
+	switch {
+	case cs.w32 != nil:
+		cs.w32 = cs.w32[:n]
+	case cs.w16 != nil:
+		cs.w16 = cs.w16[:n]
+	default:
+		cs.w8 = cs.w8[:n]
+	}
+}
+
+// widths ORs together the widths, in bits, of the codes' slices that
+// are not nil: one width is in use, so it is 8, 16 or 32.
+func (cs *codes) widths() int {
+	w := 0
+	if cs.w8 != nil {
+		w |= 8
+	}
+	if cs.w16 != nil {
+		w |= 16
+	}
+	if cs.w32 != nil {
+		w |= 32
+	}
+	return w
 }
 
 func liveHeap() uint64 {
@@ -157,7 +188,7 @@ func BenchmarkSketchAdd(b *testing.B) {
 	}
 	for _, n := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("answers=%d", n), func(b *testing.B) {
-			sk := &Sketch{codes: make([]uint32, 0, 2*n)}
+			sk := &Sketch{codes: codes{w8: make([]uint8, 0, 2*n)}}
 			for i := 0; i < n; i++ {
 				sk.Add(picks[i%len(picks)])
 			}
@@ -166,7 +197,7 @@ func BenchmarkSketchAdd(b *testing.B) {
 			b.ResetTimer()
 			for i, j := 0, 0; i < b.N; i++ {
 				if j == n {
-					sk.codes = sk.codes[:n]
+					sk.codes.cut(n)
 					copy(sk.counts, counts)
 					j = 0
 				}
@@ -179,13 +210,17 @@ func BenchmarkSketchAdd(b *testing.B) {
 
 // FuzzSketchMatchesSample: whatever the submissions and the bands, a
 // sketch's Band, Filtered and TimelineBands equal stats.Sample's answers
-// over the same values in the same order, bit for bit, after every Add.
-// The first four bytes pick two bands, each lo <= hi; after them a byte
-// below 0xf0 adds one of 16 frame picks (the repeats timeline answers are
-// made of), and a byte from 0xf0 adds the float64 whose bits the next 8
-// bytes hold, unless it is not finite. Each Add is followed by a render
-// at the band the byte's 0x10 bit picks, so TimelineBands resumes its
-// last sum, switches band, and sees a bound cross a distinct value.
+// over the same values in the same order, bit for bit, after every byte's
+// Adds. The first four bytes pick two bands, each lo <= hi; after them a
+// byte below 0xe0 adds one of 16 frame picks (the repeats timeline
+// answers are made of), a byte from 0xe0 to 0xef adds 64 values seen for
+// the first time, ascending above the frame picks or, with its low bit
+// set, descending below zero (four of them take a sketch past 256
+// distinct values, where its codes widen), and a byte from 0xf0 adds the
+// float64 whose bits the next 8 bytes hold, unless it is not finite.
+// Each byte's Adds are followed by a render at the band the byte's 0x10
+// bit picks, so TimelineBands resumes its last sum, switches band, and
+// sees a bound cross a distinct value.
 func FuzzSketchMatchesSample(f *testing.F) {
 	f.Add([]byte{64, 128, 64, 128, 1, 2, 3, 1, 2, 3})
 	f.Add([]byte{0, 255, 0, 255, 5})
@@ -197,6 +232,11 @@ func FuzzSketchMatchesSample(f *testing.F) {
 	f.Add([]byte{64, 170, 64, 170, 1, 1, 1, 1, 8, 8, 8, 8, 8, 8})
 	// Two bands alternating over a sample that grows at both ends.
 	f.Add([]byte{64, 170, 25, 230, 5, 0x15, 6, 0x16, 4, 0x14, 9, 0x10, 2, 0x1c, 12, 0x11, 3, 0x13})
+	// Past 256 distinct values the codes widen from one byte to two: the
+	// frame picks, then runs of new values, with picks of either band
+	// between them, so the memo resumes across the widening.
+	f.Add([]byte{64, 170, 25, 230, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0xe0, 0x15, 0xe0, 0x16, 0xe0, 0x14, 0xe0, 0x10, 3, 0x13})
+	f.Add([]byte{0, 255, 64, 128, 5, 0xe1, 0xe0, 5, 0xe1, 0x1a, 0xe0, 0x1a, 0xe1, 2, 0x1f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -209,14 +249,26 @@ func FuzzSketchMatchesSample(f *testing.F) {
 		c := NewCampaign("timeline")
 		sk := c.sketch("v")
 		var vals []float64
+		fresh := 0 // values the runs added
 		for rest := data[4:]; len(rest) > 0; {
 			b := rest[0]
 			rest = rest[1:]
-			if b < 0xf0 {
+			n := len(vals)
+			switch {
+			case b < 0xe0:
 				vals = append(vals, frameTime(int(b%16)))
-			} else {
+			case b < 0xf0:
+				for end := fresh + 64; fresh < end; {
+					fresh++
+					if b&1 == 0 {
+						vals = append(vals, frameTime(15+fresh))
+					} else {
+						vals = append(vals, frameTime(-fresh))
+					}
+				}
+			default:
 				if len(rest) < 8 {
-					break
+					return
 				}
 				v := math.Float64frombits(binary.LittleEndian.Uint64(rest))
 				rest = rest[8:]
@@ -225,7 +277,9 @@ func FuzzSketchMatchesSample(f *testing.F) {
 				}
 				vals = append(vals, v+0) // +0 for -0: see Sketch.Add
 			}
-			sk.Add(vals[len(vals)-1])
+			for _, v := range vals[n:] {
+				sk.Add(v)
+			}
 			lo, hi := bands[b>>4&1][0], bands[b>>4&1][1]
 			s := stats.Sample(vals)
 			filtered := s.IQRFilter(lo, hi)
@@ -241,6 +295,64 @@ func FuzzSketchMatchesSample(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSketchWidthsMatchUint32: a sketch whose codes widen, from one byte
+// to two past 256 distinct values and to four past 65,536, answers Len,
+// Band, Filtered and the resumed band bit-identically to a sketch that
+// keeps every code four bytes wide from the start. Both take the same
+// values: a distinct value's first submission, in ascending order with
+// every 97th out of order, then two repeats drawn at random. The two are
+// compared after each first submission around either widening, and at
+// every 1,024th distinct value between, at the default band and at one
+// drawn at random, so the memo resumes across each widening and is
+// recertified at another band.
+func TestSketchWidthsMatchUint32(t *testing.T) {
+	const distinct = 1<<16 + 8
+	r := rand.New(rand.NewSource(54))
+	var sk Sketch
+	ref := Sketch{codes: codes{w32: []uint32{}}}
+	near := func(d, edge int) bool { return d >= edge-2 && d <= edge+2 }
+	var added []float64
+	for d := 1; d <= distinct; d++ {
+		v := frameTime(d)
+		if d%97 == 0 {
+			v = frameTime(-d) // below every value seen
+		}
+		added = append(added, v)
+		for _, v := range []float64{v, added[r.Intn(len(added))], added[r.Intn(len(added))]} {
+			sk.Add(v)
+			ref.Add(v)
+		}
+		if !near(d, 1<<8) && !near(d, 1<<16) && d%1024 != 0 {
+			continue
+		}
+		want := 8
+		switch {
+		case d > 1<<16:
+			want = 32
+		case d > 1<<8:
+			want = 16
+		}
+		if got := sk.codes.widths(); got != want {
+			t.Fatalf("%d distinct values: codes in use %#x bits wide, want %d", d, got, want)
+		}
+		if sk.Len() != ref.Len() {
+			t.Fatalf("%d distinct values: Len = %d, want %d", d, sk.Len(), ref.Len())
+		}
+		lo := r.Float64() * 50
+		for _, b := range [][2]float64{{25, 75}, {lo, lo + r.Float64()*(100-lo)}, {25, 75}} {
+			if got, want := sk.band(b[0], b[1]), ref.band(b[0], b[1]); !sameBand(got, want) {
+				t.Fatalf("%d distinct values: band(%v, %v) = %+v, want %+v", d, b[0], b[1], got, want)
+			}
+			if got, want := sk.Filtered(b[0], b[1]), ref.Filtered(b[0], b[1]); !sameFloats(got, want) {
+				t.Fatalf("%d distinct values: Filtered(%v, %v) differs from the four-byte codes' (%d and %d values)", d, b[0], b[1], len(got), len(want))
+			}
+		}
+	}
+	if ref.codes.widths() != 32 {
+		t.Fatal("the reference's codes narrowed")
+	}
 }
 
 var sinkBands map[string]Band
@@ -271,7 +383,7 @@ func BenchmarkTimelineBands(b *testing.B) {
 	var sketches []*Sketch
 	for v := 0; v < videos; v++ {
 		sk := c.sketch(fmt.Sprintf("v%d", v))
-		sk.codes = make([]uint32, 0, answers+4*period)
+		sk.codes.w8 = make([]uint8, 0, answers+4*period)
 		for _, p := range r.Perm(answers) {
 			sk.Add(frameTime(p % 256))
 		}
@@ -285,7 +397,7 @@ func BenchmarkTimelineBands(b *testing.B) {
 	}
 	cutBack := func() {
 		for v, sk := range sketches {
-			sk.codes = sk.codes[:answers]
+			sk.codes.cut(answers)
 			copy(sk.counts, counts[v])
 			sk.memo = memos[v]
 		}

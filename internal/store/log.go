@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -200,7 +201,12 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 
 // Replay streams every record with a sequence past the loaded snapshot
 // through fn, in sequence order. Call it after Open and before the
-// first AppendAsync.
+// first AppendAsync. payload is valid only until fn returns: each record
+// is read into the same buffer, so fn copies what it keeps. A segment
+// the loaded snapshot covers whole is not read: WriteSnapshot rotates,
+// so no segment holds records on both sides of a snapshot, and the
+// segments before the snapshot's rotation are those a successor starts
+// at or before the first record past it.
 func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -208,7 +214,10 @@ func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 	if err != nil {
 		return err
 	}
-	for _, sf := range segs {
+	for i, sf := range segs {
+		if i+1 < len(segs) && segs[i+1].seq <= l.loadedSeq+1 {
+			continue
+		}
 		f, err := os.Open(sf.path)
 		if err != nil {
 			return err
@@ -510,14 +519,17 @@ func DecodeRecord(b []byte) (payload []byte, n int, ok bool) {
 // buffer in the fuzz targets — calling fn (when non-nil) per valid
 // record, one frame in memory at a time (a segment can legally hold a
 // single record of up to MaxRecordBytes past its rotation threshold, so
-// buffering whole segments is not an option). It reports how many valid
+// buffering whole segments is not an option). Every frame is read into
+// one buffer, grown to the largest, so a payload is valid only until fn
+// returns. It reports how many valid
 // records r holds, the byte length of the valid prefix, and whether
 // bytes follow it: a tail that is zeros (preallocated, never written) or
 // a torn frame.
 func scanSegment(r io.Reader, base uint64, fn func(seq uint64, payload []byte) error) (count int, validSize int64, tail bool, err error) {
 	br := bufio.NewReader(r)
+	var hdr [recordHeader]byte
+	var frame []byte
 	for {
-		var hdr [recordHeader]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			// A partial header is a torn tail; a clean EOF is the end.
 			return count, validSize, !errors.Is(err, io.EOF), nil
@@ -526,7 +538,7 @@ func scanSegment(r io.Reader, base uint64, fn func(seq uint64, payload []byte) e
 		if !ok {
 			return count, validSize, true, nil
 		}
-		frame := make([]byte, recordHeader+size)
+		frame = slices.Grow(frame[:0], recordHeader+size)[:recordHeader+size]
 		copy(frame, hdr[:])
 		if _, err := io.ReadFull(br, frame[recordHeader:]); err != nil {
 			return count, validSize, true, nil

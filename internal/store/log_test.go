@@ -305,6 +305,79 @@ func TestSnapshotReplaysOnlyTail(t *testing.T) {
 	}
 }
 
+// TestReplayAllocsFlatInCoveredRecords: what Replay allocates does not
+// grow with the records the loaded snapshot covers, and it reads none of
+// them. The journal starts with a snapshot of nothing, as a platform
+// data directory does, so after the second snapshot both are retained
+// and the segment of covered records stays on disk. Replay skips that
+// segment, which the test shows by appending a valid frame to it after
+// Open: read, it would replay as the record after the snapshot. Nor do
+// its allocations grow with the records past the snapshot, which it
+// reads into one buffer.
+func TestReplayAllocsFlatInCoveredRecords(t *testing.T) {
+	payload := bytes.Repeat([]byte("r"), 100)
+	replayAllocs := func(covered, tail int) float64 {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WriteSnapshot([]byte("nothing")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < covered; i++ {
+			if _, err := appendSync(l, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.WriteSnapshot([]byte("covered")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tail; i++ {
+			if _, err := appendSync(l, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l, err = Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		segs, err := listFiles(dir, segPrefix, segSuffix)
+		if err != nil || len(segs) != 2 || segs[0].seq != 1 {
+			t.Fatalf("segments %v (%v), want the covered one from seq 1 and the tail's", segs, err)
+		}
+		f, err := os.OpenFile(segs[0].path, os.O_APPEND|os.O_WRONLY, 0)
+		if err == nil {
+			_, err = f.Write(AppendRecord(nil, []byte("read from a covered segment")))
+			f.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			n := 0
+			err := l.Replay(func(seq uint64, p []byte) error {
+				if n++; seq != uint64(covered+n) || !bytes.Equal(p, payload) {
+					return fmt.Errorf("record %d of the tail is seq %d, %q", n, seq, p)
+				}
+				return nil
+			})
+			if err != nil || n != tail {
+				t.Fatalf("replayed %d records, want %d: %v", n, tail, err)
+			}
+		})
+	}
+	few, many, long := replayAllocs(100, 16), replayAllocs(4000, 16), replayAllocs(100, 512)
+	t.Logf("Replay allocates %.0f times for 16 records past 100 covered ones, %.0f past 4,000, %.0f for 512 records", few, many, long)
+	if many > few || long > few {
+		t.Fatalf("Replay allocates %.0f times for 16 records past 100 covered ones, %.0f past 4,000 and %.0f for 512 records", few, many, long)
+	}
+}
+
 func TestSnapshotCompactsSegmentsAndOldSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 32})

@@ -299,15 +299,17 @@ const (
 	fieldBad  // corrupt: the verdict is latched
 )
 
-// Write checks the next piece of the payload. It never fails, so a
-// Checker can sit behind an io.TeeReader or io.MultiWriter; a corrupt
-// payload shows in Verdict.
+// Write checks the next piece of the payload. It takes every byte, and
+// once the payload is known corrupt it returns ErrCorrupt, for the piece
+// that showed it and every later one: behind an io.TeeReader the read
+// fails there, so its caller need not hash or store the rest. Verdict
+// reports the corrupt payload either way.
 func (c *Checker) Write(p []byte) (int, error) {
 	i := 0
 	for ; c.next == fieldMagic && i < len(p); i++ {
 		if p[i] != magic[c.magic] {
 			c.next = fieldBad
-			return len(p), nil
+			return len(p), ErrCorrupt
 		}
 		if c.magic++; c.magic == len(magic) {
 			c.next = fieldFPS
@@ -398,6 +400,9 @@ func (c *Checker) Write(p []byte) (int, error) {
 	}
 	c.next, c.x, c.nb = next, x, nb
 	c.pos, c.runs, c.val = pos, runs, val
+	if next == fieldBad {
+		return len(p), ErrCorrupt
+	}
 	return len(p), nil
 }
 
