@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -260,14 +261,12 @@ func copyDir(t *testing.T, from, to string) {
 // parent build wrote (seedPersistedCampaign with SnapshotEvery -1) and
 // the /results it served, twice. Its journal alone, with no snapshot to
 // name the records' format, fails Open before anything is swept or
-// replayed. After one Snapshot of that build it opens and serves the
-// same /results bytes.
+// replayed. After one Snapshot of that build its snapshot names version
+// 7, whose session records and frozen records kept whole tests where
+// this build keeps the videos a join drew, so Open refuses it, naming
+// both versions, before a campaign file is read.
 func TestParentDataDirFormat(t *testing.T) {
 	fixture := filepath.Join("testdata", "parent_v7")
-	want, err := os.ReadFile(filepath.Join(fixture, "results.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Run("no snapshot", func(t *testing.T) {
 		dir := t.TempDir()
 		copyDir(t, filepath.Join(fixture, "no_snapshot"), dir)
@@ -284,7 +283,7 @@ func TestParentDataDirFormat(t *testing.T) {
 			srv.Close()
 			t.Fatal("Open over the parent's journal with no snapshot succeeded")
 		}
-		for _, want := range []string{"92 records", "no snapshot", "version 7"} {
+		for _, want := range []string{"92 records", "no snapshot", "version 8"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("Open: %v, want an error naming %q", err, want)
 			}
@@ -314,10 +313,159 @@ func TestParentDataDirFormat(t *testing.T) {
 	t.Run("snapshot", func(t *testing.T) {
 		dir := t.TempDir()
 		copyDir(t, filepath.Join(fixture, "snapshot"), dir)
+		srv, err := Open(Options{DataDir: dir})
+		if err == nil {
+			srv.Close()
+			t.Fatal("Open over the parent's snapshotted dir succeeded")
+		}
+		for _, want := range []string{"version 7", "version 8"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open: %v, want an error naming %q", err, want)
+			}
+		}
+		// The refused directory is the parent's still, byte for byte, beside
+		// the lock file Open takes before it reads anything.
+		if err := os.Remove(filepath.Join(dir, "LOCK")); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if diff := diffTrees(t, filepath.Join(fixture, "snapshot"), dir); diff != "" {
+			t.Fatalf("the refused Open changed the directory: %s", diff)
+		}
+	})
+}
+
+// currentDataDir is testdata's data directory of the layout this build
+// writes: TestCurrentDataDirFormat holds the build to it.
+const currentDataDir = "data_v8"
+
+// writeDataDir writes into dir, in the layout of testdata/parent_v7,
+// what a fresh data directory holds once seedPersistedCampaign has run
+// over it with SnapshotEvery -1: no_snapshot, its journal and blobs with
+// no snapshot; snapshot, the directory after one Snapshot, holding only
+// the newest snapshot and what it covers; and results.json, the
+// campaign's /results.
+func writeDataDir(t *testing.T, dir string) {
+	t.Helper()
+	full := t.TempDir()
+	srv, c := openPersisted(t, full, Options{SnapshotEvery: -1})
+	campaign, _ := seedPersistedCampaign(t, c)
+	results := rawResults(t, c, campaign)
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	seq := srv.log.Seq()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segment := fmt.Sprintf("wal-%016x.seg", 1)
+	snapshot := fmt.Sprintf("snap-%016x.snap", seq)
+	next := fmt.Sprintf("wal-%016x.seg", seq+1)
+	for part, names := range map[string][]string{
+		"no_snapshot": {segment, "blobs"},
+		"snapshot":    {snapshot, next, "campaigns", "blobs"},
+	} {
+		for _, name := range names {
+			from, to := filepath.Join(full, name), filepath.Join(dir, part, name)
+			if st, err := os.Stat(from); err != nil {
+				t.Fatal(err)
+			} else if st.IsDir() {
+				copyDir(t, from, to)
+				continue
+			}
+			if err := os.MkdirAll(filepath.Dir(to), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			copyFile(t, from, to)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "results.json"), results, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diffTrees names the first file under directory a or b that the other
+// lacks or holds other bytes of, "" when the two trees are the same.
+func diffTrees(t *testing.T, a, b string) string {
+	t.Helper()
+	files := func(root string) map[string][]byte {
+		out := map[string][]byte{}
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, err := filepath.Rel(root, path)
+			if err == nil {
+				out[rel], err = os.ReadFile(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	fa, fb := files(a), files(b)
+	names := make([]string, 0, len(fa)+len(fb))
+	for name := range fa {
+		names = append(names, name)
+	}
+	for name := range fb {
+		if _, ok := fa[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		x, inA := fa[name]
+		y, inB := fb[name]
+		switch {
+		case !inA:
+			return fmt.Sprintf("%s holds %s, %s does not", b, name, a)
+		case !inB:
+			return fmt.Sprintf("%s holds %s, %s does not", a, name, b)
+		case !bytes.Equal(x, y):
+			return fmt.Sprintf("%s differs: %d bytes in %s, %d in %s", name, len(x), a, len(y), b)
+		}
+	}
+	return ""
+}
+
+// TestCurrentDataDirFormat: testdata/data_v8 is the data directory this
+// build writes (writeDataDir), and it serves the campaign's /results as
+// the parent build did over testdata/parent_v7, byte for byte. A build
+// that writes any other byte there has changed a format the snapshot's
+// version names, so it must bump stateVersion, keep the committed
+// directory as the next parent fixture and write its own: rewrite with
+//
+//	go test ./internal/platform -run '^TestCurrentDataDirFormat$' -update
+func TestCurrentDataDirFormat(t *testing.T) {
+	fixture := filepath.Join("testdata", currentDataDir)
+	if *update {
+		if err := os.RemoveAll(fixture); err != nil {
+			t.Fatal(err)
+		}
+		writeDataDir(t, fixture)
+	}
+	t.Run("written", func(t *testing.T) {
+		dir := t.TempDir()
+		writeDataDir(t, dir)
+		if diff := diffTrees(t, fixture, dir); diff != "" {
+			t.Fatalf("this build writes another data directory than testdata/%s (%s): a format changed, so bump stateVersion, "+
+				"rename testdata/%s to the next parent fixture (testdata/parent_v<its version>, TestParentDataDirFormat's) and "+
+				"write this build's directory with -update", currentDataDir, diff, currentDataDir)
+		}
+	})
+	t.Run("served", func(t *testing.T) {
+		want, err := os.ReadFile(filepath.Join("testdata", "parent_v7", "results.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		copyDir(t, filepath.Join(fixture, "snapshot"), dir)
 		srv, c := openPersisted(t, dir, Options{})
 		defer srv.Close()
 		if got := rawResults(t, c, "c1"); !bytes.Equal(got, want) {
-			t.Fatalf("/results over the parent's snapshotted dir:\n got %s\nwant %s", got, want)
+			t.Fatalf("/results over testdata/%s:\n got %s\nwant %s (the parent's, over testdata/parent_v7)", currentDataDir, got, want)
 		}
 	})
 }
@@ -402,26 +550,25 @@ func sessionCounts(tb testing.TB, s *Server, campaigns ...string) (inflight, com
 // and nothing else, and a server that got the record from a journal
 // replay, from a snapshot's arena or from an imported campaign answers
 // every endpoint that touches the session byte for byte like the one
-// that froze it — including a session whose test IDs do not start with
-// its own ID, which the record stores whole — then keeps folding new
-// sessions.
+// that froze it — including a session whose draw no join makes, every
+// test the one video, since banned — then keeps folding new sessions.
 func TestCompactSessionRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
 	campaign, vids := seedPersistedCampaign(t, c)
 	done := join(c, campaign, "persist-late")
 	completeSession(c, done, 1_650, false, 12, 0) // fails its control
-	// No handler mints such an assignment; a journal may still carry one.
+	// No join draws such a list; a journal may still carry one.
 	odd := JoinResponse{Session: "s-odd"}
-	for k := 0; k < TestsPerSession; k++ {
-		odd.Tests = append(odd.Tests, AssignedTest{
-			TestID: fmt.Sprintf("odd-%d", k), VideoID: vids[k%2], Kind: "timeline", Control: k == TestsPerSession-1,
-		})
+	ev := &state.Event{Op: state.OpSession, ID: odd.Session, Campaign: campaign, Worker: &Worker{ID: "persist-odd", Country: "PT"}}
+	for range TestsPerSession {
+		ev.Videos = append(ev.Videos, vids[2])
 	}
-	ev := &state.Event{Op: state.OpSession, ID: odd.Session, Campaign: campaign, Worker: &Worker{ID: "persist-odd", Country: "PT"}, Tests: odd.Tests}
-	if _, err := srv.mutate(ev, nil); err != nil {
+	joined, err := srv.mutate(ev, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	odd.Tests = joined.Tests
 	completeSession(c, odd, 1_700, true, 12, 0)
 
 	type reply struct {

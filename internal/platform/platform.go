@@ -715,19 +715,21 @@ func (s *Server) handleJoin(w *scratch, r *http.Request) {
 		writeErr(w, http.StatusForbidden, "captcha required")
 		return
 	}
-	sid, tests, err := s.state.Join(req.Campaign, req.Worker.ID)
+	sid, videos, err := s.state.Join(req.Campaign, req.Worker.ID)
 	if err != nil {
 		s.writeStateErr(w, err)
 		return
 	}
 	tr.SetSession(sid)
+	w.videos = videos
 	ev := &w.ev
-	*ev = state.Event{Op: state.OpSession, ID: sid, Campaign: req.Campaign, Worker: &req.Worker, Tests: tests}
-	if _, err := s.mutate(ev, tr); err != nil {
+	*ev = state.Event{Op: state.OpSession, ID: sid, Campaign: req.Campaign, Worker: &req.Worker, Videos: w.videos[:]}
+	res, err := s.mutate(ev, tr)
+	if err != nil {
 		s.writeStateErr(w, err)
 		return
 	}
-	w.reply = JoinResponse{Session: sid, Tests: tests}
+	w.reply = JoinResponse{Session: sid, Tests: res.Tests}
 	writeJSON(w, http.StatusCreated, &w.reply)
 }
 

@@ -93,7 +93,7 @@ func liveHeap() uint64 {
 // TestCompletedSessionRetainedHeap bounds what the server keeps per
 // completed session on an in-memory server: its ID in the campaign's
 // completion-order arena and its place in rowOrder, its frozen record
-// (about 90 B) and its rendered /analytics row (about 100 B), each
+// (about 85 B) and its rendered /analytics row (about 100 B), each
 // stored back to back, and its values in the campaign's sketches. This
 // test measured 5,036 B/session while a session kept its record, tracker
 // and traces, 1,221 once it kept only its folded form, 1,284 with the
@@ -108,8 +108,11 @@ func liveHeap() uint64 {
 // join minted. A record framed with a length and a CRC32-C (about 7 B
 // more) measured 314-316 B, as before; 273 B once the IDs were packed in
 // one arena in place of a string each and a sketch's codes were one byte
-// wide while a video has at most 256 distinct answers; the ceiling is
-// that plus 10%.
+// wide while a video has at most 256 distinct answers; and 273-275 B,
+// as before, once a frozen record kept its assignment as the seven video
+// indices its join drew (8 B less): at 4,064 sessions the records'
+// tail, grown by doubling, has the same capacity. The ceiling is 273
+// plus 10%.
 func TestCompletedSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000

@@ -8,6 +8,7 @@ package state
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,17 +38,26 @@ func (r *rig) campaign(kind string, n int) (string, []string) {
 	return id, videos
 }
 
-// join joins worker to campaign with the assignment Join draws, as the
-// join handler does.
+// join joins worker to campaign with the videos Join draws and returns
+// the assignment the record's row built, as the join handler does.
 func (r *rig) join(campaign, worker string) (string, []AssignedTest) {
 	r.tb.Helper()
-	sid, tests, err := r.st.Join(campaign, worker)
+	sid, videos, err := r.st.Join(campaign, worker)
 	if err != nil {
 		r.tb.Fatal(err)
 	}
-	r.mustApply(&Event{Op: OpSession, ID: sid, Campaign: campaign, Tests: tests,
+	res := r.mustApply(&Event{Op: OpSession, ID: sid, Campaign: campaign, Videos: videos[:],
 		Worker: &Worker{ID: worker, Gender: "m", Country: "VE", Source: "crowdflower"}})
-	return sid, tests
+	return sid, res.Tests
+}
+
+// sevenOf is a session record's draw of one video for every test.
+func sevenOf(video string) []string {
+	videos := make([]string, TestsPerSession)
+	for k := range videos {
+		videos[k] = video
+	}
+	return videos
 }
 
 // complete answers every test of session sid after an instruction batch
@@ -338,6 +348,47 @@ func TestStrayInFlightSessionRefused(t *testing.T) {
 	}
 }
 
+// TestSectionDrawRefused: a section's session in flight keeps the videos
+// its join drew, so one whose draw is not TestsPerSession of the
+// campaign's videos fails the snapshot load with ErrInvalidValue naming
+// the session, and nothing is installed.
+func TestSectionDrawRefused(t *testing.T) {
+	for name, draw := range map[string]func(videos []string) []string{
+		"six videos":       func(videos []string) []string { return videos[1:] },
+		"a foreign video":  func(videos []string) []string { return append(slices.Clone(videos[1:]), "v-elsewhere") },
+		"no videos at all": func([]string) []string { return nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, dir, _, cn := persistedSource(t)
+			sn := &cn.Inflight[0]
+			sn.Videos = draw(sn.Videos)
+			dst, err := loadSections(t, dir, cn)
+			if !errors.Is(err, ErrInvalidValue) || !strings.Contains(err.Error(), "session "+sn.ID) {
+				t.Fatalf("snapshot load: %v, want ErrInvalidValue naming session %s", err, sn.ID)
+			}
+			assertNothingInstalled(t, dst.st)
+		})
+	}
+}
+
+// videosCopied gives section cn's videos, and the draws of its sessions
+// in flight, IDs of their own, so a copy of cn holds none of its videos.
+func videosCopied(cn snapCampaign) snapCampaign {
+	cn.Videos = slices.Clone(cn.Videos)
+	for i := range cn.Videos {
+		cn.Videos[i].ID += "-copy"
+	}
+	cn.Inflight = slices.Clone(cn.Inflight)
+	for i := range cn.Inflight {
+		sn := &cn.Inflight[i]
+		sn.Videos = slices.Clone(sn.Videos)
+		for k := range sn.Videos {
+			sn.Videos[k] += "-copy"
+		}
+	}
+	return cn
+}
+
 // TestSnapshotOfHeldEntitiesRefused: installing a section overwrites
 // index entries, so a snapshot whose sections share a campaign, a video
 // or a session is refused, rather than cross-wire two campaigns.
@@ -354,7 +405,8 @@ func TestSnapshotOfHeldEntitiesRefused(t *testing.T) {
 			return cn
 		}, "already held"},
 		"session": {func(cn snapCampaign) snapCampaign {
-			cn.ID, cn.Videos, cn.Frozen, cn.FrozenBytes, cn.RowBytes = "c-copy", nil, 0, 0, 0
+			cn = videosCopied(cn)
+			cn.ID, cn.Frozen, cn.FrozenBytes, cn.RowBytes = "c-copy", 0, 0, 0
 			return cn
 		}, "already held"},
 	} {
@@ -375,21 +427,16 @@ func TestSnapshotOfHeldCompletedSessionsRefused(t *testing.T) {
 	src, dir, campaign, cn := persistedSource(t)
 	copyCampaignFiles(t, dir, campaign, "c-copy")
 	completed := completedIDs(src, campaign)
-	elsewhere := func(cn snapCampaign) snapCampaign {
-		cn.ID, cn.Inflight = "c-copy", nil
-		cn.Videos = slices.Clone(cn.Videos)
-		for i := range cn.Videos {
-			cn.Videos[i].ID += "-copy"
-		}
-		return cn
-	}
 	for name, copyOf := range map[string]func(cn snapCampaign) snapCampaign{
-		"completed again": elsewhere,
+		"completed again": func(cn snapCampaign) snapCampaign {
+			cn = videosCopied(cn)
+			cn.ID, cn.Inflight = "c-copy", nil
+			return cn
+		},
 		"in flight": func(cn snapCampaign) snapCampaign {
-			inflight := cn.Inflight[0]
-			inflight.ID = completed[len(completed)-1]
-			cn = elsewhere(cn)
-			cn.Frozen, cn.FrozenBytes, cn.RowBytes, cn.Inflight = 0, 0, 0, []snapSession{inflight}
+			cn = videosCopied(cn)
+			cn.Inflight[0].ID = completed[len(completed)-1]
+			cn.ID, cn.Frozen, cn.FrozenBytes, cn.RowBytes = "c-copy", 0, 0, 0
 			return cn
 		},
 	} {
@@ -437,8 +484,7 @@ func appendRecords(t *testing.T, dir string, records ...[]byte) (seq uint64) {
 // does not hold fails replay with an error naming that campaign, rather
 // than index a session no snapshot would carry.
 func TestSessionForUnknownCampaignRefused(t *testing.T) {
-	rec, err := json.Marshal(&Event{Op: OpSession, ID: "s9", Campaign: "c999", Worker: &Worker{ID: "w"},
-		Tests: []AssignedTest{{TestID: "s9-t0", VideoID: "v1", Kind: "timeline"}}})
+	rec, err := json.Marshal(&Event{Op: OpSession, ID: "s9", Campaign: "c999", Worker: &Worker{ID: "w"}, Videos: sevenOf("v1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,18 +544,9 @@ func TestLeftoverClusterStateRefused(t *testing.T) {
 func seedOpPrefix(r *rig) {
 	r.tb.Helper()
 	hash, size := r.video()
-	var tests []AssignedTest
-	for k := 0; k < TestsPerSession; k++ {
-		control := k == TestsPerSession-1
-		id := fmt.Sprintf("s3-t%d", k)
-		if control {
-			id = "s3-control"
-		}
-		tests = append(tests, AssignedTest{TestID: id, VideoID: "v2", Kind: "timeline", Control: control})
-	}
 	r.mustApply(&Event{Op: OpCampaign, ID: "c1", Name: "op table", Kind: "timeline"})
 	r.mustApply(&Event{Op: OpVideo, ID: "v2", Campaign: "c1", Hash: hash, Size: size})
-	r.mustApply(&Event{Op: OpSession, ID: "s3", Campaign: "c1", Worker: &Worker{ID: "w1", Country: "ES"}, Tests: tests})
+	tests := r.mustApply(&Event{Op: OpSession, ID: "s3", Campaign: "c1", Worker: &Worker{ID: "w1", Country: "ES"}, Videos: sevenOf("v2")}).Tests
 	for k, tt := range tests[:TestsPerSession-1] {
 		r.mustApply(&Event{Op: OpResponse, ID: "s3", Body: &ResponseBody{TestID: tt.TestID, SubmittedMs: 1200 + float64(k), KeptOriginal: true}})
 	}
@@ -525,6 +562,8 @@ func TestMalformedJournalRecordRefused(t *testing.T) {
 		op, record, field string
 	}{
 		{OpSession, `{"op":"session","id":"s9","campaign":"c1"}`, "worker"},
+		{OpSession, `{"op":"session","id":"s9","campaign":"c1","worker":{"id":"w"},"videos":["v2","v2","v2","v2","v2","v2"]}`, "videos"},
+		{OpSession, `{"op":"session","id":"s9","campaign":"c1","worker":{"id":"w"},"videos":["v2","v2","v2","v9","v2","v2","v2"]}`, "videos"},
 		{OpEvents, `{"op":"events","id":"s3"}`, "batch"},
 		{OpResponse, `{"op":"response","id":"s3"}`, "body"},
 		{OpCampaign, `{"op":"campaign","id":"c77","name":"n","kind":"bogus"}`, "kind"},

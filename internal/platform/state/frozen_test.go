@@ -26,56 +26,27 @@ func frozenFixture(kind string) (*Campaign, *Session) {
 			Answered: TestsPerSession, Actions: 91, Controls: 1, ControlsFailed: 1,
 		},
 	}
-	for k := 0; k < TestsPerSession; k++ {
-		t := AssignedTest{TestID: sess.ID + "-t" + string(rune('0'+k)), VideoID: c.Videos[k%3], Kind: kind}
-		a := answer{Test: k}
-		if k == TestsPerSession-1 {
-			t.TestID, t.Control, a.ControlFailed = sess.ID+"-control", true, true
-		}
+	var videos [TestsPerSession]string
+	for k := range videos {
+		videos[k] = c.Videos[k%3]
+		a := answer{Test: k, ControlFailed: k == TestsPerSession-1}
 		if kind == "ab" {
 			a.Choice = response.ABChoice(k % 3)
 		} else {
 			a.Submitted = time.Duration(1_400+k*37) * time.Millisecond
 		}
-		sess.Assignment = append(sess.Assignment, t)
 		sess.answers = append(sess.answers, a)
 	}
+	sess.Assignment = assignment(sess.ID, kind, &videos)
 	return c, sess
 }
 
 // TestFrozenRoundTrip: encode → decode gives back every field a completed
-// session has, for the records completion writes and for the literals
-// the encoding falls back to — a test ID the join would not have minted,
-// a video the campaign does not list, a kind other than the campaign's —
-// and for the values no handler mints but a journal may carry.
+// session has, for the records completion writes and for the values no
+// handler mints but a journal may carry.
 func TestFrozenRoundTrip(t *testing.T) {
 	for name, mutate := range map[string]func(c *Campaign, sess *Session){
 		"as completion writes it": func(*Campaign, *Session) {},
-		"foreign test IDs": func(_ *Campaign, sess *Session) {
-			sess.Assignment[0].TestID = "odd-0"
-			sess.Assignment[3].TestID = "s1" // a proper prefix of the session ID
-			sess.Assignment[4].TestID = ""
-		},
-		"test ID is the session ID": func(_ *Campaign, sess *Session) { sess.Assignment[1].TestID = sess.ID },
-		"minted IDs out of place": func(_ *Campaign, sess *Session) {
-			sess.Assignment[0].TestID = sess.ID + "-t1"      // another test's
-			sess.Assignment[1].TestID = sess.ID + "-control" // the control's, on a plain test
-			sess.Assignment[2].TestID = sess.ID + "-t02"     // the number spelled otherwise
-			sess.Assignment[6].TestID = sess.ID + "-t6"      // a plain test's, on the control
-		},
-		"video outside the campaign": func(_ *Campaign, sess *Session) {
-			sess.Assignment[2].VideoID = "v-gone"
-			sess.Assignment[5].VideoID = ""
-		},
-		"campaign without videos": func(c *Campaign, _ *Session) { c.Videos = nil },
-		"kind other than the campaign's": func(c *Campaign, sess *Session) {
-			// The answer's value travels as the test's own kind reads it.
-			sess.Assignment[1].Kind, sess.answers[1] = "ab", answer{Test: 1, Choice: response.ChoiceRight}
-			if c.Kind == "ab" {
-				sess.Assignment[1].Kind, sess.answers[1] = "timeline", answer{Test: 1, Submitted: 5 * time.Second}
-			}
-			sess.Assignment[2].Kind, sess.answers[2] = "survey", answer{Test: 2, Submitted: 2 * time.Second}
-		},
 		"answers out of order, negative values": func(c *Campaign, sess *Session) {
 			sess.answers[0], sess.answers[6] = sess.answers[6], sess.answers[0]
 			sess.final.Actions = -12
@@ -84,10 +55,7 @@ func TestFrozenRoundTrip(t *testing.T) {
 				sess.answers[3].Submitted = 1<<63 - 1
 			}
 		},
-		"empty worker, no tests": func(_ *Campaign, sess *Session) {
-			sess.Worker, sess.Assignment, sess.answers = Worker{}, []AssignedTest{}, []answer{}
-			sess.final = quality.Snapshot{Completed: true}
-		},
+		"empty worker": func(_ *Campaign, sess *Session) { sess.Worker = Worker{} },
 	} {
 		for _, kind := range []string{"timeline", "ab"} {
 			c, want := frozenFixture(kind)
@@ -107,8 +75,8 @@ func TestFrozenRoundTrip(t *testing.T) {
 		}
 	}
 	c, sess := frozenFixture("timeline")
-	if n := len(appendFrozen(nil, c, sess)); n > 100 {
-		t.Fatalf("a plain timeline record takes %d bytes, want at most 100", n)
+	if n := len(appendFrozen(nil, c, sess)); n != 85 {
+		t.Fatalf("a plain timeline record takes %d bytes, want 85", n)
 	}
 }
 
@@ -124,8 +92,9 @@ func TestFrozenDecodeRefusesCorruptRecords(t *testing.T) {
 			t.Fatalf("record cut to %d of %d bytes: %v, want errFrozen", cut, len(good), err)
 		}
 	}
-	// Four empty worker fields, then hand-built tests, answers and final.
+	// Four empty worker fields, then hand-built videos, answers and final.
 	worker := []byte{0, 0, 0, 0}
+	videos := []byte{0, 0, 0, 0, 0, 0, 0}
 	final := []byte{0, 0, 0, 0, 0, 0}
 	build := func(parts ...[]byte) []byte {
 		var rec []byte
@@ -139,14 +108,11 @@ func TestFrozenDecodeRefusesCorruptRecords(t *testing.T) {
 		want string
 	}{
 		"trailing bytes":          {build(good, []byte{0}), "trailing"},
-		"video past the list":     {build(worker, []byte{1, 0, 3, 0}, []byte{0}, final), "video 3 of 3"},
-		"unknown flag":            {build(worker, []byte{1, frozenFlagsEnd, 0, 0}, []byte{0}, final), "flags"},
-		"answer to no test":       {build(worker, []byte{1, 0, 0, 0}, []byte{1, 1 << 1, 0}, final), "test 1 of 1"},
-		"answer without tests":    {build(worker, []byte{0}, []byte{1, 0, 0}, final), "test 0 of 0"},
-		"more tests than bytes":   {build(worker, []byte{0xff, 0xff, 0x03}, final), "tests in"},
-		"more answers than bytes": {build(worker, []byte{0}, []byte{0xff, 0xff, 0x03}, final), "answers in"},
-		"verdict off the table":   {build(worker, []byte{0}, []byte{0}, []byte{0, 5, 0, 0, 0, 0}), "reason"},
-		"verdict past int64": {build(worker, []byte{0}, []byte{0},
+		"video past the list":     {build(worker, []byte{0, 0, 0, 3, 0, 0, 0}, []byte{0}, final), "test 3 names video 3 of 3"},
+		"answer to no test":       {build(worker, videos, []byte{1, TestsPerSession << 1, 0}, final), "test 7 of 7"},
+		"more answers than bytes": {build(worker, videos, []byte{0xff, 0xff, 0x03}, final), "answers in"},
+		"verdict off the table":   {build(worker, videos, []byte{0}, []byte{0, 5, 0, 0, 0, 0}), "reason"},
+		"verdict past int64": {build(worker, videos, []byte{0},
 			[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0, 0}), "reason"},
 		"string past the record": {[]byte{9, 'a'}, "ends early"},
 	} {
@@ -157,21 +123,24 @@ func TestFrozenDecodeRefusesCorruptRecords(t *testing.T) {
 	}
 }
 
-// FuzzFrozenSession: a frozen record arrives inside import documents,
-// from outside the process. Arbitrary bytes never panic the decoder; a
-// record it accepts yields a session every consumer can walk — its
-// answers index its assignment, its verdict names a rule — and encodes
-// back to a record that decodes to the same session.
+// FuzzFrozenSession: a frozen record is read back from its campaign's
+// frozen file, from outside the process. Arbitrary bytes never panic the
+// decoder; a record it accepts yields a session every consumer can walk —
+// its answers index its assignment, its verdict names a rule — and
+// encodes back to a record that decodes to the same session.
 func FuzzFrozenSession(f *testing.F) {
 	for _, kind := range []string{"timeline", "ab"} {
 		c, sess := frozenFixture(kind)
 		f.Add(appendFrozen(nil, c, sess), kind == "ab", uint8(len(c.Videos)))
 	}
 	f.Add([]byte{}, false, uint8(0))
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, true, uint8(1))
-	// One test, answered: its ID the minted "s17-t0", then one stored whole.
-	f.Add([]byte{0, 0, 0, 0, 1, frozenMinted, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, false, uint8(1))
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 3, 'o', 'd', 'd', 1, 0, 0, 0, 0, 0, 0, 0, 0}, false, uint8(1))
+	// Seven tests of the one video, one answered.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, true, uint8(1))
+	// Over three videos, the control answered first and failed, then test
+	// 2 a nanosecond before the video starts.
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 2, 0, 1, 2, 0, 2, 6<<1 | 1, 0, 2 << 1, 1, 0, 0, 2, 0, 1, 1}, false, uint8(3))
+	// A video past the campaign's three.
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 2, 3, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0}, false, uint8(3))
 	f.Fuzz(func(t *testing.T, rec []byte, ab bool, videos uint8) {
 		c, _ := frozenFixture("timeline")
 		if ab {

@@ -262,7 +262,7 @@ func (m *model) Apply(ev *Event) (Result, error) {
 	case OpVideo:
 		err = m.video(ev)
 	case OpSession:
-		err = m.session(ev)
+		res.Tests, err = m.session(ev)
 	case OpEvents:
 		b := ev.Batch
 		switch {
@@ -339,13 +339,13 @@ func (m *model) NewCampaignID(id, name, kind string) (string, error) {
 	return id, nil
 }
 
-// Join mints the session ID and draws the assignment a join of worker to
-// campaign id gets, or refuses it and mints nothing: TestsPerSession
-// tests over the campaign's unbanned videos in the order they were
-// added, the last the control, round-robin from the number of sessions
-// joined so far; in an adaptive campaign, over its stopper's
-// most-needed-first order from the start.
-func (m *model) Join(id, worker string) (string, []AssignedTest, error) {
+// Join mints the session ID and draws the videos a join of worker to
+// campaign id gets, or refuses it and mints nothing: TestsPerSession of
+// the campaign's unbanned videos in the order they were added, the last
+// the control's, round-robin from the number of sessions joined so far;
+// in an adaptive campaign, over its stopper's most-needed-first order
+// from the start.
+func (m *model) Join(id, worker string) (string, []string, error) {
 	c := m.campaigns[id]
 	switch {
 	case worker == "":
@@ -368,14 +368,12 @@ func (m *model) Join(id, worker string) (string, []AssignedTest, error) {
 	if c.stopper != nil {
 		pool, offset = c.stopper.Assign(pool), 0
 	}
-	sid := m.NewID("s")
-	tests := make([]AssignedTest, TestsPerSession)
-	for k := range tests {
-		tests[k] = AssignedTest{Kind: c.kind, VideoID: pool[(offset*(TestsPerSession-1)+k)%len(pool)], TestID: sid + "-t" + strconv.Itoa(k)}
+	videos := make([]string, TestsPerSession)
+	for k := range videos {
+		videos[k] = pool[(offset*(TestsPerSession-1)+k)%len(pool)]
 	}
-	control := &tests[TestsPerSession-1]
-	control.Control, control.VideoID, control.TestID = true, pool[offset%len(pool)], sid+"-control"
-	return sid, tests, nil
+	videos[TestsPerSession-1] = pool[offset%len(pool)]
+	return m.NewID("s"), videos, nil
 }
 
 // carriable reports whether JSON can carry every x.
@@ -436,28 +434,35 @@ func (m *model) video(ev *Event) error {
 	return nil
 }
 
-func (m *model) session(ev *Event) error {
+// session applies a session record: its tests are TestsPerSession of its
+// campaign's videos, the last the control, each of the campaign's kind
+// and with the ID the join mints for it.
+func (m *model) session(ev *Event) ([]AssignedTest, error) {
 	c := m.campaigns[ev.Campaign]
 	switch {
 	case ev.Worker == nil:
-		return errRefused
-	case ev.Worker.ID == "":
-		return ErrInvalidValue
+		return nil, errRefused
+	case ev.Worker.ID == "" || len(ev.Videos) != TestsPerSession:
+		return nil, ErrInvalidValue
 	case m.sessions[ev.ID] != nil:
-		return ErrHeld
+		return nil, ErrHeld
 	case c == nil:
-		return ErrNoCampaign
+		return nil, ErrNoCampaign
 	}
-	s := &modelSession{id: ev.ID, c: c, worker: *ev.Worker, tests: slices.Clone(ev.Tests), latest: map[string]wire.Record{}}
+	s := &modelSession{id: ev.ID, c: c, worker: *ev.Worker, latest: map[string]wire.Record{}}
+	for k, v := range ev.Videos {
+		if !slices.Contains(c.videos, v) {
+			return nil, ErrInvalidValue
+		}
+		s.tests = append(s.tests, AssignedTest{Kind: c.kind, VideoID: v, TestID: ev.ID + "-t" + strconv.Itoa(k)})
+	}
+	control := &s.tests[TestsPerSession-1]
+	control.Control, control.TestID = true, ev.ID+"-control"
 	m.sessions[ev.ID] = s
 	if c.stopper != nil {
-		var videos []string
-		for _, t := range s.tests {
-			videos = append(videos, t.VideoID)
-		}
-		c.stopper.NoteJoin(videos)
+		c.stopper.NoteJoin(slices.Clone(ev.Videos))
 	}
-	return nil
+	return s.tests, nil
 }
 
 // engagement files a session's engagement records.
@@ -790,9 +795,7 @@ func compare(t *testing.T, how string, st *State, m *model, lo, hi float64) {
 		if err != nil {
 			t.Fatalf("%s: session %q: %v", how, id, err)
 		}
-		// The journal does not tell an empty assignment from none (no join
-		// mints either), so neither does this.
-		if sess.Worker != s.worker || len(sess.Assignment)+len(s.tests) > 0 && !reflect.DeepEqual(sess.Assignment, s.tests) {
+		if sess.Worker != s.worker || !reflect.DeepEqual(sess.Assignment, s.tests) {
 			t.Fatalf("%s: session %q is %+v %+v, want %+v %+v", how, id, sess.Worker, sess.Assignment, s.worker, s.tests)
 		}
 		if !st.Held(id) {
@@ -963,48 +966,34 @@ func (p *Program) ref(held []string, prefix string, sel int) string {
 	return held[len(held)-1-sel%len(held)]
 }
 
-// tests draws the assignment of session sid of campaign c: n tests
-// round-robin over the campaign's videos from offset, the last a
-// control, with test odd%8 made odd in the way odd/8%5 picks when odd is
-// 8 or more (oddTest writes one).
-func (p *Program) tests(sid string, c *modelCampaign, n, odd, offset int) []AssignedTest {
-	kind, videos := "timeline", []string(nil)
-	if c != nil {
-		kind, videos = c.kind, c.videos
-	}
-	if p.Model.adaptive != nil && len(videos) == 0 {
-		n = 0 // an adaptive join draws only from the stopper's videos
-	}
-	var tests []AssignedTest
+// draw draws the videos of a session of campaign c: n round-robin over
+// the campaign's videos from offset, with video odd%8 made odd in the
+// way odd/8%3 picks when odd is 8 or more (oddTest writes one): a video
+// no campaign lists, another campaign's, or the fuzzer's string.
+func (p *Program) draw(c *modelCampaign, n, odd, offset int) []string {
+	var videos []string
 	for k := 0; k < n; k++ {
-		t := AssignedTest{Kind: kind, Control: k == n-1, VideoID: "v-gone"}
-		if len(videos) > 0 {
-			t.VideoID = videos[(offset+k)%len(videos)]
-		}
-		if t.TestID = sid + "-t" + strconv.Itoa(k); t.Control {
-			t.TestID = sid + "-control"
+		v := "v-gone"
+		if c != nil && len(c.videos) > 0 {
+			v = c.videos[(offset+k)%len(c.videos)]
 		}
 		if odd >= 8 && k == odd%8 {
-			switch odd / 8 % 5 {
+			switch odd / 8 % 3 {
 			case 0:
-				// A stopper registers a campaign's videos as they are added, so
-				// an adaptive session names only those, as every join does.
-				if p.Model.adaptive == nil {
-					t.VideoID = "v-elsewhere"
-				}
+				v = "v-elsewhere"
 			case 1:
-				t.Kind = map[string]string{"timeline": "ab", "ab": "timeline"}[kind]
+				for _, held := range p.videos {
+					if p.Model.videos[held].c != c {
+						v = held
+					}
+				}
 			case 2:
-				t.Kind = "survey"
-			case 3:
-				t.TestID = p.strs[0]
-			case 4:
-				t.TestID = sid + "-t" + strconv.Itoa(k+1)
+				v = p.strs[0]
 			}
 		}
-		tests = append(tests, t)
+		videos = append(videos, v)
 	}
-	return tests
+	return videos
 }
 
 // Event builds the record of op row, one of ProgOps, from the current
@@ -1043,8 +1032,8 @@ func (p *Program) Event(row string) *Event {
 			}
 		}
 		if ev.ID != "" {
-			n := []int{TestsPerSession, TestsPerSession, TestsPerSession, 1, 2, 0}[p.field(3)%6]
-			ev.Tests = p.tests(ev.ID, p.Model.campaigns[ev.Campaign], n, p.field(4), p.field(5))
+			n := []int{TestsPerSession, TestsPerSession, TestsPerSession, 1, TestsPerSession - 1, 0}[p.field(3)%6]
+			ev.Videos = p.draw(p.Model.campaigns[ev.Campaign], n, p.field(4), p.field(5))
 		}
 	case OpEvents, OpBatch:
 		var s *modelSession
@@ -1154,11 +1143,11 @@ func (d *runner) mint(i int, ev *Event) bool {
 		if ev.Worker != nil {
 			worker = ev.Worker.ID
 		}
-		// A state's assignment depends on the joins since it opened; the
-		// HTTP tier's fuzzer checks it. Here every party applies the model's.
+		// A state's draw depends on the joins since it opened; the HTTP
+		// tier's fuzzer checks it. Here every party applies the model's.
 		ids[0], _, errs[0] = d.r.st.Join(ev.Campaign, worker)
 		ids[1], _, errs[1] = d.mem.Join(ev.Campaign, worker)
-		ids[2], ev.Tests, errs[2] = d.Model.Join(ev.Campaign, worker)
+		ids[2], ev.Videos, errs[2] = d.Model.Join(ev.Campaign, worker)
 	}
 	if ids[0] != ids[2] || ids[1] != ids[2] || !sameRefusal(errs[0], errs[2]) || !sameRefusal(errs[1], errs[2]) {
 		d.t.Fatalf("op %d: minting %s: state %q %v, in memory %q %v, model %q %v", i, ev.Op, ids[0], errs[0], ids[1], errs[1], ids[2], errs[2])
@@ -1189,7 +1178,7 @@ func (d *runner) step(i, code int) {
 	got, gotErr := d.r.apply(ev)
 	memSeq, memGot, memErr := d.mem.Apply(ev, nil)
 	want, wantErr := d.Model.Apply(ev)
-	if !sameRefusal(gotErr, wantErr) || got != want || !sameRefusal(memErr, wantErr) || memGot != want || memSeq != 0 {
+	if !sameRefusal(gotErr, wantErr) || !reflect.DeepEqual(got, want) || !sameRefusal(memErr, wantErr) || !reflect.DeepEqual(memGot, want) || memSeq != 0 {
 		t.Fatalf("op %d: %s %q: state %+v %v, in memory %+v %v (sequence %d), model %+v %v", i, ev.Op, ev.ID, got, gotErr, memGot, memErr, memSeq, want, wantErr)
 	}
 	after := d.r.jl.Seq()
@@ -1290,9 +1279,9 @@ func (p *progWriter) raw(code, band byte, fields ...byte) {
 func (p *progWriter) snapshot() { p.raw(byte(len(ProgOps)), 0) }
 func (p *progWriter) reopen()   { p.raw(byte(len(ProgOps)+1), 0) }
 
-// oddTest is the session field that makes test k odd in way w of
-// Program.tests.
-func oddTest(w, k int) byte { return byte(8*(w+5) + k) }
+// oddTest is the session field that makes video k odd in way w of
+// Program.draw.
+func oddTest(w, k int) byte { return byte(8*(w+3) + k) }
 
 // mintSel is the ID field of a create or join the target mints.
 const mintSel = 150
@@ -1346,11 +1335,11 @@ func ModelSeeds() [][]byte {
 			p.session(0, 0, 2, 3, 0, 17, TestsPerSession, 0) // seeks past the trusted ceiling
 			p.session(0, 0, 0, 1, 2, 11, TestsPerSession, 45)
 			p.snapshot()
-			p.session(0, oddTest(1, 2), 1, 2, 0, 40, TestsPerSession, 67) // a test of the other kind
-			p.session(0, oddTest(2, 3), 2, 1, 0, 23, TestsPerSession, 12) // a test of no campaign's kind
-			p.session(0, oddTest(3, 1), 0, 1, 0, 50, TestsPerSession, 0)  // a test ID not minted
-			p.session(0, oddTest(4, 0), 0, 1, 0, 52, TestsPerSession, 0)  // a test ID another test's
+			p.session(0, 0, 2, 1, 0, 23, TestsPerSession, 12)
 			p.session(0, oddTest(0, 4), 1, 1, 0, 54, TestsPerSession, 99) // a video of no campaign
+			p.session(0, oddTest(2, 6), 1, 1, 0, 52, TestsPerSession, 0)  // the fuzzer's string as the control's
+			p.op(OpSession, 0, 0, 0, 0, 4)                                // six videos
+			p.op(OpSession, 0, 0, 0, 0, 3)                                // one
 			// Late and refused records, on the newest session: completed
 			// unless test 0 took test 1's ID.
 			p.op(OpResponse, 0, 0, 0, 0, 1, 0)   // duplicate answer
@@ -1388,6 +1377,7 @@ func ModelSeeds() [][]byte {
 			p.op(OpSession, 0, mintSel, 0, 6) // no worker ID
 			p.op(OpSession, 0, mintSel, 1, 1) // the first campaign
 			p.op(OpBatch, 0, 0, 0, 0, 1, 0, 0, 6)
+			p.op(OpSession, 0, 0, 0, 0, 0, oddTest(1, 3)) // a video of the first campaign
 			p.session(0, 0, 0, 1, 0, 7, TestsPerSession, 78)
 			p.snapshot()
 			p.session(0, 0, 0, 1, 0, 8, 3, 0)

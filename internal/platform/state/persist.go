@@ -32,6 +32,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -58,22 +59,25 @@ const (
 // Event is one journaled op. ID is the entity the op targets (campaign,
 // video or session by op).
 //
+// A session record carries the videos its join drew (State.Join), not
+// the tests: its row builds the assignment from them (assignment).
+//
 // Video records carry a content address (Hash + Size) into the blob
 // store, never the payload: the blob file is made durable before the
 // record referencing it is journaled, so replay always finds the bytes.
 type Event struct {
-	Op       string         `json:"op"`
-	ID       string         `json:"id,omitempty"`
-	Campaign string         `json:"campaign,omitempty"`
-	Name     string         `json:"name,omitempty"`
-	Kind     string         `json:"kind,omitempty"`
-	Hash     string         `json:"hash,omitempty"`
-	Size     int64          `json:"size,omitempty"`
-	Worker   *Worker        `json:"worker,omitempty"`
-	Tests    []AssignedTest `json:"tests,omitempty"`
-	Batch    *EventBatch    `json:"batch,omitempty"`
-	Body     *ResponseBody  `json:"body,omitempty"`
-	Flagger  string         `json:"flagger,omitempty"`
+	Op       string        `json:"op"`
+	ID       string        `json:"id,omitempty"`
+	Campaign string        `json:"campaign,omitempty"`
+	Name     string        `json:"name,omitempty"`
+	Kind     string        `json:"kind,omitempty"`
+	Hash     string        `json:"hash,omitempty"`
+	Size     int64         `json:"size,omitempty"`
+	Worker   *Worker       `json:"worker,omitempty"`
+	Videos   []string      `json:"videos,omitempty"`
+	Batch    *EventBatch   `json:"batch,omitempty"`
+	Body     *ResponseBody `json:"body,omitempty"`
+	Flagger  string        `json:"flagger,omitempty"`
 	// Wire is a batch record's raw EYB1 payload: the journal stores the
 	// compact wire bytes a binary batch arrived as, and replay runs them
 	// back through the same pooled decoder the live path used.
@@ -93,6 +97,10 @@ type Result struct {
 	Banned bool
 	// Done reports that an answer completed its session.
 	Done bool
+	// Tests is the assignment a session record's row built, which a join
+	// answers with: a lookup after Apply can miss a session whose answers
+	// completed it meanwhile.
+	Tests []AssignedTest
 }
 
 // op is one row of the op table: a journal opcode and the function that
@@ -262,6 +270,7 @@ func encodeJSON(v any) (*jsonBuf, error) {
 var (
 	errCampaign = &badValue{"name or kind", "campaign needs a name and kind timeline|ab"}
 	errWorkerID = &badValue{"worker.id", "worker id required"}
+	errDrawSize = &badValue{"videos", "a session draws " + strconv.Itoa(TestsPerSession) + " videos"}
 )
 
 // validCampaign reports whether a campaign can have this name and kind.
@@ -347,6 +356,8 @@ func (st *State) applySession(ev *Event, tr *trace.Trace) (uint64, Result, error
 		return 0, Result{}, errMissing(ev, "worker")
 	case ev.Worker.ID == "":
 		return 0, Result{}, errWorkerID
+	case len(ev.Videos) != TestsPerSession:
+		return 0, Result{}, errDrawSize
 	}
 	ssh := st.sessions.Shard(ev.ID)
 	ssh.Lock()
@@ -369,11 +380,15 @@ func (st *State) applySession(ev *Event, tr *trace.Trace) (uint64, Result, error
 	if !ok {
 		return 0, Result{}, fmt.Errorf("session %s: %w %s", ev.ID, ErrNoCampaign, ev.Campaign)
 	}
+	drawn, err := c.draw(ev.Videos)
+	if err != nil {
+		return 0, Result{}, err
+	}
 	seq, err := st.journal(ev, tr)
 	if err != nil {
 		return 0, Result{}, err
 	}
-	sess := newSession(ev.ID, c, *ev.Worker, ev.Tests)
+	sess := newSession(ev.ID, c, *ev.Worker, assignment(ev.ID, c.Kind, &drawn))
 	ssh.Put(ev.ID, sess)
 	c.inflight = append(c.inflight, ev.ID)
 	// The allocator charges the assignment as bought budget the moment it
@@ -384,7 +399,7 @@ func (st *State) applySession(ev *Event, tr *trace.Trace) (uint64, Result, error
 	}
 	st.joined.Add(1)
 	st.bumpID(ev.ID)
-	return seq, Result{}, nil
+	return seq, Result{Tests: sess.Assignment}, nil
 }
 
 // assignedVideos appends to dst one video ID per test of an assignment,
@@ -755,12 +770,14 @@ func (sess *Session) trackAnswer(a answer) {
 // stateVersion is the schema version of the snapshot document, of the
 // campaign files it covers and of the journal records after it: a data
 // directory opens from a snapshot (Recover), so a format change of any
-// of the three bumps it. Version 7 frames each frozen record as a
-// journal record (spill.go), where version 6 wrote unchecked varint
-// entries and version 5 carried the records in the section. No reader
-// for an older layout is kept: a document carrying another version is
-// refused.
-const stateVersion = 7
+// of the three bumps it. Version 8 stores an assignment as the videos
+// its join drew — in a session record, a session in flight and a frozen
+// record alike — where version 7 stored its tests. Version 7 framed each
+// frozen record as a journal record (spill.go), where version 6 wrote
+// unchecked varint entries and version 5 carried the records in the
+// section. No reader for an older layout is kept: a document carrying
+// another version is refused.
+const stateVersion = 8
 
 // A campaign's section is the one form its state takes in a document: a
 // snapshot is the counters and every campaign's section. The analytics,
@@ -794,12 +811,12 @@ type snapCampaign struct {
 	Inflight    []snapSession `json:"inflight,omitempty"`
 }
 
-// snapSession is one session in flight: its answers so far and the
-// tracker's latest trace per video.
+// snapSession is one session in flight: the videos its join drew, its
+// answers so far and the tracker's latest trace per video.
 type snapSession struct {
 	ID      string                         `json:"id"`
 	Worker  Worker                         `json:"worker"`
-	Tests   []AssignedTest                 `json:"tests"`
+	Videos  []string                       `json:"videos"`
 	Answers []answer                       `json:"answers,omitempty"`
 	Traces  map[string]response.VideoTrace `json:"traces,omitempty"`
 }
@@ -847,7 +864,7 @@ func (st *State) section(c *Campaign) (snapCampaign, error) {
 	}
 	for i, sid := range c.inflight {
 		sess, _ := st.sessions.Get(sid) // in flight: indexed from join to completion
-		cn.Inflight[i] = snapSession{ID: sess.ID, Worker: sess.Worker, Tests: sess.Assignment, Answers: sess.answers, Traces: sess.track.Traces()}
+		cn.Inflight[i] = snapSession{ID: sess.ID, Worker: sess.Worker, Videos: sess.videos(), Answers: sess.answers, Traces: sess.track.Traces()}
 	}
 	sort.Slice(cn.Inflight, func(i, j int) bool { return cn.Inflight[i].ID < cn.Inflight[j].ID })
 	return cn, nil
@@ -933,10 +950,14 @@ func (st *State) restore(cn *snapCampaign) (_ *restored, err error) {
 		if _, frozen := c.frozenAt(sn.ID); frozen {
 			return nil, fmt.Errorf("campaign %s lists session %s both completed and in flight", cn.ID, sn.ID)
 		}
+		drawn, err := c.draw(sn.Videos)
+		if err != nil {
+			return nil, fmt.Errorf("campaign %s session %s: %w", cn.ID, sn.ID, err)
+		}
 		// The tracker is a pure function of the latest per-video traces and
 		// the answer list, both order-independent here, so map iteration
 		// order cannot diverge the rebuild.
-		sess := newSession(sn.ID, c, sn.Worker, sn.Tests)
+		sess := newSession(sn.ID, c, sn.Worker, assignment(sn.ID, c.Kind, &drawn))
 		for _, tr := range sn.Traces {
 			sess.track.Observe(tr)
 		}

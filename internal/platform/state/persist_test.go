@@ -77,7 +77,7 @@ func TestJournalRecordBytesMatchMarshal(t *testing.T) {
 		{Op: OpCampaign, ID: "c1", Name: "<b>A & B</b> — ünï\u2028code", Kind: "timeline"},
 		{Op: OpVideo, ID: "v2", Campaign: "c1", Hash: "e2f418a26daa90aec4ab4540ac673fdc9445eb213788a61c67ac01d4e9e51861", Size: 4096},
 		{Op: OpSession, ID: "s3", Campaign: "c1", Worker: &Worker{ID: "w<1>", Gender: "f", Country: "ES", Source: "crowdflower"},
-			Tests: []AssignedTest{{TestID: "s3-t0", VideoID: "v2", Kind: "timeline"}, {TestID: "s3-t1", VideoID: "v2", Kind: "timeline", Control: true}}},
+			Videos: []string{"v2", "v2", "v<3>", "v2", "v2", "v2", "v2"}},
 		{Op: OpEvents, ID: "s3", Batch: &EventBatch{VideoID: "v2", InstructionMs: 3.5, LoadMs: 912.25, TimeOnVideoMs: 21_000, Plays: 1, Seeks: 4, WatchedFraction: 0.9, OutOfFocusMs: 1e-7}},
 		{Op: OpBatch, ID: "s3", Wire: enc.AppendBatch(nil, recs)},
 		{Op: OpResponse, ID: "s3", Body: &ResponseBody{TestID: "s3-t0", SliderMs: 1400.5, HelperMs: 1200, SubmittedMs: 1200, KeptOriginal: true}},
@@ -162,9 +162,8 @@ func TestHeldIDRefused(t *testing.T) {
 		}
 		return err
 	}
-	tests := []AssignedTest{{TestID: "s3-t0", VideoID: "v2", Kind: "timeline"}}
 	video := &Event{Op: OpVideo, ID: "v2", Campaign: "c1", Hash: ref.Hash, Size: ref.Size}
-	session := &Event{Op: OpSession, ID: "s3", Campaign: "c1", Worker: &Worker{ID: "w"}, Tests: tests}
+	session := &Event{Op: OpSession, ID: "s3", Campaign: "c1", Worker: &Worker{ID: "w"}, Videos: sevenOf("v2")}
 	for _, ev := range []*Event{{Op: OpCampaign, ID: "c1", Name: "held", Kind: "timeline"}, video, session} {
 		if err := apply(ev); err != nil {
 			t.Fatalf("%s %s: %v", ev.Op, ev.ID, err)
@@ -182,8 +181,10 @@ func TestHeldIDRefused(t *testing.T) {
 	}
 	refused("in flight", video)
 	refused("in flight", session)
-	if err := apply(&Event{Op: OpResponse, ID: "s3", Body: &ResponseBody{TestID: "s3-t0", SubmittedMs: 900}}); err != nil {
-		t.Fatal(err)
+	for _, test := range []string{"s3-t0", "s3-t1", "s3-t2", "s3-t3", "s3-t4", "s3-t5", "s3-control"} {
+		if err := apply(&Event{Op: OpResponse, ID: "s3", Body: &ResponseBody{TestID: test, SubmittedMs: 900, KeptOriginal: true}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	refused("completed", session)
 }

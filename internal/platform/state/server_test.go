@@ -195,12 +195,13 @@ func (d *serverRunner) request(ev *state.Event) (request, bool) {
 			return request{"POST", "/api/v1/sessions", "", jsonLine(join), http.StatusForbidden, nil}, true
 		}
 		join.Worker, join.Captcha = *ev.Worker, "tok"
-		sid, tests, err := m.Join(ev.Campaign, ev.Worker.ID)
+		sid, videos, err := m.Join(ev.Campaign, ev.Worker.ID)
+		var res state.Result
 		if err == nil {
-			ev.ID, ev.Tests = sid, tests
-			_, err = m.Apply(ev)
+			ev.ID, ev.Videos = sid, videos
+			res, err = m.Apply(ev)
 		}
-		return request{"POST", "/api/v1/sessions", "", jsonLine(join), statusOf(t, err, http.StatusCreated), jsonLine(platform.JoinResponse{Session: sid, Tests: tests})}, true
+		return request{"POST", "/api/v1/sessions", "", jsonLine(join), statusOf(t, err, http.StatusCreated), jsonLine(platform.JoinResponse{Session: sid, Tests: res.Tests})}, true
 	case state.OpEvents:
 		if !routable(ev.ID) {
 			return request{}, false

@@ -524,17 +524,18 @@ func (st *State) CampaignID(id []byte) string {
 var poolPool = sync.Pool{New: func() any { return new([]string) }}
 
 // Join mints a session ID for worker joining campaign id and draws its
-// assignment, or refuses before it mints: TestsPerSession tests over the
-// campaign's unbanned videos, the last of them the control. Fixed campaigns round-robin over
-// the live videos via the offset counter; adaptive campaigns cycle the
-// allocator's most-needed-first pool instead, so the assignment is a
+// videos, or refuses before it mints: TestsPerSession of the campaign's
+// unbanned videos, the last the control's. Fixed campaigns round-robin
+// over the live videos via the offset counter; adaptive campaigns cycle
+// the allocator's most-needed-first pool instead, so the draw is a
 // deterministic function of the journaled campaign state (the in-flight
 // counts the allocator steers by advance on every join). Either way the
-// assignment is what the session record journals, so replay does not
-// depend on how it was drawn.
-func (st *State) Join(id, worker string) (sid string, tests []AssignedTest, err error) {
+// draw is what the session record journals, and the record's row builds
+// the assignment from it (assignment), so replay does not depend on how
+// it was drawn.
+func (st *State) Join(id, worker string) (sid string, videos [TestsPerSession]string, err error) {
 	if worker == "" {
-		return "", nil, errWorkerID
+		return "", videos, errWorkerID
 	}
 	csh := st.campaigns.Shard(id)
 	scratch := poolPool.Get().(*[]string)
@@ -567,32 +568,64 @@ func (st *State) Join(id, worker string) (sid string, tests []AssignedTest, err 
 	csh.RUnlock()
 	switch {
 	case !ok:
-		return "", nil, ErrNoCampaign
+		return "", videos, ErrNoCampaign
 	case err != nil:
-		return "", nil, err
+		return "", videos, err
 	case len(pool) == 0:
-		return "", nil, ErrNoUsableVideos
+		return "", videos, ErrNoUsableVideos
 	}
 	offset := 0
 	if st.adaptive == nil {
 		offset = int(st.assign.Add(1) - 1)
 	}
-	sid = st.NewID("s")
-	// The seven test IDs are cut from one string: they live and die
-	// together, with the session's state, and its frozen record keeps none
-	// of them. The session ID is its own; the campaign's lists keep it for
-	// good.
-	tests = make([]AssignedTest, TestsPerSession)
+	for k := range TestsPerSession - 1 {
+		videos[k] = pool[(offset*(TestsPerSession-1)+k)%len(pool)]
+	}
+	videos[TestsPerSession-1] = pool[offset%len(pool)]
+	return st.NewID("s"), videos, nil
+}
+
+// draw resolves videos, the draw a session record or section carries, to
+// c's own strings, or refuses one no join of c makes: other than
+// TestsPerSession videos, or one c does not list. Caller holds c's shard
+// lock, or c is not reachable yet.
+func (c *Campaign) draw(videos []string) (drawn [TestsPerSession]string, err error) {
+	if len(videos) != TestsPerSession {
+		return drawn, errDrawSize
+	}
+	for k, vid := range videos {
+		i := slices.Index(c.Videos, vid)
+		if i < 0 {
+			return drawn, &badValue{"videos", fmt.Sprintf("video %s is not one of campaign %s's", vid, c.ID)}
+		}
+		drawn[k] = c.Videos[i]
+	}
+	return drawn, nil
+}
+
+// appendTestID appends the ID a join mints for test k of session sid:
+// sid+"-t"+k, or sid+"-control" for the control test.
+func appendTestID(dst []byte, sid string, k int, control bool) []byte {
+	dst = append(dst, sid...)
+	if control {
+		return append(dst, "-control"...)
+	}
+	return strconv.AppendInt(append(dst, "-t"...), int64(k), 10)
+}
+
+// assignment builds the tests of session sid of a campaign of kind from
+// the videos its join drew, the control's last: applySession from a
+// session record's, restore from a section's session in flight's and
+// decodeFrozen from a frozen record's. The seven test IDs are cut from
+// one string: they live and die together, with the session's state, and
+// its frozen record keeps none of them.
+func assignment(sid, kind string, videos *[TestsPerSession]string) []AssignedTest {
+	tests := make([]AssignedTest, TestsPerSession)
 	var ends [TestsPerSession]int
 	ids := make([]byte, 0, 128)
 	for k := range tests {
 		t := &tests[k]
-		t.Kind = c.Kind
-		if t.Control = k == TestsPerSession-1; t.Control {
-			t.VideoID = pool[offset%len(pool)]
-		} else {
-			t.VideoID = pool[(offset*(TestsPerSession-1)+k)%len(pool)]
-		}
+		t.Kind, t.VideoID, t.Control = kind, videos[k], k == TestsPerSession-1
 		ids = appendTestID(ids, sid, k, t.Control)
 		ends[k] = len(ids)
 	}
@@ -601,7 +634,7 @@ func (st *State) Join(id, worker string) (sid string, tests []AssignedTest, err 
 		tests[k].TestID = all[start:end]
 		start = end
 	}
-	return sid, tests, nil
+	return tests
 }
 
 // Assignment returns session id's assignment while the session is in

@@ -403,12 +403,13 @@ type scratch struct {
 	tr     *trace.Trace
 	id     string // the route's {id} path segment, percent-decoded
 
-	buf   []byte // an ingest body as it arrived; a batch's acknowledgement
-	ev    state.Event
-	join  JoinRequest
-	batch EventBatch
-	resp  ResponseBody
-	reply JoinResponse // a join's or a /tests reply
+	buf    []byte // an ingest body as it arrived; a batch's acknowledgement
+	ev     state.Event
+	join   JoinRequest
+	videos [state.TestsPerSession]string // a join's draw, which its record carries
+	batch  EventBatch
+	resp   ResponseBody
+	reply  JoinResponse // a join's or a /tests reply
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

@@ -227,11 +227,12 @@ func TestUploadOversizeInPieces(t *testing.T) {
 }
 
 // TestUploadHeapDoesNotScaleWithPayload: a 4 MiB valid upload to a
-// file-tier server, sent over a real socket, allocates less than 256 KiB
-// of heap (client, server and store together): the body is hashed,
-// written and checked read by read, never held whole. Reading the
-// stored blob back to validate it, as an earlier ingest did, costs more
-// than the payload itself.
+// file-tier server, sent over a real socket, allocates about 44 KB of
+// heap (client, server and store together): the body is hashed, written
+// and checked read by read through one look-ahead buffer from the blob
+// store's free list, never held whole. The bound is on the 16 measured
+// uploads' total, so that one upload missing the free list, whose
+// 64 KiB buffer adds about 4 KB to the average, fails it.
 func TestUploadHeapDoesNotScaleWithPayload(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries and inflates allocation")
@@ -273,10 +274,14 @@ func TestUploadHeapDoesNotScaleWithPayload(t *testing.T) {
 		upload(n)
 	}
 	runtime.ReadMemStats(&after)
-	perUpload := (after.TotalAlloc - before.TotalAlloc) / uploads
-	t.Logf("a %d-byte upload allocates %d bytes", len(payload), perUpload)
-	if perUpload >= 256<<10 {
-		t.Fatalf("a %d-byte upload allocates %d bytes, want under 256 KiB", len(payload), perUpload)
+	// On a 2-CPU VM, 100 runs allocated 696-717 KB over the 16 uploads and
+	// one run of another 100 739 KB; one more look-ahead buffer makes it at
+	// least 761 KB.
+	const bound = uploads*44<<10 + 28<<10
+	total := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d uploads of %d bytes allocate %d bytes, %d each", uploads, len(payload), total, total/uploads)
+	if total >= bound {
+		t.Fatalf("%d uploads of %d bytes allocate %d bytes, want under %d: at least one took a look-ahead buffer the free list should have held", uploads, len(payload), total, bound)
 	}
 }
 

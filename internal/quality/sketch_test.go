@@ -373,43 +373,55 @@ var sinkBands map[string]Band
 //     more than two frames away, so each bound crosses a distinct value
 //     and every render sums every answer.
 //
-// The Adds are timed with the render. Every 256 renders the sketches
-// are cut back to their first 4,096 answers and the memo they had then,
-// which is exactly their state then, so none grows past 4,352.
+// Iteration i renders campaign i mod 16 of a pool shuffled apart, built
+// before the timer: 262,144 answers in all, which a branch predictor does
+// not learn the way it learns one campaign's 16,384 walked every
+// iteration. The Adds are timed with the render. Every 256 renders of a
+// campaign its sketches are cut back to their first 4,096 answers and
+// the memo they had then, which is exactly their state then, so none
+// grows past 4,352.
 func BenchmarkTimelineBands(b *testing.B) {
-	const videos, answers, period = 4, 4096, 256
+	const videos, answers, period, campaigns = 4, 4096, 256, 16
 	r := rand.New(rand.NewSource(1))
-	c := NewCampaign("timeline")
-	var sketches []*Sketch
-	for v := 0; v < videos; v++ {
-		sk := c.sketch(fmt.Sprintf("v%d", v))
-		sk.codes.w8 = make([]uint8, 0, answers+4*period)
-		for _, p := range r.Perm(answers) {
-			sk.Add(frameTime(p % 256))
-		}
-		sketches = append(sketches, sk)
-	}
 	adds := []float64{frameTime(0), frameTime(128), frameTime(128), frameTime(255)}
-	before := c.TimelineBands(25, 75)
-	counts, memos := make([][]uint32, videos), make([]bandMemo, videos)
-	for v, sk := range sketches {
-		counts[v], memos[v] = slices.Clone(sk.counts), sk.memo
+	type fixture struct {
+		c        *Campaign
+		sketches []*Sketch
+		counts   [][]uint32
+		memos    []bandMemo
 	}
-	cutBack := func() {
-		for v, sk := range sketches {
+	pool := make([]*fixture, campaigns)
+	for j := range pool {
+		f := &fixture{c: NewCampaign("timeline"), counts: make([][]uint32, videos), memos: make([]bandMemo, videos)}
+		for v := 0; v < videos; v++ {
+			sk := f.c.sketch(fmt.Sprintf("v%d", v))
+			sk.codes.w8 = make([]uint8, 0, answers+4*period)
+			for _, p := range r.Perm(answers) {
+				sk.Add(frameTime(p % 256))
+			}
+			f.sketches = append(f.sketches, sk)
+		}
+		before := f.c.TimelineBands(25, 75)
+		for v, sk := range f.sketches {
+			f.counts[v], f.memos[v] = slices.Clone(sk.counts), sk.memo
+		}
+		for _, sk := range f.sketches {
+			for _, a := range adds {
+				sk.Add(a)
+			}
+		}
+		for id, band := range f.c.TimelineBands(25, 75) {
+			if band.Lo != before[id].Lo || band.Hi != before[id].Hi {
+				b.Fatalf("video %s: the resume case's Adds moved the band from [%v, %v] to [%v, %v]", id, before[id].Lo, before[id].Hi, band.Lo, band.Hi)
+			}
+		}
+		pool[j] = f
+	}
+	cutBack := func(f *fixture) {
+		for v, sk := range f.sketches {
 			sk.codes.cut(answers)
-			copy(sk.counts, counts[v])
-			sk.memo = memos[v]
-		}
-	}
-	for _, sk := range sketches {
-		for _, a := range adds {
-			sk.Add(a)
-		}
-	}
-	for id, band := range c.TimelineBands(25, 75) {
-		if band.Lo != before[id].Lo || band.Hi != before[id].Hi {
-			b.Fatalf("video %s: the resume case's Adds moved the band from [%v, %v] to [%v, %v]", id, before[id].Lo, before[id].Hi, band.Lo, band.Hi)
+			copy(sk.counts, f.counts[v])
+			sk.memo = f.memos[v]
 		}
 	}
 	for _, tc := range []struct {
@@ -417,27 +429,30 @@ func BenchmarkTimelineBands(b *testing.B) {
 		cold, cross bool
 	}{{"cold", true, false}, {"resume", false, false}, {"crossing", false, true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			cutBack()
+			for _, f := range pool {
+				cutBack(f)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				f, n := pool[i%campaigns], i/campaigns // n: the campaign's own render count
 				if tc.cold {
-					for _, sk := range sketches {
+					for _, sk := range f.sketches {
 						sk.memo = bandMemo{}
 					}
 				} else {
-					if i%period == period-1 {
-						cutBack()
+					if n%period == period-1 {
+						cutBack(f)
 					}
-					sk := sketches[i%videos]
+					sk := f.sketches[n%videos]
 					for _, a := range adds {
 						sk.Add(a)
 					}
 				}
 				lo, hi := 25.0, 75.0
-				if tc.cross && i%2 == 1 {
+				if tc.cross && n%2 == 1 {
 					lo, hi = 24, 76
 				}
-				sinkBands = c.TimelineBands(lo, hi)
+				sinkBands = f.c.TimelineBands(lo, hi)
 			}
 		})
 	}

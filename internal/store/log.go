@@ -115,7 +115,8 @@ type Log struct {
 // Open opens (creating if needed) the journal in dir, loads the newest
 // valid snapshot, and recovers the segment chain: the newest segment's
 // zero or torn tail, if any, is truncated and the segment preallocated
-// again; corruption anywhere else is an error.
+// again; corruption in any other segment past the snapshot is an error.
+// A segment the snapshot covers whole is not read.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 8 << 20
@@ -404,6 +405,14 @@ func (l *Log) recover() error {
 		if sf.seq != expect {
 			return fmt.Errorf("store: journal gap: %s begins at seq %d, want %d",
 				filepath.Base(sf.path), sf.seq, expect)
+		}
+		// A segment the loaded snapshot covers whole, by Replay's rule, is
+		// not read: no replay needs it, and its successor's name says where
+		// it ends. It is read, and checked, by an Open that falls back to an
+		// older snapshot.
+		if i+1 < len(segs) && segs[i+1].seq <= l.loadedSeq+1 {
+			expect = segs[i+1].seq
+			continue
 		}
 		f, err := os.Open(sf.path)
 		if err != nil {

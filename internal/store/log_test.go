@@ -240,6 +240,75 @@ func TestMidJournalCorruptionFailsOpen(t *testing.T) {
 	}
 }
 
+// TestCoveredSegmentNotRead: Open reads no segment the loaded snapshot
+// covers whole, so a flipped payload bit in one leaves Open and Replay
+// as they were. Once the newest snapshot is corrupt, Open falls back to
+// the older one, which does not cover the segment: it reads it, and the
+// flip fails it as mid-journal corruption.
+func TestCoveredSegmentNotRead(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "a", "b")
+	if err := l.WriteSnapshot([]byte("snap@2")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "c", "d")
+	if err := l.WriteSnapshot([]byte("snap@4")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "e")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := func() string {
+		t.Helper()
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		seq, data, _ := l.Snapshot()
+		_, payloads := replayAll(t, l)
+		return fmt.Sprintf("%d %s %v", seq, data, payloads)
+	}
+	before := replayed()
+	if before != "4 snap@4 [e]" {
+		t.Fatalf("before the flip: %s", before)
+	}
+	// wal-3 holds c and d; the snapshot at 4 covers it, the one at 2 does
+	// not.
+	segs, err := listFiles(dir, segPrefix, segSuffix)
+	if err != nil || len(segs) != 2 || segs[0].seq != 3 {
+		t.Fatalf("segments %v (%v), want wal-3 and wal-5", segs, err)
+	}
+	flip := func(path string, at func(raw []byte) int) {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[at(raw)] ^= 0x01
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip(segs[0].path, func([]byte) int { return recordHeader })
+	if after := replayed(); after != before {
+		t.Fatalf("a flipped bit in a covered segment changed Open and Replay: %s, was %s", after, before)
+	}
+	snaps, err := listFiles(dir, snapPrefix, snapSuffix)
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("snapshots %v (%v), want two", snaps, err)
+	}
+	flip(snaps[1].path, func(raw []byte) int { return len(raw) - 1 })
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "corrupt mid-journal") {
+		t.Fatalf("open falling back past the flipped segment: %v, want corrupt mid-journal", err)
+	}
+}
+
 func TestMissingOldestSegmentFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 32})
