@@ -82,6 +82,13 @@ func completeDispatched(tb testing.TB, h http.Handler, campaign string, i int, s
 	}
 }
 
+// unspilled is the heap c's frozen records and /analytics rows hold,
+// capacity included: 0 once a snapshot has spilled every one.
+func unspilled(c *state.Campaign) int {
+	f := c.Footprint()
+	return f.Records.Cap + f.Rows.Cap
+}
+
 func liveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -90,48 +97,96 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// TestCompletedSessionRetainedHeap bounds what the server keeps per
-// completed session on an in-memory server: its ID in the campaign's
-// completion-order arena and its place in rowOrder, its frozen record
-// (about 85 B) and its rendered /analytics row (about 100 B), each
-// stored back to back, and its values in the campaign's sketches. This
-// test measured 5,036 B/session while a session kept its record, tracker
-// and traces, 1,221 once it kept only its folded form, 1,284 with the
-// rendered row beside it, 562 once no sessionState outlived completion
-// — which it also checks — 542 once the campaign kept no join-order list
-// beside that one, 494 once the index key was no longer the completing
-// request's line (TestCompletedSessionPinsNoRequestBytes), 428 once a
-// sketch kept each answer as a 4-byte code over its distinct values in
-// place of two float64 copies (TestSketchBytesPerSubmission in
-// internal/quality), and 314 now that the sessions index holds no
-// completed session and a frozen record stores none of the test IDs its
-// join minted. A record framed with a length and a CRC32-C (about 7 B
-// more) measured 314-316 B, as before; 273 B once the IDs were packed in
-// one arena in place of a string each and a sketch's codes were one byte
-// wide while a video has at most 256 distinct answers; and 273-275 B,
-// as before, once a frozen record kept its assignment as the seven video
-// indices its join drew (8 B less): at 4,064 sessions the records'
-// tail, grown by doubling, has the same capacity. The ceiling is 273
-// plus 10%.
+// pageBytes is the size of a full chunk of the state package's
+// completed-session storage: a chunked part holds at most one more than
+// it uses.
+const pageBytes = 4096
+
+// checkFootprint holds the completed sessions' footprint to want's
+// lengths, exactly, and each part's capacity to its length plus one
+// chunk per chunked structure it counts (the three streams' ends are
+// three) and the structures' lists of chunks, 24 B a slot, at most two
+// slots a chunk; rowOrder, a slice, to at most twice its length.
+func checkFootprint(t *testing.T, got, want state.Footprint, sessions int) {
+	t.Helper()
+	for _, p := range []struct {
+		name       string
+		got, want  state.Held
+		structures int
+	}{
+		{"records", got.Records, want.Records, 1},
+		{"rows", got.Rows, want.Rows, 1},
+		{"IDs", got.IDs, want.IDs, 1},
+		{"ends", got.Ends, want.Ends, 3},
+	} {
+		spare := p.structures * (pageBytes + 48*(p.got.Len/pageBytes/p.structures+2))
+		t.Logf("%-8s %7d B used (%.2f B per session), %7d B allocated", p.name, p.got.Len, float64(p.got.Len)/float64(sessions), p.got.Cap)
+		if p.got.Len != p.want.Len || p.got.Cap < p.got.Len || p.got.Cap > p.got.Len+spare {
+			t.Errorf("%s hold %d B of %d allocated, want %d B of at most %d", p.name, p.got.Len, p.got.Cap, p.want.Len, p.want.Len+spare)
+		}
+	}
+	if r := got.RowOrder; r.Len != want.RowOrder.Len || r.Cap < r.Len || r.Cap > 2*r.Len {
+		t.Errorf("rowOrder holds %d B of %d allocated, want %d B of at most twice that", r.Len, r.Cap, want.RowOrder.Len)
+	}
+}
+
+// TestCompletedSessionRetainedHeap holds what an in-memory server keeps
+// per completed session, first by the state's own account of its
+// completed-session storage (state.Footprint): its ID in the campaign's
+// completion-order arena (2-5 B here), its place in rowOrder (4 B), the
+// ends of its three pieces (12 B), its framed frozen record and its
+// rendered /analytics row, exactly, and what they allocate, to within a
+// chunk per structure. Those lengths are a function of the sessions
+// driven, so a byte more or less per record fails the test.
+//
+// Then, without the race detector, it bounds the live heap, which holds
+// beside the account each session's values in the campaign's sketches.
+// This cross-check measured 5,036 B/session while a session kept its
+// record, tracker and traces, 1,221 once it kept only its folded form,
+// 1,284 with the rendered row beside it, 562 once no sessionState
+// outlived completion — which it also checks — 542 once the campaign
+// kept no join-order list beside that one, 494 once the index key was no
+// longer the completing request's line
+// (TestCompletedSessionPinsNoRequestBytes), 428 once a sketch kept each
+// answer as a 4-byte code over its distinct values in place of two
+// float64 copies (TestSketchBytesPerSubmission in internal/quality), and
+// 314 now that the sessions index holds no completed session and a
+// frozen record stores none of the test IDs its join minted. A record
+// framed with a length and a CRC32-C (about 7 B more) measured 314-316 B,
+// as before; 273 B once the IDs were packed in one arena in place of a
+// string each and a sketch's codes were one byte wide while a video has
+// at most 256 distinct answers; 273-275 B, as before, once a frozen
+// record kept its assignment as the seven video indices its join drew
+// (8 B less): at 4,064 sessions the records' tail, grown by doubling,
+// had the same capacity; and 255-257 B once the records, rows, IDs and
+// ends sat in fixed-size chunks in place of slices grown by doubling.
+// The ceiling is that plus 10%.
 func TestCompletedSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000
-		ceiling  = 300 // bytes per completed session
+		ceiling  = 282 // bytes per completed session
 	)
-	if raceEnabled {
-		t.Skip("heap accounting is measured without the race detector")
-	}
 	srv := NewServer()
 	h := srv.Handler()
 	campaign := seedDispatch(t, h, 4)
+	c, _ := srv.state.Campaign(campaign)
 	completeSessions(t, h, campaign, 0, 64) // warm pools, size the first map buckets
 	before := liveHeap()
 	completeSessions(t, h, campaign, 64, sessions)
 	after := liveHeap()
-	per := float64(after-before) / sessions
-	t.Logf("retained heap: %.0f B per completed session", per)
-	if per > ceiling {
-		t.Fatalf("retained %.0f B per completed session, ceiling %d", per, ceiling)
+	checkFootprint(t, c.Footprint(), state.Footprint{
+		Records:  state.Held{Len: 379_814},
+		Rows:     state.Held{Len: 424_518},
+		IDs:      state.Held{Len: 19_234},
+		Ends:     state.Held{Len: 12 * (sessions + 64)},
+		RowOrder: state.Held{Len: 4 * (sessions + 64)},
+	}, sessions+64)
+	if !raceEnabled {
+		per := float64(after-before) / sessions
+		t.Logf("retained heap: %.0f B per completed session", per)
+		if per > ceiling {
+			t.Fatalf("retained %.0f B per completed session, ceiling %d", per, ceiling)
+		}
 	}
 	var res ResultsResponse
 	dispatch(t, h, "GET", "/api/v1/campaigns/"+campaign+"/results", nil, &res)
@@ -143,24 +198,23 @@ func TestCompletedSessionRetainedHeap(t *testing.T) {
 	}
 }
 
-// TestSpilledSessionRetainedHeap bounds what a server with a data
+// TestSpilledSessionRetainedHeap holds what a server with a data
 // directory keeps per completed session once a snapshot has spilled its
-// frozen record and /analytics row to the campaign's files: its ID in
-// the completion-order arena, its place in rowOrder, the two offsets its
-// entry and row end at, and its values in the campaign's sketches, each
-// with the spare capacity of the slice it was appended to. This test
-// measured 97 B/session when it was written, against the 314 an
-// in-memory server keeps (TestCompletedSessionRetainedHeap). Framed
-// records (one stream type) measured 96-98 B; the ID arena and one-byte
-// sketch codes 56-57 B; the ceiling is that plus 10%.
+// frozen record and /analytics row to the campaign's files, first by the
+// state's account: no byte of records or rows, and, exactly, its ID in
+// the completion-order arena, its place in rowOrder and the ends of its
+// three pieces. Then, without the race detector, it bounds the live
+// heap, which holds beside those its values in the campaign's sketches.
+// This cross-check measured 97 B/session when it was written, against
+// the 314 an in-memory server kept (TestCompletedSessionRetainedHeap).
+// Framed records (one stream type) measured 96-98 B; the ID arena and
+// one-byte sketch codes 56-57 B; 56-57 B once the arena and the ends
+// sat in fixed-size chunks. The ceiling is that plus 10%.
 func TestSpilledSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000
-		ceiling  = 63 // bytes per completed session
+		ceiling  = 62 // bytes per completed session
 	)
-	if raceEnabled {
-		t.Skip("heap accounting is measured without the race detector")
-	}
 	srv, err := Open(Options{DataDir: t.TempDir(), SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +222,7 @@ func TestSpilledSessionRetainedHeap(t *testing.T) {
 	defer srv.Close()
 	h := srv.Handler()
 	campaign := seedDispatch(t, h, 4)
+	c, _ := srv.state.Campaign(campaign)
 	completeSessions(t, h, campaign, 0, 64) // warm pools, size the first map buckets
 	if err := srv.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -178,13 +233,20 @@ func TestSpilledSessionRetainedHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := liveHeap()
-	per := float64(after-before) / sessions
-	t.Logf("retained heap: %.0f B per spilled completed session", per)
-	if per > ceiling {
-		t.Fatalf("retained %.0f B per spilled completed session, ceiling %d", per, ceiling)
-	}
-	if held := srv.state.Counts().CompletedBytes; held != 0 {
+	if held := unspilled(c); held != 0 {
 		t.Fatalf("the snapshot left %d bytes of completed sessions in the heap, want every one spilled", held)
+	}
+	checkFootprint(t, c.Footprint(), state.Footprint{
+		IDs:      state.Held{Len: 19_234},
+		Ends:     state.Held{Len: 12 * (sessions + 64)},
+		RowOrder: state.Held{Len: 4 * (sessions + 64)},
+	}, sessions+64)
+	if !raceEnabled {
+		per := float64(after-before) / sessions
+		t.Logf("retained heap: %.0f B per spilled completed session", per)
+		if per > ceiling {
+			t.Fatalf("retained %.0f B per spilled completed session, ceiling %d", per, ceiling)
+		}
 	}
 	var res ResultsResponse
 	dispatch(t, h, "GET", "/api/v1/campaigns/"+campaign+"/results", nil, &res)
@@ -511,7 +573,7 @@ func spilledAnalyticsRender(tb testing.TB, n int) (*state.Campaign, func()) {
 	if err := srv.Snapshot(); err != nil {
 		tb.Fatal(err)
 	}
-	if held := srv.state.Counts().CompletedBytes; held != 0 || len(c.Completed()) != n {
+	if held := unspilled(c); held != 0 || len(c.Completed()) != n {
 		tb.Fatalf("the snapshot left %d bytes of %d completed sessions in the heap, want %d, every one spilled", held, len(c.Completed()), n)
 	}
 	return c, render

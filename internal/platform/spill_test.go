@@ -357,7 +357,7 @@ func TestSpillRacesReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if held := srv.state.Counts().CompletedBytes; held != 0 || len(c.Completed()) != sessions {
+	if held := unspilled(c); held != 0 || len(c.Completed()) != sessions {
 		t.Fatalf("the campaign holds %d bytes of %d completed sessions in the heap, want %d, every one spilled", held, len(c.Completed()), sessions)
 	}
 
@@ -530,8 +530,8 @@ func BenchmarkOpen(b *testing.B) {
 				cpu += end - start
 				cpuOK = cpuOK && ok && ok2
 				b.StopTimer()
-				if c, _ := srv.state.Campaign(campaign); srv.state.Counts().CompletedBytes != 0 || len(c.Completed()) != n {
-					b.Fatalf("the reopened campaign holds %d completed sessions, %d bytes of them in the heap, want %d, every one spilled", len(c.Completed()), srv.state.Counts().CompletedBytes, n)
+				if c, _ := srv.state.Campaign(campaign); unspilled(c) != 0 || len(c.Completed()) != n {
+					b.Fatalf("the reopened campaign holds %d completed sessions, %d bytes of them in the heap, want %d, every one spilled", len(c.Completed()), unspilled(c), n)
 				}
 				if err := srv.Close(); err != nil {
 					b.Fatal(err)

@@ -812,7 +812,7 @@ func compare(t *testing.T, how string, st *State, m *model, lo, hi float64) {
 		}
 	}
 	got := st.Counts()
-	got.CompletedBytes, got.SpilledBytes = 0, 0
+	got.Completed, got.SpilledBytes = Footprint{}, 0
 	if want := m.counts(); got != want {
 		t.Fatalf("%s: counts %+v, want %+v", how, got, want)
 	}

@@ -582,32 +582,38 @@ func (st *State) applyResponse(ev *Event, tr *trace.Trace) (uint64, Result, erro
 // completeSession is what the completing answer does, on the live path
 // and on every replay of its journal record alike: it freezes the
 // session's standing, appends the session's ID and frozen record, in one
-// frame, to the campaign's records, and its ID to the campaign's arena,
-// and files it. The caller then deletes the session from the index, which
-// held the last reference to its state and to the ID string its join
-// minted, so the tracker and its traces go with them. Caller holds both
-// shard locks.
+// frame, to the campaign's records, its ID to the campaign's arena and
+// its /analytics row to the campaign's rows, and files it. Each append
+// copies only its own bytes into the streams' chunks. The caller then
+// deletes the session from the index, which held the last reference to
+// its state and to the ID string its join minted, so the tracker and its
+// traces go with them. Caller holds both shard locks.
 func completeSession(c *Campaign, sess *Session) {
 	sess.track.SetCompleted()
 	sess.final = sess.track.Snapshot()
 	c.done.frozen = appendFrozen(appendString(c.done.frozen[:0], sess.ID), c, sess)
-	c.records.tail = store.AppendRecord(c.records.tail, c.done.frozen)
+	c.done.frame = store.AppendRecord(c.done.frame[:0], c.done.frozen)
+	c.records.tail.append(c.done.frame...)
 	c.records.push(c.spilled)
-	c.ids.tail = append(c.ids.tail, sess.ID...)
+	c.ids.tail.appendWhole([]byte(sess.ID))
 	c.ids.push(0)
-	c.fileCompleted(sess)
+	c.rows.tail.append(c.fileCompleted(sess)...)
+	c.rows.push(c.spilled)
 }
 
 // fileCompleted is the one step every completed session goes through,
 // fresh from completeSession or decoded from a campaign's frozen file
 // (fileSpilled):
 // it folds the answers into the campaign's analytics and stopper and
-// files the session and its /analytics row under the next row number,
-// the piece the session's record is in its records and its ID, which the
-// caller has appended, in its arena. Caller holds the campaign's shard
-// lock, or the campaign is not reachable yet: either way the campaign's
-// completion scratch is its own.
-func (c *Campaign) fileCompleted(sess *Session) {
+// files the session under the next row number, the piece the session's
+// record is in its records and its ID, which the caller has appended, in
+// its arena. It returns the session's /analytics row and its comma, the
+// piece the caller appends to the campaign's rows or compares with the
+// rows file, rendered into the completion scratch, which is valid until
+// the next call. Caller holds the campaign's shard lock, or the campaign
+// is not reachable yet: either way the campaign's completion scratch is
+// its own.
+func (c *Campaign) fileCompleted(sess *Session) []byte {
 	rec := c.done.record(sess, c.Kind)
 	c.analytics.Complete(rec, sess.final.Final)
 	if c.adaptive != nil {
@@ -615,25 +621,27 @@ func (c *Campaign) fileCompleted(sess *Session) {
 	}
 	c.inflight = slices.DeleteFunc(c.inflight, func(id string) bool { return id == sess.ID })
 	at, _ := c.frozenAt(sess.ID)
-	c.rowOrder = slices.Insert(c.rowOrder, at, uint32(len(c.ids.ends)-1))
+	c.rowOrder = slices.Insert(c.rowOrder, at, c.ids.count()-1)
 	c.done.verdict = sess.verdict()
-	start := len(c.rows.tail)
-	c.rows.tail = c.done.verdict.appendRow(c.rows.tail)
-	c.rowDigest += crc64.Checksum(c.rows.tail[start:], etagTable)
-	c.rows.tail = append(c.rows.tail, ',')
-	c.rows.push(c.spilled)
+	c.done.row = c.done.verdict.appendRow(c.done.row[:0])
+	c.rowDigest += crc64.Checksum(c.done.row, etagTable)
+	c.done.row = append(c.done.row, ',')
 	c.done.verdict = ParticipantVerdict{} // the scratch pins no session's strings
 	c.invalidate()
+	return c.done.row
 }
 
 // completion is the scratch completeSession and fileCompleted work in,
 // one per campaign and reused under its shard lock: the session's ID and
-// frozen record before they are framed into its records, its answers as the
-// filtering.SessionRecord the §4.3 folds take, and its /analytics row's
-// fields. Neither quality.Campaign.Complete nor adaptive.Campaign.Complete
-// keeps the record or anything it points to.
+// frozen record before they are framed, and the frame, before it is
+// appended to its records, its answers as the filtering.SessionRecord
+// the §4.3 folds take, and its /analytics row's fields and bytes.
+// Neither quality.Campaign.Complete nor adaptive.Campaign.Complete keeps
+// the record or anything it points to.
 type completion struct {
 	frozen   []byte
+	frame    []byte
+	row      []byte
 	rec      filtering.SessionRecord
 	timeline []response.TimelineResponse
 	ab       []response.ABResponse
@@ -846,7 +854,7 @@ func sortedKeys(m map[string]bool) []string {
 // section builds campaign c's section. Caller holds the world lock
 // exclusively, so the reads are a consistent cut.
 func (st *State) section(c *Campaign) (snapCampaign, error) {
-	n := uint32(len(c.ids.ends))
+	n := c.ids.count()
 	cn := snapCampaign{
 		ID: c.ID, Name: c.Name, Kind: c.Kind,
 		Videos:      make([]snapVideo, len(c.Videos)),
@@ -941,10 +949,10 @@ func (st *State) restore(cn *snapCampaign) (_ *restored, err error) {
 		if err = c.fileSpilled(valid[0], valid[1]); err != nil {
 			return nil, err
 		}
-		if len(c.ids.ends) != cn.Frozen {
-			return nil, fmt.Errorf("campaign %s: %s holds %d completed sessions, its document says %d", cn.ID, fileName(cn.ID, 0), len(c.ids.ends), cn.Frozen)
+		if int(c.ids.count()) != cn.Frozen {
+			return nil, fmt.Errorf("campaign %s: %s holds %d completed sessions, its document says %d", cn.ID, fileName(cn.ID, 0), c.ids.count(), cn.Frozen)
 		}
-		c.spilled, c.rows.tail = uint32(cn.Frozen), nil
+		c.spilled = uint32(cn.Frozen)
 	}
 	for _, sn := range cn.Inflight {
 		if _, frozen := c.frozenAt(sn.ID); frozen {
@@ -1043,8 +1051,8 @@ func (st *State) install(r *restored) {
 		st.sessions.Put(sess.ID, sess)
 		st.bumpID(sess.ID)
 	}
-	for i := range c.ids.ends {
-		st.bumpID(c.completedID(uint32(i)))
+	for i := range c.ids.count() {
+		st.bumpID(c.completedID(i))
 	}
 	st.campaigns.Put(c.ID, c)
 	st.bumpID(c.ID)

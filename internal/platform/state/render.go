@@ -508,7 +508,7 @@ func (st *State) Analytics(dst []byte, id string, lo, hi float64, fresh func(tag
 	// listed from its frozen row; one that joined since, in the next poll.
 	csh.RLock()
 	defer csh.RUnlock()
-	rows, size, sum := len(c.rowOrder), int(c.rows.size(uint32(len(c.rows.ends)))), uint64(0)
+	rows, size, sum := len(c.rowOrder), int(c.rows.size(c.rows.count())), uint64(0)
 	for i, sid := range sc.ids {
 		row := sc.live[sc.spans[i].from:sc.spans[i].to]
 		if _, frozen := c.frozenAt(sid); frozen || len(row) == 0 {
@@ -590,15 +590,28 @@ func (c *Campaign) appendAnalytics(b, spilled, shell []byte, cut int, sc *render
 
 // appendFrozenRows appends the frozen rows at payload positions [from, to)
 // to b, each run of consecutive row numbers on one side of the spill
-// boundary in one copy.
+// boundary in one copy: from spilled, or from the rows' tail in one copy
+// per chunk the run lies in.
 func (c *Campaign) appendFrozenRows(b, spilled []byte, from, to int) []byte {
+	base := c.rows.size(c.spilled)
 	for from < to {
 		first := c.rowOrder[from]
 		end := first + 1
 		for from++; from < to && c.rowOrder[from] == end && (end < c.spilled) == (first < c.spilled); from++ {
 			end++
 		}
-		b = append(b, c.rows.span(spilled, first, end, c.spilled)...)
+		start, stop := c.rows.size(first), c.rows.size(end)
+		if first < c.spilled {
+			b = append(b, spilled[start:stop]...)
+			continue
+		}
+		// Most runs lie in one chunk: part, inlined, is the whole run.
+		i, j := int(start-base), int(stop-base)
+		if p := c.rows.tail.part(i, j); len(p) == j-i {
+			b = append(b, p...)
+		} else {
+			b = c.rows.tail.appendTo(b, i, j)
+		}
 	}
 	return b
 }
@@ -615,7 +628,7 @@ func (st *State) appendShell(sc *renderScratch, c *Campaign, lo, hi float64, ses
 		Campaign:  c.ID,
 		Kind:      c.Kind,
 		Sessions:  sessions,
-		Completed: len(c.ids.ends),
+		Completed: int(c.ids.count()),
 		Summary:   AnalyticsSummary(c.analytics.Summary()), // same fields, this type names them in JSON
 	})
 	cut := len(o.b)

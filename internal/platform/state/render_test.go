@@ -153,7 +153,7 @@ func (g *docGen) campaign() *Campaign {
 func oracleViews(c *Campaign, lo, hi float64) (*ResultsResponse, *AnalyticsResponse) {
 	sum := c.analytics.Summary()
 	res := &ResultsResponse{Campaign: c.ID, Participants: sum.Total, Kept: sum.Kept, Engagement: sum.Engagement(), Soft: sum.Soft, Control: sum.Control, PerVideo: map[string]VideoAg{}}
-	an := &AnalyticsResponse{Campaign: c.ID, Kind: c.Kind, Completed: len(c.ids.ends), Summary: AnalyticsSummary(sum), Participants: []ParticipantVerdict{}, PerVideo: map[string]VideoAnalytics{}}
+	an := &AnalyticsResponse{Campaign: c.ID, Kind: c.Kind, Completed: int(c.ids.count()), Summary: AnalyticsSummary(sum), Participants: []ParticipantVerdict{}, PerVideo: map[string]VideoAnalytics{}}
 	for id, b := range c.analytics.TimelineBands(filtering.WisdomLo, filtering.WisdomHi) {
 		res.PerVideo[id] = VideoAg{Responses: b.InBand, MeanUPLT: b.Mean}
 	}

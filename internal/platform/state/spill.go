@@ -5,7 +5,10 @@
 // pieces out of the heap into an append-only file beside the journal,
 // which internal/store owns: campaigns/<id>.frozen and .rows. An
 // in-memory server spills nothing; its boundary stays at 0 and every
-// read goes to the heap, through the same code.
+// read goes to the heap, through the same code. In the heap a stream's
+// bytes and the offsets its pieces end at sit in fixed-size chunks
+// (chunks.go), which a completion appends to without copying what they
+// held; a stream's offsets are the whole stream's, the files' too.
 //
 // A stream is blind to what its pieces hold. A record piece is one frame
 // of the journal's own format (store.AppendRecord: a length, a CRC32-C
@@ -24,9 +27,9 @@
 // Recover truncates each file to the newest document's lengths (a crash
 // may have left a tail past them, or the document may be the older of
 // two), then walks it to rebuild the campaign's IDs, offsets, row order
-// and §4.3 fold; a frame that fails its check, or a row that is not the
-// one its record renders, fails Open naming the campaign, the file and
-// the offset.
+// and §4.3 fold, rendering each row into one reused buffer to check it;
+// a frame that fails its check, or a row that is not the one its record
+// renders, fails Open naming the campaign, the file and the offset.
 //
 // Readers of the files — an /analytics render, which reads the spilled
 // rows once per render, and a lookup of a completed session, which reads
@@ -56,15 +59,20 @@ const filesDir = "campaigns"
 var streamExts = [2]string{".frozen", ".rows"}
 
 // stream is one of a campaign's two byte streams. Piece i, completed
-// session i's, ends at offset ends[i] of the whole stream. The pieces
+// session i's, ends at offset ends.at(i) of the whole stream. The pieces
 // before the campaign's spill boundary are in file, which is nil until
 // a snapshot first spills and always nil in memory; tail holds the
-// bytes from the boundary on. A campaign's ID arena (Campaign.ids) is a
-// stream that never spills: its file stays nil and its boundary 0, and
-// no piece of its tail is ever rewritten.
+// bytes from the boundary on, tail offset 0 being the boundary's stream
+// offset. Both tail and ends are chunks, so a completion appends its
+// bytes and its offset without copying what the stream held before. A
+// piece may cross a chunk boundary of the tail; a reader that needs it
+// whole gets a copy (piece). A campaign's ID arena (Campaign.ids) is a
+// stream that never spills: its file stays nil and its boundary 0, each
+// piece lies in one chunk (chunks.appendWhole), and no piece is ever
+// rewritten.
 type stream struct {
-	tail []byte
-	ends []uint32
+	tail chunks[byte]
+	ends chunks[uint32]
 	file *store.File
 }
 
@@ -91,40 +99,38 @@ func checkFileID(id string) error {
 	return nil
 }
 
+// count is the number of pieces.
+func (s *stream) count() uint32 { return uint32(s.ends.len()) }
+
 // size is the length of the first n pieces: where piece n starts.
 func (s *stream) size(n uint32) uint32 {
 	if n == 0 {
 		return 0
 	}
-	return s.ends[n-1]
+	return s.ends.at(int(n - 1))
 }
 
 // push ends a piece at the end of the tail, to which the caller
 // appended its bytes. spilled is the campaign's boundary.
 func (s *stream) push(spilled uint32) {
-	s.ends = append(s.ends, s.size(spilled)+uint32(len(s.tail)))
+	s.ends.append(s.size(spilled) + uint32(s.tail.len()))
 }
 
-// span returns pieces i to j-1, which lie on one side of the boundary
-// spilled, as one slice: from region, the spilled pieces as readSpilled
-// read them, or from the tail.
-func (s *stream) span(region []byte, i, j, spilled uint32) []byte {
-	start, stop := s.size(i), s.size(j)
+// piece returns piece i: a slice of the tail when it lies in one chunk,
+// assembled into a new slice when it crosses into the next, or read
+// from the file into a new slice when it is spilled.
+func (s *stream) piece(i, spilled uint32) ([]byte, error) {
+	start, stop := s.size(i), s.size(i+1)
 	if i < spilled {
-		return region[start:stop]
+		b := make([]byte, stop-start)
+		return b, s.file.ReadAt(b, int64(start))
 	}
 	base := s.size(spilled)
-	return s.tail[start-base : stop-base]
-}
-
-// piece returns piece i: from the tail, or read from the file into a
-// new slice when it is spilled.
-func (s *stream) piece(i, spilled uint32) ([]byte, error) {
-	if i >= spilled {
-		return s.span(nil, i, i+1, spilled), nil
+	from, to := int(start-base), int(stop-base) // a piece is never empty
+	if p := s.tail.part(from, to); len(p) == to-from {
+		return p, nil
 	}
-	b := make([]byte, s.ends[i]-s.size(i))
-	return b, s.file.ReadAt(b, int64(s.size(i)))
+	return s.tail.appendTo(nil, from, to), nil
 }
 
 // regionPool recycles the buffers renders read the spilled rows into.
@@ -156,10 +162,12 @@ func (s *stream) flush(campaign string, spilled, n uint32) error {
 	if have > want {
 		return fmt.Errorf("campaign %s: %s holds %d bytes, past the %d its completed sessions fill", campaign, s.file.Name(), have, want)
 	}
-	if have < want {
-		if err := s.file.Append(s.tail[have-base : want-base]); err != nil {
+	for from, to := int(have-base), int(want-base); from < to; {
+		p := s.tail.part(from, to)
+		if err := s.file.Append(p); err != nil {
 			return err
 		}
+		from += len(p)
 	}
 	if s.file.Synced() < want {
 		return s.file.Sync()
@@ -167,10 +175,12 @@ func (s *stream) flush(campaign string, spilled, n uint32) error {
 	return nil
 }
 
-// advance moves the tail past piece n-1, from spilled: it copies what is
-// left into a new slice, so the bytes written become garbage.
+// advance moves the tail past piece n-1, from spilled: what is left, if
+// anything, goes to new chunks, so the chunks written become garbage.
 func (s *stream) advance(spilled, n uint32) {
-	s.tail = append([]byte(nil), s.tail[s.size(n)-s.size(spilled):]...)
+	var rest chunks[byte]
+	rest.append(s.tail.appendTo(nil, int(s.size(n)-s.size(spilled)), s.tail.len())...)
+	s.tail = rest
 }
 
 // open opens campaign's file name, creating it empty, cuts it to its
@@ -242,7 +252,7 @@ func (st *State) spill(c *Campaign) error {
 		}
 	}
 	for _, s := range c.streams() {
-		if err := s.flush(c.ID, c.spilled, uint32(len(c.ids.ends))); err != nil {
+		if err := s.flush(c.ID, c.spilled, c.ids.count()); err != nil {
 			return err
 		}
 	}
@@ -298,16 +308,19 @@ func (c *Campaign) record(i uint32) ([]byte, error) {
 // valid bytes of its files: each frame of frozen is checked, its ID
 // appended to c's arena and its record decoded with that view of the
 // arena as the session's ID, its join noted by the stopper and the
-// session filed (fileCompleted), and the row that renders must be the
-// next of rows. Caller has built c's videos and stopper, and holds no
-// lock: c is not reachable yet.
+// session filed (fileCompleted), and the row that renders, in the
+// completion scratch, must be the next of rows. Neither stream's tail
+// takes a byte: the files hold them, and only the pieces' ends are
+// kept. Caller has built c's videos and stopper, and holds no lock: c is
+// not reachable yet.
 func (c *Campaign) fileSpilled(frozen, rows []byte) error {
+	start := 0 // of the next row in rows
 	for off, row := 0, uint32(0); off < len(frozen); row++ {
 		id, rec, n, ok := unframe(frozen[off:])
 		if !ok {
 			return c.badFrame(row)
 		}
-		c.ids.tail = append(c.ids.tail, id...)
+		c.ids.tail.appendWhole(id)
 		c.ids.push(0)
 		sid := c.completedID(row)
 		sess, err := decodeFrozen(c, sid, rec)
@@ -318,18 +331,19 @@ func (c *Campaign) fileSpilled(frozen, rows []byte) error {
 			return fmt.Errorf("campaign %s row %d: session %s completed twice", c.ID, row, sid)
 		}
 		off += n
-		c.records.ends = append(c.records.ends, uint32(off))
+		c.records.ends.append(uint32(off))
 		if c.adaptive != nil {
 			c.adaptive.NoteJoin(sess.videos())
 		}
-		start := len(c.rows.tail)
-		c.fileCompleted(sess)
-		if stop := len(c.rows.tail); stop > len(rows) || !bytes.Equal(c.rows.tail[start:], rows[start:stop]) {
+		piece := c.fileCompleted(sess)
+		if stop := start + len(piece); stop > len(rows) || !bytes.Equal(piece, rows[start:stop]) {
 			return fmt.Errorf("%w: campaign %s row %d (session %s): %s does not hold at offset %d the row its record renders", ErrSpillCorrupt, c.ID, row, sid, fileName(c.ID, 1), start)
 		}
+		start += len(piece)
+		c.rows.ends.append(uint32(start))
 	}
-	if len(c.rows.tail) != len(rows) {
-		return fmt.Errorf("%w: campaign %s: %s holds %d bytes past its last row, at offset %d", ErrSpillCorrupt, c.ID, fileName(c.ID, 1), len(rows)-len(c.rows.tail), len(c.rows.tail))
+	if start != len(rows) {
+		return fmt.Errorf("%w: campaign %s: %s holds %d bytes past its last row, at offset %d", ErrSpillCorrupt, c.ID, fileName(c.ID, 1), len(rows)-start, start)
 	}
 	return nil
 }

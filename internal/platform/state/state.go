@@ -128,10 +128,10 @@ type Campaign struct {
 
 	// ids is the completed sessions' IDs, one piece each in completion
 	// order — the order a snapshot load re-folds them into analytics —
-	// packed in one arena that never spills and whose written bytes never
-	// change, so an ID read from it (completedID) is a view that stays
-	// valid however the arena grows. It is the only copy a completed
-	// session's ID keeps.
+	// packed in one arena of chunks that never spills and whose written
+	// bytes never change. An ID lies in one chunk, so an ID read from it
+	// (completedID) is a view of that chunk alone, valid however the
+	// arena grows. It is the only copy a completed session's ID keeps.
 	// cache is the rendered /results body and cacheTag its ETag, as the
 	// header value a reply assigns, both nil when stale.
 	ids      stream
@@ -174,18 +174,72 @@ type Campaign struct {
 // Completed lists the campaign's completed sessions in completion order,
 // each ID a view of the campaign's arena (completedID).
 func (c *Campaign) Completed() []string {
-	ids := make([]string, len(c.ids.ends))
+	ids := make([]string, c.ids.count())
 	for i := range ids {
 		ids[i] = c.completedID(uint32(i))
 	}
 	return ids
 }
 
-// completedID returns completed session i's ID as a view of the arena,
-// with no copy: the arena's written bytes never change.
+// completedID returns completed session i's ID as a view of the arena's
+// chunk it lies in, with no copy: the arena's written bytes never
+// change. Only an ID longer than a chunk, which spans chunks, is copied.
 func (c *Campaign) completedID(i uint32) string {
-	id := c.ids.span(nil, i, i+1, 0)
+	end := int(c.ids.size(i + 1))
+	start := c.ids.tail.wholeStart(int(c.ids.size(i)), end)
+	if start == end {
+		return ""
+	}
+	id := c.ids.tail.part(start, end)
+	if len(id) != end-start {
+		return string(c.ids.tail.appendTo(nil, start, end))
+	}
 	return unsafe.String(unsafe.SliceData(id), len(id))
+}
+
+// Held is what one part of the completed sessions' storage holds in the
+// heap: Len bytes in use, of Cap allocated.
+type Held struct{ Len, Cap int }
+
+// Footprint is what a campaign's completed sessions hold in the heap,
+// part by part, read from the structures that hold them whenever it is
+// asked for: the frozen records and /analytics rows not yet spilled,
+// the ID arena, the three streams' piece ends, and rowOrder. A stream
+// part's Cap counts its chunks and its list of them; a chunked part
+// holds at most one chunk more than its Len, and that list. It leaves
+// out the §4.3 sketches, the stopper and the sessions in flight.
+type Footprint struct {
+	Records, Rows, IDs, Ends, RowOrder Held
+}
+
+func (h *Held) add(o Held) { h.Len, h.Cap = h.Len+o.Len, h.Cap+o.Cap }
+
+func (f *Footprint) add(g Footprint) {
+	f.Records.add(g.Records)
+	f.Rows.add(g.Rows)
+	f.IDs.add(g.IDs)
+	f.Ends.add(g.Ends)
+	f.RowOrder.add(g.RowOrder)
+}
+
+// Cap is the bytes f's parts have allocated, all told.
+func (f *Footprint) Cap() int {
+	return f.Records.Cap + f.Rows.Cap + f.IDs.Cap + f.Ends.Cap + f.RowOrder.Cap
+}
+
+// Footprint reads what c's completed sessions hold in the heap. Caller
+// holds c's shard lock, at least shared, or no op applies.
+func (c *Campaign) Footprint() Footprint {
+	f := Footprint{
+		Records:  c.records.tail.held(),
+		Rows:     c.rows.tail.held(),
+		IDs:      c.ids.tail.held(),
+		RowOrder: Held{Len: len(c.rowOrder) * 4, Cap: cap(c.rowOrder) * 4},
+	}
+	for _, s := range [...]*stream{&c.ids, &c.records, &c.rows} {
+		f.Ends.add(s.ends.held())
+	}
+	return f
 }
 
 // Analytics is the campaign's incremental §4.3 fold.
@@ -733,10 +787,11 @@ type Counts struct {
 	// InFlight sums the campaigns' lists of them.
 	Sessions, InFlight int
 	Joined             int64
-	// CompletedBytes is what completed sessions hold in the heap, and
-	// SpilledBytes what they hold in the campaigns' files: frozen records
-	// and /analytics rows.
-	CompletedBytes, SpilledBytes int
+	// Completed sums the campaigns' Footprints: what completed sessions
+	// hold in the heap. SpilledBytes is what they hold in the campaigns'
+	// files: frozen records and /analytics rows.
+	Completed    Footprint
+	SpilledBytes int
 	// Verdicts counts completed sessions by their §4.3 verdict.
 	Verdicts [filtering.DropControl + 1]int
 }
@@ -755,8 +810,8 @@ func (st *State) Counts() Counts {
 	})
 	st.campaigns.Range(func(_ string, c *Campaign) bool {
 		n.InFlight += len(c.inflight)
+		n.Completed.add(c.Footprint())
 		for _, s := range c.streams() {
-			n.CompletedBytes += len(s.tail)
 			n.SpilledBytes += int(s.size(c.spilled))
 		}
 		sum := c.analytics.Summary()

@@ -206,7 +206,7 @@ func (s *Server) registerStateGauges() {
 	reg.Help("eyeorg_sessions_inflight", "Joined sessions not yet completed.")
 	reg.GaugeFunc("eyeorg_sessions_inflight", "", count(func(n *state.Counts) int { return n.InFlight }))
 	reg.Help("eyeorg_sessions_completed_bytes", "Heap bytes held for completed sessions: frozen records and /analytics rows not yet spilled, all campaigns.")
-	reg.GaugeFunc("eyeorg_sessions_completed_bytes", "", count(func(n *state.Counts) int { return n.CompletedBytes }))
+	reg.GaugeFunc("eyeorg_sessions_completed_bytes", "", count(func(n *state.Counts) int { return n.Completed.Cap() }))
 	reg.Help("eyeorg_sessions_spilled_bytes", "Bytes of completed sessions' frozen records and /analytics rows in the campaigns' files, all campaigns.")
 	reg.GaugeFunc("eyeorg_sessions_spilled_bytes", "", count(func(n *state.Counts) int { return n.SpilledBytes }))
 	reg.Help("eyeorg_http_inflight", "API requests currently being served.")

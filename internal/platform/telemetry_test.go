@@ -375,7 +375,25 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 		if got, want := int64(srv.state.Counts().Sessions), srv.SessionsInFlight(); got != want {
 			t.Errorf("%s: the sessions index holds %d sessions, the campaigns' in-flight lists %d", step, got, want)
 		}
+		// The completed sessions' footprint is each campaign's, read from
+		// its storage: three ends and one rowOrder entry a session, and the
+		// IDs' bytes at least.
+		held := 0
+		for _, id := range campaigns {
+			cs, _ := srv.state.Campaign(id)
+			f, ids := cs.Footprint(), 0
+			for _, sid := range cs.Completed() {
+				ids += len(sid)
+			}
+			if n := len(cs.Completed()); f.Ends.Len != 12*n || f.RowOrder.Len != 4*n || f.IDs.Len < ids {
+				t.Errorf("%s: campaign %s's footprint %+v does not hold its %d completed sessions, IDs of %d B", step, id, f, n, ids)
+			}
+			held += f.Cap()
+		}
 		body := scrape(t, c)
+		if got := metricValue(t, body, "eyeorg_sessions_completed_bytes"); got != strconv.Itoa(held) {
+			t.Errorf("%s: eyeorg_sessions_completed_bytes %s, the campaigns' footprints allocate %d", step, got, held)
+		}
 		if got := metricValue(t, body, "eyeorg_sessions_inflight"); got != strconv.Itoa(inflight) {
 			t.Errorf("%s: eyeorg_sessions_inflight %s, the campaigns list %d", step, got, inflight)
 		}
@@ -520,6 +538,7 @@ func TestMetricsWalkStateOncePerScrape(t *testing.T) {
 	if walks != 1 {
 		t.Fatalf("one render walked the state %d times", walks)
 	}
+	held := srv.state.Counts().Completed
 	if err := srv.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -527,12 +546,13 @@ func TestMetricsWalkStateOncePerScrape(t *testing.T) {
 	if walks != 2 {
 		t.Fatalf("two renders walked the state %d times", walks)
 	}
+	left := srv.state.Counts().Completed
 	const heap, spilled = "eyeorg_sessions_completed_bytes", "eyeorg_sessions_spilled_bytes"
-	if before[heap] == 0 || before[spilled] != 0 {
-		t.Fatalf("before the snapshot: %s %v, %s %v; want the heap to hold every byte", heap, before[heap], spilled, before[spilled])
+	if held.Records.Len == 0 || before[heap] != float64(held.Cap()) || before[spilled] != 0 {
+		t.Fatalf("before the snapshot: %s %v, %s %v; want the heap to hold every byte, %+v", heap, before[heap], spilled, before[spilled], held)
 	}
-	if after[heap] != 0 || after[spilled] != before[heap] {
-		t.Fatalf("after the snapshot: %s %v, %s %v; want the files to hold the %v bytes the heap did", heap, after[heap], spilled, after[spilled], before[heap])
+	if unspilled := left.Records.Cap + left.Rows.Cap; after[heap] != float64(left.Cap()) || unspilled != 0 || after[spilled] != float64(held.Records.Len+held.Rows.Len) {
+		t.Fatalf("after the snapshot: %s %v, %s %v, %d bytes of records and rows in the heap; want the files to hold the %d bytes the heap did", heap, after[heap], spilled, after[spilled], unspilled, held.Records.Len+held.Rows.Len)
 	}
 	if after["eyeorg_sessions_inflight"] != 1 || after[`eyeorg_quality_verdicts{verdict="kept"}`] != before[`eyeorg_quality_verdicts{verdict="kept"}`] {
 		t.Fatalf("the other state gauges changed across the snapshot: %v, then %v", before, after)

@@ -382,7 +382,9 @@ func TestSnapshotReplaysOnlyTail(t *testing.T) {
 // segment, which the test shows by appending a valid frame to it after
 // Open: read, it would replay as the record after the snapshot. Nor do
 // its allocations grow with the records past the snapshot, which it
-// reads into one buffer.
+// reads into one buffer. The counts are compared only without the race
+// detector, under which they move by one from run to run; the replays
+// are checked either way.
 func TestReplayAllocsFlatInCoveredRecords(t *testing.T) {
 	payload := bytes.Repeat([]byte("r"), 100)
 	replayAllocs := func(covered, tail int) float64 {
@@ -442,7 +444,7 @@ func TestReplayAllocsFlatInCoveredRecords(t *testing.T) {
 	}
 	few, many, long := replayAllocs(100, 16), replayAllocs(4000, 16), replayAllocs(100, 512)
 	t.Logf("Replay allocates %.0f times for 16 records past 100 covered ones, %.0f past 4,000, %.0f for 512 records", few, many, long)
-	if many > few || long > few {
+	if !raceEnabled && (many > few || long > few) {
 		t.Fatalf("Replay allocates %.0f times for 16 records past 100 covered ones, %.0f past 4,000 and %.0f for 512 records", few, many, long)
 	}
 }
