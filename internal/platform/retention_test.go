@@ -134,13 +134,17 @@ func checkFootprint(t *testing.T, got, want state.Footprint, sessions int) {
 // per completed session, first by the state's own account of its
 // completed-session storage (state.Footprint): its ID in the campaign's
 // completion-order arena (2-5 B here), its place in rowOrder (4 B), the
-// ends of its three pieces (12 B), its framed frozen record and its
-// rendered /analytics row, exactly, and what they allocate, to within a
-// chunk per structure. Those lengths are a function of the sessions
-// driven, so a byte more or less per record fails the test.
+// ends of its record and ID pieces (8 B) and its framed frozen record,
+// exactly, and what they allocate, to within a chunk per structure; no
+// /analytics row, which nothing has read yet, so the rows hold and
+// allocate nothing. After one /analytics render they hold every row,
+// exactly, and the ends a third piece's too (12 B). Those lengths are a
+// function of the sessions driven, so a byte more or less per record
+// fails the test.
 //
-// Then, without the race detector, it bounds the live heap, which holds
-// beside the account each session's values in the campaign's sketches.
+// Then, without the race detector, it bounds the live heap before that
+// render, which holds beside the account each session's values in the
+// campaign's sketches.
 // This cross-check measured 5,036 B/session while a session kept its
 // record, tracker and traces, 1,221 once it kept only its folded form,
 // 1,284 with the rendered row beside it, 562 once no sessionState
@@ -159,12 +163,13 @@ func checkFootprint(t *testing.T, got, want state.Footprint, sessions int) {
 // record kept its assignment as the seven video indices its join drew
 // (8 B less): at 4,064 sessions the records' tail, grown by doubling,
 // had the same capacity; and 255-257 B once the records, rows, IDs and
-// ends sat in fixed-size chunks in place of slices grown by doubling.
-// The ceiling is that plus 10%.
+// ends sat in fixed-size chunks in place of slices grown by doubling;
+// 146-147 B once a row was rendered when something first read it, not when
+// its session completed. The ceiling is that plus 10%.
 func TestCompletedSessionRetainedHeap(t *testing.T) {
 	const (
 		sessions = 4000
-		ceiling  = 282 // bytes per completed session
+		ceiling  = 161 // bytes per completed session
 	)
 	srv := NewServer()
 	h := srv.Handler()
@@ -174,13 +179,17 @@ func TestCompletedSessionRetainedHeap(t *testing.T) {
 	before := liveHeap()
 	completeSessions(t, h, campaign, 64, sessions)
 	after := liveHeap()
-	checkFootprint(t, c.Footprint(), state.Footprint{
+	unread := state.Footprint{
 		Records:  state.Held{Len: 379_814},
-		Rows:     state.Held{Len: 424_518},
 		IDs:      state.Held{Len: 19_234},
-		Ends:     state.Held{Len: 12 * (sessions + 64)},
+		Ends:     state.Held{Len: 8 * (sessions + 64)},
 		RowOrder: state.Held{Len: 4 * (sessions + 64)},
-	}, sessions+64)
+	}
+	f := c.Footprint()
+	checkFootprint(t, f, unread, sessions+64)
+	if f.Rows != (state.Held{}) {
+		t.Errorf("before any render the rows hold %d B of %d allocated, want none", f.Rows.Len, f.Rows.Cap)
+	}
 	if !raceEnabled {
 		per := float64(after-before) / sessions
 		t.Logf("retained heap: %.0f B per completed session", per)
@@ -188,6 +197,11 @@ func TestCompletedSessionRetainedHeap(t *testing.T) {
 			t.Fatalf("retained %.0f B per completed session, ceiling %d", per, ceiling)
 		}
 	}
+	dispatch(t, h, "GET", "/api/v1/campaigns/"+campaign+"/analytics", nil, nil)
+	read := unread
+	read.Rows = state.Held{Len: 424_518}
+	read.Ends.Len = 12 * (sessions + 64)
+	checkFootprint(t, c.Footprint(), read, sessions+64)
 	var res ResultsResponse
 	dispatch(t, h, "GET", "/api/v1/campaigns/"+campaign+"/results", nil, &res)
 	if res.Participants != sessions+64 {
@@ -449,7 +463,9 @@ var renderCases = []struct {
 }
 
 // benchRenders times render in each of renderCases on a fixture of n
-// completed sessions, the case's step untimed.
+// completed sessions, the case's step untimed. Beside wall time it
+// reports cpu-ns/op, the process's CPU time across the renders
+// (cpuMeter), which a neighbour on a shared host moves less.
 func benchRenders(b *testing.B, n int, fixture func(testing.TB, int) (*state.Campaign, func())) {
 	c, render := fixture(b, n)
 	for _, rc := range renderCases {
@@ -457,12 +473,14 @@ func benchRenders(b *testing.B, n int, fixture func(testing.TB, int) (*state.Cam
 			render() // the memos and the pooled buffers are warm
 			b.ReportAllocs()
 			b.ResetTimer()
+			var cpu cpuMeter
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				rc.before(c)
 				b.StartTimer()
-				render()
+				cpu.time(render)
 			}
+			cpu.report(b)
 		})
 	}
 }
@@ -602,7 +620,9 @@ func analyticsRenderOn(tb testing.TB, srv *Server, n int) (*state.Campaign, func
 // BenchmarkAnalyticsRender prices one /analytics poll, handler entry to
 // last byte written, at two campaign sizes and in each of renderCases:
 // a copy per completed session, and allocations that do not depend on
-// their number.
+// their number. Its lagging cases price the poll that first reads rows
+// (benchLagging); their steps complete sessions, so run them with a
+// fixed -benchtime such as 20x.
 func BenchmarkAnalyticsRender(b *testing.B) {
 	for _, n := range []int{1000, 8000} {
 		benchRenders(b, n, analyticsRender)
@@ -612,6 +632,42 @@ func BenchmarkAnalyticsRender(b *testing.B) {
 			benchRenders(b, n, spilledAnalyticsRender)
 		}
 	})
+	b.Run("lagging", func(b *testing.B) {
+		for _, n := range []int{1000, 8000} {
+			for _, lag := range []int{1, n} {
+				b.Run(fmt.Sprintf("sessions=%d/after=%d", n, lag), func(b *testing.B) { benchLagging(b, n, lag) })
+			}
+		}
+	})
+}
+
+// benchLagging times the /analytics poll of an in-memory campaign of n
+// completed sessions, the last lag of which no poll has read, so the
+// poll renders their rows before it copies them. Each iteration's step,
+// untimed, completes the lag: one session more on the same campaign,
+// which grows by one an iteration, or all n on a new server.
+func benchLagging(b *testing.B, n, lag int) {
+	srv := NewServer()
+	c, render := analyticsRenderOn(b, srv, n)
+	render() // the pooled buffers are warm
+	step := func(i int) {
+		if lag == 1 {
+			completeSessions(b, srv.Handler(), c.ID, n+i, 1)
+			return
+		}
+		srv = NewServer()
+		c, render = analyticsRenderOn(b, srv, n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cpu cpuMeter
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		step(i)
+		b.StartTimer()
+		cpu.time(render)
+	}
+	cpu.report(b)
 }
 
 // TestAnalyticsRenderAllocsFlat holds the /analytics poll, in memory

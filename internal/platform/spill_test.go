@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/eyeorg/eyeorg/internal/store"
 )
@@ -518,17 +517,13 @@ func BenchmarkOpen(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var cpu time.Duration
-			cpuOK := true
+			var cpu cpuMeter
 			for i := 0; i < b.N; i++ {
-				start, ok := processCPU()
-				srv, err := Open(Options{DataDir: dir, SnapshotEvery: -1})
+				var srv *Server
+				cpu.time(func() { srv, err = Open(Options{DataDir: dir, SnapshotEvery: -1}) })
 				if err != nil {
 					b.Fatal(err)
 				}
-				end, ok2 := processCPU()
-				cpu += end - start
-				cpuOK = cpuOK && ok && ok2
 				b.StopTimer()
 				if c, _ := srv.state.Campaign(campaign); unspilled(c) != 0 || len(c.Completed()) != n {
 					b.Fatalf("the reopened campaign holds %d completed sessions, %d bytes of them in the heap, want %d, every one spilled", len(c.Completed()), unspilled(c), n)
@@ -538,9 +533,7 @@ func BenchmarkOpen(b *testing.B) {
 				}
 				b.StartTimer()
 			}
-			if cpuOK {
-				b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N), "cpu-ns/op")
-			}
+			cpu.report(b)
 		})
 	}
 }

@@ -127,10 +127,11 @@ func flatPieces(t *testing.T, r *rig, c *Campaign) (pieces [][2][]byte) {
 
 // TestCompletedPiecesAcrossChunks: a campaign whose records and rows
 // fill several chunks reads each piece back, those that cross a chunk
-// boundary included, as the bytes a flat stream holds; its /analytics
-// render, whose runs of rows cross chunk boundaries in the heap, is the
-// render of the same rows read back from the spilled file in one
-// piece; and the files a snapshot spills hold the pieces back to back.
+// boundary included, as the bytes a flat stream holds, once its first
+// /analytics render has rendered the rows; that render, whose runs of
+// rows cross chunk boundaries in the heap, is the render of the same
+// rows read back from the spilled file in one piece; and the files a
+// snapshot spills hold the pieces back to back.
 func TestCompletedPiecesAcrossChunks(t *testing.T) {
 	dir := t.TempDir()
 	r := openRig(t, dir, nil)
@@ -138,6 +139,10 @@ func TestCompletedPiecesAcrossChunks(t *testing.T) {
 	completeN(r, campaign, "across", 150)
 	c, _ := r.st.Campaign(campaign)
 	pieces := flatPieces(t, r, c)
+	inHeap, err := r.analytics(campaign, 20, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var crossed [2]int
 	var flat [2][]byte
 	for i, want := range pieces {
@@ -154,10 +159,6 @@ func TestCompletedPiecesAcrossChunks(t *testing.T) {
 	}
 	if crossed[0] == 0 || crossed[1] == 0 {
 		t.Fatalf("%d record and %d row pieces cross a chunk boundary: the test proves nothing", crossed[0], crossed[1])
-	}
-	inHeap, err := r.analytics(campaign, 20, 80)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if err := r.snapshot(); err != nil {
 		t.Fatal(err)
@@ -226,13 +227,17 @@ func TestCompletedIDNeverSplit(t *testing.T) {
 }
 
 // TestFewSessionsHoldNoMoreThanSlices: a campaign of a few completed
-// sessions holds, part by part, no more than the slices a stream kept
-// before it was chunked, each fed the same pieces by append.
+// sessions, its rows rendered by a poll, holds, part by part, no more
+// than the slices a stream kept before it was chunked, each fed the same
+// pieces by append.
 func TestFewSessionsHoldNoMoreThanSlices(t *testing.T) {
 	r := openRig(t, t.TempDir(), nil)
 	campaign, _ := r.campaign("timeline", 3)
 	completeN(r, campaign, "few", 5)
 	c, _ := r.st.Campaign(campaign)
+	if _, err := r.analytics(campaign, 20, 80); err != nil {
+		t.Fatal(err)
+	}
 	var records, rows, ids []byte
 	var ends [3][]uint32
 	for i := range c.ids.count() {

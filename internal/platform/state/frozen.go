@@ -23,6 +23,11 @@
 // refused unless it draws its videos from its campaign (Campaign.draw),
 // so completion has no failure path. Decoding checks every index and
 // length, because a campaign's files are read from outside the process.
+//
+// A completed session's /analytics row is rendered from its record alone
+// (appendRowOf), in place: the first poll or snapshot after the session
+// completed renders it (catchUpRows), and Recover renders each spilled
+// one again to check the rows file.
 package state
 
 import (
@@ -31,6 +36,7 @@ import (
 	"fmt"
 	"slices"
 	"time"
+	"unsafe"
 
 	"github.com/eyeorg/eyeorg/internal/filtering"
 	"github.com/eyeorg/eyeorg/internal/quality"
@@ -146,4 +152,48 @@ func decodeFrozen(c *Campaign, id string, rec []byte) (*Session, error) {
 	}
 	sess.Assignment = assignment(id, c.Kind, &drawn)
 	return sess, nil
+}
+
+// appendRowOf appends the /analytics row of completed session id, whose
+// frozen record is rec, to dst: the row decodeFrozen(c, id, rec).verdict()
+// renders (appendRow), read from rec's bytes in place, with no session
+// built and nothing allocated. It reads only what the row holds — the
+// worker's ID and the final standing — and steps over the rest, which
+// the campaign's kind does not change (an A/B choice and a zigzag are
+// both one varint). It reports false, whatever it appended, for a record
+// it cannot walk to its end or whose verdict names no §4.3 rule; on a
+// record decodeFrozen refuses for any other reason it renders a row that
+// nothing reads.
+func appendRowOf(dst []byte, id string, rec []byte) ([]byte, bool) {
+	p := wire.Parser{Rest: rec}
+	worker := p.Bytes(len(p.Rest))
+	for range 3 { // gender, country, source
+		p.Bytes(len(p.Rest))
+	}
+	for range TestsPerSession { // the videos
+		p.Uvarint()
+	}
+	for n := p.Uvarint(); n > 0 && p.Err == nil; n-- {
+		p.Uvarint() // test<<1 | control failed
+		p.Uvarint() // the submitted time or the choice
+	}
+	p.Uvarint() // provisional
+	final := p.Uvarint()
+	answered := p.Uvarint()
+	actions := p.Zigzag()
+	p.Uvarint() // controls
+	failed := p.Uvarint()
+	if p.Err != nil || len(p.Rest) != 0 || final > uint64(filtering.DropControl) {
+		return dst, false
+	}
+	v := ParticipantVerdict{
+		Session:        id,
+		Worker:         unsafe.String(unsafe.SliceData(worker), len(worker)),
+		Completed:      true,
+		Verdict:        filtering.Reason(final).String(),
+		Answered:       int(answered),
+		Actions:        int(actions),
+		ControlsFailed: int(failed),
+	}
+	return v.appendRow(dst), true
 }

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -125,9 +126,13 @@ func TestFrozenDecodeRefusesCorruptRecords(t *testing.T) {
 
 // FuzzFrozenSession: a frozen record is read back from its campaign's
 // frozen file, from outside the process. Arbitrary bytes never panic the
-// decoder; a record it accepts yields a session every consumer can walk —
-// its answers index its assignment, its verdict names a rule — and
-// encodes back to a record that decodes to the same session.
+// decoder or the in-place row renderer (appendRowOf); a record the
+// decoder accepts yields a session every consumer can walk — its answers
+// index its assignment, its verdict names a rule — encodes back to a
+// record that decodes to the same session, and renders in place, byte
+// for byte, the /analytics row its decoded session renders. The
+// committed corpus (testdata/fuzz/FuzzFrozenSession) holds a record of
+// negative actions, which a renderer reading them unsigned gets wrong.
 func FuzzFrozenSession(f *testing.F) {
 	for _, kind := range []string{"timeline", "ab"} {
 		c, sess := frozenFixture(kind)
@@ -147,6 +152,7 @@ func FuzzFrozenSession(f *testing.F) {
 			c.Kind = "ab"
 		}
 		c.Videos = c.Videos[:min(int(videos), len(c.Videos))]
+		row, rendered := appendRowOf([]byte("rows,"), "s17", rec)
 		sess, err := decodeFrozen(c, "s17", rec)
 		if err != nil {
 			if !errors.Is(err, errFrozen) {
@@ -159,7 +165,10 @@ func FuzzFrozenSession(f *testing.F) {
 		if n := len(folded.Timeline) + len(folded.AB); n != len(sess.answers) {
 			t.Fatalf("record views %d answers of %d", n, len(sess.answers))
 		}
-		_ = sess.verdict()
+		v := sess.verdict()
+		if want := v.appendRow([]byte("rows,")); !rendered || !bytes.Equal(row, want) {
+			t.Fatalf("the record renders in place (ok %v) as\n%s\nits decoded session as\n%s", rendered, row, want)
+		}
 		_, _ = parseResponse(sess, &ResponseBody{TestID: "s17-t0", Choice: "left"})
 		again, err := decodeFrozen(c, "s17", appendFrozen(nil, c, sess))
 		if err != nil || !reflect.DeepEqual(again, sess) {

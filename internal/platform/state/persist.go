@@ -582,12 +582,13 @@ func (st *State) applyResponse(ev *Event, tr *trace.Trace) (uint64, Result, erro
 // completeSession is what the completing answer does, on the live path
 // and on every replay of its journal record alike: it freezes the
 // session's standing, appends the session's ID and frozen record, in one
-// frame, to the campaign's records, its ID to the campaign's arena and
-// its /analytics row to the campaign's rows, and files it. Each append
-// copies only its own bytes into the streams' chunks. The caller then
-// deletes the session from the index, which held the last reference to
-// its state and to the ID string its join minted, so the tracker and its
-// traces go with them. Caller holds both shard locks.
+// frame, to the campaign's records and its ID to the campaign's arena,
+// and files it. Each append copies only its own bytes into the streams'
+// chunks. It renders no /analytics row: the first poll or snapshot that
+// needs the row renders it from the record (catchUpRows). The caller
+// then deletes the session from the index, which held the last reference
+// to its state and to the ID string its join minted, so the tracker and
+// its traces go with them. Caller holds both shard locks.
 func completeSession(c *Campaign, sess *Session) {
 	sess.track.SetCompleted()
 	sess.final = sess.track.Snapshot()
@@ -597,23 +598,18 @@ func completeSession(c *Campaign, sess *Session) {
 	c.records.push(c.spilled)
 	c.ids.tail.appendWhole([]byte(sess.ID))
 	c.ids.push(0)
-	c.rows.tail.append(c.fileCompleted(sess)...)
-	c.rows.push(c.spilled)
+	c.fileCompleted(sess)
 }
 
 // fileCompleted is the one step every completed session goes through,
 // fresh from completeSession or decoded from a campaign's frozen file
-// (fileSpilled):
-// it folds the answers into the campaign's analytics and stopper and
-// files the session under the next row number, the piece the session's
-// record is in its records and its ID, which the caller has appended, in
-// its arena. It returns the session's /analytics row and its comma, the
-// piece the caller appends to the campaign's rows or compares with the
-// rows file, rendered into the completion scratch, which is valid until
-// the next call. Caller holds the campaign's shard lock, or the campaign
-// is not reachable yet: either way the campaign's completion scratch is
-// its own.
-func (c *Campaign) fileCompleted(sess *Session) []byte {
+// (fileSpilled): it folds the answers into the campaign's analytics and
+// stopper and files the session under the next row number, the piece
+// the session's record is in its records and its ID, which the caller
+// has appended, in its arena. Caller holds the campaign's shard lock, or
+// the campaign is not reachable yet: either way the campaign's
+// completion scratch is its own.
+func (c *Campaign) fileCompleted(sess *Session) {
 	rec := c.done.record(sess, c.Kind)
 	c.analytics.Complete(rec, sess.final.Final)
 	if c.adaptive != nil {
@@ -622,20 +618,59 @@ func (c *Campaign) fileCompleted(sess *Session) []byte {
 	c.inflight = slices.DeleteFunc(c.inflight, func(id string) bool { return id == sess.ID })
 	at, _ := c.frozenAt(sess.ID)
 	c.rowOrder = slices.Insert(c.rowOrder, at, c.ids.count()-1)
-	c.done.verdict = sess.verdict()
-	c.done.row = c.done.verdict.appendRow(c.done.row[:0])
-	c.rowDigest += crc64.Checksum(c.done.row, etagTable)
-	c.done.row = append(c.done.row, ',')
-	c.done.verdict = ParticipantVerdict{} // the scratch pins no session's strings
 	c.invalidate()
-	return c.done.row
 }
 
-// completion is the scratch completeSession and fileCompleted work in,
-// one per campaign and reused under its shard lock: the session's ID and
-// frozen record before they are framed, and the frame, before it is
-// appended to its records, its answers as the filtering.SessionRecord
-// the §4.3 folds take, and its /analytics row's fields and bytes.
+// rowsLag reports whether a completed session has no /analytics row
+// yet. Caller holds c's shard lock, at least shared.
+func (c *Campaign) rowsLag() bool { return c.rows.count() < c.ids.count() }
+
+// catchUpRows brings c's rows up to its records: it renders the row of
+// every session that completed since the rows were last brought up to
+// date, in completion order, from its frozen record in place, and
+// appends each to the rows. Those records are in the heap: a snapshot
+// catches the rows up before it spills. It allocates nothing but the
+// rows' chunks. Caller holds c's shard lock exclusively.
+func (c *Campaign) catchUpRows() error {
+	for i := c.rows.count(); i < c.ids.count(); i++ {
+		piece := c.records.inTail(i, c.spilled, &c.done.frame)
+		_, rec, n, ok := unframe(piece)
+		if !ok || n != len(piece) {
+			return c.badFrame(i)
+		}
+		row, err := c.renderRow(i, rec)
+		if err != nil {
+			return err
+		}
+		c.rows.tail.append(row...)
+		c.rows.push(c.spilled)
+	}
+	return nil
+}
+
+// renderRow renders completed session i's /analytics row from rec, its
+// frozen record, into the completion scratch, adds the row's checksum to
+// rowDigest, and returns the row and its comma — the session's piece of
+// the rows stream — valid until the next call. Each completed session's
+// row goes through it once: rendered to be kept (catchUpRows) or to be
+// checked against the rows file (fileSpilled). Caller holds c's shard
+// lock exclusively, or c is not reachable yet.
+func (c *Campaign) renderRow(i uint32, rec []byte) ([]byte, error) {
+	row, ok := appendRowOf(c.done.row[:0], c.completedID(i), rec)
+	if !ok {
+		return nil, fmt.Errorf("campaign %s row %d (session %s): %w", c.ID, i, c.completedID(i), errFrozen)
+	}
+	c.rowDigest += crc64.Checksum(row, etagTable)
+	c.done.row = append(row, ',')
+	return c.done.row, nil
+}
+
+// completion is the scratch completeSession, fileCompleted and the row
+// renders work in, one per campaign and reused under its shard lock: the
+// session's ID and frozen record before they are framed, and the frame,
+// before it is appended to its records (or a record assembled from the
+// chunks it crosses, for its row to be rendered), its answers as the
+// filtering.SessionRecord the §4.3 folds take, and its /analytics row.
 // Neither quality.Campaign.Complete nor adaptive.Campaign.Complete keeps
 // the record or anything it points to.
 type completion struct {
@@ -645,7 +680,6 @@ type completion struct {
 	rec      filtering.SessionRecord
 	timeline []response.TimelineResponse
 	ab       []response.ABResponse
-	verdict  ParticipantVerdict
 }
 
 // record views the session's answers as a filtering.SessionRecord,

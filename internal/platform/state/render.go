@@ -506,8 +506,21 @@ func (st *State) Analytics(dst []byte, id string, lo, hi float64, fresh func(tag
 	// The rest is read under the campaign lock. A session that completed
 	// since it was listed — before or after its row was rendered — is
 	// listed from its frozen row; one that joined since, in the next poll.
+	// The lock is shared unless a completed session has no row yet: then
+	// it is taken exclusively, the rows are caught up, and it is held so
+	// to the end, so no completion lands between the catch-up and the
+	// render.
 	csh.RLock()
-	defer csh.RUnlock()
+	if c.rowsLag() {
+		csh.RUnlock()
+		csh.Lock()
+		defer csh.Unlock()
+		if err := c.catchUpRows(); err != nil {
+			return dst, ETag{}, err
+		}
+	} else {
+		defer csh.RUnlock()
+	}
 	rows, size, sum := len(c.rowOrder), int(c.rows.size(c.rows.count())), uint64(0)
 	for i, sid := range sc.ids {
 		row := sc.live[sc.spans[i].from:sc.spans[i].to]

@@ -1,13 +1,15 @@
 // Spilled sessions: a campaign's completed sessions are two streams of
-// pieces, one per session in completion order — its frozen record and
-// its rendered /analytics row — each kept by one type, stream. On a
-// server with a data directory a snapshot moves each stream's first
-// pieces out of the heap into an append-only file beside the journal,
-// which internal/store owns: campaigns/<id>.frozen and .rows. An
-// in-memory server spills nothing; its boundary stays at 0 and every
-// read goes to the heap, through the same code. In the heap a stream's
-// bytes and the offsets its pieces end at sit in fixed-size chunks
-// (chunks.go), which a completion appends to without copying what they
+// pieces, one per session in completion order — its frozen record,
+// appended when it completes, and its /analytics row, rendered from the
+// record by the first poll or snapshot after that (catchUpRows), so the
+// rows may lag the records but never lead them — each kept by one type,
+// stream. On a server with a data directory a snapshot moves each
+// stream's first pieces out of the heap into an append-only file beside
+// the journal, which internal/store owns: campaigns/<id>.frozen and
+// .rows. An in-memory server spills nothing; its boundary stays at 0 and
+// every read goes to the heap, through the same code. In the heap a
+// stream's bytes and the offsets its pieces end at sit in fixed-size
+// chunks (chunks.go), which an append adds to without copying what they
 // held; a stream's offsets are the whole stream's, the files' too.
 //
 // A stream is blind to what its pieces hold. A record piece is one frame
@@ -19,25 +21,29 @@
 // and a comma, unframed:
 // Recover re-renders every row from its checked record and compares.
 //
-// Snapshot appends what froze since the last snapshot to both files and
-// syncs them before it writes the state document, which records how
-// many sessions each campaign completed and how long its two files are
-// valid for. Only once the document is durable does a campaign move its
-// boundary, under its shard lock: the bytes it wrote leave the heap.
-// Recover truncates each file to the newest document's lengths (a crash
-// may have left a tail past them, or the document may be the older of
-// two), then walks it to rebuild the campaign's IDs, offsets, row order
-// and §4.3 fold, rendering each row into one reused buffer to check it;
-// a frame that fails its check, or a row that is not the one its record
-// renders, fails Open naming the campaign, the file and the offset.
+// Snapshot renders the rows no poll has rendered, then appends what froze
+// since the last snapshot to both files and syncs them before it writes
+// the state document, which records how many sessions each campaign
+// completed and how long its two files are valid for. Only once the
+// document is durable does a campaign move its boundary, under its shard
+// lock: the bytes it wrote leave the heap. Recover truncates each file
+// to the newest document's lengths (a crash may have left a tail past
+// them, or the document may be the older of two), then walks it to
+// rebuild the campaign's IDs, offsets, row order and §4.3 fold,
+// rendering each row from its record into one reused buffer to check
+// it; a frame that fails its check, or a row that is not the one its
+// record renders, fails Open naming the campaign, the file and the
+// offset.
 //
 // Readers of the files — an /analytics render, which reads the spilled
 // rows once per render, and a lookup of a completed session, which reads
 // and checks its one record — read with ReadAt under the campaign's
 // shard lock, held at least shared, so the boundary they read below
-// cannot move; none touches a file while nothing is spilled. Nothing
-// maps the files, so a file cut short under a reader is an error, not a
-// fault, and a record whose frame fails its check is ErrSpillCorrupt.
+// cannot move; none touches a file while nothing is spilled. The rows'
+// tail grows only under that lock held exclusively (catchUpRows).
+// Nothing maps the files, so a file cut short under a reader is an
+// error, not a fault, and a record whose frame fails its check is
+// ErrSpillCorrupt.
 package state
 
 import (
@@ -120,17 +126,26 @@ func (s *stream) push(spilled uint32) {
 // assembled into a new slice when it crosses into the next, or read
 // from the file into a new slice when it is spilled.
 func (s *stream) piece(i, spilled uint32) ([]byte, error) {
-	start, stop := s.size(i), s.size(i+1)
 	if i < spilled {
-		b := make([]byte, stop-start)
+		start := s.size(i)
+		b := make([]byte, s.size(i+1)-start)
 		return b, s.file.ReadAt(b, int64(start))
 	}
+	var b []byte
+	return s.inTail(i, spilled, &b), nil
+}
+
+// inTail returns piece i, one not spilled: a slice of the tail when it
+// lies in one chunk, else assembled in *buf, which it reuses when it has
+// the room.
+func (s *stream) inTail(i, spilled uint32, buf *[]byte) []byte {
 	base := s.size(spilled)
-	from, to := int(start-base), int(stop-base) // a piece is never empty
+	from, to := int(s.size(i)-base), int(s.size(i+1)-base) // a piece is never empty
 	if p := s.tail.part(from, to); len(p) == to-from {
-		return p, nil
+		return p
 	}
-	return s.tail.appendTo(nil, from, to), nil
+	*buf = s.tail.appendTo((*buf)[:0], from, to)
+	return *buf
 }
 
 // regionPool recycles the buffers renders read the spilled rows into.
@@ -259,6 +274,18 @@ func (st *State) spill(c *Campaign) error {
 	return nil
 }
 
+// catchUpRows renders the rows c's completed sessions lack under c's
+// shard lock, held exclusively: an /analytics poll, which reads the rows
+// under it held shared, may be running. Caller holds world exclusively,
+// so nothing completes meanwhile, and until it releases world every
+// completed session has its row.
+func (st *State) catchUpRows(c *Campaign) error {
+	csh := st.campaigns.Shard(c.ID)
+	csh.Lock()
+	defer csh.Unlock()
+	return c.catchUpRows()
+}
+
 // advance moves c's boundary to its first n completed sessions, all of
 // them in its files and covered by a durable document.
 func (st *State) advance(c *Campaign, n uint32) {
@@ -308,11 +335,12 @@ func (c *Campaign) record(i uint32) ([]byte, error) {
 // valid bytes of its files: each frame of frozen is checked, its ID
 // appended to c's arena and its record decoded with that view of the
 // arena as the session's ID, its join noted by the stopper and the
-// session filed (fileCompleted), and the row that renders, in the
-// completion scratch, must be the next of rows. Neither stream's tail
-// takes a byte: the files hold them, and only the pieces' ends are
-// kept. Caller has built c's videos and stopper, and holds no lock: c is
-// not reachable yet.
+// session filed (fileCompleted), and the row its record renders
+// (renderRow) must be the next of rows. Neither stream's tail takes a
+// byte: the files hold them, and only the pieces' ends are kept, so
+// every row is rendered, as the sessions a snapshot spills are. Caller
+// has built c's videos and stopper, and holds no lock: c is not
+// reachable yet.
 func (c *Campaign) fileSpilled(frozen, rows []byte) error {
 	start := 0 // of the next row in rows
 	for off, row := 0, uint32(0); off < len(frozen); row++ {
@@ -335,7 +363,11 @@ func (c *Campaign) fileSpilled(frozen, rows []byte) error {
 		if c.adaptive != nil {
 			c.adaptive.NoteJoin(sess.videos())
 		}
-		piece := c.fileCompleted(sess)
+		c.fileCompleted(sess)
+		piece, err := c.renderRow(row, rec)
+		if err != nil {
+			return err
+		}
 		if stop := start + len(piece); stop > len(rows) || !bytes.Equal(piece, rows[start:stop]) {
 			return fmt.Errorf("%w: campaign %s row %d (session %s): %s does not hold at offset %d the row its record renders", ErrSpillCorrupt, c.ID, row, sid, fileName(c.ID, 1), start)
 		}

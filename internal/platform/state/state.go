@@ -143,8 +143,9 @@ type Campaign struct {
 	// spilled pieces are in files: records, all that is left of them, each
 	// one's ID and frozen record (frozen.go) in a checked frame, which a
 	// lookup that misses the sessions index finds through rowOrder
-	// (frozenLocked); and rows, each one's /analytics row, rendered once
-	// by fileCompleted.
+	// (frozenLocked); and rows, each one's /analytics row, rendered once,
+	// from its record, by the first poll or snapshot after it completed
+	// (catchUpRows): the rows may lag the records, never lead them.
 	records, rows stream
 	spilled       uint32
 
@@ -161,8 +162,8 @@ type Campaign struct {
 	// complete — what /results and the /analytics summary and bands
 	// render from.
 	analytics *quality.Campaign
-	// done is the scratch fileCompleted folds and renders a completing
-	// session from.
+	// done is the scratch fileCompleted folds a completing session from
+	// and the row renders work in.
 	done completion
 	// adaptive is the sequential stopper/allocator (nil unless the state
 	// has Config.Adaptive). Its state is a pure fold over the journaled
@@ -203,8 +204,9 @@ type Held struct{ Len, Cap int }
 
 // Footprint is what a campaign's completed sessions hold in the heap,
 // part by part, read from the structures that hold them whenever it is
-// asked for: the frozen records and /analytics rows not yet spilled,
-// the ID arena, the three streams' piece ends, and rowOrder. A stream
+// asked for: the frozen records not yet spilled, the /analytics rows
+// rendered and not yet spilled, the ID arena, the three streams' piece
+// ends, and rowOrder. A stream
 // part's Cap counts its chunks and its list of them; a chunked part
 // holds at most one chunk more than its Len, and that list. It leaves
 // out the §4.3 sketches, the stopper and the sessions in flight.
@@ -447,9 +449,12 @@ func (st *State) Recover(jl *store.Log) error {
 
 // Snapshot hands write the state document, with every op quiesced
 // (queries proceed) until it returns: the journal's WriteSnapshot makes
-// it the snapshot of every record so far. On a state with a data
-// directory it first appends what each campaign completed since the last
-// snapshot to the campaign's files and syncs them, so the document it
+// it the snapshot of every record so far. It first renders the
+// /analytics row of each session completed since the campaign's rows
+// were last brought up to date (catchUpRows), so the document counts the
+// rows of every completed session. On a state with a data directory it
+// then appends what each campaign completed since the last snapshot to
+// the campaign's files and syncs them, so the document it
 // writes covers only durable bytes; once write succeeds, each campaign
 // drops from the heap what its files now hold (spill.go). world is held
 // for work that grows with what completed since the last snapshot and
@@ -465,6 +470,9 @@ func (st *State) Snapshot(write func(doc []byte) error) error {
 	slices.SortFunc(campaigns, func(a, b *Campaign) int { return strings.Compare(a.ID, b.ID) })
 	doc := snapState{Version: stateVersion, NextID: st.nextID.Load(), Joined: st.joined.Load()}
 	for _, c := range campaigns {
+		if err := st.catchUpRows(c); err != nil {
+			return err
+		}
 		if err := st.spill(c); err != nil {
 			return err
 		}

@@ -205,7 +205,7 @@ func (s *Server) registerStateGauges() {
 	reg.GaugeFunc("eyeorg_sessions", "", count(func(n *state.Counts) int { return int(n.Joined) }))
 	reg.Help("eyeorg_sessions_inflight", "Joined sessions not yet completed.")
 	reg.GaugeFunc("eyeorg_sessions_inflight", "", count(func(n *state.Counts) int { return n.InFlight }))
-	reg.Help("eyeorg_sessions_completed_bytes", "Heap bytes held for completed sessions: frozen records and /analytics rows not yet spilled, all campaigns.")
+	reg.Help("eyeorg_sessions_completed_bytes", "Heap bytes allocated for completed sessions, all campaigns: frozen records not yet spilled, /analytics rows rendered and not yet spilled, the ID arenas, the pieces' end offsets and the ID-sorted row order.")
 	reg.GaugeFunc("eyeorg_sessions_completed_bytes", "", count(func(n *state.Counts) int { return n.Completed.Cap() }))
 	reg.Help("eyeorg_sessions_spilled_bytes", "Bytes of completed sessions' frozen records and /analytics rows in the campaigns' files, all campaigns.")
 	reg.GaugeFunc("eyeorg_sessions_spilled_bytes", "", count(func(n *state.Counts) int { return n.SpilledBytes }))

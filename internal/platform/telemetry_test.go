@@ -359,13 +359,14 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 		if n := srv.state.Counts().Campaigns; n != len(campaigns) {
 			t.Fatalf("%s: the server holds %d campaigns, the test made %d", step, n, len(campaigns))
 		}
-		inflight, verdicts := 0, map[string]int{}
+		inflight, verdicts, rendered := 0, map[string]int{}, map[string]int{}
 		for _, id := range campaigns {
 			for _, p := range fetchAnalytics(t, c, id).Participants {
 				if !p.Completed {
 					inflight++
 				} else {
 					verdicts[p.Verdict]++
+					rendered[id]++
 				}
 			}
 		}
@@ -376,8 +377,9 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 			t.Errorf("%s: the sessions index holds %d sessions, the campaigns' in-flight lists %d", step, got, want)
 		}
 		// The completed sessions' footprint is each campaign's, read from
-		// its storage: three ends and one rowOrder entry a session, and the
-		// IDs' bytes at least.
+		// its storage: two ends (record and ID) and one rowOrder entry a
+		// completed session, one end more a row rendered — the poll above
+		// rendered every row it lists — and the IDs' bytes at least.
 		held := 0
 		for _, id := range campaigns {
 			cs, _ := srv.state.Campaign(id)
@@ -385,8 +387,9 @@ func TestDerivedCountsMatchCampaigns(t *testing.T) {
 			for _, sid := range cs.Completed() {
 				ids += len(sid)
 			}
-			if n := len(cs.Completed()); f.Ends.Len != 12*n || f.RowOrder.Len != 4*n || f.IDs.Len < ids {
-				t.Errorf("%s: campaign %s's footprint %+v does not hold its %d completed sessions, IDs of %d B", step, id, f, n, ids)
+			n := len(cs.Completed())
+			if f.Ends.Len != 8*n+4*rendered[id] || f.RowOrder.Len != 4*n || f.IDs.Len < ids {
+				t.Errorf("%s: campaign %s's footprint %+v does not hold its %d completed sessions and %d rendered rows, IDs of %d B", step, id, f, n, rendered[id], ids)
 			}
 			held += f.Cap()
 		}
@@ -512,11 +515,14 @@ func TestMaxBodyRejectsOversizeIngest(t *testing.T) {
 // TestMetricsWalkStateOncePerScrape: a /metrics render walks the state
 // once, however many gauges read it, and the completed sessions' bytes
 // move from the heap gauge to the spilled one when a snapshot writes
-// them to the campaigns' files.
+// them to the campaigns' files: their frozen records, which the heap
+// held, and their /analytics rows, which no poll rendered, so the
+// snapshot did.
 func TestMetricsWalkStateOncePerScrape(t *testing.T) {
-	srv, c := openPersisted(t, t.TempDir(), Options{SnapshotEvery: -1})
+	dir := t.TempDir()
+	srv, c := openPersisted(t, dir, Options{SnapshotEvery: -1})
 	defer srv.Close()
-	seedPersistedCampaign(t, c)
+	campaign, _ := seedPersistedCampaign(t, c)
 	walks := 0
 	srv.counts = func() state.Counts {
 		walks++
@@ -548,11 +554,15 @@ func TestMetricsWalkStateOncePerScrape(t *testing.T) {
 	}
 	left := srv.state.Counts().Completed
 	const heap, spilled = "eyeorg_sessions_completed_bytes", "eyeorg_sessions_spilled_bytes"
-	if held.Records.Len == 0 || before[heap] != float64(held.Cap()) || before[spilled] != 0 {
-		t.Fatalf("before the snapshot: %s %v, %s %v; want the heap to hold every byte, %+v", heap, before[heap], spilled, before[spilled], held)
+	if held.Records.Len == 0 || held.Rows.Len != 0 || before[heap] != float64(held.Cap()) || before[spilled] != 0 {
+		t.Fatalf("before the snapshot: %s %v, %s %v; want the heap to hold every record and no row, %+v", heap, before[heap], spilled, before[spilled], held)
 	}
-	if unspilled := left.Records.Cap + left.Rows.Cap; after[heap] != float64(left.Cap()) || unspilled != 0 || after[spilled] != float64(held.Records.Len+held.Rows.Len) {
-		t.Fatalf("after the snapshot: %s %v, %s %v, %d bytes of records and rows in the heap; want the files to hold the %d bytes the heap did", heap, after[heap], spilled, after[spilled], unspilled, held.Records.Len+held.Rows.Len)
+	rows, err := os.Stat(filepath.Join(dir, "campaigns", campaign+".rows"))
+	if err != nil || rows.Size() == 0 {
+		t.Fatalf("the snapshot wrote no rows: %v", err)
+	}
+	if unspilled := left.Records.Cap + left.Rows.Cap; after[heap] != float64(left.Cap()) || unspilled != 0 || after[spilled] != float64(int64(held.Records.Len)+rows.Size()) {
+		t.Fatalf("after the snapshot: %s %v, %s %v, %d bytes of records and rows in the heap; want the files to hold the %d bytes of records the heap did and the %d of rows the snapshot rendered", heap, after[heap], spilled, after[spilled], unspilled, held.Records.Len, rows.Size())
 	}
 	if after["eyeorg_sessions_inflight"] != 1 || after[`eyeorg_quality_verdicts{verdict="kept"}`] != before[`eyeorg_quality_verdicts{verdict="kept"}`] {
 		t.Fatalf("the other state gauges changed across the snapshot: %v, then %v", before, after)
